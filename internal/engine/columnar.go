@@ -1,8 +1,6 @@
 package engine
 
 import (
-	"fmt"
-
 	"repro/internal/data"
 	"repro/internal/predicate"
 	"repro/internal/sim"
@@ -306,53 +304,17 @@ func (s *Server) ColGroupBounds(f predicate.Filter, needCols []int, nparts int, 
 }
 
 // ScanColumnarRange scans columnar row groups [loGroup, hiGroup) with f
-// pushed down, invoking fn per BlockRows-row block until fn returns false.
-// needCols lists the columns whose pages the scan reads (nil means all;
-// callers that materialize full rows must pass nil). All costs are charged
-// to lane (the server's own meter when nil): the cursor open, then per
-// scanned group its column pages and per-row evaluation, and per block the
-// transmission of the selected rows. Groups whose zone maps prove the
-// filter unsatisfiable are skipped before any charge. Empty ranges are
-// valid and yield no blocks.
+// pushed down, invoking fn per BlockRows-row block until fn returns false:
+// a cohort of one on the shared block loop (scanColumnar), with the cursor
+// open and page I/O charged to the consumer's own lane. needCols lists the
+// columns whose pages the scan reads (nil means all; callers that
+// materialize full rows must pass nil). All costs are charged to lane (the
+// server's own meter when nil). Groups whose zone maps prove the filter
+// unsatisfiable are skipped before any charge. Empty ranges are valid and
+// yield no blocks.
 func (s *Server) ScanColumnarRange(f predicate.Filter, needCols []int, loGroup, hiGroup int, lane *sim.Meter, fn func(blk *ColBlock) bool) {
-	cs := s.table.colstore
-	if cs == nil {
-		panic(fmt.Sprintf("engine: table %q has no columnar copy", s.table.Name))
-	}
-	ng := cs.NumGroups()
-	if loGroup < 0 || hiGroup < loGroup || hiGroup > ng {
-		panic(fmt.Sprintf("engine: invalid columnar range [%d, %d) of %d groups", loGroup, hiGroup, ng))
-	}
 	if lane == nil {
 		lane = s.meter
 	}
-	costs := lane.Costs()
-	lane.Charge(sim.CtrServerScans, costs.CursorOpen, 1)
-	blk := &ColBlock{}
-	var sel []int32
-	for gi := loGroup; gi < hiGroup; gi++ {
-		g := cs.Group(gi)
-		gf := CompileGroupFilter(g, f)
-		if gf.None() {
-			lane.Charge(sim.CtrColGroupsSkipped, 0, 1)
-			continue
-		}
-		lane.Charge(sim.CtrColGroupsScanned, 0, 1)
-		lane.Charge(sim.CtrServerPages, costs.ServerPageIO, g.Pages(needCols))
-		nrows := g.NumRows()
-		for base := 0; base < nrows; base += BlockRows {
-			n := nrows - base
-			if n > BlockRows {
-				n = BlockRows
-			}
-			lane.Charge(sim.CtrColBlocks, 0, 1)
-			lane.Charge(sim.CtrServerRows, costs.ColRowEval, int64(n))
-			sel = gf.selectBlock(g, base, n, sel[:0])
-			lane.Charge(sim.CtrRowsTransmitted, costs.ColRowTransmit, int64(len(sel)))
-			blk.Group, blk.GroupIndex, blk.Base, blk.N, blk.Sel = g, gi, base, n, sel
-			if !fn(blk) {
-				return
-			}
-		}
-	}
+	s.scanColumnar([]*ScanConsumer{{Filter: f, Lane: lane, Fn: fn}}, needCols, loGroup, hiGroup, lane)
 }

@@ -2,7 +2,6 @@ package engine
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/data"
 	"repro/internal/obs"
@@ -14,7 +13,7 @@ import (
 // This file is the engine side of the multi-worker pipeline: partitioned
 // construction of the §4.3.3 auxiliary structures, partitioned cursors over
 // keysets and TID tables, and the per-arm execution primitive the parallel
-// SQL fallback fans out over. The determinism rules match OpenScanPartition:
+// SQL fallback fans out over. The determinism rules match OpenScanRange:
 // workers read the immutable heap directly (never the shared LRU buffer
 // pool), charge only their private lane meter, and record spans only on
 // their private lane tracer, so every lane's outcome is a pure function of
@@ -61,111 +60,74 @@ func (s *Server) auxWorkers(n int) int {
 	return n
 }
 
-// laneTracer indexes a ForkLanes result, tolerating the nil slice a nil
-// tracer produces.
-func laneTracer(ltrs []*obs.Tracer, i int) *obs.Tracer {
-	if ltrs == nil {
-		return nil
+// scanMatchLanes is the aux builders' one partitioned qualifying scan: the
+// heap's pages split into nworkers ranges — histogram-weighted, each
+// estimated match weighing writeCost, equal-width when hints are off — and
+// every range scanned cold on its own lane, which pays its cursor open, its
+// pages and rows, and writeCost per row matching f (nothing for a keyset:
+// capturing a TID writes no server row). keep receives each match with its
+// lane's index and must store it in that lane's shard only; TIDs ascend
+// within a range and ranges tile the heap in order, so shards concatenated in
+// lane order equal the sequential scan's output.
+func (s *Server) scanMatchLanes(f predicate.Filter, nworkers int, spanName string, writeCost int64, keep func(part int, tid storage.TID, row data.Row)) {
+	np := s.table.NumPages()
+	bounds := s.PageBounds(f, nworkers, writeCost)
+	obs.RunLanes(s.meter, s.Tracer(), nworkers, func(part int, lane *sim.Meter, ltr *obs.Tracer) {
+		psp := ltr.Start(obs.CatAux, spanName).SetPartition(part, nworkers)
+		lane.Charge(sim.CtrServerScans, lane.Costs().CursorOpen, 1)
+		var kept int64
+		lo, hi := rangeOf(part, nworkers, np, bounds)
+		s.scanHeapRange(lo, hi, lane, func(tid storage.TID, row data.Row) {
+			if !f.Eval(row) {
+				return
+			}
+			keep(part, tid, row)
+			kept++
+			if writeCost > 0 {
+				lane.Charge(sim.CtrServerRows, writeCost, 1)
+			}
+		})
+		psp.SetRows(kept).End()
+	})
+}
+
+// collectTIDs captures the TIDs of the rows matching f over nworkers lanes,
+// in heap order, under one build span.
+func (s *Server) collectTIDs(f predicate.Filter, nworkers int, buildSpan, partSpan string, writeCost int64) []storage.TID {
+	sp := s.Tracer().Start(obs.CatAux, buildSpan).Attr("workers", int64(nworkers))
+	shards := make([][]storage.TID, nworkers)
+	s.scanMatchLanes(f, nworkers, partSpan, writeCost, func(part int, tid storage.TID, _ data.Row) {
+		shards[part] = append(shards[part], tid)
+	})
+	var tids []storage.TID
+	for _, sh := range shards {
+		tids = append(tids, sh...)
 	}
-	return ltrs[i]
+	sp.SetRows(int64(len(tids))).End()
+	return tids
 }
 
 // OpenKeysetParallel is OpenKeyset with the qualifying scan partitioned over
-// nworkers page ranges: each worker captures the TIDs of its own range on a
-// forked lane meter, and the shards concatenate in partition order — TIDs
-// ascend within a partition and partitions tile the heap in order, so the
-// combined keyset is identical to the sequential scan's. Page boundaries are
-// histogram-weighted (capturing a TID is free, so weights reduce to page +
-// row-CPU cost), equal-width when hints are off. nworkers <= 1 (or a table
-// too small to split) delegates to the serial builder.
+// nworkers page ranges (see scanMatchLanes), so the combined keyset is
+// identical to the sequential scan's. nworkers <= 1 (or a table too small to
+// split) delegates to the serial builder.
 func (s *Server) OpenKeysetParallel(f predicate.Filter, nworkers int) *Keyset {
-	nworkers = s.auxWorkers(nworkers)
-	if nworkers < 2 {
+	if nworkers = s.auxWorkers(nworkers); nworkers < 2 {
 		return s.OpenKeyset(f)
 	}
-	np := s.table.NumPages()
-	bounds := s.PageBounds(f, nworkers, 0)
-	tr := s.Tracer()
-	sp := tr.Start(obs.CatAux, "keyset-build").Attr("workers", int64(nworkers))
-	lanes := s.meter.Fork(nworkers)
-	ltrs := tr.ForkLanes(lanes)
-	shards := make([][]storage.TID, nworkers)
-	var wg sync.WaitGroup
-	for w := 0; w < nworkers; w++ {
-		wg.Add(1)
-		go func(part int, lane *sim.Meter, ltr *obs.Tracer) {
-			defer wg.Done()
-			psp := ltr.Start(obs.CatAux, "keyset-partition").SetPartition(part, nworkers)
-			lane.Charge(sim.CtrServerScans, lane.Costs().CursorOpen, 1)
-			var tids []storage.TID
-			lo, hi := rangeOf(part, nworkers, np, bounds)
-			s.scanHeapRange(lo, hi, lane, func(tid storage.TID, row data.Row) {
-				if f.Eval(row) {
-					tids = append(tids, tid)
-				}
-			})
-			shards[part] = tids
-			psp.SetRows(int64(len(tids))).End()
-		}(w, lanes[w], laneTracer(ltrs, w))
-	}
-	wg.Wait()
-	s.meter.Join(lanes)
-	tr.JoinLanes(ltrs)
-	ks := &Keyset{s: s}
-	for _, sh := range shards {
-		ks.tids = append(ks.tids, sh...)
-	}
-	sp.SetRows(int64(len(ks.tids))).End()
-	return ks
+	return &Keyset{s: s, tids: s.collectTIDs(f, nworkers, "keyset-build", "keyset-partition", 0)}
 }
 
 // CopyTIDsParallel is CopyTIDs with the qualifying scan partitioned over
 // nworkers page ranges. Each worker charges one server row-write per TID it
 // captures (the copy into the server-side TID table), exactly as the serial
-// builder does, and shards concatenate in partition order. Page boundaries
-// weight each estimated matching row at the row-write cost, so a worker over
-// the matching region doesn't straggle behind workers copying nothing.
+// builder does; weighting the split by that cost keeps a worker over the
+// matching region from straggling behind workers copying nothing.
 func (s *Server) CopyTIDsParallel(f predicate.Filter, nworkers int) *TIDTable {
-	nworkers = s.auxWorkers(nworkers)
-	if nworkers < 2 {
+	if nworkers = s.auxWorkers(nworkers); nworkers < 2 {
 		return s.CopyTIDs(f)
 	}
-	np := s.table.NumPages()
-	bounds := s.PageBounds(f, nworkers, s.meter.Costs().ServerRowWrite)
-	tr := s.Tracer()
-	sp := tr.Start(obs.CatAux, "tid-table-build").Attr("workers", int64(nworkers))
-	lanes := s.meter.Fork(nworkers)
-	ltrs := tr.ForkLanes(lanes)
-	shards := make([][]storage.TID, nworkers)
-	var wg sync.WaitGroup
-	for w := 0; w < nworkers; w++ {
-		wg.Add(1)
-		go func(part int, lane *sim.Meter, ltr *obs.Tracer) {
-			defer wg.Done()
-			psp := ltr.Start(obs.CatAux, "tid-table-partition").SetPartition(part, nworkers)
-			costs := lane.Costs()
-			lane.Charge(sim.CtrServerScans, costs.CursorOpen, 1)
-			var tids []storage.TID
-			lo, hi := rangeOf(part, nworkers, np, bounds)
-			s.scanHeapRange(lo, hi, lane, func(tid storage.TID, row data.Row) {
-				if f.Eval(row) {
-					tids = append(tids, tid)
-					lane.Charge(sim.CtrServerRows, costs.ServerRowWrite, 1)
-				}
-			})
-			shards[part] = tids
-			psp.SetRows(int64(len(tids))).End()
-		}(w, lanes[w], laneTracer(ltrs, w))
-	}
-	wg.Wait()
-	s.meter.Join(lanes)
-	tr.JoinLanes(ltrs)
-	tt := &TIDTable{s: s}
-	for _, sh := range shards {
-		tt.tids = append(tt.tids, sh...)
-	}
-	sp.SetRows(int64(len(tt.tids))).End()
-	return tt
+	return &TIDTable{s: s, tids: s.collectTIDs(f, nworkers, "tid-table-build", "tid-table-partition", s.meter.Costs().ServerRowWrite)}
 }
 
 // CopySubsetParallel is CopySubset with the qualifying scan partitioned over
@@ -175,46 +137,19 @@ func (s *Server) CopyTIDsParallel(f predicate.Filter, nworkers int) *TIDTable {
 // order (the physical bulk append — its costs were already charged in the
 // lanes), so the temp table's heap order equals the sequential copy's.
 func (s *Server) CopySubsetParallel(f predicate.Filter, nworkers int) (*Server, error) {
-	nworkers = s.auxWorkers(nworkers)
-	if nworkers < 2 {
+	if nworkers = s.auxWorkers(nworkers); nworkers < 2 {
 		return s.CopySubset(f)
 	}
-	name := s.eng.tempName()
-	t, err := s.eng.CreateTable(name, s.table.Cols)
+	t, err := s.eng.CreateTable(s.eng.tempName(), s.table.Cols)
 	if err != nil {
 		return nil, err
 	}
 	t.temp = true
-	np := s.table.NumPages()
-	bounds := s.PageBounds(f, nworkers, s.meter.Costs().ServerRowWrite)
-	tr := s.Tracer()
-	sp := tr.Start(obs.CatAux, "copy-subset").Attr("workers", int64(nworkers))
-	lanes := s.meter.Fork(nworkers)
-	ltrs := tr.ForkLanes(lanes)
+	sp := s.Tracer().Start(obs.CatAux, "copy-subset").Attr("workers", int64(nworkers))
 	shards := make([][]data.Row, nworkers)
-	var wg sync.WaitGroup
-	for w := 0; w < nworkers; w++ {
-		wg.Add(1)
-		go func(part int, lane *sim.Meter, ltr *obs.Tracer) {
-			defer wg.Done()
-			psp := ltr.Start(obs.CatAux, "copy-subset-partition").SetPartition(part, nworkers)
-			costs := lane.Costs()
-			lane.Charge(sim.CtrServerScans, costs.CursorOpen, 1)
-			var rows []data.Row
-			lo, hi := rangeOf(part, nworkers, np, bounds)
-			s.scanHeapRange(lo, hi, lane, func(_ storage.TID, row data.Row) {
-				if f.Eval(row) {
-					rows = append(rows, row.Clone())
-					lane.Charge(sim.CtrServerRows, costs.ServerRowWrite, 1)
-				}
-			})
-			shards[part] = rows
-			psp.SetRows(int64(len(rows))).End()
-		}(w, lanes[w], laneTracer(ltrs, w))
-	}
-	wg.Wait()
-	s.meter.Join(lanes)
-	tr.JoinLanes(ltrs)
+	s.scanMatchLanes(f, nworkers, "copy-subset-partition", s.meter.Costs().ServerRowWrite, func(part int, _ storage.TID, row data.Row) {
+		shards[part] = append(shards[part], row.Clone())
+	})
 	for _, sh := range shards {
 		if err := s.eng.BulkLoad(t, sh); err != nil {
 			sp.End()
@@ -225,22 +160,12 @@ func (s *Server) CopySubsetParallel(f predicate.Filter, nworkers int) (*Server, 
 	return &Server{eng: s.eng, meter: s.meter, tracer: s.tracer, schema: s.schema, table: t, noHints: s.noHints}, nil
 }
 
-// OpenScanPartition re-scans one contiguous partition of the keyset:
-// TIDs [part*n/nparts, (part+1)*n/nparts), so the partitions tile the keyset
-// in capture order. All costs charge to lane. Like the heap partition
-// cursors, fetches bypass the shared buffer pool (its LRU state would make
-// accounting depend on lane interleaving) and charge the amortized random-I/O
-// TIDFetch cost per record against the immutable heap.
-func (k *Keyset) OpenScanPartition(sproc *predicate.Filter, part, nparts int, lane *sim.Meter) Cursor {
-	if part < 0 || nparts < 1 || part >= nparts {
-		panic(fmt.Sprintf("engine: invalid keyset partition %d of %d", part, nparts))
-	}
-	lo, hi := rangeOf(part, nparts, len(k.tids), nil)
-	return k.OpenScanRange(sproc, lo, hi, lane)
-}
-
-// OpenScanRange is OpenScanPartition over an explicit TID index range
-// [lo, hi), typically chosen by ScanBounds. Empty ranges are valid.
+// OpenScanRange re-scans the keyset's TIDs [lo, hi), in capture order,
+// charging all costs to lane; the bounds typically come from ScanBounds, and
+// empty ranges are valid. Like the heap range cursors, fetches bypass the
+// shared buffer pool (its LRU state would make accounting depend on lane
+// interleaving) and charge the amortized random-I/O TIDFetch cost per record
+// against the immutable heap.
 func (k *Keyset) OpenScanRange(sproc *predicate.Filter, lo, hi int, lane *sim.Meter) Cursor {
 	if lo < 0 || hi < lo || hi > len(k.tids) {
 		panic(fmt.Sprintf("engine: invalid keyset range [%d, %d) of %d TIDs", lo, hi, len(k.tids)))
@@ -327,20 +252,10 @@ func (c *keysetPartCursor) Next() (data.Row, bool) {
 
 func (c *keysetPartCursor) Close() { c.closed = true }
 
-// OpenJoinPartition retrieves one contiguous partition of the TID table via
-// a TID join, applying filter server-side and charging all costs to lane.
-// Partitions tile the TID table in capture order; fetches use the same
-// pool-bypassing model as OpenScanPartition on the keyset.
-func (t *TIDTable) OpenJoinPartition(filter predicate.Filter, part, nparts int, lane *sim.Meter) Cursor {
-	if part < 0 || nparts < 1 || part >= nparts {
-		panic(fmt.Sprintf("engine: invalid TID-join partition %d of %d", part, nparts))
-	}
-	lo, hi := rangeOf(part, nparts, len(t.tids), nil)
-	return t.OpenJoinRange(filter, lo, hi, lane)
-}
-
-// OpenJoinRange is OpenJoinPartition over an explicit TID index range
-// [lo, hi), typically chosen by JoinBounds. Empty ranges are valid.
+// OpenJoinRange retrieves the TID table's entries [lo, hi), in capture
+// order, via a TID join, applying filter server-side and charging all costs
+// to lane; the bounds typically come from JoinBounds, and empty ranges are
+// valid. Fetches use the same pool-bypassing model as Keyset.OpenScanRange.
 func (t *TIDTable) OpenJoinRange(filter predicate.Filter, lo, hi int, lane *sim.Meter) Cursor {
 	if lo < 0 || hi < lo || hi > len(t.tids) {
 		panic(fmt.Sprintf("engine: invalid TID-join range [%d, %d) of %d TIDs", lo, hi, len(t.tids)))

@@ -80,7 +80,7 @@ func TestKeysetScanPartitionCoversKeysetExactlyOnce(t *testing.T) {
 	for _, nparts := range []int{1, 2, 3, 5, ks.Size(), ks.Size() + 7} {
 		var got []data.Row
 		for p := 0; p < nparts; p++ {
-			got = append(got, drain(ks.OpenScanPartition(&sproc, p, nparts, nil))...)
+			got = append(got, drain(keysetPart(ks, &sproc, p, nparts, nil))...)
 		}
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("nparts=%d: %d rows, want %d (or order differs)", nparts, len(got), len(want))
@@ -102,7 +102,7 @@ func TestTIDJoinPartitionCoversTableExactlyOnce(t *testing.T) {
 	for _, nparts := range []int{1, 2, 4, 7} {
 		var got []data.Row
 		for p := 0; p < nparts; p++ {
-			got = append(got, drain(tt.OpenJoinPartition(sub, p, nparts, nil))...)
+			got = append(got, drain(joinPart(tt, sub, p, nparts, nil))...)
 		}
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("nparts=%d: %d rows, want %d (or order differs)", nparts, len(got), len(want))
@@ -123,7 +123,7 @@ func TestAuxPartitionLaneCharging(t *testing.T) {
 	lanes := srv.Meter().Fork(3)
 	var fetches int64
 	for p := 0; p < 3; p++ {
-		drain(ks.OpenScanPartition(nil, p, 3, lanes[p]))
+		drain(keysetPart(ks, nil, p, 3, lanes[p]))
 		if got := lanes[p].Count(sim.CtrServerScans); got != 1 {
 			t.Errorf("keyset lane %d: %d cursor opens, want 1", p, got)
 		}
@@ -136,7 +136,7 @@ func TestAuxPartitionLaneCharging(t *testing.T) {
 	lanes = srv.Meter().Fork(3)
 	fetches = 0
 	for p := 0; p < 3; p++ {
-		drain(tt.OpenJoinPartition(predicate.MatchAll(), p, 3, lanes[p]))
+		drain(joinPart(tt, predicate.MatchAll(), p, 3, lanes[p]))
 		fetches += lanes[p].Count(sim.CtrTIDFetches)
 		if got, want := lanes[p].Count(sim.CtrIndexProbes), lanes[p].Count(sim.CtrTIDFetches); got != want {
 			t.Errorf("tid-join lane %d: %d index probes, want %d", p, got, want)

@@ -27,6 +27,23 @@ func partitionTestServer(t *testing.T, n int) (*Server, *data.Dataset) {
 	return srv, ds
 }
 
+// scanPart, keysetPart and joinPart open partition p of np equal-width
+// ranges of a heap, a keyset and a TID table.
+func scanPart(s *Server, f predicate.Filter, p, np int, lane *sim.Meter) Cursor {
+	lo, hi := RangeOf(p, np, s.NumPages(), nil)
+	return s.OpenScanRange(f, lo, hi, lane)
+}
+
+func keysetPart(k *Keyset, sproc *predicate.Filter, p, np int, lane *sim.Meter) Cursor {
+	lo, hi := RangeOf(p, np, k.Size(), nil)
+	return k.OpenScanRange(sproc, lo, hi, lane)
+}
+
+func joinPart(t *TIDTable, f predicate.Filter, p, np int, lane *sim.Meter) Cursor {
+	lo, hi := RangeOf(p, np, t.Size(), nil)
+	return t.OpenJoinRange(f, lo, hi, lane)
+}
+
 func drain(c Cursor) []data.Row {
 	var out []data.Row
 	for {
@@ -48,7 +65,7 @@ func TestScanPartitionCoversHeapExactlyOnce(t *testing.T) {
 	for _, nparts := range []int{1, 2, 3, 4, 8, srv.NumPages(), srv.NumPages() + 3} {
 		var got []data.Row
 		for p := 0; p < nparts; p++ {
-			got = append(got, drain(srv.OpenScanPartition(predicate.MatchAll(), p, nparts, nil))...)
+			got = append(got, drain(scanPart(srv, predicate.MatchAll(), p, nparts, nil))...)
 		}
 		if len(got) != len(want) {
 			t.Fatalf("nparts=%d: %d rows, want %d", nparts, len(got), len(want))
@@ -77,7 +94,7 @@ func TestScanPartitionFilterPushdown(t *testing.T) {
 	lanes := srv.Meter().Fork(4)
 	var got, transmitted int64
 	for p := 0; p < 4; p++ {
-		got += int64(len(drain(srv.OpenScanPartition(f, p, 4, lanes[p]))))
+		got += int64(len(drain(scanPart(srv, f, p, 4, lanes[p]))))
 		transmitted += lanes[p].Count(sim.CtrRowsTransmitted)
 	}
 	if got != want || transmitted != want {
@@ -94,7 +111,7 @@ func TestScanPartitionLaneCharging(t *testing.T) {
 	lanes := srv.Meter().Fork(3)
 	var pages, rows int64
 	for p := 0; p < 3; p++ {
-		drain(srv.OpenScanPartition(predicate.MatchAll(), p, 3, lanes[p]))
+		drain(scanPart(srv, predicate.MatchAll(), p, 3, lanes[p]))
 		pages += lanes[p].Count(sim.CtrServerPages)
 		rows += lanes[p].Count(sim.CtrServerRows)
 		if lanes[p].Count(sim.CtrServerScans) != 1 {
@@ -131,19 +148,19 @@ func TestPartitionOverSubscription(t *testing.T) {
 			open  func(part, nparts int) Cursor
 		}{
 			{"server-scan", srv.NumPages(), func(p, np int) Cursor {
-				return srv.OpenScanPartition(all, p, np, nil)
+				return scanPart(srv, all, p, np, nil)
 			}},
 			{"keyset", ks.Size(), func(p, np int) Cursor {
-				return ks.OpenScanPartition(nil, p, np, nil)
+				return keysetPart(ks, nil, p, np, nil)
 			}},
 			{"keyset-empty", emptyKS.Size(), func(p, np int) Cursor {
-				return emptyKS.OpenScanPartition(nil, p, np, nil)
+				return keysetPart(emptyKS, nil, p, np, nil)
 			}},
 			{"tid-join", tt.Size(), func(p, np int) Cursor {
-				return tt.OpenJoinPartition(all, p, np, nil)
+				return joinPart(tt, all, p, np, nil)
 			}},
 			{"tid-join-empty", emptyTT.Size(), func(p, np int) Cursor {
-				return emptyTT.OpenJoinPartition(all, p, np, nil)
+				return joinPart(emptyTT, all, p, np, nil)
 			}},
 		}
 		for _, src := range sources {

@@ -2,7 +2,6 @@ package engine
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/data"
 	"repro/internal/obs"
@@ -195,14 +194,11 @@ func scoreColumnar(t *Table, m *Model, meter *sim.Meter, tracer *obs.Tracer, wor
 		return nil, err
 	}
 	ng := t.colstore.NumGroups()
-	if workers < 1 {
-		workers = 1
-	}
 	if workers > ng {
 		workers = ng
 	}
 	if workers < 1 {
-		workers = 1 // empty table: one lane, zero groups
+		workers = 1 // also the empty table: one lane, zero groups
 	}
 	srv := &Server{meter: meter, tracer: tracer, table: t}
 	needCols := m.Attrs()
@@ -211,29 +207,15 @@ func scoreColumnar(t *Table, m *Model, meter *sim.Meter, tracer *obs.Tracer, wor
 		Attr("model_nodes", int64(len(m.Nodes))).
 		Attr("workers", int64(workers))
 
-	lanes := meter.Fork(workers)
-	ltrs := tracer.ForkLanes(lanes)
 	parts := make([]*ScoreConsumer, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		var ltr *obs.Tracer
-		if ltrs != nil {
-			ltr = ltrs[w]
-		}
-		wg.Add(1)
-		go func(part int, lane *sim.Meter, ltr *obs.Tracer) {
-			defer wg.Done()
-			lsp := ltr.Start(obs.CatLane, "lane").SetPartition(part, workers)
-			lo, hi := RangeOf(part, workers, ng, nil)
-			sc := NewScoreConsumer(m, lane)
-			parts[part] = sc
-			srv.ScanColumnarRange(predicate.MatchAll(), needCols, lo, hi, lane, sc.Consume)
-			lsp.SetRows(int64(len(sc.preds))).End()
-		}(w, lanes[w], ltr)
-	}
-	wg.Wait()
-	meter.Join(lanes)
-	tracer.JoinLanes(ltrs)
+	obs.RunLanes(meter, tracer, workers, func(part int, lane *sim.Meter, ltr *obs.Tracer) {
+		lsp := ltr.Start(obs.CatLane, "lane").SetPartition(part, workers)
+		lo, hi := RangeOf(part, workers, ng, nil)
+		sc := NewScoreConsumer(m, lane)
+		parts[part] = sc
+		srv.ScanColumnarRange(predicate.MatchAll(), needCols, lo, hi, lane, sc.Consume)
+		lsp.SetRows(int64(len(sc.preds))).End()
+	})
 
 	res := &ScoreResult{Model: m.Name}
 	for _, sc := range parts {

@@ -169,35 +169,23 @@ func (c *scanCursor) Close() {
 	c.finish()
 }
 
-// OpenScanPartition initiates a cursor scan over one horizontal partition of
-// the data table: partition part of nparts, formed by splitting the heap
-// into nparts contiguous, disjoint page ranges. Every worker of a parallel
-// batch opens its own partition cursor (so the cursor-open cost is paid once
-// per partition) and all of the cursor's costs are charged to lane — the
-// worker's forked meter. A nil lane charges the server's own meter.
+// OpenScanRange initiates a cursor scan over the heap pages [loPage, hiPage):
+// one lane's share of a scan split into contiguous, disjoint page ranges,
+// with boundaries typically from PageBounds so lanes receive approximately
+// equal estimated work rather than equal pages. Every lane opens its own
+// range cursor (so the cursor-open cost is paid once per range) and all of
+// the cursor's costs are charged to lane — the worker's forked meter. A nil
+// lane charges the server's own meter. Empty ranges are valid (an empty lane
+// of a skewed split) and yield no rows.
 //
-// Unlike OpenScan, a partition cursor bypasses the shared LRU buffer pool
-// and charges ServerPageIO for every page it reads. Concurrent workers would
+// Unlike OpenScan, a range cursor bypasses the shared LRU buffer pool and
+// charges ServerPageIO for every page it reads. Concurrent workers would
 // interleave nondeterministically in the pool's LRU state, so the pool
 // cannot be consulted without making page-I/O accounting depend on goroutine
 // scheduling; the cold-scan model keeps parallel accounting bit-for-bit
 // reproducible and matches the physical reality that n concurrent scan
 // streams defeat a small shared cache. The pool's contents are left
 // untouched for later sequential operations.
-func (s *Server) OpenScanPartition(f predicate.Filter, part, nparts int, lane *sim.Meter) Cursor {
-	if part < 0 || nparts < 1 || part >= nparts {
-		panic(fmt.Sprintf("engine: invalid scan partition %d of %d", part, nparts))
-	}
-	lo, hi := rangeOf(part, nparts, s.table.heap.NumPages(), nil)
-	return s.OpenScanRange(f, lo, hi, lane)
-}
-
-// OpenScanRange is OpenScanPartition generalized to an explicit page range
-// [loPage, hiPage): the caller picks the boundaries, typically from
-// PageBounds so lanes receive approximately equal estimated work rather than
-// equal pages. The cost model and determinism rules are identical to
-// OpenScanPartition. Empty ranges are valid (an empty lane of a skewed
-// split) and yield no rows.
 func (s *Server) OpenScanRange(f predicate.Filter, loPage, hiPage int, lane *sim.Meter) Cursor {
 	np := s.table.heap.NumPages()
 	if loPage < 0 || hiPage < loPage || hiPage > np {
@@ -282,7 +270,7 @@ func (c *partScanCursor) Next() (data.Row, bool) {
 		}
 		if c.slot == 0 {
 			// First record on the page: cold-scan page read (see
-			// OpenScanPartition for why the buffer pool is bypassed).
+			// OpenScanRange for why the buffer pool is bypassed).
 			c.lane.Charge(sim.CtrServerPages, costs.ServerPageIO, 1)
 		}
 		c.slot++
@@ -402,7 +390,6 @@ func (s *Server) CopySubset(f predicate.Filter) (*Server, error) {
 	sp := s.Tracer().Start(obs.CatAux, "copy-subset")
 	defer func() { sp.SetRows(t.NumRows()).End() }()
 	s.meter.Charge(sim.CtrServerScans, s.meter.Costs().CursorOpen, 1)
-	costs := s.meter.Costs()
 	var copyErr error
 	s.eng.scan(s.table, func(_ storage.TID, row data.Row) bool {
 		if !f.Eval(row) {
@@ -412,7 +399,6 @@ func (s *Server) CopySubset(f predicate.Filter) (*Server, error) {
 			copyErr = err
 			return false
 		}
-		_ = costs
 		return true
 	})
 	if copyErr != nil {

@@ -36,23 +36,34 @@ type ScanConsumer struct {
 }
 
 // ScanColumnarShared runs one physical columnar scan over all row groups and
-// fans every block out to the attached consumers. Shared costs go to io:
-// one cursor open for the whole cohort, and the column pages of each group
-// that at least one consumer needs — charged once, however many consumers
-// read the group. needCols lists the union of the columns any consumer
-// touches (nil means all). Per group, each consumer's filter is compiled
-// against the group's dictionaries; consumers whose filter cannot match skip
-// the group on their own lane (zone-map verdict) without forcing or joining
-// the read. Consumers are fed in slice order, so the interleaving is
-// deterministic. A single-consumer cohort degenerates to ScanColumnarRange's
-// cost model with the cursor open and page I/O moved to the io meter.
+// fans every block out to the attached consumers. Shared costs go to io (the
+// server's own meter when nil): one cursor open for the whole cohort, and the
+// column pages of each group that at least one consumer needs — charged once,
+// however many consumers read the group. needCols lists the union of the
+// columns any consumer touches (nil means all).
 func (s *Server) ScanColumnarShared(cons []*ScanConsumer, needCols []int, io *sim.Meter) {
+	if io == nil {
+		io = s.meter
+	}
+	s.scanColumnar(cons, needCols, 0, s.NumColGroups(), io)
+}
+
+// scanColumnar is the engine's one columnar group/block loop: row groups
+// [loGroup, hiGroup) streamed once, every BlockRows-row block fanned out to
+// the attached consumers. Per group, each consumer's filter is compiled
+// against the group's dictionaries; a consumer whose filter cannot match
+// skips the group on its own lane (zone-map verdict) without forcing or
+// joining the read, and a group no consumer needs charges nothing — not even
+// page I/O. Per block, each reading consumer pays its own evaluation and
+// transmission. Consumers are fed in slice order, so the interleaving is
+// deterministic; the scan ends early once every consumer has detached.
+func (s *Server) scanColumnar(cons []*ScanConsumer, needCols []int, loGroup, hiGroup int, io *sim.Meter) {
 	cs := s.table.colstore
 	if cs == nil {
 		panic(fmt.Sprintf("engine: table %q has no columnar copy", s.table.Name))
 	}
-	if io == nil {
-		io = s.meter
+	if ng := cs.NumGroups(); loGroup < 0 || hiGroup < loGroup || hiGroup > ng {
+		panic(fmt.Sprintf("engine: invalid columnar range [%d, %d) of %d groups", loGroup, hiGroup, ng))
 	}
 	for i, c := range cons {
 		if c.Lane == nil || c.Fn == nil {
@@ -60,11 +71,11 @@ func (s *Server) ScanColumnarShared(cons []*ScanConsumer, needCols []int, io *si
 		}
 		c.detached = false
 	}
+	attached := len(cons)
 	costs := io.Costs()
 	io.Charge(sim.CtrServerScans, costs.CursorOpen, 1)
 	blk := &ColBlock{}
-	ng := cs.NumGroups()
-	for gi := 0; gi < ng; gi++ {
+	for gi := loGroup; gi < hiGroup && attached > 0; gi++ {
 		g := cs.Group(gi)
 		readers := 0
 		for _, c := range cons {
@@ -84,7 +95,7 @@ func (s *Server) ScanColumnarShared(cons []*ScanConsumer, needCols []int, io *si
 		}
 		io.Charge(sim.CtrServerPages, costs.ServerPageIO, g.Pages(needCols))
 		nrows := g.NumRows()
-		for base := 0; base < nrows; base += BlockRows {
+		for base := 0; base < nrows && attached > 0; base += BlockRows {
 			n := nrows - base
 			if n > BlockRows {
 				n = BlockRows
@@ -100,6 +111,7 @@ func (s *Server) ScanColumnarShared(cons []*ScanConsumer, needCols []int, io *si
 				blk.Group, blk.GroupIndex, blk.Base, blk.N, blk.Sel = g, gi, base, n, c.sel
 				if !c.Fn(blk) {
 					c.detached = true
+					attached--
 				}
 			}
 		}

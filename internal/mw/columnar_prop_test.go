@@ -50,7 +50,7 @@ func TestColumnarPartitionProperty(t *testing.T) {
 	columnarPropTrials(t, func(t *testing.T, rng *rand.Rand, ds *data.Dataset, f predicate.Filter, nparts int) {
 		srv := propServer(t, ds)
 		ng := srv.NumColGroups()
-		want := drainCursor(srv.OpenScanPartition(f, 0, 1, nil))
+		want := drainCursor(srv.OpenScanRange(f, 0, srv.NumPages(), nil))
 		for _, hints := range []bool{true, false} {
 			srv.SetSplitHints(hints)
 			bounds := srv.ColGroupBounds(f, nil, nparts, rng.Int63n(20_000))
@@ -79,15 +79,22 @@ func TestColumnarPartitionProperty(t *testing.T) {
 // off and on. 13000 rows give four row groups, so the high worker counts
 // exercise multi-lane columnar scans and the shard merge. (The virtual clock
 // legitimately differs — the cheaper cost shape is the point — so the meter
-// is excluded here and determinism is pinned below.)
+// is excluded here and determinism is pinned below.) The empty table pits
+// the zero-page heap against the zero-group columnar copy: one lane each,
+// empty CC tables from both.
 func TestColumnarMatchesRowPath(t *testing.T) {
-	for _, mode := range []StagingMode{StageNone, StageFileAndMemory} {
-		want := driveTree(t, Config{Staging: mode, Workers: 1, Columnar: ColumnarOff}, 13000, false)
-		for _, w := range []int{1, 2, 4, 8} {
-			got := driveTree(t, Config{Staging: mode, Workers: w}, 13000, false)
-			if got != want {
-				t.Errorf("staging=%v workers=%d: columnar output differs from row path\n got:\n%s\nwant:\n%s",
-					mode, w, got, want)
+	for _, rows := range []int{13000, 0} {
+		for _, mode := range []StagingMode{StageNone, StageFileAndMemory} {
+			want := driveTree(t, Config{Staging: mode, Workers: 1, Columnar: ColumnarOff}, rows, false)
+			if rows == 0 {
+				assertEmptyCounts(t, want)
+			}
+			for _, w := range []int{1, 2, 4, 8} {
+				got := driveTree(t, Config{Staging: mode, Workers: w}, rows, false)
+				if got != want {
+					t.Errorf("rows=%d staging=%v workers=%d: columnar output differs from row path\n got:\n%s\nwant:\n%s",
+						rows, mode, w, got, want)
+				}
 			}
 		}
 	}

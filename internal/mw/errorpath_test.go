@@ -212,9 +212,9 @@ func TestFinishErrorAbortsRemainingWriters(t *testing.T) {
 // TestTightBudgetParallelMatchesSequential: with a scan-start budget smaller
 // than the worker count, the per-worker budget slice rounds to zero and
 // (before the guard) every lane shed every request on its first counted row,
-// pushing work to the SQL fallback that the sequential path completes from
-// the staged file. The guarded plan must make Workers>1 reproduce the
-// sequential fallback/requeue decisions exactly.
+// pushing work to the SQL fallback that a one-lane scan completes from the
+// staged file. The guarded plan must make Workers>1 reproduce the one-lane
+// fallback/requeue decisions exactly.
 func TestTightBudgetParallelMatchesSequential(t *testing.T) {
 	ds := randDataset(600, 34)
 	childPath := predicate.Conj{{Attr: 0, Op: predicate.Eq, Val: 0}}
@@ -273,7 +273,7 @@ func TestTightBudgetParallelMatchesSequential(t *testing.T) {
 	// Worker counts above the budget: the unguarded slice is
 	// budget/workers == 0. (Moderate worker counts still shed by the
 	// documented per-lane slice approximation; only the degenerate zero
-	// slice must collapse to the sequential path.)
+	// slice must collapse to one lane.)
 	for _, workers := range []int{int(mem) + 1, 1000} {
 		if got := drive(workers); got != want {
 			t.Errorf("workers=%d decisions diverge from sequential:\n got %s\nwant %s", workers, got, want)

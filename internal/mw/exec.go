@@ -42,23 +42,23 @@ type batchRun struct {
 	requeued []*Request
 
 	// Memory ceiling for this scan: CC tables under construction plus rows
-	// captured by memory tees must stay within what was free at scan start.
+	// captured by memory tees must stay within what was free at scan start
+	// (plus whatever reclaim frees since). scanBudget polices it.
 	budget      int64
-	ccBytes     int64
-	teeBytes    int64
 	rowMemBytes int64
-	ccCost      int64
 
-	laneStats []EventLane
+	// laneStats holds per-lane elapsed time and rows of a scan split over
+	// more than one lane, in partition order.
+	laneStats []obs.LaneStat
 }
 
 // Step schedules and executes one batch (§4.1.1): it picks the next set of
 // active nodes per the priority rules, builds all their counts tables in a
 // single scan of the chosen source, performs the planned staging, and
-// returns the fulfilled results. With Config.Workers > 1 the scan fans out
-// over partitioned workers (see exec_parallel.go); otherwise it is the
-// paper's strictly sequential execution module. It returns (nil, nil) when
-// no requests are pending.
+// returns the fulfilled results. The scan always runs through the lane
+// pipeline of exec_parallel.go: Config.Workers lanes over disjoint partitions
+// of the source, or — the paper's sequential execution module — one lane over
+// all of it. It returns (nil, nil) when no requests are pending.
 func (m *Middleware) Step() ([]*Result, error) {
 	b := m.schedule()
 	if b == nil {
@@ -125,162 +125,47 @@ func (m *Middleware) beginBatch(b *batch) (*batchRun, error) {
 
 	r.budget = m.memBudgetLeft()
 	r.rowMemBytes = int64(m.schema.RowBytes()) + memRowOverhead
-	r.ccCost = m.meter.Costs().CCUpdate
 	return r, nil
 }
 
-// evictLargest handles a runtime estimation error (§4.1.1): the counts
-// tables under construction no longer fit. The request with the largest
-// partial table is dropped from the scan; if other requests remain it is
-// simply re-queued for a later, smaller batch, and only a request that
-// overflows on its own (nothing left to shed) falls back to the
-// server-side SQL implementation.
-func (r *batchRun) evictLargest() {
-	if len(r.live) == 0 {
-		return
+// reclaim frees staged memory outside the batch's own source (never the data
+// set being scanned) and returns the enlarged ceiling. It mutates middleware
+// state, so it is offered to scanBudget only where that cannot race with a
+// lane: post-merge, and mid-scan when the batch runs a lone lane.
+func (r *batchRun) reclaim() (int64, bool) {
+	if !r.m.evictMemoryStageExcept(r.b.stage) {
+		return 0, false
 	}
-	li := 0
-	for i, w := range r.live {
-		if w.cc.Bytes() > r.live[li].cc.Bytes() {
-			li = i
-		}
-	}
-	w := r.live[li]
-	r.ccBytes -= w.cc.Bytes()
-	r.live = append(r.live[:li], r.live[li+1:]...)
-	if len(r.live) > 0 {
-		r.requeued = append(r.requeued, w.req)
-	} else {
-		r.fallback = append(r.fallback, w.req)
-	}
+	r.budget = r.m.memBudgetLeft()
+	return r.budget, true
 }
 
-// dropLargestMemTee abandons the memory-staging tee holding the most
-// rows, returning its memory to the scan budget. Staging is an
-// optimization; when the runtime budget is exceeded it is sacrificed
-// before any request is pushed to the SQL fallback.
-func (r *batchRun) dropLargestMemTee() bool {
-	if len(r.plan.memTees) == 0 {
-		return false
-	}
-	li := 0
-	for i, t := range r.plan.memTees {
-		if len(t.mem) > len(r.plan.memTees[li].mem) {
-			li = i
-		}
-	}
-	r.teeBytes -= int64(len(r.plan.memTees[li].mem)) * r.rowMemBytes
-	r.plan.memTees = append(r.plan.memTees[:li], r.plan.memTees[li+1:]...)
-	return true
-}
-
-// rebalance sheds state until the batch fits its memory ceiling again:
-// memory tees first, then staged memory outside the batch's own source,
-// then the largest counts table.
-func (r *batchRun) rebalance() {
-	for r.ccBytes+r.teeBytes > r.budget {
-		if r.dropLargestMemTee() {
-			continue
-		}
-		// Reclaim staged memory (but never the data set being scanned).
-		if r.m.evictMemoryStageExcept(r.b.stage) {
-			r.budget = r.m.memBudgetLeft()
-			continue
-		}
-		if len(r.live) == 0 {
-			break
-		}
-		r.evictLargest()
-	}
-}
-
-// processRow is the sequential scan's per-row body: count the row into every
-// matching request's table, police the budget, and feed the staging tees.
-func (r *batchRun) processRow(row data.Row) {
-	m := r.m
-	for i := 0; i < len(r.live); i++ {
-		w := r.live[i]
-		if !w.req.Path.Eval(row) {
-			continue
-		}
-		before := w.cc.Bytes()
-		w.cc.AddRow(row, w.attrs)
-		r.ccBytes += w.cc.Bytes() - before
-		m.meter.Charge(sim.CtrCCUpdates, r.ccCost, 1)
-	}
-	r.rebalance()
-	for _, t := range r.plan.fileTees {
-		if t.filter.Eval(row) {
-			t.writer.Write(row)
-		}
-	}
-	for _, t := range r.plan.memTees {
-		if t.filter.Eval(row) {
-			t.mem = append(t.mem, row.Clone())
-			r.teeBytes += r.rowMemBytes
-		}
-	}
-}
-
-// applyScan folds a merged worker-shard result into the run and re-checks
-// the eviction/fallback path post-merge: the per-worker budget slices are
-// only a mid-scan approximation, and the merged tables plus concatenated
-// tees must fit the real remaining budget.
-func (r *batchRun) applyScan(pres *parallelScanResult) {
-	r.live = pres.live
-	r.ccBytes, r.teeBytes = pres.ccBytes, pres.teeBytes
-	r.requeued = append(r.requeued, pres.requeued...)
-	r.fallback = append(r.fallback, pres.fallback...)
-	r.laneStats = pres.lanes
-	r.rebalance()
-}
-
-// scanBatch executes the batch's data scan: the vectorized columnar kernel,
-// the partitioned row-parallel pipeline, or the paper's sequential loop. On
-// error the staging writers are aborted and the scan span closed; the caller
-// closes the batch span.
+// scanBatch executes the batch's data scan: plan the lanes, run them, merge
+// their shards and re-police the merged result (exec_parallel.go). On error
+// the staging writers are aborted and the scan span closed; the caller closes
+// the batch span.
 func (m *Middleware) scanBatch(r *batchRun) error {
 	if len(r.live) == 0 {
 		return nil
 	}
 	b := r.b
 	ssp := r.tr.Start(obs.CatScan, "scan").SetSource(r.srcName)
-	if ssp != nil {
-		ids := make([]int, len(r.live))
-		for i, w := range r.live {
-			ids[i] = w.req.NodeID
-		}
-		ssp.SetNodes(ids)
-	}
 	var scanSnap sim.Snapshot
 	if ssp != nil {
+		ssp.SetNodes(nodeIDs(b.reqs)) // every admitted request is live at scan start
 		scanSnap = m.meter.Snapshot()
 	}
-	var scanErr error
-	var pres *parallelScanResult
-	csrv := m.columnarServer(b)
-	if csrv != nil {
-		// The vectorized columnar kernel always runs through the
-		// worker-shard pipeline (a single lane when Workers <= 1).
-		pres, scanErr = m.runScanColumnar(b, r.plan, r.live, csrv, r.budget)
-	} else if sp := m.planParallel(b, r.plan, r.budget); sp.nworkers > 1 {
-		pres, scanErr = m.runScanParallel(b, r.plan, r.live, sp, r.budget)
-	} else {
-		scanErr = m.runScan(b, r.processRow)
-	}
-	if scanErr == nil && pres != nil {
-		r.applyScan(pres)
-	}
-	if scanErr != nil {
+	sp := m.planLanes(b, r.plan, r.live, r.budget)
+	if err := r.runLanes(sp); err != nil {
 		for _, t := range r.plan.fileTees {
 			t.writer.Abort()
 		}
 		ssp.End()
-		return scanErr
+		return err
 	}
 	if ssp != nil {
 		ssp.SetRows(m.meter.CountSince(scanSnap, scanRowCounter(b.kind)))
-		if csrv != nil {
+		if sp.col != nil {
 			// Zone-map effectiveness per scan: row groups the columnar
 			// kernel actually read vs. skipped via dictionary bounds.
 			ssp.Attr("col_groups_scanned", m.meter.CountSince(scanSnap, sim.CtrColGroupsScanned)).
@@ -292,8 +177,8 @@ func (m *Middleware) scanBatch(r *batchRun) error {
 }
 
 // finishBatch finalizes staging, posts the scan's results, services the
-// fallback requests, requeues shed requests and emits the batch's trace
-// event and metrics. It always closes the batch span.
+// fallback requests, requeues shed requests and records the batch's metrics.
+// It always closes the batch span.
 func (m *Middleware) finishBatch(r *batchRun) ([]*Result, error) {
 	defer r.bsp.End()
 	tr := r.tr
@@ -386,25 +271,6 @@ func (m *Middleware) finishBatch(r *batchRun) ([]*Result, error) {
 	// Requests shed mid-scan return to the queue for a later batch.
 	m.queue = append(m.queue, r.requeued...)
 
-	if m.cfg.Trace != nil {
-		ev := Event{
-			Batch:         r.batchNo,
-			Source:        r.srcName,
-			NewFiles:      len(r.plan.fileTees),
-			StagedMemRows: stagedMemRows,
-			Lanes:         r.laneStats,
-		}
-		for _, w := range r.live {
-			ev.Nodes = append(ev.Nodes, w.req.NodeID)
-		}
-		for _, req := range r.fallback {
-			ev.Fallback = append(ev.Fallback, req.NodeID)
-		}
-		for _, req := range r.requeued {
-			ev.Requeued = append(ev.Requeued, req.NodeID)
-		}
-		m.cfg.Trace(ev)
-	}
 	if pm := m.cfg.Metrics; pm != nil {
 		srvN, fileN, memN := m.residency()
 		bs := obs.BatchStats{
@@ -417,6 +283,7 @@ func (m *Middleware) finishBatch(r *batchRun) ([]*Result, error) {
 			NRequeued:      len(r.requeued),
 			NewFiles:       len(r.plan.fileTees),
 			StagedMemRows:  stagedMemRows,
+			Lanes:          r.laneStats,
 			Deltas:         deltasByName(m.meter.CountersSince(r.snap)),
 			MemUsedBytes:   m.MemoryInUse(),
 			MemBudgetBytes: m.cfg.Memory,
@@ -426,11 +293,6 @@ func (m *Middleware) finishBatch(r *batchRun) ([]*Result, error) {
 			NodesServer:    srvN,
 			NodesFile:      fileN,
 			NodesMemory:    memN,
-		}
-		for _, ls := range r.laneStats {
-			bs.Lanes = append(bs.Lanes, obs.LaneStat{
-				Lane: ls.Lane, ElapsedNS: int64(ls.Elapsed), Rows: ls.Rows,
-			})
 		}
 		pm.AddBatch(bs)
 	}
@@ -510,55 +372,6 @@ func (m *Middleware) residency() (server, file, mem int) {
 		}
 	}
 	return server, file, mem
-}
-
-// runScan drives every row of the batch's source through process.
-func (m *Middleware) runScan(b *batch, process func(data.Row)) error {
-	switch b.kind {
-	case srcMemory:
-		cost := m.meter.Costs().MemRowRead
-		for _, row := range b.stage.mem {
-			m.meter.Charge(sim.CtrMemRowsRead, cost, 1)
-			process(row)
-		}
-		return nil
-	case srcFile:
-		return m.files.scan(b.stage.file, func(row data.Row) error {
-			process(row)
-			return nil
-		})
-	case srcServer:
-		filter := batchFilter(b.reqs)
-		if m.cfg.NoFilterPushdown {
-			// Ablation: no WHERE clause reaches the server; every row is
-			// transmitted and filtered here. (process evaluates each
-			// node's own predicate, so results are unchanged.)
-			filter = predicate.MatchAll()
-		}
-		var cur engine.Cursor
-		if aux := m.maybeBuildAux(b); aux != nil {
-			switch {
-			case aux.keyset != nil:
-				cur = aux.keyset.OpenScan(&filter)
-			case aux.tidTab != nil:
-				cur = aux.tidTab.OpenJoin(filter)
-			case aux.subSrv != nil:
-				cur = aux.subSrv.OpenScan(filter)
-			}
-		}
-		if cur == nil {
-			cur = m.srv.OpenScan(filter)
-		}
-		defer cur.Close()
-		for {
-			row, ok := cur.Next()
-			if !ok {
-				return nil
-			}
-			process(row)
-		}
-	}
-	return fmt.Errorf("mw: unknown source kind %d", b.kind)
 }
 
 // sqlCounts services one request with the straightforward SQL implementation

@@ -1,13 +1,8 @@
 package mw
 
 import (
-	"sync"
-
-	"repro/internal/cc"
 	"repro/internal/data"
 	"repro/internal/engine"
-	"repro/internal/obs"
-	"repro/internal/predicate"
 	"repro/internal/sim"
 	"repro/internal/storage"
 )
@@ -18,13 +13,12 @@ import (
 // filter-then-count kernel — per node and block, refine the block's
 // selection vector in dictionary-code space, bump a dense histogram per
 // selected row (cc.Table.AddMany), and fold the distinct cells into the
-// treap once. The kernel always runs through the worker-shard machinery of
-// exec_parallel.go, even at one worker: every lane is a pure function of
-// its group range, shards merge in partition order, and Step's post-merge
-// budget re-check provides the global eviction pass. The produced CC
-// tables, trees and staged data are byte-identical to the row path's; only
-// the cost shape (and therefore the virtual clock and counters) differs —
-// which is the point.
+// treap once. It is one of the two counting kernels a lane of
+// exec_parallel.go's pipeline runs (the other is the per-row loop in
+// scanLane); everything around it — lanes, shards, budget, merge — is shared.
+// The produced CC tables, trees and staged data are byte-identical to the
+// row path's; only the cost shape (and therefore the virtual clock and
+// counters) differs — which is the point.
 
 // columnarServer returns the server whose columnar copy services the batch,
 // or nil when the batch must take the row path: non-server sources, the
@@ -87,112 +81,22 @@ func (m *Middleware) columnarNeedCols(plan *stagePlan, live []*ccWork) []int {
 	return cols
 }
 
-// runScanColumnar executes a server batch against srv's columnar copy,
-// fanned out over up to Config.Workers lanes of disjoint row-group ranges
-// (histogram-guided via ColGroupBounds, where zone-map-skipped groups weigh
-// nothing). Budget policing is shard-local at block granularity; Step's
-// post-merge re-check enforces the global budget, exactly as for the
-// row-parallel path.
-func (m *Middleware) runScanColumnar(b *batch, plan *stagePlan, live []*ccWork, srv *engine.Server, budget int64) (*parallelScanResult, error) {
-	filter := m.scanHintFilter(b)
-	needCols := m.columnarNeedCols(plan, live)
-	ng := srv.NumColGroups()
-	nworkers := m.cfg.Workers
-	if nworkers > ng {
-		nworkers = ng
-	}
-	if nworkers < 1 {
-		nworkers = 1
-	}
-	if nworkers > 1 && budget/int64(nworkers) == 0 {
-		nworkers = 1 // zero per-worker slice: police the whole budget in one lane
-	}
-	var bounds []int
-	if nworkers > 1 {
-		costs := m.meter.Costs()
-		perMatch := costs.ColRowTransmit + costs.CCBump +
-			int64(len(plan.fileTees))*costs.FileRowWrite
-		bounds = srv.ColGroupBounds(filter, needCols, nworkers, perMatch)
-	}
-	slice := budget / int64(nworkers)
-	rowMemBytes := int64(m.schema.RowBytes()) + memRowOverhead
-
-	lanes := m.meter.Fork(nworkers)
-	tr := m.srv.Tracer()
-	ltrs := tr.ForkLanes(lanes)
-	shards := make([]*workerShard, nworkers)
-	var wg sync.WaitGroup
-	for w := 0; w < nworkers; w++ {
-		sh := m.newWorkerShard(plan, len(live))
-		shards[w] = sh
-		var ltr *obs.Tracer
-		if ltrs != nil {
-			ltr = ltrs[w]
-		}
-		wg.Add(1)
-		go func(part int, sh *workerShard, lane *sim.Meter, ltr *obs.Tracer) {
-			defer wg.Done()
-			lsp := ltr.Start(obs.CatLane, "lane").SetPartition(part, nworkers)
-			lo, hi := engine.RangeOf(part, nworkers, ng, bounds)
-			m.columnarWorker(plan, live, srv, filter, needCols, lo, hi, lane, sh, slice, rowMemBytes)
-			lsp.SetRows(laneRows(lane, srcServer)).End()
-		}(w, sh, lanes[w], ltr)
-	}
-	wg.Wait()
-	m.meter.Join(lanes)
-	tr.JoinLanes(ltrs)
-	return m.mergeShards(srcServer, plan, live, shards, lanes, rowMemBytes), nil
-}
-
-// columnarWorker is the body of one columnar scan lane: row groups
-// [loGroup, hiGroup) of srv's columnar copy, driven block by block through
-// the vectorized kernel with every cost charged to lane.
-func (m *Middleware) columnarWorker(plan *stagePlan, live []*ccWork, srv *engine.Server, filter predicate.Filter, needCols []int, loGroup, hiGroup int, lane *sim.Meter, sh *workerShard, slice, rowMemBytes int64) {
-	cw := m.newColConsumer(plan, live, lane, sh, slice, rowMemBytes)
-	srv.ScanColumnarRange(filter, needCols, loGroup, hiGroup, lane, cw.consume)
-}
-
-// newWorkerShard allocates the worker-local state of one scan lane sized for
-// the batch's live requests and staging tees.
-func (m *Middleware) newWorkerShard(plan *stagePlan, nlive int) *workerShard {
-	sh := &workerShard{
-		ccs:       make([]*cc.Table, nlive),
-		shed:      make([]bool, nlive),
-		memBufs:   make([][]data.Row, len(plan.memTees)),
-		memDrop:   make([]bool, len(plan.memTees)),
-		fileBufs:  make([][]byte, len(plan.fileTees)),
-		fileRows:  make([]int64, len(plan.fileTees)),
-		fileStats: make([]*engine.ValueStats, len(plan.fileTees)),
-	}
-	for i := range sh.ccs {
-		sh.ccs[i] = cc.New()
-	}
-	for k := range sh.fileStats {
-		sh.fileStats[k] = m.files.newStats()
-	}
-	return sh
-}
-
 // colConsumer is the per-block body of the vectorized columnar kernel,
 // counting one batch's live requests into one worker shard. Node predicates
 // and tee filters compile once per row group into dictionary-code space;
 // within a block each node refines the incoming selection vector, bumps the
 // dense histogram per selected row (CCBump), and folds distinct cells into
 // its shard treap (CCFoldEntry). It is driven either by one lane of a
-// partitioned ScanColumnarRange (columnarWorker) or, as a session's
-// attachment to a multi-tenant shared scan, by ScanColumnarShared via
-// mw.SharedBatch — the same kernel either way, so shared and solo scans
-// produce identical counts.
+// partitioned ScanColumnarRange (scanLane) or, as a session's attachment to
+// a multi-tenant shared scan, by ScanColumnarShared via mw.SharedBatch — the
+// same kernel either way, so shared and solo scans produce identical counts.
 type colConsumer struct {
-	m           *Middleware
-	plan        *stagePlan
-	live        []*ccWork
-	lane        *sim.Meter
-	sh          *workerShard
-	pb          *shardBudget
-	costs       sim.Costs
-	classIdx    int
-	rowMemBytes int64
+	plan     *stagePlan
+	live     []*ccWork
+	lane     *sim.Meter
+	sh       *workerShard
+	costs    sim.Costs
+	classIdx int
 
 	curGroup    *storage.ColGroup
 	nodeConjs   []engine.GroupConj
@@ -206,20 +110,17 @@ type colConsumer struct {
 	rowBuf      data.Row
 }
 
-func (m *Middleware) newColConsumer(plan *stagePlan, live []*ccWork, lane *sim.Meter, sh *workerShard, slice, rowMemBytes int64) *colConsumer {
+func (r *batchRun) newColConsumer(lane *sim.Meter, sh *workerShard) *colConsumer {
 	return &colConsumer{
-		m:           m,
-		plan:        plan,
-		live:        live,
+		plan:        r.plan,
+		live:        r.live,
 		lane:        lane,
 		sh:          sh,
-		pb:          &shardBudget{sh: sh, slice: slice, rowMemBytes: rowMemBytes},
 		costs:       lane.Costs(),
-		classIdx:    m.schema.ClassIndex(),
-		rowMemBytes: rowMemBytes,
-		nodeConjs:   make([]engine.GroupConj, len(live)),
-		fileFilters: make([]engine.GroupFilter, len(plan.fileTees)),
-		memFilters:  make([]engine.GroupFilter, len(plan.memTees)),
+		classIdx:    r.m.schema.ClassIndex(),
+		nodeConjs:   make([]engine.GroupConj, len(r.live)),
+		fileFilters: make([]engine.GroupFilter, len(r.plan.fileTees)),
+		memFilters:  make([]engine.GroupFilter, len(r.plan.memTees)),
 	}
 }
 
@@ -242,7 +143,8 @@ func (c *colConsumer) consume(blk *engine.ColBlock) bool {
 		c.classDict, c.classCodes = g.Dict(c.classIdx), g.Codes(c.classIdx)
 	}
 	for i := range live {
-		if sh.shed[i] {
+		t := sh.ccs[i]
+		if t == nil {
 			continue
 		}
 		c.subsel = c.nodeConjs[i].Refine(g, blk.Sel, c.subsel[:0])
@@ -250,7 +152,6 @@ func (c *colConsumer) consume(blk *engine.ColBlock) bool {
 			continue
 		}
 		lane.Charge(sim.CtrCCUpdates, c.costs.CCBump, int64(len(c.subsel)))
-		t := sh.ccs[i]
 		before := t.Bytes()
 		var folded int
 		for _, a := range live[i].attrs {
@@ -258,16 +159,14 @@ func (c *colConsumer) consume(blk *engine.ColBlock) bool {
 			lane.Charge(sim.CtrCCFolds, c.costs.CCFoldEntry, int64(folded))
 		}
 		t.AddRows(int64(len(c.subsel)))
-		c.pb.ccBytes += t.Bytes() - before
+		sh.ccBytes += t.Bytes() - before
 	}
-	c.pb.police()
-	for k := range plan.fileTees {
+	sh.police()
+	for k, t := range plan.fileTees {
 		c.teeSel = c.fileFilters[k].Refine(g, blk.Sel, c.teeSel[:0])
 		for _, ri := range c.teeSel {
 			c.rowBuf = blk.MaterializeRow(ri, c.rowBuf)
-			sh.fileBufs[k] = c.rowBuf.Encode(sh.fileBufs[k])
-			sh.fileRows[k]++
-			sh.fileStats[k].Note(c.rowBuf)
+			sh.stageFileRow(k, t, c.rowBuf)
 			lane.Charge(sim.CtrFileRowsWritten, c.costs.FileRowWrite, 1)
 		}
 	}
@@ -277,8 +176,8 @@ func (c *colConsumer) consume(blk *engine.ColBlock) bool {
 		}
 		c.teeSel = c.memFilters[j].Refine(g, blk.Sel, c.teeSel[:0])
 		for _, ri := range c.teeSel {
-			sh.memBufs[j] = append(sh.memBufs[j], blk.MaterializeRow(ri, nil))
-			c.pb.teeBytes += c.rowMemBytes
+			sh.mems[j] = append(sh.mems[j], blk.MaterializeRow(ri, nil))
+			sh.teeBytes += sh.rowMemBytes
 		}
 	}
 	return true

@@ -2,7 +2,6 @@ package mw
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/cc"
 	"repro/internal/data"
@@ -12,84 +11,197 @@ import (
 	"repro/internal/sim"
 )
 
-// laneRows returns the rows a lane read from its partition of the batch's
-// source, from the lane's private counters.
-func laneRows(lane *sim.Meter, k sourceKind) int64 {
-	return lane.Count(scanRowCounter(k))
-}
-
-// This file implements the multi-worker batched-scan pipeline: with
-// Config.Workers > 1, Step splits the batch's data source into disjoint
-// partitions and fans them out to real goroutines. The design constraint is
-// determinism: results, staging contents and the virtual clock must be
-// bit-for-bit reproducible regardless of GOMAXPROCS or goroutine
+// This file is the lane pipeline every batched scan runs through: plan the
+// lanes (planLanes), run each over its partition of the source (runLanes),
+// merge the worker shards and re-police the merged result (mergeShards). With
+// Config.Workers > 1 the lanes are real goroutines over disjoint partitions;
+// otherwise — or when the source cannot be split — the batch is one lane over
+// the whole source, the paper's sequential execution module. The design
+// constraint is determinism: results, staging contents and the virtual clock
+// must be bit-for-bit reproducible regardless of GOMAXPROCS or goroutine
 // interleaving, so
 //
-//   - every worker touches only worker-local state (CC shard tables, staging
-//     buffers, a forked lane meter) — there is no shared mutable state and
-//     therefore nothing scheduling-dependent;
-//   - partitions are contiguous ranges (page ranges at the server, row
-//     ranges for staged files and memory), so concatenating worker staging
-//     buffers in partition order reproduces the sequential scan order
-//     exactly;
+//   - every lane touches only lane-local state (CC shard tables, staging
+//     buffers, its lane meter) — there is no shared mutable state and
+//     therefore nothing scheduling-dependent. Two exceptions, both
+//     single-writer: lane 0, first in file order, streams its file-tee rows
+//     straight into the staging files, and a lone lane, which runs on the
+//     caller's goroutine (obs.RunLanes), may reclaim staged memory mid-scan;
+//   - partitions are contiguous ranges (page, TID or row-group ranges at the
+//     server, row ranges for staged files and memory), so concatenating
+//     worker staging buffers in partition order reproduces the sequential
+//     scan order exactly;
 //   - the parent clock advances by max(lane elapsed) at the barrier
 //     (sim.Meter.Join) plus a serial per-entry shard-merge charge, modeling
 //     the paper's multi-CPU middleware host.
 
-// parallelScanResult is the merged outcome of a multi-worker scan, consumed
-// by Step in place of the sequential scan's closure state.
-type parallelScanResult struct {
-	live     []*ccWork // surviving requests with their merged CC tables
-	ccBytes  int64
-	teeBytes int64
-	requeued []*Request
-	fallback []*Request
-	lanes    []EventLane // per-lane elapsed/rows, partition order
+// scanBudget is the one overflow policy for a runtime estimation error
+// (§4.1.1): the CC tables under construction plus the rows captured by memory
+// tees no longer fit their ceiling. It polices a lane's shard against the
+// lane's slice of the scan budget mid-scan, and the merged batch against the
+// whole budget afterwards (the slices are only a mid-scan approximation).
+// State is shed in a fixed order — staging is an optimization, so it is
+// sacrificed before any request: first the memory tee holding the most rows,
+// then (where reclaim is offered) staged memory outside the batch's own
+// source, and only then the request with the largest table.
+type scanBudget struct {
+	limit       int64
+	rowMemBytes int64
+	ccBytes     int64
+	teeBytes    int64
+	ccs         []*cc.Table  // index-aligned with the batch's live requests; nil once shed
+	mems        [][]data.Row // per memTee: captured rows, scan order
+	memDrop     []bool       // memTees abandoned (a partial capture is useless as staged data)
+	shed        []int        // requests shed by police, in order
+	// reclaim frees staged memory elsewhere in the middleware and returns the
+	// enlarged limit; nil where that would race with other lanes.
+	reclaim func() (int64, bool)
 }
 
-// workerShard is the worker-local state of one scan lane: per-request CC
-// shard tables, per-tee staging buffers, and local budget bookkeeping. A
-// worker writes nothing outside its shard and its lane meter, so the scan is
-// race-free and every lane's final state is a pure function of its
-// partition.
+func (p *scanBudget) dropLargestTee() bool {
+	li := -1
+	for j := range p.mems {
+		if p.memDrop[j] {
+			continue
+		}
+		if li < 0 || len(p.mems[j]) > len(p.mems[li]) {
+			li = j
+		}
+	}
+	if li < 0 {
+		return false
+	}
+	p.teeBytes -= int64(len(p.mems[li])) * p.rowMemBytes
+	p.memDrop[li] = true
+	p.mems[li] = nil
+	return true
+}
+
+func (p *scanBudget) shedLargest() bool {
+	li := -1
+	for i, t := range p.ccs {
+		if t == nil {
+			continue
+		}
+		if li < 0 || t.Bytes() > p.ccs[li].Bytes() {
+			li = i
+		}
+	}
+	if li < 0 {
+		return false
+	}
+	p.ccBytes -= p.ccs[li].Bytes()
+	p.ccs[li] = nil
+	p.shed = append(p.shed, li)
+	return true
+}
+
+// police sheds state until what remains fits the limit again.
+func (p *scanBudget) police() {
+	for p.ccBytes+p.teeBytes > p.limit {
+		if p.dropLargestTee() {
+			continue
+		}
+		if p.reclaim != nil {
+			if limit, ok := p.reclaim(); ok {
+				p.limit = limit
+				continue
+			}
+		}
+		if !p.shedLargest() {
+			break
+		}
+	}
+}
+
+// workerShard is the worker-local state of one scan lane: the policed CC
+// shard tables and memory-tee buffers, and the lane's file-tee output. A
+// worker writes nothing outside its shard and its lane meter — lane 0's
+// write-through excepted — so the scan is race-free and every lane's final
+// state is a pure function of its partition.
 type workerShard struct {
-	ccs       []*cc.Table          // index-aligned with the batch's live requests
-	shed      []bool               // requests dropped by this worker (local budget overflow)
-	memBufs   [][]data.Row         // per memTee: captured rows, partition order
-	memDrop   []bool               // memTees abandoned by this worker
+	scanBudget
+	// File-tee buffers, on every lane but lane 0 (where they stay nil): lane
+	// 0's rows come first in file order, so it streams them into the staging
+	// files as they are captured. Buffering them — as the later lanes must,
+	// until lane 0 is done — would hold an encoded copy of everything staged
+	// in RAM, outside the budget.
 	fileBufs  [][]byte             // per fileTee: encoded captured rows
 	fileRows  []int64              // per fileTee: rows in fileBufs
 	fileStats []*engine.ValueStats // per fileTee: value histograms of the captured rows
 	err       error
 }
 
-// scanPlan describes how a batch's scan fans out: the worker count plus, for
-// server batches, exactly one of the partitionable sources the lanes read —
-// a page-partitioned server scan (base table or copy-table), a partitioned
-// keyset re-scan, or a partitioned TID join. nworkers == 1 means the
-// sequential path runs and the source fields are nil.
+// newShard allocates the state of lane part of nlanes: its slice of the scan
+// budget over fresh CC tables and tee buffers sized for the batch.
+func (r *batchRun) newShard(part, nlanes int) *workerShard {
+	nmem, nfile := len(r.plan.memTees), len(r.plan.fileTees)
+	sh := &workerShard{scanBudget: scanBudget{
+		// planLanes guarantees a split scan's slice is >= 1, so a lane only
+		// sheds once it has actually accumulated state.
+		limit:       r.budget / int64(nlanes),
+		rowMemBytes: r.rowMemBytes,
+		ccs:         make([]*cc.Table, len(r.live)),
+		mems:        make([][]data.Row, nmem),
+		memDrop:     make([]bool, nmem),
+	}}
+	for i := range sh.ccs {
+		sh.ccs[i] = cc.New()
+	}
+	if nlanes == 1 {
+		sh.reclaim = r.reclaim
+	}
+	if part == 0 {
+		return sh
+	}
+	sh.fileBufs = make([][]byte, nfile)
+	sh.fileRows = make([]int64, nfile)
+	sh.fileStats = make([]*engine.ValueStats, nfile)
+	for k := range sh.fileStats {
+		sh.fileStats[k] = r.m.files.newStats()
+	}
+	return sh
+}
+
+// stageFileRow captures row for file tee k (t); the lane charges the write.
+func (sh *workerShard) stageFileRow(k int, t *teePlan, row data.Row) {
+	if sh.fileBufs == nil {
+		t.writer.writeRow(row)
+		return
+	}
+	sh.fileBufs[k] = row.Encode(sh.fileBufs[k])
+	sh.fileRows[k]++
+	sh.fileStats[k].Note(row)
+}
+
+// scanPlan describes how a batch's scan splits into lanes: the lane count
+// plus, for server batches, exactly one source the lanes read — the columnar
+// copy's row groups (base table or copy-table), a page-partitioned heap, a
+// keyset re-scan, or a TID join.
 //
 // bounds, when non-nil, holds nworkers+1 histogram-guided split points in
-// the source's partition units (heap pages, keyset/TID-table indexes, or
-// staged-file rows): lane w covers [bounds[w], bounds[w+1]), giving each
-// lane approximately equal estimated matching rows instead of equal units.
-// A nil bounds means the equal-width formula (the fallback whenever hints
-// are unavailable or disabled).
+// the source's partition units (row groups, heap pages, keyset/TID-table
+// indexes, or staged-file rows): lane w covers [bounds[w], bounds[w+1]),
+// giving each lane approximately equal estimated matching rows instead of
+// equal units. A nil bounds means the equal-width formula (the fallback
+// whenever hints are unavailable or disabled).
 type scanPlan struct {
 	nworkers int
+	// filter is the predicate pushed down to the source and, by
+	// construction, the one the weighted bounds were estimated for: the
+	// batch filter, or match-all under the no-pushdown ablation (where every
+	// row is transmitted and weights are uniform anyway).
+	filter   predicate.Filter
+	col      *engine.Server // vectorized kernel over the columnar copy
+	needCols []int          // columns the columnar scan reads (nil = all)
 	srv      *engine.Server
 	keyset   *engine.Keyset
 	tidTab   *engine.TIDTable
 	bounds   []int
 }
 
-var seqScan = scanPlan{nworkers: 1}
-
-// scanHintFilter returns the filter whose per-partition match estimates
-// drive the weighted split, which must be exactly the filter the partition
-// cursors will evaluate: the batch filter, or match-all under the
-// no-pushdown ablation (where every row is transmitted and weights are
-// uniform anyway).
+// scanHintFilter returns the filter a batch's scan pushes down to its source
+// (see scanPlan.filter).
 func (m *Middleware) scanHintFilter(b *batch) predicate.Filter {
 	if m.cfg.NoFilterPushdown {
 		return predicate.MatchAll()
@@ -97,81 +209,53 @@ func (m *Middleware) scanHintFilter(b *batch) predicate.Filter {
 	return batchFilter(b.reqs)
 }
 
-// scanPerMatchCost estimates the middleware-side cost each transmitted
-// matching row incurs beyond the engine's transmit charge: one CC update
-// (at least one live request counts the row) plus the file-write cost per
-// staging tee it feeds. This weights the split boundaries only — no charge
-// is ever derived from it.
-func (m *Middleware) scanPerMatchCost(plan *stagePlan) int64 {
-	costs := m.meter.Costs()
-	per := costs.CCUpdate
-	if plan != nil {
-		per += int64(len(plan.fileTees)) * costs.FileRowWrite
-	}
-	return per
-}
-
-// planParallel decides how many workers service the batch, which partitioned
-// source the lanes scan, and — when per-page statistics are available — the
-// histogram-guided split boundaries (scanPlan.bounds) that give each lane
-// approximately equal estimated work. plan carries the batch's staging tees
-// so their write costs enter the weighting; it may be nil. It returns the
-// sequential plan whenever the batch cannot or should not be partitioned:
-// Workers <= 1, sources too small to split, or a scan-start budget so tight
-// that the per-worker slice would truncate to zero — with a zero slice every
-// lane would shed every request on its first counted row even though the
-// sequential path, policing the whole budget, can succeed.
-func (m *Middleware) planParallel(b *batch, plan *stagePlan, budget int64) scanPlan {
-	w := m.cfg.Workers
-	if w <= 1 {
-		return seqScan
-	}
-	sp := scanPlan{}
+// planLanes decides which partitionable source the batch's lanes read, how
+// many lanes run, and — when statistics are available — the histogram-guided
+// split boundaries (scanPlan.bounds) that give each lane approximately equal
+// estimated work. plan carries the batch's staging tees so their write costs
+// enter the weighting; it may be nil. The batch runs one lane whenever it
+// cannot or should not be partitioned: Workers <= 1, a source with fewer than
+// two units (pages, row groups, TIDs, rows — including none at all), or a
+// scan-start budget so tight that the per-lane slice would truncate to zero —
+// with a zero slice every lane would shed every request on its first counted
+// row even though one lane, policing the whole budget, can succeed.
+func (m *Middleware) planLanes(b *batch, plan *stagePlan, live []*ccWork, budget int64) scanPlan {
+	sp := scanPlan{filter: m.scanHintFilter(b)}
+	units := 0
 	switch b.kind {
 	case srcMemory:
-		if n := len(b.stage.mem); n < w {
-			w = n
-		}
-		sp = scanPlan{nworkers: w}
+		units = len(b.stage.mem)
 	case srcFile:
-		if n := b.stage.file.rows; n < int64(w) {
-			w = int(n)
-		}
-		sp = scanPlan{nworkers: w}
+		units = int(b.stage.file.rows)
 	case srcServer:
-		// Resolve the auxiliary structure up front (the sequential path does
-		// this at scan start; a structure built here is found and reused by
-		// maybeBuildAux if the batch ends up running sequentially). The
-		// builders themselves are partitioned — see maybeBuildAux.
+		if csrv := m.columnarServer(b); csrv != nil {
+			sp.col, sp.needCols = csrv, m.columnarNeedCols(plan, live)
+			units = csrv.NumColGroups()
+			break
+		}
+		// The auxiliary structure's builder is itself partitioned — see
+		// maybeBuildAux.
 		aux := m.maybeBuildAux(b)
 		switch {
 		case aux != nil && aux.keyset != nil:
-			if n := aux.keyset.Size(); n < w {
-				w = n
-			}
-			sp = scanPlan{nworkers: w, keyset: aux.keyset}
+			sp.keyset, units = aux.keyset, aux.keyset.Size()
 		case aux != nil && aux.tidTab != nil:
-			if n := aux.tidTab.Size(); n < w {
-				w = n
-			}
-			sp = scanPlan{nworkers: w, tidTab: aux.tidTab}
+			sp.tidTab, units = aux.tidTab, aux.tidTab.Size()
 		default:
-			srv := m.srv
+			sp.srv = m.srv
 			if aux != nil && aux.subSrv != nil {
-				srv = aux.subSrv
+				sp.srv = aux.subSrv
 			}
-			if np := srv.NumPages(); np < w {
-				w = np
-			}
-			sp = scanPlan{nworkers: w, srv: srv}
+			units = sp.srv.NumPages()
 		}
-		sp.nworkers = w
 	}
-	if sp.nworkers < 2 {
-		return seqScan
+	sp.nworkers = m.cfg.Workers
+	if sp.nworkers > units {
+		sp.nworkers = units
 	}
-	if budget/int64(sp.nworkers) == 0 {
-		return seqScan // zero per-worker budget slice
+	if sp.nworkers < 2 || budget/int64(sp.nworkers) == 0 {
+		sp.nworkers = 1
+		return sp
 	}
 	sp.bounds = m.splitBounds(b, plan, sp)
 	return sp
@@ -183,10 +267,22 @@ func (m *Middleware) planParallel(b *batch, plan *stagePlan, budget int64) scanP
 // deterministic and free — the statistics were collected during writes the
 // simulation already paid for.
 func (m *Middleware) splitBounds(b *batch, plan *stagePlan, sp scanPlan) []int {
-	filter := m.scanHintFilter(b)
-	perMatch := m.scanPerMatchCost(plan)
+	filter := sp.filter
 	costs := m.meter.Costs()
+	// The middleware-side cost each transmitted matching row incurs beyond
+	// the engine's transmit charge: the file-write cost per staging tee it
+	// feeds, plus counting it (at least one live request does). This weights
+	// the split boundaries only — no charge is ever derived from it.
+	var teeCost int64
+	if plan != nil {
+		teeCost = int64(len(plan.fileTees)) * costs.FileRowWrite
+	}
+	perMatch := costs.CCUpdate + teeCost
 	switch {
+	case sp.col != nil:
+		// Zone-map-skipped groups weigh nothing (ColGroupBounds); a matching
+		// row pays the block kernel's transmit and histogram bump.
+		return sp.col.ColGroupBounds(filter, sp.needCols, sp.nworkers, costs.ColRowTransmit+costs.CCBump+teeCost)
 	case b.kind == srcFile:
 		return m.fileSplitBounds(b.stage.file, filter, sp.nworkers, perMatch)
 	case b.kind != srcServer:
@@ -242,277 +338,199 @@ func (m *Middleware) fileSplitBounds(sf *stageFile, filter predicate.Filter, npa
 	return bounds
 }
 
-// runScanParallel executes the batch's scan with nworkers goroutines over
-// disjoint partitions and merges the worker shards deterministically. budget
-// is the memory ceiling captured at scan start; each worker polices a
-// 1/nworkers slice of it mid-scan, and Step re-checks the merged totals
-// against the full budget afterwards.
-func (m *Middleware) runScanParallel(b *batch, plan *stagePlan, live []*ccWork, sp scanPlan, budget int64) (*parallelScanResult, error) {
-	nworkers := sp.nworkers
-	lanes := m.meter.Fork(nworkers)
-	// planParallel guarantees budget >= nworkers, so the slice is >= 1 and a
-	// lane only sheds once it has actually accumulated state.
-	slice := budget / int64(nworkers)
-	rowMemBytes := int64(m.schema.RowBytes()) + memRowOverhead
-
-	// Lane tracers buffer spans privately per worker and fold back in lane
-	// order at the barrier, mirroring the meter fork/join exactly. A nil
-	// tracer yields a nil slice and nil lane tracers — zero overhead.
-	tr := m.srv.Tracer()
-	ltrs := tr.ForkLanes(lanes)
-
-	shards := make([]*workerShard, nworkers)
-	var wg sync.WaitGroup
-	for w := 0; w < nworkers; w++ {
-		sh := m.newWorkerShard(plan, len(live))
-		shards[w] = sh
-		var ltr *obs.Tracer
-		if ltrs != nil {
-			ltr = ltrs[w]
-		}
-		wg.Add(1)
-		go func(part int, sh *workerShard, lane *sim.Meter, ltr *obs.Tracer) {
-			defer wg.Done()
-			lsp := ltr.Start(obs.CatLane, "lane").SetPartition(part, nworkers)
-			sh.err = m.scanWorker(b, plan, live, sp, part, nworkers, lane, sh, slice, rowMemBytes)
-			lsp.SetRows(laneRows(lane, b.kind)).End()
-		}(w, sh, lanes[w], ltr)
+// runLanes executes the batch's scan over sp.nworkers lanes and folds the
+// result into the run. Each lane polices its 1/nworkers slice of the budget
+// captured at scan start; mergeShards re-checks the merged totals against
+// the whole of it.
+func (r *batchRun) runLanes(sp scanPlan) error {
+	m, n := r.m, sp.nworkers
+	shards := make([]*workerShard, n)
+	for part := range shards {
+		shards[part] = r.newShard(part, n)
 	}
-	wg.Wait()
-	// The barrier: lanes fold back in fixed index order. Counters sum;
-	// the clock advances by the slowest lane.
-	m.meter.Join(lanes)
-	tr.JoinLanes(ltrs)
+	stats := make([]obs.LaneStat, n)
+	rowCtr := scanRowCounter(r.b.kind)
+	obs.RunLanes(m.meter, r.tr, n, func(part int, lane *sim.Meter, ltr *obs.Tracer) {
+		sh := shards[part]
+		lsp := ltr.Start(obs.CatLane, "lane").SetPartition(part, n)
+		// A lone lane is the middleware's own meter: measure from here.
+		start, rows := lane.Now(), lane.Count(rowCtr)
+		sh.err = r.scanLane(sp, part, lane, sh)
+		rows = lane.Count(rowCtr) - rows
+		stats[part] = obs.LaneStat{Lane: part + 1, ElapsedNS: int64(lane.Now() - start), Rows: rows}
+		lsp.SetRows(rows).End()
+	})
 	for _, sh := range shards {
 		if sh.err != nil {
-			return nil, sh.err
+			return sh.err
 		}
 	}
-	return m.mergeShards(b.kind, plan, live, shards, lanes, rowMemBytes), nil
+	if n > 1 {
+		r.laneStats = stats
+	}
+	r.mergeShards(shards)
+	return nil
 }
 
-// mergeShards folds the worker shards of a finished scan back into one
-// deterministic result, in fixed partition order. It is shared by the
-// row-parallel and columnar paths (the latter also runs it at one worker,
-// where the loops collapse to plain moves and nothing is charged).
-func (m *Middleware) mergeShards(kind sourceKind, plan *stagePlan, live []*ccWork, shards []*workerShard, lanes []*sim.Meter, rowMemBytes int64) *parallelScanResult {
-	tr := m.srv.Tracer()
-	res := &parallelScanResult{}
-	if (m.cfg.Trace != nil || m.cfg.Metrics != nil) && len(lanes) > 1 {
-		for i, lane := range lanes {
-			res.lanes = append(res.lanes, EventLane{
-				Lane:    i + 1,
-				Elapsed: lane.Now(),
-				Rows:    laneRows(lane, kind),
-			})
-		}
-	}
-
-	// A request shed by any worker lacks that partition's rows and cannot be
-	// completed this scan. Mirroring the sequential eviction semantics, shed
-	// requests re-queue for a later (smaller) batch while other requests
-	// survived, and fall back to server-side SQL only when nothing survived.
-	shedAny := make([]bool, len(live))
-	survivors := 0
-	for i := range live {
-		for _, sh := range shards {
-			if sh.shed[i] {
-				shedAny[i] = true
-				break
-			}
-		}
-		if !shedAny[i] {
-			survivors++
-		}
+// mergeShards folds the worker shards of a finished scan back into the run,
+// in fixed partition order, and re-polices the merged state against the real
+// remaining budget. With one shard the loops collapse to plain moves and
+// nothing is charged.
+func (r *batchRun) mergeShards(shards []*workerShard) {
+	m, live, plan := r.m, r.live, r.plan
+	merged := &scanBudget{
+		limit:       r.budget,
+		rowMemBytes: r.rowMemBytes,
+		ccs:         make([]*cc.Table, len(live)),
+		mems:        make([][]data.Row, len(plan.memTees)),
+		memDrop:     make([]bool, len(plan.memTees)),
+		reclaim:     r.reclaim,
 	}
 
 	// Merge CC shards in partition order, charging the serial per-entry
 	// merge cost on the parent meter. Counting is commutative over disjoint
 	// partitions, so the merged tables are identical to a sequential scan's.
-	// A single shard has nothing to fold: no merge span, no charge.
+	// A request shed by any worker lacks that partition's rows and cannot be
+	// completed this scan. A single shard has nothing to fold: no merge
+	// span, no charge.
 	var msp *obs.Span
 	if len(shards) > 1 {
-		msp = tr.Start(obs.CatMerge, "shard-merge")
+		msp = r.tr.Start(obs.CatMerge, "shard-merge")
 	}
 	var mergedEntries int64
+	var shedMidScan []*Request
 	mergeCost := m.meter.Costs().MergeEntry
+requests:
 	for i, wk := range live {
-		if shedAny[i] {
-			if survivors > 0 {
-				res.requeued = append(res.requeued, wk.req)
-			} else {
-				res.fallback = append(res.fallback, wk.req)
+		for _, sh := range shards {
+			if sh.ccs[i] == nil {
+				shedMidScan = append(shedMidScan, wk.req)
+				continue requests
 			}
-			continue
 		}
-		merged := shards[0].ccs[i]
+		t := shards[0].ccs[i]
 		for _, sh := range shards[1:] {
-			t := sh.ccs[i]
-			m.meter.Charge(sim.CtrShardMergeEntries, mergeCost, int64(t.Entries()))
-			mergedEntries += int64(t.Entries())
-			merged.Merge(t)
+			part := sh.ccs[i]
+			m.meter.Charge(sim.CtrShardMergeEntries, mergeCost, int64(part.Entries()))
+			mergedEntries += int64(part.Entries())
+			t.Merge(part)
 		}
-		wk.cc = merged
-		res.live = append(res.live, wk)
-		res.ccBytes += merged.Bytes()
+		merged.ccs[i] = t
+		merged.ccBytes += t.Bytes()
 	}
 	msp.Attr("entries", mergedEntries).End()
 
-	// Memory tees: a tee abandoned by any worker is dropped entirely (a
-	// partial capture is useless as staged data); survivors concatenate the
-	// worker buffers in partition order, which reproduces the sequential
-	// scan order exactly.
-	var kept []*teePlan
-	for j, t := range plan.memTees {
-		dropped := false
+	// Memory tees: a tee abandoned by any worker is dropped entirely;
+	// survivors concatenate the worker buffers in partition order, onto
+	// lane 0's, which reproduces the sequential scan order exactly.
+	for j := range plan.memTees {
 		for _, sh := range shards {
-			if sh.memDrop[j] {
-				dropped = true
-				break
-			}
+			merged.memDrop[j] = merged.memDrop[j] || sh.memDrop[j]
 		}
-		if dropped {
+		if merged.memDrop[j] {
 			continue
 		}
-		var rows []data.Row
-		for _, sh := range shards {
-			rows = append(rows, sh.memBufs[j]...)
+		rows := shards[0].mems[j]
+		for _, sh := range shards[1:] {
+			rows = append(rows, sh.mems[j]...)
 		}
-		t.mem = rows
-		res.teeBytes += int64(len(rows)) * rowMemBytes
-		kept = append(kept, t)
+		merged.mems[j] = rows
+		merged.teeBytes += int64(len(rows)) * r.rowMemBytes
 	}
-	plan.memTees = kept
 
-	// File tees: append the worker buffers to the real staging file in
-	// partition order. The per-row write costs were charged in the lanes;
-	// this is the physical concatenation only. Each worker's value
-	// statistics append in the same order, so the file's buckets describe
-	// its rows exactly regardless of how many lanes captured them.
+	// File tees: lane 0 streamed its rows into the staging files during the
+	// scan; append the later lanes' buffers in partition order. The per-row
+	// write costs were charged in the lanes; this is the physical
+	// concatenation only. Each worker's value statistics append in the same
+	// order, so the file's buckets describe its rows exactly regardless of
+	// how many lanes captured them.
 	for k, t := range plan.fileTees {
-		for _, sh := range shards {
+		for _, sh := range shards[1:] {
 			t.writer.writeEncoded(sh.fileBufs[k], sh.fileRows[k])
 			t.writer.appendStats(sh.fileStats[k])
 		}
 	}
-	return res
-}
 
-// shardBudget polices one worker's 1/nworkers slice of the scan budget over
-// its local shard: when the shard's CC tables plus tee buffers outgrow the
-// slice, first the largest memory-tee buffer is abandoned, then the request
-// with the largest local shard table is shed — local decisions only, because
-// global eviction would mutate shared middleware state mid-scan.
-type shardBudget struct {
-	sh          *workerShard
-	ccBytes     int64
-	teeBytes    int64
-	slice       int64
-	rowMemBytes int64
-}
-
-func (p *shardBudget) dropLargestMemBuf() bool {
-	sh := p.sh
-	li := -1
-	for j := range sh.memBufs {
-		if sh.memDrop[j] {
-			continue
-		}
-		if li < 0 || len(sh.memBufs[j]) > len(sh.memBufs[li]) {
-			li = j
+	// Settle the shed requests, mirroring the paper's eviction semantics: a
+	// shed request re-queues for a later (smaller) batch while other
+	// requests survive, and falls back to server-side SQL only when nothing
+	// is left to shed beside it.
+	survivors := len(live) - len(shedMidScan)
+	if survivors > 0 {
+		r.requeued = append(r.requeued, shedMidScan...)
+	} else {
+		r.fallback = append(r.fallback, shedMidScan...)
+	}
+	merged.police()
+	for _, i := range merged.shed {
+		if survivors--; survivors > 0 {
+			r.requeued = append(r.requeued, live[i].req)
+		} else {
+			r.fallback = append(r.fallback, live[i].req)
 		}
 	}
-	if li < 0 {
-		return false
+	r.live = live[:0]
+	for i, wk := range live {
+		if t := merged.ccs[i]; t != nil {
+			wk.cc = t
+			r.live = append(r.live, wk)
+		}
 	}
-	p.teeBytes -= int64(len(sh.memBufs[li])) * p.rowMemBytes
-	sh.memDrop[li] = true
-	sh.memBufs[li] = nil
-	return true
+	kept := plan.memTees[:0]
+	for j, t := range plan.memTees {
+		if !merged.memDrop[j] {
+			t.mem = merged.mems[j]
+			kept = append(kept, t)
+		}
+	}
+	plan.memTees = kept
 }
 
-func (p *shardBudget) shedLargest() bool {
-	sh := p.sh
-	li := -1
-	for i := range sh.ccs {
-		if sh.shed[i] {
-			continue
-		}
-		if li < 0 || sh.ccs[i].Bytes() > sh.ccs[li].Bytes() {
-			li = i
-		}
+// scanLane is the body of one scan lane: it drives partition part of the
+// batch's source through the counting kernel — vectorized over the columnar
+// copy, per row otherwise — charging every operation to lane and keeping all
+// state in sh.
+func (r *batchRun) scanLane(sp scanPlan, part int, lane *sim.Meter, sh *workerShard) error {
+	if sp.col != nil {
+		lo, hi := engine.RangeOf(part, sp.nworkers, sp.col.NumColGroups(), sp.bounds)
+		sp.col.ScanColumnarRange(sp.filter, sp.needCols, lo, hi, lane, r.newColConsumer(lane, sh).consume)
+		return nil
 	}
-	if li < 0 {
-		return false
-	}
-	p.ccBytes -= sh.ccs[li].Bytes()
-	sh.shed[li] = true
-	sh.ccs[li] = cc.New()
-	return true
-}
-
-// police sheds local state until the shard fits its slice again.
-func (p *shardBudget) police() {
-	for p.ccBytes+p.teeBytes > p.slice {
-		if p.dropLargestMemBuf() {
-			continue
-		}
-		if !p.shedLargest() {
-			break
-		}
-	}
-}
-
-// scanWorker is the body of one scan lane: it drives partition part of
-// nparts through a worker-local version of the sequential process loop,
-// charging every operation to lane. Budget pressure is handled locally by
-// shardBudget.
-func (m *Middleware) scanWorker(b *batch, plan *stagePlan, live []*ccWork, sp scanPlan, part, nparts int, lane *sim.Meter, sh *workerShard, slice, rowMemBytes int64) error {
-	costs := lane.Costs()
-	pb := &shardBudget{sh: sh, slice: slice, rowMemBytes: rowMemBytes}
-
-	process := func(row data.Row) {
+	live, plan, costs := r.live, r.plan, lane.Costs()
+	return r.m.scanPartition(r.b, sp, part, lane, func(row data.Row) {
 		for i, wk := range live {
-			if sh.shed[i] || !wk.req.Path.Eval(row) {
+			t := sh.ccs[i]
+			if t == nil || !wk.req.Path.Eval(row) {
 				continue
 			}
-			before := sh.ccs[i].Bytes()
-			sh.ccs[i].AddRow(row, wk.attrs)
-			pb.ccBytes += sh.ccs[i].Bytes() - before
+			before := t.Bytes()
+			t.AddRow(row, wk.attrs)
+			sh.ccBytes += t.Bytes() - before
 			lane.Charge(sim.CtrCCUpdates, costs.CCUpdate, 1)
 		}
-		pb.police()
+		sh.police()
 		for k, t := range plan.fileTees {
 			if t.filter.Eval(row) {
-				sh.fileBufs[k] = row.Encode(sh.fileBufs[k])
-				sh.fileRows[k]++
-				sh.fileStats[k].Note(row)
+				sh.stageFileRow(k, t, row)
 				lane.Charge(sim.CtrFileRowsWritten, costs.FileRowWrite, 1)
 			}
 		}
 		for j, t := range plan.memTees {
-			if sh.memDrop[j] {
-				continue
-			}
-			if t.filter.Eval(row) {
-				sh.memBufs[j] = append(sh.memBufs[j], row.Clone())
-				pb.teeBytes += rowMemBytes
+			if !sh.memDrop[j] && t.filter.Eval(row) {
+				sh.mems[j] = append(sh.mems[j], row.Clone())
+				sh.teeBytes += sh.rowMemBytes
 			}
 		}
-	}
-	return m.scanPartition(b, sp, part, nparts, lane, process)
+	})
 }
 
-// scanPartition drives every row of one partition of the batch's source
-// through process, charging all per-row costs to lane. Server batches scan
-// whichever partitioned source planParallel selected: a page range of the
-// base table or copy-table, a TID range of a keyset re-scan, or a TID range
-// of a TID join.
-func (m *Middleware) scanPartition(b *batch, sp scanPlan, part, nparts int, lane *sim.Meter, process func(data.Row)) error {
+// scanPartition drives every row of partition part of the batch's row source
+// through process, charging all per-row costs to lane.
+func (m *Middleware) scanPartition(b *batch, sp scanPlan, part int, lane *sim.Meter, process func(data.Row)) error {
 	switch b.kind {
 	case srcMemory:
 		rows := b.stage.mem
-		lo, hi := engine.RangeOf(part, nparts, len(rows), sp.bounds)
+		lo, hi := engine.RangeOf(part, sp.nworkers, len(rows), sp.bounds)
 		cost := lane.Costs().MemRowRead
 		for _, row := range rows[lo:hi] {
 			lane.Charge(sim.CtrMemRowsRead, cost, 1)
@@ -521,27 +539,13 @@ func (m *Middleware) scanPartition(b *batch, sp scanPlan, part, nparts int, lane
 		return nil
 	case srcFile:
 		sf := b.stage.file
-		lo, hi := engine.RangeOf(part, nparts, int(sf.rows), sp.bounds)
+		lo, hi := engine.RangeOf(part, sp.nworkers, int(sf.rows), sp.bounds)
 		return m.files.scanRange(sf, int64(lo), int64(hi), lane, func(row data.Row) error {
 			process(row)
 			return nil
 		})
 	case srcServer:
-		// The hint filter is, by construction, the filter the cursor pushes
-		// down — the weighted bounds and the scan see the same predicate.
-		filter := m.scanHintFilter(b)
-		var cur engine.Cursor
-		switch {
-		case sp.keyset != nil:
-			lo, hi := engine.RangeOf(part, nparts, sp.keyset.Size(), sp.bounds)
-			cur = sp.keyset.OpenScanRange(&filter, lo, hi, lane)
-		case sp.tidTab != nil:
-			lo, hi := engine.RangeOf(part, nparts, sp.tidTab.Size(), sp.bounds)
-			cur = sp.tidTab.OpenJoinRange(filter, lo, hi, lane)
-		default:
-			lo, hi := engine.RangeOf(part, nparts, sp.srv.NumPages(), sp.bounds)
-			cur = sp.srv.OpenScanRange(filter, lo, hi, lane)
-		}
+		cur := openLaneCursor(sp, part, lane)
 		defer cur.Close()
 		for {
 			row, ok := cur.Next()
@@ -552,4 +556,36 @@ func (m *Middleware) scanPartition(b *batch, sp scanPlan, part, nparts int, lane
 		}
 	}
 	return fmt.Errorf("mw: unknown source kind %d", b.kind)
+}
+
+// openLaneCursor opens lane part's cursor on a server batch's row source: a
+// page range of the base table or copy-table, or a TID range of a keyset
+// re-scan or TID join. The lanes of a split scan read their ranges cold, past
+// the shared buffer pool, because n concurrent streams would interleave in
+// its LRU state (engine.OpenScanRange). A lone lane is the server's only scan
+// stream and opens the ordinary pooled cursor over the whole source; that
+// cursor charges the server's own meter, which is the lone lane's
+// (obs.RunLanes).
+func openLaneCursor(sp scanPlan, part int, lane *sim.Meter) engine.Cursor {
+	filter := sp.filter
+	lone := sp.nworkers == 1
+	switch {
+	case sp.keyset != nil:
+		if lone {
+			return sp.keyset.OpenScan(&filter)
+		}
+		lo, hi := engine.RangeOf(part, sp.nworkers, sp.keyset.Size(), sp.bounds)
+		return sp.keyset.OpenScanRange(&filter, lo, hi, lane)
+	case sp.tidTab != nil:
+		if lone {
+			return sp.tidTab.OpenJoin(filter)
+		}
+		lo, hi := engine.RangeOf(part, sp.nworkers, sp.tidTab.Size(), sp.bounds)
+		return sp.tidTab.OpenJoinRange(filter, lo, hi, lane)
+	}
+	if lone {
+		return sp.srv.OpenScan(filter)
+	}
+	lo, hi := engine.RangeOf(part, sp.nworkers, sp.srv.NumPages(), sp.bounds)
+	return sp.srv.OpenScanRange(filter, lo, hi, lane)
 }

@@ -2,7 +2,6 @@ package mw
 
 import (
 	"sort"
-	"sync"
 
 	"repro/internal/cc"
 	"repro/internal/data"
@@ -161,42 +160,27 @@ func (m *Middleware) runFallbackParallel(reqs []*Request, nworkers int) []*cc.Ta
 	warm := m.srv.WarmTable()
 	laneOf := m.fallbackArmLanes(units, reqs, nworkers, warm)
 
-	lanes := m.meter.Fork(nworkers)
-	ltrs := tr.ForkLanes(lanes)
 	shards := make([]*cc.Table, len(units))
-	var wg sync.WaitGroup
-	for w := 0; w < nworkers; w++ {
-		var ltr *obs.Tracer
-		if ltrs != nil {
-			ltr = ltrs[w]
-		}
-		wg.Add(1)
-		go func(w int, lane *sim.Meter, ltr *obs.Tracer) {
-			defer wg.Done()
-			costs := lane.Costs()
-			for k := 0; k < len(units); k++ {
-				if laneOf[k] != w {
-					continue
-				}
-				u := units[k]
-				r := reqs[u.reqIdx]
-				asp := ltr.Start(obs.CatFallback, "fallback-arm").
-					Attr("node", int64(r.NodeID)).Attr("attr", int64(u.attr))
-				t := cc.New()
-				m.srv.CountsArmScan(predicate.Or(r.Path), lane, warm, func(row data.Row) {
-					t.Add(u.attr, row[u.attr], row[classIdx], 1)
-				})
-				// One transmitted result row per aggregated group, matching
-				// the serial statement's result-set transfer.
-				lane.Charge(sim.CtrRowsTransmitted, costs.RowTransmit, int64(t.Entries()))
-				shards[k] = t
-				asp.SetSource("sql").SetRows(int64(t.Entries())).End()
+	obs.RunLanes(m.meter, tr, nworkers, func(w int, lane *sim.Meter, ltr *obs.Tracer) {
+		costs := lane.Costs()
+		for k, u := range units {
+			if laneOf[k] != w {
+				continue
 			}
-		}(w, lanes[w], ltr)
-	}
-	wg.Wait()
-	m.meter.Join(lanes)
-	tr.JoinLanes(ltrs)
+			r := reqs[u.reqIdx]
+			asp := ltr.Start(obs.CatFallback, "fallback-arm").
+				Attr("node", int64(r.NodeID)).Attr("attr", int64(u.attr))
+			t := cc.New()
+			m.srv.CountsArmScan(predicate.Or(r.Path), lane, warm, func(row data.Row) {
+				t.Add(u.attr, row[u.attr], row[classIdx], 1)
+			})
+			// One transmitted result row per aggregated group, matching
+			// the serial statement's result-set transfer.
+			lane.Charge(sim.CtrRowsTransmitted, costs.RowTransmit, int64(t.Entries()))
+			shards[k] = t
+			asp.SetSource("sql").SetRows(int64(t.Entries())).End()
+		}
+	})
 
 	// Merge arm shards per request in arm order on the parent meter. Arms
 	// group disjoint attributes, so the merge is pure accumulation; the class

@@ -16,7 +16,6 @@ package mw
 import (
 	"fmt"
 	"sort"
-	"time"
 
 	"repro/internal/cc"
 	"repro/internal/data"
@@ -180,10 +179,12 @@ type Config struct {
 	// MaxBatch caps the number of nodes serviced per scan (0 = unlimited);
 	// the paper's memory budget normally provides the cap.
 	MaxBatch int
-	// Workers is the number of parallel scan workers per batch. 0 or 1 (the
-	// default) preserves the strictly sequential pipeline. With Workers > 1,
-	// Step splits each batched scan into disjoint partitions (page ranges at
-	// the server, row ranges for staged files and memory) processed by real
+	// Workers is the number of scan lanes per batch. Every scan runs the same
+	// lane pipeline; 0 or 1 (the default) runs it as one lane over the whole
+	// source — the paper's sequential execution module, reading the server
+	// through the shared buffer pool. With Workers > 1, Step splits each
+	// batched scan into disjoint partitions (row-group or page ranges at the
+	// server, row ranges for staged files and memory) processed by real
 	// goroutines. Each worker counts into private CC shard tables, captures
 	// staging rows into private buffers, spends a 1/Workers slice of the
 	// memory budget, and charges a forked lane meter; after the barrier the
@@ -194,8 +195,8 @@ type Config struct {
 	// stage: the §4.3.3 auxiliary builds partition their qualifying scan,
 	// keyset and TID-join batches scan disjoint TID ranges per worker, and
 	// the SQL fallback fans each request's GROUP BY arms out over lanes.
-	// Only a scan whose per-worker budget slice would round down to zero
-	// falls back to one worker.
+	// A scan whose source cannot be split, or whose per-worker budget slice
+	// would round down to zero, runs one lane.
 	Workers int
 	// Columnar selects the scan path for server batches: ColumnarAuto (the
 	// default) runs the vectorized columnar kernel wherever a columnar copy
@@ -223,37 +224,11 @@ type Config struct {
 	// the virtual clock) differs.
 	NoHistogramHints bool
 
-	// Trace, when non-nil, receives one Event per executed batch — the
-	// scheduling decisions (source, serviced nodes, fallbacks, staging)
-	// that are otherwise invisible to the client. It fires on every path,
-	// including Workers > 1 batches (which add per-lane detail) and batches
-	// serviced entirely by the SQL fallback.
-	Trace func(Event)
-
 	// Metrics, when non-nil, receives one obs.BatchStats per executed batch:
 	// counter deltas, lane-imbalance figures, and budget/tier residency at
 	// batch end. Wire it (together with the engine's tracer) through
 	// obs.Collector.Proc.
 	Metrics *obs.ProcMetrics
-}
-
-// Event describes one executed middleware batch for tracing.
-type Event struct {
-	Batch         int         // 1-based batch sequence number
-	Source        string      // "server", "file" or "memory"
-	Nodes         []int       // node ids serviced by the scan
-	Fallback      []int       // node ids serviced by the SQL fallback
-	Requeued      []int       // node ids shed mid-scan and returned to the queue
-	NewFiles      int         // staging files created by this batch
-	StagedMemRows int64       // rows staged into middleware memory by this batch
-	Lanes         []EventLane // per-worker detail for Workers > 1 scans (nil otherwise)
-}
-
-// EventLane describes one worker lane of a parallel batch scan.
-type EventLane struct {
-	Lane    int           // 1-based lane index (partition order)
-	Elapsed time.Duration // lane virtual time; the max lane is the batch's critical path
-	Rows    int64         // rows the lane read from its partition of the source
 }
 
 // Request asks the middleware for the counts table of one active node.
@@ -321,7 +296,7 @@ func New(srv *engine.Server, cfg Config) (*Middleware, error) {
 	if cfg.Memory < 0 || cfg.FileBudget < 0 {
 		return nil, fmt.Errorf("mw: negative budget")
 	}
-	fs, err := newFileStore(cfg.Dir, srv.Meter(), srv.Schema(), cfg.FileBudget, srv.Tracer)
+	fs, err := newFileStore(cfg.Dir, srv.Meter(), srv.Schema(), cfg.FileBudget)
 	if err != nil {
 		return nil, err
 	}

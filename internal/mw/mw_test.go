@@ -10,6 +10,7 @@ import (
 	"repro/internal/cc"
 	"repro/internal/data"
 	"repro/internal/engine"
+	"repro/internal/obs"
 	"repro/internal/predicate"
 	"repro/internal/sim"
 )
@@ -48,6 +49,10 @@ func newMW(t *testing.T, ds *data.Dataset, cfg Config) (*Middleware, *engine.Ser
 	t.Cleanup(func() { m.Close() })
 	return m, srv
 }
+
+// newBatchMetrics returns a Config.Metrics sink whose Batches the test reads
+// back: one obs.BatchStats per executed batch.
+func newBatchMetrics() *obs.ProcMetrics { return obs.NewMetrics().NewProc(0, "test", nil) }
 
 func rootRequest(ds *data.Dataset) *Request {
 	attrs := make([]int, ds.Schema.NumAttrs())
@@ -431,23 +436,19 @@ func TestStagingModeStrings(t *testing.T) {
 	}
 }
 
+// TestTraceEvents: Config.Metrics receives one obs.BatchStats per executed
+// batch, carrying the scheduling decisions (batch number, source, serviced
+// nodes, staging) that are otherwise invisible to the client; the node ids
+// themselves come back in Step's results.
 func TestTraceEvents(t *testing.T) {
 	ds := randDataset(400, 12)
-	var events []Event
-	srv, _ := engine.NewServer(engine.New(sim.NewDefaultMeter(), 0), "cases", ds)
-	m, err := New(srv, Config{
-		Staging: StageMemoryOnly, Memory: 4 * ds.Bytes(),
-		Dir:   t.TempDir(),
-		Trace: func(e Event) { events = append(events, e) },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m.Close()
+	pm := newBatchMetrics()
+	m, _ := newMW(t, ds, Config{Staging: StageMemoryOnly, Memory: 4 * ds.Bytes(), Metrics: pm})
 	if err := m.Enqueue(rootRequest(ds)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Step(); err != nil {
+	rootRes, err := m.Step()
+	if err != nil {
 		t.Fatal(err)
 	}
 	child := &Request{
@@ -464,20 +465,22 @@ func TestTraceEvents(t *testing.T) {
 	}
 	m.CloseNode(1)
 
-	if len(events) != 2 {
-		t.Fatalf("%d events, want 2", len(events))
+	batches := pm.Batches
+	if len(batches) != 2 {
+		t.Fatalf("%d batch stats, want 2", len(batches))
 	}
-	if events[0].Source != "server" || len(events[0].Nodes) != 1 || events[0].Nodes[0] != 0 {
-		t.Errorf("event 0 = %+v", events[0])
+	if batches[0].Source != "server" || batches[0].NNodes != 1 ||
+		len(rootRes) != 1 || rootRes[0].Req.NodeID != 0 {
+		t.Errorf("batch 0 = %+v, results %+v", batches[0], rootRes)
 	}
-	if events[0].StagedMemRows == 0 {
-		t.Errorf("root scan staged nothing: %+v", events[0])
+	if batches[0].StagedMemRows == 0 {
+		t.Errorf("root scan staged nothing: %+v", batches[0])
 	}
-	if events[1].Source != "memory" {
-		t.Errorf("child not serviced from memory: %+v", events[1])
+	if batches[1].Source != "memory" {
+		t.Errorf("child not serviced from memory: %+v", batches[1])
 	}
-	if events[0].Batch != 1 || events[1].Batch != 2 {
-		t.Errorf("batch numbering: %d, %d", events[0].Batch, events[1].Batch)
+	if batches[0].Batch != 1 || batches[1].Batch != 2 {
+		t.Errorf("batch numbering: %d, %d", batches[0].Batch, batches[1].Batch)
 	}
 }
 

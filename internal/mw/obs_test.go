@@ -14,44 +14,42 @@ import (
 	"repro/internal/sim"
 )
 
-// TestParallelBatchEmitsEventWithLanes: a Workers > 1 batch must fire
-// Config.Trace exactly like a sequential one, and its Event carries per-lane
+// TestParallelBatchEmitsEventWithLanes: a Workers > 1 batch must record its
+// obs.BatchStats exactly like a one-lane one, and the stats carry per-lane
 // detail — one entry per worker in partition order, with the lane's virtual
 // elapsed time and row count.
 func TestParallelBatchEmitsEventWithLanes(t *testing.T) {
 	// Big enough that the columnar copy spans at least 4 row groups, so the
 	// default (columnar) scan can actually fan out to all 4 workers.
 	ds := randDataset(20000, 5)
-	var events []Event
-	m, _ := newMW(t, ds, Config{
-		Staging: StageNone, Workers: 4,
-		Trace: func(e Event) { events = append(events, e) },
-	})
+	pm := newBatchMetrics()
+	m, _ := newMW(t, ds, Config{Staging: StageNone, Workers: 4, Metrics: pm})
 	if err := m.Enqueue(rootRequest(ds)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Step(); err != nil {
+	results, err := m.Step()
+	if err != nil {
 		t.Fatal(err)
 	}
 	m.CloseNode(0)
 
-	if len(events) != 1 {
-		t.Fatalf("parallel batch emitted %d events, want 1", len(events))
+	if len(pm.Batches) != 1 {
+		t.Fatalf("parallel batch recorded %d batch stats, want 1", len(pm.Batches))
 	}
-	ev := events[0]
-	if ev.Source != "server" || len(ev.Nodes) != 1 || ev.Nodes[0] != 0 {
-		t.Fatalf("event = %+v", ev)
+	bs := pm.Batches[0]
+	if bs.Source != "server" || bs.NNodes != 1 || len(results) != 1 || results[0].Req.NodeID != 0 {
+		t.Fatalf("batch = %+v, results = %+v", bs, results)
 	}
-	if len(ev.Lanes) != 4 {
-		t.Fatalf("event has %d lanes, want 4 (one per worker)", len(ev.Lanes))
+	if len(bs.Lanes) != 4 {
+		t.Fatalf("batch has %d lanes, want 4 (one per worker)", len(bs.Lanes))
 	}
 	var rows int64
-	for i, l := range ev.Lanes {
+	for i, l := range bs.Lanes {
 		if l.Lane != i+1 {
 			t.Errorf("lane %d index = %d, want %d (partition order)", i, l.Lane, i+1)
 		}
-		if l.Elapsed <= 0 {
-			t.Errorf("lane %d elapsed = %v, want > 0", i, l.Elapsed)
+		if l.ElapsedNS <= 0 {
+			t.Errorf("lane %d elapsed = %d ns, want > 0", i, l.ElapsedNS)
 		}
 		rows += l.Rows
 	}
@@ -62,18 +60,15 @@ func TestParallelBatchEmitsEventWithLanes(t *testing.T) {
 	}
 }
 
-// TestStagedMemRowsUnits pins the Event.StagedMemRows unit: it counts rows,
-// not bytes. The root batch under memory-only staging tees every table row
-// into middleware memory, so the field must equal the dataset's row count
-// exactly (a byte count would be larger by the row size). Sequential batches
+// TestStagedMemRowsUnits pins the BatchStats.StagedMemRows unit: it counts
+// rows, not bytes. The root batch under memory-only staging tees every table
+// row into middleware memory, so the field must equal the dataset's row count
+// exactly (a byte count would be larger by the row size). One-lane batches
 // carry no lane detail.
 func TestStagedMemRowsUnits(t *testing.T) {
 	ds := randDataset(400, 12)
-	var events []Event
-	m, _ := newMW(t, ds, Config{
-		Staging: StageMemoryOnly, Memory: 4 * ds.Bytes(),
-		Trace: func(e Event) { events = append(events, e) },
-	})
+	pm := newBatchMetrics()
+	m, _ := newMW(t, ds, Config{Staging: StageMemoryOnly, Memory: 4 * ds.Bytes(), Metrics: pm})
 	if err := m.Enqueue(rootRequest(ds)); err != nil {
 		t.Fatal(err)
 	}
@@ -82,29 +77,26 @@ func TestStagedMemRowsUnits(t *testing.T) {
 	}
 	m.CloseNode(0)
 
-	if len(events) != 1 {
-		t.Fatalf("%d events, want 1", len(events))
+	if len(pm.Batches) != 1 {
+		t.Fatalf("%d batch stats, want 1", len(pm.Batches))
 	}
-	if got, want := events[0].StagedMemRows, int64(ds.N()); got != want {
+	if got, want := pm.Batches[0].StagedMemRows, int64(ds.N()); got != want {
 		t.Fatalf("StagedMemRows = %d, want %d rows (row count, not bytes)", got, want)
 	}
-	if events[0].Lanes != nil {
-		t.Fatalf("sequential batch has lane detail: %+v", events[0].Lanes)
+	if pm.Batches[0].Lanes != nil {
+		t.Fatalf("one-lane batch has lane detail: %+v", pm.Batches[0].Lanes)
 	}
 }
 
 // TestFallbackOnlyBatchEmitsEvent: a batch serviced entirely by the SQL
-// fallback (nothing admitted to the scan) still fires Config.Trace, with
-// empty Nodes and the fallback node listed.
+// fallback (nothing admitted to the scan) still records its BatchStats, with
+// no scan nodes and the fallback node counted.
 func TestFallbackOnlyBatchEmitsEvent(t *testing.T) {
 	ds := randDataset(300, 9)
-	var events []Event
+	pm := newBatchMetrics()
 	// The root's honest CC estimate is ~26 entries; a 10-entry budget admits
 	// nothing, so scheduling sends the root straight to the SQL fallback.
-	m, _ := newMW(t, ds, Config{
-		Staging: StageNone, Memory: 10 * cc.EntryBytes,
-		Trace: func(e Event) { events = append(events, e) },
-	})
+	m, _ := newMW(t, ds, Config{Staging: StageNone, Memory: 10 * cc.EntryBytes, Metrics: pm})
 	if err := m.Enqueue(rootRequest(ds)); err != nil {
 		t.Fatal(err)
 	}
@@ -114,27 +106,27 @@ func TestFallbackOnlyBatchEmitsEvent(t *testing.T) {
 	}
 	m.CloseNode(0)
 
-	if len(results) != 1 || !results[0].ViaSQL {
-		t.Fatalf("results = %+v, want one SQL-fallback result", results)
+	if len(results) != 1 || !results[0].ViaSQL || results[0].Req.NodeID != 0 {
+		t.Fatalf("results = %+v, want one SQL-fallback result for node 0", results)
 	}
-	if len(events) != 1 {
-		t.Fatalf("fallback-only batch emitted %d events, want 1", len(events))
+	if len(pm.Batches) != 1 {
+		t.Fatalf("fallback-only batch recorded %d batch stats, want 1", len(pm.Batches))
 	}
-	ev := events[0]
-	if len(ev.Nodes) != 0 {
-		t.Errorf("fallback-only event lists scan nodes: %+v", ev)
+	bs := pm.Batches[0]
+	if bs.NNodes != 0 {
+		t.Errorf("fallback-only batch counts scan nodes: %+v", bs)
 	}
-	if len(ev.Fallback) != 1 || ev.Fallback[0] != 0 {
-		t.Errorf("event fallback = %v, want [0]", ev.Fallback)
+	if bs.NFallbacks != 1 {
+		t.Errorf("batch fallbacks = %d, want 1", bs.NFallbacks)
 	}
-	if ev.Batch != 1 {
-		t.Errorf("batch = %d, want 1", ev.Batch)
+	if bs.Batch != 1 {
+		t.Errorf("batch = %d, want 1", bs.Batch)
 	}
 }
 
 // TestRequeueBatchEmitsEvent: when the scheduler's admission estimate proves
-// too low mid-scan, the shed request is requeued and the batch's Event
-// records it. The test first measures the children's true CC sizes with an
+// too low mid-scan, the shed request is requeued and the batch's BatchStats
+// record it. The test first measures the children's true CC sizes with an
 // unlimited budget, then replays with a budget that fits either child alone
 // but not both.
 func TestRequeueBatchEmitsEvent(t *testing.T) {
@@ -151,9 +143,11 @@ func TestRequeueBatchEmitsEvent(t *testing.T) {
 				Rows:  countMatching(ds, 0, 0, false), EstCC: 1},
 		}
 	}
-	drive := func(cfg Config) (map[int]int64, []Event) {
-		var events []Event
-		cfg.Trace = func(e Event) { events = append(events, e) }
+	// drive returns each child's CC size and, per Step, the serviced node ids
+	// next to that batch's stats.
+	drive := func(cfg Config) (map[int]int64, [][]int, []obs.BatchStats) {
+		pm := newBatchMetrics()
+		cfg.Metrics = pm
 		m, _ := newMW(t, ds, cfg)
 		if err := m.Enqueue(rootRequest(ds)); err != nil {
 			t.Fatal(err)
@@ -166,6 +160,7 @@ func TestRequeueBatchEmitsEvent(t *testing.T) {
 		}
 		m.CloseNode(0)
 		sizes := map[int]int64{}
+		var serviced [][]int
 		for m.Pending() > 0 {
 			results, err := m.Step()
 			if err != nil {
@@ -174,16 +169,19 @@ func TestRequeueBatchEmitsEvent(t *testing.T) {
 			if len(results) == 0 {
 				t.Fatal("no progress with pending requests")
 			}
+			var ids []int
 			for _, r := range results {
 				sizes[r.Req.NodeID] = r.CC.Bytes()
+				ids = append(ids, r.Req.NodeID)
 				m.CloseNode(r.Req.NodeID)
 			}
+			serviced = append(serviced, ids)
 		}
-		return sizes, events
+		return sizes, serviced, pm.Batches[1:] // drop the root batch
 	}
 
 	// Measurement pass: true table sizes under an unlimited budget.
-	sizes, _ := drive(Config{Staging: StageNone})
+	sizes, _, _ := drive(Config{Staging: StageNone})
 	b1, b2 := sizes[1], sizes[2]
 	rootNeed := rootRequest(ds).EstCC * cc.EntryBytes
 	mem := rootNeed
@@ -200,24 +198,29 @@ func TestRequeueBatchEmitsEvent(t *testing.T) {
 
 	// Constrained pass: both children admitted on their (lying) 1-entry
 	// estimates, mid-scan growth overflows the budget, one is shed.
-	sizes, events := drive(Config{Staging: StageNone, Memory: mem})
+	sizes, serviced, batches := drive(Config{Staging: StageNone, Memory: mem})
 	if len(sizes) != 2 {
 		t.Fatalf("serviced %d children, want 2 (all requests eventually fulfilled)", len(sizes))
 	}
-	var requeueEv *Event
-	for i := range events {
-		if len(events[i].Requeued) > 0 {
-			requeueEv = &events[i]
+	if len(batches) != len(serviced) {
+		t.Fatalf("%d batch stats for %d steps", len(batches), len(serviced))
+	}
+	requeueAt := -1
+	for i := range batches {
+		if batches[i].NRequeued > 0 {
+			requeueAt = i
 		}
 	}
-	if requeueEv == nil {
-		t.Fatalf("no event recorded a requeue; events = %+v", events)
+	if requeueAt < 0 {
+		t.Fatalf("no batch recorded a requeue; batches = %+v", batches)
 	}
-	if len(requeueEv.Requeued) != 1 || len(requeueEv.Nodes) != 1 {
-		t.Fatalf("requeue event = %+v, want 1 serviced + 1 requeued", requeueEv)
+	if bs := batches[requeueAt]; bs.NRequeued != 1 || bs.NNodes != 1 || len(serviced[requeueAt]) != 1 {
+		t.Fatalf("requeue batch = %+v (serviced %v), want 1 serviced + 1 requeued", bs, serviced[requeueAt])
 	}
-	if requeueEv.Requeued[0] == requeueEv.Nodes[0] {
-		t.Fatalf("requeued node equals serviced node: %+v", requeueEv)
+	// The requeued node is the other child: it is serviced by a later batch.
+	if requeueAt+1 >= len(serviced) || len(serviced[requeueAt+1]) != 1 ||
+		serviced[requeueAt+1][0] == serviced[requeueAt][0] {
+		t.Fatalf("requeued node not serviced next: steps = %v", serviced)
 	}
 }
 

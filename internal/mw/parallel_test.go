@@ -1,16 +1,19 @@
 package mw
 
 import (
+	"bytes"
 	"fmt"
 	"hash/fnv"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"sort"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/cc"
 	"repro/internal/data"
 	"repro/internal/predicate"
 )
@@ -136,19 +139,85 @@ func driveTree(t *testing.T, cfg Config, rows int, withMeter bool) string {
 
 // TestParallelMatchesSequential: for every staging mode, the CC tables,
 // result sources and staged-file contents produced with Workers ∈ {2, 4} are
-// byte-identical to the sequential run. (The virtual clock legitimately
+// byte-identical to the one-lane run. (The virtual clock legitimately
 // differs — parallelism is the point — so the meter is excluded here and
-// covered by TestParallelDeterministicAcrossRuns.)
+// covered by TestParallelDeterministicAcrossRuns.) The empty table is the
+// degenerate input: a zero-group columnar copy at the root and, under file
+// staging, a zero-row staged file below it — sources with nothing to split,
+// which must run one lane and return empty CC tables at any Workers.
 func TestParallelMatchesSequential(t *testing.T) {
-	for _, mode := range []StagingMode{StageNone, StageFileOnly, StageMemoryOnly, StageFileAndMemory} {
-		want := driveTree(t, Config{Staging: mode, Workers: 1}, 2000, false)
-		for _, w := range []int{2, 4} {
-			got := driveTree(t, Config{Staging: mode, Workers: w}, 2000, false)
-			if got != want {
-				t.Errorf("staging=%v workers=%d: output differs from sequential\n got:\n%s\nwant:\n%s",
-					mode, w, got, want)
+	for _, rows := range []int{2000, 0} {
+		for _, mode := range []StagingMode{StageNone, StageFileOnly, StageMemoryOnly, StageFileAndMemory} {
+			want := driveTree(t, Config{Staging: mode, Workers: 1}, rows, false)
+			if rows == 0 {
+				assertEmptyCounts(t, want)
+			}
+			for _, w := range []int{2, 4} {
+				got := driveTree(t, Config{Staging: mode, Workers: w}, rows, false)
+				if got != want {
+					t.Errorf("rows=%d staging=%v workers=%d: output differs from sequential\n got:\n%s\nwant:\n%s",
+						rows, mode, w, got, want)
+				}
 			}
 		}
+	}
+}
+
+// assertEmptyCounts checks a driveTree fingerprint over an empty table: all
+// seven nodes serviced, each with an empty CC table.
+func assertEmptyCounts(t *testing.T, print string) {
+	t.Helper()
+	nodes := 0
+	for _, line := range strings.Split(print, "\n") {
+		if !strings.HasPrefix(line, "node ") {
+			continue
+		}
+		nodes++
+		if !strings.HasSuffix(line, " rows=0 cc="+cc.New().String()) {
+			t.Errorf("empty table produced a non-empty counts table: %s", line)
+		}
+	}
+	if nodes != 7 {
+		t.Errorf("empty table serviced %d nodes, want 7:\n%s", nodes, print)
+	}
+}
+
+// TestEmptyMemoryStageRunsOneLane: a memory stage holding no rows cannot
+// arise through the protocol (a tee that captured nothing registers no
+// memory tier), but the lane planner must not depend on that: with nothing
+// to split the batch runs one lane and returns an empty CC table.
+func TestEmptyMemoryStageRunsOneLane(t *testing.T) {
+	ds := randDataset(50, 3)
+	pm := newBatchMetrics()
+	m, _ := newMW(t, ds, Config{Staging: StageNone, Workers: 4, Metrics: pm})
+	if err := m.Enqueue(rootRequest(ds)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Step(); err != nil {
+		t.Fatal(err)
+	}
+	m.registerStage(&stageData{
+		seq: m.nextStageSeq(), nodeID: 0, keyNodes: []int{0},
+		openNodes: map[int]bool{}, mem: []data.Row{},
+	})
+	child := &Request{
+		NodeID: 1, ParentID: 0,
+		Path:  predicate.Conj{{Attr: 0, Op: predicate.Eq, Val: 1}},
+		Attrs: []int{1, 2, 3}, EstCC: 40,
+	}
+	if err := m.Enqueue(child); err != nil {
+		t.Fatal(err)
+	}
+	m.CloseNode(0)
+	results, err := m.Step()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(results) != 1 || results[0].Source != "memory" || results[0].CC.Rows() != 0 || results[0].CC.Entries() != 0 {
+		t.Fatalf("results = %+v, want one empty CC table from memory", results)
+	}
+	if bs := pm.Batches[len(pm.Batches)-1]; bs.Source != "memory" || bs.Lanes != nil {
+		t.Errorf("empty memory stage did not run one lane: %+v", bs)
 	}
 }
 
@@ -230,9 +299,9 @@ func TestParallelFallbackAuxDeterministicAcrossRuns(t *testing.T) {
 	}
 }
 
-// TestPlanParallelPartitionsAuxPaths: keyset and TID-join batches must no
-// longer collapse to one worker — planParallel returns a multi-lane plan
-// carrying the partitioned structure.
+// TestPlanParallelPartitionsAuxPaths: keyset and TID-join batches must not
+// collapse to one lane — planLanes returns a multi-lane plan carrying the
+// partitioned structure.
 func TestPlanParallelPartitionsAuxPaths(t *testing.T) {
 	for _, access := range []ServerAccess{AccessKeyset, AccessTIDJoin} {
 		ds := randDataset(2000, 3)
@@ -262,9 +331,9 @@ func TestPlanParallelPartitionsAuxPaths(t *testing.T) {
 		if b == nil || b.kind != srcServer {
 			t.Fatalf("access=%v: expected a server batch, got %+v", access, b)
 		}
-		sp := m.planParallel(b, nil, m.memBudgetLeft())
+		sp := m.planLanes(b, nil, nil, m.memBudgetLeft())
 		if sp.nworkers != 4 {
-			t.Errorf("access=%v: planParallel nworkers = %d, want 4", access, sp.nworkers)
+			t.Errorf("access=%v: planLanes nworkers = %d, want 4", access, sp.nworkers)
 		}
 		switch access {
 		case AccessKeyset:
@@ -373,5 +442,88 @@ func TestParallelImprovesVirtualTime(t *testing.T) {
 	seq, par := elapsed(1), elapsed(4)
 	if par >= seq {
 		t.Errorf("workers=4 virtual time %v not below workers=1 %v", par, seq)
+	}
+}
+
+// TestLaneZeroStreamsFileTee: lane 0 of a scan writes its file-tee rows
+// straight into the staging file instead of buffering them until the merge —
+// buffered, a one-lane root scan under file staging held an encoded copy of
+// the whole table in memory, outside the budget. The staged file must come
+// out exactly as the buffered one did: the rows, bytes and content that
+// later lanes' buffer-and-append produces, and the value-statistics buckets
+// of its rows noted in file order.
+func TestLaneZeroStreamsFileTee(t *testing.T) {
+	ds := randDataset(9000, 5) // three row groups, so Workers=3 really splits
+	for _, columnar := range []ColumnarMode{ColumnarAuto, ColumnarOff} {
+		// One lane, driven phase by phase so shard 0 can be inspected between
+		// the scan and the merge.
+		m, _ := newMW(t, ds, Config{Staging: StageFileOnly, Columnar: columnar})
+		if err := m.Enqueue(rootRequest(ds)); err != nil {
+			t.Fatal(err)
+		}
+		r, err := m.beginBatch(m.schedule())
+		if err != nil {
+			t.Fatal(err)
+		}
+		sp := m.planLanes(r.b, r.plan, r.live, r.budget)
+		if sp.nworkers != 1 || len(r.plan.fileTees) != 1 {
+			t.Fatalf("columnar=%v: %d lanes, %d file tees; want 1 and 1", columnar, sp.nworkers, len(r.plan.fileTees))
+		}
+		sh := r.newShard(0, 1)
+		if err := r.scanLane(sp, 0, m.meter, sh); err != nil {
+			t.Fatal(err)
+		}
+		for k, buf := range sh.fileBufs {
+			if len(buf) != 0 {
+				t.Errorf("columnar=%v: shard 0 buffers %d bytes for file tee %d", columnar, len(buf), k)
+			}
+		}
+		if got := r.plan.fileTees[0].writer.sf.rows; got != int64(ds.N()) {
+			t.Errorf("columnar=%v: %d rows streamed before the merge, want %d", columnar, got, ds.N())
+		}
+		r.mergeShards([]*workerShard{sh})
+		if _, err := m.finishBatch(r); err != nil {
+			t.Fatal(err)
+		}
+		streamed := m.sources[0][0].file
+
+		// Three lanes: lanes 1 and 2 buffer and append after the barrier.
+		mb, _ := newMW(t, ds, Config{Staging: StageFileOnly, Columnar: columnar, Workers: 3})
+		if err := mb.Enqueue(rootRequest(ds)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := mb.Step(); err != nil {
+			t.Fatal(err)
+		}
+		buffered := mb.sources[0][0].file
+
+		if streamed.rows != buffered.rows || streamed.bytes != buffered.bytes || streamed.rows != int64(ds.N()) {
+			t.Errorf("columnar=%v: streamed file %d rows / %d bytes, buffered %d / %d, table %d rows",
+				columnar, streamed.rows, streamed.bytes, buffered.rows, buffered.bytes, ds.N())
+		}
+		// Bucket boundaries restart at every lane's first row, so the
+		// one-lane reference is the root tee's rows — the whole table — noted
+		// in order, which is what appending a buffered shard 0 produced.
+		wantStats := m.files.newStats()
+		for _, row := range ds.Rows {
+			wantStats.Note(row)
+		}
+		if !reflect.DeepEqual(streamed.stats, wantStats) {
+			t.Errorf("columnar=%v: streamed file's value-statistics buckets differ from its rows noted in order", columnar)
+		}
+		if streamed.stats.Rows() != buffered.stats.Rows() {
+			t.Errorf("columnar=%v: statistics cover %d rows streamed, %d buffered", columnar, streamed.stats.Rows(), buffered.stats.Rows())
+		}
+		sbytes, err := os.ReadFile(streamed.path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bbytes, err := os.ReadFile(buffered.path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(sbytes, bbytes) {
+			t.Errorf("columnar=%v: streamed and buffered file contents differ", columnar)
+		}
 	}
 }

@@ -162,7 +162,7 @@ func TestPartitionPropertyServerScan(t *testing.T) {
 	propTrials(t, func(t *testing.T, rng *rand.Rand, ds *data.Dataset, f predicate.Filter, nparts int) {
 		srv := propServer(t, ds)
 		np := srv.NumPages()
-		want := drainCursor(srv.OpenScanPartition(f, 0, 1, nil))
+		want := drainCursor(srv.OpenScanRange(f, 0, np, nil))
 		for _, hints := range []bool{true, false} {
 			srv.SetSplitHints(hints)
 			bounds := srv.PageBounds(f, nparts, rng.Int63n(20_000))
@@ -192,7 +192,7 @@ func TestPartitionPropertyKeyset(t *testing.T) {
 			sproc = &rf
 		}
 		n := ks.Size()
-		want := drainCursor(ks.OpenScanPartition(sproc, 0, 1, nil))
+		want := drainCursor(ks.OpenScanRange(sproc, 0, ks.Size(), nil))
 		for _, hints := range []bool{true, false} {
 			srv.SetSplitHints(hints)
 			bounds := ks.ScanBounds(sproc, nparts, rng.Int63n(20_000))
@@ -221,7 +221,7 @@ func TestPartitionPropertyTIDJoin(t *testing.T) {
 			jf = propFilter(rng)
 		}
 		n := tt.Size()
-		want := drainCursor(tt.OpenJoinPartition(jf, 0, 1, nil))
+		want := drainCursor(tt.OpenJoinRange(jf, 0, tt.Size(), nil))
 		for _, hints := range []bool{true, false} {
 			srv.SetSplitHints(hints)
 			bounds := tt.JoinBounds(jf, nparts, rng.Int63n(20_000))
@@ -247,7 +247,7 @@ func TestPartitionPropertyFileStore(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, r := range ds.Rows {
-			fw.Write(r)
+			fw.writeRow(r)
 		}
 		sf, err := fw.Finish()
 		if err != nil {
@@ -256,7 +256,7 @@ func TestPartitionPropertyFileStore(t *testing.T) {
 		defer m.files.remove(sf)
 		n := int(sf.rows)
 		var want []string
-		if err := m.files.scan(sf, func(row data.Row) error {
+		if err := m.files.scanRange(sf, 0, sf.rows, m.Meter(), func(row data.Row) error {
 			want = append(want, fmt.Sprint(row))
 			return nil
 		}); err != nil {

@@ -250,7 +250,7 @@ func (m *Middleware) planStaging(b *batch) *stagePlan {
 	switch b.kind {
 	case srcServer:
 		if fileAllowed {
-			m.planFileStaging(b, p, 0)
+			m.planFileStaging(b, p)
 		}
 		// Rule 6: when file staging is enabled data moves server -> file
 		// first and file -> memory on a later scan; direct server -> memory
@@ -300,7 +300,7 @@ func nodeIDs(reqs []*Request) []int {
 }
 
 // planFileStaging plans server -> file staging for a server-sourced batch.
-func (m *Middleware) planFileStaging(b *batch, p *stagePlan, _ int) {
+func (m *Middleware) planFileStaging(b *batch, p *stagePlan) {
 	switch m.cfg.FilePolicy {
 	case FileSingleton:
 		// One staging file for the entire tree: create it on the first

@@ -83,25 +83,20 @@ func (m *Middleware) BeginSharedBatch() (*SharedBatch, []*Result, error) {
 	sb := &SharedBatch{m: m, r: r, srv: srv, needCols: m.columnarNeedCols(r.plan, r.live)}
 	sb.ssp = r.tr.Start(obs.CatScan, "scan").SetSource(r.srcName).Attr("shared", 1)
 	if sb.ssp != nil {
-		ids := make([]int, len(r.live))
-		for i, w := range r.live {
-			ids[i] = w.req.NodeID
-		}
-		sb.ssp.SetNodes(ids)
+		sb.ssp.SetNodes(nodeIDs(b.reqs))
 		sb.scanSnap = m.meter.Snapshot()
 	}
 
-	// The consumer charges the session meter directly: the fleet coordinator
+	// The consumer is a lone lane on the session meter: the fleet coordinator
 	// drives the shared scan single-threaded and ScanColumnarShared feeds
 	// consumers in deterministic slice order, so no fork/join barrier is
-	// needed. The kernel polices the session's whole budget (slice ==
-	// budget), exactly like a one-worker solo scan.
-	sb.sh = m.newWorkerShard(r.plan, len(r.live))
-	cw := m.newColConsumer(r.plan, r.live, m.meter, sb.sh, r.budget, r.rowMemBytes)
+	// needed. Its shard polices the session's whole budget, exactly like a
+	// one-lane solo scan.
+	sb.sh = r.newShard(0, 1)
 	sb.cons = &engine.ScanConsumer{
 		Filter: m.scanHintFilter(b),
 		Lane:   m.meter,
-		Fn:     cw.consume,
+		Fn:     r.newColConsumer(m.meter, sb.sh).consume,
 	}
 	return sb, nil, nil
 }
@@ -138,8 +133,7 @@ func (sb *SharedBatch) Finish(ioElapsedNS int64) ([]*Result, error) {
 			Attr("col_groups_skipped", m.meter.CountSince(sb.scanSnap, sim.CtrColGroupsSkipped))
 	}
 	sb.ssp.End()
-	pres := m.mergeShards(srcServer, r.plan, r.live, []*workerShard{sb.sh}, []*sim.Meter{m.meter}, r.rowMemBytes)
-	r.applyScan(pres)
+	r.mergeShards([]*workerShard{sb.sh})
 	return m.finishBatch(r)
 }
 

@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/data"
 	"repro/internal/engine"
-	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
@@ -59,9 +58,6 @@ type fileStore struct {
 	bytesInUse int64
 	live       int // staging files currently registered
 	seq        int
-	// tracer resolves the observability tracer lazily (it may be attached to
-	// the engine after the middleware is constructed); nil-safe throughout.
-	tracer func() *obs.Tracer
 
 	// Test seams for fault injection, always nil in production: createErr
 	// runs before a new staging file is opened (seq is the would-be file
@@ -72,7 +68,7 @@ type fileStore struct {
 	finishErr func(path string) error
 }
 
-func newFileStore(dir string, meter *sim.Meter, schema *data.Schema, budget int64, tracer func() *obs.Tracer) (*fileStore, error) {
+func newFileStore(dir string, meter *sim.Meter, schema *data.Schema, budget int64) (*fileStore, error) {
 	owns := false
 	if dir == "" {
 		d, err := os.MkdirTemp("", "mwstage-")
@@ -82,7 +78,7 @@ func newFileStore(dir string, meter *sim.Meter, schema *data.Schema, budget int6
 		dir = d
 		owns = true
 	}
-	return &fileStore{dir: dir, ownsDir: owns, meter: meter, schema: schema, budget: budget, tracer: tracer}, nil
+	return &fileStore{dir: dir, ownsDir: owns, meter: meter, schema: schema, budget: budget}, nil
 }
 
 // Close removes the staging directory if the store created it.
@@ -109,7 +105,6 @@ type fileWriter struct {
 	w     *bufio.Writer
 	sf    *stageFile
 	buf   []byte
-	cost  int64
 	stats *engine.ValueStats
 	err   error
 }
@@ -155,25 +150,16 @@ func (fs *fileStore) create() (*fileWriter, error) {
 		f:     f,
 		w:     bufio.NewWriterSize(f, 1<<16),
 		sf:    &stageFile{path: path},
-		cost:  fs.meter.Costs().FileRowWrite,
 		stats: fs.newStats(),
 	}, nil
 }
 
-// Write appends one row, charging the per-row file write cost.
-func (fw *fileWriter) Write(r data.Row) {
-	if fw.err != nil {
-		return
-	}
+// writeRow appends one row as it is captured: lane 0 of a scan streams its
+// tee rows through here. The capturing lane charges the per-row write cost.
+func (fw *fileWriter) writeRow(r data.Row) {
 	fw.buf = r.Encode(fw.buf[:0])
-	if _, err := fw.w.Write(fw.buf); err != nil {
-		fw.err = err
-		return
-	}
-	fw.sf.rows++
-	fw.sf.bytes += int64(len(fw.buf))
+	fw.writeEncoded(fw.buf, 1)
 	fw.stats.Note(r)
-	fw.fs.meter.Charge(sim.CtrFileRowsWritten, fw.cost, 1)
 }
 
 // Finish flushes and registers the file, returning it.
@@ -205,8 +191,8 @@ func (fw *fileWriter) Abort() {
 }
 
 // writeEncoded appends pre-encoded rows collected by a scan worker. The
-// per-row write costs were already charged to the worker's lane meter, so
-// this is purely the physical append.
+// per-row write costs are charged to the worker's lane meter, so this is
+// purely the physical append.
 func (fw *fileWriter) writeEncoded(buf []byte, rows int64) {
 	if fw.err != nil || len(buf) == 0 {
 		return
@@ -226,28 +212,10 @@ func (fw *fileWriter) appendStats(vs *engine.ValueStats) {
 	fw.stats.Append(vs)
 }
 
-// scan reads every row of the file in order, charging the per-row file read
-// cost to the store's meter, and calls fn. fn must not retain the row.
-// Parallel partition reads are not spanned here: each worker's lane span
-// (exec_parallel.go) covers its partition.
-func (fs *fileStore) scan(sf *stageFile, fn func(data.Row) error) error {
-	sp := fs.tracer().Start(obs.CatCursor, "file-scan").SetRows(sf.rows).SetBytes(sf.bytes)
-	err := fs.scanPartition(sf, 0, 1, fs.meter, fn)
-	sp.End()
-	return err
-}
-
-// scanPartition reads one contiguous row range of the file — partition part
-// of nparts, equal-width — charging the per-row file read cost to meter. The
-// ranges for parts 0..nparts-1 tile the file exactly, in order.
-func (fs *fileStore) scanPartition(sf *stageFile, part, nparts int, meter *sim.Meter, fn func(data.Row) error) error {
-	lo := int64(part) * sf.rows / int64(nparts)
-	hi := int64(part+1) * sf.rows / int64(nparts)
-	return fs.scanRange(sf, lo, hi, meter, fn)
-}
-
-// scanRange reads the file's rows [lo, hi) — boundaries typically chosen by
-// the histogram-guided split — charging the per-row file read cost to meter.
+// scanRange reads the file's rows [lo, hi) in order — one lane's share, with
+// boundaries typically chosen by the histogram-guided split — charging the
+// per-row file read cost to meter and calling fn, which must not retain the
+// row. The read is not spanned here: the lane's span covers it.
 func (fs *fileStore) scanRange(sf *stageFile, lo, hi int64, meter *sim.Meter, fn func(data.Row) error) error {
 	if lo < 0 || hi < lo || hi > sf.rows {
 		return fmt.Errorf("mw: invalid staging-file range [%d, %d) of %d rows", lo, hi, sf.rows)

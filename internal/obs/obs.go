@@ -308,6 +308,44 @@ func (t *Tracer) JoinLanes(lanes []*Tracer) {
 	}
 }
 
+// RunLanes is the lane model's one fork/join barrier: it runs body once per
+// lane — body(part, lane meter, lane tracer) — and returns after every lane
+// has finished and been folded back into meter and t (which may be nil).
+//
+// With n > 1 the lanes are forked meters and tracers, one goroutine each;
+// at the barrier counters sum, the clock advances by the slowest lane, and
+// lane spans fold in index order, so the outcome is a pure function of the
+// partitioning. body must touch only lane-local state.
+//
+// A lone lane (n <= 1) needs no barrier: body runs on the calling goroutine
+// against meter and t themselves. It may therefore use whatever the caller
+// may — the shared buffer pool, the middleware's staging state — and
+// sim.Meter.Fork's rule that the parent is not charged while lanes are out
+// holds trivially, because none are.
+func RunLanes(meter *sim.Meter, t *Tracer, n int, body func(part int, lane *sim.Meter, ltr *Tracer)) {
+	if n <= 1 {
+		body(0, meter, t)
+		return
+	}
+	lanes := meter.Fork(n)
+	ltrs := t.ForkLanes(lanes)
+	var wg sync.WaitGroup
+	for i, lane := range lanes {
+		var ltr *Tracer
+		if ltrs != nil {
+			ltr = ltrs[i]
+		}
+		wg.Add(1)
+		go func(part int, lane *sim.Meter, ltr *Tracer) {
+			defer wg.Done()
+			body(part, lane, ltr)
+		}(i, lane, ltr)
+	}
+	wg.Wait()
+	meter.Join(lanes)
+	t.JoinLanes(ltrs)
+}
+
 // End closes the span at the tracer's current virtual time. Safe on a nil or
 // already-ended span; out-of-order ends (e.g. overlapping client-side level
 // spans) are handled by removing the span wherever it sits on the stack.

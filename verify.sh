@@ -18,6 +18,12 @@ gate() {
 
 gate "go build ./..." go build ./...
 gate "go vet ./..." go vet ./...
+# cmd/bench is a nested module (own go.mod), invisible to the ./... patterns
+# above, yet it calls internal APIs (engine.ScanColumnarRange, mw.Config, ...):
+# vet and short-test it from inside so a refactor that breaks the benchmark
+# fails here, not in the acceptance driver.
+bench_gate() { (cd cmd/bench && go vet ./... && go test -short ./...); }
+gate "cmd/bench: go vet + go test -short" bench_gate
 # repolint: the repository's own static-analysis suite (internal/analysis):
 # determinism, span/fork hygiene, resource-release and goroutine-handoff
 # invariants, interprocedural via whole-module function summaries. -stats
