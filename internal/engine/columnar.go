@@ -25,9 +25,8 @@ import (
 //     cursor bookkeeping and the wire protocol amortize over whole blocks,
 //     and page I/O is charged per encoded column actually needed.
 //
-// Like the partition cursors, the columnar scan bypasses the shared LRU
-// buffer pool (cold-scan model): concurrent lanes would otherwise interleave
-// nondeterministically in the pool's state, and leaving the pool untouched
+// Like a cold heapReader (payCold, where the argument is made), the columnar
+// scan never consults the shared LRU buffer pool; leaving the pool untouched
 // also keeps the row path's I/O accounting independent of whether columnar
 // copies exist.
 

@@ -73,7 +73,7 @@ type Index struct {
 }
 
 // Engine is the embedded database: a catalog of tables sharing one buffer
-// pool and one meter.
+// pool, and the meter its own statements charge.
 type Engine struct {
 	meter  *sim.Meter
 	bp     *storage.BufferPool
@@ -91,7 +91,7 @@ func New(meter *sim.Meter, bufferPages int) *Engine {
 	}
 	return &Engine{
 		meter:  meter,
-		bp:     storage.NewBufferPool(meter, bufferPages),
+		bp:     storage.NewBufferPool(bufferPages),
 		tables: make(map[string]*Table),
 		models: make(map[string]*Model),
 	}
@@ -230,11 +230,7 @@ func (e *Engine) CreateIndex(t *Table, col string) (*Index, error) {
 		return nil, fmt.Errorf("engine: index on %q(%s) already exists", t.Name, col)
 	}
 	idx := &Index{Col: col, bt: storage.NewBTree()}
-	ncols := len(t.Cols)
-	var row data.Row
-	e.bp.Scan(t.heap, func(tid storage.TID, rec []byte) bool {
-		row = data.DecodeRow(rec, ncols, row)
-		e.meter.Charge(sim.CtrServerRows, e.meter.Costs().ServerRowCPU, 1)
+	e.reader(t).scanAll(func(tid storage.TID, row data.Row) bool {
 		e.meter.Charge(sim.CtrIndexProbes, e.meter.Costs().IndexProbe, 1)
 		idx.bt.Insert(int64(row[ci]), tid)
 		return true
@@ -261,27 +257,6 @@ func (e *Engine) LookupRange(idx *Index, lo, hi int64) []storage.TID {
 	})
 	e.meter.Charge(sim.CtrIndexProbes, e.meter.Costs().IndexProbe/8, int64(len(out)))
 	return out
-}
-
-// scan iterates the table through the buffer pool, decoding rows and
-// charging per-row server CPU. fn must not retain row.
-func (e *Engine) scan(t *Table, fn func(tid storage.TID, row data.Row) bool) {
-	ncols := len(t.Cols)
-	var row data.Row
-	e.bp.Scan(t.heap, func(tid storage.TID, rec []byte) bool {
-		row = data.DecodeRow(rec, ncols, row)
-		e.meter.Charge(sim.CtrServerRows, e.meter.Costs().ServerRowCPU, 1)
-		return fn(tid, row)
-	})
-}
-
-// fetch reads one row by TID through the buffer pool.
-func (e *Engine) fetch(t *Table, tid storage.TID, dst data.Row) (data.Row, error) {
-	rec, err := e.bp.Fetch(t.heap, tid)
-	if err != nil {
-		return nil, err
-	}
-	return data.DecodeRow(rec, len(t.Cols), dst), nil
 }
 
 // tempName generates a unique temp-table name.

@@ -391,7 +391,7 @@ func TestScanCursorMatchAllAndCloseEarly(t *testing.T) {
 func TestKeysetCursor(t *testing.T) {
 	srv, ds := newTestServer(t, 400)
 	base := predicate.Or(predicate.Conj{{Attr: 0, Op: predicate.Eq, Val: 2}})
-	ks := srv.OpenKeyset(base)
+	ks := srv.OpenKeyset(base, 1)
 	var wantN int
 	for _, r := range ds.Rows {
 		if base.Eval(r) {
@@ -404,7 +404,7 @@ func TestKeysetCursor(t *testing.T) {
 
 	// Without a stored procedure every keyset row is transmitted.
 	before := srv.Meter().Count(sim.CtrRowsTransmitted)
-	all := collect(ks.OpenScan(nil))
+	all := collect(ks.OpenScanRange(nil, 0, ks.Size(), nil))
 	if len(all) != wantN {
 		t.Errorf("keyset scan returned %d rows", len(all))
 	}
@@ -417,7 +417,7 @@ func TestKeysetCursor(t *testing.T) {
 		{Attr: 0, Op: predicate.Eq, Val: 2}, {Attr: 1, Op: predicate.Eq, Val: 1},
 	})
 	before = srv.Meter().Count(sim.CtrRowsTransmitted)
-	sub := collect(ks.OpenScan(&narrow))
+	sub := collect(ks.OpenScanRange(&narrow, 0, ks.Size(), nil))
 	var wantSub int
 	for _, r := range ds.Rows {
 		if narrow.Eval(r) {
@@ -435,11 +435,11 @@ func TestKeysetCursor(t *testing.T) {
 func TestTIDJoin(t *testing.T) {
 	srv, ds := newTestServer(t, 400)
 	base := predicate.Or(predicate.Conj{{Attr: 2, Op: predicate.Ne, Val: 0}})
-	tt := srv.CopyTIDs(base)
+	tt := srv.CopyTIDs(base, 1)
 	narrow := predicate.Or(predicate.Conj{
 		{Attr: 2, Op: predicate.Ne, Val: 0}, {Attr: 0, Op: predicate.Eq, Val: 1},
 	})
-	got := collect(tt.OpenJoin(narrow))
+	got := collect(tt.OpenJoinRange(narrow, 0, tt.Size(), nil))
 	var want int
 	for _, r := range ds.Rows {
 		if narrow.Eval(r) {
@@ -457,7 +457,7 @@ func TestTIDJoin(t *testing.T) {
 func TestCopySubset(t *testing.T) {
 	srv, ds := newTestServer(t, 300)
 	f := predicate.Or(predicate.Conj{{Attr: 1, Op: predicate.Eq, Val: 0}})
-	sub, err := srv.CopySubset(f)
+	sub, err := srv.CopySubset(f, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -218,7 +218,7 @@ func (e *Engine) execDelete(s *sqlparser.Delete) error {
 	}
 	var keep []data.Row
 	var scanErr error
-	e.scan(t, func(_ storage.TID, row data.Row) bool {
+	e.reader(t).scanAll(func(_ storage.TID, row data.Row) bool {
 		if pred == nil {
 			return true // delete all: keep nothing
 		}
@@ -724,8 +724,9 @@ func (e *Engine) execCore(c *sqlparser.SelectCore) (*ResultSet, error) {
 			if col, lo, hi, ok := simpleRange(c.Where, rel.table); ok {
 				if idx, has := rel.table.indexes[col]; has {
 					var row data.Row
+					r := e.reader(rel.table)
 					for _, tid := range e.LookupRange(idx, lo, hi) {
-						row, err = e.fetch(rel.table, tid, row)
+						row, err = r.fetch(tid, row)
 						if err != nil {
 							return err
 						}

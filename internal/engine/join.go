@@ -159,7 +159,7 @@ func (r *relation) iterate(fn func(data.Row) error) error {
 	e := r.eng
 	if r.table != nil {
 		var ferr error
-		e.scan(r.table, func(_ storage.TID, row data.Row) bool {
+		e.reader(r.table).scanAll(func(_ storage.TID, row data.Row) bool {
 			if err := fn(row); err != nil {
 				ferr = err
 				return false
@@ -179,7 +179,7 @@ func (r *relation) iterate(fn func(data.Row) error) error {
 		}
 		return key.String()
 	}
-	e.scan(r.right, func(_ storage.TID, row data.Row) bool {
+	e.reader(r.right).scanAll(func(_ storage.TID, row data.Row) bool {
 		k := keyOf(row, r.rightKeys)
 		build[k] = append(build[k], row.Clone())
 		return true
@@ -199,7 +199,7 @@ func (r *relation) iterate(fn func(data.Row) error) error {
 	probeCost := e.meter.Costs().IndexProbe
 	joined := make(data.Row, len(r.left.Cols)+len(r.right.Cols))
 	var ferr error
-	e.scan(r.left, func(_ storage.TID, lrow data.Row) bool {
+	e.reader(r.left).scanAll(func(_ storage.TID, lrow data.Row) bool {
 		e.meter.Charge(sim.CtrIndexProbes, probeCost, 1)
 		matches := build[keyOf(lrow, r.leftKeys)]
 		for _, rrow := range matches {

@@ -13,39 +13,39 @@ func auxTestFilter() predicate.Filter {
 	return predicate.Or(predicate.Conj{{Attr: 0, Op: predicate.Eq, Val: 1}})
 }
 
-// TestParallelBuildersMatchSerial: the partitioned keyset, TID-table and
-// copy-table builders produce exactly the structures the serial builders do
-// (same TIDs in the same order, same copied rows in the same heap order), for
-// any worker count including more workers than pages.
+// TestParallelBuildersMatchSerial: the keyset, TID-table and copy-table
+// builders produce exactly the structures their one-lane builds do (same
+// TIDs in the same order, same copied rows in the same heap order), for any
+// worker count including more workers than pages.
 func TestParallelBuildersMatchSerial(t *testing.T) {
 	f := auxTestFilter()
 	for _, nw := range []int{1, 2, 3, 4, 100} {
 		srv, _ := partitionTestServer(t, 4000)
-		wantKS := srv.OpenKeyset(f)
-		wantTT := srv.CopyTIDs(f)
-		wantSub, err := srv.CopySubset(f)
+		wantKS := srv.OpenKeyset(f, 1)
+		wantTT := srv.CopyTIDs(f, 1)
+		wantSub, err := srv.CopySubset(f, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
 
-		gotKS := srv.OpenKeysetParallel(f, nw)
+		gotKS := srv.OpenKeyset(f, nw)
 		if !reflect.DeepEqual(gotKS.tids, wantKS.tids) {
-			t.Errorf("nw=%d: parallel keyset TIDs differ from serial (%d vs %d)",
+			t.Errorf("nw=%d: keyset TIDs differ from the one-lane build's (%d vs %d)",
 				nw, len(gotKS.tids), len(wantKS.tids))
 		}
-		gotTT := srv.CopyTIDsParallel(f, nw)
+		gotTT := srv.CopyTIDs(f, nw)
 		if !reflect.DeepEqual(gotTT.tids, wantTT.tids) {
-			t.Errorf("nw=%d: parallel TID table differs from serial (%d vs %d)",
+			t.Errorf("nw=%d: TID table differs from the one-lane build's (%d vs %d)",
 				nw, len(gotTT.tids), len(wantTT.tids))
 		}
-		gotSub, err := srv.CopySubsetParallel(f, nw)
+		gotSub, err := srv.CopySubset(f, nw)
 		if err != nil {
 			t.Fatal(err)
 		}
 		wantRows := drain(wantSub.OpenScan(predicate.MatchAll()))
 		gotRows := drain(gotSub.OpenScan(predicate.MatchAll()))
 		if !reflect.DeepEqual(gotRows, wantRows) {
-			t.Errorf("nw=%d: parallel copy-table rows differ from serial (%d vs %d)",
+			t.Errorf("nw=%d: copy-table rows differ from the one-lane build's (%d vs %d)",
 				nw, len(gotRows), len(wantRows))
 		}
 	}
@@ -53,15 +53,15 @@ func TestParallelBuildersMatchSerial(t *testing.T) {
 
 // TestParallelBuildersChargeLanes: a partitioned build advances the server
 // clock by the slowest lane plus nothing serial, which is strictly less than
-// the serial build's full-scan time for a table big enough to split.
+// the one-lane build's full-scan time for a table big enough to split.
 func TestParallelBuildersChargeLanes(t *testing.T) {
 	f := auxTestFilter()
 	srvSerial, _ := partitionTestServer(t, 6000)
-	srvSerial.OpenKeyset(f)
+	srvSerial.OpenKeyset(f, 1)
 	serial := srvSerial.Meter().Now()
 
 	srvPar, _ := partitionTestServer(t, 6000)
-	srvPar.OpenKeysetParallel(f, 4)
+	srvPar.OpenKeyset(f, 4)
 	parallel := srvPar.Meter().Now()
 
 	if parallel >= serial {
@@ -74,9 +74,9 @@ func TestParallelBuildersChargeLanes(t *testing.T) {
 func TestKeysetScanPartitionCoversKeysetExactlyOnce(t *testing.T) {
 	srv, _ := partitionTestServer(t, 3000)
 	f := auxTestFilter()
-	ks := srv.OpenKeyset(f)
+	ks := srv.OpenKeyset(f, 1)
 	sproc := predicate.Or(predicate.Conj{{Attr: 1, Op: predicate.Eq, Val: 2}})
-	want := drain(ks.OpenScan(&sproc))
+	want := drain(ks.OpenScanRange(&sproc, 0, ks.Size(), nil))
 	for _, nparts := range []int{1, 2, 3, 5, ks.Size(), ks.Size() + 7} {
 		var got []data.Row
 		for p := 0; p < nparts; p++ {
@@ -93,12 +93,12 @@ func TestKeysetScanPartitionCoversKeysetExactlyOnce(t *testing.T) {
 func TestTIDJoinPartitionCoversTableExactlyOnce(t *testing.T) {
 	srv, _ := partitionTestServer(t, 3000)
 	f := auxTestFilter()
-	tt := srv.CopyTIDs(f)
+	tt := srv.CopyTIDs(f, 1)
 	sub := predicate.Or(predicate.Conj{
 		{Attr: 0, Op: predicate.Eq, Val: 1},
 		{Attr: 2, Op: predicate.Ne, Val: 3},
 	})
-	want := drain(tt.OpenJoin(sub))
+	want := drain(tt.OpenJoinRange(sub, 0, tt.Size(), nil))
 	for _, nparts := range []int{1, 2, 4, 7} {
 		var got []data.Row
 		for p := 0; p < nparts; p++ {
@@ -116,8 +116,8 @@ func TestTIDJoinPartitionCoversTableExactlyOnce(t *testing.T) {
 func TestAuxPartitionLaneCharging(t *testing.T) {
 	srv, _ := partitionTestServer(t, 3000)
 	f := auxTestFilter()
-	ks := srv.OpenKeyset(f)
-	tt := srv.CopyTIDs(f)
+	ks := srv.OpenKeyset(f, 1)
+	tt := srv.CopyTIDs(f, 1)
 	before := srv.Meter().Snapshot()
 
 	lanes := srv.Meter().Fork(3)

@@ -138,10 +138,10 @@ func TestPartitionOverSubscription(t *testing.T) {
 	none := predicate.Or(predicate.Conj{{Attr: 0, Op: predicate.Eq, Val: 9}}) // card 4: matches nothing
 	for _, n := range []int{1, 3, 40, 700} {
 		srv, _ := partitionTestServer(t, n)
-		ks := srv.OpenKeyset(all)
-		emptyKS := srv.OpenKeyset(none)
-		tt := srv.CopyTIDs(all)
-		emptyTT := srv.CopyTIDs(none)
+		ks := srv.OpenKeyset(all, 1)
+		emptyKS := srv.OpenKeyset(none, 1)
+		tt := srv.CopyTIDs(all, 1)
+		emptyTT := srv.CopyTIDs(none, 1)
 		sources := []struct {
 			name  string
 			units int

@@ -95,6 +95,9 @@ func (s *Server) NumPages() int { return s.table.NumPages() }
 // DataBytes returns the on-disk size of the data table.
 func (s *Server) DataBytes() int64 { return s.table.Bytes() }
 
+// Drop removes the server's table (used to free temp tables).
+func (s *Server) Drop() error { return s.eng.DropTable(s.table.Name) }
+
 // Cursor streams rows from the server to the middleware. Next returns the
 // next row (valid until the following call) and whether one was produced.
 type Cursor interface {
@@ -102,105 +105,106 @@ type Cursor interface {
 	Close()
 }
 
-// scanCursor is a firehose cursor over the data table with a pushed-down
-// filter: the server evaluates the filter on every row (charging server CPU
-// and page I/O through the buffer pool) and transmits only matching rows
-// (charging RowTransmit each), exactly the §4.3.1 "reducing data transmitted
-// from the server" mechanism.
-type scanCursor struct {
-	s      *Server
-	filter predicate.Filter
-	page   storage.PageID
-	slot   uint16
-	row    data.Row
+// cursorEnd is the bookkeeping every row cursor shares: the closed flag, the
+// rows transmitted, and the cursor span the server's own stream records them
+// on (nil for a lane, whose lane span already covers the scan).
+type cursorEnd struct {
 	closed bool
 	sp     *obs.Span
 	rows   int64
 }
 
-// OpenScan initiates a cursor scan of the data table with the filter pushed
-// down, charging the cursor-open cost.
-func (s *Server) OpenScan(f predicate.Filter) Cursor {
-	s.meter.Charge(sim.CtrServerScans, s.meter.Costs().CursorOpen, 1)
-	return &scanCursor{s: s, filter: f, sp: s.Tracer().Start(obs.CatCursor, "server-scan")}
-}
-
 // finish closes the cursor span once, recording the rows transmitted.
-func (c *scanCursor) finish() {
+func (c *cursorEnd) finish() {
 	if c.sp != nil {
 		c.sp.SetRows(c.rows).End()
 		c.sp = nil
 	}
 }
 
-func (c *scanCursor) Next() (data.Row, bool) {
-	if c.closed {
-		return nil, false
-	}
-	h := c.s.table.heap
-	ncols := len(c.s.table.Cols)
-	costs := c.s.meter.Costs()
-	for int(c.page) < h.NumPages() {
-		rec, ok := heapRecord(h, c.page, c.slot)
-		if !ok {
-			c.page++
-			c.slot = 0
-			continue
-		}
-		if c.slot == 0 {
-			// First record on the page: account the page read.
-			c.s.eng.bp.TouchForScan(h, c.page)
-		}
-		c.slot++
-		c.row = data.DecodeRow(rec, ncols, c.row)
-		c.s.meter.Charge(sim.CtrServerRows, costs.ServerRowCPU, 1)
-		if c.filter.Eval(c.row) {
-			c.s.meter.Charge(sim.CtrRowsTransmitted, costs.RowTransmit, 1)
-			c.rows++
-			return c.row, true
-		}
-	}
-	c.finish()
-	return nil, false
-}
-
-func (c *scanCursor) Close() {
+// Close ends the cursor; further Next calls produce nothing.
+func (c *cursorEnd) Close() {
 	c.closed = true
 	c.finish()
 }
 
+// openCursor starts one cursor stream over units [lo, hi) of n (heap pages
+// or captured TIDs): it picks the stream's reader from lane (Server.reader),
+// charges the cursor open to the reader's meter and, for the server's own
+// stream, opens the cursor span. Every lane opens its own cursor, so the
+// open is paid once per range; empty ranges are valid (an empty lane of a
+// skewed split) and yield no rows.
+func (s *Server) openCursor(span string, lo, hi, n int, lane *sim.Meter) (heapReader, cursorEnd) {
+	if lo < 0 || hi < lo || hi > n {
+		panic(fmt.Sprintf("engine: invalid %s range [%d, %d) of %d", span, lo, hi, n))
+	}
+	r := s.reader(lane)
+	r.meter.Charge(sim.CtrServerScans, r.meter.Costs().CursorOpen, 1)
+	var end cursorEnd
+	if r.mode == payPooled {
+		end.sp = s.Tracer().Start(obs.CatCursor, span)
+	}
+	return r, end
+}
+
+// scanCursor is a firehose cursor over a page range of the data table with a
+// pushed-down filter: the server evaluates the filter on every row (charging
+// server CPU and, through its reader, page I/O) and transmits only matching
+// rows (charging RowTransmit each), exactly the §4.3.1 "reducing data
+// transmitted from the server" mechanism.
+type scanCursor struct {
+	cursorEnd
+	r      heapReader
+	filter predicate.Filter
+	page   storage.PageID // next page to read
+	end    storage.PageID
+	recs   []byte // unread records of the current page
+	row    data.Row
+}
+
+// OpenScan initiates a cursor scan of the whole data table on the server's
+// own meter with the filter pushed down, charging the cursor-open cost.
+func (s *Server) OpenScan(f predicate.Filter) Cursor {
+	return s.OpenScanRange(f, 0, s.table.NumPages(), nil)
+}
+
 // OpenScanRange initiates a cursor scan over the heap pages [loPage, hiPage):
-// one lane's share of a scan split into contiguous, disjoint page ranges,
-// with boundaries typically from PageBounds so lanes receive approximately
-// equal estimated work rather than equal pages. Every lane opens its own
-// range cursor (so the cursor-open cost is paid once per range) and all of
-// the cursor's costs are charged to lane — the worker's forked meter. A nil
-// lane charges the server's own meter. Empty ranges are valid (an empty lane
-// of a skewed split) and yield no rows.
-//
-// Unlike OpenScan, a range cursor bypasses the shared LRU buffer pool and
-// charges ServerPageIO for every page it reads. Concurrent workers would
-// interleave nondeterministically in the pool's LRU state, so the pool
-// cannot be consulted without making page-I/O accounting depend on goroutine
-// scheduling; the cold-scan model keeps parallel accounting bit-for-bit
-// reproducible and matches the physical reality that n concurrent scan
-// streams defeat a small shared cache. The pool's contents are left
-// untouched for later sequential operations.
+// the whole table for the server's own stream, or one lane's share of a scan
+// split into contiguous, disjoint page ranges, with boundaries typically
+// from PageBounds so lanes receive approximately equal estimated work rather
+// than equal pages. All of the cursor's costs are charged to lane — the
+// worker's forked meter — which also decides who pays for pages
+// (Server.reader); a nil lane is the server's own meter.
 func (s *Server) OpenScanRange(f predicate.Filter, loPage, hiPage int, lane *sim.Meter) Cursor {
-	np := s.table.heap.NumPages()
-	if loPage < 0 || hiPage < loPage || hiPage > np {
-		panic(fmt.Sprintf("engine: invalid scan range [%d, %d) of %d pages", loPage, hiPage, np))
+	r, end := s.openCursor("server-scan", loPage, hiPage, s.table.NumPages(), lane)
+	return &scanCursor{cursorEnd: end, r: r, filter: f, page: storage.PageID(loPage), end: storage.PageID(hiPage)}
+}
+
+func (c *scanCursor) Next() (data.Row, bool) {
+	if c.closed {
+		return nil, false
 	}
-	if lane == nil {
-		lane = s.meter
-	}
-	lane.Charge(sim.CtrServerScans, lane.Costs().CursorOpen, 1)
-	return &partScanCursor{
-		s:      s,
-		lane:   lane,
-		filter: f,
-		page:   storage.PageID(loPage),
-		end:    storage.PageID(hiPage),
+	meter := c.r.meter
+	costs := meter.Costs()
+	ncols, recLen := len(c.r.t.Cols), c.r.t.heap.RecLen()
+	for {
+		if len(c.recs) == 0 {
+			if c.page >= c.end {
+				c.finish()
+				return nil, false
+			}
+			c.recs = c.r.page(c.page)
+			c.page++
+			continue
+		}
+		c.row = data.DecodeRow(c.recs, ncols, c.row)
+		c.recs = c.recs[recLen:]
+		meter.Charge(sim.CtrServerRows, costs.ServerRowCPU, 1)
+		if c.filter.Eval(c.row) {
+			meter.Charge(sim.CtrRowsTransmitted, costs.RowTransmit, 1)
+			c.rows++
+			return c.row, true
+		}
 	}
 }
 
@@ -239,265 +243,160 @@ func (s *Server) EstimateMatch(f predicate.Filter) int64 {
 	return s.table.stats.EstimateMatch(f)
 }
 
-// partScanCursor is a scanCursor restricted to a page range [page, end),
-// charging a dedicated lane meter. It reads heap pages directly (the heap is
-// immutable during scans) and never touches shared engine state, so any
-// number of partition cursors over disjoint ranges may run concurrently.
-type partScanCursor struct {
-	s      *Server
-	lane   *sim.Meter
-	filter predicate.Filter
-	page   storage.PageID
-	end    storage.PageID
-	slot   uint16
-	row    data.Row
-	closed bool
+// tidSet is the TIDs of the rows satisfying a predicate, captured in heap
+// order by one qualifying scan of s's table: the body of both §4.3.3 TID
+// structures.
+type tidSet struct {
+	s    *Server
+	tids []storage.TID
 }
 
-func (c *partScanCursor) Next() (data.Row, bool) {
-	if c.closed {
-		return nil, false
-	}
-	h := c.s.table.heap
-	ncols := len(c.s.table.Cols)
-	costs := c.lane.Costs()
-	for c.page < c.end {
-		rec, ok := heapRecord(h, c.page, c.slot)
-		if !ok {
-			c.page++
-			c.slot = 0
-			continue
-		}
-		if c.slot == 0 {
-			// First record on the page: cold-scan page read (see
-			// OpenScanRange for why the buffer pool is bypassed).
-			c.lane.Charge(sim.CtrServerPages, costs.ServerPageIO, 1)
-		}
-		c.slot++
-		c.row = data.DecodeRow(rec, ncols, c.row)
-		c.lane.Charge(sim.CtrServerRows, costs.ServerRowCPU, 1)
-		if c.filter.Eval(c.row) {
-			c.lane.Charge(sim.CtrRowsTransmitted, costs.RowTransmit, 1)
-			return c.row, true
-		}
-	}
-	return nil, false
-}
+// Size returns the number of TIDs captured.
+func (ts *tidSet) Size() int { return len(ts.tids) }
 
-func (c *partScanCursor) Close() { c.closed = true }
+// bounds splits the TIDs into nparts ranges of approximately equal estimated
+// cost: every TID pays base, and the transmit-and-process cost — RowTransmit
+// plus the caller's perMatch — is scaled by the match density of the TID's
+// home page under filter, from the same per-page statistics that guide heap
+// scans (a nil filter transmits every row). Nil when hints are disabled or
+// the set is empty.
+func (ts *tidSet) bounds(filter *predicate.Filter, base int64, nparts int, perMatch int64) []int {
+	s := ts.s
+	if s.noHints || nparts < 2 || len(ts.tids) == 0 {
+		return nil
+	}
+	var hints []PageHint
+	if filter != nil {
+		hints = s.table.PartitionHints(*filter)
+	}
+	per := s.meter.Costs().RowTransmit + perMatch
+	weights := make([]int64, len(ts.tids))
+	for i, tid := range ts.tids {
+		w := base
+		if hints == nil {
+			w += per
+		} else if h := hints[tid.Page]; h.Rows > 0 {
+			w += per * h.Match / h.Rows
+		}
+		weights[i] = w
+	}
+	return WeightedBounds(weights, nparts)
+}
 
 // Keyset is a keyset cursor (§4.3.3c): the set of TIDs of rows satisfying a
 // predicate, captured by one qualifying scan. Re-scanning the keyset fetches
 // records by TID; an optional stored-procedure filter restricts which rows
 // are transmitted to the middleware.
-type Keyset struct {
-	s    *Server
-	tids []storage.TID
-}
+type Keyset struct{ tidSet }
 
-// OpenKeyset runs the qualifying scan and captures the keyset. The scan
-// charges full sequential-scan costs but transmits nothing.
-func (s *Server) OpenKeyset(f predicate.Filter) *Keyset {
-	sp := s.Tracer().Start(obs.CatAux, "keyset-build")
-	s.meter.Charge(sim.CtrServerScans, s.meter.Costs().CursorOpen, 1)
-	ks := &Keyset{s: s}
-	s.eng.scan(s.table, func(tid storage.TID, row data.Row) bool {
-		if f.Eval(row) {
-			ks.tids = append(ks.tids, tid)
-		}
-		return true
-	})
-	sp.SetRows(int64(len(ks.tids))).End()
-	return ks
-}
-
-// Size returns the number of rows captured in the keyset.
-func (k *Keyset) Size() int { return len(k.tids) }
-
-// keysetCursor fetches keyset rows by TID. If sproc is non-nil it is
-// applied at the server so only matching rows are transmitted; with a nil
+// keysetCursor fetches a range of keyset rows by TID. If sproc is non-nil it
+// is applied at the server so only matching rows are transmitted; with a nil
 // sproc every keyset row is transmitted (the client filters), which is the
 // behaviour the paper improves on with the stored procedure.
 type keysetCursor struct {
-	k      *Keyset
-	sproc  *predicate.Filter
-	i      int
-	row    data.Row
-	closed bool
-	sp     *obs.Span
-	rows   int64
+	cursorEnd
+	r     heapReader
+	tids  []storage.TID // unread
+	sproc *predicate.Filter
+	row   data.Row
 }
 
-// OpenScan re-scans the keyset, optionally filtering server-side with the
-// stored procedure sproc.
-func (k *Keyset) OpenScan(sproc *predicate.Filter) Cursor {
-	k.s.meter.Charge(sim.CtrServerScans, k.s.meter.Costs().CursorOpen, 1)
-	return &keysetCursor{k: k, sproc: sproc, sp: k.s.Tracer().Start(obs.CatCursor, "keyset-scan")}
+// OpenScanRange re-scans the keyset's TIDs [lo, hi), in capture order,
+// optionally filtering server-side with the stored procedure sproc and
+// charging all costs to lane as Server.OpenScanRange does; the bounds
+// typically come from ScanBounds.
+func (k *Keyset) OpenScanRange(sproc *predicate.Filter, lo, hi int, lane *sim.Meter) Cursor {
+	r, end := k.s.openCursor("keyset-scan", lo, hi, len(k.tids), lane)
+	return &keysetCursor{cursorEnd: end, r: r, tids: k.tids[lo:hi], sproc: sproc}
 }
 
-func (c *keysetCursor) finish() {
-	if c.sp != nil {
-		c.sp.SetRows(c.rows).End()
-		c.sp = nil
+// ScanBounds returns histogram-guided TID boundaries splitting a keyset
+// re-scan into nparts lanes of approximately equal estimated cost: every TID
+// pays the fetch (plus sproc CPU), matching rows the transmission and the
+// caller's perMatch (tidSet.bounds).
+func (k *Keyset) ScanBounds(sproc *predicate.Filter, nparts int, perMatch int64) []int {
+	costs := k.s.meter.Costs()
+	base := costs.TIDFetch
+	if sproc != nil {
+		base += costs.ServerRowCPU
 	}
+	return k.bounds(sproc, base, nparts, perMatch)
 }
 
 func (c *keysetCursor) Next() (data.Row, bool) {
 	if c.closed {
 		return nil, false
 	}
-	s := c.k.s
-	costs := s.meter.Costs()
-	for c.i < len(c.k.tids) {
-		tid := c.k.tids[c.i]
-		c.i++
-		row, err := s.eng.fetch(s.table, tid, c.row)
-		if err != nil {
-			// TIDs are captured from the same immutable heap; a failed
-			// fetch indicates corruption and cannot occur in normal use.
-			panic(fmt.Sprintf("engine: keyset fetch: %v", err))
-		}
-		c.row = row
+	meter := c.r.meter
+	costs := meter.Costs()
+	for len(c.tids) > 0 {
+		c.row = c.r.mustFetch(c.tids[0], c.row)
+		c.tids = c.tids[1:]
 		if c.sproc != nil {
-			s.meter.Charge(sim.CtrServerRows, costs.ServerRowCPU, 1)
-			if !c.sproc.Eval(row) {
+			meter.Charge(sim.CtrServerRows, costs.ServerRowCPU, 1)
+			if !c.sproc.Eval(c.row) {
 				continue
 			}
 		}
-		s.meter.Charge(sim.CtrRowsTransmitted, costs.RowTransmit, 1)
+		meter.Charge(sim.CtrRowsTransmitted, costs.RowTransmit, 1)
 		c.rows++
-		return row, true
+		return c.row, true
 	}
 	c.finish()
 	return nil, false
 }
 
-func (c *keysetCursor) Close() {
-	c.closed = true
-	c.finish()
-}
-
-// CopySubset copies the rows satisfying f into a new server-side temp table
-// (§4.3.3a) and returns a Server view over it. Charges a full scan plus one
-// server row-write per copied row.
-func (s *Server) CopySubset(f predicate.Filter) (*Server, error) {
-	name := s.eng.tempName()
-	t, err := s.eng.CreateTable(name, s.table.Cols)
-	if err != nil {
-		return nil, err
-	}
-	t.temp = true
-	sp := s.Tracer().Start(obs.CatAux, "copy-subset")
-	defer func() { sp.SetRows(t.NumRows()).End() }()
-	s.meter.Charge(sim.CtrServerScans, s.meter.Costs().CursorOpen, 1)
-	var copyErr error
-	s.eng.scan(s.table, func(_ storage.TID, row data.Row) bool {
-		if !f.Eval(row) {
-			return true
-		}
-		if _, err := s.eng.Insert(t, row); err != nil {
-			copyErr = err
-			return false
-		}
-		return true
-	})
-	if copyErr != nil {
-		return nil, copyErr
-	}
-	return &Server{eng: s.eng, meter: s.meter, tracer: s.tracer, schema: s.schema, table: t, noHints: s.noHints}, nil
-}
-
-// Drop removes the server's table (used to free temp tables).
-func (s *Server) Drop() error { return s.eng.DropTable(s.table.Name) }
-
 // TIDTable is the §4.3.3b alternative: the TIDs of the relevant subset are
 // copied into a server-side temp table, and the subset is retrieved with a
 // TID join.
-type TIDTable struct {
-	s    *Server
-	tids []storage.TID
-}
+type TIDTable struct{ tidSet }
 
-// CopyTIDs captures the TIDs of rows satisfying f into a server-side TID
-// table: one qualifying scan plus one row-write per TID.
-func (s *Server) CopyTIDs(f predicate.Filter) *TIDTable {
-	sp := s.Tracer().Start(obs.CatAux, "tid-table-build")
-	s.meter.Charge(sim.CtrServerScans, s.meter.Costs().CursorOpen, 1)
-	tt := &TIDTable{s: s}
-	costs := s.meter.Costs()
-	s.eng.scan(s.table, func(tid storage.TID, row data.Row) bool {
-		if f.Eval(row) {
-			tt.tids = append(tt.tids, tid)
-			s.meter.Charge(sim.CtrServerRows, costs.ServerRowWrite, 1)
-		}
-		return true
-	})
-	sp.SetRows(int64(len(tt.tids))).End()
-	return tt
-}
-
-// Size returns the number of TIDs captured.
-func (t *TIDTable) Size() int { return len(t.tids) }
-
-// tidJoinCursor joins the TID table back to the data table: each probe is a
-// random fetch plus join overhead (an index probe per TID).
+// tidJoinCursor joins a range of the TID table back to the data table: each
+// probe is a random fetch plus join overhead (an index probe per TID).
 type tidJoinCursor struct {
-	t      *TIDTable
+	cursorEnd
+	r      heapReader
+	tids   []storage.TID // unread
 	filter predicate.Filter
-	i      int
 	row    data.Row
-	closed bool
-	sp     *obs.Span
-	rows   int64
 }
 
-// OpenJoin retrieves the subset via a TID join, applying filter server-side.
-func (t *TIDTable) OpenJoin(filter predicate.Filter) Cursor {
-	t.s.meter.Charge(sim.CtrServerScans, t.s.meter.Costs().CursorOpen, 1)
-	return &tidJoinCursor{t: t, filter: filter, sp: t.s.Tracer().Start(obs.CatCursor, "tid-join-scan")}
+// OpenJoinRange retrieves the TID table's entries [lo, hi), in capture
+// order, via a TID join, applying filter server-side and charging all costs
+// to lane as Server.OpenScanRange does; the bounds typically come from
+// JoinBounds.
+func (t *TIDTable) OpenJoinRange(filter predicate.Filter, lo, hi int, lane *sim.Meter) Cursor {
+	r, end := t.s.openCursor("tid-join-scan", lo, hi, len(t.tids), lane)
+	return &tidJoinCursor{cursorEnd: end, r: r, tids: t.tids[lo:hi], filter: filter}
 }
 
-func (c *tidJoinCursor) finish() {
-	if c.sp != nil {
-		c.sp.SetRows(c.rows).End()
-		c.sp = nil
-	}
+// JoinBounds returns histogram-guided TID boundaries splitting a TID join
+// into nparts lanes of approximately equal estimated cost: every TID pays
+// probe + fetch + row CPU, matching rows the transmission and the caller's
+// perMatch (tidSet.bounds).
+func (t *TIDTable) JoinBounds(filter predicate.Filter, nparts int, perMatch int64) []int {
+	costs := t.s.meter.Costs()
+	return t.bounds(&filter, costs.IndexProbe+costs.TIDFetch+costs.ServerRowCPU, nparts, perMatch)
 }
 
 func (c *tidJoinCursor) Next() (data.Row, bool) {
 	if c.closed {
 		return nil, false
 	}
-	s := c.t.s
-	costs := s.meter.Costs()
-	for c.i < len(c.t.tids) {
-		tid := c.t.tids[c.i]
-		c.i++
-		s.meter.Charge(sim.CtrIndexProbes, costs.IndexProbe, 1)
-		row, err := s.eng.fetch(s.table, tid, c.row)
-		if err != nil {
-			panic(fmt.Sprintf("engine: TID join fetch: %v", err))
-		}
-		c.row = row
-		s.meter.Charge(sim.CtrServerRows, costs.ServerRowCPU, 1)
-		if !c.filter.Eval(row) {
+	meter := c.r.meter
+	costs := meter.Costs()
+	for len(c.tids) > 0 {
+		meter.Charge(sim.CtrIndexProbes, costs.IndexProbe, 1)
+		c.row = c.r.mustFetch(c.tids[0], c.row)
+		c.tids = c.tids[1:]
+		meter.Charge(sim.CtrServerRows, costs.ServerRowCPU, 1)
+		if !c.filter.Eval(c.row) {
 			continue
 		}
-		s.meter.Charge(sim.CtrRowsTransmitted, costs.RowTransmit, 1)
+		meter.Charge(sim.CtrRowsTransmitted, costs.RowTransmit, 1)
 		c.rows++
-		return row, true
+		return c.row, true
 	}
 	c.finish()
 	return nil, false
-}
-
-func (c *tidJoinCursor) Close() {
-	c.closed = true
-	c.finish()
-}
-
-// heapRecord returns the raw record at (page, slot) if it exists. It peeks
-// directly into the heap (metering is the cursor's responsibility).
-func heapRecord(h *storage.HeapFile, p storage.PageID, s uint16) ([]byte, bool) {
-	return h.Record(storage.TID{Page: p, Slot: s})
 }

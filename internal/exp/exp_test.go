@@ -73,7 +73,12 @@ func TestGetAndIDs(t *testing.T) {
 
 // TestAllShapeChecksPass runs every experiment once, at the calibrated
 // scale, and validates its output structure and its machine-checkable shape
-// (checks.go holds the paper's qualitative claims, one per figure).
+// (checks.go holds the paper's qualitative claims, one per figure). The
+// exception is scaling, which runs at quarter scale: its sql-fallback arm at
+// one worker pushes thousands of nodes' UNIONs through the general SQL
+// executor and at 1.0 took nine tenths of this package's wall time, while
+// 0.25 already separates every curve its check compares. Full scale stays
+// with cmd/experiments, which regenerates BENCH_parallel.json.
 func TestAllShapeChecksPass(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiments take a few seconds")
@@ -84,7 +89,11 @@ func TestAllShapeChecksPass(t *testing.T) {
 			t.Errorf("%s: no shape check registered", r.ID)
 			continue
 		}
-		e, err := r.Run(nil, 1.0) // the calibrated scale of EXPERIMENTS.md
+		scale := 1.0 // the calibrated scale of EXPERIMENTS.md
+		if r.ID == "scaling" {
+			scale = 0.25
+		}
+		e, err := r.Run(nil, scale)
 		if err != nil {
 			t.Fatalf("%s: %v", r.ID, err)
 		}

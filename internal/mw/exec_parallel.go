@@ -560,31 +560,19 @@ func (m *Middleware) scanPartition(b *batch, sp scanPlan, part int, lane *sim.Me
 
 // openLaneCursor opens lane part's cursor on a server batch's row source: a
 // page range of the base table or copy-table, or a TID range of a keyset
-// re-scan or TID join. The lanes of a split scan read their ranges cold, past
-// the shared buffer pool, because n concurrent streams would interleave in
-// its LRU state (engine.OpenScanRange). A lone lane is the server's only scan
-// stream and opens the ordinary pooled cursor over the whole source; that
-// cursor charges the server's own meter, which is the lone lane's
-// (obs.RunLanes).
+// re-scan or TID join. Who pays for the heap pages follows from lane inside
+// the engine: a lone lane is the middleware's own meter, hence the server's
+// only stream, and reads through the buffer pool; the forked lanes of a split
+// scan read their ranges cold (engine.Server.OpenScanRange).
 func openLaneCursor(sp scanPlan, part int, lane *sim.Meter) engine.Cursor {
 	filter := sp.filter
-	lone := sp.nworkers == 1
 	switch {
 	case sp.keyset != nil:
-		if lone {
-			return sp.keyset.OpenScan(&filter)
-		}
 		lo, hi := engine.RangeOf(part, sp.nworkers, sp.keyset.Size(), sp.bounds)
 		return sp.keyset.OpenScanRange(&filter, lo, hi, lane)
 	case sp.tidTab != nil:
-		if lone {
-			return sp.tidTab.OpenJoin(filter)
-		}
 		lo, hi := engine.RangeOf(part, sp.nworkers, sp.tidTab.Size(), sp.bounds)
 		return sp.tidTab.OpenJoinRange(filter, lo, hi, lane)
-	}
-	if lone {
-		return sp.srv.OpenScan(filter)
 	}
 	lo, hi := engine.RangeOf(part, sp.nworkers, sp.srv.NumPages(), sp.bounds)
 	return sp.srv.OpenScanRange(filter, lo, hi, lane)

@@ -183,7 +183,7 @@ func TestPartitionPropertyServerScan(t *testing.T) {
 func TestPartitionPropertyKeyset(t *testing.T) {
 	propTrials(t, func(t *testing.T, rng *rand.Rand, ds *data.Dataset, f predicate.Filter, nparts int) {
 		srv := propServer(t, ds)
-		ks := srv.OpenKeyset(f)
+		ks := srv.OpenKeyset(f, 1)
 		// Re-scan under a residual filter half the time, a plain fetch-all
 		// otherwise — both keyset read modes.
 		var sproc *predicate.Filter
@@ -213,7 +213,7 @@ func TestPartitionPropertyKeyset(t *testing.T) {
 func TestPartitionPropertyTIDJoin(t *testing.T) {
 	propTrials(t, func(t *testing.T, rng *rand.Rand, ds *data.Dataset, f predicate.Filter, nparts int) {
 		srv := propServer(t, ds)
-		tt := srv.CopyTIDs(f)
+		tt := srv.CopyTIDs(f, 1)
 		// The join applies the batch filter; use the same filter the TIDs
 		// qualify under half the time, a fresh one otherwise.
 		jf := f

@@ -462,15 +462,14 @@ func (m *Middleware) maybeBuildAux(b *batch) *stageData {
 		openNodes: map[int]bool{},
 	}
 	// The builders partition their qualifying scan over Config.Workers lanes
-	// (the engine collapses to the serial builder when the table is too small
-	// to split or Workers <= 1).
+	// (one lane when the table is too small to split or Workers <= 1).
 	switch m.cfg.Access {
 	case AccessKeyset:
-		sd.keyset = m.srv.OpenKeysetParallel(filter, m.cfg.Workers)
+		sd.keyset = m.srv.OpenKeyset(filter, m.cfg.Workers)
 	case AccessTIDJoin:
-		sd.tidTab = m.srv.CopyTIDsParallel(filter, m.cfg.Workers)
+		sd.tidTab = m.srv.CopyTIDs(filter, m.cfg.Workers)
 	case AccessCopyTable:
-		sub, err := m.srv.CopySubsetParallel(filter, m.cfg.Workers)
+		sub, err := m.srv.CopySubset(filter, m.cfg.Workers)
 		if err != nil {
 			return nil
 		}

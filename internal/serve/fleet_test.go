@@ -32,6 +32,13 @@ func testServer(t *testing.T, rows int) *engine.Server {
 // the tree.
 func soloBuild(t *testing.T, rows int, cfg mw.Config, opt dtree.Options) *dtree.Tree {
 	t.Helper()
+	tree, _ := soloBuildMetered(t, rows, cfg, opt)
+	return tree
+}
+
+// soloBuildMetered is soloBuild that also returns the build's meter.
+func soloBuildMetered(t *testing.T, rows int, cfg mw.Config, opt dtree.Options) (*dtree.Tree, *sim.Meter) {
+	t.Helper()
 	srv := testServer(t, rows)
 	m, err := mw.New(srv, cfg)
 	if err != nil {
@@ -42,7 +49,7 @@ func soloBuild(t *testing.T, rows int, cfg mw.Config, opt dtree.Options) *dtree.
 	if err != nil {
 		t.Fatal(err)
 	}
-	return tree
+	return tree, srv.Meter()
 }
 
 func baseCfg(workers int) mw.Config {
@@ -71,26 +78,54 @@ func runFleetN(t *testing.T, srv *engine.Server, n int, cfg FleetConfig, opt dtr
 }
 
 // TestFleetSingleSessionMatchesSolo: a one-session fleet is exactly a
-// single-tenant build — same tree, same modeled page reads.
+// single-tenant build — same tree, same modeled page reads and virtual time
+// on the session's own meter, whichever scan path the configuration takes.
+// The engine's meter sees no page: a session's stream pays for its own.
 func TestFleetSingleSessionMatchesSolo(t *testing.T) {
 	const rows = 1500
-	solo := soloBuild(t, rows, baseCfg(1), testOpt)
+	for _, tc := range []struct {
+		name string
+		cfg  mw.Config
+	}{
+		{"columnar", baseCfg(1)},
+		{"row/workers=1/staged", mw.Config{Staging: mw.StageFileAndMemory, Workers: 1, Columnar: mw.ColumnarOff}},
+		{"row/workers=1/unstaged", mw.Config{Workers: 1, Columnar: mw.ColumnarOff}},
+		{"row/workers=4", mw.Config{Staging: mw.StageFileAndMemory, Workers: 4, Columnar: mw.ColumnarOff}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			solo, soloMeter := soloBuildMetered(t, rows, tc.cfg, testOpt)
 
-	srv := testServer(t, rows)
-	f := runFleetN(t, srv, 1, FleetConfig{Base: baseCfg(1), ScanSharing: true}, testOpt)
-	s := f.Sessions()[0]
-	if s.Tree() == nil {
-		t.Fatal("session has no tree")
-	}
-	if got, want := s.Tree().Dump(), solo.Dump(); got != want {
-		t.Errorf("fleet tree differs from solo build:\n%s\nwant:\n%s", got, want)
-	}
-	if f.IOMeter().Count(sim.CtrServerPages) != 0 {
-		t.Errorf("single session charged %d shared pages; sharing needs a cohort of 2",
-			f.IOMeter().Count(sim.CtrServerPages))
-	}
-	if f.TotalServerPages() == 0 {
-		t.Error("session charged no server pages")
+			srv := testServer(t, rows)
+			// Scan sharing exists on the columnar path only.
+			sharing := tc.cfg.Columnar == mw.ColumnarAuto
+			f := runFleetN(t, srv, 1, FleetConfig{Base: tc.cfg, ScanSharing: sharing}, testOpt)
+			s := f.Sessions()[0]
+			if s.Tree() == nil {
+				t.Fatal("session has no tree")
+			}
+			if got, want := s.Tree().Dump(), solo.Dump(); got != want {
+				t.Errorf("fleet tree differs from solo build:\n%s\nwant:\n%s", got, want)
+			}
+			if n := f.IOMeter().Count(sim.CtrServerPages); n != 0 {
+				t.Errorf("single session charged %d shared pages; sharing needs a cohort of 2", n)
+			}
+			want := soloMeter.Count(sim.CtrServerPages)
+			if want == 0 {
+				t.Fatal("solo build charged no server pages")
+			}
+			if got := s.Meter().Count(sim.CtrServerPages); got != want {
+				t.Errorf("session charged %d server pages, solo build %d", got, want)
+			}
+			if got := f.TotalServerPages(); got != want {
+				t.Errorf("fleet total %d server pages, solo build %d", got, want)
+			}
+			if got, want := s.LatencyNS(), int64(soloMeter.Now()); got != want {
+				t.Errorf("session latency %d ns, solo build %d ns", got, want)
+			}
+			if n := srv.Engine().Meter().Count(sim.CtrServerPages); n != 0 {
+				t.Errorf("%d pages landed on the engine meter, which no session or fleet total reads", n)
+			}
+		})
 	}
 }
 

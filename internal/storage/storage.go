@@ -1,6 +1,7 @@
 // Package storage implements the server's physical layer: fixed-width
 // records packed into 8 KB pages, heap files, and an LRU buffer pool that
-// charges simulated disk I/O to a sim.Meter on misses.
+// tracks which pages are resident. Nothing here charges a meter: what a page
+// read costs, and whom, is decided by the one heap reader in internal/engine.
 //
 // The paper requires "no changes to the physical design of the SQL database"
 // — the middleware works against a plain heap-organized table — so the
@@ -9,11 +10,7 @@
 // record fetch by TID for the keyset-cursor and TID-join experiments (§4.3.3).
 package storage
 
-import (
-	"fmt"
-
-	"repro/internal/sim"
-)
+import "fmt"
 
 // PageSize is the size of one disk page in bytes, matching SQL Server 7.0's
 // 8 KB pages.
@@ -43,9 +40,8 @@ type page struct {
 }
 
 // HeapFile is an append-only heap of fixed-width records. Pages live in
-// memory (this is a simulation of server disk, not a persistence layer) and
-// all access is metered through the owning BufferPool so that scans charge
-// realistic I/O.
+// memory (this is a simulation of server disk, not a persistence layer);
+// access is unmetered here and paid for by the caller.
 type HeapFile struct {
 	recLen  int
 	perPage int
@@ -100,40 +96,34 @@ func (h *HeapFile) Insert(rec []byte) TID {
 	return TID{Page: PageID(len(h.pages) - 1), Slot: slot}
 }
 
-// Record returns the raw bytes of the record at tid without metering, and
-// whether the slot exists. The returned slice aliases page memory and must
-// not be modified. Callers that need I/O accounting must pair this with
-// BufferPool.TouchForScan or use BufferPool.Fetch.
+// Record returns the raw bytes of the record at tid, and whether the slot
+// exists. The returned slice aliases page memory and must not be modified or
+// retained across inserts.
 func (h *HeapFile) Record(tid TID) ([]byte, bool) {
-	rec, err := h.record(tid)
-	if err != nil {
-		return nil, false
-	}
-	return rec, true
-}
-
-// record returns the raw bytes of the record at tid without metering. The
-// returned slice aliases page memory and must not be modified or retained
-// across inserts.
-func (h *HeapFile) record(tid TID) ([]byte, error) {
 	if int(tid.Page) < 0 || int(tid.Page) >= len(h.pages) {
-		return nil, fmt.Errorf("storage: TID %v: page out of range [0,%d)", tid, len(h.pages))
+		return nil, false
 	}
 	p := h.pages[tid.Page]
 	if tid.Slot >= p.nrec {
-		return nil, fmt.Errorf("storage: TID %v: slot out of range [0,%d)", tid, p.nrec)
+		return nil, false
 	}
 	off := pageHeaderBytes + int(tid.Slot)*h.recLen
-	return p.buf[off : off+h.recLen], nil
+	return p.buf[off : off+h.recLen], true
 }
 
-// BufferPool is an LRU cache of (file, page) frames. A hit is free; a miss
-// charges one ServerPageIO to the meter. The pool capacity models the
-// server's buffer cache: with the default small capacity, repeated full
-// scans of a large table keep paying disk I/O, which is the regime the
+// PageRecords returns the records of page pid packed back to back, RecLen
+// bytes each, in slot order. It panics on a page outside the file. The slice
+// aliases page memory like Record's.
+func (h *HeapFile) PageRecords(pid PageID) []byte {
+	p := h.pages[pid]
+	return p.buf[pageHeaderBytes : pageHeaderBytes+int(p.nrec)*h.recLen]
+}
+
+// BufferPool is an LRU set of resident (file, page) frames. The pool capacity
+// models the server's buffer cache: with the default small capacity,
+// repeated full scans of a large table keep missing, which is the regime the
 // paper's middleware is designed for.
 type BufferPool struct {
-	meter    *sim.Meter
 	capacity int
 	frames   map[frameKey]*frameNode
 	head     *frameNode // most recently used
@@ -154,12 +144,11 @@ type frameNode struct {
 
 // NewBufferPool creates a pool holding up to capacity pages. capacity must
 // be at least 1.
-func NewBufferPool(meter *sim.Meter, capacity int) *BufferPool {
+func NewBufferPool(capacity int) *BufferPool {
 	if capacity < 1 {
 		panic("storage: buffer pool capacity must be >= 1")
 	}
 	return &BufferPool{
-		meter:    meter,
 		capacity: capacity,
 		frames:   make(map[frameKey]*frameNode, capacity),
 	}
@@ -171,28 +160,24 @@ func (bp *BufferPool) Capacity() int { return bp.capacity }
 // Stats returns the cumulative hit and miss counts.
 func (bp *BufferPool) Stats() (hits, misses int64) { return bp.hits, bp.misses }
 
-// touch records an access to (file, page), charging disk I/O on a miss and
-// maintaining LRU order.
-func (bp *BufferPool) touch(f *HeapFile, pid PageID) {
+// Touch records an access to (file, page), maintaining LRU order, and reports
+// whether it missed: the page was not resident and had to be read in.
+func (bp *BufferPool) Touch(f *HeapFile, pid PageID) (miss bool) {
 	k := frameKey{f, pid}
 	if n, ok := bp.frames[k]; ok {
 		bp.hits++
 		bp.moveToFront(n)
-		return
+		return false
 	}
 	bp.misses++
-	bp.meter.Charge(sim.CtrServerPages, bp.meter.Costs().ServerPageIO, 1)
 	n := &frameNode{key: k}
 	bp.frames[k] = n
 	bp.pushFront(n)
 	if len(bp.frames) > bp.capacity {
 		bp.evict()
 	}
+	return true
 }
-
-// TouchForScan records a sequential page access during a pull-based cursor
-// scan, charging disk I/O on a pool miss.
-func (bp *BufferPool) TouchForScan(f *HeapFile, pid PageID) { bp.touch(f, pid) }
 
 // Invalidate drops all frames belonging to the file (used when a temp table
 // is dropped).
@@ -248,31 +233,4 @@ func (bp *BufferPool) evict() {
 	n := bp.tail
 	bp.unlink(n)
 	delete(bp.frames, n.key)
-}
-
-// Scan iterates the heap file in physical order through the buffer pool,
-// calling fn for each record. fn must not retain rec. Iteration stops early
-// if fn returns false. Each page access is metered (disk I/O on pool miss).
-func (bp *BufferPool) Scan(f *HeapFile, fn func(tid TID, rec []byte) bool) {
-	for pi, p := range f.pages {
-		bp.touch(f, PageID(pi))
-		for s := uint16(0); s < p.nrec; s++ {
-			off := pageHeaderBytes + int(s)*f.recLen
-			if !fn(TID{Page: PageID(pi), Slot: s}, p.buf[off:off+f.recLen]) {
-				return
-			}
-		}
-	}
-}
-
-// Fetch reads one record by TID through the buffer pool, charging the
-// random-I/O TIDFetch cost in addition to the page access.
-func (bp *BufferPool) Fetch(f *HeapFile, tid TID) ([]byte, error) {
-	rec, err := f.record(tid)
-	if err != nil {
-		return nil, err
-	}
-	bp.touch(f, tid.Page)
-	bp.meter.Charge(sim.CtrTIDFetches, bp.meter.Costs().TIDFetch, 1)
-	return rec, nil
 }

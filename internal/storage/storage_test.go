@@ -6,8 +6,6 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
-
-	"repro/internal/sim"
 )
 
 func rec8(v uint64) []byte {
@@ -16,10 +14,25 @@ func rec8(v uint64) []byte {
 	return b
 }
 
+// scanPages walks h in physical order the way the engine's heap reader does:
+// touch the page in the pool, then read its packed records. It returns the
+// number of pool misses.
+func scanPages(bp *BufferPool, h *HeapFile, fn func(tid TID, rec []byte)) (misses int) {
+	for p := 0; p < h.NumPages(); p++ {
+		if bp.Touch(h, PageID(p)) {
+			misses++
+		}
+		recs := h.PageRecords(PageID(p))
+		for s := 0; s*h.RecLen() < len(recs); s++ {
+			fn(TID{Page: PageID(p), Slot: uint16(s)}, recs[s*h.RecLen():(s+1)*h.RecLen()])
+		}
+	}
+	return misses
+}
+
 func TestHeapInsertScanRoundTrip(t *testing.T) {
 	h := NewHeapFile(8)
-	meter := sim.NewDefaultMeter()
-	bp := NewBufferPool(meter, 4)
+	bp := NewBufferPool(4)
 
 	const n = 5000
 	for i := uint64(0); i < n; i++ {
@@ -29,9 +42,8 @@ func TestHeapInsertScanRoundTrip(t *testing.T) {
 		t.Fatalf("NumRows = %d", h.NumRows())
 	}
 	var got []uint64
-	bp.Scan(h, func(tid TID, rec []byte) bool {
+	scanPages(bp, h, func(tid TID, rec []byte) {
 		got = append(got, binary.LittleEndian.Uint64(rec))
-		return true
 	})
 	if len(got) != n {
 		t.Fatalf("scanned %d rows", len(got))
@@ -45,8 +57,6 @@ func TestHeapInsertScanRoundTrip(t *testing.T) {
 
 func TestHeapFetchByTID(t *testing.T) {
 	h := NewHeapFile(8)
-	meter := sim.NewDefaultMeter()
-	bp := NewBufferPool(meter, 4)
 	var tids []TID
 	for i := uint64(0); i < 3000; i++ {
 		tids = append(tids, h.Insert(rec8(i*7)))
@@ -54,16 +64,13 @@ func TestHeapFetchByTID(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 200; trial++ {
 		i := rng.Intn(len(tids))
-		rec, err := bp.Fetch(h, tids[i])
-		if err != nil {
-			t.Fatal(err)
+		rec, ok := h.Record(tids[i])
+		if !ok {
+			t.Fatalf("Record(%v): no such record", tids[i])
 		}
 		if got := binary.LittleEndian.Uint64(rec); got != uint64(i*7) {
-			t.Fatalf("Fetch(%v) = %d, want %d", tids[i], got, i*7)
+			t.Fatalf("Record(%v) = %d, want %d", tids[i], got, i*7)
 		}
-	}
-	if meter.Count(sim.CtrTIDFetches) != 200 {
-		t.Errorf("TID fetches = %d, want 200", meter.Count(sim.CtrTIDFetches))
 	}
 }
 
@@ -123,24 +130,18 @@ func TestInsertWrongLengthPanics(t *testing.T) {
 
 func TestBufferPoolChargesMissesOnly(t *testing.T) {
 	h := NewHeapFile(8)
-	meter := sim.NewDefaultMeter()
 	perPage := h.RecordsPerPage()
 	// Fill exactly 3 pages.
 	for i := 0; i < 3*perPage; i++ {
 		h.Insert(rec8(uint64(i)))
 	}
-	bp := NewBufferPool(meter, 10) // all pages fit
-	count := func() (n int) {
-		bp.Scan(h, func(TID, []byte) bool { n++; return n >= 0 })
-		return n
+	bp := NewBufferPool(10) // all pages fit
+	nop := func(TID, []byte) {}
+	if got := scanPages(bp, h, nop); got != 3 {
+		t.Fatalf("first scan missed %d pages, want 3", got)
 	}
-	count()
-	if got := meter.Count(sim.CtrServerPages); got != 3 {
-		t.Fatalf("first scan read %d pages, want 3", got)
-	}
-	count()
-	if got := meter.Count(sim.CtrServerPages); got != 3 {
-		t.Fatalf("second scan re-read pages (%d); pool should have cached all 3", got)
+	if got := scanPages(bp, h, nop); got != 0 {
+		t.Fatalf("second scan missed %d pages; pool should have cached all 3", got)
 	}
 	hits, misses := bp.Stats()
 	if misses != 3 || hits != 3 {
@@ -150,38 +151,32 @@ func TestBufferPoolChargesMissesOnly(t *testing.T) {
 
 func TestBufferPoolEvictsLRU(t *testing.T) {
 	h := NewHeapFile(8)
-	meter := sim.NewDefaultMeter()
 	perPage := h.RecordsPerPage()
 	for i := 0; i < 4*perPage; i++ { // 4 pages
 		h.Insert(rec8(uint64(i)))
 	}
-	bp := NewBufferPool(meter, 2) // pool smaller than file
-	bp.Scan(h, func(TID, []byte) bool { return true })
-	bp.Scan(h, func(TID, []byte) bool { return true })
+	bp := NewBufferPool(2) // pool smaller than file
+	nop := func(TID, []byte) {}
 	// With LRU capacity 2 over a 4-page sequential scan, every access
 	// misses on both scans.
-	if got := meter.Count(sim.CtrServerPages); got != 8 {
-		t.Errorf("pages read = %d, want 8 (sequential flooding)", got)
+	if got := scanPages(bp, h, nop) + scanPages(bp, h, nop); got != 8 {
+		t.Errorf("pages missed = %d, want 8 (sequential flooding)", got)
 	}
 }
 
 func TestBufferPoolInvalidate(t *testing.T) {
 	h1 := NewHeapFile(8)
 	h2 := NewHeapFile(8)
-	meter := sim.NewDefaultMeter()
-	bp := NewBufferPool(meter, 10)
+	bp := NewBufferPool(10)
 	h1.Insert(rec8(1))
 	h2.Insert(rec8(2))
-	bp.Scan(h1, func(TID, []byte) bool { return true })
-	bp.Scan(h2, func(TID, []byte) bool { return true })
+	bp.Touch(h1, 0)
+	bp.Touch(h2, 0)
 	bp.Invalidate(h1)
-	before := meter.Count(sim.CtrServerPages)
-	bp.Scan(h2, func(TID, []byte) bool { return true })
-	if meter.Count(sim.CtrServerPages) != before {
+	if bp.Touch(h2, 0) {
 		t.Error("invalidate evicted the wrong file's pages")
 	}
-	bp.Scan(h1, func(TID, []byte) bool { return true })
-	if meter.Count(sim.CtrServerPages) != before+1 {
+	if !bp.Touch(h1, 0) {
 		t.Error("invalidated page still cached")
 	}
 }
@@ -192,23 +187,7 @@ func TestBufferPoolCapacityPanics(t *testing.T) {
 			t.Error("no panic on zero capacity")
 		}
 	}()
-	NewBufferPool(sim.NewDefaultMeter(), 0)
-}
-
-func TestScanEarlyStop(t *testing.T) {
-	h := NewHeapFile(8)
-	bp := NewBufferPool(sim.NewDefaultMeter(), 4)
-	for i := 0; i < 100; i++ {
-		h.Insert(rec8(uint64(i)))
-	}
-	n := 0
-	bp.Scan(h, func(TID, []byte) bool {
-		n++
-		return n < 10
-	})
-	if n != 10 {
-		t.Errorf("scan visited %d records after early stop", n)
-	}
+	NewBufferPool(0)
 }
 
 // TestHeapRoundTripProperty: inserting arbitrary records and scanning them
@@ -217,27 +196,26 @@ func TestScanEarlyStop(t *testing.T) {
 func TestHeapRoundTripProperty(t *testing.T) {
 	f := func(recs [][4]byte) bool {
 		h := NewHeapFile(4)
-		bp := NewBufferPool(sim.NewDefaultMeter(), 2)
+		bp := NewBufferPool(2)
 		tids := make([]TID, len(recs))
 		for i, r := range recs {
 			tids[i] = h.Insert(r[:])
 		}
 		i := 0
 		ok := true
-		bp.Scan(h, func(tid TID, rec []byte) bool {
+		scanPages(bp, h, func(tid TID, rec []byte) {
 			if i >= len(recs) || !bytes.Equal(rec, recs[i][:]) || tid != tids[i] {
 				ok = false
-				return false
+				return
 			}
 			i++
-			return true
 		})
 		if !ok || i != len(recs) {
 			return false
 		}
 		for j, tid := range tids {
-			rec, err := bp.Fetch(h, tid)
-			if err != nil || !bytes.Equal(rec, recs[j][:]) {
+			rec, found := h.Record(tid)
+			if !found || !bytes.Equal(rec, recs[j][:]) {
 				return false
 			}
 		}
