@@ -39,7 +39,7 @@ func main() {
 func run() error {
 	var (
 		csvPath = flag.String("csv", "", "CSV file (header row; last column is the class)")
-		gen     = flag.String("gen", "", "generator: tree, gaussians or census")
+		gen     = flag.String("gen", "tree", "generator: tree, gaussians or census")
 		rows    = flag.Int("rows", 10000, "rows for the generators")
 		seed    = flag.Int64("seed", 1, "generator seed")
 
@@ -67,7 +67,7 @@ func run() error {
 	)
 	flag.Parse()
 
-	ds, err := loadDataset(*csvPath, *gen, *rows, *seed)
+	ds, err := datagen.Load(*csvPath, *gen, *rows, *seed)
 	if err != nil {
 		return err
 	}
@@ -287,37 +287,4 @@ func writeObs(col *obs.Collector, tracePath, traceFormat, metricsPath string) er
 		fmt.Printf("wrote metrics %s\n", metricsPath)
 	}
 	return nil
-}
-
-func loadDataset(csvPath, gen string, rows int, seed int64) (*data.Dataset, error) {
-	if csvPath != "" {
-		f, err := os.Open(csvPath)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		return data.ReadCSV(f)
-	}
-	switch gen {
-	case "", "tree":
-		cfg := datagen.TreeGenConfig{Seed: seed}
-		cfg = cfg.Normalize()
-		cfg.CasesPerLeaf = rows / cfg.Leaves
-		if cfg.CasesPerLeaf < 1 {
-			cfg.CasesPerLeaf = 1
-		}
-		ds, _, err := datagen.GenerateTreeData(cfg)
-		return ds, err
-	case "gaussians":
-		cfg := datagen.GaussianConfig{Seed: seed}
-		cfg = cfg.Normalize()
-		cfg.PerClass = rows / cfg.Components
-		if cfg.PerClass < 1 {
-			cfg.PerClass = 1
-		}
-		return datagen.GenerateGaussians(cfg)
-	case "census":
-		return datagen.GenerateCensus(datagen.CensusConfig{Rows: rows, Seed: seed})
-	}
-	return nil, fmt.Errorf("unknown generator %q (want tree, gaussians or census)", gen)
 }

@@ -2,9 +2,9 @@
 // classification middleware: it preloads one dataset into table "cases" and
 // serves the wire protocol of internal/wire on a TCP address. Clients — the
 // ccsql database/sql driver, or anything speaking the protocol — submit
-// plain SQL statements, or the daemon's BUILD TREE command:
+// statements of the internal/sqlparser grammar: SQL, SCORE TABLE, and
 //
-//	BUILD TREE [MAXDEPTH n] [MINROWS n] [OUTPUT STATS|TREE|TRACE]
+//	BUILD TREE [MAXDEPTH n] [MINROWS n] [WORKERS n] [MODEL name] [OUTPUT STATS|TREE|TRACE]
 //
 // Builds submitted by concurrent clients run as one multi-tenant fleet
 // cohort: the memory budget splits fairly across them and, with
@@ -27,7 +27,6 @@ import (
 	"os/signal"
 	"syscall"
 
-	"repro/internal/data"
 	"repro/internal/datagen"
 	"repro/internal/engine"
 	"repro/internal/mw"
@@ -61,7 +60,7 @@ func run(args []string) error {
 		return err
 	}
 
-	ds, err := load(*csvPath, *gen, *rows, *seed)
+	ds, err := datagen.Load(*csvPath, *gen, *rows, *seed)
 	if err != nil {
 		return err
 	}
@@ -107,37 +106,4 @@ func run(args []string) error {
 	case err := <-errCh:
 		return err
 	}
-}
-
-// load builds the preloaded dataset from -csv or -gen, mirroring sqlsh.
-func load(csvPath, gen string, rows int, seed int64) (*data.Dataset, error) {
-	if csvPath != "" {
-		f, err := os.Open(csvPath)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		return data.ReadCSV(f)
-	}
-	switch gen {
-	case "tree":
-		cfg := datagen.TreeGenConfig{Seed: seed}.Normalize()
-		cfg.CasesPerLeaf = rows / cfg.Leaves
-		if cfg.CasesPerLeaf < 1 {
-			cfg.CasesPerLeaf = 1
-		}
-		ds, _, err := datagen.GenerateTreeData(cfg)
-		return ds, err
-	case "gaussians":
-		cfg := datagen.GaussianConfig{Seed: seed}.Normalize()
-		cfg.PerClass = rows / cfg.Components
-		if cfg.PerClass < 1 {
-			cfg.PerClass = 1
-		}
-		return datagen.GenerateGaussians(cfg)
-	case "census":
-		cfg := datagen.CensusConfig{Seed: seed, Rows: rows}.Normalize()
-		return datagen.GenerateCensus(cfg)
-	}
-	return nil, fmt.Errorf("unknown -gen %q (want tree, gaussians or census)", gen)
 }

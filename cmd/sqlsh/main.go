@@ -9,17 +9,18 @@
 // exit status nonzero; -e aborts on the first error instead of continuing
 // (the scripting default is to keep going, like psql without ON_ERROR_STOP).
 //
-// Beyond plain SQL, the shell covers the in-database scoring surface:
-// \train builds a classifier over "cases" through the middleware and
-// registers it in the engine's model catalog, after which the scoring
-// statements apply it — SCORE TABLE streams the vectorized batch path and
-// CLASSIFY evaluates the model per row inside any SELECT.
+// Every statement goes through the same dispatcher the wire daemon frames
+// (serve.Dispatcher), in process: BUILD TREE grows a classifier over "cases"
+// through the middleware and MODEL registers it in the engine's model
+// catalog, after which SCORE TABLE streams the vectorized batch path and
+// CLASSIFY evaluates the model per row inside any SELECT — with the columns,
+// rows and errors a ccsql client of cmd/served would see.
 //
 // Example session:
 //
 //	$ sqlsh -gen census -rows 5000
 //	sql> SELECT income, COUNT(*) FROM cases GROUP BY income
-//	sql> \train m 4
+//	sql> BUILD TREE MAXDEPTH 4 MODEL m
 //	sql> SCORE TABLE cases USING m WORKERS 4
 //	sql> SELECT CLASSIFY(m, age, workclass, education, marital, occupation,
 //	     relationship, race, sex, capgain, caploss, hours, country) FROM cases LIMIT 3
@@ -32,14 +33,11 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strconv"
 	"strings"
 
-	"repro/internal/data"
 	"repro/internal/datagen"
-	"repro/internal/dtree"
 	"repro/internal/engine"
-	"repro/internal/mw"
+	"repro/internal/serve"
 	"repro/internal/sim"
 )
 
@@ -69,12 +67,11 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 		return err
 	}
 
-	meter := sim.NewDefaultMeter()
-	eng := engine.New(meter, 0)
+	eng := engine.New(sim.NewDefaultMeter(), 0)
 
 	var srv *engine.Server
 	if *csvPath != "" || *gen != "" {
-		ds, err := load(*csvPath, *gen, *rows, *seed)
+		ds, err := datagen.Load(*csvPath, *gen, *rows, *seed)
 		if err != nil {
 			return err
 		}
@@ -84,6 +81,9 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 		}
 		fmt.Fprintf(stdout, "loaded %d rows into table cases: %s\n", ds.N(), ds.Schema)
 	}
+
+	disp := serve.NewDispatcher(eng, srv, serve.DaemonConfig{})
+	defer disp.Close()
 
 	failed := false
 	sc := bufio.NewScanner(stdin)
@@ -109,20 +109,8 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 				}
 				fmt.Fprintf(stdout, "%s: %d nodes, %d attrs, %d classes\n", n, len(m.Nodes), m.Cols, m.Classes)
 			}
-		case strings.HasPrefix(stmt, "\\train"):
-			before := meter.Snapshot()
-			if err := train(stdout, eng, srv, stmt); err != nil {
-				fmt.Fprintf(stderr, "sqlsh: error: %v\n", err)
-				failed = true
-				if *abort {
-					return errStatementFailed
-				}
-			} else {
-				fmt.Fprintf(stdout, "simulated cost: %v\n", meter.Since(before))
-			}
 		default:
-			before := meter.Snapshot()
-			rs, err := eng.Exec(stmt)
+			res, err := disp.Execute(stmt)
 			if err != nil {
 				fmt.Fprintf(stderr, "sqlsh: error: %v\n", err)
 				failed = true
@@ -130,11 +118,11 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 					return errStatementFailed
 				}
 			} else {
-				if rs != nil {
+				if rs := res.Rows(); rs != nil {
 					fmt.Fprint(stdout, rs)
 					fmt.Fprintf(stdout, "(%d rows) ", len(rs.Rows))
 				}
-				fmt.Fprintf(stdout, "simulated cost: %v\n", meter.Since(before))
+				fmt.Fprintf(stdout, "simulated cost: %v\n", res.Cost)
 			}
 		}
 		fmt.Fprint(stdout, "sql> ")
@@ -145,79 +133,9 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 	return exitStatus(failed)
 }
 
-// train handles "\train <model> [maxdepth]": build a tree over the preloaded
-// table through the middleware, compile it, and register it in the engine's
-// model catalog so SCORE TABLE and CLASSIFY can reach it.
-func train(stdout io.Writer, eng *engine.Engine, srv *engine.Server, stmt string) error {
-	if srv == nil {
-		return fmt.Errorf("\\train needs a preloaded table (use -csv or -gen)")
-	}
-	fields := strings.Fields(stmt)
-	if len(fields) < 2 || len(fields) > 3 {
-		return fmt.Errorf("usage: \\train <model> [maxdepth]")
-	}
-	opt := dtree.Options{}
-	if len(fields) == 3 {
-		d, err := strconv.Atoi(fields[2])
-		if err != nil || d < 1 {
-			return fmt.Errorf("\\train: maxdepth must be a positive integer, got %q", fields[2])
-		}
-		opt.MaxDepth = d
-	}
-	m, err := mw.New(srv, mw.Config{})
-	if err != nil {
-		return err
-	}
-	defer m.Close()
-	tree, err := dtree.Build(m, opt)
-	if err != nil {
-		return err
-	}
-	model, err := dtree.Compile(tree, fields[1])
-	if err != nil {
-		return err
-	}
-	if err := eng.RegisterModel(model); err != nil {
-		return err
-	}
-	fmt.Fprintf(stdout, "model %s: %d nodes, %d leaves, depth %d\n", fields[1], tree.NumNodes, tree.NumLeaves, tree.MaxDepth)
-	return nil
-}
-
 func exitStatus(failed bool) error {
 	if failed {
 		return errStatementFailed
 	}
 	return nil
-}
-
-func load(csvPath, gen string, rows int, seed int64) (*data.Dataset, error) {
-	if csvPath != "" {
-		f, err := os.Open(csvPath)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		return data.ReadCSV(f)
-	}
-	switch gen {
-	case "tree":
-		cfg := datagen.TreeGenConfig{Seed: seed}.Normalize()
-		cfg.CasesPerLeaf = rows / cfg.Leaves
-		if cfg.CasesPerLeaf < 1 {
-			cfg.CasesPerLeaf = 1
-		}
-		ds, _, err := datagen.GenerateTreeData(cfg)
-		return ds, err
-	case "gaussians":
-		cfg := datagen.GaussianConfig{Seed: seed}.Normalize()
-		cfg.PerClass = rows / cfg.Components
-		if cfg.PerClass < 1 {
-			cfg.PerClass = 1
-		}
-		return datagen.GenerateGaussians(cfg)
-	case "census":
-		return datagen.GenerateCensus(datagen.CensusConfig{Rows: rows, Seed: seed})
-	}
-	return nil, fmt.Errorf("unknown generator %q", gen)
 }

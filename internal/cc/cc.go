@@ -27,7 +27,6 @@ package cc
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"repro/internal/data"
@@ -229,20 +228,6 @@ func (t *Table) walkRange(attr int, val data.Value, fn func(Key, int64)) {
 	rec(t.root)
 }
 
-// ClassTotals returns the node's class histogram (length classCard), derived
-// from the counts of the given reference attribute; every attribute present
-// at the node yields the same totals, which is the package's central
-// consistency invariant.
-func (t *Table) ClassTotals(refAttr int, classCard int) []int64 {
-	v := make([]int64, classCard)
-	t.Walk(func(k Key, c int64) {
-		if k.Attr == refAttr && int(k.Class) < classCard {
-			v[k.Class] += c
-		}
-	})
-	return v
-}
-
 // Values returns the distinct values of attr present in the node's data, in
 // increasing order. len(Values(attr)) is card(n, A) from §4.2.1.
 func (t *Table) Values(attr int) []data.Value {
@@ -277,15 +262,6 @@ func (t *Table) Attrs() []int {
 		}
 	})
 	return attrs
-}
-
-// ValueTotal returns the total number of rows with attr = val, summed over
-// classes: the exact child data size |n_i| the scheduler's estimator reads
-// off the parent CC table (§4.2.1).
-func (t *Table) ValueTotal(attr int, val data.Value) int64 {
-	var n int64
-	t.walkRange(attr, val, func(_ Key, c int64) { n += c })
-	return n
 }
 
 // Equal reports whether two tables hold exactly the same entries and row
@@ -412,12 +388,4 @@ func (t *Table) walkRange2(attr int, fn func(Key, int64)) {
 		}
 	}
 	rec(t.root)
-}
-
-// SortedKeys returns all keys in order; primarily for tests and debugging.
-func (t *Table) SortedKeys() []Key {
-	keys := make([]Key, 0, t.entries)
-	t.Walk(func(k Key, _ int64) { keys = append(keys, k) })
-	sort.Slice(keys, func(i, j int) bool { return keys[i].less(keys[j]) })
-	return keys
 }

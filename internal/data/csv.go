@@ -4,7 +4,6 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
-	"sort"
 	"strconv"
 )
 
@@ -116,18 +115,4 @@ func ReadCSV(r io.Reader) (*Dataset, error) {
 		return nil, err
 	}
 	return ds, nil
-}
-
-// SortRows orders rows lexicographically; useful for deterministic output in
-// tests and tools.
-func (d *Dataset) SortRows() {
-	sort.Slice(d.Rows, func(i, j int) bool {
-		a, b := d.Rows[i], d.Rows[j]
-		for k := range a {
-			if a[k] != b[k] {
-				return a[k] < b[k]
-			}
-		}
-		return false
-	})
 }

@@ -229,15 +229,3 @@ func TestReadCSVErrors(t *testing.T) {
 		}
 	}
 }
-
-func TestSortRows(t *testing.T) {
-	ds := NewDataset(testSchema())
-	ds.Append(Row{2, 0, 0}, Row{0, 1, 1}, Row{0, 0, 1})
-	ds.SortRows()
-	want := []Row{{0, 0, 1}, {0, 1, 1}, {2, 0, 0}}
-	for i := range want {
-		if !reflect.DeepEqual(ds.Rows[i], want[i]) {
-			t.Fatalf("row %d = %v, want %v", i, ds.Rows[i], want[i])
-		}
-	}
-}

@@ -131,18 +131,6 @@ func TestTreeDataClassNoise(t *testing.T) {
 	}
 }
 
-func TestSizedTreeData(t *testing.T) {
-	target := int64(200 << 10) // 200 KB
-	ds, _, err := SizedTreeData(50, target, TreeGenConfig{Seed: 6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := ds.Bytes()
-	if got < target*8/10 || got > target*12/10 {
-		t.Errorf("sized data = %d bytes, want within 20%% of %d", got, target)
-	}
-}
-
 func TestGaussiansShapeAndDeterminism(t *testing.T) {
 	cfg := GaussianConfig{Dims: 10, Components: 4, PerClass: 100, Bins: 5, Seed: 2}
 	a, err := GenerateGaussians(cfg)

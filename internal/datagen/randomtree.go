@@ -201,22 +201,3 @@ func GenerateTreeData(cfg TreeGenConfig) (*data.Dataset, int, error) {
 	rng.Shuffle(len(ds.Rows), func(i, j int) { ds.Rows[i], ds.Rows[j] = ds.Rows[j], ds.Rows[i] })
 	return ds, len(leaves), nil
 }
-
-// SizedTreeData generates random-tree data targeting approximately
-// targetBytes of data with the given number of leaves, by choosing cases per
-// leaf (the paper's Fig 4/5 methodology: "the number of leaves is set to 500
-// and the cases per leaf are varied to produce the needed data set size").
-func SizedTreeData(leaves int, targetBytes int64, cfg TreeGenConfig) (*data.Dataset, int, error) {
-	cfg = cfg.Normalize()
-	cfg.Leaves = leaves
-	rowBytes := int64(4 * (cfg.Attrs + 1))
-	rows := targetBytes / rowBytes
-	if rows < int64(leaves) {
-		rows = int64(leaves)
-	}
-	cfg.CasesPerLeaf = int(rows / int64(leaves))
-	if cfg.CasesPerLeaf < 1 {
-		cfg.CasesPerLeaf = 1
-	}
-	return GenerateTreeData(cfg)
-}

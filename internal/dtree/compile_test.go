@@ -241,9 +241,20 @@ func TestScoringEquivalence(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
+				// One result shape on every route: class, then the decision
+				// node's count per class.
+				if want := engine.ScoreCols(m.Classes); fmt.Sprint(rs.Cols) != fmt.Sprint(want) {
+					t.Fatalf("SCORE TABLE columns = %v, want %v", rs.Cols, want)
+				}
 				stClasses := make([]data.Value, len(rs.Rows))
 				for i, r := range rs.Rows {
 					stClasses[i] = data.Value(r[0].I)
+					counts := walkToLeafNode(tree, ds.Rows[i]).ClassCounts
+					for c, n := range counts {
+						if r[1+c].I != n {
+							t.Fatalf("SCORE TABLE row %d: c%d = %d, want leaf count %d", i, c, r[1+c].I, n)
+						}
+					}
 				}
 				if got := predictionBytes(stClasses); !bytes.Equal(got, want) {
 					t.Fatalf("SCORE TABLE WORKERS %d diverges from the in-client tree walk", workers)

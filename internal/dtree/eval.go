@@ -160,29 +160,3 @@ func (t *Tree) WriteDot(w interface{ WriteString(string) (int, error) }) error {
 	emit("}\n")
 	return werr
 }
-
-// Render returns an indented text form of the tree.
-func (t *Tree) Render() string {
-	var b strings.Builder
-	var rec func(n *Node, prefix string)
-	rec = func(n *Node, prefix string) {
-		if n.Leaf {
-			fmt.Fprintf(&b, "%s-> %s = %d (n=%d)\n", prefix, t.Schema.Class.Name, n.Class, n.Rows)
-			return
-		}
-		attr := t.Schema.Attrs[n.SplitAttr].Name
-		if n.Multiway {
-			for i, c := range n.Children {
-				fmt.Fprintf(&b, "%s%s = %d:\n", prefix, attr, n.SplitVals[i])
-				rec(c, prefix+"  ")
-			}
-			return
-		}
-		fmt.Fprintf(&b, "%s%s = %d:\n", prefix, attr, n.SplitVal)
-		rec(n.Children[0], prefix+"  ")
-		fmt.Fprintf(&b, "%s%s <> %d:\n", prefix, attr, n.SplitVal)
-		rec(n.Children[1], prefix+"  ")
-	}
-	rec(t.Root, "")
-	return b.String()
-}

@@ -153,7 +153,7 @@ func TestConfusionMatrixEdgeCases(t *testing.T) {
 	}
 }
 
-func TestWriteDotAndRender(t *testing.T) {
+func TestWriteDot(t *testing.T) {
 	ds, _, err := datagen.GenerateTreeData(datagen.TreeGenConfig{
 		Leaves: 6, Attrs: 4, Values: 3, ValuesStdDev: 0, Classes: 3, CasesPerLeaf: 30, Seed: 5,
 	})
@@ -175,12 +175,8 @@ func TestWriteDotAndRender(t *testing.T) {
 	if strings.Count(dot, "->") != tree.NumNodes-1 {
 		t.Errorf("%d edges for %d nodes", strings.Count(dot, "->"), tree.NumNodes)
 	}
-	txt := tree.Render()
-	if strings.Count(txt, "-> class =") != tree.NumLeaves {
-		t.Errorf("render shows %d leaves, want %d", strings.Count(txt, "-> class ="), tree.NumLeaves)
-	}
 
-	// Multiway render covers the other branch.
+	// A multiway tree labels its edges.
 	tree2, _ := BuildInMemory(ds, Options{Split: MultiwaySplit})
 	var b2 strings.Builder
 	if err := tree2.WriteDot(&b2); err != nil {
@@ -188,9 +184,6 @@ func TestWriteDotAndRender(t *testing.T) {
 	}
 	if !strings.Contains(b2.String(), "=") {
 		t.Error("multiway dot missing edge labels")
-	}
-	if tree2.Render() == "" {
-		t.Error("multiway render empty")
 	}
 }
 

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -87,11 +88,26 @@ func (rs *ResultSet) String() string {
 	return b.String()
 }
 
+// ErrNeedsServing is what the engine answers a statement that only the
+// serving layer can run: BUILD TREE drives the middleware, and the middleware
+// imports the engine, not the reverse.
+var ErrNeedsServing = errors.New("needs the serving layer (a served table)")
+
 // Exec parses and executes one SQL statement, charging the per-statement
 // QueryStartup cost. DDL and DML statements return a nil result set.
 func (e *Engine) Exec(sql string) (*ResultSet, error) {
+	st, err := sqlparser.Parse(sql)
+	if err != nil {
+		return nil, err
+	}
+	return e.ExecStmt(st, sql)
+}
+
+// ExecStmt executes an already-parsed statement; sql, its source text,
+// labels the statement's span.
+func (e *Engine) ExecStmt(st sqlparser.Statement, sql string) (*ResultSet, error) {
 	sp := e.tracer.Start(obs.CatSQL, "sql").AttrStr("stmt", obs.Truncate(sql, 120))
-	rs, err := e.execStmt(sql)
+	rs, err := e.execStmt(st)
 	if rs != nil {
 		sp.SetRows(int64(len(rs.Rows)))
 	}
@@ -99,10 +115,9 @@ func (e *Engine) Exec(sql string) (*ResultSet, error) {
 	return rs, err
 }
 
-func (e *Engine) execStmt(sql string) (*ResultSet, error) {
-	st, err := sqlparser.Parse(sql)
-	if err != nil {
-		return nil, err
+func (e *Engine) execStmt(st sqlparser.Statement) (*ResultSet, error) {
+	if _, ok := st.(*sqlparser.BuildTree); ok {
+		return nil, fmt.Errorf("engine: BUILD TREE %w", ErrNeedsServing)
 	}
 	e.meter.Charge(sim.CtrSQLStatements, e.meter.Costs().QueryStartup, 1)
 	switch s := st.(type) {
@@ -135,8 +150,8 @@ func (e *Engine) execStmt(sql string) (*ResultSet, error) {
 }
 
 // execScore runs SCORE TABLE t USING model [WORKERS n] through the
-// vectorized scoring operator and materializes one "class" row per table
-// row, charging result transmission like any SELECT.
+// vectorized scoring operator and materializes its rows, charging result
+// transmission like any SELECT.
 func (e *Engine) execScore(s *sqlparser.ScoreTable) (*ResultSet, error) {
 	t, err := e.Table(s.Table)
 	if err != nil {
@@ -150,10 +165,7 @@ func (e *Engine) execScore(s *sqlparser.ScoreTable) (*ResultSet, error) {
 	if err != nil {
 		return nil, err
 	}
-	rs := &ResultSet{Cols: []string{"class"}, Rows: make([][]Val, len(res.Classes))}
-	for i, c := range res.Classes {
-		rs.Rows[i] = []Val{{I: int64(c)}}
-	}
+	rs := res.ResultSet(m)
 	e.meter.Charge(sim.CtrRowsTransmitted, e.meter.Costs().RowTransmit, int64(len(rs.Rows)))
 	return rs, nil
 }

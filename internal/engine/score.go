@@ -40,6 +40,31 @@ func (r *ScoreResult) Dist(m *Model, i int) []int64 {
 	return m.Nodes[r.Nodes[i]].Counts
 }
 
+// ScoreCols names a scored result's columns for a model with the given class
+// count: the predicted class, then one count column per class.
+func ScoreCols(classes int) []string {
+	cols := []string{"class"}
+	for c := 0; c < classes; c++ {
+		cols = append(cols, fmt.Sprintf("c%d", c))
+	}
+	return cols
+}
+
+// ResultSet materializes the predictions in the one shape every SCORE TABLE
+// route returns: class, c0 … c{k-1} per row, in heap order.
+func (r *ScoreResult) ResultSet(m *Model) *ResultSet {
+	rs := &ResultSet{Cols: ScoreCols(m.Classes), Rows: make([][]Val, len(r.Classes))}
+	for i, c := range r.Classes {
+		row := make([]Val, 1, len(rs.Cols))
+		row[0].I = int64(c)
+		for _, n := range r.Dist(m, i) {
+			row = append(row, Val{I: n})
+		}
+		rs.Rows[i] = row
+	}
+	return rs
+}
+
 // groupNode is one model node compiled against one row group's dictionaries.
 type groupNode struct {
 	leaf       bool

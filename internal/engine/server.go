@@ -50,9 +50,6 @@ func (s *Server) Engine() *Engine { return s.eng }
 // the setting.
 func (s *Server) SetSplitHints(on bool) { s.noHints = !on }
 
-// SplitHints reports whether histogram-guided partition bounds are enabled.
-func (s *Server) SplitHints() bool { return !s.noHints }
-
 // Meter returns the server's meter.
 func (s *Server) Meter() *sim.Meter { return s.meter }
 

@@ -172,14 +172,6 @@ func (vs *ValueStats) Append(other *ValueStats) {
 	vs.buckets = append(vs.buckets, other.buckets...)
 }
 
-// NumBuckets returns the number of buckets noted so far.
-func (vs *ValueStats) NumBuckets() int {
-	if vs == nil {
-		return 0
-	}
-	return len(vs.buckets)
-}
-
 // Rows returns the total number of noted rows.
 func (vs *ValueStats) Rows() int64 {
 	if vs == nil {

@@ -104,8 +104,8 @@ func TestValueStatsSingleColumnExact(t *testing.T) {
 	if got := vs.Rows(); got != 137 {
 		t.Fatalf("Rows = %d, want 137", got)
 	}
-	if got, want := vs.NumBuckets(), 14; got != want {
-		t.Fatalf("NumBuckets = %d, want %d", got, want)
+	if got, want := len(vs.buckets), 14; got != want {
+		t.Fatalf("%d buckets, want %d", got, want)
 	}
 	// Single-column equality estimates are exact: each bucket counts the
 	// value directly, and the total is the sum of buckets.
@@ -145,7 +145,7 @@ func TestValueStatsNilAndDisabled(t *testing.T) {
 	vs.Note(data.Row{0}) // must not panic
 	vs.NoteAt(3, data.Row{0})
 	vs.Append(nil)
-	if vs.NumBuckets() != 0 || vs.Rows() != 0 {
+	if vs.Rows() != 0 {
 		t.Fatal("nil stats not empty")
 	}
 	if vs.BucketHints(predicate.MatchAll()) != nil {
@@ -154,12 +154,12 @@ func TestValueStatsNilAndDisabled(t *testing.T) {
 	// perBucket 0 disables sequential Note (heap tables use NoteAt).
 	d := NewValueStats(1, 0)
 	d.Note(data.Row{1})
-	if d.NumBuckets() != 0 {
+	if len(d.buckets) != 0 {
 		t.Fatal("Note recorded with perBucket = 0")
 	}
 	d.NoteAt(2, data.Row{1})
-	if d.NumBuckets() != 3 || d.Rows() != 1 {
-		t.Fatalf("NoteAt: buckets=%d rows=%d, want 3/1", d.NumBuckets(), d.Rows())
+	if len(d.buckets) != 3 || d.Rows() != 1 {
+		t.Fatalf("NoteAt: buckets=%d rows=%d, want 3/1", len(d.buckets), d.Rows())
 	}
 }
 

@@ -13,9 +13,6 @@ func Check(e *Experiment) error {
 	return fn(e)
 }
 
-// HasCheck reports whether a shape check exists for the experiment id.
-func HasCheck(id string) bool { _, ok := checks[id]; return ok }
-
 var checks = map[string]func(*Experiment) error{
 	"fig4-left": func(e *Experiment) error {
 		caching, none := e.Series[0].Points, e.Series[1].Points

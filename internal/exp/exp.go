@@ -13,7 +13,6 @@ package exp
 import (
 	"encoding/json"
 	"fmt"
-	"sort"
 	"strings"
 
 	"repro/internal/data"
@@ -195,7 +194,7 @@ func countersOf(m *sim.Meter) map[string]int64 {
 var forceRowPath bool
 
 // SetForceRowPath toggles the whole-suite row-path ablation. Not safe
-// concurrently with running experiments; set it once before RunAll.
+// concurrently with running experiments; set it once before the first Run.
 func SetForceRowPath(v bool) { forceRowPath = v }
 
 // BuildTree loads ds into a fresh simulated server, grows a tree through a
@@ -270,19 +269,6 @@ func Runners() []Runner {
 	}
 }
 
-// RunAll executes every experiment at the given scale. env may be nil.
-func RunAll(env *Env, scale float64) ([]*Experiment, error) {
-	var out []*Experiment
-	for _, r := range Runners() {
-		e, err := r.Run(env, scale)
-		if err != nil {
-			return nil, fmt.Errorf("exp %s: %w", r.ID, err)
-		}
-		out = append(out, e)
-	}
-	return out, nil
-}
-
 // Get returns the runner with the given id.
 func Get(id string) (Runner, bool) {
 	for _, r := range Runners() {
@@ -301,10 +287,4 @@ func IDs() []string {
 		ids[i] = r.ID
 	}
 	return ids
-}
-
-// SortPointsByX orders a series' points by x, for runners that collect
-// points out of order.
-func SortPointsByX(s *Series) {
-	sort.Slice(s.Points, func(i, j int) bool { return s.Points[i].X < s.Points[j].X })
 }

@@ -85,7 +85,7 @@ func TestAllShapeChecksPass(t *testing.T) {
 	}
 	ran := 0
 	for _, r := range Runners() {
-		if !HasCheck(r.ID) {
+		if _, ok := checks[r.ID]; !ok {
 			t.Errorf("%s: no shape check registered", r.ID)
 			continue
 		}

@@ -202,10 +202,14 @@ func buildOutOfOrder(m *mw.Middleware, ds *data.Dataset) (*dtree.Tree, error) {
 	id := 1
 	var reqs []*mw.Request
 	for _, v := range vals {
+		var childRows int64 // |n_i|, read off the parent's CC table (§4.2.1)
+		for _, n := range rootCC.ClassVector(0, v, schema.Class.Card) {
+			childRows += n
+		}
 		reqs = append(reqs, &mw.Request{
 			NodeID: id, ParentID: 0,
 			Path:  predicate.Conj{{Attr: 0, Op: predicate.Eq, Val: v}},
-			Attrs: attrs[1:], Rows: rootCC.ValueTotal(0, v), EstCC: 512,
+			Attrs: attrs[1:], Rows: childRows, EstCC: 512,
 		})
 		id++
 	}

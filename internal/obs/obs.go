@@ -145,20 +145,6 @@ func (t *Trace) Proc(id int, name string, meter *sim.Meter) *Tracer {
 	return &Tracer{p: p, clock: meter}
 }
 
-// NumSpans returns the total span count across procs.
-func (t *Trace) NumSpans() int {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	n := 0
-	for _, p := range t.procs {
-		n += len(p.spans)
-	}
-	return n
-}
-
 // ProcView is the read-only per-proc view EachProc hands to post-hoc
 // consumers such as the profiler (internal/obs/profile).
 type ProcView struct {
@@ -405,16 +391,8 @@ func (s *Span) popStack() {
 	s.tr = nil
 }
 
-// SetName replaces the span name. All setters are nil-safe and chainable.
-func (s *Span) SetName(name string) *Span {
-	if s != nil {
-		s.Name = name
-	}
-	return s
-}
-
 // SetSource records the data tier the operation read ("server", "file",
-// "memory", "sql").
+// "memory", "sql"). All setters are nil-safe and chainable.
 func (s *Span) SetSource(src string) *Span {
 	if s != nil {
 		s.Source = src

@@ -100,9 +100,6 @@ type Node struct {
 // EndNS returns the node's span end time.
 func (n *Node) EndNS() int64 { return n.StartNS + n.InclNS }
 
-// ExclCounter returns the node's exclusive delta for one counter.
-func (n *Node) ExclCounter(c sim.Counter) int64 { return n.exclVec.Get(c) }
-
 // Rollup aggregates exclusive costs over one span dimension (category or
 // source tier).
 type Rollup struct {

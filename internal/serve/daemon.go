@@ -1,56 +1,35 @@
 package serve
 
 import (
-	"bytes"
 	"fmt"
 	"net"
-	"strconv"
-	"strings"
 	"sync"
 	"time"
 
-	"repro/internal/dtree"
 	"repro/internal/engine"
-	"repro/internal/obs"
-	"repro/internal/sim"
-	"repro/internal/sqlparser"
 	"repro/internal/wire"
 )
 
-// Daemon serves one engine over the wire protocol: plain SQL statements
-// execute directly, and BUILD TREE commands are funneled through the fleet
-// scheduler so that tree builds submitted by concurrent clients run as one
-// multi-tenant cohort — sharing scans and splitting the memory budget —
-// while each still receives its own deterministic result.
-//
-// Concurrency model: connection handlers are goroutines, but everything that
-// touches the engine is serialized — SQL statements under the engine mutex,
-// and builds by a single coordinator goroutine that drains the build queue
-// into fleet runs. Builds queued while a run executes batch into the next
-// run, which is exactly the window in which scan sharing pays.
+// Daemon serves one engine over the wire protocol. It owns the network side
+// only — connections, the hello exchange, framing, drain; every statement
+// goes through its Dispatcher, which routes BUILD TREE and SCORE TABLE on the
+// served table into multi-tenant fleet cohorts and everything else to the
+// engine. Connection handlers are goroutines, one per connection.
 type Daemon struct {
-	srv *engine.Server
-	cfg DaemonConfig
-
-	emu sync.Mutex // engine access: SQL statements and fleet runs
-
-	bmu    sync.Mutex
-	bcond  *sync.Cond
-	bqueue []*buildReq
-	runSeq int64
-	closed bool
+	srv  *engine.Server
+	disp *Dispatcher
 
 	cmu      sync.Mutex
 	conns    map[net.Conn]bool
 	draining bool
 
-	wg sync.WaitGroup // connection handlers + build coordinator
+	wg sync.WaitGroup // connection handlers
 }
 
-// DaemonConfig tunes the daemon.
+// DaemonConfig tunes the dispatcher's fleet runs.
 type DaemonConfig struct {
-	// Fleet is the multi-tenant scheduling configuration for BUILD TREE
-	// cohorts (session cap, memory budget, scan sharing).
+	// Fleet is the multi-tenant scheduling configuration for BUILD TREE and
+	// SCORE TABLE cohorts (session cap, memory budget, scan sharing).
 	Fleet FleetConfig
 	// Seed seeds the virtual arrival schedule of each fleet run
 	// (sim.Arrivals); the run sequence number is folded in so distinct runs
@@ -64,19 +43,12 @@ type DaemonConfig struct {
 
 // NewDaemon creates a daemon over the server.
 func NewDaemon(srv *engine.Server, cfg DaemonConfig) *Daemon {
-	d := &Daemon{srv: srv, cfg: cfg, conns: make(map[net.Conn]bool)}
-	d.bcond = sync.NewCond(&d.bmu)
-	return d
+	return &Daemon{srv: srv, disp: NewDispatcher(srv.Engine(), srv, cfg), conns: make(map[net.Conn]bool)}
 }
 
 // Serve accepts connections until Drain closes the listener. It returns nil
 // on a drain-initiated stop and the accept error otherwise.
 func (d *Daemon) Serve(ln net.Listener) error {
-	d.wg.Add(1)
-	go func() {
-		defer d.wg.Done()
-		d.buildLoop()
-	}()
 	for {
 		conn, err := ln.Accept()
 		if err != nil {
@@ -123,10 +95,7 @@ func (d *Daemon) Drain(ln net.Listener) {
 	}
 	d.cmu.Unlock()
 	ln.Close()
-	d.bmu.Lock()
-	d.closed = true
-	d.bcond.Broadcast()
-	d.bmu.Unlock()
+	d.disp.Close() // answers what is queued; a handler's next fleet statement fails
 	d.wg.Wait()
 }
 
@@ -163,7 +132,7 @@ func (d *Daemon) handle(conn net.Conn) {
 			return
 		case wire.TQuery:
 			var q wire.Query
-			if err := unmarshal(payload, &q); err != nil {
+			if err := wire.Unmarshal(payload, &q); err != nil {
 				wire.WriteFrame(conn, wire.TError, wire.Error{Msg: err.Error()})
 				continue
 			}
@@ -177,426 +146,65 @@ func (d *Daemon) handle(conn net.Conn) {
 	}
 }
 
-// serveQuery executes one statement and streams its result. Statement
-// failures are reported in-band with a TError frame; the returned error is
-// non-nil only for connection-level write failures.
-//
-// BUILD TREE commands and SCORE TABLE statements against the served table go
-// through the fleet queue — concurrent builds and scoring sessions form one
-// cohort and share scans. Everything else (including SCORE TABLE against
-// other tables) executes directly on the engine.
+// serveQuery executes one statement through the dispatcher and frames its
+// result. Statement failures are reported in-band with a TError frame; the
+// returned error is non-nil only for connection-level write failures.
 func (d *Daemon) serveQuery(conn net.Conn, sql string) error {
-	var rs frameWriter
-	var err error
-	switch {
-	case isBuildStmt(sql):
-		rs, err = d.serveBuild(sql)
-	case isScoreStmt(sql):
-		rs, err = d.serveScore(sql)
-	default:
-		rs, err = d.serveSQL(sql)
-	}
+	res, err := d.disp.Execute(sql)
 	if err != nil {
 		return wire.WriteFrame(conn, wire.TError, wire.Error{Msg: err.Error()})
 	}
-	return rs.write(conn)
+	if res.Score != nil {
+		return writeScored(conn, res.Model, res.Score)
+	}
+	return writeRows(conn, res.Set)
 }
 
-// frameWriter streams one statement result over the wire.
-type frameWriter interface {
-	write(conn net.Conn) error
-}
-
-// resultStream is a fully materialized statement result awaiting framing.
-type resultStream struct {
-	cols []string
-	rows [][]wire.Cell
-}
-
-// write streams the result as header, row batches and done.
-func (rs *resultStream) write(conn net.Conn) error {
-	if err := wire.WriteFrame(conn, wire.TResultHeader, wire.ResultHeader{Cols: rs.cols}); err != nil {
+// writeRows streams a materialized result (nil = a statement without one) as
+// header, row batches and done.
+func writeRows(conn net.Conn, rs *engine.ResultSet) error {
+	if rs == nil {
+		rs = &engine.ResultSet{}
+	}
+	if err := wire.WriteFrame(conn, wire.TResultHeader, wire.ResultHeader{Cols: rs.Cols}); err != nil {
 		return err
 	}
-	for base := 0; base < len(rs.rows); base += wire.BatchRows {
-		hi := base + wire.BatchRows
-		if hi > len(rs.rows) {
-			hi = len(rs.rows)
+	for base := 0; base < len(rs.Rows); base += wire.BatchRows {
+		hi := min(base+wire.BatchRows, len(rs.Rows))
+		b := wire.RowBatch{Rows: make([][]wire.Cell, 0, hi-base)}
+		for _, r := range rs.Rows[base:hi] {
+			row := make([]wire.Cell, len(r))
+			for i, v := range r {
+				row[i] = wire.Cell{Str: v.Str, I: v.I, S: v.S}
+			}
+			b.Rows = append(b.Rows, row)
 		}
-		if err := wire.WriteFrame(conn, wire.TRowBatch, wire.RowBatch{Rows: rs.rows[base:hi]}); err != nil {
+		if err := wire.WriteFrame(conn, wire.TRowBatch, b); err != nil {
 			return err
 		}
 	}
-	return wire.WriteFrame(conn, wire.TDone, wire.Done{Rows: int64(len(rs.rows))})
+	return wire.WriteFrame(conn, wire.TDone, wire.Done{Rows: int64(len(rs.Rows))})
 }
 
-// serveSQL executes one engine statement under the engine mutex.
-func (d *Daemon) serveSQL(sql string) (*resultStream, error) {
-	d.emu.Lock()
-	res, err := d.srv.Engine().Exec(sql)
-	d.emu.Unlock()
-	if err != nil {
-		return nil, err
-	}
-	rs := &resultStream{cols: res.Cols}
-	for _, r := range res.Rows {
-		row := make([]wire.Cell, len(r))
-		for i, v := range r {
-			row[i] = wire.Cell{Str: v.Str, I: v.I, S: v.S}
-		}
-		rs.rows = append(rs.rows, row)
-	}
-	return rs, nil
-}
-
-// buildReq is one client's fleet request — a BUILD TREE command or a SCORE
-// TABLE statement against the served table — waiting for the coordinator.
-type buildReq struct {
-	opt    dtree.Options
-	output string // "stats", "tree" or "trace"
-	model  string // BUILD ... MODEL name: register the compiled tree
-
-	score *scoreSpec // non-nil: a scoring request, not a build
-
-	done chan buildResp
-}
-
-// scoreSpec is a queued SCORE TABLE request; m resolves under the engine
-// mutex when the cohort runs.
-type scoreSpec struct {
-	model   string
-	workers int
-	m       *engine.Model
-}
-
-type buildResp struct {
-	rs  frameWriter
-	err error
-}
-
-// isBuildStmt reports whether the statement is the daemon's BUILD TREE
-// command rather than engine SQL.
-func isBuildStmt(sql string) bool {
-	f := strings.Fields(strings.ToUpper(sql))
-	return len(f) >= 2 && f[0] == "BUILD" && f[1] == "TREE"
-}
-
-// isScoreStmt reports whether the statement is a SCORE statement.
-func isScoreStmt(sql string) bool {
-	f := strings.Fields(strings.ToUpper(sql))
-	return len(f) >= 1 && f[0] == "SCORE"
-}
-
-// parseBuild parses BUILD TREE [MAXDEPTH n] [MINROWS n] [WORKERS n]
-// [MODEL name] [OUTPUT STATS|TREE|TRACE]. WORKERS is accepted for symmetry
-// with the middleware config but applies fleet-wide, so it must match the
-// daemon's configured worker count. MODEL registers the finished tree in the
-// engine's model catalog under the given name, making it scoreable by SCORE
-// TABLE and CLASSIFY() the moment the build responds.
-func (d *Daemon) parseBuild(sql string) (*buildReq, error) {
-	f := strings.Fields(sql)
-	req := &buildReq{output: "stats", done: make(chan buildResp, 1)}
-	i := 2 // past BUILD TREE
-	intArg := func(kw string) (int64, error) {
-		if i >= len(f) {
-			return 0, fmt.Errorf("served: %s needs a value", kw)
-		}
-		n, err := strconv.ParseInt(f[i], 10, 64)
-		if err != nil || n < 0 {
-			return 0, fmt.Errorf("served: bad %s value %q", kw, f[i])
-		}
-		i++
-		return n, nil
-	}
-	for i < len(f) {
-		kw := strings.ToUpper(f[i])
-		i++
-		switch kw {
-		case "MAXDEPTH":
-			n, err := intArg(kw)
-			if err != nil {
-				return nil, err
-			}
-			req.opt.MaxDepth = int(n)
-		case "MINROWS":
-			n, err := intArg(kw)
-			if err != nil {
-				return nil, err
-			}
-			req.opt.MinRows = n
-		case "WORKERS":
-			n, err := intArg(kw)
-			if err != nil {
-				return nil, err
-			}
-			if int(n) != d.cfg.Fleet.Base.Workers {
-				return nil, fmt.Errorf("served: WORKERS %d does not match the daemon's configured %d",
-					n, d.cfg.Fleet.Base.Workers)
-			}
-		case "MODEL":
-			if i >= len(f) {
-				return nil, fmt.Errorf("served: MODEL needs a name")
-			}
-			req.model = f[i]
-			i++
-		case "OUTPUT":
-			if i >= len(f) {
-				return nil, fmt.Errorf("served: OUTPUT needs STATS, TREE or TRACE")
-			}
-			out := strings.ToLower(f[i])
-			i++
-			switch out {
-			case "stats", "tree", "trace":
-				req.output = out
-			default:
-				return nil, fmt.Errorf("served: unknown OUTPUT %q", f[i-1])
-			}
-		default:
-			return nil, fmt.Errorf("served: unknown BUILD TREE option %q", kw)
-		}
-	}
-	return req, nil
-}
-
-// serveBuild queues the build with the coordinator and waits for its result.
-func (d *Daemon) serveBuild(sql string) (frameWriter, error) {
-	req, err := d.parseBuild(sql)
-	if err != nil {
-		return nil, err
-	}
-	return d.enqueue(req)
-}
-
-// serveScore handles a SCORE statement: scoring the served table goes
-// through the fleet queue (joining any concurrent cohort's shared scan);
-// scoring any other table executes directly on the engine.
-func (d *Daemon) serveScore(sql string) (frameWriter, error) {
-	st, err := sqlparser.Parse(sql)
-	if err != nil {
-		return nil, err
-	}
-	sc, ok := st.(*sqlparser.ScoreTable)
-	if !ok {
-		return nil, fmt.Errorf("served: unexpected %T for a SCORE statement", st)
-	}
-	if sc.Table != d.srv.TableName() {
-		return d.serveSQL(sql)
-	}
-	req := &buildReq{
-		score: &scoreSpec{model: sc.Model, workers: sc.Workers},
-		done:  make(chan buildResp, 1),
-	}
-	return d.enqueue(req)
-}
-
-// enqueue hands a request to the coordinator and waits for its result.
-func (d *Daemon) enqueue(req *buildReq) (frameWriter, error) {
-	d.bmu.Lock()
-	if d.closed {
-		d.bmu.Unlock()
-		return nil, fmt.Errorf("served: daemon is draining")
-	}
-	d.bqueue = append(d.bqueue, req)
-	d.bcond.Broadcast()
-	d.bmu.Unlock()
-	resp := <-req.done
-	return resp.rs, resp.err
-}
-
-// scoreStream frames a scoring result: a header naming the class column and
-// the per-class count columns, then TScoredBatch frames of BatchRows rows
+// writeScored frames a fleet scoring result: a header naming the class column
+// and the per-class count columns, then TScoredBatch frames of BatchRows rows
 // (classes plus distributions), then TDone — so the client starts consuming
 // predictions before the last batch is framed.
-type scoreStream struct {
-	model *engine.Model
-	res   *engine.ScoreResult
-}
-
-func (ss *scoreStream) write(conn net.Conn) error {
-	cols := []string{"class"}
-	for c := 0; c < ss.model.Classes; c++ {
-		cols = append(cols, fmt.Sprintf("c%d", c))
-	}
-	if err := wire.WriteFrame(conn, wire.TResultHeader, wire.ResultHeader{Cols: cols}); err != nil {
+func writeScored(conn net.Conn, m *engine.Model, res *engine.ScoreResult) error {
+	if err := wire.WriteFrame(conn, wire.TResultHeader, wire.ResultHeader{Cols: engine.ScoreCols(m.Classes)}); err != nil {
 		return err
 	}
-	n := len(ss.res.Classes)
+	n := len(res.Classes)
 	for base := 0; base < n; base += wire.BatchRows {
-		hi := base + wire.BatchRows
-		if hi > n {
-			hi = n
-		}
-		b := wire.ScoredBatch{Model: ss.model.Name}
+		hi := min(base+wire.BatchRows, n)
+		b := wire.ScoredBatch{Model: m.Name}
 		for i := base; i < hi; i++ {
-			b.Classes = append(b.Classes, int32(ss.res.Classes[i]))
-			b.Dists = append(b.Dists, ss.res.Dist(ss.model, i))
+			b.Classes = append(b.Classes, int32(res.Classes[i]))
+			b.Dists = append(b.Dists, res.Dist(m, i))
 		}
 		if err := wire.WriteFrame(conn, wire.TScoredBatch, b); err != nil {
 			return err
 		}
 	}
 	return wire.WriteFrame(conn, wire.TDone, wire.Done{Rows: int64(n)})
-}
-
-// buildLoop is the coordinator: it drains the build queue into fleet runs,
-// so builds that arrive while a run executes form the next run's cohort.
-func (d *Daemon) buildLoop() {
-	for {
-		d.bmu.Lock()
-		for len(d.bqueue) == 0 && !d.closed {
-			d.bcond.Wait()
-		}
-		if len(d.bqueue) == 0 && d.closed {
-			d.bmu.Unlock()
-			return
-		}
-		batch := d.bqueue
-		d.bqueue = nil
-		seq := d.runSeq
-		d.runSeq++
-		d.bmu.Unlock()
-		d.runFleet(batch, seq)
-	}
-}
-
-// runFleet executes one cohort — builds and scoring sessions — as a fleet
-// run and answers every request. The arrival schedule is virtual and seeded,
-// so a cohort's results do not depend on network timing.
-func (d *Daemon) runFleet(batch []*buildReq, seq int64) {
-	answered := make([]bool, len(batch))
-	answer := func(i int, resp buildResp) {
-		if !answered[i] {
-			answered[i] = true
-			batch[i].done <- resp
-		}
-	}
-	fail := func(err error) {
-		for i := range batch {
-			answer(i, buildResp{err: err})
-		}
-	}
-	wantTrace := false
-	for _, r := range batch {
-		if r.output == "trace" {
-			wantTrace = true
-		}
-	}
-	col := obs.NewCollector(wantTrace, false)
-
-	d.emu.Lock()
-	defer d.emu.Unlock()
-	fleet, err := NewFleet(d.srv, col, d.cfg.Fleet)
-	if err != nil {
-		fail(err)
-		return
-	}
-	arr := sim.Arrivals(d.cfg.Seed+seq, len(batch), d.cfg.MeanGapNS)
-	sessions := make([]*Session, len(batch))
-	opened := false
-	for i, r := range batch {
-		if r.score != nil {
-			// Resolve the model under the engine mutex; an unknown model
-			// fails its own request, not the cohort.
-			m, err := d.srv.Engine().Model(r.score.model)
-			if err != nil {
-				answer(i, buildResp{err: err})
-				continue
-			}
-			r.score.m = m
-			s, err := fleet.OpenScore("", m, r.score.workers, arr[i])
-			if err != nil {
-				fail(err)
-				return
-			}
-			sessions[i] = s
-			opened = true
-			continue
-		}
-		s, err := fleet.Open("", r.opt, arr[i])
-		if err != nil {
-			fail(err)
-			return
-		}
-		sessions[i] = s
-		opened = true
-	}
-	if opened {
-		if err := fleet.Run(); err != nil {
-			fail(err)
-			return
-		}
-	}
-
-	var traceLines []string
-	if wantTrace {
-		var buf bytes.Buffer
-		if err := col.WriteTrace(&buf, "ndjson"); err != nil {
-			fail(err)
-			return
-		}
-		traceLines = strings.Split(strings.TrimSuffix(buf.String(), "\n"), "\n")
-	}
-	for i, r := range batch {
-		if answered[i] {
-			continue
-		}
-		if r.score != nil {
-			answer(i, buildResp{rs: &scoreStream{model: r.score.m, res: sessions[i].Score()}})
-			continue
-		}
-		if r.model != "" {
-			// Register the compiled tree while still holding the engine
-			// mutex, so the model is scoreable the moment the build responds.
-			m, err := dtree.Compile(sessions[i].Tree(), r.model)
-			if err == nil {
-				err = d.srv.Engine().RegisterModel(m)
-			}
-			if err != nil {
-				answer(i, buildResp{err: err})
-				continue
-			}
-		}
-		answer(i, buildResp{rs: buildResult(r, sessions[i], fleet, traceLines)})
-	}
-}
-
-// buildResult renders one session's outcome in the request's output shape.
-func buildResult(r *buildReq, s *Session, f *Fleet, traceLines []string) *resultStream {
-	switch r.output {
-	case "tree":
-		rs := &resultStream{cols: []string{"node"}}
-		for _, line := range s.Tree().DumpLines() {
-			rs.rows = append(rs.rows, []wire.Cell{{Str: true, S: line}})
-		}
-		return rs
-	case "trace":
-		// The trace covers the whole cohort: one proc per session, in
-		// session order. A single-session run's trace is exactly the
-		// in-process build's.
-		rs := &resultStream{cols: []string{"span"}}
-		for _, line := range traceLines {
-			rs.rows = append(rs.rows, []wire.Cell{{Str: true, S: line}})
-		}
-		return rs
-	default:
-		st := s.Tree().Stats()
-		rs := &resultStream{cols: []string{"stat", "value"}}
-		add := func(name string, v int64) {
-			rs.rows = append(rs.rows, []wire.Cell{{Str: true, S: name}, {I: v}})
-		}
-		add("session", int64(s.ID))
-		add("nodes", int64(st.Nodes))
-		add("leaves", int64(st.Leaves))
-		add("max_depth", int64(st.Depth))
-		add("arrival_ns", s.ArrivalNS())
-		add("latency_ns", s.LatencyNS())
-		add("server_pages", s.Meter().Count(sim.CtrServerPages))
-		add("shared_io_pages", f.IOMeter().Count(sim.CtrServerPages))
-		return rs
-	}
-}
-
-// unmarshal decodes a frame payload with a wire-level error message.
-func unmarshal(payload []byte, msg any) error {
-	return wire.Unmarshal(payload, msg)
 }

@@ -1,0 +1,307 @@
+package serve
+
+import (
+	"bytes"
+	"fmt"
+	"strings"
+	"sync"
+	"time"
+
+	"repro/internal/dtree"
+	"repro/internal/engine"
+	"repro/internal/obs"
+	"repro/internal/sim"
+	"repro/internal/sqlparser"
+)
+
+// Dispatcher is the one place statement text becomes a route. Execute parses
+// the statement once and switches on the AST node:
+//
+//	*sqlparser.BuildTree                   → the fleet queue
+//	*sqlparser.ScoreTable, served table    → the fleet queue
+//	anything else                          → the engine, already parsed
+//
+// The wire daemon frames Execute's result and cmd/sqlsh prints it, so a
+// statement behaves identically on both surfaces.
+//
+// Concurrency model: callers may be many goroutines, but everything that
+// touches the engine is serialized — engine statements under the engine
+// mutex, fleet requests by a single coordinator goroutine that drains the
+// queue into fleet runs. Requests queued while a run executes batch into the
+// next run, which is exactly the window in which scan sharing pays. The
+// coordinator starts with the first fleet request and stops in Close.
+type Dispatcher struct {
+	eng *engine.Engine
+	srv *engine.Server // nil = no served table: every statement goes to the engine
+	cfg DaemonConfig
+
+	emu sync.Mutex // engine access: engine statements and fleet runs
+
+	qmu     sync.Mutex
+	qcond   *sync.Cond
+	queue   []*fleetReq
+	runSeq  int64
+	started bool
+	closed  bool
+	wg      sync.WaitGroup // the coordinator
+}
+
+// NewDispatcher creates a dispatcher over the engine and, when srv is
+// non-nil, the served table the fleet builds and scores.
+func NewDispatcher(eng *engine.Engine, srv *engine.Server, cfg DaemonConfig) *Dispatcher {
+	d := &Dispatcher{eng: eng, srv: srv, cfg: cfg}
+	d.qcond = sync.NewCond(&d.qmu)
+	return d
+}
+
+// Result is one executed statement's outcome.
+type Result struct {
+	// Set holds materialized rows; nil for DDL, DML and fleet-scored results.
+	Set *engine.ResultSet
+	// Score and Model are a SCORE TABLE that ran in the fleet: the raw
+	// predictions, which the daemon frames batch by batch without
+	// materializing them.
+	Score *engine.ScoreResult
+	Model *engine.Model
+	// Cost is the virtual time the statement took.
+	Cost time.Duration
+}
+
+// Rows returns the result as a row set in either case (nil when the
+// statement produced none).
+func (r *Result) Rows() *engine.ResultSet {
+	if r.Score != nil {
+		return r.Score.ResultSet(r.Model)
+	}
+	return r.Set
+}
+
+// Execute runs one statement.
+func (d *Dispatcher) Execute(sql string) (*Result, error) {
+	st, err := sqlparser.Parse(sql)
+	if err != nil {
+		return nil, err
+	}
+	switch s := st.(type) {
+	case *sqlparser.BuildTree:
+		if d.srv == nil {
+			break // the engine answers ErrNeedsServing
+		}
+		// WORKERS applies fleet-wide, so a statement may only restate it.
+		if w := max(1, d.cfg.Fleet.Base.Workers); s.Workers != 0 && s.Workers != w {
+			return nil, fmt.Errorf("serve: WORKERS %d does not match the configured %d", s.Workers, w)
+		}
+		return d.enqueue(st)
+	case *sqlparser.ScoreTable:
+		if d.srv != nil && s.Table == d.srv.TableName() {
+			return d.enqueue(st)
+		}
+	}
+	d.emu.Lock()
+	defer d.emu.Unlock()
+	before := d.eng.Meter().Now()
+	rs, err := d.eng.ExecStmt(st, sql)
+	if err != nil {
+		return nil, err
+	}
+	return &Result{Set: rs, Cost: d.eng.Meter().Now() - before}, nil
+}
+
+// Close stops the coordinator after it has answered every queued request;
+// later fleet statements fail. Idempotent.
+func (d *Dispatcher) Close() {
+	d.qmu.Lock()
+	d.closed = true
+	d.qcond.Broadcast()
+	d.qmu.Unlock()
+	d.wg.Wait()
+}
+
+// fleetReq is one statement — a *sqlparser.BuildTree, or a
+// *sqlparser.ScoreTable over the served table — waiting for the coordinator.
+type fleetReq struct {
+	stmt sqlparser.Statement
+	done chan fleetResp
+}
+
+type fleetResp struct {
+	res *Result
+	err error
+}
+
+// enqueue hands a statement to the coordinator and waits for its result.
+func (d *Dispatcher) enqueue(st sqlparser.Statement) (*Result, error) {
+	req := &fleetReq{stmt: st, done: make(chan fleetResp, 1)}
+	d.qmu.Lock()
+	if d.closed {
+		d.qmu.Unlock()
+		return nil, fmt.Errorf("serve: dispatcher is draining")
+	}
+	if !d.started {
+		d.started = true
+		d.wg.Add(1)
+		go func() {
+			defer d.wg.Done()
+			d.coordinate()
+		}()
+	}
+	d.queue = append(d.queue, req)
+	d.qcond.Broadcast()
+	d.qmu.Unlock()
+	resp := <-req.done
+	return resp.res, resp.err
+}
+
+// coordinate drains the queue into fleet runs, so requests that arrive while
+// a run executes form the next run's cohort.
+func (d *Dispatcher) coordinate() {
+	for {
+		d.qmu.Lock()
+		for len(d.queue) == 0 && !d.closed {
+			d.qcond.Wait()
+		}
+		if len(d.queue) == 0 {
+			d.qmu.Unlock()
+			return
+		}
+		batch := d.queue
+		d.queue = nil
+		seq := d.runSeq
+		d.runSeq++
+		d.qmu.Unlock()
+		d.runFleet(batch, seq)
+	}
+}
+
+// runFleet executes one cohort — builds and scoring sessions — as a fleet
+// run and answers every request. The arrival schedule is virtual and seeded,
+// so a cohort's results do not depend on network timing.
+func (d *Dispatcher) runFleet(batch []*fleetReq, seq int64) {
+	answered := make([]bool, len(batch))
+	answer := func(i int, res *Result, err error) {
+		if !answered[i] {
+			answered[i] = true
+			batch[i].done <- fleetResp{res: res, err: err}
+		}
+	}
+	fail := func(err error) {
+		for i := range batch {
+			answer(i, nil, err)
+		}
+	}
+	wantTrace := false
+	for _, r := range batch {
+		if b, ok := r.stmt.(*sqlparser.BuildTree); ok && b.Output == sqlparser.OutputTrace {
+			wantTrace = true
+		}
+	}
+	col := obs.NewCollector(wantTrace, false)
+
+	d.emu.Lock()
+	defer d.emu.Unlock()
+	fleet, err := NewFleet(d.srv, col, d.cfg.Fleet)
+	if err != nil {
+		fail(err)
+		return
+	}
+	arr := sim.Arrivals(d.cfg.Seed+seq, len(batch), d.cfg.MeanGapNS)
+	sessions := make([]*Session, len(batch))
+	opened := false
+	for i, r := range batch {
+		switch s := r.stmt.(type) {
+		case *sqlparser.BuildTree:
+			sessions[i], err = fleet.Open("", dtree.Options{MaxDepth: s.MaxDepth, MinRows: s.MinRows}, arr[i])
+		case *sqlparser.ScoreTable:
+			// Resolve the model under the engine mutex; an unknown model
+			// fails its own request, not the cohort.
+			m, merr := d.eng.Model(s.Model)
+			if merr != nil {
+				answer(i, nil, merr)
+				continue
+			}
+			sessions[i], err = fleet.OpenScore("", m, s.Workers, arr[i])
+		}
+		if err != nil {
+			fail(err)
+			return
+		}
+		opened = true
+	}
+	if opened {
+		if err := fleet.Run(); err != nil {
+			fail(err)
+			return
+		}
+	}
+
+	var traceLines []string
+	if wantTrace {
+		var buf bytes.Buffer
+		if err := col.WriteTrace(&buf, "ndjson"); err != nil {
+			fail(err)
+			return
+		}
+		traceLines = strings.Split(strings.TrimSuffix(buf.String(), "\n"), "\n")
+	}
+	for i, r := range batch {
+		if answered[i] {
+			continue
+		}
+		s := sessions[i]
+		res := &Result{Cost: time.Duration(s.LatencyNS())}
+		if b, ok := r.stmt.(*sqlparser.BuildTree); ok {
+			if b.Model != "" {
+				// Register the compiled tree while still holding the engine
+				// mutex, so the model is scoreable the moment the build
+				// responds.
+				m, err := dtree.Compile(s.Tree(), b.Model)
+				if err == nil {
+					err = d.eng.RegisterModel(m)
+				}
+				if err != nil {
+					answer(i, nil, err)
+					continue
+				}
+			}
+			res.Set = buildResult(b.Output, s, fleet, traceLines)
+		} else {
+			res.Score, res.Model = s.Score(), s.model
+		}
+		answer(i, res, nil)
+	}
+}
+
+// buildResult renders one build session's outcome in the statement's OUTPUT
+// shape.
+func buildResult(output string, s *Session, f *Fleet, traceLines []string) *engine.ResultSet {
+	oneColumn := func(col string, lines []string) *engine.ResultSet {
+		rs := &engine.ResultSet{Cols: []string{col}}
+		for _, line := range lines {
+			rs.Rows = append(rs.Rows, []engine.Val{engine.StrVal(line)})
+		}
+		return rs
+	}
+	switch output {
+	case sqlparser.OutputTree:
+		return oneColumn("node", s.Tree().DumpLines())
+	case sqlparser.OutputTrace:
+		// The trace covers the whole cohort: one proc per session, in
+		// session order. A single-session run's trace is exactly the
+		// in-process build's.
+		return oneColumn("span", traceLines)
+	}
+	st := s.Tree().Stats()
+	rs := &engine.ResultSet{Cols: []string{"stat", "value"}}
+	add := func(name string, v int64) {
+		rs.Rows = append(rs.Rows, []engine.Val{engine.StrVal(name), engine.IntVal(v)})
+	}
+	add("session", int64(s.ID))
+	add("nodes", int64(st.Nodes))
+	add("leaves", int64(st.Leaves))
+	add("max_depth", int64(st.Depth))
+	add("arrival_ns", s.ArrivalNS())
+	add("latency_ns", s.LatencyNS())
+	add("server_pages", s.Meter().Count(sim.CtrServerPages))
+	add("shared_io_pages", f.IOMeter().Count(sim.CtrServerPages))
+	return rs
+}

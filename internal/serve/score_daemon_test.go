@@ -2,6 +2,7 @@ package serve
 
 import (
 	"database/sql"
+	"errors"
 	"fmt"
 	"strings"
 	"sync"
@@ -11,6 +12,8 @@ import (
 	"repro/internal/dtree"
 	"repro/internal/engine"
 	"repro/internal/mw"
+	"repro/internal/sim"
+	"repro/internal/sqlparser"
 )
 
 // inProcessScoreArm builds a tree exactly like the daemon's fleet would,
@@ -297,5 +300,145 @@ func TestDaemonMixedCohort(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Error(err)
+	}
+}
+
+// queryTable runs one statement through the ccsql driver and returns its
+// column names and every row rendered as strings.
+func queryTable(t *testing.T, db *sql.DB, stmt string) ([]string, [][]string) {
+	t.Helper()
+	rows, err := db.Query(stmt)
+	if err != nil {
+		t.Fatalf("%s: %v", stmt, err)
+	}
+	defer rows.Close()
+	cols, err := rows.Columns()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out [][]string
+	for rows.Next() {
+		vals := make([]any, len(cols))
+		dest := make([]any, len(cols))
+		for i := range vals {
+			dest[i] = &vals[i]
+		}
+		if err := rows.Scan(dest...); err != nil {
+			t.Fatal(err)
+		}
+		row := make([]string, len(cols))
+		for i, v := range vals {
+			row[i] = fmt.Sprint(v)
+		}
+		out = append(out, row)
+	}
+	if err := rows.Err(); err != nil {
+		t.Fatalf("%s: %v", stmt, err)
+	}
+	return cols, out
+}
+
+// TestDaemonRoutesByAST pins that a statement's route and result shape come
+// from its parse, not from its first word: a leading comment or blank lines
+// change nothing (the text sniff sent a commented SCORE TABLE past the fleet,
+// where it lost its distribution columns, and a commented BUILD TREE into the
+// engine as a parse error), and SCORE TABLE answers class, c0 … c{k-1}
+// whichever route its table name selects.
+func TestDaemonRoutesByAST(t *testing.T) {
+	addr, stop := startDaemon(t, 600, 1, true)
+	defer stop()
+	db, err := sql.Open("ccsql", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	db.SetMaxOpenConns(1)
+
+	bareCols, bareStats := queryTable(t, db, "BUILD TREE MAXDEPTH 4 MINROWS 20")
+	cols, stats := queryTable(t, db, "-- register\n\n  BUILD TREE MAXDEPTH 4 MINROWS 20 MODEL m")
+	if fmt.Sprint(cols, stats) != fmt.Sprint(bareCols, bareStats) {
+		t.Errorf("commented BUILD TREE answered\n%v %v\nbare statement\n%v %v", cols, stats, bareCols, bareStats)
+	}
+
+	bareCols, bareRows := queryTable(t, db, "SCORE TABLE cases USING m")
+	if want := []string{"class", "c0", "c1"}; !equalLines(bareCols, want) {
+		t.Fatalf("SCORE TABLE columns = %v, want %v", bareCols, want)
+	}
+	cols, rows := queryTable(t, db, "-- x\n\nSCORE TABLE cases USING m")
+	if fmt.Sprint(cols, rows) != fmt.Sprint(bareCols, bareRows) {
+		t.Errorf("commented SCORE TABLE: columns %v and %d rows differ from the bare statement's %v and %d rows",
+			cols, len(rows), bareCols, len(bareRows))
+	}
+
+	// The engine route: a table the daemon does not serve, filled with the
+	// served table's first rows over the same connection (DDL and DML answer
+	// an empty result, not a dropped connection).
+	const n = 5
+	srcCols, src := queryTable(t, db, fmt.Sprintf("SELECT * FROM cases LIMIT %d", n))
+	if _, err := db.Exec("CREATE TABLE copy (" + strings.Join(srcCols, " INT, ") + " INT)"); err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range src {
+		if _, err := db.Exec("INSERT INTO copy VALUES (" + strings.Join(r, ", ") + ")"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cols, rows = queryTable(t, db, "SCORE TABLE copy USING m")
+	if fmt.Sprint(cols, rows) != fmt.Sprint(bareCols, bareRows[:n]) {
+		t.Errorf("engine-route SCORE TABLE answered %v %v, fleet route %v %v", cols, rows, bareCols, bareRows[:n])
+	}
+}
+
+// TestDispatcherRoutes checks the type switch itself, without a network:
+// which statements reach the fleet, and what the engine says to the ones
+// that cannot run without it.
+func TestDispatcherRoutes(t *testing.T) {
+	srv := testServer(t, 400)
+	d := NewDispatcher(srv.Engine(), srv, DaemonConfig{Fleet: FleetConfig{Base: baseCfg(1)}})
+	defer d.Close()
+	if _, err := d.Execute("BUILD TREE MAXDEPTH 3 MODEL m"); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		sql   string
+		fleet bool
+	}{
+		{"SCORE TABLE cases USING m", true},
+		{"-- note\n\n SCORE TABLE cases USING m WORKERS 2", true},
+		{"SELECT COUNT(*) FROM cases", false},
+	} {
+		res, err := d.Execute(c.sql)
+		if err != nil {
+			t.Fatalf("%s: %v", c.sql, err)
+		}
+		if got := res.Score != nil; got != c.fleet {
+			t.Errorf("%q: fleet route = %v, want %v", c.sql, got, c.fleet)
+		}
+		if res.Rows() == nil || res.Cost <= 0 {
+			t.Errorf("%q: rows %v, cost %v", c.sql, res.Rows(), res.Cost)
+		}
+	}
+	// A model name no SCORE or CLASSIFY could spell is refused by the parser,
+	// before any build runs: nothing gets registered.
+	for _, sql := range []string{"BUILD TREE MODEL a-b", "BUILD TREE MODEL 9", "BUILD TREE MODEL select", "BUILD TREE MINROWS -1 MODEL z"} {
+		_, err := d.Execute(sql)
+		var perr *sqlparser.Error
+		if !errors.As(err, &perr) {
+			t.Errorf("%q: error %v, want a *sqlparser.Error", sql, err)
+		}
+	}
+	if names := srv.Engine().ModelNames(); len(names) != 1 || names[0] != "m" {
+		t.Errorf("registered models = %v, want [m]", names)
+	}
+
+	// No served table: the same dispatcher degrades to the engine, which
+	// names what BUILD TREE is missing.
+	bare := NewDispatcher(engine.New(sim.NewDefaultMeter(), 0), nil, DaemonConfig{})
+	defer bare.Close()
+	if _, err := bare.Execute("BUILD TREE"); !errors.Is(err, engine.ErrNeedsServing) {
+		t.Errorf("BUILD TREE without a served table: %v, want ErrNeedsServing", err)
+	}
+	if _, err := bare.Execute("CREATE TABLE t (a INT)"); err != nil {
+		t.Errorf("engine statement without a served table: %v", err)
 	}
 }

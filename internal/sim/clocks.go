@@ -82,18 +82,6 @@ func (c *Clocks) Next(eligible func(id int) bool) (int, bool) {
 	return best, found
 }
 
-// MaxNow returns the latest clock among open sessions — the fleet makespan
-// so far. Zero when no clock is open.
-func (c *Clocks) MaxNow() time.Duration {
-	var max time.Duration
-	for _, id := range c.ids {
-		if now := c.m[id].Now(); now > max {
-			max = now
-		}
-	}
-	return max
-}
-
 // Len returns the number of open clocks.
 func (c *Clocks) Len() int { return len(c.ids) }
 

@@ -27,12 +27,12 @@ func TestClocksSelection(t *testing.T) {
 	if _, ok := c.Next(func(int) bool { return false }); ok {
 		t.Fatal("Next found a session with nothing eligible")
 	}
-	if c.MaxNow() != 250*time.Nanosecond {
-		t.Fatalf("MaxNow = %v", c.MaxNow())
+	if now := c.Meter(2).Now(); now != 250*time.Nanosecond {
+		t.Fatalf("session 2 clock = %v", now)
 	}
 	c.Close(2)
-	if c.Len() != 2 || c.MaxNow() != 100*time.Nanosecond {
-		t.Fatalf("after close: len %d, max %v", c.Len(), c.MaxNow())
+	if id, _ := c.Next(nil); c.Len() != 2 || id != 1 {
+		t.Fatalf("after close: len %d, next %d, want 2 sessions and session 1 next", c.Len(), id)
 	}
 }
 

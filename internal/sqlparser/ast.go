@@ -349,3 +349,49 @@ func (s *ScoreTable) String() string {
 	}
 	return out
 }
+
+// BuildTree.Output values.
+const (
+	OutputStats = "STATS"
+	OutputTree  = "TREE"
+	OutputTrace = "TRACE"
+)
+
+// BuildTree is the tree-building statement:
+// BUILD TREE [MAXDEPTH n] [MINROWS n] [WORKERS n] [MODEL ident]
+// [OUTPUT STATS|TREE|TRACE].
+// It grows a decision tree over the served table through the middleware.
+// MODEL registers the finished tree in the model catalog, where SCORE TABLE
+// and CLASSIFY() find it; OUTPUT picks the result shape. Zero values mean
+// "not given": no depth limit, the builder's default MINROWS, the serving
+// layer's worker count, no registration, OUTPUT STATS.
+type BuildTree struct {
+	MaxDepth int
+	MinRows  int64
+	Workers  int
+	Model    string
+	Output   string // "" or one of the Output* constants
+}
+
+func (*BuildTree) stmt() {}
+
+func (s *BuildTree) String() string {
+	var b strings.Builder
+	b.WriteString("BUILD TREE")
+	if s.MaxDepth > 0 {
+		fmt.Fprintf(&b, " MAXDEPTH %d", s.MaxDepth)
+	}
+	if s.MinRows > 0 {
+		fmt.Fprintf(&b, " MINROWS %d", s.MinRows)
+	}
+	if s.Workers > 0 {
+		fmt.Fprintf(&b, " WORKERS %d", s.Workers)
+	}
+	if s.Model != "" {
+		b.WriteString(" MODEL " + s.Model)
+	}
+	if s.Output != "" {
+		b.WriteString(" OUTPUT " + s.Output)
+	}
+	return b.String()
+}

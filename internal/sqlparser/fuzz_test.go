@@ -25,6 +25,12 @@ func FuzzParse(f *testing.F) {
 		"SELECT CASE WHEN a = 1 THEN 0 ELSE 1 END FROM t",
 		"SELECT CLASSIFY(m, a, b, c) FROM t",
 		"SCORE TABLE t USING m WORKERS 4",
+		"BUILD TREE",
+		"BUILD TREE MAXDEPTH 6 MINROWS 20 WORKERS 4 MODEL m OUTPUT STATS",
+		"build tree output trace model m minrows 20",
+		"-- note\nBUILD TREE OUTPUT TREE",
+		"BUILD TREE MODEL a-b", "BUILD TREE MAXDEPTH -1", "BUILD TREE MODEL m MODEL m",
+		"SELECT model, tree, output, stats FROM build WHERE maxdepth = 1",
 	}
 	for _, s := range seeds {
 		f.Add(s)

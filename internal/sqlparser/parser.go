@@ -1,7 +1,9 @@
 package sqlparser
 
 import (
+	"math"
 	"strconv"
+	"strings"
 )
 
 // Parse parses a single SQL statement.
@@ -83,6 +85,26 @@ func (p *parser) expectIdent() (string, error) {
 	return name, p.advance()
 }
 
+// atWord reports whether the current token is the given non-reserved word.
+// BUILD TREE's vocabulary is matched this way, by spelling in statement
+// position only, so none of it is taken from the identifier space: model,
+// tree, output and stats stay legal column and table names.
+func (p *parser) atWord(w string) bool {
+	return p.tok.kind == tokIdent && strings.EqualFold(p.tok.text, w)
+}
+
+// expectCount consumes an integer literal in [lo, hi].
+func (p *parser) expectCount(what string, lo, hi int64) (int64, error) {
+	if p.tok.kind != tokInt {
+		return 0, p.errf("expected %s count, found %q", what, p.tok.text)
+	}
+	n, err := strconv.ParseInt(p.tok.text, 10, 64)
+	if err != nil || n < lo || n > hi {
+		return 0, p.errf("bad %s count %q", what, p.tok.text)
+	}
+	return n, p.advance()
+}
+
 func (p *parser) statement() (Statement, error) {
 	switch {
 	case p.atKeyword("SELECT"):
@@ -97,6 +119,8 @@ func (p *parser) statement() (Statement, error) {
 		return p.dropStmt()
 	case p.atKeyword("SCORE"):
 		return p.scoreStmt()
+	case p.atWord("BUILD"):
+		return p.buildStmt()
 	}
 	return nil, p.errf("expected statement, found %q", p.tok.text)
 }
@@ -124,15 +148,63 @@ func (p *parser) scoreStmt() (Statement, error) {
 	if ok, err := p.acceptKeyword("WORKERS"); err != nil {
 		return nil, err
 	} else if ok {
-		if p.tok.kind != tokInt {
-			return nil, p.errf("expected worker count, found %q", p.tok.text)
+		n, err := p.expectCount("WORKERS", 1, math.MaxInt32)
+		if err != nil {
+			return nil, err
 		}
-		n, err := strconv.Atoi(p.tok.text)
-		if err != nil || n < 1 {
-			return nil, p.errf("bad worker count %q", p.tok.text)
+		s.Workers = int(n)
+	}
+	return s, nil
+}
+
+// buildStmt parses BUILD TREE [MAXDEPTH n] [MINROWS n] [WORKERS n]
+// [MODEL ident] [OUTPUT STATS|TREE|TRACE]: options in any order, each at
+// most once.
+func (p *parser) buildStmt() (Statement, error) {
+	if err := p.advance(); err != nil {
+		return nil, err
+	}
+	if !p.atWord("TREE") {
+		return nil, p.errf("expected TREE, found %q", p.tok.text)
+	}
+	if err := p.advance(); err != nil {
+		return nil, err
+	}
+	s := &BuildTree{}
+	seen := map[string]bool{}
+	for p.tok.kind == tokIdent || p.atKeyword("WORKERS") {
+		word := p.tok
+		opt := strings.ToUpper(word.text)
+		if seen[opt] {
+			return nil, p.errf("duplicate BUILD TREE option %s", opt)
 		}
-		s.Workers = n
-		if err := p.advance(); err != nil {
+		seen[opt] = true
+		err := p.advance()
+		if err != nil {
+			return nil, err
+		}
+		var n int64
+		switch opt {
+		case "MAXDEPTH":
+			n, err = p.expectCount(opt, 0, math.MaxInt32)
+			s.MaxDepth = int(n)
+		case "MINROWS":
+			s.MinRows, err = p.expectCount(opt, 0, math.MaxInt64)
+		case "WORKERS":
+			n, err = p.expectCount(opt, 1, math.MaxInt32)
+			s.Workers = int(n)
+		case "MODEL":
+			s.Model, err = p.expectIdent()
+		case "OUTPUT":
+			s.Output = strings.ToUpper(p.tok.text)
+			if p.tok.kind != tokIdent || (s.Output != OutputStats && s.Output != OutputTree && s.Output != OutputTrace) {
+				return nil, p.errf("expected STATS, TREE or TRACE, found %q", p.tok.text)
+			}
+			err = p.advance()
+		default:
+			return nil, p.lex.errf(word.pos, "unknown BUILD TREE option %q", word.text)
+		}
+		if err != nil {
 			return nil, err
 		}
 	}

@@ -1,6 +1,7 @@
 package sqlparser
 
 import (
+	"errors"
 	"strings"
 	"testing"
 )
@@ -183,6 +184,28 @@ func TestParseErrors(t *testing.T) {
 		"INSERT INTO t VALUES",
 		"SELECT a FROM t WHERE a @ 1",
 		"SELECT a FROM t ORDER",
+		"BUILD",
+		"BUILD TABLE",
+		"BUILD TREE FOREST 3",
+		"BUILD TREE MAXDEPTH",
+		"BUILD TREE MAXDEPTH -1",
+		"BUILD TREE MAXDEPTH x",
+		"BUILD TREE MAXDEPTH 4294967296",
+		"BUILD TREE MINROWS -5",
+		"BUILD TREE MINROWS 9223372036854775808",
+		"BUILD TREE WORKERS 0",
+		"BUILD TREE MODEL",
+		"BUILD TREE MODEL 9",
+		"BUILD TREE MODEL select",
+		"BUILD TREE MODEL a-b",
+		"BUILD TREE MODEL 'm'",
+		"BUILD TREE OUTPUT",
+		"BUILD TREE OUTPUT JSON",
+		"BUILD TREE OUTPUT 1",
+		"BUILD TREE MAXDEPTH 2 MAXDEPTH 3",
+		"BUILD TREE MODEL a OUTPUT TREE MODEL b",
+		"BUILD TREE OUTPUT STATS output tree",
+		"BUILD TREE MAXDEPTH 2, MINROWS 3",
 	} {
 		if _, err := Parse(sql); err == nil {
 			t.Errorf("Parse(%q) accepted invalid SQL", sql)
@@ -216,6 +239,12 @@ func TestRoundTrip(t *testing.T) {
 		"DELETE FROM t WHERE a = 1",
 		"DROP TABLE t",
 		"SELECT SUM(a), MIN(b), MAX(c) FROM t GROUP BY d",
+		"BUILD TREE",
+		"BUILD TREE MAXDEPTH 6 MINROWS 20 WORKERS 4 MODEL m OUTPUT STATS",
+		"BUILD TREE OUTPUT TRACE MODEL m WORKERS 4 MINROWS 20 MAXDEPTH 6",
+		"build tree maxdepth 0 minrows 0 output tree",
+		"-- note\n\nBUILD TREE MODEL output",
+		"SELECT model, tree, output, stats, trace, build, maxdepth, minrows FROM model_m WHERE tree = 1 GROUP BY model, output",
 	}
 	for _, sql := range statements {
 		st1 := mustParse(t, sql)
@@ -331,5 +360,57 @@ func TestParseScoreTable(t *testing.T) {
 		if _, err := Parse(bad); err == nil {
 			t.Errorf("accepted %q", bad)
 		}
+	}
+}
+
+func TestParseBuildTree(t *testing.T) {
+	full := &BuildTree{MaxDepth: 6, MinRows: 20, Workers: 4, Model: "m", Output: OutputTrace}
+	// Every order of the five options parses to the same statement.
+	opts := []string{"MAXDEPTH 6", "MINROWS 20", "WORKERS 4", "MODEL m", "OUTPUT TRACE"}
+	var permute func(k int)
+	permute = func(k int) {
+		if k == len(opts) {
+			sql := "BUILD TREE " + strings.Join(opts, " ")
+			if got := mustParse(t, sql).(*BuildTree); *got != *full {
+				t.Errorf("%s parsed as %+v", sql, got)
+			}
+			return
+		}
+		for i := k; i < len(opts); i++ {
+			opts[k], opts[i] = opts[i], opts[k]
+			permute(k + 1)
+			opts[k], opts[i] = opts[i], opts[k]
+		}
+	}
+	permute(0)
+	if got := full.String(); got != "BUILD TREE MAXDEPTH 6 MINROWS 20 WORKERS 4 MODEL m OUTPUT TRACE" {
+		t.Errorf("rendered %q", got)
+	}
+
+	// Words are case-insensitive, the model name keeps its case, and absent
+	// options stay zero.
+	got := mustParse(t, "-- leading comment\n\n  build Tree mInRows 7 model Mx output tree").(*BuildTree)
+	if want := (BuildTree{MinRows: 7, Model: "Mx", Output: OutputTree}); *got != want {
+		t.Errorf("parsed %+v, want %+v", got, want)
+	}
+	if got := mustParse(t, "BUILD TREE").(*BuildTree); *got != (BuildTree{}) {
+		t.Errorf("bare BUILD TREE parsed as %+v", got)
+	}
+
+	// The option words are not reserved: they name a model, and columns and
+	// tables elsewhere in the grammar.
+	if got := mustParse(t, "BUILD TREE MODEL output OUTPUT stats").(*BuildTree); got.Model != "output" || got.Output != OutputStats {
+		t.Errorf("parsed %+v", got)
+	}
+	sel := mustParse(t, "SELECT model, tree, output, stats FROM build WHERE maxdepth = 1").(*Select)
+	if len(sel.Cores[0].Items) != 4 || sel.Cores[0].Table != "build" {
+		t.Errorf("select over option-word names = %+v", sel.Cores[0])
+	}
+
+	// Rejections carry a position.
+	_, err := Parse("BUILD TREE MAXDEPTH 2\nMODEL 9")
+	var perr *Error
+	if !errors.As(err, &perr) || !strings.Contains(err.Error(), "line 2 col 7") {
+		t.Errorf("MODEL 9: error %v, want a positioned *Error at line 2 col 7", err)
 	}
 }

@@ -72,9 +72,6 @@ func (h *HeapFile) NumPages() int { return len(h.pages) }
 // Bytes returns the on-disk size of the file.
 func (h *HeapFile) Bytes() int64 { return int64(len(h.pages)) * PageSize }
 
-// RecordsPerPage returns how many records fit in one page.
-func (h *HeapFile) RecordsPerPage() int { return h.perPage }
-
 // Insert appends one record and returns its TID. rec must be exactly RecLen
 // bytes.
 func (h *HeapFile) Insert(rec []byte) TID {

@@ -91,8 +91,8 @@ func TestHeapRecordBounds(t *testing.T) {
 func TestRecordsPerPageAndBytes(t *testing.T) {
 	h := NewHeapFile(100)
 	want := (PageSize - pageHeaderBytes) / 100
-	if h.RecordsPerPage() != want {
-		t.Fatalf("RecordsPerPage = %d, want %d", h.RecordsPerPage(), want)
+	if h.perPage != want {
+		t.Fatalf("records per page = %d, want %d", h.perPage, want)
 	}
 	for i := 0; i < want+1; i++ { // one page plus one record
 		h.Insert(make([]byte, 100))
@@ -130,7 +130,7 @@ func TestInsertWrongLengthPanics(t *testing.T) {
 
 func TestBufferPoolChargesMissesOnly(t *testing.T) {
 	h := NewHeapFile(8)
-	perPage := h.RecordsPerPage()
+	perPage := h.perPage
 	// Fill exactly 3 pages.
 	for i := 0; i < 3*perPage; i++ {
 		h.Insert(rec8(uint64(i)))
@@ -151,7 +151,7 @@ func TestBufferPoolChargesMissesOnly(t *testing.T) {
 
 func TestBufferPoolEvictsLRU(t *testing.T) {
 	h := NewHeapFile(8)
-	perPage := h.RecordsPerPage()
+	perPage := h.perPage
 	for i := 0; i < 4*perPage; i++ { // 4 pages
 		h.Insert(rec8(uint64(i)))
 	}

@@ -89,8 +89,8 @@ type HelloAck struct {
 	Rows    int64  `json:"rows"`
 }
 
-// Query submits one statement: any SQL the engine accepts, or the daemon's
-// BUILD TREE command.
+// Query submits one statement of the internal/sqlparser grammar — SQL, SCORE
+// TABLE or BUILD TREE; serve.Dispatcher picks its route from the parse.
 type Query struct {
 	SQL string `json:"sql"`
 }
