@@ -5,24 +5,22 @@ import "repro/internal/data"
 // AddMany is the batched seam of the vectorized counting kernel: one call
 // folds a whole selection vector's worth of (attr, value, class) increments
 // into the table, replacing len(sel) sequential Add probes with a dense
-// histogram bump plus one treap insert per distinct cell.
+// histogram bump per row plus one vector add per distinct value.
 //
 // codes and classCodes are dictionary-encoded column vectors (codes[i] indexes
 // dict, classCodes[i] indexes classDict) and sel lists the selected row
 // offsets. For every i in sel the count of (attr, dict[codes[i]],
-// classDict[classCodes[i]]) is incremented by one. Because the fold visits
-// the dense histogram in (code, classCode) order and both dictionaries are
-// sorted ascending, entries are inserted in ascending key order — and the
-// treap shape is a pure function of the key set anyway — so AddMany is
-// fold-equivalent to the sequential Add calls in every observable way
-// (asserted by TestAddManyFoldEquivalence).
+// classDict[classCodes[i]]) is incremented by one; only values and classes
+// that occur in the selection enter the table, so AddMany is fold-equivalent
+// to the sequential Add calls in every observable way (asserted by
+// TestAddManyFoldEquivalence).
 //
 // hist is an optional scratch buffer of at least len(dict)*len(classDict)
 // cells; it must be all zeros on entry and is returned all zeros (the fold
 // re-zeroes every cell it touched), so one buffer can be reused across calls
 // without clearing. Pass nil to allocate. The returned slice is the
 // (possibly grown) scratch buffer; the second result is the number of
-// distinct (value, class) cells folded — the per-block treap work the cost
+// distinct (value, class) cells folded — the per-block table work the cost
 // model charges, as opposed to the per-row bumps.
 func (t *Table) AddMany(attr int, dict []data.Value, codes []uint16, classDict []data.Value, classCodes []uint16, sel []int32, hist []int64) ([]int64, int) {
 	nd, nc := len(dict), len(classDict)
@@ -37,11 +35,23 @@ func (t *Table) AddMany(attr int, dict []data.Value, codes []uint16, classDict [
 	folded := 0
 	for v := 0; v < nd; v++ {
 		row := hist[v*nc : (v+1)*nc]
+		ri := -1
 		for c, n := range row {
 			if n == 0 {
 				continue
 			}
-			t.Add(attr, dict[v], classDict[c], n)
+			// Class first: a new class restrides every column, a new value
+			// reallocates this one, and the cell is addressed after both.
+			ci := t.classRank(classDict[c])
+			col := t.col(attr)
+			if ri < 0 {
+				ri = t.rank(col, dict[v])
+			}
+			p := &col.counts[ri*t.stride+ci]
+			if *p == 0 {
+				t.entries++
+			}
+			*p += n
 			folded++
 			row[c] = 0
 		}

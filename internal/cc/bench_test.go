@@ -19,16 +19,29 @@ func benchRows(n int) []data.Row {
 	return rows
 }
 
-// BenchmarkAddRow measures the scan-based-counting inner loop: one row
-// accumulated into a counts table over 4 attributes + class.
+// BenchmarkAddRow measures the scan-based-counting inner loop at the two
+// shapes a build produces: one op counts a whole node — a fresh sized table,
+// then every row over 4 attributes + class — so a deep node of a few dozen rows
+// is dominated by reserving the table (allocs/op is the point there) and a
+// shallow one by the per-cell search and increment (ns/row).
 func BenchmarkAddRow(b *testing.B) {
-	rows := benchRows(1024)
-	attrs := []int{0, 1, 2, 3, 4}
-	t := New()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		t.AddRow(rows[i&1023], attrs)
+	attrs, cards := []int{0, 1, 2, 3, 4}, []int{4, 4, 4, 4, 10}
+	for _, shape := range []struct {
+		name string
+		rows int
+	}{{"small-node", 32}, {"large-node", 16384}} {
+		b.Run(shape.name, func(b *testing.B) {
+			rows := benchRows(shape.rows)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				t := NewSized(attrs, cards, 10)
+				for _, r := range rows {
+					t.AddRow(r, attrs)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*shape.rows), "ns/row")
+		})
 	}
 }
 
@@ -40,23 +53,10 @@ func BenchmarkClassVector(b *testing.B) {
 	for _, r := range benchRows(4096) {
 		t.AddRow(r, attrs)
 	}
+	vec := make([]int64, 10)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = t.ClassVector(i&3, data.Value(i&3), 10)
-	}
-}
-
-// BenchmarkSortedInsert inserts strictly increasing keys — the adversarial
-// monotone pattern produced by sequential attribute codes. The old unbalanced
-// BST degenerated to a linked list here (O(n) per insert, quadratic total);
-// the treap's hash-derived priorities keep each insert O(log n), so ns/op
-// stays flat as b.N grows.
-func BenchmarkSortedInsert(b *testing.B) {
-	t := New()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		t.Add(0, data.Value(i), 0, 1)
+		t.ClassVector(i&3, data.Value(i&3), vec)
 	}
 }
 

@@ -5,157 +5,248 @@
 // (Observation 1), and it is typically much smaller than the data and does
 // not grow with the number of records (Observation 2).
 //
-// Per §5 of the paper, counts tables are stored as binary search trees keyed
-// by (attribute, value, class); "because of the way points are sorted in the
-// tree, retrieving a vector of counts for the states of a class correlated
-// with a particular attribute and its state is efficient". This package
-// keeps that representation (a search tree over the composite key, with
-// in-order traversal grouping all classes of one (attr,value) together) and
-// layers the derived quantities the classifier and the middleware scheduler
-// need: class vectors, per-attribute cardinalities card(n,Aj), and memory
-// footprints for the scheduler's budget.
+// §5 of the paper stores counts tables as binary search trees keyed by
+// (attribute, value, class), and the cost model still charges that probe
+// (sim.Costs.CCUpdate per counted row, CCFoldEntry per folded cell — charged
+// by the callers, never by this package). The in-memory structure is flat:
+// per attribute, the sorted distinct values present and, contiguous with them,
+// one class-count vector per value, indexed by the class's rank among the
+// table's sorted distinct classes. Counting a cell is a binary search over one
+// attribute's few values plus an increment, so its cost depends neither on the
+// table's size nor on insertion order; Values, Card, ClassVector and Walk read
+// the arrays in key order; Merge and Clone are vector adds and copies.
 //
-// The tree is a treap: each node carries a priority derived by hashing its
-// key, and rotations keep the structure a max-heap over priorities. A plain
-// unbalanced BST degenerates to a linked list under the monotone key
-// sequences that sequential attribute codes produce (sorted inserts turned
-// AddRow into O(n) per entry); hashing the key gives each node a
-// deterministic pseudo-random priority, so the expected depth is O(log n)
-// for every insertion order while the shape — and therefore every walk,
-// count and accounting result — remains a pure function of the key set.
+// Rows and columns are indexed by rank, not by raw code: a CSV column that
+// passes numeric codes through may hold {0, 1000000}, and a grid indexed by
+// value would reserve megabytes per node for it. The price is that a value
+// (or class) seen for the first time shifts the vectors behind it — O(card)
+// once per distinct value, nothing per row after that.
+//
+// Two footprints, kept apart on purpose. Bytes() is the model: distinct cells
+// × EntryBytes, the figure the middleware's scheduler budgets and sheds on,
+// unchanged from the search-tree representation. The real footprint is 8 bytes
+// per (value, class) cell — absent combinations included — plus 4 per value,
+// reserved once on the first Add from the cardinalities the caller knows
+// (NewSized), and is well below the model for every table the experiments
+// build.
 package cc
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/data"
 )
 
 // Key identifies one counts-table entry: attribute index, attribute value,
-// class value.
+// class value. Walk visits entries in (Attr, Val, Class) order.
 type Key struct {
 	Attr  int
 	Val   data.Value
 	Class data.Value
 }
 
-// less orders keys by (Attr, Val, Class); this ordering makes the class
-// vector for a given (attr, value) contiguous in an in-order walk.
-func (k Key) less(o Key) bool {
-	if k.Attr != o.Attr {
-		return k.Attr < o.Attr
-	}
-	if k.Val != o.Val {
-		return k.Val < o.Val
-	}
-	return k.Class < o.Class
-}
-
-type node struct {
-	key         Key
-	prio        uint64 // hash-derived treap priority (max-heap)
-	count       int64
-	left, right *node
-}
-
-// priority derives the node's treap priority from its key: a splitmix64-style
-// bit mix over the packed (attr, val, class) fields. Deterministic — two
-// tables holding the same key set always have the same shape, on every host.
-func (k Key) priority() uint64 {
-	x := uint64(uint32(k.Attr))<<42 ^ uint64(uint32(k.Val))<<21 ^ uint64(uint32(k.Class))
-	x += 0x9E3779B97F4A7C15
-	x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9
-	x = (x ^ (x >> 27)) * 0x94D049BB133111EB
-	return x ^ (x >> 31)
-}
-
 // EntryBytes is the accounted in-memory footprint of one counts-table entry
-// (key + count + two child pointers), used by the middleware's memory
-// budgeting. It is a model constant: the treap priority is derived storage
-// and is deliberately not accounted, keeping budget arithmetic identical to
-// the original BST representation.
+// (key + count + two child pointers of the paper's search tree), used by the
+// middleware's memory budgeting. It is a model constant, independent of how
+// the table is laid out in this process.
 const EntryBytes = 40
+
+// maxReserve bounds what the first Add reserves per attribute (value rows)
+// and per row (class cells) whatever the size hint says; a column or class
+// set that outgrows its reservation doubles.
+const maxReserve = 16
+
+// column holds one attribute's counts: the sorted distinct values present and
+// one stride-wide class-count vector per value, in the same order.
+type column struct {
+	vals   []data.Value
+	counts []int64 // len(vals) * Table.stride
+}
 
 // Table is one node's counts table. The zero value is an empty table ready
 // for use.
 type Table struct {
-	root    *node
+	cols    []column     // indexed by attribute
+	classes []data.Value // sorted distinct classes; a class's rank is its cell in every vector
+	stride  int          // cells per vector, >= len(classes); 0 until the first Add
 	entries int
 	rows    int64
+
+	// Size hint of NewSized, consumed by the first Add.
+	hintAttrs, hintCards []int
+	hintClasses          int
 }
 
 // New returns an empty counts table.
 func New() *Table { return &Table{} }
 
+// NewSized returns an empty counts table that knows what it is about to
+// count: the attributes attrs, where column a holds at most cards[a] distinct
+// values, and at most classes class values. Nothing is allocated until the
+// first Add, which then reserves every listed attribute's vectors at once (up
+// to maxReserve rows and cells each) instead of growing them from empty. The
+// hint is advisory — attributes, values and classes beyond it are counted
+// like any other — and both slices are read, not retained past that Add.
+func NewSized(attrs, cards []int, classes int) *Table {
+	return &Table{hintAttrs: attrs, hintCards: cards, hintClasses: classes}
+}
+
+// reserve allocates the table's storage on its first Add.
+func (t *Table) reserve() {
+	t.stride = min(max(t.hintClasses, 2), maxReserve)
+	ncols, nrows := 0, 0
+	for _, a := range t.hintAttrs {
+		ncols = max(ncols, a+1)
+		nrows += min(t.hintCards[a], maxReserve)
+	}
+	t.cols = make([]column, ncols)
+	vals := make([]data.Value, nrows+t.stride)
+	t.classes = vals[nrows:nrows:len(vals)]
+	counts := make([]int64, nrows*t.stride)
+	off := 0
+	for _, a := range t.hintAttrs {
+		n := min(t.hintCards[a], maxReserve)
+		c := &t.cols[a]
+		c.vals = vals[off : off : off+n]
+		c.counts = counts[off*t.stride : off*t.stride : (off+n)*t.stride]
+		off += n
+	}
+	t.hintAttrs, t.hintCards = nil, nil
+}
+
+// find returns v's index in the sorted distinct s and whether it is there; if
+// not, the index is where v belongs.
+func find(s []data.Value, v data.Value) (int, bool) {
+	// A set holding every code 0..n-1 — most attributes at most nodes, and
+	// the classes — has each value at its own index: one predictable probe,
+	// no search.
+	if uint(v) < uint(len(s)) && s[v] == v {
+		return int(v), true
+	}
+	return slices.BinarySearch(s, v)
+}
+
+// classRank returns class's cell index, making room for it if it is new.
+func (t *Table) classRank(class data.Value) int {
+	if t.stride == 0 {
+		t.reserve()
+	}
+	ci, ok := find(t.classes, class)
+	if !ok {
+		t.insertClass(ci, class)
+	}
+	return ci
+}
+
+// insertClass opens cell ci of every vector for a class seen for the first
+// time: in place while the stride has room, into doubled vectors otherwise.
+func (t *Table) insertClass(ci int, class data.Value) {
+	n, old := len(t.classes), t.stride
+	if n == old {
+		t.stride = 2 * old
+	}
+	for a := range t.cols {
+		c := &t.cols[a]
+		dst := c.counts
+		if t.stride != old {
+			dst = make([]int64, len(c.vals)*t.stride, cap(c.vals)*t.stride)
+		}
+		for r := range c.vals {
+			src, row := c.counts[r*old:r*old+n], dst[r*t.stride:(r+1)*t.stride]
+			copy(row[ci+1:], src[ci:])
+			copy(row, src[:ci])
+			row[ci] = 0
+		}
+		c.counts = dst
+	}
+	t.classes = append(t.classes, 0)
+	copy(t.classes[ci+1:], t.classes[ci:])
+	t.classes[ci] = class
+}
+
+// col returns attribute attr's column.
+func (t *Table) col(attr int) *column {
+	if attr >= len(t.cols) {
+		t.cols = append(t.cols, make([]column, attr+1-len(t.cols))...)
+	}
+	return &t.cols[attr]
+}
+
+// rank returns val's row index in c, inserting a zero vector if it is new.
+func (t *Table) rank(c *column, val data.Value) int {
+	i, ok := find(c.vals, val)
+	if !ok {
+		t.insertValue(c, i, val)
+	}
+	return i
+}
+
+// insertValue opens row i of c for a value seen for the first time, shifting
+// the vectors behind it.
+func (t *Table) insertValue(c *column, i int, val data.Value) {
+	n, stride := len(c.vals), t.stride
+	c.vals = append(c.vals, 0)
+	copy(c.vals[i+1:], c.vals[i:n])
+	c.vals[i] = val
+	c.counts = append(c.counts, make([]int64, stride)...)
+	copy(c.counts[(i+1)*stride:], c.counts[i*stride:n*stride])
+	clear(c.counts[i*stride : (i+1)*stride])
+}
+
 // Entries returns the number of distinct (attr, value, class) combinations.
 func (t *Table) Entries() int { return t.entries }
 
-// Bytes returns the accounted memory footprint of the table.
+// Bytes returns the accounted memory footprint of the table: the model the
+// scheduler budgets on, not the bytes this process holds (see realBytes).
 func (t *Table) Bytes() int64 { return int64(t.entries) * EntryBytes }
+
+// realBytes returns the bytes the table's arrays actually reserve.
+func (t *Table) realBytes() int64 {
+	n := int64(cap(t.classes)) * 4
+	for a := range t.cols {
+		n += int64(cap(t.cols[a].vals))*4 + int64(cap(t.cols[a].counts))*8
+	}
+	return n
+}
 
 // Rows returns the number of data rows accumulated into the table via
 // AddRow (the node's data size |n|).
 func (t *Table) Rows() int64 { return t.rows }
 
 // Add increments the count for (attr, val, class) by delta, inserting the
-// entry if absent. It reports whether a new entry was created.
+// entry if absent. It reports whether a new entry was created. Counts only
+// grow: delta must be positive.
 func (t *Table) Add(attr int, val, class data.Value, delta int64) bool {
-	k := Key{Attr: attr, Val: val, Class: class}
-	created := false
-	t.root = insert(t.root, k, delta, &created)
+	if delta <= 0 {
+		panic(fmt.Sprintf("cc: Add with delta %d", delta))
+	}
+	ci := t.classRank(class)
+	c := t.col(attr)
+	r := t.rank(c, val) // before c.counts is read: a new value reallocates it
+	p := &c.counts[r*t.stride+ci]
+	created := *p == 0
+	*p += delta
 	if created {
 		t.entries++
 	}
 	return created
 }
 
-// insert descends to the key's BST position and rotates the new node up
-// while its priority exceeds its parent's, restoring the treap heap order.
-// Recursion depth is the tree height, O(log n) in expectation.
-func insert(n *node, k Key, delta int64, created *bool) *node {
-	if n == nil {
-		*created = true
-		return &node{key: k, prio: k.priority(), count: delta}
-	}
-	switch {
-	case k.less(n.key):
-		n.left = insert(n.left, k, delta, created)
-		if n.left.prio > n.prio {
-			n = rotateRight(n)
-		}
-	case n.key.less(k):
-		n.right = insert(n.right, k, delta, created)
-		if n.right.prio > n.prio {
-			n = rotateLeft(n)
-		}
-	default:
-		n.count += delta
-	}
-	return n
-}
-
-func rotateRight(n *node) *node {
-	l := n.left
-	n.left = l.right
-	l.right = n
-	return l
-}
-
-func rotateLeft(n *node) *node {
-	r := n.right
-	n.right = r.left
-	r.left = n
-	return r
-}
-
 // AddRow accumulates one data row over the attribute set attrs (indices into
 // the row): for each listed attribute it increments the count of
 // (attr, row[attr], row.Class()). It also advances the node row counter.
 func (t *Table) AddRow(r data.Row, attrs []int) {
-	cl := r.Class()
+	ci := t.classRank(r.Class())
 	for _, a := range attrs {
-		t.Add(a, r[a], cl, 1)
+		c := t.col(a)
+		i := t.rank(c, r[a]) // before c.counts is read: a new value reallocates it
+		p := &c.counts[i*t.stride+ci]
+		if *p == 0 {
+			t.entries++
+		}
+		*p++
 	}
 	t.rows++
 }
@@ -164,103 +255,83 @@ func (t *Table) AddRow(r data.Row, attrs []int) {
 // a server-side aggregation rather than row-at-a-time counting.
 func (t *Table) SetRows(n int64) { t.rows = n }
 
+// vector returns the class-count vector of (attr, val), nil if absent.
+func (t *Table) vector(attr int, val data.Value) []int64 {
+	if attr < 0 || attr >= len(t.cols) {
+		return nil
+	}
+	c := &t.cols[attr]
+	i, ok := find(c.vals, val)
+	if !ok {
+		return nil
+	}
+	return c.counts[i*t.stride : i*t.stride+len(t.classes)]
+}
+
 // Count returns the count for (attr, val, class), or 0 if absent.
 func (t *Table) Count(attr int, val, class data.Value) int64 {
-	k := Key{Attr: attr, Val: val, Class: class}
-	n := t.root
-	for n != nil {
-		switch {
-		case k.less(n.key):
-			n = n.left
-		case n.key.less(k):
-			n = n.right
-		default:
-			return n.count
-		}
+	vec := t.vector(attr, val)
+	ci, ok := find(t.classes, class)
+	if vec == nil || !ok {
+		return 0
 	}
-	return 0
+	return vec[ci]
 }
 
 // Walk visits every entry in key order.
-func (t *Table) Walk(fn func(Key, int64)) { walk(t.root, fn) }
-
-func walk(n *node, fn func(Key, int64)) {
-	if n == nil {
-		return
-	}
-	walk(n.left, fn)
-	fn(n.key, n.count)
-	walk(n.right, fn)
-}
-
-// ClassVector returns the per-class counts for (attr, val) as a dense slice
-// of length classCard: the quantity a splitting measure scores.
-func (t *Table) ClassVector(attr int, val data.Value, classCard int) []int64 {
-	v := make([]int64, classCard)
-	t.walkRange(attr, val, func(k Key, c int64) {
-		if int(k.Class) < classCard {
-			v[k.Class] += c
-		}
-	})
-	return v
-}
-
-// walkRange visits entries with exactly the given (attr, val), pruning the
-// BST by key order.
-func (t *Table) walkRange(attr int, val data.Value, fn func(Key, int64)) {
-	lo := Key{Attr: attr, Val: val, Class: -1 << 30}
-	hi := Key{Attr: attr, Val: val, Class: 1 << 30}
-	var rec func(n *node)
-	rec = func(n *node) {
-		if n == nil {
-			return
-		}
-		if lo.less(n.key) {
-			rec(n.left)
-		}
-		if lo.less(n.key) && n.key.less(hi) {
-			fn(n.key, n.count)
-		}
-		if n.key.less(hi) {
-			rec(n.right)
+func (t *Table) Walk(fn func(Key, int64)) {
+	for a := range t.cols {
+		c := &t.cols[a]
+		for r, v := range c.vals {
+			for ci, n := range c.counts[r*t.stride : r*t.stride+len(t.classes)] {
+				if n != 0 {
+					fn(Key{Attr: a, Val: v, Class: t.classes[ci]}, n)
+				}
+			}
 		}
 	}
-	rec(t.root)
+}
+
+// ClassVector fills dst with the per-class counts for (attr, val), indexed by
+// class value — the quantity a splitting measure scores — and returns it.
+// len(dst) is the class cardinality; classes outside [0, len(dst)) are
+// ignored.
+func (t *Table) ClassVector(attr int, val data.Value, dst []int64) []int64 {
+	clear(dst)
+	for ci, n := range t.vector(attr, val) {
+		if cl := t.classes[ci]; cl >= 0 && int(cl) < len(dst) {
+			dst[cl] = n
+		}
+	}
+	return dst
 }
 
 // Values returns the distinct values of attr present in the node's data, in
-// increasing order. len(Values(attr)) is card(n, A) from §4.2.1.
+// increasing order (a copy). len(Values(attr)) is card(n, A) from §4.2.1.
 func (t *Table) Values(attr int) []data.Value {
-	var vals []data.Value
-	var last data.Value
-	first := true
-	t.Walk(func(k Key, _ int64) {
-		if k.Attr != attr {
-			return
-		}
-		if first || k.Val != last {
-			vals = append(vals, k.Val)
-			last = k.Val
-			first = false
-		}
-	})
-	return vals
+	if attr < 0 || attr >= len(t.cols) || len(t.cols[attr].vals) == 0 {
+		return nil
+	}
+	return append([]data.Value(nil), t.cols[attr].vals...)
 }
 
 // Card returns card(n, A): the number of distinct values of attr in the
 // node's data.
-func (t *Table) Card(attr int) int { return len(t.Values(attr)) }
+func (t *Table) Card(attr int) int {
+	if attr < 0 || attr >= len(t.cols) {
+		return 0
+	}
+	return len(t.cols[attr].vals)
+}
 
 // Attrs returns the attribute indices present in the table, increasing.
 func (t *Table) Attrs() []int {
 	var attrs []int
-	last := -1
-	t.Walk(func(k Key, _ int64) {
-		if k.Attr != last {
-			attrs = append(attrs, k.Attr)
-			last = k.Attr
+	for a := range t.cols {
+		if len(t.cols[a].vals) > 0 {
+			attrs = append(attrs, a)
 		}
-	})
+	}
 	return attrs
 }
 
@@ -285,23 +356,59 @@ func (t *Table) Equal(o *Table) bool {
 // totals. This is the shard-combining step of the parallel scan pipeline:
 // each worker counts its disjoint data partition into a private shard table,
 // and because counting is a commutative aggregation, merging the shards
-// yields exactly the table a single sequential scan would have built. Entry
-// and byte accounting are maintained by the underlying Add calls, and the
-// treap shape of the result depends only on the merged key set, so the merge
-// order does not affect any observable state. o is not modified.
+// yields exactly the table a single sequential scan would have built, in
+// whatever order they merge. Per value of o it is one rank lookup in t and
+// one vector add. o is not modified.
 func (t *Table) Merge(o *Table) {
 	if o == nil {
 		return
 	}
-	o.Walk(func(k Key, c int64) { t.Add(k.Attr, k.Val, k.Class, c) })
 	t.rows += o.rows
+	if o.entries == 0 {
+		return
+	}
+	// o's class cells in t: insert first (an insert moves later ranks), then
+	// look up.
+	for _, cl := range o.classes {
+		t.classRank(cl)
+	}
+	var buf [maxReserve]int
+	cells := buf[:0]
+	for _, cl := range o.classes {
+		ci, _ := find(t.classes, cl)
+		cells = append(cells, ci)
+	}
+	for a := range o.cols {
+		oc := &o.cols[a]
+		if len(oc.vals) == 0 {
+			continue
+		}
+		c := t.col(a)
+		for r, v := range oc.vals {
+			i := t.rank(c, v) // before c.counts is read: a new value reallocates it
+			vec := c.counts[i*t.stride:]
+			for ci, n := range oc.counts[r*o.stride : r*o.stride+len(o.classes)] {
+				if n == 0 {
+					continue
+				}
+				if vec[cells[ci]] == 0 {
+					t.entries++
+				}
+				vec[cells[ci]] += n
+			}
+		}
+	}
 }
 
-// Clone returns a deep copy of the table.
+// Clone returns a deep copy of the table, its arrays sized to their content.
 func (t *Table) Clone() *Table {
-	c := New()
-	c.rows = t.rows
-	t.Walk(func(k Key, n int64) { c.Add(k.Attr, k.Val, k.Class, n) })
+	c := &Table{stride: t.stride, entries: t.entries, rows: t.rows}
+	c.classes = append([]data.Value(nil), t.classes...)
+	c.cols = make([]column, len(t.cols))
+	for a := range t.cols {
+		c.cols[a].vals = append([]data.Value(nil), t.cols[a].vals...)
+		c.cols[a].counts = append([]int64(nil), t.cols[a].counts...)
+	}
 	return c
 }
 
@@ -353,10 +460,8 @@ func EstimateEntries(parent *Table, childAttrs []int, childRows, parentRows int6
 	classes := int64(1)
 	// Number of distinct classes observed at the parent bounds the child's.
 	if len(childAttrs) > 0 {
-		seen := map[data.Value]bool{}
-		parent.walkRange2(childAttrs[0], func(k Key, _ int64) { seen[k.Class] = true })
-		if len(seen) > 0 {
-			classes = int64(len(seen))
+		if seen := parent.classesSeen(childAttrs[0]); seen > 0 {
+			classes = int64(seen)
 		}
 	} else if classCard > 0 {
 		classes = int64(classCard)
@@ -368,24 +473,19 @@ func EstimateEntries(parent *Table, childAttrs []int, childRows, parentRows int6
 	return est
 }
 
-// walkRange2 visits entries for one attribute (all values).
-func (t *Table) walkRange2(attr int, fn func(Key, int64)) {
-	lo := Key{Attr: attr, Val: -1 << 30, Class: -1 << 30}
-	hi := Key{Attr: attr, Val: 1 << 30, Class: 1 << 30}
-	var rec func(n *node)
-	rec = func(n *node) {
-		if n == nil {
-			return
-		}
-		if lo.less(n.key) {
-			rec(n.left)
-		}
-		if lo.less(n.key) && n.key.less(hi) {
-			fn(n.key, n.count)
-		}
-		if n.key.less(hi) {
-			rec(n.right)
+// classesSeen counts the classes with at least one entry under attr.
+func (t *Table) classesSeen(attr int) int {
+	if attr < 0 || attr >= len(t.cols) {
+		return 0
+	}
+	c, seen := &t.cols[attr], 0
+	for ci := range t.classes {
+		for r := range c.vals {
+			if c.counts[r*t.stride+ci] != 0 {
+				seen++
+				break
+			}
 		}
 	}
-	rec(t.root)
+	return seen
 }

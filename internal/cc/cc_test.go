@@ -5,7 +5,6 @@ import (
 	"reflect"
 	"sort"
 	"testing"
-	"testing/quick"
 
 	"repro/internal/data"
 )
@@ -83,7 +82,7 @@ func TestClassVectorAndTotals(t *testing.T) {
 	// ClassVector(a, v) must equal the direct count.
 	for a := 0; a < 4; a++ {
 		for v := data.Value(0); v < 3; v++ {
-			vec := tb.ClassVector(a, v, classCard)
+			vec := tb.ClassVector(a, v, make([]int64, classCard))
 			for cls := data.Value(0); cls < 2; cls++ {
 				var want int64
 				for _, r := range ds.Rows {
@@ -103,7 +102,7 @@ func TestClassVectorAndTotals(t *testing.T) {
 	for a := 0; a < 4; a++ {
 		totals := make([]int64, classCard)
 		for _, v := range tb.Values(a) {
-			for cls, n := range tb.ClassVector(a, v, classCard) {
+			for cls, n := range tb.ClassVector(a, v, make([]int64, classCard)) {
 				totals[cls] += n
 			}
 		}
@@ -140,7 +139,7 @@ func TestValueTotal(t *testing.T) {
 			}
 		}
 		// The exact child size |n_i| read off the parent CC table (§4.2.1).
-		vec := tb.ClassVector(2, v, 2)
+		vec := tb.ClassVector(2, v, make([]int64, 2))
 		if got := vec[0] + vec[1]; got != want {
 			t.Errorf("rows with attr 2 = %d: %d, want %d", v, got, want)
 		}
@@ -263,38 +262,5 @@ func TestEstimateIsDeterministicAndMonotone(t *testing.T) {
 			t.Error("estimate not deterministic")
 		}
 		prev = est
-	}
-}
-
-// TestBSTAgainstMapProperty: the binary search tree agrees with a plain map
-// under arbitrary add sequences.
-func TestBSTAgainstMapProperty(t *testing.T) {
-	type op struct {
-		Attr  uint8
-		Val   uint8
-		Class uint8
-		Delta uint8
-	}
-	f := func(ops []op) bool {
-		tb := New()
-		ref := map[Key]int64{}
-		for _, o := range ops {
-			k := Key{Attr: int(o.Attr % 5), Val: data.Value(o.Val % 7), Class: data.Value(o.Class % 3)}
-			d := int64(o.Delta%9) + 1
-			tb.Add(k.Attr, k.Val, k.Class, d)
-			ref[k] += d
-		}
-		if tb.Entries() != len(ref) {
-			return false
-		}
-		for k, v := range ref {
-			if tb.Count(k.Attr, k.Val, k.Class) != v {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Error(err)
 	}
 }

@@ -94,6 +94,16 @@ func (s *Schema) ColCard(i int) int {
 	return s.Attrs[i].Card
 }
 
+// ColCards returns the cardinality of every column: ColCard(i) for each row
+// index i, the class last.
+func (s *Schema) ColCards() []int {
+	cards := make([]int, s.NumCols())
+	for i := range cards {
+		cards[i] = s.ColCard(i)
+	}
+	return cards
+}
+
 // Validate checks structural invariants of the schema.
 func (s *Schema) Validate() error {
 	if len(s.Attrs) == 0 {

@@ -63,6 +63,7 @@ func BuildLevelwise(ds *data.Dataset, opt Options, onRow func()) (*Tree, error) 
 	schema := ds.Schema
 	classCard := schema.Class.Card
 	classIdx := schema.ClassIndex()
+	cards := schema.ColCards()
 
 	root := &Node{ID: 0, Attrs: allAttrs(schema), Rows: int64(ds.N()), Depth: 0}
 	nextID := 1
@@ -72,9 +73,11 @@ func BuildLevelwise(ds *data.Dataset, opt Options, onRow func()) (*Tree, error) 
 		attrs []int // counted attribute set
 		cc    *cc.Table
 	}
-	frontier := map[*Node]*active{
-		root: {n: root, attrs: append(append([]int(nil), root.Attrs...), classIdx), cc: cc.New()},
+	activate := func(n *Node) *active {
+		attrs := append(append([]int(nil), n.Attrs...), classIdx)
+		return &active{n: n, attrs: attrs, cc: cc.NewSized(attrs, cards, classCard)}
 	}
+	frontier := map[*Node]*active{root: activate(root)}
 
 	for len(frontier) > 0 {
 		// One counting pass: route every row to its frontier node.
@@ -136,11 +139,7 @@ func BuildLevelwise(ds *data.Dataset, opt Options, onRow func()) (*Tree, error) 
 					child.Leaf = true
 					continue
 				}
-				next[child] = &active{
-					n:     child,
-					attrs: append(append([]int(nil), child.Attrs...), classIdx),
-					cc:    cc.New(),
-				}
+				next[child] = activate(child)
 			}
 		}
 		frontier = next

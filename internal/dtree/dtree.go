@@ -287,8 +287,9 @@ func decide(t *cc.Table, attrs []int, classCounts []int64, rows int64, depth int
 		// caller will request one.
 		return decision{leaf: false}
 	}
-	classCard := len(classCounts)
 	h0 := impurity(opt.Measure, classCounts, rows)
+	// One candidate's class vector and its complement, refilled per candidate.
+	vec, rest := make([]int64, len(classCounts)), make([]int64, len(classCounts))
 
 	// With no MinGain, any non-degenerate split qualifies (gain can be
 	// exactly zero); ties and the first maximum break toward the lowest
@@ -298,15 +299,14 @@ func decide(t *cc.Table, attrs []int, classCounts []int64, rows int64, depth int
 		best.gain = opt.MinGain
 	}
 	for _, a := range attrs {
-		vals := t.Values(a)
-		if len(vals) < 2 {
+		if t.Card(a) < 2 {
 			continue // constant attribute at this node
 		}
+		vals := t.Values(a)
 		if opt.Split == MultiwaySplit {
 			var rem, splitInfo float64
 			for _, v := range vals {
-				vec := t.ClassVector(a, v, classCard)
-				nv := sum(vec)
+				nv := sum(t.ClassVector(a, v, vec))
 				rem += float64(nv) / float64(rows) * impurity(opt.Measure, vec, nv)
 				p := float64(nv) / float64(rows)
 				splitInfo -= p * math.Log2(p)
@@ -322,13 +322,11 @@ func decide(t *cc.Table, attrs []int, classCounts []int64, rows int64, depth int
 		}
 		// Binary splits: A = v versus A <> v for every observed v.
 		for _, v := range vals {
-			vec := t.ClassVector(a, v, classCard)
-			n1 := sum(vec)
+			n1 := sum(t.ClassVector(a, v, vec))
 			n2 := rows - n1
 			if n1 == 0 || n2 == 0 {
 				continue
 			}
-			rest := make([]int64, classCard)
 			for i := range rest {
 				rest[i] = classCounts[i] - vec[i]
 			}
@@ -390,7 +388,7 @@ func expand(t *cc.Table, n *Node, dec decision, classCard int) []childSpec {
 		specs := make([]childSpec, 0, len(dec.vals))
 		sub := removeAttr(n.Attrs, a)
 		for _, v := range dec.vals {
-			vec := t.ClassVector(a, v, classCard)
+			vec := t.ClassVector(a, v, make([]int64, classCard))
 			specs = append(specs, childSpec{
 				cond:        predicate.Cond{Attr: a, Op: predicate.Eq, Val: v},
 				attrs:       sub,
@@ -402,7 +400,7 @@ func expand(t *cc.Table, n *Node, dec decision, classCard int) []childSpec {
 	}
 	// Binary: A = v child drops A; A <> v keeps A unless only one other
 	// value remains.
-	vec := t.ClassVector(a, dec.val, classCard)
+	vec := t.ClassVector(a, dec.val, make([]int64, classCard))
 	n1 := sum(vec)
 	rest := make([]int64, classCard)
 	for i := range rest {

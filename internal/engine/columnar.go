@@ -17,9 +17,10 @@ import (
 //     group, whether the pushed-down filter can match at all. A skipped
 //     group charges nothing — not even page I/O — which is where the
 //     clustered-workload win comes from.
-//   - Code-space predicates: the filter is compiled once per group into
-//     dictionary codes, so the inner row loop compares uint16s instead of
-//     re-evaluating predicate.Cond on materialized values.
+//   - Code-space predicates: the filter's trie of node paths is compiled once
+//     per group into dictionary codes, so the inner row loop compares uint16s
+//     along shared path prefixes instead of re-evaluating every node's
+//     predicate.Cond on materialized values.
 //   - Block-granular metering: the per-row costs (ColRowEval,
 //     ColRowTransmit) are cheaper than their row-path counterparts because
 //     cursor bookkeeping and the wire protocol amortize over whole blocks,
@@ -34,154 +35,217 @@ import (
 // per callback: the vectorization unit of the filter-then-count kernel.
 const BlockRows = 1024
 
-// codeCond is one simple condition compiled into a row group's code space.
-type codeCond struct {
-	col  int
-	ne   bool
-	code uint16
+// trieNode is one predicate.TrieNode compiled into a row group's code space.
+type trieNode struct {
+	codes  []uint16 // the tested column's codes; nil: the condition holds for every row of the group
+	col    int32
+	code   uint16
+	ne     bool
+	parent int32
+	end    int32 // where a walk resumes when the test fails: one past the subtree
+	lo, hi int32 // GroupTrie.terms[lo:hi]: the conjunctions that end here
 }
 
-// GroupConj is one conjunction (a node's path predicate) compiled against
-// one row group's dictionaries. Conditions that are always true in the
-// group are dropped at compile time; a conjunction that cannot match any
-// row of the group compiles to None.
-type GroupConj struct {
-	conds []codeCond
-	none  bool
+// GroupTrie is a predicate.Trie — a batch's live node paths, or a filter's
+// disjuncts — compiled against one row group's dictionaries. Per condition the
+// dictionary decides: it holds for every row of the group (an Eq on the
+// group's only value, an Ne on an absent one) and stays as a test-free node;
+// it holds for none (an Eq on an absent value, an Ne on the only one) and its
+// whole subtree is dropped — the zone-map verdict; or it compares one uint16
+// code. A GroupTrie is reused: Compile overwrites it in place, so a scan
+// allocates trie storage once, not once per row group.
+type GroupTrie struct {
+	g     *storage.ColGroup
+	nodes []trieNode
+	terms []int32 // the source trie's terminal lists, shared
+	open  []int32 // Compile: (node, source End) of each node whose subtree is being emitted
+	ests  []int64 // Estimate: per node, the estimate of the prefix ending there
 }
 
-// CompileGroupConj compiles cj against g's dictionaries.
-func CompileGroupConj(g *storage.ColGroup, cj predicate.Conj) GroupConj {
-	var gc GroupConj
-	for _, c := range cj {
-		code, ok := g.FindCode(c.Attr, c.Val)
-		card := len(g.Dict(c.Attr))
-		if c.Op == predicate.Eq {
-			if !ok {
-				return GroupConj{none: true} // value absent: zone-map verdict
+// Compile compiles t against g's dictionaries, replacing gt's contents.
+func (gt *GroupTrie) Compile(g *storage.ColGroup, t *predicate.Trie) {
+	src := t.Nodes()
+	gt.g, gt.terms = g, t.Terms()
+	gt.nodes, gt.open = gt.nodes[:0], gt.open[:0]
+	for i := int32(0); int(i) < len(src); {
+		gt.closeUpTo(i)
+		n := &src[i]
+		cn := trieNode{lo: n.Lo, hi: n.Hi}
+		if i > 0 {
+			c := n.Cond
+			code, ok := g.FindCode(c.Attr, c.Val)
+			ne, only := c.Op == predicate.Ne, len(g.Dict(c.Attr)) == 1
+			switch {
+			case !ok && !ne, ok && only && ne:
+				// Eq on an absent value, Ne on the only one: no row of the
+				// group gets past this node.
+				i = n.End
+				continue
+			case ok && !only:
+				cn.codes, cn.col, cn.code, cn.ne = g.Codes(c.Attr), int32(c.Attr), code, ne
 			}
-			if card == 1 {
-				continue // every row of the group has this value
-			}
-			gc.conds = append(gc.conds, codeCond{col: c.Attr, code: code})
-		} else {
-			if !ok {
-				continue // value absent: Ne is true for every row
-			}
-			if card == 1 {
-				return GroupConj{none: true} // every row has exactly this value
-			}
-			gc.conds = append(gc.conds, codeCond{col: c.Attr, ne: true, code: code})
+			cn.parent = gt.open[len(gt.open)-2]
 		}
+		gt.open = append(gt.open, int32(len(gt.nodes)), n.End)
+		gt.nodes = append(gt.nodes, cn)
+		i++
 	}
-	return gc
+	gt.closeUpTo(int32(len(src)))
 }
 
-// None reports that no row of the group can satisfy the conjunction.
-func (gc *GroupConj) None() bool { return gc.none }
-
-// Refine filters sel (group-relative row indices) down to the rows
-// satisfying the compiled conjunction, appending to out and returning it.
-// Unmetered: callers charge their own per-row kernel costs.
-func (gc *GroupConj) Refine(g *storage.ColGroup, sel []int32, out []int32) []int32 {
-	if gc.none {
-		return out
+// closeUpTo ends the subtree of every open node whose source subtree ends at
+// or before source index i.
+func (gt *GroupTrie) closeUpTo(i int32) {
+	for n := len(gt.open); n > 0 && gt.open[n-1] <= i; n -= 2 {
+		gt.nodes[gt.open[n-2]].end = int32(len(gt.nodes))
+		gt.open = gt.open[:n-2]
 	}
-	if len(gc.conds) == 0 {
-		return append(out, sel...)
+}
+
+// holds reports whether group-relative row i passes node n's condition.
+func (n *trieNode) holds(i int32) bool {
+	return n.codes == nil || (n.codes[i] == n.code) != n.ne
+}
+
+// Route appends each row of sel (group-relative row indices) to the bucket
+// of every conjunction it satisfies: buckets[k] receives, in sel order,
+// exactly the rows a test of conjunction k alone would keep. Unmetered:
+// callers charge their own per-row kernel costs.
+func (gt *GroupTrie) Route(sel []int32, buckets [][]int32) {
+	nodes := gt.nodes
+	for _, k := range gt.terms[nodes[0].lo:nodes[0].hi] {
+		buckets[k] = append(buckets[k], sel...)
+	}
+	if len(nodes) == 1 {
+		return
 	}
 	for _, i := range sel {
-		ok := true
-		for _, c := range gc.conds {
-			if (g.Codes(c.col)[i] == c.code) == c.ne {
-				ok = false
-				break
+		for j := 1; j < len(nodes); {
+			n := &nodes[j]
+			if !n.holds(i) {
+				j = int(n.end)
+				continue
 			}
-		}
-		if ok {
-			out = append(out, i)
+			for _, k := range gt.terms[n.lo:n.hi] {
+				buckets[k] = append(buckets[k], i)
+			}
+			j++
 		}
 	}
-	return out
 }
 
-// Estimate returns the estimated number of group rows matching the
-// conjunction, from the group's exact per-code counts under the same
-// column-independence assumption as bucketStat.estimateConj — except that
-// here single-condition estimates are exact, and so is the None case.
-func (gc *GroupConj) Estimate(g *storage.ColGroup) int64 {
-	if gc.none {
-		return 0
-	}
-	rows := int64(g.NumRows())
-	est := rows
-	for _, c := range gc.conds {
-		if est == 0 {
-			return 0
-		}
-		cnt := g.CodeCounts(c.col)[c.code]
-		if c.ne {
-			cnt = rows - cnt
-		}
-		est = est * cnt / rows
-	}
-	return est
-}
-
-// GroupFilter is a disjunction of compiled conjunctions: the batch filter
-// compiled against one row group. A filter with no surviving conjunctions
-// matches no row of the group, which is the zone-map skip signal.
-type GroupFilter struct {
-	all   bool
-	conjs []GroupConj
-}
-
-// CompileGroupFilter compiles f against g's dictionaries, dropping
-// conjunctions that cannot match in this group.
-func CompileGroupFilter(g *storage.ColGroup, f predicate.Filter) GroupFilter {
-	if f.All() {
-		return GroupFilter{all: true}
-	}
-	var gf GroupFilter
-	for _, cj := range f.Conjs() {
-		gc := CompileGroupConj(g, cj)
-		if gc.none {
+// matches reports whether row i satisfies at least one conjunction: Route's
+// walk, stopped at the first terminal.
+func (gt *GroupTrie) matches(i int32) bool {
+	nodes := gt.nodes
+	for j := 1; j < len(nodes); {
+		n := &nodes[j]
+		if !n.holds(i) {
+			j = int(n.end)
 			continue
 		}
-		if len(gc.conds) == 0 {
-			return GroupFilter{all: true} // one disjunct covers the whole group
+		if n.hi > n.lo {
+			return true
 		}
-		gf.conjs = append(gf.conjs, gc)
+		j++
 	}
-	return gf
+	return false
+}
+
+// cover classifies the compiled trie as a filter over the whole group: none
+// when no conjunction survived compilation, all when one survived with every
+// condition on its path true throughout the group.
+func (gt *GroupTrie) cover() (all, none bool) {
+	none = true
+	for j := range gt.nodes {
+		if gt.nodes[j].hi > gt.nodes[j].lo {
+			none = false
+			break
+		}
+	}
+	for j := 0; !none && j < len(gt.nodes); {
+		n := &gt.nodes[j]
+		switch {
+		case n.codes != nil:
+			j = int(n.end) // below a real test nothing covers the group
+		case n.hi > n.lo:
+			return true, false
+		default:
+			j++
+		}
+	}
+	return false, none
+}
+
+// Estimate returns the estimated number of group rows matching at least one
+// conjunction, from the group's exact per-code counts under the same
+// column-independence assumption as bucketStat.estimateConj — except that
+// here single-condition estimates are exact, and so is the verdict on a
+// dropped subtree. Per conjunction it is the product of its conditions'
+// selectivities, taken in path order; the conjunctions' estimates are summed
+// and clamped to the group's row count.
+func (gt *GroupTrie) Estimate() int64 {
+	rows := int64(gt.g.NumRows())
+	if cap(gt.ests) < len(gt.nodes) {
+		gt.ests = make([]int64, len(gt.nodes))
+	}
+	gt.ests = gt.ests[:len(gt.nodes)]
+	var total int64
+	for j := range gt.nodes {
+		n := &gt.nodes[j]
+		est := rows
+		if j > 0 {
+			est = gt.ests[n.parent]
+		}
+		if n.codes != nil && est > 0 {
+			cnt := gt.g.CodeCounts(int(n.col))[n.code]
+			if n.ne {
+				cnt = rows - cnt
+			}
+			est = est * cnt / rows
+		}
+		gt.ests[j] = est
+		if total += est * int64(n.hi-n.lo); total >= rows {
+			return rows
+		}
+	}
+	return total
+}
+
+// GroupFilter is the batch filter — a disjunction of node paths — compiled
+// against one row group: its disjuncts' trie, walked until the first disjunct
+// that holds. A filter none of whose disjuncts can match in the group is the
+// zone-map skip signal. Like GroupTrie it is compiled in place and reused
+// across groups.
+type GroupFilter struct {
+	all, none bool
+	rows      int64 // of the compiled group
+	trie      GroupTrie
+}
+
+// Compile compiles f against g's dictionaries, replacing gf's contents.
+func (gf *GroupFilter) Compile(g *storage.ColGroup, f predicate.Filter) {
+	gf.all, gf.none, gf.rows = f.All(), f.Empty(), int64(g.NumRows())
+	if gf.all || gf.none {
+		return
+	}
+	gf.trie.Compile(g, f.Trie())
+	gf.all, gf.none = gf.trie.cover()
 }
 
 // None reports that no row of the group can satisfy the filter: the group
 // is skipped before any page I/O is charged.
-func (gf *GroupFilter) None() bool { return !gf.all && len(gf.conjs) == 0 }
+func (gf *GroupFilter) None() bool { return gf.none }
 
 // selectBlock appends the group-relative indices of the matching rows in
 // [base, base+n) to out.
-func (gf *GroupFilter) selectBlock(g *storage.ColGroup, base, n int, out []int32) []int32 {
-	if gf.all {
-		for i := 0; i < n; i++ {
-			out = append(out, int32(base+i))
-		}
+func (gf *GroupFilter) selectBlock(base, n int, out []int32) []int32 {
+	if gf.none {
 		return out
 	}
-	for i := base; i < base+n; i++ {
-		for ci := range gf.conjs {
-			ok := true
-			for _, c := range gf.conjs[ci].conds {
-				if (g.Codes(c.col)[i] == c.code) == c.ne {
-					ok = false
-					break
-				}
-			}
-			if ok {
-				out = append(out, int32(i))
-				break
-			}
+	for i := int32(base); i < int32(base+n); i++ {
+		if gf.all || gf.trie.matches(i) {
+			out = append(out, i)
 		}
 	}
 	return out
@@ -189,44 +253,33 @@ func (gf *GroupFilter) selectBlock(g *storage.ColGroup, base, n int, out []int32
 
 // Refine filters sel (group-relative row indices) down to the rows
 // satisfying the compiled filter, appending to out and returning it.
-// Unmetered, like GroupConj.Refine.
-func (gf *GroupFilter) Refine(g *storage.ColGroup, sel []int32, out []int32) []int32 {
+// Unmetered, like GroupTrie.Route.
+func (gf *GroupFilter) Refine(sel []int32, out []int32) []int32 {
 	if gf.all {
 		return append(out, sel...)
 	}
+	if gf.none {
+		return out
+	}
 	for _, i := range sel {
-		for ci := range gf.conjs {
-			ok := true
-			for _, c := range gf.conjs[ci].conds {
-				if (g.Codes(c.col)[i] == c.code) == c.ne {
-					ok = false
-					break
-				}
-			}
-			if ok {
-				out = append(out, i)
-				break
-			}
+		if gf.trie.matches(i) {
+			out = append(out, i)
 		}
 	}
 	return out
 }
 
-// Estimate returns the estimated number of group rows matching the filter:
-// disjunct estimates summed and clamped to the group's row count.
-func (gf *GroupFilter) Estimate(g *storage.ColGroup) int64 {
-	rows := int64(g.NumRows())
-	if gf.all {
-		return rows
+// Estimate returns the estimated number of rows of the compiled group
+// matching the filter: disjunct estimates summed and clamped to the group's
+// row count.
+func (gf *GroupFilter) Estimate() int64 {
+	switch {
+	case gf.all:
+		return gf.rows
+	case gf.none:
+		return 0
 	}
-	var est int64
-	for i := range gf.conjs {
-		est += gf.conjs[i].Estimate(g)
-		if est >= rows {
-			return rows
-		}
-	}
-	return est
+	return gf.trie.Estimate()
 }
 
 // ColBlock is one block of a columnar scan: rows [Base, Base+N) of Group,
@@ -289,15 +342,16 @@ func (s *Server) ColGroupBounds(f predicate.Filter, needCols []int, nparts int, 
 	}
 	costs := s.meter.Costs()
 	weights := make([]int64, cs.NumGroups())
+	var gf GroupFilter
 	for gi := range weights {
 		g := cs.Group(gi)
-		gf := CompileGroupFilter(g, f)
+		gf.Compile(g, f)
 		if gf.None() {
 			continue // skipped group: the lane pays nothing for it
 		}
 		weights[gi] = g.Pages(needCols)*costs.ServerPageIO +
 			int64(g.NumRows())*costs.ColRowEval +
-			gf.Estimate(g)*perMatch
+			gf.Estimate()*perMatch
 	}
 	return WeightedBounds(weights, nparts)
 }

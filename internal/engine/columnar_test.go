@@ -174,44 +174,181 @@ func TestColGroupBoundsShape(t *testing.T) {
 	}
 }
 
-// TestGroupConjRefineAndEstimate: compiled-conjunction refinement matches
-// row-at-a-time evaluation, and single-condition estimates are exact.
-func TestGroupConjRefineAndEstimate(t *testing.T) {
-	srv, ds := clusteredColumnarServer(t, 3000, 4)
+// refConj is the per-conjunction kernel the trie replaced, kept here as the
+// oracle: one conjunction compiled against one group by the always / never /
+// test rules, refined row by row and estimated on its own.
+type refConj struct {
+	conds []predicate.Cond // the conditions that need a per-row test
+	none  bool
+}
+
+func compileRefConj(g *storage.ColGroup, cj predicate.Conj) refConj {
+	var rc refConj
+	for _, c := range cj {
+		_, ok := g.FindCode(c.Attr, c.Val)
+		only := len(g.Dict(c.Attr)) == 1
+		switch {
+		case c.Op == predicate.Eq && !ok, c.Op == predicate.Ne && ok && only:
+			return refConj{none: true}
+		case ok && !only:
+			rc.conds = append(rc.conds, c)
+		}
+	}
+	return rc
+}
+
+func (rc refConj) refine(g *storage.ColGroup, sel []int32) []int32 {
+	var out []int32
+	for _, i := range sel {
+		ok := !rc.none
+		for _, c := range rc.conds {
+			code, _ := g.FindCode(c.Attr, c.Val)
+			ok = ok && (g.Codes(c.Attr)[i] == code) == (c.Op == predicate.Eq)
+		}
+		if ok {
+			out = append(out, i)
+		}
+	}
+	return out
+}
+
+func (rc refConj) estimate(g *storage.ColGroup) int64 {
+	if rc.none {
+		return 0
+	}
+	rows := int64(g.NumRows())
+	est := rows
+	for _, c := range rc.conds {
+		code, _ := g.FindCode(c.Attr, c.Val)
+		cnt := g.CodeCounts(c.Attr)[code]
+		if c.Op == predicate.Ne {
+			cnt = rows - cnt
+		}
+		est = est * cnt / rows
+	}
+	return est
+}
+
+// randomPaths draws a path set the way a batch produces one — and worse:
+// children extending a shared prefix, paths that are prefixes of one another,
+// exact duplicates, the empty path, Ne conditions, and values (7, 8) that no
+// row holds, so group dictionaries miss them.
+func randomPaths(rng *rand.Rand, ncols int) []predicate.Conj {
+	cond := func() predicate.Cond {
+		c := predicate.Cond{Attr: rng.Intn(ncols), Val: data.Value(rng.Intn(9))}
+		if rng.Intn(3) == 0 {
+			c.Op = predicate.Ne
+		}
+		return c
+	}
+	paths := []predicate.Conj{{cond()}}
+	for n := 1 + rng.Intn(12); len(paths) < n; {
+		base := paths[rng.Intn(len(paths))]
+		switch rng.Intn(6) {
+		case 0:
+			paths = append(paths, base) // duplicate
+		case 1:
+			paths = append(paths, base[:rng.Intn(len(base)+1)]) // prefix, maybe empty
+		case 2:
+			paths = append(paths, predicate.Conj{cond()}) // unrelated
+		default:
+			paths = append(paths, base.And(cond())) // child
+		}
+	}
+	return paths
+}
+
+// TestGroupTrieRouting: one trie walk per row must land every row in exactly
+// the buckets the per-conjunction kernel would have, element for element, and
+// the same trie as a filter must agree with predicate.Filter.Eval row by row,
+// with the zone-map verdict and the estimate of the kernel it replaced.
+// Attribute 0 is clustered in runs of one and a half row groups, so some
+// groups hold a single value of it and the others two.
+func TestGroupTrieRouting(t *testing.T) {
+	rng := rand.New(rand.NewSource(16))
+	ds := data.NewDataset(data.NewSchema(3, 6, 2))
+	for i := 0; i < 3*storage.RowGroupSize+500; i++ {
+		ds.Append(data.Row{
+			data.Value(i / (storage.RowGroupSize * 3 / 2)), data.Value(rng.Intn(6)),
+			data.Value(rng.Intn(6)), data.Value(rng.Intn(2)),
+		})
+	}
+	srv, err := NewServer(New(sim.NewDefaultMeter(), 0), "cases", ds)
+	if err != nil {
+		t.Fatal(err)
+	}
 	cs := srv.table.colstore
-	g := cs.Group(0)
-	conjs := []predicate.Conj{
-		nil,
-		{{Attr: 1, Op: predicate.Eq, Val: 2}},
-		{{Attr: 1, Op: predicate.Eq, Val: 2}, {Attr: 2, Op: predicate.Ne, Val: 0}},
-		{{Attr: 1, Op: predicate.Eq, Val: 99}}, // absent value: None
-	}
-	all := make([]int32, g.NumRows())
-	for i := range all {
-		all[i] = int32(i)
-	}
-	for ci, cj := range conjs {
-		gc := CompileGroupConj(g, cj)
-		got := gc.Refine(g, all, nil)
-		var want []int32
-		exact := int64(0)
-		for i := 0; i < g.NumRows(); i++ {
-			if cj.Eval(ds.Rows[i]) {
-				want = append(want, int32(i))
-				exact++
+	var gt GroupTrie // reused across groups and path sets, as the scan does
+	var gf GroupFilter
+	for round := 0; round < 150; round++ {
+		paths := randomPaths(rng, ds.Schema.NumCols())
+		trie := predicate.NewTrie(paths)
+		filter := predicate.Or(paths...)
+		for gi := 0; gi < cs.NumGroups(); gi++ {
+			g := cs.Group(gi)
+			rows := ds.Rows[gi*storage.RowGroupSize:]
+			var sel []int32
+			for i := 0; i < g.NumRows(); i++ {
+				if rng.Intn(4) > 0 {
+					sel = append(sel, int32(i))
+				}
 			}
-		}
-		if len(got) != len(want) {
-			t.Fatalf("conj %d: refine selected %d rows, want %d", ci, len(got), len(want))
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("conj %d: refine sel[%d] = %d, want %d", ci, i, got[i], want[i])
+
+			gt.Compile(g, trie)
+			buckets := make([][]int32, len(paths))
+			gt.Route(sel, buckets)
+			none, est := true, int64(0)
+			for k, cj := range paths {
+				rc := compileRefConj(g, cj)
+				want := rc.refine(g, sel)
+				if len(buckets[k]) != len(want) {
+					t.Fatalf("round %d group %d: path %v bucket has %d rows, want %d", round, gi, cj, len(buckets[k]), len(want))
+				}
+				for i, ri := range want {
+					if buckets[k][i] != ri {
+						t.Fatalf("round %d group %d: path %v bucket[%d] = %d, want %d", round, gi, cj, i, buckets[k][i], ri)
+					}
+					if !cj.Eval(rows[ri]) {
+						t.Fatalf("round %d group %d: row %d routed to %v, which it fails", round, gi, ri, cj)
+					}
+				}
+				none = none && rc.none
+				est += rc.estimate(g)
 			}
-		}
-		if len(cj) <= 1 {
-			if est := gc.Estimate(g); est != exact {
-				t.Fatalf("conj %d: estimate = %d, want exact %d", ci, est, exact)
+
+			gf.Compile(g, filter)
+			if !filter.All() {
+				if gf.None() != none {
+					t.Fatalf("round %d group %d: None = %v, per-conjunction verdict %v", round, gi, gf.None(), none)
+				}
+				if got, want := gf.Estimate(), min(est, int64(g.NumRows())); got != want {
+					t.Fatalf("round %d group %d: Estimate = %d, want %d", round, gi, got, want)
+				}
+			}
+			refined, block := gf.Refine(sel, nil), gf.selectBlock(0, g.NumRows(), nil)
+			for i := 0; i < g.NumRows(); i++ {
+				naive := false
+				for _, cj := range paths {
+					naive = naive || cj.Eval(rows[i])
+				}
+				if filter.Eval(rows[i]) != naive {
+					t.Fatalf("round %d: Filter.Eval(%v) = %v, disjunct by disjunct %v", round, rows[i], !naive, naive)
+				}
+				inBlock := len(block) > 0 && block[0] == int32(i)
+				if inBlock {
+					block = block[1:]
+				}
+				inRefined := len(refined) > 0 && refined[0] == int32(i)
+				if inRefined {
+					refined = refined[1:]
+				}
+				inSel := len(sel) > 0 && sel[0] == int32(i)
+				if inSel {
+					sel = sel[1:]
+				}
+				if inBlock != naive || inRefined != (naive && inSel) {
+					t.Fatalf("round %d group %d row %d: selectBlock %v, Refine %v, Filter.Eval %v (selected %v)", round, gi, i, inBlock, inRefined, naive, inSel)
+				}
 			}
 		}
 	}

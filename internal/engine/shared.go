@@ -82,7 +82,7 @@ func (s *Server) scanColumnar(cons []*ScanConsumer, needCols []int, loGroup, hiG
 			if c.detached {
 				continue
 			}
-			c.gf = CompileGroupFilter(g, c.Filter)
+			c.gf.Compile(g, c.Filter)
 			if c.gf.None() {
 				c.Lane.Charge(sim.CtrColGroupsSkipped, 0, 1)
 				continue
@@ -106,7 +106,7 @@ func (s *Server) scanColumnar(cons []*ScanConsumer, needCols []int, loGroup, hiG
 				}
 				c.Lane.Charge(sim.CtrColBlocks, 0, 1)
 				c.Lane.Charge(sim.CtrServerRows, costs.ColRowEval, int64(n))
-				c.sel = c.gf.selectBlock(g, base, n, c.sel[:0])
+				c.sel = c.gf.selectBlock(base, n, c.sel[:0])
 				c.Lane.Charge(sim.CtrRowsTransmitted, costs.ColRowTransmit, int64(len(c.sel)))
 				blk.Group, blk.GroupIndex, blk.Base, blk.N, blk.Sel = g, gi, base, n, c.sel
 				if !c.Fn(blk) {

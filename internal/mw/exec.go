@@ -14,7 +14,7 @@ import (
 
 // ccWork is the working state for one admitted request during a batched
 // scan: the request, its counted attribute set (remaining attributes plus
-// the class column) and the counts table under construction.
+// the class column) and, once the scan's shards are merged, its counts table.
 type ccWork struct {
 	req   *Request
 	attrs []int
@@ -38,6 +38,7 @@ type batchRun struct {
 	plan    *stagePlan
 
 	live     []*ccWork
+	paths    *predicate.Trie // over the live requests' paths, index-aligned with live at scan start
 	fallback []*Request
 	requeued []*Request
 
@@ -115,12 +116,15 @@ func (m *Middleware) beginBatch(b *batch) (*batchRun, error) {
 	// Working state per admitted request.
 	classIdx := m.schema.ClassIndex()
 	r.live = make([]*ccWork, 0, len(b.reqs))
+	paths := make([]predicate.Conj, 0, len(b.reqs))
 	for _, req := range b.reqs {
 		attrs := make([]int, 0, len(req.Attrs)+1)
 		attrs = append(attrs, req.Attrs...)
 		attrs = append(attrs, classIdx)
-		r.live = append(r.live, &ccWork{req: req, attrs: attrs, cc: cc.New()})
+		r.live = append(r.live, &ccWork{req: req, attrs: attrs})
+		paths = append(paths, req.Path)
 	}
+	r.paths = predicate.NewTrie(paths)
 	r.fallback = append([]*Request(nil), b.fallback...)
 
 	r.budget = m.memBudgetLeft()

@@ -3,17 +3,19 @@ package mw
 import (
 	"repro/internal/data"
 	"repro/internal/engine"
+	"repro/internal/predicate"
 	"repro/internal/sim"
 	"repro/internal/storage"
 )
 
 // This file is the middleware half of the columnar scan path: server batches
 // run against the engine's column-major copy in 1024-row blocks, and the
-// per-row treap probes of the row path become a vectorized
-// filter-then-count kernel — per node and block, refine the block's
-// selection vector in dictionary-code space, bump a dense histogram per
-// selected row (cc.Table.AddMany), and fold the distinct cells into the
-// treap once. It is one of the two counting kernels a lane of
+// per-row table probes of the row path become a vectorized
+// route-then-count kernel — per block, walk each selected row once down the
+// trie of the live nodes' paths in dictionary-code space into its nodes'
+// buckets; per node, bump a dense histogram per bucketed row
+// (cc.Table.AddMany) and fold the distinct cells into the table once. It is
+// one of the two counting kernels a lane of
 // exec_parallel.go's pipeline runs (the other is the per-row loop in
 // scanLane); everything around it — lanes, shards, budget, merge — is shared.
 // The produced CC tables, trees and staged data are byte-identical to the
@@ -82,29 +84,32 @@ func (m *Middleware) columnarNeedCols(plan *stagePlan, live []*ccWork) []int {
 }
 
 // colConsumer is the per-block body of the vectorized columnar kernel,
-// counting one batch's live requests into one worker shard. Node predicates
-// and tee filters compile once per row group into dictionary-code space;
-// within a block each node refines the incoming selection vector, bumps the
-// dense histogram per selected row (CCBump), and folds distinct cells into
-// its shard treap (CCFoldEntry). It is driven either by one lane of a
-// partitioned ScanColumnarRange (scanLane) or, as a session's attachment to
-// a multi-tenant shared scan, by ScanColumnarShared via mw.SharedBatch — the
-// same kernel either way, so shared and solo scans produce identical counts.
+// counting one batch's live requests into one worker shard. The trie of node
+// predicates and the tee filters compile once per row group into
+// dictionary-code space, into storage reused from group to group; within a
+// block one pass routes the incoming selection vector into per-node buckets,
+// and each node bumps the dense histogram per bucketed row (CCBump) and folds
+// distinct cells into its shard table (CCFoldEntry). It is driven either by
+// one lane of a partitioned ScanColumnarRange (scanLane) or, as a session's
+// attachment to a multi-tenant shared scan, by ScanColumnarShared via
+// mw.SharedBatch — the same kernel either way, so shared and solo scans
+// produce identical counts.
 type colConsumer struct {
 	plan     *stagePlan
 	live     []*ccWork
+	paths    *predicate.Trie // over the live requests' paths
 	lane     *sim.Meter
 	sh       *workerShard
 	costs    sim.Costs
 	classIdx int
 
 	curGroup    *storage.ColGroup
-	nodeConjs   []engine.GroupConj
+	route       engine.GroupTrie // paths, compiled against curGroup
 	fileFilters []engine.GroupFilter
 	memFilters  []engine.GroupFilter
 	classDict   []data.Value
 	classCodes  []uint16
-	subsel      []int32
+	buckets     [][]int32 // per live request: the block's rows satisfying its path
 	teeSel      []int32
 	hist        []int64
 	rowBuf      data.Row
@@ -114,11 +119,12 @@ func (r *batchRun) newColConsumer(lane *sim.Meter, sh *workerShard) *colConsumer
 	return &colConsumer{
 		plan:        r.plan,
 		live:        r.live,
+		paths:       r.paths,
 		lane:        lane,
 		sh:          sh,
 		costs:       lane.Costs(),
 		classIdx:    r.m.schema.ClassIndex(),
-		nodeConjs:   make([]engine.GroupConj, len(r.live)),
+		buckets:     make([][]int32, len(r.live)),
 		fileFilters: make([]engine.GroupFilter, len(r.plan.fileTees)),
 		memFilters:  make([]engine.GroupFilter, len(r.plan.memTees)),
 	}
@@ -131,39 +137,37 @@ func (c *colConsumer) consume(blk *engine.ColBlock) bool {
 	g := blk.Group
 	if g != c.curGroup {
 		c.curGroup = g
-		for i, wk := range live {
-			c.nodeConjs[i] = engine.CompileGroupConj(g, wk.req.Path)
-		}
+		c.route.Compile(g, c.paths)
 		for k, t := range plan.fileTees {
-			c.fileFilters[k] = engine.CompileGroupFilter(g, t.filter)
+			c.fileFilters[k].Compile(g, t.filter)
 		}
 		for j, t := range plan.memTees {
-			c.memFilters[j] = engine.CompileGroupFilter(g, t.filter)
+			c.memFilters[j].Compile(g, t.filter)
 		}
 		c.classDict, c.classCodes = g.Dict(c.classIdx), g.Codes(c.classIdx)
 	}
-	for i := range live {
+	for i := range c.buckets {
+		c.buckets[i] = c.buckets[i][:0]
+	}
+	c.route.Route(blk.Sel, c.buckets)
+	for i, sel := range c.buckets {
 		t := sh.ccs[i]
-		if t == nil {
+		if t == nil || len(sel) == 0 {
 			continue
 		}
-		c.subsel = c.nodeConjs[i].Refine(g, blk.Sel, c.subsel[:0])
-		if len(c.subsel) == 0 {
-			continue
-		}
-		lane.Charge(sim.CtrCCUpdates, c.costs.CCBump, int64(len(c.subsel)))
+		lane.Charge(sim.CtrCCUpdates, c.costs.CCBump, int64(len(sel)))
 		before := t.Bytes()
 		var folded int
 		for _, a := range live[i].attrs {
-			c.hist, folded = t.AddMany(a, g.Dict(a), g.Codes(a), c.classDict, c.classCodes, c.subsel, c.hist)
+			c.hist, folded = t.AddMany(a, g.Dict(a), g.Codes(a), c.classDict, c.classCodes, sel, c.hist)
 			lane.Charge(sim.CtrCCFolds, c.costs.CCFoldEntry, int64(folded))
 		}
-		t.AddRows(int64(len(c.subsel)))
+		t.AddRows(int64(len(sel)))
 		sh.ccBytes += t.Bytes() - before
 	}
 	sh.police()
 	for k, t := range plan.fileTees {
-		c.teeSel = c.fileFilters[k].Refine(g, blk.Sel, c.teeSel[:0])
+		c.teeSel = c.fileFilters[k].Refine(blk.Sel, c.teeSel[:0])
 		for _, ri := range c.teeSel {
 			c.rowBuf = blk.MaterializeRow(ri, c.rowBuf)
 			sh.stageFileRow(k, t, c.rowBuf)
@@ -174,7 +178,7 @@ func (c *colConsumer) consume(blk *engine.ColBlock) bool {
 		if sh.memDrop[j] {
 			continue
 		}
-		c.teeSel = c.memFilters[j].Refine(g, blk.Sel, c.teeSel[:0])
+		c.teeSel = c.memFilters[j].Refine(blk.Sel, c.teeSel[:0])
 		for _, ri := range c.teeSel {
 			sh.mems[j] = append(sh.mems[j], blk.MaterializeRow(ri, nil))
 			sh.teeBytes += sh.rowMemBytes

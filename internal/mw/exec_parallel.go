@@ -133,7 +133,9 @@ type workerShard struct {
 }
 
 // newShard allocates the state of lane part of nlanes: its slice of the scan
-// budget over fresh CC tables and tee buffers sized for the batch.
+// budget over fresh CC tables and tee buffers sized for the batch. A table
+// reserves its vectors when its first row arrives, from the schema's
+// cardinalities — a lane that never sees a node's rows pays nothing for it.
 func (r *batchRun) newShard(part, nlanes int) *workerShard {
 	nmem, nfile := len(r.plan.memTees), len(r.plan.fileTees)
 	sh := &workerShard{scanBudget: scanBudget{
@@ -145,8 +147,8 @@ func (r *batchRun) newShard(part, nlanes int) *workerShard {
 		mems:        make([][]data.Row, nmem),
 		memDrop:     make([]bool, nmem),
 	}}
-	for i := range sh.ccs {
-		sh.ccs[i] = cc.New()
+	for i, wk := range r.live {
+		sh.ccs[i] = cc.NewSized(wk.attrs, r.m.cards, r.m.schema.Class.Card)
 	}
 	if nlanes == 1 {
 		sh.reclaim = r.reclaim
@@ -497,14 +499,16 @@ func (r *batchRun) scanLane(sp scanPlan, part int, lane *sim.Meter, sh *workerSh
 		return nil
 	}
 	live, plan, costs := r.live, r.plan, lane.Costs()
+	var hits []int32 // the live requests whose path the current row satisfies
 	return r.m.scanPartition(r.b, sp, part, lane, func(row data.Row) {
-		for i, wk := range live {
+		hits = r.paths.Match(row, hits[:0])
+		for _, i := range hits {
 			t := sh.ccs[i]
-			if t == nil || !wk.req.Path.Eval(row) {
+			if t == nil {
 				continue
 			}
 			before := t.Bytes()
-			t.AddRow(row, wk.attrs)
+			t.AddRow(row, live[i].attrs)
 			sh.ccBytes += t.Bytes() - before
 			lane.Charge(sim.CtrCCUpdates, costs.CCUpdate, 1)
 		}

@@ -268,6 +268,7 @@ type Middleware struct {
 	srv    *engine.Server
 	meter  *sim.Meter
 	schema *data.Schema
+	cards  []int // schema.ColCards(): the size hint of every counts table
 	cfg    Config
 
 	queue   []*Request
@@ -307,6 +308,7 @@ func New(srv *engine.Server, cfg Config) (*Middleware, error) {
 		srv:     srv,
 		meter:   srv.Meter(),
 		schema:  srv.Schema(),
+		cards:   srv.Schema().ColCards(),
 		cfg:     cfg,
 		parent:  make(map[int]int),
 		sources: make(map[int][]*stageData),

@@ -203,7 +203,7 @@ func buildOutOfOrder(m *mw.Middleware, ds *data.Dataset) (*dtree.Tree, error) {
 	var reqs []*mw.Request
 	for _, v := range vals {
 		var childRows int64 // |n_i|, read off the parent's CC table (§4.2.1)
-		for _, n := range rootCC.ClassVector(0, v, schema.Class.Card) {
+		for _, n := range rootCC.ClassVector(0, v, make([]int64, schema.Class.Card)) {
 			childRows += n
 		}
 		reqs = append(reqs, &mw.Request{

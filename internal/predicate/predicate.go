@@ -155,6 +155,7 @@ func (cj Conj) String() string {
 type Filter struct {
 	all   bool
 	conjs []Conj
+	trie  *Trie // over conjs; nil for match-all and empty filters
 }
 
 // MatchAll returns the filter that accepts every row (scanning for the root
@@ -173,6 +174,9 @@ func Or(conjs ...Conj) Filter {
 		}
 		f.conjs = append(f.conjs, cj)
 	}
+	if len(f.conjs) > 0 {
+		f.trie = NewTrie(f.conjs)
+	}
 	return f
 }
 
@@ -185,21 +189,17 @@ func (f Filter) All() bool { return f.all }
 // without re-parsing the SQL rendering.
 func (f Filter) Conjs() []Conj { return f.conjs }
 
+// Trie returns the prefix trie over the filter's disjuncts, built once by Or
+// (nil for match-all and empty filters): the form the engine compiles into a
+// row group's code space.
+func (f Filter) Trie() *Trie { return f.trie }
+
 // Empty reports whether the filter accepts no rows.
 func (f Filter) Empty() bool { return !f.all && len(f.conjs) == 0 }
 
-// Eval reports whether the row satisfies the filter.
-func (f Filter) Eval(r data.Row) bool {
-	if f.all {
-		return true
-	}
-	for _, cj := range f.conjs {
-		if cj.Eval(r) {
-			return true
-		}
-	}
-	return false
-}
+// Eval reports whether the row satisfies the filter: one walk of the
+// disjuncts' trie, stopped at the first disjunct that holds.
+func (f Filter) Eval(r data.Row) bool { return f.all || f.trie.Any(r) }
 
 // SQL renders the filter as a WHERE-clause expression.
 func (f Filter) SQL(s *data.Schema) string {

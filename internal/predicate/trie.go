@@ -1,0 +1,132 @@
+package predicate
+
+import "repro/internal/data"
+
+// Trie is a prefix tree over a set of conjunctions: the path predicates of a
+// batch's live nodes, or a filter's disjuncts. A node's population is a
+// refinement of its parent's (the paper's §4.3.1; Bentayeb–Darmont make the
+// same point relationally), so the paths of one batch share prefixes, and a
+// row finds every conjunction it satisfies by descending the shared prefixes
+// once instead of being tested against each conjunction in turn.
+//
+// The conjunctions are arbitrary: several children of a node may hold for the
+// same row, a conjunction may be a prefix of another (a terminal with
+// children), and duplicates are allowed (a node with several terminals).
+// Nothing is assumed about sibling exclusivity, so the worst case — no two
+// conjunctions share a first condition — costs what the per-conjunction test
+// did.
+//
+// Nodes are stored in preorder, each knowing where its subtree ends; a walk is
+// then one forward pass with no stack: a node whose condition holds is
+// followed by its first child (or, for a leaf, by whatever comes next), one
+// whose condition fails by the node after its subtree.
+type Trie struct {
+	nodes []TrieNode
+	terms []int32 // the nodes' terminal lists, back to back
+}
+
+// TrieNode is one trie node. The root (index 0) stands for the empty prefix
+// and has no condition.
+type TrieNode struct {
+	Cond Cond  // the condition on the edge into the node
+	End  int32 // index one past the node's subtree
+	// Trie.Terms()[Lo:Hi] lists the conjunctions that end here, ascending.
+	Lo, Hi int32
+}
+
+// NewTrie builds the trie of conjs; terminals are indices into conjs.
+// Children keep the order in which their conditions first appear.
+func NewTrie(conjs []Conj) *Trie {
+	t := &Trie{nodes: make([]TrieNode, 1, len(conjs)+1), terms: make([]int32, 0, len(conjs))}
+	idx := make([]int32, 2*len(conjs))
+	for i := range conjs {
+		idx[i] = int32(i)
+	}
+	t.grow(conjs, idx[:len(conjs)], idx[len(conjs):], 0, 0)
+	return t
+}
+
+// grow fills in node n, whose subtree holds the conjunctions idx — all sharing
+// their first depth conditions — and appends its descendants. idx is
+// reordered in place; tmp is scratch of the same length.
+func (t *Trie) grow(conjs []Conj, idx, tmp []int32, depth int, n int) {
+	t.nodes[n].Lo = int32(len(t.terms))
+	rest := idx[:0]
+	for _, i := range idx {
+		if len(conjs[i]) == depth {
+			t.terms = append(t.terms, i)
+		} else {
+			rest = append(rest, i)
+		}
+	}
+	t.nodes[n].Hi = int32(len(t.terms))
+	for len(rest) > 0 {
+		// Stable partition: the conjunctions continuing with rest[0]'s
+		// condition move to the front and become one child's subtree.
+		c := conjs[rest[0]][depth]
+		same, other := 0, tmp[:0]
+		for _, i := range rest {
+			if conjs[i][depth] == c {
+				rest[same] = i
+				same++
+			} else {
+				other = append(other, i)
+			}
+		}
+		copy(rest[same:], other)
+		child := len(t.nodes)
+		t.nodes = append(t.nodes, TrieNode{Cond: c})
+		t.grow(conjs, rest[:same], tmp, depth+1, child)
+		rest = rest[same:]
+	}
+	t.nodes[n].End = int32(len(t.nodes))
+}
+
+// Nodes returns the trie's nodes in preorder (the root first). Callers must
+// not modify the slice; it is exposed so the engine can compile the trie
+// into a row group's code space.
+func (t *Trie) Nodes() []TrieNode { return t.nodes }
+
+// Terms returns the concatenated terminal lists TrieNode.Lo and Hi index.
+func (t *Trie) Terms() []int32 { return t.terms }
+
+// Match appends to out the index of every conjunction r satisfies and
+// returns it.
+func (t *Trie) Match(r data.Row, out []int32) []int32 {
+	nodes := t.nodes
+	out = append(out, t.terms[nodes[0].Lo:nodes[0].Hi]...)
+	for i := 1; i < len(nodes); {
+		n := &nodes[i]
+		if !n.Cond.Eval(r) {
+			i = int(n.End)
+			continue
+		}
+		out = append(out, t.terms[n.Lo:n.Hi]...)
+		i++
+	}
+	return out
+}
+
+// Any reports whether r satisfies at least one conjunction: the walk of Match,
+// stopped at the first terminal. A nil trie holds no conjunction.
+func (t *Trie) Any(r data.Row) bool {
+	if t == nil {
+		return false
+	}
+	nodes := t.nodes
+	if nodes[0].Hi > nodes[0].Lo {
+		return true
+	}
+	for i := 1; i < len(nodes); {
+		n := &nodes[i]
+		if !n.Cond.Eval(r) {
+			i = int(n.End)
+			continue
+		}
+		if n.Hi > n.Lo {
+			return true
+		}
+		i++
+	}
+	return false
+}

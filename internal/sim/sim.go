@@ -52,7 +52,7 @@ type Costs struct {
 	MemRowRead   int64 // touch one row staged in middleware memory
 	CCUpdate     int64 // update the counts (CC) table for one (row, node) pair
 	CCBump       int64 // bump one dense histogram cell for one selected row (vectorized kernel)
-	CCFoldEntry  int64 // fold one distinct histogram cell into the treap, once per block
+	CCFoldEntry  int64 // fold one distinct histogram cell into the counts table, once per block
 	MergeEntry   int64 // fold one worker-shard CC entry into the merged node table
 
 	// Client-side costs.
@@ -104,10 +104,12 @@ func DefaultCosts() Costs {
 		FileRowRead:  6_000,
 		FileOpen:     1_000_000, // 1 ms
 		MemRowRead:   150,
-		CCUpdate:     60, // per (row, attribute-set, node) counting step, charged per row per node
-		CCBump:       8,  // dense array increment per selected row (no treap probe)
-		CCFoldEntry:  80, // treap insert per distinct cell, once per (node, block)
-		MergeEntry:   80, // per shard entry: one treap lookup/insert plus a count add
+		// The counting costs model the paper's §5 search-tree counts table; the
+		// flat cc.Table of this process is faster, and charges nothing itself.
+		CCUpdate:    60, // per (row, attribute-set, node) counting step, charged per row per node
+		CCBump:      8,  // dense array increment per selected row (no search-tree probe)
+		CCFoldEntry: 80, // search-tree insert per distinct cell, once per (node, block)
+		MergeEntry:  80, // per shard entry: one search-tree lookup/insert plus a count add
 
 		ClientRowLoad: 500,
 
@@ -145,7 +147,7 @@ const (
 	CtrColGroupsScanned                 // columnar row groups scanned
 	CtrColGroupsSkipped                 // columnar row groups skipped via zone maps
 	CtrColBlocks                        // columnar 1024-row blocks evaluated
-	CtrCCFolds                          // distinct histogram cells folded into CC treaps
+	CtrCCFolds                          // distinct histogram cells folded into CC tables
 	CtrScoreRows                        // rows scored by the in-database prediction path
 	CtrScoreBlocks                      // columnar blocks pushed through the scoring kernel
 	CtrModelProbes                      // compiled-model nodes walked while scoring
