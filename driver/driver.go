@@ -8,17 +8,23 @@
 // works with stock database/sql. The DSN is the daemon's TCP address. The
 // driver speaks plain statements only (no placeholder parameters, no
 // transactions — the served engine is read-mostly and autocommit), and
-// streams result rows batch by batch, so large result sets never fully
-// buffer on the client.
+// streams result rows batch by batch: one frame at a time is decoded into
+// column storage the connection reuses, and Next hands database/sql values
+// straight out of it, so a large result set neither buffers nor expands on
+// the client. A statement's context is honoured while it waits and while it
+// streams: cancellation unblocks the read, returns the context's error and
+// retires the connection.
 package ccsql
 
 import (
+	"context"
 	"database/sql"
 	"database/sql/driver"
 	"errors"
 	"fmt"
 	"io"
 	"net"
+	"time"
 
 	"repro/internal/wire"
 )
@@ -36,28 +42,47 @@ func (Driver) Open(dsn string) (driver.Conn, error) {
 	if err != nil {
 		return nil, err
 	}
+	c := &Conn{nc: nc, fr: wire.NewReader(nc)}
 	if err := wire.WriteFrame(nc, wire.THello, wire.Hello{Version: wire.Version}); err != nil {
 		nc.Close()
 		return nil, err
 	}
-	var ack wire.HelloAck
-	if err := wire.Expect(nc, wire.THelloAck, &ack); err != nil {
+	if err := wire.Expect(c.fr, wire.THelloAck, &c.ack); err != nil {
 		nc.Close()
 		return nil, fmt.Errorf("ccsql: handshake: %w", err)
 	}
-	return &Conn{nc: nc, ack: ack}, nil
+	if c.ack.Version != wire.Version {
+		nc.Close()
+		return nil, fmt.Errorf("ccsql: handshake: server speaks protocol version %d, this driver %d", c.ack.Version, wire.Version)
+	}
+	return c, nil
 }
 
 // Conn is one protocol connection. database/sql guarantees single-goroutine
 // use.
 type Conn struct {
 	nc     net.Conn
+	fr     *wire.Reader
 	ack    wire.HelloAck
 	inRows bool // a Rows result stream is still draining
+	bad    bool // the stream is out of step or its deadline is spent: retire it
+
+	// The current frame's rows, decoded in place frame after frame.
+	scored wire.ScoredBatch
+	cells  wire.RowBatch
 }
+
+var (
+	_ driver.QueryerContext = (*Conn)(nil)
+	_ driver.ExecerContext  = (*Conn)(nil)
+	_ driver.Validator      = (*Conn)(nil)
+)
 
 // Table returns the served table's name, from the handshake.
 func (c *Conn) Table() string { return c.ack.Table }
+
+// IsValid tells database/sql's pool whether the connection may be reused.
+func (c *Conn) IsValid() bool { return !c.bad }
 
 // Prepare returns a statement handle; the protocol has no server-side
 // prepare, so this is client-side bookkeeping only.
@@ -76,7 +101,29 @@ func (c *Conn) Begin() (driver.Tx, error) {
 	return nil, errors.New("ccsql: transactions are not supported")
 }
 
-// stmt is a prepared statement handle.
+// QueryContext runs the statement and returns its streaming result rows.
+func (c *Conn) QueryContext(ctx context.Context, query string, args []driver.NamedValue) (driver.Rows, error) {
+	r, err := c.query(ctx, query, args)
+	if err != nil {
+		return nil, err
+	}
+	return r, nil
+}
+
+// ExecContext runs the statement and drains its result stream.
+func (c *Conn) ExecContext(ctx context.Context, query string, args []driver.NamedValue) (driver.Result, error) {
+	r, err := c.query(ctx, query, args)
+	if err != nil {
+		return nil, err
+	}
+	if err := r.Close(); err != nil {
+		return nil, err
+	}
+	return driver.RowsAffected(0), nil
+}
+
+// stmt is a prepared statement handle: the statement text, run through the
+// connection each time.
 type stmt struct {
 	c     *Conn
 	query string
@@ -91,52 +138,108 @@ func (s *stmt) NumInput() int { return 0 }
 
 // Exec runs the statement and drains its result stream.
 func (s *stmt) Exec(args []driver.Value) (driver.Result, error) {
-	r, err := s.Query(args)
-	if err != nil {
-		return nil, err
-	}
-	rows := r.(*rows)
-	if err := rows.Close(); err != nil {
-		return nil, err
-	}
-	return driver.RowsAffected(0), nil
+	return s.c.ExecContext(context.Background(), s.query, nil)
 }
 
 // Query runs the statement and returns its streaming result rows.
 func (s *stmt) Query(args []driver.Value) (driver.Rows, error) {
+	return s.c.QueryContext(context.Background(), s.query, nil)
+}
+
+// query sends one statement and reads its result header.
+func (c *Conn) query(ctx context.Context, query string, args []driver.NamedValue) (*rows, error) {
 	if len(args) > 0 {
 		return nil, errors.New("ccsql: placeholder parameters are not supported")
 	}
-	if s.c.inRows {
+	if c.bad {
+		return nil, driver.ErrBadConn
+	}
+	if c.inRows {
 		return nil, errors.New("ccsql: connection busy with an open result set")
 	}
-	if err := wire.WriteFrame(s.c.nc, wire.TQuery, wire.Query{SQL: s.query}); err != nil {
+	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	var hdr wire.ResultHeader
-	if err := wire.Expect(s.c.nc, wire.TResultHeader, &hdr); err != nil {
-		return nil, err
+	r := &rows{c: c, ctx: ctx}
+	if ctx.Done() != nil {
+		// A blocked read does not see the context; a spent deadline it does.
+		r.stop = context.AfterFunc(ctx, func() { c.nc.SetDeadline(time.Unix(1, 0)) })
 	}
-	s.c.inRows = true
-	return &rows{c: s.c, cols: hdr.Cols}, nil
+	c.inRows = true
+	if err := wire.WriteFrame(c.nc, wire.TQuery, wire.Query{SQL: query}); err != nil {
+		return nil, r.fail(err)
+	}
+	t, payload, err := c.fr.ReadFrame()
+	if err != nil {
+		return nil, r.fail(err)
+	}
+	switch t {
+	case wire.TResultHeader:
+		var hdr wire.ResultHeader
+		if err := wire.Unmarshal(payload, &hdr); err != nil {
+			return nil, r.fail(err)
+		}
+		r.cols = hdr.Cols
+		return r, nil
+	case wire.TError:
+		return nil, r.statementError(payload)
+	}
+	return nil, r.fail(fmt.Errorf("ccsql: got %s frame, want %s", t, wire.TResultHeader))
 }
 
 // rows streams one statement's result set.
 type rows struct {
-	c     *Conn
-	cols  []string
-	batch [][]wire.Cell
-	i     int
-	done  bool
+	c    *Conn
+	ctx  context.Context
+	stop func() bool // detaches the context from the connection's deadline
+	cols []string
+
+	scored bool // the current frame is c.scored, not c.cells
+	n, i   int  // rows in the current frame, and the next to hand out
+	frames int  // batch frames read so far
+	done   bool
 }
 
 // Columns returns the result's column names.
 func (r *rows) Columns() []string { return r.cols }
 
+// finish ends the stream with the connection in step: the next statement may
+// use it, unless the context already fired and spent its deadline.
+func (r *rows) finish() {
+	r.done, r.n, r.i = true, 0, 0
+	r.c.inRows = false
+	if r.stop != nil && !r.stop() {
+		r.c.bad = true
+	}
+	r.stop = nil
+}
+
+// fail ends the stream on a transport or protocol failure. What remains of
+// the statement's frames is unread (or unreadable), so the connection is
+// retired. A failure the context caused is reported as the context's error.
+func (r *rows) fail(err error) error {
+	r.finish()
+	r.c.bad = true
+	if cerr := r.ctx.Err(); cerr != nil {
+		return cerr
+	}
+	return err
+}
+
+// statementError ends the stream on the server's TError frame.
+func (r *rows) statementError(payload []byte) error {
+	var e wire.Error
+	if err := wire.Unmarshal(payload, &e); err != nil {
+		return r.fail(err)
+	}
+	r.finish()
+	return errors.New(e.Msg)
+}
+
 // Close drains any frames the caller has not consumed, so the connection is
 // immediately reusable for the next statement. The stream is drained to its
-// end even when a statement error arrives mid-stream: returning early would
-// leave inRows set and poison the connection for every later statement.
+// end even when a statement error arrives mid-stream or a batch is refused:
+// returning early would leave the rest of the stream to the next statement.
 func (r *rows) Close() error {
 	var ferr error
 	for !r.done {
@@ -144,94 +247,82 @@ func (r *rows) Close() error {
 			ferr = err
 		}
 	}
-	r.c.inRows = false
 	return ferr
 }
 
-// fetch reads the next frame of the stream into the batch buffer.
+// fetch reads the next frame of the stream and decodes a batch in place.
 func (r *rows) fetch() error {
-	t, payload, err := wire.ReadFrame(r.c.nc)
-	if err != nil {
-		r.done = true
-		return err
+	if err := r.ctx.Err(); err != nil {
+		return r.fail(err)
 	}
+	t, payload, err := r.c.fr.ReadFrame()
+	if err != nil {
+		return r.fail(err)
+	}
+	r.n, r.i = 0, 0
 	switch t {
 	case wire.TRowBatch:
-		var b wire.RowBatch
-		if err := wire.Unmarshal(payload, &b); err != nil {
-			r.done = true
+		r.frames++
+		// A batch the codec refuses fails its statement only: the frame was
+		// read whole, so the error surfaces and the stream stays drainable.
+		if err := wire.Unmarshal(payload, &r.c.cells); err != nil {
 			return err
 		}
-		r.batch, r.i = b.Rows, 0
+		r.scored, r.n = false, len(r.c.cells.Rows)
 		return nil
 	case wire.TScoredBatch:
-		var b wire.ScoredBatch
-		if err := wire.Unmarshal(payload, &b); err != nil {
-			r.done = true
+		r.frames++
+		if err := wire.Unmarshal(payload, &r.c.scored); err != nil {
 			return err
 		}
-		if len(b.Dists) > 0 && len(b.Dists) != len(b.Classes) {
-			// The frame is self-consistent JSON with inconsistent content:
-			// surface a typed error but leave the stream drainable, so Close
-			// can still walk to the terminating frame and the connection
-			// stays usable.
-			return fmt.Errorf("ccsql: scored batch has %d distributions for %d rows", len(b.Dists), len(b.Classes))
-		}
-		// Expand scored rows to cell rows matching the announced header:
-		// the class label, then the per-class counts when streamed.
-		rows := make([][]wire.Cell, len(b.Classes))
-		for i, cl := range b.Classes {
-			row := make([]wire.Cell, 0, len(r.cols))
-			row = append(row, wire.Cell{I: int64(cl)})
-			if len(b.Dists) > 0 {
-				for _, d := range b.Dists[i] {
-					row = append(row, wire.Cell{I: d})
-				}
-			}
-			rows[i] = row
-		}
-		r.batch, r.i = rows, 0
+		r.scored, r.n = true, len(r.c.scored.Classes)
 		return nil
 	case wire.TDone:
-		r.done = true
+		r.finish()
 		return io.EOF
 	case wire.TError:
-		r.done = true
-		var e wire.Error
-		if err := wire.Unmarshal(payload, &e); err != nil {
-			return err
-		}
-		return errors.New(e.Msg)
-	default:
-		r.done = true
-		return fmt.Errorf("ccsql: unexpected %s frame in result stream", t)
+		return r.statementError(payload)
 	}
+	return r.fail(fmt.Errorf("ccsql: unexpected %s frame in result stream", t))
 }
 
 // Next fills dest with the next row, or returns io.EOF at stream end.
 func (r *rows) Next(dest []driver.Value) error {
-	for r.i >= len(r.batch) {
+	for r.i >= r.n {
 		if r.done {
-			r.c.inRows = false
 			return io.EOF
 		}
 		if err := r.fetch(); err != nil {
-			if err == io.EOF {
-				r.c.inRows = false
-			}
 			return err
 		}
 	}
-	row := r.batch[r.i]
+	i := r.i
 	r.i++
+	if r.scored {
+		// The announced header is the class label, then the per-class counts
+		// when the stream carries them.
+		var dist []int64
+		if b := &r.c.scored; len(b.Dists) > 0 {
+			dist = b.Dists[i]
+		}
+		if 1+len(dist) != len(dest) {
+			return fmt.Errorf("ccsql: row has %d values, want %d", 1+len(dist), len(dest))
+		}
+		dest[0] = int64(r.c.scored.Classes[i])
+		for j, n := range dist {
+			dest[1+j] = n
+		}
+		return nil
+	}
+	row := r.c.cells.Rows[i]
 	if len(row) != len(dest) {
 		return fmt.Errorf("ccsql: row has %d values, want %d", len(row), len(dest))
 	}
-	for i, cell := range row {
-		if cell.Str {
-			dest[i] = cell.S
+	for j := range row {
+		if cell := &row[j]; cell.Str {
+			dest[j] = cell.S
 		} else {
-			dest[i] = cell.I
+			dest[j] = cell.I
 		}
 	}
 	return nil

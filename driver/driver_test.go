@@ -1,21 +1,36 @@
 package ccsql
 
 import (
+	"context"
 	"database/sql"
 	"database/sql/driver"
+	"encoding/binary"
+	"errors"
 	"io"
 	"net"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/wire"
 )
+
+// rawFrame hand-assembles a frame around a payload the encoder would refuse
+// to produce.
+func rawFrame(t wire.Type, payload []byte) []byte {
+	hdr := binary.BigEndian.AppendUint32(nil, uint32(len(payload)))
+	return append(append(hdr, byte(t)), payload...)
+}
 
 // fakeServer speaks just enough of the wire protocol to exercise the driver's
 // result-stream handling: every query answers with a one-row batch, and
 // queries containing "boom" end the stream with a statement error instead of
 // Done.
-func fakeServer(t *testing.T) string {
+func fakeServer(t *testing.T) string { return fakeServerVersion(t, wire.Version) }
+
+// fakeServerVersion is fakeServer acknowledging the handshake with the given
+// protocol version.
+func fakeServerVersion(t *testing.T, version int) string {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -34,7 +49,7 @@ func fakeServer(t *testing.T) string {
 				if err := wire.Expect(nc, wire.THello, &hello); err != nil {
 					return
 				}
-				if err := wire.WriteFrame(nc, wire.THelloAck, wire.HelloAck{Version: wire.Version, Table: "t"}); err != nil {
+				if err := wire.WriteFrame(nc, wire.THelloAck, wire.HelloAck{Version: version, Table: "t"}); err != nil {
 					return
 				}
 				for {
@@ -51,12 +66,22 @@ func fakeServer(t *testing.T) string {
 					}
 					switch {
 					case strings.Contains(q.SQL, "scorebad"):
-						// A scored batch whose distribution count disagrees
-						// with its class count: the driver must reject it
-						// with a typed error, not index out of range.
+						// A scored batch whose distribution chunk (four counts)
+						// disagrees with its one row of width two: the driver
+						// must reject it with a typed error, not index out of
+						// range. The encoder refuses to write such a batch, so
+						// the payload is assembled by hand: model "m", 1 row,
+						// k = 2, 1 class (0), 4 counts (1, 2, 3, 4 zigzagged).
 						wire.WriteFrame(nc, wire.TResultHeader, wire.ResultHeader{Cols: []string{"class", "c0", "c1"}})
-						wire.WriteFrame(nc, wire.TScoredBatch, wire.ScoredBatch{Model: "m", Classes: []int32{0}, Dists: [][]int64{{1, 2}, {3, 4}}})
+						nc.Write(rawFrame(wire.TScoredBatch, []byte{1, 'm', 1, 2, 1, 0, 4, 2, 4, 6, 8}))
 						wire.WriteFrame(nc, wire.TDone, wire.Done{Rows: 1})
+					case strings.Contains(q.SQL, "stall"):
+						// One scored batch, then silence until the client
+						// hangs up: only a cancelled context ends this stream.
+						wire.WriteFrame(nc, wire.TResultHeader, wire.ResultHeader{Cols: []string{"class"}})
+						wire.WriteFrame(nc, wire.TScoredBatch, wire.ScoredBatch{Model: "m", Classes: []int32{4}})
+						io.Copy(io.Discard, nc)
+						return
 					case strings.Contains(q.SQL, "scoreboom"):
 						// A statement error after the first scored batch:
 						// mid-stream failure on the scoring path.
@@ -136,9 +161,9 @@ func TestConnReusableAfterStatementError(t *testing.T) {
 }
 
 // TestScoredStreamLazyBatches drives the driver below database/sql to pin
-// that scored rows stream batch by batch: after the first Next the client
-// buffer holds only the first frame's rows, and the second frame is fetched
-// lazily when the buffer runs dry.
+// that scored rows stream batch by batch: the first Next reads only the first
+// frame, its second row comes out of that same frame, and the second frame is
+// read when the first runs dry.
 func TestScoredStreamLazyBatches(t *testing.T) {
 	addr := fakeServer(t)
 	conn, err := Driver{}.Open(addr)
@@ -146,25 +171,21 @@ func TestScoredStreamLazyBatches(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	st, err := conn.Prepare("SELECT score")
-	if err != nil {
-		t.Fatal(err)
-	}
-	dr, err := st.(*stmt).Query(nil)
+	dr, err := conn.(*Conn).QueryContext(context.Background(), "SELECT score", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	r := dr.(*rows)
+	if r.frames != 0 {
+		t.Fatalf("%d batch frames read before the first Next", r.frames)
+	}
 
 	dest := make([]driver.Value, 1)
 	if err := r.Next(dest); err != nil {
 		t.Fatalf("first Next: %v", err)
 	}
-	if got := len(r.batch); got != 2 {
-		t.Fatalf("after first Next the buffer holds %d rows, want only the first batch's 2", got)
-	}
-	if r.done {
-		t.Fatal("stream marked done while a second batch is still unread")
+	if r.frames != 1 || r.done {
+		t.Fatalf("after the first Next: %d batch frames read, done=%v; want the first frame only", r.frames, r.done)
 	}
 	want := []int64{0, 1, 1}
 	got := []int64{dest[0].(int64)}
@@ -177,6 +198,9 @@ func TestScoredStreamLazyBatches(t *testing.T) {
 			t.Fatalf("Next: %v", err)
 		}
 		got = append(got, dest[0].(int64))
+		if wantFrames := (len(got) + 1) / 2; r.frames != wantFrames {
+			t.Fatalf("after %d rows: %d batch frames read, want %d", len(got), r.frames, wantFrames)
+		}
 	}
 	if len(got) != len(want) {
 		t.Fatalf("streamed %d rows, want %d", len(got), len(want))
@@ -233,8 +257,10 @@ func TestScoredStreamMidStreamError(t *testing.T) {
 }
 
 // TestScoredStreamMismatchedDists pins the typed rejection of a scored batch
-// whose distribution count disagrees with its class count, and that the
-// malformed frame does not poison the connection.
+// whose distribution chunk disagrees with rows × k — a *wire.BatchError that
+// ends the statement — and that the malformed frame does not poison the
+// connection: the rest of the stream is drained and the next statement runs
+// on the same connection.
 func TestScoredStreamMismatchedDists(t *testing.T) {
 	addr := fakeServer(t)
 	db, err := sql.Open("ccsql", addr)
@@ -244,9 +270,22 @@ func TestScoredStreamMismatchedDists(t *testing.T) {
 	defer db.Close()
 	db.SetMaxOpenConns(1)
 
-	if _, err := db.Exec("SELECT scorebad"); err == nil || !strings.Contains(err.Error(), "distributions for") {
-		t.Fatalf("exec error = %v, want the mismatched-distributions rejection", err)
+	_, err = db.Exec("SELECT scorebad")
+	var be *wire.BatchError
+	if !errors.As(err, &be) || !strings.Contains(err.Error(), "4 distribution counts for 1 rows of width 2") {
+		t.Fatalf("exec error = %v, want the mismatched-distributions BatchError", err)
 	}
+	rows, err := db.Query("SELECT scorebad")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rows.Next() {
+		t.Fatal("a row came out of the refused batch")
+	}
+	if err := rows.Err(); !errors.As(err, &be) {
+		t.Fatalf("rows.Err() = %v, want the BatchError", err)
+	}
+	rows.Close()
 	if _, err := db.Exec("SELECT ok"); err != nil {
 		t.Fatalf("connection poisoned after malformed scored batch: %v", err)
 	}
@@ -289,5 +328,102 @@ func TestCloseReportsStatementError(t *testing.T) {
 	}
 	if _, err := db.Exec("SELECT ok"); err != nil {
 		t.Fatalf("connection not reusable after drained statement error: %v", err)
+	}
+}
+
+// TestHandshakeVersionMismatch: a server that acknowledges another protocol
+// version fails Open; there is no older codec to fall back to.
+func TestHandshakeVersionMismatch(t *testing.T) {
+	addr := fakeServerVersion(t, 1)
+	_, err := Driver{}.Open(addr)
+	if err == nil || !strings.Contains(err.Error(), "handshake") ||
+		!strings.Contains(err.Error(), "version 1") || !strings.Contains(err.Error(), "driver 2") {
+		t.Fatalf("Open against a v1 ack: %v, want a handshake error naming both versions", err)
+	}
+	db, err := sql.Open("ccsql", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	if err := db.Ping(); err == nil || !strings.Contains(err.Error(), "handshake") {
+		t.Fatalf("Ping against a v1 ack: %v, want the handshake error", err)
+	}
+}
+
+// TestContextCancelUnblocksStream: a context cancelled while the driver is
+// blocked reading a stalled stream unblocks the read, surfaces the context's
+// error and retires the connection, so the pool opens a fresh one for the next
+// statement.
+func TestContextCancelUnblocksStream(t *testing.T) {
+	addr := fakeServer(t)
+
+	// Below database/sql: Next itself must return, nothing closes it for us.
+	conn, err := Driver{}.Open(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	c := conn.(*Conn)
+	ctx, cancel := context.WithCancel(context.Background())
+	dr, err := c.QueryContext(ctx, "SELECT stall", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dest := make([]driver.Value, 1)
+	if err := dr.Next(dest); err != nil || dest[0].(int64) != 4 {
+		t.Fatalf("first row: %v, %v", dest[0], err)
+	}
+	next := make(chan error, 1)
+	go func() { next <- dr.Next(dest) }()
+	cancel()
+	select {
+	case err := <-next:
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("Next after cancel = %v, want context.Canceled", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Next still blocked 10 s after its context was cancelled")
+	}
+	if err := dr.Close(); err != nil {
+		t.Fatalf("Close after cancel: %v", err)
+	}
+	if c.IsValid() {
+		t.Fatal("connection still valid with an undrained stream on it")
+	}
+	if _, err := c.QueryContext(context.Background(), "SELECT ok", nil); err != driver.ErrBadConn {
+		t.Fatalf("query on the retired connection = %v, want driver.ErrBadConn", err)
+	}
+
+	// Through database/sql: a deadline this time, and the one-connection pool
+	// must replace the retired connection.
+	db, err := sql.Open("ccsql", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	db.SetMaxOpenConns(1)
+	tctx, tcancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer tcancel()
+	rows, err := db.QueryContext(tctx, "SELECT stall")
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	for rows.Next() {
+		n++
+	}
+	if err := rows.Err(); !errors.Is(err, context.DeadlineExceeded) || n != 1 {
+		t.Fatalf("stalled stream: %d rows, err %v; want 1 row and context.DeadlineExceeded", n, err)
+	}
+	rows.Close()
+	if _, err := db.Exec("SELECT ok"); err != nil {
+		t.Fatalf("statement after a cancelled one: %v", err)
+	}
+	// A context that is already over never reaches the wire.
+	if _, err := db.ExecContext(tctx, "SELECT ok"); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("exec on a spent context = %v", err)
+	}
+	if _, err := db.Exec("SELECT ok"); err != nil {
+		t.Fatalf("statement after a refused one: %v", err)
 	}
 }

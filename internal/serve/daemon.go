@@ -108,8 +108,9 @@ func (d *Daemon) handle(conn net.Conn) {
 		d.cmu.Unlock()
 	}()
 
+	fr := wire.NewReader(conn)
 	var hello wire.Hello
-	if err := wire.Expect(conn, wire.THello, &hello); err != nil {
+	if err := wire.Expect(fr, wire.THello, &hello); err != nil {
 		return
 	}
 	if hello.Version != wire.Version {
@@ -123,7 +124,7 @@ func (d *Daemon) handle(conn net.Conn) {
 	}
 
 	for {
-		t, payload, err := wire.ReadFrame(conn)
+		t, payload, err := fr.ReadFrame()
 		if err != nil {
 			return // disconnect or drain deadline
 		}
@@ -161,7 +162,7 @@ func (d *Daemon) serveQuery(conn net.Conn, sql string) error {
 }
 
 // writeRows streams a materialized result (nil = a statement without one) as
-// header, row batches and done.
+// header, row batches and done. One batch is refilled frame after frame.
 func writeRows(conn net.Conn, rs *engine.ResultSet) error {
 	if rs == nil {
 		rs = &engine.ResultSet{}
@@ -169,17 +170,18 @@ func writeRows(conn net.Conn, rs *engine.ResultSet) error {
 	if err := wire.WriteFrame(conn, wire.TResultHeader, wire.ResultHeader{Cols: rs.Cols}); err != nil {
 		return err
 	}
+	var b wire.RowBatch
+	var cells []wire.Cell
 	for base := 0; base < len(rs.Rows); base += wire.BatchRows {
-		hi := min(base+wire.BatchRows, len(rs.Rows))
-		b := wire.RowBatch{Rows: make([][]wire.Cell, 0, hi-base)}
-		for _, r := range rs.Rows[base:hi] {
-			row := make([]wire.Cell, len(r))
-			for i, v := range r {
-				row[i] = wire.Cell{Str: v.Str, I: v.I, S: v.S}
+		b.Rows, cells = b.Rows[:0], cells[:0]
+		for _, r := range rs.Rows[base:min(base+wire.BatchRows, len(rs.Rows))] {
+			at := len(cells)
+			for _, v := range r {
+				cells = append(cells, wire.Cell{Str: v.Str, I: v.I, S: v.S})
 			}
-			b.Rows = append(b.Rows, row)
+			b.Rows = append(b.Rows, cells[at:len(cells):len(cells)])
 		}
-		if err := wire.WriteFrame(conn, wire.TRowBatch, b); err != nil {
+		if err := wire.WriteFrame(conn, wire.TRowBatch, &b); err != nil {
 			return err
 		}
 	}
@@ -188,21 +190,26 @@ func writeRows(conn net.Conn, rs *engine.ResultSet) error {
 
 // writeScored frames a fleet scoring result: a header naming the class column
 // and the per-class count columns, then TScoredBatch frames of BatchRows rows
-// (classes plus distributions), then TDone — so the client starts consuming
-// predictions before the last batch is framed.
+// (classes plus distributions, one batch refilled frame after frame), then
+// TDone — so the client starts consuming predictions before the last batch is
+// framed.
 func writeScored(conn net.Conn, m *engine.Model, res *engine.ScoreResult) error {
 	if err := wire.WriteFrame(conn, wire.TResultHeader, wire.ResultHeader{Cols: engine.ScoreCols(m.Classes)}); err != nil {
 		return err
 	}
+	b := wire.ScoredBatch{
+		Model:   m.Name,
+		Classes: make([]int32, 0, wire.BatchRows),
+		Dists:   make([][]int64, 0, wire.BatchRows),
+	}
 	n := len(res.Classes)
 	for base := 0; base < n; base += wire.BatchRows {
-		hi := min(base+wire.BatchRows, n)
-		b := wire.ScoredBatch{Model: m.Name}
-		for i := base; i < hi; i++ {
+		b.Classes, b.Dists = b.Classes[:0], b.Dists[:0]
+		for i := base; i < min(base+wire.BatchRows, n); i++ {
 			b.Classes = append(b.Classes, int32(res.Classes[i]))
 			b.Dists = append(b.Dists, res.Dist(m, i))
 		}
-		if err := wire.WriteFrame(conn, wire.TScoredBatch, b); err != nil {
+		if err := wire.WriteFrame(conn, wire.TScoredBatch, &b); err != nil {
 			return err
 		}
 	}

@@ -2,18 +2,24 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"database/sql"
+	"errors"
 	"fmt"
+	"io"
 	"net"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	_ "repro/driver" // registers the ccsql database/sql driver
 	"repro/internal/dtree"
 	"repro/internal/mw"
 	"repro/internal/obs"
 	"repro/internal/sim"
+	"repro/internal/wire"
 )
 
 // startDaemon serves a fresh census engine on a loopback port and returns
@@ -297,4 +303,111 @@ func TestDaemonDrain(t *testing.T) {
 	db.Close()
 	// Drain is idempotent.
 	d.Drain(ln)
+}
+
+// TestDaemonRefusesOtherVersion: a client that says hello in another protocol
+// version gets one TError naming both versions and a closed connection — the
+// daemon holds no older codec to serve it with.
+func TestDaemonRefusesOtherVersion(t *testing.T) {
+	addr, stop := startDaemon(t, 200, 1, false)
+	defer stop()
+	nc, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc.Close()
+	if err := wire.WriteFrame(nc, wire.THello, wire.Hello{Version: 1}); err != nil {
+		t.Fatal(err)
+	}
+	var ack wire.HelloAck
+	err = wire.Expect(nc, wire.THelloAck, &ack)
+	if err == nil || !strings.Contains(err.Error(), "version 1") || !strings.Contains(err.Error(), "want 2") {
+		t.Fatalf("hello v1 answered with %v, want an error naming versions 1 and 2", err)
+	}
+	nc.SetReadDeadline(time.Now().Add(10 * time.Second))
+	if _, _, err := wire.ReadFrame(nc); err != io.EOF {
+		t.Fatalf("after the refusal: %v, want the connection closed", err)
+	}
+}
+
+// TestDriverCancelMidScore: a context cancelled while a SCORE TABLE stream is
+// draining ends the statement with the context's error and retires the
+// connection; the daemon's handler for it exits, the next statement runs on a
+// fresh connection, and no goroutine outlives the daemon.
+func TestDriverCancelMidScore(t *testing.T) {
+	before := runtime.NumGoroutine()
+	srv := testServer(t, 30000)
+	d := NewDaemon(srv, DaemonConfig{Fleet: FleetConfig{Base: baseCfg(1), MaxSessions: 8, ScanSharing: true}, Seed: 1})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	served := make(chan error, 1)
+	go func() { served <- d.Serve(ln) }()
+	db, err := sql.Open("ccsql", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	db.SetMaxOpenConns(1)
+	if _, err := db.Exec("BUILD TREE MAXDEPTH 4 MODEL m"); err != nil {
+		t.Fatal(err)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	rows, err := db.QueryContext(ctx, "SCORE TABLE cases USING m")
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	for rows.Next() {
+		if n++; n == 300 { // into the second frame of 118
+			cancel()
+		}
+	}
+	if err := rows.Err(); !errors.Is(err, context.Canceled) {
+		t.Fatalf("rows.Err() = %v after %d rows, want context.Canceled", err, n)
+	}
+	if n >= 30000 {
+		t.Fatalf("the cancelled stream still delivered all %d rows", n)
+	}
+	rows.Close()
+
+	// The handler of the retired connection exits without the daemon draining.
+	waitFor(t, "the cancelled connection's handler to exit", func() bool {
+		d.cmu.Lock()
+		defer d.cmu.Unlock()
+		return len(d.conns) == 0
+	})
+	var got int64
+	if err := db.QueryRow("SELECT COUNT(*) FROM cases").Scan(&got); err != nil || got != 30000 {
+		t.Fatalf("statement after the cancelled one: %d, %v", got, err)
+	}
+	rows, err = db.Query("SCORE TABLE cases USING m")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for n = 0; rows.Next(); n++ {
+	}
+	if err := rows.Err(); err != nil || n != 30000 {
+		t.Fatalf("SCORE TABLE on the fresh connection: %d rows, %v", n, err)
+	}
+	rows.Close()
+
+	db.Close()
+	d.Drain(ln)
+	if err := <-served; err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "every goroutine the test started to exit", func() bool { return runtime.NumGoroutine() <= before })
+}
+
+// waitFor polls cond for up to ten seconds.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); !cond(); time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+	}
 }

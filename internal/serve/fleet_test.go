@@ -15,7 +15,7 @@ import (
 )
 
 // testServer loads a census dataset into a fresh engine.
-func testServer(t *testing.T, rows int) *engine.Server {
+func testServer(t testing.TB, rows int) *engine.Server {
 	t.Helper()
 	ds, err := datagen.GenerateCensus(datagen.CensusConfig{Seed: 7, Rows: rows}.Normalize())
 	if err != nil {

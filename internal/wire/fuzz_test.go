@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"io"
 	"strings"
 	"testing"
@@ -45,9 +46,8 @@ func FuzzDecodeFrame(f *testing.F) {
 	f.Add(frameBytes(^uint32(0), 0xff, nil))
 	// Two frames back to back.
 	f.Add(append(append([]byte{}, zero.Bytes()...), valid.Bytes()...))
-	// Scored-batch frames: a well-formed one, one with a malformed model id
-	// (not JSON-escapable garbage in the name position), and a truncated
-	// distribution payload (header promises more bytes than follow).
+	// Batch frames. Well-formed: a scored batch with distributions and a row
+	// batch with an integer, a string and a mixed column.
 	var sb bytes.Buffer
 	_ = WriteFrame(&sb, TScoredBatch, ScoredBatch{
 		Model:   "m1",
@@ -55,10 +55,20 @@ func FuzzDecodeFrame(f *testing.F) {
 		Dists:   [][]int64{{5, 1}, {0, 9}, {2, 2}},
 	})
 	f.Add(sb.Bytes())
-	f.Add(frameBytes(24, byte(TScoredBatch), []byte(`{"model":1,"classes":{}}`)))
-	var sbt bytes.Buffer
-	_ = WriteFrame(&sbt, TScoredBatch, ScoredBatch{Model: "m", Classes: []int32{1}, Dists: [][]int64{{1, 2}}})
-	f.Add(sbt.Bytes()[:len(sbt.Bytes())-7])
+	var rb bytes.Buffer
+	_ = WriteFrame(&rb, TRowBatch, RowBatch{Rows: [][]Cell{
+		{{I: -7}, {Str: true, S: "a"}, {I: 1}},
+		{{I: 1 << 40}, {Str: true, S: "a"}, {Str: true, S: "é"}},
+	}})
+	f.Add(rb.Bytes())
+	// Malformed, each inside a well-formed frame: a truncated chunk (the
+	// frame ends mid-distribution), a dictionary code out of range, a class
+	// column that disagrees with the row count, an over-long varint.
+	frame := func(t Type, p []byte) []byte { return frameBytes(uint32(len(p)), byte(t), p) }
+	f.Add(frame(TScoredBatch, sb.Bytes()[headerLen:sb.Len()-3]))
+	f.Add(frame(TRowBatch, payload(2, 1, []byte{colStr}, 1, 1, "a", 0, 1)))
+	f.Add(frame(TScoredBatch, payload(1, "m", 2, 0, 1, int64(0))))
+	f.Add(frame(TScoredBatch, payload(1, "m", []byte{0x81, 0x00}, 0, 1, int64(0))))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := bytes.NewReader(data)
@@ -97,24 +107,95 @@ func FuzzDecodeFrame(f *testing.F) {
 			t.Fatalf("ReadFrame consumed %d bytes, want %d", len(data)-r.Len(), consumed)
 		}
 		// Unmarshal into the matching message type must never panic; errors
-		// are fine (arbitrary payloads are rarely valid JSON).
+		// are fine (arbitrary payloads are rarely valid). A batch payload is
+		// held to the batch codec's whole contract.
 		switch typ {
 		case THello:
 			_ = Unmarshal(payload, &Hello{})
-		case TRowBatch:
-			_ = Unmarshal(payload, &RowBatch{})
-		case TScoredBatch:
-			var sb ScoredBatch
-			if err := Unmarshal(payload, &sb); err == nil && len(sb.Dists) > 0 {
-				if len(sb.Dists) != len(sb.Classes) {
-					// Misaligned distributions decode (JSON cannot enforce
-					// the invariant); receivers must length-check, so the
-					// fuzz target does what a receiver does.
-					_ = sb
-				}
-			}
+		case TRowBatch, TScoredBatch:
+			checkBatchPayload(t, typ, payload)
 		case TError:
 			_ = Unmarshal(payload, &Error{})
+		}
+	})
+}
+
+// checkBatchPayload decodes an arbitrary payload as a batch of the given type
+// and pins the codec's contract: no panic; a refusal is a *BatchError and
+// leaves the batch empty; an accepted batch is rectangular, was not sized
+// beyond a constant multiple of the payload, and re-encodes to exactly the
+// bytes it came from (so there is one encoding per batch and every check the
+// decoder skipped would show as a difference).
+func checkBatchPayload(t *testing.T, typ Type, payload []byte) {
+	var msg any
+	var rows, footprint int
+	var sb ScoredBatch
+	var rb RowBatch
+	var err error
+	if typ == TScoredBatch {
+		err = Unmarshal(payload, &sb)
+		msg, rows = &sb, len(sb.Classes)+len(sb.Dists)
+		footprint = len(sb.Model) + 4*cap(sb.Classes) + 24*cap(sb.Dists) + 8*cap(sb.flat)
+		for _, d := range sb.Dists {
+			if len(sb.Dists) != len(sb.Classes) || len(d) != len(sb.Dists[0]) {
+				t.Fatalf("accepted a misaligned scored batch: %d classes, %d dists", len(sb.Classes), len(sb.Dists))
+			}
+		}
+	} else {
+		err = Unmarshal(payload, &rb)
+		msg, rows = &rb, len(rb.Rows)
+		footprint = 24*cap(rb.Rows) + 32*cap(rb.cells) + 16*cap(rb.dict)
+		for _, cell := range rb.cells {
+			footprint += len(cell.S)
+		}
+	}
+	if err != nil {
+		var be *BatchError
+		if !errors.As(err, &be) || be.Frame != typ {
+			t.Fatalf("refusal is not a %s BatchError: %v", typ, err)
+		}
+		if rows != 0 {
+			t.Fatalf("refused payload left %d rows in the batch", rows)
+		}
+		return
+	}
+	// 56 bytes is the most one payload byte buys: a one-byte cell in a
+	// one-column batch is a 32-byte Cell and a 24-byte row header.
+	if footprint > 64*len(payload) {
+		t.Fatalf("%d-byte payload decoded into %d bytes", len(payload), footprint)
+	}
+	var again bytes.Buffer
+	if err := WriteFrame(&again, typ, msg); err != nil {
+		t.Fatalf("accepted batch does not re-encode: %v", err)
+	}
+	if !bytes.Equal(again.Bytes()[headerLen:], payload) {
+		t.Fatalf("accepted payload is not the batch's encoding:\n got %x\nwant %x", payload, again.Bytes()[headerLen:])
+	}
+}
+
+// FuzzDecodeBatch feeds arbitrary payloads straight to the two batch
+// decoders, skipping the frame header FuzzDecodeFrame has to get past first.
+func FuzzDecodeBatch(f *testing.F) {
+	// Small seeds: the engine minimizes what it derives from them, for up to a
+	// minute apiece when they are frame-sized.
+	f.Add(true, encode(f, TScoredBatch, &ScoredBatch{Model: "m", Classes: []int32{0, 1}, Dists: [][]int64{{900, 7}, {0, 4100}}}))
+	f.Add(true, encode(f, TScoredBatch, &ScoredBatch{Model: "labels only", Classes: []int32{3, -1, 3}}))
+	f.Add(true, encode(f, TScoredBatch, &ScoredBatch{}))
+	f.Add(false, encode(f, TRowBatch, &RowBatch{Rows: [][]Cell{{{I: -5}, {Str: true, S: "a"}}, {{I: 300}, {Str: true, S: "b"}}, {{I: 0}, {Str: true, S: "a"}}}}))
+	f.Add(false, encode(f, TRowBatch, &RowBatch{}))
+	f.Add(false, encode(f, TRowBatch, &RowBatch{Rows: [][]Cell{{{I: 1}}, {{Str: true, S: "one"}}}}))
+	f.Add(true, payload(1, "m", 1<<40, 0, 0))                                        // hostile row count
+	f.Add(true, payload(1, "m", 2, 2, 2, int64(0), int64(1), 3, int64(5), int64(6))) // dists disagree with rows × k
+	f.Add(true, payload(1, "m", 1, 0, 1, int64(1<<31)))                              // class outside int32
+	f.Add(false, payload(2, 1, []byte{colStr}, 1, 1, "a", 0, 1))                     // code out of range
+	f.Add(false, payload(2, 1, []byte{colStr}, 2, 1, "a", 1, "a", 0, 1))             // duplicate entry
+	f.Add(false, payload(1, 1, []byte{colInt, 0x80, 0x00}))                          // over-long varint
+	f.Add(false, payload(1<<30, 1<<30))                                              // rows × cols overflow bait
+	f.Fuzz(func(t *testing.T, scored bool, payload []byte) {
+		if scored {
+			checkBatchPayload(t, TScoredBatch, payload)
+		} else {
+			checkBatchPayload(t, TRowBatch, payload)
 		}
 	})
 }

@@ -1,27 +1,69 @@
 // Package wire defines the small length-prefixed protocol cmd/served speaks
-// and the ccsql database/sql driver consumes. Every frame is a 4-byte
-// big-endian payload length, a 1-byte frame type, and a JSON payload —
-// trivially debuggable with a hex dump, stdlib-only, and streaming-friendly:
-// query results flow back as a ResultHeader frame followed by any number of
-// RowBatch frames and a terminating Done (or Error) frame, so the server
-// never buffers a whole result set for the client.
+// and the ccsql database/sql driver consumes. Every frame is
+//
+//	4 bytes   payload length, big-endian, at most MaxPayload
+//	1 byte    frame Type
+//	n bytes   payload
+//
+// and a result flows back as a ResultHeader frame, any number of batch frames
+// and a terminating Done (or Error) frame, so the server never buffers a whole
+// result set for the client.
+//
+// Control frames — Hello, HelloAck, Query, ResultHeader, Done, Error — carry a
+// JSON payload: there are three or four of them per statement whatever the
+// result size, and a hex dump of one reads as text. The two batch frames are
+// where the bytes are, so they are binary column chunks (batch.go). In both,
+// "uvarint" is an unsigned LEB128 integer, "varint" its zigzag signed form
+// (encoding/binary's AppendUvarint / AppendVarint), and a decoder accepts only
+// the shortest encoding of each:
+//
+//	TScoredBatch
+//	  uvarint  len(model), then the model name's bytes
+//	  uvarint  rows
+//	  uvarint  k, the distribution width; 0 = the batch carries no distributions
+//	  uvarint  class count (= rows), then that many varints, each an int32
+//	  if k > 0:
+//	  uvarint  distribution count (= rows × k), then that many varints, row-major
+//
+//	TRowBatch
+//	  uvarint  rows
+//	  uvarint  cols (0 only when rows is 0)
+//	  per column, one type byte and then
+//	    0 int:    rows varints
+//	    1 string: uvarint dictionary size d, d × (uvarint length, bytes), rows
+//	              uvarint codes < d; entries are distinct and numbered in order
+//	              of first use, so a column has one encoding
+//	    2 mixed:  rows × (tag byte 0, varint | tag byte 1, uvarint length, bytes);
+//	              only for a column that holds both kinds
+//
+// Every count a payload announces is checked against the bytes that remain
+// before anything is sized by it, a payload must be consumed exactly, and each
+// violation is a *BatchError. A malformed batch ends its statement, not the
+// connection: the frame around it was read whole, so the stream is still in
+// step.
+//
+// Version 2 is the only version. The handshake compares versions for equality
+// and either side refuses a mismatch; there is no negotiation and no second
+// codec to fall back to.
 package wire
 
 import (
+	"bufio"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
+	"sync"
 )
 
-// Version is the protocol version negotiated by Hello/HelloAck.
-const Version = 1
+// Version is the protocol version Hello and HelloAck must agree on.
+const Version = 2
 
-// MaxPayload bounds a frame's JSON payload; a peer announcing more is
-// malformed (or hostile) and the connection should drop.
+// MaxPayload bounds a frame's payload; a peer announcing more is malformed (or
+// hostile) and the connection should drop.
 const MaxPayload = 16 << 20
 
-// BatchRows is the number of result rows a server packs per RowBatch frame.
+// BatchRows is the number of result rows a server packs per batch frame.
 const BatchRows = 256
 
 // Type tags a frame.
@@ -100,27 +142,6 @@ type ResultHeader struct {
 	Cols []string `json:"cols"`
 }
 
-// Cell is one result value: an integer (the default) or a string.
-type Cell struct {
-	Str bool   `json:"t,omitempty"`
-	I   int64  `json:"i,omitempty"`
-	S   string `json:"s,omitempty"`
-}
-
-// RowBatch carries a slice of a result stream.
-type RowBatch struct {
-	Rows [][]Cell `json:"rows"`
-}
-
-// ScoredBatch carries a slice of a scoring result stream: the model that
-// scored it, one predicted class label per row, and (when the client asked
-// for them) the per-row class-count distributions, aligned with Classes.
-type ScoredBatch struct {
-	Model   string    `json:"model"`
-	Classes []int32   `json:"classes"`
-	Dists   [][]int64 `json:"dists,omitempty"`
-}
-
 // Done terminates a successful result stream with its total row count.
 type Done struct {
 	Rows int64 `json:"rows"`
@@ -131,38 +152,72 @@ type Error struct {
 	Msg string `json:"msg"`
 }
 
-// WriteFrame encodes msg as the frame's JSON payload and writes the frame.
-// A nil msg writes an empty payload.
-func WriteFrame(w io.Writer, t Type, msg any) error {
-	var payload []byte
-	if msg != nil {
-		var err error
-		payload, err = json.Marshal(msg)
-		if err != nil {
-			return fmt.Errorf("wire: encode %s: %w", t, err)
-		}
-	}
-	if len(payload) > MaxPayload {
-		return fmt.Errorf("wire: %s payload %d bytes exceeds limit", t, len(payload))
-	}
-	var hdr [5]byte
-	binary.BigEndian.PutUint32(hdr[:4], uint32(len(payload)))
-	hdr[4] = byte(t)
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	if len(payload) > 0 {
-		if _, err := w.Write(payload); err != nil {
-			return err
-		}
-	}
-	return nil
+// frameBuf is what one WriteFrame call borrows: the frame's bytes and the
+// string-column dictionary scratch.
+type frameBuf struct {
+	buf   []byte
+	dict  map[string]uint64
+	codes []uint64
 }
 
-// ReadFrame reads one frame and returns its type and raw JSON payload.
+var frameBufs = sync.Pool{New: func() any { return new(frameBuf) }}
+
+// maxPooledFrame keeps an unusually large frame's buffer out of the pool, so
+// what the pool retains stays a few ordinary frames.
+const maxPooledFrame = 1 << 20
+
+const headerLen = 5
+
+// WriteFrame encodes msg as the frame's payload — a RowBatch or ScoredBatch
+// (or a pointer to one) as binary column chunks, nil as an empty payload,
+// anything else as JSON — and writes header and payload with one Write.
+func WriteFrame(w io.Writer, t Type, msg any) error {
+	fb := frameBufs.Get().(*frameBuf)
+	buf := append(fb.buf[:0], 0, 0, 0, 0, byte(t))
+	var err error
+	switch m := msg.(type) {
+	case nil:
+	case *ScoredBatch:
+		buf, err = m.appendTo(buf)
+	case ScoredBatch:
+		buf, err = m.appendTo(buf)
+	case *RowBatch:
+		buf, err = m.appendTo(buf, fb)
+	case RowBatch:
+		buf, err = m.appendTo(buf, fb)
+	default:
+		var js []byte
+		if js, err = json.Marshal(msg); err != nil {
+			err = fmt.Errorf("wire: encode %s: %w", t, err)
+		}
+		buf = append(buf, js...)
+	}
+	if n := len(buf) - headerLen; err == nil && n > MaxPayload {
+		err = fmt.Errorf("wire: %s payload %d bytes exceeds limit", t, n)
+	}
+	if err == nil {
+		binary.BigEndian.PutUint32(buf, uint32(len(buf)-headerLen))
+		_, err = w.Write(buf)
+	}
+	if cap(buf) > maxPooledFrame {
+		buf = nil
+	}
+	fb.buf = buf
+	frameBufs.Put(fb)
+	return err
+}
+
+// ReadFrame reads one frame and returns its type and raw payload, freshly
+// allocated; a zero-length payload is nil.
 func ReadFrame(r io.Reader) (Type, []byte, error) {
-	var hdr [5]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	return readFrame(r, make([]byte, headerLen))
+}
+
+// readFrame reads one frame through buf (at least headerLen long): the header
+// lands in it, then the payload over the header when it fits.
+func readFrame(r io.Reader, buf []byte) (Type, []byte, error) {
+	hdr := buf[:headerLen]
+	if _, err := io.ReadFull(r, hdr); err != nil {
 		return 0, nil, err
 	}
 	n := binary.BigEndian.Uint32(hdr[:4])
@@ -173,15 +228,54 @@ func ReadFrame(r io.Reader) (Type, []byte, error) {
 	if n == 0 {
 		return t, nil, nil
 	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
+	if uint32(cap(buf)) < n {
+		buf = make([]byte, n)
+	}
+	buf = buf[:n]
+	if _, err := io.ReadFull(r, buf); err != nil {
 		return 0, nil, err
 	}
-	return t, payload, nil
+	return t, buf, nil
 }
 
-// Unmarshal decodes a frame payload into msg with a wire-level error.
+// Reader reads one connection's frames through a read buffer and one payload
+// buffer it reuses from frame to frame, so a long result stream costs a read
+// per buffer-full and no allocation per frame. It is an io.Reader over the
+// same buffered stream, so Expect can take it.
+type Reader struct {
+	br  *bufio.Reader
+	buf []byte
+}
+
+// NewReader wraps a connection's read side.
+func NewReader(r io.Reader) *Reader {
+	return &Reader{br: bufio.NewReaderSize(r, 32<<10), buf: make([]byte, headerLen, 4<<10)}
+}
+
+// Read reads buffered bytes of the underlying stream.
+func (r *Reader) Read(p []byte) (int, error) { return r.br.Read(p) }
+
+// ReadFrame reads the next frame. The payload is valid until the next call:
+// decode it (Unmarshal copies what it keeps) before reading on.
+func (r *Reader) ReadFrame() (Type, []byte, error) {
+	t, payload, err := readFrame(r.br, r.buf)
+	// Keep a buffer the frame had to grow, unless the frame was outsized.
+	if cap(payload) > cap(r.buf) && cap(payload) <= maxPooledFrame {
+		r.buf = payload
+	}
+	return t, payload, err
+}
+
+// Unmarshal decodes a frame payload into msg — a *RowBatch or *ScoredBatch
+// from its binary form, overwriting the batch and reusing its storage;
+// anything else from JSON.
 func Unmarshal(payload []byte, msg any) error {
+	switch m := msg.(type) {
+	case *ScoredBatch:
+		return m.decode(payload)
+	case *RowBatch:
+		return m.decode(payload)
+	}
 	if err := json.Unmarshal(payload, msg); err != nil {
 		return fmt.Errorf("wire: decode payload: %w", err)
 	}
@@ -210,8 +304,5 @@ func Expect(r io.Reader, want Type, msg any) error {
 	if msg == nil {
 		return nil
 	}
-	if err := json.Unmarshal(payload, msg); err != nil {
-		return fmt.Errorf("wire: decode %s: %w", t, err)
-	}
-	return nil
+	return Unmarshal(payload, msg)
 }

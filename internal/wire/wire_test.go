@@ -59,12 +59,13 @@ func TestFrameRoundTrip(t *testing.T) {
 	}
 }
 
-// TestCellRoundTrip checks both cell variants survive a batch round trip.
+// TestCellRoundTrip checks both cell variants survive a batch round trip, in
+// an all-integer, an all-string and a mixed column.
 func TestCellRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	in := RowBatch{Rows: [][]Cell{
-		{{I: -3}, {I: 0}, {Str: true, S: ""}},
-		{{Str: true, S: "hello"}, {I: 1 << 40}},
+		{{I: -3}, {Str: true, S: ""}, {I: 0}},
+		{{I: 1 << 40}, {Str: true, S: "hello"}, {Str: true, S: "x"}},
 	}}
 	if err := WriteFrame(&buf, TRowBatch, in); err != nil {
 		t.Fatal(err)
@@ -77,11 +78,12 @@ func TestCellRoundTrip(t *testing.T) {
 	if err := Unmarshal(payload, &out); err != nil {
 		t.Fatal(err)
 	}
-	if len(out.Rows) != 2 || len(out.Rows[0]) != 3 || len(out.Rows[1]) != 2 {
-		t.Fatalf("shape mismatch: %+v", out)
+	if len(out.Rows) != 2 || len(out.Rows[0]) != 3 || len(out.Rows[1]) != 3 {
+		t.Fatalf("shape mismatch: %+v", out.Rows)
 	}
-	if out.Rows[0][0].I != -3 || out.Rows[0][2].Str != true || out.Rows[1][0].S != "hello" || out.Rows[1][1].I != 1<<40 {
-		t.Fatalf("values mismatch: %+v", out)
+	if out.Rows[0][0].I != -3 || out.Rows[0][1].Str != true || out.Rows[1][1].S != "hello" || out.Rows[1][0].I != 1<<40 ||
+		out.Rows[0][2].Str || out.Rows[1][2].S != "x" {
+		t.Fatalf("values mismatch: %+v", out.Rows)
 	}
 }
 
