@@ -1,12 +1,16 @@
 package engine
 
 import (
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/data"
+	"repro/internal/datagen"
 	"repro/internal/predicate"
 	"repro/internal/sim"
+	"repro/internal/storage"
 )
 
 func benchServer(b *testing.B, rows int) *Server {
@@ -69,6 +73,59 @@ func BenchmarkIndexProbeQuery(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := e.Exec("SELECT COUNT(*) FROM cases WHERE A1 = 2"); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkExecPoint measures Engine.Exec on the two point-statement shapes
+// of cmd/bench's serve_mixed workload — a three-equality CLASSIFY lookup and
+// a filtered GROUP BY count — over a 50k-row census table, once per access
+// path: heap (the columnar copy dropped), columnar, and index (on education,
+// a filter column of both shapes).
+func BenchmarkExecPoint(b *testing.B) {
+	ds, err := datagen.GenerateCensus(datagen.CensusConfig{Rows: 50000, Seed: 7})
+	if err != nil {
+		b.Fatal(err)
+	}
+	s := ds.Schema
+	attrs := make([]string, s.NumAttrs())
+	for i := range attrs {
+		attrs[i] = s.Attrs[i].Name
+	}
+	rng := rand.New(rand.NewSource(7))
+	stmts := map[string][]string{}
+	for i := 0; i < 16; i++ {
+		stmts["classify"] = append(stmts["classify"], fmt.Sprintf(
+			"SELECT CLASSIFY(m, %s) FROM cases WHERE occupation = %d AND education = %d AND country = %d",
+			strings.Join(attrs, ", "), rng.Intn(12), rng.Intn(10), rng.Intn(10)))
+		stmts["count"] = append(stmts["count"], fmt.Sprintf(
+			"SELECT income, COUNT(*) FROM cases WHERE education = %d GROUP BY income", rng.Intn(10)))
+	}
+	for _, kind := range []string{"classify", "count"} {
+		for _, path := range []string{pathHeap, pathColumnar, pathIndex} {
+			b.Run(kind+"/"+path, func(b *testing.B) {
+				srv, err := NewServer(New(sim.NewDefaultMeter(), 0), "cases", ds)
+				if err != nil {
+					b.Fatal(err)
+				}
+				e := srv.Engine()
+				if err := e.RegisterModel(stumpModel("m", s.NumAttrs())); err != nil {
+					b.Fatal(err)
+				}
+				switch path {
+				case pathHeap:
+					srv.table.colstore = storage.NewColStore(len(srv.table.Cols))
+				case pathIndex:
+					e.MustExec("CREATE INDEX ie ON cases (education)")
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if _, err := e.Exec(stmts[kind][i%len(stmts[kind])]); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
 		}
 	}
 }

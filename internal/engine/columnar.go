@@ -311,8 +311,11 @@ func (b *ColBlock) MaterializeRow(i int32, dst data.Row) data.Row {
 // ColumnarAvailable reports whether the server's table has a columnar copy
 // to scan. Tables populated through CreateTable/Insert/BulkLoad — including
 // the temp tables CopySubset builds — always do.
-func (s *Server) ColumnarAvailable() bool {
-	return s.table.colstore != nil && s.table.colstore.NumRows() == s.table.NumRows()
+func (s *Server) ColumnarAvailable() bool { return s.table.columnarComplete() }
+
+// columnarComplete reports whether t's columnar copy holds every heap row.
+func (t *Table) columnarComplete() bool {
+	return t.colstore != nil && t.colstore.NumRows() == t.NumRows()
 }
 
 // NumColGroups returns the number of columnar row groups — the unit the
@@ -369,5 +372,6 @@ func (s *Server) ScanColumnarRange(f predicate.Filter, needCols []int, loGroup, 
 	if lane == nil {
 		lane = s.meter
 	}
-	s.scanColumnar([]*ScanConsumer{{Filter: f, Lane: lane, Fn: fn}}, needCols, loGroup, hiGroup, lane)
+	lane.Charge(sim.CtrServerScans, lane.Costs().CursorOpen, 1)
+	s.table.scanColumnar([]*ScanConsumer{{Filter: f, Lane: lane, Fn: fn}}, needCols, loGroup, hiGroup, lane)
 }

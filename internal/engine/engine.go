@@ -8,8 +8,10 @@
 //     the UNION-of-GROUP-BY counts queries of §2.3 (each UNION arm performs
 //     its own scan: the engine's optimizer, like the commercial optimizers
 //     the paper discusses, does not exploit the commonality across arms);
-//   - B-tree secondary indexes (CREATE INDEX) with point and range planning,
-//     and inner hash equi-joins with qualified column names;
+//   - B-tree secondary indexes (CREATE INDEX), one rule-based access path per
+//     single-table statement (index, else pushed-down columnar filter, else
+//     heap scan; access.go), and inner hash equi-joins with qualified column
+//     names;
 //   - the OLE-DB-like cursor surface the middleware consumes (Server):
 //     firehose cursors with pushed-down filter expressions, keyset cursors
 //     with an optional stored-procedure filter (§4.3.3c), TID-join access

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 
 	"repro/internal/data"
@@ -255,7 +256,16 @@ func (e *Engine) execDelete(s *sqlparser.Delete) error {
 	if err != nil {
 		return err
 	}
+	// The rebuilt table keeps the old one's indexes: BulkLoad fills them, at
+	// CREATE INDEX's one probe per row inserted.
+	//repolint:ordered every index is recreated empty; the order cannot show
+	for col := range t.indexes {
+		nt.indexes[col] = &Index{Col: col, bt: storage.NewBTree()}
+	}
 	e.meter.Charge(sim.CtrServerRows, e.meter.Costs().ServerRowWrite, int64(len(keep)))
+	if n := len(t.indexes); n > 0 {
+		e.meter.Charge(sim.CtrIndexProbes, e.meter.Costs().IndexProbe, int64(len(keep)*n))
+	}
 	return e.BulkLoad(nt, keep)
 }
 
@@ -575,25 +585,32 @@ func (e *Engine) execSelect(s *sqlparser.Select) (*ResultSet, error) {
 func dedupeRows(rows [][]Val) [][]Val {
 	seen := make(map[string]bool, len(rows))
 	out := rows[:0]
-	var key strings.Builder
+	var key []byte
 	for _, r := range rows {
-		key.Reset()
+		key = key[:0]
 		for _, v := range r {
-			if v.Str {
-				key.WriteByte('s')
-				key.WriteString(v.S)
-			} else {
-				fmt.Fprintf(&key, "i%d", v.I)
-			}
-			key.WriteByte('\x00')
+			key = appendKey(key, v)
 		}
-		k := key.String()
-		if !seen[k] {
-			seen[k] = true
+		if !seen[string(key)] {
+			seen[string(key)] = true
 			out = append(out, r)
 		}
 	}
 	return out
+}
+
+// appendKey appends v's hash-key encoding to key: a type tag, the value and a
+// terminator, so the encodings of a value list concatenate unambiguously.
+// Grouping, DISTINCT/UNION and the hash join all key their maps with it,
+// reusing one buffer per scan and looking up m[string(key)], which does not
+// allocate.
+func appendKey(key []byte, v Val) []byte {
+	if v.Str {
+		key = append(append(key, 's'), v.S...)
+	} else {
+		key = strconv.AppendInt(append(key, 'i'), v.I, 10)
+	}
+	return append(key, 0)
 }
 
 // orderBy sorts the result set. Order keys that are column references are
@@ -651,20 +668,27 @@ func (e *Engine) orderBy(rs *ResultSet, keys []sqlparser.OrderItem) error {
 	return nil
 }
 
-// execCore executes one SELECT ... FROM ... WHERE ... GROUP BY block with a
-// full table scan (using an index only for a simple single-column equality
-// WHERE clause).
+// execCore executes one SELECT ... FROM ... WHERE ... GROUP BY block. A
+// single-table core reads its rows by the access path planAccess chooses
+// (access.go); a join core iterates the join and filters the joined rows.
 func (e *Engine) execCore(c *sqlparser.SelectCore) (*ResultSet, error) {
 	rel, err := e.buildRelation(c)
 	if err != nil {
 		return nil, err
 	}
-	t := rel // column resolver for expression compilation
+	// Column resolver for expression compilation; it records the columns
+	// the statement reads, which is what a columnar path decodes.
+	t := &usedCols{colResolver: rel, used: make([]bool, len(rel.cols))}
 
-	// Compile WHERE.
+	// Choose the access path and compile what it leaves of WHERE.
+	var path accessPath
+	residual := c.Where
+	if rel.table != nil {
+		path, residual = planAccess(rel.table, t, c.Where)
+	}
 	var where evaluator
-	if c.Where != nil {
-		where, err = e.compileExpr(c.Where, t)
+	if residual != nil {
+		where, err = e.compileExpr(residual, t)
 		if err != nil {
 			return nil, err
 		}
@@ -728,40 +752,23 @@ func (e *Engine) execCore(c *sqlparser.SelectCore) (*ResultSet, error) {
 
 	rs := &ResultSet{Cols: cols}
 
-	// scanSource drives rows through fn: an index probe (simple equality
-	// WHERE on an indexed single-table column), or a sequential scan of the
-	// relation with the WHERE filter applied.
+	// scanSource drives the rows passing WHERE through fn: the path's
+	// selection (or the relation's every row), then the residual filter.
 	scanSource := func(fn func(data.Row) error) error {
-		if rel.table != nil {
-			if col, lo, hi, ok := simpleRange(c.Where, rel.table); ok {
-				if idx, has := rel.table.indexes[col]; has {
-					var row data.Row
-					r := e.reader(rel.table)
-					for _, tid := range e.LookupRange(idx, lo, hi) {
-						row, err = r.fetch(tid, row)
-						if err != nil {
-							return err
-						}
-						if ferr := fn(row); ferr != nil {
-							return ferr
-						}
-					}
-					return nil
-				}
-			}
-		}
-		return rel.iterate(func(row data.Row) error {
-			if where != nil {
+		filtered := fn
+		if where != nil {
+			filtered = func(row data.Row) error {
 				v, err := where(row)
-				if err != nil {
+				if err != nil || !truthy(v) {
 					return err
 				}
-				if !truthy(v) {
-					return nil
-				}
+				return fn(row)
 			}
-			return fn(row)
-		})
+		}
+		if path.idx != nil || path.columnar {
+			return path.scan(e, rel.table, t.list(), filtered)
+		}
+		return rel.iterate(filtered)
 	}
 
 	if !grouped {
@@ -809,24 +816,18 @@ func (e *Engine) execCore(c *sqlparser.SelectCore) (*ResultSet, error) {
 		}
 	}
 
+	var key []byte // the row's group key, reused
 	err = scanSource(func(row data.Row) error {
 		e.meter.Charge(sim.CtrSQLAggRows, aggCost, 1)
-		var key strings.Builder
+		key = key[:0]
 		for _, ge := range groupEvals {
 			v, err := ge(row)
 			if err != nil {
 				return err
 			}
-			if v.Str {
-				key.WriteByte('s')
-				key.WriteString(v.S)
-			} else {
-				fmt.Fprintf(&key, "i%d", v.I)
-			}
-			key.WriteByte('\x00')
+			key = appendKey(key, v)
 		}
-		k := key.String()
-		g, ok := groups[k]
+		g, ok := groups[string(key)] // no allocation: the string is made only for a new group
 		if !ok {
 			g = &group{order: orderSeq}
 			orderSeq++
@@ -848,7 +849,7 @@ func (e *Engine) execCore(c *sqlparser.SelectCore) (*ResultSet, error) {
 			if havingFn != nil {
 				g.rep = row.Clone()
 			}
-			groups[k] = g
+			groups[string(key)] = g
 		}
 		for _, a := range g.aggs {
 			if a != nil {
@@ -993,54 +994,4 @@ func lastSegment(name string) string {
 		return name[i+1:]
 	}
 	return name
-}
-
-// simpleEquality reports whether the WHERE clause is exactly "col = int" on
-// a column of t, enabling an index probe.
-func simpleEquality(where sqlparser.Expr, t *Table) (col string, val data.Value, ok bool) {
-	be, isBin := where.(*sqlparser.BinaryExpr)
-	if !isBin || be.Op != "=" {
-		return "", 0, false
-	}
-	cr, lcol := be.L.(*sqlparser.ColumnRef)
-	il, rint := be.R.(*sqlparser.IntLit)
-	if lcol && rint && t.ColIndex(cr.Name) >= 0 {
-		return cr.Name, data.Value(il.Val), true
-	}
-	cr2, rcol := be.R.(*sqlparser.ColumnRef)
-	il2, lint := be.L.(*sqlparser.IntLit)
-	if rcol && lint && t.ColIndex(cr2.Name) >= 0 {
-		return cr2.Name, data.Value(il2.Val), true
-	}
-	return "", 0, false
-}
-
-// simpleRange recognizes a WHERE clause of the form "col OP int" (OP one of
-// =, <, <=, >, >=) on a column of t and returns the equivalent closed key
-// range for a B-tree scan.
-func simpleRange(where sqlparser.Expr, t *Table) (col string, lo, hi int64, ok bool) {
-	if c, v, eq := simpleEquality(where, t); eq {
-		return c, int64(v), int64(v), true
-	}
-	be, isBin := where.(*sqlparser.BinaryExpr)
-	if !isBin {
-		return "", 0, 0, false
-	}
-	cr, lcol := be.L.(*sqlparser.ColumnRef)
-	il, rint := be.R.(*sqlparser.IntLit)
-	if !lcol || !rint || t.ColIndex(cr.Name) < 0 {
-		return "", 0, 0, false
-	}
-	const inf = int64(1) << 40
-	switch be.Op {
-	case "<":
-		return cr.Name, -inf, il.Val - 1, true
-	case "<=":
-		return cr.Name, -inf, il.Val, true
-	case ">":
-		return cr.Name, il.Val + 1, inf, true
-	case ">=":
-		return cr.Name, il.Val, inf, true
-	}
-	return "", 0, 0, false
 }

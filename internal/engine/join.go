@@ -2,7 +2,6 @@ package engine
 
 import (
 	"fmt"
-	"strings"
 
 	"repro/internal/data"
 	"repro/internal/sim"
@@ -171,16 +170,16 @@ func (r *relation) iterate(fn func(data.Row) error) error {
 
 	// Build side: hash the right table on its key columns.
 	build := make(map[string][]data.Row)
-	var key strings.Builder
-	keyOf := func(row data.Row, keys []int) string {
-		key.Reset()
+	var key []byte
+	keyOf := func(row data.Row, keys []int) []byte {
+		key = key[:0]
 		for _, k := range keys {
-			fmt.Fprintf(&key, "%d.", row[k])
+			key = appendKey(key, Val{I: int64(row[k])})
 		}
-		return key.String()
+		return key
 	}
 	e.reader(r.right).scanAll(func(_ storage.TID, row data.Row) bool {
-		k := keyOf(row, r.rightKeys)
+		k := string(keyOf(row, r.rightKeys))
 		build[k] = append(build[k], row.Clone())
 		return true
 	})
@@ -201,7 +200,7 @@ func (r *relation) iterate(fn func(data.Row) error) error {
 	var ferr error
 	e.reader(r.left).scanAll(func(_ storage.TID, lrow data.Row) bool {
 		e.meter.Charge(sim.CtrIndexProbes, probeCost, 1)
-		matches := build[keyOf(lrow, r.leftKeys)]
+		matches := build[string(keyOf(lrow, r.leftKeys))]
 		for _, rrow := range matches {
 			copy(joined, lrow)
 			copy(joined[len(r.left.Cols):], rrow)

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/data"
 	"repro/internal/sim"
+	"repro/internal/storage"
 )
 
 // TestRandomGroupedQueriesAgainstReference generates random GROUP BY /
@@ -141,4 +142,390 @@ func TestRandomUnionQueries(t *testing.T) {
 			t.Fatalf("%s: %d rows, want %d", sql, len(rs.Rows), want)
 		}
 	}
+}
+
+// stumpModel is a hand-built two-level model over the first two columns: a
+// binary root, one leaf, and a multiway node whose unlisted values fall back
+// to its majority class — every walk rule CLASSIFY has.
+func stumpModel(name string, cols int) *Model {
+	return &Model{Name: name, Cols: cols, Classes: 2, Nodes: []ModelNode{
+		{Parent: -1, Attr: 0, Val: 0, Kids: []int32{1, 2}, Counts: []int64{5, 5}},
+		{Parent: 0, Leaf: true, Attr: -1, Class: 1, Counts: []int64{1, 4}},
+		{Parent: 0, Attr: 1, Multiway: true, Vals: []data.Value{0, 1}, Kids: []int32{3, 4}, Counts: []int64{4, 1}},
+		{Parent: 2, Leaf: true, Attr: -1, Class: 0, Counts: []int64{3, 0}},
+		{Parent: 2, Leaf: true, Attr: -1, Class: 1, Counts: []int64{1, 1}},
+	}}
+}
+
+// The three access paths of a single-table core (access.go).
+const (
+	pathColumnar = "columnar"
+	pathIndex    = "index"
+	pathHeap     = "heap"
+)
+
+// pathTable is one table built three ways so that each engine is forced onto
+// a different access path, plus the rows it holds for the in-memory reference.
+type pathTable struct {
+	rows     []data.Row // heap order
+	indexCol int        // the column the index engine indexes
+	eng      map[string]*Engine
+}
+
+// newPathTable loads rows into three engines and applies mutate (Inserts,
+// DELETEs) to each. The index engine gets its index before mutate, so the
+// index has to survive it; the heap engine loses its columnar copy after,
+// since a DELETE rebuilds a complete one.
+func newPathTable(t *testing.T, s *data.Schema, rows []data.Row, indexCol int, mutate func(e *Engine)) *pathTable {
+	t.Helper()
+	pt := &pathTable{indexCol: indexCol, eng: map[string]*Engine{}}
+	for _, path := range []string{pathColumnar, pathIndex, pathHeap} {
+		ds := data.NewDataset(s)
+		ds.Rows = rows
+		srv, err := NewServer(New(sim.NewDefaultMeter(), 0), "cases", ds)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e := srv.Engine()
+		if err := e.RegisterModel(stumpModel("m", s.NumAttrs())); err != nil {
+			t.Fatal(err)
+		}
+		if path == pathIndex {
+			e.MustExec(fmt.Sprintf("CREATE INDEX ix ON cases (%s)", s.ColName(indexCol)))
+		}
+		if mutate != nil {
+			mutate(e)
+		}
+		if path == pathHeap {
+			tbl, _ := e.Table("cases")
+			tbl.colstore = storage.NewColStore(len(tbl.Cols)) // incomplete: holds no row
+		}
+		pt.eng[path] = e
+	}
+	tbl, _ := pt.eng[pathHeap].Table("cases")
+	pt.eng[pathHeap].reader(tbl).scanAll(func(_ storage.TID, r data.Row) bool {
+		pt.rows = append(pt.rows, r.Clone())
+		return true
+	})
+	return pt
+}
+
+// pathTaken runs sql and names the access path it took from what it charged.
+func pathTaken(t *testing.T, e *Engine, sql string) (*ResultSet, string) {
+	t.Helper()
+	before := e.Meter().CounterVec()
+	rs, err := e.Exec(sql)
+	if err != nil {
+		t.Fatalf("%s: %v", sql, err)
+	}
+	d := e.Meter().CounterVec().Delta(before)
+	switch {
+	case d[sim.CtrTIDFetches] > 0 || d[sim.CtrIndexProbes] > 0:
+		return rs, pathIndex
+	case d[sim.CtrColGroupsScanned]+d[sim.CtrColGroupsSkipped] > 0:
+		return rs, pathColumnar
+	}
+	return rs, pathHeap
+}
+
+// conjunct is one generated WHERE conjunct: its SQL, its meaning, and what
+// the planner may do with it.
+type conjunct struct {
+	sql     string
+	eval    func(data.Row) bool
+	col     int  // the compared column; -1 when the conjunct is not "col OP int"
+	indexOK bool // an index on col can serve it
+}
+
+// randConjunct draws one conjunct over the first ncols columns.
+func randConjunct(rng *rand.Rand, s *data.Schema, ncols int) conjunct {
+	c, c2 := rng.Intn(ncols), rng.Intn(ncols)
+	v := int64(rng.Intn(5)) // 4 is absent from every column
+	name := s.ColName(c)
+	const big = int64(1)<<32 + 1 // narrows to 1, a value rows do hold
+	cmp := func(op string, lit int64) func(data.Row) bool {
+		return func(r data.Row) bool {
+			x := int64(r[c])
+			switch op {
+			case "=":
+				return x == lit
+			case "<>":
+				return x != lit
+			case "<":
+				return x < lit
+			case "<=":
+				return x <= lit
+			case ">":
+				return x > lit
+			}
+			return x >= lit
+		}
+	}
+	ops := []string{"=", "=", "=", "<>", "<", "<=", ">", ">="}
+	switch k := rng.Intn(12); {
+	case k < 8:
+		op := ops[k]
+		return conjunct{fmt.Sprintf("%s %s %d", name, op, v), cmp(op, v), c, op != "<>"}
+	case k == 8: // the literal on the left: v > col is col < v
+		return conjunct{fmt.Sprintf("%d > %s", v, name), cmp("<", v), c, true}
+	case k == 9: // a literal outside int32
+		op := ops[rng.Intn(len(ops))]
+		lit := big
+		if rng.Intn(2) == 0 {
+			lit = -big
+		}
+		return conjunct{fmt.Sprintf("%s %s %d", name, op, lit), cmp(op, lit), c, op != "<>"}
+	case k == 10: // a disjunction: residual on every path
+		return conjunct{
+			fmt.Sprintf("(%s = %d OR %s = 1)", name, v, s.ColName(c2)),
+			func(r data.Row) bool { return int64(r[c]) == v || r[c2] == 1 }, -1, false}
+	}
+	return conjunct{ // a column-to-column comparison: residual too
+		fmt.Sprintf("%s <= %s", name, s.ColName(c2)),
+		func(r data.Row) bool { return r[c] <= r[c2] }, -1, false}
+}
+
+// sameVals compares two row lists, as multisets unless ordered.
+func sameVals(got, want [][]Val, ordered bool) bool {
+	if !ordered {
+		less := func(rows [][]Val) func(i, j int) bool {
+			return func(i, j int) bool { return fmt.Sprint(rows[i]) < fmt.Sprint(rows[j]) }
+		}
+		got, want = append([][]Val(nil), got...), append([][]Val(nil), want...)
+		sort.Slice(got, less(got))
+		sort.Slice(want, less(want))
+	}
+	if len(got) != len(want) {
+		return false
+	}
+	for i := range got {
+		if fmt.Sprint(got[i]) != fmt.Sprint(want[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// check runs one generated statement on all three engines: each must take
+// the path its table forces, the columnar and heap plans must return the
+// reference rows in heap order, the index plan the same multiset.
+func (pt *pathTable) check(t *testing.T, sql string, conjs []conjunct, want [][]Val) {
+	t.Helper()
+	for path, e := range pt.eng {
+		wantPath := path
+		if path == pathIndex {
+			wantPath = pathColumnar
+			for _, c := range conjs {
+				if c.indexOK && c.col == pt.indexCol {
+					wantPath = pathIndex
+				}
+			}
+		}
+		rs, took := pathTaken(t, e, sql)
+		if took != wantPath {
+			t.Fatalf("%s: %s engine took the %s path, want %s", sql, path, took, wantPath)
+		}
+		if !sameVals(rs.Rows, want, wantPath != pathIndex) {
+			t.Fatalf("%s: %s path returned %d rows %v, reference has %d %v",
+				sql, wantPath, len(rs.Rows), head(rs.Rows), len(want), head(want))
+		}
+	}
+}
+
+func head(rows [][]Val) [][]Val { return rows[:min(len(rows), 6)] }
+
+// randomStatements drives n generated statements of four shapes — plain
+// projection, CLASSIFY projection, GROUP BY aggregate, aggregate without
+// GROUP BY — over random conjunctions through check.
+func (pt *pathTable) randomStatements(t *testing.T, rng *rand.Rand, s *data.Schema, n int) {
+	t.Helper()
+	nattrs := s.NumAttrs()
+	model := stumpModel("m", s.NumAttrs())
+	for trial := 0; trial < n; trial++ {
+		conjs := make([]conjunct, rng.Intn(4))
+		parts := make([]string, len(conjs))
+		for i := range conjs {
+			conjs[i] = randConjunct(rng, s, nattrs)
+			parts[i] = conjs[i].sql
+		}
+		where := ""
+		if len(parts) > 0 {
+			where = " WHERE " + strings.Join(parts, " AND ")
+		}
+		var sel []data.Row
+		for _, r := range pt.rows {
+			ok := true
+			for _, c := range conjs {
+				ok = ok && c.eval(r)
+			}
+			if ok {
+				sel = append(sel, r)
+			}
+		}
+		a, b := rng.Intn(nattrs), rng.Intn(nattrs+1) // b may be the class
+		an, bn := s.ColName(a), s.ColName(b)
+		var sql string
+		var want [][]Val
+		switch rng.Intn(4) {
+		case 0:
+			sql = fmt.Sprintf("SELECT %s, %s FROM cases%s", bn, an, where)
+			for _, r := range sel {
+				want = append(want, []Val{IntVal(int64(r[b])), IntVal(int64(r[a]))})
+			}
+		case 1:
+			sql = fmt.Sprintf("SELECT %s, CLASSIFY(m, %s, %s, %s) FROM cases%s", an, s.ColName(0), s.ColName(1), s.ColName(2), where)
+			for _, r := range sel {
+				want = append(want, []Val{IntVal(int64(r[a])), IntVal(int64(model.Predict(r)))})
+			}
+		case 2:
+			sql = fmt.Sprintf("SELECT %s, COUNT(*), SUM(%s) FROM cases%s GROUP BY %s", bn, an, where, bn)
+			at := map[data.Value]int{}
+			for _, r := range sel {
+				i, ok := at[r[b]]
+				if !ok {
+					i = len(want)
+					at[r[b]] = i
+					want = append(want, []Val{IntVal(int64(r[b])), IntVal(0), IntVal(0)})
+				}
+				want[i][1].I++
+				want[i][2].I += int64(r[a])
+			}
+		default:
+			sql = fmt.Sprintf("SELECT COUNT(*), MAX(%s) FROM cases%s", an, where)
+			row := []Val{IntVal(int64(len(sel))), IntVal(0)}
+			for i, r := range sel {
+				if i == 0 || int64(r[a]) > row[1].I {
+					row[1].I = int64(r[a])
+				}
+			}
+			want = [][]Val{row} // one row even when nothing matched
+		}
+		pt.check(t, sql, conjs, want)
+	}
+}
+
+// TestRandomStatementsOnEveryAccessPath is the differential test of the
+// access-path rule: random statements over the same table reached by the
+// columnar, index and heap plans, checked against an in-memory evaluation.
+func TestRandomStatementsOnEveryAccessPath(t *testing.T) {
+	s := data.NewSchema(3, 4, 2)
+	uniform := func(rng *rand.Rand, n int) []data.Row {
+		rows := make([]data.Row, n)
+		for i := range rows {
+			rows[i] = data.Row{data.Value(rng.Intn(4)), data.Value(rng.Intn(4)), data.Value(rng.Intn(4)), data.Value(rng.Intn(2))}
+		}
+		return rows
+	}
+
+	t.Run("uniform", func(t *testing.T) {
+		rng := rand.New(rand.NewSource(44))
+		pt := newPathTable(t, s, uniform(rng, 700), 0, nil)
+		pt.randomStatements(t, rng, s, 150)
+	})
+
+	// Three row groups, the first column clustered in row order: A1 = 0 is
+	// absent from the later groups' dictionaries, A1 = 3 from the earlier.
+	t.Run("clustered", func(t *testing.T) {
+		rng := rand.New(rand.NewSource(45))
+		rows := uniform(rng, 2*storage.RowGroupSize+900)
+		for i, r := range rows {
+			r[0] = data.Value(i * 4 / len(rows))
+		}
+		pt := newPathTable(t, s, rows, 1, nil)
+		pt.randomStatements(t, rng, s, 60)
+
+		e := pt.eng[pathColumnar]
+		before := e.Meter().CounterVec()
+		rs := e.MustExec("SELECT A2 FROM cases WHERE A1 = 0 AND A3 <> 1")
+		d := e.Meter().CounterVec().Delta(before)
+		if d[sim.CtrColGroupsSkipped] == 0 || d[sim.CtrColGroupsScanned] == 0 || len(rs.Rows) == 0 {
+			t.Errorf("clustered lookup: %d groups skipped, %d scanned, %d rows; want some of each",
+				d[sim.CtrColGroupsSkipped], d[sim.CtrColGroupsScanned], len(rs.Rows))
+		}
+		// A literal in no dictionary: every group skipped, nothing read, and
+		// an aggregate without GROUP BY still answers its one row.
+		before = e.Meter().CounterVec()
+		rs = e.MustExec("SELECT COUNT(*), SUM(A2) FROM cases WHERE A3 = 9")
+		d = e.Meter().CounterVec().Delta(before)
+		if d[sim.CtrColGroupsScanned] != 0 || d[sim.CtrServerPages] != 0 || !sameVals(rs.Rows, [][]Val{{IntVal(0), IntVal(0)}}, true) {
+			t.Errorf("absent literal: %d groups scanned, %d pages, rows %v; want none, none, [[0 0]]",
+				d[sim.CtrColGroupsScanned], d[sim.CtrServerPages], rs.Rows)
+		}
+		if rs = e.MustExec("SELECT A1 FROM cases WHERE A3 = 9"); len(rs.Rows) != 0 {
+			t.Errorf("absent literal: %d rows, want none", len(rs.Rows))
+		}
+	})
+
+	// One sealed group, then rows Inserted into the open tail — among them a
+	// value no bulk-loaded row has — then a DELETE, which rebuilds the table.
+	t.Run("tail-and-delete", func(t *testing.T) {
+		rng := rand.New(rand.NewSource(46))
+		tail := uniform(rng, 40)
+		for _, r := range tail[:10] {
+			r[2] = 4
+		}
+		pt := newPathTable(t, s, uniform(rng, storage.RowGroupSize+200), 2, func(e *Engine) {
+			tbl, _ := e.Table("cases")
+			for _, r := range tail {
+				if _, err := e.Insert(tbl, r); err != nil {
+					t.Fatal(err)
+				}
+			}
+		})
+		if got, want := len(pt.rows), storage.RowGroupSize+240; got != want {
+			t.Fatalf("%d rows after Insert, want %d", got, want)
+		}
+		pt.check(t, "SELECT A1, A2 FROM cases WHERE A3 = 4", []conjunct{{col: 2, indexOK: true}}, func() (want [][]Val) {
+			for _, r := range tail[:10] {
+				want = append(want, []Val{IntVal(int64(r[0])), IntVal(int64(r[1]))})
+			}
+			return want
+		}())
+		pt.randomStatements(t, rng, s, 40)
+
+		kept := pt.rows[:0:0]
+		for _, r := range pt.rows {
+			if r[1] != 1 {
+				kept = append(kept, r)
+			}
+		}
+		pt.rows = kept
+		for path, e := range pt.eng {
+			e.MustExec("DELETE FROM cases WHERE A2 = 1")
+			if path == pathHeap {
+				tbl, _ := e.Table("cases")
+				tbl.colstore = storage.NewColStore(len(tbl.Cols))
+			}
+		}
+		pt.randomStatements(t, rng, s, 60)
+	})
+
+	// A join core is not a single table: it iterates the join on every engine.
+	t.Run("join", func(t *testing.T) {
+		rng := rand.New(rand.NewSource(47))
+		pt := newPathTable(t, s, uniform(rng, 300), 0, func(e *Engine) {
+			e.MustExec("CREATE TABLE dim (k INT, w INT)")
+			e.MustExec("INSERT INTO dim VALUES (0, 10), (1, 11), (3, 13)")
+		})
+		w := map[data.Value]int64{0: 10, 1: 11, 3: 13}
+		var want [][]Val
+		for _, r := range pt.rows {
+			if r[1] == 2 && w[r[0]] != 0 {
+				want = append(want, []Val{IntVal(int64(r[2])), IntVal(w[r[0]])})
+			}
+		}
+		const sql = "SELECT c.A3, d.w FROM cases c JOIN dim d ON c.A1 = d.k WHERE c.A2 = 2"
+		for path, e := range pt.eng {
+			before := e.Meter().CounterVec()
+			rs := e.MustExec(sql)
+			d := e.Meter().CounterVec().Delta(before)
+			if d[sim.CtrColBlocks] != 0 || d[sim.CtrTIDFetches] != 0 || d[sim.CtrServerRows] != int64(len(pt.rows))+3 {
+				t.Errorf("%s engine: join read %d blocks, %d TIDs, %d heap rows; want the two heap scans only",
+					path, d[sim.CtrColBlocks], d[sim.CtrTIDFetches], d[sim.CtrServerRows])
+			}
+			if !sameVals(rs.Rows, want, true) {
+				t.Errorf("%s engine: join returned %v, want %v", path, head(rs.Rows), head(want))
+			}
+		}
+	})
 }

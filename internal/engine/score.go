@@ -198,7 +198,7 @@ func (c *ScoreConsumer) Result() *ScoreResult {
 
 // scoreCheck validates that t can be scored with m.
 func scoreCheck(t *Table, m *Model) error {
-	if t.colstore == nil || t.colstore.NumRows() != t.NumRows() {
+	if !t.columnarComplete() {
 		return fmt.Errorf("engine: table %q has no columnar copy to score", t.Name)
 	}
 	attrs := m.Attrs()

@@ -30,6 +30,9 @@ type ScanConsumer struct {
 	// the scan continues for the others.
 	Fn func(blk *ColBlock) bool
 
+	// local marks a statement's scan (scanSource): the selected rows feed the
+	// executor inside the server, so none is charged ColRowTransmit.
+	local    bool
 	detached bool
 	gf       GroupFilter
 	sel      []int32
@@ -45,22 +48,25 @@ func (s *Server) ScanColumnarShared(cons []*ScanConsumer, needCols []int, io *si
 	if io == nil {
 		io = s.meter
 	}
-	s.scanColumnar(cons, needCols, 0, s.NumColGroups(), io)
+	io.Charge(sim.CtrServerScans, io.Costs().CursorOpen, 1)
+	s.table.scanColumnar(cons, needCols, 0, s.NumColGroups(), io)
 }
 
 // scanColumnar is the engine's one columnar group/block loop: row groups
-// [loGroup, hiGroup) streamed once, every BlockRows-row block fanned out to
-// the attached consumers. Per group, each consumer's filter is compiled
-// against the group's dictionaries; a consumer whose filter cannot match
-// skips the group on its own lane (zone-map verdict) without forcing or
-// joining the read, and a group no consumer needs charges nothing — not even
-// page I/O. Per block, each reading consumer pays its own evaluation and
-// transmission. Consumers are fed in slice order, so the interleaving is
-// deterministic; the scan ends early once every consumer has detached.
-func (s *Server) scanColumnar(cons []*ScanConsumer, needCols []int, loGroup, hiGroup int, io *sim.Meter) {
-	cs := s.table.colstore
+// [loGroup, hiGroup) of t streamed once, every BlockRows-row block fanned out
+// to the attached consumers. Opening a cursor is the caller's charge — a
+// cursor scan pays CursorOpen on io first, a statement's scan does not. Per
+// group, each consumer's filter is compiled against the group's dictionaries;
+// a consumer whose filter cannot match skips the group on its own lane
+// (zone-map verdict) without forcing or joining the read, and a group no
+// consumer needs charges nothing — not even page I/O. Per block, each reading
+// consumer pays its own evaluation and transmission. Consumers are fed in
+// slice order, so the interleaving is deterministic; the scan ends early once
+// every consumer has detached.
+func (t *Table) scanColumnar(cons []*ScanConsumer, needCols []int, loGroup, hiGroup int, io *sim.Meter) {
+	cs := t.colstore
 	if cs == nil {
-		panic(fmt.Sprintf("engine: table %q has no columnar copy", s.table.Name))
+		panic(fmt.Sprintf("engine: table %q has no columnar copy", t.Name))
 	}
 	if ng := cs.NumGroups(); loGroup < 0 || hiGroup < loGroup || hiGroup > ng {
 		panic(fmt.Sprintf("engine: invalid columnar range [%d, %d) of %d groups", loGroup, hiGroup, ng))
@@ -73,7 +79,6 @@ func (s *Server) scanColumnar(cons []*ScanConsumer, needCols []int, loGroup, hiG
 	}
 	attached := len(cons)
 	costs := io.Costs()
-	io.Charge(sim.CtrServerScans, costs.CursorOpen, 1)
 	blk := &ColBlock{}
 	for gi := loGroup; gi < hiGroup && attached > 0; gi++ {
 		g := cs.Group(gi)
@@ -107,7 +112,9 @@ func (s *Server) scanColumnar(cons []*ScanConsumer, needCols []int, loGroup, hiG
 				c.Lane.Charge(sim.CtrColBlocks, 0, 1)
 				c.Lane.Charge(sim.CtrServerRows, costs.ColRowEval, int64(n))
 				c.sel = c.gf.selectBlock(base, n, c.sel[:0])
-				c.Lane.Charge(sim.CtrRowsTransmitted, costs.ColRowTransmit, int64(len(c.sel)))
+				if !c.local {
+					c.Lane.Charge(sim.CtrRowsTransmitted, costs.ColRowTransmit, int64(len(c.sel)))
+				}
 				blk.Group, blk.GroupIndex, blk.Base, blk.N, blk.Sel = g, gi, base, n, c.sel
 				if !c.Fn(blk) {
 					c.detached = true

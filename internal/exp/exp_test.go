@@ -125,3 +125,18 @@ func TestAllShapeChecksPass(t *testing.T) {
 		t.Errorf("ran %d experiments, want %d", ran, len(Runners()))
 	}
 }
+
+// TestServeRunnerTiny runs the multi-tenant serving experiment at the
+// smallest scale whose cohorts still share scans. Like TestScalingWorkersTiny
+// it does NOT skip under -short, so verify.sh's race pass executes the serve
+// runner's real goroutines — fleet sessions attached to one shared scan —
+// and the runner itself errors if any session grows a different tree.
+func TestServeRunnerTiny(t *testing.T) {
+	e, err := ServeFleet(nil, 0.05)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := checks["serve"](e); err != nil {
+		t.Error(err)
+	}
+}

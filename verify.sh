@@ -40,13 +40,16 @@ if ! cmp -s /tmp/repolint-a.json /tmp/repolint-b.json; then
   exit 1
 fi
 gate "go test ./..." go test ./...
-# -short skips the experiment suites (internal/exp): without the race
-# detector they run in ~35 s (the gate above), under it they take ~415 s
-# (measured on two cores after the flat counts tables of PR 16; ~620 s
-# before) — inside go test's 600 s default now, but still past the 300 s this
-# gate is allowed. All other goroutine-spawning code (internal/mw
-# parallel scans, internal/serve daemon and dispatcher, cmd/sqlsh) still
-# executes under -race.
+# -short skips the full experiment suite (internal/exp TestAllShapeChecksPass
+# and the determinism replays): ~35 s without the race detector (the gate
+# above), ~415 s under it — past the 300 s this gate is allowed. What the race
+# pass does execute of internal/exp are the two tiny runners that do not skip:
+# TestScalingWorkersTiny (exp -> mw multi-worker lanes) and TestServeRunnerTiny
+# (the serve runner's fleet sessions attached to shared scans, 1-8 clients,
+# ~8 s under -race). NOT raced: the other nineteen runners, whose only
+# goroutines are the same mw lanes. All other goroutine-spawning code
+# (internal/mw parallel scans, internal/serve daemon and dispatcher,
+# cmd/sqlsh) executes under -race in its own package's tests.
 gate "go test -race -short ./..." go test -race -short ./...
 # Quarter-scale skew shape check: histogram-guided splits must cut the worst
 # lane imbalance >= 2x vs equal-width at 8 workers, with identical counts.
