@@ -70,6 +70,29 @@ type Conn struct {
 	// The current frame's rows, decoded in place frame after frame.
 	scored wire.ScoredBatch
 	cells  wire.RowBatch
+
+	// boxed is a direct-mapped cache of int64s already converted to
+	// driver.Value. Handing database/sql a count costs one 8-byte allocation
+	// (the runtime only pre-boxes values below 256), and a scored stream
+	// repeats the same few leaf histograms row after row.
+	boxed [boxedSlots]driver.Value
+}
+
+// boxedBits sizes Conn.boxed: 1024 slots (16 KiB), several times the distinct
+// counts a tree of a hundred-odd leaves streams, so few of them share a slot.
+const (
+	boxedBits  = 10
+	boxedSlots = 1 << boxedBits
+)
+
+// box returns n as a driver.Value, reusing the boxed copy of an earlier call
+// when its slot still holds n.
+func (c *Conn) box(n int64) driver.Value {
+	slot := &c.boxed[uint64(n)*0x9E3779B97F4A7C15>>(64-boxedBits)] // Fibonacci hashing
+	if v, ok := (*slot).(int64); !ok || v != n {
+		*slot = n
+	}
+	return *slot
 }
 
 var (
@@ -310,7 +333,7 @@ func (r *rows) Next(dest []driver.Value) error {
 		}
 		dest[0] = int64(r.c.scored.Classes[i])
 		for j, n := range dist {
-			dest[1+j] = n
+			dest[1+j] = r.c.box(n)
 		}
 		return nil
 	}

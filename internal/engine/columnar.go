@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"slices"
+
 	"repro/internal/data"
 	"repro/internal/predicate"
 	"repro/internal/sim"
@@ -10,17 +12,18 @@ import (
 // This file is the server side of the columnar scan path: every table keeps
 // a column-major, dictionary-encoded copy of its heap (storage.ColStore)
 // built at load time and kept in sync with Insert, and the middleware scans
-// it in 1024-row blocks through ScanColumnarRange. Three things distinguish
+// it in 1024-row blocks through ScanColumnarConsumer. Three things distinguish
 // it from the row cursors in server.go:
 //
 //   - Zone-map skipping: each row group's sorted dictionaries decide, per
 //     group, whether the pushed-down filter can match at all. A skipped
 //     group charges nothing — not even page I/O — which is where the
 //     clustered-workload win comes from.
-//   - Code-space predicates: the filter's trie of node paths is compiled once
+//   - Code-space predicates: the batch's trie of node paths is compiled once
 //     per group into dictionary codes, so the inner row loop compares uint16s
 //     along shared path prefixes instead of re-evaluating every node's
-//     predicate.Cond on materialized values.
+//     predicate.Cond on materialized values — and one walk of it per row both
+//     filters the row and drops it into its nodes' buckets (GroupTrie.route).
 //   - Block-granular metering: the per-row costs (ColRowEval,
 //     ColRowTransmit) are cheaper than their row-path counterparts because
 //     cursor bookkeeping and the wire protocol amortize over whole blocks,
@@ -107,34 +110,58 @@ func (n *trieNode) holds(i int32) bool {
 	return n.codes == nil || (n.codes[i] == n.code) != n.ne
 }
 
-// Route appends each row of sel (group-relative row indices) to the bucket
-// of every conjunction it satisfies: buckets[k] receives, in sel order,
-// exactly the rows a test of conjunction k alone would keep. Unmetered:
-// callers charge their own per-row kernel costs.
-func (gt *GroupTrie) Route(sel []int32, buckets [][]int32) {
-	nodes := gt.nodes
-	for _, k := range gt.terms[nodes[0].lo:nodes[0].hi] {
-		buckets[k] = append(buckets[k], sel...)
+// route is the kernel's one walk per row: each row of [base, base+n) goes down
+// the trie once and is appended to buckets[k] for every conjunction k it
+// satisfies — buckets[k] receives, in row order, exactly the rows a test of
+// conjunction k alone would keep — and, the first time it reaches a terminal,
+// to sel, which is returned: the rows the trie's disjunction selects. With
+// full set the filter is known to keep every row (it is match-all, or covers
+// the group): sel gets the whole block and the walk only buckets. Unmetered:
+// the scan charges its own per-row kernel costs.
+func (gt *GroupTrie) route(base, n int, full bool, buckets [][]int32, sel []int32) []int32 {
+	nodes, terms := gt.nodes, gt.terms
+	root := terms[nodes[0].lo:nodes[0].hi]
+	if full = full || len(root) > 0; full {
+		sel = appendRows(sel, base, n)
+	}
+	for _, k := range root {
+		buckets[k] = append(buckets[k], sel[len(sel)-n:]...)
 	}
 	if len(nodes) == 1 {
-		return
+		return sel
 	}
-	for _, i := range sel {
+	for i := int32(base); i < int32(base+n); i++ {
+		hit := full
 		for j := 1; j < len(nodes); {
-			n := &nodes[j]
-			if !n.holds(i) {
-				j = int(n.end)
+			nd := &nodes[j]
+			if !nd.holds(i) {
+				j = int(nd.end)
 				continue
 			}
-			for _, k := range gt.terms[n.lo:n.hi] {
-				buckets[k] = append(buckets[k], i)
+			if nd.hi > nd.lo {
+				for _, k := range terms[nd.lo:nd.hi] {
+					buckets[k] = append(buckets[k], i)
+				}
+				if !hit {
+					sel, hit = append(sel, i), true
+				}
 			}
 			j++
 		}
 	}
+	return sel
 }
 
-// matches reports whether row i satisfies at least one conjunction: Route's
+// appendRows appends the group-relative row indices base, base+1, …, base+n-1.
+func appendRows(out []int32, base, n int) []int32 {
+	out = slices.Grow(out, n)
+	for i := int32(base); i < int32(base+n); i++ {
+		out = append(out, i)
+	}
+	return out
+}
+
+// matches reports whether row i satisfies at least one conjunction: route's
 // walk, stopped at the first terminal.
 func (gt *GroupTrie) matches(i int32) bool {
 	nodes := gt.nodes
@@ -240,11 +267,14 @@ func (gf *GroupFilter) None() bool { return gf.none }
 // selectBlock appends the group-relative indices of the matching rows in
 // [base, base+n) to out.
 func (gf *GroupFilter) selectBlock(base, n int, out []int32) []int32 {
-	if gf.none {
+	switch {
+	case gf.none:
 		return out
+	case gf.all:
+		return appendRows(out, base, n)
 	}
 	for i := int32(base); i < int32(base+n); i++ {
-		if gf.all || gf.trie.matches(i) {
+		if gf.trie.matches(i) {
 			out = append(out, i)
 		}
 	}
@@ -253,7 +283,7 @@ func (gf *GroupFilter) selectBlock(base, n int, out []int32) []int32 {
 
 // Refine filters sel (group-relative row indices) down to the rows
 // satisfying the compiled filter, appending to out and returning it.
-// Unmetered, like GroupTrie.Route.
+// Unmetered: callers charge their own per-row costs.
 func (gf *GroupFilter) Refine(sel []int32, out []int32) []int32 {
 	if gf.all {
 		return append(out, sel...)
@@ -284,14 +314,17 @@ func (gf *GroupFilter) Estimate() int64 {
 
 // ColBlock is one block of a columnar scan: rows [Base, Base+N) of Group,
 // with Sel holding the group-relative indices of the rows matching the
-// pushed-down filter. The same ColBlock is reused across callbacks; callers
-// must not retain it or Sel.
+// pushed-down filter and — for a consumer that attached its node paths
+// (ScanConsumer.Paths) — Buckets[k] those satisfying path k, in row order;
+// nil otherwise. The same ColBlock is reused across callbacks; callers must
+// not retain it, Sel or Buckets.
 type ColBlock struct {
 	Group      *storage.ColGroup
 	GroupIndex int
 	Base       int
 	N          int
 	Sel        []int32
+	Buckets    [][]int32
 }
 
 // MaterializeRow decodes the full row at group-relative index i into dst
@@ -372,6 +405,12 @@ func (s *Server) ScanColumnarRange(f predicate.Filter, needCols []int, loGroup, 
 	if lane == nil {
 		lane = s.meter
 	}
-	lane.Charge(sim.CtrServerScans, lane.Costs().CursorOpen, 1)
-	s.table.scanColumnar([]*ScanConsumer{{Filter: f, Lane: lane, Fn: fn}}, needCols, loGroup, hiGroup, lane)
+	s.ScanColumnarConsumer(&ScanConsumer{Filter: f, Lane: lane, Fn: fn}, needCols, loGroup, hiGroup)
+}
+
+// ScanColumnarConsumer is ScanColumnarRange for a caller-built consumer — the
+// way a middleware lane attaches its batch's paths and gets per-path buckets.
+func (s *Server) ScanColumnarConsumer(c *ScanConsumer, needCols []int, loGroup, hiGroup int) {
+	c.Lane.Charge(sim.CtrServerScans, c.Lane.Costs().CursorOpen, 1)
+	s.table.scanColumnar([]*ScanConsumer{c}, needCols, loGroup, hiGroup, c.Lane)
 }

@@ -2,7 +2,9 @@ package engine
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
+	"time"
 
 	"repro/internal/data"
 	"repro/internal/predicate"
@@ -258,14 +260,11 @@ func randomPaths(rng *rand.Rand, ncols int) []predicate.Conj {
 	return paths
 }
 
-// TestGroupTrieRouting: one trie walk per row must land every row in exactly
-// the buckets the per-conjunction kernel would have, element for element, and
-// the same trie as a filter must agree with predicate.Filter.Eval row by row,
-// with the zone-map verdict and the estimate of the kernel it replaced.
-// Attribute 0 is clustered in runs of one and a half row groups, so some
-// groups hold a single value of it and the others two.
-func TestGroupTrieRouting(t *testing.T) {
-	rng := rand.New(rand.NewSource(16))
+// routingServer loads three and a bit row groups whose attribute 0 is clustered
+// in runs of one and a half groups — so a group holds one value of it or two,
+// and never all three — with the other columns uniform.
+func routingServer(t *testing.T, rng *rand.Rand) (*Server, *data.Dataset) {
+	t.Helper()
 	ds := data.NewDataset(data.NewSchema(3, 6, 2))
 	for i := 0; i < 3*storage.RowGroupSize+500; i++ {
 		ds.Append(data.Row{
@@ -277,13 +276,74 @@ func TestGroupTrieRouting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return srv, ds
+}
+
+// sameSel reports whether two selection vectors hold the same rows in the
+// same order.
+func sameSel(a, b []int32) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// TestGroupTrieRouting: the scan's one trie walk per row must produce, element
+// for element, what the two passes it replaced did — Sel as selectBlock over
+// the paths' disjunction (or the whole block under match-all) and every
+// Buckets[k] as the per-conjunction kernel's refinement of that Sel — and skip
+// exactly the groups the disjunction's zone-map verdict rules out; the same
+// trie as a filter must agree with predicate.Filter.Eval row by row, with the
+// zone-map verdict and the estimate of the kernel it replaced.
+func TestGroupTrieRouting(t *testing.T) {
+	rng := rand.New(rand.NewSource(16))
+	srv, ds := routingServer(t, rng)
 	cs := srv.table.colstore
-	var gt GroupTrie // reused across groups and path sets, as the scan does
-	var gf GroupFilter
+	var gf GroupFilter // reused across groups and path sets, as the scan does
 	for round := 0; round < 150; round++ {
 		paths := randomPaths(rng, ds.Schema.NumCols())
 		trie := predicate.NewTrie(paths)
-		filter := predicate.Or(paths...)
+		filter := predicate.Or(paths...) // over a trie of its own: the reference
+
+		// The fused walk against the two passes, over every block of the table.
+		for _, ref := range []predicate.Filter{filter, predicate.MatchAll()} {
+			pushed := predicate.MatchAll()
+			if !ref.All() {
+				pushed = trie.Filter()
+			}
+			scanned := make([]bool, cs.NumGroups())
+			cons := &ScanConsumer{Filter: pushed, Paths: trie, Lane: srv.meter}
+			cons.Fn = func(blk *ColBlock) bool {
+				g := blk.Group
+				scanned[blk.GroupIndex] = true
+				gf.Compile(g, ref)
+				wantSel := gf.selectBlock(blk.Base, blk.N, nil)
+				if !sameSel(blk.Sel, wantSel) {
+					t.Fatalf("round %d group %d block %d, filter %v: Sel = %v, want %v", round, blk.GroupIndex, blk.Base, ref, blk.Sel, wantSel)
+				}
+				if len(blk.Buckets) != len(paths) {
+					t.Fatalf("round %d: %d buckets for %d paths", round, len(blk.Buckets), len(paths))
+				}
+				for k, cj := range paths {
+					if want := compileRefConj(g, cj).refine(g, wantSel); !sameSel(blk.Buckets[k], want) {
+						t.Fatalf("round %d group %d block %d, filter %v: path %v bucket = %v, want %v", round, blk.GroupIndex, blk.Base, ref, cj, blk.Buckets[k], want)
+					}
+				}
+				return true
+			}
+			srv.ScanColumnarConsumer(cons, nil, 0, cs.NumGroups())
+			for gi, got := range scanned {
+				if gf.Compile(cs.Group(gi), ref); got == gf.None() {
+					t.Fatalf("round %d group %d, filter %v: scanned = %v, zone-map verdict none = %v", round, gi, ref, got, gf.None())
+				}
+			}
+		}
+
 		for gi := 0; gi < cs.NumGroups(); gi++ {
 			g := cs.Group(gi)
 			rows := ds.Rows[gi*storage.RowGroupSize:]
@@ -293,23 +353,12 @@ func TestGroupTrieRouting(t *testing.T) {
 					sel = append(sel, int32(i))
 				}
 			}
-
-			gt.Compile(g, trie)
-			buckets := make([][]int32, len(paths))
-			gt.Route(sel, buckets)
 			none, est := true, int64(0)
-			for k, cj := range paths {
+			for _, cj := range paths {
 				rc := compileRefConj(g, cj)
-				want := rc.refine(g, sel)
-				if len(buckets[k]) != len(want) {
-					t.Fatalf("round %d group %d: path %v bucket has %d rows, want %d", round, gi, cj, len(buckets[k]), len(want))
-				}
-				for i, ri := range want {
-					if buckets[k][i] != ri {
-						t.Fatalf("round %d group %d: path %v bucket[%d] = %d, want %d", round, gi, cj, i, buckets[k][i], ri)
-					}
+				for _, ri := range rc.refine(g, sel) {
 					if !cj.Eval(rows[ri]) {
-						t.Fatalf("round %d group %d: row %d routed to %v, which it fails", round, gi, ri, cj)
+						t.Fatalf("round %d group %d: reference kernel keeps row %d for %v, which it fails", round, gi, ri, cj)
 					}
 				}
 				none = none && rc.none
@@ -350,6 +399,89 @@ func TestGroupTrieRouting(t *testing.T) {
 					t.Fatalf("round %d group %d row %d: selectBlock %v, Refine %v, Filter.Eval %v (selected %v)", round, gi, i, inBlock, inRefined, naive, inSel)
 				}
 			}
+		}
+	}
+}
+
+// TestSharedScanConsumersMatchSolo: consumers with different tries attached to
+// one ScanColumnarShared pass each see, block for block, exactly the Sel and
+// Buckets their own solo scan hands them, and pay the same on their lanes —
+// the solo lane additionally its cursor and its pages, which the cohort's io
+// meter pays once. One consumer filters by its paths, one takes every row and
+// only buckets, and one is confined to attribute 0 = 0, so its zone maps skip
+// groups the others read.
+func TestSharedScanConsumersMatchSolo(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	srv, ds := routingServer(t, rng)
+	ng := srv.NumColGroups()
+	type block struct {
+		group, base, n int
+		sel            []int32
+		buckets        [][]int32
+	}
+	consumer := func(trie *predicate.Trie, matchAll bool, lane *sim.Meter, log *[]block) *ScanConsumer {
+		f := trie.Filter()
+		if matchAll {
+			f = predicate.MatchAll()
+		}
+		return &ScanConsumer{Filter: f, Paths: trie, Lane: lane, Fn: func(blk *ColBlock) bool {
+			b := block{group: blk.GroupIndex, base: blk.Base, n: blk.N, sel: append([]int32(nil), blk.Sel...)}
+			for _, rows := range blk.Buckets {
+				b.buckets = append(b.buckets, append([]int32(nil), rows...))
+			}
+			*log = append(*log, b)
+			return true
+		}}
+	}
+	for round := 0; round < 25; round++ {
+		tries := make([]*predicate.Trie, 3)
+		for i := range tries {
+			paths := randomPaths(rng, ds.Schema.NumCols())
+			if i == 2 {
+				for k, cj := range paths {
+					paths[k] = append(predicate.Conj{{Attr: 0, Op: predicate.Eq, Val: 0}}, cj...)
+				}
+			}
+			tries[i] = predicate.NewTrie(paths)
+		}
+		io := sim.NewDefaultMeter()
+		lanes, logs, cons := make([]*sim.Meter, 3), make([][]block, 3), make([]*ScanConsumer, 3)
+		for i, trie := range tries {
+			lanes[i] = sim.NewDefaultMeter()
+			cons[i] = consumer(trie, i == 1, lanes[i], &logs[i])
+		}
+		srv.ScanColumnarShared(cons, nil, io)
+		if skipped := lanes[2].Count(sim.CtrColGroupsSkipped); skipped < 2 {
+			t.Fatalf("round %d: the confined consumer skipped %d groups, want the two without attribute 0 = 0", round, skipped)
+		}
+
+		costs := io.Costs()
+		var soloPages int64
+		for i, trie := range tries {
+			lane := sim.NewDefaultMeter()
+			var log []block
+			srv.ScanColumnarConsumer(consumer(trie, i == 1, lane, &log), nil, 0, ng)
+			if !reflect.DeepEqual(log, logs[i]) {
+				t.Fatalf("round %d consumer %d: the shared scan handed it %d blocks that differ from its solo scan's %d", round, i, len(logs[i]), len(log))
+			}
+			pages := lane.Count(sim.CtrServerPages)
+			soloPages = max(soloPages, pages)
+			for _, c := range sim.Counters() {
+				want := lane.Count(c)
+				if c == sim.CtrServerScans || c == sim.CtrServerPages {
+					want = 0 // the cohort's io meter pays these
+				}
+				if got := lanes[i].Count(c); got != want {
+					t.Fatalf("round %d consumer %d: shared lane counted %s = %d, solo %d", round, i, c, got, want)
+				}
+			}
+			if got, want := lane.Now()-lanes[i].Now(), time.Duration(costs.CursorOpen+pages*costs.ServerPageIO); got != want {
+				t.Fatalf("round %d consumer %d: solo lane ran %v longer than the shared one, want its cursor and pages = %v", round, i, got, want)
+			}
+		}
+		// The match-all consumer reads every group, so the cohort's pages are its.
+		if io.Count(sim.CtrServerScans) != 1 || io.Count(sim.CtrServerPages) != soloPages {
+			t.Fatalf("round %d: cohort charged %d cursors and %d pages, want 1 and %d", round, io.Count(sim.CtrServerScans), io.Count(sim.CtrServerPages), soloPages)
 		}
 	}
 }

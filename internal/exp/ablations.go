@@ -98,7 +98,7 @@ func AblationRule3(env *Env, scale float64) (*Experiment, error) {
 		Leaves: scaled(40, scale), Attrs: 20, Values: 4, ValuesStdDev: 2,
 		Classes: 8, CasesPerLeaf: 150, Skew: 0.9, Seed: 63,
 	}
-	ds, _, err := datagen.GenerateTreeData(cfg)
+	ds, err := treeData(cfg)
 	if err != nil {
 		return nil, err
 	}

@@ -30,7 +30,7 @@ func ColumnarStorage(env *Env, scale float64) (*Experiment, error) {
 	// at least Workers row groups for the lanes to fan out fully — even at
 	// the quarter scale the CI gate runs (32768 rows = 8 groups).
 	rows := scaled(131072, scale)
-	clustered, err := datagen.GenerateClustered(datagen.ClusteredConfig{
+	clustered, err := clusteredData(datagen.ClusteredConfig{
 		Rows: rows, Seed: 17, Regions: regions, Attrs: 7,
 	})
 	if err != nil {

@@ -13,9 +13,12 @@ package exp
 import (
 	"encoding/json"
 	"fmt"
+	"hash/fnv"
 	"strings"
+	"sync"
 
 	"repro/internal/data"
+	"repro/internal/datagen"
 	"repro/internal/dtree"
 	"repro/internal/engine"
 	"repro/internal/mw"
@@ -46,6 +49,68 @@ func (e *Env) attach(meter *sim.Meter, eng *engine.Engine, mcfg *mw.Config) {
 	tr, pm := e.Obs.Proc(label, meter)
 	eng.SetTracer(tr)
 	mcfg.Metrics = pm
+}
+
+// Generated datasets are memoized per (generator, configuration) for the life
+// of the process. The generators are pure functions of their configuration,
+// several runners draw the same workload, and nothing downstream writes to a
+// dataset — engine.NewServer copies the rows into its heap — so every runner
+// reads the one copy. The fingerprint taken at generation lets
+// TestAllShapeChecksPass assert that nobody did write.
+var datasets = struct {
+	sync.Mutex
+	byConfig map[any]generated // keyed by the config value; its type names the generator
+}{byConfig: map[any]generated{}}
+
+type generated struct {
+	ds  *data.Dataset
+	sum uint64
+}
+
+func memoized[C comparable](cfg C, gen func(C) (*data.Dataset, error)) (*data.Dataset, error) {
+	datasets.Lock()
+	defer datasets.Unlock()
+	if g, ok := datasets.byConfig[cfg]; ok {
+		return g.ds, nil
+	}
+	ds, err := gen(cfg)
+	if err != nil {
+		return nil, err
+	}
+	datasets.byConfig[cfg] = generated{ds: ds, sum: fingerprint(ds)}
+	return ds, nil
+}
+
+// fingerprint hashes every value of ds in row order.
+func fingerprint(ds *data.Dataset) uint64 {
+	h := fnv.New64a()
+	var buf [4]byte
+	for _, r := range ds.Rows {
+		for _, v := range r {
+			buf[0], buf[1], buf[2], buf[3] = byte(v), byte(v>>8), byte(v>>16), byte(v>>24)
+			h.Write(buf[:])
+		}
+	}
+	return h.Sum64()
+}
+
+func censusData(cfg datagen.CensusConfig) (*data.Dataset, error) {
+	return memoized(cfg, datagen.GenerateCensus)
+}
+
+func clusteredData(cfg datagen.ClusteredConfig) (*data.Dataset, error) {
+	return memoized(cfg, datagen.GenerateClustered)
+}
+
+func gaussianData(cfg datagen.GaussianConfig) (*data.Dataset, error) {
+	return memoized(cfg, datagen.GenerateGaussians)
+}
+
+func treeData(cfg datagen.TreeGenConfig) (*data.Dataset, error) {
+	return memoized(cfg, func(cfg datagen.TreeGenConfig) (*data.Dataset, error) {
+		ds, _, err := datagen.GenerateTreeData(cfg)
+		return ds, err
+	})
 }
 
 // Point is one measurement: x-value, virtual seconds, and selected counters.

@@ -124,6 +124,19 @@ func TestAllShapeChecksPass(t *testing.T) {
 	if ran != len(Runners()) {
 		t.Errorf("ran %d experiments, want %d", ran, len(Runners()))
 	}
+
+	// The runners share memoized datasets read-only: after every one of them
+	// ran, each dataset must still be the one its generator produced.
+	datasets.Lock()
+	defer datasets.Unlock()
+	if len(datasets.byConfig) == 0 {
+		t.Error("no dataset was memoized")
+	}
+	for cfg, g := range datasets.byConfig {
+		if fingerprint(g.ds) != g.sum {
+			t.Errorf("a runner mutated the shared dataset of %+v", cfg)
+		}
+	}
 }
 
 // TestServeRunnerTiny runs the multi-tenant serving experiment at the

@@ -37,8 +37,7 @@ func fig45Data(scale float64, casesPerLeaf int, seed int64) (*data.Dataset, erro
 		CasesPerLeaf: casesPerLeaf,
 		Seed:         seed,
 	}
-	ds, _, err := datagen.GenerateTreeData(cfg)
-	return ds, err
+	return treeData(cfg)
 }
 
 const mb = 1 << 20
@@ -201,7 +200,7 @@ func Fig5bRows(env *Env, scale float64) (*Experiment, error) {
 // to a few-hundred-node tree (the paper "adjusted the scoring algorithm to
 // produce a smaller tree (about 300 nodes)").
 func censusTree(scale float64, seed int64) (*data.Dataset, dtree.Options, error) {
-	ds, err := datagen.GenerateCensus(datagen.CensusConfig{Rows: scaled(12000, scale), Seed: seed})
+	ds, err := censusData(datagen.CensusConfig{Rows: scaled(12000, scale), Seed: seed})
 	if err != nil {
 		return nil, dtree.Options{}, err
 	}
@@ -269,7 +268,7 @@ func Fig7Attributes(env *Env, scale float64) (*Experiment, error) {
 			Leaves: scaled(40, scale), Attrs: attrs, Values: 2, ValuesStdDev: 0,
 			Classes: 10, CasesPerLeaf: 125, Seed: 46,
 		}
-		ds, _, err := datagen.GenerateTreeData(cfg)
+		ds, err := treeData(cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -317,7 +316,7 @@ func Fig7SQLCounting(env *Env, scale float64) (*Experiment, error) {
 			Leaves: scaled(leaves, scale), Attrs: 10, Values: 2, ValuesStdDev: 0,
 			Classes: 5, CasesPerLeaf: 30 + leaves, Seed: 47,
 		}
-		ds, _, err := datagen.GenerateTreeData(cfg)
+		ds, err := treeData(cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -362,7 +361,7 @@ func Fig8aAttributeValues(env *Env, scale float64) (*Experiment, error) {
 			Leaves: scaled(50, scale), Attrs: 25, Values: vals, ValuesStdDev: 0,
 			Classes: 6, CasesPerLeaf: 100, Skew: 0.97, Seed: 48,
 		}
-		ds, _, err := datagen.GenerateTreeData(cfg)
+		ds, err := treeData(cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -410,7 +409,7 @@ func Fig8bLeaves(env *Env, scale float64) (*Experiment, error) {
 			Leaves: scaled(leaves, scale), Attrs: 25, Values: 4, ValuesStdDev: 0,
 			Classes: 10, CasesPerLeaf: totalRows / scaled(leaves, scale), Seed: 49,
 		}
-		ds, _, err := datagen.GenerateTreeData(cfg)
+		ds, err := treeData(cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -441,7 +440,7 @@ func IndexScans(env *Env, scale float64) (*Experiment, error) {
 		Leaves: scaled(30, scale), Attrs: 12, Values: 3, ValuesStdDev: 0,
 		Classes: 4, CasesPerLeaf: 200, Skew: 0.97, Seed: 50,
 	}
-	ds, _, err := datagen.GenerateTreeData(cfg)
+	ds, err := treeData(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -532,7 +531,7 @@ func NaiveBayesPlugin(env *Env, scale float64) (*Experiment, error) {
 		Series: []Series{{Name: "nb train"}},
 	}
 	for _, perClass := range []int{200, 400, 800} {
-		ds, err := datagen.GenerateGaussians(datagen.GaussianConfig{
+		ds, err := gaussianData(datagen.GaussianConfig{
 			Dims: 20, Components: 5, PerClass: scaled(perClass, scale), Bins: 4, Seed: 52,
 		})
 		if err != nil {

@@ -59,7 +59,7 @@ type perfScenario struct {
 
 func perfScenarios() []perfScenario {
 	census := func(scale float64) (*data.Dataset, error) {
-		return datagen.GenerateCensus(datagen.CensusConfig{Rows: scaled(8000, scale), Seed: 61})
+		return censusData(datagen.CensusConfig{Rows: scaled(8000, scale), Seed: 61})
 	}
 	shallow := func(ds *data.Dataset) dtree.Options {
 		return dtree.Options{MaxDepth: 6, MinRows: int64(ds.N() / 100)}
@@ -84,7 +84,7 @@ func perfScenarios() []perfScenario {
 		{
 			name: "fallback",
 			gen: func(scale float64) (*data.Dataset, error) {
-				return datagen.GenerateCensus(datagen.CensusConfig{Rows: scaled(3000, scale), Seed: 62})
+				return censusData(datagen.CensusConfig{Rows: scaled(3000, scale), Seed: 62})
 			},
 			// A budget under two CC entries pushes every node to the SQL
 			// fallback, gating the fallback arms' cost.
@@ -96,7 +96,7 @@ func perfScenarios() []perfScenario {
 		{
 			name: "columnar-clustered",
 			gen: func(scale float64) (*data.Dataset, error) {
-				return datagen.GenerateClustered(datagen.ClusteredConfig{
+				return clusteredData(datagen.ClusteredConfig{
 					Rows: scaled(8000, scale), Seed: 63, Regions: 6, Attrs: 7,
 				})
 			},
@@ -108,7 +108,7 @@ func perfScenarios() []perfScenario {
 		{
 			name: "score-batch",
 			gen: func(scale float64) (*data.Dataset, error) {
-				return datagen.GenerateCensus(datagen.CensusConfig{Rows: scaled(16000, scale), Seed: 64})
+				return censusData(datagen.CensusConfig{Rows: scaled(16000, scale), Seed: 64})
 			},
 			// The vectorized in-engine scoring operator at four workers:
 			// gates the scoring kernel's block/probe cost shape the same way

@@ -52,7 +52,7 @@ func buildTreeRules(env *Env, ds *data.Dataset, mcfg mw.Config, opt dtree.Option
 // the serial fractions (cursor opens, shard merges) bound the speedup — and
 // the grown tree must be identical at every worker count.
 func ScalingWorkers(env *Env, scale float64) (*Experiment, error) {
-	ds, err := datagen.GenerateCensus(datagen.CensusConfig{Rows: scaled(20000, scale), Seed: 7})
+	ds, err := censusData(datagen.CensusConfig{Rows: scaled(20000, scale), Seed: 7})
 	if err != nil {
 		return nil, err
 	}

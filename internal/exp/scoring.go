@@ -24,7 +24,7 @@ func Scoring(env *Env, scale float64) (*Experiment, error) {
 	// Large enough that even a -scale 0.25 run spans several sealed columnar
 	// row groups (4096 rows each), so the worker sweep has partitions to
 	// hand out.
-	ds, err := datagen.GenerateCensus(datagen.CensusConfig{Rows: scaled(64000, scale), Seed: 7})
+	ds, err := censusData(datagen.CensusConfig{Rows: scaled(64000, scale), Seed: 7})
 	if err != nil {
 		return nil, err
 	}

@@ -23,7 +23,7 @@ import (
 // throughput, mean per-session latency the client experience; both are
 // virtual-time, hence exactly reproducible.
 func ServeFleet(env *Env, scale float64) (*Experiment, error) {
-	ds, err := datagen.GenerateCensus(datagen.CensusConfig{Rows: scaled(8000, scale), Seed: 7})
+	ds, err := censusData(datagen.CensusConfig{Rows: scaled(8000, scale), Seed: 7})
 	if err != nil {
 		return nil, err
 	}

@@ -28,7 +28,7 @@ import (
 // {1, 2, 4, 8} and both split policies.
 func SkewPartitioning(env *Env, scale float64) (*Experiment, error) {
 	const regions = 6
-	ds, err := datagen.GenerateClustered(datagen.ClusteredConfig{
+	ds, err := clusteredData(datagen.ClusteredConfig{
 		Rows:    scaled(32000, scale),
 		Seed:    11,
 		Regions: regions,

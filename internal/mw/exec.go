@@ -159,7 +159,7 @@ func (m *Middleware) scanBatch(r *batchRun) error {
 		ssp.SetNodes(nodeIDs(b.reqs)) // every admitted request is live at scan start
 		scanSnap = m.meter.Snapshot()
 	}
-	sp := m.planLanes(b, r.plan, r.live, r.budget)
+	sp := r.planLanes()
 	if err := r.runLanes(sp); err != nil {
 		for _, t := range r.plan.fileTees {
 			t.writer.Abort()

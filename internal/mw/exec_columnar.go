@@ -3,7 +3,6 @@ package mw
 import (
 	"repro/internal/data"
 	"repro/internal/engine"
-	"repro/internal/predicate"
 	"repro/internal/sim"
 	"repro/internal/storage"
 )
@@ -11,10 +10,11 @@ import (
 // This file is the middleware half of the columnar scan path: server batches
 // run against the engine's column-major copy in 1024-row blocks, and the
 // per-row table probes of the row path become a vectorized
-// route-then-count kernel — per block, walk each selected row once down the
-// trie of the live nodes' paths in dictionary-code space into its nodes'
-// buckets; per node, bump a dense histogram per bucketed row
-// (cc.Table.AddMany) and fold the distinct cells into the table once. It is
+// route-then-count kernel — per block, the engine's scan walks each row once
+// down the trie of the live nodes' paths in dictionary-code space, which both
+// filters it and drops it into its nodes' buckets (engine.ColBlock.Buckets);
+// per node, the middleware bumps a dense histogram per bucketed row
+// (cc.Table.AddMany) and folds the distinct cells into the table once. It is
 // one of the two counting kernels a lane of
 // exec_parallel.go's pipeline runs (the other is the per-row loop in
 // scanLane); everything around it — lanes, shards, budget, merge — is shared.
@@ -84,50 +84,49 @@ func (m *Middleware) columnarNeedCols(plan *stagePlan, live []*ccWork) []int {
 }
 
 // colConsumer is the per-block body of the vectorized columnar kernel,
-// counting one batch's live requests into one worker shard. The trie of node
-// predicates and the tee filters compile once per row group into
-// dictionary-code space, into storage reused from group to group; within a
-// block one pass routes the incoming selection vector into per-node buckets,
-// and each node bumps the dense histogram per bucketed row (CCBump) and folds
-// distinct cells into its shard table (CCFoldEntry). It is driven either by
-// one lane of a partitioned ScanColumnarRange (scanLane) or, as a session's
-// attachment to a multi-tenant shared scan, by ScanColumnarShared via
-// mw.SharedBatch — the same kernel either way, so shared and solo scans
+// counting one batch's live requests into one worker shard. The scan hands it
+// each block already routed — blk.Buckets[i] holds the rows of live request i,
+// filled by the same trie walk that filtered the block — and each node bumps
+// the dense histogram per bucketed row (CCBump) and folds distinct cells into
+// its shard table (CCFoldEntry). The tee filters compile once per row group
+// into dictionary-code space, into storage reused from group to group. It is
+// attached either to one lane of a partitioned scan (scanLane) or, as a
+// session's share of a multi-tenant scan, to ScanColumnarShared via
+// mw.SharedBatch — the same consumer either way, so shared and solo scans
 // produce identical counts.
 type colConsumer struct {
 	plan     *stagePlan
 	live     []*ccWork
-	paths    *predicate.Trie // over the live requests' paths
 	lane     *sim.Meter
 	sh       *workerShard
 	costs    sim.Costs
 	classIdx int
 
 	curGroup    *storage.ColGroup
-	route       engine.GroupTrie // paths, compiled against curGroup
 	fileFilters []engine.GroupFilter
 	memFilters  []engine.GroupFilter
 	classDict   []data.Value
 	classCodes  []uint16
-	buckets     [][]int32 // per live request: the block's rows satisfying its path
 	teeSel      []int32
 	hist        []int64
 	rowBuf      data.Row
 }
 
-func (r *batchRun) newColConsumer(lane *sim.Meter, sh *workerShard) *colConsumer {
-	return &colConsumer{
+// colConsumer returns the batch's attachment to a columnar scan: lane's
+// counting kernel over shard sh, fed per-path buckets by the scan's walk of the
+// live paths' trie, which is also the filter the scan pushes down.
+func (r *batchRun) colConsumer(lane *sim.Meter, sh *workerShard) *engine.ScanConsumer {
+	c := &colConsumer{
 		plan:        r.plan,
 		live:        r.live,
-		paths:       r.paths,
 		lane:        lane,
 		sh:          sh,
 		costs:       lane.Costs(),
 		classIdx:    r.m.schema.ClassIndex(),
-		buckets:     make([][]int32, len(r.live)),
 		fileFilters: make([]engine.GroupFilter, len(r.plan.fileTees)),
 		memFilters:  make([]engine.GroupFilter, len(r.plan.memTees)),
 	}
+	return &engine.ScanConsumer{Filter: r.scanFilter(), Paths: r.paths, Lane: lane, Fn: c.consume}
 }
 
 // consume processes one block of the columnar scan; it always keeps the
@@ -137,7 +136,6 @@ func (c *colConsumer) consume(blk *engine.ColBlock) bool {
 	g := blk.Group
 	if g != c.curGroup {
 		c.curGroup = g
-		c.route.Compile(g, c.paths)
 		for k, t := range plan.fileTees {
 			c.fileFilters[k].Compile(g, t.filter)
 		}
@@ -146,11 +144,7 @@ func (c *colConsumer) consume(blk *engine.ColBlock) bool {
 		}
 		c.classDict, c.classCodes = g.Dict(c.classIdx), g.Codes(c.classIdx)
 	}
-	for i := range c.buckets {
-		c.buckets[i] = c.buckets[i][:0]
-	}
-	c.route.Route(blk.Sel, c.buckets)
-	for i, sel := range c.buckets {
+	for i, sel := range blk.Buckets {
 		t := sh.ccs[i]
 		if t == nil || len(sel) == 0 {
 			continue
@@ -179,9 +173,9 @@ func (c *colConsumer) consume(blk *engine.ColBlock) bool {
 			continue
 		}
 		c.teeSel = c.memFilters[j].Refine(blk.Sel, c.teeSel[:0])
-		for _, ri := range c.teeSel {
-			sh.mems[j] = append(sh.mems[j], blk.MaterializeRow(ri, nil))
-			sh.teeBytes += sh.rowMemBytes
+		// The tee's rows of this block share one slab, sized exactly.
+		for n, ri := range c.teeSel {
+			blk.MaterializeRow(ri, sh.stageMemRow(j, g.NumCols(), len(c.teeSel)-n))
 		}
 	}
 	return true

@@ -129,6 +129,7 @@ type workerShard struct {
 	fileBufs  [][]byte             // per fileTee: encoded captured rows
 	fileRows  []int64              // per fileTee: rows in fileBufs
 	fileStats []*engine.ValueStats // per fileTee: value histograms of the captured rows
+	memSlabs  [][]data.Value       // per memTee: the unused rest of the slab its rows are carved from
 	err       error
 }
 
@@ -146,7 +147,7 @@ func (r *batchRun) newShard(part, nlanes int) *workerShard {
 		ccs:         make([]*cc.Table, len(r.live)),
 		mems:        make([][]data.Row, nmem),
 		memDrop:     make([]bool, nmem),
-	}}
+	}, memSlabs: make([][]data.Value, nmem)}
 	for i, wk := range r.live {
 		sh.ccs[i] = cc.NewSized(wk.attrs, r.m.cards, r.m.schema.Class.Card)
 	}
@@ -176,6 +177,25 @@ func (sh *workerShard) stageFileRow(k int, t *teePlan, row data.Row) {
 	sh.fileStats[k].Note(row)
 }
 
+// memSlabRows bounds the rows one slab of a per-row memory tee holds.
+const memSlabRows = 256
+
+// stageMemRow captures a fresh row of ncols values for memory tee j and
+// returns it for the caller to fill. Rows are carved from slabs — one
+// allocation per slab, not per staged row — and a new slab holds ahead rows:
+// what the caller knows is still to come, so a tee that fills as expected
+// wastes nothing.
+func (sh *workerShard) stageMemRow(j, ncols, ahead int) data.Row {
+	if len(sh.memSlabs[j]) < ncols {
+		sh.memSlabs[j] = make([]data.Value, ncols*ahead)
+	}
+	row := sh.memSlabs[j][:ncols:ncols]
+	sh.memSlabs[j] = sh.memSlabs[j][ncols:]
+	sh.mems[j] = append(sh.mems[j], row)
+	sh.teeBytes += sh.rowMemBytes
+	return row
+}
+
 // scanPlan describes how a batch's scan splits into lanes: the lane count
 // plus, for server batches, exactly one source the lanes read — the columnar
 // copy's row groups (base table or copy-table), a page-partitioned heap, a
@@ -202,27 +222,29 @@ type scanPlan struct {
 	bounds   []int
 }
 
-// scanHintFilter returns the filter a batch's scan pushes down to its source
-// (see scanPlan.filter).
-func (m *Middleware) scanHintFilter(b *batch) predicate.Filter {
-	if m.cfg.NoFilterPushdown {
+// scanFilter returns the filter the batch's scan pushes down to its source
+// (see scanPlan.filter): the disjunction of the live paths, evaluated through
+// their one trie.
+func (r *batchRun) scanFilter() predicate.Filter {
+	if r.m.cfg.NoFilterPushdown {
 		return predicate.MatchAll()
 	}
-	return batchFilter(b.reqs)
+	return r.paths.Filter()
 }
 
 // planLanes decides which partitionable source the batch's lanes read, how
 // many lanes run, and — when statistics are available — the histogram-guided
 // split boundaries (scanPlan.bounds) that give each lane approximately equal
-// estimated work. plan carries the batch's staging tees so their write costs
-// enter the weighting; it may be nil. The batch runs one lane whenever it
-// cannot or should not be partitioned: Workers <= 1, a source with fewer than
-// two units (pages, row groups, TIDs, rows — including none at all), or a
-// scan-start budget so tight that the per-lane slice would truncate to zero —
-// with a zero slice every lane would shed every request on its first counted
-// row even though one lane, policing the whole budget, can succeed.
-func (m *Middleware) planLanes(b *batch, plan *stagePlan, live []*ccWork, budget int64) scanPlan {
-	sp := scanPlan{filter: m.scanHintFilter(b)}
+// estimated work. The batch's staging tees enter the weighting with their
+// write costs. The batch runs one lane whenever it cannot or should not be
+// partitioned: Workers <= 1, a source with fewer than two units (pages, row
+// groups, TIDs, rows — including none at all), or a scan-start budget so
+// tight that the per-lane slice would truncate to zero — with a zero slice
+// every lane would shed every request on its first counted row even though
+// one lane, policing the whole budget, can succeed.
+func (r *batchRun) planLanes() scanPlan {
+	m, b, plan, live, budget := r.m, r.b, r.plan, r.live, r.budget
+	sp := scanPlan{filter: r.scanFilter()}
 	units := 0
 	switch b.kind {
 	case srcMemory:
@@ -275,10 +297,7 @@ func (m *Middleware) splitBounds(b *batch, plan *stagePlan, sp scanPlan) []int {
 	// the engine's transmit charge: the file-write cost per staging tee it
 	// feeds, plus counting it (at least one live request does). This weights
 	// the split boundaries only — no charge is ever derived from it.
-	var teeCost int64
-	if plan != nil {
-		teeCost = int64(len(plan.fileTees)) * costs.FileRowWrite
-	}
+	teeCost := int64(len(plan.fileTees)) * costs.FileRowWrite
 	perMatch := costs.CCUpdate + teeCost
 	switch {
 	case sp.col != nil:
@@ -495,7 +514,7 @@ requests:
 func (r *batchRun) scanLane(sp scanPlan, part int, lane *sim.Meter, sh *workerShard) error {
 	if sp.col != nil {
 		lo, hi := engine.RangeOf(part, sp.nworkers, sp.col.NumColGroups(), sp.bounds)
-		sp.col.ScanColumnarRange(sp.filter, sp.needCols, lo, hi, lane, r.newColConsumer(lane, sh).consume)
+		sp.col.ScanColumnarConsumer(r.colConsumer(lane, sh), sp.needCols, lo, hi)
 		return nil
 	}
 	live, plan, costs := r.live, r.plan, lane.Costs()
@@ -521,8 +540,10 @@ func (r *batchRun) scanLane(sp scanPlan, part int, lane *sim.Meter, sh *workerSh
 		}
 		for j, t := range plan.memTees {
 			if !sh.memDrop[j] && t.filter.Eval(row) {
-				sh.mems[j] = append(sh.mems[j], row.Clone())
-				sh.teeBytes += sh.rowMemBytes
+				// Rows arrive one at a time: size the slab by what the tee
+				// still expects of its node.
+				ahead := min(max(t.rows-int64(len(sh.mems[j])), 1), memSlabRows)
+				copy(sh.stageMemRow(j, len(row), int(ahead)), row)
 			}
 		}
 	})

@@ -1,0 +1,85 @@
+package mw_test
+
+import (
+	"fmt"
+	"testing"
+
+	"repro/internal/datagen"
+	"repro/internal/dtree"
+	"repro/internal/engine"
+	"repro/internal/mw"
+	"repro/internal/sim"
+)
+
+// BenchmarkColumnarKernel times one unstaged server Step of the columnar
+// kernel — scan, trie walk, bucketed counting — at the three widths a build
+// passes through: the live requests are those a reference build (the
+// cmd/bench build_scan workload: 100k census rows, MaxDepth 8, MinRows 50)
+// issued at depth 0, 4 and 7, which is 1, 16 and 80 nodes. A row-visit is one
+// table row going through the kernel once, so ns/row-visit is the per-row cost
+// of a level and grows with the number of live nodes.
+func BenchmarkColumnarKernel(b *testing.B) {
+	ds, err := datagen.GenerateCensus(datagen.CensusConfig{Rows: 100000, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	srv, err := engine.NewServer(engine.New(sim.NewDefaultMeter(), 0), "cases", ds)
+	if err != nil {
+		b.Fatal(err)
+	}
+
+	// Record the reference build's requests per depth.
+	levels := map[int][]*mw.Request{}
+	ref, err := mw.New(srv, mw.Config{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	bld, err := dtree.NewBuilder(ref, dtree.Options{MaxDepth: 8, MinRows: 50})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for bld.Pending() > 0 {
+		results, err := ref.Step()
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, res := range results {
+			req := *res.Req
+			req.ParentID = -1 // replayed without its ancestors
+			levels[len(req.Path)] = append(levels[len(req.Path)], &req)
+		}
+		if err := bld.Feed(results); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if _, err := bld.Finish(); err != nil {
+		b.Fatal(err)
+	}
+	ref.Close()
+
+	for _, depth := range []int{0, 4, 7} {
+		reqs := levels[depth]
+		b.Run(fmt.Sprintf("nodes=%d", len(reqs)), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				m, err := mw.New(srv, mw.Config{})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if err := m.Enqueue(reqs...); err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+				results, err := m.Step()
+				b.StopTimer()
+				if err != nil || len(results) != len(reqs) {
+					b.Fatalf("Step returned %d of %d results, err %v", len(results), len(reqs), err)
+				}
+				m.Close()
+				b.StartTimer()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(ds.N()), "ns/row-visit")
+		})
+	}
+}

@@ -331,7 +331,11 @@ func TestPlanParallelPartitionsAuxPaths(t *testing.T) {
 		if b == nil || b.kind != srcServer {
 			t.Fatalf("access=%v: expected a server batch, got %+v", access, b)
 		}
-		sp := m.planLanes(b, nil, nil, m.memBudgetLeft())
+		r, err := m.beginBatch(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sp := r.planLanes()
 		if sp.nworkers != 4 {
 			t.Errorf("access=%v: planLanes nworkers = %d, want 4", access, sp.nworkers)
 		}
@@ -465,7 +469,7 @@ func TestLaneZeroStreamsFileTee(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sp := m.planLanes(r.b, r.plan, r.live, r.budget)
+		sp := r.planLanes()
 		if sp.nworkers != 1 || len(r.plan.fileTees) != 1 {
 			t.Fatalf("columnar=%v: %d lanes, %d file tees; want 1 and 1", columnar, sp.nworkers, len(r.plan.fileTees))
 		}

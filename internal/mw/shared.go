@@ -93,11 +93,7 @@ func (m *Middleware) BeginSharedBatch() (*SharedBatch, []*Result, error) {
 	// needed. Its shard polices the session's whole budget, exactly like a
 	// one-lane solo scan.
 	sb.sh = r.newShard(0, 1)
-	sb.cons = &engine.ScanConsumer{
-		Filter: m.scanHintFilter(b),
-		Lane:   m.meter,
-		Fn:     r.newColConsumer(m.meter, sb.sh).consume,
-	}
+	sb.cons = r.colConsumer(m.meter, sb.sh)
 	return sb, nil, nil
 }
 

@@ -162,22 +162,10 @@ type Filter struct {
 // node, whose path predicate is empty).
 func MatchAll() Filter { return Filter{all: true} }
 
-// Or builds a filter from the given node predicates. If any conjunction is
-// empty (the root), the filter degenerates to match-all, mirroring the
-// paper's observation that early in tree growth a complete scan is needed
-// anyway.
+// Or builds a filter from the given node predicates: Trie.Filter over a
+// private copy of them.
 func Or(conjs ...Conj) Filter {
-	f := Filter{}
-	for _, cj := range conjs {
-		if len(cj) == 0 {
-			return MatchAll()
-		}
-		f.conjs = append(f.conjs, cj)
-	}
-	if len(f.conjs) > 0 {
-		f.trie = NewTrie(f.conjs)
-	}
-	return f
+	return NewTrie(append([]Conj(nil), conjs...)).Filter()
 }
 
 // All reports whether the filter accepts every row.
@@ -189,9 +177,9 @@ func (f Filter) All() bool { return f.all }
 // without re-parsing the SQL rendering.
 func (f Filter) Conjs() []Conj { return f.conjs }
 
-// Trie returns the prefix trie over the filter's disjuncts, built once by Or
-// (nil for match-all and empty filters): the form the engine compiles into a
-// row group's code space.
+// Trie returns the prefix trie over the filter's disjuncts, the one the filter
+// was made from (nil for match-all and empty filters): the form the engine
+// compiles into a row group's code space.
 func (f Filter) Trie() *Trie { return f.trie }
 
 // Empty reports whether the filter accepts no rows.

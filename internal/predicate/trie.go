@@ -21,6 +21,7 @@ import "repro/internal/data"
 // followed by its first child (or, for a leaf, by whatever comes next), one
 // whose condition fails by the node after its subtree.
 type Trie struct {
+	conjs []Conj
 	nodes []TrieNode
 	terms []int32 // the nodes' terminal lists, back to back
 }
@@ -34,10 +35,11 @@ type TrieNode struct {
 	Lo, Hi int32
 }
 
-// NewTrie builds the trie of conjs; terminals are indices into conjs.
-// Children keep the order in which their conditions first appear.
+// NewTrie builds the trie of conjs; terminals are indices into conjs, which
+// the trie keeps and the caller must not modify afterwards. Children keep the
+// order in which their conditions first appear.
 func NewTrie(conjs []Conj) *Trie {
-	t := &Trie{nodes: make([]TrieNode, 1, len(conjs)+1), terms: make([]int32, 0, len(conjs))}
+	t := &Trie{conjs: conjs, nodes: make([]TrieNode, 1, len(conjs)+1), terms: make([]int32, 0, len(conjs))}
 	idx := make([]int32, 2*len(conjs))
 	for i := range conjs {
 		idx[i] = int32(i)
@@ -89,6 +91,24 @@ func (t *Trie) Nodes() []TrieNode { return t.nodes }
 
 // Terms returns the concatenated terminal lists TrieNode.Lo and Hi index.
 func (t *Trie) Terms() []int32 { return t.terms }
+
+// Len returns the number of conjunctions the trie was built over.
+func (t *Trie) Len() int { return len(t.conjs) }
+
+// Filter returns the disjunction of the trie's conjunctions (§4.3.1's filter
+// expression for a batch whose node paths they are), evaluated through this
+// trie: no conjunction at all accepts nothing, and an empty one (the root)
+// degenerates it to match-all, mirroring the paper's observation that early
+// in tree growth a complete scan is needed anyway.
+func (t *Trie) Filter() Filter {
+	switch {
+	case len(t.conjs) == 0:
+		return Filter{}
+	case t.nodes[0].Hi > t.nodes[0].Lo:
+		return MatchAll()
+	}
+	return Filter{conjs: t.conjs, trie: t}
+}
 
 // Match appends to out the index of every conjunction r satisfies and
 // returns it.

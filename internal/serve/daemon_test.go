@@ -411,3 +411,68 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 		}
 	}
 }
+
+// TestDriverScoredStreamAllocs pins the driver's boxed-count cache: draining a
+// SCORE TABLE stream with class histograms (class, c0, c1) through
+// database/sql costs well under one allocation per row, where boxing every
+// count >= 256 afresh cost about one and a half. The figure is process-wide —
+// daemon, fleet and engine scorer included — over a second run of the
+// statement, so neither side's first-use buffers count.
+func TestDriverScoredStreamAllocs(t *testing.T) {
+	const rows = 30000
+	d := NewDaemon(testServer(t, rows), DaemonConfig{Fleet: FleetConfig{Base: baseCfg(1), MaxSessions: 8, ScanSharing: true}, Seed: 1})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	served := make(chan error, 1)
+	go func() { served <- d.Serve(ln) }()
+	defer func() {
+		d.Drain(ln)
+		if err := <-served; err != nil {
+			t.Error(err)
+		}
+	}()
+	db, err := sql.Open("ccsql", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	db.SetMaxOpenConns(1)
+	if _, err := db.Exec("BUILD TREE MAXDEPTH 8 MINROWS 50 MODEL m"); err != nil {
+		t.Fatal(err)
+	}
+	drain := func() {
+		rs, err := db.Query("SCORE TABLE cases USING m")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer rs.Close()
+		var class, c0, c1 int64
+		n, big := 0, 0
+		for rs.Next() {
+			if err := rs.Scan(&class, &c0, &c1); err != nil {
+				t.Fatal(err)
+			}
+			if n++; c0 >= 256 || c1 >= 256 {
+				big++
+			}
+		}
+		if err := rs.Err(); err != nil || n != rows {
+			t.Fatalf("drained %d of %d rows, %v", n, rows, err)
+		}
+		if big < rows/2 {
+			t.Fatalf("only %d of %d rows carry a count >= 256: the stream does not exercise the cache", big, rows)
+		}
+	}
+	drain()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	drain()
+	runtime.ReadMemStats(&after)
+	if perRow := float64(after.Mallocs-before.Mallocs) / rows; perRow >= 0.2 {
+		t.Fatalf("%.3f allocations per drained row, want < 0.2", perRow)
+	} else {
+		t.Logf("%.3f allocations per drained row", perRow)
+	}
+}

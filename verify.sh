@@ -41,8 +41,9 @@ if ! cmp -s /tmp/repolint-a.json /tmp/repolint-b.json; then
 fi
 gate "go test ./..." go test ./...
 # -short skips the full experiment suite (internal/exp TestAllShapeChecksPass
-# and the determinism replays): ~35 s without the race detector (the gate
-# above), ~415 s under it — past the 300 s this gate is allowed. What the race
+# and the determinism replays): ~20 s without the race detector (the gate
+# above), ~301 s under it (two cores, PR 19) — still just past the 300 s this
+# gate is allowed, so the flag stays until a run fits with room. What the race
 # pass does execute of internal/exp are the two tiny runners that do not skip:
 # TestScalingWorkersTiny (exp -> mw multi-worker lanes) and TestServeRunnerTiny
 # (the serve runner's fleet sessions attached to shared scans, 1-8 clients,
