@@ -58,7 +58,7 @@ func run() error {
 		policy   = flag.String("policy", "split", "file policy: split, pernode or singleton")
 		memory   = flag.Float64("memory", 0, "middleware memory budget in MB (0 = unlimited)")
 		workers  = flag.Int("workers", 1, "parallel scan workers per batch (1 = sequential)")
-		columnar = flag.Bool("columnar", true, "scan the columnar row-group copy where available (false forces the row path)")
+		columnar = flag.Bool("columnar", true, "server scans read the columnar row-group copy where available (false: the row heap; staged data is column blocks either way)")
 
 		traceOut    = flag.String("trace", "", "write a deterministic virtual-time trace of the build to this file")
 		traceFormat = flag.String("trace-format", "chrome", "trace format: chrome (Perfetto-loadable) or ndjson")

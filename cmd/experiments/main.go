@@ -44,15 +44,11 @@ func main() {
 	out := flag.String("out", "", "write output to this file instead of stdout")
 	list := flag.Bool("list", false, "list experiment ids and exit")
 	check := flag.Bool("check", false, "validate each figure's shape against the paper's claim; exit nonzero on failure")
-	columnar := flag.Bool("columnar", true, "scan the columnar row-group copy where available; false forces every figure build onto the row path (ablation)")
 	parallel := flag.Int("parallel", 1, "run up to this many experiments concurrently (each is internally deterministic)")
 	traceOut := flag.String("trace", "", "write a deterministic virtual-time trace of every tree build to this file")
 	traceFormat := flag.String("trace-format", "chrome", "trace format: chrome (Perfetto-loadable) or ndjson")
 	metricsOut := flag.String("metrics", "", "write per-batch metrics and counter timelines (JSON) to this file")
 	flag.Parse()
-	if !*columnar {
-		exp.SetForceRowPath(true)
-	}
 
 	// Observability registers one proc per tree build in registration order;
 	// run experiments sequentially so the trace is deterministic.

@@ -4,7 +4,7 @@
 // two builds of the same table would disagree on every code — and with them
 // every downstream fingerprint. The determinism analyzer must catch both the
 // code assignment and the page-size accounting built that way; the shipped
-// collect-then-sort construction (storage.encodeGroup's shape) passes.
+// collect-then-sort construction (storage.GroupBuilder's: first-seen order, sorted at seal, never a ranged map) passes.
 package coldict
 
 import "sort"

@@ -17,7 +17,7 @@ import (
 //     are the residual filter.
 //  2. columnar: the table's columnar copy is complete. Every "col = int" /
 //     "col <> int" conjunct is pushed down as one predicate.Conj through the
-//     engine's one block loop (scanColumnar): row groups whose dictionaries
+//     engine's one block loop (scanGroups): row groups whose dictionaries
 //     rule the conjunction out are skipped unread, only the columns the
 //     statement references are paid for and decoded, and the selected rows
 //     reach the executor in heap order. The other conjuncts are the residual.
@@ -210,6 +210,7 @@ func (p accessPath) scan(e *Engine, t *Table, need []int, fn func(data.Row) erro
 		}
 		return true
 	}
-	t.scanColumnar([]*ScanConsumer{c}, need, 0, t.colstore.NumGroups(), e.meter)
+	src := tableGroups{t.colstore, need, e.meter.Costs().ServerPageIO}
+	scanGroups(src, []*ScanConsumer{c}, 0, src.NumGroups(), e.meter) // a statement opens no cursor
 	return ferr
 }

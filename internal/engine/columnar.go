@@ -3,7 +3,6 @@ package engine
 import (
 	"slices"
 
-	"repro/internal/data"
 	"repro/internal/predicate"
 	"repro/internal/sim"
 	"repro/internal/storage"
@@ -12,7 +11,7 @@ import (
 // This file is the server side of the columnar scan path: every table keeps
 // a column-major, dictionary-encoded copy of its heap (storage.ColStore)
 // built at load time and kept in sync with Insert, and the middleware scans
-// it in 1024-row blocks through ScanColumnarConsumer. Three things distinguish
+// it in 1024-row blocks through ScanGroups. Three things distinguish
 // it from the row cursors in server.go:
 //
 //   - Zone-map skipping: each row group's sorted dictionaries decide, per
@@ -40,8 +39,8 @@ const BlockRows = 1024
 
 // trieNode is one predicate.TrieNode compiled into a row group's code space.
 type trieNode struct {
-	codes  []uint16 // the tested column's codes; nil: the condition holds for every row of the group
-	col    int32
+	codes  []uint16 // the tested column's code vector; nil until bound when compiled against a zone
+	col    int32    // the tested column; -1: the condition holds for every row of the group
 	code   uint16
 	ne     bool
 	parent int32
@@ -73,7 +72,7 @@ func (gt *GroupTrie) Compile(g *storage.ColGroup, t *predicate.Trie) {
 	for i := int32(0); int(i) < len(src); {
 		gt.closeUpTo(i)
 		n := &src[i]
-		cn := trieNode{lo: n.Lo, hi: n.Hi}
+		cn := trieNode{col: -1, lo: n.Lo, hi: n.Hi}
 		if i > 0 {
 			c := n.Cond
 			code, ok := g.FindCode(c.Attr, c.Val)
@@ -105,7 +104,18 @@ func (gt *GroupTrie) closeUpTo(i int32) {
 	}
 }
 
-// holds reports whether group-relative row i passes node n's condition.
+// bind points the compiled tests at g's code vectors: the trie was compiled
+// against g's zone (GroupSource.Zone), before the group itself was read.
+func (gt *GroupTrie) bind(g *storage.ColGroup) {
+	for i := range gt.nodes {
+		if n := &gt.nodes[i]; n.col >= 0 {
+			n.codes = g.Codes(int(n.col))
+		}
+	}
+}
+
+// holds reports whether group-relative row i passes node n's condition: once
+// the tests are bound, a node without codes holds throughout the group.
 func (n *trieNode) holds(i int32) bool {
 	return n.codes == nil || (n.codes[i] == n.code) != n.ne
 }
@@ -193,7 +203,7 @@ func (gt *GroupTrie) cover() (all, none bool) {
 	for j := 0; !none && j < len(gt.nodes); {
 		n := &gt.nodes[j]
 		switch {
-		case n.codes != nil:
+		case n.col >= 0:
 			j = int(n.end) // below a real test nothing covers the group
 		case n.hi > n.lo:
 			return true, false
@@ -224,7 +234,7 @@ func (gt *GroupTrie) Estimate() int64 {
 		if j > 0 {
 			est = gt.ests[n.parent]
 		}
-		if n.codes != nil && est > 0 {
+		if n.col >= 0 && est > 0 {
 			cnt := gt.g.CodeCounts(int(n.col))[n.code]
 			if n.ne {
 				cnt = rows - cnt
@@ -327,20 +337,6 @@ type ColBlock struct {
 	Buckets    [][]int32
 }
 
-// MaterializeRow decodes the full row at group-relative index i into dst
-// (grown as needed). Unmetered: the scan already charged the block.
-func (b *ColBlock) MaterializeRow(i int32, dst data.Row) data.Row {
-	nc := b.Group.NumCols()
-	if cap(dst) < nc {
-		dst = make(data.Row, nc)
-	}
-	dst = dst[:nc]
-	for c := 0; c < nc; c++ {
-		dst[c] = b.Group.Dict(c)[b.Group.Codes(c)[i]]
-	}
-	return dst
-}
-
 // ColumnarAvailable reports whether the server's table has a columnar copy
 // to scan. Tables populated through CreateTable/Insert/BulkLoad — including
 // the temp tables CopySubset builds — always do.
@@ -360,57 +356,53 @@ func (s *Server) NumColGroups() int {
 	return s.table.colstore.NumGroups()
 }
 
-// ColGroupBounds returns histogram-guided group boundaries splitting a
-// columnar scan with filter f into nparts lanes of approximately equal
-// estimated cost: per group, the page I/O for the needed columns (nil
-// needCols means all), per-row block evaluation, and perMatch — the
-// caller's full per-matching-row cost — times the estimated matching rows.
-// Groups the zone maps prove empty weigh nothing, so lanes are balanced
-// over the work that will actually be done. WeightedBounds-shaped, pure,
-// and unmetered, like PageBounds; nil means "use equal-width".
-func (s *Server) ColGroupBounds(f predicate.Filter, needCols []int, nparts int, perMatch int64) []int {
-	if s.noHints || nparts < 2 {
+// ColGroups returns the table's columnar copy as a GroupSource whose scans
+// read the pages of needCols (nil means all columns).
+func (s *Server) ColGroups(needCols []int) GroupSource {
+	return tableGroups{s.table.colstore, needCols, s.meter.Costs().ServerPageIO}
+}
+
+// GroupBounds is the one rule that splits a scan of src with filter f into
+// nparts lanes of approximately equal estimated cost: a group weighs what
+// reading it is charged (ReadCharge), at the server its per-row block
+// evaluation on top, and perMatch — the caller's full per-matching-row cost —
+// times its estimated matching rows. Groups the zone maps prove empty weigh
+// nothing, so lanes are balanced over the work that will actually be done.
+// WeightedBounds-shaped, pure, and unmetered, like PageBounds; nil means "use
+// equal-width".
+func GroupBounds(src GroupSource, f predicate.Filter, nparts int, costs sim.Costs, perMatch int64) []int {
+	if nparts < 2 || src.NumGroups() == 0 {
 		return nil
 	}
-	cs := s.table.colstore
-	if cs == nil || cs.NumGroups() == 0 {
-		return nil
-	}
-	costs := s.meter.Costs()
-	weights := make([]int64, cs.NumGroups())
+	weights := make([]int64, src.NumGroups())
 	var gf GroupFilter
 	for gi := range weights {
-		g := cs.Group(gi)
+		g := src.Zone(gi)
 		gf.Compile(g, f)
 		if gf.None() {
 			continue // skipped group: the lane pays nothing for it
 		}
-		weights[gi] = g.Pages(needCols)*costs.ServerPageIO +
-			int64(g.NumRows())*costs.ColRowEval +
-			gf.Estimate()*perMatch
+		_, unit, units := src.ReadCharge(g)
+		weights[gi] = unit*units + gf.Estimate()*perMatch
+		if src.AtServer() {
+			weights[gi] += int64(g.NumRows()) * costs.ColRowEval
+		}
 	}
 	return WeightedBounds(weights, nparts)
 }
 
 // ScanColumnarRange scans columnar row groups [loGroup, hiGroup) with f
 // pushed down, invoking fn per BlockRows-row block until fn returns false:
-// a cohort of one on the shared block loop (scanColumnar), with the cursor
+// ScanGroups over the table's copy for a cohort of one, with the cursor
 // open and page I/O charged to the consumer's own lane. needCols lists the
-// columns whose pages the scan reads (nil means all; callers that
-// materialize full rows must pass nil). All costs are charged to lane (the
-// server's own meter when nil). Groups whose zone maps prove the filter
-// unsatisfiable are skipped before any charge. Empty ranges are valid and
-// yield no blocks.
+// columns whose pages the scan reads (nil means all). All costs are charged to
+// lane (the server's own meter when nil). Groups whose zone maps prove the
+// filter unsatisfiable are skipped before any charge. Empty ranges are valid
+// and yield no blocks.
 func (s *Server) ScanColumnarRange(f predicate.Filter, needCols []int, loGroup, hiGroup int, lane *sim.Meter, fn func(blk *ColBlock) bool) {
 	if lane == nil {
 		lane = s.meter
 	}
-	s.ScanColumnarConsumer(&ScanConsumer{Filter: f, Lane: lane, Fn: fn}, needCols, loGroup, hiGroup)
-}
-
-// ScanColumnarConsumer is ScanColumnarRange for a caller-built consumer — the
-// way a middleware lane attaches its batch's paths and gets per-path buckets.
-func (s *Server) ScanColumnarConsumer(c *ScanConsumer, needCols []int, loGroup, hiGroup int) {
-	c.Lane.Charge(sim.CtrServerScans, c.Lane.Costs().CursorOpen, 1)
-	s.table.scanColumnar([]*ScanConsumer{c}, needCols, loGroup, hiGroup, c.Lane)
+	c := &ScanConsumer{Filter: f, Lane: lane, Fn: fn}
+	ScanGroups(s.ColGroups(needCols), []*ScanConsumer{c}, loGroup, hiGroup, lane) // resident groups: no read can fail
 }

@@ -38,11 +38,20 @@ func drainColumnar(srv *Server, f predicate.Filter, lo, hi int) []data.Row {
 	var out []data.Row
 	srv.ScanColumnarRange(f, nil, lo, hi, nil, func(blk *ColBlock) bool {
 		for _, i := range blk.Sel {
-			out = append(out, blk.MaterializeRow(i, nil))
+			out = append(out, groupRow(blk.Group, i))
 		}
 		return true
 	})
 	return out
+}
+
+// groupRow decodes row i of g.
+func groupRow(g *storage.ColGroup, i int32) data.Row {
+	row := make(data.Row, g.NumCols())
+	for c := range row {
+		row[c] = g.Dict(c)[g.Codes(c)[i]]
+	}
+	return row
 }
 
 func sameRows(a, b []data.Row) bool {
@@ -145,13 +154,14 @@ func TestColumnarPagesCheaperThanHeap(t *testing.T) {
 	}
 }
 
-// TestColGroupBoundsShape: bounds are WeightedBounds-shaped, skew toward the
-// matching region, and vanish when hints are disabled.
+// TestColGroupBoundsShape: a columnar copy's GroupBounds are
+// WeightedBounds-shaped and skew toward the matching region. (Whether to ask
+// for them at all — the hints knob — is the middleware's call: mw.splitBounds.)
 func TestColGroupBoundsShape(t *testing.T) {
 	srv, _ := clusteredColumnarServer(t, 12*storage.RowGroupSize, 6)
 	f := predicate.Or(predicate.Conj{{Attr: 0, Op: predicate.Eq, Val: 5}})
 	const nparts = 4
-	bounds := srv.ColGroupBounds(f, nil, nparts, 10_000)
+	bounds := GroupBounds(srv.ColGroups(nil), f, nparts, srv.meter.Costs(), 10_000)
 	if len(bounds) != nparts+1 {
 		t.Fatalf("bounds = %v, want %d entries", bounds, nparts+1)
 	}
@@ -169,10 +179,6 @@ func TestColGroupBoundsShape(t *testing.T) {
 	// equal-width share of groups.
 	if bounds[1] <= ng/nparts {
 		t.Fatalf("bounds = %v: first lane got %d groups, equal-width would give %d", bounds, bounds[1], ng/nparts)
-	}
-	srv.SetSplitHints(false)
-	if b := srv.ColGroupBounds(f, nil, nparts, 10_000); b != nil {
-		t.Fatalf("bounds with hints disabled = %v, want nil", b)
 	}
 }
 
@@ -336,7 +342,7 @@ func TestGroupTrieRouting(t *testing.T) {
 				}
 				return true
 			}
-			srv.ScanColumnarConsumer(cons, nil, 0, cs.NumGroups())
+			ScanGroups(srv.ColGroups(nil), []*ScanConsumer{cons}, 0, cs.NumGroups(), cons.Lane)
 			for gi, got := range scanned {
 				if gf.Compile(cs.Group(gi), ref); got == gf.None() {
 					t.Fatalf("round %d group %d, filter %v: scanned = %v, zone-map verdict none = %v", round, gi, ref, got, gf.None())
@@ -404,7 +410,7 @@ func TestGroupTrieRouting(t *testing.T) {
 }
 
 // TestSharedScanConsumersMatchSolo: consumers with different tries attached to
-// one ScanColumnarShared pass each see, block for block, exactly the Sel and
+// one ScanGroups pass each see, block for block, exactly the Sel and
 // Buckets their own solo scan hands them, and pay the same on their lanes —
 // the solo lane additionally its cursor and its pages, which the cohort's io
 // meter pays once. One consumer filters by its paths, one takes every row and
@@ -450,7 +456,7 @@ func TestSharedScanConsumersMatchSolo(t *testing.T) {
 			lanes[i] = sim.NewDefaultMeter()
 			cons[i] = consumer(trie, i == 1, lanes[i], &logs[i])
 		}
-		srv.ScanColumnarShared(cons, nil, io)
+		ScanGroups(srv.ColGroups(nil), cons, 0, ng, io)
 		if skipped := lanes[2].Count(sim.CtrColGroupsSkipped); skipped < 2 {
 			t.Fatalf("round %d: the confined consumer skipped %d groups, want the two without attribute 0 = 0", round, skipped)
 		}
@@ -460,7 +466,7 @@ func TestSharedScanConsumersMatchSolo(t *testing.T) {
 		for i, trie := range tries {
 			lane := sim.NewDefaultMeter()
 			var log []block
-			srv.ScanColumnarConsumer(consumer(trie, i == 1, lane, &log), nil, 0, ng)
+			ScanGroups(srv.ColGroups(nil), []*ScanConsumer{consumer(trie, i == 1, lane, &log)}, 0, ng, lane)
 			if !reflect.DeepEqual(log, logs[i]) {
 				t.Fatalf("round %d consumer %d: the shared scan handed it %d blocks that differ from its solo scan's %d", round, i, len(logs[i]), len(log))
 			}

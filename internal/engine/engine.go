@@ -131,7 +131,7 @@ func (e *Engine) CreateTable(name string, cols []string) (*Table, error) {
 		heap:     storage.NewHeapFile(4 * len(cols)),
 		colstore: storage.NewColStore(len(cols)),
 		indexes:  make(map[string]*Index),
-		stats:    NewValueStats(len(cols), 0),
+		stats:    NewValueStats(len(cols)),
 	}
 	e.tables[name] = t
 	return t, nil

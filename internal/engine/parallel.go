@@ -45,7 +45,7 @@ func (s *Server) scanMatchLanes(f predicate.Filter, nworkers int, spanName strin
 		psp := ltr.Start(obs.CatAux, spanName).SetPartition(part, nworkers)
 		lane.Charge(sim.CtrServerScans, lane.Costs().CursorOpen, 1)
 		var kept int64
-		lo, hi := rangeOf(part, nworkers, np, bounds)
+		lo, hi := RangeOf(part, nworkers, np, bounds)
 		s.reader(lane).scan(lo, hi, func(tid storage.TID, row data.Row) bool {
 			if f.Eval(row) {
 				keep(part, tid, row)

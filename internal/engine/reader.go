@@ -25,7 +25,7 @@ const (
 	// reproducible across GOMAXPROCS — matches the physical reality that n
 	// concurrent scan streams defeat a small shared cache, and leaves the
 	// pool's contents as they were for later pooled streams. The columnar
-	// scan (scanColumnar) follows the same rule per row group.
+	// scan (scanGroups) follows the same rule per row group.
 	payCold
 	// payResident reads a table the caller has established to be resident
 	// (WarmTable): pages are free, and the pool is not touched.

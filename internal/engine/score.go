@@ -17,7 +17,7 @@ import (
 // compares uint16 codes — no value materialization, no dictionary lookups in
 // the inner loop. The block stream comes from the same machinery as the
 // counting kernel — ScanColumnarRange for a solo partitioned scan,
-// ScanColumnarShared when a fleet shares one physical scan — so scoring pays
+// ScanGroups when a fleet shares one physical scan — so scoring pays
 // the identical page/eval/transmit shape as building, plus the new
 // score-specific charges (ScoreRowEval per row, ModelNodeProbe per visited
 // node).
@@ -144,7 +144,7 @@ func (gm *groupModel) walk(g *storage.ColGroup, i int32) (int32, int64) {
 
 // ScoreConsumer scores every selected row of a columnar block stream: the
 // per-block body of the scoring operator, driven either by one lane of a
-// partitioned ScanColumnarRange (ScoreColumnar) or by ScanColumnarShared as
+// partitioned ScanColumnarRange (ScoreColumnar) or by ScanGroups as
 // a fleet session's attachment to a shared physical scan — the same kernel
 // either way, so shared and solo scoring produce identical predictions.
 type ScoreConsumer struct {

@@ -12,10 +12,10 @@ import (
 // batching idea (§4.1 — merge many nodes' counting work into one data scan)
 // lifted from nodes-within-a-build to builds-within-a-fleet. Concurrent
 // sessions whose current batch scans the same table attach a ScanConsumer
-// each to one physical columnar scan; the block stream is decoded once and
-// fanned out, so the page I/O is charged once (to the shared io meter) while
-// each consumer pays its own per-row evaluation and transmission on its own
-// session lane.
+// each to one physical columnar scan (ScanGroups); the block stream is decoded
+// once and fanned out, so the page I/O is charged once (to the shared io
+// meter) while each consumer pays its own per-row evaluation and transmission
+// on its own session lane.
 
 // ScanConsumer is one session's attachment to a shared columnar scan.
 type ScanConsumer struct {
@@ -74,38 +74,71 @@ func (c *ScanConsumer) walk(base, n int) {
 	c.sel = c.gf.trie.route(base, n, c.gf.all, c.buckets, c.sel[:0])
 }
 
-// ScanColumnarShared runs one physical columnar scan over all row groups and
-// fans every block out to the attached consumers. Shared costs go to io (the
-// server's own meter when nil): one cursor open for the whole cohort, and the
-// column pages of each group that at least one consumer needs — charged once,
-// however many consumers read the group. needCols lists the union of the
-// columns any consumer touches (nil means all).
-func (s *Server) ScanColumnarShared(cons []*ScanConsumer, needCols []int, io *sim.Meter) {
-	if io == nil {
-		io = s.meter
-	}
-	io.Charge(sim.CtrServerScans, io.Costs().CursorOpen, 1)
-	s.table.scanColumnar(cons, needCols, 0, s.NumColGroups(), io)
+// GroupSource is an ordered run of row groups the block loop can scan: a
+// table's columnar copy, or a middleware stage — in memory or in a file — made
+// of the same kind of groups. A source with per-scan state (an open file) is
+// made per lane.
+type GroupSource interface {
+	NumGroups() int
+	// Zone returns group gi as far as planning needs it — row count,
+	// dictionaries, per-code counts; the code vectors may be absent: filters
+	// compile against it, a zone-map skip rests on it, a lane split weighs it.
+	Zone(gi int) *storage.ColGroup
+	// Read returns group gi with its code vectors; the loop charges ReadCharge.
+	Read(gi int) (*storage.ColGroup, error)
+	// ReadCharge is what reading g costs, once per scan however many consumers
+	// share it: n units of ctr at unit each.
+	ReadCharge(g *storage.ColGroup) (ctr sim.Counter, unit, n int64)
+	// AtServer reports that the groups are read through the server, which then
+	// charges every consumer ColRowEval per row it evaluates and — unless the
+	// rows stay inside the server — ColRowTransmit per row it selects. A stage
+	// is already in the middleware: ReadCharge is all reading it costs.
+	AtServer() bool
 }
 
-// scanColumnar is the engine's one columnar group/block loop: row groups
-// [loGroup, hiGroup) of t streamed once, every BlockRows-row block fanned out
+// tableGroups is a table's columnar copy as a GroupSource: a group costs the
+// pages of the columns the scan needs (nil means all).
+type tableGroups struct {
+	cs       *storage.ColStore
+	needCols []int
+	pageIO   int64
+}
+
+func (t tableGroups) NumGroups() int                         { return t.cs.NumGroups() }
+func (t tableGroups) Zone(gi int) *storage.ColGroup          { return t.cs.Group(gi) }
+func (t tableGroups) Read(gi int) (*storage.ColGroup, error) { return t.cs.Group(gi), nil }
+func (t tableGroups) AtServer() bool                         { return true }
+func (t tableGroups) ReadCharge(g *storage.ColGroup) (sim.Counter, int64, int64) {
+	return sim.CtrServerPages, t.pageIO, g.Pages(t.needCols)
+}
+
+// ScanGroups is a cursor scan of row groups [loGroup, hiGroup) of src: one
+// physical pass fanned out to every attached consumer — a middleware lane's one,
+// or a fleet cohort's many. What the consumers share goes to io: at the server
+// one cursor open, and each group's ReadCharge once (hand a server source the
+// union of the columns they touch).
+func ScanGroups(src GroupSource, cons []*ScanConsumer, loGroup, hiGroup int, io *sim.Meter) error {
+	if src.AtServer() {
+		io.Charge(sim.CtrServerScans, io.Costs().CursorOpen, 1)
+	}
+	return scanGroups(src, cons, loGroup, hiGroup, io)
+}
+
+// scanGroups is the one columnar group/block loop: row groups
+// [loGroup, hiGroup) of src streamed once, every BlockRows-row block fanned out
 // to the attached consumers. Opening a cursor is the caller's charge — a
-// cursor scan pays CursorOpen on io first, a statement's scan does not. Per
+// cursor scan (ScanGroups) pays for it first, a statement's scan does not. Per
 // group, each consumer's filter — its paths' trie, when it attached one — is
 // compiled once against the group's dictionaries; a consumer whose filter
 // cannot match skips the group on its own lane (zone-map verdict) without
-// forcing or joining the read, and a group no consumer needs charges nothing
-// — not even page I/O. Per block, each reading consumer pays its own
+// forcing or joining the read, and a group no consumer needs is neither read
+// nor charged. Per block, a consumer of a server source pays its own
 // evaluation and transmission, and one walk of its trie per row fills Sel and
 // Buckets together. Consumers are fed in slice order, so the interleaving is
-// deterministic; the scan ends early once every consumer has detached.
-func (t *Table) scanColumnar(cons []*ScanConsumer, needCols []int, loGroup, hiGroup int, io *sim.Meter) {
-	cs := t.colstore
-	if cs == nil {
-		panic(fmt.Sprintf("engine: table %q has no columnar copy", t.Name))
-	}
-	if ng := cs.NumGroups(); loGroup < 0 || hiGroup < loGroup || hiGroup > ng {
+// deterministic; the scan ends early once every consumer has detached, and
+// with the source's error when a group cannot be read.
+func scanGroups(src GroupSource, cons []*ScanConsumer, loGroup, hiGroup int, io *sim.Meter) error {
+	if ng := src.NumGroups(); loGroup < 0 || hiGroup < loGroup || hiGroup > ng {
 		panic(fmt.Sprintf("engine: invalid columnar range [%d, %d) of %d groups", loGroup, hiGroup, ng))
 	}
 	for i, c := range cons {
@@ -123,16 +156,16 @@ func (t *Table) scanColumnar(cons []*ScanConsumer, needCols []int, loGroup, hiGr
 		c.detached = false
 	}
 	attached := len(cons)
-	costs := io.Costs()
+	costs, atServer := io.Costs(), src.AtServer()
 	blk := &ColBlock{}
 	for gi := loGroup; gi < hiGroup && attached > 0; gi++ {
-		g := cs.Group(gi)
+		zone := src.Zone(gi)
 		readers := 0
 		for _, c := range cons {
 			if c.detached {
 				continue
 			}
-			c.compile(g)
+			c.compile(zone)
 			if c.gf.None() {
 				c.Lane.Charge(sim.CtrColGroupsSkipped, 0, 1)
 				continue
@@ -141,9 +174,21 @@ func (t *Table) scanColumnar(cons []*ScanConsumer, needCols []int, loGroup, hiGr
 			readers++
 		}
 		if readers == 0 {
-			continue // no consumer needs this group: no page is read
+			continue // no consumer needs this group: nothing is read
 		}
-		io.Charge(sim.CtrServerPages, costs.ServerPageIO, g.Pages(needCols))
+		g, err := src.Read(gi)
+		if err != nil {
+			return err
+		}
+		ctr, unit, units := src.ReadCharge(g)
+		io.Charge(ctr, unit, units)
+		if g != zone {
+			for _, c := range cons {
+				if !c.detached && !c.gf.None() {
+					c.gf.trie.bind(g)
+				}
+			}
+		}
 		nrows := g.NumRows()
 		for base := 0; base < nrows && attached > 0; base += BlockRows {
 			n := nrows - base
@@ -155,9 +200,11 @@ func (t *Table) scanColumnar(cons []*ScanConsumer, needCols []int, loGroup, hiGr
 					continue
 				}
 				c.Lane.Charge(sim.CtrColBlocks, 0, 1)
-				c.Lane.Charge(sim.CtrServerRows, costs.ColRowEval, int64(n))
+				if atServer {
+					c.Lane.Charge(sim.CtrServerRows, costs.ColRowEval, int64(n))
+				}
 				c.walk(base, n)
-				if !c.local {
+				if atServer && !c.local {
 					c.Lane.Charge(sim.CtrRowsTransmitted, costs.ColRowTransmit, int64(len(c.sel)))
 				}
 				blk.Group, blk.GroupIndex, blk.Base, blk.N, blk.Sel, blk.Buckets = g, gi, base, n, c.sel, c.buckets
@@ -168,4 +215,5 @@ func (t *Table) scanColumnar(cons []*ScanConsumer, needCols []int, loGroup, hiGr
 			}
 		}
 	}
+	return nil
 }

@@ -48,8 +48,8 @@ func (c *colCounts) count(v data.Value) int64 {
 	return c.counts[i]
 }
 
-// bucketStat summarizes one bucket (a heap page, or a run of staged file
-// rows): the resident row count and one value histogram per column.
+// bucketStat summarizes one bucket (a heap page): the resident row count and
+// one value histogram per column.
 type bucketStat struct {
 	rows int64
 	cols []colCounts
@@ -103,35 +103,19 @@ type PageHint struct {
 	Match int64 // estimated rows matching the filter
 }
 
-// ValueStats is a cheap equi-depth statistics sketch over an ordered stream
-// of rows: the stream is cut into buckets (one per heap page, or one per
-// rowsPerBucket staged rows), and each bucket carries per-column value
-// histograms. Everything is integer counters over slices, so hint
-// computation is a pure deterministic function of the noted rows — and it is
-// never metered: statistics ride along with writes the caller already paid
-// for.
+// ValueStats is a cheap statistics sketch over a heap's rows: one bucket per
+// page, each carrying per-column value histograms. Everything is integer
+// counters over slices, so hint computation is a pure deterministic function
+// of the noted rows — and it is never metered: statistics ride along with
+// writes the caller already paid for. (Row groups need no such sketch: their
+// dictionaries and per-code counts are exact.)
 type ValueStats struct {
-	ncols     int
-	perBucket int64 // bucket capacity for sequential Note; 0 disables Note
-	buckets   []bucketStat
+	ncols   int
+	buckets []bucketStat
 }
 
-// NewValueStats creates stats for rows of ncols columns. rowsPerBucket sets
-// the bucket granularity for sequential Note appends; callers that place
-// rows themselves (heap pages) use NoteAt and may pass 0.
-func NewValueStats(ncols int, rowsPerBucket int64) *ValueStats {
-	return &ValueStats{ncols: ncols, perBucket: rowsPerBucket}
-}
-
-func (vs *ValueStats) noteInto(b *bucketStat, r data.Row) {
-	if b.cols == nil {
-		b.cols = make([]colCounts, vs.ncols)
-	}
-	b.rows++
-	for i := 0; i < vs.ncols && i < len(r); i++ {
-		b.cols[i].note(r[i])
-	}
-}
+// NewValueStats creates stats for rows of ncols columns.
+func NewValueStats(ncols int) *ValueStats { return &ValueStats{ncols: ncols} }
 
 // NoteAt records one row placed in the given bucket (growing the bucket list
 // as needed). Heap tables use the row's page id as the bucket.
@@ -142,46 +126,14 @@ func (vs *ValueStats) NoteAt(bucket int, r data.Row) {
 	for len(vs.buckets) <= bucket {
 		vs.buckets = append(vs.buckets, bucketStat{})
 	}
-	vs.noteInto(&vs.buckets[bucket], r)
-}
-
-// Note records one row appended to the stream, opening a new bucket every
-// perBucket rows. Staged-file writers use this: buckets then correspond to
-// contiguous row ranges of the file.
-func (vs *ValueStats) Note(r data.Row) {
-	if vs == nil || vs.perBucket <= 0 {
-		return
+	b := &vs.buckets[bucket]
+	if b.cols == nil {
+		b.cols = make([]colCounts, vs.ncols)
 	}
-	n := len(vs.buckets)
-	if n == 0 || vs.buckets[n-1].rows >= vs.perBucket {
-		vs.buckets = append(vs.buckets, bucketStat{})
-		n++
+	b.rows++
+	for i := 0; i < vs.ncols && i < len(r); i++ {
+		b.cols[i].note(r[i])
 	}
-	vs.noteInto(&vs.buckets[n-1], r)
-}
-
-// Append concatenates other's buckets after the receiver's, preserving
-// bucket order. Parallel staging writers build per-shard stats and append
-// them in partition order, mirroring how the row bytes themselves are
-// concatenated; bucket boundaries need not align with perBucket because
-// hints map buckets to row offsets through the recorded row counts.
-func (vs *ValueStats) Append(other *ValueStats) {
-	if vs == nil || other == nil {
-		return
-	}
-	vs.buckets = append(vs.buckets, other.buckets...)
-}
-
-// Rows returns the total number of noted rows.
-func (vs *ValueStats) Rows() int64 {
-	if vs == nil {
-		return 0
-	}
-	var n int64
-	for i := range vs.buckets {
-		n += vs.buckets[i].rows
-	}
-	return n
 }
 
 // BucketHints estimates, per bucket, how many rows match f. A nil receiver
@@ -261,19 +213,14 @@ func WeightedBounds(weights []int64, nparts int) []int {
 	return bounds
 }
 
-// rangeOf resolves partition part of nparts over n units: span [lo, hi) from
+// RangeOf resolves partition part of nparts over n units: span [lo, hi) from
 // the weighted bounds when present, the equal-width formula otherwise. It is
-// the one place all partitioned sources share, so the property tests pin the
-// same arithmetic the production cursors use.
-func rangeOf(part, nparts, n int, bounds []int) (lo, hi int) {
+// the one place all partitioned sources — the engine's and the middleware's —
+// share, so the property tests pin the same arithmetic the production scans
+// use.
+func RangeOf(part, nparts, n int, bounds []int) (lo, hi int) {
 	if len(bounds) == nparts+1 {
 		return bounds[part], bounds[part+1]
 	}
 	return part * n / nparts, (part + 1) * n / nparts
-}
-
-// RangeOf exposes rangeOf for callers outside the engine (the middleware's
-// file and memory sources partition with the same arithmetic).
-func RangeOf(part, nparts, n int, bounds []int) (lo, hi int) {
-	return rangeOf(part, nparts, n, bounds)
 }

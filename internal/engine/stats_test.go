@@ -93,16 +93,13 @@ func TestWeightedBoundsDegenerate(t *testing.T) {
 }
 
 func TestValueStatsSingleColumnExact(t *testing.T) {
-	vs := NewValueStats(2, 10)
+	vs := NewValueStats(2)
 	counts := map[data.Value]int64{}
 	rng := rand.New(rand.NewSource(5))
 	for i := 0; i < 137; i++ {
 		v := data.Value(rng.Intn(5))
 		counts[v]++
-		vs.Note(data.Row{v, data.Value(rng.Intn(3))})
-	}
-	if got := vs.Rows(); got != 137 {
-		t.Fatalf("Rows = %d, want 137", got)
+		vs.NoteAt(i/10, data.Row{v, data.Value(rng.Intn(3))})
 	}
 	if got, want := len(vs.buckets), 14; got != want {
 		t.Fatalf("%d buckets, want %d", got, want)
@@ -142,54 +139,28 @@ func TestValueStatsSingleColumnExact(t *testing.T) {
 
 func TestValueStatsNilAndDisabled(t *testing.T) {
 	var vs *ValueStats
-	vs.Note(data.Row{0}) // must not panic
-	vs.NoteAt(3, data.Row{0})
-	vs.Append(nil)
-	if vs.Rows() != 0 {
+	vs.NoteAt(3, data.Row{0}) // must not panic
+	if vs.EstimateMatch(predicate.MatchAll()) != 0 {
 		t.Fatal("nil stats not empty")
 	}
 	if vs.BucketHints(predicate.MatchAll()) != nil {
 		t.Fatal("nil stats produced hints")
 	}
-	// perBucket 0 disables sequential Note (heap tables use NoteAt).
-	d := NewValueStats(1, 0)
-	d.Note(data.Row{1})
+	d := NewValueStats(1)
+	d.NoteAt(-1, data.Row{1}) // no such bucket
 	if len(d.buckets) != 0 {
-		t.Fatal("Note recorded with perBucket = 0")
+		t.Fatal("NoteAt recorded a row in bucket -1")
 	}
 	d.NoteAt(2, data.Row{1})
-	if len(d.buckets) != 3 || d.Rows() != 1 {
-		t.Fatalf("NoteAt: buckets=%d rows=%d, want 3/1", len(d.buckets), d.Rows())
-	}
-}
-
-func TestValueStatsAppendPreservesOrder(t *testing.T) {
-	a := NewValueStats(1, 2)
-	b := NewValueStats(1, 2)
-	for i := 0; i < 4; i++ {
-		a.Note(data.Row{0})
-		b.Note(data.Row{1})
-	}
-	a.Append(b)
-	hints := a.BucketHints(eqFilter(0, 1))
-	if len(hints) != 4 {
-		t.Fatalf("buckets after append = %d, want 4", len(hints))
-	}
-	for i, h := range hints {
-		want := int64(0)
-		if i >= 2 {
-			want = 2 // b's buckets follow a's
-		}
-		if h.Match != want {
-			t.Fatalf("bucket %d match = %d, want %d", i, h.Match, want)
-		}
+	if rows := d.EstimateMatch(predicate.MatchAll()); len(d.buckets) != 3 || rows != 1 {
+		t.Fatalf("NoteAt: buckets=%d rows=%d, want 3/1", len(d.buckets), rows)
 	}
 }
 
 func TestValueStatsOverflowValues(t *testing.T) {
-	vs := NewValueStats(1, 100)
+	vs := NewValueStats(1)
 	for i := 0; i < 10; i++ {
-		vs.Note(data.Row{data.Value(statMaxValue + i)})
+		vs.NoteAt(0, data.Row{data.Value(statMaxValue + i)})
 	}
 	// Overflow values share one counter: any over-range value estimates the
 	// full overflow population (a deliberate over-estimate, never under).

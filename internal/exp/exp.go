@@ -251,24 +251,10 @@ func countersOf(m *sim.Meter) map[string]int64 {
 	return out
 }
 
-// forceRowPath, when set via SetForceRowPath, pins every BuildTree-driven
-// experiment to the row scan path — the whole-suite columnar ablation behind
-// the experiments CLI's -columnar=false flag. Runners that compare the two
-// paths explicitly (the columnar experiment) or pin a path for measurement
-// validity (skew) are unaffected: they configure the middleware directly.
-var forceRowPath bool
-
-// SetForceRowPath toggles the whole-suite row-path ablation. Not safe
-// concurrently with running experiments; set it once before the first Run.
-func SetForceRowPath(v bool) { forceRowPath = v }
-
 // BuildTree loads ds into a fresh simulated server, grows a tree through a
 // middleware with the given config, and returns the virtual-time cost of the
 // build (loading is unmetered).
 func BuildTree(env *Env, ds *data.Dataset, mcfg mw.Config, opt dtree.Options) (BuildStats, error) {
-	if forceRowPath {
-		mcfg.Columnar = mw.ColumnarOff
-	}
 	meter := sim.NewDefaultMeter()
 	eng := engine.New(meter, 0)
 	srv, err := engine.NewServer(eng, "cases", ds)

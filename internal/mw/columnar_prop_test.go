@@ -52,10 +52,9 @@ func TestColumnarPartitionProperty(t *testing.T) {
 		ng := srv.NumColGroups()
 		want := drainCursor(srv.OpenScanRange(f, 0, srv.NumPages(), nil))
 		for _, hints := range []bool{true, false} {
-			srv.SetSplitHints(hints)
-			bounds := srv.ColGroupBounds(f, nil, nparts, rng.Int63n(20_000))
-			if !hints && bounds != nil {
-				t.Fatal("ColGroupBounds not nil with hints disabled")
+			bounds := engine.GroupBounds(srv.ColGroups(nil), f, nparts, srv.Meter().Costs(), rng.Int63n(20_000))
+			if !hints {
+				bounds = nil // what the middleware plans with hints disabled (splitBounds)
 			}
 			checkBounds(t, bounds, nparts, ng)
 			var got []string
@@ -63,7 +62,7 @@ func TestColumnarPartitionProperty(t *testing.T) {
 				lo, hi := engine.RangeOf(part, nparts, ng, bounds)
 				srv.ScanColumnarRange(f, nil, lo, hi, nil, func(blk *engine.ColBlock) bool {
 					for _, i := range blk.Sel {
-						got = append(got, fmt.Sprint(blk.MaterializeRow(i, nil)))
+						got = append(got, fmt.Sprint(groupRow(blk.Group, i)))
 					}
 					return true
 				})
@@ -74,9 +73,11 @@ func TestColumnarPartitionProperty(t *testing.T) {
 }
 
 // TestColumnarMatchesRowPath: the complete three-level protocol — CC tables,
-// result sources, staged-file bytes — is byte-identical between the columnar
-// path at Workers ∈ {1, 2, 4, 8} and the sequential row path, for staging
-// off and on. 13000 rows give four row groups, so the high worker counts
+// result sources, and the rows every staging file holds, in file order — is
+// identical between server scans over the columnar copy at Workers ∈
+// {1, 2, 4, 8} (tees keep codes) and the sequential heap-cursor scan of
+// ColumnarOff (tees encode rows), for staging off and on. Below the root both
+// read their stages through the block kernel. 13000 rows give four row groups, so the high worker counts
 // exercise multi-lane columnar scans and the shard merge. (The virtual clock
 // legitimately differs — the cheaper cost shape is the point — so the meter
 // is excluded here and determinism is pinned below.) The empty table pits

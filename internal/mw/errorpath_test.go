@@ -72,10 +72,7 @@ func requireWellFormedNDJSON(t *testing.T, col *obs.Collector) []map[string]any 
 // the parent of every span opened afterwards, corrupting the trace shape.
 func TestScanErrorEndsScanSpan(t *testing.T) {
 	ds := randDataset(500, 31)
-	dir := t.TempDir()
-	m, col, tr := newTracedMW(t, ds, Config{
-		Staging: StageFileOnly, FilePolicy: FileSingleton, Dir: dir,
-	})
+	m, col, tr := newTracedMW(t, ds, Config{Staging: StageFileOnly, FilePolicy: FileSingleton})
 	if err := m.Enqueue(rootRequest(ds)); err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +90,7 @@ func TestScanErrorEndsScanSpan(t *testing.T) {
 	m.CloseNode(0)
 
 	// Sabotage the staging file the child batch will scan.
-	files, err := filepath.Glob(filepath.Join(dir, "*.rows"))
+	files, err := filepath.Glob(filepath.Join(m.files.dir, "*.cols"))
 	if err != nil || len(files) != 1 {
 		t.Fatalf("expected one staging file, got %v (err %v)", files, err)
 	}
@@ -142,8 +139,7 @@ func twoRootRequests(ds *data.Dataset) []*Request {
 // free them.
 func TestCreateErrorAbortsEarlierWriters(t *testing.T) {
 	ds := randDataset(500, 32)
-	dir := t.TempDir()
-	m, _ := newMW(t, ds, Config{Staging: StageFileOnly, FilePolicy: FilePerNode, Dir: dir})
+	m, _ := newMW(t, ds, Config{Staging: StageFileOnly, FilePolicy: FilePerNode})
 	injected := errors.New("injected: create failed")
 	m.files.createErr = func(seq int) error {
 		if seq == 2 {
@@ -157,7 +153,7 @@ func TestCreateErrorAbortsEarlierWriters(t *testing.T) {
 	if _, err := m.Step(); !errors.Is(err, injected) {
 		t.Fatalf("Step error = %v, want the injected create failure", err)
 	}
-	entries, err := os.ReadDir(dir)
+	entries, err := os.ReadDir(m.files.dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,10 +170,7 @@ func TestCreateErrorAbortsEarlierWriters(t *testing.T) {
 // removed) and the in-flight stage span ended.
 func TestFinishErrorAbortsRemainingWriters(t *testing.T) {
 	ds := randDataset(500, 33)
-	dir := t.TempDir()
-	m, col, tr := newTracedMW(t, ds, Config{
-		Staging: StageFileOnly, FilePolicy: FilePerNode, Dir: dir,
-	})
+	m, col, tr := newTracedMW(t, ds, Config{Staging: StageFileOnly, FilePolicy: FilePerNode})
 	injected := errors.New("injected: flush failed")
 	m.files.finishErr = func(path string) error {
 		if strings.Contains(path, "stage000001") {
@@ -191,7 +184,7 @@ func TestFinishErrorAbortsRemainingWriters(t *testing.T) {
 	if _, err := m.Step(); err == nil || !strings.Contains(err.Error(), "injected") {
 		t.Fatalf("Step error = %v, want the injected finish failure", err)
 	}
-	entries, err := os.ReadDir(dir)
+	entries, err := os.ReadDir(m.files.dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,5 +271,167 @@ func TestTightBudgetParallelMatchesSequential(t *testing.T) {
 		if got := drive(workers); got != want {
 			t.Errorf("workers=%d decisions diverge from sequential:\n got %s\nwant %s", workers, got, want)
 		}
+	}
+}
+
+// fileChild drives a singleton-file build one step past the root — the table is
+// staged in one file — and enqueues a child whose batch will scan that file. It
+// returns the file's path.
+func fileChild(t *testing.T, m *Middleware, ds *data.Dataset) string {
+	t.Helper()
+	if err := m.Enqueue(rootRequest(ds)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Step(); err != nil {
+		t.Fatal(err)
+	}
+	child := &Request{
+		NodeID: 1, ParentID: 0,
+		Path:  predicate.Conj{{Attr: 0, Op: predicate.Eq, Val: 1}},
+		Attrs: []int{1, 2, 3}, Rows: countMatching(ds, 0, 1, true), EstCC: 40,
+	}
+	if err := m.Enqueue(child); err != nil {
+		t.Fatal(err)
+	}
+	m.CloseNode(0)
+	files, err := filepath.Glob(filepath.Join(m.files.dir, "*.cols"))
+	if err != nil || len(files) != 1 {
+		t.Fatalf("expected one staging file, got %v (err %v)", files, err)
+	}
+	return files[0]
+}
+
+// TestCorruptStagingFileIsAnError: the group reader is fed from disk, so bytes
+// that are not the code vectors the store wrote — a file cut short, inside a
+// group or at a group boundary, a code past its dictionary — must come back
+// from Step as a wrapped mw: error, never as an index panic inside the kernel;
+// and the failed batch must leave nothing behind: scan and batch spans ended,
+// the file-split tee it had opened aborted. (Row, column and dictionary counts
+// and the dictionaries themselves are not in the file to be corrupted: a
+// group's zone keeps them in memory.)
+func TestCorruptStagingFileIsAnError(t *testing.T) {
+	ds := randDataset(3000, 35) // three row groups in the file, the last one short
+	group := 2 * engine.BlockRows * ds.Schema.NumCols()
+	for _, tc := range []struct {
+		name    string
+		corrupt func(b []byte) []byte
+	}{
+		{"truncated", func(b []byte) []byte { return b[:len(b)-7] }},
+		{"truncated to two groups", func(b []byte) []byte { return b[:2*group] }},
+		{"truncated to nothing", func(b []byte) []byte { return nil }},
+		{"code past its dictionary", func(b []byte) []byte { b[0] = 3; return b }}, // attr 0 holds 3 values
+		{"code past 255 in the second group", func(b []byte) []byte { b[group+11] = 0x40; return b }},
+		{"one bit of the last group", func(b []byte) []byte { b[len(b)-1] ^= 0x80; return b }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			// Threshold 1 makes the child batch split the file: it holds a tee
+			// writer open when the read fails.
+			m, col, tr := newTracedMW(t, ds, Config{Staging: StageFileOnly, Threshold: 1})
+			path := fileChild(t, m, ds)
+			b, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, tc.corrupt(b), 0o600); err != nil {
+				t.Fatal(err)
+			}
+			_, err = m.Step()
+			if err == nil || !strings.HasPrefix(err.Error(), "mw: ") {
+				t.Fatalf("Step over the corrupt file returned %v, want a wrapped mw: error", err)
+			}
+			probe := tr.Start(obs.CatBatch, "probe")
+			probe.End()
+			if probe.Parent != 0 {
+				t.Errorf("span opened after the failed scan has parent %d, want 0 — a scan or batch span leaked", probe.Parent)
+			}
+			requireWellFormedNDJSON(t, col)
+			if files, _ := filepath.Glob(filepath.Join(m.files.dir, "*.cols")); len(files) != 1 || files[0] != path {
+				t.Errorf("staging dir holds %v after the failed batch, want only the scanned file: the split's tee writer was not aborted", files)
+			}
+			if m.files.live != 1 {
+				t.Errorf("fileStore reports %d live files, want 1", m.files.live)
+			}
+		})
+	}
+}
+
+// TestSharedDirBuildsDoNotCollide: two middlewares given the same Dir — two
+// file-staging sessions of one daemon — each work in a private subdirectory.
+// Numbering their files from stage000001 in Dir itself, two interleaved builds
+// created the same path and one read the other's bytes ("mw: read staging
+// file: EOF"). Both trees must equal the in-memory reference, and Close —
+// after a finished build or an abandoned one — must leave Dir empty.
+func TestSharedDirBuildsDoNotCollide(t *testing.T) {
+	dir := t.TempDir()
+	dsA, dsB := randDataset(2500, 36), randDataset(1500, 37)
+	type build struct {
+		ds *data.Dataset
+		m  *Middleware
+		cc map[int]*cc.Table
+	}
+	var builds []*build
+	for _, ds := range []*data.Dataset{dsA, dsB} {
+		m, _ := newMW(t, ds, Config{Staging: StageFileOnly, FilePolicy: FilePerNode, Dir: dir})
+		if err := m.Enqueue(rootRequest(ds)); err != nil {
+			t.Fatal(err)
+		}
+		builds = append(builds, &build{ds: ds, m: m, cc: map[int]*cc.Table{}})
+	}
+	// Interleave: one Step each, then the children, one Step each again.
+	step := func(b *build) {
+		results, err := b.m.Step()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range results {
+			b.cc[r.Req.NodeID] = r.CC
+		}
+	}
+	for _, b := range builds {
+		step(b)
+	}
+	for _, b := range builds {
+		for v := 0; v < 3; v++ {
+			val := data.Value(v)
+			if err := b.m.Enqueue(&Request{
+				NodeID: 1 + v, ParentID: 0,
+				Path:  predicate.Conj{{Attr: 0, Op: predicate.Eq, Val: val}},
+				Attrs: []int{1, 2, 3}, Rows: countMatching(b.ds, 0, val, true), EstCC: 40,
+			}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		b.m.CloseNode(0)
+	}
+	for builds[0].m.Pending() > 0 || builds[1].m.Pending() > 0 {
+		for _, b := range builds {
+			if b.m.Pending() > 0 {
+				step(b)
+			}
+		}
+	}
+	for i, b := range builds {
+		for v := 0; v < 3; v++ {
+			path := predicate.Conj{{Attr: 0, Op: predicate.Eq, Val: data.Value(v)}}
+			want := cc.FromDataset(b.ds, []int{1, 2, 3, 4}, path.Eval)
+			if got := b.cc[1+v]; got == nil || !got.Equal(want) {
+				t.Errorf("build %d node %d: CC table differs from the reference", i, 1+v)
+			}
+		}
+	}
+	// Build 0 finishes; build 1 is abandoned with its children's files live.
+	for id := 1; id <= 3; id++ {
+		builds[0].m.CloseNode(id)
+	}
+	if builds[1].m.files.live == 0 {
+		t.Fatal("the abandoned build holds no staging file: the test no longer covers the leak")
+	}
+	for _, b := range builds {
+		if err := b.m.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if entries, err := os.ReadDir(dir); err != nil || len(entries) != 0 {
+		t.Errorf("the callers' Dir after both Close: %v (err %v), want it empty", entries, err)
 	}
 }

@@ -169,9 +169,9 @@ func (m *Middleware) scanBatch(r *batchRun) error {
 	}
 	if ssp != nil {
 		ssp.SetRows(m.meter.CountSince(scanSnap, scanRowCounter(b.kind)))
-		if sp.col != nil {
-			// Zone-map effectiveness per scan: row groups the columnar
-			// kernel actually read vs. skipped via dictionary bounds.
+		if sp.groups != nil {
+			// Zone-map effectiveness per scan: row groups the block kernel
+			// actually read vs. skipped via dictionary bounds.
 			ssp.Attr("col_groups_scanned", m.meter.CountSince(scanSnap, sim.CtrColGroupsScanned)).
 				Attr("col_groups_skipped", m.meter.CountSince(scanSnap, sim.CtrColGroupsSkipped))
 		}
@@ -201,39 +201,17 @@ func (m *Middleware) finishBatch(r *batchRun) ([]*Result, error) {
 			return nil, err
 		}
 		stsp.SetRows(sf.rows).SetBytes(sf.bytes).End()
-		sd := &stageData{
-			seq:       m.nextStageSeq(),
-			nodeID:    t.keyNodes[0],
-			keyNodes:  t.keyNodes,
-			rows:      sf.rows,
-			openNodes: map[int]bool{},
-			file:      sf,
-		}
-		for _, id := range t.keyNodes {
-			sd.openNodes[id] = true
-		}
-		m.registerStage(sd)
+		m.newStage(t.keyNodes).file = sf
 	}
 	var stagedMemRows int64
 	for _, t := range r.plan.memTees {
-		bytes := int64(len(t.mem)) * r.rowMemBytes
-		stagedMemRows += int64(len(t.mem))
+		bytes := t.mem.rows * r.rowMemBytes
+		stagedMemRows += t.mem.rows
 		tr.Start(obs.CatStage, "stage-memory").SetNodes(t.keyNodes).
-			SetRows(int64(len(t.mem))).SetBytes(bytes).End()
-		sd := &stageData{
-			seq:       m.nextStageSeq(),
-			nodeID:    t.keyNodes[0],
-			keyNodes:  t.keyNodes,
-			rows:      int64(len(t.mem)),
-			openNodes: map[int]bool{},
-			mem:       t.mem,
-			memBytes:  bytes,
-		}
-		for _, id := range t.keyNodes {
-			sd.openNodes[id] = true
-		}
+			SetRows(t.mem.rows).SetBytes(bytes).End()
+		sd := m.newStage(t.keyNodes)
+		sd.mem, sd.memBytes = t.mem.groups, bytes
 		m.stagedMem += bytes
-		m.registerStage(sd)
 	}
 
 	// Post results.

@@ -4,26 +4,21 @@ import (
 	"repro/internal/data"
 	"repro/internal/engine"
 	"repro/internal/sim"
-	"repro/internal/storage"
 )
 
-// This file is the middleware half of the columnar scan path: server batches
-// run against the engine's column-major copy in 1024-row blocks, and the
-// per-row table probes of the row path become a vectorized
-// route-then-count kernel — per block, the engine's scan walks each row once
-// down the trie of the live nodes' paths in dictionary-code space, which both
-// filters it and drops it into its nodes' buckets (engine.ColBlock.Buckets);
-// per node, the middleware bumps a dense histogram per bucketed row
-// (cc.Table.AddMany) and folds the distinct cells into the table once. It is
-// one of the two counting kernels a lane of
-// exec_parallel.go's pipeline runs (the other is the per-row loop in
-// scanLane); everything around it — lanes, shards, budget, merge — is shared.
-// The produced CC tables, trees and staged data are byte-identical to the
-// row path's; only the cost shape (and therefore the virtual clock and
-// counters) differs — which is the point.
+// This file is the middleware half of the block kernel every row-group source
+// — the server's columnar copy, a staged file, staged memory — is counted by.
+// Per 1024-row block the engine's scan walks each row once down the trie of the
+// live nodes' paths in dictionary-code space, which both filters it and drops
+// it into its nodes' buckets (engine.ColBlock.Buckets); per node, the
+// middleware bumps a dense histogram per bucketed row (cc.Table.AddMany) and
+// folds the distinct cells into the table once; staging tees keep their rows of
+// the block as codes. The per-row loop in scanLane is what is left for the heap
+// cursors; everything around either — lanes, shards, budget, merge — is shared,
+// and the CC tables, trees and staged rows they produce are identical.
 
 // columnarServer returns the server whose columnar copy services the batch,
-// or nil when the batch must take the row path: non-server sources, the
+// or nil when it is not a server batch or must go through a heap cursor: the
 // ColumnarOff ablation, TID-addressed access modes (keyset, TID join), and
 // sources without a columnar copy.
 func (m *Middleware) columnarServer(b *batch) *engine.Server {
@@ -83,15 +78,15 @@ func (m *Middleware) columnarNeedCols(plan *stagePlan, live []*ccWork) []int {
 	return cols
 }
 
-// colConsumer is the per-block body of the vectorized columnar kernel,
-// counting one batch's live requests into one worker shard. The scan hands it
+// colConsumer is the per-block body of the kernel, counting one batch's live
+// requests into one worker shard. The scan hands it
 // each block already routed — blk.Buckets[i] holds the rows of live request i,
 // filled by the same trie walk that filtered the block — and each node bumps
 // the dense histogram per bucketed row (CCBump) and folds distinct cells into
 // its shard table (CCFoldEntry). The tee filters compile once per row group
 // into dictionary-code space, into storage reused from group to group. It is
 // attached either to one lane of a partitioned scan (scanLane) or, as a
-// session's share of a multi-tenant scan, to ScanColumnarShared via
+// session's share of a multi-tenant scan, to engine.ScanGroups via
 // mw.SharedBatch — the same consumer either way, so shared and solo scans
 // produce identical counts.
 type colConsumer struct {
@@ -102,14 +97,13 @@ type colConsumer struct {
 	costs    sim.Costs
 	classIdx int
 
-	curGroup    *storage.ColGroup
+	curGroup    int // index of the group the tee filters are compiled for
 	fileFilters []engine.GroupFilter
 	memFilters  []engine.GroupFilter
 	classDict   []data.Value
 	classCodes  []uint16
 	teeSel      []int32
 	hist        []int64
-	rowBuf      data.Row
 }
 
 // colConsumer returns the batch's attachment to a columnar scan: lane's
@@ -123,6 +117,7 @@ func (r *batchRun) colConsumer(lane *sim.Meter, sh *workerShard) *engine.ScanCon
 		sh:          sh,
 		costs:       lane.Costs(),
 		classIdx:    r.m.schema.ClassIndex(),
+		curGroup:    -1,
 		fileFilters: make([]engine.GroupFilter, len(r.plan.fileTees)),
 		memFilters:  make([]engine.GroupFilter, len(r.plan.memTees)),
 	}
@@ -134,8 +129,8 @@ func (r *batchRun) colConsumer(lane *sim.Meter, sh *workerShard) *engine.ScanCon
 func (c *colConsumer) consume(blk *engine.ColBlock) bool {
 	sh, lane, plan, live := c.sh, c.lane, c.plan, c.live
 	g := blk.Group
-	if g != c.curGroup {
-		c.curGroup = g
+	if blk.GroupIndex != c.curGroup { // not g: a file source decodes every group into one buffer
+		c.curGroup = blk.GroupIndex
 		for k, t := range plan.fileTees {
 			c.fileFilters[k].Compile(g, t.filter)
 		}
@@ -160,22 +155,16 @@ func (c *colConsumer) consume(blk *engine.ColBlock) bool {
 		sh.ccBytes += t.Bytes() - before
 	}
 	sh.police()
+	// Tees keep their rows of the block in code space: nothing is decoded.
 	for k, t := range plan.fileTees {
 		c.teeSel = c.fileFilters[k].Refine(blk.Sel, c.teeSel[:0])
-		for _, ri := range c.teeSel {
-			c.rowBuf = blk.MaterializeRow(ri, c.rowBuf)
-			sh.stageFileRow(k, t, c.rowBuf)
-			lane.Charge(sim.CtrFileRowsWritten, c.costs.FileRowWrite, 1)
-		}
+		sh.stageFile(k, t, len(c.teeSel), sh.files[k].b.AppendSel(g, c.teeSel))
+		lane.Charge(sim.CtrFileRowsWritten, c.costs.FileRowWrite, int64(len(c.teeSel)))
 	}
 	for j := range plan.memTees {
-		if sh.memDrop[j] {
-			continue
-		}
-		c.teeSel = c.memFilters[j].Refine(blk.Sel, c.teeSel[:0])
-		// The tee's rows of this block share one slab, sized exactly.
-		for n, ri := range c.teeSel {
-			blk.MaterializeRow(ri, sh.stageMemRow(j, g.NumCols(), len(c.teeSel)-n))
+		if !sh.memDrop[j] {
+			c.teeSel = c.memFilters[j].Refine(blk.Sel, c.teeSel[:0])
+			sh.stageMem(j, len(c.teeSel), sh.mems[j].b.AppendSel(g, c.teeSel))
 		}
 	}
 	return true

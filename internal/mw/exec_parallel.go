@@ -1,14 +1,12 @@
 package mw
 
 import (
-	"fmt"
-
 	"repro/internal/cc"
-	"repro/internal/data"
 	"repro/internal/engine"
 	"repro/internal/obs"
 	"repro/internal/predicate"
 	"repro/internal/sim"
+	"repro/internal/storage"
 )
 
 // This file is the lane pipeline every batched scan runs through: plan the
@@ -22,15 +20,16 @@ import (
 // interleaving, so
 //
 //   - every lane touches only lane-local state (CC shard tables, staging
-//     buffers, its lane meter) — there is no shared mutable state and
+//     runs, its lane meter) — there is no shared mutable state and
 //     therefore nothing scheduling-dependent. Two exceptions, both
-//     single-writer: lane 0, first in file order, streams its file-tee rows
-//     straight into the staging files, and a lone lane, which runs on the
-//     caller's goroutine (obs.RunLanes), may reclaim staged memory mid-scan;
-//   - partitions are contiguous ranges (page, TID or row-group ranges at the
-//     server, row ranges for staged files and memory), so concatenating
-//     worker staging buffers in partition order reproduces the sequential
-//     scan order exactly;
+//     single-writer: lane 0, first in file order, writes the row groups its
+//     file tees fill straight into the staging files, and a lone lane, which
+//     runs on the caller's goroutine (obs.RunLanes), may reclaim staged memory
+//     mid-scan;
+//   - partitions are contiguous ranges (row-group ranges of the columnar copy,
+//     of a staged file or of staged memory; page or TID ranges under the heap
+//     cursors), so concatenating the lanes' staging runs in partition order
+//     reproduces the sequential scan's rows in its order;
 //   - the parent clock advances by max(lane elapsed) at the barrier
 //     (sim.Meter.Join) plus a serial per-entry shard-merge charge, modeling
 //     the paper's multi-CPU middleware host.
@@ -49,13 +48,30 @@ type scanBudget struct {
 	rowMemBytes int64
 	ccBytes     int64
 	teeBytes    int64
-	ccs         []*cc.Table  // index-aligned with the batch's live requests; nil once shed
-	mems        [][]data.Row // per memTee: captured rows, scan order
-	memDrop     []bool       // memTees abandoned (a partial capture is useless as staged data)
-	shed        []int        // requests shed by police, in order
+	ccs         []*cc.Table // index-aligned with the batch's live requests; nil once shed
+	mems        []teeRun    // per memTee: what it captured, scan order
+	memDrop     []bool      // memTees abandoned (a partial capture is useless as staged data)
+	shed        []int       // requests shed by police, in order
 	// reclaim frees staged memory elsewhere in the middleware and returns the
 	// enlarged limit; nil where that would race with other lanes.
 	reclaim func() (int64, bool)
+}
+
+// teeRun is what a scan has captured for one staging tee: the row groups its
+// builder filled, in scan order, and the rows still in the builder's open
+// group. rows counts both.
+type teeRun struct {
+	b      *storage.GroupBuilder
+	groups []*storage.ColGroup
+	rows   int64
+}
+
+// take notes n more captured rows, and the group they filled if they did.
+func (t *teeRun) take(n int, full *storage.ColGroup) {
+	t.rows += int64(n)
+	if full != nil {
+		t.groups = append(t.groups, full)
+	}
 }
 
 func (p *scanBudget) dropLargestTee() bool {
@@ -64,16 +80,16 @@ func (p *scanBudget) dropLargestTee() bool {
 		if p.memDrop[j] {
 			continue
 		}
-		if li < 0 || len(p.mems[j]) > len(p.mems[li]) {
+		if li < 0 || p.mems[j].rows > p.mems[li].rows {
 			li = j
 		}
 	}
 	if li < 0 {
 		return false
 	}
-	p.teeBytes -= int64(len(p.mems[li])) * p.rowMemBytes
+	p.teeBytes -= p.mems[li].rows * p.rowMemBytes
 	p.memDrop[li] = true
-	p.mems[li] = nil
+	p.mems[li] = teeRun{}
 	return true
 }
 
@@ -115,95 +131,81 @@ func (p *scanBudget) police() {
 }
 
 // workerShard is the worker-local state of one scan lane: the policed CC
-// shard tables and memory-tee buffers, and the lane's file-tee output. A
+// shard tables and memory-tee runs, and the lane's file-tee output. A
 // worker writes nothing outside its shard and its lane meter — lane 0's
 // write-through excepted — so the scan is race-free and every lane's final
 // state is a pure function of its partition.
 type workerShard struct {
 	scanBudget
-	// File-tee buffers, on every lane but lane 0 (where they stay nil): lane
-	// 0's rows come first in file order, so it streams them into the staging
-	// files as they are captured. Buffering them — as the later lanes must,
-	// until lane 0 is done — would hold an encoded copy of everything staged
-	// in RAM, outside the budget.
-	fileBufs  [][]byte             // per fileTee: encoded captured rows
-	fileRows  []int64              // per fileTee: rows in fileBufs
-	fileStats []*engine.ValueStats // per fileTee: value histograms of the captured rows
-	memSlabs  [][]data.Value       // per memTee: the unused rest of the slab its rows are carved from
-	err       error
+	// files holds, per fileTee, the lane's builder and the groups it filled —
+	// except on lane 0 (first), whose rows come first in file order: it writes
+	// each group into the staging file as it fills. Holding them — as the
+	// later lanes must, until lane 0 is done — would keep a copy of everything
+	// staged in RAM, outside the budget.
+	files []teeRun
+	first bool
+	err   error
 }
 
 // newShard allocates the state of lane part of nlanes: its slice of the scan
-// budget over fresh CC tables and tee buffers sized for the batch. A table
+// budget over fresh CC tables and tee runs for the batch. A table
 // reserves its vectors when its first row arrives, from the schema's
 // cardinalities — a lane that never sees a node's rows pays nothing for it.
 func (r *batchRun) newShard(part, nlanes int) *workerShard {
-	nmem, nfile := len(r.plan.memTees), len(r.plan.fileTees)
+	nmem, nfile, ncols := len(r.plan.memTees), len(r.plan.fileTees), r.m.schema.NumCols()
 	sh := &workerShard{scanBudget: scanBudget{
 		// planLanes guarantees a split scan's slice is >= 1, so a lane only
 		// sheds once it has actually accumulated state.
 		limit:       r.budget / int64(nlanes),
 		rowMemBytes: r.rowMemBytes,
 		ccs:         make([]*cc.Table, len(r.live)),
-		mems:        make([][]data.Row, nmem),
+		mems:        make([]teeRun, nmem),
 		memDrop:     make([]bool, nmem),
-	}, memSlabs: make([][]data.Value, nmem)}
+	}, files: make([]teeRun, nfile), first: part == 0}
 	for i, wk := range r.live {
 		sh.ccs[i] = cc.NewSized(wk.attrs, r.m.cards, r.m.schema.Class.Card)
+	}
+	// A stage's row groups are one kernel block each — the unit later scans of
+	// it skip by zone map and split into lanes. A tee's expected rows are its
+	// nodes' exact sizes: one lane captures them all, the lanes of a split about
+	// a share each.
+	for j, t := range r.plan.memTees {
+		sh.mems[j].b = storage.NewGroupBuilder(ncols, engine.BlockRows, int(t.rows)/nlanes)
+	}
+	for k, t := range r.plan.fileTees {
+		sh.files[k].b = storage.NewGroupBuilder(ncols, engine.BlockRows, int(t.rows)/nlanes)
 	}
 	if nlanes == 1 {
 		sh.reclaim = r.reclaim
 	}
-	if part == 0 {
-		return sh
-	}
-	sh.fileBufs = make([][]byte, nfile)
-	sh.fileRows = make([]int64, nfile)
-	sh.fileStats = make([]*engine.ValueStats, nfile)
-	for k := range sh.fileStats {
-		sh.fileStats[k] = r.m.files.newStats()
-	}
 	return sh
 }
 
-// stageFileRow captures row for file tee k (t); the lane charges the write.
-func (sh *workerShard) stageFileRow(k int, t *teePlan, row data.Row) {
-	if sh.fileBufs == nil {
-		t.writer.writeRow(row)
-		return
+// stageFile notes n more rows captured for file tee k (t) and the group they
+// filled, if any; the lane charges the writes.
+func (sh *workerShard) stageFile(k int, t *teePlan, n int, full *storage.ColGroup) {
+	if sh.first {
+		t.writer.writeGroup(full)
+		full = nil
 	}
-	sh.fileBufs[k] = row.Encode(sh.fileBufs[k])
-	sh.fileRows[k]++
-	sh.fileStats[k].Note(row)
+	sh.files[k].take(n, full)
 }
 
-// memSlabRows bounds the rows one slab of a per-row memory tee holds.
-const memSlabRows = 256
-
-// stageMemRow captures a fresh row of ncols values for memory tee j and
-// returns it for the caller to fill. Rows are carved from slabs — one
-// allocation per slab, not per staged row — and a new slab holds ahead rows:
-// what the caller knows is still to come, so a tee that fills as expected
-// wastes nothing.
-func (sh *workerShard) stageMemRow(j, ncols, ahead int) data.Row {
-	if len(sh.memSlabs[j]) < ncols {
-		sh.memSlabs[j] = make([]data.Value, ncols*ahead)
-	}
-	row := sh.memSlabs[j][:ncols:ncols]
-	sh.memSlabs[j] = sh.memSlabs[j][ncols:]
-	sh.mems[j] = append(sh.mems[j], row)
-	sh.teeBytes += sh.rowMemBytes
-	return row
+// stageMem notes n more rows captured for memory tee j and the group they
+// filled, if any.
+func (sh *workerShard) stageMem(j, n int, full *storage.ColGroup) {
+	sh.mems[j].take(n, full)
+	sh.teeBytes += int64(n) * sh.rowMemBytes
 }
 
 // scanPlan describes how a batch's scan splits into lanes: the lane count
-// plus, for server batches, exactly one source the lanes read — the columnar
-// copy's row groups (base table or copy-table), a page-partitioned heap, a
-// keyset re-scan, or a TID join.
+// plus exactly one source the lanes read — row groups (the columnar copy of the
+// base table or a copy-table, a staged file, staged memory), or one of the
+// heap cursors: a page-partitioned heap, a keyset re-scan, or a TID join.
 //
 // bounds, when non-nil, holds nworkers+1 histogram-guided split points in
-// the source's partition units (row groups, heap pages, keyset/TID-table
-// indexes, or staged-file rows): lane w covers [bounds[w], bounds[w+1]),
+// the source's partition units (row groups, heap pages, or keyset/TID-table
+// indexes): lane w covers [bounds[w], bounds[w+1]),
 // giving each lane approximately equal estimated matching rows instead of
 // equal units. A nil bounds means the equal-width formula (the fallback
 // whenever hints are unavailable or disabled).
@@ -213,13 +215,12 @@ type scanPlan struct {
 	// construction, the one the weighted bounds were estimated for: the
 	// batch filter, or match-all under the no-pushdown ablation (where every
 	// row is transmitted and weights are uniform anyway).
-	filter   predicate.Filter
-	col      *engine.Server // vectorized kernel over the columnar copy
-	needCols []int          // columns the columnar scan reads (nil = all)
-	srv      *engine.Server
-	keyset   *engine.Keyset
-	tidTab   *engine.TIDTable
-	bounds   []int
+	filter predicate.Filter
+	groups engine.GroupSource // the block kernel's source; nil under a heap cursor
+	srv    *engine.Server
+	keyset *engine.Keyset
+	tidTab *engine.TIDTable
+	bounds []int
 }
 
 // scanFilter returns the filter the batch's scan pushes down to its source
@@ -237,8 +238,8 @@ func (r *batchRun) scanFilter() predicate.Filter {
 // split boundaries (scanPlan.bounds) that give each lane approximately equal
 // estimated work. The batch's staging tees enter the weighting with their
 // write costs. The batch runs one lane whenever it cannot or should not be
-// partitioned: Workers <= 1, a source with fewer than two units (pages, row
-// groups, TIDs, rows — including none at all), or a scan-start budget so
+// partitioned: Workers <= 1, a source with fewer than two units (row groups,
+// pages, TIDs — including none at all), or a scan-start budget so
 // tight that the per-lane slice would truncate to zero — with a zero slice
 // every lane would shed every request on its first counted row even though
 // one lane, policing the whole budget, can succeed.
@@ -248,13 +249,12 @@ func (r *batchRun) planLanes() scanPlan {
 	units := 0
 	switch b.kind {
 	case srcMemory:
-		units = len(b.stage.mem)
+		sp.groups = memGroups{stageCharge{sim.CtrMemRowsRead, m.meter.Costs().MemRowRead}, b.stage.mem}
 	case srcFile:
-		units = int(b.stage.file.rows)
+		sp.groups = m.files.source(b.stage.file, 0) // to plan by: nothing is read through it
 	case srcServer:
 		if csrv := m.columnarServer(b); csrv != nil {
-			sp.col, sp.needCols = csrv, m.columnarNeedCols(plan, live)
-			units = csrv.NumColGroups()
+			sp.groups = csrv.ColGroups(m.columnarNeedCols(plan, live))
 			break
 		}
 		// The auxiliary structure's builder is itself partitioned — see
@@ -273,43 +273,46 @@ func (r *batchRun) planLanes() scanPlan {
 			units = sp.srv.NumPages()
 		}
 	}
-	sp.nworkers = m.cfg.Workers
-	if sp.nworkers > units {
-		sp.nworkers = units
+	if sp.groups != nil {
+		units = sp.groups.NumGroups()
 	}
+	sp.nworkers = min(m.cfg.Workers, units)
 	if sp.nworkers < 2 || budget/int64(sp.nworkers) == 0 {
 		sp.nworkers = 1
 		return sp
 	}
-	sp.bounds = m.splitBounds(b, plan, sp)
+	sp.bounds = m.splitBounds(plan, sp)
 	return sp
 }
 
 // splitBounds computes the histogram-guided split for the chosen source, or
 // nil for the equal-width default. All bounds are pure functions of table /
-// file statistics and the batch filter, charged to no meter, so the split is
+// stage statistics and the batch filter, charged to no meter, so the split is
 // deterministic and free — the statistics were collected during writes the
 // simulation already paid for.
-func (m *Middleware) splitBounds(b *batch, plan *stagePlan, sp scanPlan) []int {
+func (m *Middleware) splitBounds(plan *stagePlan, sp scanPlan) []int {
 	filter := sp.filter
 	costs := m.meter.Costs()
-	// The middleware-side cost each transmitted matching row incurs beyond
-	// the engine's transmit charge: the file-write cost per staging tee it
+	// The middleware-side cost each matching row incurs beyond what reading
+	// or transmitting it is charged: the file-write cost per staging tee it
 	// feeds, plus counting it (at least one live request does). This weights
 	// the split boundaries only — no charge is ever derived from it.
 	teeCost := int64(len(plan.fileTees)) * costs.FileRowWrite
 	perMatch := costs.CCUpdate + teeCost
 	switch {
-	case sp.col != nil:
-		// Zone-map-skipped groups weigh nothing (ColGroupBounds); a matching
-		// row pays the block kernel's transmit and histogram bump.
-		return sp.col.ColGroupBounds(filter, sp.needCols, sp.nworkers, costs.ColRowTransmit+costs.CCBump+teeCost)
-	case b.kind == srcFile:
-		return m.fileSplitBounds(b.stage.file, filter, sp.nworkers, perMatch)
-	case b.kind != srcServer:
-		// Memory stages read uniformly cheap resident rows; equal-width row
-		// ranges are already balanced to within the per-match CC cost.
-		return nil
+	case sp.groups != nil:
+		// Every row-group source — server, file, memory — splits by the one
+		// group-weight rule: zone-map-skipped groups weigh nothing, a matching
+		// row pays the block kernel's histogram bump and, from the server, its
+		// transmission.
+		if m.cfg.NoHistogramHints {
+			return nil
+		}
+		perMatch = costs.CCBump + teeCost
+		if sp.groups.AtServer() {
+			perMatch += costs.ColRowTransmit
+		}
+		return engine.GroupBounds(sp.groups, filter, sp.nworkers, costs, perMatch)
 	case sp.keyset != nil:
 		return sp.keyset.ScanBounds(&filter, sp.nworkers, perMatch)
 	case sp.tidTab != nil:
@@ -319,44 +322,6 @@ func (m *Middleware) splitBounds(b *batch, plan *stagePlan, sp scanPlan) []int {
 		// not implied (aux builders transmit nothing), so add it here.
 		return sp.srv.PageBounds(filter, sp.nworkers, costs.RowTransmit+perMatch)
 	}
-}
-
-// fileSplitBounds converts the staged file's per-bucket statistics into row
-// split points: bucket weights (read cost per resident row plus perMatch per
-// estimated matching row) choose bucket boundaries, and the buckets' row
-// counts map those to file row offsets.
-func (m *Middleware) fileSplitBounds(sf *stageFile, filter predicate.Filter, nparts int, perMatch int64) []int {
-	if m.cfg.NoHistogramHints || sf == nil || sf.stats == nil {
-		return nil
-	}
-	hints := sf.stats.BucketHints(filter)
-	if hints == nil {
-		return nil
-	}
-	readCost := m.meter.Costs().FileRowRead
-	weights := make([]int64, len(hints))
-	for i, h := range hints {
-		weights[i] = h.Rows*readCost + h.Match*perMatch
-	}
-	bb := engine.WeightedBounds(weights, nparts)
-	if bb == nil {
-		return nil
-	}
-	// Bucket index -> row offset via the buckets' row-count prefix sums.
-	offsets := make([]int64, len(hints)+1)
-	for i, h := range hints {
-		offsets[i+1] = offsets[i] + h.Rows
-	}
-	if offsets[len(hints)] != sf.rows {
-		// Statistics out of step with the file (should not happen); refuse
-		// to split on them rather than mis-tile the rows.
-		return nil
-	}
-	bounds := make([]int, len(bb))
-	for i, b := range bb {
-		bounds[i] = int(offsets[b])
-	}
-	return bounds
 }
 
 // runLanes executes the batch's scan over sp.nworkers lanes and folds the
@@ -403,7 +368,7 @@ func (r *batchRun) mergeShards(shards []*workerShard) {
 		limit:       r.budget,
 		rowMemBytes: r.rowMemBytes,
 		ccs:         make([]*cc.Table, len(live)),
-		mems:        make([][]data.Row, len(plan.memTees)),
+		mems:        make([]teeRun, len(plan.memTees)),
 		memDrop:     make([]bool, len(plan.memTees)),
 		reclaim:     r.reclaim,
 	}
@@ -442,8 +407,9 @@ requests:
 	msp.Attr("entries", mergedEntries).End()
 
 	// Memory tees: a tee abandoned by any worker is dropped entirely;
-	// survivors concatenate the worker buffers in partition order, onto
-	// lane 0's, which reproduces the sequential scan order exactly.
+	// survivors concatenate the lanes' runs in partition order — each lane's
+	// filled groups, then what its builder still holds — which reproduces the
+	// sequential scan's rows in its order.
 	for j := range plan.memTees {
 		for _, sh := range shards {
 			merged.memDrop[j] = merged.memDrop[j] || sh.memDrop[j]
@@ -451,24 +417,25 @@ requests:
 		if merged.memDrop[j] {
 			continue
 		}
-		rows := shards[0].mems[j]
-		for _, sh := range shards[1:] {
-			rows = append(rows, sh.mems[j]...)
+		run := teeRun{groups: []*storage.ColGroup{}}
+		for _, sh := range shards {
+			run.groups = append(run.groups, sh.mems[j].groups...)
+			run.take(int(sh.mems[j].rows), sh.mems[j].b.Seal())
 		}
-		merged.mems[j] = rows
-		merged.teeBytes += int64(len(rows)) * r.rowMemBytes
+		merged.mems[j] = run
+		merged.teeBytes += run.rows * r.rowMemBytes
 	}
 
-	// File tees: lane 0 streamed its rows into the staging files during the
-	// scan; append the later lanes' buffers in partition order. The per-row
-	// write costs were charged in the lanes; this is the physical
-	// concatenation only. Each worker's value statistics append in the same
-	// order, so the file's buckets describe its rows exactly regardless of
-	// how many lanes captured them.
+	// File tees: lane 0 wrote the groups it filled into the staging files
+	// during the scan; append what its builder still holds, then the later
+	// lanes' runs in partition order. The per-row write costs were charged in
+	// the lanes; this is the physical append only.
 	for k, t := range plan.fileTees {
-		for _, sh := range shards[1:] {
-			t.writer.writeEncoded(sh.fileBufs[k], sh.fileRows[k])
-			t.writer.appendStats(sh.fileStats[k])
+		for _, sh := range shards {
+			for _, g := range sh.files[k].groups {
+				t.writer.writeGroup(g)
+			}
+			t.writer.writeGroup(sh.files[k].b.Seal())
 		}
 	}
 
@@ -508,18 +475,31 @@ requests:
 }
 
 // scanLane is the body of one scan lane: it drives partition part of the
-// batch's source through the counting kernel — vectorized over the columnar
-// copy, per row otherwise — charging every operation to lane and keeping all
-// state in sh.
+// batch's source through the counting kernel, charging every operation to lane
+// and keeping all state in sh. Row groups — the columnar copy, a staged file,
+// staged memory — go through the block kernel (colConsumer); what is left for
+// the per-row loop are the heap cursors of the §4.3.3 access paths and the
+// ColumnarOff ablation.
 func (r *batchRun) scanLane(sp scanPlan, part int, lane *sim.Meter, sh *workerShard) error {
-	if sp.col != nil {
-		lo, hi := engine.RangeOf(part, sp.nworkers, sp.col.NumColGroups(), sp.bounds)
-		sp.col.ScanColumnarConsumer(r.colConsumer(lane, sh), sp.needCols, lo, hi)
-		return nil
+	if src := sp.groups; src != nil {
+		lo, hi := engine.RangeOf(part, sp.nworkers, src.NumGroups(), sp.bounds)
+		if r.b.kind == srcFile {
+			// The lane's own source: it holds the open file and a read buffer.
+			fsrc := r.m.files.source(r.b.stage.file, part)
+			defer fsrc.close()
+			src = fsrc
+		}
+		return engine.ScanGroups(src, []*engine.ScanConsumer{r.colConsumer(lane, sh)}, lo, hi, lane)
 	}
 	live, plan, costs := r.live, r.plan, lane.Costs()
+	cur := openLaneCursor(sp, part, lane)
+	defer cur.Close()
 	var hits []int32 // the live requests whose path the current row satisfies
-	return r.m.scanPartition(r.b, sp, part, lane, func(row data.Row) {
+	for {
+		row, ok := cur.Next()
+		if !ok {
+			return nil
+		}
 		hits = r.paths.Match(row, hits[:0])
 		for _, i := range hits {
 			t := sh.ccs[i]
@@ -534,53 +514,16 @@ func (r *batchRun) scanLane(sp scanPlan, part int, lane *sim.Meter, sh *workerSh
 		sh.police()
 		for k, t := range plan.fileTees {
 			if t.filter.Eval(row) {
-				sh.stageFileRow(k, t, row)
+				sh.stageFile(k, t, 1, sh.files[k].b.AppendRow(row))
 				lane.Charge(sim.CtrFileRowsWritten, costs.FileRowWrite, 1)
 			}
 		}
 		for j, t := range plan.memTees {
 			if !sh.memDrop[j] && t.filter.Eval(row) {
-				// Rows arrive one at a time: size the slab by what the tee
-				// still expects of its node.
-				ahead := min(max(t.rows-int64(len(sh.mems[j])), 1), memSlabRows)
-				copy(sh.stageMemRow(j, len(row), int(ahead)), row)
+				sh.stageMem(j, 1, sh.mems[j].b.AppendRow(row))
 			}
-		}
-	})
-}
-
-// scanPartition drives every row of partition part of the batch's row source
-// through process, charging all per-row costs to lane.
-func (m *Middleware) scanPartition(b *batch, sp scanPlan, part int, lane *sim.Meter, process func(data.Row)) error {
-	switch b.kind {
-	case srcMemory:
-		rows := b.stage.mem
-		lo, hi := engine.RangeOf(part, sp.nworkers, len(rows), sp.bounds)
-		cost := lane.Costs().MemRowRead
-		for _, row := range rows[lo:hi] {
-			lane.Charge(sim.CtrMemRowsRead, cost, 1)
-			process(row)
-		}
-		return nil
-	case srcFile:
-		sf := b.stage.file
-		lo, hi := engine.RangeOf(part, sp.nworkers, int(sf.rows), sp.bounds)
-		return m.files.scanRange(sf, int64(lo), int64(hi), lane, func(row data.Row) error {
-			process(row)
-			return nil
-		})
-	case srcServer:
-		cur := openLaneCursor(sp, part, lane)
-		defer cur.Close()
-		for {
-			row, ok := cur.Next()
-			if !ok {
-				return nil
-			}
-			process(row)
 		}
 	}
-	return fmt.Errorf("mw: unknown source kind %d", b.kind)
 }
 
 // openLaneCursor opens lane part's cursor on a server batch's row source: a

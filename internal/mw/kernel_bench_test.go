@@ -83,3 +83,33 @@ func BenchmarkColumnarKernel(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkStagedBuild times complete builds under the paper's headline set-up
+// — file+memory staging, memory a quarter of the data — over the table shape of
+// the cmd/bench build_staged workload (200-leaf random tree, 16k rows,
+// MinRows 50): nearly every batch reads a staged file or staged memory, so this
+// is the block kernel over stages plus the staging tees.
+func BenchmarkStagedBuild(b *testing.B) {
+	cfg := datagen.TreeGenConfig{Seed: 1, Leaves: 200}.Normalize()
+	cfg.CasesPerLeaf = 80
+	ds, _, err := datagen.GenerateTreeData(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	srv, err := engine.NewServer(engine.New(sim.NewDefaultMeter(), 0), "cases", ds)
+	if err != nil {
+		b.Fatal(err)
+	}
+	dir := b.TempDir()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		m, err := mw.New(srv, mw.Config{Staging: mw.StageFileAndMemory, Memory: ds.Bytes() / 4, Dir: dir})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := dtree.Build(m, dtree.Options{MinRows: 50}); err != nil {
+			b.Fatal(err)
+		}
+		m.Close()
+	}
+}

@@ -121,22 +121,23 @@ func (a ServerAccess) String() string {
 	return fmt.Sprintf("access(%d)", int(a))
 }
 
-// ColumnarMode selects whether server scans run against the column-major,
-// dictionary-encoded copy the engine keeps beside every heap (the vectorized
-// filter-then-count path) or against the row-major heap.
+// ColumnarMode selects, for server scans only, whether they run against the
+// column-major, dictionary-encoded copy the engine keeps beside every heap
+// (the block kernel) or against the row-major heap through a cursor. Staged
+// data is column blocks and is read by the block kernel under either mode.
 type ColumnarMode int
 
 const (
 	// ColumnarAuto (the default) scans the columnar copy whenever the
 	// batch's server source has one — the base table, and the temp tables of
-	// AccessCopyTable; keyset and TID-join access stay on the row path
+	// AccessCopyTable; keyset and TID-join access read the heap
 	// (TID-addressed fetches have no columnar analog). Results are identical
-	// to the row path; the virtual clock and I/O counters reflect the
+	// to the heap cursor's; the virtual clock and I/O counters reflect the
 	// columnar cost shape (block evaluation, per-column pages, zone-map
 	// skips).
 	ColumnarAuto ColumnarMode = iota
-	// ColumnarOff forces every scan onto the row-major heap path — the
-	// ablation arm of the columnar experiment.
+	// ColumnarOff sends every server scan through the row-major heap cursor —
+	// the ablation arm of the columnar experiment.
 	ColumnarOff
 )
 
@@ -168,7 +169,8 @@ type Config struct {
 	// Threshold is the file-split threshold for FileSplitThreshold
 	// (default 0.5, the paper's 50%).
 	Threshold float64
-	// Dir is the directory for staging files ("" = the OS temp dir).
+	// Dir is the directory staging files go under ("" = the OS temp dir): the
+	// middleware works in a private subdirectory of it, which Close removes.
 	Dir string
 	// Access selects the server access mode (§4.3.3 experiments).
 	Access ServerAccess
@@ -183,10 +185,11 @@ type Config struct {
 	// lane pipeline; 0 or 1 (the default) runs it as one lane over the whole
 	// source — the paper's sequential execution module, reading the server
 	// through the shared buffer pool. With Workers > 1, Step splits each
-	// batched scan into disjoint partitions (row-group or page ranges at the
-	// server, row ranges for staged files and memory) processed by real
+	// batched scan into disjoint partitions (row-group ranges of the columnar
+	// copy, of a staged file or of staged memory; page or TID ranges under the
+	// heap cursors) processed by real
 	// goroutines. Each worker counts into private CC shard tables, captures
-	// staging rows into private buffers, spends a 1/Workers slice of the
+	// staging rows into private row groups, spends a 1/Workers slice of the
 	// memory budget, and charges a forked lane meter; after the barrier the
 	// shards merge in partition order and the parent clock advances by the
 	// slowest lane (sim.Meter.Join), so results, staging contents and the
@@ -198,9 +201,9 @@ type Config struct {
 	// A scan whose source cannot be split, or whose per-worker budget slice
 	// would round down to zero, runs one lane.
 	Workers int
-	// Columnar selects the scan path for server batches: ColumnarAuto (the
-	// default) runs the vectorized columnar kernel wherever a columnar copy
-	// exists, ColumnarOff preserves the row-major path as the ablation.
+	// Columnar selects what server batches scan — server scans only:
+	// ColumnarAuto (the default) runs the block kernel wherever a columnar
+	// copy exists, ColumnarOff reads the row-major heap as the ablation.
 	Columnar ColumnarMode
 	// Session tags this middleware's batches with a fleet session id (> 0)
 	// in traces and spans. Zero — a single-tenant build — emits exactly the
@@ -317,7 +320,8 @@ func New(srv *engine.Server, cfg Config) (*Middleware, error) {
 	}, nil
 }
 
-// Close releases all staging files.
+// Close releases all staging files: the middleware's private staging directory
+// goes, with whatever an abandoned build left in it.
 func (m *Middleware) Close() error {
 	if m.closed {
 		return nil

@@ -1,7 +1,6 @@
 package mw
 
 import (
-	"bytes"
 	"fmt"
 	"hash/fnv"
 	"os"
@@ -15,7 +14,9 @@ import (
 
 	"repro/internal/cc"
 	"repro/internal/data"
+	"repro/internal/engine"
 	"repro/internal/predicate"
+	"repro/internal/storage"
 )
 
 // countWhere counts dataset rows satisfying pred.
@@ -29,38 +30,85 @@ func countWhere(ds *data.Dataset, pred func(data.Row) bool) int64 {
 	return n
 }
 
+// groupRow decodes row i of g.
+func groupRow(g *storage.ColGroup, i int32) data.Row {
+	row := make(data.Row, g.NumCols())
+	for c := range row {
+		row[c] = g.Dict(c)[g.Codes(c)[i]]
+	}
+	return row
+}
+
+// stagedFileRows reads a staging file back through its scan source and
+// returns its rows in file order, checking on the way that the zone the store
+// keeps in memory for each group describes the group on disk.
+func stagedFileRows(t *testing.T, m *Middleware, sf *stageFile) []data.Row {
+	t.Helper()
+	src := m.files.source(sf, 0)
+	defer src.close()
+	var rows []data.Row
+	for gi := 0; gi < src.NumGroups(); gi++ {
+		g, err := src.Read(gi)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for c, z := 0, src.Zone(gi); c < g.NumCols(); c++ {
+			if z.NumRows() != g.NumRows() || !reflect.DeepEqual(z.Dict(c), g.Dict(c)) || !reflect.DeepEqual(z.CodeCounts(c), g.CodeCounts(c)) {
+				t.Fatalf("%s group %d column %d: the zone kept in memory differs from the group on disk", sf.path, gi, c)
+			}
+		}
+		for i := 0; i < g.NumRows(); i++ {
+			rows = append(rows, groupRow(g, int32(i)))
+		}
+	}
+	if int64(len(rows)) != sf.rows {
+		t.Fatalf("%s holds %d rows, registered with %d", sf.path, len(rows), sf.rows)
+	}
+	return rows
+}
+
+// liveFiles returns the middleware's registered staging files by base name.
+func liveFiles(m *Middleware) map[string]*stageFile {
+	files := map[string]*stageFile{}
+	for _, list := range m.sources {
+		for _, sd := range list {
+			if sd.file != nil {
+				files[filepath.Base(sd.file.path)] = sd.file
+			}
+		}
+	}
+	return files
+}
+
 // driveTree runs a fixed three-level classification protocol against a fresh
 // middleware and returns a fingerprint of everything observable: every
-// fulfilled CC table, each result's source, the byte contents of the staging
-// files after every step and, when withMeter is set, the final counters and
-// virtual clock. Two runs that produce equal fingerprints behaved
-// identically as far as a client can tell.
+// fulfilled CC table, each result's source, the rows of every staging file on
+// disk after every step, in file order (how a lane count or a scan path cuts
+// them into row groups is not observable), and, when withMeter is set, the
+// final counters and virtual clock. Two runs that produce equal fingerprints
+// behaved identically as far as a client can tell.
 func driveTree(t *testing.T, cfg Config, rows int, withMeter bool) string {
 	t.Helper()
 	ds := randDataset(rows, 3)
-	dir := t.TempDir()
-	cfg.Dir = dir
 	m, _ := newMW(t, ds, cfg)
 
 	var sb strings.Builder
 	snapshotFiles := func() {
-		entries, err := os.ReadDir(dir)
+		entries, err := os.ReadDir(m.files.dir)
 		if err != nil {
 			t.Fatal(err)
 		}
-		names := make([]string, 0, len(entries))
-		for _, e := range entries {
-			names = append(names, e.Name())
-		}
-		sort.Strings(names)
-		for _, name := range names {
-			b, err := os.ReadFile(filepath.Join(dir, name))
-			if err != nil {
-				t.Fatal(err)
+		live := liveFiles(m)
+		for _, e := range entries { // ReadDir sorts by name
+			sf := live[e.Name()]
+			if sf == nil {
+				t.Fatalf("staging file %s on disk is not registered", e.Name())
 			}
 			h := fnv.New64a()
-			h.Write(b)
-			fmt.Fprintf(&sb, "file %s len=%d fnv=%x\n", name, len(b), h.Sum64())
+			for _, row := range stagedFileRows(t, m, sf) {
+				h.Write(row.Encode(nil))
+			}
+			fmt.Fprintf(&sb, "file %s rows=%d fnv=%x\n", e.Name(), sf.rows, h.Sum64())
 		}
 	}
 	step := func() int {
@@ -138,8 +186,8 @@ func driveTree(t *testing.T, cfg Config, rows int, withMeter bool) string {
 }
 
 // TestParallelMatchesSequential: for every staging mode, the CC tables,
-// result sources and staged-file contents produced with Workers ∈ {2, 4} are
-// byte-identical to the one-lane run. (The virtual clock legitimately
+// result sources and staged files' rows produced with Workers ∈ {2, 4} are
+// identical to the one-lane run's. (The virtual clock legitimately
 // differs — parallelism is the point — so the meter is excluded here and
 // covered by TestParallelDeterministicAcrossRuns.) The empty table is the
 // degenerate input: a zero-group columnar copy at the root and, under file
@@ -196,10 +244,7 @@ func TestEmptyMemoryStageRunsOneLane(t *testing.T) {
 	if _, err := m.Step(); err != nil {
 		t.Fatal(err)
 	}
-	m.registerStage(&stageData{
-		seq: m.nextStageSeq(), nodeID: 0, keyNodes: []int{0},
-		openNodes: map[int]bool{}, mem: []data.Row{},
-	})
+	m.newStage([]int{0}).mem = []*storage.ColGroup{}
 	child := &Request{
 		NodeID: 1, ParentID: 0,
 		Path:  predicate.Conj{{Attr: 0, Op: predicate.Eq, Val: 1}},
@@ -449,13 +494,11 @@ func TestParallelImprovesVirtualTime(t *testing.T) {
 	}
 }
 
-// TestLaneZeroStreamsFileTee: lane 0 of a scan writes its file-tee rows
-// straight into the staging file instead of buffering them until the merge —
-// buffered, a one-lane root scan under file staging held an encoded copy of
-// the whole table in memory, outside the budget. The staged file must come
-// out exactly as the buffered one did: the rows, bytes and content that
-// later lanes' buffer-and-append produces, and the value-statistics buckets
-// of its rows noted in file order.
+// TestLaneZeroStreamsFileTee: lane 0 of a scan writes the row groups its file
+// tees fill straight into the staging file instead of holding them until the
+// merge — held, a one-lane root scan under file staging kept a copy of the
+// whole table in memory, outside the budget. The staged file must come out
+// with the rows, in the order, that later lanes' hold-and-append produces.
 func TestLaneZeroStreamsFileTee(t *testing.T) {
 	ds := randDataset(9000, 5) // three row groups, so Workers=3 really splits
 	for _, columnar := range []ColumnarMode{ColumnarAuto, ColumnarOff} {
@@ -477,21 +520,21 @@ func TestLaneZeroStreamsFileTee(t *testing.T) {
 		if err := r.scanLane(sp, 0, m.meter, sh); err != nil {
 			t.Fatal(err)
 		}
-		for k, buf := range sh.fileBufs {
-			if len(buf) != 0 {
-				t.Errorf("columnar=%v: shard 0 buffers %d bytes for file tee %d", columnar, len(buf), k)
-			}
+		if n := len(sh.files[0].groups); n != 0 {
+			t.Errorf("columnar=%v: shard 0 holds %d filled groups of its file tee", columnar, n)
 		}
-		if got := r.plan.fileTees[0].writer.sf.rows; got != int64(ds.N()) {
-			t.Errorf("columnar=%v: %d rows streamed before the merge, want %d", columnar, got, ds.N())
+		full := int64(ds.N() / engine.BlockRows * engine.BlockRows)
+		if got := r.plan.fileTees[0].writer.sf.rows; got != full || sh.files[0].rows != int64(ds.N()) {
+			t.Errorf("columnar=%v: %d of %d captured rows streamed before the merge, want every full group: %d of %d",
+				columnar, got, sh.files[0].rows, full, ds.N())
 		}
 		r.mergeShards([]*workerShard{sh})
 		if _, err := m.finishBatch(r); err != nil {
 			t.Fatal(err)
 		}
-		streamed := m.sources[0][0].file
+		streamed := stagedFileRows(t, m, m.sources[0][0].file)
 
-		// Three lanes: lanes 1 and 2 buffer and append after the barrier.
+		// Three lanes: lanes 1 and 2 hold their groups and append after the barrier.
 		mb, _ := newMW(t, ds, Config{Staging: StageFileOnly, Columnar: columnar, Workers: 3})
 		if err := mb.Enqueue(rootRequest(ds)); err != nil {
 			t.Fatal(err)
@@ -499,35 +542,16 @@ func TestLaneZeroStreamsFileTee(t *testing.T) {
 		if _, err := mb.Step(); err != nil {
 			t.Fatal(err)
 		}
-		buffered := mb.sources[0][0].file
+		held := stagedFileRows(t, mb, mb.sources[0][0].file)
 
-		if streamed.rows != buffered.rows || streamed.bytes != buffered.bytes || streamed.rows != int64(ds.N()) {
-			t.Errorf("columnar=%v: streamed file %d rows / %d bytes, buffered %d / %d, table %d rows",
-				columnar, streamed.rows, streamed.bytes, buffered.rows, buffered.bytes, ds.N())
+		if !reflect.DeepEqual(streamed, ds.Rows) {
+			t.Errorf("columnar=%v: the streamed file does not hold the table's rows in order", columnar)
 		}
-		// Bucket boundaries restart at every lane's first row, so the
-		// one-lane reference is the root tee's rows — the whole table — noted
-		// in order, which is what appending a buffered shard 0 produced.
-		wantStats := m.files.newStats()
-		for _, row := range ds.Rows {
-			wantStats.Note(row)
+		if !reflect.DeepEqual(held, ds.Rows) {
+			t.Errorf("columnar=%v: the three-lane file does not hold the table's rows in order", columnar)
 		}
-		if !reflect.DeepEqual(streamed.stats, wantStats) {
-			t.Errorf("columnar=%v: streamed file's value-statistics buckets differ from its rows noted in order", columnar)
-		}
-		if streamed.stats.Rows() != buffered.stats.Rows() {
-			t.Errorf("columnar=%v: statistics cover %d rows streamed, %d buffered", columnar, streamed.stats.Rows(), buffered.stats.Rows())
-		}
-		sbytes, err := os.ReadFile(streamed.path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		bbytes, err := os.ReadFile(buffered.path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(sbytes, bbytes) {
-			t.Errorf("columnar=%v: streamed and buffered file contents differ", columnar)
+		if a, b := m.sources[0][0].file.bytes, mb.sources[0][0].file.bytes; a != b || a != ds.Bytes() {
+			t.Errorf("columnar=%v: files account for %d and %d bytes, table %d", columnar, a, b, ds.Bytes())
 		}
 	}
 }

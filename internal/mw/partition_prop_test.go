@@ -3,6 +3,7 @@ package mw
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 
@@ -10,6 +11,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/predicate"
 	"repro/internal/sim"
+	"repro/internal/storage"
 )
 
 // Property-test harness for every partitioned source: for seeded random
@@ -239,6 +241,15 @@ func TestPartitionPropertyTIDJoin(t *testing.T) {
 	})
 }
 
+// TestPartitionPropertyFileStore: a staged run — the same row groups in a
+// staging file and in memory — partitions by row group like the columnar copy
+// does. For every trial the table is staged in groups of uneven sizes (a few
+// rows to a few hundred, so even the smallest table spans several), and
+// scanning every partition of either source through the block kernel with the
+// filter pushed down, concatenated, must reproduce the sequential scan — the
+// table's matching rows in order — under group-weighted and equal-width bounds,
+// including nparts past the group count and filters the zone maps prove empty
+// everywhere.
 func TestPartitionPropertyFileStore(t *testing.T) {
 	propTrials(t, func(t *testing.T, rng *rand.Rand, ds *data.Dataset, f predicate.Filter, nparts int) {
 		m, _ := newMW(t, ds, Config{})
@@ -246,40 +257,69 @@ func TestPartitionPropertyFileStore(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, r := range ds.Rows {
-			fw.writeRow(r)
+		var mem []*storage.ColGroup
+		b := storage.NewGroupBuilder(ds.Schema.NumCols(), storage.RowGroupSize, 0)
+		for i, open := 0, 0; i < ds.N(); i++ {
+			b.AppendRow(ds.Rows[i])
+			if open++; open == 3+(i*7)%230 || i == ds.N()-1 {
+				g := b.Seal()
+				fw.writeGroup(g)
+				mem, open = append(mem, g), 0
+			}
 		}
 		sf, err := fw.Finish()
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer m.files.remove(sf)
-		n := int(sf.rows)
-		var want []string
-		if err := m.files.scanRange(sf, 0, sf.rows, m.Meter(), func(row data.Row) error {
-			want = append(want, fmt.Sprint(row))
-			return nil
-		}); err != nil {
-			t.Fatal(err)
+		if got := stagedFileRows(t, m, sf); !reflect.DeepEqual(got, ds.Rows) {
+			t.Fatal("the staged file does not hold the table's rows in order")
 		}
+		var want []string
+		for _, r := range ds.Rows {
+			if f.Eval(r) {
+				want = append(want, fmt.Sprint(r))
+			}
+		}
+		costs := m.meter.Costs()
 		for _, noHints := range []bool{false, true} {
 			m.cfg.NoHistogramHints = noHints
-			bounds := m.fileSplitBounds(sf, f, nparts, rng.Int63n(20_000))
-			if noHints && bounds != nil {
-				t.Fatal("fileSplitBounds not nil with hints disabled")
-			}
-			checkBounds(t, bounds, nparts, n)
-			var got []string
-			for part := 0; part < nparts; part++ {
-				lo, hi := engine.RangeOf(part, nparts, n, bounds)
-				if err := m.files.scanRange(sf, int64(lo), int64(hi), m.Meter(), func(row data.Row) error {
-					got = append(got, fmt.Sprint(row))
-					return nil
-				}); err != nil {
-					t.Fatal(err)
+			perMatch := rng.Int63n(20_000)
+			for _, src := range []engine.GroupSource{
+				m.files.source(sf, 0),
+				memGroups{stageCharge{sim.CtrMemRowsRead, costs.MemRowRead}, mem},
+			} {
+				n := src.NumGroups()
+				bounds := engine.GroupBounds(src, f, nparts, costs, perMatch)
+				if noHints {
+					// The knob is the middleware's: its plan takes no bounds.
+					bounds = m.splitBounds(&stagePlan{}, scanPlan{filter: f, groups: src, nworkers: nparts})
+					if bounds != nil {
+						t.Fatal("splitBounds not nil with hints disabled")
+					}
 				}
+				checkBounds(t, bounds, nparts, n)
+				var got []string
+				for part := 0; part < nparts; part++ {
+					lo, hi := engine.RangeOf(part, nparts, n, bounds)
+					lane := src
+					if _, ok := src.(*fileGroups); ok {
+						fsrc := m.files.source(sf, 0) // a lane's own, as in scanLane
+						defer fsrc.close()
+						lane = fsrc
+					}
+					err := engine.ScanGroups(lane, []*engine.ScanConsumer{{Filter: f, Lane: m.meter, Fn: func(blk *engine.ColBlock) bool {
+						for _, i := range blk.Sel {
+							got = append(got, fmt.Sprint(groupRow(blk.Group, i)))
+						}
+						return true
+					}}}, lo, hi, m.meter)
+					if err != nil {
+						t.Fatal(err)
+					}
+				}
+				checkMultiset(t, fmt.Sprintf("%T (noHints=%v)", src, noHints), got, want)
 			}
-			checkMultiset(t, fmt.Sprintf("file store (noHints=%v)", noHints), got, want)
 		}
 	})
 }

@@ -7,6 +7,7 @@ import (
 	"repro/internal/dtree"
 	"repro/internal/engine"
 	"repro/internal/mw"
+	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
@@ -45,5 +46,91 @@ func TestColumnarBuildChargesPinned(t *testing.T) {
 	want := [...]int64{183, 83536, 83536, 66544, 84, 273163808}
 	if got != want {
 		t.Fatalf("nodes, rows_transmitted, cc_updates, cc_folds, col_blocks, virtual ns = %v, want %v", got, want)
+	}
+}
+
+// TestStagedBuildSchedulePinned pins, for three staged builds of the same
+// random-tree table, the staging schedule — tree size, batches, files created,
+// rows written to files, rows staged in memory, SQL fallbacks — to the figures
+// the row-encoded stages produced at the commit before stages became column
+// blocks: a stage's format may change, what gets staged and when may not. What
+// a staged scan bills is pinned beside it at what the block kernel charges; the
+// row path's figures are in the comments (it read the same rows — no zone map
+// skips a group of this unclustered table — and counted them at CCUpdate each,
+// folding only the root's server blocks).
+func TestStagedBuildSchedulePinned(t *testing.T) {
+	ds, _, err := datagen.GenerateTreeData(datagen.TreeGenConfig{Leaves: 40, Attrs: 10, Values: 4, ValuesStdDev: 1, Classes: 4, CasesPerLeaf: 300, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name              string
+		cfg               mw.Config
+		schedule, charges [6]int64
+	}{
+		{
+			name:     "file+memory, memory = data/4",
+			cfg:      mw.Config{Staging: mw.StageFileAndMemory, Memory: ds.Bytes() / 4},
+			schedule: [6]int64{521, 59, 4, 21953, 2962, 0},
+			// row path: 102724, 10418, 98509, 2219, 13, 843538560
+			charges: [6]int64{102724, 10418, 98509, 73762, 167, 844794732},
+		},
+		{
+			name:     "memory only",
+			cfg:      mw.Config{Staging: mw.StageMemoryOnly},
+			schedule: [6]int64{521, 15, 0, 0, 12600, 0},
+			// row path: 0, 176400, 98509, 2219, 13, 72467860
+			charges: [6]int64{0, 176400, 98509, 90342, 195, 75050432},
+		},
+		{
+			name:     "file only, split threshold 0.9",
+			cfg:      mw.Config{Staging: mw.StageFileOnly, FilePolicy: mw.FileSplitThreshold, Threshold: 0.9},
+			schedule: [6]int64{521, 15, 11, 48832, 0, 0},
+			// row path: 99230, 0, 98509, 2219, 13, 1043043860
+			charges: [6]int64{99230, 0, 98509, 76144, 118, 1044490592},
+		},
+	} {
+		srv, err := engine.NewServer(engine.New(sim.NewDefaultMeter(), 0), "cases", ds)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pm := obs.NewMetrics().NewProc(0, "pin", nil)
+		tc.cfg.Metrics, tc.cfg.Dir = pm, t.TempDir()
+		m, err := mw.New(srv, tc.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tree, err := dtree.Build(m, dtree.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var stagedMemRows int64
+		for _, b := range pm.Batches {
+			stagedMemRows += b.StagedMemRows
+		}
+		meter := m.Meter()
+		schedule := [...]int64{
+			int64(tree.NumNodes),
+			meter.Count(sim.CtrBatches),
+			meter.Count(sim.CtrFilesCreated),
+			meter.Count(sim.CtrFileRowsWritten),
+			stagedMemRows,
+			meter.Count(sim.CtrSQLFallbacks),
+		}
+		charges := [...]int64{
+			meter.Count(sim.CtrFileRowsRead),
+			meter.Count(sim.CtrMemRowsRead),
+			meter.Count(sim.CtrCCUpdates),
+			meter.Count(sim.CtrCCFolds),
+			meter.Count(sim.CtrColBlocks),
+			int64(meter.Now()),
+		}
+		m.Close()
+		if schedule != tc.schedule {
+			t.Errorf("%s: nodes, mw_batches, files_created, file_rows_written, staged memory rows, sql_fallbacks = %v, want %v", tc.name, schedule, tc.schedule)
+		}
+		if charges != tc.charges {
+			t.Errorf("%s: file_rows_read, mem_rows_read, cc_updates, cc_folds, col_blocks, virtual ns = %v, want %v", tc.name, charges, tc.charges)
+		}
 	}
 }

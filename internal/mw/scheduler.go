@@ -4,7 +4,6 @@ import (
 	"sort"
 
 	"repro/internal/cc"
-	"repro/internal/data"
 	"repro/internal/predicate"
 )
 
@@ -80,8 +79,8 @@ func (m *Middleware) schedule() *batch {
 	}
 }
 
-// evictMemoryStage drops the in-memory tier of the largest staged data set,
-// keeping any file tier. It reports whether anything was evicted.
+// evictMemoryStage frees the largest data set staged in memory. It reports
+// whether anything was evicted.
 func (m *Middleware) evictMemoryStage() bool { return m.evictMemoryStageExcept(nil) }
 
 // evictMemoryStageExcept is evictMemoryStage sparing one stage (the data set
@@ -105,12 +104,7 @@ func (m *Middleware) evictMemoryStageExcept(except *stageData) bool {
 	if victim == nil {
 		return false
 	}
-	m.stagedMem -= victim.memBytes
-	victim.mem = nil
-	victim.memBytes = 0
-	if victim.file == nil && victim.keyset == nil && victim.tidTab == nil && victim.subSrv == nil {
-		m.freeStage(victim)
-	}
+	m.freeStage(victim)
 	return true
 }
 
@@ -141,10 +135,6 @@ func (m *Middleware) scheduleOnce() *batch {
 		if !ok {
 			g = &group{kind: kind, stage: sd}
 			groups[sd] = g
-		}
-		// A stage with both memory and file tiers serves at memory rank.
-		if kind == srcMemory {
-			g.kind = srcMemory
 		}
 		g.reqs = append(g.reqs, r)
 	}
@@ -232,7 +222,7 @@ type teePlan struct {
 	keyNodes []int
 	rows     int64 // expected rows (for budgeting)
 	writer   *fileWriter
-	mem      []data.Row
+	mem      teeRun // a memory tee's merged capture
 }
 
 // planStaging applies Rules 4–6 to the admitted batch. Only data for nodes
@@ -455,12 +445,7 @@ func (m *Middleware) maybeBuildAux(b *batch) *stageData {
 		return nil
 	}
 	filter := batchFilter(b.reqs)
-	sd := &stageData{
-		seq:       m.nextStageSeq(),
-		nodeID:    b.reqs[0].NodeID,
-		keyNodes:  nodeIDs(b.reqs),
-		openNodes: map[int]bool{},
-	}
+	sd := m.newStage(nodeIDs(b.reqs))
 	// The builders partition their qualifying scan over Config.Workers lanes
 	// (one lane when the table is too small to split or Workers <= 1).
 	switch m.cfg.Access {
@@ -471,22 +456,23 @@ func (m *Middleware) maybeBuildAux(b *batch) *stageData {
 	case AccessCopyTable:
 		sub, err := m.srv.CopySubset(filter, m.cfg.Workers)
 		if err != nil {
+			m.freeStage(sd)
 			return nil
 		}
 		sd.subSrv = sub
 	}
-	for _, id := range sd.keyNodes {
-		sd.openNodes[id] = true
-	}
-	m.registerStage(sd)
 	return sd
 }
 
-// registerStage indexes a stage under all its key nodes.
-func (m *Middleware) registerStage(sd *stageData) {
-	for _, id := range sd.keyNodes {
+// newStage registers a new stage covering — and kept alive by — keyNodes. The
+// caller attaches the data.
+func (m *Middleware) newStage(keyNodes []int) *stageData {
+	sd := &stageData{seq: m.nextStageSeq(), keyNodes: keyNodes, openNodes: map[int]bool{}}
+	for _, id := range keyNodes {
+		sd.openNodes[id] = true
 		m.sources[id] = append(m.sources[id], sd)
 	}
+	return sd
 }
 
 // nextStageSeq issues stage sequence numbers for deterministic tie-breaks.

@@ -10,7 +10,7 @@ import (
 // subsystem's tentpole): when several concurrent tree builds all need a
 // server scan of the same table, each session splits its Step into
 // BeginSharedBatch / Finish and contributes a ScanConsumer to one physical
-// engine.ScanColumnarShared pass. The consumer runs the exact colConsumer
+// engine.ScanGroups pass. The consumer runs the exact colConsumer
 // kernel a solo columnar scan runs — counting into a private worker shard,
 // policing the session's own budget — while the shared page I/O is charged
 // once, to the fleet's io meter, instead of once per session.
@@ -55,7 +55,7 @@ func (m *Middleware) NextBatchShareable() bool {
 // shareable columnar server scan, opens it half-way: staging plan, admission,
 // scan span — everything up to (but excluding) the scan itself — and returns
 // a SharedBatch whose Consumer the caller attaches to one
-// engine.ScanColumnarShared pass covering the whole cohort.
+// engine.ScanGroups pass covering the whole cohort.
 //
 // Not every scheduled batch is shareable (staged sources, empty admission
 // after fallback routing); those execute to completion right here, exactly
@@ -88,7 +88,7 @@ func (m *Middleware) BeginSharedBatch() (*SharedBatch, []*Result, error) {
 	}
 
 	// The consumer is a lone lane on the session meter: the fleet coordinator
-	// drives the shared scan single-threaded and ScanColumnarShared feeds
+	// drives the shared scan single-threaded and engine.ScanGroups feeds
 	// consumers in deterministic slice order, so no fork/join barrier is
 	// needed. Its shard polices the session's whole budget, exactly like a
 	// one-lane solo scan.

@@ -3,6 +3,7 @@ package mw_test
 import (
 	"fmt"
 	"math/rand"
+	"os"
 	"testing"
 
 	"repro/internal/cc"
@@ -40,11 +41,17 @@ func smallCfg(seed int64) datagen.TreeGenConfig {
 	}
 }
 
-// TestMiddlewareTreeMatchesInMemory is the central invariant: the tree grown
-// through the middleware equals the reference in-memory tree, for every
-// staging configuration.
+// TestMiddlewareTreeMatchesInMemory is the central invariant, checked over ten
+// hand-picked configurations and then a seeded sweep of the configuration
+// space: for every draw of Staging × FilePolicy × Threshold × Memory (down to
+// budgets that force shedding and SQL fallbacks) × FileBudget × Workers ×
+// Access × Columnar × MaxBatch × NoFilterPushdown × FIFOScheduling, over small
+// random-tree tables and a multi-row-group census table, the tree grown through
+// the middleware equals dtree.BuildInMemory's, every node's CC table equals the
+// one the unstaged default build produced, and the caller's staging directory
+// is empty once the middleware is closed.
 func TestMiddlewareTreeMatchesInMemory(t *testing.T) {
-	configs := []mw.Config{
+	fixed := []mw.Config{
 		{Staging: mw.StageNone},
 		{Staging: mw.StageMemoryOnly},
 		{Staging: mw.StageFileOnly, FilePolicy: mw.FileSingleton},
@@ -56,31 +63,115 @@ func TestMiddlewareTreeMatchesInMemory(t *testing.T) {
 		{Staging: mw.StageNone, NoFilterPushdown: true}, // ablation: same tree, higher cost
 		{Staging: mw.StageNone, Memory: 96 << 10, FIFOScheduling: true},
 	}
+	type sweepCase struct {
+		name  string
+		ds    *data.Dataset
+		opt   dtree.Options
+		draws int
+	}
+	var cases []sweepCase
 	for seed := int64(1); seed <= 3; seed++ {
-		srv, ds := newTestServer(t, smallCfg(seed))
-		want, err := dtree.BuildInMemory(ds, dtree.Options{})
+		ds, _, err := datagen.GenerateTreeData(smallCfg(seed))
 		if err != nil {
-			t.Fatalf("seed %d: reference build: %v", seed, err)
+			t.Fatal(err)
 		}
-		for _, cfg := range configs {
+		cases = append(cases, sweepCase{fmt.Sprintf("tree%d", seed), ds, dtree.Options{}, 50})
+	}
+	census, err := datagen.GenerateCensus(datagen.CensusConfig{Rows: 9000, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases = append(cases, sweepCase{"census", census, dtree.Options{MaxDepth: 5, MinRows: 40}, 80})
+
+	rng := rand.New(rand.NewSource(20))
+	pick := func(vals ...int64) int64 { return vals[rng.Intn(len(vals))] }
+	for _, tc := range cases {
+		ds, srv := tc.ds, mustServer(tc.ds)
+		want, err := dtree.BuildInMemory(ds, tc.opt)
+		if err != nil {
+			t.Fatalf("%s: reference build: %v", tc.name, err)
+		}
+		ref := sweepBuild(t, srv, mw.Config{Dir: t.TempDir()}, tc.opt, want, nil)
+		for i, cfg := range fixed {
 			cfg.Dir = t.TempDir()
-			m, err := mw.New(srv, cfg)
-			if err != nil {
-				t.Fatalf("seed %d cfg %+v: new middleware: %v", seed, cfg, err)
+			t.Run(fmt.Sprintf("%s/fixed%d", tc.name, i), func(t *testing.T) {
+				sweepBuild(t, srv, cfg, tc.opt, want, ref)
+			})
+		}
+		for i := 0; i < tc.draws; i++ {
+			b := ds.Bytes()
+			cfg := mw.Config{
+				Staging:          mw.StagingMode(rng.Intn(4)),
+				FilePolicy:       mw.FilePolicy(rng.Intn(3)),
+				Threshold:        []float64{0, 0.25, 0.75, 1}[rng.Intn(4)],
+				Memory:           pick(0, 0, 4*b, b, b/4, b/16, 48<<10, 12<<10),
+				FileBudget:       pick(0, 0, 2*b, b/2, b/8),
+				Workers:          int(pick(1, 2, 4)),
+				Access:           mw.ServerAccess(pick(0, 0, 0, 1, 2, 3)),
+				Columnar:         mw.ColumnarMode(pick(0, 0, 1)),
+				MaxBatch:         int(pick(0, 0, 1, 3)),
+				NoFilterPushdown: pick(0, 0, 0, 1) == 1,
+				FIFOScheduling:   pick(0, 0, 0, 1) == 1,
+				Dir:              t.TempDir(),
 			}
-			got, err := dtree.Build(m, dtree.Options{})
-			if err != nil {
-				t.Fatalf("seed %d cfg staging=%v policy=%v: build: %v", seed, cfg.Staging, cfg.FilePolicy, err)
-			}
-			if !dtree.Equal(got, want) {
-				t.Errorf("seed %d cfg staging=%v policy=%v mem=%d: tree differs from in-memory reference (got %d nodes, want %d)",
-					seed, cfg.Staging, cfg.FilePolicy, cfg.Memory, got.NumNodes, want.NumNodes)
-			}
-			if err := m.Close(); err != nil {
-				t.Errorf("close: %v", err)
+			t.Run(fmt.Sprintf("%s/%d", tc.name, i), func(t *testing.T) {
+				sweepBuild(t, srv, cfg, tc.opt, want, ref)
+			})
+		}
+	}
+}
+
+// sweepBuild grows one tree under cfg, recording every fulfilled node's CC
+// table under its path, and checks the tree against want, the tables against
+// ref (when given) and cfg.Dir for leftovers after Close. It returns the
+// tables.
+func sweepBuild(t *testing.T, srv *engine.Server, cfg mw.Config, opt dtree.Options, want *dtree.Tree, ref map[string]string) map[string]string {
+	t.Helper()
+	m, err := mw.New(srv, cfg)
+	if err != nil {
+		t.Fatalf("%+v: new middleware: %v", cfg, err)
+	}
+	b, err := dtree.NewBuilder(m, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tables := map[string]string{}
+	for b.Pending() > 0 {
+		results, err := m.Step()
+		if err != nil {
+			t.Fatalf("%+v: step: %v", cfg, err)
+		}
+		for _, r := range results {
+			tables[r.Req.Path.String()] = r.CC.String()
+		}
+		if err := b.Feed(results); err != nil {
+			t.Fatalf("%+v: feed: %v", cfg, err)
+		}
+	}
+	got, err := b.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !dtree.Equal(got, want) {
+		t.Errorf("%+v: tree differs from in-memory reference (got %d nodes, want %d)", cfg, got.NumNodes, want.NumNodes)
+	}
+	if ref != nil {
+		if len(tables) != len(ref) {
+			t.Errorf("%+v: %d nodes counted, unstaged build counted %d", cfg, len(tables), len(ref))
+		}
+		for path, table := range tables {
+			if table != ref[path] {
+				t.Errorf("%+v: node %s: CC table differs from the unstaged build's", cfg, path)
 			}
 		}
 	}
+	if err := m.Close(); err != nil {
+		t.Errorf("close: %v", err)
+	}
+	if entries, err := os.ReadDir(cfg.Dir); err != nil || len(entries) != 0 {
+		t.Errorf("%+v: staging dir after Close: %v (err %v)", cfg, entries, err)
+	}
+	return tables
 }
 
 // TestMiddlewareAccessModes checks that every §4.3.3 server access mode

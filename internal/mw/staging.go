@@ -1,30 +1,29 @@
 package mw
 
 import (
-	"bufio"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
+	"slices"
 
 	"repro/internal/data"
 	"repro/internal/engine"
 	"repro/internal/sim"
+	"repro/internal/storage"
 )
 
 // stageData is data staged for the subtrees of one or more nodes
-// (keyNodes): rows in a middleware file, in middleware memory, or an
-// auxiliary server-side structure (§4.3.3). It stays alive while any node in
-// the covered subtrees may still need it (openNodes) and is freed afterwards.
+// (keyNodes), in exactly one place: an ordered run of row groups in a
+// middleware file or in middleware memory, or an auxiliary server-side
+// structure (§4.3.3). It stays alive while any node in the covered subtrees
+// may still need it (openNodes) and is freed afterwards.
 type stageData struct {
 	seq       int   // creation order, for deterministic scheduling ties
-	nodeID    int   // primary label (first covered node)
 	keyNodes  []int // nodes whose subtrees this stage covers
-	rows      int64 // rows captured in the stage
 	openNodes map[int]bool
 	freed     bool
 
-	mem      []data.Row
+	mem      []*storage.ColGroup // non-nil (possibly empty) while the stage is in memory
 	memBytes int64
 
 	file *stageFile
@@ -36,99 +35,146 @@ type stageData struct {
 	subSrv *engine.Server
 }
 
-// stageFile is one middleware staging file of binary-encoded rows. stats
-// carries per-bucket value histograms collected while the file was written
-// (buckets are contiguous row runs), which later batches over the file use
-// to choose skew-aware partition boundaries.
+// stageFile is one middleware staging file: the row groups' code vectors, one
+// group after the other (storage.ColGroup.AppendCodes). groups indexes them and
+// keeps each one's zone — row count, dictionaries, counts: the file holds none
+// of them — in memory, so planning a scan of the file reads nothing.
 type stageFile struct {
-	path  string
-	rows  int64
-	bytes int64
-	stats *engine.ValueStats
+	path   string
+	rows   int64
+	bytes  int64 // modeled: rows × the schema's row width, the unit of FileBudget
+	groups []fileGroup
 }
+
+type fileGroup struct {
+	off  int64
+	size int
+	zone *storage.ColGroup
+}
+
+// stageCharge is what reading a group of a stage costs: one per-row charge on
+// the lane, in place of everything a server scan pays.
+type stageCharge struct {
+	ctr    sim.Counter
+	perRow int64
+}
+
+func (c stageCharge) AtServer() bool { return false }
+func (c stageCharge) ReadCharge(g *storage.ColGroup) (sim.Counter, int64, int64) {
+	return c.ctr, c.perRow, int64(g.NumRows())
+}
+
+// memGroups is a stage in memory as a scan source.
+type memGroups struct {
+	stageCharge
+	groups []*storage.ColGroup
+}
+
+func (s memGroups) NumGroups() int                         { return len(s.groups) }
+func (s memGroups) Zone(gi int) *storage.ColGroup          { return s.groups[gi] }
+func (s memGroups) Read(gi int) (*storage.ColGroup, error) { return s.groups[gi], nil }
+
+// fileGroups is a staging file as a scan source. Planning needs only the zones;
+// a lane that reads groups opens the file on its first Read, decodes every
+// group into the one buffer — a group it returns is valid until the next Read —
+// and must close the source.
+type fileGroups struct {
+	stageCharge
+	sf  *stageFile
+	f   *os.File
+	buf *groupBuf
+}
+
+// groupBuf is a lane's read buffer: the last group read, as on disk and decoded.
+type groupBuf struct {
+	raw []byte
+	g   storage.ColGroup
+}
+
+func (s *fileGroups) NumGroups() int                { return len(s.sf.groups) }
+func (s *fileGroups) Zone(gi int) *storage.ColGroup { return s.sf.groups[gi].zone }
+
+func (s *fileGroups) Read(gi int) (*storage.ColGroup, error) {
+	if s.f == nil {
+		f, err := os.Open(s.sf.path)
+		if err != nil {
+			return nil, fmt.Errorf("mw: open staging file: %w", err)
+		}
+		s.f = f
+	}
+	fg := &s.sf.groups[gi]
+	raw := slices.Grow(s.buf.raw[:0], fg.size)[:fg.size]
+	s.buf.raw = raw
+	if _, err := s.f.ReadAt(raw, fg.off); err != nil {
+		return nil, fmt.Errorf("mw: read staging file: %w", err)
+	}
+	g, err := fg.zone.DecodeCodes(raw, &s.buf.g)
+	if err != nil {
+		return nil, fmt.Errorf("mw: read staging file: %w", err)
+	}
+	return g, nil
+}
+
+// close releases the file, if a Read opened it (a nil *os.File closes to an error).
+func (s *fileGroups) close() { s.f.Close() }
 
 // fileStore manages the middleware's staging files: real files in a private
 // directory, with all reads and writes metered.
 type fileStore struct {
 	dir        string
-	ownsDir    bool
 	meter      *sim.Meter
 	schema     *data.Schema
 	budget     int64 // 0 = unlimited
 	bytesInUse int64
 	live       int // staging files currently registered
 	seq        int
+	wbuf       []byte   // the writers' serialization buffer: only one goroutine writes at a time
+	rbuf       groupBuf // lane 0's read buffer, kept from scan to scan; later lanes bring their own
 
 	// Test seams for fault injection, always nil in production: createErr
 	// runs before a new staging file is opened (seq is the would-be file
-	// sequence number), finishErr before a writer's final flush. They let
+	// sequence number), finishErr before a writer's file is closed. They let
 	// regression tests fail a specific create/Finish mid-batch and assert
 	// that no writer or on-disk file leaks.
 	createErr func(seq int) error
 	finishErr func(path string) error
 }
 
+// newFileStore creates the store's private directory inside dir (the OS temp
+// dir when empty): two middlewares given the same Dir never see each other's
+// files, and Close leaves the caller's directory as it found it.
 func newFileStore(dir string, meter *sim.Meter, schema *data.Schema, budget int64) (*fileStore, error) {
-	owns := false
-	if dir == "" {
-		d, err := os.MkdirTemp("", "mwstage-")
-		if err != nil {
-			return nil, fmt.Errorf("mw: create staging dir: %w", err)
-		}
-		dir = d
-		owns = true
+	d, err := os.MkdirTemp(dir, "mwstage-")
+	if err != nil {
+		return nil, fmt.Errorf("mw: create staging dir: %w", err)
 	}
-	return &fileStore{dir: dir, ownsDir: owns, meter: meter, schema: schema, budget: budget}, nil
+	return &fileStore{dir: d, meter: meter, schema: schema, budget: budget}, nil
 }
 
-// Close removes the staging directory if the store created it.
-func (fs *fileStore) Close() error {
-	if fs.ownsDir {
-		return os.RemoveAll(fs.dir)
-	}
-	return nil
-}
+// Close removes the staging directory and whatever an unfinished build left
+// in it.
+func (fs *fileStore) Close() error { return os.RemoveAll(fs.dir) }
 
 // hasRoomFor reports whether a file of approximately rows fits the budget.
 func (fs *fileStore) hasRoomFor(rows int64) bool {
-	if fs.budget == 0 {
-		return true
-	}
-	need := rows * int64(fs.schema.RowBytes())
-	return fs.bytesInUse+need <= fs.budget
+	return fs.budget == 0 || fs.bytesInUse+rows*int64(fs.schema.RowBytes()) <= fs.budget
 }
 
-// fileWriter streams rows into a new staging file.
+// source returns sf as a scan source: lane part's own, when it is to be read.
+func (fs *fileStore) source(sf *stageFile, part int) *fileGroups {
+	s := &fileGroups{stageCharge: stageCharge{sim.CtrFileRowsRead, fs.meter.Costs().FileRowRead}, sf: sf, buf: &fs.rbuf}
+	if part > 0 {
+		s.buf = new(groupBuf)
+	}
+	return s
+}
+
+// fileWriter appends row groups to a new staging file.
 type fileWriter struct {
-	fs    *fileStore
-	f     *os.File
-	w     *bufio.Writer
-	sf    *stageFile
-	buf   []byte
-	stats *engine.ValueStats
-	err   error
-}
-
-// statsRowsPerBucket is the bucket granularity of staging-file statistics:
-// the file analogue of a heap page, sized so one bucket covers about one
-// page worth of rows.
-func (fs *fileStore) statsRowsPerBucket() int64 {
-	rb := fs.schema.RowBytes()
-	if rb <= 0 {
-		return 1
-	}
-	n := int64(8192 / rb)
-	if n < 1 {
-		n = 1
-	}
-	return n
-}
-
-// newStats creates an empty value-statistics sketch with the store's bucket
-// granularity (used both by writers and by parallel scan workers whose
-// shard stats are appended to a writer afterwards).
-func (fs *fileStore) newStats() *engine.ValueStats {
-	return engine.NewValueStats(fs.schema.NumCols(), fs.statsRowsPerBucket())
+	fs  *fileStore
+	f   *os.File
+	sf  *stageFile
+	err error
 }
 
 // create opens a new staging file, charging the file-open cost.
@@ -139,36 +185,40 @@ func (fs *fileStore) create() (*fileWriter, error) {
 			return nil, err
 		}
 	}
-	path := filepath.Join(fs.dir, fmt.Sprintf("stage%06d.rows", fs.seq))
+	path := filepath.Join(fs.dir, fmt.Sprintf("stage%06d.cols", fs.seq))
 	f, err := os.Create(path)
 	if err != nil {
 		return nil, fmt.Errorf("mw: create staging file: %w", err)
 	}
 	fs.meter.Charge(sim.CtrFilesCreated, fs.meter.Costs().FileOpen, 1)
-	return &fileWriter{
-		fs:    fs,
-		f:     f,
-		w:     bufio.NewWriterSize(f, 1<<16),
-		sf:    &stageFile{path: path},
-		stats: fs.newStats(),
-	}, nil
+	return &fileWriter{fs: fs, f: f, sf: &stageFile{path: path}}, nil
 }
 
-// writeRow appends one row as it is captured: lane 0 of a scan streams its
-// tee rows through here. The capturing lane charges the per-row write cost.
-func (fw *fileWriter) writeRow(r data.Row) {
-	fw.buf = r.Encode(fw.buf[:0])
-	fw.writeEncoded(fw.buf, 1)
-	fw.stats.Note(r)
+// writeGroup appends one group (nil: none). The lane that captured its rows
+// charged their write cost as it captured them, so this is purely the physical
+// append.
+func (fw *fileWriter) writeGroup(g *storage.ColGroup) {
+	if fw.err != nil || g == nil {
+		return
+	}
+	buf := g.AppendCodes(fw.fs.wbuf[:0])
+	fw.fs.wbuf = buf
+	if _, fw.err = fw.f.Write(buf); fw.err != nil {
+		return
+	}
+	sf, off := fw.sf, int64(0)
+	if n := len(sf.groups); n > 0 {
+		off = sf.groups[n-1].off + int64(sf.groups[n-1].size)
+	}
+	sf.groups = append(sf.groups, fileGroup{off: off, size: len(buf), zone: g.Zone()})
+	sf.rows += int64(g.NumRows())
+	sf.bytes = sf.rows * int64(fw.fs.schema.RowBytes())
 }
 
-// Finish flushes and registers the file, returning it.
+// Finish closes and registers the file, returning it.
 func (fw *fileWriter) Finish() (*stageFile, error) {
 	if fw.err == nil && fw.fs.finishErr != nil {
 		fw.err = fw.fs.finishErr(fw.sf.path)
-	}
-	if fw.err == nil {
-		fw.err = fw.w.Flush()
 	}
 	if cerr := fw.f.Close(); fw.err == nil {
 		fw.err = cerr
@@ -179,77 +229,13 @@ func (fw *fileWriter) Finish() (*stageFile, error) {
 	}
 	fw.fs.bytesInUse += fw.sf.bytes
 	fw.fs.live++
-	fw.sf.stats = fw.stats
 	return fw.sf, nil
 }
 
 // Abort discards a partially written file.
 func (fw *fileWriter) Abort() {
-	fw.w.Flush()
 	fw.f.Close()
 	os.Remove(fw.sf.path)
-}
-
-// writeEncoded appends pre-encoded rows collected by a scan worker. The
-// per-row write costs are charged to the worker's lane meter, so this is
-// purely the physical append.
-func (fw *fileWriter) writeEncoded(buf []byte, rows int64) {
-	if fw.err != nil || len(buf) == 0 {
-		return
-	}
-	if _, err := fw.w.Write(buf); err != nil {
-		fw.err = err
-		return
-	}
-	fw.sf.rows += rows
-	fw.sf.bytes += int64(len(buf))
-}
-
-// appendStats concatenates a scan worker's shard statistics after the
-// writer's, in the same order writeEncoded appended the rows, keeping the
-// bucket sequence aligned with the file's physical row order.
-func (fw *fileWriter) appendStats(vs *engine.ValueStats) {
-	fw.stats.Append(vs)
-}
-
-// scanRange reads the file's rows [lo, hi) in order — one lane's share, with
-// boundaries typically chosen by the histogram-guided split — charging the
-// per-row file read cost to meter and calling fn, which must not retain the
-// row. The read is not spanned here: the lane's span covers it.
-func (fs *fileStore) scanRange(sf *stageFile, lo, hi int64, meter *sim.Meter, fn func(data.Row) error) error {
-	if lo < 0 || hi < lo || hi > sf.rows {
-		return fmt.Errorf("mw: invalid staging-file range [%d, %d) of %d rows", lo, hi, sf.rows)
-	}
-	if lo >= hi {
-		return nil
-	}
-	f, err := os.Open(sf.path)
-	if err != nil {
-		return fmt.Errorf("mw: open staging file: %w", err)
-	}
-	defer f.Close()
-	rb := fs.schema.RowBytes()
-	if lo > 0 {
-		if _, err := f.Seek(lo*int64(rb), io.SeekStart); err != nil {
-			return fmt.Errorf("mw: seek staging file: %w", err)
-		}
-	}
-	r := bufio.NewReaderSize(f, 1<<16)
-	ncols := fs.schema.NumCols()
-	buf := make([]byte, rb)
-	var row data.Row
-	cost := meter.Costs().FileRowRead
-	for n := lo; n < hi; n++ {
-		if _, err := io.ReadFull(r, buf); err != nil {
-			return fmt.Errorf("mw: read staging file: %w", err)
-		}
-		row = data.DecodeRow(buf, ncols, row)
-		meter.Charge(sim.CtrFileRowsRead, cost, 1)
-		if err := fn(row); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // remove deletes a staging file and returns its space to the budget.

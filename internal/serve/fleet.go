@@ -484,7 +484,7 @@ func (f *Fleet) sharedRound(cohort []*Session) error {
 		cons[i] = p.cons
 	}
 	ioStart := int64(f.io.Now())
-	f.srv.ScanColumnarShared(cons, cols, f.io)
+	engine.ScanGroups(f.srv.ColGroups(cols), cons, 0, f.srv.NumColGroups(), f.io) // resident groups: no read can fail
 	ioElapsed := int64(f.io.Now()) - ioStart
 
 	for _, p := range parts {

@@ -1,6 +1,10 @@
 package storage
 
 import (
+	"encoding/binary"
+	"fmt"
+	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/data"
@@ -15,15 +19,15 @@ const RowGroupSize = 4096
 
 // maxDictSize is the number of distinct values one group column can encode:
 // codes are uint16, so the dictionary may hold at most 1<<16 entries (codes
-// 0..65535). encodeGroup refuses larger dictionaries outright — truncating
-// would silently alias distinct values onto the same code.
+// 0..65535).
 const maxDictSize = 1 << 16
 
-// Compile-time guard: a group holds at most RowGroupSize rows, so its
-// per-column dictionaries can never exceed RowGroupSize distinct values and
-// the uint16 code space is unreachable through Append/Group. Raising
-// RowGroupSize past maxDictSize would break that invariant and mis-encode
-// sealed groups; fail the build instead (negative array length).
+// Compile-time guard: a group holds at most RowGroupSize rows (GroupBuilder
+// refuses larger ones), so its per-column dictionaries can never exceed
+// RowGroupSize distinct values and the uint16 code space is unreachable.
+// Raising RowGroupSize past maxDictSize would break that invariant and
+// silently alias distinct values onto one code; fail the build instead
+// (negative array length).
 var _ [maxDictSize - RowGroupSize]struct{}
 
 // ColStore is a column-major, dictionary-encoded copy of a table kept
@@ -38,9 +42,8 @@ var _ [maxDictSize - RowGroupSize]struct{}
 type ColStore struct {
 	ncols  int
 	groups []*ColGroup
-	tail   [][]data.Value // per-column open tail, < RowGroupSize rows
-	tailN  int
-	tailG  *ColGroup // cached encoding of the tail; nil when stale
+	tail   *GroupBuilder // the open tail, < RowGroupSize rows
+	tailG  *ColGroup     // cached encoding of the tail; nil when stale
 }
 
 // NewColStore creates an empty columnar store for rows of ncols values.
@@ -48,7 +51,8 @@ func NewColStore(ncols int) *ColStore {
 	if ncols <= 0 {
 		panic("storage: columnar store needs at least one column")
 	}
-	return &ColStore{ncols: ncols, tail: make([][]data.Value, ncols)}
+	// A table expects to fill its groups: each is allocated whole.
+	return &ColStore{ncols: ncols, tail: NewGroupBuilder(ncols, RowGroupSize, math.MaxInt)}
 }
 
 // NumCols returns the number of columns.
@@ -56,14 +60,14 @@ func (cs *ColStore) NumCols() int { return cs.ncols }
 
 // NumRows returns the total number of rows, sealed and tail.
 func (cs *ColStore) NumRows() int64 {
-	return int64(len(cs.groups))*RowGroupSize + int64(cs.tailN)
+	return int64(len(cs.groups))*RowGroupSize + int64(cs.tail.n)
 }
 
 // NumGroups returns the number of row groups a scan visits: all sealed
 // groups plus one for the open tail when it is non-empty.
 func (cs *ColStore) NumGroups() int {
 	n := len(cs.groups)
-	if cs.tailN > 0 {
+	if cs.tail.n > 0 {
 		n++
 	}
 	return n
@@ -72,20 +76,9 @@ func (cs *ColStore) NumGroups() int {
 // Append adds one row (in insertion order, mirroring HeapFile.Insert) and
 // seals a row group when the tail fills.
 func (cs *ColStore) Append(row []data.Value) {
-	if len(row) != cs.ncols {
-		panic("storage: columnar row width mismatch")
-	}
-	for c, v := range row {
-		cs.tail[c] = append(cs.tail[c], v)
-	}
-	cs.tailN++
 	cs.tailG = nil
-	if cs.tailN == RowGroupSize {
-		cs.groups = append(cs.groups, encodeGroup(cs.tail, cs.tailN))
-		for c := range cs.tail {
-			cs.tail[c] = cs.tail[c][:0]
-		}
-		cs.tailN = 0
+	if g := cs.tail.AppendRow(row); g != nil {
+		cs.groups = append(cs.groups, g)
 	}
 }
 
@@ -96,9 +89,9 @@ func (cs *ColStore) Group(g int) *ColGroup {
 	if g < len(cs.groups) {
 		return cs.groups[g]
 	}
-	if g == len(cs.groups) && cs.tailN > 0 {
+	if g == len(cs.groups) && cs.tail.n > 0 {
 		if cs.tailG == nil {
-			cs.tailG = encodeGroup(cs.tail, cs.tailN)
+			cs.tailG = cs.tail.seal(true)
 		}
 		return cs.tailG
 	}
@@ -128,37 +121,211 @@ type colVec struct {
 	counts []int64      // occurrences per code, exact
 }
 
-// encodeGroup dictionary-encodes n rows of column vectors. The dictionary
-// is built collect-then-sort — copy, sort, dedupe — so construction order
-// is deterministic without ever ranging a map. A column whose distinct-value
-// count exceeds the uint16 code space (possible only for callers passing
-// n > RowGroupSize; sealed groups are bounded by the compile-time guard
-// above) panics rather than silently truncating codes.
-func encodeGroup(cols [][]data.Value, n int) *ColGroup {
-	g := &ColGroup{nrows: n, cols: make([]colVec, len(cols))}
-	scratch := make([]data.Value, n)
-	for c, vals := range cols {
-		copy(scratch, vals[:n])
-		sort.Slice(scratch, func(i, j int) bool { return scratch[i] < scratch[j] })
-		dict := make([]data.Value, 0, 8)
-		for i, v := range scratch {
-			if i == 0 || v != dict[len(dict)-1] {
-				dict = append(dict, v)
+// GroupBuilder is the one row-group encoder: it packs rows that arrive one at a
+// time (a table's inserts, a staging tee fed by a row cursor) or a few at a
+// time (what a staging tee keeps of each block it is shown) into row groups of
+// a fixed size. Rows selected from a group are appended in code space: codes
+// are translated through a per-call table, never decoded. Either way a sealed
+// group has sorted dictionaries of exactly the values its rows use — built
+// without ranging a map, hence deterministic — and exact per-code counts.
+type GroupBuilder struct {
+	size    int // rows per sealed group
+	n, want int
+	cols    []buildCol
+	xlat    []uint16 // scratch: AppendSel's source code -> open-group code, Seal's first-seen -> sorted code
+}
+
+// buildCol is one column of the open group.
+type buildCol struct {
+	dict  []data.Value          // distinct values, first seen first
+	index map[data.Value]uint16 // value -> position in dict
+	codes []uint16              // per row, positions in dict; becomes the sealed group's vector
+}
+
+// noCode marks an untranslated xlat slot; the open group never holds that many
+// distinct values.
+const noCode = maxDictSize - 1
+
+// NewGroupBuilder returns a builder of size-row groups (at most RowGroupSize)
+// for rows of ncols values. want is how many rows the caller expects to append
+// in all (0: unknown); code vectors are allocated for that many.
+func NewGroupBuilder(ncols, size, want int) *GroupBuilder {
+	if size < 1 || size > RowGroupSize {
+		panic("storage: row group size out of range")
+	}
+	b := &GroupBuilder{size: size, want: want, cols: make([]buildCol, ncols)}
+	for c := range b.cols {
+		b.cols[c].index = map[data.Value]uint16{}
+	}
+	return b
+}
+
+// room readies every column's code vector for n more rows.
+func (b *GroupBuilder) room(n int) {
+	if b.n == 0 {
+		size := min(max(b.want, n), b.size)
+		for c := range b.cols {
+			b.cols[c].codes = make([]uint16, 0, size)
+		}
+	}
+	b.want -= n
+}
+
+// code returns v's code in the open group, adding it to the dictionary if new.
+func (bc *buildCol) code(v data.Value) uint16 {
+	code, ok := bc.index[v]
+	if !ok {
+		code = uint16(len(bc.dict))
+		bc.dict, bc.index[v] = append(bc.dict, v), code
+	}
+	return code
+}
+
+// AppendRow adds one row and returns the group it filled, if it filled one.
+func (b *GroupBuilder) AppendRow(row []data.Value) *ColGroup {
+	if len(row) != len(b.cols) {
+		panic("storage: columnar row width mismatch")
+	}
+	b.room(1)
+	for c, v := range row {
+		bc := &b.cols[c]
+		bc.codes = append(bc.codes, bc.code(v))
+	}
+	if b.n++; b.n == b.size {
+		return b.Seal()
+	}
+	return nil
+}
+
+// AppendSel adds rows sel of g (group-relative indices, in order) and returns
+// the group they filled, if they filled one. sel must not hold more rows than a
+// group of the builder does, so that it fills at most one.
+func (b *GroupBuilder) AppendSel(g *ColGroup, sel []int32) (full *ColGroup) {
+	if len(sel) > b.size {
+		panic("storage: selection larger than the builder's row groups")
+	}
+	for len(sel) > 0 {
+		take := min(len(sel), b.size-b.n)
+		b.room(take)
+		for c := range b.cols {
+			bc, src := &b.cols[c], &g.cols[c]
+			xlat := grow(b.xlat, len(src.dict))
+			for i := range xlat {
+				xlat[i] = noCode
 			}
+			for _, ri := range sel[:take] {
+				code := src.codes[ri]
+				if xlat[code] == noCode {
+					xlat[code] = bc.code(src.dict[code])
+				}
+				bc.codes = append(bc.codes, xlat[code])
+			}
+			b.xlat = xlat
 		}
-		if len(dict) > maxDictSize {
-			panic("storage: column cardinality exceeds 16-bit dictionary codes; shrink the group instead of truncating")
+		sel = sel[take:]
+		if b.n += take; b.n == b.size {
+			full = b.Seal()
 		}
-		codes := make([]uint16, n)
-		counts := make([]int64, len(dict))
-		for i, v := range vals[:n] {
-			code := uint16(sort.Search(len(dict), func(j int) bool { return dict[j] >= v }))
-			codes[i] = code
-			counts[code]++
+	}
+	return full
+}
+
+// Seal closes the open group and returns it, or nil when it holds no row. The
+// group takes over the builder's code vectors, recoded in place from
+// first-seen to sorted dictionary order.
+func (b *GroupBuilder) Seal() *ColGroup { return b.seal(false) }
+
+// seal encodes the open group; with keep it stays open, and the group returned
+// is a copy.
+func (b *GroupBuilder) seal(keep bool) *ColGroup {
+	if b.n == 0 {
+		return nil
+	}
+	g := &ColGroup{nrows: b.n, cols: make([]colVec, len(b.cols))}
+	for c := range b.cols {
+		bc := &b.cols[c]
+		dict := slices.Clone(bc.dict)
+		slices.Sort(dict)
+		remap := grow(b.xlat, len(dict))
+		for rank, v := range dict {
+			remap[bc.index[v]] = uint16(rank)
 		}
-		g.cols[c] = colVec{dict: dict, codes: codes, counts: counts}
+		codes, counts := bc.codes, make([]int64, len(dict))
+		if keep {
+			codes = make([]uint16, b.n)
+		}
+		for i, code := range bc.codes {
+			codes[i] = remap[code]
+			counts[remap[code]]++
+		}
+		g.cols[c], b.xlat = colVec{dict: dict, codes: codes, counts: counts}, remap
+		if !keep {
+			bc.dict, bc.codes = bc.dict[:0], nil
+			clear(bc.index)
+		}
+	}
+	if !keep {
+		b.n = 0
 	}
 	return g
+}
+
+// Zone returns g without its code vectors: row count, dictionaries and
+// per-code counts — all that compiling a filter, a zone-map verdict and a lane
+// split need, and what a staging file's reader keeps in memory of each group.
+func (g *ColGroup) Zone() *ColGroup {
+	z := &ColGroup{nrows: g.nrows, cols: make([]colVec, len(g.cols))}
+	for c := range g.cols {
+		z.cols[c] = colVec{dict: g.cols[c].dict, counts: g.cols[c].counts}
+	}
+	return z
+}
+
+// AppendCodes appends g's code vectors to dst, column after column,
+// little-endian: all of g that its Zone does not hold. A staging file is a run
+// of these.
+func (g *ColGroup) AppendCodes(dst []byte) []byte {
+	dst = slices.Grow(dst, 2*g.nrows*len(g.cols))
+	for c := range g.cols {
+		for _, code := range g.cols[c].codes {
+			dst = binary.LittleEndian.AppendUint16(dst, code)
+		}
+	}
+	return dst
+}
+
+// DecodeCodes puts the code vectors of src, the AppendCodes image of the group
+// whose zone z is, under z's dictionaries and counts — shared, not copied — in
+// g (reusing its vectors) and returns it. The bytes come from disk, so they are
+// not trusted: an image that is not of z's rows × columns or that holds a code
+// outside its dictionary is refused.
+func (z *ColGroup) DecodeCodes(src []byte, g *ColGroup) (*ColGroup, error) {
+	n := z.nrows
+	if len(src) != 2*n*len(z.cols) {
+		return nil, fmt.Errorf("storage: %d bytes are not the codes of %d rows of %d columns", len(src), n, len(z.cols))
+	}
+	g.nrows, g.cols = n, grow(g.cols, len(z.cols))
+	for c := range g.cols {
+		v, zc := &g.cols[c], &z.cols[c]
+		v.dict, v.counts, v.codes = zc.dict, zc.counts, grow(v.codes, n)
+		raw, top := src[2*n*c:], uint16(0)
+		for i := range v.codes {
+			code := uint16(raw[2*i]) | uint16(raw[2*i+1])<<8
+			v.codes[i], top = code, max(top, code)
+		}
+		if int(top) >= len(zc.dict) {
+			return nil, fmt.Errorf("storage: column %d holds code %d outside its %d-value dictionary", c, top, len(zc.dict))
+		}
+	}
+	return g, nil
+}
+
+// grow returns s with length n, reallocating only when its capacity is short.
+func grow[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // NumRows returns the number of rows in the group.

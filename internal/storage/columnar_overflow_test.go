@@ -6,55 +6,6 @@ import (
 	"repro/internal/data"
 )
 
-// distinctCol builds one column of n rows, every value distinct, in a
-// shuffled-looking but deterministic order (stride walk) so encoding cannot
-// rely on sorted input.
-func distinctCol(n int) [][]data.Value {
-	col := make([]data.Value, n)
-	const stride = 7919 // prime, coprime with any n we test
-	v := 0
-	for i := range col {
-		col[i] = data.Value(v)
-		v += stride
-		if v >= n {
-			v -= n
-		}
-	}
-	return [][]data.Value{col}
-}
-
-// The uint16 code-space boundary: 65535 and 65536 distinct values encode
-// exactly (65536 codes 0..65535 fill the space), 65537 must be rejected
-// loudly — silent truncation would alias two distinct values onto one code.
-func TestEncodeGroupDictBoundary(t *testing.T) {
-	for _, n := range []int{maxDictSize - 1, maxDictSize} {
-		g := encodeGroup(distinctCol(n), n)
-		if got := len(g.Dict(0)); got != n {
-			t.Fatalf("n=%d: dictionary has %d entries", n, got)
-		}
-		// Every code must round-trip to its original value, exactly once.
-		codes, dict, counts := g.Codes(0), g.Dict(0), g.CodeCounts(0)
-		want := distinctCol(n)[0]
-		for i, c := range codes {
-			if dict[c] != want[i] {
-				t.Fatalf("n=%d: row %d decoded %d, want %d", n, i, dict[c], want[i])
-			}
-		}
-		for c, cnt := range counts {
-			if cnt != 1 {
-				t.Fatalf("n=%d: code %d has count %d, want 1", n, c, cnt)
-			}
-		}
-	}
-
-	defer func() {
-		if recover() == nil {
-			t.Fatal("encodeGroup accepted 65537 distinct values without panicking")
-		}
-	}()
-	encodeGroup(distinctCol(maxDictSize+1), maxDictSize+1)
-}
-
 // Sealed groups can never overflow the code space: the store seals at
 // RowGroupSize rows, which the compile-time guard pins at or below the
 // dictionary capacity. This exercises the worst sealed case — every row

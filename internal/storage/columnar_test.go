@@ -1,7 +1,9 @@
 package storage
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/data"
@@ -128,5 +130,152 @@ func TestColStoreTailCacheInvalidation(t *testing.T) {
 	}
 	if v := g2.Dict(0)[g2.Codes(0)[1]]; v != 2 {
 		t.Fatalf("tail row 1 = %d, want 2", v)
+	}
+}
+
+// randRows draws n rows of ncols small values; column c has c+2 distinct ones,
+// clustered so that short runs of rows miss some of them.
+func randRows(rng *rand.Rand, n, ncols int) [][]data.Value {
+	rows := make([][]data.Value, n)
+	for i := range rows {
+		rows[i] = make([]data.Value, ncols)
+		for c := range rows[i] {
+			rows[i][c] = data.Value((i/97 + rng.Intn(2)) % (c + 2) * 3)
+		}
+	}
+	return rows
+}
+
+// sameGroup reports whether two groups hold the same rows under the same
+// dictionaries and counts.
+func sameGroup(a, b *ColGroup) bool {
+	if a.NumRows() != b.NumRows() || a.NumCols() != b.NumCols() {
+		return false
+	}
+	for c := 0; c < a.NumCols(); c++ {
+		if !slices.Equal(a.Dict(c), b.Dict(c)) || !slices.Equal(a.Codes(c), b.Codes(c)) || !slices.Equal(a.CodeCounts(c), b.CodeCounts(c)) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestGroupBuilderSelMatchesRows: rows selected from groups a few at a time, in
+// code space, seal into exactly the groups the same rows make when appended one
+// by one — sorted dictionaries of only the values present, exact counts — with
+// groups cut at the same row counts, whatever the pieces' sizes.
+func TestGroupBuilderSelMatchesRows(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	const ncols, size = 5, 300
+	cs := NewColStore(ncols)
+	rows := randRows(rng, 2*RowGroupSize+500, ncols)
+	for _, r := range rows {
+		cs.Append(r)
+	}
+	bySel, byRow := NewGroupBuilder(ncols, size, 0), NewGroupBuilder(ncols, size, len(rows))
+	var gotSel, gotRow []*ColGroup
+	keep := func(dst *[]*ColGroup, g *ColGroup) {
+		if g != nil {
+			*dst = append(*dst, g)
+		}
+	}
+	kept := 0
+	for gi, base := 0, 0; gi < cs.NumGroups(); gi++ {
+		g := cs.Group(gi)
+		for lo := 0; lo < g.NumRows(); {
+			hi := min(lo+1+rng.Intn(size), g.NumRows())
+			var sel []int32
+			for i := lo; i < hi; i++ {
+				if rng.Intn(3) > 0 {
+					sel = append(sel, int32(i))
+					keep(&gotRow, byRow.AppendRow(rows[base+i]))
+					kept++
+				}
+			}
+			keep(&gotSel, bySel.AppendSel(g, sel))
+			lo = hi
+		}
+		base += g.NumRows()
+	}
+	keep(&gotSel, bySel.Seal())
+	keep(&gotRow, byRow.Seal())
+	if bySel.Seal() != nil {
+		t.Fatal("a sealed builder is not empty")
+	}
+	if len(gotSel) != (kept+size-1)/size || len(gotSel) != len(gotRow) {
+		t.Fatalf("%d groups by selection, %d by row, for %d rows in groups of %d", len(gotSel), len(gotRow), kept, size)
+	}
+	for i := range gotSel {
+		if !sameGroup(gotSel[i], gotRow[i]) {
+			t.Fatalf("group %d: built from selections it differs from the same rows appended one by one", i)
+		}
+		for c := 0; c < ncols; c++ {
+			if !slices.IsSorted(gotSel[i].Dict(c)) || slices.Contains(gotSel[i].CodeCounts(c), 0) {
+				t.Fatalf("group %d column %d: dictionary %v counts %v — want sorted, every value used", i, c, gotSel[i].Dict(c), gotSel[i].CodeCounts(c))
+			}
+		}
+	}
+}
+
+// TestGroupImageRoundTripAndRefusals: a group's code image decodes, under its
+// zone, to the group; and an image the zone does not describe — cut short
+// anywhere, grown, or with a code past its dictionary — is refused with an
+// error, never decoded or indexed by.
+func TestGroupImageRoundTripAndRefusals(t *testing.T) {
+	rng := rand.New(rand.NewSource(37))
+	const ncols, nrows = 3, 700
+	b := NewGroupBuilder(ncols, RowGroupSize, 0)
+	for _, r := range randRows(rng, nrows, ncols) {
+		b.AppendRow(r)
+	}
+	g := b.Seal()
+	z, img := g.Zone(), g.AppendCodes(nil)
+	var into ColGroup
+	got, err := z.DecodeCodes(img, &into)
+	if err != nil || !sameGroup(got, g) {
+		t.Fatalf("round trip: err %v, same %v", err, err == nil && sameGroup(got, g))
+	}
+	if z.Codes(0) != nil || !slices.Equal(z.Dict(1), g.Dict(1)) || z.NumRows() != g.NumRows() {
+		t.Fatal("a zone is the group's row count, dictionaries and counts, without code vectors")
+	}
+	refuse := func(what string, bad []byte) {
+		t.Helper()
+		if _, err := z.DecodeCodes(bad, &into); err == nil {
+			t.Errorf("%s: decoded without error", what)
+		}
+	}
+	for n := 0; n < len(img); n += 1 + n/16 {
+		refuse("truncated", img[:n])
+	}
+	refuse("one byte longer", append(slices.Clone(img), 0))
+	for c := 0; c < ncols; c++ {
+		for _, tc := range []struct {
+			what string
+			off  int
+			val  byte
+		}{
+			{"code past its dictionary", 2 * nrows * c, byte(len(g.Dict(c)))},
+			{"code past 255", 2*nrows*(c+1) - 1, 0x01},
+		} {
+			bad := slices.Clone(img)
+			bad[tc.off] = tc.val
+			refuse(fmt.Sprintf("column %d: %s", c, tc.what), bad)
+		}
+	}
+}
+
+// TestAppendRowRefusesOtherWidths: a row wider or narrower than the builder's
+// columns panics by name at the one encoder, whoever calls it — a narrower one
+// would otherwise leave the open group's code vectors at different lengths.
+func TestAppendRowRefusesOtherWidths(t *testing.T) {
+	for _, width := range []int{2, 4} {
+		func() {
+			defer func() {
+				if r := recover(); r != "storage: columnar row width mismatch" {
+					t.Errorf("row of %d values into 3 columns: recovered %v", width, r)
+				}
+			}()
+			NewGroupBuilder(3, RowGroupSize, 0).AppendRow(make([]data.Value, width))
+		}()
 	}
 }

@@ -41,9 +41,10 @@ if ! cmp -s /tmp/repolint-a.json /tmp/repolint-b.json; then
 fi
 gate "go test ./..." go test ./...
 # -short skips the full experiment suite (internal/exp TestAllShapeChecksPass
-# and the determinism replays): ~20 s without the race detector (the gate
-# above), ~301 s under it (two cores, PR 19) — still just past the 300 s this
-# gate is allowed, so the flag stays until a run fits with room. What the race
+# and the determinism replays): ~25 s without the race detector (the gate
+# above), 275-288 s under it (two cores, two runs, PR 20) — inside the 300 s
+# this gate is allowed but not by the 30 s of room (<= 270 s) dropping the flag
+# waits for, so it stays. What the race
 # pass does execute of internal/exp are the two tiny runners that do not skip:
 # TestScalingWorkersTiny (exp -> mw multi-worker lanes) and TestServeRunnerTiny
 # (the serve runner's fleet sessions attached to shared scans, 1-8 clients,
