@@ -54,11 +54,10 @@ func run() error {
 		dotOut   = flag.String("dot", "", "write the tree in Graphviz DOT format to this file")
 		cvFolds  = flag.Int("cv", 0, "additionally run k-fold cross-validation (e.g. 5)")
 
-		staging  = flag.String("staging", "memory", "staging: none, file, memory or file+memory")
-		policy   = flag.String("policy", "split", "file policy: split, pernode or singleton")
-		memory   = flag.Float64("memory", 0, "middleware memory budget in MB (0 = unlimited)")
-		workers  = flag.Int("workers", 1, "parallel scan workers per batch (1 = sequential)")
-		columnar = flag.Bool("columnar", true, "server scans read the columnar row-group copy where available (false: the row heap; staged data is column blocks either way)")
+		staging = flag.String("staging", "memory", "staging: none, file, memory or file+memory")
+		policy  = flag.String("policy", "split", "file policy: split, pernode or singleton")
+		memory  = flag.Float64("memory", 0, "middleware memory budget in MB (0 = unlimited)")
+		workers = flag.Int("workers", 1, "parallel scan workers per batch (1 = sequential)")
 
 		traceOut    = flag.String("trace", "", "write a deterministic virtual-time trace of the build to this file")
 		traceFormat = flag.String("trace-format", "chrome", "trace format: chrome (Perfetto-loadable) or ndjson")
@@ -94,9 +93,6 @@ func run() error {
 		return fmt.Errorf("-workers must be at least 1")
 	}
 	mcfg := mw.Config{Memory: int64(*memory * (1 << 20)), Workers: *workers}
-	if !*columnar {
-		mcfg.Columnar = mw.ColumnarOff
-	}
 	switch *staging {
 	case "none":
 		mcfg.Staging = mw.StageNone

@@ -210,7 +210,7 @@ func (p accessPath) scan(e *Engine, t *Table, need []int, fn func(data.Row) erro
 		}
 		return true
 	}
-	src := tableGroups{t.colstore, need, e.meter.Costs().ServerPageIO}
+	src := t.groups(need, e.meter.Costs())
 	scanGroups(src, []*ScanConsumer{c}, 0, src.NumGroups(), e.meter) // a statement opens no cursor
 	return ferr
 }

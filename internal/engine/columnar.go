@@ -162,6 +162,42 @@ func (gt *GroupTrie) route(base, n int, full bool, buckets [][]int32, sel []int3
 	return sel
 }
 
+// routeSel is route over the rows seed in place of a whole block: the walk of a
+// pre-selected row set (GroupSource.Sel).
+func (gt *GroupTrie) routeSel(seed []int32, full bool, buckets [][]int32, sel []int32) []int32 {
+	nodes, terms := gt.nodes, gt.terms
+	root := terms[nodes[0].lo:nodes[0].hi]
+	if full = full || len(root) > 0; full {
+		sel = append(sel, seed...)
+	}
+	for _, k := range root {
+		buckets[k] = append(buckets[k], seed...)
+	}
+	if len(nodes) == 1 {
+		return sel
+	}
+	for _, i := range seed {
+		hit := full
+		for j := 1; j < len(nodes); {
+			nd := &nodes[j]
+			if !nd.holds(i) {
+				j = int(nd.end)
+				continue
+			}
+			if nd.hi > nd.lo {
+				for _, k := range terms[nd.lo:nd.hi] {
+					buckets[k] = append(buckets[k], i)
+				}
+				if !hit {
+					sel, hit = append(sel, i), true
+				}
+			}
+			j++
+		}
+	}
+	return sel
+}
+
 // appendRows appends the group-relative row indices base, base+1, …, base+n-1.
 func appendRows(out []int32, base, n int) []int32 {
 	out = slices.Grow(out, n)
@@ -337,11 +373,6 @@ type ColBlock struct {
 	Buckets    [][]int32
 }
 
-// ColumnarAvailable reports whether the server's table has a columnar copy
-// to scan. Tables populated through CreateTable/Insert/BulkLoad — including
-// the temp tables CopySubset builds — always do.
-func (s *Server) ColumnarAvailable() bool { return s.table.columnarComplete() }
-
 // columnarComplete reports whether t's columnar copy holds every heap row.
 func (t *Table) columnarComplete() bool {
 	return t.colstore != nil && t.colstore.NumRows() == t.NumRows()
@@ -359,34 +390,40 @@ func (s *Server) NumColGroups() int {
 // ColGroups returns the table's columnar copy as a GroupSource whose scans
 // read the pages of needCols (nil means all columns).
 func (s *Server) ColGroups(needCols []int) GroupSource {
-	return tableGroups{s.table.colstore, needCols, s.meter.Costs().ServerPageIO}
+	return s.table.groups(needCols, s.meter.Costs())
 }
 
 // GroupBounds is the one rule that splits a scan of src with filter f into
 // nparts lanes of approximately equal estimated cost: a group weighs what
-// reading it is charged (ReadCharge), at the server its per-row block
-// evaluation on top, and perMatch — the caller's full per-matching-row cost —
-// times its estimated matching rows. Groups the zone maps prove empty weigh
+// reading it is charged (ChargeRead, on a scratch meter), at the server the
+// evaluation of its rows — of those the source holds, when it is a pre-selected
+// set — and perMatch — the caller's full per-matching-row cost — times its
+// estimated matching rows, scaled to the rows held.
+// Groups the zone maps prove empty, or of which the source holds nothing, weigh
 // nothing, so lanes are balanced over the work that will actually be done.
-// WeightedBounds-shaped, pure, and unmetered, like PageBounds; nil means "use
-// equal-width".
+// WeightedBounds-shaped, pure, and unmetered; nil means "use equal-width".
 func GroupBounds(src GroupSource, f predicate.Filter, nparts int, costs sim.Costs, perMatch int64) []int {
 	if nparts < 2 || src.NumGroups() == 0 {
 		return nil
 	}
 	weights := make([]int64, src.NumGroups())
+	prices, _ := src.AtServer()
+	scratch := sim.NewMeter(costs)
 	var gf GroupFilter
 	for gi := range weights {
 		g := src.Zone(gi)
+		rows := int64(g.NumRows())
+		if held, seeded := src.Sel(gi); seeded {
+			rows = int64(len(held))
+		}
 		gf.Compile(g, f)
-		if gf.None() {
+		if gf.None() || rows == 0 {
 			continue // skipped group: the lane pays nothing for it
 		}
-		_, unit, units := src.ReadCharge(g)
-		weights[gi] = unit*units + gf.Estimate()*perMatch
-		if src.AtServer() {
-			weights[gi] += int64(g.NumRows()) * costs.ColRowEval
-		}
+		scratch.Reset()
+		src.ChargeRead(gi, scratch)
+		match := gf.Estimate() * rows / int64(g.NumRows())
+		weights[gi] = int64(scratch.Now()) + rows*prices.Eval + match*perMatch
 	}
 	return WeightedBounds(weights, nparts)
 }

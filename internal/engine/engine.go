@@ -44,7 +44,6 @@ type Table struct {
 	heap     *storage.HeapFile
 	colstore *storage.ColStore // column-major dictionary-encoded copy of the heap
 	indexes  map[string]*Index // by column name
-	stats    *ValueStats       // per-page value histograms (partition hints)
 	temp     bool
 }
 
@@ -131,7 +130,6 @@ func (e *Engine) CreateTable(name string, cols []string) (*Table, error) {
 		heap:     storage.NewHeapFile(4 * len(cols)),
 		colstore: storage.NewColStore(len(cols)),
 		indexes:  make(map[string]*Index),
-		stats:    NewValueStats(len(cols)),
 	}
 	e.tables[name] = t
 	return t, nil
@@ -189,7 +187,6 @@ func (e *Engine) Insert(t *Table, r data.Row) (storage.TID, error) {
 	buf = r.Encode(buf)
 	tid := t.heap.Insert(buf)
 	t.colstore.Append(r)
-	t.stats.NoteAt(int(tid.Page), r)
 	e.meter.Charge(sim.CtrServerRows, e.meter.Costs().ServerRowWrite, 1)
 	for ci, col := range t.Cols {
 		if idx, ok := t.indexes[col]; ok {
@@ -211,7 +208,6 @@ func (e *Engine) BulkLoad(t *Table, rows []data.Row) error {
 		buf = r.Encode(buf[:0])
 		tid := t.heap.Insert(buf)
 		t.colstore.Append(r)
-		t.stats.NoteAt(int(tid.Page), r)
 		for ci, col := range t.Cols {
 			if idx, ok := t.indexes[col]; ok {
 				idx.bt.Insert(int64(r[ci]), tid)

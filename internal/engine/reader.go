@@ -13,19 +13,20 @@ import (
 type payMode uint8
 
 const (
-	// payPooled is the server's only stream (a statement, a whole-source
-	// cursor, a lone lane): it consults the shared LRU buffer pool and pays
-	// ServerPageIO for a miss.
+	// payPooled is the server's only stream (a statement, a whole-table
+	// cursor): it consults the shared LRU buffer pool and pays ServerPageIO for
+	// a miss.
 	payPooled payMode = iota
-	// payCold is one of several forked lanes: it pays ServerPageIO for every
-	// page and leaves the pool untouched. Concurrent lanes would interleave
-	// nondeterministically in the pool's LRU state, so consulting it would make
-	// page accounting depend on goroutine scheduling; reading cold keeps every
-	// lane's charges a pure function of its partition — bit-for-bit
-	// reproducible across GOMAXPROCS — matches the physical reality that n
-	// concurrent scan streams defeat a small shared cache, and leaves the
-	// pool's contents as they were for later pooled streams. The columnar
-	// scan (scanGroups) follows the same rule per row group.
+	// payCold is one of several forked lanes (the fallback arms of a table the
+	// pool cannot hold): it pays ServerPageIO for every page and leaves the pool
+	// untouched. Concurrent lanes would interleave nondeterministically in the
+	// pool's LRU state, so consulting it would make page accounting depend on
+	// goroutine scheduling; reading cold keeps every lane's charges a pure
+	// function of its partition — bit-for-bit reproducible across GOMAXPROCS —
+	// matches the physical reality that n concurrent scan streams defeat a
+	// small shared cache, and leaves the pool's contents as they were for later
+	// pooled streams. The columnar scan (scanGroups) follows the same rule per
+	// row group.
 	payCold
 	// payResident reads a table the caller has established to be resident
 	// (WarmTable): pages are free, and the pool is not touched.
@@ -34,8 +35,8 @@ const (
 
 // heapReader is the one place a heap page is walked and paid for: a table,
 // the meter of the stream reading it, and who pays for the page. Everything
-// that reads heap records — cursors, aux builders, fallback arms, the SQL
-// executor — goes through page, scan or fetch, so page charges always land
+// that reads heap records — the whole-table cursor, fallback arms, the SQL
+// executor — goes through page, scanAll or fetch, so page charges always land
 // on the reading stream's own meter (a View's, a lane's), never on the
 // pool's owner.
 type heapReader struct {
@@ -51,15 +52,11 @@ func (e *Engine) reader(t *Table) heapReader {
 	return heapReader{t: t, pool: e.bp, meter: e.meter, mode: payPooled}
 }
 
-// reader returns the reader for a stream of the data table charging lane. A
-// nil lane, or the server's own meter handed back by a lone obs.RunLanes
-// lane, is the server's only stream and reads pooled; any other meter is a
-// forked lane and reads cold.
-func (s *Server) reader(lane *sim.Meter) heapReader {
-	if lane == nil || lane == s.meter {
-		return heapReader{t: s.table, pool: s.eng.bp, meter: s.meter, mode: payPooled}
-	}
-	return heapReader{t: s.table, meter: lane, mode: payCold}
+// reader returns the pooled reader of the server's own stream of the data
+// table — a whole-table cursor, a prefetch — charging the server's meter (a
+// View's own).
+func (s *Server) reader() heapReader {
+	return heapReader{t: s.table, pool: s.eng.bp, meter: s.meter, mode: payPooled}
 }
 
 // page pays for heap page p and returns its records packed back to back.
@@ -70,15 +67,15 @@ func (r heapReader) page(p storage.PageID) []byte {
 	return r.t.heap.PageRecords(p)
 }
 
-// scan drives the rows of heap pages [lo, hi) through fn in physical order,
-// paying each page and ServerRowCPU per decoded row. fn must not retain row;
-// the scan stops early when fn returns false.
-func (r heapReader) scan(lo, hi int, fn func(tid storage.TID, row data.Row) bool) {
+// scanAll drives the table's rows through fn in physical order, paying each
+// page and ServerRowCPU per decoded row. fn must not retain row; the scan stops
+// early when fn returns false.
+func (r heapReader) scanAll(fn func(tid storage.TID, row data.Row) bool) {
 	ncols := len(r.t.Cols)
 	recLen := r.t.heap.RecLen()
 	rowCPU := r.meter.Costs().ServerRowCPU
 	var row data.Row
-	for p := storage.PageID(lo); p < storage.PageID(hi); p++ {
+	for p := storage.PageID(0); int(p) < r.t.NumPages(); p++ {
 		recs := r.page(p)
 		for slot := uint16(0); len(recs) > 0; slot++ {
 			row = data.DecodeRow(recs, ncols, row)
@@ -89,11 +86,6 @@ func (r heapReader) scan(lo, hi int, fn func(tid storage.TID, row data.Row) bool
 			}
 		}
 	}
-}
-
-// scanAll is scan over the whole table.
-func (r heapReader) scanAll(fn func(tid storage.TID, row data.Row) bool) {
-	r.scan(0, r.t.NumPages(), fn)
 }
 
 // fetch reads one row by TID into dst, paying the amortized random-I/O
@@ -108,14 +100,4 @@ func (r heapReader) fetch(tid storage.TID, dst data.Row) (data.Row, error) {
 	}
 	r.meter.Charge(sim.CtrTIDFetches, r.meter.Costs().TIDFetch, 1)
 	return data.DecodeRow(rec, len(r.t.Cols), dst), nil
-}
-
-// mustFetch is fetch for TIDs captured from the same immutable heap, where a
-// failed fetch indicates corruption and cannot occur in normal use.
-func (r heapReader) mustFetch(tid storage.TID, dst data.Row) data.Row {
-	row, err := r.fetch(tid, dst)
-	if err != nil {
-		panic(err.Error())
-	}
-	return row
 }

@@ -28,9 +28,11 @@ func TestHeapReaderCharges(t *testing.T) {
 		pool      bool // the pool sees the accesses
 	}{
 		// Pooled through a View: the miss is charged to the view's meter.
-		{"pooled/fits", 0, func(s *Server, m *sim.Meter) heapReader { return s.View(m, nil).reader(nil) }, true, false, true},
-		{"pooled/floods", 2, func(s *Server, m *sim.Meter) heapReader { return s.View(m, nil).reader(nil) }, true, true, true},
-		{"cold", 0, func(s *Server, m *sim.Meter) heapReader { return s.reader(m) }, true, true, false},
+		{"pooled/fits", 0, func(s *Server, m *sim.Meter) heapReader { return s.View(m, nil).reader() }, true, false, true},
+		{"pooled/floods", 2, func(s *Server, m *sim.Meter) heapReader { return s.View(m, nil).reader() }, true, true, true},
+		{"cold", 0, func(s *Server, m *sim.Meter) heapReader {
+			return heapReader{t: s.table, meter: m, mode: payCold}
+		}, true, true, false},
 		{"resident", 0, func(s *Server, m *sim.Meter) heapReader {
 			return heapReader{t: s.table, meter: m, mode: payResident}
 		}, false, false, false},

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"sort"
 
 	"repro/internal/predicate"
 	"repro/internal/sim"
@@ -62,55 +63,78 @@ func (c *ScanConsumer) compile(g *storage.ColGroup) {
 }
 
 // walk fills c.sel — and with Paths c.buckets — for rows [base, base+n) of the
-// compiled group.
-func (c *ScanConsumer) walk(base, n int) {
-	if c.Paths == nil {
+// compiled group or, when the source pre-selected the group's rows, for those of
+// them in the block (seed, non-nil).
+func (c *ScanConsumer) walk(base, n int, seed []int32) {
+	switch {
+	case c.Paths == nil && seed != nil:
+		c.sel = c.gf.Refine(seed, c.sel[:0])
+	case c.Paths == nil:
 		c.sel = c.gf.selectBlock(base, n, c.sel[:0])
-		return
+	default:
+		for k := range c.buckets {
+			c.buckets[k] = c.buckets[k][:0]
+		}
+		if seed != nil {
+			c.sel = c.gf.trie.routeSel(seed, c.gf.all, c.buckets, c.sel[:0])
+		} else {
+			c.sel = c.gf.trie.route(base, n, c.gf.all, c.buckets, c.sel[:0])
+		}
 	}
-	for k := range c.buckets {
-		c.buckets[k] = c.buckets[k][:0]
-	}
-	c.sel = c.gf.trie.route(base, n, c.gf.all, c.buckets, c.sel[:0])
 }
 
 // GroupSource is an ordered run of row groups the block loop can scan: a
-// table's columnar copy, or a middleware stage — in memory or in a file — made
-// of the same kind of groups. A source with per-scan state (an open file) is
-// made per lane.
+// table's columnar copy — all of it, or the rows a keyset or TID table captured
+// (RowSet) — or a middleware stage, in memory or in a file, made of the same kind
+// of groups. A source with per-scan state (an open file) is made per lane.
 type GroupSource interface {
 	NumGroups() int
 	// Zone returns group gi as far as planning needs it — row count,
 	// dictionaries, per-code counts; the code vectors may be absent: filters
 	// compile against it, a zone-map skip rests on it, a lane split weighs it.
 	Zone(gi int) *storage.ColGroup
-	// Read returns group gi with its code vectors; the loop charges ReadCharge.
+	// Read returns group gi with its code vectors; the loop charges ChargeRead.
 	Read(gi int) (*storage.ColGroup, error)
-	// ReadCharge is what reading g costs, once per scan however many consumers
-	// share it: n units of ctr at unit each.
-	ReadCharge(g *storage.ColGroup) (ctr sim.Counter, unit, n int64)
+	// Sel returns, for a source that is a pre-selected row set, the rows of
+	// group gi it holds — ascending group-relative indices, which the walk of a
+	// block starts from in place of all its rows; a group holding none is passed
+	// over uncharged. Every other source holds whole groups: seeded is false.
+	Sel(gi int) (rows []int32, seeded bool)
+	// ChargeRead charges m what reading group gi costs, once per scan however
+	// many consumers share it.
+	ChargeRead(gi int, m *sim.Meter)
 	// AtServer reports that the groups are read through the server, which then
-	// charges every consumer ColRowEval per row it evaluates and — unless the
-	// rows stay inside the server — ColRowTransmit per row it selects. A stage
-	// is already in the middleware: ReadCharge is all reading it costs.
-	AtServer() bool
+	// charges every consumer, at the prices it returns, per row it evaluates
+	// and — unless the rows stay inside the server — per row it selects. A stage
+	// is already in the middleware: ChargeRead is all reading it costs.
+	AtServer() (RowPrices, bool)
 }
 
+// RowPrices are a server source's per-row charges to each consumer of a scan.
+type RowPrices struct{ Eval, Transmit int64 }
+
 // tableGroups is a table's columnar copy as a GroupSource: a group costs the
-// pages of the columns the scan needs (nil means all).
+// pages of the columns the scan needs (nil means all), a row the block prices.
 type tableGroups struct {
 	cs       *storage.ColStore
 	needCols []int
 	pageIO   int64
+	prices   RowPrices
+}
+
+// groups returns t's columnar copy as a source under the cost model c.
+func (t *Table) groups(needCols []int, c sim.Costs) tableGroups {
+	return tableGroups{t.colstore, needCols, c.ServerPageIO, RowPrices{c.ColRowEval, c.ColRowTransmit}}
 }
 
 func (t tableGroups) NumGroups() int                         { return t.cs.NumGroups() }
 func (t tableGroups) Zone(gi int) *storage.ColGroup          { return t.cs.Group(gi) }
 func (t tableGroups) Read(gi int) (*storage.ColGroup, error) { return t.cs.Group(gi), nil }
-func (t tableGroups) AtServer() bool                         { return true }
-func (t tableGroups) ReadCharge(g *storage.ColGroup) (sim.Counter, int64, int64) {
-	return sim.CtrServerPages, t.pageIO, g.Pages(t.needCols)
+func (t tableGroups) Sel(int) ([]int32, bool)                { return nil, false }
+func (t tableGroups) ChargeRead(gi int, m *sim.Meter) {
+	m.Charge(sim.CtrServerPages, t.pageIO, t.cs.Group(gi).Pages(t.needCols))
 }
+func (t tableGroups) AtServer() (RowPrices, bool) { return t.prices, true }
 
 // ScanGroups is a cursor scan of row groups [loGroup, hiGroup) of src: one
 // physical pass fanned out to every attached consumer — a middleware lane's one,
@@ -118,7 +142,7 @@ func (t tableGroups) ReadCharge(g *storage.ColGroup) (sim.Counter, int64, int64)
 // one cursor open, and each group's ReadCharge once (hand a server source the
 // union of the columns they touch).
 func ScanGroups(src GroupSource, cons []*ScanConsumer, loGroup, hiGroup int, io *sim.Meter) error {
-	if src.AtServer() {
+	if _, atServer := src.AtServer(); atServer {
 		io.Charge(sim.CtrServerScans, io.Costs().CursorOpen, 1)
 	}
 	return scanGroups(src, cons, loGroup, hiGroup, io)
@@ -134,9 +158,11 @@ func ScanGroups(src GroupSource, cons []*ScanConsumer, loGroup, hiGroup int, io 
 // forcing or joining the read, and a group no consumer needs is neither read
 // nor charged. Per block, a consumer of a server source pays its own
 // evaluation and transmission, and one walk of its trie per row fills Sel and
-// Buckets together. Consumers are fed in slice order, so the interleaving is
-// deterministic; the scan ends early once every consumer has detached, and
-// with the source's error when a group cannot be read.
+// Buckets together; of a pre-selected source (GroupSource.Sel) only the rows it
+// holds are walked and paid for, and a block or group holding none is passed
+// over. Consumers are fed in slice order, so the interleaving is deterministic;
+// the scan ends early once every consumer has detached, and with the source's
+// error when a group cannot be read.
 func scanGroups(src GroupSource, cons []*ScanConsumer, loGroup, hiGroup int, io *sim.Meter) error {
 	if ng := src.NumGroups(); loGroup < 0 || hiGroup < loGroup || hiGroup > ng {
 		panic(fmt.Sprintf("engine: invalid columnar range [%d, %d) of %d groups", loGroup, hiGroup, ng))
@@ -156,9 +182,13 @@ func scanGroups(src GroupSource, cons []*ScanConsumer, loGroup, hiGroup int, io 
 		c.detached = false
 	}
 	attached := len(cons)
-	costs, atServer := io.Costs(), src.AtServer()
+	prices, atServer := src.AtServer()
 	blk := &ColBlock{}
 	for gi := loGroup; gi < hiGroup && attached > 0; gi++ {
+		held, seeded := src.Sel(gi)
+		if seeded && len(held) == 0 {
+			continue // the row set holds nothing of this group
+		}
 		zone := src.Zone(gi)
 		readers := 0
 		for _, c := range cons {
@@ -180,8 +210,7 @@ func scanGroups(src GroupSource, cons []*ScanConsumer, loGroup, hiGroup int, io 
 		if err != nil {
 			return err
 		}
-		ctr, unit, units := src.ReadCharge(g)
-		io.Charge(ctr, unit, units)
+		src.ChargeRead(gi, io)
 		if g != zone {
 			for _, c := range cons {
 				if !c.detached && !c.gf.None() {
@@ -195,17 +224,26 @@ func scanGroups(src GroupSource, cons []*ScanConsumer, loGroup, hiGroup int, io 
 			if n > BlockRows {
 				n = BlockRows
 			}
+			evaluated := n
+			var seed []int32 // of a pre-selected source: the rows it holds of this block
+			if seeded {
+				evaluated = sort.Search(len(held), func(i int) bool { return int(held[i]) >= base+n })
+				if evaluated == 0 {
+					continue
+				}
+				seed, held = held[:evaluated], held[evaluated:]
+			}
 			for _, c := range cons {
 				if c.detached || c.gf.None() {
 					continue
 				}
 				c.Lane.Charge(sim.CtrColBlocks, 0, 1)
 				if atServer {
-					c.Lane.Charge(sim.CtrServerRows, costs.ColRowEval, int64(n))
+					c.Lane.Charge(sim.CtrServerRows, prices.Eval, int64(evaluated))
 				}
-				c.walk(base, n)
+				c.walk(base, n, seed)
 				if atServer && !c.local {
-					c.Lane.Charge(sim.CtrRowsTransmitted, costs.ColRowTransmit, int64(len(c.sel)))
+					c.Lane.Charge(sim.CtrRowsTransmitted, prices.Transmit, int64(len(c.sel)))
 				}
 				blk.Group, blk.GroupIndex, blk.Base, blk.N, blk.Sel, blk.Buckets = g, gi, base, n, c.sel, c.buckets
 				if !c.Fn(blk) {

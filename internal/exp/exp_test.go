@@ -31,9 +31,9 @@ func TestExperimentsDeterministic(t *testing.T) {
 }
 
 // TestScalingWorkersTiny runs the parallel-pipeline experiment at a tiny
-// scale. Unlike the full-scale suites it does NOT skip under -short, so the
-// race-detector pass (`go test -race -short ./...`, see verify.sh) always
-// exercises the exp → mw multi-worker path; the runner itself errors if any
+// scale. Unlike the full-scale suites it does NOT skip under -short, so a quick
+// race-detector pass (`go test -race -short ./...`; verify.sh races the full
+// suite) still exercises the exp → mw multi-worker path; the runner itself errors if any
 // worker count grows a different tree.
 func TestScalingWorkersTiny(t *testing.T) {
 	e, err := ScalingWorkers(nil, 0.05)
@@ -77,8 +77,11 @@ func TestGetAndIDs(t *testing.T) {
 // exception is scaling, which runs at quarter scale: its sql-fallback arm at
 // one worker pushes thousands of nodes' UNIONs through the general SQL
 // executor and at 1.0 took nine tenths of this package's wall time, while
-// 0.25 already separates every curve its check compares. Full scale stays
-// with cmd/experiments, which regenerates BENCH_parallel.json.
+// 0.25 already separates every curve its check compares; and skew and
+// columnar, whose tables are sized so that quarter scale — what verify.sh
+// gates — still spans four row groups per lane at 8 workers. Full scale stays
+// with cmd/experiments, which regenerates BENCH_parallel.json, BENCH_skew.json
+// and BENCH_columnar.json.
 func TestAllShapeChecksPass(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiments take a few seconds")
@@ -90,7 +93,7 @@ func TestAllShapeChecksPass(t *testing.T) {
 			continue
 		}
 		scale := 1.0 // the calibrated scale of EXPERIMENTS.md
-		if r.ID == "scaling" {
+		if r.ID == "scaling" || r.ID == "skew" || r.ID == "columnar" {
 			scale = 0.25
 		}
 		e, err := r.Run(nil, scale)
@@ -141,7 +144,7 @@ func TestAllShapeChecksPass(t *testing.T) {
 
 // TestServeRunnerTiny runs the multi-tenant serving experiment at the
 // smallest scale whose cohorts still share scans. Like TestScalingWorkersTiny
-// it does NOT skip under -short, so verify.sh's race pass executes the serve
+// it does NOT skip under -short, so a `-race -short` pass executes the serve
 // runner's real goroutines — fleet sessions attached to one shared scan —
 // and the runner itself errors if any session grows a different tree.
 func TestServeRunnerTiny(t *testing.T) {

@@ -66,10 +66,10 @@ func perfScenarios() []perfScenario {
 	}
 	return []perfScenario{
 		{
-			name: "row-seq",
+			name: "scan-seq",
 			gen:  census,
 			cfg: func(*data.Dataset) mw.Config {
-				return mw.Config{Workers: 1, Columnar: mw.ColumnarOff, Staging: mw.StageNone}
+				return mw.Config{Workers: 1, Staging: mw.StageNone}
 			},
 			opt: shallow,
 		},

@@ -45,7 +45,7 @@ func TestCollectPerfDeterministic(t *testing.T) {
 			t.Error("fallback scenario has no excl_ns/fallback metric")
 		}
 	}
-	if !strings.Contains(rep1, "perf scenario row-seq") {
+	if !strings.Contains(rep1, "perf scenario scan-seq") {
 		t.Error("report missing scenario header")
 	}
 }

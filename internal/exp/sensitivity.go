@@ -44,8 +44,10 @@ type costVariant struct {
 func costVariants() []costVariant {
 	return []costVariant{
 		{"base", func(*sim.Costs) {}},
-		{"transmit/2", func(c *sim.Costs) { c.RowTransmit /= 2 }},
-		{"transmit*2", func(c *sim.Costs) { c.RowTransmit *= 2 }},
+		// Both wire prices: a batched scan ships blocks (ColRowTransmit), a
+		// row-at-a-time stream and a statement's result rows (RowTransmit).
+		{"transmit/2", func(c *sim.Costs) { c.RowTransmit /= 2; c.ColRowTransmit /= 2 }},
+		{"transmit*2", func(c *sim.Costs) { c.RowTransmit *= 2; c.ColRowTransmit *= 2 }},
 		{"fileio/2", func(c *sim.Costs) { c.FileRowRead /= 2; c.FileRowWrite /= 2 }},
 		{"fileio*2", func(c *sim.Costs) { c.FileRowRead *= 2; c.FileRowWrite *= 2 }},
 		{"pageio*2", func(c *sim.Costs) { c.ServerPageIO *= 2 }},

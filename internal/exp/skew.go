@@ -5,6 +5,7 @@ import (
 	"sort"
 	"strings"
 
+	"repro/internal/cc"
 	"repro/internal/data"
 	"repro/internal/datagen"
 	"repro/internal/engine"
@@ -14,14 +15,21 @@ import (
 	"repro/internal/sim"
 )
 
-// SkewPartitioning measures skew-aware (histogram-guided) partitioning
-// against equal-width page splits on the clustered workload, where rows are
+// regionRows is the size of the clustered table the skew and columnar runners
+// share. Scans partition by 4096-row group, so the table must span several
+// row groups per lane at 8 workers — even at the quarter scale the CI gates
+// run — for a split policy to have anything to choose between.
+const regionRows = 524288
+
+// SkewPartitioning measures skew-aware (group-weighted) partitioning against
+// equal-width row-group splits on the clustered workload, where rows are
 // physically ordered by a "region" attribute. Each build answers one
 // region-selective counting request per region, one request per batch, so
 // every parallel scan faces maximal placement skew: all matching rows sit in
-// one contiguous slab of pages. With equal-width splits the lane owning the
-// slab pays every transmit and CC-update cost while the others scan and
-// discard; histogram-guided splits size the page ranges by estimated work
+// one contiguous slab of row groups, and the zone maps prove every other group
+// empty. With equal-width splits the lanes owning the slab read, evaluate,
+// transmit and count all of it while the others skip everything they own;
+// weighted splits (engine.GroupBounds) size the group ranges by estimated work
 // and should cut the per-batch lane imbalance by at least 2x at 8 workers —
 // without changing a single counted value. Wall-clock (virtual seconds) and
 // the worst per-batch lane imbalance are both recorded, for Workers in
@@ -29,10 +37,7 @@ import (
 func SkewPartitioning(env *Env, scale float64) (*Experiment, error) {
 	const regions = 6
 	ds, err := clusteredData(datagen.ClusteredConfig{
-		Rows:    scaled(32000, scale),
-		Seed:    11,
-		Regions: regions,
-		Attrs:   7,
+		Rows: scaled(regionRows, scale), Seed: 17, Regions: regions, Attrs: 7,
 	})
 	if err != nil {
 		return nil, err
@@ -42,8 +47,8 @@ func SkewPartitioning(env *Env, scale float64) (*Experiment, error) {
 		Title:  "Skew-aware partitioning: lane imbalance and build time vs workers",
 		XLabel: "workers",
 		YLabel: "virtual seconds",
-		PaperShape: "on a clustered table, histogram-guided page splits cut the worst " +
-			"per-batch lane imbalance by >= 2x versus equal-width splits at 8 workers, " +
+		PaperShape: "on a clustered table, group-weighted splits cut the worst " +
+			"per-batch lane imbalance by >= 2x versus equal-width row-group splits at 8 workers, " +
 			"are never slower, and every counted value is identical under both policies",
 		Series: []Series{
 			{Name: "equal-width"},
@@ -53,7 +58,9 @@ func SkewPartitioning(env *Env, scale float64) (*Experiment, error) {
 	var refFP string
 	for si, noHints := range []bool{true, false} {
 		for _, workers := range []int{1, 2, 4, 8} {
-			secs, imb, fp, err := skewDrive(env, ds, regions, workers, noHints)
+			srv, imb, fp, err := regionBuild(env, "skew", ds, regions, mw.Config{
+				Workers: workers, MaxBatch: 1, NoHistogramHints: noHints,
+			})
 			if err != nil {
 				return nil, err
 			}
@@ -64,7 +71,7 @@ func SkewPartitioning(env *Env, scale float64) (*Experiment, error) {
 					e.Series[si].Name, workers)
 			}
 			e.Series[si].Points = append(e.Series[si].Points, Point{
-				X: float64(workers), Seconds: secs,
+				X: float64(workers), Seconds: srv.Meter().Now().Seconds(),
 				Counters: map[string]int64{"max_lane_imbalance_ns": imb},
 			})
 		}
@@ -72,34 +79,25 @@ func SkewPartitioning(env *Env, scale float64) (*Experiment, error) {
 	return e, nil
 }
 
-// skewDrive runs the fixed skew protocol — a root counting request followed
-// by one region-selective request per region, one request per batch — against
-// a fresh middleware and returns the virtual build time, the worst per-batch
-// lane imbalance, and a fingerprint of every fulfilled CC table. StageNone
-// keeps every batch on the partitioned server scan, and MaxBatch of one stops
-// the scheduler from OR-ing region filters together (which would dilute the
-// skew the experiment exists to measure).
-func skewDrive(env *Env, ds *data.Dataset, regions, workers int, noHints bool) (float64, int64, string, error) {
+// regionBuild runs the fixed skew protocol — a root counting request followed
+// by one region-selective request per region (a point filter on the clustering
+// attribute, counting over the remaining attributes), one request per batch —
+// against a fresh server and middleware, and returns the server (its meter
+// holds the build's clock and counters), the worst per-batch lane imbalance,
+// and a fingerprint of every fulfilled CC table. cfg must leave staging off, which keeps every batch on the
+// partitioned server scan, and set MaxBatch to one, which stops the scheduler
+// from OR-ing region filters together (diluting the skew the protocol exists to
+// produce).
+func regionBuild(env *Env, label string, ds *data.Dataset, regions int, cfg mw.Config) (*engine.Server, int64, string, error) {
 	meter := sim.NewDefaultMeter()
 	eng := engine.New(meter, 0)
 	srv, err := engine.NewServer(eng, "cases", ds)
 	if err != nil {
-		return 0, 0, "", err
+		return nil, 0, "", err
 	}
-	cfg := mw.Config{
-		Staging:          mw.StageNone,
-		Workers:          workers,
-		MaxBatch:         1,
-		NoHistogramHints: noHints,
-		// The experiment compares page-split policies on the row path; the
-		// columnar path partitions by row group and is measured by the
-		// columnar experiment instead.
-		Columnar: mw.ColumnarOff,
-	}
-	// Lane imbalance comes from the metrics layer, so this runner always
+	// Lane imbalance comes from the metrics layer, so the build always
 	// attaches a ProcMetrics — the caller's collector when one is wired up
 	// (so traces land beside every other figure's), a private one otherwise.
-	label := "skew"
 	if env != nil && env.Obs != nil {
 		if env.Label != "" {
 			label = env.Label
@@ -108,13 +106,11 @@ func skewDrive(env *Env, ds *data.Dataset, regions, workers int, noHints bool) (
 		eng.SetTracer(tr)
 		cfg.Metrics = pm
 	} else {
-		_, pm := obs.NewCollector(false, true).Proc(label, meter)
-		cfg.Metrics = pm
+		_, cfg.Metrics = obs.NewCollector(false, true).Proc(label, meter)
 	}
-	pm := cfg.Metrics
 	m, err := mw.New(srv, cfg)
 	if err != nil {
-		return 0, 0, "", err
+		return nil, 0, "", err
 	}
 	defer m.Close()
 
@@ -126,11 +122,11 @@ func skewDrive(env *Env, ds *data.Dataset, regions, workers int, noHints bool) (
 				return err
 			}
 			if len(results) == 0 {
-				return fmt.Errorf("exp skew: pending requests but Step produced no results")
+				return fmt.Errorf("exp %s: pending requests but Step produced no results", label)
 			}
 			sort.Slice(results, func(i, j int) bool { return results[i].Req.NodeID < results[j].Req.NodeID })
 			for _, r := range results {
-				fmt.Fprintf(&sb, "node %d rows=%d cc=%s\n", r.Req.NodeID, r.CC.Rows(), r.CC.String())
+				sb.WriteString(regionPrint(r.Req.NodeID, r.CC))
 			}
 		}
 		return nil
@@ -148,14 +144,11 @@ func skewDrive(env *Env, ds *data.Dataset, regions, workers int, noHints bool) (
 	if err := m.Enqueue(&mw.Request{
 		NodeID: 0, ParentID: -1, Attrs: attrs, Rows: int64(ds.N()), EstCC: est,
 	}); err != nil {
-		return 0, 0, "", err
+		return nil, 0, "", err
 	}
 	if err := drain(); err != nil {
-		return 0, 0, "", err
+		return nil, 0, "", err
 	}
-
-	// One child per region value: a point filter on the clustering attribute,
-	// counting over the remaining attributes.
 	for v := 0; v < regions; v++ {
 		val := data.Value(v)
 		var rows int64
@@ -171,15 +164,20 @@ func skewDrive(env *Env, ds *data.Dataset, regions, workers int, noHints bool) (
 			Rows:  rows,
 			EstCC: est,
 		}); err != nil {
-			return 0, 0, "", err
+			return nil, 0, "", err
 		}
 	}
 	m.CloseNode(0)
 	if err := drain(); err != nil {
-		return 0, 0, "", err
+		return nil, 0, "", err
 	}
 	for v := 0; v < regions; v++ {
 		m.CloseNode(1 + v)
 	}
-	return meter.Now().Seconds(), pm.MaxLaneImbalanceNS(), sb.String(), nil
+	return srv, cfg.Metrics.MaxLaneImbalanceNS(), sb.String(), nil
+}
+
+// regionPrint is one node's line of a regionBuild fingerprint.
+func regionPrint(node int, t *cc.Table) string {
+	return fmt.Sprintf("node %d rows=%d cc=%s\n", node, t.Rows(), t.String())
 }

@@ -57,53 +57,44 @@ func driveToCompletion(m *Middleware, ds interface{ N() int }) error {
 }
 
 // BenchmarkStepWorkers measures the root server-scan Step at increasing
-// worker counts, for both scan paths. ns/op is real wall-clock; vns/op is
-// the batch's virtual (simulated) duration, which the parallel cost model
-// should shrink as workers grow even when wall-clock gains are noisy at this
-// size; pages/op is the modeled server page I/O the scan charged, which the
-// dictionary-packed columnar copy should cut regardless of worker count.
+// worker counts. ns/op is real wall-clock; vns/op is the batch's virtual
+// (simulated) duration, which the parallel cost model should shrink as workers
+// grow even when wall-clock gains are noisy at this size; pages/op is the
+// modeled server page I/O the scan charged.
 func BenchmarkStepWorkers(b *testing.B) {
 	ds := randDataset(20000, 6)
-	for _, arm := range []struct {
-		name string
-		mode ColumnarMode
-	}{
-		{"row", ColumnarOff},
-		{"columnar", ColumnarAuto},
-	} {
-		for _, workers := range []int{1, 2, 4, 8} {
-			b.Run(fmt.Sprintf("%s/%d", arm.name, workers), func(b *testing.B) {
-				var virtual, pages int64
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					b.StopTimer()
-					srv, err := engine.NewServer(engine.New(sim.NewDefaultMeter(), 0), "cases", ds)
-					if err != nil {
-						b.Fatal(err)
-					}
-					m, err := New(srv, Config{Workers: workers, Columnar: arm.mode})
-					if err != nil {
-						b.Fatal(err)
-					}
-					if err := m.Enqueue(&Request{NodeID: 0, ParentID: -1, Attrs: []int{0, 1, 2, 3}, Rows: int64(ds.N()), EstCC: 4096}); err != nil {
-						b.Fatal(err)
-					}
-					snap := m.Meter().Snapshot()
-					b.StartTimer()
-					if _, err := m.Step(); err != nil {
-						b.Fatal(err)
-					}
-					b.StopTimer()
-					virtual += int64(m.Meter().Now())
-					pages += m.Meter().CountSince(snap, sim.CtrServerPages)
-					m.Close()
-					b.StartTimer()
+	for _, workers := range []int{1, 2, 4, 8} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			var virtual, pages int64
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				srv, err := engine.NewServer(engine.New(sim.NewDefaultMeter(), 0), "cases", ds)
+				if err != nil {
+					b.Fatal(err)
 				}
-				b.ReportMetric(float64(virtual)/float64(b.N), "vns/op")
-				b.ReportMetric(float64(pages)/float64(b.N), "pages/op")
-			})
-		}
+				m, err := New(srv, Config{Workers: workers})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if err := m.Enqueue(&Request{NodeID: 0, ParentID: -1, Attrs: []int{0, 1, 2, 3}, Rows: int64(ds.N()), EstCC: 4096}); err != nil {
+					b.Fatal(err)
+				}
+				snap := m.Meter().Snapshot()
+				b.StartTimer()
+				if _, err := m.Step(); err != nil {
+					b.Fatal(err)
+				}
+				b.StopTimer()
+				virtual += int64(m.Meter().Now())
+				pages += m.Meter().CountSince(snap, sim.CtrServerPages)
+				m.Close()
+				b.StartTimer()
+			}
+			b.ReportMetric(float64(virtual)/float64(b.N), "vns/op")
+			b.ReportMetric(float64(pages)/float64(b.N), "pages/op")
+		})
 	}
 }
 

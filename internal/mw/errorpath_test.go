@@ -120,6 +120,91 @@ func TestScanErrorEndsScanSpan(t *testing.T) {
 	}
 }
 
+// TestCopyTableErrorFailsStep: when the §4.3.3a copy fails — here its temp
+// table's name is taken — Step returns the error instead of quietly scanning the
+// base table (and retrying the copy on every later batch): the batch's staging
+// writers are aborted, its spans closed, and the half-made stage is gone.
+func TestCopyTableErrorFailsStep(t *testing.T) {
+	ds := randDataset(500, 33)
+	m, col, tr := newTracedMW(t, ds, Config{
+		Staging: StageFileOnly, FilePolicy: FilePerNode, Access: AccessCopyTable, AuxThreshold: 0.9,
+	})
+	eng := m.srv.Engine()
+	if _, err := eng.CreateTable("#tmp1", []string{"x"}); err != nil {
+		t.Fatal(err)
+	}
+	// Two of attribute 0's three values: below the threshold, so the batch
+	// asks for a copy-table while it has two file tees open.
+	if err := m.Enqueue(twoRootRequests(ds)...); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Step(); err == nil || !strings.Contains(err.Error(), "copy-table") {
+		t.Fatalf("Step with the temp table's name taken: error %v, want the copy's", err)
+	}
+	if files, _ := filepath.Glob(filepath.Join(m.files.dir, "*")); len(files) != 0 {
+		t.Errorf("aborted batch left staging files: %v", files)
+	}
+	if len(m.sources) != 0 {
+		t.Errorf("aborted batch left %d stages registered", len(m.sources))
+	}
+	if names := eng.TableNames(); len(names) != 2 {
+		t.Errorf("engine tables after the failed copy: %v", names)
+	}
+	probe := tr.Start(obs.CatBatch, "probe")
+	probe.End()
+	if probe.Parent != 0 {
+		t.Errorf("span opened after the failed batch has parent %d, want 0", probe.Parent)
+	}
+	requireWellFormedNDJSON(t, col)
+}
+
+// TestCloseFreesLiveStages: closing a middleware mid-build frees the stages
+// still live — here the §4.3.3a temp table of an abandoned AccessCopyTable
+// build, which would otherwise stay in the engine the build shared — and
+// reports an error a drop met.
+func TestCloseFreesLiveStages(t *testing.T) {
+	ds := randDataset(900, 34)
+	m, srv := newMW(t, ds, Config{Access: AccessCopyTable, AuxThreshold: 0.9, MaxBatch: 1})
+	if err := m.Enqueue(rootRequest(ds)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Step(); err != nil {
+		t.Fatal(err)
+	}
+	for v := 0; v < 3; v++ {
+		val := data.Value(v)
+		if err := m.Enqueue(&Request{
+			NodeID: 1 + v, ParentID: 0,
+			Path:  predicate.Conj{{Attr: 0, Op: predicate.Eq, Val: val}},
+			Attrs: []int{1, 2, 3}, Rows: countMatching(ds, 0, val, true), EstCC: 40,
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	m.CloseNode(0)
+	// The second level, one node per batch: each gets its own copy-table.
+	for i := 0; i < 2; i++ {
+		if _, err := m.Step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if names := srv.Engine().TableNames(); len(names) != 3 || m.Pending() != 1 {
+		t.Fatalf("mid-build: tables %v, %d requests pending; want two copy-tables beside the base table and one request", names, m.Pending())
+	}
+	if err := srv.Engine().DropTable("#tmp2"); err != nil { // behind the middleware's back
+		t.Fatal(err)
+	}
+	if err := m.Close(); err == nil || !strings.Contains(err.Error(), "#tmp2") {
+		t.Errorf("Close with a stage's temp table already gone: error %v, want the failed drop's", err)
+	}
+	if names := srv.Engine().TableNames(); len(names) != 1 || names[0] != "cases" {
+		t.Errorf("engine tables after Close: %v, want the base table alone", names)
+	}
+	if err := m.Close(); err != nil {
+		t.Errorf("second Close: %v", err)
+	}
+}
+
 // twoRootRequests builds two independent root-level requests so one server
 // batch plans two per-node staging files.
 func twoRootRequests(ds *data.Dataset) []*Request {

@@ -159,8 +159,11 @@ func (m *Middleware) scanBatch(r *batchRun) error {
 		ssp.SetNodes(nodeIDs(b.reqs)) // every admitted request is live at scan start
 		scanSnap = m.meter.Snapshot()
 	}
-	sp := r.planLanes()
-	if err := r.runLanes(sp); err != nil {
+	sp, err := r.planLanes()
+	if err == nil {
+		err = r.runLanes(sp)
+	}
+	if err != nil {
 		for _, t := range r.plan.fileTees {
 			t.writer.Abort()
 		}
@@ -168,13 +171,11 @@ func (m *Middleware) scanBatch(r *batchRun) error {
 		return err
 	}
 	if ssp != nil {
-		ssp.SetRows(m.meter.CountSince(scanSnap, scanRowCounter(b.kind)))
-		if sp.groups != nil {
-			// Zone-map effectiveness per scan: row groups the block kernel
-			// actually read vs. skipped via dictionary bounds.
-			ssp.Attr("col_groups_scanned", m.meter.CountSince(scanSnap, sim.CtrColGroupsScanned)).
-				Attr("col_groups_skipped", m.meter.CountSince(scanSnap, sim.CtrColGroupsSkipped))
-		}
+		// Zone-map effectiveness per scan: row groups the block kernel
+		// actually read vs. skipped via dictionary bounds.
+		ssp.SetRows(m.meter.CountSince(scanSnap, scanRowCounter(b.kind))).
+			Attr("col_groups_scanned", m.meter.CountSince(scanSnap, sim.CtrColGroupsScanned)).
+			Attr("col_groups_skipped", m.meter.CountSince(scanSnap, sim.CtrColGroupsSkipped))
 	}
 	ssp.End()
 	return nil

@@ -6,39 +6,14 @@ import (
 	"repro/internal/sim"
 )
 
-// This file is the middleware half of the block kernel every row-group source
-// — the server's columnar copy, a staged file, staged memory — is counted by.
-// Per 1024-row block the engine's scan walks each row once down the trie of the
-// live nodes' paths in dictionary-code space, which both filters it and drops
-// it into its nodes' buckets (engine.ColBlock.Buckets); per node, the
-// middleware bumps a dense histogram per bucketed row (cc.Table.AddMany) and
-// folds the distinct cells into the table once; staging tees keep their rows of
-// the block as codes. The per-row loop in scanLane is what is left for the heap
-// cursors; everything around either — lanes, shards, budget, merge — is shared,
-// and the CC tables, trees and staged rows they produce are identical.
-
-// columnarServer returns the server whose columnar copy services the batch,
-// or nil when it is not a server batch or must go through a heap cursor: the
-// ColumnarOff ablation, TID-addressed access modes (keyset, TID join), and
-// sources without a columnar copy.
-func (m *Middleware) columnarServer(b *batch) *engine.Server {
-	if m.cfg.Columnar == ColumnarOff || b.kind != srcServer {
-		return nil
-	}
-	srv := m.srv
-	if aux := m.maybeBuildAux(b); aux != nil {
-		switch {
-		case aux.keyset != nil, aux.tidTab != nil:
-			return nil
-		case aux.subSrv != nil:
-			srv = aux.subSrv
-		}
-	}
-	if !srv.ColumnarAvailable() {
-		return nil
-	}
-	return srv
-}
+// This file is the middleware half of the block kernel every batch is counted
+// by, whatever its source — the server's columnar copy, a keyset or TID table
+// over it, a staged file, staged memory. Per 1024-row block the engine's scan
+// walks each row once down the trie of the live nodes' paths in dictionary-code
+// space, which both filters it and drops it into its nodes' buckets
+// (engine.ColBlock.Buckets); per node, the middleware bumps a dense histogram
+// per bucketed row (cc.Table.AddMany) and folds the distinct cells into the
+// table once; staging tees keep their rows of the block as codes.
 
 // columnarNeedCols returns the columns whose pages the columnar scan must
 // read: every counted attribute (the class column rides along in each

@@ -26,9 +26,9 @@ import (
 //     file tees fill straight into the staging files, and a lone lane, which
 //     runs on the caller's goroutine (obs.RunLanes), may reclaim staged memory
 //     mid-scan;
-//   - partitions are contiguous ranges (row-group ranges of the columnar copy,
-//     of a staged file or of staged memory; page or TID ranges under the heap
-//     cursors), so concatenating the lanes' staging runs in partition order
+//   - partitions are contiguous row-group ranges (of the columnar copy, of the
+//     rows a keyset or TID table holds of it, of a staged file or of staged
+//     memory), so concatenating the lanes' staging runs in partition order
 //     reproduces the sequential scan's rows in its order;
 //   - the parent clock advances by max(lane elapsed) at the barrier
 //     (sim.Meter.Join) plus a serial per-entry shard-merge charge, modeling
@@ -198,17 +198,15 @@ func (sh *workerShard) stageMem(j, n int, full *storage.ColGroup) {
 	sh.teeBytes += int64(n) * sh.rowMemBytes
 }
 
-// scanPlan describes how a batch's scan splits into lanes: the lane count
-// plus exactly one source the lanes read — row groups (the columnar copy of the
-// base table or a copy-table, a staged file, staged memory), or one of the
-// heap cursors: a page-partitioned heap, a keyset re-scan, or a TID join.
+// scanPlan describes how a batch's scan splits into lanes: the lane count and
+// the one source they read — row groups of the columnar copy of the base table
+// or a copy-table, of the rows a keyset or TID table holds of it, of a staged
+// file or of staged memory.
 //
-// bounds, when non-nil, holds nworkers+1 histogram-guided split points in
-// the source's partition units (row groups, heap pages, or keyset/TID-table
-// indexes): lane w covers [bounds[w], bounds[w+1]),
-// giving each lane approximately equal estimated matching rows instead of
-// equal units. A nil bounds means the equal-width formula (the fallback
-// whenever hints are unavailable or disabled).
+// bounds, when non-nil, holds nworkers+1 group-weighted split points: lane w
+// covers row groups [bounds[w], bounds[w+1]), giving each lane approximately
+// equal estimated work instead of equal group counts. A nil bounds means the
+// equal-width formula (hints disabled, or nothing to weigh).
 type scanPlan struct {
 	nworkers int
 	// filter is the predicate pushed down to the source and, by
@@ -216,10 +214,7 @@ type scanPlan struct {
 	// batch filter, or match-all under the no-pushdown ablation (where every
 	// row is transmitted and weights are uniform anyway).
 	filter predicate.Filter
-	groups engine.GroupSource // the block kernel's source; nil under a heap cursor
-	srv    *engine.Server
-	keyset *engine.Keyset
-	tidTab *engine.TIDTable
+	groups engine.GroupSource
 	bounds []int
 }
 
@@ -233,95 +228,63 @@ func (r *batchRun) scanFilter() predicate.Filter {
 	return r.paths.Filter()
 }
 
-// planLanes decides which partitionable source the batch's lanes read, how
-// many lanes run, and — when statistics are available — the histogram-guided
-// split boundaries (scanPlan.bounds) that give each lane approximately equal
-// estimated work. The batch's staging tees enter the weighting with their
-// write costs. The batch runs one lane whenever it cannot or should not be
-// partitioned: Workers <= 1, a source with fewer than two units (row groups,
-// pages, TIDs — including none at all), or a scan-start budget so
-// tight that the per-lane slice would truncate to zero — with a zero slice
-// every lane would shed every request on its first counted row even though
-// one lane, policing the whole budget, can succeed.
-func (r *batchRun) planLanes() scanPlan {
-	m, b, plan, live, budget := r.m, r.b, r.plan, r.live, r.budget
+// planLanes decides which source the batch's lanes read — for a server batch
+// the base table's columnar copy or the §4.3.3 auxiliary structure covering it,
+// built here once the batch is small enough (maybeBuildAux) — how many lanes
+// run, and the group-weighted split boundaries (scanPlan.bounds) that give
+// each lane approximately equal estimated work. The batch's staging tees enter
+// the weighting with their write costs. The batch runs one lane whenever it
+// cannot or should not be partitioned: Workers <= 1, a source with fewer than
+// two row groups (including none at all), or a scan-start budget so tight that
+// the per-lane slice would truncate to zero — with a zero slice every lane
+// would shed every request on its first counted row even though one lane,
+// policing the whole budget, can succeed.
+func (r *batchRun) planLanes() (scanPlan, error) {
+	m, b := r.m, r.b
 	sp := scanPlan{filter: r.scanFilter()}
-	units := 0
 	switch b.kind {
 	case srcMemory:
 		sp.groups = memGroups{stageCharge{sim.CtrMemRowsRead, m.meter.Costs().MemRowRead}, b.stage.mem}
 	case srcFile:
 		sp.groups = m.files.source(b.stage.file, 0) // to plan by: nothing is read through it
 	case srcServer:
-		if csrv := m.columnarServer(b); csrv != nil {
-			sp.groups = csrv.ColGroups(m.columnarNeedCols(plan, live))
-			break
-		}
-		// The auxiliary structure's builder is itself partitioned — see
-		// maybeBuildAux.
-		aux := m.maybeBuildAux(b)
+		aux, err := m.maybeBuildAux(b)
 		switch {
-		case aux != nil && aux.keyset != nil:
-			sp.keyset, units = aux.keyset, aux.keyset.Size()
-		case aux != nil && aux.tidTab != nil:
-			sp.tidTab, units = aux.tidTab, aux.tidTab.Size()
+		case err != nil:
+			return sp, err
+		case aux == nil:
+			sp.groups = m.srv.ColGroups(m.columnarNeedCols(r.plan, r.live))
+		case aux.rows != nil:
+			sp.groups = aux.rows
 		default:
-			sp.srv = m.srv
-			if aux != nil && aux.subSrv != nil {
-				sp.srv = aux.subSrv
-			}
-			units = sp.srv.NumPages()
+			sp.groups = aux.subSrv.ColGroups(m.columnarNeedCols(r.plan, r.live))
 		}
 	}
-	if sp.groups != nil {
-		units = sp.groups.NumGroups()
-	}
-	sp.nworkers = min(m.cfg.Workers, units)
-	if sp.nworkers < 2 || budget/int64(sp.nworkers) == 0 {
+	sp.nworkers = min(m.cfg.Workers, sp.groups.NumGroups())
+	if sp.nworkers < 2 || r.budget/int64(sp.nworkers) == 0 {
 		sp.nworkers = 1
-		return sp
+		return sp, nil
 	}
-	sp.bounds = m.splitBounds(plan, sp)
-	return sp
+	sp.bounds = m.splitBounds(r.plan, sp)
+	return sp, nil
 }
 
-// splitBounds computes the histogram-guided split for the chosen source, or
-// nil for the equal-width default. All bounds are pure functions of table /
-// stage statistics and the batch filter, charged to no meter, so the split is
-// deterministic and free — the statistics were collected during writes the
-// simulation already paid for.
+// splitBounds computes the split of the chosen source by the one group-weight
+// rule (engine.GroupBounds), or nil for the equal-width default: groups the
+// zone maps skip, or of which a row set holds nothing, weigh nothing; a matching
+// row pays its transmission at the source's price (nothing from a stage), the
+// block kernel's histogram bump and the file-write cost per staging tee it may
+// feed. This weights the split boundaries only — no charge is ever derived from
+// it. The bounds are a pure function of row-group statistics and the batch
+// filter, charged to no meter, so the split is deterministic and free.
 func (m *Middleware) splitBounds(plan *stagePlan, sp scanPlan) []int {
-	filter := sp.filter
-	costs := m.meter.Costs()
-	// The middleware-side cost each matching row incurs beyond what reading
-	// or transmitting it is charged: the file-write cost per staging tee it
-	// feeds, plus counting it (at least one live request does). This weights
-	// the split boundaries only — no charge is ever derived from it.
-	teeCost := int64(len(plan.fileTees)) * costs.FileRowWrite
-	perMatch := costs.CCUpdate + teeCost
-	switch {
-	case sp.groups != nil:
-		// Every row-group source — server, file, memory — splits by the one
-		// group-weight rule: zone-map-skipped groups weigh nothing, a matching
-		// row pays the block kernel's histogram bump and, from the server, its
-		// transmission.
-		if m.cfg.NoHistogramHints {
-			return nil
-		}
-		perMatch = costs.CCBump + teeCost
-		if sp.groups.AtServer() {
-			perMatch += costs.ColRowTransmit
-		}
-		return engine.GroupBounds(sp.groups, filter, sp.nworkers, costs, perMatch)
-	case sp.keyset != nil:
-		return sp.keyset.ScanBounds(&filter, sp.nworkers, perMatch)
-	case sp.tidTab != nil:
-		return sp.tidTab.JoinBounds(filter, sp.nworkers, perMatch)
-	default:
-		// PageBounds takes the full per-matching-row cost; transmission is
-		// not implied (aux builders transmit nothing), so add it here.
-		return sp.srv.PageBounds(filter, sp.nworkers, costs.RowTransmit+perMatch)
+	if m.cfg.NoHistogramHints {
+		return nil
 	}
+	costs := m.meter.Costs()
+	prices, _ := sp.groups.AtServer()
+	perMatch := prices.Transmit + costs.CCBump + int64(len(plan.fileTees))*costs.FileRowWrite
+	return engine.GroupBounds(sp.groups, sp.filter, sp.nworkers, costs, perMatch)
 }
 
 // runLanes executes the batch's scan over sp.nworkers lanes and folds the
@@ -474,74 +437,17 @@ requests:
 	plan.memTees = kept
 }
 
-// scanLane is the body of one scan lane: it drives partition part of the
-// batch's source through the counting kernel, charging every operation to lane
-// and keeping all state in sh. Row groups — the columnar copy, a staged file,
-// staged memory — go through the block kernel (colConsumer); what is left for
-// the per-row loop are the heap cursors of the §4.3.3 access paths and the
-// ColumnarOff ablation.
+// scanLane is the body of one scan lane: it drives row groups [lo, hi) of the
+// batch's source — partition part — through the counting kernel (colConsumer),
+// charging every operation to lane and keeping all state in sh.
 func (r *batchRun) scanLane(sp scanPlan, part int, lane *sim.Meter, sh *workerShard) error {
-	if src := sp.groups; src != nil {
-		lo, hi := engine.RangeOf(part, sp.nworkers, src.NumGroups(), sp.bounds)
-		if r.b.kind == srcFile {
-			// The lane's own source: it holds the open file and a read buffer.
-			fsrc := r.m.files.source(r.b.stage.file, part)
-			defer fsrc.close()
-			src = fsrc
-		}
-		return engine.ScanGroups(src, []*engine.ScanConsumer{r.colConsumer(lane, sh)}, lo, hi, lane)
+	src := sp.groups
+	lo, hi := engine.RangeOf(part, sp.nworkers, src.NumGroups(), sp.bounds)
+	if r.b.kind == srcFile {
+		// The lane's own source: it holds the open file and a read buffer.
+		fsrc := r.m.files.source(r.b.stage.file, part)
+		defer fsrc.close()
+		src = fsrc
 	}
-	live, plan, costs := r.live, r.plan, lane.Costs()
-	cur := openLaneCursor(sp, part, lane)
-	defer cur.Close()
-	var hits []int32 // the live requests whose path the current row satisfies
-	for {
-		row, ok := cur.Next()
-		if !ok {
-			return nil
-		}
-		hits = r.paths.Match(row, hits[:0])
-		for _, i := range hits {
-			t := sh.ccs[i]
-			if t == nil {
-				continue
-			}
-			before := t.Bytes()
-			t.AddRow(row, live[i].attrs)
-			sh.ccBytes += t.Bytes() - before
-			lane.Charge(sim.CtrCCUpdates, costs.CCUpdate, 1)
-		}
-		sh.police()
-		for k, t := range plan.fileTees {
-			if t.filter.Eval(row) {
-				sh.stageFile(k, t, 1, sh.files[k].b.AppendRow(row))
-				lane.Charge(sim.CtrFileRowsWritten, costs.FileRowWrite, 1)
-			}
-		}
-		for j, t := range plan.memTees {
-			if !sh.memDrop[j] && t.filter.Eval(row) {
-				sh.stageMem(j, 1, sh.mems[j].b.AppendRow(row))
-			}
-		}
-	}
-}
-
-// openLaneCursor opens lane part's cursor on a server batch's row source: a
-// page range of the base table or copy-table, or a TID range of a keyset
-// re-scan or TID join. Who pays for the heap pages follows from lane inside
-// the engine: a lone lane is the middleware's own meter, hence the server's
-// only stream, and reads through the buffer pool; the forked lanes of a split
-// scan read their ranges cold (engine.Server.OpenScanRange).
-func openLaneCursor(sp scanPlan, part int, lane *sim.Meter) engine.Cursor {
-	filter := sp.filter
-	switch {
-	case sp.keyset != nil:
-		lo, hi := engine.RangeOf(part, sp.nworkers, sp.keyset.Size(), sp.bounds)
-		return sp.keyset.OpenScanRange(&filter, lo, hi, lane)
-	case sp.tidTab != nil:
-		lo, hi := engine.RangeOf(part, sp.nworkers, sp.tidTab.Size(), sp.bounds)
-		return sp.tidTab.OpenJoinRange(filter, lo, hi, lane)
-	}
-	lo, hi := engine.RangeOf(part, sp.nworkers, sp.srv.NumPages(), sp.bounds)
-	return sp.srv.OpenScanRange(filter, lo, hi, lane)
+	return engine.ScanGroups(src, []*engine.ScanConsumer{r.colConsumer(lane, sh)}, lo, hi, lane)
 }

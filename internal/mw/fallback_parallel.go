@@ -71,7 +71,7 @@ func (m *Middleware) fallbackWorkers(reqs []*Request) int {
 // fallbackArmWeights estimates each arm's scan cost: the page I/O (cold
 // scans only) and per-row CPU every arm pays, plus one aggregation step per
 // row the arm's request filter is estimated to match, from the table's
-// per-page statistics. Returns nil when hints are disabled, sending the
+// row-group statistics. Returns nil when hints are disabled, sending the
 // caller back to round-robin assignment.
 func (m *Middleware) fallbackArmWeights(units []fbArm, reqs []*Request, warm bool) []int64 {
 	costs := m.meter.Costs()

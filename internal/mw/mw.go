@@ -15,6 +15,7 @@ package mw
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/cc"
@@ -121,37 +122,6 @@ func (a ServerAccess) String() string {
 	return fmt.Sprintf("access(%d)", int(a))
 }
 
-// ColumnarMode selects, for server scans only, whether they run against the
-// column-major, dictionary-encoded copy the engine keeps beside every heap
-// (the block kernel) or against the row-major heap through a cursor. Staged
-// data is column blocks and is read by the block kernel under either mode.
-type ColumnarMode int
-
-const (
-	// ColumnarAuto (the default) scans the columnar copy whenever the
-	// batch's server source has one — the base table, and the temp tables of
-	// AccessCopyTable; keyset and TID-join access read the heap
-	// (TID-addressed fetches have no columnar analog). Results are identical
-	// to the heap cursor's; the virtual clock and I/O counters reflect the
-	// columnar cost shape (block evaluation, per-column pages, zone-map
-	// skips).
-	ColumnarAuto ColumnarMode = iota
-	// ColumnarOff sends every server scan through the row-major heap cursor —
-	// the ablation arm of the columnar experiment.
-	ColumnarOff
-)
-
-// String names the columnar mode.
-func (c ColumnarMode) String() string {
-	switch c {
-	case ColumnarAuto:
-		return "auto"
-	case ColumnarOff:
-		return "off"
-	}
-	return fmt.Sprintf("columnar(%d)", int(c))
-}
-
 // Config tunes the middleware. The zero value is usable: no staging, an
 // effectively unlimited memory budget, and sequential server access.
 type Config struct {
@@ -185,26 +155,20 @@ type Config struct {
 	// lane pipeline; 0 or 1 (the default) runs it as one lane over the whole
 	// source — the paper's sequential execution module, reading the server
 	// through the shared buffer pool. With Workers > 1, Step splits each
-	// batched scan into disjoint partitions (row-group ranges of the columnar
-	// copy, of a staged file or of staged memory; page or TID ranges under the
-	// heap cursors) processed by real
-	// goroutines. Each worker counts into private CC shard tables, captures
+	// batched scan into disjoint partitions — row-group ranges of the columnar
+	// copy (or of the rows a keyset or TID table holds of it), of a staged file
+	// or of staged memory — processed by real goroutines. Each worker counts into private CC shard tables, captures
 	// staging rows into private row groups, spends a 1/Workers slice of the
 	// memory budget, and charges a forked lane meter; after the barrier the
 	// shards merge in partition order and the parent clock advances by the
 	// slowest lane (sim.Meter.Join), so results, staging contents and the
 	// virtual clock are bit-for-bit reproducible regardless of GOMAXPROCS or
 	// goroutine interleaving. The same lane model covers every pipeline
-	// stage: the §4.3.3 auxiliary builds partition their qualifying scan,
-	// keyset and TID-join batches scan disjoint TID ranges per worker, and
+	// stage: the §4.3.3 auxiliary builds partition their qualifying scan, and
 	// the SQL fallback fans each request's GROUP BY arms out over lanes.
 	// A scan whose source cannot be split, or whose per-worker budget slice
 	// would round down to zero, runs one lane.
 	Workers int
-	// Columnar selects what server batches scan — server scans only:
-	// ColumnarAuto (the default) runs the block kernel wherever a columnar
-	// copy exists, ColumnarOff reads the row-major heap as the ablation.
-	Columnar ColumnarMode
 	// Session tags this middleware's batches with a fleet session id (> 0)
 	// in traces and spans. Zero — a single-tenant build — emits exactly the
 	// spans it always did.
@@ -222,7 +186,7 @@ type Config struct {
 	FIFOScheduling bool
 	// NoHistogramHints disables skew-aware partitioning: parallel scans,
 	// aux builds and fallback arms fall back to equal-width splits and
-	// round-robin arm assignment instead of consulting per-page value
+	// round-robin arm assignment instead of consulting row-group
 	// statistics. Results are unchanged; only lane balance (and therefore
 	// the virtual clock) differs.
 	NoHistogramHints bool
@@ -286,7 +250,8 @@ type Middleware struct {
 	// stagedMem is the memory charged for rows staged in middleware memory.
 	stagedMem int64
 
-	closed bool
+	closed  bool
+	freeErr error // the first error freeing a stage met; Close reports it
 }
 
 // New creates a middleware over the server.
@@ -320,14 +285,25 @@ func New(srv *engine.Server, cfg Config) (*Middleware, error) {
 	}, nil
 }
 
-// Close releases all staging files: the middleware's private staging directory
-// goes, with whatever an abandoned build left in it.
+// Close releases everything staged: every stage still live is freed — an
+// abandoned build's server-side temp tables are dropped — and the middleware's
+// private staging directory goes, with whatever was left in it. It returns the
+// first error.
 func (m *Middleware) Close() error {
 	if m.closed {
 		return nil
 	}
 	m.closed = true
-	return m.files.Close()
+	//repolint:ordered every live stage is freed, whatever the order
+	for _, list := range m.sources {
+		for _, sd := range slices.Clone(list) { // freeStage edits the lists
+			m.freeStage(sd)
+		}
+	}
+	if err := m.files.Close(); m.freeErr == nil {
+		m.freeErr = err
+	}
+	return m.freeErr
 }
 
 // Config returns the middleware configuration.
@@ -432,11 +408,12 @@ func (m *Middleware) freeStage(sd *stageData) {
 		sd.file = nil
 	}
 	if sd.subSrv != nil {
-		sd.subSrv.Drop()
+		if err := sd.subSrv.Drop(); m.freeErr == nil {
+			m.freeErr = err
+		}
 		sd.subSrv = nil
 	}
-	sd.keyset = nil
-	sd.tidTab = nil
+	sd.rows = nil
 	for _, id := range sd.keyNodes {
 		list := m.sources[id]
 		out := list[:0]

@@ -67,13 +67,14 @@ func stagedFileRows(t *testing.T, m *Middleware, sf *stageFile) []data.Row {
 	return rows
 }
 
-// liveFiles returns the middleware's registered staging files by base name.
-func liveFiles(m *Middleware) map[string]*stageFile {
-	files := map[string]*stageFile{}
+// liveFiles returns the middleware's stages that are registered staging files,
+// by the file's base name.
+func liveFiles(m *Middleware) map[string]*stageData {
+	files := map[string]*stageData{}
 	for _, list := range m.sources {
 		for _, sd := range list {
 			if sd.file != nil {
-				files[filepath.Base(sd.file.path)] = sd.file
+				files[filepath.Base(sd.file.path)] = sd
 			}
 		}
 	}
@@ -86,11 +87,16 @@ func liveFiles(m *Middleware) map[string]*stageFile {
 // disk after every step, in file order (how a lane count or a scan path cuts
 // them into row groups is not observable), and, when withMeter is set, the
 // final counters and virtual clock. Two runs that produce equal fingerprints
-// behaved identically as far as a client can tell.
+// behaved identically as far as a client can tell. On the way everything is held
+// against the row-at-a-time reference, which shares nothing with the scan: every
+// CC table must equal the one cc.Table.AddRow counts from the dataset's rows the
+// node's path selects, and every staging file must hold, in table order, the
+// rows some path of the nodes it covers selects.
 func driveTree(t *testing.T, cfg Config, rows int, withMeter bool) string {
 	t.Helper()
 	ds := randDataset(rows, 3)
 	m, _ := newMW(t, ds, cfg)
+	paths := map[int]predicate.Conj{} // by node, as enqueued
 
 	var sb strings.Builder
 	snapshotFiles := func() {
@@ -100,15 +106,30 @@ func driveTree(t *testing.T, cfg Config, rows int, withMeter bool) string {
 		}
 		live := liveFiles(m)
 		for _, e := range entries { // ReadDir sorts by name
-			sf := live[e.Name()]
-			if sf == nil {
+			sd := live[e.Name()]
+			if sd == nil {
 				t.Fatalf("staging file %s on disk is not registered", e.Name())
 			}
+			var covered []predicate.Conj
+			for _, id := range sd.keyNodes {
+				covered = append(covered, paths[id])
+			}
+			want, filter := []data.Row{}, predicate.Or(covered...)
+			for _, row := range ds.Rows {
+				if filter.Eval(row) {
+					want = append(want, row)
+				}
+			}
+			got := stagedFileRows(t, m, sd.file)
+			if len(got) != len(want) || len(got) > 0 && !reflect.DeepEqual(got, want) {
+				t.Fatalf("staging file %s for nodes %v holds %d rows, the table has %d matching %v (or content differs)",
+					e.Name(), sd.keyNodes, len(got), len(want), filter)
+			}
 			h := fnv.New64a()
-			for _, row := range stagedFileRows(t, m, sf) {
+			for _, row := range got {
 				h.Write(row.Encode(nil))
 			}
-			fmt.Fprintf(&sb, "file %s rows=%d fnv=%x\n", e.Name(), sf.rows, h.Sum64())
+			fmt.Fprintf(&sb, "file %s rows=%d fnv=%x\n", e.Name(), sd.file.rows, h.Sum64())
 		}
 	}
 	step := func() int {
@@ -118,6 +139,10 @@ func driveTree(t *testing.T, cfg Config, rows int, withMeter bool) string {
 		}
 		sort.Slice(results, func(i, j int) bool { return results[i].Req.NodeID < results[j].Req.NodeID })
 		for _, r := range results {
+			counted := append(append([]int{}, r.Req.Attrs...), ds.Schema.ClassIndex())
+			if want := cc.FromDataset(ds, counted, r.Req.Path.Eval); !r.CC.Equal(want) {
+				t.Fatalf("node %d (%v) from %s: cc = %s, counted row by row %s", r.Req.NodeID, r.Req.Path, r.Source, r.CC, want)
+			}
 			fmt.Fprintf(&sb, "node %d src=%s sql=%v rows=%d cc=%s\n",
 				r.Req.NodeID, r.Source, r.ViaSQL, r.CC.Rows(), r.CC.String())
 		}
@@ -132,24 +157,25 @@ func driveTree(t *testing.T, cfg Config, rows int, withMeter bool) string {
 		}
 	}
 
-	if err := m.Enqueue(rootRequest(ds)); err != nil {
-		t.Fatal(err)
+	enqueue := func(r *Request) {
+		paths[r.NodeID] = r.Path
+		if err := m.Enqueue(r); err != nil {
+			t.Fatal(err)
+		}
 	}
+	enqueue(rootRequest(ds))
 	drain()
 
 	// Split the root on attribute 0 (cardinality 3).
 	for v := 0; v < 3; v++ {
 		val := data.Value(v)
-		err := m.Enqueue(&Request{
+		enqueue(&Request{
 			NodeID: 1 + v, ParentID: 0,
 			Path:  predicate.Conj{{Attr: 0, Op: predicate.Eq, Val: val}},
 			Attrs: []int{1, 2, 3},
 			Rows:  countWhere(ds, func(r data.Row) bool { return r[0] == val }),
 			EstCC: 40,
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
 	}
 	m.CloseNode(0)
 	drain()
@@ -157,7 +183,7 @@ func driveTree(t *testing.T, cfg Config, rows int, withMeter bool) string {
 	// Split node 1 on attribute 1; leave nodes 2 and 3 as leaves.
 	for v := 0; v < 3; v++ {
 		val := data.Value(v)
-		err := m.Enqueue(&Request{
+		enqueue(&Request{
 			NodeID: 4 + v, ParentID: 1,
 			Path: predicate.Conj{
 				{Attr: 0, Op: predicate.Eq, Val: 0},
@@ -167,9 +193,6 @@ func driveTree(t *testing.T, cfg Config, rows int, withMeter bool) string {
 			Rows:  countWhere(ds, func(r data.Row) bool { return r[0] == 0 && r[1] == val }),
 			EstCC: 25,
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
 	}
 	for id := 1; id <= 3; id++ {
 		m.CloseNode(id)
@@ -345,11 +368,11 @@ func TestParallelFallbackAuxDeterministicAcrossRuns(t *testing.T) {
 }
 
 // TestPlanParallelPartitionsAuxPaths: keyset and TID-join batches must not
-// collapse to one lane — planLanes returns a multi-lane plan carrying the
-// partitioned structure.
+// collapse to one lane — planLanes returns a multi-lane plan over the captured
+// row set, split by row group like every other source.
 func TestPlanParallelPartitionsAuxPaths(t *testing.T) {
 	for _, access := range []ServerAccess{AccessKeyset, AccessTIDJoin} {
-		ds := randDataset(2000, 3)
+		ds := randDataset(17000, 3) // five row groups
 		m, _ := newMW(t, ds, Config{
 			Staging: StageNone, Access: access, AuxThreshold: 0.6, Workers: 4,
 		})
@@ -380,20 +403,17 @@ func TestPlanParallelPartitionsAuxPaths(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sp := r.planLanes()
+		sp, err := r.planLanes()
+		if err != nil {
+			t.Fatal(err)
+		}
 		if sp.nworkers != 4 {
 			t.Errorf("access=%v: planLanes nworkers = %d, want 4", access, sp.nworkers)
 		}
-		switch access {
-		case AccessKeyset:
-			if sp.keyset == nil {
-				t.Errorf("plan for keyset batch carries no partitioned keyset")
-			}
-		case AccessTIDJoin:
-			if sp.tidTab == nil {
-				t.Errorf("plan for TID-join batch carries no partitioned TID table")
-			}
+		if rows, ok := sp.groups.(*engine.RowSet); !ok || int64(rows.Size()) != b.reqs[0].Rows {
+			t.Errorf("access=%v: the plan's source is %T, want the batch's %d captured rows", access, sp.groups, b.reqs[0].Rows)
 		}
+		checkBounds(t, sp.bounds, sp.nworkers, sp.groups.NumGroups())
 	}
 }
 
@@ -473,11 +493,11 @@ func TestParallelAuxImprovesVirtualTime(t *testing.T) {
 }
 
 // TestParallelImprovesVirtualTime: on a server-scan batch the parallel cost
-// model must pay off — four lanes over disjoint page ranges finish the root
-// scan in strictly less virtual time than the sequential cursor.
+// model must pay off — four lanes over disjoint row-group ranges finish the
+// root scan in strictly less virtual time than one lane.
 func TestParallelImprovesVirtualTime(t *testing.T) {
 	elapsed := func(workers int) time.Duration {
-		ds := randDataset(8000, 3)
+		ds := randDataset(17000, 3)
 		m, _ := newMW(t, ds, Config{Staging: StageNone, Workers: workers})
 		if err := m.Enqueue(rootRequest(ds)); err != nil {
 			t.Fatal(err)
@@ -501,57 +521,55 @@ func TestParallelImprovesVirtualTime(t *testing.T) {
 // with the rows, in the order, that later lanes' hold-and-append produces.
 func TestLaneZeroStreamsFileTee(t *testing.T) {
 	ds := randDataset(9000, 5) // three row groups, so Workers=3 really splits
-	for _, columnar := range []ColumnarMode{ColumnarAuto, ColumnarOff} {
-		// One lane, driven phase by phase so shard 0 can be inspected between
-		// the scan and the merge.
-		m, _ := newMW(t, ds, Config{Staging: StageFileOnly, Columnar: columnar})
-		if err := m.Enqueue(rootRequest(ds)); err != nil {
-			t.Fatal(err)
-		}
-		r, err := m.beginBatch(m.schedule())
-		if err != nil {
-			t.Fatal(err)
-		}
-		sp := r.planLanes()
-		if sp.nworkers != 1 || len(r.plan.fileTees) != 1 {
-			t.Fatalf("columnar=%v: %d lanes, %d file tees; want 1 and 1", columnar, sp.nworkers, len(r.plan.fileTees))
-		}
-		sh := r.newShard(0, 1)
-		if err := r.scanLane(sp, 0, m.meter, sh); err != nil {
-			t.Fatal(err)
-		}
-		if n := len(sh.files[0].groups); n != 0 {
-			t.Errorf("columnar=%v: shard 0 holds %d filled groups of its file tee", columnar, n)
-		}
-		full := int64(ds.N() / engine.BlockRows * engine.BlockRows)
-		if got := r.plan.fileTees[0].writer.sf.rows; got != full || sh.files[0].rows != int64(ds.N()) {
-			t.Errorf("columnar=%v: %d of %d captured rows streamed before the merge, want every full group: %d of %d",
-				columnar, got, sh.files[0].rows, full, ds.N())
-		}
-		r.mergeShards([]*workerShard{sh})
-		if _, err := m.finishBatch(r); err != nil {
-			t.Fatal(err)
-		}
-		streamed := stagedFileRows(t, m, m.sources[0][0].file)
+	// One lane, driven phase by phase so shard 0 can be inspected between
+	// the scan and the merge.
+	m, _ := newMW(t, ds, Config{Staging: StageFileOnly})
+	if err := m.Enqueue(rootRequest(ds)); err != nil {
+		t.Fatal(err)
+	}
+	r, err := m.beginBatch(m.schedule())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp, err := r.planLanes()
+	if err != nil || sp.nworkers != 1 || len(r.plan.fileTees) != 1 {
+		t.Fatalf("%d lanes, %d file tees, error %v; want 1 and 1", sp.nworkers, len(r.plan.fileTees), err)
+	}
+	sh := r.newShard(0, 1)
+	if err := r.scanLane(sp, 0, m.meter, sh); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(sh.files[0].groups); n != 0 {
+		t.Errorf("shard 0 holds %d filled groups of its file tee", n)
+	}
+	full := int64(ds.N() / engine.BlockRows * engine.BlockRows)
+	if got := r.plan.fileTees[0].writer.sf.rows; got != full || sh.files[0].rows != int64(ds.N()) {
+		t.Errorf("%d of %d captured rows streamed before the merge, want every full group: %d of %d",
+			got, sh.files[0].rows, full, ds.N())
+	}
+	r.mergeShards([]*workerShard{sh})
+	if _, err := m.finishBatch(r); err != nil {
+		t.Fatal(err)
+	}
+	streamed := stagedFileRows(t, m, m.sources[0][0].file)
 
-		// Three lanes: lanes 1 and 2 hold their groups and append after the barrier.
-		mb, _ := newMW(t, ds, Config{Staging: StageFileOnly, Columnar: columnar, Workers: 3})
-		if err := mb.Enqueue(rootRequest(ds)); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := mb.Step(); err != nil {
-			t.Fatal(err)
-		}
-		held := stagedFileRows(t, mb, mb.sources[0][0].file)
+	// Three lanes: lanes 1 and 2 hold their groups and append after the barrier.
+	mb, _ := newMW(t, ds, Config{Staging: StageFileOnly, Workers: 3})
+	if err := mb.Enqueue(rootRequest(ds)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := mb.Step(); err != nil {
+		t.Fatal(err)
+	}
+	held := stagedFileRows(t, mb, mb.sources[0][0].file)
 
-		if !reflect.DeepEqual(streamed, ds.Rows) {
-			t.Errorf("columnar=%v: the streamed file does not hold the table's rows in order", columnar)
-		}
-		if !reflect.DeepEqual(held, ds.Rows) {
-			t.Errorf("columnar=%v: the three-lane file does not hold the table's rows in order", columnar)
-		}
-		if a, b := m.sources[0][0].file.bytes, mb.sources[0][0].file.bytes; a != b || a != ds.Bytes() {
-			t.Errorf("columnar=%v: files account for %d and %d bytes, table %d", columnar, a, b, ds.Bytes())
-		}
+	if !reflect.DeepEqual(streamed, ds.Rows) {
+		t.Error("the streamed file does not hold the table's rows in order")
+	}
+	if !reflect.DeepEqual(held, ds.Rows) {
+		t.Error("the three-lane file does not hold the table's rows in order")
+	}
+	if a, b := m.sources[0][0].file.bytes, mb.sources[0][0].file.bytes; a != b || a != ds.Bytes() {
+		t.Errorf("files account for %d and %d bytes, table %d", a, b, ds.Bytes())
 	}
 }

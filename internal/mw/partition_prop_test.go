@@ -16,10 +16,11 @@ import (
 
 // Property-test harness for every partitioned source: for seeded random
 // table sizes, filters and partition counts (including nparts greater than
-// the unit count and filters matching nothing), the split boundaries must be
-// monotone and cover the unit range exactly, and draining every partition
-// must yield the same row multiset as the sequential cursor — under both
-// histogram-guided and equal-width splits.
+// the row-group count and filters matching nothing), the split boundaries must
+// be monotone and cover the group range exactly, and draining every partition
+// must yield the table's matching rows, in order, as predicate.Filter.Eval
+// picks them from the dataset — under both group-weighted and equal-width
+// splits.
 
 // propDataset builds a dataset whose first attribute is clustered (row r has
 // attr0 = r*card/n, so equality filters on it select contiguous slabs — the
@@ -138,9 +139,9 @@ func propServer(t *testing.T, ds *data.Dataset) *engine.Server {
 }
 
 // propTrials runs fn for a spread of seeded (size, filter, nparts)
-// combinations: sizes from a handful of rows to several pages, nparts from 1
-// to 16 — deliberately past the page count of the small tables — plus a
-// dedicated zero-match filter trial per size.
+// combinations: sizes from a handful of rows to most of a row group, nparts
+// from 1 to 16 — deliberately past the group count — plus a dedicated zero-match
+// filter trial per size. (columnarPropTrials has the multi-group sizes.)
 func propTrials(t *testing.T, fn func(t *testing.T, rng *rand.Rand, ds *data.Dataset, f predicate.Filter, nparts int)) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(443))
@@ -160,85 +161,88 @@ func propTrials(t *testing.T, fn func(t *testing.T, rng *rand.Rand, ds *data.Dat
 	}
 }
 
+// TestPartitionPropertyServerScan: draining every row-group range of the
+// server's columnar copy with the filter pushed down, concatenated, yields the
+// table's matching rows in table order — under group-weighted bounds and
+// equal-width ones.
 func TestPartitionPropertyServerScan(t *testing.T) {
 	propTrials(t, func(t *testing.T, rng *rand.Rand, ds *data.Dataset, f predicate.Filter, nparts int) {
 		srv := propServer(t, ds)
-		np := srv.NumPages()
-		want := drainCursor(srv.OpenScanRange(f, 0, np, nil))
-		for _, hints := range []bool{true, false} {
-			srv.SetSplitHints(hints)
-			bounds := srv.PageBounds(f, nparts, rng.Int63n(20_000))
-			if !hints && bounds != nil {
-				t.Fatal("PageBounds not nil with hints disabled")
-			}
-			checkBounds(t, bounds, nparts, np)
-			var got []string
-			for part := 0; part < nparts; part++ {
-				lo, hi := engine.RangeOf(part, nparts, np, bounds)
-				got = append(got, drainCursor(srv.OpenScanRange(f, lo, hi, nil))...)
-			}
-			checkMultiset(t, fmt.Sprintf("server scan (hints=%v)", hints), got, want)
-		}
+		rowSourceProperty(t, rng, srv, srv.ColGroups(nil), ds, f, nparts, "server scan")
 	})
+}
+
+// rowSetProperty is the partition property of a keyset or TID table: the
+// qualifying scan of f captures exactly the table's rows matching f, and
+// re-scanning every partition of the captured set with a second filter pushed
+// down, concatenated in partition order, yields the table's rows matching both,
+// in table order — over tables within one row group and spanning up to five.
+func rowSetProperty(t *testing.T, capture func(*engine.Server, predicate.Filter) *engine.RowSet) {
+	trial := func(t *testing.T, rng *rand.Rand, ds *data.Dataset, f predicate.Filter, nparts int) {
+		srv := propServer(t, ds)
+		rows := capture(srv, f)
+		// Re-scan under a residual filter half the time, the capturing one
+		// otherwise.
+		rescan := f
+		if rng.Intn(2) == 0 {
+			rescan = propFilter(rng)
+		}
+		held := data.NewDataset(ds.Schema)
+		for _, r := range ds.Rows {
+			if f.Eval(r) {
+				held.Append(r)
+			}
+		}
+		if rows.Size() != held.N() {
+			t.Fatalf("captured %d rows, %d match %v", rows.Size(), held.N(), f)
+		}
+		rowSourceProperty(t, rng, srv, rows, held, rescan, nparts, "row set re-scan")
+	}
+	propTrials(t, trial)
+	t.Run("multigroup", func(t *testing.T) { columnarPropTrials(t, trial) })
+}
+
+// rowSourceProperty scans every one of nparts row-group ranges of a server
+// source with f pushed down — split by engine.GroupBounds under a random
+// per-match weight, then equal-width — and requires the concatenation to be the
+// rows of ds that f selects, in order.
+func rowSourceProperty(t *testing.T, rng *rand.Rand, srv *engine.Server, src engine.GroupSource, ds *data.Dataset, f predicate.Filter, nparts int, label string) {
+	var want []string
+	for _, r := range ds.Rows {
+		if f.Eval(r) {
+			want = append(want, fmt.Sprint(r))
+		}
+	}
+	n := src.NumGroups()
+	for _, hints := range []bool{true, false} {
+		bounds := engine.GroupBounds(src, f, nparts, srv.Meter().Costs(), rng.Int63n(20_000))
+		if !hints {
+			bounds = nil // what the middleware plans with hints disabled (splitBounds)
+		}
+		checkBounds(t, bounds, nparts, n)
+		var got []string
+		for part := 0; part < nparts; part++ {
+			lo, hi := engine.RangeOf(part, nparts, n, bounds)
+			err := engine.ScanGroups(src, []*engine.ScanConsumer{{Filter: f, Lane: srv.Meter(), Fn: func(blk *engine.ColBlock) bool {
+				for _, i := range blk.Sel {
+					got = append(got, fmt.Sprint(groupRow(blk.Group, i)))
+				}
+				return true
+			}}}, lo, hi, srv.Meter())
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		checkMultiset(t, fmt.Sprintf("%s (hints=%v)", label, hints), got, want)
+	}
 }
 
 func TestPartitionPropertyKeyset(t *testing.T) {
-	propTrials(t, func(t *testing.T, rng *rand.Rand, ds *data.Dataset, f predicate.Filter, nparts int) {
-		srv := propServer(t, ds)
-		ks := srv.OpenKeyset(f, 1)
-		// Re-scan under a residual filter half the time, a plain fetch-all
-		// otherwise — both keyset read modes.
-		var sproc *predicate.Filter
-		if rng.Intn(2) == 0 {
-			rf := propFilter(rng)
-			sproc = &rf
-		}
-		n := ks.Size()
-		want := drainCursor(ks.OpenScanRange(sproc, 0, ks.Size(), nil))
-		for _, hints := range []bool{true, false} {
-			srv.SetSplitHints(hints)
-			bounds := ks.ScanBounds(sproc, nparts, rng.Int63n(20_000))
-			if !hints && bounds != nil {
-				t.Fatal("ScanBounds not nil with hints disabled")
-			}
-			checkBounds(t, bounds, nparts, n)
-			var got []string
-			for part := 0; part < nparts; part++ {
-				lo, hi := engine.RangeOf(part, nparts, n, bounds)
-				got = append(got, drainCursor(ks.OpenScanRange(sproc, lo, hi, nil))...)
-			}
-			checkMultiset(t, fmt.Sprintf("keyset re-scan (hints=%v)", hints), got, want)
-		}
-	})
+	rowSetProperty(t, func(srv *engine.Server, f predicate.Filter) *engine.RowSet { return srv.OpenKeyset(f, 3) })
 }
 
 func TestPartitionPropertyTIDJoin(t *testing.T) {
-	propTrials(t, func(t *testing.T, rng *rand.Rand, ds *data.Dataset, f predicate.Filter, nparts int) {
-		srv := propServer(t, ds)
-		tt := srv.CopyTIDs(f, 1)
-		// The join applies the batch filter; use the same filter the TIDs
-		// qualify under half the time, a fresh one otherwise.
-		jf := f
-		if rng.Intn(2) == 0 {
-			jf = propFilter(rng)
-		}
-		n := tt.Size()
-		want := drainCursor(tt.OpenJoinRange(jf, 0, tt.Size(), nil))
-		for _, hints := range []bool{true, false} {
-			srv.SetSplitHints(hints)
-			bounds := tt.JoinBounds(jf, nparts, rng.Int63n(20_000))
-			if !hints && bounds != nil {
-				t.Fatal("JoinBounds not nil with hints disabled")
-			}
-			checkBounds(t, bounds, nparts, n)
-			var got []string
-			for part := 0; part < nparts; part++ {
-				lo, hi := engine.RangeOf(part, nparts, n, bounds)
-				got = append(got, drainCursor(tt.OpenJoinRange(jf, lo, hi, nil))...)
-			}
-			checkMultiset(t, fmt.Sprintf("tid join (hints=%v)", hints), got, want)
-		}
-	})
+	rowSetProperty(t, func(srv *engine.Server, f predicate.Filter) *engine.RowSet { return srv.CopyTIDs(f, 3) })
 }
 
 // TestPartitionPropertyFileStore: a staged run — the same row groups in a

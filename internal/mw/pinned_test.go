@@ -49,6 +49,63 @@ func TestColumnarBuildChargesPinned(t *testing.T) {
 	}
 }
 
+// TestAuxBuildChargesPinned pins what a keyset build and a TID-join build of the
+// same census tree charge, on one lane and on four: the tree, the row-at-a-time
+// work — fetches by TID, join probes, rows transmitted — the histogram bumps
+// and the virtual clock. The comments hold what the heap cursors these
+// structures were re-scanned through charged at the commit before they became
+// row-group sources (same tree, same fetches, probes and rows: the counting
+// moved from a search-tree update per row to the block kernel's bump and fold,
+// the qualifying scan from heap pages to the columns the filter tests, and lanes
+// from TID ranges to row-group ranges).
+func TestAuxBuildChargesPinned(t *testing.T) {
+	ds, err := datagen.GenerateCensus(datagen.CensusConfig{Rows: 12000, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		access  mw.ServerAccess
+		workers int
+		want    [6]int64
+	}{
+		// heap cursors: 2093, 190708, 0, 197503, 197503, 16525005920
+		{mw.AccessKeyset, 1, [6]int64{2093, 190708, 0, 197503, 197503, 16515041144}},
+		// heap cursors: ..., 4349297164 (four TID ranges; the table is three row groups)
+		{mw.AccessKeyset, 4, [6]int64{2093, 190708, 0, 197503, 197503, 5823344512}},
+		// heap cursors: 2093, 190708, 190708, 197503, 197503, 17390002920
+		{mw.AccessTIDJoin, 1, [6]int64{2093, 190708, 190708, 197503, 197503, 17380038144}},
+		// heap cursors: ..., 4566355584
+		{mw.AccessTIDJoin, 4, [6]int64{2093, 190708, 190708, 197503, 197503, 6120524512}},
+	} {
+		srv, err := engine.NewServer(engine.New(sim.NewDefaultMeter(), 0), "cases", ds)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := mw.New(srv, mw.Config{Access: tc.access, AuxThreshold: 0.6, Workers: tc.workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tree, err := dtree.Build(m, dtree.Options{MinRows: 20})
+		if err != nil {
+			t.Fatal(err)
+		}
+		meter := m.Meter()
+		got := [...]int64{
+			int64(tree.NumNodes),
+			meter.Count(sim.CtrTIDFetches),
+			meter.Count(sim.CtrIndexProbes),
+			meter.Count(sim.CtrRowsTransmitted),
+			meter.Count(sim.CtrCCUpdates),
+			int64(meter.Now()),
+		}
+		m.Close()
+		if got != tc.want {
+			t.Errorf("%v, %d workers: nodes, tid_fetches, index_probes, rows_transmitted, cc_updates, virtual ns = %v, want %v",
+				tc.access, tc.workers, got, tc.want)
+		}
+	}
+}
+
 // TestStagedBuildSchedulePinned pins, for three staged builds of the same
 // random-tree table, the staging schedule — tree size, batches, files created,
 // rows written to files, rows staged in memory, SQL fallbacks — to the figures
@@ -56,7 +113,7 @@ func TestColumnarBuildChargesPinned(t *testing.T) {
 // blocks: a stage's format may change, what gets staged and when may not. What
 // a staged scan bills is pinned beside it at what the block kernel charges; the
 // row path's figures are in the comments (it read the same rows — no zone map
-// skips a group of this unclustered table — and counted them at CCUpdate each,
+// skips a group of this unclustered table — and counted them at 60 ns each,
 // folding only the root's server blocks).
 func TestStagedBuildSchedulePinned(t *testing.T) {
 	ds, _, err := datagen.GenerateTreeData(datagen.TreeGenConfig{Leaves: 40, Attrs: 10, Values: 4, ValuesStdDev: 1, Classes: 4, CasesPerLeaf: 300, Seed: 7})

@@ -1,6 +1,7 @@
 package mw
 
 import (
+	"fmt"
 	"sort"
 
 	"repro/internal/cc"
@@ -408,11 +409,11 @@ func (m *Middleware) planMemStaging(b *batch, p *stagePlan) {
 // row staged in middleware memory.
 const memRowOverhead = 24
 
-// lowestAux returns the live auxiliary server structure covering the request
+// auxFor returns the live auxiliary server structure covering the request
 // (§4.3.3), or nil.
 func (m *Middleware) auxFor(r *Request) *stageData {
 	for _, sd := range m.ancestorSources(r.NodeID) {
-		if sd.keyset != nil || sd.tidTab != nil || sd.subSrv != nil {
+		if sd.rows != nil || sd.subSrv != nil {
 			return sd
 		}
 	}
@@ -422,10 +423,12 @@ func (m *Middleware) auxFor(r *Request) *stageData {
 // maybeBuildAux builds the configured auxiliary structure for a
 // server-sourced batch once the relevant fraction of the data drops below
 // AuxThreshold (§4.3.3: "this technique applies only when the relevant data
-// set has shrunk to a small percentage of the given file (around 10%)").
-func (m *Middleware) maybeBuildAux(b *batch) *stageData {
+// set has shrunk to a small percentage of the given file (around 10%)"), or
+// returns the live one covering the batch; nil when the batch scans the base
+// table.
+func (m *Middleware) maybeBuildAux(b *batch) (*stageData, error) {
 	if m.cfg.Access == AccessScan || len(b.reqs) == 0 {
-		return nil
+		return nil, nil
 	}
 	// Reuse a live structure covering every batch node.
 	var shared *stageData
@@ -438,11 +441,11 @@ func (m *Middleware) maybeBuildAux(b *batch) *stageData {
 		shared = sd
 	}
 	if shared != nil {
-		return shared
+		return shared, nil
 	}
 	total := m.srv.NumRows()
 	if total == 0 || float64(batchRows(b.reqs))/float64(total) >= m.cfg.AuxThreshold {
-		return nil
+		return nil, nil
 	}
 	filter := batchFilter(b.reqs)
 	sd := m.newStage(nodeIDs(b.reqs))
@@ -450,18 +453,18 @@ func (m *Middleware) maybeBuildAux(b *batch) *stageData {
 	// (one lane when the table is too small to split or Workers <= 1).
 	switch m.cfg.Access {
 	case AccessKeyset:
-		sd.keyset = m.srv.OpenKeyset(filter, m.cfg.Workers)
+		sd.rows = m.srv.OpenKeyset(filter, m.cfg.Workers)
 	case AccessTIDJoin:
-		sd.tidTab = m.srv.CopyTIDs(filter, m.cfg.Workers)
+		sd.rows = m.srv.CopyTIDs(filter, m.cfg.Workers)
 	case AccessCopyTable:
 		sub, err := m.srv.CopySubset(filter, m.cfg.Workers)
 		if err != nil {
 			m.freeStage(sd)
-			return nil
+			return nil, fmt.Errorf("mw: copy-table: %w", err)
 		}
 		sd.subSrv = sub
 	}
-	return sd
+	return sd, nil
 }
 
 // newStage registers a new stage covering — and kept alive by — keyNodes. The

@@ -51,10 +51,8 @@ func (sc *Scorer) Done() bool { return sc.done }
 func (sc *Scorer) Result() *engine.ScoreResult { return sc.res }
 
 // Shareable reports whether the session's (single) scan can join a shared
-// columnar pass: it has not run yet and the table has a columnar copy.
-func (sc *Scorer) Shareable() bool {
-	return !sc.done && sc.srv.ColumnarAvailable()
-}
+// columnar pass: it has not run yet.
+func (sc *Scorer) Shareable() bool { return !sc.done }
 
 // RunSolo scores the table with the session's own partitioned scan, paying
 // its pages privately — the path a lone scoring session takes.
@@ -78,9 +76,6 @@ func (sc *Scorer) RunSolo() error {
 func (sc *Scorer) BeginShared() (*engine.ScanConsumer, []int, error) {
 	if sc.done {
 		return nil, nil, fmt.Errorf("mw: scorer already ran")
-	}
-	if !sc.srv.ColumnarAvailable() {
-		return nil, nil, fmt.Errorf("mw: shared scoring needs a columnar copy")
 	}
 	meter := sc.srv.Meter()
 	sc.ssp = sc.srv.Tracer().Start(obs.CatScore, "score").

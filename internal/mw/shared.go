@@ -31,16 +31,13 @@ type SharedBatch struct {
 }
 
 // NextBatchShareable reports whether this middleware's next scheduled batch
-// would be a shareable columnar server scan: requests are pending, none of
-// them has staged data (Rule 1 would pick the staged tier first), and the
-// configuration keeps server batches on the columnar path. It inspects
+// would be a shareable scan of the base table: requests are pending, none of
+// them has staged data (Rule 1 would pick the staged tier first), and no
+// auxiliary access structure stands in for the table. It inspects
 // scheduler state only — nothing is scheduled or charged — so a fleet can
 // poll it every round to decide which sessions join the shared scan.
 func (m *Middleware) NextBatchShareable() bool {
-	if len(m.queue) == 0 || m.cfg.Columnar == ColumnarOff || m.cfg.Access != AccessScan {
-		return false
-	}
-	if !m.srv.ColumnarAvailable() {
+	if len(m.queue) == 0 || m.cfg.Access != AccessScan {
 		return false
 	}
 	for _, r := range m.queue {
@@ -70,8 +67,7 @@ func (m *Middleware) BeginSharedBatch() (*SharedBatch, []*Result, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	srv := m.columnarServer(b)
-	if srv == nil || len(r.live) == 0 {
+	if b.kind != srcServer || m.cfg.Access != AccessScan || len(r.live) == 0 {
 		if err := m.scanBatch(r); err != nil {
 			r.bsp.End()
 			return nil, nil, err
@@ -80,7 +76,7 @@ func (m *Middleware) BeginSharedBatch() (*SharedBatch, []*Result, error) {
 		return nil, results, err
 	}
 
-	sb := &SharedBatch{m: m, r: r, srv: srv, needCols: m.columnarNeedCols(r.plan, r.live)}
+	sb := &SharedBatch{m: m, r: r, srv: m.srv, needCols: m.columnarNeedCols(r.plan, r.live)}
 	sb.ssp = r.tr.Start(obs.CatScan, "scan").SetSource(r.srcName).Attr("shared", 1)
 	if sb.ssp != nil {
 		sb.ssp.SetNodes(nodeIDs(b.reqs))

@@ -16,15 +16,15 @@ import (
 )
 
 // Clustered-workload equivalence and lane-imbalance coverage: the clustered
-// dataset places every row of a region in one contiguous heap slab, the
-// adversarial input for partitioned scans. Histogram-guided splits are on by
+// dataset places every row of a region in one contiguous slab of row groups,
+// the adversarial input for partitioned scans. Group-weighted splits are on by
 // default, so these tests pin that weighted boundaries change lane timing
 // only — CC tables, traces and counters stay byte-identical across worker
 // counts per policy, and identical between policies for everything except
 // the clock.
 
 const (
-	clusteredTestRows    = 4000
+	clusteredTestRows    = 20000 // five row groups: up to five lanes really split
 	clusteredTestRegions = 4
 )
 
@@ -153,12 +153,13 @@ func TestClusteredHistogramDeterministicAcrossRuns(t *testing.T) {
 }
 
 // skewImbalance drives one region-selective batch at 8 workers over a larger
-// clustered table and returns the worst per-batch lane imbalance plus the
+// clustered table — 32 row groups, four per equal-width lane, the region a slab
+// of eight — and returns the worst per-batch lane imbalance plus the
 // fingerprint of the region's CC table.
 func skewImbalance(t *testing.T, noHints bool) (int64, string) {
 	t.Helper()
 	ds, err := datagen.GenerateClustered(datagen.ClusteredConfig{
-		Rows: 8000, Seed: 3, Regions: 4, Attrs: 7,
+		Rows: 32 * 4096, Seed: 3, Regions: 4, Attrs: 7,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -170,14 +171,9 @@ func skewImbalance(t *testing.T, noHints bool) (int64, string) {
 		t.Fatal(err)
 	}
 	_, pm := obs.NewCollector(false, true).Proc("skew", meter)
-	// This regression test measures histogram-guided heap-page splits, a
-	// row-path mechanism: force the row path. (The columnar path partitions
-	// by 4096-row group, and at this table size both split policies would
-	// produce identical group bounds.)
 	m, err := New(srv, Config{
 		Staging: StageNone, Workers: 8, MaxBatch: 1,
 		NoHistogramHints: noHints, Metrics: pm, Dir: t.TempDir(),
-		Columnar: ColumnarOff,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -226,7 +222,7 @@ func skewImbalance(t *testing.T, noHints bool) (int64, string) {
 }
 
 // TestClusteredLaneImbalanceRegression: on the clustered table with a
-// region-selective filter at 8 workers, histogram-guided splits must cut the
+// region-selective filter at 8 workers, group-weighted splits must cut the
 // worst lane imbalance to at most half of the equal-width policy's, with
 // identical counts. The equal-width arm doubles as coverage that the
 // NoHistogramHints ablation still passes the whole pipeline.

@@ -45,11 +45,12 @@ func smallCfg(seed int64) datagen.TreeGenConfig {
 // hand-picked configurations and then a seeded sweep of the configuration
 // space: for every draw of Staging × FilePolicy × Threshold × Memory (down to
 // budgets that force shedding and SQL fallbacks) × FileBudget × Workers ×
-// Access × Columnar × MaxBatch × NoFilterPushdown × FIFOScheduling, over small
-// random-tree tables and a multi-row-group census table, the tree grown through
-// the middleware equals dtree.BuildInMemory's, every node's CC table equals the
-// one the unstaged default build produced, and the caller's staging directory
-// is empty once the middleware is closed.
+// Access × AuxThreshold × MaxBatch × NoFilterPushdown × FIFOScheduling, over
+// small random-tree tables and a multi-row-group census table, the tree grown
+// through the middleware equals dtree.BuildInMemory's, every node's CC table
+// equals the one the unstaged default build produced — itself held against
+// cc.Table.AddRow over the dataset's rows — and once the middleware is closed
+// the caller's staging directory is empty and the engine holds no temp table.
 func TestMiddlewareTreeMatchesInMemory(t *testing.T) {
 	fixed := []mw.Config{
 		{Staging: mw.StageNone},
@@ -92,6 +93,11 @@ func TestMiddlewareTreeMatchesInMemory(t *testing.T) {
 			t.Fatalf("%s: reference build: %v", tc.name, err)
 		}
 		ref := sweepBuild(t, srv, mw.Config{Dir: t.TempDir()}, tc.opt, want, nil)
+		for path, table := range ref {
+			if table.cc != cc.FromDataset(ds, table.attrs, table.path.Eval).String() {
+				t.Fatalf("%s: node %s: the unstaged build's CC table differs from a row-at-a-time count", tc.name, path)
+			}
+		}
 		for i, cfg := range fixed {
 			cfg.Dir = t.TempDir()
 			t.Run(fmt.Sprintf("%s/fixed%d", tc.name, i), func(t *testing.T) {
@@ -108,7 +114,7 @@ func TestMiddlewareTreeMatchesInMemory(t *testing.T) {
 				FileBudget:       pick(0, 0, 2*b, b/2, b/8),
 				Workers:          int(pick(1, 2, 4)),
 				Access:           mw.ServerAccess(pick(0, 0, 0, 1, 2, 3)),
-				Columnar:         mw.ColumnarMode(pick(0, 0, 1)),
+				AuxThreshold:     []float64{0, 0.5, 0.9}[rng.Intn(3)],
 				MaxBatch:         int(pick(0, 0, 1, 3)),
 				NoFilterPushdown: pick(0, 0, 0, 1) == 1,
 				FIFOScheduling:   pick(0, 0, 0, 1) == 1,
@@ -121,11 +127,19 @@ func TestMiddlewareTreeMatchesInMemory(t *testing.T) {
 	}
 }
 
+// sweepTable is one fulfilled node of a sweepBuild: its path, the columns
+// counted (the request's attributes, then the class) and the CC table rendered.
+type sweepTable struct {
+	path  predicate.Conj
+	attrs []int
+	cc    string
+}
+
 // sweepBuild grows one tree under cfg, recording every fulfilled node's CC
 // table under its path, and checks the tree against want, the tables against
-// ref (when given) and cfg.Dir for leftovers after Close. It returns the
-// tables.
-func sweepBuild(t *testing.T, srv *engine.Server, cfg mw.Config, opt dtree.Options, want *dtree.Tree, ref map[string]string) map[string]string {
+// ref (when given), cfg.Dir for leftovers after Close and the engine for temp
+// tables. It returns the tables.
+func sweepBuild(t *testing.T, srv *engine.Server, cfg mw.Config, opt dtree.Options, want *dtree.Tree, ref map[string]sweepTable) map[string]sweepTable {
 	t.Helper()
 	m, err := mw.New(srv, cfg)
 	if err != nil {
@@ -135,14 +149,15 @@ func sweepBuild(t *testing.T, srv *engine.Server, cfg mw.Config, opt dtree.Optio
 	if err != nil {
 		t.Fatal(err)
 	}
-	tables := map[string]string{}
+	tables := map[string]sweepTable{}
 	for b.Pending() > 0 {
 		results, err := m.Step()
 		if err != nil {
 			t.Fatalf("%+v: step: %v", cfg, err)
 		}
 		for _, r := range results {
-			tables[r.Req.Path.String()] = r.CC.String()
+			counted := append(append([]int{}, r.Req.Attrs...), srv.Schema().ClassIndex())
+			tables[r.Req.Path.String()] = sweepTable{r.Req.Path, counted, r.CC.String()}
 		}
 		if err := b.Feed(results); err != nil {
 			t.Fatalf("%+v: feed: %v", cfg, err)
@@ -160,7 +175,7 @@ func sweepBuild(t *testing.T, srv *engine.Server, cfg mw.Config, opt dtree.Optio
 			t.Errorf("%+v: %d nodes counted, unstaged build counted %d", cfg, len(tables), len(ref))
 		}
 		for path, table := range tables {
-			if table != ref[path] {
+			if table.cc != ref[path].cc {
 				t.Errorf("%+v: node %s: CC table differs from the unstaged build's", cfg, path)
 			}
 		}
@@ -170,6 +185,9 @@ func sweepBuild(t *testing.T, srv *engine.Server, cfg mw.Config, opt dtree.Optio
 	}
 	if entries, err := os.ReadDir(cfg.Dir); err != nil || len(entries) != 0 {
 		t.Errorf("%+v: staging dir after Close: %v (err %v)", cfg, entries, err)
+	}
+	if names := srv.Engine().TableNames(); len(names) != 1 {
+		t.Errorf("%+v: engine tables after Close: %v", cfg, names)
 	}
 	return tables
 }

@@ -29,9 +29,8 @@ type stageData struct {
 	file *stageFile
 
 	// Auxiliary server structures (§4.3.3), used by the non-default
-	// ServerAccess modes.
-	keyset *engine.Keyset
-	tidTab *engine.TIDTable
+	// ServerAccess modes: a keyset or TID table, or a copy-table.
+	rows   *engine.RowSet
 	subSrv *engine.Server
 }
 
@@ -59,10 +58,8 @@ type stageCharge struct {
 	perRow int64
 }
 
-func (c stageCharge) AtServer() bool { return false }
-func (c stageCharge) ReadCharge(g *storage.ColGroup) (sim.Counter, int64, int64) {
-	return c.ctr, c.perRow, int64(g.NumRows())
-}
+func (c stageCharge) AtServer() (engine.RowPrices, bool) { return engine.RowPrices{}, false }
+func (c stageCharge) Sel(int) ([]int32, bool)            { return nil, false }
 
 // memGroups is a stage in memory as a scan source.
 type memGroups struct {
@@ -73,6 +70,9 @@ type memGroups struct {
 func (s memGroups) NumGroups() int                         { return len(s.groups) }
 func (s memGroups) Zone(gi int) *storage.ColGroup          { return s.groups[gi] }
 func (s memGroups) Read(gi int) (*storage.ColGroup, error) { return s.groups[gi], nil }
+func (s memGroups) ChargeRead(gi int, m *sim.Meter) {
+	m.Charge(s.ctr, s.perRow, int64(s.groups[gi].NumRows()))
+}
 
 // fileGroups is a staging file as a scan source. Planning needs only the zones;
 // a lane that reads groups opens the file on its first Read, decodes every
@@ -93,6 +93,9 @@ type groupBuf struct {
 
 func (s *fileGroups) NumGroups() int                { return len(s.sf.groups) }
 func (s *fileGroups) Zone(gi int) *storage.ColGroup { return s.sf.groups[gi].zone }
+func (s *fileGroups) ChargeRead(gi int, m *sim.Meter) {
+	m.Charge(s.ctr, s.perRow, int64(s.sf.groups[gi].zone.NumRows()))
+}
 
 func (s *fileGroups) Read(gi int) (*storage.ColGroup, error) {
 	if s.f == nil {

@@ -41,7 +41,7 @@ const (
 	CatStage    = "stage"    // staging capture/finalize (file or memory)
 	CatFallback = "fallback" // one node serviced by the SQL fallback
 	CatSQL      = "sql"      // one SQL statement at the server
-	CatCursor   = "cursor"   // one cursor scan (server, keyset, TID join, file)
+	CatCursor   = "cursor"   // one whole-table server cursor scan
 	CatAux      = "aux"      // auxiliary server structure build (§4.3.3)
 	CatScore    = "score"    // one in-database scoring pass over a table
 )

@@ -110,25 +110,9 @@ func (t *Trie) Filter() Filter {
 	return Filter{conjs: t.conjs, trie: t}
 }
 
-// Match appends to out the index of every conjunction r satisfies and
-// returns it.
-func (t *Trie) Match(r data.Row, out []int32) []int32 {
-	nodes := t.nodes
-	out = append(out, t.terms[nodes[0].Lo:nodes[0].Hi]...)
-	for i := 1; i < len(nodes); {
-		n := &nodes[i]
-		if !n.Cond.Eval(r) {
-			i = int(n.End)
-			continue
-		}
-		out = append(out, t.terms[n.Lo:n.Hi]...)
-		i++
-	}
-	return out
-}
-
-// Any reports whether r satisfies at least one conjunction: the walk of Match,
-// stopped at the first terminal. A nil trie holds no conjunction.
+// Any reports whether r satisfies at least one conjunction: one forward pass
+// over the preorder nodes, stopped at the first terminal. A nil trie holds no
+// conjunction.
 func (t *Trie) Any(r data.Row) bool {
 	if t == nil {
 		return false

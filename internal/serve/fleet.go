@@ -39,7 +39,7 @@ type FleetConfig struct {
 	MaxSessions int
 	// ScanSharing attaches concurrent sessions whose next batch scans the
 	// server table to one physical columnar scan, charging the page I/O
-	// once. Requires the columnar scan path (mw.ColumnarAuto + AccessScan).
+	// once. Requires sequential server access (mw.AccessScan).
 	ScanSharing bool
 }
 
@@ -127,14 +127,8 @@ func NewFleet(srv *engine.Server, col *obs.Collector, cfg FleetConfig) (*Fleet, 
 		return nil, fmt.Errorf("serve: negative fleet limit")
 	}
 	if cfg.ScanSharing {
-		if cfg.Base.Columnar == mw.ColumnarOff {
-			return nil, fmt.Errorf("serve: scan sharing requires the columnar scan path (mw.ColumnarAuto)")
-		}
 		if cfg.Base.Access != mw.AccessScan {
 			return nil, fmt.Errorf("serve: scan sharing requires sequential server access (mw.AccessScan)")
-		}
-		if !srv.ColumnarAvailable() {
-			return nil, fmt.Errorf("serve: scan sharing requires a columnar copy of the table")
 		}
 	}
 	costs := srv.Meter().Costs()

@@ -79,26 +79,26 @@ func runFleetN(t *testing.T, srv *engine.Server, n int, cfg FleetConfig, opt dtr
 
 // TestFleetSingleSessionMatchesSolo: a one-session fleet is exactly a
 // single-tenant build — same tree, same modeled page reads and virtual time
-// on the session's own meter, whichever scan path the configuration takes.
+// on the session's own meter, with scan sharing on (a cohort of one shares
+// nothing) or off, staged or not, on one lane or four.
 // The engine's meter sees no page: a session's stream pays for its own.
 func TestFleetSingleSessionMatchesSolo(t *testing.T) {
 	const rows = 1500
 	for _, tc := range []struct {
-		name string
-		cfg  mw.Config
+		name    string
+		cfg     mw.Config
+		sharing bool
 	}{
-		{"columnar", baseCfg(1)},
-		{"row/workers=1/staged", mw.Config{Staging: mw.StageFileAndMemory, Workers: 1, Columnar: mw.ColumnarOff}},
-		{"row/workers=1/unstaged", mw.Config{Workers: 1, Columnar: mw.ColumnarOff}},
-		{"row/workers=4", mw.Config{Staging: mw.StageFileAndMemory, Workers: 4, Columnar: mw.ColumnarOff}},
+		{"columnar", baseCfg(1), true},
+		{"unshared/workers=1/staged", mw.Config{Staging: mw.StageFileAndMemory, Workers: 1}, false},
+		{"unshared/workers=1/unstaged", mw.Config{Workers: 1}, false},
+		{"unshared/workers=4", mw.Config{Staging: mw.StageFileAndMemory, Workers: 4}, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			solo, soloMeter := soloBuildMetered(t, rows, tc.cfg, testOpt)
 
 			srv := testServer(t, rows)
-			// Scan sharing exists on the columnar path only.
-			sharing := tc.cfg.Columnar == mw.ColumnarAuto
-			f := runFleetN(t, srv, 1, FleetConfig{Base: tc.cfg, ScanSharing: sharing}, testOpt)
+			f := runFleetN(t, srv, 1, FleetConfig{Base: tc.cfg, ScanSharing: tc.sharing}, testOpt)
 			s := f.Sessions()[0]
 			if s.Tree() == nil {
 				t.Fatal("session has no tree")
@@ -270,7 +270,7 @@ func TestFleetStaggeredArrivals(t *testing.T) {
 	}
 }
 
-// TestNewFleetValidation: scan sharing requires the columnar scan path.
+// TestNewFleetValidation: scan sharing requires sequential server access.
 func TestNewFleetValidation(t *testing.T) {
 	srv := testServer(t, 200)
 	cases := []struct {
@@ -278,7 +278,6 @@ func TestNewFleetValidation(t *testing.T) {
 		cfg  FleetConfig
 		want string
 	}{
-		{"columnar-off", FleetConfig{Base: mw.Config{Columnar: mw.ColumnarOff}, ScanSharing: true}, "columnar"},
 		{"copy-table", FleetConfig{Base: mw.Config{Access: mw.AccessCopyTable}, ScanSharing: true}, "sequential"},
 		{"negative-memory", FleetConfig{TotalMemory: -1}, "negative"},
 		{"negative-cap", FleetConfig{MaxSessions: -1}, "negative"},

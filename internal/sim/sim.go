@@ -50,7 +50,6 @@ type Costs struct {
 	FileRowRead  int64 // read one row back from a middleware staging file
 	FileOpen     int64 // create/open one middleware staging file
 	MemRowRead   int64 // touch one row staged in middleware memory
-	CCUpdate     int64 // update the counts (CC) table for one (row, node) pair
 	CCBump       int64 // bump one dense histogram cell for one selected row (vectorized kernel)
 	CCFoldEntry  int64 // fold one distinct histogram cell into the counts table, once per block
 	MergeEntry   int64 // fold one worker-shard CC entry into the merged node table
@@ -106,7 +105,6 @@ func DefaultCosts() Costs {
 		MemRowRead:   150,
 		// The counting costs model the paper's §5 search-tree counts table; the
 		// flat cc.Table of this process is faster, and charges nothing itself.
-		CCUpdate:    60, // per (row, attribute-set, node) counting step, charged per row per node
 		CCBump:      8,  // dense array increment per selected row (no search-tree probe)
 		CCFoldEntry: 80, // search-tree insert per distinct cell, once per (node, block)
 		MergeEntry:  80, // per shard entry: one search-tree lookup/insert plus a count add

@@ -40,26 +40,18 @@ if ! cmp -s /tmp/repolint-a.json /tmp/repolint-b.json; then
   exit 1
 fi
 gate "go test ./..." go test ./...
-# -short skips the full experiment suite (internal/exp TestAllShapeChecksPass
-# and the determinism replays): ~25 s without the race detector (the gate
-# above), 275-288 s under it (two cores, two runs, PR 20) — inside the 300 s
-# this gate is allowed but not by the 30 s of room (<= 270 s) dropping the flag
-# waits for, so it stays. What the race
-# pass does execute of internal/exp are the two tiny runners that do not skip:
-# TestScalingWorkersTiny (exp -> mw multi-worker lanes) and TestServeRunnerTiny
-# (the serve runner's fleet sessions attached to shared scans, 1-8 clients,
-# ~8 s under -race). NOT raced: the other nineteen runners, whose only
-# goroutines are the same mw lanes. All other goroutine-spawning code
-# (internal/mw parallel scans, internal/serve daemon and dispatcher,
-# cmd/sqlsh) executes under -race in its own package's tests.
-gate "go test -race -short ./..." go test -race -short ./...
-# Quarter-scale skew shape check: histogram-guided splits must cut the worst
-# lane imbalance >= 2x vs equal-width at 8 workers, with identical counts.
+# The race pass runs everything the plain pass does, internal/exp's full
+# experiment suite included (about 175 s under the detector on two cores, PR 21;
+# the allowance is 300 s).
+gate "go test -race ./..." go test -race ./...
+# Quarter-scale skew shape check: group-weighted splits (engine.GroupBounds)
+# must cut the worst lane imbalance >= 2x vs equal-width row-group splits at 8
+# workers and never be slower, with identical counts.
 gate "experiments -run skew -check" go run ./cmd/experiments -run skew -scale 0.25 -check
 # Quarter-scale columnar shape check: the columnar copy must read >= 2x fewer
-# modeled pages than the row heap on the clustered workload (zone-map
-# skipping), fewer everywhere (dictionary packing), never be slower, and
-# count identically.
+# modeled pages than as many heap scans would (Server.NumPages() x scans) on
+# the clustered workload, skipping row groups by zone map, fewer everywhere
+# (dictionary packing), and count what cc.Table.AddRow counts from the rows.
 gate "experiments -run columnar -check" go run ./cmd/experiments -run columnar -scale 0.25 -check
 # Quarter-scale serve shape check: concurrent same-table builds with scan
 # sharing must read fewer total modeled pages than with sharing off (identical
