@@ -45,6 +45,47 @@ func terminalProbe(opt Options) Options {
 	return o
 }
 
+// grow is the one grow step every driver shares: it decides node n from its
+// counts table and, when n splits, attaches its children — IDs drawn from
+// *nextID in arm order — and returns those that still need a counts table of
+// their own. A child whose class histogram, known exactly from the parent's
+// table, already satisfies a termination criterion becomes a leaf here and is
+// never counted; so does n itself (nothing returned) when no split is worth it.
+func grow(n *Node, table *cc.Table, classIdx, classCard int, opt Options, nextID *int) []*Node {
+	n.ClassCounts = classTotals(table, classIdx, classCard)
+	n.Class, _ = majority(n.ClassCounts)
+	dec := decide(table, n.Attrs, n.ClassCounts, n.Rows, n.Depth, opt)
+	if dec.leaf {
+		n.Leaf = true
+		return nil
+	}
+	n.SplitAttr = dec.attr
+	n.SplitVal = dec.val
+	n.Multiway = len(dec.vals) > 0
+	n.SplitVals = dec.vals
+
+	var open []*Node
+	for _, spec := range expand(table, n, dec, classCard) {
+		child := &Node{
+			ID:          *nextID,
+			Path:        n.Path.And(spec.cond),
+			Attrs:       spec.attrs,
+			Rows:        spec.rows,
+			Depth:       n.Depth + 1,
+			ClassCounts: spec.classCounts,
+		}
+		*nextID++
+		child.Class, _ = majority(child.ClassCounts)
+		n.Children = append(n.Children, child)
+		if decide(nil, child.Attrs, child.ClassCounts, child.Rows, child.Depth, terminalProbe(opt)).leaf {
+			child.Leaf = true
+			continue
+		}
+		open = append(open, child)
+	}
+	return open
+}
+
 // BuildInMemory grows a tree with the same split logic directly over an
 // in-memory dataset: the traditional client of §3.1 and the reference
 // implementation the middleware-built tree must match exactly.
@@ -110,35 +151,7 @@ func BuildLevelwise(ds *data.Dataset, opt Options, onRow func()) (*Tree, error) 
 		}
 		sort.Slice(ordered, func(i, j int) bool { return ordered[i].n.ID < ordered[j].n.ID })
 		for _, a := range ordered {
-			n := a.n
-			n.ClassCounts = classTotals(a.cc, classIdx, classCard)
-			n.Class, _ = majority(n.ClassCounts)
-			dec := decide(a.cc, n.Attrs, n.ClassCounts, n.Rows, n.Depth, opt)
-			if dec.leaf {
-				n.Leaf = true
-				continue
-			}
-			n.SplitAttr = dec.attr
-			n.SplitVal = dec.val
-			n.Multiway = len(dec.vals) > 0
-			n.SplitVals = dec.vals
-			for _, spec := range expand(a.cc, n, dec, classCard) {
-				child := &Node{
-					ID:          nextID,
-					Path:        n.Path.And(spec.cond),
-					Attrs:       spec.attrs,
-					Rows:        spec.rows,
-					Depth:       n.Depth + 1,
-					ClassCounts: spec.classCounts,
-				}
-				nextID++
-				child.Class, _ = majority(child.ClassCounts)
-				n.Children = append(n.Children, child)
-				cdec := decide(nil, child.Attrs, child.ClassCounts, child.Rows, child.Depth, terminalProbe(opt))
-				if cdec.leaf {
-					child.Leaf = true
-					continue
-				}
+			for _, child := range grow(a.n, a.cc, classIdx, classCard, opt, &nextID) {
 				next[child] = activate(child)
 			}
 		}
@@ -189,39 +202,7 @@ func BuildWithCounts(schema *data.Schema, rows int64, opt Options, fetch CountsF
 		if err != nil {
 			return nil, err
 		}
-		n.ClassCounts = classTotals(table, classIdx, classCard)
-		n.Class, _ = majority(n.ClassCounts)
-
-		dec := decide(table, n.Attrs, n.ClassCounts, n.Rows, n.Depth, opt)
-		if dec.leaf {
-			n.Leaf = true
-			continue
-		}
-		n.SplitAttr = dec.attr
-		n.SplitVal = dec.val
-		n.Multiway = len(dec.vals) > 0
-		n.SplitVals = dec.vals
-
-		for _, spec := range expand(table, n, dec, classCard) {
-			child := &Node{
-				ID:          nextID,
-				Path:        n.Path.And(spec.cond),
-				Attrs:       spec.attrs,
-				Rows:        spec.rows,
-				Depth:       n.Depth + 1,
-				ClassCounts: spec.classCounts,
-			}
-			nextID++
-			child.Class, _ = majority(child.ClassCounts)
-			n.Children = append(n.Children, child)
-
-			cdec := decide(nil, child.Attrs, child.ClassCounts, child.Rows, child.Depth, terminalProbe(opt))
-			if cdec.leaf {
-				child.Leaf = true
-				continue
-			}
-			queue = append(queue, child)
-		}
+		queue = append(queue, grow(n, table, classIdx, classCard, opt, &nextID)...)
 	}
 	return finalize(&Tree{Root: root, Schema: schema}), nil
 }

@@ -138,8 +138,8 @@ func (b *Builder) closeSpans() {
 func (b *Builder) Pending() int { return b.m.Pending() }
 
 // Feed consumes one Step's worth of middleware results: grows the tree at
-// each fulfilled node, enqueues the children that need counting, and closes
-// the fulfilled nodes. An empty result set with requests still pending is
+// each fulfilled node (grow), enqueues the children that need counting, and
+// closes the fulfilled nodes. An empty result set with requests still pending is
 // the no-progress error, exactly as in Build's loop.
 func (b *Builder) Feed(results []*mw.Result) error {
 	if len(results) == 0 && b.m.Pending() > 0 {
@@ -153,42 +153,8 @@ func (b *Builder) Feed(results []*mw.Result) error {
 			b.closeSpans()
 			return fmt.Errorf("dtree: result for unknown node %d", res.Req.NodeID)
 		}
-		n.ClassCounts = classTotals(res.CC, b.classIdx, b.classCard)
-		n.Class, _ = majority(n.ClassCounts)
-
-		dec := decide(res.CC, n.Attrs, n.ClassCounts, n.Rows, n.Depth, b.opt)
-		if dec.leaf {
-			n.Leaf = true
-			b.m.CloseNode(n.ID)
-			b.noteClose(n.Depth)
-			continue
-		}
-		n.SplitAttr = dec.attr
-		n.SplitVal = dec.val
-		n.Multiway = len(dec.vals) > 0
-		n.SplitVals = dec.vals
-
-		for _, spec := range expand(res.CC, n, dec, b.classCard) {
-			child := &Node{
-				ID:          b.nextID,
-				Path:        n.Path.And(spec.cond),
-				Attrs:       spec.attrs,
-				Rows:        spec.rows,
-				Depth:       n.Depth + 1,
-				ClassCounts: spec.classCounts,
-			}
-			b.nextID++
-			child.Class, _ = majority(child.ClassCounts)
-			n.Children = append(n.Children, child)
+		for _, child := range grow(n, res.CC, b.classIdx, b.classCard, b.opt, &b.nextID) {
 			b.nodes[child.ID] = child
-
-			// Terminal children never reach the middleware: their
-			// class histogram is already exact.
-			cdec := decide(nil, child.Attrs, child.ClassCounts, child.Rows, child.Depth, terminalProbe(b.opt))
-			if cdec.leaf {
-				child.Leaf = true
-				continue
-			}
 			est := cc.EstimateEntries(res.CC, child.Attrs, child.Rows, n.Rows, b.classCard)
 			b.noteEnqueue(child.Depth)
 			if err := b.m.Enqueue(&mw.Request{

@@ -76,12 +76,24 @@ type Index struct {
 // Engine is the embedded database: a catalog of tables sharing one buffer
 // pool, and the meter its own statements charge.
 type Engine struct {
+	*catalog
 	meter  *sim.Meter
+	tracer *obs.Tracer
+	// lane marks the view one forked lane of a multi-core SELECT executes
+	// through (execSelect): it mutates nothing lanes share — its heap reads are
+	// payCold and it caches no model.
+	lane bool
+}
+
+// catalog is what every view of one engine shares. A view (Engine.view) holds
+// the same catalog under its own meter and tracer, so a statement charges the
+// meter of the view that ran it; nothing two views could disagree about is
+// copied into one.
+type catalog struct {
 	bp     *storage.BufferPool
 	tables map[string]*Table
 	models map[string]*Model // registered scoring models, by name (model.go)
 	tmpSeq int
-	tracer *obs.Tracer
 }
 
 // New creates an engine with the given meter and buffer-pool capacity in
@@ -90,12 +102,17 @@ func New(meter *sim.Meter, bufferPages int) *Engine {
 	if bufferPages <= 0 {
 		bufferPages = DefaultBufferPages
 	}
-	return &Engine{
-		meter:  meter,
+	return &Engine{meter: meter, catalog: &catalog{
 		bp:     storage.NewBufferPool(bufferPages),
 		tables: make(map[string]*Table),
 		models: make(map[string]*Model),
-	}
+	}}
+}
+
+// view returns the engine under another meter and tracer: same catalog, pool
+// and temp-name sequence.
+func (e *Engine) view(meter *sim.Meter, tracer *obs.Tracer) *Engine {
+	return &Engine{catalog: e.catalog, meter: meter, tracer: tracer}
 }
 
 // Meter returns the engine's meter.

@@ -107,8 +107,23 @@ func (e *Engine) Exec(sql string) (*ResultSet, error) {
 // ExecStmt executes an already-parsed statement; sql, its source text,
 // labels the statement's span.
 func (e *Engine) ExecStmt(st sqlparser.Statement, sql string) (*ResultSet, error) {
+	return e.execStmt(st, sql, 1)
+}
+
+// Exec parses and executes one SQL statement like Engine.Exec, but on the
+// view's own meter and tracer, and with the cores of a multi-core SELECT (the
+// arms of a UNION) run over up to nworkers lanes (execSelect).
+func (s *Server) Exec(sql string, nworkers int) (*ResultSet, error) {
+	st, err := sqlparser.Parse(sql)
+	if err != nil {
+		return nil, err
+	}
+	return s.eng.view(s.meter, s.Tracer()).execStmt(st, sql, nworkers)
+}
+
+func (e *Engine) execStmt(st sqlparser.Statement, sql string, nworkers int) (*ResultSet, error) {
 	sp := e.tracer.Start(obs.CatSQL, "sql").AttrStr("stmt", obs.Truncate(sql, 120))
-	rs, err := e.execStmt(st)
+	rs, err := e.dispatch(st, nworkers)
 	if rs != nil {
 		sp.SetRows(int64(len(rs.Rows)))
 	}
@@ -116,14 +131,14 @@ func (e *Engine) ExecStmt(st sqlparser.Statement, sql string) (*ResultSet, error
 	return rs, err
 }
 
-func (e *Engine) execStmt(st sqlparser.Statement) (*ResultSet, error) {
+func (e *Engine) dispatch(st sqlparser.Statement, nworkers int) (*ResultSet, error) {
 	if _, ok := st.(*sqlparser.BuildTree); ok {
 		return nil, fmt.Errorf("engine: BUILD TREE %w", ErrNeedsServing)
 	}
 	e.meter.Charge(sim.CtrSQLStatements, e.meter.Costs().QueryStartup, 1)
 	switch s := st.(type) {
 	case *sqlparser.Select:
-		return e.execSelect(s)
+		return e.execSelect(s, nworkers)
 	case *sqlparser.CreateTable:
 		cols := make([]string, len(s.Cols))
 		for i, c := range s.Cols {
@@ -549,11 +564,25 @@ func (a *aggState) clone() *aggState {
 
 // execSelect executes a full Select: each core independently (its own scan —
 // the engine does not share scans across UNION arms), then UNION
-// combination, then ORDER BY.
-func (e *Engine) execSelect(s *sqlparser.Select) (*ResultSet, error) {
+// combination, then ORDER BY. With nworkers > 1 the cores of a multi-core
+// statement run on lanes first (coresOnLanes) and are combined here in core
+// order, so only the clock tells the lane count; a single core, or one worker,
+// executes on the caller's goroutine and meter.
+func (e *Engine) execSelect(s *sqlparser.Select, nworkers int) (*ResultSet, error) {
+	var sets []*ResultSet
+	var errs []error
+	if n := min(nworkers, len(s.Cores)); n > 1 {
+		sets, errs = e.coresOnLanes(s.Cores, n)
+	}
 	var out *ResultSet
 	for i := range s.Cores {
-		rs, err := e.execCore(&s.Cores[i])
+		var rs *ResultSet
+		var err error
+		if sets != nil {
+			rs, err = sets[i], errs[i]
+		} else {
+			rs, err = e.execCore(&s.Cores[i])
+		}
 		if err != nil {
 			return nil, err
 		}
@@ -580,6 +609,28 @@ func (e *Engine) execSelect(s *sqlparser.Select) (*ResultSet, error) {
 	// Result rows cross the wire to the caller.
 	e.meter.Charge(sim.CtrRowsTransmitted, e.meter.Costs().RowTransmit, int64(len(out.Rows)))
 	return out, nil
+}
+
+// coresOnLanes executes the cores over n > 1 forked lanes, core i on lane
+// i mod n — the server's intra-query parallelism: the statement's startup and
+// the transmission of its result stay once, on the parent. Each lane runs its
+// cores through a lane view of the engine (Engine.lane) on its private meter
+// and tracer, so its charges are a pure function of the cores it was dealt.
+func (e *Engine) coresOnLanes(cores []sqlparser.SelectCore, n int) ([]*ResultSet, []error) {
+	sets, errs := make([]*ResultSet, len(cores)), make([]error, len(cores))
+	obs.RunLanes(e.meter, e.tracer, n, func(part int, lane *sim.Meter, ltr *obs.Tracer) {
+		lsp := ltr.Start(obs.CatLane, "lane").SetPartition(part, n)
+		le := e.view(lane, ltr)
+		le.lane = true
+		var rows int64
+		for i := part; i < len(cores); i += n {
+			if sets[i], errs[i] = le.execCore(&cores[i]); errs[i] == nil {
+				rows += int64(len(sets[i].Rows))
+			}
+		}
+		lsp.SetRows(rows).End()
+	})
+	return sets, errs
 }
 
 func dedupeRows(rows [][]Val) [][]Val {

@@ -271,17 +271,16 @@ func (e *Engine) RegisterModel(m *Model) error {
 // Model resolves a registered model by name. A model whose in-memory entry
 // is gone (a fresh registry over surviving tables) is reconstructed from its
 // catalog table — that round trip is what "models survive as data" means —
-// and re-cached.
+// and re-cached (not by a lane view, which writes nothing lanes share).
 func (e *Engine) Model(name string) (*Model, error) {
 	if m, ok := e.models[name]; ok {
 		return m, nil
 	}
 	m, err := e.ModelFromCatalog(name)
-	if err != nil {
-		return nil, err
+	if err == nil && !e.lane {
+		e.models[name] = m
 	}
-	e.models[name] = m
-	return m, nil
+	return m, err
 }
 
 // ModelNames lists every resolvable model, sorted: cached entries plus

@@ -7,15 +7,13 @@ import (
 	"repro/internal/obs"
 	"repro/internal/predicate"
 	"repro/internal/sim"
-	"repro/internal/storage"
 )
 
 // This file is the engine side of the lane pipeline: lane-partitioned
-// construction of the §4.3.3 auxiliary structures and the per-arm execution
-// primitive the SQL fallback fans out over. Lanes read immutable row groups or
-// the immutable heap, charge only their private lane meter, and record spans
-// only on their private lane tracer, so every lane's outcome is a pure function
-// of its partition and the folded result is bit-for-bit reproducible across
+// construction of the §4.3.3 auxiliary structures. Lanes read immutable row
+// groups, charge only their private lane meter, and record spans only on their
+// private lane tracer, so every lane's outcome is a pure function of its
+// partition and the folded result is bit-for-bit reproducible across
 // GOMAXPROCS and goroutine interleavings.
 
 // auxWorkers clamps a requested aux-build lane count to the table's row-group
@@ -133,57 +131,4 @@ func (s *Server) CopySubset(f predicate.Filter, nworkers int) (*Server, error) {
 	}
 	sp.SetRows(t.NumRows()).End()
 	return &Server{eng: s.eng, meter: s.meter, tracer: s.tracer, schema: s.schema, table: t, noHints: s.noHints}, nil
-}
-
-// WarmTable reports whether arm scans of the table run against a resident
-// buffer pool, faulting the table in if needed. When the table fits the
-// pool, one sequential prefetch by the server's own pooled reader makes every
-// page resident — the same pages, charges and LRU state a serial statement's
-// first scan would produce, and pages already resident from earlier
-// statements cost nothing. When the table exceeds the pool a sequential
-// scan floods the LRU and every later scan re-pays full disk I/O (the
-// paper's target regime), so there is nothing to warm and arm scans must
-// model cold reads like the serial UNION's arms do.
-func (s *Server) WarmTable() bool {
-	np := s.table.NumPages()
-	if np > s.eng.bp.Capacity() {
-		return false
-	}
-	r := s.reader()
-	for p := 0; p < np; p++ {
-		r.page(storage.PageID(p))
-	}
-	return true
-}
-
-// CountsArmScan executes one GROUP BY arm of a §2.3 counts query on a
-// private lane: a full scan evaluating the pushed-down path filter and one
-// aggregation step per qualifying row, which is handed to fn. The caller
-// maintains the groups (the arm's counts shard), charges RowTransmit per
-// resulting group row, and charges the per-statement QueryStartup once per
-// request on its own meter — the middleware still issues one UNION statement
-// per request; the server merely executes its arms on parallel CPUs
-// (intra-query parallelism), so no per-arm startup exists.
-//
-// The engine's serial UNION execution performs one scan per arm too (the
-// optimizer does not share scans across arms), through the shared buffer
-// pool. warm — typically the result of a parent-side WarmTable call — says
-// whether the pool holds the whole table: warm arms read resident pages for
-// free, exactly like serial arms of a pool-resident table, while cold arms
-// (table larger than the pool, where every serial scan re-faults each page)
-// pay ServerPageIO per page. Row CPU and aggregation costs are always
-// charged. Arms never touch the pool itself, whatever their number.
-func (s *Server) CountsArmScan(f predicate.Filter, lane *sim.Meter, warm bool, fn func(data.Row)) {
-	r := heapReader{t: s.table, meter: lane, mode: payCold}
-	if warm {
-		r.mode = payResident
-	}
-	aggRow := lane.Costs().SQLAggRow
-	r.scanAll(func(_ storage.TID, row data.Row) bool {
-		if f.Eval(row) {
-			lane.Charge(sim.CtrSQLAggRows, aggRow, 1)
-			fn(row)
-		}
-		return true
-	})
 }

@@ -183,77 +183,3 @@ func TestAuxPartitionLaneCharging(t *testing.T) {
 		t.Errorf("partitioned aux scans charged the server meter by %v", srv.Meter().Since(before))
 	}
 }
-
-// TestCountsArmScanAggregates: one GROUP BY arm charges a cold scan of every
-// page and one aggregation step per qualifying row — never a statement
-// startup, which belongs to the request's single UNION statement on the
-// parent — and hands exactly the qualifying rows to the caller. A warm arm
-// (table resident in the buffer pool) pays no page IO but all per-row costs.
-func TestCountsArmScanAggregates(t *testing.T) {
-	srv, ds := partitionTestServer(t, 2000)
-	f := auxTestFilter()
-	var want int64
-	for _, r := range ds.Rows {
-		if r[0] == 1 {
-			want++
-		}
-	}
-	lane := srv.Meter().Fork(1)[0]
-	var got int64
-	srv.CountsArmScan(f, lane, false, func(data.Row) { got++ })
-	if got != want {
-		t.Errorf("arm scan handed %d rows to fn, want %d", got, want)
-	}
-	if n := lane.Count(sim.CtrSQLStatements); n != 0 {
-		t.Errorf("arm scan charged %d statements, want 0 (startup is per request, not per arm)", n)
-	}
-	if n := lane.Count(sim.CtrSQLAggRows); n != want {
-		t.Errorf("arm scan charged %d agg rows, want %d", n, want)
-	}
-	if n := lane.Count(sim.CtrServerPages); n != int64(srv.NumPages()) {
-		t.Errorf("arm scan charged %d pages, want %d", n, srv.NumPages())
-	}
-
-	cold := lane.Now()
-	srv.CountsArmScan(f, lane, true, func(data.Row) {})
-	if n := lane.Count(sim.CtrServerPages); n != int64(srv.NumPages()) {
-		t.Errorf("warm arm scan charged page IO: %d pages total, want %d", n, srv.NumPages())
-	}
-	warmCost := lane.Now() - cold
-	if warmCost <= 0 || warmCost >= cold {
-		t.Errorf("warm arm cost %v not in (0, cold cost %v)", warmCost, cold)
-	}
-	if n := lane.Count(sim.CtrSQLAggRows); n != 2*want {
-		t.Errorf("warm arm scan charged %d agg rows total, want %d", n, 2*want)
-	}
-}
-
-// TestWarmTableResidency: WarmTable faults a pool-sized table in once (later
-// calls hit resident pages for free) and refuses to warm a table larger than
-// the pool, where sequential scans flood the LRU.
-func TestWarmTableResidency(t *testing.T) {
-	srv, ds := partitionTestServer(t, 2000)
-	meter := srv.Meter()
-	if !srv.WarmTable() {
-		t.Fatal("table within pool capacity reported not warmable")
-	}
-	after := meter.Count(sim.CtrServerPages)
-	if !srv.WarmTable() {
-		t.Fatal("second WarmTable call reported not warmable")
-	}
-	if n := meter.Count(sim.CtrServerPages); n != after {
-		t.Errorf("second WarmTable re-faulted %d pages, want 0", n-after)
-	}
-
-	// A one-page pool can never hold the multi-page table.
-	small, err := NewServer(New(sim.NewDefaultMeter(), 1), "cases", ds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if small.NumPages() < 2 {
-		t.Fatalf("test table has %d pages, need >= 2", small.NumPages())
-	}
-	if small.WarmTable() {
-		t.Error("table larger than the pool reported warm")
-	}
-}

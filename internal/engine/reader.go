@@ -17,8 +17,8 @@ const (
 	// cursor): it consults the shared LRU buffer pool and pays ServerPageIO for
 	// a miss.
 	payPooled payMode = iota
-	// payCold is one of several forked lanes (the fallback arms of a table the
-	// pool cannot hold): it pays ServerPageIO for every page and leaves the pool
+	// payCold is one of several forked lanes (the arms of a UNION run on lanes,
+	// execSelect): it pays ServerPageIO for every page and leaves the pool
 	// untouched. Concurrent lanes would interleave nondeterministically in the
 	// pool's LRU state, so consulting it would make page accounting depend on
 	// goroutine scheduling; reading cold keeps every lane's charges a pure
@@ -28,17 +28,13 @@ const (
 	// pooled streams. The columnar scan (scanGroups) follows the same rule per
 	// row group.
 	payCold
-	// payResident reads a table the caller has established to be resident
-	// (WarmTable): pages are free, and the pool is not touched.
-	payResident
 )
 
 // heapReader is the one place a heap page is walked and paid for: a table,
 // the meter of the stream reading it, and who pays for the page. Everything
-// that reads heap records — the whole-table cursor, fallback arms, the SQL
-// executor — goes through page, scanAll or fetch, so page charges always land
-// on the reading stream's own meter (a View's, a lane's), never on the
-// pool's owner.
+// that reads heap records — the whole-table cursor, the SQL executor — goes
+// through page, scanAll or fetch, so page charges always land on the reading
+// stream's own meter (a View's, a lane's), never on the pool's owner.
 type heapReader struct {
 	t     *Table
 	pool  *storage.BufferPool // consulted by payPooled only
@@ -46,22 +42,26 @@ type heapReader struct {
 	mode  payMode
 }
 
-// reader returns the engine's own pooled reader over t: SQL statements,
-// index builds and catalog reads run one at a time on the engine meter.
+// reader returns the view's reader over t, charging the view's meter: pooled
+// for SQL statements, index builds and catalog reads, which run one at a time;
+// cold for a lane view.
 func (e *Engine) reader(t *Table) heapReader {
-	return heapReader{t: t, pool: e.bp, meter: e.meter, mode: payPooled}
+	r := heapReader{t: t, pool: e.bp, meter: e.meter, mode: payPooled}
+	if e.lane {
+		r.mode = payCold
+	}
+	return r
 }
 
 // reader returns the pooled reader of the server's own stream of the data
-// table — a whole-table cursor, a prefetch — charging the server's meter (a
-// View's own).
+// table — a whole-table cursor — charging the server's meter (a View's own).
 func (s *Server) reader() heapReader {
 	return heapReader{t: s.table, pool: s.eng.bp, meter: s.meter, mode: payPooled}
 }
 
 // page pays for heap page p and returns its records packed back to back.
 func (r heapReader) page(p storage.PageID) []byte {
-	if r.mode == payCold || r.mode == payPooled && r.pool.Touch(r.t.heap, p) {
+	if r.mode == payCold || r.pool.Touch(r.t.heap, p) {
 		r.meter.Charge(sim.CtrServerPages, r.meter.Costs().ServerPageIO, 1)
 	}
 	return r.t.heap.PageRecords(p)

@@ -10,7 +10,7 @@ import (
 )
 
 // TestHeapReaderCharges pins the one seam where a heap page is paid for: the
-// three paying modes read identical rows and TIDs and differ only in what
+// two paying modes read identical rows and TIDs and differ only in what
 // they charge, and whom.
 func TestHeapReaderCharges(t *testing.T) {
 	f := auxTestFilter()
@@ -33,9 +33,6 @@ func TestHeapReaderCharges(t *testing.T) {
 		{"cold", 0, func(s *Server, m *sim.Meter) heapReader {
 			return heapReader{t: s.table, meter: m, mode: payCold}
 		}, true, true, false},
-		{"resident", 0, func(s *Server, m *sim.Meter) heapReader {
-			return heapReader{t: s.table, meter: m, mode: payResident}
-		}, false, false, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			_, ds := partitionTestServer(t, 4000)

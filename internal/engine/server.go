@@ -18,7 +18,7 @@ type Server struct {
 	tracer  *obs.Tracer // per-view override; nil inherits the engine tracer
 	schema  *data.Schema
 	table   *Table
-	noHints bool // disable statistics-guided splits and estimates (ablation)
+	noHints bool // disable statistics-guided splits (ablation)
 }
 
 // NewServer creates a server around an engine and loads the dataset into a
@@ -42,10 +42,9 @@ func NewServer(eng *Engine, name string, ds *data.Dataset) (*Server, error) {
 func (s *Server) Engine() *Engine { return s.eng }
 
 // SetSplitHints toggles the engine's own use of row-group statistics: the
-// weighted lane split of the aux builders' qualifying scan and EstimateMatch.
-// Hints are enabled by default; disabling them restores equal-width splits,
-// the ablation arm of the skew experiment. Derived servers (CopySubset)
-// inherit the setting.
+// weighted lane split of the aux builders' qualifying scan. Hints are enabled
+// by default; disabling them restores equal-width splits, the ablation arm of
+// the skew experiment. Derived servers (CopySubset) inherit the setting.
 func (s *Server) SetSplitHints(on bool) { s.noHints = !on }
 
 // Meter returns the server's meter.
@@ -165,23 +164,6 @@ func (c *scanCursor) Next() (data.Row, bool) {
 			return c.row, true
 		}
 	}
-}
-
-// EstimateMatch returns the statistics-based estimate of how many table rows
-// match f — per row group the estimate from its exact per-code counts
-// (GroupFilter.Estimate), summed — or -1 when hints are disabled (callers fall
-// back to uniform assumptions). Pure and unmetered.
-func (s *Server) EstimateMatch(f predicate.Filter) int64 {
-	if s.noHints {
-		return -1
-	}
-	var n int64
-	var gf GroupFilter
-	for gi, cs := 0, s.table.colstore; gi < cs.NumGroups(); gi++ {
-		gf.Compile(cs.Group(gi), f)
-		n += gf.Estimate()
-	}
-	return n
 }
 
 // RowSet is a pre-selected row set over the data table — the body of both

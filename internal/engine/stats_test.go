@@ -92,12 +92,13 @@ func TestWeightedBoundsDegenerate(t *testing.T) {
 	}
 }
 
-// TestEstimateMatchSingleColumnExact: a filter on one column is estimated from
-// the row groups' exact per-code counts, so the estimate is the count — for
-// values of any size (the per-page sketch this replaced capped at 64) and for a
-// clustered column, whose groups outside the value's band contribute nothing —
-// and disabling hints turns it off.
-func TestEstimateMatchSingleColumnExact(t *testing.T) {
+// TestGroupFilterEstimateSingleColumnExact: a filter on one column is estimated from
+// the row groups' exact per-code counts (GroupFilter.Estimate summed over the
+// groups, which is what GroupBounds weighs lanes by), so the estimate is the
+// count — for values of any size (the per-page sketch this replaced capped at
+// 64) and for a clustered column, whose groups outside the value's band
+// contribute nothing.
+func TestGroupFilterEstimateSingleColumnExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	ds := data.NewDataset(data.NewSchema(2, 200, 2))
 	counts := map[data.Value]int64{}
@@ -111,29 +112,33 @@ func TestEstimateMatchSingleColumnExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	estimate := func(f predicate.Filter) (total int64) {
+		var gf GroupFilter
+		for gi, cs := 0, srv.table.colstore; gi < cs.NumGroups(); gi++ {
+			gf.Compile(cs.Group(gi), f)
+			total += gf.Estimate()
+		}
+		return total
+	}
 	for v := data.Value(58); v < 72; v++ {
-		if got := srv.EstimateMatch(eqFilter(0, v)); got != counts[v] {
-			t.Errorf("EstimateMatch(attr0=%d) = %d, want %d", v, got, counts[v])
+		if got := estimate(eqFilter(0, v)); got != counts[v] {
+			t.Errorf("estimate(attr0=%d) = %d, want %d", v, got, counts[v])
 		}
 	}
 	// Ne is the complement, also exact for one condition.
 	ne := predicate.Or(predicate.Conj{{Attr: 0, Op: predicate.Ne, Val: 61}})
-	if got := srv.EstimateMatch(ne); got != n-counts[61] {
-		t.Errorf("EstimateMatch(attr0<>61) = %d, want %d", got, n-counts[61])
+	if got := estimate(ne); got != n-counts[61] {
+		t.Errorf("estimate(attr0<>61) = %d, want %d", got, n-counts[61])
 	}
 	// The clustered column: a third of the rows, whichever groups hold them.
-	if got, want := srv.EstimateMatch(eqFilter(1, 1)), int64((2*n+2)/3-(n+2)/3); got != want {
-		t.Errorf("EstimateMatch(attr1=1) = %d, want %d", got, want)
+	if got, want := estimate(eqFilter(1, 1)), int64((2*n+2)/3-(n+2)/3); got != want {
+		t.Errorf("estimate(attr1=1) = %d, want %d", got, want)
 	}
 	// Match-all returns every row; an empty filter returns none.
-	if got := srv.EstimateMatch(predicate.MatchAll()); got != n {
-		t.Errorf("EstimateMatch(all) = %d, want %d", got, n)
+	if got := estimate(predicate.MatchAll()); got != n {
+		t.Errorf("estimate(all) = %d, want %d", got, n)
 	}
-	if got := srv.EstimateMatch(predicate.Or()); got != 0 {
-		t.Errorf("EstimateMatch(empty) = %d, want 0", got)
-	}
-	srv.SetSplitHints(false)
-	if srv.EstimateMatch(eqFilter(0, 61)) != -1 {
-		t.Fatal("EstimateMatch not -1 with hints disabled")
+	if got := estimate(predicate.Or()); got != 0 {
+		t.Errorf("estimate(empty) = %d, want 0", got)
 	}
 }

@@ -45,7 +45,7 @@ func buildTreeRules(env *Env, ds *data.Dataset, mcfg mw.Config, opt dtree.Option
 // census-workload tree builds at 1, 2, 4 and 8 scan workers, across four
 // arms — no staging (every batch scans the server), full file+memory
 // staging, a fallback-only arm (a CC budget below every estimate pushes each
-// node to the SQL fallback, whose per-attribute GROUP BY arms fan over
+// node to the SQL fallback, a UNION statement whose arms the server runs on
 // lanes), and the keyset access path (partitioned keyset builds and
 // re-scans). The deterministic parallel cost model should cut virtual build
 // time as workers grow — scan-dominated phases divide across lanes while

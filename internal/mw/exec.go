@@ -215,41 +215,27 @@ func (m *Middleware) finishBatch(r *batchRun) ([]*Result, error) {
 		m.stagedMem += bytes
 	}
 
-	// Post results.
+	// Post results: the scan's tables, then the fallback requests', each one
+	// §2.3 statement at the server (sqlCounts).
 	var results []*Result
-	for _, w := range r.live {
-		res := &Result{Req: w.req, CC: w.cc, Source: r.srcName}
-		m.open[w.req.NodeID] = res
-		m.ccHold += w.cc.Bytes()
+	post := func(res *Result) {
+		m.open[res.Req.NodeID] = res
+		m.ccHold += res.CC.Bytes()
 		results = append(results, res)
 	}
-	if nfw := m.fallbackWorkers(r.fallback); nfw > 1 {
-		// Fan the fallback requests' GROUP BY arms out over forked lanes
-		// (see fallback_parallel.go); tables come back in request order.
-		tables := m.runFallbackParallel(r.fallback, nfw)
-		for i, req := range r.fallback {
-			t := tables[i]
-			m.meter.Charge(sim.CtrSQLFallbacks, 0, 1)
-			res := &Result{Req: req, CC: t, ViaSQL: true, Source: "sql"}
-			m.open[req.NodeID] = res
-			m.ccHold += t.Bytes()
-			results = append(results, res)
+	for _, w := range r.live {
+		post(&Result{Req: w.req, CC: w.cc, Source: r.srcName})
+	}
+	for _, req := range r.fallback {
+		fsp := tr.Start(obs.CatFallback, "sql-fallback").Attr("node", int64(req.NodeID))
+		t, err := m.sqlCounts(req)
+		if err != nil {
+			fsp.End()
+			return nil, err
 		}
-	} else {
-		for _, req := range r.fallback {
-			fsp := tr.Start(obs.CatFallback, "sql-fallback").Attr("node", int64(req.NodeID))
-			t, err := m.sqlCounts(req)
-			if err != nil {
-				fsp.End()
-				return nil, err
-			}
-			m.meter.Charge(sim.CtrSQLFallbacks, 0, 1)
-			fsp.SetSource("sql").SetRows(t.Rows()).End()
-			res := &Result{Req: req, CC: t, ViaSQL: true, Source: "sql"}
-			m.open[req.NodeID] = res
-			m.ccHold += t.Bytes()
-			results = append(results, res)
-		}
+		m.meter.Charge(sim.CtrSQLFallbacks, 0, 1)
+		fsp.SetSource("sql").SetRows(t.Rows()).End()
+		post(&Result{Req: req, CC: t, ViaSQL: true, Source: "sql"})
 	}
 	// Requests shed mid-scan return to the queue for a later batch.
 	m.queue = append(m.queue, r.requeued...)
@@ -359,26 +345,13 @@ func (m *Middleware) residency() (server, file, mem int) {
 
 // sqlCounts services one request with the straightforward SQL implementation
 // of §2.3: a UNION of GROUP BY queries executed at the server, one arm per
-// remaining attribute plus one arm for the class histogram. This is both the
-// runtime fallback when a counts table cannot fit in middleware memory
-// (§4.1.1) and, via the baseline package, the strawman of Figure 7.
+// remaining attribute plus one arm for the class histogram, on the middleware's
+// own meter and tracer (a session's, in a fleet); the server runs the arms over
+// up to Config.Workers lanes. This is both the runtime fallback when a counts
+// table cannot fit in middleware memory (§4.1.1) and, via the baseline package,
+// the strawman of Figure 7.
 func (m *Middleware) sqlCounts(r *Request) (*cc.Table, error) {
-	eng := m.srv.Engine()
-	query := CountsSQL(m.schema, m.srv.TableName(), r.Path, r.Attrs)
-	if em := eng.Meter(); em != m.meter {
-		// Session middleware: the statement executes under the engine's own
-		// clock (the engine is shared by the whole fleet), so fold its
-		// counter deltas and elapsed time back into the session meter.
-		base := em.CounterVec()
-		baseNow := em.Now()
-		rs, err := eng.Exec(query)
-		if err != nil {
-			return nil, err
-		}
-		m.meter.AbsorbDelta(em.CounterVec().Delta(base), int64(em.Now()-baseNow))
-		return CountsFromResult(m.schema, rs)
-	}
-	rs, err := eng.Exec(query)
+	rs, err := m.srv.Exec(CountsSQL(m.schema, m.srv.TableName(), r.Path, r.Attrs), m.cfg.Workers)
 	if err != nil {
 		return nil, err
 	}

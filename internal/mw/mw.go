@@ -165,7 +165,8 @@ type Config struct {
 	// virtual clock are bit-for-bit reproducible regardless of GOMAXPROCS or
 	// goroutine interleaving. The same lane model covers every pipeline
 	// stage: the §4.3.3 auxiliary builds partition their qualifying scan, and
-	// the SQL fallback fans each request's GROUP BY arms out over lanes.
+	// a SQL fallback hands Workers to the server with its statement, which
+	// runs the UNION's arms on that many lanes (engine.Server.Exec).
 	// A scan whose source cannot be split, or whose per-worker budget slice
 	// would round down to zero, runs one lane.
 	Workers int
@@ -184,11 +185,10 @@ type Config struct {
 	// FIFOScheduling disables Rule 3: eligible requests are admitted in
 	// arrival order instead of by increasing estimated counts-table size.
 	FIFOScheduling bool
-	// NoHistogramHints disables skew-aware partitioning: parallel scans,
-	// aux builds and fallback arms fall back to equal-width splits and
-	// round-robin arm assignment instead of consulting row-group
-	// statistics. Results are unchanged; only lane balance (and therefore
-	// the virtual clock) differs.
+	// NoHistogramHints disables skew-aware partitioning: parallel scans and
+	// aux builds fall back to equal-width splits instead of consulting
+	// row-group statistics. Results are unchanged; only lane balance (and
+	// therefore the virtual clock) differs.
 	NoHistogramHints bool
 
 	// Metrics, when non-nil, receives one obs.BatchStats per executed batch:

@@ -49,6 +49,60 @@ func TestColumnarBuildChargesPinned(t *testing.T) {
 	}
 }
 
+// TestFallbackChargesPinned pins what a build whose every node falls back to
+// the §2.3 SQL statement (a memory budget that admits no counts table) charges,
+// on one worker and on four: the tree, the statements, the rows their GROUP BYs
+// aggregated, the pages their scans read, the result rows transmitted and the
+// virtual clock. One worker is the serial statement, unchanged since it became
+// a columnar pass per arm. Four workers run the same statement's arms on four
+// lanes inside the engine; the comment holds what the middleware's own arm
+// scans over the buffer-pool-resident heap charged before that — no page beyond
+// the prefetch, but ServerRowCPU per heap row per arm and a shard-merge pass.
+func TestFallbackChargesPinned(t *testing.T) {
+	ds, err := datagen.GenerateCensus(datagen.CensusConfig{Rows: 12000, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		workers int
+		want    [6]int64
+	}{
+		{1, [6]int64{63, 31, 712005, 4395, 3971, 3491176728}},
+		// heap arm scans: ..., 116, 3971, 2218485688
+		{4, [6]int64{63, 31, 712005, 4395, 3971, 1438870728}},
+	} {
+		srv, err := engine.NewServer(engine.New(sim.NewDefaultMeter(), 0), "cases", ds)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := mw.New(srv, mw.Config{Memory: 480, Workers: tc.workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tree, err := dtree.Build(m, dtree.Options{MaxDepth: 5, MinRows: 20})
+		if err != nil {
+			t.Fatal(err)
+		}
+		meter := m.Meter()
+		got := [...]int64{
+			int64(tree.NumNodes),
+			meter.Count(sim.CtrSQLStatements),
+			meter.Count(sim.CtrSQLAggRows),
+			meter.Count(sim.CtrServerPages),
+			meter.Count(sim.CtrRowsTransmitted),
+			int64(meter.Now()),
+		}
+		m.Close()
+		if n, split := meter.Count(sim.CtrSQLFallbacks), int64(tree.NumNodes-tree.NumLeaves); n != split {
+			t.Errorf("%d workers: %d fallbacks for %d split nodes: not a fallback-only build", tc.workers, n, split)
+		}
+		if got != tc.want {
+			t.Errorf("%d workers: nodes, sql_statements, sql_agg_rows, server_pages_read, rows_transmitted, virtual ns = %v, want %v",
+				tc.workers, got, tc.want)
+		}
+	}
+}
+
 // TestAuxBuildChargesPinned pins what a keyset build and a TID-join build of the
 // same census tree charge, on one lane and on four: the tree, the row-at-a-time
 // work — fetches by TID, join probes, rows transmitted — the histogram bumps

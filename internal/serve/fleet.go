@@ -147,20 +147,7 @@ func NewFleet(srv *engine.Server, col *obs.Collector, cfg FleetConfig) (*Fleet, 
 // non-decreasing arrival order (use sim.Arrivals for a seeded schedule);
 // admission happens inside Run.
 func (f *Fleet) Open(label string, opt dtree.Options, arrivalNS int64) (*Session, error) {
-	if f.ran {
-		return nil, fmt.Errorf("serve: fleet already ran")
-	}
-	if n := len(f.sessions); n > 0 && arrivalNS < f.sessions[n-1].arrivalNS {
-		return nil, fmt.Errorf("serve: session arrivals must be non-decreasing")
-	}
-	f.lastID++
-	s := &Session{ID: f.lastID, Label: label, opt: opt, arrivalNS: arrivalNS}
-	if s.Label == "" {
-		s.Label = fmt.Sprintf("session-%d", s.ID)
-	}
-	f.sessions = append(f.sessions, s)
-	f.byID[s.ID] = s
-	return s, nil
+	return f.register(&Session{Label: label, opt: opt, arrivalNS: arrivalNS}, "session-%d")
 }
 
 // OpenScore registers a scoring session: the model applied to the served
@@ -168,19 +155,25 @@ func (f *Fleet) Open(label string, opt dtree.Options, arrivalNS int64) (*Session
 // Scoring sessions obey the same arrival-order and admission rules as
 // builds and join shared scans with them.
 func (f *Fleet) OpenScore(label string, model *engine.Model, workers int, arrivalNS int64) (*Session, error) {
-	if f.ran {
-		return nil, fmt.Errorf("serve: fleet already ran")
-	}
 	if model == nil {
 		return nil, fmt.Errorf("serve: scoring session needs a model")
 	}
-	if n := len(f.sessions); n > 0 && arrivalNS < f.sessions[n-1].arrivalNS {
+	return f.register(&Session{Label: label, model: model, workers: workers, arrivalNS: arrivalNS}, "score-%d")
+}
+
+// register gives s the next id — and, unlabelled, a label made from it — and
+// appends it to the arrival-ordered session list.
+func (f *Fleet) register(s *Session, labelFmt string) (*Session, error) {
+	if f.ran {
+		return nil, fmt.Errorf("serve: fleet already ran")
+	}
+	if n := len(f.sessions); n > 0 && s.arrivalNS < f.sessions[n-1].arrivalNS {
 		return nil, fmt.Errorf("serve: session arrivals must be non-decreasing")
 	}
 	f.lastID++
-	s := &Session{ID: f.lastID, Label: label, model: model, workers: workers, arrivalNS: arrivalNS}
+	s.ID = f.lastID
 	if s.Label == "" {
-		s.Label = fmt.Sprintf("score-%d", s.ID)
+		s.Label = fmt.Sprintf(labelFmt, s.ID)
 	}
 	f.sessions = append(f.sessions, s)
 	f.byID[s.ID] = s

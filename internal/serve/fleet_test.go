@@ -11,6 +11,7 @@ import (
 	"repro/internal/dtree"
 	"repro/internal/engine"
 	"repro/internal/mw"
+	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
@@ -80,26 +81,43 @@ func runFleetN(t *testing.T, srv *engine.Server, n int, cfg FleetConfig, opt dtr
 // TestFleetSingleSessionMatchesSolo: a one-session fleet is exactly a
 // single-tenant build — same tree, same modeled page reads and virtual time
 // on the session's own meter, with scan sharing on (a cohort of one shares
-// nothing) or off, staged or not, on one lane or four.
-// The engine's meter sees no page: a session's stream pays for its own.
+// nothing) or off, staged or not, on one lane or four, with memory for its
+// counts tables or so little that nodes fall back to SQL statements.
+// The engine's meter sees nothing: a session's streams and statements pay for
+// their own, and its statements are in its own trace.
 func TestFleetSingleSessionMatchesSolo(t *testing.T) {
 	const rows = 1500
 	for _, tc := range []struct {
 		name    string
 		cfg     mw.Config
 		sharing bool
+		memory  int64 // 0: unlimited
 	}{
-		{"columnar", baseCfg(1), true},
-		{"unshared/workers=1/staged", mw.Config{Staging: mw.StageFileAndMemory, Workers: 1}, false},
-		{"unshared/workers=1/unstaged", mw.Config{Workers: 1}, false},
-		{"unshared/workers=4", mw.Config{Staging: mw.StageFileAndMemory, Workers: 4}, false},
+		{"columnar", baseCfg(1), true, 0},
+		{"unshared/workers=1/staged", mw.Config{Staging: mw.StageFileAndMemory, Workers: 1}, false, 0},
+		{"unshared/workers=1/unstaged", mw.Config{Workers: 1}, false, 0},
+		{"unshared/workers=4", mw.Config{Staging: mw.StageFileAndMemory, Workers: 4}, false, 0},
+		{"fallback/workers=1", mw.Config{Workers: 1}, false, 64},
+		{"fallback/workers=4", mw.Config{Workers: 4}, false, 64},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			solo, soloMeter := soloBuildMetered(t, rows, tc.cfg, testOpt)
+			soloCfg := tc.cfg
+			soloCfg.Memory = tc.memory
+			solo, soloMeter := soloBuildMetered(t, rows, soloCfg, testOpt)
 
 			srv := testServer(t, rows)
-			f := runFleetN(t, srv, 1, FleetConfig{Base: tc.cfg, ScanSharing: tc.sharing}, testOpt)
-			s := f.Sessions()[0]
+			col := obs.NewCollector(true, false)
+			f, err := NewFleet(srv, col, FleetConfig{Base: tc.cfg, ScanSharing: tc.sharing, TotalMemory: tc.memory})
+			if err != nil {
+				t.Fatal(err)
+			}
+			s, err := f.Open("", testOpt, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := f.Run(); err != nil {
+				t.Fatal(err)
+			}
 			if s.Tree() == nil {
 				t.Fatal("session has no tree")
 			}
@@ -125,6 +143,35 @@ func TestFleetSingleSessionMatchesSolo(t *testing.T) {
 			if n := srv.Engine().Meter().Count(sim.CtrServerPages); n != 0 {
 				t.Errorf("%d pages landed on the engine meter, which no session or fleet total reads", n)
 			}
+			if now := srv.Engine().Meter().Now(); now != 0 {
+				t.Errorf("the engine's own clock advanced by %v; the session's statements run on the session's", now)
+			}
+
+			// Every statement the session issued is a span of its own proc,
+			// inside the sql-fallback span of the node it served.
+			stmts := s.Meter().Count(sim.CtrSQLStatements)
+			if got, want := stmts, soloMeter.Count(sim.CtrSQLStatements); got != want || (want > 0) != (tc.memory > 0) {
+				t.Errorf("session issued %d statements, solo build %d (memory %d)", got, want, tc.memory)
+			}
+			col.Trace.EachProc(func(p obs.ProcView) {
+				cat := map[int64]string{}
+				for _, sp := range p.Spans {
+					cat[sp.ID] = sp.Cat
+				}
+				var sqlSpans int64
+				for _, sp := range p.Spans {
+					if sp.Cat != obs.CatSQL {
+						continue
+					}
+					sqlSpans++
+					if cat[sp.Parent] != obs.CatFallback {
+						t.Errorf("sql span %d is under a %q span, want %q", sp.ID, cat[sp.Parent], obs.CatFallback)
+					}
+				}
+				if sqlSpans != stmts {
+					t.Errorf("proc %q holds %d sql spans for %d statements", p.Name, sqlSpans, stmts)
+				}
+			})
 		})
 	}
 }

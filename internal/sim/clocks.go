@@ -85,32 +85,6 @@ func (c *Clocks) Next(eligible func(id int) bool) (int, bool) {
 // Len returns the number of open clocks.
 func (c *Clocks) Len() int { return len(c.ids) }
 
-// AbsorbDelta folds externally metered work into m: counters add and the
-// clock advances by the elapsed time. It models a session waiting on work
-// performed under a foreign clock domain — the engine meter during a SQL
-// fallback, or a shared scan's io meter — while keeping per-domain counter
-// accounting exact. The observer, if any, sees the folded deltas like a
-// Join.
-func (m *Meter) AbsorbDelta(d CounterVec, elapsedNS int64) {
-	if elapsedNS < 0 {
-		panic("sim: negative absorb elapsed")
-	}
-	for i := range d {
-		if d[i] < 0 {
-			panic("sim: negative absorb delta")
-		}
-		m.counts[i] += d[i]
-	}
-	m.now += elapsedNS
-	if m.obs != nil {
-		for i, dv := range d {
-			if dv != 0 {
-				m.obs.ObserveCharge(Counter(i), dv, m.counts[i], m.now)
-			}
-		}
-	}
-}
-
 // Arrivals returns n session arrival offsets in virtual nanoseconds:
 // non-decreasing, gap i drawn uniformly from [0, 2*meanGapNS) by a seeded
 // splitmix64 stream. Pure integer arithmetic, so the schedule is identical

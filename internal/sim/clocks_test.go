@@ -36,23 +36,6 @@ func TestClocksSelection(t *testing.T) {
 	}
 }
 
-func TestAbsorbDelta(t *testing.T) {
-	src := NewDefaultMeter()
-	dst := NewDefaultMeter()
-	base := src.CounterVec()
-	baseNow := src.Now()
-	src.Charge(CtrServerPages, 10, 5)
-	src.Charge(CtrServerScans, 3, 1)
-
-	dst.AbsorbDelta(src.CounterVec().Delta(base), int64(src.Now()-baseNow))
-	if dst.Count(CtrServerPages) != 5 || dst.Count(CtrServerScans) != 1 {
-		t.Fatalf("absorbed counters: pages=%d scans=%d", dst.Count(CtrServerPages), dst.Count(CtrServerScans))
-	}
-	if dst.Now() != 53*time.Nanosecond {
-		t.Fatalf("absorbed clock = %v, want 53ns", dst.Now())
-	}
-}
-
 func TestArrivalsDeterministicAndBounded(t *testing.T) {
 	a := Arrivals(42, 8, 1000)
 	b := Arrivals(42, 8, 1000)

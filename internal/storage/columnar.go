@@ -6,6 +6,7 @@ import (
 	"math"
 	"slices"
 	"sort"
+	"sync"
 
 	"repro/internal/data"
 )
@@ -43,6 +44,7 @@ type ColStore struct {
 	ncols  int
 	groups []*ColGroup
 	tail   *GroupBuilder // the open tail, < RowGroupSize rows
+	tailMu sync.Mutex    // guards tailG and the sealing that fills it
 	tailG  *ColGroup     // cached encoding of the tail; nil when stale
 }
 
@@ -84,12 +86,17 @@ func (cs *ColStore) Append(row []data.Value) {
 
 // Group returns row group g. Index len(sealed groups) addresses the open
 // tail, which is encoded on first access and cached until the next Append.
-// The returned group is immutable.
+// The returned group is immutable. Readers may call Group concurrently (the
+// lanes of one statement each scan the whole copy): sealed groups are read
+// lock-free, and the tail's lazy encoding is serialized. Append is a writer:
+// like a heap insert, it must not run beside any reader.
 func (cs *ColStore) Group(g int) *ColGroup {
 	if g < len(cs.groups) {
 		return cs.groups[g]
 	}
 	if g == len(cs.groups) && cs.tail.n > 0 {
+		cs.tailMu.Lock()
+		defer cs.tailMu.Unlock()
 		if cs.tailG == nil {
 			cs.tailG = cs.tail.seal(true)
 		}
