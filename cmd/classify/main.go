@@ -61,7 +61,6 @@ func run() error {
 
 		traceOut    = flag.String("trace", "", "write a deterministic virtual-time trace of the build to this file")
 		traceFormat = flag.String("trace-format", "chrome", "trace format: chrome (Perfetto-loadable) or ndjson")
-		metricsOut  = flag.String("metrics", "", "write per-batch metrics and counter timelines (JSON) to this file")
 		explain     = flag.Bool("explain", false, "print the EXPLAIN ANALYZE-style build profile (per-span costs, critical path, skew)")
 	)
 	flag.Parse()
@@ -115,14 +114,13 @@ func run() error {
 	default:
 		return fmt.Errorf("unknown file policy %q", *policy)
 	}
-	// Observability attaches to the engine and middleware before the build and
-	// observes the meter without charging it: traces and metrics never change
-	// the simulated cost or the model.
-	col := obs.NewCollector(*traceOut != "" || *explain, *metricsOut != "")
-	if col != nil {
-		tr, pm := col.Proc("classify", meter)
-		eng.SetTracer(tr)
-		mcfg.Metrics = pm
+	// Observability attaches to the engine (the middleware shares its tracer)
+	// before the build and observes the meter without charging it: a trace
+	// never changes the simulated cost or the model.
+	var col *obs.Trace
+	if *traceOut != "" || *explain {
+		col = obs.NewTrace()
+		eng.SetTracer(col.Proc("classify", meter))
 	}
 	m, err := mw.New(srv, mcfg)
 	if err != nil {
@@ -145,7 +143,7 @@ func run() error {
 		if err := writeExplain(col, *explain); err != nil {
 			return err
 		}
-		return writeObs(col, *traceOut, *traceFormat, *metricsOut)
+		return writeTrace(col, *traceOut, *traceFormat)
 	}
 
 	opt := dtree.Options{MaxDepth: *maxDepth, MinRows: *minRows}
@@ -234,11 +232,11 @@ func run() error {
 	if err := writeExplain(col, *explain); err != nil {
 		return err
 	}
-	return writeObs(col, *traceOut, *traceFormat, *metricsOut)
+	return writeTrace(col, *traceOut, *traceFormat)
 }
 
 // writeExplain prints the post-hoc build profile to stdout.
-func writeExplain(col *obs.Collector, explain bool) error {
+func writeExplain(col *obs.Trace, explain bool) error {
 	if !explain {
 		return nil
 	}
@@ -246,41 +244,22 @@ func writeExplain(col *obs.Collector, explain bool) error {
 	return col.WriteProfile(os.Stdout, "text")
 }
 
-// writeObs writes the requested trace and metrics files; nil col is a no-op.
-func writeObs(col *obs.Collector, tracePath, traceFormat, metricsPath string) error {
-	if col == nil {
+// writeTrace writes the requested trace file; an empty path is a no-op.
+func writeTrace(col *obs.Trace, tracePath, traceFormat string) error {
+	if tracePath == "" {
 		return nil
 	}
-	if tracePath != "" {
-		f, err := os.Create(tracePath)
-		if err != nil {
-			return err
-		}
-		if err := col.WriteTrace(f, traceFormat); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Printf("wrote trace %s (%s; load chrome format at https://ui.perfetto.dev)\n", tracePath, traceFormat)
+	f, err := os.Create(tracePath)
+	if err != nil {
+		return err
 	}
-	if metricsPath != "" {
-		f, err := os.Create(metricsPath)
-		if err != nil {
-			return err
-		}
-		if err := col.WriteMetrics(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		if s := col.Summary(); s != "" {
-			fmt.Print(s)
-		}
-		fmt.Printf("wrote metrics %s\n", metricsPath)
+	if err := col.Write(f, traceFormat); err != nil {
+		f.Close()
+		return err
 	}
+	if err := f.Close(); err != nil {
+		return err
+	}
+	fmt.Printf("wrote trace %s (%s; load chrome format at https://ui.perfetto.dev)\n", tracePath, traceFormat)
 	return nil
 }

@@ -47,15 +47,17 @@ func main() {
 	parallel := flag.Int("parallel", 1, "run up to this many experiments concurrently (each is internally deterministic)")
 	traceOut := flag.String("trace", "", "write a deterministic virtual-time trace of every tree build to this file")
 	traceFormat := flag.String("trace-format", "chrome", "trace format: chrome (Perfetto-loadable) or ndjson")
-	metricsOut := flag.String("metrics", "", "write per-batch metrics and counter timelines (JSON) to this file")
 	flag.Parse()
 
 	// Observability registers one proc per tree build in registration order;
 	// run experiments sequentially so the trace is deterministic.
-	col := obs.NewCollector(*traceOut != "", *metricsOut != "")
-	if col != nil && *parallel != 1 {
-		fmt.Fprintln(os.Stderr, "experiments: -trace/-metrics force -parallel=1 for deterministic output")
-		*parallel = 1
+	var col *obs.Trace
+	if *traceOut != "" {
+		col = obs.NewTrace()
+		if *parallel != 1 {
+			fmt.Fprintln(os.Stderr, "experiments: -trace forces -parallel=1 for deterministic output")
+			*parallel = 1
+		}
 	}
 
 	if *list {
@@ -142,20 +144,11 @@ func main() {
 	}()
 
 	if col != nil {
-		if *traceOut != "" {
-			if err := writeFile(*traceOut, func(w io.Writer) error { return col.WriteTrace(w, *traceFormat) }); err != nil {
-				fmt.Fprintf(os.Stderr, "experiments: write trace: %v\n", err)
-				os.Exit(1)
-			}
-			fmt.Fprintf(os.Stderr, "experiments: wrote trace %s\n", *traceOut)
+		if err := writeFile(*traceOut, func(w io.Writer) error { return col.Write(w, *traceFormat) }); err != nil {
+			fmt.Fprintf(os.Stderr, "experiments: write trace: %v\n", err)
+			os.Exit(1)
 		}
-		if *metricsOut != "" {
-			if err := writeFile(*metricsOut, col.WriteMetrics); err != nil {
-				fmt.Fprintf(os.Stderr, "experiments: write metrics: %v\n", err)
-				os.Exit(1)
-			}
-			fmt.Fprintf(os.Stderr, "experiments: wrote metrics %s\n", *metricsOut)
-		}
+		fmt.Fprintf(os.Stderr, "experiments: wrote trace %s\n", *traceOut)
 	}
 
 	if *out != "" {

@@ -18,8 +18,6 @@
 //     (or traced) between fork and join
 //   - closer:       resources with Close/Finish/Abort obligations are
 //     released on all paths
-//   - noreentrancy: no Meter.Charge from inside a ChargeObserver callback
-//     chain
 //   - gohandoff:    obligations captured by `go` statements are released
 //     inside the goroutine on all paths
 //
@@ -157,7 +155,6 @@ func Analyzers() []*Analyzer {
 		SpanendAnalyzer,
 		ForkjoinAnalyzer,
 		CloserAnalyzer,
-		NoreentrancyAnalyzer,
 		GohandoffAnalyzer,
 	}
 }

@@ -142,7 +142,7 @@ func TestPassingCases(t *testing.T) {
 			}
 		}
 	}
-	for _, base := range []string{"determinism", "spanend", "forkjoin", "closer", "noreentrancy", "pr3scan", "pr3staging", "skewstats", "coldict", "profsnap", "servewire", "interproc", "gohandoff", "scorecat"} {
+	for _, base := range []string{"determinism", "spanend", "forkjoin", "closer", "pr3scan", "pr3staging", "skewstats", "coldict", "profsnap", "servewire", "interproc", "gohandoff", "scorecat"} {
 		if passing[base] == 0 {
 			t.Errorf("case package %s has no passing (Ok*/Fixed*/Good*/Free*) function", base)
 		}

@@ -1,6 +1,6 @@
 // Package sim is a structural stub of the real internal/sim: the analyzers
-// match the Meter/ChargeObserver surface by package base name and method
-// name, so testdata exercises the same shapes the repository does.
+// match the Meter surface by package base name and method name, so testdata
+// exercises the same shapes the repository does.
 package sim
 
 type Counter int
@@ -38,10 +38,4 @@ func (m *Meter) Join(lanes []*Meter) {
 		}
 	}
 	m.now += max
-}
-
-// ChargeObserver mirrors the real observer hook: called after every Charge,
-// must never charge back into a meter.
-type ChargeObserver interface {
-	ObserveCharge(c Counter, n, total, nowNS int64)
 }

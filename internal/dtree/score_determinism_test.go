@@ -13,8 +13,8 @@ import (
 )
 
 // driveScoreObs runs one fully-observed vectorized scoring pass and returns
-// its NDJSON trace, metrics JSON and -explain text profile.
-func driveScoreObs(t *testing.T, workers int) (nd, metrics, explain []byte) {
+// its NDJSON trace, Chrome trace and -explain text profile.
+func driveScoreObs(t *testing.T, workers int) (nd, chrome, explain []byte) {
 	t.Helper()
 	ds, err := datagen.GenerateCensus(datagen.CensusConfig{Rows: 4000, Seed: 5})
 	if err != nil {
@@ -24,11 +24,10 @@ func driveScoreObs(t *testing.T, workers int) (nd, metrics, explain []byte) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	col := obs.NewCollector(true, true)
+	col := obs.NewTrace()
 	meter := sim.NewDefaultMeter()
 	eng := engine.New(meter, 0)
-	tr, _ := col.Proc("score", meter)
-	eng.SetTracer(tr)
+	eng.SetTracer(col.Proc("score", meter))
 	if _, err := engine.NewServer(eng, "cases", ds); err != nil {
 		t.Fatal(err)
 	}
@@ -46,28 +45,28 @@ func driveScoreObs(t *testing.T, workers int) (nd, metrics, explain []byte) {
 	if _, err := eng.ScoreTable(tbl, m, workers); err != nil {
 		t.Fatal(err)
 	}
-	var nb, mb, eb bytes.Buffer
-	if err := col.WriteTrace(&nb, "ndjson"); err != nil {
+	var nb, cb, eb bytes.Buffer
+	if err := col.Write(&nb, "ndjson"); err != nil {
 		t.Fatal(err)
 	}
-	if err := col.WriteMetrics(&mb); err != nil {
+	if err := col.Write(&cb, "chrome"); err != nil {
 		t.Fatal(err)
 	}
 	if err := col.WriteProfile(&eb, "text"); err != nil {
 		t.Fatal(err)
 	}
-	return nb.Bytes(), mb.Bytes(), eb.Bytes()
+	return nb.Bytes(), cb.Bytes(), eb.Bytes()
 }
 
 // TestScoreObsByteDeterminism extends the repo's observability determinism
 // contract to the scoring operator: for each fixed worker count, the NDJSON
-// trace, the metrics JSON and the -explain profile of a scoring pass are
+// trace, the Chrome trace and the -explain profile of a scoring pass are
 // byte-for-byte identical across reruns and across GOMAXPROCS settings.
 func TestScoreObsByteDeterminism(t *testing.T) {
 	for _, workers := range []int{1, 4, 8} {
 		workers := workers
 		t.Run(map[int]string{1: "workers=1", 4: "workers=4", 8: "workers=8"}[workers], func(t *testing.T) {
-			refND, refMetrics, refExplain := driveScoreObs(t, workers)
+			refND, refChrome, refExplain := driveScoreObs(t, workers)
 			if len(refND) == 0 {
 				t.Fatal("empty NDJSON trace")
 			}
@@ -79,12 +78,12 @@ func TestScoreObsByteDeterminism(t *testing.T) {
 				old := runtime.GOMAXPROCS(procs)
 				for rep := 0; rep < 2; rep++ {
 					run++
-					nd, metrics, explain := driveScoreObs(t, workers)
+					nd, chrome, explain := driveScoreObs(t, workers)
 					if !bytes.Equal(nd, refND) {
 						t.Errorf("run %d (GOMAXPROCS=%d): ndjson trace differs", run, procs)
 					}
-					if !bytes.Equal(metrics, refMetrics) {
-						t.Errorf("run %d (GOMAXPROCS=%d): metrics differ", run, procs)
+					if !bytes.Equal(chrome, refChrome) {
+						t.Errorf("run %d (GOMAXPROCS=%d): chrome trace differs", run, procs)
 					}
 					if !bytes.Equal(explain, refExplain) {
 						t.Errorf("run %d (GOMAXPROCS=%d): explain profile differs", run, procs)

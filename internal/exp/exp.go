@@ -27,18 +27,18 @@ import (
 )
 
 // Env carries per-run observability context into the runners. A nil *Env (or
-// an Env with a nil Collector) is fully supported and means "no
-// instrumentation": every hook below degrades to a no-op, so batch runs and
-// tests pay nothing. Obs wiring never perturbs measured results — spans and
-// metrics observe the meter, they do not charge it.
+// an Env with a nil Trace) is fully supported and means "no instrumentation":
+// every hook below degrades to a no-op, so batch runs and tests pay nothing.
+// Obs wiring never perturbs measured results — spans observe the meter, they
+// do not charge it.
 type Env struct {
-	Obs   *obs.Collector
-	Label string // proc label prefix for traces/metrics, e.g. the figure id
+	Obs   *obs.Trace
+	Label string // proc label prefix for traces, e.g. the figure id
 }
 
-// attach registers one tree build with the collector: a tracer on the engine
-// and a metrics observer on the middleware config. Safe on a nil receiver.
-func (e *Env) attach(meter *sim.Meter, eng *engine.Engine, mcfg *mw.Config) {
+// attach registers one tree build with the trace: a tracer on the engine,
+// which the middleware over it shares. Safe on a nil receiver.
+func (e *Env) attach(meter *sim.Meter, eng *engine.Engine) {
 	if e == nil || e.Obs == nil {
 		return
 	}
@@ -46,9 +46,7 @@ func (e *Env) attach(meter *sim.Meter, eng *engine.Engine, mcfg *mw.Config) {
 	if label == "" {
 		label = "build"
 	}
-	tr, pm := e.Obs.Proc(label, meter)
-	eng.SetTracer(tr)
-	mcfg.Metrics = pm
+	eng.SetTracer(e.Obs.Proc(label, meter))
 }
 
 // Generated datasets are memoized per (generator, configuration) for the life
@@ -261,7 +259,7 @@ func BuildTree(env *Env, ds *data.Dataset, mcfg mw.Config, opt dtree.Options) (B
 	if err != nil {
 		return BuildStats{}, err
 	}
-	env.attach(meter, eng, &mcfg)
+	env.attach(meter, eng)
 	m, err := mw.New(srv, mcfg)
 	if err != nil {
 		return BuildStats{}, err

@@ -127,7 +127,7 @@ func perfScenarios() []perfScenario {
 				if _, err := engine.NewServer(eng, "cases", ds); err != nil {
 					return err
 				}
-				env.attach(meter, eng, &mw.Config{})
+				env.attach(meter, eng)
 				if err := eng.RegisterModel(model); err != nil {
 					return err
 				}
@@ -153,7 +153,7 @@ func CollectPerf(scale float64) ([]PerfSnapshot, string, error) {
 		if err != nil {
 			return nil, "", fmt.Errorf("perf %s: generate: %w", sc.name, err)
 		}
-		col := obs.NewCollector(true, false)
+		col := obs.NewTrace()
 		env := &Env{Obs: col, Label: "perf-" + sc.name}
 		if sc.run != nil {
 			if err := sc.run(env, ds); err != nil {
@@ -162,7 +162,7 @@ func CollectPerf(scale float64) ([]PerfSnapshot, string, error) {
 		} else if _, err := BuildTree(env, ds, sc.cfg(ds), sc.opt(ds)); err != nil {
 			return nil, "", fmt.Errorf("perf %s: build: %w", sc.name, err)
 		}
-		p := profile.Compute(col.Trace, col.Metrics)
+		p := profile.Compute(col)
 		if len(p.Procs) != 1 {
 			return nil, "", fmt.Errorf("perf %s: profiled %d procs, want 1", sc.name, len(p.Procs))
 		}

@@ -23,7 +23,7 @@ func buildTreeRules(env *Env, ds *data.Dataset, mcfg mw.Config, opt dtree.Option
 	if err != nil {
 		return BuildStats{}, "", err
 	}
-	env.attach(meter, eng, &mcfg)
+	env.attach(meter, eng)
 	m, err := mw.New(srv, mcfg)
 	if err != nil {
 		return BuildStats{}, "", err

@@ -7,7 +7,6 @@ import (
 	"repro/internal/datagen"
 	"repro/internal/dtree"
 	"repro/internal/engine"
-	"repro/internal/mw"
 	"repro/internal/sim"
 )
 
@@ -60,7 +59,7 @@ func Scoring(env *Env, scale float64) (*Experiment, error) {
 		if _, err := engine.NewServer(eng, "cases", ds); err != nil {
 			return nil, err
 		}
-		env.attach(meter, eng, &mw.Config{})
+		env.attach(meter, eng)
 		if err := eng.RegisterModel(model); err != nil {
 			return nil, err
 		}
@@ -89,7 +88,7 @@ func Scoring(env *Env, scale float64) (*Experiment, error) {
 		if _, err := engine.NewServer(ceng, "cases", ds); err != nil {
 			return nil, err
 		}
-		env.attach(cmeter, ceng, &mw.Config{})
+		env.attach(cmeter, ceng)
 		cbefore := cmeter.Snapshot()
 		rs, err := ceng.Exec("SELECT * FROM cases")
 		if err != nil {

@@ -18,7 +18,7 @@ func BuildTreeWithCosts(env *Env, ds *data.Dataset, costs sim.Costs, mcfg mw.Con
 	if err != nil {
 		return BuildStats{}, err
 	}
-	env.attach(meter, eng, &mcfg)
+	env.attach(meter, eng)
 	m, err := mw.New(srv, mcfg)
 	if err != nil {
 		return BuildStats{}, err

@@ -44,7 +44,7 @@ func ServeFleet(env *Env, scale float64) (*Experiment, error) {
 		},
 	}
 
-	var col *obs.Collector
+	var col *obs.Trace
 	if env != nil {
 		col = env.Obs
 	}

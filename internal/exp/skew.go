@@ -11,6 +11,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/mw"
 	"repro/internal/obs"
+	"repro/internal/obs/profile"
 	"repro/internal/predicate"
 	"repro/internal/sim"
 )
@@ -95,19 +96,17 @@ func regionBuild(env *Env, label string, ds *data.Dataset, regions int, cfg mw.C
 	if err != nil {
 		return nil, 0, "", err
 	}
-	// Lane imbalance comes from the metrics layer, so the build always
-	// attaches a ProcMetrics — the caller's collector when one is wired up
-	// (so traces land beside every other figure's), a private one otherwise.
+	// Lane imbalance is read off the lane spans, so the build is always traced
+	// — into the caller's trace when one is wired up (so its spans land beside
+	// every other figure's), into a private one otherwise.
+	trace := obs.NewTrace()
 	if env != nil && env.Obs != nil {
+		trace = env.Obs
 		if env.Label != "" {
 			label = env.Label
 		}
-		tr, pm := env.Obs.Proc(label, meter)
-		eng.SetTracer(tr)
-		cfg.Metrics = pm
-	} else {
-		_, cfg.Metrics = obs.NewCollector(false, true).Proc(label, meter)
 	}
+	eng.SetTracer(trace.Proc(label, meter))
 	m, err := mw.New(srv, cfg)
 	if err != nil {
 		return nil, 0, "", err
@@ -174,7 +173,22 @@ func regionBuild(env *Env, label string, ds *data.Dataset, regions int, cfg mw.C
 	for v := 0; v < regions; v++ {
 		m.CloseNode(1 + v)
 	}
-	return srv, cfg.Metrics.MaxLaneImbalanceNS(), sb.String(), nil
+	return srv, worstLaneImbalance(trace), sb.String(), nil
+}
+
+// worstLaneImbalance profiles the proc a trace registered last and returns
+// the largest lane imbalance (max − min lane busy time) over its batch scans'
+// join barriers.
+func worstLaneImbalance(t *obs.Trace) int64 {
+	var last obs.ProcView
+	t.EachProc(func(pv obs.ProcView) { last = pv })
+	var worst int64
+	for _, g := range profile.ComputeProc(last).Forks {
+		if g.ParentCat == obs.CatScan {
+			worst = max(worst, g.ImbalanceNS())
+		}
+	}
+	return worst
 }
 
 // regionPrint is one node's line of a regionBuild fingerprint.

@@ -22,14 +22,15 @@ import (
 // scan span, and failed staging-file creation/finalization must abort every
 // outstanding writer so no file leaks on disk.
 
-// newTracedMW is newMW with an obs collector attached to the engine; it
-// returns the collector and root tracer alongside.
-func newTracedMW(t *testing.T, ds *data.Dataset, cfg Config) (*Middleware, *obs.Collector, *obs.Tracer) {
+// newTracedMW is newMW with a tracer on the engine: every batch leaves its
+// span subtree in the returned trace (BatchRecords reads it back); the root
+// tracer comes alongside.
+func newTracedMW(t *testing.T, ds *data.Dataset, cfg Config) (*Middleware, *obs.Trace, *obs.Tracer) {
 	t.Helper()
-	col := obs.NewCollector(true, false)
+	col := obs.NewTrace()
 	meter := sim.NewDefaultMeter()
 	eng := engine.New(meter, 0)
-	tr, _ := col.Proc("drive", meter)
+	tr := col.Proc("drive", meter)
 	eng.SetTracer(tr)
 	srv, err := engine.NewServer(eng, "cases", ds)
 	if err != nil {
@@ -47,10 +48,10 @@ func newTracedMW(t *testing.T, ds *data.Dataset, cfg Config) (*Middleware, *obs.
 }
 
 // requireWellFormedNDJSON exports the trace and checks every line parses.
-func requireWellFormedNDJSON(t *testing.T, col *obs.Collector) []map[string]any {
+func requireWellFormedNDJSON(t *testing.T, col *obs.Trace) []map[string]any {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := col.WriteTrace(&buf, "ndjson"); err != nil {
+	if err := col.Write(&buf, "ndjson"); err != nil {
 		t.Fatalf("export trace after error: %v", err)
 	}
 	var spans []map[string]any

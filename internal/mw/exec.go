@@ -32,9 +32,8 @@ type batchRun struct {
 	b       *batch
 	srcName string
 	tr      *obs.Tracer
-	snap    sim.Snapshot
-	batchNo int
 	bsp     *obs.Span
+	ssp     *obs.Span // the scan span (openScan / closeScan)
 	plan    *stagePlan
 
 	live     []*ccWork
@@ -47,10 +46,6 @@ type batchRun struct {
 	// (plus whatever reclaim frees since). scanBudget polices it.
 	budget      int64
 	rowMemBytes int64
-
-	// laneStats holds per-lane elapsed time and rows of a scan split over
-	// more than one lane, in partition order.
-	laneStats []obs.LaneStat
 }
 
 // Step schedules and executes one batch (§4.1.1): it picks the next set of
@@ -81,18 +76,13 @@ func (m *Middleware) Step() ([]*Result, error) {
 // memory budget. On error every writer already created is aborted and the
 // batch span is closed.
 func (m *Middleware) beginBatch(b *batch) (*batchRun, error) {
-	// Observability: spans and metrics read the meter but never charge it,
-	// so enabling them cannot change any simulated result. With tracing and
-	// metrics disabled (tr == nil, cfg.Metrics == nil) none of the
-	// instrumentation below allocates.
+	// Observability: spans read the meter but never charge it, so enabling
+	// them cannot change any simulated result. With no tracer attached (tr ==
+	// nil) none of the instrumentation below allocates or computes anything.
 	tr := m.srv.Tracer()
 	r := &batchRun{m: m, b: b, srcName: b.kind.name(), tr: tr}
-	if tr != nil || m.cfg.Metrics != nil {
-		r.snap = m.meter.Snapshot()
-	}
 	m.meter.Charge(sim.CtrBatches, 0, 1)
-	r.batchNo = int(m.meter.Count(sim.CtrBatches))
-	r.bsp = tr.Start(obs.CatBatch, "batch").SetSource(r.srcName).Attr("batch", int64(r.batchNo)).
+	r.bsp = tr.Start(obs.CatBatch, "batch").SetSource(r.srcName).Attr("batch", m.meter.Count(sim.CtrBatches)).
 		Attr("level", batchLevel(b))
 	if m.cfg.Session > 0 {
 		r.bsp.Attr("session", int64(m.cfg.Session))
@@ -152,13 +142,7 @@ func (m *Middleware) scanBatch(r *batchRun) error {
 	if len(r.live) == 0 {
 		return nil
 	}
-	b := r.b
-	ssp := r.tr.Start(obs.CatScan, "scan").SetSource(r.srcName)
-	var scanSnap sim.Snapshot
-	if ssp != nil {
-		ssp.SetNodes(nodeIDs(b.reqs)) // every admitted request is live at scan start
-		scanSnap = m.meter.Snapshot()
-	}
+	r.openScan()
 	sp, err := r.planLanes()
 	if err == nil {
 		err = r.runLanes(sp)
@@ -167,23 +151,41 @@ func (m *Middleware) scanBatch(r *batchRun) error {
 		for _, t := range r.plan.fileTees {
 			t.writer.Abort()
 		}
-		ssp.End()
+		r.ssp.End()
 		return err
 	}
-	if ssp != nil {
-		// Zone-map effectiveness per scan: row groups the block kernel
-		// actually read vs. skipped via dictionary bounds.
-		ssp.SetRows(m.meter.CountSince(scanSnap, scanRowCounter(b.kind))).
-			Attr("col_groups_scanned", m.meter.CountSince(scanSnap, sim.CtrColGroupsScanned)).
-			Attr("col_groups_skipped", m.meter.CountSince(scanSnap, sim.CtrColGroupsSkipped))
-	}
-	ssp.End()
+	r.closeScan()
 	return nil
 }
 
+// openScan opens the batch's scan span over every admitted request — all are
+// live at scan start. A solo scan (scanBatch) and a shared one
+// (BeginSharedBatch / Finish) both open and close theirs here.
+func (r *batchRun) openScan() {
+	r.ssp = r.tr.Start(obs.CatScan, "scan").SetSource(r.srcName)
+	if r.ssp != nil {
+		r.ssp.SetNodes(nodeIDs(r.b.reqs))
+	}
+}
+
+// closeScan ends the scan span and labels it with what its counter deltas say
+// the scan delivered: the rows from its tier, and the zone-map effectiveness —
+// row groups the block kernel actually read vs. skipped via dictionary bounds.
+func (r *batchRun) closeScan() {
+	if r.ssp == nil {
+		return
+	}
+	r.ssp.End()
+	d := r.ssp.Deltas
+	r.ssp.SetRows(d.Get(scanRowCounter(r.b.kind))).
+		Attr("col_groups_scanned", d.Get(sim.CtrColGroupsScanned)).
+		Attr("col_groups_skipped", d.Get(sim.CtrColGroupsSkipped))
+}
+
 // finishBatch finalizes staging, posts the scan's results, services the
-// fallback requests, requeues shed requests and records the batch's metrics.
-// It always closes the batch span.
+// fallback requests, requeues shed requests and, when traced, records on the
+// batch span what only the middleware knows (noteBatch). It always closes the
+// batch span.
 func (m *Middleware) finishBatch(r *batchRun) ([]*Result, error) {
 	defer r.bsp.End()
 	tr := r.tr
@@ -240,30 +242,8 @@ func (m *Middleware) finishBatch(r *batchRun) ([]*Result, error) {
 	// Requests shed mid-scan return to the queue for a later batch.
 	m.queue = append(m.queue, r.requeued...)
 
-	if pm := m.cfg.Metrics; pm != nil {
-		srvN, fileN, memN := m.residency()
-		bs := obs.BatchStats{
-			Batch:          r.batchNo,
-			Source:         r.srcName,
-			StartNS:        int64(r.snap.Now),
-			EndNS:          int64(m.meter.Now()),
-			NNodes:         len(r.live),
-			NFallbacks:     len(r.fallback),
-			NRequeued:      len(r.requeued),
-			NewFiles:       len(r.plan.fileTees),
-			StagedMemRows:  stagedMemRows,
-			Lanes:          r.laneStats,
-			Deltas:         deltasByName(m.meter.CountersSince(r.snap)),
-			MemUsedBytes:   m.MemoryInUse(),
-			MemBudgetBytes: m.cfg.Memory,
-			FileUsedBytes:  m.files.bytesInUse,
-			FileBudget:     m.cfg.FileBudget,
-			FilesLive:      m.files.live,
-			NodesServer:    srvN,
-			NodesFile:      fileN,
-			NodesMemory:    memN,
-		}
-		pm.AddBatch(bs)
+	if r.bsp != nil {
+		r.noteBatch(stagedMemRows)
 	}
 	return results, nil
 }
@@ -304,15 +284,24 @@ func scanRowCounter(k sourceKind) sim.Counter {
 	return sim.CtrRowsTransmitted
 }
 
-// deltasByName converts a counter-delta map to the name-keyed form the
-// metrics registry serializes.
-func deltasByName(in map[sim.Counter]int64) map[string]int64 {
-	out := make(map[string]int64, len(in))
-	//repolint:ordered map-to-map rekeying; the serializer sorts the names
-	for c, v := range in {
-		out[c.String()] = v
-	}
-	return out
+// noteBatch records, as attributes of the batch span, the facts of a finished
+// batch no other span carries: requests shed back to the queue, rows staged in
+// memory, where the memory and file budgets stand, and the open nodes resident
+// per tier. Everything else about the batch is on its child spans (scan, lane,
+// stage, fallback) and in Span.Deltas. Only called with a tracer attached.
+func (r *batchRun) noteBatch(stagedMemRows int64) {
+	m := r.m
+	srvN, fileN, memN := m.residency()
+	r.bsp.Attr("n_requeued", int64(len(r.requeued))).
+		Attr("staged_mem_rows", stagedMemRows).
+		Attr("mem_used_bytes", m.MemoryInUse()).
+		Attr("mem_budget_bytes", m.cfg.Memory).
+		Attr("file_used_bytes", m.files.bytesInUse).
+		Attr("file_budget_bytes", m.cfg.FileBudget).
+		Attr("files_live", int64(m.files.live)).
+		Attr("nodes_server", int64(srvN)).
+		Attr("nodes_file", int64(fileN)).
+		Attr("nodes_memory", int64(memN))
 }
 
 // residency counts, for the staging-tier residency timeline, the open nodes

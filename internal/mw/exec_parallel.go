@@ -297,25 +297,19 @@ func (r *batchRun) runLanes(sp scanPlan) error {
 	for part := range shards {
 		shards[part] = r.newShard(part, n)
 	}
-	stats := make([]obs.LaneStat, n)
 	rowCtr := scanRowCounter(r.b.kind)
 	obs.RunLanes(m.meter, r.tr, n, func(part int, lane *sim.Meter, ltr *obs.Tracer) {
 		sh := shards[part]
 		lsp := ltr.Start(obs.CatLane, "lane").SetPartition(part, n)
 		// A lone lane is the middleware's own meter: measure from here.
-		start, rows := lane.Now(), lane.Count(rowCtr)
+		rows := lane.Count(rowCtr)
 		sh.err = r.scanLane(sp, part, lane, sh)
-		rows = lane.Count(rowCtr) - rows
-		stats[part] = obs.LaneStat{Lane: part + 1, ElapsedNS: int64(lane.Now() - start), Rows: rows}
-		lsp.SetRows(rows).End()
+		lsp.SetRows(lane.Count(rowCtr) - rows).End()
 	})
 	for _, sh := range shards {
 		if sh.err != nil {
 			return sh.err
 		}
-	}
-	if n > 1 {
-		r.laneStats = stats
 	}
 	r.mergeShards(shards)
 	return nil

@@ -190,12 +190,6 @@ type Config struct {
 	// row-group statistics. Results are unchanged; only lane balance (and
 	// therefore the virtual clock) differs.
 	NoHistogramHints bool
-
-	// Metrics, when non-nil, receives one obs.BatchStats per executed batch:
-	// counter deltas, lane-imbalance figures, and budget/tier residency at
-	// batch end. Wire it (together with the engine's tracer) through
-	// obs.Collector.Proc.
-	Metrics *obs.ProcMetrics
 }
 
 // Request asks the middleware for the counts table of one active node.

@@ -3,6 +3,7 @@ package mw
 import (
 	"math/rand"
 	"os"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -50,9 +51,113 @@ func newMW(t *testing.T, ds *data.Dataset, cfg Config) (*Middleware, *engine.Ser
 	return m, srv
 }
 
-// newBatchMetrics returns a Config.Metrics sink whose Batches the test reads
-// back: one obs.BatchStats per executed batch.
-func newBatchMetrics() *obs.ProcMetrics { return obs.NewMetrics().NewProc(0, "test", nil) }
+// BatchRecord is what one batch did, rebuilt from its span subtree alone: the
+// fields are, one for one, those the deleted second per-batch record (obs's
+// batch statistics) carried, which shows each recoverable from spans. Exported for the
+// external test package.
+type BatchRecord struct {
+	Batch   int // 1-based batch ordinal: the "batch" attribute
+	Source  string
+	StartNS int64
+	EndNS   int64
+
+	NNodes        int // nodes the scan serviced: admitted, less those shed to the queue or to SQL
+	NFallbacks    int // fallback children
+	NRequeued     int
+	NewFiles      int // stage-file children
+	StagedMemRows int64
+
+	Lanes []LaneRecord // lane children of a scan split over more than one lane, partition order
+
+	Deltas map[string]int64 // every counter that moved, by name: Span.Deltas
+
+	MemUsedBytes, MemBudgetBytes int64
+	FileUsedBytes, FileBudget    int64
+	FilesLive                    int
+	NodesServer                  int
+	NodesFile                    int
+	NodesMemory                  int
+}
+
+// LaneRecord is one lane span of a split scan.
+type LaneRecord struct {
+	Lane      int   // 1-based
+	ElapsedNS int64 // the lane span's duration
+	Rows      int64
+}
+
+// LaneImbalanceNS is max − min lane elapsed; zero for a one-lane batch.
+func (b *BatchRecord) LaneImbalanceNS() int64 {
+	if len(b.Lanes) == 0 {
+		return 0
+	}
+	lo, hi := b.Lanes[0].ElapsedNS, b.Lanes[0].ElapsedNS
+	for _, l := range b.Lanes[1:] {
+		lo, hi = min(lo, l.ElapsedNS), max(hi, l.ElapsedNS)
+	}
+	return hi - lo
+}
+
+// BatchRecords reads every finished batch back out of the trace, in record
+// order.
+func BatchRecords(trace *obs.Trace) []BatchRecord {
+	var out []BatchRecord
+	trace.EachProc(func(pv obs.ProcView) {
+		batchAt := map[int64]int{}   // batch span id -> index in out
+		scanOf := map[int64]int{}    // scan span id -> index in out
+		admitted := map[int][]int{}  // index -> the scan span's nodes
+		viaSQL := map[int][]int64{}  // index -> nodes of the fallback children
+		for _, s := range pv.Spans { // record order: a parent precedes its children
+			at := func(key string) int64 { return obs.AttrInt(s.Attrs, key, 0) }
+			switch s.Cat {
+			case obs.CatBatch:
+				if s.Deltas == nil {
+					continue
+				}
+				rec := BatchRecord{
+					Batch: int(at("batch")), Source: s.Source,
+					StartNS: s.Start, EndNS: s.Start + s.Dur,
+					NRequeued: int(at("n_requeued")), StagedMemRows: at("staged_mem_rows"),
+					Deltas:       map[string]int64{},
+					MemUsedBytes: at("mem_used_bytes"), MemBudgetBytes: at("mem_budget_bytes"),
+					FileUsedBytes: at("file_used_bytes"), FileBudget: at("file_budget_bytes"),
+					FilesLive:   int(at("files_live")),
+					NodesServer: int(at("nodes_server")), NodesFile: int(at("nodes_file")), NodesMemory: int(at("nodes_memory")),
+				}
+				s.Deltas.EachNonZero(func(c sim.Counter, n int64) { rec.Deltas[c.String()] = n })
+				batchAt[s.ID] = len(out)
+				out = append(out, rec)
+			case obs.CatScan:
+				if i, ok := batchAt[s.Parent]; ok {
+					scanOf[s.ID], admitted[i] = i, s.Nodes
+				}
+			case obs.CatLane:
+				if i, ok := scanOf[s.Parent]; ok && s.NParts > 1 {
+					out[i].Lanes = append(out[i].Lanes, LaneRecord{Lane: s.Part + 1, ElapsedNS: s.Dur, Rows: s.Rows})
+				}
+			case obs.CatStage:
+				if i, ok := batchAt[s.Parent]; ok && s.Name == "stage-file" {
+					out[i].NewFiles++
+				}
+			case obs.CatFallback:
+				if i, ok := batchAt[s.Parent]; ok {
+					out[i].NFallbacks++
+					viaSQL[i] = append(viaSQL[i], at("node"))
+				}
+			}
+		}
+		for i := range out {
+			n := len(admitted[i]) - out[i].NRequeued
+			for _, id := range admitted[i] {
+				if slices.Contains(viaSQL[i], int64(id)) {
+					n-- // admitted to the scan, shed mid-scan with nothing left beside it
+				}
+			}
+			out[i].NNodes = n
+		}
+	})
+	return out
+}
 
 func rootRequest(ds *data.Dataset) *Request {
 	attrs := make([]int, ds.Schema.NumAttrs())
@@ -436,14 +541,13 @@ func TestStagingModeStrings(t *testing.T) {
 	}
 }
 
-// TestTraceEvents: Config.Metrics receives one obs.BatchStats per executed
-// batch, carrying the scheduling decisions (batch number, source, serviced
-// nodes, staging) that are otherwise invisible to the client; the node ids
-// themselves come back in Step's results.
+// TestTraceEvents: every executed batch leaves one batch span, carrying the
+// scheduling decisions (batch number, source, serviced nodes, staging) that
+// are otherwise invisible to the client; the node ids themselves come back in
+// Step's results.
 func TestTraceEvents(t *testing.T) {
 	ds := randDataset(400, 12)
-	pm := newBatchMetrics()
-	m, _ := newMW(t, ds, Config{Staging: StageMemoryOnly, Memory: 4 * ds.Bytes(), Metrics: pm})
+	m, trace, _ := newTracedMW(t, ds, Config{Staging: StageMemoryOnly, Memory: 4 * ds.Bytes()})
 	if err := m.Enqueue(rootRequest(ds)); err != nil {
 		t.Fatal(err)
 	}
@@ -465,7 +569,7 @@ func TestTraceEvents(t *testing.T) {
 	}
 	m.CloseNode(1)
 
-	batches := pm.Batches
+	batches := BatchRecords(trace)
 	if len(batches) != 2 {
 		t.Fatalf("%d batch stats, want 2", len(batches))
 	}

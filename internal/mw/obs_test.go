@@ -14,16 +14,15 @@ import (
 	"repro/internal/sim"
 )
 
-// TestParallelBatchEmitsEventWithLanes: a Workers > 1 batch must record its
-// obs.BatchStats exactly like a one-lane one, and the stats carry per-lane
-// detail — one entry per worker in partition order, with the lane's virtual
-// elapsed time and row count.
+// TestParallelBatchEmitsEventWithLanes: a Workers > 1 batch must leave its
+// batch span exactly like a one-lane one, and the record rebuilt from it
+// carries per-lane detail — one lane span per worker in partition order, with
+// the lane's virtual elapsed time and row count.
 func TestParallelBatchEmitsEventWithLanes(t *testing.T) {
 	// Big enough that the columnar copy spans at least 4 row groups, so the
 	// default (columnar) scan can actually fan out to all 4 workers.
 	ds := randDataset(20000, 5)
-	pm := newBatchMetrics()
-	m, _ := newMW(t, ds, Config{Staging: StageNone, Workers: 4, Metrics: pm})
+	m, trace, _ := newTracedMW(t, ds, Config{Staging: StageNone, Workers: 4})
 	if err := m.Enqueue(rootRequest(ds)); err != nil {
 		t.Fatal(err)
 	}
@@ -33,10 +32,11 @@ func TestParallelBatchEmitsEventWithLanes(t *testing.T) {
 	}
 	m.CloseNode(0)
 
-	if len(pm.Batches) != 1 {
-		t.Fatalf("parallel batch recorded %d batch stats, want 1", len(pm.Batches))
+	batches := BatchRecords(trace)
+	if len(batches) != 1 {
+		t.Fatalf("parallel batch recorded %d batch spans, want 1", len(batches))
 	}
-	bs := pm.Batches[0]
+	bs := batches[0]
 	if bs.Source != "server" || bs.NNodes != 1 || len(results) != 1 || results[0].Req.NodeID != 0 {
 		t.Fatalf("batch = %+v, results = %+v", bs, results)
 	}
@@ -58,45 +58,75 @@ func TestParallelBatchEmitsEventWithLanes(t *testing.T) {
 	if rows != int64(ds.N()) {
 		t.Errorf("lane rows sum = %d, want %d", rows, ds.N())
 	}
+	// The rest of the record, read off the same span: its window and counter
+	// deltas are the meter's (one batch ran), and with nothing staged and the
+	// root still open the budgets hold just its CC table.
+	meter := m.Meter()
+	if bs.Batch != 1 || bs.StartNS != 0 || bs.EndNS != int64(meter.Now()) {
+		t.Errorf("batch %d window [%d, %d], want batch 1 over [0, %d]", bs.Batch, bs.StartNS, bs.EndNS, meter.Now())
+	}
+	for _, c := range sim.Counters() {
+		if c == sim.CtrBatches {
+			continue // ticks just before the span opens: it is the "batch" attribute
+		}
+		if got, want := bs.Deltas[c.String()], meter.Count(c); got != want {
+			t.Errorf("delta %s = %d, want %d", c, got, want)
+		}
+	}
+	if bs.MemUsedBytes != results[0].CC.Bytes() || bs.MemBudgetBytes != 0 || bs.FileUsedBytes != 0 ||
+		bs.FileBudget != 0 || bs.FilesLive != 0 || bs.NewFiles != 0 ||
+		bs.NodesServer != 0 || bs.NodesFile != 0 || bs.NodesMemory != 0 {
+		t.Errorf("budgets and residency = %+v", bs)
+	}
 }
 
-// TestStagedMemRowsUnits pins the BatchStats.StagedMemRows unit: it counts
-// rows, not bytes. The root batch under memory-only staging tees every table
+// TestStagedMemRowsUnits pins the unit of the batch span's staged_mem_rows
+// attribute: it counts rows, not bytes. The root batch under memory-only staging tees every table
 // row into middleware memory, so the field must equal the dataset's row count
 // exactly (a byte count would be larger by the row size). One-lane batches
 // carry no lane detail.
 func TestStagedMemRowsUnits(t *testing.T) {
 	ds := randDataset(400, 12)
-	pm := newBatchMetrics()
-	m, _ := newMW(t, ds, Config{Staging: StageMemoryOnly, Memory: 4 * ds.Bytes(), Metrics: pm})
+	m, trace, _ := newTracedMW(t, ds, Config{Staging: StageMemoryOnly, Memory: 4 * ds.Bytes()})
 	if err := m.Enqueue(rootRequest(ds)); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := m.Step(); err != nil {
 		t.Fatal(err)
 	}
-	m.CloseNode(0)
 
-	if len(pm.Batches) != 1 {
-		t.Fatalf("%d batch stats, want 1", len(pm.Batches))
+	batches := BatchRecords(trace)
+	if len(batches) != 1 {
+		t.Fatalf("%d batch spans, want 1", len(batches))
 	}
-	if got, want := pm.Batches[0].StagedMemRows, int64(ds.N()); got != want {
+	bs := batches[0]
+	if got, want := bs.StagedMemRows, int64(ds.N()); got != want {
 		t.Fatalf("StagedMemRows = %d, want %d rows (row count, not bytes)", got, want)
 	}
-	if pm.Batches[0].Lanes != nil {
-		t.Fatalf("one-lane batch has lane detail: %+v", pm.Batches[0].Lanes)
+	if bs.Lanes != nil {
+		t.Fatalf("one-lane batch has lane detail: %+v", bs.Lanes)
 	}
+	// Budget and residency at batch end: the staged rows and the root's open CC
+	// table are what memory holds, against the configured budget; the root is
+	// the one open node under the memory stage.
+	if bs.MemUsedBytes != m.MemoryInUse() || bs.MemUsedBytes <= m.stagedMem || m.stagedMem == 0 ||
+		bs.MemBudgetBytes != 4*ds.Bytes() {
+		t.Errorf("memory = %d of %d, want %d (staged %d) of %d", bs.MemUsedBytes, bs.MemBudgetBytes, m.MemoryInUse(), m.stagedMem, 4*ds.Bytes())
+	}
+	if bs.NodesMemory != 1 || bs.NodesFile != 0 || bs.NodesServer != 0 {
+		t.Errorf("residency server/file/memory = %d/%d/%d, want 0/0/1", bs.NodesServer, bs.NodesFile, bs.NodesMemory)
+	}
+	m.CloseNode(0)
 }
 
 // TestFallbackOnlyBatchEmitsEvent: a batch serviced entirely by the SQL
-// fallback (nothing admitted to the scan) still records its BatchStats, with
-// no scan nodes and the fallback node counted.
+// fallback (nothing admitted to the scan) still leaves its batch span, with no
+// scan nodes and the fallback node counted.
 func TestFallbackOnlyBatchEmitsEvent(t *testing.T) {
 	ds := randDataset(300, 9)
-	pm := newBatchMetrics()
 	// The root's honest CC estimate is ~26 entries; a 10-entry budget admits
 	// nothing, so scheduling sends the root straight to the SQL fallback.
-	m, _ := newMW(t, ds, Config{Staging: StageNone, Memory: 10 * cc.EntryBytes, Metrics: pm})
+	m, trace, _ := newTracedMW(t, ds, Config{Staging: StageNone, Memory: 10 * cc.EntryBytes})
 	if err := m.Enqueue(rootRequest(ds)); err != nil {
 		t.Fatal(err)
 	}
@@ -109,10 +139,11 @@ func TestFallbackOnlyBatchEmitsEvent(t *testing.T) {
 	if len(results) != 1 || !results[0].ViaSQL || results[0].Req.NodeID != 0 {
 		t.Fatalf("results = %+v, want one SQL-fallback result for node 0", results)
 	}
-	if len(pm.Batches) != 1 {
-		t.Fatalf("fallback-only batch recorded %d batch stats, want 1", len(pm.Batches))
+	batches := BatchRecords(trace)
+	if len(batches) != 1 {
+		t.Fatalf("fallback-only batch recorded %d batch spans, want 1", len(batches))
 	}
-	bs := pm.Batches[0]
+	bs := batches[0]
 	if bs.NNodes != 0 {
 		t.Errorf("fallback-only batch counts scan nodes: %+v", bs)
 	}
@@ -125,8 +156,8 @@ func TestFallbackOnlyBatchEmitsEvent(t *testing.T) {
 }
 
 // TestRequeueBatchEmitsEvent: when the scheduler's admission estimate proves
-// too low mid-scan, the shed request is requeued and the batch's BatchStats
-// record it. The test first measures the children's true CC sizes with an
+// too low mid-scan, the shed request is requeued and the batch span records
+// it. The test first measures the children's true CC sizes with an
 // unlimited budget, then replays with a budget that fits either child alone
 // but not both.
 func TestRequeueBatchEmitsEvent(t *testing.T) {
@@ -144,11 +175,9 @@ func TestRequeueBatchEmitsEvent(t *testing.T) {
 		}
 	}
 	// drive returns each child's CC size and, per Step, the serviced node ids
-	// next to that batch's stats.
-	drive := func(cfg Config) (map[int]int64, [][]int, []obs.BatchStats) {
-		pm := newBatchMetrics()
-		cfg.Metrics = pm
-		m, _ := newMW(t, ds, cfg)
+	// next to that batch's record.
+	drive := func(cfg Config) (map[int]int64, [][]int, []BatchRecord) {
+		m, trace, _ := newTracedMW(t, ds, cfg)
 		if err := m.Enqueue(rootRequest(ds)); err != nil {
 			t.Fatal(err)
 		}
@@ -177,7 +206,7 @@ func TestRequeueBatchEmitsEvent(t *testing.T) {
 			}
 			serviced = append(serviced, ids)
 		}
-		return sizes, serviced, pm.Batches[1:] // drop the root batch
+		return sizes, serviced, BatchRecords(trace)[1:] // drop the root batch
 	}
 
 	// Measurement pass: true table sizes under an unlimited budget.
@@ -203,7 +232,7 @@ func TestRequeueBatchEmitsEvent(t *testing.T) {
 		t.Fatalf("serviced %d children, want 2 (all requests eventually fulfilled)", len(sizes))
 	}
 	if len(batches) != len(serviced) {
-		t.Fatalf("%d batch stats for %d steps", len(batches), len(serviced))
+		t.Fatalf("%d batch spans for %d steps", len(batches), len(serviced))
 	}
 	requeueAt := -1
 	for i := range batches {
@@ -225,23 +254,21 @@ func TestRequeueBatchEmitsEvent(t *testing.T) {
 }
 
 // driveTreeObs runs a fixed two-level protocol under the given middleware
-// configuration with full observability attached (tracer on the engine,
-// metrics on the middleware) and returns the Chrome trace, NDJSON trace and
-// metrics JSON exports.
-func driveTreeObs(t *testing.T, cfg Config) (chrome, nd, metrics []byte) {
+// configuration with a tracer on the engine and returns the Chrome trace
+// (spans plus the counter tracks derived from the batch spans) and the NDJSON
+// trace.
+func driveTreeObs(t *testing.T, cfg Config) (chrome, nd []byte) {
 	t.Helper()
 	ds := randDataset(1500, 3)
-	col := obs.NewCollector(true, true)
+	col := obs.NewTrace()
 	meter := sim.NewDefaultMeter()
 	eng := engine.New(meter, 0)
-	tr, pm := col.Proc("drive", meter)
-	eng.SetTracer(tr)
+	eng.SetTracer(col.Proc("drive", meter))
 	srv, err := engine.NewServer(eng, "cases", ds)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.Dir = t.TempDir()
-	cfg.Metrics = pm
 	m, err := New(srv, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -281,23 +308,20 @@ func driveTreeObs(t *testing.T, cfg Config) (chrome, nd, metrics []byte) {
 		m.CloseNode(id)
 	}
 
-	var cb, nb, mb bytes.Buffer
-	if err := col.WriteTrace(&cb, "chrome"); err != nil {
+	var cb, nb bytes.Buffer
+	if err := col.Write(&cb, "chrome"); err != nil {
 		t.Fatal(err)
 	}
-	if err := col.WriteTrace(&nb, "ndjson"); err != nil {
+	if err := col.Write(&nb, "ndjson"); err != nil {
 		t.Fatal(err)
 	}
-	if err := col.WriteMetrics(&mb); err != nil {
-		t.Fatal(err)
-	}
-	return cb.Bytes(), nb.Bytes(), mb.Bytes()
+	return cb.Bytes(), nb.Bytes()
 }
 
 // TestObsByteDeterminism is the determinism contract of internal/obs end to
-// end: for each fixed worker count, the Chrome trace, the NDJSON trace and
-// the metrics JSON are byte-for-byte identical across repeated runs and
-// across GOMAXPROCS settings. (Traces at different worker counts legitimately
+// end: for each fixed worker count, the Chrome trace — counter tracks
+// included — and the NDJSON trace are byte-for-byte identical across repeated
+// runs and across GOMAXPROCS settings. (Traces at different worker counts legitimately
 // differ — the virtual clock does.)
 func TestObsByteDeterminism(t *testing.T) {
 	cases := []struct {
@@ -321,24 +345,24 @@ func TestObsByteDeterminism(t *testing.T) {
 	for _, tc := range cases {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
-			refChrome, refND, refMetrics := driveTreeObs(t, tc.cfg)
+			refChrome, refND := driveTreeObs(t, tc.cfg)
 			if len(refND) == 0 {
 				t.Fatal("empty NDJSON trace")
+			}
+			if !bytes.Contains(refChrome, []byte(`"name":"tier_residency","ph":"C"`)) {
+				t.Fatal("chrome trace has no counter tracks")
 			}
 			run := 0
 			for _, procs := range []int{1, 4} {
 				old := runtime.GOMAXPROCS(procs)
 				for rep := 0; rep < 2; rep++ {
 					run++
-					chrome, nd, metrics := driveTreeObs(t, tc.cfg)
+					chrome, nd := driveTreeObs(t, tc.cfg)
 					if !bytes.Equal(chrome, refChrome) {
 						t.Errorf("run %d (GOMAXPROCS=%d): chrome trace differs", run, procs)
 					}
 					if !bytes.Equal(nd, refND) {
 						t.Errorf("run %d (GOMAXPROCS=%d): ndjson trace differs", run, procs)
-					}
-					if !bytes.Equal(metrics, refMetrics) {
-						t.Errorf("run %d (GOMAXPROCS=%d): metrics differ", run, procs)
 					}
 				}
 				runtime.GOMAXPROCS(old)
@@ -350,9 +374,9 @@ func TestObsByteDeterminism(t *testing.T) {
 	}
 }
 
-// TestObsNeverPerturbsSimulation: attaching the full observability stack must
-// leave the virtual clock, every counter and every result byte-identical to
-// an uninstrumented run — observers read the meter, they never charge it.
+// TestObsNeverPerturbsSimulation: attaching a tracer must leave the virtual
+// clock, every counter and every result byte-identical to an uninstrumented
+// run — spans read the meter, they never charge it.
 func TestObsNeverPerturbsSimulation(t *testing.T) {
 	fingerprint := func(workers int, instrument bool) string {
 		ds := randDataset(1200, 7)
@@ -360,10 +384,7 @@ func TestObsNeverPerturbsSimulation(t *testing.T) {
 		eng := engine.New(meter, 0)
 		cfg := Config{Staging: StageMemoryOnly, Memory: 4 * ds.Bytes(), Workers: workers}
 		if instrument {
-			col := obs.NewCollector(true, true)
-			tr, pm := col.Proc("x", meter)
-			eng.SetTracer(tr)
-			cfg.Metrics = pm
+			eng.SetTracer(obs.NewTrace().Proc("x", meter))
 		}
 		srv, err := engine.NewServer(eng, "cases", ds)
 		if err != nil {
@@ -392,5 +413,41 @@ func TestObsNeverPerturbsSimulation(t *testing.T) {
 			t.Errorf("workers=%d: observability perturbed the simulation\nplain:        %s\ninstrumented: %s",
 				workers, plain, instrumented)
 		}
+	}
+}
+
+// TestUntracedStepDoesNoBatchBookkeeping is the disabled path: with no tracer
+// attached a Step records nothing about its batch. It never walks the stages
+// for the residency figures — a nil stage planted under an unused node id
+// would crash residency(), as the traced arm shows it does. (What it allocates
+// is pinned in alloc_test.go.)
+func TestUntracedStepDoesNoBatchBookkeeping(t *testing.T) {
+	ds := randDataset(3000, 12)
+	cfg := Config{Staging: StageMemoryOnly, Memory: 4 * ds.Bytes()}
+	// Only residency() and Close walk every source list; Close must not see
+	// the poison.
+	poisoned := func(m *Middleware) (step func() error) {
+		if err := m.Enqueue(rootRequest(ds)); err != nil {
+			t.Fatal(err)
+		}
+		m.sources[-7] = []*stageData{nil}
+		return func() (err error) {
+			defer delete(m.sources, -7)
+			defer func() {
+				if p := recover(); p != nil {
+					err = fmt.Errorf("panic: %v", p)
+				}
+			}()
+			_, err = m.Step()
+			return err
+		}
+	}
+	m, _ := newMW(t, ds, cfg)
+	if err := poisoned(m)(); err != nil {
+		t.Fatalf("untraced Step computed the batch's residency: %v", err)
+	}
+	m, _, _ = newTracedMW(t, ds, cfg)
+	if err := poisoned(m)(); err == nil {
+		t.Fatal("traced Step survived the poisoned stage list: the untraced arm proves nothing")
 	}
 }

@@ -259,8 +259,7 @@ func assertEmptyCounts(t *testing.T, print string) {
 // to split the batch runs one lane and returns an empty CC table.
 func TestEmptyMemoryStageRunsOneLane(t *testing.T) {
 	ds := randDataset(50, 3)
-	pm := newBatchMetrics()
-	m, _ := newMW(t, ds, Config{Staging: StageNone, Workers: 4, Metrics: pm})
+	m, trace, _ := newTracedMW(t, ds, Config{Staging: StageNone, Workers: 4})
 	if err := m.Enqueue(rootRequest(ds)); err != nil {
 		t.Fatal(err)
 	}
@@ -284,7 +283,8 @@ func TestEmptyMemoryStageRunsOneLane(t *testing.T) {
 	if len(results) != 1 || results[0].Source != "memory" || results[0].CC.Rows() != 0 || results[0].CC.Entries() != 0 {
 		t.Fatalf("results = %+v, want one empty CC table from memory", results)
 	}
-	if bs := pm.Batches[len(pm.Batches)-1]; bs.Source != "memory" || bs.Lanes != nil {
+	batches := BatchRecords(trace)
+	if bs := batches[len(batches)-1]; bs.Source != "memory" || bs.Lanes != nil {
 		t.Errorf("empty memory stage did not run one lane: %+v", bs)
 	}
 }

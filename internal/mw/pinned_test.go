@@ -205,8 +205,9 @@ func TestStagedBuildSchedulePinned(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pm := obs.NewMetrics().NewProc(0, "pin", nil)
-		tc.cfg.Metrics, tc.cfg.Dir = pm, t.TempDir()
+		trace := obs.NewTrace()
+		srv.Engine().SetTracer(trace.Proc("pin", srv.Meter()))
+		tc.cfg.Dir = t.TempDir()
 		m, err := mw.New(srv, tc.cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -216,7 +217,7 @@ func TestStagedBuildSchedulePinned(t *testing.T) {
 			t.Fatal(err)
 		}
 		var stagedMemRows int64
-		for _, b := range pm.Batches {
+		for _, b := range mw.BatchRecords(trace) {
 			stagedMemRows += b.StagedMemRows
 		}
 		meter := m.Meter()

@@ -93,6 +93,17 @@ func (sc *Scorer) BeginShared() (*engine.ScanConsumer, []int, error) {
 	}, sc.cons.NeedCols(), nil
 }
 
+// Abort releases a begun, unfinished attachment to a shared scan — its score
+// span — without producing predictions; for fleet error paths. A no-op on a
+// session that has not begun or has finished.
+func (sc *Scorer) Abort() {
+	if sc.cons == nil {
+		return
+	}
+	sc.ssp.End()
+	sc.cons = nil
+}
+
 // FinishShared completes the session after the shared scan ran its
 // consumer: the session clock absorbs the cohort's shared I/O wait and the
 // predictions materialize.

@@ -1,10 +1,6 @@
 package mw
 
-import (
-	"repro/internal/engine"
-	"repro/internal/obs"
-	"repro/internal/sim"
-)
+import "repro/internal/engine"
 
 // This file is the middleware half of multi-tenant scan sharing (the serve
 // subsystem's tentpole): when several concurrent tree builds all need a
@@ -24,8 +20,6 @@ type SharedBatch struct {
 	srv      *engine.Server
 	needCols []int
 	cons     *engine.ScanConsumer
-	ssp      *obs.Span
-	scanSnap sim.Snapshot
 	sh       *workerShard
 	done     bool
 }
@@ -77,11 +71,8 @@ func (m *Middleware) BeginSharedBatch() (*SharedBatch, []*Result, error) {
 	}
 
 	sb := &SharedBatch{m: m, r: r, srv: m.srv, needCols: m.columnarNeedCols(r.plan, r.live)}
-	sb.ssp = r.tr.Start(obs.CatScan, "scan").SetSource(r.srcName).Attr("shared", 1)
-	if sb.ssp != nil {
-		sb.ssp.SetNodes(nodeIDs(b.reqs))
-		sb.scanSnap = m.meter.Snapshot()
-	}
+	r.openScan()
+	r.ssp.Attr("shared", 1)
 
 	// The consumer is a lone lane on the session meter: the fleet coordinator
 	// drives the shared scan single-threaded and engine.ScanGroups feeds
@@ -109,7 +100,7 @@ func (sb *SharedBatch) Server() *engine.Server { return sb.srv }
 // (ioElapsedNS — the io meter's advance during the pass, which charged the
 // cohort's pages once), the scan span closes, the shard merges through the
 // same post-scan path a solo batch takes, and the batch finalizes (staging,
-// results, fallback, trace/metrics).
+// results, fallback, the batch span's attributes).
 func (sb *SharedBatch) Finish(ioElapsedNS int64) ([]*Result, error) {
 	if sb.done {
 		panic("mw: SharedBatch finished twice")
@@ -119,12 +110,7 @@ func (sb *SharedBatch) Finish(ioElapsedNS int64) ([]*Result, error) {
 	if ioElapsedNS > 0 {
 		m.meter.Advance(ioElapsedNS)
 	}
-	if sb.ssp != nil {
-		sb.ssp.SetRows(m.meter.CountSince(sb.scanSnap, sim.CtrRowsTransmitted)).
-			Attr("col_groups_scanned", m.meter.CountSince(sb.scanSnap, sim.CtrColGroupsScanned)).
-			Attr("col_groups_skipped", m.meter.CountSince(sb.scanSnap, sim.CtrColGroupsSkipped))
-	}
-	sb.ssp.End()
+	r.closeScan()
 	r.mergeShards([]*workerShard{sb.sh})
 	return m.finishBatch(r)
 }
@@ -141,6 +127,6 @@ func (sb *SharedBatch) Abort() {
 	for _, t := range sb.r.plan.fileTees {
 		t.writer.Abort()
 	}
-	sb.ssp.End()
+	sb.r.ssp.End()
 	sb.r.bsp.End()
 }

@@ -170,10 +170,11 @@ func skewImbalance(t *testing.T, noHints bool) (int64, string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, pm := obs.NewCollector(false, true).Proc("skew", meter)
+	trace := obs.NewTrace()
+	eng.SetTracer(trace.Proc("skew", meter))
 	m, err := New(srv, Config{
 		Staging: StageNone, Workers: 8, MaxBatch: 1,
-		NoHistogramHints: noHints, Metrics: pm, Dir: t.TempDir(),
+		NoHistogramHints: noHints, Dir: t.TempDir(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -202,7 +203,7 @@ func skewImbalance(t *testing.T, noHints bool) (int64, string) {
 	m.CloseNode(0)
 	// Capture the imbalance of the region batch alone: the root batch's
 	// match-all scan is balanced under either policy.
-	nbatches := len(pm.Batches)
+	nbatches := len(BatchRecords(trace))
 	results, err := m.Step()
 	if err != nil {
 		t.Fatal(err)
@@ -212,13 +213,11 @@ func skewImbalance(t *testing.T, noHints bool) (int64, string) {
 	}
 	fp := results[0].CC.String()
 	m.CloseNode(1)
-	var max int64
-	for i := nbatches; i < len(pm.Batches); i++ {
-		if d := pm.Batches[i].LaneImbalanceNS(); d > max {
-			max = d
-		}
+	var worst int64
+	for _, b := range BatchRecords(trace)[nbatches:] {
+		worst = max(worst, b.LaneImbalanceNS())
 	}
-	return max, fp
+	return worst, fp
 }
 
 // TestClusteredLaneImbalanceRegression: on the clustered table with a

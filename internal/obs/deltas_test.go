@@ -20,12 +20,12 @@ func TestEmptyTraceChromeValid(t *testing.T) {
 		{"no-procs", obs.NewTrace()},
 		{"proc-no-spans", func() *obs.Trace {
 			tr := obs.NewTrace()
-			tr.Proc(1, "idle", sim.NewDefaultMeter())
+			tr.Proc("idle", sim.NewDefaultMeter())
 			return tr
 		}()},
 	} {
 		var buf bytes.Buffer
-		if err := tc.tr.WriteChrome(&buf, nil); err != nil {
+		if err := tc.tr.WriteChrome(&buf); err != nil {
 			t.Fatalf("%s: WriteChrome: %v", tc.name, err)
 		}
 		var doc struct {
@@ -71,7 +71,7 @@ func TestEmptyTraceNDJSONValid(t *testing.T) {
 func TestSpanDeltasOnEnd(t *testing.T) {
 	meter := sim.NewDefaultMeter()
 	trace := obs.NewTrace()
-	tr := trace.Proc(1, "p", meter)
+	tr := trace.Proc("p", meter)
 
 	outer := tr.Start(obs.CatBuild, "outer")
 	meter.Charge(sim.CtrServerScans, 10, 1)
@@ -103,7 +103,7 @@ func TestSpanDeltasOnEnd(t *testing.T) {
 func TestCaptureCountersBeforeEndAt(t *testing.T) {
 	meter := sim.NewDefaultMeter()
 	trace := obs.NewTrace()
-	tr := trace.Proc(1, "p", meter)
+	tr := trace.Proc("p", meter)
 	ltr := tr.Track("levels")
 
 	sp := ltr.Start(obs.CatLevel, "level 0")
@@ -130,7 +130,7 @@ func TestCaptureCountersBeforeEndAt(t *testing.T) {
 func TestEndAtWithoutCaptureStillSnapshots(t *testing.T) {
 	meter := sim.NewDefaultMeter()
 	trace := obs.NewTrace()
-	tr := trace.Proc(1, "p", meter)
+	tr := trace.Proc("p", meter)
 	sp := tr.Start(obs.CatBuild, "b")
 	meter.Charge(sim.CtrServerScans, 10, 2)
 	sp.EndAt(int64(meter.Now()))
@@ -146,8 +146,8 @@ func TestEachProcView(t *testing.T) {
 	nilTrace.EachProc(func(obs.ProcView) { t.Error("callback on nil trace") })
 
 	trace := obs.NewTrace()
-	tr1 := trace.Proc(1, "alpha", sim.NewDefaultMeter())
-	tr2 := trace.Proc(2, "beta", sim.NewDefaultMeter())
+	tr1 := trace.Proc("alpha", sim.NewDefaultMeter())
+	tr2 := trace.Proc("beta", sim.NewDefaultMeter())
 	tr1.Start(obs.CatBuild, "a").End()
 	lt := tr2.Track("lanes")
 	lt.Start(obs.CatLane, "l").End()

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"io"
 	"strconv"
+
+	"repro/internal/sim"
 )
 
 // usec renders a virtual-ns quantity as Chrome trace-event microseconds with
@@ -34,9 +36,9 @@ type traceEvent struct {
 // WriteChrome writes the trace in Chrome/Perfetto trace-event JSON: each proc
 // becomes a process, each track (main, lane 1, lane 2, ...) a thread, each
 // span a complete ("X") event. Load the file at https://ui.perfetto.dev.
-// Counter ("C") events from optional metrics render budget utilization and
-// counter rates as time series; pass nil to export spans only.
-func (t *Trace) WriteChrome(w io.Writer, m *Metrics) error {
+// Counter ("C") events derived from the batch spans (emitCounters) render
+// budget utilization, tier residency and counter totals as time series.
+func (t *Trace) WriteChrome(w io.Writer) error {
 	ew := &eventWriter{w: w}
 	ew.begin()
 	if t != nil {
@@ -69,14 +71,54 @@ func (t *Trace) WriteChrome(w io.Writer, m *Metrics) error {
 					Args: spanArgs(s),
 				})
 			}
+			emitCounters(ew, p)
 		}
 		t.mu.Unlock()
 	}
-	if m != nil {
-		m.emitCounters(ew)
-	}
 	ew.end()
 	return ew.err
+}
+
+// watched is the counter set rendered as running totals in the Chrome export.
+var watched = [...]sim.Counter{
+	sim.CtrServerPages,
+	sim.CtrRowsTransmitted,
+	sim.CtrFileRowsWritten,
+	sim.CtrFileRowsRead,
+	sim.CtrMemRowsRead,
+	sim.CtrCCUpdates,
+	sim.CtrSQLStatements,
+}
+
+// emitCounters renders one proc's counter tracks from its batch spans alone,
+// one step per finished batch at the batch's end: the watched counters' totals
+// over the batches so far (Span.Deltas), and the budget utilization and tier
+// residency the middleware recorded as attributes of the batch span.
+func emitCounters(ew *eventWriter, p *proc) {
+	var total sim.CounterVec
+	for _, s := range p.spans {
+		if s.Cat != CatBatch || s.Deltas == nil {
+			continue
+		}
+		total.Add(s.Deltas)
+		track := func(name string, args map[string]any) {
+			ew.emit(traceEvent{Name: name, Ph: "C", Ts: usec(s.Start + s.Dur), Pid: p.id, Args: args})
+		}
+		for _, c := range watched {
+			track(c.String(), map[string]any{"value": total.Get(c)})
+		}
+		if AttrInt(s.Attrs, "mem_used_bytes", -1) < 0 {
+			continue // the batch failed before its bookkeeping
+		}
+		for _, key := range []string{"mem_used_bytes", "file_used_bytes", "files_live"} {
+			track(key, map[string]any{"value": AttrInt(s.Attrs, key, 0)})
+		}
+		track("tier_residency", map[string]any{
+			"server": AttrInt(s.Attrs, "nodes_server", 0),
+			"file":   AttrInt(s.Attrs, "nodes_file", 0),
+			"memory": AttrInt(s.Attrs, "nodes_memory", 0),
+		})
+	}
 }
 
 // spanArgs builds the args payload for a span's trace event.

@@ -1,72 +1,73 @@
 package obs
 
 // Regression for the export layer's map-ordering contract: every map that
-// reaches an export (BatchStats.Deltas, traceEvent.Args, span attrs rendered
-// into args) must serialize in sorted key order, so two registries holding the
-// same logical metrics — built with different map insertion orders — export
-// byte-identical JSON and Chrome traces.
+// reaches the Chrome export (traceEvent.Args — span attrs rendered into args,
+// the counter tracks derived from batch spans) must serialize in sorted key
+// order, so two traces holding the same logical batch — its attributes
+// appended in different orders — export byte-identical documents.
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	"repro/internal/sim"
 )
 
-// buildMetrics assembles one registry whose Deltas maps are populated in the
-// given key order; the logical content is identical for any permutation.
-func buildMetrics(keyOrder []string) *Metrics {
-	m := NewMetrics()
+// buildBatchTrace records one finished batch span whose budget and residency
+// attributes are appended in the given key order, then one batch span that
+// failed before its bookkeeping (no attributes); the logical content is
+// identical for any permutation.
+func buildBatchTrace(keyOrder []string) *Trace {
+	tr := NewTrace()
 	meter := sim.NewDefaultMeter()
-	pm := m.NewProc(1, "run", meter)
-	deltas := map[string]int64{}
+	root := tr.Proc("run", meter)
+	sp := root.Start(CatBatch, "batch").SetSource("server")
+	meter.Charge(sim.CtrServerPages, 1000, 5)
 	for _, k := range keyOrder {
-		deltas[k] = int64(len(k)) * 7 // value derives from the key, not the slot
+		sp.Attr(k, int64(len(k))*7) // value derives from the key, not the slot
 	}
-	pm.AddBatch(BatchStats{
-		Batch: 1, Source: "server", StartNS: 0, EndNS: 5_000_000,
-		NNodes: 3, Deltas: deltas,
-		MemUsedBytes: 64, FilesLive: 1,
-		NodesServer: 2, NodesFile: 1,
-	})
-	return m
+	sp.End()
+	failed := root.Start(CatBatch, "batch")
+	meter.Charge(sim.CtrServerPages, 1000, 2)
+	failed.End()
+	return tr
 }
 
 func TestMetricsExportByteIdenticalAcrossMapInsertionOrder(t *testing.T) {
-	forward := []string{"server_pages", "rows_transmitted", "file_rows_written", "cc_updates", "sql_statements"}
+	forward := []string{"mem_used_bytes", "file_used_bytes", "files_live", "nodes_server", "nodes_file", "nodes_memory"}
 	backward := make([]string, len(forward))
 	for i, k := range forward {
 		backward[len(forward)-1-i] = k
 	}
 
-	ma := buildMetrics(forward)
-	mb := buildMetrics(backward)
-
-	var ja, jb bytes.Buffer
-	if err := ma.WriteJSON(&ja); err != nil {
-		t.Fatal(err)
-	}
-	if err := mb.WriteJSON(&jb); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(ja.Bytes(), jb.Bytes()) {
-		t.Errorf("metrics JSON depends on Deltas insertion order:\n%s\nvs\n%s", ja.Bytes(), jb.Bytes())
-	}
-
-	// The Chrome export path (counter events with map-valued Args) must hold
-	// to the same contract.
 	var ca, cb bytes.Buffer
-	if err := NewTrace().WriteChrome(&ca, ma); err != nil {
+	if err := buildBatchTrace(forward).WriteChrome(&ca); err != nil {
 		t.Fatal(err)
 	}
-	if err := NewTrace().WriteChrome(&cb, mb); err != nil {
+	if err := buildBatchTrace(backward).WriteChrome(&cb); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(ca.Bytes(), cb.Bytes()) {
-		t.Error("chrome counter export depends on map insertion order")
+		t.Errorf("chrome export depends on attribute insertion order:\n%s\nvs\n%s", ca.Bytes(), cb.Bytes())
 	}
-	if ja.Len() == 0 || ca.Len() == 0 {
-		t.Fatal("empty export")
+
+	// The counter tracks come from the batch spans alone, one step per batch
+	// end: the watched counters as running totals over every finished batch,
+	// budget and residency only where the batch recorded them.
+	out := ca.String()
+	for want, n := range map[string]int{
+		`"name":"server_pages_read","ph":"C","ts":5.000,"pid":1,"tid":0,"args":{"value":5}`:                      1,
+		`"name":"server_pages_read","ph":"C","ts":7.000,"pid":1,"tid":0,"args":{"value":7}`:                      1,
+		`"name":"mem_used_bytes","ph":"C","ts":5.000,"pid":1,"tid":0,"args":{"value":98}`:                        1,
+		`"name":"tier_residency","ph":"C","ts":5.000,"pid":1,"tid":0,"args":{"file":70,"memory":84,"server":84}`: 1,
+		`"name":"tier_residency"`: 1,
+		`"name":"files_live"`:     1,
+		`"name":"cc_updates"`:     2,
+	} {
+		if got := strings.Count(out, want); got != n {
+			t.Errorf("chrome export has %d of %s, want %d\n%s", got, want, n, out)
+		}
 	}
 }
 
@@ -76,7 +77,7 @@ func TestSpanArgsExportSorted(t *testing.T) {
 	build := func(order []string) []byte {
 		tr := NewTrace()
 		meter := sim.NewDefaultMeter()
-		root := tr.Proc(1, "p", meter)
+		root := tr.Proc("p", meter)
 		sp := root.Start("cat", "span")
 		for i, k := range order {
 			sp.Attr(k, int64(10+i%2))
@@ -84,7 +85,7 @@ func TestSpanArgsExportSorted(t *testing.T) {
 		sp.Attr("zz", 1).Attr("aa", 2) // fixed tail so both runs agree on values
 		sp.End()
 		var b bytes.Buffer
-		if err := tr.WriteChrome(&b, nil); err != nil {
+		if err := tr.WriteChrome(&b); err != nil {
 			t.Fatal(err)
 		}
 		return b.Bytes()

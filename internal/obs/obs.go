@@ -1,6 +1,7 @@
 // Package obs is the deterministic observability layer: virtual-clock-native
-// span tracing plus a metrics registry, shared by the engine, the middleware
-// and the experiment harness.
+// span tracing, shared by the engine, the middleware and the experiment
+// harness. Spans are the one record: what a batch did — counters, lanes,
+// budgets, tier residency — is on its span, and every export derives from that.
 //
 // Everything in this package is driven by sim.Meter's virtual clock, never by
 // wall time, so a trace is a pure function of (workload, configuration): two
@@ -121,9 +122,12 @@ func (p *proc) trackID(name string) int {
 	return len(p.tracks) - 1
 }
 
-// Trace is a whole trace: every proc's spans. Procs register under a lock
-// (experiment suites may build concurrently); within a proc all span activity
-// is single-goroutine except lanes, which buffer privately until JoinLanes.
+// Trace is a whole trace: every proc's spans — the one handle the CLIs, the
+// fleet and the experiment harness collect observability through. A nil Trace
+// is the disabled state: Proc returns a nil Tracer, on which every span call
+// is a no-op. Procs register under a lock (experiment suites may build
+// concurrently); within a proc all span activity is single-goroutine except
+// lanes, which buffer privately until JoinLanes.
 type Trace struct {
 	mu    sync.Mutex
 	procs []*proc
@@ -132,15 +136,16 @@ type Trace struct {
 // NewTrace returns an empty trace.
 func NewTrace() *Trace { return &Trace{} }
 
-// Proc registers a new virtual-clock domain (id must be unique, 1-based) and
-// returns its root tracer, clocked by meter. A nil Trace returns nil.
-func (t *Trace) Proc(id int, name string, meter *sim.Meter) *Tracer {
+// Proc registers a new virtual-clock domain (one build's meter) under the next
+// proc id, 1-based in registration order, and returns its root tracer, clocked
+// by meter. A nil Trace returns nil.
+func (t *Trace) Proc(name string, meter *sim.Meter) *Tracer {
 	if t == nil {
 		return nil
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	p := &proc{id: id, name: name, tracks: []string{"main"}}
+	p := &proc{id: len(t.procs) + 1, name: name, tracks: []string{"main"}}
 	t.procs = append(t.procs, p)
 	return &Tracer{p: p, clock: meter}
 }
@@ -431,6 +436,16 @@ func (s *Span) SetPartition(part, nparts int) *Span {
 		s.NParts = nparts
 	}
 	return s
+}
+
+// AttrInt returns the integer attribute under key, or def when there is none.
+func AttrInt(attrs []Attr, key string, def int64) int64 {
+	for _, a := range attrs {
+		if a.Key == key && a.S == "" {
+			return a.I
+		}
+	}
+	return def
 }
 
 // Attr appends an extra integer attribute.

@@ -34,25 +34,21 @@ func TestNilTracerZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestNilCollector asserts the nil Collector is a complete no-op handle.
+// TestNilCollector asserts a nil *Trace — the disabled collector — is a
+// complete handle: Proc hands out the nil tracer (every span call a no-op)
+// and the exports still produce valid, empty documents.
 func TestNilCollector(t *testing.T) {
-	if c := NewCollector(false, false); c != nil {
-		t.Fatal("NewCollector(false, false) should return nil")
-	}
-	var c *Collector
-	tr, pm := c.Proc("x", sim.NewDefaultMeter())
-	if tr != nil || pm != nil {
-		t.Fatal("nil collector Proc should return (nil, nil)")
+	var c *Trace
+	if tr := c.Proc("x", sim.NewDefaultMeter()); tr != nil {
+		t.Fatal("nil trace Proc should return the nil tracer")
 	}
 	var b bytes.Buffer
-	if err := c.WriteTrace(&b, "chrome"); err != nil || b.Len() != 0 {
-		t.Fatalf("nil collector WriteTrace: err=%v len=%d", err, b.Len())
+	if err := c.Write(&b, "chrome"); err != nil || !json.Valid(b.Bytes()) {
+		t.Fatalf("nil trace chrome export: err=%v %q", err, b.String())
 	}
-	if err := c.WriteMetrics(&b); err != nil || b.Len() != 0 {
-		t.Fatalf("nil collector WriteMetrics: err=%v len=%d", err, b.Len())
-	}
-	if s := c.Summary(); s != "" {
-		t.Fatalf("nil collector Summary = %q", s)
+	b.Reset()
+	if err := c.Write(&b, "ndjson"); err != nil || !json.Valid(b.Bytes()) {
+		t.Fatalf("nil trace ndjson export: err=%v %q", err, b.String())
 	}
 }
 
@@ -61,7 +57,7 @@ func TestNilCollector(t *testing.T) {
 func TestSpanNesting(t *testing.T) {
 	meter := sim.NewDefaultMeter()
 	trace := NewTrace()
-	tr := trace.Proc(1, "test", meter)
+	tr := trace.Proc("test", meter)
 
 	outer := tr.Start(CatBatch, "outer")
 	meter.Advance(100)
@@ -100,7 +96,7 @@ func TestSpanNesting(t *testing.T) {
 // is idempotent.
 func TestEndAtClamp(t *testing.T) {
 	meter := sim.NewDefaultMeter()
-	tr := NewTrace().Proc(1, "t", meter)
+	tr := NewTrace().Proc("t", meter)
 	meter.Advance(100)
 	sp := tr.Start(CatLevel, "lvl")
 	sp.EndAt(10) // before start
@@ -120,7 +116,7 @@ func laneWork(t *testing.T) []byte {
 	t.Helper()
 	meter := sim.NewDefaultMeter()
 	trace := NewTrace()
-	tr := trace.Proc(1, "fork", meter)
+	tr := trace.Proc("fork", meter)
 
 	bsp := tr.Start(CatBatch, "batch")
 	lanes := meter.Fork(4)
@@ -196,16 +192,16 @@ func TestForkJoinDeterministic(t *testing.T) {
 func TestWriteChrome(t *testing.T) {
 	meter := sim.NewDefaultMeter()
 	trace := NewTrace()
-	tr := trace.Proc(1, "proc-a", meter)
+	tr := trace.Proc("proc-a", meter)
 	sp := tr.Start(CatSQL, "sql").AttrStr("stmt", "SELECT 1").SetRows(1)
 	meter.Advance(1234567) // exercises the sub-microsecond ts formatter
 	sp.End()
 
 	var b1, b2 bytes.Buffer
-	if err := trace.WriteChrome(&b1, nil); err != nil {
+	if err := trace.WriteChrome(&b1); err != nil {
 		t.Fatalf("WriteChrome: %v", err)
 	}
-	if err := trace.WriteChrome(&b2, nil); err != nil {
+	if err := trace.WriteChrome(&b2); err != nil {
 		t.Fatalf("WriteChrome: %v", err)
 	}
 	if !bytes.Equal(b1.Bytes(), b2.Bytes()) {
@@ -248,86 +244,26 @@ func TestWriteChrome(t *testing.T) {
 	}
 }
 
-// TestMetricsSampling drives the ChargeObserver hook and checks throttled
-// sampling, batch stats, lane imbalance and deterministic JSON output.
-func TestMetricsSampling(t *testing.T) {
-	meter := sim.NewDefaultMeter()
-	reg := NewMetrics()
-	pm := reg.NewProc(1, "m", meter)
-	meter.SetObserver(pm)
-
-	// First charge always samples; charges inside the throttle window do not.
-	meter.Charge(sim.CtrMemRowsRead, 10, 1)
-	meter.Charge(sim.CtrMemRowsRead, 10, 1)
-	if len(pm.Samples) != 1 {
-		t.Fatalf("samples after 2 close charges = %d, want 1 (throttled)", len(pm.Samples))
-	}
-	// A charge that advances past the sampling period lands a second sample.
-	meter.Charge(sim.CtrMemRowsRead, defaultSampleEveryNS, 1)
-	if len(pm.Samples) != 2 {
-		t.Fatalf("samples = %d, want 2", len(pm.Samples))
-	}
-	last := pm.Samples[len(pm.Samples)-1]
-	idx := -1
-	for i, n := range pm.WatchNames {
-		if n == sim.CtrMemRowsRead.String() {
-			idx = i
-		}
-	}
-	if idx < 0 || last.Vals[idx] != 3 {
-		t.Fatalf("watched mem_rows_read = %d (idx %d), want 3", last.Vals[idx], idx)
-	}
-
-	pm.AddBatch(BatchStats{
-		Batch: 1, Source: "server", EndNS: int64(meter.Now()),
-		Lanes: []LaneStat{{Lane: 1, ElapsedNS: 100}, {Lane: 2, ElapsedNS: 160}},
-	})
-	if got := pm.MaxLaneImbalanceNS(); got != 60 {
-		t.Fatalf("MaxLaneImbalanceNS = %d, want 60", got)
-	}
-
-	var b1, b2 bytes.Buffer
-	if err := reg.WriteJSON(&b1); err != nil {
-		t.Fatal(err)
-	}
-	if err := reg.WriteJSON(&b2); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(b1.Bytes(), b2.Bytes()) {
-		t.Fatal("repeated WriteJSON exports differ")
-	}
-	if !json.Valid(b1.Bytes()) {
-		t.Fatalf("metrics JSON invalid:\n%s", b1.String())
-	}
-	if s := reg.Summary(); !strings.Contains(s, "max lane imbalance 60 ns") {
-		t.Fatalf("Summary missing imbalance: %q", s)
-	}
-
-	// Nil ProcMetrics: every method is a safe no-op.
-	var nilPM *ProcMetrics
-	nilPM.ObserveCharge(sim.CtrMemRowsRead, 1, 1, 1)
-	nilPM.AddBatch(BatchStats{})
-	if nilPM.MaxLaneImbalanceNS() != 0 {
-		t.Fatal("nil ProcMetrics imbalance != 0")
-	}
-}
-
-// TestCollectorTraceFormats checks format dispatch and the unknown-format
-// error.
+// TestCollectorTraceFormats checks proc-id assignment, format dispatch and
+// the unknown-format error.
 func TestCollectorTraceFormats(t *testing.T) {
-	c := NewCollector(true, true)
-	meter := sim.NewDefaultMeter()
-	tr, pm := c.Proc("p", meter)
-	if tr == nil || pm == nil {
-		t.Fatal("collector Proc returned nil facilities")
+	c := NewTrace()
+	tr := c.Proc("p", sim.NewDefaultMeter())
+	if tr == nil {
+		t.Fatal("Proc returned a nil tracer")
 	}
 	tr.Start(CatBuild, "b").End()
+	sp := c.Proc("q", sim.NewDefaultMeter()).Start(CatBuild, "b2")
+	sp.End()
+	if sp.Proc != 2 {
+		t.Fatalf("second proc id = %d, want 2 (registration order, 1-based)", sp.Proc)
+	}
 
 	var chrome, nd bytes.Buffer
-	if err := c.WriteTrace(&chrome, ""); err != nil {
+	if err := c.Write(&chrome, ""); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.WriteTrace(&nd, "ndjson"); err != nil {
+	if err := c.Write(&nd, "ndjson"); err != nil {
 		t.Fatal(err)
 	}
 	if !json.Valid(chrome.Bytes()) {
@@ -338,7 +274,7 @@ func TestCollectorTraceFormats(t *testing.T) {
 	if err := json.Unmarshal(first, &s); err != nil || s.Name != "b" {
 		t.Fatalf("ndjson span: %v %+v", err, s)
 	}
-	if err := c.WriteTrace(&chrome, "bogus"); err == nil {
+	if err := c.Write(&chrome, "bogus"); err == nil {
 		t.Fatal("unknown trace format accepted")
 	}
 }

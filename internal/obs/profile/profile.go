@@ -1,7 +1,6 @@
 // Package profile is the post-hoc profiler for the observability layer: it
-// consumes a finished obs.Trace (plus, optionally, the metrics registry) and
-// attributes every virtual nanosecond and every counter delta of a build to
-// the span that spent it.
+// consumes a finished obs.Trace and attributes every virtual nanosecond and
+// every counter delta of a build to the span that spent it.
 //
 // Three analyses come out of one Compute pass:
 //
@@ -30,7 +29,7 @@
 //     same as the traces it reads.
 //
 // Importing this package registers its renderer with the obs package
-// (obs.RegisterProfileWriter), enabling obs.Collector.WriteProfile.
+// (obs.RegisterProfileWriter), enabling obs.Trace.WriteProfile.
 package profile
 
 import (
@@ -160,6 +159,16 @@ type ForkGroup struct {
 	TotalSlackNS int64      `json:"total_slack_ns"`
 }
 
+// ImbalanceNS returns max − min lane busy time: the virtual time the fastest
+// lane idled at the join barrier (the critical lane's slack is zero).
+func (g *ForkGroup) ImbalanceNS() int64 {
+	var worst int64
+	for _, lc := range g.Lanes {
+		worst = max(worst, lc.SlackNS)
+	}
+	return worst
+}
+
 // SkewDiagnosis names the join barrier whose lane imbalance costs the most
 // virtual time across the whole build.
 type SkewDiagnosis struct {
@@ -181,19 +190,18 @@ func pctBP(v, total int64) int64 {
 	return v * 10_000 / total
 }
 
-// Compute profiles a finished trace. The metrics registry is optional (may be
-// nil); when present it is only read, never mutated. The trace must be
-// quiescent: no spans may be opened or ended during or after the call.
-func Compute(t *obs.Trace, m *obs.Metrics) *Profile {
+// Compute profiles a finished trace. The trace must be quiescent: no spans
+// may be opened or ended during or after the call.
+func Compute(t *obs.Trace) *Profile {
 	p := &Profile{}
 	t.EachProc(func(pv obs.ProcView) {
-		p.Procs = append(p.Procs, computeProc(pv))
+		p.Procs = append(p.Procs, ComputeProc(pv))
 	})
-	_ = m // reserved: per-batch budget/residency enrichment reads the registry
 	return p
 }
 
-func computeProc(pv obs.ProcView) *Proc {
+// ComputeProc profiles one proc of a finished trace.
+func ComputeProc(pv obs.ProcView) *Proc {
 	proc := &Proc{ID: pv.ID, Label: pv.Name}
 
 	// Split overlay spans (client-side level view: intentionally overlapping
@@ -424,7 +432,7 @@ func forkGroups(nodes []*Node, tracks []string) []*ForkGroup {
 			Parent: n.ID, ParentCat: n.Cat, ParentName: n.Name, Source: n.Source,
 		}
 		if b := enclosingBatch(n); b != nil {
-			g.Batch = attrInt(b, "batch", 0)
+			g.Batch = obs.AttrInt(b.Attrs, "batch", 0)
 			if g.Source == "" {
 				g.Source = b.Source
 			}
@@ -579,7 +587,7 @@ func rollupLevels(nodes []*Node) []LevelRollup {
 		if n.Cat != obs.CatBatch {
 			continue
 		}
-		lvl := attrInt(n, "level", -1)
+		lvl := obs.AttrInt(n.Attrs, "level", -1)
 		if lvl < 0 {
 			continue
 		}
@@ -627,16 +635,6 @@ func hotSpans(nodes []*Node, totalNS int64) []HotSpan {
 		})
 	}
 	return out
-}
-
-// attrInt returns the span's integer attribute by key, or def when absent.
-func attrInt(n *Node, key string, def int64) int64 {
-	for _, a := range n.Attrs {
-		if a.Key == key && a.S == "" {
-			return a.I
-		}
-	}
-	return def
 }
 
 // counterMap converts a counter vector to the name-keyed map the JSON report

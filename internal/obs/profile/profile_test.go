@@ -3,6 +3,7 @@ package profile
 import (
 	"bytes"
 	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/data"
@@ -91,21 +92,18 @@ func scenarios() []scenario {
 // buildProfiled runs one instrumented tree build and returns the collector,
 // the final virtual clock, and the meter's final counter vector (snapshotted
 // before Close so teardown charges don't blur the comparison).
-func buildProfiled(t *testing.T, sc scenario) (*obs.Collector, int64, sim.CounterVec) {
+func buildProfiled(t *testing.T, sc scenario) (*obs.Trace, int64, sim.CounterVec) {
 	t.Helper()
 	ds := sc.data(t)
-	col := obs.NewCollector(true, true)
+	col := obs.NewTrace()
 	meter := sim.NewDefaultMeter()
 	eng := engine.New(meter, 0)
 	srv, err := engine.NewServer(eng, "cases", ds)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, pm := col.Proc("test-"+sc.name, meter)
-	eng.SetTracer(tr)
-	mcfg := sc.cfg(ds)
-	mcfg.Metrics = pm
-	m, err := mw.New(srv, mcfg)
+	eng.SetTracer(col.Proc("test-"+sc.name, meter))
+	m, err := mw.New(srv, sc.cfg(ds))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +133,7 @@ func TestAttributionSumsToTotal(t *testing.T) {
 		sc := sc
 		t.Run(sc.name, func(t *testing.T) {
 			col, meterNS, meterCounts := buildProfiled(t, sc)
-			p := Compute(col.Trace, col.Metrics)
+			p := Compute(col)
 			if len(p.Procs) != 1 {
 				t.Fatalf("procs = %d, want 1", len(p.Procs))
 			}
@@ -191,7 +189,7 @@ func TestAttributionSumsToTotal(t *testing.T) {
 // overlap by design and must not participate in attribution.
 func TestOverlaysExcluded(t *testing.T) {
 	col, _, _ := buildProfiled(t, scenarios()[0])
-	p := Compute(col.Trace, col.Metrics)
+	p := Compute(col)
 	proc := p.Procs[0]
 	if len(proc.Overlays) == 0 {
 		t.Fatal("no overlay spans: expected the dtree level view")
@@ -214,7 +212,7 @@ func TestOverlaysExcluded(t *testing.T) {
 // barrier, slack sums agree, and the skew diagnosis names the worst group.
 func TestForkSlackAndSkew(t *testing.T) {
 	col, _, _ := buildProfiled(t, scenarios()[1]) // staged-parallel, Workers=4
-	p := Compute(col.Trace, col.Metrics)
+	p := Compute(col)
 	proc := p.Procs[0]
 	if len(proc.Forks) == 0 {
 		t.Fatal("no fork groups found in a Workers=4 build")
@@ -228,9 +226,11 @@ func TestForkSlackAndSkew(t *testing.T) {
 			t.Errorf("fork group %d has no critical lane", g.Parent)
 		}
 		var slackSum, maxBusy int64
+		minBusy := g.Lanes[0].BusyNS
 		sawCritical := false
 		for _, lc := range g.Lanes {
 			slackSum += lc.SlackNS
+			minBusy = min(minBusy, lc.BusyNS)
 			if lc.BusyNS > maxBusy {
 				maxBusy = lc.BusyNS
 			}
@@ -246,6 +246,9 @@ func TestForkSlackAndSkew(t *testing.T) {
 		}
 		if slackSum != g.TotalSlackNS {
 			t.Errorf("fork group %d: lane slack sums to %d, TotalSlackNS = %d", g.Parent, slackSum, g.TotalSlackNS)
+		}
+		if g.ImbalanceNS() != maxBusy-minBusy {
+			t.Errorf("fork group %d: imbalance %d != max busy %d - min busy %d", g.Parent, g.ImbalanceNS(), maxBusy, minBusy)
 		}
 		if g.BarrierNS != g.ForkNS+maxBusy {
 			t.Errorf("fork group %d: barrier %d != fork %d + max busy %d", g.Parent, g.BarrierNS, g.ForkNS, maxBusy)
@@ -273,7 +276,7 @@ func TestForkSlackAndSkew(t *testing.T) {
 // balances and the fallback category dominates the rollup.
 func TestFallbackOnlyShape(t *testing.T) {
 	col, _, _ := buildProfiled(t, scenarios()[2])
-	p := Compute(col.Trace, col.Metrics)
+	p := Compute(col)
 	proc := p.Procs[0]
 	found := false
 	for _, r := range proc.ByCat {
@@ -293,7 +296,7 @@ func TestFallbackOnlyShape(t *testing.T) {
 // no span is critical while its forest parent is not.
 func TestCriticalPathMarking(t *testing.T) {
 	col, _, _ := buildProfiled(t, scenarios()[1])
-	p := Compute(col.Trace, col.Metrics)
+	p := Compute(col)
 	proc := p.Procs[0]
 	criticals := 0
 	eachNode(proc.Roots, func(n *Node) {
@@ -328,7 +331,7 @@ func TestReportDeterminism(t *testing.T) {
 		t.Run(sc.name, func(t *testing.T) {
 			render := func() (string, string) {
 				col, _, _ := buildProfiled(t, sc)
-				p := Compute(col.Trace, col.Metrics)
+				p := Compute(col)
 				var txt, js bytes.Buffer
 				if err := p.WriteText(&txt); err != nil {
 					t.Fatal(err)
@@ -352,6 +355,11 @@ func TestReportDeterminism(t *testing.T) {
 			}
 			if txt1 == "" || js1 == "" {
 				t.Error("empty report")
+			}
+			// Each batch line is followed by the budget/residency attributes
+			// the middleware put on the batch span.
+			if !strings.Contains(txt1, "  open nodes server/file/memory ") || !strings.Contains(js1, `"key": "nodes_memory"`) {
+				t.Error("report lacks the batch spans' budget/residency attributes")
 			}
 		})
 	}
@@ -385,7 +393,7 @@ func TestEmptyAndDegenerateTraces(t *testing.T) {
 		{"nil-trace", nil},
 		{"no-procs", obs.NewTrace()},
 	} {
-		p := Compute(tc.tr, nil)
+		p := Compute(tc.tr)
 		if len(p.Procs) != 0 {
 			t.Errorf("%s: got %d procs, want 0", tc.name, len(p.Procs))
 		}
@@ -403,8 +411,8 @@ func TestEmptyAndDegenerateTraces(t *testing.T) {
 	}
 	// A registered proc with no spans still profiles cleanly.
 	tr := obs.NewTrace()
-	tr.Proc(1, "idle", sim.NewDefaultMeter())
-	p := Compute(tr, nil)
+	tr.Proc("idle", sim.NewDefaultMeter())
+	p := Compute(tr)
 	if len(p.Procs) != 1 {
 		t.Fatalf("got %d procs, want 1", len(p.Procs))
 	}
@@ -421,14 +429,14 @@ func TestEmptyAndDegenerateTraces(t *testing.T) {
 // group counters as span attributes.
 func TestColumnarScanAttrs(t *testing.T) {
 	col, _, _ := buildProfiled(t, scenarios()[4])
-	p := Compute(col.Trace, col.Metrics)
+	p := Compute(col)
 	proc := p.Procs[0]
 	sawGroups := false
 	eachNode(proc.Roots, func(n *Node) {
 		if n.Cat != obs.CatScan {
 			return
 		}
-		if attrInt(n, "col_groups_scanned", -1) > 0 {
+		if obs.AttrInt(n.Attrs, "col_groups_scanned", -1) > 0 {
 			sawGroups = true
 		}
 	})

@@ -12,8 +12,8 @@ import (
 )
 
 func init() {
-	obs.RegisterProfileWriter(func(t *obs.Trace, m *obs.Metrics, w io.Writer, format string) error {
-		p := Compute(t, m)
+	obs.RegisterProfileWriter(func(t *obs.Trace, w io.Writer, format string) error {
+		p := Compute(t)
 		switch format {
 		case "", "text":
 			return p.WriteText(w)
@@ -204,7 +204,7 @@ func writeNodeText(tw *errWriter, proc *Proc, n *Node, depth int) {
 	if n.Rows > 0 {
 		label += fmt.Sprintf(" rows=%d", n.Rows)
 	}
-	if lvl := attrInt(n, "level", -1); n.Cat == obs.CatBatch && lvl >= 0 {
+	if lvl := obs.AttrInt(n.Attrs, "level", -1); n.Cat == obs.CatBatch && lvl >= 0 {
 		label += fmt.Sprintf(" level=%d", lvl)
 	}
 	indent := strings.Repeat("  ", depth)
@@ -215,6 +215,17 @@ func writeNodeText(tw *errWriter, proc *Proc, n *Node, depth int) {
 	tw.printf("%s %s%s%s incl %s  excl %s  %6s%s\n",
 		marker, indent, label, strings.Repeat(" ", pad),
 		secs(n.InclNS), secs(n.ExclNS), pct(n.PctBP), topCounters(&n.exclVec, 3))
+	if n.Cat == obs.CatBatch && obs.AttrInt(n.Attrs, "mem_used_bytes", -1) >= 0 {
+		// What the middleware recorded on the batch span at batch end: budget
+		// utilization (limit 0 = unlimited), open nodes resident per tier, and
+		// what the batch shed or staged.
+		at := func(key string) int64 { return obs.AttrInt(n.Attrs, key, 0) }
+		tw.printf("  %s    mem %d/%d B  file %d/%d B in %d files  open nodes server/file/memory %d/%d/%d  requeued %d  staged-mem rows %d\n",
+			indent, at("mem_used_bytes"), at("mem_budget_bytes"),
+			at("file_used_bytes"), at("file_budget_bytes"), at("files_live"),
+			at("nodes_server"), at("nodes_file"), at("nodes_memory"),
+			at("n_requeued"), at("staged_mem_rows"))
+	}
 	for _, k := range n.Children {
 		writeNodeText(tw, proc, k, depth+1)
 	}

@@ -77,12 +77,10 @@ func inProcessArm(t *testing.T, rows, workers int, opt dtree.Options) (*dtree.Tr
 	t.Helper()
 	srv := testServer(t, rows)
 	meter := sim.NewMeter(srv.Meter().Costs())
-	col := obs.NewCollector(true, false)
-	tr, pm := col.Proc("session-1", meter)
+	col := obs.NewTrace()
 	cfg := baseCfg(workers)
 	cfg.Session = 1
-	cfg.Metrics = pm
-	m, err := mw.New(srv.View(meter, tr), cfg)
+	m, err := mw.New(srv.View(meter, col.Proc("session-1", meter)), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +90,7 @@ func inProcessArm(t *testing.T, rows, workers int, opt dtree.Options) (*dtree.Tr
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := col.WriteTrace(&buf, "ndjson"); err != nil {
+	if err := col.Write(&buf, "ndjson"); err != nil {
 		t.Fatal(err)
 	}
 	return tree, strings.Split(strings.TrimSuffix(buf.String(), "\n"), "\n")

@@ -195,7 +195,10 @@ func (d *Dispatcher) runFleet(batch []*fleetReq, seq int64) {
 			wantTrace = true
 		}
 	}
-	col := obs.NewCollector(wantTrace, false)
+	var col *obs.Trace
+	if wantTrace {
+		col = obs.NewTrace()
+	}
 
 	d.emu.Lock()
 	defer d.emu.Unlock()
@@ -237,7 +240,7 @@ func (d *Dispatcher) runFleet(batch []*fleetReq, seq int64) {
 	var traceLines []string
 	if wantTrace {
 		var buf bytes.Buffer
-		if err := col.WriteTrace(&buf, "ndjson"); err != nil {
+		if err := col.Write(&buf, "ndjson"); err != nil {
 			fail(err)
 			return
 		}

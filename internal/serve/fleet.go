@@ -104,7 +104,7 @@ func (s *Session) Close() error {
 type Fleet struct {
 	srv    *engine.Server
 	cfg    FleetConfig
-	col    *obs.Collector
+	col    *obs.Trace
 	clocks *sim.Clocks
 	io     *sim.Meter
 
@@ -122,7 +122,7 @@ type Fleet struct {
 
 // NewFleet creates a fleet over the server. col may be nil (no
 // observability); each session then runs untraced.
-func NewFleet(srv *engine.Server, col *obs.Collector, cfg FleetConfig) (*Fleet, error) {
+func NewFleet(srv *engine.Server, col *obs.Trace, cfg FleetConfig) (*Fleet, error) {
 	if cfg.TotalMemory < 0 || cfg.MaxSessions < 0 {
 		return nil, fmt.Errorf("serve: negative fleet limit")
 	}
@@ -220,16 +220,10 @@ func (f *Fleet) admit(s *Session) error {
 		// The slot the session waited for freed at freeNS; it starts there.
 		s.meter.Advance(wait)
 	}
-	var tr *obs.Tracer
 	cfg := f.cfg.Base
 	cfg.Session = s.ID
 	cfg.Memory = f.cfg.TotalMemory
-	if f.col != nil {
-		t, pm := f.col.Proc(s.Label, s.meter)
-		tr = t
-		cfg.Metrics = pm
-	}
-	view := f.srv.View(s.meter, tr)
+	view := f.srv.View(s.meter, f.col.Proc(s.Label, s.meter))
 	if s.model != nil {
 		sc, err := mw.NewScorer(view, s.model, s.workers)
 		if err != nil {
@@ -279,13 +273,17 @@ func (f *Fleet) Run() (err error) {
 		return fmt.Errorf("serve: fleet already ran")
 	}
 	f.ran = true
-	// An error abandons the round mid-flight: release every admitted,
-	// unfinished session's middleware (staging files) before returning.
+	// An error abandons the round mid-flight: before returning, end every
+	// admitted, unfinished build's spans (sharedRound has already released what
+	// its participants held) and release its middleware (staging files).
 	// Middleware.Close is idempotent, so retired sessions are unaffected.
 	defer func() {
 		if err != nil {
 			for _, s := range f.sessions {
 				if s.admitted && !s.done {
+					if s.b != nil {
+						s.b.Abort()
+					}
 					s.Close()
 				}
 			}
@@ -409,8 +407,10 @@ func (f *Fleet) Run() (err error) {
 // begin in id order; build batches that turn out not to be shareable after
 // scheduling execute solo inside Begin. The physical scan charges the
 // cohort's cursor open and page I/O once, to the fleet io meter, and every
-// participant's clock then absorbs that I/O wait.
-func (f *Fleet) sharedRound(cohort []*Session) error {
+// participant's clock then absorbs that I/O wait. On an error every participant
+// that began and has not finished is aborted — its staging writers, its scan
+// and batch spans, a scorer's score span — so a failed round leaks nothing.
+func (f *Fleet) sharedRound(cohort []*Session) (err error) {
 	type part struct {
 		s        *Session
 		sb       *mw.SharedBatch // build sessions
@@ -418,6 +418,17 @@ func (f *Fleet) sharedRound(cohort []*Session) error {
 		needCols []int // nil = all columns
 	}
 	var parts []part
+	defer func() {
+		if err != nil {
+			for _, p := range parts { // Abort is a no-op on a finished participant
+				if p.sb != nil {
+					p.sb.Abort()
+				} else {
+					p.s.scorer.Abort()
+				}
+			}
+		}
+	}()
 	for _, s := range cohort {
 		if s.scorer != nil {
 			cons, needCols, err := s.scorer.BeginShared()

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -106,7 +107,7 @@ func TestFleetSingleSessionMatchesSolo(t *testing.T) {
 			solo, soloMeter := soloBuildMetered(t, rows, soloCfg, testOpt)
 
 			srv := testServer(t, rows)
-			col := obs.NewCollector(true, false)
+			col := obs.NewTrace()
 			f, err := NewFleet(srv, col, FleetConfig{Base: tc.cfg, ScanSharing: tc.sharing, TotalMemory: tc.memory})
 			if err != nil {
 				t.Fatal(err)
@@ -153,7 +154,7 @@ func TestFleetSingleSessionMatchesSolo(t *testing.T) {
 			if got, want := stmts, soloMeter.Count(sim.CtrSQLStatements); got != want || (want > 0) != (tc.memory > 0) {
 				t.Errorf("session issued %d statements, solo build %d (memory %d)", got, want, tc.memory)
 			}
-			col.Trace.EachProc(func(p obs.ProcView) {
+			col.EachProc(func(p obs.ProcView) {
 				cat := map[int64]string{}
 				for _, sp := range p.Spans {
 					cat[sp.ID] = sp.Cat
@@ -394,6 +395,87 @@ func TestFleetRunErrorClosesSessions(t *testing.T) {
 	for _, s := range f.Sessions() {
 		if err := s.Close(); err != nil {
 			t.Errorf("second Close of session %d: %v", s.ID, err)
+		}
+	}
+}
+
+// stageDirOf reads a session's private staging directory out of its
+// middleware. mw keeps the path to itself; reflection reads the string without
+// widening mw's API for the one test that needs to sabotage it.
+func stageDirOf(s *Session) string {
+	return reflect.ValueOf(s.m).Elem().FieldByName("files").Elem().FieldByName("dir").String()
+}
+
+// TestFleetSharedRoundErrorAbortsCohort: when one participant of a shared
+// round fails, the round must release what the others began. Three sessions
+// share their root scan under file staging; session 3's staging directory is
+// removed from under it, so its file-tee writer cannot be created after
+// sessions 1 and 2 opened theirs. Run must return the error with every span of
+// every session ended, no staging file left open or on disk, and the server
+// fit for the next fleet. (Before the fix sessions 1 and 2 kept their open
+// writers and their scan/batch spans, and no builder's build/level spans ever
+// ended.)
+func TestFleetSharedRoundErrorAbortsCohort(t *testing.T) {
+	srv := testServer(t, 800)
+	base := mw.Config{Staging: mw.StageFileOnly, Workers: 1, Dir: t.TempDir()}
+	col := obs.NewTrace()
+	f, err := NewFleet(srv, col, FleetConfig{Base: base, ScanSharing: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if _, err := f.Open("", testOpt, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rounds := 0
+	f.runHook = func() error {
+		if rounds++; rounds > 1 {
+			return nil
+		}
+		return os.RemoveAll(stageDirOf(f.sessions[2]))
+	}
+	if err := f.Run(); err == nil {
+		t.Fatal("Run succeeded with session 3's staging directory removed")
+	}
+	if rounds != 1 {
+		t.Fatalf("failed in round %d, want the first (the shared root scan)", rounds)
+	}
+
+	procs := 0
+	col.EachProc(func(pv obs.ProcView) {
+		procs++
+		began := false
+		for _, s := range pv.Spans {
+			began = began || s.Cat == obs.CatBatch
+			if s.Deltas == nil {
+				t.Errorf("%s: span %d %s/%s never ended", pv.Name, s.ID, s.Cat, s.Name)
+			}
+		}
+		if !began {
+			t.Errorf("%s: no batch span — the session never began the round", pv.Name)
+		}
+	})
+	if procs != 3 {
+		t.Fatalf("%d procs traced, want 3", procs)
+	}
+	if left, _ := filepath.Glob(filepath.Join(base.Dir, "mwstage-*")); len(left) != 0 {
+		t.Errorf("staging directories survive the failed Run: %v", left)
+	}
+	// A removed directory hides a writer that was never closed; the process's
+	// descriptor table does not.
+	if fds, err := os.ReadDir("/proc/self/fd"); err == nil {
+		for _, fd := range fds {
+			if to, _ := os.Readlink(filepath.Join("/proc/self/fd", fd.Name())); strings.HasPrefix(to, base.Dir) {
+				t.Errorf("descriptor %s still open on %s", fd.Name(), to)
+			}
+		}
+	}
+
+	want := soloBuild(t, 800, base, testOpt).Dump()
+	for _, s := range runFleetN(t, srv, 2, FleetConfig{Base: base, ScanSharing: true}, testOpt).Sessions() {
+		if s.Tree().Dump() != want {
+			t.Errorf("session %d of the next fleet on the same server built a different tree", s.ID)
 		}
 	}
 }

@@ -196,18 +196,6 @@ func (c Counter) String() string {
 	return counterNames[c]
 }
 
-// ChargeObserver receives a callback after every Charge on an observed
-// Meter. Observers are pure readers: they run after the clock and counter
-// have been updated and must not charge the meter (directly or indirectly),
-// so attaching one can never perturb a simulated result. The metrics layer
-// (internal/obs) uses this hook to sample counter time series against the
-// virtual clock.
-type ChargeObserver interface {
-	// ObserveCharge reports one accounting event: counter c advanced by n to
-	// the cumulative value total, with the virtual clock now at nowNS.
-	ObserveCharge(c Counter, n, total, nowNS int64)
-}
-
 // Meter is a virtual clock plus operation counters. The zero value is not
 // ready for use; construct one with NewMeter. A Meter is not safe for
 // concurrent use: every simulated thread of control charges its own Meter.
@@ -219,7 +207,6 @@ type Meter struct {
 	costs  Costs
 	now    int64 // virtual nanoseconds since start
 	counts [numCounters]int64
-	obs    ChargeObserver
 }
 
 // NewMeter returns a Meter using the given cost model.
@@ -244,24 +231,15 @@ func (m *Meter) Advance(d int64) {
 
 // Charge advances the clock by n times the unit cost and increments the
 // counter by n. It is the single point through which all simulated work is
-// accounted. With no observer attached the only overhead over the raw
-// arithmetic is one nil check — zero allocations (the disabled-observability
-// hot path; asserted by TestChargeNilObserverAllocs).
+// accounted: two additions, no allocation, no callback — observability reads
+// the meter at span boundaries (internal/obs), it is never called from here.
 func (m *Meter) Charge(c Counter, unitCost int64, n int64) {
 	if n < 0 {
 		panic("sim: negative charge count")
 	}
 	m.counts[c] += n
 	m.now += unitCost * n
-	if m.obs != nil {
-		m.obs.ObserveCharge(c, n, m.counts[c], m.now)
-	}
 }
-
-// SetObserver attaches (or, with nil, detaches) a charge observer. Lane
-// meters created by Fork never inherit the observer: their work surfaces on
-// the parent as deltas when Join folds them back.
-func (m *Meter) SetObserver(o ChargeObserver) { m.obs = o }
 
 // Count returns the current value of a counter.
 func (m *Meter) Count(c Counter) int64 { return m.counts[c] }
@@ -294,26 +272,15 @@ func (m *Meter) Fork(n int) []*Meter {
 // charged by the caller on the parent after Join.
 func (m *Meter) Join(lanes []*Meter) {
 	var max int64
-	var deltas [numCounters]int64
 	for _, l := range lanes {
 		for i := range l.counts {
-			deltas[i] += l.counts[i]
+			m.counts[i] += l.counts[i]
 		}
 		if l.now > max {
 			max = l.now
 		}
 	}
-	for i := range deltas {
-		m.counts[i] += deltas[i]
-	}
 	m.now += max
-	if m.obs != nil {
-		for i, d := range deltas {
-			if d != 0 {
-				m.obs.ObserveCharge(Counter(i), d, m.counts[i], m.now)
-			}
-		}
-	}
 }
 
 // Reset zeroes the clock and all counters, keeping the cost model.
@@ -346,18 +313,6 @@ func (m *Meter) Since(s Snapshot) time.Duration { return m.Now() - s.Now }
 // CountSince returns the counter delta since the snapshot was taken.
 func (m *Meter) CountSince(s Snapshot, c Counter) int64 {
 	return m.counts[c] - s.Counts[c]
-}
-
-// CountersSince returns every non-zero counter delta since the snapshot was
-// taken, keyed by counter.
-func (m *Meter) CountersSince(s Snapshot) map[Counter]int64 {
-	out := make(map[Counter]int64)
-	for c := Counter(0); c < numCounters; c++ {
-		if d := m.counts[c] - s.Counts[c]; d != 0 {
-			out[c] = d
-		}
-	}
-	return out
 }
 
 // CounterVec is a dense copy of every counter value, indexed by Counter in

@@ -206,90 +206,3 @@ func TestJoinEmptyLanesIsNoOp(t *testing.T) {
 		t.Error("joining idle lanes changed the meter")
 	}
 }
-
-// chargeRec records observer callbacks for assertions.
-type chargeRec struct {
-	c     Counter
-	n     int64
-	total int64
-	nowNS int64
-}
-
-type recObserver struct{ recs []chargeRec }
-
-func (r *recObserver) ObserveCharge(c Counter, n, total, nowNS int64) {
-	r.recs = append(r.recs, chargeRec{c, n, total, nowNS})
-}
-
-func TestChargeObserver(t *testing.T) {
-	m := NewDefaultMeter()
-	obs := &recObserver{}
-	m.SetObserver(obs)
-
-	m.Charge(CtrMemRowsRead, 10, 3)
-	if len(obs.recs) != 1 {
-		t.Fatalf("observer calls = %d, want 1", len(obs.recs))
-	}
-	got := obs.recs[0]
-	want := chargeRec{CtrMemRowsRead, 3, 3, 30}
-	if got != want {
-		t.Fatalf("observed %+v, want %+v", got, want)
-	}
-
-	// Join notifies once per counter that moved, with the post-fold totals and
-	// the post-fold clock; lanes never inherit the observer.
-	lanes := m.Fork(2)
-	for _, l := range lanes {
-		if l.obs != nil {
-			t.Fatal("lane inherited observer")
-		}
-	}
-	lanes[0].Charge(CtrMemRowsRead, 10, 2)
-	lanes[1].Charge(CtrFileRowsRead, 5, 4)
-	if len(obs.recs) != 1 {
-		t.Fatalf("lane charges reached parent observer: %d calls", len(obs.recs))
-	}
-	obs.recs = nil
-	m.Join(lanes)
-	if len(obs.recs) != 2 {
-		t.Fatalf("Join observer calls = %d, want 2 (one per moved counter)", len(obs.recs))
-	}
-	joinNow := int64(m.Now())
-	for _, r := range obs.recs {
-		if r.nowNS != joinNow {
-			t.Fatalf("Join notification clock = %d, want post-fold %d", r.nowNS, joinNow)
-		}
-	}
-
-	// Detach: no further notifications.
-	m.SetObserver(nil)
-	obs.recs = nil
-	m.Charge(CtrMemRowsRead, 10, 1)
-	if len(obs.recs) != 0 {
-		t.Fatal("detached observer still notified")
-	}
-}
-
-// TestChargeNilObserverAllocs pins the disabled-observability hot path:
-// Charge with no observer attached must not allocate.
-func TestChargeNilObserverAllocs(t *testing.T) {
-	m := NewDefaultMeter()
-	allocs := testing.AllocsPerRun(1000, func() {
-		m.Charge(CtrMemRowsRead, 10, 1)
-	})
-	if allocs != 0 {
-		t.Fatalf("Charge with nil observer allocated %v times per run, want 0", allocs)
-	}
-}
-
-func TestCountersSince(t *testing.T) {
-	m := NewDefaultMeter()
-	m.Charge(CtrMemRowsRead, 1, 5)
-	snap := m.Snapshot()
-	m.Charge(CtrMemRowsRead, 1, 2)
-	m.Charge(CtrFileRowsRead, 1, 7)
-	d := m.CountersSince(snap)
-	if len(d) != 2 || d[CtrMemRowsRead] != 2 || d[CtrFileRowsRead] != 7 {
-		t.Fatalf("CountersSince = %v", d)
-	}
-}
