@@ -110,7 +110,11 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 				fmt.Fprintf(stdout, "%s: %d nodes, %d attrs, %d classes\n", n, len(m.Nodes), m.Cols, m.Classes)
 			}
 		default:
+			var rs *engine.ResultSet
 			res, err := disp.Execute(stmt)
+			if err == nil {
+				rs, err = res.Rows() // a fleet-scored statement's verdict arrives with its last row
+			}
 			if err != nil {
 				fmt.Fprintf(stderr, "sqlsh: error: %v\n", err)
 				failed = true
@@ -118,11 +122,11 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 					return errStatementFailed
 				}
 			} else {
-				if rs := res.Rows(); rs != nil {
+				if rs != nil {
 					fmt.Fprint(stdout, rs)
 					fmt.Fprintf(stdout, "(%d rows) ", len(rs.Rows))
 				}
-				fmt.Fprintf(stdout, "simulated cost: %v\n", res.Cost)
+				fmt.Fprintf(stdout, "simulated cost: %v\n", res.Cost())
 			}
 		}
 		fmt.Fprint(stdout, "sql> ")

@@ -16,29 +16,32 @@ import (
 // the same shared physical scan a cohort of builds rides — but it completes
 // in a single scan pass, so its lifecycle is just RunSolo (a private
 // partitioned scan) or BeginShared/FinishShared (one consumer on the
-// cohort's scan).
+// cohort's scan). Either way the predictions land in the result the session
+// was created over — opened by its owner (engine.Server.OpenScore), readable
+// behind its watermark while the scan runs, and ended by its owner too.
 type Scorer struct {
 	srv     *engine.Server
 	model   *engine.Model
 	workers int
+	res     *engine.ScoreResult
 
-	res  *engine.ScoreResult
-	cons *engine.ScoreConsumer
-	ssp  *obs.Span
-	snap sim.Snapshot
-	done bool
+	begun bool // between BeginShared and FinishShared / Abort
+	ssp   *obs.Span
+	snap  sim.Snapshot
+	done  bool
 }
 
-// NewScorer creates a scoring session for the server's table. srv should be
-// a session-scoped View so scoring charges land on the session's clock.
-func NewScorer(srv *engine.Server, model *engine.Model, workers int) (*Scorer, error) {
-	if model == nil {
-		return nil, fmt.Errorf("mw: scorer needs a model")
+// NewScorer creates a scoring session that fills res, the result opened on
+// the server for model. srv should be a session-scoped View so scoring
+// charges land on the session's clock.
+func NewScorer(srv *engine.Server, model *engine.Model, workers int, res *engine.ScoreResult) (*Scorer, error) {
+	if model == nil || res == nil {
+		return nil, fmt.Errorf("mw: scorer needs a model and an opened result")
 	}
 	if workers < 1 {
 		workers = 1
 	}
-	return &Scorer{srv: srv, model: model, workers: workers}, nil
+	return &Scorer{srv: srv, model: model, workers: workers, res: res}, nil
 }
 
 // Model returns the model the session scores with.
@@ -46,9 +49,6 @@ func (sc *Scorer) Model() *engine.Model { return sc.model }
 
 // Done reports whether the session has produced its predictions.
 func (sc *Scorer) Done() bool { return sc.done }
-
-// Result returns the predictions (nil until the session ran).
-func (sc *Scorer) Result() *engine.ScoreResult { return sc.res }
 
 // Shareable reports whether the session's (single) scan can join a shared
 // columnar pass: it has not run yet.
@@ -60,11 +60,7 @@ func (sc *Scorer) RunSolo() error {
 	if sc.done {
 		return fmt.Errorf("mw: scorer already ran")
 	}
-	res, err := sc.srv.ScoreColumnar(sc.model, sc.workers)
-	if err != nil {
-		return err
-	}
-	sc.res = res
+	sc.srv.ScoreInto(sc.res, sc.model, sc.workers)
 	sc.done = true
 	return nil
 }
@@ -85,30 +81,30 @@ func (sc *Scorer) BeginShared() (*engine.ScanConsumer, []int, error) {
 	if sc.ssp != nil {
 		sc.snap = meter.Snapshot()
 	}
-	sc.cons = engine.NewScoreConsumer(sc.model, meter)
+	cons := sc.res.Consumer(sc.model, meter)
+	sc.begun = true
 	return &engine.ScanConsumer{
 		Filter: predicate.MatchAll(),
 		Lane:   meter,
-		Fn:     sc.cons.Consume,
-	}, sc.cons.NeedCols(), nil
+		Fn:     cons.Consume,
+	}, cons.NeedCols(), nil
 }
 
 // Abort releases a begun, unfinished attachment to a shared scan — its score
-// span — without producing predictions; for fleet error paths. A no-op on a
+// span — without completing the pass; for fleet error paths. A no-op on a
 // session that has not begun or has finished.
 func (sc *Scorer) Abort() {
-	if sc.cons == nil {
+	if !sc.begun {
 		return
 	}
 	sc.ssp.End()
-	sc.cons = nil
+	sc.begun = false
 }
 
 // FinishShared completes the session after the shared scan ran its
-// consumer: the session clock absorbs the cohort's shared I/O wait and the
-// predictions materialize.
+// consumer: the session clock absorbs the cohort's shared I/O wait.
 func (sc *Scorer) FinishShared(ioElapsedNS int64) {
-	if sc.cons == nil {
+	if !sc.begun {
 		panic("mw: FinishShared without BeginShared")
 	}
 	meter := sc.srv.Meter()
@@ -120,7 +116,6 @@ func (sc *Scorer) FinishShared(ioElapsedNS int64) {
 			Attr("model_node_probes", meter.CountSince(sc.snap, sim.CtrModelProbes))
 	}
 	sc.ssp.End()
-	sc.res = sc.cons.Result()
-	sc.cons = nil
+	sc.begun = false
 	sc.done = true
 }

@@ -22,9 +22,16 @@ type Daemon struct {
 	cmu      sync.Mutex
 	conns    map[net.Conn]bool
 	draining bool
+	grace    time.Duration // drainGrace; a field so a test can shorten it
 
 	wg sync.WaitGroup // connection handlers
 }
+
+// drainGrace is how long Drain lets a handler go on writing its response once
+// every fleet run has ended. By then a response is memory being framed to a
+// socket, which a client that reads absorbs in far less; a client that has
+// stopped reading would otherwise hold its handler, and Drain, forever.
+const drainGrace = 5 * time.Second
 
 // DaemonConfig tunes the dispatcher's fleet runs.
 type DaemonConfig struct {
@@ -43,7 +50,7 @@ type DaemonConfig struct {
 
 // NewDaemon creates a daemon over the server.
 func NewDaemon(srv *engine.Server, cfg DaemonConfig) *Daemon {
-	return &Daemon{srv: srv, disp: NewDispatcher(srv.Engine(), srv, cfg), conns: make(map[net.Conn]bool)}
+	return &Daemon{srv: srv, disp: NewDispatcher(srv.Engine(), srv, cfg), conns: make(map[net.Conn]bool), grace: drainGrace}
 }
 
 // Serve accepts connections until Drain closes the listener. It returns nil
@@ -78,8 +85,10 @@ func (d *Daemon) Serve(ln net.Listener) error {
 
 // Drain stops the daemon gracefully: the listener closes, idle connections
 // are unblocked (their next read fails), in-flight statements run to
-// completion and flush their responses, and Drain returns when every handler
-// has exited. ln is the listener given to Serve.
+// completion and flush their responses — to a client that still reads; a
+// write that has not gone through drainGrace after the last run ended fails,
+// and takes its connection with it — and Drain returns when every handler has
+// exited. ln is the listener given to Serve.
 func (d *Daemon) Drain(ln net.Listener) {
 	d.cmu.Lock()
 	if d.draining {
@@ -96,6 +105,12 @@ func (d *Daemon) Drain(ln net.Listener) {
 	d.cmu.Unlock()
 	ln.Close()
 	d.disp.Close() // answers what is queued; a handler's next fleet statement fails
+	d.cmu.Lock()
+	cutoff := time.Now().Add(d.grace) //repolint:determinism a socket deadline is wall clock; no result depends on it
+	for c := range d.conns {          //repolint:ordered deadline fan-out, order-free
+		c.SetWriteDeadline(cutoff)
+	}
+	d.cmu.Unlock()
 	d.wg.Wait()
 }
 
@@ -161,8 +176,9 @@ func (d *Daemon) serveQuery(conn net.Conn, sql string) error {
 	return writeRows(conn, res.Set)
 }
 
-// writeRows streams a materialized result (nil = a statement without one) as
-// header, row batches and done. One batch is refilled frame after frame.
+// writeRows frames a materialized result — an engine.ResultSet, whole before
+// the first frame; nil = a statement without one — as header, row batches and
+// done. One batch is refilled frame after frame.
 func writeRows(conn net.Conn, rs *engine.ResultSet) error {
 	if rs == nil {
 		rs = &engine.ResultSet{}
@@ -188,30 +204,48 @@ func writeRows(conn net.Conn, rs *engine.ResultSet) error {
 	return wire.WriteFrame(conn, wire.TDone, wire.Done{Rows: int64(len(rs.Rows))})
 }
 
-// writeScored frames a fleet scoring result: a header naming the class column
-// and the per-class count columns, then TScoredBatch frames of BatchRows rows
-// (classes plus distributions, one batch refilled frame after frame), then
-// TDone — so the client starts consuming predictions before the last batch is
-// framed.
+// writeScored frames a fleet scoring result while the fleet run fills it: it
+// follows the result's watermark on the connection's own handler goroutine,
+// cutting a TScoredBatch (classes plus distributions, one batch refilled frame
+// after frame) at every BatchRows rows that have become final — the same
+// frames it would cut from the finished result — so the client drains
+// predictions while the scan still runs, and the scan, which only publishes,
+// never waits for this socket. The header (the class column, then the
+// per-class count columns) goes out with the first ready rows, and the stream
+// ends when the run does: with TDone, or with TError after every row the
+// failed run had published — a bare TError when it had published none.
 func writeScored(conn net.Conn, m *engine.Model, res *engine.ScoreResult) error {
-	if err := wire.WriteFrame(conn, wire.TResultHeader, wire.ResultHeader{Cols: engine.ScoreCols(m.Classes)}); err != nil {
-		return err
-	}
 	b := wire.ScoredBatch{
 		Model:   m.Name,
 		Classes: make([]int32, 0, wire.BatchRows),
 		Dists:   make([][]int64, 0, wire.BatchRows),
 	}
-	n := len(res.Classes)
-	for base := 0; base < n; base += wire.BatchRows {
-		b.Classes, b.Dists = b.Classes[:0], b.Dists[:0]
-		for i := base; i < min(base+wire.BatchRows, n); i++ {
-			b.Classes = append(b.Classes, int32(res.Classes[i]))
-			b.Dists = append(b.Dists, res.Dist(m, i))
+	for sent := 0; ; {
+		// Wake when a whole batch is final, or the run has ended.
+		n, done, err := res.Wait(sent + wire.BatchRows - 1)
+		if sent == 0 && (n > 0 || err == nil) {
+			if err := wire.WriteFrame(conn, wire.TResultHeader, wire.ResultHeader{Cols: engine.ScoreCols(m.Classes)}); err != nil {
+				return err
+			}
 		}
-		if err := wire.WriteFrame(conn, wire.TScoredBatch, &b); err != nil {
-			return err
+		if !done {
+			n -= (n - sent) % wire.BatchRows // whole batches only, until the end is known
+		}
+		for sent < n {
+			b.Classes, b.Dists = b.Classes[:0], b.Dists[:0]
+			for end := min(sent+wire.BatchRows, n); sent < end; sent++ {
+				b.Classes = append(b.Classes, int32(res.Classes[sent]))
+				b.Dists = append(b.Dists, res.Dist(m, sent))
+			}
+			if err := wire.WriteFrame(conn, wire.TScoredBatch, &b); err != nil {
+				return err
+			}
+		}
+		switch {
+		case err != nil:
+			return wire.WriteFrame(conn, wire.TError, wire.Error{Msg: err.Error()})
+		case done:
+			return wire.WriteFrame(conn, wire.TDone, wire.Done{Rows: int64(n)})
 		}
 	}
-	return wire.WriteFrame(conn, wire.TDone, wire.Done{Rows: int64(n)})
 }

@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"time"
@@ -29,7 +30,11 @@ import (
 // mutex, fleet requests by a single coordinator goroutine that drains the
 // queue into fleet runs. Requests queued while a run executes batch into the
 // next run, which is exactly the window in which scan sharing pays. The
-// coordinator starts with the first fleet request and stops in Close.
+// coordinator starts with the first fleet request and stops in Close. A build
+// is answered when its run ends; a SCORE TABLE is answered when its session
+// opens, with the result the run is about to fill, so the caller's goroutine
+// reads it behind the scan's watermark while the coordinator scans — the run
+// itself never waits for a reader.
 type Dispatcher struct {
 	eng *engine.Engine
 	srv *engine.Server // nil = no served table: every statement goes to the engine
@@ -44,6 +49,11 @@ type Dispatcher struct {
 	started bool
 	closed  bool
 	wg      sync.WaitGroup // the coordinator
+
+	// onFleet is a test seam, always nil in production: invoked with each
+	// run's fleet once its sessions are open, before Run, so a test can hold a
+	// run back or arm Fleet.runHook.
+	onFleet func(*Fleet)
 }
 
 // NewDispatcher creates a dispatcher over the engine and, when srv is
@@ -58,22 +68,42 @@ func NewDispatcher(eng *engine.Engine, srv *engine.Server, cfg DaemonConfig) *Di
 type Result struct {
 	// Set holds materialized rows; nil for DDL, DML and fleet-scored results.
 	Set *engine.ResultSet
-	// Score and Model are a SCORE TABLE that ran in the fleet: the raw
-	// predictions, which the daemon frames batch by batch without
-	// materializing them.
+	// Score and Model are a SCORE TABLE in the fleet: the raw predictions,
+	// handed out while the run may still be filling them. Rows [0, n) are
+	// final once Score.Wait returned n, which is how the daemon frames them
+	// batch by batch without materializing them; a run that fails after the
+	// statement was answered ends Score with the error.
 	Score *engine.ScoreResult
 	Model *engine.Model
-	// Cost is the virtual time the statement took.
-	Cost time.Duration
+
+	cost    time.Duration
+	session *Session // of Score: its latency is the cost, known once Score ended
 }
 
 // Rows returns the result as a row set in either case (nil when the
-// statement produced none).
-func (r *Result) Rows() *engine.ResultSet {
-	if r.Score != nil {
-		return r.Score.ResultSet(r.Model)
+// statement produced none). For a fleet-scored result it waits for the run to
+// finish it, and returns the run's error if it failed instead.
+func (r *Result) Rows() (*engine.ResultSet, error) {
+	if r.Score == nil {
+		return r.Set, nil
 	}
-	return r.Set
+	if err := r.Score.Err(); err != nil {
+		return nil, err
+	}
+	return r.Score.ResultSet(r.Model), nil
+}
+
+// Cost returns the virtual time the statement took. A fleet-scored
+// statement's is its session's latency, which the fleet sets before it
+// finishes Score: Cost waits for that, and is zero if the run failed.
+func (r *Result) Cost() time.Duration {
+	if r.session == nil {
+		return r.cost
+	}
+	if r.Score.Err() != nil {
+		return 0
+	}
+	return time.Duration(r.session.LatencyNS())
 }
 
 // Execute runs one statement.
@@ -104,7 +134,7 @@ func (d *Dispatcher) Execute(sql string) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Result{Set: rs, Cost: d.eng.Meter().Now() - before}, nil
+	return &Result{Set: rs, cost: d.eng.Meter().Now() - before}, nil
 }
 
 // Close stops the coordinator after it has answered every queued request;
@@ -174,8 +204,12 @@ func (d *Dispatcher) coordinate() {
 }
 
 // runFleet executes one cohort — builds and scoring sessions — as a fleet
-// run and answers every request. The arrival schedule is virtual and seeded,
-// so a cohort's results do not depend on network timing.
+// run and answers every request: scoring requests once every session is open,
+// before the run, with the result it will fill (failures knowable by then —
+// an unknown model, a table the model does not fit — fail the statement
+// outright; a later one fails the result, Fleet.Run sees to that), builds
+// after it. The arrival schedule is virtual and seeded, so a cohort's results
+// do not depend on network timing.
 func (d *Dispatcher) runFleet(batch []*fleetReq, seq int64) {
 	answered := make([]bool, len(batch))
 	answer := func(i int, res *Result, err error) {
@@ -215,20 +249,38 @@ func (d *Dispatcher) runFleet(batch []*fleetReq, seq int64) {
 		case *sqlparser.BuildTree:
 			sessions[i], err = fleet.Open("", dtree.Options{MaxDepth: s.MaxDepth, MinRows: s.MinRows}, arr[i])
 		case *sqlparser.ScoreTable:
-			// Resolve the model under the engine mutex; an unknown model
-			// fails its own request, not the cohort.
-			m, merr := d.eng.Model(s.Model)
-			if merr != nil {
-				answer(i, nil, merr)
+			// Resolve the model and open the session under the engine mutex;
+			// an unknown model, or one the table cannot be scored with, fails
+			// its own request, not the cohort.
+			m, serr := d.eng.Model(s.Model)
+			if serr == nil {
+				sessions[i], serr = fleet.OpenScore("", m, s.Workers, arr[i])
+			}
+			if serr != nil {
+				answer(i, nil, serr)
 				continue
 			}
-			sessions[i], err = fleet.OpenScore("", m, s.Workers, arr[i])
 		}
 		if err != nil {
 			fail(err)
 			return
 		}
 		opened = true
+	}
+	if d.onFleet != nil {
+		d.onFleet(fleet)
+	}
+	streaming := false
+	for i, s := range sessions {
+		if s != nil && s.model != nil {
+			answer(i, &Result{Score: s.Score(), Model: s.model, session: s}, nil)
+			streaming = true
+		}
+	}
+	if streaming {
+		// Let the answered callers start following their results before the
+		// scan takes this P (see engine.ScoreResult's publish).
+		runtime.Gosched()
 	}
 	if opened {
 		if err := fleet.Run(); err != nil {
@@ -250,27 +302,21 @@ func (d *Dispatcher) runFleet(batch []*fleetReq, seq int64) {
 		if answered[i] {
 			continue
 		}
-		s := sessions[i]
-		res := &Result{Cost: time.Duration(s.LatencyNS())}
-		if b, ok := r.stmt.(*sqlparser.BuildTree); ok {
-			if b.Model != "" {
-				// Register the compiled tree while still holding the engine
-				// mutex, so the model is scoreable the moment the build
-				// responds.
-				m, err := dtree.Compile(s.Tree(), b.Model)
-				if err == nil {
-					err = d.eng.RegisterModel(m)
-				}
-				if err != nil {
-					answer(i, nil, err)
-					continue
-				}
+		s, b := sessions[i], r.stmt.(*sqlparser.BuildTree) // every score was answered before the run
+		if b.Model != "" {
+			// Register the compiled tree while still holding the engine
+			// mutex, so the model is scoreable the moment the build
+			// responds.
+			m, err := dtree.Compile(s.Tree(), b.Model)
+			if err == nil {
+				err = d.eng.RegisterModel(m)
 			}
-			res.Set = buildResult(b.Output, s, fleet, traceLines)
-		} else {
-			res.Score, res.Model = s.Score(), s.model
+			if err != nil {
+				answer(i, nil, err)
+				continue
+			}
 		}
-		answer(i, res, nil)
+		answer(i, &Result{Set: buildResult(b.Output, s, fleet, traceLines), cost: time.Duration(s.LatencyNS())}, nil)
 	}
 }
 

@@ -73,8 +73,10 @@ type Session struct {
 // always nil for scoring sessions).
 func (s *Session) Tree() *dtree.Tree { return s.tree }
 
-// Score returns a scoring session's predictions (nil before Run completes,
-// and always nil for build sessions).
+// Score returns a scoring session's result (always nil for build sessions):
+// allocated when the session opens, readable behind its watermark while Run
+// scans (engine.ScoreResult.Wait), and ended by Run's return — finished, or
+// failed with Run's error.
 func (s *Session) Score() *engine.ScoreResult { return s.score }
 
 // Meter returns the session's virtual clock (nil before admission).
@@ -153,12 +155,18 @@ func (f *Fleet) Open(label string, opt dtree.Options, arrivalNS int64) (*Session
 // OpenScore registers a scoring session: the model applied to the served
 // table with the given scan parallelism (workers < 1 scores single-lane).
 // Scoring sessions obey the same arrival-order and admission rules as
-// builds and join shared scans with them.
+// builds and join shared scans with them. A model the table cannot be scored
+// with fails here, and the session's result (Session.Score) exists from here
+// on, so a reader can follow the run instead of waiting for it.
 func (f *Fleet) OpenScore(label string, model *engine.Model, workers int, arrivalNS int64) (*Session, error) {
 	if model == nil {
 		return nil, fmt.Errorf("serve: scoring session needs a model")
 	}
-	return f.register(&Session{Label: label, model: model, workers: workers, arrivalNS: arrivalNS}, "score-%d")
+	res, err := f.srv.OpenScore(model)
+	if err != nil {
+		return nil, err
+	}
+	return f.register(&Session{Label: label, model: model, workers: workers, score: res, arrivalNS: arrivalNS}, "score-%d")
 }
 
 // register gives s the next id — and, unlabelled, a label made from it — and
@@ -225,7 +233,7 @@ func (f *Fleet) admit(s *Session) error {
 	cfg.Memory = f.cfg.TotalMemory
 	view := f.srv.View(s.meter, f.col.Proc(s.Label, s.meter))
 	if s.model != nil {
-		sc, err := mw.NewScorer(view, s.model, s.workers)
+		sc, err := mw.NewScorer(view, s.model, s.workers, s.score)
 		if err != nil {
 			return err
 		}
@@ -277,6 +285,11 @@ func (f *Fleet) Run() (err error) {
 	// admitted, unfinished build's spans (sharedRound has already released what
 	// its participants held) and release its middleware (staging files).
 	// Middleware.Close is idempotent, so retired sessions are unaffected.
+	// Then, either way, the run's outcome ends every scoring result — a
+	// statement of a cohort succeeds or fails with its run, so a reader that
+	// followed the scan learns the verdict here, after everything it may ask
+	// of a finished session (its latency) or expect of a failed one (spans
+	// ended, files gone) is in place, and never waits forever.
 	defer func() {
 		if err != nil {
 			for _, s := range f.sessions {
@@ -286,6 +299,11 @@ func (f *Fleet) Run() (err error) {
 					}
 					s.Close()
 				}
+			}
+		}
+		for _, s := range f.sessions {
+			if s.score != nil {
+				s.score.Finish(err)
 			}
 		}
 	}()
@@ -372,7 +390,6 @@ func (f *Fleet) Run() (err error) {
 					out = append(out, s)
 					continue
 				}
-				s.score = s.scorer.Result()
 			} else {
 				if s.b.Pending() > 0 {
 					out = append(out, s)

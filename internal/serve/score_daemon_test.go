@@ -414,8 +414,8 @@ func TestDispatcherRoutes(t *testing.T) {
 		if got := res.Score != nil; got != c.fleet {
 			t.Errorf("%q: fleet route = %v, want %v", c.sql, got, c.fleet)
 		}
-		if res.Rows() == nil || res.Cost <= 0 {
-			t.Errorf("%q: rows %v, cost %v", c.sql, res.Rows(), res.Cost)
+		if rs, err := res.Rows(); rs == nil || err != nil || res.Cost() <= 0 {
+			t.Errorf("%q: rows %v, %v, cost %v", c.sql, rs, err, res.Cost())
 		}
 	}
 	// A model name no SCORE or CLASSIFY could spell is refused by the parser,

@@ -6,8 +6,12 @@
 //	n bytes   payload
 //
 // and a result flows back as a ResultHeader frame, any number of batch frames
-// and a terminating Done (or Error) frame, so the server never buffers a whole
-// result set for the client.
+// and a terminating Done (or Error) frame — an Error may follow batches — so a
+// server frames one batch at a time. The daemon cuts a fleet SCORE TABLE's
+// batches behind the scan that is still producing the rows (serve.writeScored):
+// that result is being drained before it is whole. Every other statement's
+// rows are an engine.ResultSet the engine materialized, which serve.writeRows
+// frames batch by batch.
 //
 // Control frames — Hello, HelloAck, Query, ResultHeader, Done, Error — carry a
 // JSON payload: there are three or four of them per statement whatever the
