@@ -2,6 +2,7 @@ package engine
 
 import (
 	"math"
+	"sync"
 
 	"repro/internal/data"
 	"repro/internal/predicate"
@@ -23,9 +24,14 @@ import (
 //     reach the executor in heap order. The other conjuncts are the residual.
 //  3. heap: the pooled heapReader scan, WHERE evaluated on every row.
 //
-// Whatever the path, projection, aggregation and the residual run on
-// materialized rows through the same evaluators, so a statement's result
-// does not depend on the path (the index plan's row order aside).
+// The columnar plan's conjunction is one chain of code compares per row group,
+// run as selection-vector passes (GroupTrie.chainSel). A count-only GROUP BY
+// on it — no residual, HAVING or DISTINCT, at most two plain-column keys, items
+// only COUNT(*), integer literals and key columns — is counted in code space
+// (count.go) and never materializes a row. Every other statement, whatever the
+// path, runs projection, aggregation and the residual on materialized rows
+// through the same evaluators, so a statement's result does not depend on the
+// path (the index plan's row order aside); charges are per row on every path.
 
 // accessPath is the path planAccess chose; the zero value is the heap scan.
 type accessPath struct {
@@ -198,8 +204,7 @@ func (p accessPath) scan(e *Engine, t *Table, need []int, fn func(data.Row) erro
 	}
 	var ferr error
 	row := make(data.Row, len(t.Cols))
-	c := &ScanConsumer{Filter: predicate.Or(p.conj), Lane: e.meter, local: true}
-	c.Fn = func(blk *ColBlock) bool {
+	e.scanColumnar(t, p.conj, need, func(blk *ColBlock) bool {
 		for _, i := range blk.Sel {
 			for _, col := range need {
 				row[col] = blk.Group.Dict(col)[blk.Group.Codes(col)[i]]
@@ -209,8 +214,23 @@ func (p accessPath) scan(e *Engine, t *Table, need []int, fn func(data.Row) erro
 			}
 		}
 		return true
-	}
+	})
+	return ferr
+}
+
+// stmtConsumers recycles the consumers of statement scans: a consumer keeps
+// its compiled trie and its selection vector, which the one-conjunction filter
+// (chainSel) sizes to a whole block, so a statement allocates neither.
+var stmtConsumers = sync.Pool{New: func() any { return new(ScanConsumer) }}
+
+// scanColumnar is the columnar plan's scan: t's columnar copy through the one
+// block loop with conj pushed down, paying for and decoding the columns need,
+// every block to fn until it returns false.
+func (e *Engine) scanColumnar(t *Table, conj predicate.Conj, need []int, fn func(blk *ColBlock) bool) {
+	c := stmtConsumers.Get().(*ScanConsumer)
+	c.Filter, c.Lane, c.local, c.Fn = predicate.Or(conj), e.meter, true, fn
 	src := t.groups(need, e.meter.Costs())
 	scanGroups(src, []*ScanConsumer{c}, 0, src.NumGroups(), e.meter) // a statement opens no cursor
-	return ferr
+	c.Filter, c.Lane, c.Fn = predicate.Filter{}, nil, nil
+	stmtConsumers.Put(c)
 }

@@ -79,9 +79,10 @@ func BenchmarkIndexProbeQuery(b *testing.B) {
 
 // BenchmarkExecPoint measures Engine.Exec on the two point-statement shapes
 // of cmd/bench's serve_mixed workload — a three-equality CLASSIFY lookup and
-// a filtered GROUP BY count — over a 50k-row census table, once per access
-// path: heap (the columnar copy dropped), columnar, and index (on education,
-// a filter column of both shapes).
+// a filtered GROUP BY count — and on the unfiltered GROUP BY count, over a
+// 50k-row census table, once per access path: heap (the columnar copy
+// dropped), columnar, and index (on education, a filter column of both
+// point shapes; the unfiltered count has none, so it runs on the first two).
 func BenchmarkExecPoint(b *testing.B) {
 	ds, err := datagen.GenerateCensus(datagen.CensusConfig{Rows: 50000, Seed: 7})
 	if err != nil {
@@ -101,8 +102,12 @@ func BenchmarkExecPoint(b *testing.B) {
 		stmts["count"] = append(stmts["count"], fmt.Sprintf(
 			"SELECT income, COUNT(*) FROM cases WHERE education = %d GROUP BY income", rng.Intn(10)))
 	}
-	for _, kind := range []string{"classify", "count"} {
+	stmts["countall"] = []string{"SELECT income, COUNT(*) FROM cases GROUP BY income"}
+	for _, kind := range []string{"classify", "count", "countall"} {
 		for _, path := range []string{pathHeap, pathColumnar, pathIndex} {
+			if kind == "countall" && path == pathIndex {
+				continue
+			}
 			b.Run(kind+"/"+path, func(b *testing.B) {
 				srv, err := NewServer(New(sim.NewDefaultMeter(), 0), "cases", ds)
 				if err != nil {

@@ -225,6 +225,66 @@ func (gt *GroupTrie) matches(i int32) bool {
 	return false
 }
 
+// chain reports whether the compiled trie is one conjunction: every node's
+// subtree runs to the end of the trie (no node has two children) and the last
+// node is the only terminal.
+func (gt *GroupTrie) chain() bool {
+	last := len(gt.nodes) - 1
+	for j := range gt.nodes {
+		n := &gt.nodes[j]
+		if int(n.end) != len(gt.nodes) || (n.hi > n.lo) != (j == last) {
+			return false
+		}
+	}
+	return true
+}
+
+// chainSel is a chain trie's filter as selection-vector passes over rows
+// [base, base+n), or over the rows seed lists when it is non-nil, appending the
+// rows that pass to out. The first tested node makes one dense, branch-free
+// pass, writing every row to out and advancing past it only when it passes;
+// each later tested node filters out the same way in place; test-free nodes
+// are skipped. A chain trie has a tested node: without one, cover would have
+// found the filter true throughout the group.
+func (gt *GroupTrie) chainSel(base, n int, seed []int32, out []int32) []int32 {
+	k := len(out)
+	if seed != nil {
+		n = len(seed)
+	}
+	out = slices.Grow(out, n)[:k+n]
+	sel, w := out[k:], -1
+	for j := 1; j < len(gt.nodes); j++ {
+		nd := &gt.nodes[j]
+		switch {
+		case nd.codes == nil:
+		case w >= 0:
+			w = nd.pass(sel[:w], sel)
+		case seed != nil:
+			w = nd.pass(seed, sel)
+		default:
+			codes, code, ne := nd.codes[base:base+n], nd.code, nd.ne
+			w = 0
+			for i, c := range codes {
+				sel[w] = int32(base + i)
+				w += int(b2i((c == code) != ne))
+			}
+		}
+	}
+	return out[:k+w]
+}
+
+// pass writes the rows of in that pass node n to out, in order, and returns
+// how many it wrote; out may be in itself, filtered in place.
+func (n *trieNode) pass(in, out []int32) int {
+	codes, code, ne := n.codes, n.code, n.ne
+	w := 0
+	for _, i := range in {
+		out[w] = i
+		w += int(b2i((codes[i] == code) != ne))
+	}
+	return w
+}
+
 // cover classifies the compiled trie as a filter over the whole group: none
 // when no conjunction survived compilation, all when one survived with every
 // condition on its path true throughout the group.
@@ -286,24 +346,28 @@ func (gt *GroupTrie) Estimate() int64 {
 }
 
 // GroupFilter is the batch filter — a disjunction of node paths — compiled
-// against one row group: its disjuncts' trie, walked until the first disjunct
-// that holds. A filter none of whose disjuncts can match in the group is the
-// zone-map skip signal. Like GroupTrie it is compiled in place and reused
-// across groups.
+// against one row group: its disjuncts' trie, walked per row until the first
+// disjunct that holds or, when what compiled is one conjunction (a SQL
+// statement's pushed-down WHERE, a single-path tee), filtered condition by
+// condition in selection-vector passes (chainSel). A filter none of whose
+// disjuncts can match in the group is the zone-map skip signal. Like GroupTrie
+// it is compiled in place and reused across groups.
 type GroupFilter struct {
 	all, none bool
+	chain     bool  // the compiled trie is one conjunction
 	rows      int64 // of the compiled group
 	trie      GroupTrie
 }
 
 // Compile compiles f against g's dictionaries, replacing gf's contents.
 func (gf *GroupFilter) Compile(g *storage.ColGroup, f predicate.Filter) {
-	gf.all, gf.none, gf.rows = f.All(), f.Empty(), int64(g.NumRows())
+	gf.all, gf.none, gf.chain, gf.rows = f.All(), f.Empty(), false, int64(g.NumRows())
 	if gf.all || gf.none {
 		return
 	}
 	gf.trie.Compile(g, f.Trie())
 	gf.all, gf.none = gf.trie.cover()
+	gf.chain = !gf.all && !gf.none && gf.trie.chain()
 }
 
 // None reports that no row of the group can satisfy the filter: the group
@@ -318,6 +382,8 @@ func (gf *GroupFilter) selectBlock(base, n int, out []int32) []int32 {
 		return out
 	case gf.all:
 		return appendRows(out, base, n)
+	case gf.chain:
+		return gf.trie.chainSel(base, n, nil, out)
 	}
 	for i := int32(base); i < int32(base+n); i++ {
 		if gf.trie.matches(i) {
@@ -336,6 +402,9 @@ func (gf *GroupFilter) Refine(sel []int32, out []int32) []int32 {
 	}
 	if gf.none {
 		return out
+	}
+	if gf.chain {
+		return gf.trie.chainSel(0, 0, sel, out)
 	}
 	for _, i := range sel {
 		if gf.trie.matches(i) {

@@ -409,6 +409,107 @@ func TestGroupTrieRouting(t *testing.T) {
 	}
 }
 
+// TestCodeSpaceChainMatchesWalk: where a filter compiles to one conjunction,
+// selectBlock and Refine filter by selection-vector passes (chainSel), and they
+// must keep exactly the rows the per-row trie walk (GroupTrie.matches) keeps, in
+// ascending order — over random chains of Eq/Ne conditions, test-free nodes on
+// single-value dictionaries, disjunctions a group's dictionaries cut down to one
+// path, a partial last block and empty seeds. A compiled trie with two paths
+// never takes the passes.
+func TestCodeSpaceChainMatchesWalk(t *testing.T) {
+	rng := rand.New(rand.NewSource(62))
+	srv, ds := routingServer(t, rng)
+	cs := srv.table.colstore
+	chain := func() predicate.Conj {
+		cj := make(predicate.Conj, 1+rng.Intn(4))
+		for i := range cj {
+			cj[i] = predicate.Cond{Attr: rng.Intn(ds.Schema.NumCols()), Val: data.Value(rng.Intn(8))}
+			if rng.Intn(3) == 0 {
+				cj[i].Op = predicate.Ne
+			}
+		}
+		return cj
+	}
+	walk := func(gf *GroupFilter, rows []int32) (out []int32) {
+		for _, i := range rows {
+			if gf.trie.matches(i) {
+				out = append(out, i)
+			}
+		}
+		return out
+	}
+	var gf GroupFilter
+	var chains, testFree, cut, multi int
+	for round := 0; round < 400; round++ {
+		conjs := []predicate.Conj{chain()}
+		if rng.Intn(3) == 0 {
+			conjs = append(conjs, chain())
+		}
+		f := predicate.Or(conjs...)
+		for gi := 0; gi < cs.NumGroups(); gi++ {
+			g := cs.Group(gi)
+			if gf.Compile(g, f); gf.all || gf.none {
+				continue
+			}
+			leaves, terminals := 0, 0
+			for j, n := range gf.trie.nodes {
+				if int(n.end) == j+1 {
+					leaves++
+				}
+				if n.hi > n.lo {
+					terminals++
+				}
+			}
+			switch {
+			case leaves > 1 || terminals > 1:
+				if gf.chain {
+					t.Fatalf("round %d group %d, filter %v: %d paths compiled, yet the chain pass is taken", round, gi, f, max(leaves, terminals))
+				}
+				multi++
+			case gf.chain:
+				chains++
+				if len(f.Conjs()) > 1 {
+					cut++
+				}
+				for _, n := range gf.trie.nodes[1:] {
+					if n.codes == nil {
+						testFree++
+						break
+					}
+				}
+			}
+			for base := 0; base < g.NumRows(); base += BlockRows {
+				n := min(BlockRows, g.NumRows()-base)
+				block := appendRows(nil, base, n)
+				want := walk(&gf, block)
+				if got := gf.selectBlock(base, n, []int32{-1}); got[0] != -1 || !sameSel(got[1:], want) {
+					t.Fatalf("round %d group %d block %d, filter %v: selectBlock = %v, walk %v", round, gi, base, f, got, want)
+				}
+				var seed []int32
+				switch rng.Intn(4) {
+				case 0: // empty, and nil
+					if rng.Intn(2) == 0 {
+						seed = []int32{}
+					}
+				default:
+					for _, i := range block {
+						if rng.Intn(3) > 0 {
+							seed = append(seed, i)
+						}
+					}
+				}
+				want = walk(&gf, seed)
+				if got := gf.Refine(seed, []int32{-1}); got[0] != -1 || !sameSel(got[1:], want) {
+					t.Fatalf("round %d group %d block %d, filter %v: Refine(%d rows) = %v, walk %v", round, gi, base, f, len(seed), got, want)
+				}
+			}
+		}
+	}
+	if chains == 0 || testFree == 0 || cut == 0 || multi == 0 {
+		t.Errorf("coverage: %d chains, %d with a test-free node, %d cut from a disjunction, %d multi-path tries; want some of each", chains, testFree, cut, multi)
+	}
+}
+
 // TestSharedScanConsumersMatchSolo: consumers with different tries attached to
 // one ScanGroups pass each see, block for block, exactly the Sel and
 // Buckets their own solo scan hands them, and pay the same on their lanes —

@@ -801,6 +801,14 @@ func (e *Engine) execCore(c *sqlparser.SelectCore) (*ResultSet, error) {
 		groupEvals = append(groupEvals, ev)
 	}
 
+	// A count-only GROUP BY on the columnar plan is aggregated in code space
+	// (count.go); t has resolved every column the statement reads.
+	if path.columnar && residual == nil {
+		if p, ok := countOnly(c, t, rel.table); ok {
+			return &ResultSet{Cols: cols, Rows: e.countCodes(rel.table, path.conj, t.list(), p)}, nil
+		}
+	}
+
 	rs := &ResultSet{Cols: cols}
 
 	// scanSource drives the rows passing WHERE through fn: the path's

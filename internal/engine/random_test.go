@@ -334,9 +334,10 @@ func (pt *pathTable) check(t *testing.T, sql string, conjs []conjunct, want [][]
 
 func head(rows [][]Val) [][]Val { return rows[:min(len(rows), 6)] }
 
-// randomStatements drives n generated statements of four shapes — plain
+// randomStatements drives n generated statements of six shapes — plain
 // projection, CLASSIFY projection, GROUP BY aggregate, aggregate without
-// GROUP BY — over random conjunctions through check.
+// GROUP BY, and the count-only GROUP BY with and without keys — over random
+// conjunctions through check.
 func (pt *pathTable) randomStatements(t *testing.T, rng *rand.Rand, s *data.Schema, n int) {
 	t.Helper()
 	nattrs := s.NumAttrs()
@@ -366,7 +367,7 @@ func (pt *pathTable) randomStatements(t *testing.T, rng *rand.Rand, s *data.Sche
 		an, bn := s.ColName(a), s.ColName(b)
 		var sql string
 		var want [][]Val
-		switch rng.Intn(4) {
+		switch rng.Intn(6) {
 		case 0:
 			sql = fmt.Sprintf("SELECT %s, %s FROM cases%s", bn, an, where)
 			for _, r := range sel {
@@ -389,6 +390,24 @@ func (pt *pathTable) randomStatements(t *testing.T, rng *rand.Rand, s *data.Sche
 				}
 				want[i][1].I++
 				want[i][2].I += int64(r[a])
+			}
+		case 4: // count-only: in code space on the columnar path
+			sql = fmt.Sprintf("SELECT %s AS k, 7, COUNT(*) AS n, %s FROM cases%s GROUP BY %s, %s", bn, an, where, an, bn)
+			at := map[[2]data.Value]int{}
+			for _, r := range sel {
+				i, ok := at[[2]data.Value{r[a], r[b]}]
+				if !ok {
+					i = len(want)
+					at[[2]data.Value{r[a], r[b]}] = i
+					want = append(want, []Val{IntVal(int64(r[b])), IntVal(7), IntVal(0), IntVal(int64(r[a]))})
+				}
+				want[i][2].I++
+			}
+		case 5: // count-only without GROUP BY: one row, zeros when nothing matched
+			sql = fmt.Sprintf("SELECT COUNT(*), 3 FROM cases%s", where)
+			want = [][]Val{{IntVal(int64(len(sel))), IntVal(3)}}
+			if len(sel) == 0 {
+				want[0][1] = IntVal(0)
 			}
 		default:
 			sql = fmt.Sprintf("SELECT COUNT(*), MAX(%s) FROM cases%s", an, where)

@@ -2,9 +2,12 @@ package mw
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
+	"repro/internal/datagen"
 	"repro/internal/engine"
+	"repro/internal/predicate"
 	"repro/internal/sim"
 )
 
@@ -123,5 +126,42 @@ func BenchmarkStepSingleScan(b *testing.B) {
 		b.StopTimer()
 		m.Close()
 		b.StartTimer()
+	}
+}
+
+// BenchmarkFallbackCounts measures one §4.1.1 SQL fallback in wall clock: the
+// counts statement (CountsSQL) of a depth-3 node — one UNION arm per attribute
+// off its path plus the class arm — through Server.Exec over 50k census rows,
+// its arms on one lane and on two.
+func BenchmarkFallbackCounts(b *testing.B) {
+	ds, err := datagen.GenerateCensus(datagen.CensusConfig{Rows: 50000, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	srv, err := engine.NewServer(engine.New(sim.NewDefaultMeter(), 0), "cases", ds)
+	if err != nil {
+		b.Fatal(err)
+	}
+	path := predicate.Conj{ // marital = 0, education = 1, sex = 0
+		{Attr: 3, Op: predicate.Eq, Val: 0},
+		{Attr: 2, Op: predicate.Eq, Val: 1},
+		{Attr: 7, Op: predicate.Eq, Val: 0},
+	}
+	var attrs []int
+	for a := range ds.Schema.NumAttrs() {
+		if !slices.ContainsFunc(path, func(c predicate.Cond) bool { return c.Attr == a }) {
+			attrs = append(attrs, a)
+		}
+	}
+	sql := CountsSQL(ds.Schema, "cases", path, attrs)
+	for _, workers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := srv.Exec(sql, workers); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
