@@ -5,12 +5,10 @@
 // been discretized"), every attribute and the class variable take values from
 // a small finite domain encoded as consecutive integer codes 0..Card-1. A row
 // is a fixed-width vector of such codes with the class value in the last
-// position, which makes binary encoding for page storage and middleware file
-// staging trivial.
+// position.
 package data
 
 import (
-	"encoding/binary"
 	"fmt"
 	"strings"
 )
@@ -20,7 +18,7 @@ import (
 type Value int32
 
 // Missing is the sentinel for an absent value. The generators in this
-// repository never produce it, but the engine and codec handle it.
+// repository never produce it, but the engine stores it like any value.
 const Missing Value = -1
 
 // Attribute describes one categorical column.
@@ -160,34 +158,8 @@ func (r Row) Attr(i int) Value { return r[i] }
 // Clone returns a copy of the row.
 func (r Row) Clone() Row { return append(Row(nil), r...) }
 
-// Encode appends the little-endian binary encoding of the row to dst and
-// returns the extended slice. The encoding is fixed-width: 4 bytes per value.
-func (r Row) Encode(dst []byte) []byte {
-	for _, v := range r {
-		dst = binary.LittleEndian.AppendUint32(dst, uint32(v))
-	}
-	return dst
-}
-
-// DecodeRow decodes a row of ncols values from src into dst (allocated if
-// nil or too short) and returns it. It panics if src is too short, which
-// indicates storage corruption.
-func DecodeRow(src []byte, ncols int, dst Row) Row {
-	if len(src) < 4*ncols {
-		panic("data: short row encoding")
-	}
-	if cap(dst) < ncols {
-		dst = make(Row, ncols)
-	}
-	dst = dst[:ncols]
-	for i := 0; i < ncols; i++ {
-		dst[i] = Value(int32(binary.LittleEndian.Uint32(src[4*i:])))
-	}
-	return dst
-}
-
 // Dataset is an in-memory table of rows with a schema. It is the client-side
-// and generator-side representation; the server stores rows in pages.
+// and generator-side representation; the server stores its rows in row groups.
 type Dataset struct {
 	Schema *Schema
 	Rows   []Row

@@ -6,7 +6,6 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-	"testing/quick"
 )
 
 func testSchema() *Schema {
@@ -85,60 +84,6 @@ func TestRowAccessors(t *testing.T) {
 	c[0] = 9
 	if r[0] != 1 {
 		t.Error("Clone aliases")
-	}
-}
-
-func TestRowCodecRoundTrip(t *testing.T) {
-	f := func(vals []int32) bool {
-		if len(vals) == 0 {
-			return true
-		}
-		row := make(Row, len(vals))
-		for i, v := range vals {
-			row[i] = Value(v)
-		}
-		enc := row.Encode(nil)
-		if len(enc) != 4*len(row) {
-			return false
-		}
-		dec := DecodeRow(enc, len(row), nil)
-		return reflect.DeepEqual(row, dec)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestDecodeRowReuse(t *testing.T) {
-	r1 := Row{1, 2, 3}
-	r2 := Row{4, 5, 6}
-	buf := r1.Encode(nil)
-	dst := make(Row, 3)
-	got := DecodeRow(buf, 3, dst)
-	if !reflect.DeepEqual(got, r1) {
-		t.Fatalf("decode = %v", got)
-	}
-	buf2 := r2.Encode(nil)
-	got2 := DecodeRow(buf2, 3, got)
-	if !reflect.DeepEqual(got2, r2) {
-		t.Fatalf("decode reuse = %v", got2)
-	}
-}
-
-func TestDecodeRowShortPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("no panic on short encoding")
-		}
-	}()
-	DecodeRow([]byte{1, 2}, 1, nil)
-}
-
-func TestDecodeNegativeValue(t *testing.T) {
-	row := Row{Missing, 3}
-	dec := DecodeRow(row.Encode(nil), 2, nil)
-	if dec[0] != Missing || dec[1] != 3 {
-		t.Errorf("negative value mangled: %v", dec)
 	}
 }
 

@@ -16,13 +16,12 @@ import (
 //  1. index: a B-tree covers some "col =|<|<=|>|>= int" conjunct. Probe its
 //     key range and fetch the rows by TID (key order); the other conjuncts
 //     are the residual filter.
-//  2. columnar: the table's columnar copy is complete. Every "col = int" /
-//     "col <> int" conjunct is pushed down as one predicate.Conj through the
-//     engine's one block loop (scanGroups): row groups whose dictionaries
-//     rule the conjunction out are skipped unread, only the columns the
-//     statement references are paid for and decoded, and the selected rows
-//     reach the executor in heap order. The other conjuncts are the residual.
-//  3. heap: the pooled heapReader scan, WHERE evaluated on every row.
+//  2. columnar: otherwise. Every "col = int" / "col <> int" conjunct is pushed
+//     down as one predicate.Conj through the engine's one block loop
+//     (scanGroups): row groups whose dictionaries rule the conjunction out are
+//     skipped unread, only the columns the statement references are paid for
+//     and decoded, and the selected rows reach the executor in heap order. The
+//     other conjuncts are the residual.
 //
 // The columnar plan's conjunction is one chain of code compares per row group,
 // run as selection-vector passes (GroupTrie.chainSel). A count-only GROUP BY
@@ -33,12 +32,12 @@ import (
 // through the same evaluators, so a statement's result does not depend on the
 // path (the index plan's row order aside); charges are per row on every path.
 
-// accessPath is the path planAccess chose; the zero value is the heap scan.
+// accessPath is the path planAccess chose: the index plan when idx is set, the
+// columnar plan otherwise.
 type accessPath struct {
-	idx      *Index // index plan: probe keys [lo, hi]
-	lo, hi   int64
-	columnar bool           // columnar plan: conj is pushed down
-	conj     predicate.Conj // empty: every row is selected
+	idx    *Index // index plan: probe keys [lo, hi]
+	lo, hi int64
+	conj   predicate.Conj // columnar plan: pushed down; empty: every row is selected
 }
 
 // usedCols is a colResolver that remembers which columns were resolved
@@ -86,10 +85,7 @@ func planAccess(t *Table, cols colResolver, where sqlparser.Expr) (accessPath, s
 			return accessPath{idx: idx, lo: lo, hi: hi}, andOf(rest)
 		}
 	}
-	if !t.columnarComplete() {
-		return accessPath{}, where
-	}
-	p := accessPath{columnar: true}
+	var p accessPath
 	var rest []sqlparser.Expr
 	for _, ex := range conjs {
 		col, op, v, ok := colCompare(ex, cols)
@@ -184,7 +180,7 @@ func keyRange(op string, v int64) (lo, hi int64) {
 	return lo, hi
 }
 
-// scan drives the rows an index or columnar path selects from t through fn.
+// scan drives the rows the path selects from t through fn.
 // need lists the columns fn reads: the columnar plan pays for and decodes
 // only those, leaving the rest of row zero.
 func (p accessPath) scan(e *Engine, t *Table, need []int, fn func(data.Row) error) error {

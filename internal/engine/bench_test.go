@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -10,7 +11,6 @@ import (
 	"repro/internal/datagen"
 	"repro/internal/predicate"
 	"repro/internal/sim"
-	"repro/internal/storage"
 )
 
 func benchServer(b *testing.B, rows int) *Server {
@@ -30,6 +30,36 @@ func benchServer(b *testing.B, rows int) *Server {
 		b.Fatal(err)
 	}
 	return srv
+}
+
+// BenchmarkLoad measures NewServer — the bulk load of a table — over 100k
+// census rows, and reports what the loaded table keeps live after a GC.
+func BenchmarkLoad(b *testing.B) {
+	ds, err := datagen.GenerateCensus(datagen.CensusConfig{Rows: 100000, Seed: 7})
+	if err != nil {
+		b.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	var live uint64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		b.StartTimer()
+		srv, err := NewServer(New(sim.NewDefaultMeter(), 0), "cases", ds)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		runtime.GC()
+		runtime.ReadMemStats(&after)
+		live = after.HeapAlloc - before.HeapAlloc
+		runtime.KeepAlive(srv)
+		b.StartTimer()
+	}
+	b.ReportMetric(float64(live)/(1<<20), "live-MB")
 }
 
 // BenchmarkCursorScan measures the firehose cursor with a pushed-down
@@ -80,9 +110,9 @@ func BenchmarkIndexProbeQuery(b *testing.B) {
 // BenchmarkExecPoint measures Engine.Exec on the two point-statement shapes
 // of cmd/bench's serve_mixed workload — a three-equality CLASSIFY lookup and
 // a filtered GROUP BY count — and on the unfiltered GROUP BY count, over a
-// 50k-row census table, once per access path: heap (the columnar copy
-// dropped), columnar, and index (on education, a filter column of both
-// point shapes; the unfiltered count has none, so it runs on the first two).
+// 50k-row census table, once per access path: columnar, and index (on
+// education, a filter column of both point shapes; the unfiltered count has
+// none, so it runs on the columnar path only).
 func BenchmarkExecPoint(b *testing.B) {
 	ds, err := datagen.GenerateCensus(datagen.CensusConfig{Rows: 50000, Seed: 7})
 	if err != nil {
@@ -104,7 +134,7 @@ func BenchmarkExecPoint(b *testing.B) {
 	}
 	stmts["countall"] = []string{"SELECT income, COUNT(*) FROM cases GROUP BY income"}
 	for _, kind := range []string{"classify", "count", "countall"} {
-		for _, path := range []string{pathHeap, pathColumnar, pathIndex} {
+		for _, path := range []string{pathColumnar, pathIndex} {
 			if kind == "countall" && path == pathIndex {
 				continue
 			}
@@ -117,10 +147,7 @@ func BenchmarkExecPoint(b *testing.B) {
 				if err := e.RegisterModel(stumpModel("m", s.NumAttrs())); err != nil {
 					b.Fatal(err)
 				}
-				switch path {
-				case pathHeap:
-					srv.table.colstore = storage.NewColStore(len(srv.table.Cols))
-				case pathIndex:
+				if path == pathIndex {
 					e.MustExec("CREATE INDEX ie ON cases (education)")
 				}
 				b.ReportAllocs()

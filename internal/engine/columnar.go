@@ -8,11 +8,10 @@ import (
 	"repro/internal/storage"
 )
 
-// This file is the server side of the columnar scan path: every table keeps
-// a column-major, dictionary-encoded copy of its heap (storage.ColStore)
-// built at load time and kept in sync with Insert, and the middleware scans
-// it in 1024-row blocks through ScanGroups. Three things distinguish
-// it from the row cursors in server.go:
+// This file is the server side of the columnar scan path: every table is
+// stored column-major and dictionary-encoded (storage.ColStore), and the
+// middleware scans it in 1024-row blocks through ScanGroups. Three things
+// distinguish this from reading the same rows as heap records (reader.go):
 //
 //   - Zone-map skipping: each row group's sorted dictionaries decide, per
 //     group, whether the pushed-down filter can match at all. A skipped
@@ -30,8 +29,7 @@ import (
 //
 // Like a cold heapReader (payCold, where the argument is made), the columnar
 // scan never consults the shared LRU buffer pool; leaving the pool untouched
-// also keeps the row path's I/O accounting independent of whether columnar
-// copies exist.
+// also keeps the heap readers' I/O accounting independent of columnar scans.
 
 // BlockRows is the number of rows the columnar scan hands to the middleware
 // per callback: the vectorization unit of the filter-then-count kernel.
@@ -442,19 +440,9 @@ type ColBlock struct {
 	Buckets    [][]int32
 }
 
-// columnarComplete reports whether t's columnar copy holds every heap row.
-func (t *Table) columnarComplete() bool {
-	return t.colstore != nil && t.colstore.NumRows() == t.NumRows()
-}
-
 // NumColGroups returns the number of columnar row groups — the unit the
 // partitioned columnar scan divides between workers.
-func (s *Server) NumColGroups() int {
-	if s.table.colstore == nil {
-		return 0
-	}
-	return s.table.colstore.NumGroups()
-}
+func (s *Server) NumColGroups() int { return s.table.colstore.NumGroups() }
 
 // ColGroups returns the table's columnar copy as a GroupSource whose scans
 // read the pages of needCols (nil means all columns).

@@ -32,7 +32,7 @@ func inCodeSpace(t *testing.T, e *Engine, sql string) bool {
 	cols := &usedCols{colResolver: rel, used: make([]bool, len(rel.cols))}
 	path, residual := planAccess(rel.table, cols, core.Where)
 	_, ok := countOnly(core, cols, rel.table)
-	return path.columnar && residual == nil && ok
+	return path.idx == nil && residual == nil && ok
 }
 
 // runMetered executes sql and returns its result with what it charged.

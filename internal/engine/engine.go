@@ -3,15 +3,15 @@
 // against. It provides:
 //
 //   - a catalog of heap-organized tables of integer (categorical-code)
-//     columns stored in 8 KB pages through internal/storage;
+//     columns, each stored once as column-major row groups and charged as 8 KB
+//     heap pages through internal/storage;
 //   - a SQL executor for the subset parsed by internal/sqlparser, including
 //     the UNION-of-GROUP-BY counts queries of §2.3 (each UNION arm performs
 //     its own scan: the engine's optimizer, like the commercial optimizers
 //     the paper discusses, does not exploit the commonality across arms);
 //   - B-tree secondary indexes (CREATE INDEX), one rule-based access path per
-//     single-table statement (index, else pushed-down columnar filter, else
-//     heap scan; access.go), and inner hash equi-joins with qualified column
-//     names;
+//     single-table statement (index, else pushed-down columnar filter;
+//     access.go), and inner hash equi-joins with qualified column names;
 //   - the OLE-DB-like cursor surface the middleware consumes (Server):
 //     firehose cursors with pushed-down filter expressions, keyset cursors
 //     with an optional stored-procedure filter (§4.3.3c), TID-join access
@@ -36,13 +36,13 @@ import (
 // scans keep paying disk I/O, the regime the paper's middleware targets.
 const DefaultBufferPages = 256
 
-// Table is one heap-organized table: named integer columns over a heap file,
-// plus any secondary indexes.
+// Table is one heap-organized table: named integer columns, their rows,
+// the heap geometry they are charged under, plus any secondary indexes.
 type Table struct {
 	Name     string
 	Cols     []string
-	heap     *storage.HeapFile
-	colstore *storage.ColStore // column-major dictionary-encoded copy of the heap
+	colstore *storage.ColStore // the rows: the table's one stored copy
+	heap     *storage.HeapFile // colstore's pages and TIDs; the pool's frame identity
 	indexes  map[string]*Index // by column name
 	temp     bool
 }
@@ -141,11 +141,12 @@ func (e *Engine) CreateTable(name string, cols []string) (*Table, error) {
 		}
 		seen[c] = true
 	}
+	cs := storage.NewColStore(len(cols))
 	t := &Table{
 		Name:     name,
 		Cols:     append([]string(nil), cols...),
-		heap:     storage.NewHeapFile(4 * len(cols)),
-		colstore: storage.NewColStore(len(cols)),
+		colstore: cs,
+		heap:     storage.NewHeapFile(cs),
 		indexes:  make(map[string]*Index),
 	}
 	e.tables[name] = t
@@ -200,16 +201,8 @@ func (e *Engine) Insert(t *Table, r data.Row) (storage.TID, error) {
 	if len(r) != len(t.Cols) {
 		return storage.TID{}, fmt.Errorf("engine: insert into %q: %d values, want %d", t.Name, len(r), len(t.Cols))
 	}
-	buf := make([]byte, 0, 4*len(r))
-	buf = r.Encode(buf)
-	tid := t.heap.Insert(buf)
-	t.colstore.Append(r)
+	tid := t.append(r)
 	e.meter.Charge(sim.CtrServerRows, e.meter.Costs().ServerRowWrite, 1)
-	for ci, col := range t.Cols {
-		if idx, ok := t.indexes[col]; ok {
-			idx.bt.Insert(int64(r[ci]), tid)
-		}
-	}
 	return tid, nil
 }
 
@@ -217,21 +210,26 @@ func (e *Engine) Insert(t *Table, r data.Row) (storage.TID, error) {
 // load utility, used to populate experiment tables without polluting the
 // measured phase).
 func (e *Engine) BulkLoad(t *Table, rows []data.Row) error {
-	buf := make([]byte, 0, 4*len(t.Cols))
 	for _, r := range rows {
 		if len(r) != len(t.Cols) {
 			return fmt.Errorf("engine: bulk load into %q: %d values, want %d", t.Name, len(r), len(t.Cols))
 		}
-		buf = r.Encode(buf[:0])
-		tid := t.heap.Insert(buf)
-		t.colstore.Append(r)
-		for ci, col := range t.Cols {
-			if idx, ok := t.indexes[col]; ok {
-				idx.bt.Insert(int64(r[ci]), tid)
-			}
-		}
+		t.append(r)
 	}
 	return nil
+}
+
+// append adds r at the end of t, unmetered, enters it in t's indexes and
+// returns its TID.
+func (t *Table) append(r data.Row) storage.TID {
+	t.colstore.Append(r)
+	tid := t.heap.TID(t.NumRows() - 1)
+	for ci, col := range t.Cols {
+		if idx, ok := t.indexes[col]; ok {
+			idx.bt.Insert(int64(r[ci]), tid)
+		}
+	}
+	return tid
 }
 
 // CreateIndex builds a B-tree index on one column, charging a full scan plus

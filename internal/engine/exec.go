@@ -223,7 +223,7 @@ func (e *Engine) execInsert(s *sqlparser.Insert) error {
 	return nil
 }
 
-// execDelete rebuilds the heap without the matching rows (the heap layer is
+// execDelete rebuilds the table without the matching rows (tables are
 // append-only).
 func (e *Engine) execDelete(s *sqlparser.Delete) error {
 	t, err := e.Table(s.Table)
@@ -803,7 +803,7 @@ func (e *Engine) execCore(c *sqlparser.SelectCore) (*ResultSet, error) {
 
 	// A count-only GROUP BY on the columnar plan is aggregated in code space
 	// (count.go); t has resolved every column the statement reads.
-	if path.columnar && residual == nil {
+	if rel.table != nil && path.idx == nil && residual == nil {
 		if p, ok := countOnly(c, t, rel.table); ok {
 			return &ResultSet{Cols: cols, Rows: e.countCodes(rel.table, path.conj, t.list(), p)}, nil
 		}
@@ -824,7 +824,7 @@ func (e *Engine) execCore(c *sqlparser.SelectCore) (*ResultSet, error) {
 				return fn(row)
 			}
 		}
-		if path.idx != nil || path.columnar {
+		if rel.table != nil {
 			return path.scan(e, rel.table, t.list(), filtered)
 		}
 		return rel.iterate(filtered)

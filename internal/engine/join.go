@@ -18,7 +18,7 @@ type relation struct {
 	cols  []string       // output names for * expansion
 	index map[string]int // name -> position (qualified and unambiguous bare names)
 
-	// Single-table fast path (nil for joins).
+	// The single table (nil for joins): read by its access path (access.go).
 	table *Table
 
 	// Join execution state (nil for single tables).
@@ -150,24 +150,12 @@ func (r *relation) analyzeOn(on sqlparser.Expr) error {
 	return nil
 }
 
-// iterate drives every row of the relation (before WHERE) through fn. For a
-// join it builds a hash table on the right table's key columns and probes it
-// with the left table's rows, charging one probe per left row and the usual
-// scan costs for both inputs.
+// iterate drives every row of the join (before WHERE) through fn: it builds a
+// hash table on the right table's key columns and probes it with the left
+// table's rows, charging one probe per left row and the usual heap scan costs
+// for both inputs.
 func (r *relation) iterate(fn func(data.Row) error) error {
 	e := r.eng
-	if r.table != nil {
-		var ferr error
-		e.reader(r.table).scanAll(func(_ storage.TID, row data.Row) bool {
-			if err := fn(row); err != nil {
-				ferr = err
-				return false
-			}
-			return true
-		})
-		return ferr
-	}
-
 	// Build side: hash the right table on its key columns.
 	build := make(map[string][]data.Row)
 	var key []byte

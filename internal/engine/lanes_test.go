@@ -234,3 +234,50 @@ func TestColStoreTailConcurrentScans(t *testing.T) {
 		}
 	}
 }
+
+// TestHeapTailLanes: the arms of a UNION on four lanes, each taking the index
+// plan over a table whose last rows were Inserted, fetch those rows from the
+// open tail group concurrently. Run under -race: the tail's lazy encoding must
+// be serialized, and the result must be the serial statement's.
+func TestHeapTailLanes(t *testing.T) {
+	var sql strings.Builder
+	for k := 0; k < 4; k++ {
+		if k > 0 {
+			sql.WriteString(" UNION ALL ")
+		}
+		fmt.Fprintf(&sql, "SELECT %d AS x, A2, A3 FROM cases WHERE A1 = %d", k, k)
+	}
+	var want *ResultSet
+	for _, n := range []int{1, 4} {
+		srv := lanesTestServer(t, lanesTestData())
+		e := srv.Engine()
+		tbl, _ := e.Table("cases")
+		rng := rand.New(rand.NewSource(13))
+		for i := 0; i < 300; i++ {
+			row := data.Row{data.Value(i % 4), data.Value(rng.Intn(4)), data.Value(4 + i), data.Value(rng.Intn(2))}
+			if _, err := e.Insert(tbl, row); err != nil {
+				t.Fatal(err)
+			}
+		}
+		got, err := srv.Exec(sql.String(), n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want == nil {
+			want = got
+			continue
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%d lanes returned %d rows, serial %d", n, len(got.Rows), len(want.Rows))
+		}
+	}
+	tail := 0
+	for _, row := range want.Rows {
+		if row[2].I >= 4 {
+			tail++
+		}
+	}
+	if tail != 300 {
+		t.Fatalf("the statement read %d of the 300 Inserted rows", tail)
+	}
+}

@@ -157,29 +157,28 @@ func stumpModel(name string, cols int) *Model {
 	}}
 }
 
-// The three access paths of a single-table core (access.go).
+// The two access paths of a single-table core (access.go).
 const (
 	pathColumnar = "columnar"
 	pathIndex    = "index"
-	pathHeap     = "heap"
 )
 
-// pathTable is one table built three ways so that each engine is forced onto
-// a different access path, plus the rows it holds for the in-memory reference.
+// pathTable is one table built two ways — without and with an index — so that
+// the engines take different access paths, plus the rows it holds for the
+// in-memory reference.
 type pathTable struct {
 	rows     []data.Row // heap order
 	indexCol int        // the column the index engine indexes
 	eng      map[string]*Engine
 }
 
-// newPathTable loads rows into three engines and applies mutate (Inserts,
+// newPathTable loads rows into two engines and applies mutate (Inserts,
 // DELETEs) to each. The index engine gets its index before mutate, so the
-// index has to survive it; the heap engine loses its columnar copy after,
-// since a DELETE rebuilds a complete one.
+// index has to survive it.
 func newPathTable(t *testing.T, s *data.Schema, rows []data.Row, indexCol int, mutate func(e *Engine)) *pathTable {
 	t.Helper()
 	pt := &pathTable{indexCol: indexCol, eng: map[string]*Engine{}}
-	for _, path := range []string{pathColumnar, pathIndex, pathHeap} {
+	for _, path := range []string{pathColumnar, pathIndex} {
 		ds := data.NewDataset(s)
 		ds.Rows = rows
 		srv, err := NewServer(New(sim.NewDefaultMeter(), 0), "cases", ds)
@@ -196,21 +195,18 @@ func newPathTable(t *testing.T, s *data.Schema, rows []data.Row, indexCol int, m
 		if mutate != nil {
 			mutate(e)
 		}
-		if path == pathHeap {
-			tbl, _ := e.Table("cases")
-			tbl.colstore = storage.NewColStore(len(tbl.Cols)) // incomplete: holds no row
-		}
 		pt.eng[path] = e
 	}
-	tbl, _ := pt.eng[pathHeap].Table("cases")
-	pt.eng[pathHeap].reader(tbl).scanAll(func(_ storage.TID, r data.Row) bool {
+	tbl, _ := pt.eng[pathColumnar].Table("cases")
+	pt.eng[pathColumnar].reader(tbl).scanAll(func(_ storage.TID, r data.Row) bool {
 		pt.rows = append(pt.rows, r.Clone())
 		return true
 	})
 	return pt
 }
 
-// pathTaken runs sql and names the access path it took from what it charged.
+// pathTaken runs sql and names the access path it took from what it charged:
+// "" when it charged neither path's counters.
 func pathTaken(t *testing.T, e *Engine, sql string) (*ResultSet, string) {
 	t.Helper()
 	before := e.Meter().CounterVec()
@@ -225,7 +221,7 @@ func pathTaken(t *testing.T, e *Engine, sql string) (*ResultSet, string) {
 	case d[sim.CtrColGroupsScanned]+d[sim.CtrColGroupsSkipped] > 0:
 		return rs, pathColumnar
 	}
-	return rs, pathHeap
+	return rs, ""
 }
 
 // conjunct is one generated WHERE conjunct: its SQL, its meaning, and what
@@ -306,9 +302,9 @@ func sameVals(got, want [][]Val, ordered bool) bool {
 	return true
 }
 
-// check runs one generated statement on all three engines: each must take
-// the path its table forces, the columnar and heap plans must return the
-// reference rows in heap order, the index plan the same multiset.
+// check runs one generated statement on both engines: each must take the path
+// its table forces, the columnar plan must return the reference rows in heap
+// order, the index plan the same multiset.
 func (pt *pathTable) check(t *testing.T, sql string, conjs []conjunct, want [][]Val) {
 	t.Helper()
 	for path, e := range pt.eng {
@@ -425,7 +421,7 @@ func (pt *pathTable) randomStatements(t *testing.T, rng *rand.Rand, s *data.Sche
 
 // TestRandomStatementsOnEveryAccessPath is the differential test of the
 // access-path rule: random statements over the same table reached by the
-// columnar, index and heap plans, checked against an in-memory evaluation.
+// columnar and index plans, checked against an in-memory evaluation.
 func TestRandomStatementsOnEveryAccessPath(t *testing.T) {
 	s := data.NewSchema(3, 4, 2)
 	uniform := func(rng *rand.Rand, n int) []data.Row {
@@ -509,12 +505,8 @@ func TestRandomStatementsOnEveryAccessPath(t *testing.T) {
 			}
 		}
 		pt.rows = kept
-		for path, e := range pt.eng {
+		for _, e := range pt.eng {
 			e.MustExec("DELETE FROM cases WHERE A2 = 1")
-			if path == pathHeap {
-				tbl, _ := e.Table("cases")
-				tbl.colstore = storage.NewColStore(len(tbl.Cols))
-			}
 		}
 		pt.randomStatements(t, rng, s, 60)
 	})

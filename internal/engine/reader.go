@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/data"
 	"repro/internal/sim"
@@ -32,9 +33,11 @@ const (
 
 // heapReader is the one place a heap page is walked and paid for: a table,
 // the meter of the stream reading it, and who pays for the page. Everything
-// that reads heap records — the whole-table cursor, the SQL executor — goes
-// through page, scanAll or fetch, so page charges always land on the reading
-// stream's own meter (a View's, a lane's), never on the pool's owner.
+// that reads rows as heap records — the whole-table cursor, joins, DELETE,
+// CREATE INDEX, index fetches, the model catalog — goes through page, walk or
+// fetch, so page charges always land on the reading stream's own meter (a
+// View's, a lane's), never on the pool's owner. The records are the table's
+// columnar copy read through the heap's page arithmetic.
 type heapReader struct {
 	t     *Table
 	pool  *storage.BufferPool // consulted by payPooled only
@@ -59,39 +62,88 @@ func (s *Server) reader() heapReader {
 	return heapReader{t: s.table, pool: s.eng.bp, meter: s.meter, mode: payPooled}
 }
 
-// page pays for heap page p and returns its records packed back to back.
-func (r heapReader) page(p storage.PageID) []byte {
+// page pays for heap page p and returns the rows it holds, [lo, hi).
+func (r heapReader) page(p storage.PageID) (lo, hi int64) {
 	if r.mode == payCold || r.pool.Touch(r.t.heap, p) {
 		r.meter.Charge(sim.CtrServerPages, r.meter.Costs().ServerPageIO, 1)
 	}
-	return r.t.heap.PageRecords(p)
+	return r.t.heap.PageRows(p)
 }
 
-// scanAll drives the table's rows through fn in physical order, paying each
-// page and ServerRowCPU per decoded row. fn must not retain row; the scan stops
-// early when fn returns false.
-func (r heapReader) scanAll(fn func(tid storage.TID, row data.Row) bool) {
-	ncols := len(r.t.Cols)
-	recLen := r.t.heap.RecLen()
-	rowCPU := r.meter.Costs().ServerRowCPU
-	var row data.Row
-	for p := storage.PageID(0); int(p) < r.t.NumPages(); p++ {
-		recs := r.page(p)
-		for slot := uint16(0); len(recs) > 0; slot++ {
-			row = data.DecodeRow(recs, ncols, row)
-			recs = recs[recLen:]
-			r.meter.Charge(sim.CtrServerRows, rowCPU, 1)
-			if !fn(storage.TID{Page: p, Slot: slot}, row) {
-				return
+// heapWalk is the one walk over a table's heap pages in physical order: each
+// page is paid for as the walk enters it and its rows decoded, column by
+// column, from the row groups that hold them — a group is looked up once per
+// page, not per row — and each row handed out pays ServerRowCPU.
+type heapWalk struct {
+	r      heapReader
+	page   storage.PageID // the next page to enter
+	recs   []data.Value   // the entered page's rows, decoded back to back
+	k      int            // the next of them
+	ncols  int
+	rowCPU int64
+}
+
+// walk returns a walk of r's table from its first page.
+func (r heapReader) walk() *heapWalk {
+	return &heapWalk{r: r, ncols: len(r.t.Cols), rowCPU: r.meter.Costs().ServerRowCPU}
+}
+
+// Next returns the next row — valid until the following call — with its TID,
+// or false past the last page.
+func (w *heapWalk) Next() (storage.TID, data.Row, bool) {
+	if w.k*w.ncols == len(w.recs) {
+		if int(w.page) >= w.r.t.NumPages() {
+			return storage.TID{}, nil, false
+		}
+		w.enter()
+	}
+	tid := storage.TID{Page: w.page - 1, Slot: uint16(w.k)}
+	row := w.recs[w.k*w.ncols : (w.k+1)*w.ncols : (w.k+1)*w.ncols]
+	w.k++
+	w.r.meter.Charge(sim.CtrServerRows, w.rowCPU, 1)
+	return tid, row, true
+}
+
+// enter pays for the next page and decodes its rows: the page's row range
+// walked against each group it overlaps.
+func (w *heapWalk) enter() {
+	lo, hi := w.r.page(w.page)
+	w.page++
+	w.k = 0
+	w.recs = slices.Grow(w.recs[:0], int(hi-lo)*w.ncols)[:int(hi-lo)*w.ncols]
+	for i := lo; i < hi; {
+		gi := int(i / storage.RowGroupSize)
+		g, base := w.r.t.colstore.Group(gi), int64(gi)*storage.RowGroupSize
+		end := min(hi, base+int64(g.NumRows()))
+		out := w.recs[int(i-lo)*w.ncols:]
+		for c := 0; c < w.ncols; c++ {
+			dict := g.Dict(c)
+			for j, code := range g.Codes(c)[i-base : end-base] {
+				out[j*w.ncols+c] = dict[code]
 			}
+		}
+		i = end
+	}
+}
+
+// scanAll drives the table's rows through fn in physical order (heapWalk).
+// fn must not retain row; the scan stops early when fn returns false.
+func (r heapReader) scanAll(fn func(tid storage.TID, row data.Row) bool) {
+	w := r.walk()
+	for {
+		tid, row, ok := w.Next()
+		if !ok || !fn(tid, row) {
+			return
 		}
 	}
 }
 
 // fetch reads one row by TID into dst, paying the amortized random-I/O
-// TIDFetch plus, for a pooled stream, the page on a pool miss.
+// TIDFetch plus, for a pooled stream, the page on a pool miss. A TID whose slot
+// holds no row — on a page outside the heap, past the end of a page, past the
+// last row — is an error.
 func (r heapReader) fetch(tid storage.TID, dst data.Row) (data.Row, error) {
-	rec, ok := r.t.heap.Record(tid)
+	i, ok := r.t.heap.Row(tid)
 	if !ok {
 		return nil, fmt.Errorf("engine: table %q has no record at TID %v", r.t.Name, tid)
 	}
@@ -99,5 +151,5 @@ func (r heapReader) fetch(tid storage.TID, dst data.Row) (data.Row, error) {
 		r.meter.Charge(sim.CtrServerPages, r.meter.Costs().ServerPageIO, 1)
 	}
 	r.meter.Charge(sim.CtrTIDFetches, r.meter.Costs().TIDFetch, 1)
-	return data.DecodeRow(rec, len(r.t.Cols), dst), nil
+	return r.t.colstore.Row(i, dst), nil
 }

@@ -316,9 +316,6 @@ func (c *ScoreConsumer) Consume(blk *ColBlock) bool {
 
 // scoreCheck validates that t can be scored with m.
 func scoreCheck(t *Table, m *Model) error {
-	if !t.columnarComplete() {
-		return fmt.Errorf("engine: table %q has no columnar copy to score", t.Name)
-	}
 	attrs := m.Attrs()
 	if len(attrs) > 0 && attrs[len(attrs)-1] >= len(t.Cols) {
 		return fmt.Errorf("engine: model %q splits on column %d; table %q has %d",

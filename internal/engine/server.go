@@ -5,7 +5,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/predicate"
 	"repro/internal/sim"
-	"repro/internal/storage"
 )
 
 // Server is the OLE-DB-like surface the paper's middleware consumes: a SQL
@@ -85,7 +84,8 @@ func (s *Server) NumRows() int64 { return s.table.NumRows() }
 // NumPages returns the number of heap pages backing the data table.
 func (s *Server) NumPages() int { return s.table.NumPages() }
 
-// DataBytes returns the on-disk size of the data table.
+// DataBytes returns the on-disk size of the data table as a heap: its pages
+// times PageSize.
 func (s *Server) DataBytes() int64 { return s.table.Bytes() }
 
 // Drop removes the server's table (used to free temp tables).
@@ -106,11 +106,8 @@ type Cursor interface {
 // extract-everything strawman; the middleware's batches read row groups
 // (ScanGroups).
 type scanCursor struct {
-	r      heapReader
+	walk   *heapWalk
 	filter predicate.Filter
-	page   storage.PageID // next page to read
-	recs   []byte         // unread records of the current page
-	row    data.Row
 	closed bool
 	sp     *obs.Span
 	rows   int64
@@ -121,7 +118,7 @@ type scanCursor struct {
 func (s *Server) OpenScan(f predicate.Filter) Cursor {
 	r := s.reader()
 	r.meter.Charge(sim.CtrServerScans, r.meter.Costs().CursorOpen, 1)
-	return &scanCursor{r: r, filter: f, sp: s.Tracer().Start(obs.CatCursor, "server-scan")}
+	return &scanCursor{walk: r.walk(), filter: f, sp: s.Tracer().Start(obs.CatCursor, "server-scan")}
 }
 
 // finish closes the cursor span once, recording the rows transmitted.
@@ -142,26 +139,17 @@ func (c *scanCursor) Next() (data.Row, bool) {
 	if c.closed {
 		return nil, false
 	}
-	meter := c.r.meter
-	costs := meter.Costs()
-	ncols, recLen := len(c.r.t.Cols), c.r.t.heap.RecLen()
+	meter := c.walk.r.meter
 	for {
-		if len(c.recs) == 0 {
-			if int(c.page) >= c.r.t.NumPages() {
-				c.finish()
-				return nil, false
-			}
-			c.recs = c.r.page(c.page)
-			c.page++
-			continue
+		_, row, ok := c.walk.Next()
+		if !ok {
+			c.finish()
+			return nil, false
 		}
-		c.row = data.DecodeRow(c.recs, ncols, c.row)
-		c.recs = c.recs[recLen:]
-		meter.Charge(sim.CtrServerRows, costs.ServerRowCPU, 1)
-		if c.filter.Eval(c.row) {
-			meter.Charge(sim.CtrRowsTransmitted, costs.RowTransmit, 1)
+		if c.filter.Eval(row) {
+			meter.Charge(sim.CtrRowsTransmitted, meter.Costs().RowTransmit, 1)
 			c.rows++
-			return c.row, true
+			return row, true
 		}
 	}
 }

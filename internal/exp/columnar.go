@@ -14,12 +14,12 @@ import (
 )
 
 // ColumnarStorage measures what the columnar row groups every server scan
-// reads buy over the row heap they are a copy of, on the skew protocol (a root
+// reads buy over reading the same table as a row heap, on the skew protocol (a root
 // counting request plus one region-selective request per region, one per
 // batch, at 8 workers). The heap side is arithmetic, not a second scan path: a
 // heap scan reads every page of the table, so the protocol's scans would read
-// Server.NumPages() each. Two workloads separate the two effects the copy
-// stacks: on uniform data every row group holds every region value, so the
+// Server.NumPages() each. Two workloads separate the two effects the row
+// groups stack: on uniform data every row group holds every region value, so the
 // entire win is dictionary packing — fewer modeled pages per full scan; on the
 // clustered table the per-group dictionaries double as zone maps, whole row
 // groups fail the region filter before any page I/O is charged, and the

@@ -52,7 +52,7 @@ func (e *Env) attach(meter *sim.Meter, eng *engine.Engine) {
 // Generated datasets are memoized per (generator, configuration) for the life
 // of the process. The generators are pure functions of their configuration,
 // several runners draw the same workload, and nothing downstream writes to a
-// dataset — engine.NewServer copies the rows into its heap — so every runner
+// dataset — engine.NewServer encodes the rows into its table — so every runner
 // reads the one copy. The fingerprint taken at generation lets
 // TestAllShapeChecksPass assert that nobody did write.
 var datasets = struct {

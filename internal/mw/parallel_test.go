@@ -1,6 +1,7 @@
 package mw
 
 import (
+	"encoding/binary"
 	"fmt"
 	"hash/fnv"
 	"os"
@@ -125,9 +126,12 @@ func driveTree(t *testing.T, cfg Config, rows int, withMeter bool) string {
 				t.Fatalf("staging file %s for nodes %v holds %d rows, the table has %d matching %v (or content differs)",
 					e.Name(), sd.keyNodes, len(got), len(want), filter)
 			}
-			h := fnv.New64a()
+			h, buf := fnv.New64a(), []byte(nil)
 			for _, row := range got {
-				h.Write(row.Encode(nil))
+				for _, v := range row {
+					buf = binary.LittleEndian.AppendUint32(buf[:0], uint32(v))
+					h.Write(buf)
+				}
 			}
 			fmt.Fprintf(&sb, "file %s rows=%d fnv=%x\n", e.Name(), sd.file.rows, h.Sum64())
 		}

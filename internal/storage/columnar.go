@@ -31,10 +31,11 @@ const maxDictSize = 1 << 16
 // (negative array length).
 var _ [maxDictSize - RowGroupSize]struct{}
 
-// ColStore is a column-major, dictionary-encoded copy of a table kept
-// beside its row-major heap. Rows are appended in heap insertion order and
-// sealed into immutable row groups of RowGroupSize rows; the open tail is
-// encoded on demand so scans always see every row. Each sealed group stores,
+// ColStore holds a table's rows: column-major and dictionary-encoded, the one
+// stored copy (HeapFile is only the page geometry charged over it). Rows are
+// appended in insertion order and sealed into immutable row groups of
+// RowGroupSize rows; the open tail is encoded on demand so scans always see
+// every row. Each sealed group stores,
 // per column, a sorted dictionary of the distinct values, a dense code
 // vector, and per-code occurrence counts. The sorted dictionary doubles as
 // the group's zone map: min = dict[0], max = dict[last], and membership is
@@ -75,8 +76,8 @@ func (cs *ColStore) NumGroups() int {
 	return n
 }
 
-// Append adds one row (in insertion order, mirroring HeapFile.Insert) and
-// seals a row group when the tail fills.
+// Append adds one row at the end of the table and seals a row group when the
+// tail fills.
 func (cs *ColStore) Append(row []data.Value) {
 	cs.tailG = nil
 	if g := cs.tail.AppendRow(row); g != nil {
@@ -89,7 +90,7 @@ func (cs *ColStore) Append(row []data.Value) {
 // The returned group is immutable. Readers may call Group concurrently (the
 // lanes of one statement each scan the whole copy): sealed groups are read
 // lock-free, and the tail's lazy encoding is serialized. Append is a writer:
-// like a heap insert, it must not run beside any reader.
+// like any table write, it must not run beside any reader.
 func (cs *ColStore) Group(g int) *ColGroup {
 	if g < len(cs.groups) {
 		return cs.groups[g]
@@ -103,6 +104,19 @@ func (cs *ColStore) Group(g int) *ColGroup {
 		return cs.tailG
 	}
 	panic("storage: columnar group index out of range")
+}
+
+// Row decodes row i (in insertion order) into dst, reallocated when short, and
+// returns it. A reader of consecutive rows decodes them from their Group
+// instead, looking the group up once.
+func (cs *ColStore) Row(i int64, dst []data.Value) []data.Value {
+	g, r := cs.Group(int(i/RowGroupSize)), int(i%RowGroupSize)
+	dst = grow(dst, cs.ncols)
+	for c := range dst {
+		v := &g.cols[c]
+		dst[c] = v.dict[v.codes[r]]
+	}
+	return dst
 }
 
 // Bytes returns the modeled compressed size of the store: every group,

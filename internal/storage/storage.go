@@ -1,13 +1,18 @@
-// Package storage implements the server's physical layer: fixed-width
-// records packed into 8 KB pages, heap files, and an LRU buffer pool that
-// tracks which pages are resident. Nothing here charges a meter: what a page
-// read costs, and whom, is decided by the one heap reader in internal/engine.
+// Package storage implements the server's physical layer: tables stored once,
+// column-major and dictionary-encoded in row groups (ColStore), the heap
+// organization the cost model charges them under (HeapFile: fixed-width
+// records, so many to an 8 KB page, addressed by TID), and an LRU buffer pool
+// that tracks which heap pages are resident. Nothing here charges a meter: what
+// a page read costs, and whom, is decided by the one heap reader in
+// internal/engine.
 //
 // The paper requires "no changes to the physical design of the SQL database"
-// — the middleware works against a plain heap-organized table — so the
-// storage layer is intentionally simple: heap files of fixed-width records
-// (our rows are vectors of 4-byte categorical codes), sequential scans, and
-// record fetch by TID for the keyset-cursor and TID-join experiments (§4.3.3).
+// — the middleware works against a plain heap-organized table — and what that
+// organization costs is all the paper depends on: sequential scans pay per
+// page, and record fetch by TID for the keyset-cursor and TID-join experiments
+// (§4.3.3) pays per record. Our rows are vectors of 4-byte categorical codes
+// and tables only grow at the end, so where a record would sit is arithmetic
+// over its row index: the heap keeps no bytes of its own.
 package storage
 
 import "fmt"
@@ -33,87 +38,62 @@ type TID struct {
 // String renders the TID as "page:slot".
 func (t TID) String() string { return fmt.Sprintf("%d:%d", t.Page, t.Slot) }
 
-// page is one 8 KB page holding fixed-width records.
-type page struct {
-	buf  [PageSize]byte
-	nrec uint16
-}
-
-// HeapFile is an append-only heap of fixed-width records. Pages live in
-// memory (this is a simulation of server disk, not a persistence layer);
-// access is unmetered here and paid for by the caller.
+// HeapFile is the heap organization of the table a ColStore holds: records
+// of 4 bytes per column, as many as fit after a page's header (perPage) packed
+// to a page in insertion order, so row i sits in slot i mod perPage of page
+// i / perPage. It holds no record — the store is the one copy, and its row
+// count the one count — only that geometry, and it is the identity of the
+// table's frames in a BufferPool.
 type HeapFile struct {
-	recLen  int
+	cs      *ColStore
 	perPage int
-	pages   []*page
-	nrows   int64
 }
 
-// NewHeapFile creates a heap file for records of recLen bytes.
-func NewHeapFile(recLen int) *HeapFile {
-	if recLen <= 0 || recLen > PageSize-pageHeaderBytes {
+// NewHeapFile returns the heap organization of cs's table.
+func NewHeapFile(cs *ColStore) *HeapFile {
+	recLen := 4 * cs.NumCols()
+	if recLen > PageSize-pageHeaderBytes {
 		panic(fmt.Sprintf("storage: invalid record length %d", recLen))
 	}
-	return &HeapFile{
-		recLen:  recLen,
-		perPage: (PageSize - pageHeaderBytes) / recLen,
-	}
+	return &HeapFile{cs: cs, perPage: (PageSize - pageHeaderBytes) / recLen}
 }
-
-// RecLen returns the fixed record length in bytes.
-func (h *HeapFile) RecLen() int { return h.recLen }
 
 // NumRows returns the number of records in the file.
-func (h *HeapFile) NumRows() int64 { return h.nrows }
+func (h *HeapFile) NumRows() int64 { return h.cs.NumRows() }
 
-// NumPages returns the number of pages in the file.
-func (h *HeapFile) NumPages() int { return len(h.pages) }
+// NumPages returns the number of pages in the file: every page full but the
+// last.
+func (h *HeapFile) NumPages() int {
+	return int((h.NumRows() + int64(h.perPage) - 1) / int64(h.perPage))
+}
 
 // Bytes returns the on-disk size of the file.
-func (h *HeapFile) Bytes() int64 { return int64(len(h.pages)) * PageSize }
+func (h *HeapFile) Bytes() int64 { return int64(h.NumPages()) * PageSize }
 
-// Insert appends one record and returns its TID. rec must be exactly RecLen
-// bytes.
-func (h *HeapFile) Insert(rec []byte) TID {
-	if len(rec) != h.recLen {
-		panic(fmt.Sprintf("storage: record length %d, want %d", len(rec), h.recLen))
-	}
-	var p *page
-	if n := len(h.pages); n > 0 && int(h.pages[n-1].nrec) < h.perPage {
-		p = h.pages[n-1]
-	} else {
-		p = &page{}
-		h.pages = append(h.pages, p)
-	}
-	slot := p.nrec
-	off := pageHeaderBytes + int(slot)*h.recLen
-	copy(p.buf[off:off+h.recLen], rec)
-	p.nrec++
-	h.nrows++
-	return TID{Page: PageID(len(h.pages) - 1), Slot: slot}
+// TID returns the TID of row i.
+func (h *HeapFile) TID(i int64) TID {
+	return TID{Page: PageID(i / int64(h.perPage)), Slot: uint16(i % int64(h.perPage))}
 }
 
-// Record returns the raw bytes of the record at tid, and whether the slot
-// exists. The returned slice aliases page memory and must not be modified or
-// retained across inserts.
-func (h *HeapFile) Record(tid TID) ([]byte, bool) {
-	if int(tid.Page) < 0 || int(tid.Page) >= len(h.pages) {
-		return nil, false
+// Row returns the index of the row at tid, and whether the slot holds one: a
+// page outside the file, a slot past the end of a page, or one past the last
+// record of the last page holds none.
+func (h *HeapFile) Row(tid TID) (int64, bool) {
+	if tid.Page < 0 || int(tid.Slot) >= h.perPage {
+		return 0, false
 	}
-	p := h.pages[tid.Page]
-	if tid.Slot >= p.nrec {
-		return nil, false
-	}
-	off := pageHeaderBytes + int(tid.Slot)*h.recLen
-	return p.buf[off : off+h.recLen], true
+	i := int64(tid.Page)*int64(h.perPage) + int64(tid.Slot)
+	return i, i < h.NumRows()
 }
 
-// PageRecords returns the records of page pid packed back to back, RecLen
-// bytes each, in slot order. It panics on a page outside the file. The slice
-// aliases page memory like Record's.
-func (h *HeapFile) PageRecords(pid PageID) []byte {
-	p := h.pages[pid]
-	return p.buf[pageHeaderBytes : pageHeaderBytes+int(p.nrec)*h.recLen]
+// PageRows returns the rows page p holds, [lo, hi). It panics on a page
+// outside the file.
+func (h *HeapFile) PageRows(p PageID) (lo, hi int64) {
+	if p < 0 || int(p) >= h.NumPages() {
+		panic(fmt.Sprintf("storage: page %d outside a %d-page file", p, h.NumPages()))
+	}
+	lo = int64(p) * int64(h.perPage)
+	return lo, min(lo+int64(h.perPage), h.NumRows())
 }
 
 // BufferPool is an LRU set of resident (file, page) frames. The pool capacity

@@ -1,101 +1,118 @@
 package storage
 
 import (
-	"bytes"
-	"encoding/binary"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/data"
 )
 
-func rec8(v uint64) []byte {
-	b := make([]byte, 8)
-	binary.LittleEndian.PutUint64(b, v)
-	return b
+// heapOf returns the heap of a fresh table of ncols columns holding n rows;
+// row i holds i in its first column and i*7 in the others.
+func heapOf(ncols, n int) *HeapFile {
+	cs := NewColStore(ncols)
+	row := make([]data.Value, ncols)
+	for i := 0; i < n; i++ {
+		for c := range row {
+			row[c] = data.Value(i * 7)
+		}
+		row[0] = data.Value(i)
+		cs.Append(row)
+	}
+	return NewHeapFile(cs)
 }
 
 // scanPages walks h in physical order the way the engine's heap reader does:
-// touch the page in the pool, then read its packed records. It returns the
+// touch the page in the pool, then visit the rows it holds. It returns the
 // number of pool misses.
-func scanPages(bp *BufferPool, h *HeapFile, fn func(tid TID, rec []byte)) (misses int) {
+func scanPages(bp *BufferPool, h *HeapFile, fn func(tid TID, row int64)) (misses int) {
 	for p := 0; p < h.NumPages(); p++ {
 		if bp.Touch(h, PageID(p)) {
 			misses++
 		}
-		recs := h.PageRecords(PageID(p))
-		for s := 0; s*h.RecLen() < len(recs); s++ {
-			fn(TID{Page: PageID(p), Slot: uint16(s)}, recs[s*h.RecLen():(s+1)*h.RecLen()])
+		lo, hi := h.PageRows(PageID(p))
+		for i := lo; i < hi; i++ {
+			fn(TID{Page: PageID(p), Slot: uint16(i - lo)}, i)
 		}
 	}
 	return misses
 }
 
 func TestHeapInsertScanRoundTrip(t *testing.T) {
-	h := NewHeapFile(8)
-	bp := NewBufferPool(4)
-
 	const n = 5000
-	for i := uint64(0); i < n; i++ {
-		h.Insert(rec8(i))
-	}
+	h := heapOf(2, n)
 	if h.NumRows() != n {
 		t.Fatalf("NumRows = %d", h.NumRows())
 	}
-	var got []uint64
-	scanPages(bp, h, func(tid TID, rec []byte) {
-		got = append(got, binary.LittleEndian.Uint64(rec))
+	var got []data.Value
+	scanPages(NewBufferPool(4), h, func(tid TID, i int64) {
+		if h.TID(i) != tid {
+			t.Fatalf("row %d: TID %v, the scan is at %v", i, h.TID(i), tid)
+		}
+		got = append(got, h.cs.Row(i, nil)[0])
 	})
 	if len(got) != n {
 		t.Fatalf("scanned %d rows", len(got))
 	}
 	for i, v := range got {
-		if v != uint64(i) {
+		if v != data.Value(i) {
 			t.Fatalf("row %d = %d (physical order must equal insertion order)", i, v)
 		}
 	}
 }
 
 func TestHeapFetchByTID(t *testing.T) {
-	h := NewHeapFile(8)
-	var tids []TID
-	for i := uint64(0); i < 3000; i++ {
-		tids = append(tids, h.Insert(rec8(i*7)))
-	}
+	h := heapOf(2, 3000)
 	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 200; trial++ {
-		i := rng.Intn(len(tids))
-		rec, ok := h.Record(tids[i])
-		if !ok {
-			t.Fatalf("Record(%v): no such record", tids[i])
+		i := int64(rng.Intn(3000))
+		tid := h.TID(i)
+		if int(tid.Slot) >= h.perPage || int64(tid.Page)*int64(h.perPage)+int64(tid.Slot) != i {
+			t.Fatalf("TID(%d) = %v at %d records per page", i, tid, h.perPage)
 		}
-		if got := binary.LittleEndian.Uint64(rec); got != uint64(i*7) {
-			t.Fatalf("Record(%v) = %d, want %d", tids[i], got, i*7)
+		got, ok := h.Row(tid)
+		if !ok || got != i {
+			t.Fatalf("Row(%v) = %d, %v; want %d", tid, got, ok, i)
+		}
+		if row := h.cs.Row(got, nil); row[1] != data.Value(i*7) {
+			t.Fatalf("row %d decodes to %v", i, row)
 		}
 	}
 }
 
+// TestHeapRecordBounds: the arithmetic must not alias a slot past the end of
+// a page onto the next page's rows, nor reach past the last record.
 func TestHeapRecordBounds(t *testing.T) {
-	h := NewHeapFile(8)
-	h.Insert(rec8(1))
-	if _, ok := h.Record(TID{Page: 5, Slot: 0}); ok {
-		t.Error("out-of-range page accepted")
+	h := heapOf(2, 2*1023+5) // two full pages and five records
+	if h.perPage != 1023 || h.NumPages() != 3 {
+		t.Fatalf("%d records per page, %d pages; want 1023, 3", h.perPage, h.NumPages())
 	}
-	if _, ok := h.Record(TID{Page: 0, Slot: 99}); ok {
-		t.Error("out-of-range slot accepted")
+	for _, tid := range []TID{
+		{Page: -1},
+		{Page: 3},
+		{Page: 0, Slot: 1023},
+		{Page: 2, Slot: 1023},
+		{Page: 2, Slot: 5},
+		{Page: 1, Slot: 65535},
+	} {
+		if i, ok := h.Row(tid); ok {
+			t.Errorf("Row(%v) = %d: a slot that holds no record accepted", tid, i)
+		}
 	}
-	if rec, ok := h.Record(TID{Page: 0, Slot: 0}); !ok || binary.LittleEndian.Uint64(rec) != 1 {
-		t.Error("valid TID rejected")
+	for _, tid := range []TID{{Page: 0, Slot: 0}, {Page: 1, Slot: 1022}, {Page: 2, Slot: 4}} {
+		if i, ok := h.Row(tid); !ok || h.TID(i) != tid {
+			t.Errorf("Row(%v) = %d, %v: valid TID rejected", tid, i, ok)
+		}
 	}
 }
 
 func TestRecordsPerPageAndBytes(t *testing.T) {
-	h := NewHeapFile(100)
 	want := (PageSize - pageHeaderBytes) / 100
+	h := heapOf(25, want+1) // 100-byte records: one page plus one record
 	if h.perPage != want {
 		t.Fatalf("records per page = %d, want %d", h.perPage, want)
-	}
-	for i := 0; i < want+1; i++ { // one page plus one record
-		h.Insert(make([]byte, 100))
 	}
 	if h.NumPages() != 2 {
 		t.Errorf("NumPages = %d, want 2", h.NumPages())
@@ -103,40 +120,52 @@ func TestRecordsPerPageAndBytes(t *testing.T) {
 	if h.Bytes() != 2*PageSize {
 		t.Errorf("Bytes = %d", h.Bytes())
 	}
+	if lo, hi := h.PageRows(1); lo != int64(want) || hi != int64(want)+1 {
+		t.Errorf("PageRows(1) = [%d, %d), want [%d, %d)", lo, hi, want, want+1)
+	}
+	if e := heapOf(25, 0); e.NumPages() != 0 || e.Bytes() != 0 {
+		t.Errorf("empty heap: %d pages, %d bytes", e.NumPages(), e.Bytes())
+	}
 }
 
 func TestNewHeapFilePanics(t *testing.T) {
-	for _, recLen := range []int{0, -4, PageSize} {
+	NewHeapFile(NewColStore((PageSize - pageHeaderBytes) / 4)) // the widest record that fits
+	for _, ncols := range []int{(PageSize-pageHeaderBytes)/4 + 1, PageSize} {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Errorf("recLen %d: no panic", recLen)
+					t.Errorf("%d columns: no panic", ncols)
 				}
 			}()
-			NewHeapFile(recLen)
+			NewHeapFile(NewColStore(ncols))
 		}()
 	}
 }
 
 func TestInsertWrongLengthPanics(t *testing.T) {
-	h := NewHeapFile(8)
+	cs := NewColStore(2)
 	defer func() {
 		if recover() == nil {
-			t.Error("no panic on wrong record length")
+			t.Error("no panic on wrong row width")
 		}
 	}()
-	h.Insert([]byte{1, 2, 3})
+	cs.Append([]data.Value{1, 2, 3})
+}
+
+// TestDecodeNegativeValue: a negative value (Missing) is stored and decoded
+// like any other.
+func TestDecodeNegativeValue(t *testing.T) {
+	cs := NewColStore(2)
+	cs.Append([]data.Value{data.Missing, 3})
+	if got := cs.Row(0, nil); got[0] != data.Missing || got[1] != 3 {
+		t.Errorf("negative value mangled: %v", got)
+	}
 }
 
 func TestBufferPoolChargesMissesOnly(t *testing.T) {
-	h := NewHeapFile(8)
-	perPage := h.perPage
-	// Fill exactly 3 pages.
-	for i := 0; i < 3*perPage; i++ {
-		h.Insert(rec8(uint64(i)))
-	}
+	h := heapOf(2, 3*1023)  // exactly 3 pages
 	bp := NewBufferPool(10) // all pages fit
-	nop := func(TID, []byte) {}
+	nop := func(TID, int64) {}
 	if got := scanPages(bp, h, nop); got != 3 {
 		t.Fatalf("first scan missed %d pages, want 3", got)
 	}
@@ -150,13 +179,9 @@ func TestBufferPoolChargesMissesOnly(t *testing.T) {
 }
 
 func TestBufferPoolEvictsLRU(t *testing.T) {
-	h := NewHeapFile(8)
-	perPage := h.perPage
-	for i := 0; i < 4*perPage; i++ { // 4 pages
-		h.Insert(rec8(uint64(i)))
-	}
+	h := heapOf(2, 4*1023) // 4 pages
 	bp := NewBufferPool(2) // pool smaller than file
-	nop := func(TID, []byte) {}
+	nop := func(TID, int64) {}
 	// With LRU capacity 2 over a 4-page sequential scan, every access
 	// misses on both scans.
 	if got := scanPages(bp, h, nop) + scanPages(bp, h, nop); got != 8 {
@@ -165,11 +190,8 @@ func TestBufferPoolEvictsLRU(t *testing.T) {
 }
 
 func TestBufferPoolInvalidate(t *testing.T) {
-	h1 := NewHeapFile(8)
-	h2 := NewHeapFile(8)
+	h1, h2 := heapOf(2, 1), heapOf(2, 1)
 	bp := NewBufferPool(10)
-	h1.Insert(rec8(1))
-	h2.Insert(rec8(2))
 	bp.Touch(h1, 0)
 	bp.Touch(h2, 0)
 	bp.Invalidate(h1)
@@ -190,32 +212,28 @@ func TestBufferPoolCapacityPanics(t *testing.T) {
 	NewBufferPool(0)
 }
 
-// TestHeapRoundTripProperty: inserting arbitrary records and scanning them
-// back yields exactly the inserted sequence, and every returned TID resolves
-// to its record.
+// TestHeapRoundTripProperty: appending arbitrary rows and scanning the heap
+// back yields exactly the appended sequence, and every row's TID resolves to
+// it.
 func TestHeapRoundTripProperty(t *testing.T) {
-	f := func(recs [][4]byte) bool {
-		h := NewHeapFile(4)
-		bp := NewBufferPool(2)
-		tids := make([]TID, len(recs))
-		for i, r := range recs {
-			tids[i] = h.Insert(r[:])
+	f := func(rows [][2]int32) bool {
+		cs := NewColStore(2)
+		for _, r := range rows {
+			cs.Append([]data.Value{data.Value(r[0]), data.Value(r[1])})
 		}
-		i := 0
-		ok := true
-		scanPages(bp, h, func(tid TID, rec []byte) {
-			if i >= len(recs) || !bytes.Equal(rec, recs[i][:]) || tid != tids[i] {
-				ok = false
-				return
-			}
-			i++
+		h := NewHeapFile(cs)
+		want := func(i int64) []data.Value { return []data.Value{data.Value(rows[i][0]), data.Value(rows[i][1])} }
+		next, ok := int64(0), true
+		scanPages(NewBufferPool(2), h, func(tid TID, i int64) {
+			ok = ok && i == next && tid == h.TID(i) && reflect.DeepEqual(cs.Row(i, nil), want(i))
+			next++
 		})
-		if !ok || i != len(recs) {
+		if !ok || next != int64(len(rows)) {
 			return false
 		}
-		for j, tid := range tids {
-			rec, found := h.Record(tid)
-			if !found || !bytes.Equal(rec, recs[j][:]) {
+		for i := range rows {
+			j, found := h.Row(h.TID(int64(i)))
+			if !found || j != int64(i) {
 				return false
 			}
 		}
