@@ -92,27 +92,10 @@ func BenchmarkGroupByQuery(b *testing.B) {
 	}
 }
 
-// BenchmarkIndexProbeQuery measures an index-served point query.
-func BenchmarkIndexProbeQuery(b *testing.B) {
-	srv := benchServer(b, 10000)
-	e := srv.Engine()
-	if _, err := e.Exec("CREATE INDEX i ON cases (A1)"); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := e.Exec("SELECT COUNT(*) FROM cases WHERE A1 = 2"); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkExecPoint measures Engine.Exec on the two point-statement shapes
 // of cmd/bench's serve_mixed workload — a three-equality CLASSIFY lookup and
 // a filtered GROUP BY count — and on the unfiltered GROUP BY count, over a
-// 50k-row census table, once per access path: columnar, and index (on
-// education, a filter column of both point shapes; the unfiltered count has
-// none, so it runs on the columnar path only).
+// 50k-row census table.
 func BenchmarkExecPoint(b *testing.B) {
 	ds, err := datagen.GenerateCensus(datagen.CensusConfig{Rows: 50000, Seed: 7})
 	if err != nil {
@@ -134,30 +117,22 @@ func BenchmarkExecPoint(b *testing.B) {
 	}
 	stmts["countall"] = []string{"SELECT income, COUNT(*) FROM cases GROUP BY income"}
 	for _, kind := range []string{"classify", "count", "countall"} {
-		for _, path := range []string{pathColumnar, pathIndex} {
-			if kind == "countall" && path == pathIndex {
-				continue
+		b.Run(kind, func(b *testing.B) {
+			srv, err := NewServer(New(sim.NewDefaultMeter(), 0), "cases", ds)
+			if err != nil {
+				b.Fatal(err)
 			}
-			b.Run(kind+"/"+path, func(b *testing.B) {
-				srv, err := NewServer(New(sim.NewDefaultMeter(), 0), "cases", ds)
-				if err != nil {
+			e := srv.Engine()
+			if err := e.RegisterModel(stumpModel("m", s.NumAttrs())); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := e.Exec(stmts[kind][i%len(stmts[kind])]); err != nil {
 					b.Fatal(err)
 				}
-				e := srv.Engine()
-				if err := e.RegisterModel(stumpModel("m", s.NumAttrs())); err != nil {
-					b.Fatal(err)
-				}
-				if path == pathIndex {
-					e.MustExec("CREATE INDEX ie ON cases (education)")
-				}
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, err := e.Exec(stmts[kind][i%len(stmts[kind])]); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
+			}
+		})
 	}
 }

@@ -8,10 +8,10 @@
 //   - a SQL executor for the subset parsed by internal/sqlparser, including
 //     the UNION-of-GROUP-BY counts queries of §2.3 (each UNION arm performs
 //     its own scan: the engine's optimizer, like the commercial optimizers
-//     the paper discusses, does not exploit the commonality across arms);
-//   - B-tree secondary indexes (CREATE INDEX), one rule-based access path per
-//     single-table statement (index, else pushed-down columnar filter;
-//     access.go), and inner hash equi-joins with qualified column names;
+//     the paper discusses, does not exploit the commonality across arms).
+//     A SELECT core reads one table, one way: a columnar scan with its
+//     equality conjuncts pushed down (access.go). There are no secondary
+//     indexes, no joins and no DELETE: tables are append-only until dropped;
 //   - the OLE-DB-like cursor surface the middleware consumes (Server):
 //     firehose cursors with pushed-down filter expressions, keyset cursors
 //     with an optional stored-procedure filter (§4.3.3c), TID-join access
@@ -36,15 +36,13 @@ import (
 // scans keep paying disk I/O, the regime the paper's middleware targets.
 const DefaultBufferPages = 256
 
-// Table is one heap-organized table: named integer columns, their rows,
-// the heap geometry they are charged under, plus any secondary indexes.
+// Table is one heap-organized table: named integer columns, their rows and
+// the heap geometry they are charged under. Rows are only ever appended.
 type Table struct {
 	Name     string
 	Cols     []string
 	colstore *storage.ColStore // the rows: the table's one stored copy
-	heap     *storage.HeapFile // colstore's pages and TIDs; the pool's frame identity
-	indexes  map[string]*Index // by column name
-	temp     bool
+	heap     *storage.HeapFile // colstore's pages; the pool's frame identity
 }
 
 // NumRows returns the number of rows in the table.
@@ -55,23 +53,6 @@ func (t *Table) NumPages() int { return t.heap.NumPages() }
 
 // Bytes returns the on-disk size of the table.
 func (t *Table) Bytes() int64 { return t.heap.Bytes() }
-
-// ColIndex resolves a column name to its position, or -1.
-func (t *Table) ColIndex(name string) int {
-	for i, c := range t.Cols {
-		if c == name {
-			return i
-		}
-	}
-	return -1
-}
-
-// Index is an ordered B-tree index on one integer column, mapping value ->
-// TIDs in insertion order and supporting range scans.
-type Index struct {
-	Col string
-	bt  *storage.BTree
-}
 
 // Engine is the embedded database: a catalog of tables sharing one buffer
 // pool, and the meter its own statements charge.
@@ -147,7 +128,6 @@ func (e *Engine) CreateTable(name string, cols []string) (*Table, error) {
 		Cols:     append([]string(nil), cols...),
 		colstore: cs,
 		heap:     storage.NewHeapFile(cs),
-		indexes:  make(map[string]*Index),
 	}
 	e.tables[name] = t
 	return t, nil
@@ -195,15 +175,14 @@ func (e *Engine) TableNames() []string {
 	return names
 }
 
-// Insert appends one row (charging the server row-write cost) and maintains
-// any indexes.
-func (e *Engine) Insert(t *Table, r data.Row) (storage.TID, error) {
+// Insert appends one row, charging the server row-write cost.
+func (e *Engine) Insert(t *Table, r data.Row) error {
 	if len(r) != len(t.Cols) {
-		return storage.TID{}, fmt.Errorf("engine: insert into %q: %d values, want %d", t.Name, len(r), len(t.Cols))
+		return fmt.Errorf("engine: insert into %q: %d values, want %d", t.Name, len(r), len(t.Cols))
 	}
-	tid := t.append(r)
+	t.colstore.Append(r)
 	e.meter.Charge(sim.CtrServerRows, e.meter.Costs().ServerRowWrite, 1)
-	return tid, nil
+	return nil
 }
 
 // BulkLoad inserts many rows without per-row write metering (modeling a bulk
@@ -214,62 +193,9 @@ func (e *Engine) BulkLoad(t *Table, rows []data.Row) error {
 		if len(r) != len(t.Cols) {
 			return fmt.Errorf("engine: bulk load into %q: %d values, want %d", t.Name, len(r), len(t.Cols))
 		}
-		t.append(r)
+		t.colstore.Append(r)
 	}
 	return nil
-}
-
-// append adds r at the end of t, unmetered, enters it in t's indexes and
-// returns its TID.
-func (t *Table) append(r data.Row) storage.TID {
-	t.colstore.Append(r)
-	tid := t.heap.TID(t.NumRows() - 1)
-	for ci, col := range t.Cols {
-		if idx, ok := t.indexes[col]; ok {
-			idx.bt.Insert(int64(r[ci]), tid)
-		}
-	}
-	return tid
-}
-
-// CreateIndex builds a B-tree index on one column, charging a full scan plus
-// one index-probe cost per row for insertion into the structure.
-func (e *Engine) CreateIndex(t *Table, col string) (*Index, error) {
-	ci := t.ColIndex(col)
-	if ci < 0 {
-		return nil, fmt.Errorf("engine: table %q has no column %q", t.Name, col)
-	}
-	if _, ok := t.indexes[col]; ok {
-		return nil, fmt.Errorf("engine: index on %q(%s) already exists", t.Name, col)
-	}
-	idx := &Index{Col: col, bt: storage.NewBTree()}
-	e.reader(t).scanAll(func(tid storage.TID, row data.Row) bool {
-		e.meter.Charge(sim.CtrIndexProbes, e.meter.Costs().IndexProbe, 1)
-		idx.bt.Insert(int64(row[ci]), tid)
-		return true
-	})
-	t.indexes[col] = idx
-	return idx, nil
-}
-
-// Lookup probes the index for TIDs with col = v, charging one probe per
-// traversed tree level.
-func (e *Engine) Lookup(idx *Index, v data.Value) []storage.TID {
-	e.meter.Charge(sim.CtrIndexProbes, e.meter.Costs().IndexProbe, int64(idx.bt.Height()))
-	return idx.bt.Get(int64(v))
-}
-
-// LookupRange scans the index for TIDs with lo <= col <= hi in key order,
-// charging one probe per traversed level plus one per returned entry.
-func (e *Engine) LookupRange(idx *Index, lo, hi int64) []storage.TID {
-	e.meter.Charge(sim.CtrIndexProbes, e.meter.Costs().IndexProbe, int64(idx.bt.Height()))
-	var out []storage.TID
-	idx.bt.AscendRange(lo, hi, func(_ int64, tid storage.TID) bool {
-		out = append(out, tid)
-		return true
-	})
-	e.meter.Charge(sim.CtrIndexProbes, e.meter.Costs().IndexProbe/8, int64(len(out)))
-	return out
 }
 
 // tempName generates a unique temp-table name.

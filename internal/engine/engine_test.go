@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/data"
@@ -153,6 +154,8 @@ func TestStringLiteralProjection(t *testing.T) {
 	}
 }
 
+// TestInsertAndDelete: INSERT appends in order; DELETE is refused — tables
+// are append-only — and leaves the rows as they were.
 func TestInsertAndDelete(t *testing.T) {
 	e := newEngine()
 	e.MustExec("CREATE TABLE u (x INT, y INT)")
@@ -160,14 +163,34 @@ func TestInsertAndDelete(t *testing.T) {
 	if got := queryInts(t, e, "SELECT COUNT(*) FROM u"); got[0][0] != 3 {
 		t.Fatalf("count = %d", got[0][0])
 	}
-	e.MustExec("DELETE FROM u WHERE x = 3")
-	got := queryInts(t, e, "SELECT x FROM u ORDER BY x")
-	if !reflect.DeepEqual(got, [][]int64{{1}, {5}}) {
-		t.Errorf("after delete: %v", got)
+	e.MustExec("INSERT INTO u VALUES (7, 8)")
+	want := [][]int64{{1}, {3}, {5}, {7}}
+	if got := queryInts(t, e, "SELECT x FROM u"); !reflect.DeepEqual(got, want) {
+		t.Errorf("after a second INSERT: %v, want the rows in insertion order", got)
 	}
-	e.MustExec("DELETE FROM u")
-	if got := queryInts(t, e, "SELECT COUNT(*) FROM u"); got[0][0] != 0 {
-		t.Errorf("after delete-all: %d", got[0][0])
+	if _, err := e.Exec("DELETE FROM u WHERE x = 3"); err == nil || !strings.Contains(err.Error(), "DELETE is not supported") {
+		t.Errorf("DELETE: error %v, want it refused by name", err)
+	}
+	if got := queryInts(t, e, "SELECT x FROM u"); !reflect.DeepEqual(got, want) {
+		t.Errorf("after a refused DELETE: %v, want %v", got, want)
+	}
+}
+
+// TestQualifiedNamesOnSingleTable: a core's columns resolve by bare name, by
+// table-qualified name and by the core's alias.
+func TestQualifiedNamesOnSingleTable(t *testing.T) {
+	e := newEngine()
+	e.MustExec("CREATE TABLE orders (id INT, cust INT, amount INT)")
+	e.MustExec("INSERT INTO orders VALUES (1, 10, 5), (2, 10, 7), (3, 20, 3), (4, 30, 9)")
+	got := queryInts(t, e, "SELECT orders.amount FROM orders WHERE orders.cust = 10 ORDER BY orders.amount")
+	want := [][]int64{{5}, {7}}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("got %v, want %v", got, want)
+	}
+	// Alias form too.
+	got2 := queryInts(t, e, "SELECT o.amount FROM orders o WHERE o.cust = 20")
+	if !reflect.DeepEqual(got2, [][]int64{{3}}) {
+		t.Errorf("alias form = %v", got2)
 	}
 }
 
@@ -194,54 +217,6 @@ func TestCreateTableErrors(t *testing.T) {
 	}
 	if _, err := e.CreateTable("u", []string{"x", "x"}); err == nil {
 		t.Error("duplicate column accepted")
-	}
-}
-
-func TestIndexProbeMatchesScan(t *testing.T) {
-	e := newEngine()
-	tbl, _ := e.CreateTable("big", []string{"k", "v"})
-	rng := rand.New(rand.NewSource(3))
-	var rows []data.Row
-	for i := 0; i < 2000; i++ {
-		rows = append(rows, data.Row{data.Value(rng.Intn(50)), data.Value(rng.Intn(10))})
-	}
-	if err := e.BulkLoad(tbl, rows); err != nil {
-		t.Fatal(err)
-	}
-	scan := queryInts(t, e, "SELECT v, COUNT(*) FROM big WHERE k = 7 GROUP BY v ORDER BY v")
-	e.MustExec("CREATE INDEX ik ON big (k)")
-	pagesBefore := e.Meter().Count(sim.CtrServerPages)
-	probesBefore := e.Meter().Count(sim.CtrIndexProbes)
-	idx := queryInts(t, e, "SELECT v, COUNT(*) FROM big WHERE k = 7 GROUP BY v ORDER BY v")
-	if !reflect.DeepEqual(scan, idx) {
-		t.Errorf("index result %v differs from scan %v", idx, scan)
-	}
-	if e.Meter().Count(sim.CtrIndexProbes) == probesBefore {
-		t.Error("indexed query did not probe the index")
-	}
-	_ = pagesBefore
-}
-
-func TestIndexMaintainedByInsert(t *testing.T) {
-	e := newEngine()
-	e.MustExec("CREATE TABLE u (x INT, y INT)")
-	e.MustExec("CREATE INDEX ix ON u (x)")
-	e.MustExec("INSERT INTO u VALUES (5, 1), (5, 2), (6, 3)")
-	got := queryInts(t, e, "SELECT y FROM u WHERE x = 5 ORDER BY y")
-	if !reflect.DeepEqual(got, [][]int64{{1}, {2}}) {
-		t.Errorf("got %v", got)
-	}
-}
-
-func TestDuplicateIndexRejected(t *testing.T) {
-	e := newEngine()
-	seedTable(t, e)
-	e.MustExec("CREATE INDEX i1 ON t (a)")
-	if _, err := e.Exec("CREATE INDEX i2 ON t (a)"); err == nil {
-		t.Error("duplicate index accepted")
-	}
-	if _, err := e.Exec("CREATE INDEX i3 ON t (nope)"); err == nil {
-		t.Error("index on unknown column accepted")
 	}
 }
 

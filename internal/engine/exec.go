@@ -11,7 +11,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/sqlparser"
-	"repro/internal/storage"
 )
 
 // Val is one result-set value: an integer or a string.
@@ -146,17 +145,8 @@ func (e *Engine) dispatch(st sqlparser.Statement, nworkers int) (*ResultSet, err
 		}
 		_, err := e.CreateTable(s.Name, cols)
 		return nil, err
-	case *sqlparser.CreateIndex:
-		t, err := e.Table(s.Table)
-		if err != nil {
-			return nil, err
-		}
-		_, err = e.CreateIndex(t, s.Col)
-		return nil, err
 	case *sqlparser.Insert:
 		return nil, e.execInsert(s)
-	case *sqlparser.Delete:
-		return nil, e.execDelete(s)
 	case *sqlparser.DropTable:
 		return nil, e.DropTable(s.Name)
 	case *sqlparser.ScoreTable:
@@ -216,83 +206,44 @@ func (e *Engine) execInsert(s *sqlparser.Insert) error {
 			}
 			row[i] = data.Value(v.I)
 		}
-		if _, err := e.Insert(t, row); err != nil {
+		if err := e.Insert(t, row); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// execDelete rebuilds the table without the matching rows (tables are
-// append-only).
-func (e *Engine) execDelete(s *sqlparser.Delete) error {
-	t, err := e.Table(s.Table)
-	if err != nil {
-		return err
-	}
-	var pred func(data.Row) (bool, error)
-	if s.Where != nil {
-		ev, err := e.compileExpr(s.Where, t)
-		if err != nil {
-			return err
-		}
-		pred = func(r data.Row) (bool, error) {
-			v, err := ev(r)
-			if err != nil {
-				return false, err
-			}
-			return !v.Str && v.I != 0, nil
-		}
-	}
-	var keep []data.Row
-	var scanErr error
-	e.reader(t).scanAll(func(_ storage.TID, row data.Row) bool {
-		if pred == nil {
-			return true // delete all: keep nothing
-		}
-		m, err := pred(row)
-		if err != nil {
-			scanErr = err
-			return false
-		}
-		if !m {
-			keep = append(keep, row.Clone())
-		}
-		return true
-	})
-	if scanErr != nil {
-		return scanErr
-	}
-	name, cols := t.Name, t.Cols
-	if err := e.DropTable(name); err != nil {
-		return err
-	}
-	nt, err := e.CreateTable(name, cols)
-	if err != nil {
-		return err
-	}
-	// The rebuilt table keeps the old one's indexes: BulkLoad fills them, at
-	// CREATE INDEX's one probe per row inserted.
-	//repolint:ordered every index is recreated empty; the order cannot show
-	for col := range t.indexes {
-		nt.indexes[col] = &Index{Col: col, bt: storage.NewBTree()}
-	}
-	e.meter.Charge(sim.CtrServerRows, e.meter.Costs().ServerRowWrite, int64(len(keep)))
-	if n := len(t.indexes); n > 0 {
-		e.meter.Charge(sim.CtrIndexProbes, e.meter.Costs().IndexProbe, int64(len(keep)*n))
-	}
-	return e.BulkLoad(nt, keep)
-}
-
-// evaluator computes an expression over one row of a table (or over the
-// concatenated row of a join).
+// evaluator computes an expression over one row of a table.
 type evaluator func(data.Row) (Val, error)
 
-// colResolver resolves a column name (possibly alias-qualified) to its
-// position in the rows the evaluators receive. *Table and *relation satisfy
-// it.
+// colResolver resolves a column name (possibly qualified) to its position in
+// the rows the evaluators receive.
 type colResolver interface {
 	ColIndex(name string) int
+}
+
+// tableCols is a core's colResolver: each column of its one table by bare
+// name, by table-qualified name and, when the core names one, by
+// alias-qualified name.
+type tableCols map[string]int
+
+func newTableCols(t *Table, alias string) tableCols {
+	m := make(tableCols, 2*len(t.Cols))
+	for i, col := range t.Cols {
+		m[col] = i
+		m[t.Name+"."+col] = i
+		if alias != "" {
+			m[alias+"."+col] = i
+		}
+	}
+	return m
+}
+
+func (m tableCols) ColIndex(name string) int {
+	if i, ok := m[name]; ok {
+		return i
+	}
+	return -1
 }
 
 // compileExpr compiles a non-aggregate expression against a column resolver.
@@ -652,7 +603,7 @@ func dedupeRows(rows [][]Val) [][]Val {
 
 // appendKey appends v's hash-key encoding to key: a type tag, the value and a
 // terminator, so the encodings of a value list concatenate unambiguously.
-// Grouping, DISTINCT/UNION and the hash join all key their maps with it,
+// Grouping and DISTINCT/UNION key their maps with it,
 // reusing one buffer per scan and looking up m[string(key)], which does not
 // allocate.
 func appendKey(key []byte, v Val) []byte {
@@ -719,24 +670,19 @@ func (e *Engine) orderBy(rs *ResultSet, keys []sqlparser.OrderItem) error {
 	return nil
 }
 
-// execCore executes one SELECT ... FROM ... WHERE ... GROUP BY block. A
-// single-table core reads its rows by the access path planAccess chooses
-// (access.go); a join core iterates the join and filters the joined rows.
+// execCore executes one SELECT ... FROM ... WHERE ... GROUP BY block: its
+// table's rows are read with WHERE's equality conjuncts pushed down
+// (access.go), and what is left of WHERE filters them.
 func (e *Engine) execCore(c *sqlparser.SelectCore) (*ResultSet, error) {
-	rel, err := e.buildRelation(c)
+	tbl, err := e.Table(c.Table)
 	if err != nil {
 		return nil, err
 	}
 	// Column resolver for expression compilation; it records the columns
-	// the statement reads, which is what a columnar path decodes.
-	t := &usedCols{colResolver: rel, used: make([]bool, len(rel.cols))}
+	// the statement reads, which is what the columnar scan decodes.
+	t := &usedCols{colResolver: newTableCols(tbl, c.TableAlias), used: make([]bool, len(tbl.Cols))}
 
-	// Choose the access path and compile what it leaves of WHERE.
-	var path accessPath
-	residual := c.Where
-	if rel.table != nil {
-		path, residual = planAccess(rel.table, t, c.Where)
-	}
+	conj, residual := planAccess(t, c.Where)
 	var where evaluator
 	if residual != nil {
 		where, err = e.compileExpr(residual, t)
@@ -755,7 +701,7 @@ func (e *Engine) execCore(c *sqlparser.SelectCore) (*ResultSet, error) {
 	hasAgg := false
 	for _, si := range c.Items {
 		if si.Star {
-			for _, col := range rel.cols {
+			for _, col := range tbl.Cols {
 				ev, _ := e.compileExpr(&sqlparser.ColumnRef{Name: col}, t)
 				items = append(items, item{name: col, eval: ev})
 			}
@@ -801,18 +747,18 @@ func (e *Engine) execCore(c *sqlparser.SelectCore) (*ResultSet, error) {
 		groupEvals = append(groupEvals, ev)
 	}
 
-	// A count-only GROUP BY on the columnar plan is aggregated in code space
-	// (count.go); t has resolved every column the statement reads.
-	if rel.table != nil && path.idx == nil && residual == nil {
-		if p, ok := countOnly(c, t, rel.table); ok {
-			return &ResultSet{Cols: cols, Rows: e.countCodes(rel.table, path.conj, t.list(), p)}, nil
+	// A count-only GROUP BY is aggregated in code space (count.go); t has
+	// resolved every column the statement reads.
+	if residual == nil {
+		if p, ok := countOnly(c, t, tbl); ok {
+			return &ResultSet{Cols: cols, Rows: e.countCodes(tbl, conj, t.list(), p)}, nil
 		}
 	}
 
 	rs := &ResultSet{Cols: cols}
 
-	// scanSource drives the rows passing WHERE through fn: the path's
-	// selection (or the relation's every row), then the residual filter.
+	// scanSource drives the rows passing WHERE through fn: the pushed-down
+	// selection, then the residual filter.
 	scanSource := func(fn func(data.Row) error) error {
 		filtered := fn
 		if where != nil {
@@ -824,10 +770,7 @@ func (e *Engine) execCore(c *sqlparser.SelectCore) (*ResultSet, error) {
 				return fn(row)
 			}
 		}
-		if rel.table != nil {
-			return path.scan(e, rel.table, t.list(), filtered)
-		}
-		return rel.iterate(filtered)
+		return e.scanRows(tbl, conj, t.list(), filtered)
 	}
 
 	if !grouped {

@@ -1,15 +1,9 @@
 package engine
 
 import (
-	"math/rand"
 	"reflect"
 	"testing"
-
-	"repro/internal/data"
-	"repro/internal/sim"
 )
-
-func newTestRng(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
 
 func TestHavingFiltersGroups(t *testing.T) {
 	e := newEngine()
@@ -90,47 +84,5 @@ func TestHavingLimitRoundTrip(t *testing.T) {
 	got := queryInts(t, e, "SELECT a, COUNT(*) FROM t WHERE c = 0 GROUP BY a HAVING COUNT(*) >= 1 ORDER BY a LIMIT 1")
 	if len(got) != 1 || got[0][0] != 1 {
 		t.Errorf("got %v", got)
-	}
-}
-
-func TestIndexRangeScanMatchesSeqScan(t *testing.T) {
-	e := newEngine()
-	tbl, _ := e.CreateTable("big", []string{"k", "v"})
-	rng := newTestRng(7)
-	var rows []data.Row
-	for i := 0; i < 3000; i++ {
-		rows = append(rows, data.Row{data.Value(rng.Intn(100)), data.Value(rng.Intn(10))})
-	}
-	if err := e.BulkLoad(tbl, rows); err != nil {
-		t.Fatal(err)
-	}
-	queries := []string{
-		"SELECT v, COUNT(*) FROM big WHERE k < 20 GROUP BY v ORDER BY v",
-		"SELECT v, COUNT(*) FROM big WHERE k <= 20 GROUP BY v ORDER BY v",
-		"SELECT v, COUNT(*) FROM big WHERE k > 80 GROUP BY v ORDER BY v",
-		"SELECT v, COUNT(*) FROM big WHERE k >= 80 GROUP BY v ORDER BY v",
-		"SELECT v, COUNT(*) FROM big WHERE k = 42 GROUP BY v ORDER BY v",
-	}
-	var want []string
-	for _, q := range queries {
-		rs, err := e.Exec(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want = append(want, rs.String())
-	}
-	e.MustExec("CREATE INDEX ik ON big (k)")
-	for i, q := range queries {
-		probesBefore := e.Meter().Count(sim.CtrIndexProbes)
-		rs, err := e.Exec(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rs.String() != want[i] {
-			t.Errorf("%s: index result differs from scan:\n%s\nvs\n%s", q, rs, want[i])
-		}
-		if e.Meter().Count(sim.CtrIndexProbes) == probesBefore {
-			t.Errorf("%s: did not use the index", q)
-		}
 	}
 }

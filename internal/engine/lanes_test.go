@@ -10,8 +10,10 @@ import (
 	"testing"
 
 	"repro/internal/data"
+	"repro/internal/obs"
 	"repro/internal/predicate"
 	"repro/internal/sim"
+	"repro/internal/storage"
 )
 
 // lanesTestData is a 1.5-group table of three attributes over {0..3} and a
@@ -26,26 +28,22 @@ func lanesTestData() *data.Dataset {
 	return ds
 }
 
-// lanesTestServer loads ds into a fresh engine with an index on the first
-// column, so a core whose WHERE compares A1 takes the index plan and every
-// other core the columnar one. The pool holds two pages: a pooled index plan,
-// fetching in key order, keeps missing.
+// lanesTestServer loads ds into a fresh engine whose pool holds two pages: a
+// pooled heap walk of more than two pages keeps missing.
 func lanesTestServer(t *testing.T, ds *data.Dataset) *Server {
 	t.Helper()
 	srv, err := NewServer(New(sim.NewDefaultMeter(), 2), "cases", ds)
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv.Engine().MustExec("CREATE INDEX ix ON cases (A1)")
 	return srv
 }
 
 // randUnion draws one statement of 1–8 three-column cores — grouped counts,
-// plain and DISTINCT projections, each under 0–2 random conjuncts (index,
-// pushed-down and residual ones) — joined by UNION / UNION ALL, with an
-// optional ORDER BY and LIMIT. indexed reports whether some core's WHERE lets
-// the index on A1 serve it.
-func randUnion(rng *rand.Rand, s *data.Schema) (sql string, cores int, indexed bool) {
+// plain and DISTINCT projections, each under 0–2 random conjuncts (pushed-down
+// and residual ones) — joined by UNION / UNION ALL, with an optional ORDER BY
+// and LIMIT.
+func randUnion(rng *rand.Rand, s *data.Schema) (sql string, cores int) {
 	cores = 1 + rng.Intn(8)
 	var b strings.Builder
 	for i := 0; i < cores; i++ {
@@ -55,9 +53,7 @@ func randUnion(rng *rand.Rand, s *data.Schema) (sql string, cores int, indexed b
 		c1, c2 := s.ColName(rng.Intn(4)), s.ColName(rng.Intn(4))
 		var where []string
 		for k := rng.Intn(3); k > 0; k-- {
-			cj := randConjunct(rng, s, 3)
-			where = append(where, cj.sql)
-			indexed = indexed || cj.indexOK && cj.col == 0
+			where = append(where, randConjunct(rng, s, 3).sql)
 		}
 		grouped := rng.Intn(2) == 0
 		switch {
@@ -81,7 +77,7 @@ func randUnion(rng *rand.Rand, s *data.Schema) (sql string, cores int, indexed b
 	if rng.Intn(3) == 0 {
 		fmt.Fprintf(&b, " LIMIT %d", rng.Intn(200))
 	}
-	return b.String(), cores, indexed
+	return b.String(), cores
 }
 
 // TestUnionLanesMatchSerial: seeded random UNION statements through
@@ -89,18 +85,15 @@ func randUnion(rng *rand.Rand, s *data.Schema) (sql string, cores int, indexed b
 // the same counter totals at every lane count; the clock at n > 1 is never
 // above one worker's; one worker is Engine.Exec to the nanosecond; and the whole
 // transcript is byte-identical across reruns and GOMAXPROCS. Every statement
-// runs on a fresh engine. One counter may legitimately differ: an index plan
-// on a lane fetches cold (payCold: no pool, so no page miss to pay), where the
-// serial statement pays the pooled fetch's misses — server_pages_read is then
-// lower on lanes, and is compared only for statements without an index core.
+// runs on a fresh engine.
 func TestUnionLanesMatchSerial(t *testing.T) {
 	ds := lanesTestData()
 	run := func() string {
 		rng := rand.New(rand.NewSource(29))
 		var log strings.Builder
-		laned, indexedLaned, fewerPages := 0, 0, 0
+		laned := 0
 		for trial := 0; trial < 24; trial++ {
-			sql, cores, indexed := randUnion(rng, ds.Schema)
+			sql, cores := randUnion(rng, ds.Schema)
 			ref := lanesTestServer(t, ds).Engine()
 			base, t0 := ref.Meter().CounterVec(), ref.Meter().Now()
 			want, err := ref.Exec(sql)
@@ -130,27 +123,16 @@ func TestUnionLanesMatchSerial(t *testing.T) {
 						t.Fatalf("n=%d: %s: lanes touched the buffer pool (%d hits, %d misses)", n, sql, h-hits, m-misses)
 					}
 				}
-				cmpCtr := wantCtr
-				if onLanes && indexed {
-					indexedLaned++
-					if ctr[sim.CtrServerPages] > wantCtr[sim.CtrServerPages] {
-						t.Fatalf("n=%d: %s: %d pages on lanes, %d serial", n, sql, ctr[sim.CtrServerPages], wantCtr[sim.CtrServerPages])
-					}
-					if ctr[sim.CtrServerPages] < wantCtr[sim.CtrServerPages] {
-						fewerPages++
-					}
-					cmpCtr[sim.CtrServerPages], ctr[sim.CtrServerPages] = 0, 0
-				}
-				if ctr != cmpCtr {
-					t.Fatalf("n=%d: %s:\ncounters %v\nwant     %v", n, sql, ctr, cmpCtr)
+				if ctr != wantCtr {
+					t.Fatalf("n=%d: %s:\ncounters %v\nwant     %v", n, sql, ctr, wantCtr)
 				}
 				if ns > wantNS || !onLanes && ns != wantNS {
 					t.Fatalf("n=%d: %s: %v, serial %v", n, sql, ns, wantNS)
 				}
 			}
 		}
-		if fewerPages == 0 || indexedLaned == laned {
-			t.Fatalf("%d statements ran on lanes, %d of them with an index core, %d with fewer pages than serial: the mix is not covered", laned, indexedLaned, fewerPages)
+		if laned == 0 {
+			t.Fatal("no statement ran on lanes: the mix is not covered")
 		}
 		return log.String()
 	}
@@ -235,30 +217,43 @@ func TestColStoreTailConcurrentScans(t *testing.T) {
 	}
 }
 
-// TestHeapTailLanes: the arms of a UNION on four lanes, each taking the index
-// plan over a table whose last rows were Inserted, fetch those rows from the
-// open tail group concurrently. Run under -race: the tail's lazy encoding must
-// be serialized, and the result must be the serial statement's.
-func TestHeapTailLanes(t *testing.T) {
+// TestCatalogTailLanes: the arms of a UNION on four lanes, each a CLASSIFY
+// core whose model is in no cache, rebuild the model from its catalog table —
+// Inserted row by row, so every node row sits in the open tail group — by
+// walking the catalog's heap concurrently. Run under -race: the tail's lazy
+// encoding must be serialized. The result must be the serial statement's; each
+// lane pays, on its own meter and cold, the catalog's pages for both of the
+// rebuild's walks plus its own columnar scan of the data table; the shared
+// pool is left as it was.
+func TestCatalogTailLanes(t *testing.T) {
+	const lanes = 4
+	m := stumpModel("m", 3)
 	var sql strings.Builder
-	for k := 0; k < 4; k++ {
+	for k := 0; k < lanes; k++ {
 		if k > 0 {
 			sql.WriteString(" UNION ALL ")
 		}
-		fmt.Fprintf(&sql, "SELECT %d AS x, A2, A3 FROM cases WHERE A1 = %d", k, k)
+		fmt.Fprintf(&sql, "SELECT %d AS x, A2, CLASSIFY(m, A1, A2, A3) AS c FROM cases WHERE A1 = %d", k, k)
 	}
 	var want *ResultSet
-	for _, n := range []int{1, 4} {
+	for _, n := range []int{1, lanes} {
 		srv := lanesTestServer(t, lanesTestData())
 		e := srv.Engine()
-		tbl, _ := e.Table("cases")
-		rng := rand.New(rand.NewSource(13))
-		for i := 0; i < 300; i++ {
-			row := data.Row{data.Value(i % 4), data.Value(rng.Intn(4)), data.Value(4 + i), data.Value(rng.Intn(2))}
-			if _, err := e.Insert(tbl, row); err != nil {
+		cat, err := e.CreateTable(ModelCatalogTable(m.Name), catalogCols(m.Classes))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, row := range m.catalogRows() {
+			if err := e.Insert(cat, row); err != nil {
 				t.Fatal(err)
 			}
 		}
+		if _, cached := e.models[m.Name]; cached || cat.colstore.NumGroups() != 1 || cat.NumRows() >= storage.RowGroupSize {
+			t.Fatalf("the catalog must be one open tail group and the model uncached")
+		}
+		tr := obs.NewTrace()
+		e.SetTracer(tr.Proc("engine", e.Meter()))
+		hits, misses := e.bp.Stats()
 		got, err := srv.Exec(sql.String(), n)
 		if err != nil {
 			t.Fatal(err)
@@ -270,14 +265,33 @@ func TestHeapTailLanes(t *testing.T) {
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("%d lanes returned %d rows, serial %d", n, len(got.Rows), len(want.Rows))
 		}
-	}
-	tail := 0
-	for _, row := range want.Rows {
-		if row[2].I >= 4 {
-			tail++
+		if h, mi := e.bp.Stats(); h != hits || mi != misses {
+			t.Errorf("lanes touched the shared pool: %d hits, %d misses", h-hits, mi-misses)
+		}
+		tbl, _ := e.Table("cases")
+		dataPages := int64(0)
+		for gi := 0; gi < tbl.colstore.NumGroups(); gi++ {
+			dataPages += tbl.colstore.Group(gi).Pages([]int{0, 1, 2})
+		}
+		wantPages := 2*int64(cat.NumPages()) + dataPages
+		seen := 0
+		tr.EachProc(func(pv obs.ProcView) {
+			for _, sp := range pv.Spans {
+				if sp.Cat != obs.CatLane {
+					continue
+				}
+				seen++
+				if got := sp.Deltas[sim.CtrServerPages]; got != wantPages {
+					t.Errorf("lane %d paid %d pages, want %d: the catalog's %d twice and %d of the data table",
+						sp.Part, got, wantPages, cat.NumPages(), dataPages)
+				}
+			}
+		})
+		if seen != lanes {
+			t.Errorf("%d lane spans, want %d", seen, lanes)
 		}
 	}
-	if tail != 300 {
-		t.Fatalf("the statement read %d of the 300 Inserted rows", tail)
+	if len(want.Rows) == 0 {
+		t.Fatal("the statement selected no row")
 	}
 }

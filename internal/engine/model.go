@@ -7,7 +7,6 @@ import (
 	"strings"
 
 	"repro/internal/data"
-	"repro/internal/storage"
 )
 
 // This file is the engine half of in-database scoring: a compiled decision
@@ -320,7 +319,7 @@ func (e *Engine) ModelFromCatalog(name string) (*Model, error) {
 	m := &Model{Name: name, Classes: classes, Nodes: make([]ModelNode, nn)}
 	filled := make([]bool, nn)
 	var scanErr error
-	e.reader(t).scanAll(func(_ storage.TID, row data.Row) bool {
+	e.reader(t).scanAll(func(row data.Row) bool {
 		id := int(row[0])
 		if id < 0 || id >= nn || filled[id] {
 			scanErr = fmt.Errorf("engine: model %q: catalog node id %d invalid or duplicated", name, id)
@@ -356,7 +355,7 @@ func (e *Engine) ModelFromCatalog(name string) (*Model, error) {
 		armVal data.Value
 	}
 	edges := make([]edge, nn)
-	e.reader(t).scanAll(func(_ storage.TID, row data.Row) bool {
+	e.reader(t).scanAll(func(row data.Row) bool {
 		edges[int(row[0])] = edge{arm: int32(row[2]), armVal: row[7]}
 		return true
 	})

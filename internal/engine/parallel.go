@@ -111,7 +111,6 @@ func (s *Server) CopySubset(f predicate.Filter, nworkers int) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	t.temp = true
 	sp := s.Tracer().Start(obs.CatAux, "copy-subset").Attr("workers", int64(nworkers))
 	shards := make([][]data.Row, nworkers)
 	s.captureLanes(f, nworkers, nil, "copy-subset-partition", s.meter.Costs().ServerRowWrite, func(part int, blk *ColBlock) {

@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"fmt"
 	"slices"
 
 	"repro/internal/data"
@@ -32,12 +31,12 @@ const (
 )
 
 // heapReader is the one place a heap page is walked and paid for: a table,
-// the meter of the stream reading it, and who pays for the page. Everything
-// that reads rows as heap records — the whole-table cursor, joins, DELETE,
-// CREATE INDEX, index fetches, the model catalog — goes through page, walk or
-// fetch, so page charges always land on the reading stream's own meter (a
-// View's, a lane's), never on the pool's owner. The records are the table's
-// columnar copy read through the heap's page arithmetic.
+// the meter of the stream reading it, and who pays for the page. Two readers
+// walk rows as heap records: the model catalog (ModelFromCatalog) and the
+// whole-table cursor (Server.OpenScan, §2.3's extract-everything baseline).
+// Both go through walk, so page charges always land on the reading stream's
+// own meter (a View's, a lane's), never on the pool's owner. The records are
+// the table's columnar copy read through the heap's page arithmetic.
 type heapReader struct {
 	t     *Table
 	pool  *storage.BufferPool // consulted by payPooled only
@@ -46,8 +45,8 @@ type heapReader struct {
 }
 
 // reader returns the view's reader over t, charging the view's meter: pooled
-// for SQL statements, index builds and catalog reads, which run one at a time;
-// cold for a lane view.
+// for the catalog reads of SQL statements, which run one at a time; cold for
+// a lane view.
 func (e *Engine) reader(t *Table) heapReader {
 	r := heapReader{t: t, pool: e.bp, meter: e.meter, mode: payPooled}
 	if e.lane {
@@ -88,20 +87,19 @@ func (r heapReader) walk() *heapWalk {
 	return &heapWalk{r: r, ncols: len(r.t.Cols), rowCPU: r.meter.Costs().ServerRowCPU}
 }
 
-// Next returns the next row — valid until the following call — with its TID,
-// or false past the last page.
-func (w *heapWalk) Next() (storage.TID, data.Row, bool) {
+// Next returns the next row — valid until the following call — or false past
+// the last page.
+func (w *heapWalk) Next() (data.Row, bool) {
 	if w.k*w.ncols == len(w.recs) {
 		if int(w.page) >= w.r.t.NumPages() {
-			return storage.TID{}, nil, false
+			return nil, false
 		}
 		w.enter()
 	}
-	tid := storage.TID{Page: w.page - 1, Slot: uint16(w.k)}
 	row := w.recs[w.k*w.ncols : (w.k+1)*w.ncols : (w.k+1)*w.ncols]
 	w.k++
 	w.r.meter.Charge(sim.CtrServerRows, w.rowCPU, 1)
-	return tid, row, true
+	return row, true
 }
 
 // enter pays for the next page and decodes its rows: the page's row range
@@ -128,28 +126,12 @@ func (w *heapWalk) enter() {
 
 // scanAll drives the table's rows through fn in physical order (heapWalk).
 // fn must not retain row; the scan stops early when fn returns false.
-func (r heapReader) scanAll(fn func(tid storage.TID, row data.Row) bool) {
+func (r heapReader) scanAll(fn func(row data.Row) bool) {
 	w := r.walk()
 	for {
-		tid, row, ok := w.Next()
-		if !ok || !fn(tid, row) {
+		row, ok := w.Next()
+		if !ok || !fn(row) {
 			return
 		}
 	}
-}
-
-// fetch reads one row by TID into dst, paying the amortized random-I/O
-// TIDFetch plus, for a pooled stream, the page on a pool miss. A TID whose slot
-// holds no row — on a page outside the heap, past the end of a page, past the
-// last row — is an error.
-func (r heapReader) fetch(tid storage.TID, dst data.Row) (data.Row, error) {
-	i, ok := r.t.heap.Row(tid)
-	if !ok {
-		return nil, fmt.Errorf("engine: table %q has no record at TID %v", r.t.Name, tid)
-	}
-	if r.mode == payPooled && r.pool.Touch(r.t.heap, tid.Page) {
-		r.meter.Charge(sim.CtrServerPages, r.meter.Costs().ServerPageIO, 1)
-	}
-	r.meter.Charge(sim.CtrTIDFetches, r.meter.Costs().TIDFetch, 1)
-	return r.t.colstore.Row(i, dst), nil
 }

@@ -141,7 +141,7 @@ func (c *scanCursor) Next() (data.Row, bool) {
 	}
 	meter := c.walk.r.meter
 	for {
-		_, row, ok := c.walk.Next()
+		row, ok := c.walk.Next()
 		if !ok {
 			c.finish()
 			return nil, false

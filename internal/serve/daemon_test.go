@@ -266,6 +266,38 @@ func TestDriverSQL(t *testing.T) {
 	}
 }
 
+// TestDriverRefusesRemovedStatements: CREATE INDEX, a JOIN and DELETE —
+// statements the engine does not have — each come back over the wire as an
+// error naming the construct, and the same connection then answers a SELECT.
+func TestDriverRefusesRemovedStatements(t *testing.T) {
+	addr, stop := startDaemon(t, 600, 1, false)
+	defer stop()
+	db, err := sql.Open("ccsql", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	ctx := context.Background()
+	conn, err := db.Conn(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	for _, tc := range []struct{ stmt, want string }{
+		{"CREATE INDEX ia ON cases (A1)", "CREATE INDEX is not supported"},
+		{"SELECT c.A1, d.A2 FROM cases c JOIN cases d ON c.A1 = d.A1", "JOIN is not supported"},
+		{"DELETE FROM cases WHERE A1 = 0", "DELETE is not supported"},
+	} {
+		if _, err := conn.ExecContext(ctx, tc.stmt); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: error %v, want one saying %q", tc.stmt, err, tc.want)
+		}
+		var n int64
+		if err := conn.QueryRowContext(ctx, "SELECT COUNT(*) FROM cases").Scan(&n); err != nil || n != 600 {
+			t.Fatalf("after %s: COUNT(*) = %d, %v; want 600 on the same connection", tc.stmt, n, err)
+		}
+	}
+}
+
 // TestDaemonDrain: draining completes an in-flight statement, then refuses
 // new work and returns once every handler exits.
 func TestDaemonDrain(t *testing.T) {

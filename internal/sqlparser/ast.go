@@ -129,22 +129,14 @@ func (si SelectItem) String() string {
 	return si.Expr.String()
 }
 
-// JoinClause is an [INNER] JOIN of a second table with an ON condition.
-type JoinClause struct {
-	Table string
-	Alias string // "" = none
-	On    Expr
-}
-
-// SelectCore is one SELECT ... FROM ... [JOIN ... ON ...] [WHERE ...]
-// [GROUP BY ...] [HAVING ...] block.
+// SelectCore is one SELECT ... FROM table [alias] [WHERE ...] [GROUP BY ...]
+// [HAVING ...] block.
 type SelectCore struct {
 	Distinct   bool
 	Items      []SelectItem
 	Table      string
 	TableAlias string // "" = none
-	Join       *JoinClause
-	Where      Expr // nil = none
+	Where      Expr   // nil = none
 	GroupBy    []Expr
 	Having     Expr // nil = none
 }
@@ -191,16 +183,6 @@ func (s *Select) String() string {
 		if c.TableAlias != "" {
 			b.WriteString(" ")
 			b.WriteString(c.TableAlias)
-		}
-		if c.Join != nil {
-			b.WriteString(" JOIN ")
-			b.WriteString(c.Join.Table)
-			if c.Join.Alias != "" {
-				b.WriteString(" ")
-				b.WriteString(c.Join.Alias)
-			}
-			b.WriteString(" ON ")
-			b.WriteString(c.Join.On.String())
 		}
 		if c.Where != nil {
 			b.WriteString(" WHERE ")
@@ -267,19 +249,6 @@ func (s *CreateTable) String() string {
 	return b.String()
 }
 
-// CreateIndex is CREATE INDEX name ON table (col).
-type CreateIndex struct {
-	Name  string
-	Table string
-	Col   string
-}
-
-func (*CreateIndex) stmt() {}
-
-func (s *CreateIndex) String() string {
-	return fmt.Sprintf("CREATE INDEX %s ON %s (%s)", s.Name, s.Table, s.Col)
-}
-
 // Insert is INSERT INTO table VALUES (...), (...), ....
 type Insert struct {
 	Table string
@@ -305,21 +274,6 @@ func (s *Insert) String() string {
 		b.WriteString(")")
 	}
 	return b.String()
-}
-
-// Delete is DELETE FROM table [WHERE expr].
-type Delete struct {
-	Table string
-	Where Expr
-}
-
-func (*Delete) stmt() {}
-
-func (s *Delete) String() string {
-	if s.Where == nil {
-		return fmt.Sprintf("DELETE FROM %s", s.Table)
-	}
-	return fmt.Sprintf("DELETE FROM %s WHERE %s", s.Table, s.Where)
 }
 
 // DropTable is DROP TABLE name.

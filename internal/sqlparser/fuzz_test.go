@@ -7,7 +7,8 @@ import (
 
 // FuzzParse checks that the parser never panics and that every accepted
 // statement round-trips through String() to an equivalent fixed point. The
-// seed corpus covers every statement kind; `go test -fuzz=FuzzParse` widens
+// seed corpus covers every statement kind, and the refused ones (CREATE
+// INDEX, JOIN, DELETE) seed the error path; `go test -fuzz=FuzzParse` widens
 // it.
 func FuzzParse(f *testing.F) {
 	seeds := []string{
@@ -31,6 +32,7 @@ func FuzzParse(f *testing.F) {
 		"-- note\nBUILD TREE OUTPUT TREE",
 		"BUILD TREE MODEL a-b", "BUILD TREE MAXDEPTH -1", "BUILD TREE MODEL m MODEL m",
 		"SELECT model, tree, output, stats FROM build WHERE maxdepth = 1",
+		"SELECT a.x, b.y FROM a INNER JOIN b ON a.k = b.k",
 	}
 	for _, s := range seeds {
 		f.Add(s)

@@ -114,7 +114,8 @@ func (p *parser) statement() (Statement, error) {
 	case p.atKeyword("INSERT"):
 		return p.insertStmt()
 	case p.atKeyword("DELETE"):
-		return p.deleteStmt()
+		// Tables are append-only: DELETE stays reserved and is refused by name.
+		return nil, p.errf("DELETE is not supported")
 	case p.atKeyword("DROP"):
 		return p.dropStmt()
 	case p.atKeyword("SCORE"):
@@ -343,36 +344,10 @@ func (p *parser) selectCore() (SelectCore, error) {
 			return c, err
 		}
 	}
-	// Optional [INNER] JOIN table [alias] ON expr.
-	if ok, err := p.acceptKeyword("INNER"); err != nil {
-		return c, err
-	} else if ok {
-		if !p.atKeyword("JOIN") {
-			return c, p.errf("expected JOIN after INNER")
-		}
-	}
-	if ok, err := p.acceptKeyword("JOIN"); err != nil {
-		return c, err
-	} else if ok {
-		j := &JoinClause{}
-		j.Table, err = p.expectIdent()
-		if err != nil {
-			return c, err
-		}
-		if p.tok.kind == tokIdent {
-			j.Alias = p.tok.text
-			if err := p.advance(); err != nil {
-				return c, err
-			}
-		}
-		if err := p.expectKeyword("ON"); err != nil {
-			return c, err
-		}
-		j.On, err = p.expr()
-		if err != nil {
-			return c, err
-		}
-		c.Join = j
+	// A core reads one table: JOIN and INNER stay reserved, so neither is
+	// taken for an alias, and are refused by name.
+	if p.atKeyword("JOIN") || p.atKeyword("INNER") {
+		return c, p.errf("JOIN is not supported")
 	}
 	if ok, err := p.acceptKeyword("WHERE"); err != nil {
 		return c, err
@@ -741,31 +716,10 @@ func (p *parser) createStmt() (Statement, error) {
 		}
 		return st, nil
 	}
-	if err := p.expectKeyword("INDEX"); err != nil {
-		return nil, err
+	if p.atKeyword("INDEX") {
+		return nil, p.errf("CREATE INDEX is not supported")
 	}
-	name, err := p.expectIdent()
-	if err != nil {
-		return nil, err
-	}
-	if err := p.expectKeyword("ON"); err != nil {
-		return nil, err
-	}
-	tbl, err := p.expectIdent()
-	if err != nil {
-		return nil, err
-	}
-	if err := p.expectSymbol("("); err != nil {
-		return nil, err
-	}
-	col, err := p.expectIdent()
-	if err != nil {
-		return nil, err
-	}
-	if err := p.expectSymbol(")"); err != nil {
-		return nil, err
-	}
-	return &CreateIndex{Name: name, Table: tbl, Col: col}, nil
+	return nil, p.errf("expected TABLE, found %q", p.tok.text)
 }
 
 func (p *parser) insertStmt() (Statement, error) {
@@ -809,30 +763,6 @@ func (p *parser) insertStmt() (Statement, error) {
 		} else if !ok {
 			break
 		}
-	}
-	return st, nil
-}
-
-func (p *parser) deleteStmt() (Statement, error) {
-	if err := p.expectKeyword("DELETE"); err != nil {
-		return nil, err
-	}
-	if err := p.expectKeyword("FROM"); err != nil {
-		return nil, err
-	}
-	name, err := p.expectIdent()
-	if err != nil {
-		return nil, err
-	}
-	st := &Delete{Table: name}
-	if ok, err := p.acceptKeyword("WHERE"); err != nil {
-		return nil, err
-	} else if ok {
-		w, err := p.expr()
-		if err != nil {
-			return nil, err
-		}
-		st.Where = w
 	}
 	return st, nil
 }

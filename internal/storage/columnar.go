@@ -106,19 +106,6 @@ func (cs *ColStore) Group(g int) *ColGroup {
 	panic("storage: columnar group index out of range")
 }
 
-// Row decodes row i (in insertion order) into dst, reallocated when short, and
-// returns it. A reader of consecutive rows decodes them from their Group
-// instead, looking the group up once.
-func (cs *ColStore) Row(i int64, dst []data.Value) []data.Value {
-	g, r := cs.Group(int(i/RowGroupSize)), int(i%RowGroupSize)
-	dst = grow(dst, cs.ncols)
-	for c := range dst {
-		v := &g.cols[c]
-		dst[c] = v.dict[v.codes[r]]
-	}
-	return dst
-}
-
 // Bytes returns the modeled compressed size of the store: every group,
 // every column.
 func (cs *ColStore) Bytes() int64 {

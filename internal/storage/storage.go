@@ -1,18 +1,16 @@
 // Package storage implements the server's physical layer: tables stored once,
 // column-major and dictionary-encoded in row groups (ColStore), the heap
 // organization the cost model charges them under (HeapFile: fixed-width
-// records, so many to an 8 KB page, addressed by TID), and an LRU buffer pool
-// that tracks which heap pages are resident. Nothing here charges a meter: what
-// a page read costs, and whom, is decided by the one heap reader in
-// internal/engine.
+// records, so many to an 8 KB page), and an LRU buffer pool that tracks which
+// heap pages are resident. Nothing here charges a meter: what a page read
+// costs, and whom, is decided by the one heap reader in internal/engine.
 //
 // The paper requires "no changes to the physical design of the SQL database"
 // — the middleware works against a plain heap-organized table — and what that
 // organization costs is all the paper depends on: sequential scans pay per
-// page, and record fetch by TID for the keyset-cursor and TID-join experiments
-// (§4.3.3) pays per record. Our rows are vectors of 4-byte categorical codes
-// and tables only grow at the end, so where a record would sit is arithmetic
-// over its row index: the heap keeps no bytes of its own.
+// page. Our rows are vectors of 4-byte categorical codes and tables only grow
+// at the end, so which page a record would sit on is arithmetic over its row
+// index: the heap keeps no bytes of its own.
 package storage
 
 import "fmt"
@@ -28,22 +26,11 @@ const pageHeaderBytes = 8
 // PageID identifies a page within one heap file.
 type PageID int32
 
-// TID is a tuple identifier: (page, slot) within a heap file. It is stable
-// for the lifetime of the record (this storage layer never moves records).
-type TID struct {
-	Page PageID
-	Slot uint16
-}
-
-// String renders the TID as "page:slot".
-func (t TID) String() string { return fmt.Sprintf("%d:%d", t.Page, t.Slot) }
-
 // HeapFile is the heap organization of the table a ColStore holds: records
 // of 4 bytes per column, as many as fit after a page's header (perPage) packed
-// to a page in insertion order, so row i sits in slot i mod perPage of page
-// i / perPage. It holds no record — the store is the one copy, and its row
-// count the one count — only that geometry, and it is the identity of the
-// table's frames in a BufferPool.
+// to a page in insertion order, so row i sits on page i / perPage. It holds no
+// record — the store is the one copy, and its row count the one count — only
+// that geometry, and it is the identity of the table's frames in a BufferPool.
 type HeapFile struct {
 	cs      *ColStore
 	perPage int
@@ -69,22 +56,6 @@ func (h *HeapFile) NumPages() int {
 
 // Bytes returns the on-disk size of the file.
 func (h *HeapFile) Bytes() int64 { return int64(h.NumPages()) * PageSize }
-
-// TID returns the TID of row i.
-func (h *HeapFile) TID(i int64) TID {
-	return TID{Page: PageID(i / int64(h.perPage)), Slot: uint16(i % int64(h.perPage))}
-}
-
-// Row returns the index of the row at tid, and whether the slot holds one: a
-// page outside the file, a slot past the end of a page, or one past the last
-// record of the last page holds none.
-func (h *HeapFile) Row(tid TID) (int64, bool) {
-	if tid.Page < 0 || int(tid.Slot) >= h.perPage {
-		return 0, false
-	}
-	i := int64(tid.Page)*int64(h.perPage) + int64(tid.Slot)
-	return i, i < h.NumRows()
-}
 
 // PageRows returns the rows page p holds, [lo, hi). It panics on a page
 // outside the file.

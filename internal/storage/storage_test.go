@@ -1,7 +1,6 @@
 package storage
 
 import (
-	"math/rand"
 	"reflect"
 	"testing"
 	"testing/quick"
@@ -24,17 +23,27 @@ func heapOf(ncols, n int) *HeapFile {
 	return NewHeapFile(cs)
 }
 
+// rowAt decodes row i of cs from the group that holds it.
+func rowAt(cs *ColStore, i int64) []data.Value {
+	g, r := cs.Group(int(i/RowGroupSize)), int(i%RowGroupSize)
+	row := make([]data.Value, cs.NumCols())
+	for c := range row {
+		row[c] = g.Dict(c)[g.Codes(c)[r]]
+	}
+	return row
+}
+
 // scanPages walks h in physical order the way the engine's heap reader does:
 // touch the page in the pool, then visit the rows it holds. It returns the
 // number of pool misses.
-func scanPages(bp *BufferPool, h *HeapFile, fn func(tid TID, row int64)) (misses int) {
+func scanPages(bp *BufferPool, h *HeapFile, fn func(row int64)) (misses int) {
 	for p := 0; p < h.NumPages(); p++ {
 		if bp.Touch(h, PageID(p)) {
 			misses++
 		}
 		lo, hi := h.PageRows(PageID(p))
 		for i := lo; i < hi; i++ {
-			fn(TID{Page: PageID(p), Slot: uint16(i - lo)}, i)
+			fn(i)
 		}
 	}
 	return misses
@@ -47,11 +56,8 @@ func TestHeapInsertScanRoundTrip(t *testing.T) {
 		t.Fatalf("NumRows = %d", h.NumRows())
 	}
 	var got []data.Value
-	scanPages(NewBufferPool(4), h, func(tid TID, i int64) {
-		if h.TID(i) != tid {
-			t.Fatalf("row %d: TID %v, the scan is at %v", i, h.TID(i), tid)
-		}
-		got = append(got, h.cs.Row(i, nil)[0])
+	scanPages(NewBufferPool(4), h, func(i int64) {
+		got = append(got, rowAt(h.cs, i)[0])
 	})
 	if len(got) != n {
 		t.Fatalf("scanned %d rows", len(got))
@@ -59,51 +65,6 @@ func TestHeapInsertScanRoundTrip(t *testing.T) {
 	for i, v := range got {
 		if v != data.Value(i) {
 			t.Fatalf("row %d = %d (physical order must equal insertion order)", i, v)
-		}
-	}
-}
-
-func TestHeapFetchByTID(t *testing.T) {
-	h := heapOf(2, 3000)
-	rng := rand.New(rand.NewSource(1))
-	for trial := 0; trial < 200; trial++ {
-		i := int64(rng.Intn(3000))
-		tid := h.TID(i)
-		if int(tid.Slot) >= h.perPage || int64(tid.Page)*int64(h.perPage)+int64(tid.Slot) != i {
-			t.Fatalf("TID(%d) = %v at %d records per page", i, tid, h.perPage)
-		}
-		got, ok := h.Row(tid)
-		if !ok || got != i {
-			t.Fatalf("Row(%v) = %d, %v; want %d", tid, got, ok, i)
-		}
-		if row := h.cs.Row(got, nil); row[1] != data.Value(i*7) {
-			t.Fatalf("row %d decodes to %v", i, row)
-		}
-	}
-}
-
-// TestHeapRecordBounds: the arithmetic must not alias a slot past the end of
-// a page onto the next page's rows, nor reach past the last record.
-func TestHeapRecordBounds(t *testing.T) {
-	h := heapOf(2, 2*1023+5) // two full pages and five records
-	if h.perPage != 1023 || h.NumPages() != 3 {
-		t.Fatalf("%d records per page, %d pages; want 1023, 3", h.perPage, h.NumPages())
-	}
-	for _, tid := range []TID{
-		{Page: -1},
-		{Page: 3},
-		{Page: 0, Slot: 1023},
-		{Page: 2, Slot: 1023},
-		{Page: 2, Slot: 5},
-		{Page: 1, Slot: 65535},
-	} {
-		if i, ok := h.Row(tid); ok {
-			t.Errorf("Row(%v) = %d: a slot that holds no record accepted", tid, i)
-		}
-	}
-	for _, tid := range []TID{{Page: 0, Slot: 0}, {Page: 1, Slot: 1022}, {Page: 2, Slot: 4}} {
-		if i, ok := h.Row(tid); !ok || h.TID(i) != tid {
-			t.Errorf("Row(%v) = %d, %v: valid TID rejected", tid, i, ok)
 		}
 	}
 }
@@ -157,7 +118,7 @@ func TestInsertWrongLengthPanics(t *testing.T) {
 func TestDecodeNegativeValue(t *testing.T) {
 	cs := NewColStore(2)
 	cs.Append([]data.Value{data.Missing, 3})
-	if got := cs.Row(0, nil); got[0] != data.Missing || got[1] != 3 {
+	if got := rowAt(cs, 0); got[0] != data.Missing || got[1] != 3 {
 		t.Errorf("negative value mangled: %v", got)
 	}
 }
@@ -165,7 +126,7 @@ func TestDecodeNegativeValue(t *testing.T) {
 func TestBufferPoolChargesMissesOnly(t *testing.T) {
 	h := heapOf(2, 3*1023)  // exactly 3 pages
 	bp := NewBufferPool(10) // all pages fit
-	nop := func(TID, int64) {}
+	nop := func(int64) {}
 	if got := scanPages(bp, h, nop); got != 3 {
 		t.Fatalf("first scan missed %d pages, want 3", got)
 	}
@@ -181,7 +142,7 @@ func TestBufferPoolChargesMissesOnly(t *testing.T) {
 func TestBufferPoolEvictsLRU(t *testing.T) {
 	h := heapOf(2, 4*1023) // 4 pages
 	bp := NewBufferPool(2) // pool smaller than file
-	nop := func(TID, int64) {}
+	nop := func(int64) {}
 	// With LRU capacity 2 over a 4-page sequential scan, every access
 	// misses on both scans.
 	if got := scanPages(bp, h, nop) + scanPages(bp, h, nop); got != 8 {
@@ -213,8 +174,7 @@ func TestBufferPoolCapacityPanics(t *testing.T) {
 }
 
 // TestHeapRoundTripProperty: appending arbitrary rows and scanning the heap
-// back yields exactly the appended sequence, and every row's TID resolves to
-// it.
+// back yields exactly the appended sequence.
 func TestHeapRoundTripProperty(t *testing.T) {
 	f := func(rows [][2]int32) bool {
 		cs := NewColStore(2)
@@ -224,20 +184,11 @@ func TestHeapRoundTripProperty(t *testing.T) {
 		h := NewHeapFile(cs)
 		want := func(i int64) []data.Value { return []data.Value{data.Value(rows[i][0]), data.Value(rows[i][1])} }
 		next, ok := int64(0), true
-		scanPages(NewBufferPool(2), h, func(tid TID, i int64) {
-			ok = ok && i == next && tid == h.TID(i) && reflect.DeepEqual(cs.Row(i, nil), want(i))
+		scanPages(NewBufferPool(2), h, func(i int64) {
+			ok = ok && i == next && reflect.DeepEqual(rowAt(cs, i), want(i))
 			next++
 		})
-		if !ok || next != int64(len(rows)) {
-			return false
-		}
-		for i := range rows {
-			j, found := h.Row(h.TID(int64(i)))
-			if !found || j != int64(i) {
-				return false
-			}
-		}
-		return true
+		return ok && next == int64(len(rows))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
