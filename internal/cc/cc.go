@@ -26,9 +26,11 @@
 // × EntryBytes, the figure the middleware's scheduler budgets and sheds on,
 // unchanged from the search-tree representation. The real footprint is 8 bytes
 // per (value, class) cell — absent combinations included — plus 4 per value,
-// reserved once on the first Add from the cardinalities the caller knows
+// reserved on the first Add from the cardinalities the caller knows
 // (NewSized), and is well below the model for every table the experiments
-// build.
+// build. The arrays outlive the node: the middleware that owns a table empties
+// it once its node is closed (Reset) and counts the next node into the same
+// storage, so a build's steady state reserves nothing new.
 package cc
 
 import (
@@ -74,9 +76,13 @@ type Table struct {
 	entries int
 	rows    int64
 
-	// Size hint of NewSized, consumed by the first Add.
+	// Size hint of NewSized or Reset, consumed by the first Add.
 	hintAttrs, hintCards []int
 	hintClasses          int
+
+	// The largest storage reserve has carved the columns from; Reset keeps it.
+	valBuf   []data.Value
+	countBuf []int64
 }
 
 // New returns an empty counts table.
@@ -93,7 +99,16 @@ func NewSized(attrs, cards []int, classes int) *Table {
 	return &Table{hintAttrs: attrs, hintCards: cards, hintClasses: classes}
 }
 
-// reserve allocates the table's storage on its first Add.
+// Reset empties t and gives it a new size hint, as NewSized would, but keeps
+// its arrays: the next first Add carves the columns from them again and
+// allocates only when the hint needs more than t has ever reserved.
+func (t *Table) Reset(attrs, cards []int, classes int) {
+	*t = Table{cols: t.cols[:0], hintAttrs: attrs, hintCards: cards, hintClasses: classes,
+		valBuf: t.valBuf, countBuf: t.countBuf}
+}
+
+// reserve readies the table's storage on its first Add. A row's cells are
+// zeroed when its value is inserted, so reused storage needs no clearing.
 func (t *Table) reserve() {
 	t.stride = min(max(t.hintClasses, 2), maxReserve)
 	ncols, nrows := 0, 0
@@ -101,10 +116,11 @@ func (t *Table) reserve() {
 		ncols = max(ncols, a+1)
 		nrows += min(t.hintCards[a], maxReserve)
 	}
-	t.cols = make([]column, ncols)
-	vals := make([]data.Value, nrows+t.stride)
+	t.cols = append(t.cols[:0], make([]column, ncols)...)
+	t.valBuf = slices.Grow(t.valBuf[:0], nrows+t.stride)
+	t.countBuf = slices.Grow(t.countBuf[:0], nrows*t.stride)
+	vals, counts := t.valBuf[:nrows+t.stride], t.countBuf[:nrows*t.stride]
 	t.classes = vals[nrows:nrows:len(vals)]
-	counts := make([]int64, nrows*t.stride)
 	off := 0
 	for _, a := range t.hintAttrs {
 		n := min(t.hintCards[a], maxReserve)

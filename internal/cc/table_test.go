@@ -2,6 +2,7 @@ package cc
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -69,7 +70,7 @@ func runTableOps(t testing.TB, ops []byte) {
 	r := &opReader{b: ops}
 	var hist []int64
 	for len(r.b) > 0 {
-		op, i := r.next(6), r.next(opTables)
+		op, i := r.next(7), r.next(opTables)
 		tb, ref := tabs[i], refs[i]
 		switch op {
 		case 0, 1: // Add
@@ -129,11 +130,28 @@ func runTableOps(t testing.TB, ops []byte) {
 		case 5: // replace by a clone of another table
 			j := r.next(opTables)
 			tabs[i], refs[i] = tabs[j].Clone(), refs[j].clone()
+		case 6: // empty it under one of the hints, keeping its arrays
+			h := resetHints[r.next(len(resetHints))]
+			tb.Reset(h.attrs, h.cards, h.classes)
+			refs[i] = &opModel{cells: map[Key]int64{}}
 		}
 	}
 	for i, tb := range tabs {
 		checkAgainstModel(t, tb, refs[i])
 	}
+}
+
+// resetHints are the size hints the harness resets tables under: the one the
+// tables start with, a larger one, one over an attribute outside it, and none
+// (cards is indexed by attribute, like a schema's ColCards).
+var resetHints = []struct {
+	attrs, cards []int
+	classes      int
+}{
+	{[]int{0, 1, 2}, []int{2, 2, 2}, 2},
+	{[]int{0, 1, 2, 3}, []int{9, 40, 3, 20}, 18},
+	{[]int{3}, []int{0, 0, 0, 1}, 1},
+	{nil, nil, 0},
 }
 
 // checkAgainstModel compares every observable of tb with the map model.
@@ -220,6 +238,86 @@ func FuzzTableOps(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 9, 19, 3, 2, 1, 1, 0, 2, 18, 3, 4, 1, 0, 5, 2, 1})
 	f.Add([]byte{3, 0, 0, 0, 3, 11, 2, 0, 0, 1, 1, 1, 0, 2, 2, 1, 4, 1, 0})
 	f.Fuzz(func(t *testing.T, ops []byte) { runTableOps(t, ops) })
+}
+
+// TestResetMatchesFresh: a table that was filled, then Reset under a new
+// hint — smaller or larger than what it had reserved, or none — and driven
+// through Add, AddRow, AddMany and Merge is indistinguishable from a NewSized
+// table given the same hint and operations, and so are their clones.
+func TestResetMatchesFresh(t *testing.T) {
+	rng := rand.New(rand.NewSource(32))
+	for round := 0; round < 300; round++ {
+		prev, h := resetHints[rng.Intn(len(resetHints))], resetHints[rng.Intn(len(resetHints))]
+		other := New()
+		driveOps(rand.New(rand.NewSource(rng.Int63())), other, nil, 15)
+		reused := NewSized(prev.attrs, prev.cards, prev.classes)
+		driveOps(rand.New(rand.NewSource(rng.Int63())), reused, other, rng.Intn(60))
+		reused.Reset(h.attrs, h.cards, h.classes)
+		fresh := NewSized(h.attrs, h.cards, h.classes)
+		seed, n := rng.Int63(), rng.Intn(80)
+		driveOps(rand.New(rand.NewSource(seed)), reused, other, n)
+		driveOps(rand.New(rand.NewSource(seed)), fresh, other, n)
+		sameTable(t, reused, fresh)
+		sameTable(t, reused.Clone(), fresh.Clone())
+	}
+}
+
+// driveOps applies n random operations to tb, drawn from rng over the
+// harness's palettes; other (when non-nil) is what a Merge folds in.
+func driveOps(rng *rand.Rand, tb, other *Table, n int) {
+	var hist []int64
+	for ; n > 0; n-- {
+		switch rng.Intn(4) {
+		case 0:
+			tb.Add(rng.Intn(opAttrs), opVals[rng.Intn(len(opVals))], opClasses[rng.Intn(len(opClasses))], int64(1+rng.Intn(9)))
+		case 1:
+			row := data.Row{opVals[rng.Intn(len(opVals))], opVals[rng.Intn(len(opVals))], opVals[rng.Intn(len(opVals))],
+				opClasses[rng.Intn(len(opClasses))]}
+			tb.AddRow(row, []int{0, 1, 2, 3}[:1+rng.Intn(4)])
+		case 2:
+			lo, cl := rng.Intn(len(opVals)), rng.Intn(len(opClasses))
+			dict := opVals[lo:min(lo+1+rng.Intn(4), len(opVals))]
+			classDict := opClasses[cl:min(cl+1+rng.Intn(3), len(opClasses))]
+			k := rng.Intn(12)
+			codes, classCodes, sel := make([]uint16, k), make([]uint16, k), []int32{}
+			for j := range codes {
+				codes[j], classCodes[j] = uint16(rng.Intn(len(dict))), uint16(rng.Intn(len(classDict)))
+				if rng.Intn(3) > 0 {
+					sel = append(sel, int32(j))
+				}
+			}
+			hist, _ = tb.AddMany(rng.Intn(opAttrs), dict, codes, classDict, classCodes, sel, hist)
+			tb.AddRows(int64(len(sel)))
+		case 3:
+			if other != nil {
+				tb.Merge(other.Clone())
+			}
+		}
+	}
+}
+
+// sameTable fails unless a and b agree on every observable.
+func sameTable(t *testing.T, a, b *Table) {
+	t.Helper()
+	if a.Entries() != b.Entries() || a.Bytes() != b.Bytes() || a.Rows() != b.Rows() {
+		t.Fatalf("entries/bytes/rows %d/%d/%d, fresh %d/%d/%d", a.Entries(), a.Bytes(), a.Rows(), b.Entries(), b.Bytes(), b.Rows())
+	}
+	if as, bs := a.String(), b.String(); as != bs { // Walk order, keys and counts
+		t.Fatalf("walk\n%s\nfresh\n%s", as, bs)
+	}
+	const classCard = 18
+	va, vb := make([]int64, classCard), make([]int64, classCard)
+	for attr := range opAttrs + 1 {
+		vals := a.Values(attr)
+		if a.Card(attr) != b.Card(attr) || !slices.Equal(vals, b.Values(attr)) {
+			t.Fatalf("attr %d: values %v, fresh %v", attr, vals, b.Values(attr))
+		}
+		for _, v := range vals {
+			if !slices.Equal(a.ClassVector(attr, v, va), b.ClassVector(attr, v, vb)) {
+				t.Fatalf("ClassVector(%d, %d) = %v, fresh %v", attr, v, va, vb)
+			}
+		}
+	}
 }
 
 // TestSparseCodes: a passthrough numeric column holding {0, 1<<20} costs two

@@ -175,9 +175,12 @@ func scanGroups(src GroupSource, cons []*ScanConsumer, loGroup, hiGroup int, io 
 			if !c.Filter.All() && c.Filter.Trie() != c.Paths {
 				panic(fmt.Sprintf("engine: shared-scan consumer %d filters by something other than its paths", i))
 			}
-			if len(c.buckets) != c.Paths.Len() {
-				c.buckets = make([][]int32, c.Paths.Len())
+			// Resized in place: a consumer reused scan after scan keeps the
+			// buckets its earlier scans grew.
+			if n := c.Paths.Len(); cap(c.buckets) < n {
+				c.buckets = append(c.buckets[:cap(c.buckets)], make([][]int32, n-cap(c.buckets))...)
 			}
+			c.buckets = c.buckets[:c.Paths.Len()]
 		}
 		c.detached = false
 	}

@@ -1,6 +1,8 @@
 package mw
 
 import (
+	"slices"
+
 	"repro/internal/data"
 	"repro/internal/engine"
 	"repro/internal/sim"
@@ -81,22 +83,24 @@ type colConsumer struct {
 	hist        []int64
 }
 
-// colConsumer returns the batch's attachment to a columnar scan: lane's
-// counting kernel over shard sh, fed per-path buckets by the scan's walk of the
-// live paths' trie, which is also the filter the scan pushes down.
-func (r *batchRun) colConsumer(lane *sim.Meter, sh *workerShard) *engine.ScanConsumer {
-	c := &colConsumer{
-		plan:        r.plan,
-		live:        r.live,
-		lane:        lane,
-		sh:          sh,
-		costs:       lane.Costs(),
-		classIdx:    r.m.schema.ClassIndex(),
-		curGroup:    -1,
-		fileFilters: make([]engine.GroupFilter, len(r.plan.fileTees)),
-		memFilters:  make([]engine.GroupFilter, len(r.plan.memTees)),
+// colConsumer returns the batch's attachment to a columnar scan: the counting
+// kernel of lane part (metered on lane) over shard sh, fed per-path buckets by
+// the scan's walk of the live paths' trie, which is also the filter the scan
+// pushes down. Consumer and kernel are the lane's scratch, reset for the batch:
+// what the scan and the kernel grew in them — buckets, compiled tries, the
+// fold histogram — is reused.
+func (r *batchRun) colConsumer(part int, lane *sim.Meter, sh *workerShard) *engine.ScanConsumer {
+	ls := r.m.lanes[part]
+	c, sc := &ls.cons, &ls.scan
+	c.plan, c.live, c.lane, c.sh = r.plan, r.live, lane, sh
+	c.costs, c.classIdx, c.curGroup = lane.Costs(), r.m.schema.ClassIndex(), -1
+	c.fileFilters = slices.Grow(c.fileFilters[:0], len(r.plan.fileTees))[:len(r.plan.fileTees)]
+	c.memFilters = slices.Grow(c.memFilters[:0], len(r.plan.memTees))[:len(r.plan.memTees)]
+	sc.Filter, sc.Paths, sc.Lane = r.scanFilter(), r.paths, lane
+	if sc.Fn == nil {
+		sc.Fn = c.consume
 	}
-	return &engine.ScanConsumer{Filter: r.scanFilter(), Paths: r.paths, Lane: lane, Fn: c.consume}
+	return sc
 }
 
 // consume processes one block of the columnar scan; it always keeps the

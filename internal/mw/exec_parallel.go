@@ -48,10 +48,12 @@ type scanBudget struct {
 	rowMemBytes int64
 	ccBytes     int64
 	teeBytes    int64
-	ccs         []*cc.Table // index-aligned with the batch's live requests; nil once shed
-	mems        []teeRun    // per memTee: what it captured, scan order
-	memDrop     []bool      // memTees abandoned (a partial capture is useless as staged data)
-	shed        []int       // requests shed by police, in order
+	ccs         []*cc.Table     // index-aligned with the batch's live requests; nil once shed
+	mems        []teeRun        // per memTee: what it captured, scan order
+	memDrop     []bool          // memTees abandoned (a partial capture is useless as staged data)
+	shed        []int           // requests shed by police, in order
+	dropped     []*cc.Table     // the tables of the shed requests, for recycling
+	spares      *storage.Spares // takes back the code vectors of written file groups and dropped memory tees
 	// reclaim frees staged memory elsewhere in the middleware and returns the
 	// enlarged limit; nil where that would race with other lanes.
 	reclaim func() (int64, bool)
@@ -89,6 +91,9 @@ func (p *scanBudget) dropLargestTee() bool {
 	}
 	p.teeBytes -= p.mems[li].rows * p.rowMemBytes
 	p.memDrop[li] = true
+	for _, g := range p.mems[li].groups {
+		p.spares.Recycle(g)
+	}
 	p.mems[li] = teeRun{}
 	return true
 }
@@ -107,6 +112,7 @@ func (p *scanBudget) shedLargest() bool {
 		return false
 	}
 	p.ccBytes -= p.ccs[li].Bytes()
+	p.dropped = append(p.dropped, p.ccs[li])
 	p.ccs[li] = nil
 	p.shed = append(p.shed, li)
 	return true
@@ -147,12 +153,14 @@ type workerShard struct {
 	err   error
 }
 
-// newShard allocates the state of lane part of nlanes: its slice of the scan
-// budget over fresh CC tables and tee runs for the batch. A table
-// reserves its vectors when its first row arrives, from the schema's
-// cardinalities — a lane that never sees a node's rows pays nothing for it.
+// newShard readies the state of lane part of nlanes: its slice of the scan
+// budget over empty CC tables and tee runs for the batch, all recycled where
+// the middleware has them. A new table reserves its vectors when its first
+// row arrives, from the schema's cardinalities — a lane that never sees a
+// node's rows pays nothing for it.
 func (r *batchRun) newShard(part, nlanes int) *workerShard {
-	nmem, nfile, ncols := len(r.plan.memTees), len(r.plan.fileTees), r.m.schema.NumCols()
+	m, nmem, nfile := r.m, len(r.plan.memTees), len(r.plan.fileTees)
+	spares := &m.lane(part).spares
 	sh := &workerShard{scanBudget: scanBudget{
 		// planLanes guarantees a split scan's slice is >= 1, so a lane only
 		// sheds once it has actually accumulated state.
@@ -161,19 +169,20 @@ func (r *batchRun) newShard(part, nlanes int) *workerShard {
 		ccs:         make([]*cc.Table, len(r.live)),
 		mems:        make([]teeRun, nmem),
 		memDrop:     make([]bool, nmem),
+		spares:      spares,
 	}, files: make([]teeRun, nfile), first: part == 0}
 	for i, wk := range r.live {
-		sh.ccs[i] = cc.NewSized(wk.attrs, r.m.cards, r.m.schema.Class.Card)
+		sh.ccs[i] = m.newTable(wk.attrs)
 	}
 	// A stage's row groups are one kernel block each — the unit later scans of
 	// it skip by zone map and split into lanes. A tee's expected rows are its
 	// nodes' exact sizes: one lane captures them all, the lanes of a split about
 	// a share each.
 	for j, t := range r.plan.memTees {
-		sh.mems[j].b = storage.NewGroupBuilder(ncols, engine.BlockRows, int(t.rows)/nlanes)
+		sh.mems[j].b = m.teeBuilder(int(t.rows)/nlanes, spares)
 	}
 	for k, t := range r.plan.fileTees {
-		sh.files[k].b = storage.NewGroupBuilder(ncols, engine.BlockRows, int(t.rows)/nlanes)
+		sh.files[k].b = m.teeBuilder(int(t.rows)/nlanes, spares)
 	}
 	if nlanes == 1 {
 		sh.reclaim = r.reclaim
@@ -185,10 +194,19 @@ func (r *batchRun) newShard(part, nlanes int) *workerShard {
 // filled, if any; the lane charges the writes.
 func (sh *workerShard) stageFile(k int, t *teePlan, n int, full *storage.ColGroup) {
 	if sh.first {
-		t.writer.writeGroup(full)
+		sh.writeFile(t, full)
 		full = nil
 	}
 	sh.files[k].take(n, full)
+}
+
+// writeFile appends g (nil: none) to file tee t's staging file; the file holds
+// its codes now, so its code vectors go back to the lane's spares.
+func (sh *workerShard) writeFile(t *teePlan, g *storage.ColGroup) {
+	if g != nil {
+		t.writer.writeGroup(g)
+		sh.spares.Recycle(g)
+	}
 }
 
 // stageMem notes n more rows captured for memory tee j and the group they
@@ -327,6 +345,7 @@ func (r *batchRun) mergeShards(shards []*workerShard) {
 		ccs:         make([]*cc.Table, len(live)),
 		mems:        make([]teeRun, len(plan.memTees)),
 		memDrop:     make([]bool, len(plan.memTees)),
+		spares:      &m.lane(0).spares,
 		reclaim:     r.reclaim,
 	}
 
@@ -335,7 +354,8 @@ func (r *batchRun) mergeShards(shards []*workerShard) {
 	// partitions, so the merged tables are identical to a sequential scan's.
 	// A request shed by any worker lacks that partition's rows and cannot be
 	// completed this scan. A single shard has nothing to fold: no merge
-	// span, no charge.
+	// span, no charge. Every table not kept — folded, or of a shed request —
+	// goes back to the middleware.
 	var msp *obs.Span
 	if len(shards) > 1 {
 		msp = r.tr.Start(obs.CatMerge, "shard-merge")
@@ -348,6 +368,9 @@ requests:
 		for _, sh := range shards {
 			if sh.ccs[i] == nil {
 				shedMidScan = append(shedMidScan, wk.req)
+				for _, sh := range shards {
+					m.recycleTables(sh.ccs[i])
+				}
 				continue requests
 			}
 		}
@@ -357,16 +380,21 @@ requests:
 			m.meter.Charge(sim.CtrShardMergeEntries, mergeCost, int64(part.Entries()))
 			mergedEntries += int64(part.Entries())
 			t.Merge(part)
+			m.recycleTables(part)
 		}
 		merged.ccs[i] = t
 		merged.ccBytes += t.Bytes()
 	}
 	msp.Attr("entries", mergedEntries).End()
+	for _, sh := range shards {
+		m.recycleTables(sh.dropped...)
+	}
 
 	// Memory tees: a tee abandoned by any worker is dropped entirely;
 	// survivors concatenate the lanes' runs in partition order — each lane's
 	// filled groups, then what its builder still holds — which reproduces the
-	// sequential scan's rows in its order.
+	// sequential scan's rows in its order. Sealed builders go back to the
+	// middleware (a dropped tee's are let go).
 	for j := range plan.memTees {
 		for _, sh := range shards {
 			merged.memDrop[j] = merged.memDrop[j] || sh.memDrop[j]
@@ -378,6 +406,7 @@ requests:
 		for _, sh := range shards {
 			run.groups = append(run.groups, sh.mems[j].groups...)
 			run.take(int(sh.mems[j].rows), sh.mems[j].b.Seal())
+			m.builders = append(m.builders, sh.mems[j].b)
 		}
 		merged.mems[j] = run
 		merged.teeBytes += run.rows * r.rowMemBytes
@@ -390,9 +419,10 @@ requests:
 	for k, t := range plan.fileTees {
 		for _, sh := range shards {
 			for _, g := range sh.files[k].groups {
-				t.writer.writeGroup(g)
+				sh.writeFile(t, g)
 			}
-			t.writer.writeGroup(sh.files[k].b.Seal())
+			sh.writeFile(t, sh.files[k].b.Seal())
+			m.builders = append(m.builders, sh.files[k].b)
 		}
 	}
 
@@ -407,6 +437,7 @@ requests:
 		r.fallback = append(r.fallback, shedMidScan...)
 	}
 	merged.police()
+	m.recycleTables(merged.dropped...)
 	for _, i := range merged.shed {
 		if survivors--; survivors > 0 {
 			r.requeued = append(r.requeued, live[i].req)
@@ -443,5 +474,5 @@ func (r *batchRun) scanLane(sp scanPlan, part int, lane *sim.Meter, sh *workerSh
 		defer fsrc.close()
 		src = fsrc
 	}
-	return engine.ScanGroups(src, []*engine.ScanConsumer{r.colConsumer(lane, sh)}, lo, hi, lane)
+	return engine.ScanGroups(src, []*engine.ScanConsumer{r.colConsumer(part, lane, sh)}, lo, hi, lane)
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/data"
 	"repro/internal/datagen"
 	"repro/internal/dtree"
 	"repro/internal/engine"
@@ -90,26 +91,33 @@ func BenchmarkColumnarKernel(b *testing.B) {
 // MinRows 50): nearly every batch reads a staged file or staged memory, so this
 // is the block kernel over stages plus the staging tees.
 func BenchmarkStagedBuild(b *testing.B) {
-	cfg := datagen.TreeGenConfig{Seed: 1, Leaves: 200}.Normalize()
-	cfg.CasesPerLeaf = 80
-	ds, _, err := datagen.GenerateTreeData(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
+	ds, cfg, opt := stagedShape(b)
 	srv, err := engine.NewServer(engine.New(sim.NewDefaultMeter(), 0), "cases", ds)
 	if err != nil {
 		b.Fatal(err)
 	}
-	dir := b.TempDir()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		m, err := mw.New(srv, mw.Config{Staging: mw.StageFileAndMemory, Memory: ds.Bytes() / 4, Dir: dir})
+		m, err := mw.New(srv, cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := dtree.Build(m, dtree.Options{MinRows: 50}); err != nil {
+		if _, err := dtree.Build(m, opt); err != nil {
 			b.Fatal(err)
 		}
 		m.Close()
 	}
+}
+
+// stagedShape returns BenchmarkStagedBuild's table, middleware configuration
+// (staging under a temporary directory of tb) and tree options.
+func stagedShape(tb testing.TB) (*data.Dataset, mw.Config, dtree.Options) {
+	gen := datagen.TreeGenConfig{Seed: 1, Leaves: 200}.Normalize()
+	gen.CasesPerLeaf = 80
+	ds, _, err := datagen.GenerateTreeData(gen)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	cfg := mw.Config{Staging: mw.StageFileAndMemory, Memory: ds.Bytes() / 4, Dir: tb.TempDir()}
+	return ds, cfg, dtree.Options{MinRows: 50}
 }

@@ -24,6 +24,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/predicate"
 	"repro/internal/sim"
+	"repro/internal/storage"
 )
 
 // StagingMode selects which staging tiers the middleware may use (§4.1.2:
@@ -213,7 +214,10 @@ type Request struct {
 // Result is one fulfilled request.
 type Result struct {
 	Req *Request
-	CC  *cc.Table
+	// CC is the node's counts table. It belongs to the middleware: it is the
+	// client's to read until CloseNode(Req.NodeID), and invalid after it —
+	// the middleware counts a later node into the same table.
+	CC *cc.Table
 	// ViaSQL reports that the node was serviced by the SQL fallback path
 	// (its counts table did not fit in middleware memory, §4.1.1).
 	ViaSQL bool
@@ -246,6 +250,11 @@ type Middleware struct {
 
 	closed  bool
 	freeErr error // the first error freeing a stage met; Close reports it
+
+	// Storage recycled from batch to batch (pool.go).
+	tables   []*cc.Table             // empty counts tables
+	builders []*storage.GroupBuilder // idle staging tee builders
+	lanes    []*laneScratch          // per lane index
 }
 
 // New creates a middleware over the server.
@@ -350,10 +359,13 @@ func (m *Middleware) Enqueue(reqs ...*Request) error {
 // nodes left beneath it, the staged data is freed (the "flushing D out of
 // memory and freeing up the resource" of §4.2.2). Children of the node must
 // be enqueued before closing it, or ancestor staging may be freed too early.
+// The node's Result.CC goes back to the middleware, which reuses it: read
+// everything needed from it first.
 func (m *Middleware) CloseNode(nodeID int) {
 	if res, ok := m.open[nodeID]; ok {
 		m.ccHold -= res.CC.Bytes()
 		delete(m.open, nodeID)
+		m.recycleTables(res.CC)
 	}
 	for _, sd := range m.ancestorSources(nodeID) {
 		delete(sd.openNodes, nodeID)
@@ -395,6 +407,7 @@ func (m *Middleware) freeStage(sd *stageData) {
 	sd.freed = true
 	if sd.mem != nil {
 		m.stagedMem -= sd.memBytes
+		m.recycleGroups(sd.mem)
 		sd.mem = nil
 	}
 	if sd.file != nil {

@@ -238,7 +238,7 @@ func TestChildCountsMatchReferenceAllSources(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, r := range results {
-				got[r.Req.NodeID-1] = r.CC
+				got[r.Req.NodeID-1] = r.CC.Clone() // the table is the middleware's again after CloseNode
 				m.CloseNode(r.Req.NodeID)
 			}
 		}

@@ -80,7 +80,7 @@ func (m *Middleware) BeginSharedBatch() (*SharedBatch, []*Result, error) {
 	// needed. Its shard polices the session's whole budget, exactly like a
 	// one-lane solo scan.
 	sb.sh = r.newShard(0, 1)
-	sb.cons = r.colConsumer(m.meter, sb.sh)
+	sb.cons = r.colConsumer(0, m.meter, sb.sh)
 	return sb, nil, nil
 }
 

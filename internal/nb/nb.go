@@ -29,7 +29,8 @@ type Model struct {
 }
 
 // Train builds a model through the middleware: one request for the root
-// counts table, then pure arithmetic.
+// counts table, then pure arithmetic — done before the root is closed, since
+// closing it hands the table back to the middleware.
 func Train(m *mw.Middleware, alpha float64) (*Model, error) {
 	schema := m.Schema()
 	attrs := make([]int, schema.NumAttrs())
@@ -46,7 +47,7 @@ func Train(m *mw.Middleware, alpha float64) (*Model, error) {
 	}); err != nil {
 		return nil, err
 	}
-	var table *cc.Table
+	var model *Model
 	for m.Pending() > 0 {
 		results, err := m.Step()
 		if err != nil {
@@ -54,15 +55,17 @@ func Train(m *mw.Middleware, alpha float64) (*Model, error) {
 		}
 		for _, res := range results {
 			if res.Req.NodeID == 0 {
-				table = res.CC
+				if model, err = FromCounts(schema, res.CC, alpha); err != nil {
+					return nil, err
+				}
 			}
 			m.CloseNode(res.Req.NodeID)
 		}
 	}
-	if table == nil {
+	if model == nil {
 		return nil, fmt.Errorf("nb: middleware returned no counts table")
 	}
-	return FromCounts(schema, table, alpha)
+	return model, nil
 }
 
 // FromCounts trains a model from a root counts table (which must include the

@@ -3,12 +3,15 @@ package nb
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
+	"repro/internal/cc"
 	"repro/internal/data"
 	"repro/internal/datagen"
 	"repro/internal/engine"
 	"repro/internal/mw"
+	"repro/internal/predicate"
 	"repro/internal/sim"
 )
 
@@ -133,6 +136,52 @@ func TestTrainViaMiddlewareMatchesInMemory(t *testing.T) {
 	// Exactly one server scan trained the model.
 	if scans := srv.Meter().Count(sim.CtrServerScans); scans != 1 {
 		t.Errorf("training used %d scans, want 1", scans)
+	}
+}
+
+// TestTrainReadsRootBeforeClose: closing the root hands its counts table back
+// to the middleware, and a request still queued behind the root — serviced in
+// Train's next Step — is counted into that very table. The model must still be
+// the one the root's counts give.
+func TestTrainReadsRootBeforeClose(t *testing.T) {
+	ds := separableDataset(600, 7)
+	srv, err := engine.NewServer(engine.New(sim.NewDefaultMeter(), 0), "cases", ds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := mw.New(srv, mw.Config{MaxBatch: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	// Node 7 counts a third of the rows; its estimate ranks it behind the root.
+	if err := m.Enqueue(&mw.Request{
+		NodeID: 7, ParentID: -1, Path: predicate.Conj{{Attr: 0, Op: predicate.Eq, Val: 1}},
+		Attrs: []int{1, 2}, Rows: 200, EstCC: 1 << 40,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	got, err := Train(m, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var all []int
+	for a := range ds.Schema.NumCols() {
+		all = append(all, a)
+	}
+	counts := cc.New()
+	for _, r := range ds.Rows {
+		counts.AddRow(r, all)
+	}
+	want, err := FromCounts(ds.Schema, counts, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("model trained through the middleware differs from the one over every row: priors %v, want %v", got.Priors, want.Priors)
+	}
+	if steps := srv.Meter().Count(sim.CtrBatches); steps != 2 {
+		t.Fatalf("%d batches, want 2: node 7 no longer follows the root", steps)
 	}
 }
 

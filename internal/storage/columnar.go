@@ -141,6 +141,7 @@ type GroupBuilder struct {
 	n, want int
 	cols    []buildCol
 	xlat    []uint16 // scratch: AppendSel's source code -> open-group code, Seal's first-seen -> sorted code
+	spares  *Spares  // where the open group's code vectors come from; nil: new ones
 }
 
 // buildCol is one column of the open group.
@@ -168,15 +169,64 @@ func NewGroupBuilder(ncols, size, want int) *GroupBuilder {
 	return b
 }
 
+// Reset readies b for a new run of want rows, sealed into code vectors from
+// spares (nil: new ones); it keeps its dictionary maps and drops the rows of an
+// open group, whose vectors go to spares.
+func (b *GroupBuilder) Reset(want int, spares *Spares) {
+	b.n, b.want, b.spares = 0, want, spares
+	for c := range b.cols {
+		bc := &b.cols[c]
+		if spares != nil && bc.codes != nil {
+			spares.codes = append(spares.codes, bc.codes[:0])
+		}
+		bc.dict, bc.codes = bc.dict[:0], nil
+		clear(bc.index)
+	}
+}
+
 // room readies every column's code vector for n more rows.
 func (b *GroupBuilder) room(n int) {
 	if b.n == 0 {
 		size := min(max(b.want, n), b.size)
 		for c := range b.cols {
-			b.cols[c].codes = make([]uint16, 0, size)
+			b.cols[c].codes = b.spares.take(size)
 		}
 	}
 	b.want -= n
+}
+
+// Spares holds code vectors that sealed groups no longer need — a staged group
+// once its file holds it, a memory stage once freed — for builders to seal
+// their next groups into. The zero value is empty. Builders drawing on one
+// Spares must run on one goroutine.
+type Spares struct{ codes [][]uint16 }
+
+// Recycle takes g's code vectors into s. g keeps its zone — row count,
+// dictionaries, counts — but its codes must not be read again.
+func (s *Spares) Recycle(g *ColGroup) {
+	for c := range g.cols {
+		s.codes = append(s.codes, g.cols[c].codes[:0])
+		g.cols[c].codes = nil
+	}
+}
+
+// take returns an empty vector with room for size codes: the smallest spare
+// one that has it, a new one when none does.
+func (s *Spares) take(size int) []uint16 {
+	best := -1
+	if s != nil {
+		for i, v := range s.codes {
+			if cap(v) >= size && (best < 0 || cap(v) < cap(s.codes[best])) {
+				best = i
+			}
+		}
+	}
+	if best < 0 {
+		return make([]uint16, 0, size)
+	}
+	v, last := s.codes[best], len(s.codes)-1
+	s.codes[best], s.codes = s.codes[last], s.codes[:last]
+	return v
 }
 
 // code returns v's code in the open group, adding it to the dictionary if new.

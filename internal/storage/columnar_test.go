@@ -217,6 +217,55 @@ func TestGroupBuilderSelMatchesRows(t *testing.T) {
 	}
 }
 
+// TestGroupBuilderRecycleMatchesFresh: a builder that seals its groups into
+// code vectors recycled from groups it sealed before — and that is reset with
+// rows still open — seals groups identical to a fresh builder's given the same
+// rows (dictionaries, codes, counts); a recycled group keeps its zone.
+func TestGroupBuilderRecycleMatchesFresh(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	const ncols, size = 4, 256
+	var spares Spares
+	// The recycling builder expects more rows than it gets, so every group's
+	// vectors are sized for a whole group and none outgrows its spare.
+	const want = 1 << 30
+	reused, fresh := NewGroupBuilder(ncols, size, 0), NewGroupBuilder(ncols, size, 0)
+	reused.Reset(want, &spares)
+	recycled := map[*uint16]bool{}
+	check := func(round int, got, want *ColGroup) {
+		t.Helper()
+		if (got == nil) != (want == nil) || got != nil && !sameGroup(got, want) {
+			t.Fatalf("round %d: the recycling builder sealed a group unlike the fresh one's", round)
+		}
+		if got == nil {
+			return
+		}
+		for c := 0; c < ncols && len(recycled) >= ncols; c++ {
+			if !recycled[&got.Codes(c)[:1][0]] {
+				t.Fatalf("round %d: column %d was sealed into a new vector with spares at hand", round, c)
+			}
+		}
+		dict, counts := slices.Clone(got.Dict(0)), slices.Clone(got.CodeCounts(0))
+		for c := 0; c < ncols; c++ {
+			recycled[&got.Codes(c)[:1][0]] = true
+		}
+		spares.Recycle(got)
+		if got.Codes(0) != nil || !slices.Equal(got.Dict(0), dict) || !slices.Equal(got.CodeCounts(0), counts) {
+			t.Fatalf("round %d: a recycled group lost its zone or kept its codes", round)
+		}
+	}
+	for round := 0; round < 40; round++ {
+		for _, r := range randRows(rng, rng.Intn(2*size), ncols) {
+			check(round, reused.AppendRow(r), fresh.AppendRow(r))
+		}
+		if rng.Intn(4) == 0 { // drop the open rows: both start over
+			reused.Reset(want, &spares)
+			fresh = NewGroupBuilder(ncols, size, 0)
+		} else {
+			check(round, reused.Seal(), fresh.Seal())
+		}
+	}
+}
+
 // TestGroupImageRoundTripAndRefusals: a group's code image decodes, under its
 // zone, to the group; and an image the zone does not describe — cut short
 // anywhere, grown, or with a code past its dictionary — is refused with an
