@@ -6,8 +6,8 @@ import (
 )
 
 // ForkjoinAnalyzer enforces the parallel cost model's barrier discipline:
-// every sim.Meter.Fork must be paired with Join on all paths, every
-// obs.Tracer.ForkLanes with JoinLanes, and between a fork and its join the
+// every sim.Meter.Fork must be paired with Join or JoinSerial on all paths,
+// every obs.Tracer.ForkLanes with JoinLanes, and between a fork and its join the
 // parent must stay untouched — no Charge or Advance on the forked meter, no
 // Start on the forked tracer. Violating either breaks the determinism
 // argument: lane work is only conserved if it folds back through the barrier,
@@ -34,7 +34,7 @@ func forkjoinRules() *obRules {
 	return &obRules{
 		name:        "forkjoin",
 		leakVerb:    "Joined back",
-		releaseArg:  map[string]bool{"Join": true, "JoinLanes": true},
+		releaseArg:  map[string]bool{"Join": true, "JoinSerial": true, "JoinLanes": true},
 		releaseRecv: map[string]bool{}, // joins go through the parent, never the lanes
 		acquire: func(p *Pass, call *ast.CallExpr) (string, []int, bool) {
 			f := calleeFunc(p.Info, call)

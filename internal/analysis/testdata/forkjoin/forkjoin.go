@@ -33,6 +33,21 @@ func BadParentAdvance(m *sim.Meter) {
 	m.Join(lanes)
 }
 
+func BadParentChargeBeforeSerialJoin(m *sim.Meter) {
+	segs := m.Fork(2)
+	m.Charge(0, 1, 1) // want `parent "m" is charged between Fork and Join`
+	m.JoinSerial(segs)
+}
+
+func OkForkJoinSerial(m *sim.Meter) {
+	segs := m.Fork(2)
+	for i, seg := range segs {
+		seg.Charge(0, 1, int64(i))
+	}
+	m.JoinSerial(segs) // a serial join releases the fork like Join does
+	m.Charge(0, 1, 1)
+}
+
 func BadTracerRecord(m *sim.Meter, tr *obs.Tracer) {
 	lanes := m.Fork(2)
 	ltrs := tr.ForkLanes(lanes)

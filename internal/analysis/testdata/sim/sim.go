@@ -39,3 +39,9 @@ func (m *Meter) Join(lanes []*Meter) {
 	}
 	m.now += max
 }
+
+func (m *Meter) JoinSerial(lanes []*Meter) {
+	for _, l := range lanes {
+		m.now += l.now
+	}
+}

@@ -11,7 +11,7 @@ import (
 // This file is how the SQL executor reads the table of a SELECT core. There is
 // one plan — no option, no hint, no cost search: every "col = int" /
 // "col <> int" AND-conjunct of WHERE is pushed down as one predicate.Conj
-// through the engine's one block loop (scanGroups). Row groups whose
+// through the engine's one block loop (ScanRange). Row groups whose
 // dictionaries rule the conjunction out are skipped unread, only the columns
 // the statement references are paid for and decoded, and the selected rows
 // reach the executor in heap order. The other conjuncts are the residual,
@@ -148,7 +148,7 @@ func (e *Engine) scanColumnar(t *Table, conj predicate.Conj, need []int, fn func
 	c := stmtConsumers.Get().(*ScanConsumer)
 	c.Filter, c.Lane, c.local, c.Fn = predicate.Or(conj), e.meter, true, fn
 	src := t.groups(need, e.meter.Costs())
-	scanGroups(src, []*ScanConsumer{c}, 0, src.NumGroups(), e.meter) // a statement opens no cursor
+	ScanRange(src, []*ScanConsumer{c}, 0, src.NumGroups(), e.meter) // a statement opens no cursor
 	c.Filter, c.Lane, c.Fn = predicate.Filter{}, nil, nil
 	stmtConsumers.Put(c)
 }

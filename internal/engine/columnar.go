@@ -112,6 +112,13 @@ func (gt *GroupTrie) bind(g *storage.ColGroup) {
 	}
 }
 
+// release drops what gt holds of the group and trie it last compiled — the
+// group, its code vectors, the trie's terminal lists — keeping its storage.
+func (gt *GroupTrie) release() {
+	clear(gt.nodes[:cap(gt.nodes)])
+	gt.g, gt.terms, gt.nodes = nil, nil, gt.nodes[:0]
+}
+
 // holds reports whether group-relative row i passes node n's condition: once
 // the tests are bound, a node without codes holds throughout the group.
 func (n *trieNode) holds(i int32) bool {
@@ -368,6 +375,13 @@ func (gf *GroupFilter) Compile(g *storage.ColGroup, f predicate.Filter) {
 	gf.chain = !gf.all && !gf.none && gf.trie.chain()
 }
 
+// Release drops what gf holds of the group and filter it last compiled,
+// keeping its storage for the next Compile.
+func (gf *GroupFilter) Release() {
+	gf.trie.release()
+	*gf = GroupFilter{trie: gf.trie}
+}
+
 // None reports that no row of the group can satisfy the filter: the group
 // is skipped before any page I/O is charged.
 func (gf *GroupFilter) None() bool { return gf.none }
@@ -460,29 +474,56 @@ func (s *Server) ColGroups(needCols []int) GroupSource {
 // nothing, so lanes are balanced over the work that will actually be done.
 // WeightedBounds-shaped, pure, and unmetered; nil means "use equal-width".
 func GroupBounds(src GroupSource, f predicate.Filter, nparts int, costs sim.Costs, perMatch int64) []int {
-	if nparts < 2 || src.NumGroups() == 0 {
+	return new(Bounder).Split(src, 0, src.NumGroups(), f, nparts, costs, perMatch)
+}
+
+// Bounder is GroupBounds with its scratch kept from call to call — the filter
+// it compiles per group, the meter a read is priced on, the weights and the
+// split points — so a caller that splits scan after scan allocates nothing
+// once the scratch has grown. The zero value is ready for use.
+type Bounder struct {
+	gf      GroupFilter
+	meter   sim.Meter
+	weights []int64
+	bounds  []int
+}
+
+// Split is GroupBounds over row groups [lo, hi) of src: nparts+1 split points
+// relative to lo, or nil for equal-width. The result is b's storage, valid
+// until b's next Split; between calls b holds nothing of src or f.
+func (b *Bounder) Split(src GroupSource, lo, hi int, f predicate.Filter, nparts int, costs sim.Costs, perMatch int64) []int {
+	if nparts < 2 || hi <= lo {
 		return nil
 	}
-	weights := make([]int64, src.NumGroups())
+	if b.meter.Costs() != costs {
+		b.meter = *sim.NewMeter(costs)
+	}
+	defer b.gf.Release()
+	weights := slices.Grow(b.weights[:0], hi-lo)[:hi-lo]
+	b.weights = weights
 	prices, _ := src.AtServer()
-	scratch := sim.NewMeter(costs)
-	var gf GroupFilter
-	for gi := range weights {
+	for i := range weights {
+		gi := lo + i
+		weights[i] = 0
 		g := src.Zone(gi)
 		rows := int64(g.NumRows())
 		if held, seeded := src.Sel(gi); seeded {
 			rows = int64(len(held))
 		}
-		gf.Compile(g, f)
-		if gf.None() || rows == 0 {
+		b.gf.Compile(g, f)
+		if b.gf.None() || rows == 0 {
 			continue // skipped group: the lane pays nothing for it
 		}
-		scratch.Reset()
-		src.ChargeRead(gi, scratch)
-		match := gf.Estimate() * rows / int64(g.NumRows())
-		weights[gi] = int64(scratch.Now()) + rows*prices.Eval + match*perMatch
+		b.meter.Reset()
+		src.ChargeRead(gi, &b.meter)
+		match := b.gf.Estimate() * rows / int64(g.NumRows())
+		weights[i] = int64(b.meter.Now()) + rows*prices.Eval + match*perMatch
 	}
-	return WeightedBounds(weights, nparts)
+	bounds := weightedBounds(b.bounds, weights, nparts)
+	if bounds != nil {
+		b.bounds = bounds
+	}
+	return bounds
 }
 
 // ScanColumnarRange scans columnar row groups [loGroup, hiGroup) with f

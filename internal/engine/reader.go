@@ -25,7 +25,7 @@ const (
 	// function of its partition — bit-for-bit reproducible across GOMAXPROCS —
 	// matches the physical reality that n concurrent scan streams defeat a
 	// small shared cache, and leaves the pool's contents as they were for later
-	// pooled streams. The columnar scan (scanGroups) follows the same rule per
+	// pooled streams. The columnar scan (ScanRange) follows the same rule per
 	// row group.
 	payCold
 )

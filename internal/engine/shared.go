@@ -48,6 +48,14 @@ type ScanConsumer struct {
 	buckets  [][]int32 // per path of Paths: the block's rows satisfying it
 }
 
+// Release detaches c from the scan it last served — filter, paths, lane and
+// the group its filter is compiled against — keeping Fn and the storage its
+// scans grew, so a consumer kept for later scans holds nothing of this one.
+func (c *ScanConsumer) Release() {
+	c.Filter, c.Paths, c.Lane = predicate.Filter{}, nil, nil
+	c.gf.Release()
+}
+
 // compile readies the consumer's filter — and with Paths its router — for g.
 func (c *ScanConsumer) compile(g *storage.ColGroup) {
 	if c.Paths == nil {
@@ -138,17 +146,24 @@ func (t tableGroups) AtServer() (RowPrices, bool) { return t.prices, true }
 
 // ScanGroups is a cursor scan of row groups [loGroup, hiGroup) of src: one
 // physical pass fanned out to every attached consumer — a middleware lane's one,
-// or a fleet cohort's many. What the consumers share goes to io: at the server
-// one cursor open, and each group's ReadCharge once (hand a server source the
+// or a fleet cohort's many. What the consumers share goes to io: the cursor
+// open (OpenCursor), and each group's ReadCharge once (hand a server source the
 // union of the columns they touch).
 func ScanGroups(src GroupSource, cons []*ScanConsumer, loGroup, hiGroup int, io *sim.Meter) error {
+	OpenCursor(src, io)
+	return ScanRange(src, cons, loGroup, hiGroup, io)
+}
+
+// OpenCursor charges io for opening a cursor over src: one CursorOpen at the
+// server, nothing for a stage. A cursor scan split into segments pays it once,
+// then runs ScanRange over each segment's groups.
+func OpenCursor(src GroupSource, io *sim.Meter) {
 	if _, atServer := src.AtServer(); atServer {
 		io.Charge(sim.CtrServerScans, io.Costs().CursorOpen, 1)
 	}
-	return scanGroups(src, cons, loGroup, hiGroup, io)
 }
 
-// scanGroups is the one columnar group/block loop: row groups
+// ScanRange is the one columnar group/block loop: row groups
 // [loGroup, hiGroup) of src streamed once, every BlockRows-row block fanned out
 // to the attached consumers. Opening a cursor is the caller's charge — a
 // cursor scan (ScanGroups) pays for it first, a statement's scan does not. Per
@@ -163,7 +178,7 @@ func ScanGroups(src GroupSource, cons []*ScanConsumer, loGroup, hiGroup int, io 
 // over. Consumers are fed in slice order, so the interleaving is deterministic;
 // the scan ends early once every consumer has detached, and with the source's
 // error when a group cannot be read.
-func scanGroups(src GroupSource, cons []*ScanConsumer, loGroup, hiGroup int, io *sim.Meter) error {
+func ScanRange(src GroupSource, cons []*ScanConsumer, loGroup, hiGroup int, io *sim.Meter) error {
 	if ng := src.NumGroups(); loGroup < 0 || hiGroup < loGroup || hiGroup > ng {
 		panic(fmt.Sprintf("engine: invalid columnar range [%d, %d) of %d groups", loGroup, hiGroup, ng))
 	}

@@ -1,5 +1,7 @@
 package engine
 
+import "slices"
+
 // WeightedBounds splits the index range [0, len(weights)) into nparts
 // contiguous spans of approximately equal total weight: the returned slice b
 // has nparts+1 monotone entries with b[0] = 0 and b[nparts] = len(weights),
@@ -8,6 +10,11 @@ package engine
 // inputs (no weights, non-positive totals, negative weights, nparts < 1)
 // return nil and the caller falls back to equal-width splitting.
 func WeightedBounds(weights []int64, nparts int) []int {
+	return weightedBounds(nil, weights, nparts)
+}
+
+// weightedBounds is WeightedBounds into dst's storage.
+func weightedBounds(dst []int, weights []int64, nparts int) []int {
 	if nparts < 1 || len(weights) == 0 {
 		return nil
 	}
@@ -21,8 +28,8 @@ func WeightedBounds(weights []int64, nparts int) []int {
 	if total <= 0 {
 		return nil
 	}
-	bounds := make([]int, nparts+1)
-	bounds[nparts] = len(weights)
+	bounds := slices.Grow(dst[:0], nparts+1)[:nparts+1]
+	bounds[0], bounds[nparts] = 0, len(weights)
 	var prefix int64
 	j := 0
 	for i := 1; i < nparts; i++ {

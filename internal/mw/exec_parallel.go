@@ -1,6 +1,10 @@
 package mw
 
 import (
+	"math"
+	"runtime"
+	"sync/atomic"
+
 	"repro/internal/cc"
 	"repro/internal/engine"
 	"repro/internal/obs"
@@ -14,14 +18,18 @@ import (
 // merge the worker shards and re-police the merged result (mergeShards). With
 // Config.Workers > 1 the lanes are real goroutines over disjoint partitions;
 // otherwise — or when the source cannot be split — the batch is one lane over
-// the whole source, the paper's sequential execution module. The design
-// constraint is determinism: results, staging contents and the virtual clock
-// must be bit-for-bit reproducible regardless of GOMAXPROCS or goroutine
+// the whole source, the paper's sequential execution module. Independently of
+// the modeled lane count, a lane of a batch that stages nothing and whose
+// budget cannot police runs as segments: goroutines over contiguous parts of
+// its range whose meters fold back serially, so the host's cores are used
+// while the model still charges one lane. The design constraint is
+// determinism: results, staging contents and the virtual clock must be
+// bit-for-bit reproducible regardless of GOMAXPROCS or goroutine
 // interleaving, so
 //
-//   - every lane touches only lane-local state (CC shard tables, staging
-//     runs, its lane meter) — there is no shared mutable state and
-//     therefore nothing scheduling-dependent. Two exceptions, both
+//   - every lane and segment touches only its own state (CC shard tables,
+//     staging runs, its meter, its lane scratch) — there is no shared mutable
+//     state and therefore nothing scheduling-dependent. Two exceptions, both
 //     single-writer: lane 0, first in file order, writes the row groups its
 //     file tees fill straight into the staging files, and a lone lane, which
 //     runs on the caller's goroutine (obs.RunLanes), may reclaim staged memory
@@ -32,7 +40,9 @@ import (
 //     reproduces the sequential scan's rows in its order;
 //   - the parent clock advances by max(lane elapsed) at the barrier
 //     (sim.Meter.Join) plus a serial per-entry shard-merge charge, modeling
-//     the paper's multi-CPU middleware host.
+//     the paper's multi-CPU middleware host; a lane's clock advances by the
+//     sum of its segments' elapsed (sim.Meter.JoinSerial), and merging
+//     segments is not charged: to the model they are one worker.
 
 // scanBudget is the one overflow policy for a runtime estimation error
 // (§4.1.1): the CC tables under construction plus the rows captured by memory
@@ -151,6 +161,12 @@ type workerShard struct {
 	files []teeRun
 	first bool
 	err   error
+	// lo and hi bound the lane's row groups; scratch is the index of the lane
+	// scratch it scans with. A lane run as segments holds one shard per
+	// segment in segs, its own first; the others count unpoliced.
+	lo, hi  int
+	scratch int
+	segs    []*workerShard
 }
 
 // newShard readies the state of lane part of nlanes: its slice of the scan
@@ -160,7 +176,8 @@ type workerShard struct {
 // node's rows pays nothing for it.
 func (r *batchRun) newShard(part, nlanes int) *workerShard {
 	m, nmem, nfile := r.m, len(r.plan.memTees), len(r.plan.fileTees)
-	spares := &m.lane(part).spares
+	spares := &m.spares[part]
+	m.lane(part) // made here: lanes only look their scratch up
 	sh := &workerShard{scanBudget: scanBudget{
 		// planLanes guarantees a split scan's slice is >= 1, so a lane only
 		// sheds once it has actually accumulated state.
@@ -170,7 +187,7 @@ func (r *batchRun) newShard(part, nlanes int) *workerShard {
 		mems:        make([]teeRun, nmem),
 		memDrop:     make([]bool, nmem),
 		spares:      spares,
-	}, files: make([]teeRun, nfile), first: part == 0}
+	}, files: make([]teeRun, nfile), first: part == 0, scratch: part}
 	for i, wk := range r.live {
 		sh.ccs[i] = m.newTable(wk.attrs)
 	}
@@ -264,7 +281,7 @@ func (r *batchRun) planLanes() (scanPlan, error) {
 	case srcMemory:
 		sp.groups = memGroups{stageCharge{sim.CtrMemRowsRead, m.meter.Costs().MemRowRead}, b.stage.mem}
 	case srcFile:
-		sp.groups = m.files.source(b.stage.file, 0) // to plan by: nothing is read through it
+		sp.groups = m.files.source(b.stage.file, nil) // to plan by: nothing is read through it
 	case srcServer:
 		aux, err := m.maybeBuildAux(b)
 		switch {
@@ -296,24 +313,50 @@ func (r *batchRun) planLanes() (scanPlan, error) {
 // it. The bounds are a pure function of row-group statistics and the batch
 // filter, charged to no meter, so the split is deterministic and free.
 func (m *Middleware) splitBounds(plan *stagePlan, sp scanPlan) []int {
+	return m.weighSplit(&m.split, plan, sp.groups, sp.filter, 0, sp.groups.NumGroups(), sp.nworkers)
+}
+
+// weighSplit splits row groups [lo, hi) of src into nparts by the group-weight
+// rule on b's scratch: split points relative to lo, valid until b's next
+// split, or nil for equal-width.
+func (m *Middleware) weighSplit(b *engine.Bounder, plan *stagePlan, src engine.GroupSource, f predicate.Filter, lo, hi, nparts int) []int {
 	if m.cfg.NoHistogramHints {
 		return nil
 	}
 	costs := m.meter.Costs()
-	prices, _ := sp.groups.AtServer()
+	prices, _ := src.AtServer()
 	perMatch := prices.Transmit + costs.CCBump + int64(len(plan.fileTees))*costs.FileRowWrite
-	return engine.GroupBounds(sp.groups, sp.filter, sp.nworkers, costs, perMatch)
+	return b.Split(src, lo, hi, f, nparts, costs, perMatch)
 }
+
+// segmentRuns counts the lanes run as more than one segment, for tests.
+var segmentRuns atomic.Int64
 
 // runLanes executes the batch's scan over sp.nworkers lanes and folds the
 // result into the run. Each lane polices its 1/nworkers slice of the budget
 // captured at scan start; mergeShards re-checks the merged totals against
-// the whole of it.
+// the whole of it. A lane whose batch is segmentable runs as
+// k = min(GOMAXPROCS / lanes, groups / 4) segments — at least 8 groups for two —
+// each with a shard and a scratch of its own.
 func (r *batchRun) runLanes(sp scanPlan) error {
 	m, n := r.m, sp.nworkers
 	shards := make([]*workerShard, n)
+	perLane := runtime.GOMAXPROCS(0) / n
+	if perLane < 2 || !r.segmentable(n) {
+		perLane = 0
+	}
+	next := n // the first lane-scratch index no lane uses
 	for part := range shards {
-		shards[part] = r.newShard(part, n)
+		sh := r.newShard(part, n)
+		sh.lo, sh.hi = engine.RangeOf(part, n, sp.groups.NumGroups(), sp.bounds)
+		if k := min(perLane, (sh.hi-sh.lo)/4); k > 1 {
+			sh.segs = append(make([]*workerShard, 0, k), sh)
+			for ; len(sh.segs) < k; next++ {
+				sh.segs = append(sh.segs, r.newSegment(next))
+			}
+			segmentRuns.Add(1)
+		}
+		shards[part] = sh
 	}
 	rowCtr := scanRowCounter(r.b.kind)
 	obs.RunLanes(m.meter, r.tr, n, func(part int, lane *sim.Meter, ltr *obs.Tracer) {
@@ -321,9 +364,16 @@ func (r *batchRun) runLanes(sp scanPlan) error {
 		lsp := ltr.Start(obs.CatLane, "lane").SetPartition(part, n)
 		// A lone lane is the middleware's own meter: measure from here.
 		rows := lane.Count(rowCtr)
-		sh.err = r.scanLane(sp, part, lane, sh)
+		sh.err = r.scanLane(sp, lane, sh)
 		lsp.SetRows(lane.Count(rowCtr) - rows).End()
 	})
+	for _, sh := range shards {
+		for _, seg := range sh.segs {
+			if seg != sh {
+				m.recycleTables(seg.ccs...)
+			}
+		}
+	}
 	for _, sh := range shards {
 		if sh.err != nil {
 			return sh.err
@@ -331,6 +381,40 @@ func (r *batchRun) runLanes(sp scanPlan) error {
 	}
 	r.mergeShards(shards)
 	return nil
+}
+
+// segmentable reports whether the batch's lanes may run as segments, whose
+// split no meter, trace or result may show. It holds when the scan stages
+// nothing — a tee's groups would be cut where segments meet, and later scans
+// of the stage would see other groups — and its budget cannot police: every
+// live table at its worst, each attribute's values and Missing times the
+// classes and Missing at cc.EntryBytes a cell, fits a lane's slice, so no
+// shed or reclaim can depend on which rows a goroutine counted first.
+func (r *batchRun) segmentable(nlanes int) bool {
+	if len(r.plan.fileTees) > 0 || len(r.plan.memTees) > 0 {
+		return false
+	}
+	m := r.m
+	classes := int64(m.schema.Class.Card + 1)
+	var worst int64
+	for _, w := range r.live {
+		for _, a := range w.attrs {
+			worst += int64(m.cards[a]+1) * classes * cc.EntryBytes
+		}
+	}
+	return worst <= r.budget/int64(nlanes)
+}
+
+// newSegment readies the shard of a segment after a lane's first, scanning
+// with lane scratch index scratch: empty tables for the live requests, no tee
+// and no police limit (segmentable proved none needed).
+func (r *batchRun) newSegment(scratch int) *workerShard {
+	r.m.lane(scratch) // made here: segments only look their scratch up
+	seg := &workerShard{scanBudget: scanBudget{limit: math.MaxInt64, ccs: make([]*cc.Table, len(r.live))}, scratch: scratch}
+	for i, wk := range r.live {
+		seg.ccs[i] = r.m.newTable(wk.attrs)
+	}
+	return seg
 }
 
 // mergeShards folds the worker shards of a finished scan back into the run,
@@ -345,7 +429,7 @@ func (r *batchRun) mergeShards(shards []*workerShard) {
 		ccs:         make([]*cc.Table, len(live)),
 		mems:        make([]teeRun, len(plan.memTees)),
 		memDrop:     make([]bool, len(plan.memTees)),
-		spares:      &m.lane(0).spares,
+		spares:      &m.spares[0],
 		reclaim:     r.reclaim,
 	}
 
@@ -462,17 +546,47 @@ requests:
 	plan.memTees = kept
 }
 
-// scanLane is the body of one scan lane: it drives row groups [lo, hi) of the
-// batch's source — partition part — through the counting kernel (colConsumer),
-// charging every operation to lane and keeping all state in sh.
-func (r *batchRun) scanLane(sp scanPlan, part int, lane *sim.Meter, sh *workerShard) error {
-	src := sp.groups
-	lo, hi := engine.RangeOf(part, sp.nworkers, src.NumGroups(), sp.bounds)
+// scanLane is the body of one scan lane: it drives the lane's row groups
+// through the counting kernel (colConsumer), charging every operation to lane
+// and keeping all state in sh. The cursor opens once, on the lane. A lane run
+// as segments splits its groups by the group-weight rule; each segment counts
+// its part on a forked meter, the meters fold back serially
+// (obs.RunSegments), and the segments' tables merge into the lane's in segment
+// order, uncharged — counting is commutative, so the lane ends exactly as one
+// goroutine would have left it.
+func (r *batchRun) scanLane(sp scanPlan, lane *sim.Meter, sh *workerShard) error {
+	engine.OpenCursor(sp.groups, lane)
+	if sh.segs == nil {
+		return r.scanRange(sp.groups, sh.lo, sh.hi, lane, sh)
+	}
+	k := len(sh.segs)
+	bounds := r.m.weighSplit(&r.m.lanes[sh.scratch].split, r.plan, sp.groups, sp.filter, sh.lo, sh.hi, k)
+	obs.RunSegments(lane, k, func(j int, seg *sim.Meter) {
+		lo, hi := engine.RangeOf(j, k, sh.hi-sh.lo, bounds)
+		ss := sh.segs[j]
+		ss.err = r.scanRange(sp.groups, sh.lo+lo, sh.lo+hi, seg, ss)
+	})
+	for _, ss := range sh.segs {
+		if ss.err != nil {
+			return ss.err
+		}
+	}
+	for _, ss := range sh.segs[1:] {
+		for i, t := range ss.ccs {
+			sh.ccs[i].Merge(t)
+		}
+	}
+	return nil
+}
+
+// scanRange counts row groups [lo, hi) of src into sh with the kernel of sh's
+// lane scratch, charging m; a staging file is read through the scratch's own
+// open file and buffer.
+func (r *batchRun) scanRange(src engine.GroupSource, lo, hi int, m *sim.Meter, sh *workerShard) error {
 	if r.b.kind == srcFile {
-		// The lane's own source: it holds the open file and a read buffer.
-		fsrc := r.m.files.source(r.b.stage.file, part)
+		fsrc := r.m.files.source(r.b.stage.file, &r.m.lanes[sh.scratch].buf)
 		defer fsrc.close()
 		src = fsrc
 	}
-	return engine.ScanGroups(src, []*engine.ScanConsumer{r.colConsumer(part, lane, sh)}, lo, hi, lane)
+	return engine.ScanRange(src, []*engine.ScanConsumer{r.colConsumer(sh.scratch, m, sh)}, lo, hi, m)
 }

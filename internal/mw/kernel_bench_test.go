@@ -85,6 +85,33 @@ func BenchmarkColumnarKernel(b *testing.B) {
 	}
 }
 
+// BenchmarkScanBuild times complete builds of the cmd/bench build_scan shape —
+// 100k census rows, unstaged, unlimited memory, MaxDepth 8, MinRows 50 — where
+// every level re-scans the columnar copy. Run with -cpu 1,2: with more than one
+// core a lane's scan runs as segments, so the second line shows the speed-up
+// and the allocations the extra shards cost (none, once the pool is warm).
+func BenchmarkScanBuild(b *testing.B) {
+	ds, err := datagen.GenerateCensus(datagen.CensusConfig{Rows: 100000, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	srv, err := engine.NewServer(engine.New(sim.NewDefaultMeter(), 0), "cases", ds)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		m, err := mw.New(srv, mw.Config{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := dtree.Build(m, dtree.Options{MaxDepth: 8, MinRows: 50}); err != nil {
+			b.Fatal(err)
+		}
+		m.Close()
+	}
+}
+
 // BenchmarkStagedBuild times complete builds under the paper's headline set-up
 // — file+memory staging, memory a quarter of the data — over the table shape of
 // the cmd/bench build_staged workload (200-leaf random tree, 16k rows,

@@ -152,24 +152,30 @@ type Config struct {
 	// MaxBatch caps the number of nodes serviced per scan (0 = unlimited);
 	// the paper's memory budget normally provides the cap.
 	MaxBatch int
-	// Workers is the number of scan lanes per batch. Every scan runs the same
-	// lane pipeline; 0 or 1 (the default) runs it as one lane over the whole
+	// Workers is the number of scan lanes per batch the model charges: the
+	// paper's multi-CPU middleware host. Every scan runs the same lane
+	// pipeline; 0 or 1 (the default) runs it as one lane over the whole
 	// source — the paper's sequential execution module, reading the server
 	// through the shared buffer pool. With Workers > 1, Step splits each
 	// batched scan into disjoint partitions — row-group ranges of the columnar
 	// copy (or of the rows a keyset or TID table holds of it), of a staged file
-	// or of staged memory — processed by real goroutines. Each worker counts into private CC shard tables, captures
-	// staging rows into private row groups, spends a 1/Workers slice of the
-	// memory budget, and charges a forked lane meter; after the barrier the
-	// shards merge in partition order and the parent clock advances by the
-	// slowest lane (sim.Meter.Join), so results, staging contents and the
-	// virtual clock are bit-for-bit reproducible regardless of GOMAXPROCS or
-	// goroutine interleaving. The same lane model covers every pipeline
+	// or of staged memory. Each lane counts into private CC shard tables,
+	// captures staging rows into private row groups, spends a 1/Workers slice
+	// of the memory budget, and charges a forked lane meter; after the barrier
+	// the shards merge in partition order and the parent clock advances by the
+	// slowest lane (sim.Meter.Join). The same lane model covers every pipeline
 	// stage: the §4.3.3 auxiliary builds partition their qualifying scan, and
 	// a SQL fallback hands Workers to the server with its statement, which
 	// runs the UNION's arms on that many lanes (engine.Server.Exec).
 	// A scan whose source cannot be split, or whose per-worker budget slice
 	// would round down to zero, runs one lane.
+	//
+	// Host cores are used either way: a lane of a scan with no staging tee
+	// and a budget that cannot police runs as up to GOMAXPROCS / lanes
+	// segments, goroutines whose charges sum back into the lane
+	// (sim.Meter.JoinSerial). Results, staging contents and the virtual clock
+	// are bit-for-bit reproducible regardless of GOMAXPROCS or goroutine
+	// interleaving; only wall clock depends on the host.
 	Workers int
 	// Session tags this middleware's batches with a fleet session id (> 0)
 	// in traces and spans. Zero — a single-tenant build — emits exactly the
@@ -254,7 +260,9 @@ type Middleware struct {
 	// Storage recycled from batch to batch (pool.go).
 	tables   []*cc.Table             // empty counts tables
 	builders []*storage.GroupBuilder // idle staging tee builders
-	lanes    []*laneScratch          // per lane index
+	spares   []storage.Spares        // per lane (Workers of them): code vectors for its tees
+	lanes    []*laneScratch          // per lane or segment index, from the pool
+	split    engine.Bounder          // weighs a batch's source for its lane split
 }
 
 // New creates a middleware over the server.
@@ -285,12 +293,15 @@ func New(srv *engine.Server, cfg Config) (*Middleware, error) {
 		sources: make(map[int][]*stageData),
 		open:    make(map[int]*Result),
 		files:   fs,
+		spares:  make([]storage.Spares, max(cfg.Workers, 1)),
 	}, nil
 }
 
 // Close releases everything staged: every stage still live is freed — an
 // abandoned build's server-side temp tables are dropped — and the middleware's
-// private staging directory goes, with whatever was left in it. It returns the
+// private staging directory goes, with whatever was left in it. The counts
+// tables of closed nodes and the scan scratch go to the process-wide pool
+// (pool.go); the tables of nodes still open stay the client's. It returns the
 // first error.
 func (m *Middleware) Close() error {
 	if m.closed {
@@ -306,6 +317,7 @@ func (m *Middleware) Close() error {
 	if err := m.files.Close(); m.freeErr == nil {
 		m.freeErr = err
 	}
+	m.releaseToPool()
 	return m.freeErr
 }
 

@@ -45,7 +45,7 @@ func groupRow(g *storage.ColGroup, i int32) data.Row {
 // keeps in memory for each group describes the group on disk.
 func stagedFileRows(t *testing.T, m *Middleware, sf *stageFile) []data.Row {
 	t.Helper()
-	src := m.files.source(sf, 0)
+	src := m.files.source(sf, new(groupBuf))
 	defer src.close()
 	var rows []data.Row
 	for gi := 0; gi < src.NumGroups(); gi++ {
@@ -540,7 +540,8 @@ func TestLaneZeroStreamsFileTee(t *testing.T) {
 		t.Fatalf("%d lanes, %d file tees, error %v; want 1 and 1", sp.nworkers, len(r.plan.fileTees), err)
 	}
 	sh := r.newShard(0, 1)
-	if err := r.scanLane(sp, 0, m.meter, sh); err != nil {
+	sh.hi = sp.groups.NumGroups()
+	if err := r.scanLane(sp, m.meter, sh); err != nil {
 		t.Fatal(err)
 	}
 	if n := len(sh.files[0].groups); n != 0 {

@@ -290,7 +290,7 @@ func TestPartitionPropertyFileStore(t *testing.T) {
 			m.cfg.NoHistogramHints = noHints
 			perMatch := rng.Int63n(20_000)
 			for _, src := range []engine.GroupSource{
-				m.files.source(sf, 0),
+				m.files.source(sf, new(groupBuf)),
 				memGroups{stageCharge{sim.CtrMemRowsRead, costs.MemRowRead}, mem},
 			} {
 				n := src.NumGroups()
@@ -308,7 +308,7 @@ func TestPartitionPropertyFileStore(t *testing.T) {
 					lo, hi := engine.RangeOf(part, nparts, n, bounds)
 					lane := src
 					if _, ok := src.(*fileGroups); ok {
-						fsrc := m.files.source(sf, 0) // a lane's own, as in scanLane
+						fsrc := m.files.source(sf, new(groupBuf)) // a lane's own, as in scanLane
 						defer fsrc.close()
 						lane = fsrc
 					}

@@ -85,7 +85,8 @@ type fileGroups struct {
 	buf *groupBuf
 }
 
-// groupBuf is a lane's read buffer: the last group read, as on disk and decoded.
+// groupBuf is a lane's read buffer (laneScratch.buf): the last group read, as
+// on disk and decoded.
 type groupBuf struct {
 	raw []byte
 	g   storage.ColGroup
@@ -131,8 +132,7 @@ type fileStore struct {
 	bytesInUse int64
 	live       int // staging files currently registered
 	seq        int
-	wbuf       []byte   // the writers' serialization buffer: only one goroutine writes at a time
-	rbuf       groupBuf // lane 0's read buffer, kept from scan to scan; later lanes bring their own
+	wbuf       []byte // the writers' serialization buffer: only one goroutine writes at a time
 
 	// Test seams for fault injection, always nil in production: createErr
 	// runs before a new staging file is opened (seq is the would-be file
@@ -163,13 +163,10 @@ func (fs *fileStore) hasRoomFor(rows int64) bool {
 	return fs.budget == 0 || fs.bytesInUse+rows*int64(fs.schema.RowBytes()) <= fs.budget
 }
 
-// source returns sf as a scan source: lane part's own, when it is to be read.
-func (fs *fileStore) source(sf *stageFile, part int) *fileGroups {
-	s := &fileGroups{stageCharge: stageCharge{sim.CtrFileRowsRead, fs.meter.Costs().FileRowRead}, sf: sf, buf: &fs.rbuf}
-	if part > 0 {
-		s.buf = new(groupBuf)
-	}
-	return s
+// source returns sf as a scan source reading into buf — a lane's own, when it
+// is to be read; nil when it is only planned by.
+func (fs *fileStore) source(sf *stageFile, buf *groupBuf) *fileGroups {
+	return &fileGroups{stageCharge: stageCharge{sim.CtrFileRowsRead, fs.meter.Costs().FileRowRead}, sf: sf, buf: buf}
 }
 
 // fileWriter appends row groups to a new staging file.

@@ -299,7 +299,7 @@ func (t *Tracer) JoinLanes(lanes []*Tracer) {
 	}
 }
 
-// RunLanes is the lane model's one fork/join barrier: it runs body once per
+// RunLanes is the lane model's fork/join barrier: it runs body once per
 // lane — body(part, lane meter, lane tracer) — and returns after every lane
 // has finished and been folded back into meter and t (which may be nil).
 //
@@ -335,6 +335,26 @@ func RunLanes(meter *sim.Meter, t *Tracer, n int, body func(part int, lane *sim.
 	wg.Wait()
 	meter.Join(lanes)
 	t.JoinLanes(ltrs)
+}
+
+// RunSegments is RunLanes' serial twin, the host-parallel execution of one
+// modeled lane: it runs body once per segment — body(seg, segment meter) — on
+// k goroutines and returns after every segment has finished and been folded
+// back into meter by sim.Meter.JoinSerial, so the clock advances by the sum of
+// the segments' work, as if one goroutine had done all of it. No tracer is
+// forked: segments open no spans. body must touch only segment-local state.
+func RunSegments(meter *sim.Meter, k int, body func(seg int, m *sim.Meter)) {
+	segs := meter.Fork(k)
+	var wg sync.WaitGroup
+	for i, seg := range segs {
+		wg.Add(1)
+		go func(i int, seg *sim.Meter) {
+			defer wg.Done()
+			body(i, seg)
+		}(i, seg)
+	}
+	wg.Wait()
+	meter.JoinSerial(segs)
 }
 
 // End closes the span at the tracer's current virtual time. Safe on a nil or

@@ -248,8 +248,8 @@ func (m *Meter) Count(c Counter) int64 { return m.counts[c] }
 // each with a zeroed clock and zeroed counters. Each lane models one worker
 // of a parallel scan: the worker charges all of its simulated work into its
 // own lane, so goroutine scheduling on the host can never affect any meter.
-// The parent must not be charged between Fork and the matching Join, and
-// each lane must be used by exactly one goroutine.
+// The parent must not be charged between Fork and the matching Join (or
+// JoinSerial), and each lane must be used by exactly one goroutine.
 func (m *Meter) Fork(n int) []*Meter {
 	if n < 1 {
 		panic("sim: Fork needs at least one lane")
@@ -281,6 +281,21 @@ func (m *Meter) Join(lanes []*Meter) {
 		}
 	}
 	m.now += max
+}
+
+// JoinSerial folds forked lanes back like Join — counters sum — but advances
+// the clock by the sum of the lanes' elapsed times: the lanes split one
+// modeled worker's work across host goroutines (obs.RunSegments), and that
+// worker does it one piece after another. Every charge is unit cost × count,
+// so the parent ends exactly where charging the whole work to it directly
+// would have left it, however the work was split.
+func (m *Meter) JoinSerial(lanes []*Meter) {
+	for _, l := range lanes {
+		for i := range l.counts {
+			m.counts[i] += l.counts[i]
+		}
+		m.now += l.now
+	}
 }
 
 // Reset zeroes the clock and all counters, keeping the cost model.

@@ -185,6 +185,27 @@ func TestForkJoinSumsCountersMaxClock(t *testing.T) {
 	}
 }
 
+// TestJoinSerialEqualsDirectCharges: work split over forked lanes and joined
+// serially leaves the parent exactly where charging it directly would have.
+func TestJoinSerialEqualsDirectCharges(t *testing.T) {
+	direct, split := NewDefaultMeter(), NewDefaultMeter()
+	direct.Charge(CtrBatches, 500, 1)
+	split.Charge(CtrBatches, 500, 1)
+	direct.Charge(CtrServerRows, 100, 35)
+	direct.Charge(CtrCCUpdates, 60, 5)
+
+	lanes := split.Fork(3)
+	lanes[0].Charge(CtrServerRows, 100, 10)
+	lanes[1].Charge(CtrServerRows, 100, 25)
+	lanes[2].Charge(CtrCCUpdates, 60, 5)
+	split.JoinSerial(lanes)
+
+	if split.Now() != direct.Now() || split.CounterVec() != direct.CounterVec() {
+		t.Errorf("serial join: clock %v counters %v, direct charges: %v %v",
+			split.Now(), split.CounterVec(), direct.Now(), direct.CounterVec())
+	}
+}
+
 func TestForkLanesShareCosts(t *testing.T) {
 	m := NewDefaultMeter()
 	for i, l := range m.Fork(2) {
