@@ -20,8 +20,11 @@ import (
 //   - Code-space predicates: the batch's trie of node paths is compiled once
 //     per group into dictionary codes, so the inner row loop compares uint16s
 //     along shared path prefixes instead of re-evaluating every node's
-//     predicate.Cond on materialized values — and one walk of it per row both
-//     filters the row and drops it into its nodes' buckets (GroupTrie.route).
+//     predicate.Cond on materialized values — and one walk of it per row, over
+//     a dense range or a pre-selected row set's seeds, both filters the row and
+//     drops it into its nodes' buckets (GroupTrie.route). A server row carries
+//     the tag of the node a previous scan left it in, and its walk starts at
+//     that tag's class instead of the root (tags.go).
 //   - Block-granular metering: the per-row costs (ColRowEval,
 //     ColRowTransmit) are cheaper than their row-path counterparts because
 //     cursor bookkeeping and the wire protocol amortize over whole blocks,
@@ -58,6 +61,7 @@ type GroupTrie struct {
 	g     *storage.ColGroup
 	nodes []trieNode
 	terms []int32 // the source trie's terminal lists, shared
+	at    []int32 // per source trie node after the root (which compiles to 0): its compiled index, -1 when dropped
 	open  []int32 // Compile: (node, source End) of each node whose subtree is being emitted
 	ests  []int64 // Estimate: per node, the estimate of the prefix ending there
 }
@@ -67,6 +71,7 @@ func (gt *GroupTrie) Compile(g *storage.ColGroup, t *predicate.Trie) {
 	src := t.Nodes()
 	gt.g, gt.terms = g, t.Terms()
 	gt.nodes, gt.open = gt.nodes[:0], gt.open[:0]
+	gt.at = slices.Grow(gt.at[:0], len(src)-1)[:len(src)-1]
 	for i := int32(0); int(i) < len(src); {
 		gt.closeUpTo(i)
 		n := &src[i]
@@ -79,12 +84,15 @@ func (gt *GroupTrie) Compile(g *storage.ColGroup, t *predicate.Trie) {
 			case !ok && !ne, ok && only && ne:
 				// Eq on an absent value, Ne on the only one: no row of the
 				// group gets past this node.
-				i = n.End
+				for ; i < n.End; i++ {
+					gt.at[i-1] = -1
+				}
 				continue
 			case ok && !only:
 				cn.codes, cn.col, cn.code, cn.ne = g.Codes(c.Attr), int32(c.Attr), code, ne
 			}
 			cn.parent = gt.open[len(gt.open)-2]
+			gt.at[i-1] = int32(len(gt.nodes))
 		}
 		gt.open = append(gt.open, int32(len(gt.nodes)), n.End)
 		gt.nodes = append(gt.nodes, cn)
@@ -125,19 +133,31 @@ func (n *trieNode) holds(i int32) bool {
 	return n.codes == nil || (n.codes[i] == n.code) != n.ne
 }
 
-// route is the kernel's one walk per row: each row of [base, base+n) goes down
-// the trie once and is appended to buckets[k] for every conjunction k it
+// route is the kernel's one walk per row: each row of [base, base+n) — or of
+// seed, when it is non-nil: a pre-selected row set's rows of the block — goes
+// down the trie once and is appended to buckets[k] for every conjunction k it
 // satisfies — buckets[k] receives, in row order, exactly the rows a test of
-// conjunction k alone would keep — and, the first time it reaches a terminal,
-// to sel, which is returned: the rows the trie's disjunction selects. With
-// full set the filter is known to keep every row (it is match-all, or covers
-// the group): sel gets the whole block and the walk only buckets. Unmetered:
-// the scan charges its own per-row kernel costs.
-func (gt *GroupTrie) route(base, n int, full bool, buckets [][]int32, sel []int32) []int32 {
+// conjunction k alone would keep — and, when it satisfies one, to sel, which is
+// returned: the rows the trie's disjunction selects. With full set the filter
+// is known to keep every row (it is match-all, or covers the group): sel gets
+// the whole block and the walk only buckets. A tagged walk (tw non-nil, bound
+// to the group) starts each row at its tag's class instead of the root and
+// writes back the tag of the last conjunction the row reached through a test;
+// a row that reached none through a test keeps its tag, which already implies
+// every conjunction it reached. An untagged walk starts every row at the root
+// (routeRoot). Unmetered: the scan charges its own per-row kernel costs.
+func (gt *GroupTrie) route(base, n int, seed []int32, full bool, tw *tagWalk, buckets [][]int32, sel []int32) []int32 {
 	nodes, terms := gt.nodes, gt.terms
 	root := terms[nodes[0].lo:nodes[0].hi]
+	if seed != nil {
+		n = len(seed)
+	}
 	if full = full || len(root) > 0; full {
-		sel = appendRows(sel, base, n)
+		if seed != nil {
+			sel = append(sel, seed...)
+		} else {
+			sel = appendRows(sel, base, n)
+		}
 	}
 	for _, k := range root {
 		buckets[k] = append(buckets[k], sel[len(sel)-n:]...)
@@ -145,43 +165,76 @@ func (gt *GroupTrie) route(base, n int, full bool, buckets [][]int32, sel []int3
 	if len(nodes) == 1 {
 		return sel
 	}
-	for i := int32(base); i < int32(base+n); i++ {
-		hit := full
-		for j := 1; j < len(nodes); {
-			nd := &nodes[j]
-			if !nd.holds(i) {
-				j = int(nd.end)
-				continue
+	if tw == nil {
+		return gt.routeRoot(base, n, seed, full, buckets, sel)
+	}
+	rows, implied, ranges := tw.rows, tw.implied, tw.ranges
+	var pairs int64
+	for x := 0; x < n; x++ {
+		i := int32(base + x)
+		if seed != nil {
+			i = seed[x]
+		}
+		gc := &tw.classes[rows[i]]
+		switch gc.kind {
+		case classNone:
+			continue
+		case classPair:
+			nd := &nodes[gc.node]
+			s := b2i(nd.codes[i] != nd.code)
+			k := gc.k[s]
+			buckets[k] = append(buckets[k], i)
+			rows[i] = gc.tag[s]
+			if !full {
+				sel = append(sel, i)
 			}
-			if nd.hi > nd.lo {
-				for _, k := range terms[nd.lo:nd.hi] {
-					buckets[k] = append(buckets[k], i)
+			pairs++
+			continue
+		}
+		hit, last := false, int32(-1)
+		for _, k := range implied[gc.k[0]:gc.k[1]] {
+			buckets[k] = append(buckets[k], i)
+			hit = true
+		}
+		for r := gc.lo; r < gc.hi; r += 2 {
+			for j, end := ranges[r], ranges[r+1]; j < end; {
+				nd := &nodes[j]
+				if !nd.holds(i) {
+					j = nd.end
+					continue
 				}
-				if !hit {
-					sel, hit = append(sel, i), true
+				if nd.hi > nd.lo {
+					for _, k := range terms[nd.lo:nd.hi] {
+						buckets[k] = append(buckets[k], i)
+					}
+					last = terms[nd.hi-1]
 				}
+				j++
 			}
-			j++
+		}
+		if last >= 0 {
+			hit = true
+			rows[i] = tw.conjTag[last]
+		}
+		if hit && !full {
+			sel = append(sel, i)
 		}
 	}
+	tw.pairs += pairs
 	return sel
 }
 
-// routeSel is route over the rows seed in place of a whole block: the walk of a
-// pre-selected row set (GroupSource.Sel).
-func (gt *GroupTrie) routeSel(seed []int32, full bool, buckets [][]int32, sel []int32) []int32 {
+// routeRoot is route's untagged walk: every row starts at the root, whose
+// class leaves the whole trie open. It is the tagged walk's loop with the
+// class lookup taken out, kept apart because that lookup, run for rows that
+// all share the root's class, slowed the untagged walk by a third.
+func (gt *GroupTrie) routeRoot(base, n int, seed []int32, full bool, buckets [][]int32, sel []int32) []int32 {
 	nodes, terms := gt.nodes, gt.terms
-	root := terms[nodes[0].lo:nodes[0].hi]
-	if full = full || len(root) > 0; full {
-		sel = append(sel, seed...)
-	}
-	for _, k := range root {
-		buckets[k] = append(buckets[k], seed...)
-	}
-	if len(nodes) == 1 {
-		return sel
-	}
-	for _, i := range seed {
+	for x := 0; x < n; x++ {
+		i := int32(base + x)
+		if seed != nil {
+			i = seed[x]
+		}
 		hit := full
 		for j := 1; j < len(nodes); {
 			nd := &nodes[j]

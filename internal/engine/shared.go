@@ -30,6 +30,15 @@ type ScanConsumer struct {
 	// paths' own disjunction (Paths.Filter()) or match-all — unfiltered rows,
 	// still bucketed by path.
 	Paths *predicate.Trie
+	// Tags, with Paths, is the session's tag per row of the table the source's
+	// rows belong to (a row set's rows are its table's) — row i of group gi is
+	// Tags[gi*storage.RowGroupSize+i] — and Classes their classes under Paths:
+	// the walk starts each row at its tag's class and writes back the tag of
+	// the last conjunction it reached through a test. Only the consumer's
+	// scan writes them, and only the tags of the rows it walks. Nil: every row
+	// starts at the root.
+	Tags    []uint32
+	Classes *TagClasses
 	// Lane receives the consumer's own costs: group/block counters, per-row
 	// evaluation and row transmission. Required.
 	Lane *sim.Meter
@@ -44,6 +53,7 @@ type ScanConsumer struct {
 	local    bool
 	detached bool
 	gf       GroupFilter // with Paths, gf.trie is the paths' router as well
+	tw       tagWalk     // with Tags, the classes compiled against gf.trie's group
 	sel      []int32
 	buckets  [][]int32 // per path of Paths: the block's rows satisfying it
 }
@@ -52,9 +62,14 @@ type ScanConsumer struct {
 // the group its filter is compiled against — keeping Fn and the storage its
 // scans grew, so a consumer kept for later scans holds nothing of this one.
 func (c *ScanConsumer) Release() {
-	c.Filter, c.Paths, c.Lane = predicate.Filter{}, nil, nil
+	c.Filter, c.Paths, c.Tags, c.Classes, c.Lane = predicate.Filter{}, nil, nil, nil, nil
 	c.gf.Release()
+	c.tw.release()
 }
+
+// PairRows returns how many rows the consumer's last scan bucketed by a pair
+// select.
+func (c *ScanConsumer) PairRows() int64 { return c.tw.pairs }
 
 // compile readies the consumer's filter — and with Paths its router — for g.
 func (c *ScanConsumer) compile(g *storage.ColGroup) {
@@ -83,11 +98,11 @@ func (c *ScanConsumer) walk(base, n int, seed []int32) {
 		for k := range c.buckets {
 			c.buckets[k] = c.buckets[k][:0]
 		}
-		if seed != nil {
-			c.sel = c.gf.trie.routeSel(seed, c.gf.all, c.buckets, c.sel[:0])
-		} else {
-			c.sel = c.gf.trie.route(base, n, c.gf.all, c.buckets, c.sel[:0])
+		var tw *tagWalk
+		if c.tw.rows != nil {
+			tw = &c.tw
 		}
+		c.sel = c.gf.trie.route(base, n, seed, c.gf.all, tw, c.buckets, c.sel[:0])
 	}
 }
 
@@ -172,8 +187,9 @@ func OpenCursor(src GroupSource, io *sim.Meter) {
 // cannot match skips the group on its own lane (zone-map verdict) without
 // forcing or joining the read, and a group no consumer needs is neither read
 // nor charged. Per block, a consumer of a server source pays its own
-// evaluation and transmission, and one walk of its trie per row fills Sel and
-// Buckets together; of a pre-selected source (GroupSource.Sel) only the rows it
+// evaluation and transmission, and one walk of its trie per row — from the
+// row's tag's class, for a consumer with Tags — fills Sel and Buckets
+// together; of a pre-selected source (GroupSource.Sel) only the rows it
 // holds are walked and paid for, and a block or group holding none is passed
 // over. Consumers are fed in slice order, so the interleaving is deterministic;
 // the scan ends early once every consumer has detached, and with the source's
@@ -197,7 +213,11 @@ func ScanRange(src GroupSource, cons []*ScanConsumer, loGroup, hiGroup int, io *
 			}
 			c.buckets = c.buckets[:c.Paths.Len()]
 		}
+		if c.Tags != nil && (c.Paths == nil || c.Classes == nil || c.Classes.Len() == 0) {
+			panic(fmt.Sprintf("engine: shared-scan consumer %d has tags without paths or classes", i))
+		}
 		c.detached = false
+		c.tw.rows, c.tw.pairs = nil, 0
 	}
 	attached := len(cons)
 	prices, atServer := src.AtServer()
@@ -229,11 +249,15 @@ func ScanRange(src GroupSource, cons []*ScanConsumer, loGroup, hiGroup int, io *
 			return err
 		}
 		src.ChargeRead(gi, io)
-		if g != zone {
-			for _, c := range cons {
-				if !c.detached && !c.gf.None() {
-					c.gf.trie.bind(g)
-				}
+		for _, c := range cons {
+			if c.detached || c.gf.None() {
+				continue
+			}
+			if g != zone {
+				c.gf.trie.bind(g)
+			}
+			if c.Tags != nil {
+				c.tw.bind(c.Tags, c.Classes, gi, &c.gf.trie)
 			}
 		}
 		nrows := g.NumRows()

@@ -28,16 +28,16 @@ type ccWork struct {
 // (shared.go) runs begin and finish around a scan it performs itself, so the
 // state that used to live in Step's closures lives here instead.
 type batchRun struct {
-	m       *Middleware
-	b       *batch
-	srcName string
-	tr      *obs.Tracer
-	bsp     *obs.Span
-	ssp     *obs.Span // the scan span (openScan / closeScan)
-	plan    *stagePlan
+	m    *Middleware
+	b    *batch
+	tr   *obs.Tracer
+	bsp  *obs.Span
+	ssp  *obs.Span // the scan span (openScan / closeScan)
+	plan *stagePlan
 
 	live     []*ccWork
 	paths    *predicate.Trie // over the live requests' paths, index-aligned with live at scan start
+	tags     *tagState       // set when the scan walks the server table's rows by their tags
 	fallback []*Request
 	requeued []*Request
 
@@ -80,9 +80,9 @@ func (m *Middleware) beginBatch(b *batch) (*batchRun, error) {
 	// them cannot change any simulated result. With no tracer attached (tr ==
 	// nil) none of the instrumentation below allocates or computes anything.
 	tr := m.srv.Tracer()
-	r := &batchRun{m: m, b: b, srcName: b.kind.name(), tr: tr}
+	r := &batchRun{m: m, b: b, tr: tr}
 	m.meter.Charge(sim.CtrBatches, 0, 1)
-	r.bsp = tr.Start(obs.CatBatch, "batch").SetSource(r.srcName).Attr("batch", m.meter.Count(sim.CtrBatches)).
+	r.bsp = tr.Start(obs.CatBatch, "batch").SetSource(r.b.kind.name()).Attr("batch", m.meter.Count(sim.CtrBatches)).
 		Attr("level", batchLevel(b))
 	if m.cfg.Session > 0 {
 		r.bsp.Attr("session", int64(m.cfg.Session))
@@ -162,7 +162,7 @@ func (m *Middleware) scanBatch(r *batchRun) error {
 // live at scan start. A solo scan (scanBatch) and a shared one
 // (BeginSharedBatch / Finish) both open and close theirs here.
 func (r *batchRun) openScan() {
-	r.ssp = r.tr.Start(obs.CatScan, "scan").SetSource(r.srcName)
+	r.ssp = r.tr.Start(obs.CatScan, "scan").SetSource(r.b.kind.name())
 	if r.ssp != nil {
 		r.ssp.SetNodes(nodeIDs(r.b.reqs))
 	}
@@ -226,7 +226,7 @@ func (m *Middleware) finishBatch(r *batchRun) ([]*Result, error) {
 		results = append(results, res)
 	}
 	for _, w := range r.live {
-		post(&Result{Req: w.req, CC: w.cc, Source: r.srcName})
+		post(&Result{Req: w.req, CC: w.cc, Source: r.b.kind.name()})
 	}
 	for _, req := range r.fallback {
 		fsp := tr.Start(obs.CatFallback, "sql-fallback").Attr("node", int64(req.NodeID))

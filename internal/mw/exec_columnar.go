@@ -15,7 +15,10 @@ import (
 // space, which both filters it and drops it into its nodes' buckets
 // (engine.ColBlock.Buckets); per node, the middleware bumps a dense histogram
 // per bucketed row (cc.Table.AddMany) and folds the distinct cells into the
-// table once; staging tees keep their rows of the block as codes.
+// table once; staging tees keep their rows of the block as codes. A scan of the
+// server's rows hands the engine the middleware's row tags and their classes
+// under the batch's paths (batchRun.tagRows), so each row's walk starts at the
+// node the previous level left it in.
 
 // columnarNeedCols returns the columns whose pages the columnar scan must
 // read: every counted attribute (the class column rides along in each
@@ -97,6 +100,10 @@ func (r *batchRun) colConsumer(part int, lane *sim.Meter, sh *workerShard) *engi
 	c.fileFilters = slices.Grow(c.fileFilters[:0], len(r.plan.fileTees))[:len(r.plan.fileTees)]
 	c.memFilters = slices.Grow(c.memFilters[:0], len(r.plan.memTees))[:len(r.plan.memTees)]
 	sc.Filter, sc.Paths, sc.Lane = r.scanFilter(), r.paths, lane
+	sc.Tags, sc.Classes = nil, nil
+	if r.tags != nil {
+		sc.Tags, sc.Classes = r.tags.rows, &r.tags.classes
+	}
 	if sc.Fn == nil {
 		sc.Fn = c.consume
 	}

@@ -289,8 +289,10 @@ func (r *batchRun) planLanes() (scanPlan, error) {
 			return sp, err
 		case aux == nil:
 			sp.groups = m.srv.ColGroups(m.columnarNeedCols(r.plan, r.live))
+			r.tagRows()
 		case aux.rows != nil:
 			sp.groups = aux.rows
+			r.tagRows()
 		default:
 			sp.groups = aux.subSrv.ColGroups(m.columnarNeedCols(r.plan, r.live))
 		}
@@ -313,7 +315,7 @@ func (r *batchRun) planLanes() (scanPlan, error) {
 // it. The bounds are a pure function of row-group statistics and the batch
 // filter, charged to no meter, so the split is deterministic and free.
 func (m *Middleware) splitBounds(plan *stagePlan, sp scanPlan) []int {
-	return m.weighSplit(&m.split, plan, sp.groups, sp.filter, 0, sp.groups.NumGroups(), sp.nworkers)
+	return m.weighSplit(&m.lane(0).split, plan, sp.groups, sp.filter, 0, sp.groups.NumGroups(), sp.nworkers)
 }
 
 // weighSplit splits row groups [lo, hi) of src into nparts by the group-weight
@@ -331,6 +333,34 @@ func (m *Middleware) weighSplit(b *engine.Bounder, plan *stagePlan, src engine.G
 
 // segmentRuns counts the lanes run as more than one segment, for tests.
 var segmentRuns atomic.Int64
+
+// For tests: tagsOff walks every scan from the root, taggedScans counts the
+// batches whose scan walked rows by their tags, and pairRows the rows those
+// scans bucketed by a pair select.
+var (
+	tagsOff     bool
+	taggedScans atomic.Int64
+	pairRows    atomic.Int64
+)
+
+// tagRows readies the batch's scan of the server table's rows — the whole
+// copy, or a keyset or TID table over it — to walk each row from its tag: it
+// registers the live requests' tags and computes every tag's class under the
+// live paths, serially, before any lane forks. A batch whose trie is the root
+// alone has nothing to walk, and runs untagged.
+func (r *batchRun) tagRows() {
+	if tagsOff || len(r.paths.Nodes()) == 1 {
+		return
+	}
+	ts := r.m.tagState()
+	ts.conjs = ts.conjs[:0]
+	for _, w := range r.live {
+		ts.conjs = append(ts.conjs, ts.tagOf(w.req))
+	}
+	ts.classes.Reset(r.paths, ts.paths, ts.conjs)
+	r.tags = ts
+	taggedScans.Add(1)
+}
 
 // runLanes executes the batch's scan over sp.nworkers lanes and folds the
 // result into the run. Each lane polices its 1/nworkers slice of the budget
@@ -588,5 +618,8 @@ func (r *batchRun) scanRange(src engine.GroupSource, lo, hi int, m *sim.Meter, s
 		defer fsrc.close()
 		src = fsrc
 	}
-	return engine.ScanRange(src, []*engine.ScanConsumer{r.colConsumer(sh.scratch, m, sh)}, lo, hi, m)
+	cons := r.colConsumer(sh.scratch, m, sh)
+	err := engine.ScanRange(src, []*engine.ScanConsumer{cons}, lo, hi, m)
+	pairRows.Add(cons.PairRows())
+	return err
 }

@@ -8,6 +8,7 @@ import (
 	"repro/internal/cc"
 	"repro/internal/data"
 	"repro/internal/engine"
+	"repro/internal/predicate"
 )
 
 // OpenTables returns, by node id, the counts tables of the nodes fulfilled and
@@ -24,10 +25,27 @@ func OpenTables(m *Middleware) map[int]*cc.Table {
 // segment.
 func SegmentRuns() int64 { return segmentRuns.Load() }
 
-// PooledScratchLeaks lists, by path, what the lane scratch in the process pool
-// still holds of the builds it served: any pointer (a lane meter, plan, shard,
-// paths trie, row group or spares), dictionary values, code vectors, a
-// compiled trie's terminal lists. Empty when the pool holds storage only.
+// SetTagsOff makes every later scan walk its rows from the root (off) or by
+// their tags, and returns the setting it replaced.
+func SetTagsOff(off bool) bool {
+	prev := tagsOff
+	tagsOff = off
+	return prev
+}
+
+// TaggedScans returns how many batches, process-wide, have walked their rows
+// by their tags.
+func TaggedScans() int64 { return taggedScans.Load() }
+
+// PairRows returns how many rows, process-wide, tagged scans have bucketed by a
+// pair select.
+func PairRows() int64 { return pairRows.Load() }
+
+// PooledScratchLeaks lists, by path, what the lane scratch and the tag states
+// in the process pool still hold of the builds they served: any pointer (a lane
+// meter, plan, shard, paths trie, row group or spares), dictionary values, code
+// vectors, a compiled trie's terminal lists, a row's tags, a request's path, a
+// registered node. Empty when the pool holds storage only.
 func PooledScratchLeaks() []string {
 	pool.Lock()
 	defer pool.Unlock()
@@ -35,21 +53,30 @@ func PooledScratchLeaks() []string {
 	for i, ls := range pool.scratch {
 		scratchLeaks(reflect.ValueOf(ls).Elem(), fmt.Sprintf("scratch[%d]", i), &out)
 	}
+	for i, ts := range pool.tags {
+		scratchLeaks(reflect.ValueOf(ts).Elem(), fmt.Sprintf("tags[%d]", i), &out)
+	}
 	return out
 }
 
 var (
 	valueType = reflect.TypeOf(data.Value(0))
 	codeType  = reflect.TypeOf(uint16(0))
+	condType  = reflect.TypeOf(predicate.Cond{})
 	// The consumer's callback is bound to the scratch's own colConsumer.
 	callbackOwner = reflect.TypeOf(engine.ScanConsumer{})
 )
 
 // scratchLeaks walks v — structs, arrays, slices up to their capacity — and
-// appends the path of every reference it finds into a build to out.
+// appends the path of every reference it finds into a build to out: a map
+// counts once it holds an entry, a consumer's Tags once they are set.
 func scratchLeaks(v reflect.Value, path string, out *[]string) {
 	switch v.Kind() {
-	case reflect.Pointer, reflect.Interface, reflect.Map, reflect.Chan, reflect.Func:
+	case reflect.Map:
+		if v.Len() > 0 {
+			*out = append(*out, path)
+		}
+	case reflect.Pointer, reflect.Interface, reflect.Chan, reflect.Func:
 		if !v.IsNil() {
 			*out = append(*out, path)
 		}
@@ -71,7 +98,7 @@ func scratchLeaks(v reflect.Value, path string, out *[]string) {
 		}
 		elem := v.Type().Elem()
 		switch {
-		case elem == valueType, elem == codeType, strings.HasSuffix(path, ".terms"):
+		case elem == valueType, elem == codeType, elem == condType, strings.HasSuffix(path, ".terms"), strings.HasSuffix(path, ".Tags"):
 			*out = append(*out, path)
 		case elem.Kind() >= reflect.Int && elem.Kind() <= reflect.Float64:
 			// storage of the scratch's own: selection vectors, histograms

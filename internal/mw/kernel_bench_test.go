@@ -14,11 +14,12 @@ import (
 
 // BenchmarkColumnarKernel times one unstaged server Step of the columnar
 // kernel — scan, trie walk, bucketed counting — at the three widths a build
-// passes through: the live requests are those a reference build (the
-// cmd/bench build_scan workload: 100k census rows, MaxDepth 8, MinRows 50)
-// issued at depth 0, 4 and 7, which is 1, 16 and 80 nodes. A row-visit is one
-// table row going through the kernel once, so ns/row-visit is the per-row cost
-// of a level and grows with the number of live nodes.
+// passes through: the Step of depth 0, 4 and 7 of the cmd/bench build_scan
+// workload's build (100k census rows, MaxDepth 8, MinRows 50), which is 1, 16
+// and 80 nodes. Each iteration runs that build's earlier levels untimed, so the
+// timed Step walks rows tagged by the levels above it, as in a real build. A
+// row-visit is one table row going through the kernel once, so ns/row-visit is
+// the per-row cost of a level and grows with the number of live nodes.
 func BenchmarkColumnarKernel(b *testing.B) {
 	ds, err := datagen.GenerateCensus(datagen.CensusConfig{Rows: 100000, Seed: 1})
 	if err != nil {
@@ -28,26 +29,57 @@ func BenchmarkColumnarKernel(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	opt := dtree.Options{MaxDepth: 8, MinRows: 50}
 
-	// Record the reference build's requests per depth.
-	levels := map[int][]*mw.Request{}
-	ref, err := mw.New(srv, mw.Config{})
+	// The build's levels: one Step each, of the nodes at that depth.
+	var widths []int
+	kernelBuild(b, srv, opt, -1, func(_ int, results []*mw.Result) { widths = append(widths, len(results)) })
+
+	for _, depth := range []int{0, 4, 7} {
+		b.Run(fmt.Sprintf("nodes=%d", widths[depth]), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				kernelBuild(b, srv, opt, depth, func(d int, results []*mw.Result) {
+					if d == depth && (len(results) != widths[depth] || len(results[0].Req.Path) != depth) {
+						b.Fatalf("the timed Step served %d nodes at depth %d, want %d at %d", len(results), len(results[0].Req.Path), widths[depth], depth)
+					}
+				})
+				b.StartTimer()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(ds.N()), "ns/row-visit")
+		})
+	}
+}
+
+// kernelBuild builds a tree over srv one Step per level, handing each depth's
+// results to level, and stops after the Step of depth stop (never, when stop is
+// negative). Only that Step runs with the benchmark timer on, which the caller
+// has stopped.
+func kernelBuild(b *testing.B, srv *engine.Server, opt dtree.Options, stop int, level func(depth int, results []*mw.Result)) {
+	m, err := mw.New(srv, mw.Config{})
 	if err != nil {
 		b.Fatal(err)
 	}
-	bld, err := dtree.NewBuilder(ref, dtree.Options{MaxDepth: 8, MinRows: 50})
+	defer m.Close()
+	bld, err := dtree.NewBuilder(m, opt)
 	if err != nil {
 		b.Fatal(err)
 	}
-	for bld.Pending() > 0 {
-		results, err := ref.Step()
+	for depth := 0; bld.Pending() > 0; depth++ {
+		if depth == stop {
+			b.StartTimer()
+		}
+		results, err := m.Step()
+		if depth == stop {
+			b.StopTimer()
+		}
 		if err != nil {
 			b.Fatal(err)
 		}
-		for _, res := range results {
-			req := *res.Req
-			req.ParentID = -1 // replayed without its ancestors
-			levels[len(req.Path)] = append(levels[len(req.Path)], &req)
+		level(depth, results)
+		if depth == stop {
+			return
 		}
 		if err := bld.Feed(results); err != nil {
 			b.Fatal(err)
@@ -55,33 +87,6 @@ func BenchmarkColumnarKernel(b *testing.B) {
 	}
 	if _, err := bld.Finish(); err != nil {
 		b.Fatal(err)
-	}
-	ref.Close()
-
-	for _, depth := range []int{0, 4, 7} {
-		reqs := levels[depth]
-		b.Run(fmt.Sprintf("nodes=%d", len(reqs)), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				m, err := mw.New(srv, mw.Config{})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if err := m.Enqueue(reqs...); err != nil {
-					b.Fatal(err)
-				}
-				b.StartTimer()
-				results, err := m.Step()
-				b.StopTimer()
-				if err != nil || len(results) != len(reqs) {
-					b.Fatalf("Step returned %d of %d results, err %v", len(results), len(reqs), err)
-				}
-				m.Close()
-				b.StartTimer()
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(ds.N()), "ns/row-visit")
-		})
 	}
 }
 

@@ -262,7 +262,7 @@ type Middleware struct {
 	builders []*storage.GroupBuilder // idle staging tee builders
 	spares   []storage.Spares        // per lane (Workers of them): code vectors for its tees
 	lanes    []*laneScratch          // per lane or segment index, from the pool
-	split    engine.Bounder          // weighs a batch's source for its lane split
+	tags     *tagState               // from the pool at the first tagged batch
 }
 
 // New creates a middleware over the server.

@@ -1,29 +1,32 @@
 package mw
 
 import (
+	"slices"
 	"sync"
 
 	"repro/internal/cc"
 	"repro/internal/engine"
+	"repro/internal/predicate"
 	"repro/internal/storage"
 )
 
 // This file is the storage a build churns through — counts tables, staging tee
 // builders and the code vectors their groups are sealed into, each lane's scan
-// scratch — kept from batch to batch. None of it is modeled, so recycling moves
-// no tree, trace or charge. Counts tables and scan scratch hold nothing of the
-// build they served once it is over, so they outlive it: Close hands them to
-// one process-wide pool, where the next middleware — of any schema, in any
-// session — draws its own. Tee builders and code vectors stay with their
-// middleware: they are sized by its stages, and pooling them would keep a
-// finished build's staged data alive. Storage changes hands only where one
+// scratch, the row tags — kept from batch to batch. None of it is modeled, so
+// recycling moves no tree, trace or charge. Counts tables, scan scratch and tag
+// states hold nothing of the build they served once it is over, so they outlive
+// it: Close hands them to one process-wide pool, where the next middleware — of
+// any schema, in any session — draws its own. Tee builders and code vectors
+// stay with their middleware: they are sized by its stages, and pooling them
+// would keep a finished build's staged data alive. Storage changes hands only where one
 // goroutine runs (between batches, when a batch's shards are made, after they
 // merge) or within one lane or segment (its spares and scratch).
 
 // laneScratch is what lane or segment index part of every batch reuses: its
 // kernel's consumer with the scan state the engine keeps in it (buckets,
 // compiled tries, selection vectors), its staging-file read buffer, and the
-// weigher that splits its range into segments.
+// weigher that splits its range into segments — lane 0's splits the batch
+// into lanes first, before any lane runs.
 type laneScratch struct {
 	cons  colConsumer
 	scan  engine.ScanConsumer
@@ -47,17 +50,84 @@ func (ls *laneScratch) release() {
 	ls.buf.g = storage.ColGroup{}
 }
 
+// tagState is what a middleware knows of which node each row of its server
+// table belongs to (engine.ScanConsumer.Tags): a tag per row — the path of the
+// live request a tagged scan last bucketed it into through a test — the
+// registry of tags, and the current batch's classes under them. A tag is a fact
+// about its row, so no shed, requeue, fallback or failed scan can make one
+// wrong. The tags cost 4 bytes a row, unmodeled like the columnar copy they
+// index.
+type tagState struct {
+	rows    []uint32         // per table row: its tag; rows appended since the draw are at the root
+	byNode  map[int]uint32   // NodeID -> tag, for every request a tagged batch counted
+	paths   []predicate.Conj // per tag: its path; tag 0 is the root's, the empty path
+	conjs   []uint32         // per live request of the batch: its tag
+	classes engine.TagClasses
+}
+
+// bytes is what the state's storage weighs in the pool.
+func (ts *tagState) bytes() int64 { return int64(cap(ts.rows)+cap(ts.conjs)) * 4 }
+
+// tagOf returns req's tag, registering it with req's path on first sight.
+func (ts *tagState) tagOf(req *Request) uint32 {
+	if len(req.Path) == 0 {
+		return 0
+	}
+	t, ok := ts.byNode[req.NodeID]
+	if !ok {
+		t = uint32(len(ts.paths))
+		ts.paths = append(ts.paths, req.Path)
+		ts.byNode[req.NodeID] = t
+	}
+	return t
+}
+
+// release drops every node and path the state registered, keeping its storage.
+func (ts *tagState) release() {
+	clear(ts.byNode)
+	clear(ts.paths[:cap(ts.paths)])
+	ts.rows, ts.paths, ts.conjs = ts.rows[:0], ts.paths[:0], ts.conjs[:0]
+	ts.classes.Release()
+}
+
 // The pool's bounds: what a large build keeps between batches, not more.
 const (
-	maxPooledTables  = 4096
-	maxPooledScratch = 64
+	maxPooledTables   = 4096
+	maxPooledScratch  = 64
+	maxPooledTagBytes = 16 << 20
 )
 
 // pool is the process's free storage, shared by every middleware.
 var pool struct {
 	sync.Mutex
-	tables  []*cc.Table
-	scratch []*laneScratch
+	tables   []*cc.Table
+	scratch  []*laneScratch
+	tags     []*tagState
+	tagBytes int64
+}
+
+// tagState returns the middleware's tags, drawn from the pool on first use
+// with every row at the root, and covering every row of the table.
+func (m *Middleware) tagState() *tagState {
+	ts := m.tags
+	if ts == nil {
+		pool.Lock()
+		if n := len(pool.tags); n > 0 {
+			ts, pool.tags = pool.tags[n-1], pool.tags[:n-1]
+			pool.tagBytes -= ts.bytes()
+		}
+		pool.Unlock()
+		if ts == nil {
+			ts = &tagState{byNode: make(map[int]uint32)}
+		}
+		ts.paths = append(ts.paths, nil)
+		m.tags = ts
+	}
+	if n, had := int(m.srv.NumRows()), len(ts.rows); n > had {
+		ts.rows = slices.Grow(ts.rows, n-had)[:n]
+		clear(ts.rows[had:])
+	}
+	return ts
 }
 
 // lane returns lane or segment index part's scratch, drawing it from the pool
@@ -115,6 +185,9 @@ func (m *Middleware) releaseToPool() {
 	for _, ls := range m.lanes {
 		ls.release()
 	}
+	if m.tags != nil {
+		m.tags.release()
+	}
 	pool.Lock()
 	for _, t := range m.tables {
 		t.Reset(nil, nil, 0)
@@ -127,8 +200,12 @@ func (m *Middleware) releaseToPool() {
 			pool.scratch = append(pool.scratch, ls)
 		}
 	}
+	if ts := m.tags; ts != nil && pool.tagBytes+ts.bytes() <= maxPooledTagBytes {
+		pool.tags = append(pool.tags, ts)
+		pool.tagBytes += ts.bytes()
+	}
 	pool.Unlock()
-	m.tables, m.lanes = nil, nil
+	m.tables, m.lanes, m.tags = nil, nil, nil
 }
 
 // teeBuilder returns an idle row-group builder readied for a tee of want rows

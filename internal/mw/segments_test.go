@@ -28,7 +28,8 @@ func segmentsShape(t *testing.T) (*data.Dataset, dtree.Options) {
 }
 
 // segmentRun is what one traced build leaves: its tree, where its meter ended,
-// its trace export, and how many lanes ran as segments.
+// its trace export, how many lanes ran as segments, and how many requests fell
+// back to SQL or were shed back to the queue.
 type segmentRun struct {
 	tree     *dtree.Tree
 	now      int64
@@ -36,6 +37,7 @@ type segmentRun struct {
 	chrome   []byte
 	segments int64
 	fallback int64
+	requeued int
 }
 
 func runSegmentBuild(t *testing.T, ds *data.Dataset, cfg mw.Config, opt dtree.Options) segmentRun {
@@ -65,8 +67,12 @@ func runSegmentBuild(t *testing.T, ds *data.Dataset, cfg mw.Config, opt dtree.Op
 	if err := trace.WriteChrome(&chrome); err != nil {
 		t.Fatal(err)
 	}
-	return segmentRun{tree: tree, now: int64(meter.Now()), counters: meter.CounterVec(), chrome: chrome.Bytes(),
+	run := segmentRun{tree: tree, now: int64(meter.Now()), counters: meter.CounterVec(), chrome: chrome.Bytes(),
 		segments: mw.SegmentRuns() - before, fallback: meter.Count(sim.CtrSQLFallbacks)}
+	for _, rec := range mw.BatchRecords(trace) {
+		run.requeued += rec.NRequeued
+	}
+	return run
 }
 
 // TestSegmentsInvisible: a lane run as segments on the host's cores is, to
@@ -134,11 +140,13 @@ func TestSegmentsInvisible(t *testing.T) {
 	}
 }
 
-// TestPoolSharedAcrossSchemas: two middlewares over different schemas — census
-// rows and tree data — build concurrently and repeatedly, drawing counts
-// tables and scan scratch from the one process-wide pool and handing them back
-// at Close. Every tree equals dtree.BuildInMemory's, and afterwards nothing in
-// the pool refers to a build that ended or holds spare code vectors.
+// TestPoolSharedAcrossSchemas: middlewares over different schemas — census
+// rows, and tree data staged and unstaged — build concurrently and repeatedly,
+// drawing counts tables, scan scratch and row tags from the one process-wide
+// pool and handing them back at Close; the unstaged builds tag tables of
+// 32,768 and 16,000 rows, so a tag state drawn for one table covers the other.
+// Every tree equals dtree.BuildInMemory's, and afterwards nothing in the pool
+// refers to a build that ended or holds spare code vectors.
 func TestPoolSharedAcrossSchemas(t *testing.T) {
 	census, copt := segmentsShape(t)
 	tree, treeCfg, topt := stagedShape(t)
@@ -151,7 +159,12 @@ func TestPoolSharedAcrossSchemas(t *testing.T) {
 	jobs := []*job{
 		{ds: census, cfg: mw.Config{}, opt: copt},
 		{ds: tree, cfg: treeCfg, opt: topt},
+		{ds: tree, cfg: mw.Config{}, opt: topt},
 	}
+	if census.N() == tree.N() {
+		t.Fatalf("both tables hold %d rows", census.N())
+	}
+	scans := mw.TaggedScans()
 	for _, j := range jobs {
 		var err error
 		if j.want, err = dtree.BuildInMemory(j.ds, j.opt); err != nil {
@@ -195,6 +208,9 @@ func TestPoolSharedAcrossSchemas(t *testing.T) {
 		if err != nil {
 			t.Fatalf("job %d: %v", i, err)
 		}
+	}
+	if mw.TaggedScans() == scans {
+		t.Fatal("no build walked rows by their tags")
 	}
 	if leaks := mw.PooledScratchLeaks(); len(leaks) > 0 {
 		t.Fatalf("pooled scratch still holds %d references into closed builds: %v", len(leaks), leaks)

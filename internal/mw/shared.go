@@ -80,6 +80,7 @@ func (m *Middleware) BeginSharedBatch() (*SharedBatch, []*Result, error) {
 	// needed. Its shard polices the session's whole budget, exactly like a
 	// one-lane solo scan.
 	sb.sh = r.newShard(0, 1)
+	r.tagRows()
 	sb.cons = r.colConsumer(0, m.meter, sb.sh)
 	return sb, nil, nil
 }
@@ -110,6 +111,7 @@ func (sb *SharedBatch) Finish(ioElapsedNS int64) ([]*Result, error) {
 	if ioElapsedNS > 0 {
 		m.meter.Advance(ioElapsedNS)
 	}
+	pairRows.Add(sb.cons.PairRows())
 	r.closeScan()
 	r.mergeShards([]*workerShard{sb.sh})
 	return m.finishBatch(r)

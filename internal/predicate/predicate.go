@@ -53,6 +53,16 @@ func (c Cond) Eval(r data.Row) bool {
 	return r[c.Attr] != c.Val
 }
 
+// Excludes reports whether c and d cannot both hold: they test the same
+// attribute, and either both ask for equality with different values or one
+// asks for a value the other rules out.
+func (c Cond) Excludes(d Cond) bool {
+	if c.Attr != d.Attr || c.Op == Ne && d.Op == Ne {
+		return false
+	}
+	return (c.Op == d.Op) != (c.Val == d.Val)
+}
+
 // SQL renders the condition against the schema's column names.
 func (c Cond) SQL(s *data.Schema) string {
 	return fmt.Sprintf("%s %s %d", s.Attrs[c.Attr].Name, c.Op, c.Val)

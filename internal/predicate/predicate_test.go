@@ -189,3 +189,27 @@ func TestFilterEqualsAnyConj(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestCondExcludes: two conditions exclude each other exactly when no value of
+// their attribute satisfies both, over every pair of Eq/Ne conditions on a
+// small domain; conditions on different attributes never do.
+func TestCondExcludes(t *testing.T) {
+	var conds []Cond
+	for a := 0; a < 2; a++ {
+		for v := data.Value(0); v < 3; v++ {
+			conds = append(conds, Cond{Attr: a, Op: Eq, Val: v}, Cond{Attr: a, Op: Ne, Val: v})
+		}
+	}
+	for _, c := range conds {
+		for _, d := range conds {
+			both := false
+			for x := data.Value(0); x < 4 && c.Attr == d.Attr; x++ {
+				r := data.Row{x, x}
+				both = both || c.Eval(r) && d.Eval(r)
+			}
+			if want := c.Attr == d.Attr && !both; c.Excludes(d) != want {
+				t.Errorf("%v excludes %v = %v, want %v", c, d, c.Excludes(d), want)
+			}
+		}
+	}
+}
