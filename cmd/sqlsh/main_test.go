@@ -93,6 +93,9 @@ func TestDaemonSqlshSameScript(t *testing.T) {
 		"BUILD TREE MODEL m", // fails on both: m is already registered
 		"SCORE TABLE cases USING nosuch",
 		"BUILD TREE MAXDEPTH 2 MAXDEPTH 3",
+		"SELECT income, COUNT(*) FROM cases GROUP BY income HAVING COUNT(*) > 1",
+		"SELECT DISTINCT income FROM cases ORDER BY income",
+		"SELECT income FROM cases UNION SELECT income FROM cases",
 	}
 
 	// The shell, in process.

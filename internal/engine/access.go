@@ -19,11 +19,11 @@ import (
 //
 // The conjunction is one chain of code compares per row group, run as
 // selection-vector passes (GroupTrie.chainSel). A count-only GROUP BY — no
-// residual, HAVING or DISTINCT, at most two plain-column keys, items only
-// COUNT(*), integer literals and key columns — is counted in code space
-// (count.go) and never materializes a row. Every other statement runs
-// projection, aggregation and the residual on materialized rows through the
-// same evaluators; charges are per row.
+// residual, at most two plain-column keys, items only COUNT(*), integer
+// literals and key columns — is counted in code space (count.go) and never
+// materializes a row. Every other statement runs projection, aggregation and
+// the residual on materialized rows through the same evaluators; charges are
+// per row.
 
 // usedCols is a colResolver that remembers which columns were resolved
 // through it. Every column a statement reads is resolved once when its

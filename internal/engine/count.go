@@ -38,14 +38,13 @@ type countItem struct {
 }
 
 // countOnly recognizes a count-only core of t, resolving columns through cols:
-// no HAVING, no DISTINCT, at most two GROUP BY keys that are plain columns, and
-// select items that are only COUNT(*), integer literals or GROUP BY columns —
-// an aggregate or a GROUP BY there must be, or the core is a projection. The
-// caller has established the rest: a single-table core on the columnar plan
-// with no residual filter.
+// at most two GROUP BY keys that are plain columns, and select items that are
+// only COUNT(*), integer literals or GROUP BY columns — an aggregate or a GROUP
+// BY there must be, or the core is a projection. The caller has established
+// the rest: a single-table core on the columnar plan with no residual filter.
 func countOnly(c *sqlparser.SelectCore, cols colResolver, t *Table) (countPlan, bool) {
 	var p countPlan
-	if c.Having != nil || c.Distinct || len(c.GroupBy) > 2 {
+	if len(c.GroupBy) > 2 {
 		return p, false
 	}
 	for _, g := range c.GroupBy {

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -10,6 +11,7 @@ import (
 	"repro/internal/data"
 	"repro/internal/predicate"
 	"repro/internal/sim"
+	"repro/internal/sqlparser"
 )
 
 func newEngine() *Engine { return New(sim.NewDefaultMeter(), 0) }
@@ -80,69 +82,118 @@ func TestSelectStar(t *testing.T) {
 func TestGroupByCount(t *testing.T) {
 	e := newEngine()
 	seedTable(t, e)
-	got := queryInts(t, e, "SELECT a, COUNT(*) FROM t GROUP BY a ORDER BY a")
+	// Groups come out in the order of their first row.
+	got := queryInts(t, e, "SELECT a, COUNT(*) FROM t GROUP BY a")
 	want := [][]int64{{1, 2}, {2, 2}, {3, 1}}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("got %v, want %v", got, want)
 	}
 }
 
+// TestAggregates: COUNT(*) is the one aggregate. Without GROUP BY it answers
+// one row, over an empty selection too, where its other items are 0 — on the
+// code-space path and on the evaluator's (a residual filter).
 func TestAggregates(t *testing.T) {
 	e := newEngine()
 	seedTable(t, e)
-	got := queryInts(t, e, "SELECT COUNT(*), SUM(b), MIN(b), MAX(b) FROM t")
-	want := [][]int64{{5, 80, 10, 30}}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("got %v, want %v", got, want)
+	for _, tc := range []struct {
+		sql  string
+		want [][]int64
+	}{
+		{"SELECT COUNT(*) FROM t", [][]int64{{5}}},
+		{"SELECT COUNT(*), 7 FROM t WHERE a = 9", [][]int64{{0, 0}}},
+		{"SELECT COUNT(*), 7 FROM t WHERE b < a", [][]int64{{0, 0}}},
+		{"SELECT COUNT(*), a FROM t WHERE b > 10", [][]int64{{2, 2}}},
+		{"SELECT COUNT(*) AS n, c FROM t WHERE a <= 2 GROUP BY c", [][]int64{{3, 0}, {1, 1}}},
+	} {
+		if got := queryInts(t, e, tc.sql); !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("%s: got %v, want %v", tc.sql, got, tc.want)
+		}
+	}
+	if _, err := e.Exec("SELECT COUNT(*) + 1 FROM t"); err == nil {
+		t.Error("COUNT(*) inside an expression accepted")
 	}
 }
 
 func TestGroupByMultipleKeysWithScalar(t *testing.T) {
 	e := newEngine()
 	seedTable(t, e)
-	got := queryInts(t, e, "SELECT c, b, COUNT(*) FROM t GROUP BY c, b ORDER BY c, b")
-	want := [][]int64{{0, 10, 2}, {0, 30, 1}, {1, 10, 1}, {1, 20, 1}}
+	got := queryInts(t, e, "SELECT c, b, COUNT(*) FROM t GROUP BY c, b")
+	want := [][]int64{{0, 10, 2}, {1, 20, 1}, {0, 30, 1}, {1, 10, 1}}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("got %v, want %v", got, want)
 	}
 }
 
+// TestUnionAndUnionAll: UNION ALL concatenates its arms in order, duplicates
+// kept; UNION without ALL is refused.
 func TestUnionAndUnionAll(t *testing.T) {
 	e := newEngine()
 	seedTable(t, e)
-	all := queryInts(t, e, "SELECT a FROM t WHERE c = 0 UNION ALL SELECT a FROM t WHERE c = 0")
-	if len(all) != 6 {
-		t.Errorf("UNION ALL rows = %d, want 6", len(all))
+	all := queryInts(t, e, "SELECT a FROM t WHERE c = 0 UNION ALL SELECT b FROM t WHERE c = 1")
+	want := [][]int64{{1}, {1}, {2}, {20}, {10}}
+	if !reflect.DeepEqual(all, want) {
+		t.Errorf("UNION ALL rows = %v, want %v", all, want)
 	}
-	dedup := queryInts(t, e, "SELECT a FROM t WHERE c = 0 UNION SELECT a FROM t WHERE c = 0 ORDER BY a")
-	want := [][]int64{{1}, {2}}
-	if !reflect.DeepEqual(dedup, want) {
-		t.Errorf("UNION rows = %v, want %v", dedup, want)
+	if _, err := e.Exec("SELECT a FROM t WHERE c = 0 UNION SELECT a FROM t WHERE c = 0"); err == nil {
+		t.Error("UNION without ALL accepted")
 	}
 }
 
+// TestDistinct: a GROUP BY without aggregate gives the distinct values, in the
+// order of their first row; DISTINCT itself is refused.
 func TestDistinct(t *testing.T) {
 	e := newEngine()
 	seedTable(t, e)
-	got := queryInts(t, e, "SELECT DISTINCT c FROM t ORDER BY c")
-	if !reflect.DeepEqual(got, [][]int64{{0}, {1}}) {
+	if got := queryInts(t, e, "SELECT c FROM t GROUP BY c"); !reflect.DeepEqual(got, [][]int64{{0}, {1}}) {
 		t.Errorf("got %v", got)
+	}
+	if got := queryInts(t, e, "SELECT b FROM t WHERE b <> 30 GROUP BY b"); !reflect.DeepEqual(got, [][]int64{{10}, {20}}) {
+		t.Errorf("got %v", got)
+	}
+	if _, err := e.Exec("SELECT DISTINCT c FROM t"); err == nil {
+		t.Error("DISTINCT accepted")
 	}
 }
 
+// TestOrderByDesc: without ORDER BY, which is refused, rows come in heap order.
 func TestOrderByDesc(t *testing.T) {
 	e := newEngine()
 	seedTable(t, e)
-	got := queryInts(t, e, "SELECT b FROM t WHERE a = 1 ORDER BY b DESC")
-	if !reflect.DeepEqual(got, [][]int64{{30}, {10}}) {
+	if got := queryInts(t, e, "SELECT b FROM t WHERE a = 1"); !reflect.DeepEqual(got, [][]int64{{10}, {30}}) {
 		t.Errorf("got %v", got)
+	}
+	if _, err := e.Exec("SELECT b FROM t WHERE a = 1 ORDER BY b DESC"); err == nil {
+		t.Error("ORDER BY accepted")
+	}
+}
+
+// TestLimit: LIMIT caps the combined rows of every core.
+func TestLimit(t *testing.T) {
+	e := newEngine()
+	seedTable(t, e)
+	got := queryInts(t, e, "SELECT b FROM t LIMIT 2")
+	want := [][]int64{{10}, {20}}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("got %v, want %v", got, want)
+	}
+	if got := queryInts(t, e, "SELECT b FROM t LIMIT 0"); len(got) != 0 {
+		t.Errorf("LIMIT 0 returned %d rows", len(got))
+	}
+	// LIMIT larger than the result is a no-op.
+	if got := queryInts(t, e, "SELECT b FROM t LIMIT 100"); len(got) != 5 {
+		t.Errorf("LIMIT 100 returned %d rows", len(got))
+	}
+	got = queryInts(t, e, "SELECT a, COUNT(*) FROM t GROUP BY a UNION ALL SELECT c, COUNT(*) FROM t GROUP BY c LIMIT 4")
+	if want := [][]int64{{1, 2}, {2, 2}, {3, 1}, {0, 3}}; !reflect.DeepEqual(got, want) {
+		t.Errorf("LIMIT over UNION ALL: got %v, want %v", got, want)
 	}
 }
 
 func TestStringLiteralProjection(t *testing.T) {
 	e := newEngine()
 	seedTable(t, e)
-	rs, err := e.Exec("SELECT 'attr_a' AS attr_name, a, COUNT(*) FROM t GROUP BY a ORDER BY a")
+	rs, err := e.Exec("SELECT 'attr_a' AS attr_name, a, COUNT(*) FROM t GROUP BY a")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,8 +205,9 @@ func TestStringLiteralProjection(t *testing.T) {
 	}
 }
 
-// TestInsertAndDelete: INSERT appends in order; DELETE is refused — tables
-// are append-only — and leaves the rows as they were.
+// TestInsertAndDelete: INSERT appends in order, all of a statement's rows or
+// none — a statement with a bad value anywhere changes nothing; DELETE is
+// refused — tables are append-only — and leaves the rows as they were.
 func TestInsertAndDelete(t *testing.T) {
 	e := newEngine()
 	e.MustExec("CREATE TABLE u (x INT, y INT)")
@@ -174,6 +226,26 @@ func TestInsertAndDelete(t *testing.T) {
 	if got := queryInts(t, e, "SELECT x FROM u"); !reflect.DeepEqual(got, want) {
 		t.Errorf("after a refused DELETE: %v, want %v", got, want)
 	}
+	for _, sql := range []string{
+		"INSERT INTO u VALUES (4294967297, 2)",
+		"INSERT INTO u VALUES (1, -2147483649)",
+		"INSERT INTO u VALUES (9, 9), (2147483647 + 1, 9)",
+		"INSERT INTO u VALUES (9, 9), ('x', 3)",
+		"INSERT INTO u VALUES (9, 9), (3)",
+		"INSERT INTO u VALUES (9, 9), (1, 2, 3)",
+		"INSERT INTO u VALUES (9, 9), (1, y)",
+	} {
+		if _, err := e.Exec(sql); err == nil {
+			t.Errorf("%s: accepted", sql)
+		}
+		if got := queryInts(t, e, "SELECT x FROM u"); !reflect.DeepEqual(got, want) {
+			t.Errorf("after a refused %s: %v, want %v", sql, got, want)
+		}
+	}
+	e.MustExec("INSERT INTO u VALUES (2147483647, -2147483648)")
+	if got := queryInts(t, e, "SELECT x, y FROM u WHERE x = 2147483647"); !reflect.DeepEqual(got, [][]int64{{2147483647, -2147483648}}) {
+		t.Errorf("int32 bounds stored as %v", got)
+	}
 }
 
 // TestQualifiedNamesOnSingleTable: a core's columns resolve by bare name, by
@@ -182,7 +254,7 @@ func TestQualifiedNamesOnSingleTable(t *testing.T) {
 	e := newEngine()
 	e.MustExec("CREATE TABLE orders (id INT, cust INT, amount INT)")
 	e.MustExec("INSERT INTO orders VALUES (1, 10, 5), (2, 10, 7), (3, 20, 3), (4, 30, 9)")
-	got := queryInts(t, e, "SELECT orders.amount FROM orders WHERE orders.cust = 10 ORDER BY orders.amount")
+	got := queryInts(t, e, "SELECT orders.amount FROM orders WHERE orders.cust = 10")
 	want := [][]int64{{5}, {7}}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("got %v, want %v", got, want)
@@ -220,6 +292,51 @@ func TestCreateTableErrors(t *testing.T) {
 	}
 }
 
+// TestHavingErrors: HAVING and every other construct the executor does not
+// have are refused at parse time with a *sqlparser.Error that names them, in
+// process on both statement entries; nothing is charged and the engine answers
+// the next statement.
+func TestHavingErrors(t *testing.T) {
+	srv, err := NewServer(newEngine(), "cases", lanesTestData())
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := srv.Engine()
+	for _, tc := range []struct{ sql, want string }{
+		{"SELECT A1, COUNT(*) FROM cases GROUP BY A1 HAVING COUNT(*) > 1", "HAVING is not supported"},
+		{"SELECT DISTINCT A1 FROM cases", "DISTINCT is not supported"},
+		{"SELECT A1 FROM cases ORDER BY A1 DESC", "ORDER BY is not supported"},
+		{"SELECT A1 FROM cases UNION SELECT A2 FROM cases", "UNION without ALL is not supported"},
+		{"SELECT SUM(A1) FROM cases", "SUM is not supported"},
+		{"SELECT MIN(A1) FROM cases", "MIN is not supported"},
+		{"SELECT MAX(A1) FROM cases", "MAX is not supported"},
+		{"SELECT AVG(A1) FROM cases", "AVG is not supported"},
+		{"SELECT COUNT(A1) FROM cases", "COUNT(expr) is not supported"},
+	} {
+		for _, entry := range []struct {
+			name string
+			exec func(string) (*ResultSet, error)
+		}{
+			{"Engine.Exec", e.Exec},
+			{"Server.Exec", func(sql string) (*ResultSet, error) { return srv.Exec(sql, 4) }},
+		} {
+			name, exec := entry.name, entry.exec
+			before, t0 := e.Meter().CounterVec(), e.Meter().Now()
+			_, err := exec(tc.sql)
+			var perr *sqlparser.Error
+			if !errors.As(err, &perr) || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("%s(%q) = %v, want a *sqlparser.Error saying %q", name, tc.sql, err, tc.want)
+			}
+			if d := e.Meter().CounterVec().Delta(before); d != (sim.CounterVec{}) || e.Meter().Now() != t0 {
+				t.Errorf("%s(%q): a refused statement charged %v", name, tc.sql, d)
+			}
+			if got := queryInts(t, e, "SELECT COUNT(*) FROM cases"); got[0][0] != 6144 {
+				t.Fatalf("after %s: COUNT(*) = %d", tc.sql, got[0][0])
+			}
+		}
+	}
+}
+
 func TestExecErrors(t *testing.T) {
 	e := newEngine()
 	seedTable(t, e)
@@ -230,9 +347,8 @@ func TestExecErrors(t *testing.T) {
 		"INSERT INTO t VALUES ('s', 1, 2)",
 		"SELECT a FROM t WHERE a = 'x'",
 		"SELECT a + 'x' FROM t",
-		"SELECT SUM('x') FROM t",
-		"SELECT a FROM t UNION SELECT a, b FROM t",
-		"SELECT a FROM t ORDER BY nope",
+		"SELECT a FROM t UNION ALL SELECT a, b FROM t",
+		"SELECT COUNT(*) FROM t WHERE COUNT(*) = 1",
 	} {
 		if _, err := e.Exec(sql); err == nil {
 			t.Errorf("Exec(%q) succeeded", sql)

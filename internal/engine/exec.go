@@ -3,7 +3,6 @@ package engine
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -186,12 +185,16 @@ func (e *Engine) MustExec(sql string) *ResultSet {
 	return rs
 }
 
+// execInsert appends the statement's rows, all or none: every value is
+// checked before the first row is appended. A value must be an integer that
+// fits a stored data.Value; narrowing a wider one would store another value.
 func (e *Engine) execInsert(s *sqlparser.Insert) error {
 	t, err := e.Table(s.Table)
 	if err != nil {
 		return err
 	}
-	for _, exprRow := range s.Rows {
+	rows := make([]data.Row, len(s.Rows))
+	for ri, exprRow := range s.Rows {
 		if len(exprRow) != len(t.Cols) {
 			return fmt.Errorf("engine: insert into %q: %d values, want %d", t.Name, len(exprRow), len(t.Cols))
 		}
@@ -204,8 +207,13 @@ func (e *Engine) execInsert(s *sqlparser.Insert) error {
 			if v.Str {
 				return fmt.Errorf("engine: insert into %q: string values are not storable (column %s)", t.Name, t.Cols[i])
 			}
-			row[i] = data.Value(v.I)
+			if row[i] = data.Value(v.I); int64(row[i]) != v.I {
+				return fmt.Errorf("engine: insert into %q: %d is out of range (column %s)", t.Name, v.I, t.Cols[i])
+			}
 		}
+		rows[ri] = row
+	}
+	for _, row := range rows {
 		if err := e.Insert(t, row); err != nil {
 			return err
 		}
@@ -303,7 +311,7 @@ func (e *Engine) compileExpr(ex sqlparser.Expr, t colResolver) (evaluator, error
 		return e.compileCase(x, t)
 	case *sqlparser.ClassifyExpr:
 		return e.compileClassify(x, t)
-	case *sqlparser.CountStar, *sqlparser.AggExpr:
+	case *sqlparser.CountStar:
 		return nil, fmt.Errorf("engine: aggregate %s in a non-aggregate context", ex)
 	}
 	return nil, fmt.Errorf("engine: unsupported expression %T", ex)
@@ -452,73 +460,12 @@ func b2i(b bool) int64 {
 	return 0
 }
 
-// aggState accumulates one aggregate.
-type aggState struct {
-	fn    string // "COUNT*", "COUNT", "SUM", "MIN", "MAX"
-	arg   evaluator
-	count int64
-	sum   int64
-	min   int64
-	max   int64
-	any   bool
-}
-
-func (a *aggState) update(r data.Row) error {
-	if a.fn == "COUNT*" {
-		a.count++
-		return nil
-	}
-	v, err := a.arg(r)
-	if err != nil {
-		return err
-	}
-	if v.Str {
-		return fmt.Errorf("engine: aggregate over string value")
-	}
-	a.count++
-	a.sum += v.I
-	if !a.any || v.I < a.min {
-		a.min = v.I
-	}
-	if !a.any || v.I > a.max {
-		a.max = v.I
-	}
-	a.any = true
-	return nil
-}
-
-func (a *aggState) value() Val {
-	switch a.fn {
-	case "COUNT*", "COUNT":
-		return Val{I: a.count}
-	case "SUM":
-		return Val{I: a.sum}
-	case "MIN":
-		return Val{I: a.min}
-	case "MAX":
-		return Val{I: a.max}
-	case "AVG":
-		// Integer average (the engine stores categorical codes; a
-		// truncated mean suffices for the supported workloads).
-		if a.count == 0 {
-			return Val{}
-		}
-		return Val{I: a.sum / a.count}
-	}
-	return Val{}
-}
-
-func (a *aggState) clone() *aggState {
-	c := *a
-	return &c
-}
-
 // execSelect executes a full Select: each core independently (its own scan —
-// the engine does not share scans across UNION arms), then UNION
-// combination, then ORDER BY. With nworkers > 1 the cores of a multi-core
-// statement run on lanes first (coresOnLanes) and are combined here in core
-// order, so only the clock tells the lane count; a single core, or one worker,
-// executes on the caller's goroutine and meter.
+// the engine does not share scans across UNION arms), their rows concatenated
+// in core order (UNION ALL), then LIMIT. With nworkers > 1 the cores of a
+// multi-core statement run on lanes first (coresOnLanes) and are combined here
+// in core order, so only the clock tells the lane count; a single core, or one
+// worker, executes on the caller's goroutine and meter.
 func (e *Engine) execSelect(s *sqlparser.Select, nworkers int) (*ResultSet, error) {
 	var sets []*ResultSet
 	var errs []error
@@ -545,14 +492,6 @@ func (e *Engine) execSelect(s *sqlparser.Select, nworkers int) (*ResultSet, erro
 			return nil, fmt.Errorf("engine: UNION arms have %d and %d columns", len(out.Cols), len(rs.Cols))
 		}
 		out.Rows = append(out.Rows, rs.Rows...)
-		if !s.UnionAll[i-1] {
-			out.Rows = dedupeRows(out.Rows)
-		}
-	}
-	if len(s.OrderBy) > 0 {
-		if err := e.orderBy(out, s.OrderBy); err != nil {
-			return nil, err
-		}
 	}
 	if s.Limit >= 0 && int64(len(out.Rows)) > s.Limit {
 		out.Rows = out.Rows[:s.Limit]
@@ -584,28 +523,10 @@ func (e *Engine) coresOnLanes(cores []sqlparser.SelectCore, n int) ([]*ResultSet
 	return sets, errs
 }
 
-func dedupeRows(rows [][]Val) [][]Val {
-	seen := make(map[string]bool, len(rows))
-	out := rows[:0]
-	var key []byte
-	for _, r := range rows {
-		key = key[:0]
-		for _, v := range r {
-			key = appendKey(key, v)
-		}
-		if !seen[string(key)] {
-			seen[string(key)] = true
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
 // appendKey appends v's hash-key encoding to key: a type tag, the value and a
 // terminator, so the encodings of a value list concatenate unambiguously.
-// Grouping and DISTINCT/UNION key their maps with it,
-// reusing one buffer per scan and looking up m[string(key)], which does not
-// allocate.
+// Grouping keys its map with it, reusing one buffer per scan and looking up
+// m[string(key)], which does not allocate.
 func appendKey(key []byte, v Val) []byte {
 	if v.Str {
 		key = append(append(key, 's'), v.S...)
@@ -613,61 +534,6 @@ func appendKey(key []byte, v Val) []byte {
 		key = strconv.AppendInt(append(key, 'i'), v.I, 10)
 	}
 	return append(key, 0)
-}
-
-// orderBy sorts the result set. Order keys that are column references are
-// resolved against the result's output column names; other expressions are
-// not supported at this level (the paper's queries never need them).
-func (e *Engine) orderBy(rs *ResultSet, keys []sqlparser.OrderItem) error {
-	type keySpec struct {
-		col  int
-		desc bool
-	}
-	specs := make([]keySpec, len(keys))
-	for i, k := range keys {
-		cr, ok := k.Expr.(*sqlparser.ColumnRef)
-		if !ok {
-			return fmt.Errorf("engine: ORDER BY supports output column names only, got %s", k.Expr)
-		}
-		ci := -1
-		for j, c := range rs.Cols {
-			if c == cr.Name {
-				ci = j
-				break
-			}
-		}
-		if ci < 0 {
-			// Fall back to matching the bare column name against
-			// alias-qualified output columns (and vice versa), requiring
-			// uniqueness.
-			for j, c := range rs.Cols {
-				if lastSegment(c) == lastSegment(cr.Name) {
-					if ci >= 0 {
-						return fmt.Errorf("engine: ORDER BY column %q is ambiguous", cr.Name)
-					}
-					ci = j
-				}
-			}
-		}
-		if ci < 0 {
-			return fmt.Errorf("engine: ORDER BY references unknown output column %q", cr.Name)
-		}
-		specs[i] = keySpec{col: ci, desc: k.Desc}
-	}
-	sort.SliceStable(rs.Rows, func(a, b int) bool {
-		for _, sp := range specs {
-			va, vb := rs.Rows[a][sp.col], rs.Rows[b][sp.col]
-			if va.equal(vb) {
-				continue
-			}
-			if sp.desc {
-				return vb.less(va)
-			}
-			return va.less(vb)
-		}
-		return false
-	})
-	return nil
 }
 
 // execCore executes one SELECT ... FROM ... WHERE ... GROUP BY block: its
@@ -694,11 +560,10 @@ func (e *Engine) execCore(c *sqlparser.SelectCore) (*ResultSet, error) {
 	// Classify projection items, expand *.
 	type item struct {
 		name string
-		eval evaluator // nil for aggregates
-		agg  *aggState // nil for scalars
+		eval evaluator // nil for COUNT(*)
 	}
 	var items []item
-	hasAgg := false
+	counted := false
 	for _, si := range c.Items {
 		if si.Star {
 			for _, col := range tbl.Cols {
@@ -711,31 +576,23 @@ func (e *Engine) execCore(c *sqlparser.SelectCore) (*ResultSet, error) {
 		if name == "" {
 			name = si.Expr.String()
 		}
-		switch x := si.Expr.(type) {
-		case *sqlparser.CountStar:
-			items = append(items, item{name: name, agg: &aggState{fn: "COUNT*"}})
-			hasAgg = true
-		case *sqlparser.AggExpr:
-			argEval, err := e.compileExpr(x.Arg, t)
-			if err != nil {
-				return nil, err
-			}
-			items = append(items, item{name: name, agg: &aggState{fn: x.Func, arg: argEval}})
-			hasAgg = true
-		default:
-			ev, err := e.compileExpr(si.Expr, t)
-			if err != nil {
-				return nil, err
-			}
-			items = append(items, item{name: name, eval: ev})
+		if _, ok := si.Expr.(*sqlparser.CountStar); ok {
+			items = append(items, item{name: name})
+			counted = true
+			continue
 		}
+		ev, err := e.compileExpr(si.Expr, t)
+		if err != nil {
+			return nil, err
+		}
+		items = append(items, item{name: name, eval: ev})
 	}
 	cols := make([]string, len(items))
 	for i, it := range items {
 		cols[i] = it.name
 	}
 
-	grouped := hasAgg || len(c.GroupBy) > 0
+	grouped := counted || len(c.GroupBy) > 0
 
 	// Group-by key evaluators.
 	var groupEvals []evaluator
@@ -789,35 +646,19 @@ func (e *Engine) execCore(c *sqlparser.SelectCore) (*ResultSet, error) {
 		if err != nil {
 			return nil, err
 		}
-		if c.Distinct {
-			rs.Rows = dedupeRows(rs.Rows)
-		}
 		return rs, nil
 	}
 
-	// Grouped execution: hash aggregation.
+	// Grouped execution: hash aggregation. A group holds the values of the
+	// scalar items, from its first row, and its COUNT(*); groups come out in
+	// the order of their first row.
 	type group struct {
-		scalars []Val // values of non-aggregate items, from the first row
-		aggs    []*aggState
-		hidden  []*aggState // aggregates appearing only in HAVING
-		rep     data.Row    // representative row (for HAVING column refs)
-		order   int
+		scalars []Val
+		n       int64
 	}
-	groups := make(map[string]*group)
-	var orderSeq int
+	var groups []group
+	index := make(map[string]int)
 	aggCost := e.meter.Costs().SQLAggRow
-
-	// Compile HAVING: aggregate subexpressions become hidden per-group
-	// states; column references read the group's representative row.
-	var hiddenTpl []*aggState
-	var havingFn func(hidden []*aggState, rep data.Row) (Val, error)
-	if c.Having != nil {
-		havingFn, err = e.compileHaving(c.Having, t, &hiddenTpl)
-		if err != nil {
-			return nil, err
-		}
-	}
-
 	var key []byte // the row's group key, reused
 	err = scanSource(func(row data.Row) error {
 		e.meter.Charge(sim.CtrSQLAggRows, aggCost, 1)
@@ -829,84 +670,41 @@ func (e *Engine) execCore(c *sqlparser.SelectCore) (*ResultSet, error) {
 			}
 			key = appendKey(key, v)
 		}
-		g, ok := groups[string(key)] // no allocation: the string is made only for a new group
+		gi, ok := index[string(key)] // no allocation: the string is made only for a new group
 		if !ok {
-			g = &group{order: orderSeq}
-			orderSeq++
+			var scalars []Val
 			for _, it := range items {
-				if it.agg != nil {
-					g.aggs = append(g.aggs, it.agg.clone())
-				} else {
+				if it.eval != nil {
 					v, err := it.eval(row)
 					if err != nil {
 						return err
 					}
-					g.scalars = append(g.scalars, v)
-					g.aggs = append(g.aggs, nil)
+					scalars = append(scalars, v)
 				}
 			}
-			for _, h := range hiddenTpl {
-				g.hidden = append(g.hidden, h.clone())
-			}
-			if havingFn != nil {
-				g.rep = row.Clone()
-			}
-			groups[string(key)] = g
+			gi = len(groups)
+			index[string(key)] = gi
+			groups = append(groups, group{scalars: scalars})
 		}
-		for _, a := range g.aggs {
-			if a != nil {
-				if err := a.update(row); err != nil {
-					return err
-				}
-			}
-		}
-		for _, a := range g.hidden {
-			if err := a.update(row); err != nil {
-				return err
-			}
-		}
+		groups[gi].n++
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
 
-	// An aggregate with no GROUP BY over empty input still yields one row
-	// (COUNT(*) = 0; SUM/MIN/MAX degenerate to 0 since the engine has no
-	// NULL).
+	// COUNT(*) with no GROUP BY over empty input still yields one row: the
+	// count 0, and 0 for the other items too, since the engine has no NULL.
 	if len(groups) == 0 && len(groupEvals) == 0 {
-		g := &group{}
-		for _, it := range items {
-			if it.agg != nil {
-				g.aggs = append(g.aggs, it.agg.clone())
-			} else {
-				g.scalars = append(g.scalars, Val{})
-				g.aggs = append(g.aggs, nil)
-			}
-		}
-		groups[""] = g
+		groups = append(groups, group{scalars: make([]Val, len(items))})
 	}
 
-	ordered := make([]*group, 0, len(groups))
 	for _, g := range groups {
-		ordered = append(ordered, g)
-	}
-	sort.Slice(ordered, func(i, j int) bool { return ordered[i].order < ordered[j].order })
-	for _, g := range ordered {
-		if havingFn != nil {
-			keep, err := havingFn(g.hidden, g.rep)
-			if err != nil {
-				return nil, err
-			}
-			if !truthy(keep) {
-				continue
-			}
-		}
 		out := make([]Val, len(items))
 		si := 0
-		for i := range items {
-			if g.aggs[i] != nil {
-				out[i] = g.aggs[i].value()
+		for i, it := range items {
+			if it.eval == nil {
+				out[i] = IntVal(g.n)
 			} else {
 				out[i] = g.scalars[si]
 				si++
@@ -915,85 +713,4 @@ func (e *Engine) execCore(c *sqlparser.SelectCore) (*ResultSet, error) {
 		rs.Rows = append(rs.Rows, out)
 	}
 	return rs, nil
-}
-
-// compileHaving compiles a HAVING expression: aggregate subexpressions are
-// registered as hidden per-group aggregate templates (appended to tpl) and
-// read back by index at evaluation time; column references evaluate against
-// the group's representative row.
-func (e *Engine) compileHaving(ex sqlparser.Expr, t colResolver, tpl *[]*aggState) (func([]*aggState, data.Row) (Val, error), error) {
-	switch x := ex.(type) {
-	case *sqlparser.IntLit:
-		v := Val{I: x.Val}
-		return func([]*aggState, data.Row) (Val, error) { return v, nil }, nil
-	case *sqlparser.StringLit:
-		v := Val{S: x.Val, Str: true}
-		return func([]*aggState, data.Row) (Val, error) { return v, nil }, nil
-	case *sqlparser.ColumnRef:
-		ci := t.ColIndex(x.Name)
-		if ci < 0 {
-			return nil, fmt.Errorf("engine: HAVING references unknown column %q", x.Name)
-		}
-		return func(_ []*aggState, rep data.Row) (Val, error) {
-			return Val{I: int64(rep[ci])}, nil
-		}, nil
-	case *sqlparser.CountStar:
-		idx := len(*tpl)
-		*tpl = append(*tpl, &aggState{fn: "COUNT*"})
-		return func(hidden []*aggState, _ data.Row) (Val, error) {
-			return hidden[idx].value(), nil
-		}, nil
-	case *sqlparser.AggExpr:
-		argEval, err := e.compileExpr(x.Arg, t)
-		if err != nil {
-			return nil, err
-		}
-		idx := len(*tpl)
-		*tpl = append(*tpl, &aggState{fn: x.Func, arg: argEval})
-		return func(hidden []*aggState, _ data.Row) (Val, error) {
-			return hidden[idx].value(), nil
-		}, nil
-	case *sqlparser.NotExpr:
-		sub, err := e.compileHaving(x.E, t, tpl)
-		if err != nil {
-			return nil, err
-		}
-		return func(hidden []*aggState, rep data.Row) (Val, error) {
-			v, err := sub(hidden, rep)
-			if err != nil {
-				return Val{}, err
-			}
-			return Val{I: b2i(!truthy(v))}, nil
-		}, nil
-	case *sqlparser.BinaryExpr:
-		l, err := e.compileHaving(x.L, t, tpl)
-		if err != nil {
-			return nil, err
-		}
-		r, err := e.compileHaving(x.R, t, tpl)
-		if err != nil {
-			return nil, err
-		}
-		op := x.Op
-		return func(hidden []*aggState, rep data.Row) (Val, error) {
-			lv, err := l(hidden, rep)
-			if err != nil {
-				return Val{}, err
-			}
-			rv, err := r(hidden, rep)
-			if err != nil {
-				return Val{}, err
-			}
-			return applyBinary(op, lv, rv)
-		}, nil
-	}
-	return nil, fmt.Errorf("engine: unsupported HAVING expression %T", ex)
-}
-
-// lastSegment returns the part of a column name after the final dot.
-func lastSegment(name string) string {
-	if i := strings.LastIndexByte(name, '.'); i >= 0 {
-		return name[i+1:]
-	}
-	return name
 }

@@ -39,40 +39,40 @@ func lanesTestServer(t *testing.T, ds *data.Dataset) *Server {
 	return srv
 }
 
-// randUnion draws one statement of 1–8 three-column cores — grouped counts,
-// plain and DISTINCT projections, each under 0–2 random conjuncts (pushed-down
-// and residual ones) — joined by UNION / UNION ALL, with an optional ORDER BY
-// and LIMIT.
+// randUnion draws one statement of 1–8 three-column cores — grouped counts on
+// one key (code space unless a conjunct is residual), grouped counts on three
+// keys (always the evaluator's hash GROUP BY) and plain projections, each under
+// 0–2 random conjuncts (pushed-down and residual ones) — joined by UNION ALL,
+// with an optional LIMIT.
 func randUnion(rng *rand.Rand, s *data.Schema) (sql string, cores int) {
 	cores = 1 + rng.Intn(8)
 	var b strings.Builder
 	for i := 0; i < cores; i++ {
 		if i > 0 {
-			b.WriteString([]string{" UNION ", " UNION ALL "}[rng.Intn(2)])
+			b.WriteString(" UNION ALL ")
 		}
 		c1, c2 := s.ColName(rng.Intn(4)), s.ColName(rng.Intn(4))
 		var where []string
 		for k := rng.Intn(3); k > 0; k-- {
 			where = append(where, randConjunct(rng, s, 3).sql)
 		}
-		grouped := rng.Intn(2) == 0
-		switch {
-		case grouped:
+		var groupBy string
+		switch rng.Intn(3) {
+		case 0:
 			fmt.Fprintf(&b, "SELECT %d AS x, %s AS y, COUNT(*) AS z FROM cases", i, c1)
-		case rng.Intn(2) == 0:
-			fmt.Fprintf(&b, "SELECT DISTINCT %d AS x, %s AS y, %s AS z FROM cases", i, c1, c2)
+			groupBy = c1
+		case 1:
+			fmt.Fprintf(&b, "SELECT %s AS x, %s AS y, COUNT(*) AS z FROM cases", c1, c2)
+			groupBy = fmt.Sprintf("%s, %s, %s", c1, c2, s.ColName(rng.Intn(4)))
 		default:
 			fmt.Fprintf(&b, "SELECT %s AS x, %s AS y, %s AS z FROM cases", c1, c2, s.ColName(3))
 		}
 		if len(where) > 0 {
 			b.WriteString(" WHERE " + strings.Join(where, " AND "))
 		}
-		if grouped {
-			b.WriteString(" GROUP BY " + c1)
+		if groupBy != "" {
+			b.WriteString(" GROUP BY " + groupBy)
 		}
-	}
-	if rng.Intn(2) == 0 {
-		b.WriteString(" ORDER BY " + []string{"x", "y DESC", "z, x DESC"}[rng.Intn(3)])
 	}
 	if rng.Intn(3) == 0 {
 		fmt.Fprintf(&b, " LIMIT %d", rng.Intn(200))

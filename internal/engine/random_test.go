@@ -3,18 +3,23 @@ package engine
 import (
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/data"
 	"repro/internal/sim"
+	"repro/internal/sqlparser"
 	"repro/internal/storage"
 )
 
-// TestRandomGroupedQueriesAgainstReference generates random GROUP BY /
-// aggregate / HAVING queries and cross-checks the executor against a direct
-// in-memory evaluation of the same semantics.
+// TestRandomGroupedQueriesAgainstReference generates random GROUP BY queries
+// — one to three keys, COUNT(*) or not, sometimes an item that is not a key,
+// under a pushed-down or a residual filter — and cross-checks the executor
+// against a direct in-memory evaluation: one row per group in the order of its
+// first row, a non-key item taking the value of that row. Three keys, a
+// residual filter or a non-key item make countOnly decline, so the draws run
+// both the code-space count and the evaluator's hash GROUP BY.
 func TestRandomGroupedQueriesAgainstReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	s := data.NewSchema(3, 4, 3)
@@ -30,70 +35,100 @@ func TestRandomGroupedQueriesAgainstReference(t *testing.T) {
 		t.Fatal(err)
 	}
 	e := srv.Engine()
+	tbl, _ := e.Table("cases")
 
-	for trial := 0; trial < 80; trial++ {
-		groupCol := rng.Intn(4) // 3 attrs + class
-		aggCol := rng.Intn(3)
-		whereCol := rng.Intn(3)
-		whereVal := rng.Intn(4)
-		withHaving := rng.Intn(2) == 0
-		havingMin := rng.Intn(40)
-
-		gName := ds.Schema.ColName(groupCol)
-		aName := ds.Schema.ColName(aggCol)
-		wName := ds.Schema.ColName(whereCol)
-
-		sql := fmt.Sprintf("SELECT %s, COUNT(*), SUM(%s) FROM cases WHERE %s <> %d GROUP BY %s",
-			gName, aName, wName, whereVal, gName)
-		if withHaving {
-			sql += fmt.Sprintf(" HAVING COUNT(*) > %d", havingMin)
+	paths := map[bool]int{} // statements by whether countOnly takes them
+	for trial := 0; trial < 120; trial++ {
+		keys := rng.Perm(4)[:1+rng.Intn(3)] // of the 3 attrs + class
+		whereCol, whereVal := rng.Intn(3), data.Value(rng.Intn(4))
+		residual := rng.Intn(2) == 0
+		extra := -1 // a non-key item
+		if rng.Intn(3) == 0 {
+			for extra = rng.Intn(4); slices.Contains(keys, extra); extra = rng.Intn(4) {
+			}
 		}
-		sql += fmt.Sprintf(" ORDER BY %s", gName)
 
+		// One item per key, in random order, with COUNT(*) among them.
+		var items []string
+		var cols []int // -1 = COUNT(*)
+		for _, k := range rng.Perm(len(keys)) {
+			items, cols = append(items, s.ColName(keys[k])), append(cols, keys[k])
+		}
+		if rng.Intn(4) != 0 {
+			at := rng.Intn(len(items) + 1)
+			items = append(items[:at], append([]string{"COUNT(*)"}, items[at:]...)...)
+			cols = append(cols[:at], append([]int{-1}, cols[at:]...)...)
+		}
+		if extra >= 0 {
+			items, cols = append(items, s.ColName(extra)), append(cols, extra)
+		}
+		op, keep := "<>", func(v data.Value) bool { return v != whereVal }
+		if residual {
+			op, keep = "<", func(v data.Value) bool { return v < whereVal }
+		}
+		groupBy := make([]string, len(keys))
+		for i, k := range keys {
+			groupBy[i] = s.ColName(k)
+		}
+		sql := fmt.Sprintf("SELECT %s FROM cases WHERE %s %s %d GROUP BY %s",
+			strings.Join(items, ", "), s.ColName(whereCol), op, whereVal, strings.Join(groupBy, ", "))
+
+		st, err := sqlparser.Parse(sql)
+		if err != nil {
+			t.Fatalf("%s: %v", sql, err)
+		}
+		c := &st.(*sqlparser.Select).Cores[0]
+		_, ok := countOnly(c, newTableCols(tbl, ""), tbl)
+		if ok != (len(keys) < 3 && extra < 0) {
+			t.Fatalf("%s: countOnly = %v", sql, ok)
+		}
+		paths[ok && !residual]++ // execCore asks countOnly only without a residual
+
+		// Reference evaluation.
+		var want [][]Val
+		at := map[[3]data.Value]int{}
+		for _, r := range ds.Rows {
+			if !keep(r[whereCol]) {
+				continue
+			}
+			var key [3]data.Value
+			for i, k := range keys {
+				key[i] = r[k]
+			}
+			gi, ok := at[key]
+			if !ok {
+				gi = len(want)
+				at[key] = gi
+				row := make([]Val, len(cols))
+				for i, col := range cols {
+					if col >= 0 {
+						row[i] = IntVal(int64(r[col]))
+					}
+				}
+				want = append(want, row)
+			}
+			for i, col := range cols {
+				if col < 0 {
+					want[gi][i].I++
+				}
+			}
+		}
 		rs, err := e.Exec(sql)
 		if err != nil {
 			t.Fatalf("%s: %v", sql, err)
 		}
-
-		// Reference evaluation.
-		type agg struct{ n, sum int64 }
-		ref := map[data.Value]*agg{}
-		for _, r := range ds.Rows {
-			if r[whereCol] == data.Value(whereVal) {
-				continue
-			}
-			g := r[groupCol]
-			a, ok := ref[g]
-			if !ok {
-				a = &agg{}
-				ref[g] = a
-			}
-			a.n++
-			a.sum += int64(r[aggCol])
+		if !sameVals(rs.Rows, want) {
+			t.Fatalf("%s: returned %d rows %v, reference has %d %v", sql, len(rs.Rows), head(rs.Rows), len(want), head(want))
 		}
-		var keys []data.Value
-		for k, a := range ref {
-			if withHaving && a.n <= int64(havingMin) {
-				continue
-			}
-			keys = append(keys, k)
-		}
-		sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-
-		if len(rs.Rows) != len(keys) {
-			t.Fatalf("%s: %d groups, want %d", sql, len(rs.Rows), len(keys))
-		}
-		for i, k := range keys {
-			row := rs.Rows[i]
-			if row[0].I != int64(k) || row[1].I != ref[k].n || row[2].I != ref[k].sum {
-				t.Fatalf("%s: group %d = (%d,%d,%d), want (%d,%d,%d)",
-					sql, i, row[0].I, row[1].I, row[2].I, k, ref[k].n, ref[k].sum)
-			}
-		}
+	}
+	if paths[true] < 10 || paths[false] < 10 {
+		t.Fatalf("%d statements counted in code space, %d on the evaluator; want 10+ of each", paths[true], paths[false])
 	}
 }
 
-// TestRandomUnionQueries cross-checks multi-arm UNION [ALL] row counts.
+// TestRandomUnionQueries cross-checks multi-arm UNION ALL statements — arms
+// that project rows or count groups, under an optional LIMIT — against the
+// reference arms concatenated in order.
 func TestRandomUnionQueries(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	s := data.NewSchema(2, 3, 2)
@@ -109,37 +144,46 @@ func TestRandomUnionQueries(t *testing.T) {
 
 	for trial := 0; trial < 40; trial++ {
 		arms := rng.Intn(3) + 2
-		all := rng.Intn(2) == 0
 		var parts []string
-		var refRows [][2]int64
+		var want [][]Val
 		for a := 0; a < arms; a++ {
-			v := rng.Intn(3)
-			parts = append(parts, fmt.Sprintf("SELECT A1, A2 FROM cases WHERE A1 = %d", v))
-			for _, r := range ds.Rows {
-				if r[0] == data.Value(v) {
-					refRows = append(refRows, [2]int64{int64(r[0]), int64(r[1])})
+			v := data.Value(rng.Intn(3))
+			if rng.Intn(2) == 0 {
+				parts = append(parts, fmt.Sprintf("SELECT A1, A2 FROM cases WHERE A1 = %d", v))
+				for _, r := range ds.Rows {
+					if r[0] == v {
+						want = append(want, []Val{IntVal(int64(r[0])), IntVal(int64(r[1]))})
+					}
 				}
+				continue
+			}
+			parts = append(parts, fmt.Sprintf("SELECT A2, COUNT(*) FROM cases WHERE A1 = %d GROUP BY A2", v))
+			at := map[data.Value]int{}
+			for _, r := range ds.Rows {
+				if r[0] != v {
+					continue
+				}
+				gi, ok := at[r[1]]
+				if !ok {
+					gi = len(want)
+					at[r[1]] = gi
+					want = append(want, []Val{IntVal(int64(r[1])), IntVal(0)})
+				}
+				want[gi][1].I++
 			}
 		}
-		sep := " UNION "
-		if all {
-			sep = " UNION ALL "
+		sql := strings.Join(parts, " UNION ALL ")
+		if rng.Intn(2) == 0 {
+			n := rng.Intn(len(want) + 10)
+			sql += fmt.Sprintf(" LIMIT %d", n)
+			want = want[:min(n, len(want))]
 		}
-		sql := strings.Join(parts, sep)
 		rs, err := e.Exec(sql)
 		if err != nil {
 			t.Fatalf("%s: %v", sql, err)
 		}
-		want := len(refRows)
-		if !all {
-			seen := map[[2]int64]bool{}
-			for _, r := range refRows {
-				seen[r] = true
-			}
-			want = len(seen)
-		}
-		if len(rs.Rows) != want {
-			t.Fatalf("%s: %d rows, want %d", sql, len(rs.Rows), want)
+		if !sameVals(rs.Rows, want) {
+			t.Fatalf("%s: returned %d rows %v, reference has %d %v", sql, len(rs.Rows), head(rs.Rows), len(want), head(want))
 		}
 	}
 }
@@ -289,8 +333,9 @@ func (pt *pathTable) check(t *testing.T, sql string, want [][]Val) {
 func head(rows [][]Val) [][]Val { return rows[:min(len(rows), 6)] }
 
 // randomStatements drives n generated statements of six shapes — plain
-// projection, CLASSIFY projection, GROUP BY aggregate, aggregate without
-// GROUP BY, and the count-only GROUP BY with and without keys — over random
+// projection, CLASSIFY projection, COUNT(*) with a non-key item with and
+// without GROUP BY (the evaluator's), and the count-only GROUP BY with and
+// without keys (code space unless a conjunct is residual) — over random
 // conjunctions through check.
 func (pt *pathTable) randomStatements(t *testing.T, rng *rand.Rand, s *data.Schema, n int) {
 	t.Helper()
@@ -332,18 +377,17 @@ func (pt *pathTable) randomStatements(t *testing.T, rng *rand.Rand, s *data.Sche
 			for _, r := range sel {
 				want = append(want, []Val{IntVal(int64(r[a])), IntVal(int64(model.Predict(r)))})
 			}
-		case 2:
-			sql = fmt.Sprintf("SELECT %s, COUNT(*), SUM(%s) FROM cases%s GROUP BY %s", bn, an, where, bn)
+		case 2: // a non-key item: the evaluator's hash GROUP BY
+			sql = fmt.Sprintf("SELECT %s, COUNT(*), %s FROM cases%s GROUP BY %s", bn, an, where, bn)
 			at := map[data.Value]int{}
 			for _, r := range sel {
 				i, ok := at[r[b]]
 				if !ok {
 					i = len(want)
 					at[r[b]] = i
-					want = append(want, []Val{IntVal(int64(r[b])), IntVal(0), IntVal(0)})
+					want = append(want, []Val{IntVal(int64(r[b])), IntVal(0), IntVal(int64(r[a]))})
 				}
 				want[i][1].I++
-				want[i][2].I += int64(r[a])
 			}
 		case 4: // count-only: in code space on the columnar path
 			sql = fmt.Sprintf("SELECT %s AS k, 7, COUNT(*) AS n, %s FROM cases%s GROUP BY %s, %s", bn, an, where, an, bn)
@@ -363,13 +407,11 @@ func (pt *pathTable) randomStatements(t *testing.T, rng *rand.Rand, s *data.Sche
 			if len(sel) == 0 {
 				want[0][1] = IntVal(0)
 			}
-		default:
-			sql = fmt.Sprintf("SELECT COUNT(*), MAX(%s) FROM cases%s", an, where)
+		default: // a non-key item without GROUP BY: the evaluator's one group
+			sql = fmt.Sprintf("SELECT COUNT(*), %s FROM cases%s", an, where)
 			row := []Val{IntVal(int64(len(sel))), IntVal(0)}
-			for i, r := range sel {
-				if i == 0 || int64(r[a]) > row[1].I {
-					row[1].I = int64(r[a])
-				}
+			if len(sel) > 0 {
+				row[1] = IntVal(int64(sel[0][a]))
 			}
 			want = [][]Val{row} // one row even when nothing matched
 		}
@@ -419,7 +461,7 @@ func TestRandomStatementsOnEveryAccessPath(t *testing.T) {
 		// A literal in no dictionary: every group skipped, nothing read, and
 		// an aggregate without GROUP BY still answers its one row.
 		before = e.Meter().CounterVec()
-		rs = e.MustExec("SELECT COUNT(*), SUM(A2) FROM cases WHERE A3 = 9")
+		rs = e.MustExec("SELECT COUNT(*), A2 FROM cases WHERE A3 = 9")
 		d = e.Meter().CounterVec().Delta(before)
 		if d[sim.CtrColGroupsScanned] != 0 || d[sim.CtrServerPages] != 0 || !sameVals(rs.Rows, [][]Val{{IntVal(0), IntVal(0)}}) {
 			t.Errorf("absent literal: %d groups scanned, %d pages, rows %v; want none, none, [[0 0]]",

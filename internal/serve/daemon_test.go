@@ -266,8 +266,9 @@ func TestDriverSQL(t *testing.T) {
 	}
 }
 
-// TestDriverRefusesRemovedStatements: CREATE INDEX, a JOIN and DELETE —
-// statements the engine does not have — each come back over the wire as an
+// TestDriverRefusesRemovedStatements: CREATE INDEX, a JOIN, DELETE, HAVING,
+// DISTINCT, ORDER BY, UNION without ALL and every aggregate but COUNT(*) —
+// constructs the engine does not have — each come back over the wire as an
 // error naming the construct, and the same connection then answers a SELECT.
 func TestDriverRefusesRemovedStatements(t *testing.T) {
 	addr, stop := startDaemon(t, 600, 1, false)
@@ -287,6 +288,15 @@ func TestDriverRefusesRemovedStatements(t *testing.T) {
 		{"CREATE INDEX ia ON cases (A1)", "CREATE INDEX is not supported"},
 		{"SELECT c.A1, d.A2 FROM cases c JOIN cases d ON c.A1 = d.A1", "JOIN is not supported"},
 		{"DELETE FROM cases WHERE A1 = 0", "DELETE is not supported"},
+		{"SELECT A1, COUNT(*) FROM cases GROUP BY A1 HAVING COUNT(*) > 1", "HAVING is not supported"},
+		{"SELECT DISTINCT A1 FROM cases", "DISTINCT is not supported"},
+		{"SELECT A1 FROM cases ORDER BY A1 DESC", "ORDER BY is not supported"},
+		{"SELECT A1 FROM cases UNION SELECT A2 FROM cases", "UNION without ALL is not supported"},
+		{"SELECT SUM(A1) FROM cases", "SUM is not supported"},
+		{"SELECT A1, MIN(A2) FROM cases GROUP BY A1", "MIN is not supported"},
+		{"SELECT MAX(A1) FROM cases", "MAX is not supported"},
+		{"SELECT AVG(A1) FROM cases", "AVG is not supported"},
+		{"SELECT COUNT(A1) FROM cases", "COUNT(expr) is not supported"},
 	} {
 		if _, err := conn.ExecContext(ctx, tc.stmt); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: error %v, want one saying %q", tc.stmt, err, tc.want)

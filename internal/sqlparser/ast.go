@@ -38,14 +38,8 @@ type BinaryExpr struct {
 // NotExpr negates a boolean expression.
 type NotExpr struct{ E Expr }
 
-// CountStar is the COUNT(*) aggregate.
+// CountStar is COUNT(*), the one aggregate.
 type CountStar struct{}
-
-// AggExpr is an aggregate over a column: SUM/MIN/MAX(col).
-type AggExpr struct {
-	Func string // "SUM", "MIN", "MAX", "COUNT"
-	Arg  Expr
-}
 
 // WhenClause is one WHEN cond THEN result arm of a CASE expression.
 type WhenClause struct {
@@ -75,7 +69,6 @@ func (*StringLit) expr()    {}
 func (*BinaryExpr) expr()   {}
 func (*NotExpr) expr()      {}
 func (*CountStar) expr()    {}
-func (*AggExpr) expr()      {}
 func (*CaseExpr) expr()     {}
 func (*ClassifyExpr) expr() {}
 
@@ -89,7 +82,6 @@ func (e *BinaryExpr) String() string {
 }
 func (e *NotExpr) String() string   { return fmt.Sprintf("(NOT %s)", e.E) }
 func (e *CountStar) String() string { return "COUNT(*)" }
-func (e *AggExpr) String() string   { return fmt.Sprintf("%s(%s)", e.Func, e.Arg) }
 func (e *CaseExpr) String() string {
 	var b strings.Builder
 	b.WriteString("CASE")
@@ -130,30 +122,20 @@ func (si SelectItem) String() string {
 }
 
 // SelectCore is one SELECT ... FROM table [alias] [WHERE ...] [GROUP BY ...]
-// [HAVING ...] block.
+// block.
 type SelectCore struct {
-	Distinct   bool
 	Items      []SelectItem
 	Table      string
 	TableAlias string // "" = none
 	Where      Expr   // nil = none
 	GroupBy    []Expr
-	Having     Expr // nil = none
 }
 
-// OrderItem is one ORDER BY key.
-type OrderItem struct {
-	Expr Expr
-	Desc bool
-}
-
-// Select is a full query: one or more cores combined with UNION [ALL], plus
-// optional ORDER BY and LIMIT applied to the combined result.
+// Select is a full query: one or more cores joined by UNION ALL, plus an
+// optional LIMIT applied to the combined result.
 type Select struct {
-	Cores    []SelectCore
-	UnionAll []bool // UnionAll[i] is the combinator between Cores[i] and Cores[i+1]
-	OrderBy  []OrderItem
-	Limit    int64 // -1 = no limit
+	Cores []SelectCore
+	Limit int64 // -1 = no limit
 }
 
 func (*Select) stmt() {}
@@ -162,16 +144,9 @@ func (s *Select) String() string {
 	var b strings.Builder
 	for i, c := range s.Cores {
 		if i > 0 {
-			if s.UnionAll[i-1] {
-				b.WriteString(" UNION ALL ")
-			} else {
-				b.WriteString(" UNION ")
-			}
+			b.WriteString(" UNION ALL ")
 		}
 		b.WriteString("SELECT ")
-		if c.Distinct {
-			b.WriteString("DISTINCT ")
-		}
 		for j, it := range c.Items {
 			if j > 0 {
 				b.WriteString(", ")
@@ -195,22 +170,6 @@ func (s *Select) String() string {
 					b.WriteString(", ")
 				}
 				b.WriteString(g.String())
-			}
-		}
-		if c.Having != nil {
-			b.WriteString(" HAVING ")
-			b.WriteString(c.Having.String())
-		}
-	}
-	if len(s.OrderBy) > 0 {
-		b.WriteString(" ORDER BY ")
-		for j, o := range s.OrderBy {
-			if j > 0 {
-				b.WriteString(", ")
-			}
-			b.WriteString(o.Expr.String())
-			if o.Desc {
-				b.WriteString(" DESC")
 			}
 		}
 	}

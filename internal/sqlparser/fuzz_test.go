@@ -7,9 +7,10 @@ import (
 
 // FuzzParse checks that the parser never panics and that every accepted
 // statement round-trips through String() to an equivalent fixed point. The
-// seed corpus covers every statement kind, and the refused ones (CREATE
-// INDEX, JOIN, DELETE) seed the error path; `go test -fuzz=FuzzParse` widens
-// it.
+// seed corpus covers every statement kind, and the refused constructs (CREATE
+// INDEX, JOIN, DELETE, HAVING, ORDER BY, DISTINCT, UNION without ALL and the
+// aggregates other than COUNT(*)) seed the error path; `go test
+// -fuzz=FuzzParse` widens it.
 func FuzzParse(f *testing.F) {
 	seeds := []string{
 		"SELECT a FROM t",
@@ -33,6 +34,8 @@ func FuzzParse(f *testing.F) {
 		"BUILD TREE MODEL a-b", "BUILD TREE MAXDEPTH -1", "BUILD TREE MODEL m MODEL m",
 		"SELECT model, tree, output, stats FROM build WHERE maxdepth = 1",
 		"SELECT a.x, b.y FROM a INNER JOIN b ON a.k = b.k",
+		"SELECT 'A1', A1, class, COUNT(*) FROM cases WHERE A2 = 1 GROUP BY class, A1 UNION ALL SELECT 'A3', A3, class, COUNT(*) FROM cases WHERE A2 = 1 GROUP BY class, A3 LIMIT 10",
+		"SELECT a FROM t UNION SELECT a FROM u",
 	}
 	for _, s := range seeds {
 		f.Add(s)

@@ -1,14 +1,14 @@
 // Package sqlparser is the one grammar every surface speaks — engine, wire
-// daemon, sqlsh. It covers the SQL subset the classification middleware and
-// its baselines need against the embedded engine: single-table SELECT with
-// WHERE, GROUP BY, ORDER BY and UNION [ALL], searched CASE and CLASSIFY();
-// CREATE TABLE; INSERT; DROP TABLE — deliberately the exact query shapes of
-// §2.3 of the paper (the UNION-of-GROUP-BY counts query) plus the DDL the
+// daemon, sqlsh. It covers the SQL its callers send to the embedded engine:
+// single-table SELECT cores with WHERE and GROUP BY, joined by UNION ALL, with
+// an optional LIMIT; COUNT(*) as the one aggregate, searched CASE, CLASSIFY()
+// and integer arithmetic; CREATE TABLE; INSERT; DROP TABLE — the query shapes
+// of §2.3 of the paper (the UNION-of-GROUP-BY counts query) plus the DDL the
 // experiments use — and the two classification statements, SCORE TABLE t
 // USING m [WORKERS n] and BUILD TREE [MAXDEPTH n] [MINROWS n] [WORKERS n]
-// [MODEL ident] [OUTPUT STATS|TREE|TRACE]. CREATE INDEX, JOIN and DELETE are
-// reserved and refused by name: the engine has no index, no join and no
-// DELETE.
+// [MODEL ident] [OUTPUT STATS|TREE|TRACE]. CREATE INDEX, JOIN, DELETE,
+// HAVING, DISTINCT, ORDER BY, UNION without ALL, SUM, MIN, MAX, AVG and
+// COUNT(expr) are reserved and refused by name: the engine has none of them.
 package sqlparser
 
 import (

@@ -212,60 +212,33 @@ func (p *parser) buildStmt() (Statement, error) {
 	return s, nil
 }
 
+// selectStmt parses core [UNION ALL core ...] [LIMIT n]. UNION without ALL and
+// ORDER BY, like DISTINCT and HAVING in a core, stay reserved and are refused
+// by name: the executor neither de-duplicates, sorts nor filters groups.
 func (p *parser) selectStmt() (Statement, error) {
 	s := &Select{Limit: -1}
-	core, err := p.selectCore()
-	if err != nil {
-		return nil, err
-	}
-	s.Cores = append(s.Cores, core)
 	for {
-		ok, err := p.acceptKeyword("UNION")
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			break
-		}
-		all, err := p.acceptKeyword("ALL")
-		if err != nil {
-			return nil, err
-		}
 		core, err := p.selectCore()
 		if err != nil {
 			return nil, err
 		}
 		s.Cores = append(s.Cores, core)
-		s.UnionAll = append(s.UnionAll, all)
-	}
-	if ok, err := p.acceptKeyword("ORDER"); err != nil {
-		return nil, err
-	} else if ok {
-		if err := p.expectKeyword("BY"); err != nil {
+		if !p.atKeyword("UNION") {
+			break
+		}
+		union := p.tok.pos
+		if err := p.advance(); err != nil {
 			return nil, err
 		}
-		for {
-			e, err := p.expr()
-			if err != nil {
-				return nil, err
-			}
-			item := OrderItem{Expr: e}
-			if ok, err := p.acceptKeyword("DESC"); err != nil {
-				return nil, err
-			} else if ok {
-				item.Desc = true
-			} else if ok, err := p.acceptKeyword("ASC"); err != nil {
-				return nil, err
-			} else {
-				_ = ok
-			}
-			s.OrderBy = append(s.OrderBy, item)
-			if ok, err := p.acceptSymbol(","); err != nil {
-				return nil, err
-			} else if !ok {
-				break
-			}
+		if !p.atKeyword("ALL") {
+			return nil, p.lex.errf(union, "UNION without ALL is not supported")
 		}
+		if err := p.advance(); err != nil {
+			return nil, err
+		}
+	}
+	if p.atKeyword("ORDER") {
+		return nil, p.errf("ORDER BY is not supported")
 	}
 	if ok, err := p.acceptKeyword("LIMIT"); err != nil {
 		return nil, err
@@ -290,10 +263,8 @@ func (p *parser) selectCore() (SelectCore, error) {
 	if err := p.expectKeyword("SELECT"); err != nil {
 		return c, err
 	}
-	if ok, err := p.acceptKeyword("DISTINCT"); err != nil {
-		return c, err
-	} else if ok {
-		c.Distinct = true
+	if p.atKeyword("DISTINCT") {
+		return c, p.errf("DISTINCT is not supported")
 	}
 	for {
 		if ok, err := p.acceptSymbol("*"); err != nil {
@@ -377,14 +348,8 @@ func (p *parser) selectCore() (SelectCore, error) {
 			}
 		}
 	}
-	if ok, err := p.acceptKeyword("HAVING"); err != nil {
-		return c, err
-	} else if ok {
-		h, err := p.expr()
-		if err != nil {
-			return c, err
-		}
-		c.Having = h
+	if p.atKeyword("HAVING") {
+		return c, p.errf("HAVING is not supported")
 	}
 	return c, nil
 }
@@ -396,7 +361,7 @@ func (p *parser) selectCore() (SelectCore, error) {
 //	not    := [NOT] cmp
 //	cmp    := add [(=|<>|<|<=|>|>=) add]
 //	add    := primary ((+|-) primary)*
-//	primary:= INT | STRING | ident | COUNT(*) | SUM|MIN|MAX|COUNT (expr) | (expr)
+//	primary:= INT | STRING | ident | COUNT(*) | CASE ... END | CLASSIFY(...) | (expr)
 func (p *parser) expr() (Expr, error) {
 	l, err := p.andExpr()
 	if err != nil {
@@ -514,32 +479,24 @@ func (p *parser) primary() (Expr, error) {
 		}
 		return &IntLit{Val: -v}, p.advance()
 
-	case p.atKeyword("COUNT"), p.atKeyword("SUM"), p.atKeyword("MIN"), p.atKeyword("MAX"), p.atKeyword("AVG"):
-		fn := p.tok.text
+	case p.atKeyword("COUNT"):
+		count := p.tok.pos
 		if err := p.advance(); err != nil {
 			return nil, err
 		}
 		if err := p.expectSymbol("("); err != nil {
 			return nil, err
 		}
-		if fn == "COUNT" {
-			if ok, err := p.acceptSymbol("*"); err != nil {
-				return nil, err
-			} else if ok {
-				if err := p.expectSymbol(")"); err != nil {
-					return nil, err
-				}
-				return &CountStar{}, nil
-			}
+		if !p.atSymbol("*") {
+			return nil, p.lex.errf(count, "COUNT(expr) is not supported")
 		}
-		arg, err := p.expr()
-		if err != nil {
+		if err := p.advance(); err != nil {
 			return nil, err
 		}
-		if err := p.expectSymbol(")"); err != nil {
-			return nil, err
-		}
-		return &AggExpr{Func: fn, Arg: arg}, nil
+		return &CountStar{}, p.expectSymbol(")")
+
+	case p.atKeyword("SUM"), p.atKeyword("MIN"), p.atKeyword("MAX"), p.atKeyword("AVG"):
+		return nil, p.errf("%s is not supported", p.tok.text)
 
 	case p.atKeyword("CASE"):
 		return p.caseExpr()

@@ -31,19 +31,16 @@ func TestParseSimpleSelect(t *testing.T) {
 }
 
 func TestParseCountsQueryShape(t *testing.T) {
-	// The §2.3 counts query: per-attribute GROUP BY arms joined by UNION.
+	// The §2.3 counts query: per-attribute GROUP BY arms joined by UNION ALL.
 	sql := `SELECT 'A1' AS attr_name, A1 AS value, class, COUNT(*)
 	        FROM Data_table WHERE A1 = 2 AND A2 <> 0 GROUP BY class, A1
-	        UNION
+	        UNION ALL
 	        SELECT 'A2', A2, class, COUNT(*)
 	        FROM Data_table WHERE A1 = 2 AND A2 <> 0 GROUP BY class, A2`
 	st := mustParse(t, sql)
 	s := st.(*Select)
 	if len(s.Cores) != 2 {
 		t.Fatalf("%d cores", len(s.Cores))
-	}
-	if s.UnionAll[0] {
-		t.Error("UNION parsed as UNION ALL")
 	}
 	if len(s.Cores[0].GroupBy) != 2 {
 		t.Errorf("group by = %v", s.Cores[0].GroupBy)
@@ -100,29 +97,35 @@ func TestParseArithmeticAndUnaryMinus(t *testing.T) {
 	}
 }
 
-func TestParseAggregates(t *testing.T) {
-	st := mustParse(t, "SELECT COUNT(*), SUM(a), MIN(a), MAX(b) FROM t GROUP BY c")
-	items := st.(*Select).Cores[0].Items
-	if _, ok := items[0].Expr.(*CountStar); !ok {
-		t.Error("COUNT(*)")
-	}
-	for i, fn := range []string{"SUM", "MIN", "MAX"} {
-		agg, ok := items[i+1].Expr.(*AggExpr)
-		if !ok || agg.Func != fn {
-			t.Errorf("item %d: %v", i+1, items[i+1].Expr)
-		}
+// refusedByName asserts that Parse refuses sql with a *Error whose message
+// contains want.
+func refusedByName(t *testing.T, sql, want string) {
+	t.Helper()
+	_, err := Parse(sql)
+	var perr *Error
+	if !errors.As(err, &perr) || !strings.Contains(err.Error(), want) {
+		t.Errorf("Parse(%q) = %v, want a *Error saying %q", sql, err, want)
 	}
 }
 
+// TestParseAggregates: COUNT(*) is the one aggregate; the others, and COUNT
+// of an expression, are refused by name.
+func TestParseAggregates(t *testing.T) {
+	st := mustParse(t, "SELECT c, COUNT(*) FROM t GROUP BY c")
+	if _, ok := st.(*Select).Cores[0].Items[1].Expr.(*CountStar); !ok {
+		t.Error("COUNT(*)")
+	}
+	for _, fn := range []string{"SUM", "MIN", "MAX", "AVG"} {
+		refusedByName(t, "SELECT COUNT(*), "+fn+"(a) FROM t GROUP BY c", fn+" is not supported at line 1 col 18")
+	}
+	refusedByName(t, "SELECT count(a) FROM t", "COUNT(expr) is not supported at line 1 col 8")
+}
+
+// TestParseOrderByAndDistinct: both are refused by name where they stand.
 func TestParseOrderByAndDistinct(t *testing.T) {
-	st := mustParse(t, "SELECT DISTINCT a FROM t ORDER BY a DESC, b ASC, c")
-	s := st.(*Select)
-	if !s.Cores[0].Distinct {
-		t.Error("DISTINCT lost")
-	}
-	if len(s.OrderBy) != 3 || !s.OrderBy[0].Desc || s.OrderBy[1].Desc || s.OrderBy[2].Desc {
-		t.Errorf("order by = %+v", s.OrderBy)
-	}
+	refusedByName(t, "SELECT DISTINCT a FROM t", "DISTINCT is not supported at line 1 col 8")
+	refusedByName(t, "SELECT a FROM t ORDER BY a DESC, b ASC, c", "ORDER BY is not supported at line 1 col 17")
+	refusedByName(t, "SELECT a FROM t UNION ALL SELECT a FROM u order by a", "ORDER BY is not supported at line 1 col 43")
 }
 
 func TestParseDDLAndDML(t *testing.T) {
@@ -172,6 +175,11 @@ func TestParseErrors(t *testing.T) {
 		"INSERT INTO t VALUES",
 		"SELECT a FROM t WHERE a @ 1",
 		"SELECT a FROM t ORDER",
+		"SELECT a FROM t UNION",
+		"SELECT a FROM t UNION ALL",
+		"SELECT COUNT(*",
+		"SELECT COUNT() FROM t",
+		"SELECT a FROM t LIMIT -1",
 		"BUILD",
 		"BUILD TABLE",
 		"BUILD TREE FOREST 3",
@@ -200,8 +208,8 @@ func TestParseErrors(t *testing.T) {
 			t.Errorf("Parse(%q) accepted invalid SQL", sql)
 		}
 	}
-	// What the engine does not have is refused by name, not misparsed:
-	// JOIN and INNER stay reserved, so neither is read as an alias.
+	// What the engine does not have is refused by name, not misparsed: every
+	// refused keyword stays reserved, so none is read as an alias.
 	for _, tc := range []struct{ sql, want string }{
 		{"CREATE INDEX i ON t (a)", "CREATE INDEX is not supported at line 1 col 8"},
 		{"create index i on t (a)", "CREATE INDEX is not supported"},
@@ -210,12 +218,19 @@ func TestParseErrors(t *testing.T) {
 		{"SELECT k FROM a UNION ALL SELECT k FROM b join c ON b.k = c.k", "JOIN is not supported"},
 		{"DELETE FROM t WHERE a = 1", "DELETE is not supported at line 1 col 1"},
 		{"delete from t", "DELETE is not supported"},
+		{"SELECT a FROM t GROUP BY a HAVING COUNT(*) > 1", "HAVING is not supported at line 1 col 28"},
+		{"SELECT a FROM t HAVING a = 1", "HAVING is not supported"},
+		{"select distinct a from t", "DISTINCT is not supported at line 1 col 8"},
+		{"SELECT a FROM t ORDER BY a", "ORDER BY is not supported at line 1 col 17"},
+		{"SELECT a FROM t UNION SELECT a FROM u", "UNION without ALL is not supported at line 1 col 17"},
+		{"SELECT a FROM t UNION ALL SELECT a FROM u UNION SELECT a FROM v", "UNION without ALL is not supported at line 1 col 43"},
+		{"SELECT SUM(a) FROM t", "SUM is not supported at line 1 col 8"},
+		{"SELECT a FROM t WHERE min(a) = 1", "MIN is not supported"},
+		{"SELECT MAX(a) FROM t", "MAX is not supported"},
+		{"SELECT AVG(a) FROM t", "AVG is not supported"},
+		{"SELECT COUNT(a) FROM t", "COUNT(expr) is not supported at line 1 col 8"},
 	} {
-		_, err := Parse(tc.sql)
-		var perr *Error
-		if !errors.As(err, &perr) || !strings.Contains(err.Error(), tc.want) {
-			t.Errorf("Parse(%q) = %v, want a *Error saying %q", tc.sql, err, tc.want)
-		}
+		refusedByName(t, tc.sql, tc.want)
 	}
 }
 
@@ -234,15 +249,15 @@ func TestErrorPosition(t *testing.T) {
 // identically (a fixed point after one round).
 func TestRoundTrip(t *testing.T) {
 	statements := []string{
-		"SELECT a, b AS x, COUNT(*) FROM t WHERE (a = 1 AND b <> 2) OR NOT c < 3 GROUP BY a, b ORDER BY a DESC",
+		"SELECT a, b AS x, COUNT(*) FROM t WHERE (a = 1 AND b <> 2) OR NOT c < 3 GROUP BY a, b LIMIT 4",
 		"SELECT * FROM t",
-		"SELECT DISTINCT a FROM t",
+		"SELECT a FROM t GROUP BY a",
 		"SELECT 1 AS attr, A1 AS val, class, COUNT(*) FROM cases WHERE 1 = 1 GROUP BY class, A1 UNION ALL SELECT 2, A2, class, COUNT(*) FROM cases WHERE 1 = 1 GROUP BY class, A2",
 		"SELECT 'a''b' FROM t",
 		"CREATE TABLE t (a INT, b INT)",
 		"INSERT INTO t VALUES (1, 2), (3, 4)",
 		"DROP TABLE t",
-		"SELECT SUM(a), MIN(b), MAX(c) FROM t GROUP BY d",
+		"SELECT COUNT(*), d + 1 FROM t GROUP BY d UNION ALL SELECT COUNT(*), 0 FROM t WHERE d = 2 LIMIT 9",
 		"BUILD TREE",
 		"BUILD TREE MAXDEPTH 6 MINROWS 20 WORKERS 4 MODEL m OUTPUT STATS",
 		"BUILD TREE OUTPUT TRACE MODEL m WORKERS 4 MINROWS 20 MAXDEPTH 6",
@@ -260,19 +275,14 @@ func TestRoundTrip(t *testing.T) {
 	}
 }
 
+// TestParseHavingLimitAvg: LIMIT caps the whole statement and round-trips;
+// HAVING and AVG are refused by name.
 func TestParseHavingLimitAvg(t *testing.T) {
-	st := mustParse(t, "SELECT a, AVG(b) FROM t GROUP BY a HAVING COUNT(*) > 2 ORDER BY a LIMIT 5")
+	st := mustParse(t, "SELECT a, COUNT(*) FROM t GROUP BY a UNION ALL SELECT b, COUNT(*) FROM t GROUP BY b LIMIT 5")
 	s := st.(*Select)
-	if s.Cores[0].Having == nil {
-		t.Error("HAVING lost")
+	if len(s.Cores) != 2 || s.Limit != 5 {
+		t.Errorf("cores = %d, limit = %d", len(s.Cores), s.Limit)
 	}
-	if s.Limit != 5 {
-		t.Errorf("limit = %d", s.Limit)
-	}
-	if agg, ok := s.Cores[0].Items[1].Expr.(*AggExpr); !ok || agg.Func != "AVG" {
-		t.Errorf("AVG parsed as %v", s.Cores[0].Items[1].Expr)
-	}
-	// Round trip.
 	printed := st.String()
 	if st2 := mustParse(t, printed); st2.String() != printed {
 		t.Errorf("round trip diverged: %s vs %s", printed, st2.String())
@@ -285,6 +295,8 @@ func TestParseHavingLimitAvg(t *testing.T) {
 	if _, err := Parse("SELECT a FROM t LIMIT x"); err == nil {
 		t.Error("bad LIMIT accepted")
 	}
+	refusedByName(t, "SELECT a FROM t GROUP BY a HAVING COUNT(*) > 2 LIMIT 5", "HAVING is not supported")
+	refusedByName(t, "SELECT a, AVG(b) FROM t GROUP BY a LIMIT 5", "AVG is not supported")
 }
 
 func TestParseCaseExpr(t *testing.T) {
