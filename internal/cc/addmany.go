@@ -1,6 +1,10 @@
 package cc
 
-import "repro/internal/data"
+import (
+	"math/bits"
+
+	"repro/internal/data"
+)
 
 // AddMany is the batched seam of the vectorized counting kernel: one call
 // folds a whole selection vector's worth of (attr, value, class) increments
@@ -63,3 +67,40 @@ func (t *Table) AddMany(attr int, dict []data.Value, codes []uint16, classDict [
 // per-row bump AddRow performs, charged once per (node, block) by the
 // vectorized kernel after its AddMany calls.
 func (t *Table) AddRows(n int64) { t.rows += n }
+
+// Cells returns the number of distinct (value, class) cells among the rows sel
+// selects: AddMany's second result for the same codes and selection, computed
+// without a histogram and without touching a table. codes index a dictionary
+// of nvals values and classCodes one of nclasses classes. It is the fold count
+// the cost model charges for a node whose table the middleware derives instead
+// of counting. A dictionary pair of at most 64 cells is one register mask;
+// otherwise scratch is a bitset of at least nvals*nclasses bits, all zeros on
+// entry and returned all zeros (the rows that set a bit clear it), as AddMany's
+// hist is. Pass nil to allocate.
+func Cells(nvals int, codes []uint16, nclasses int, classCodes []uint16, sel []int32, scratch []uint64) ([]uint64, int) {
+	nc := uint(nclasses)
+	need := nvals * nclasses
+	if need <= 64 {
+		var mask uint64
+		for _, i := range sel {
+			mask |= 1 << (uint(codes[i])*nc + uint(classCodes[i]))
+		}
+		return scratch, bits.OnesCount64(mask)
+	}
+	words := (need + 63) >> 6
+	if cap(scratch) < words {
+		scratch = make([]uint64, words)
+	}
+	scratch = scratch[:words]
+	n := 0
+	for _, i := range sel {
+		c := uint(codes[i])*nc + uint(classCodes[i])
+		w := &scratch[c>>6]
+		n += int(^*w >> (c & 63) & 1)
+		*w |= 1 << (c & 63)
+	}
+	for _, i := range sel {
+		scratch[(uint(codes[i])*nc+uint(classCodes[i]))>>6] = 0
+	}
+	return scratch, n
+}

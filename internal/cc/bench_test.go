@@ -90,3 +90,51 @@ func BenchmarkEstimate(b *testing.B) {
 		_ = EstimateEntries(t, attrs[:4], 1000, 4096, 10)
 	}
 }
+
+// bucketShape is a build_scan-shaped bucket of the block kernel: 13 of a
+// 1024-row block's rows selected for one deep node, codes into 10 values and
+// 2 classes.
+func bucketShape() (dict, classDict []data.Value, codes, classCodes []uint16, sel []int32) {
+	rng := rand.New(rand.NewSource(1))
+	dict, classDict = make([]data.Value, 10), []data.Value{0, 1}
+	for v := range dict {
+		dict[v] = data.Value(v)
+	}
+	codes, classCodes = make([]uint16, 1024), make([]uint16, 1024)
+	for i := range codes {
+		codes[i], classCodes[i] = uint16(rng.Intn(len(dict))), uint16(rng.Intn(2))
+	}
+	for i := 0; len(sel) < 13; i += 1 + rng.Intn(78) {
+		sel = append(sel, int32(i))
+	}
+	return dict, classDict, codes, classCodes, sel
+}
+
+// BenchmarkAddMany measures one counted attribute of one bucket: the histogram
+// bumps and the fold into the node's table, in ns per selected row.
+func BenchmarkAddMany(b *testing.B) {
+	dict, classDict, codes, classCodes, sel := bucketShape()
+	t := NewSized([]int{0}, []int{len(dict)}, len(classDict))
+	var hist []int64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		hist, _ = t.AddMany(0, dict, codes, classDict, classCodes, sel, hist)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(sel)), "ns/row")
+}
+
+var cellsSink int
+
+// BenchmarkCells measures what the kernel does instead for a derived node's
+// attribute: the fold count of the same bucket, in ns per selected row.
+func BenchmarkCells(b *testing.B) {
+	dict, classDict, codes, classCodes, sel := bucketShape()
+	var scratch []uint64
+	var n int
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		scratch, n = Cells(len(dict), codes, len(classDict), classCodes, sel, scratch)
+		cellsSink += n
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(sel)), "ns/row")
+}

@@ -28,9 +28,11 @@
 // per (value, class) cell — absent combinations included — plus 4 per value,
 // reserved on the first Add from the cardinalities the caller knows
 // (NewSized), and is well below the model for every table the experiments
-// build. The arrays outlive the node: the middleware that owns a table empties
-// it once its node is closed (Reset) and counts the next node into the same
-// storage, so a build's steady state reserves nothing new.
+// build. The arrays outlive the node: the middleware that owns a table holds it
+// once its node is closed until a batch has counted the node's children — that
+// batch may turn it into one child's table (Derive) — then empties it (Reset)
+// and counts a later node into the same storage, so a build's steady state
+// reserves nothing new.
 package cc
 
 import (

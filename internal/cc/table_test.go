@@ -297,7 +297,7 @@ func driveOps(rng *rand.Rand, tb, other *Table, n int) {
 }
 
 // sameTable fails unless a and b agree on every observable.
-func sameTable(t *testing.T, a, b *Table) {
+func sameTable(t testing.TB, a, b *Table) {
 	t.Helper()
 	if a.Entries() != b.Entries() || a.Bytes() != b.Bytes() || a.Rows() != b.Rows() {
 		t.Fatalf("entries/bytes/rows %d/%d/%d, fresh %d/%d/%d", a.Entries(), a.Bytes(), a.Rows(), b.Entries(), b.Bytes(), b.Rows())
@@ -307,7 +307,10 @@ func sameTable(t *testing.T, a, b *Table) {
 	}
 	const classCard = 18
 	va, vb := make([]int64, classCard), make([]int64, classCard)
-	for attr := range opAttrs + 1 {
+	if !slices.Equal(a.Attrs(), b.Attrs()) || !a.Equal(b) {
+		t.Fatalf("attrs %v, fresh %v, or not Equal", a.Attrs(), b.Attrs())
+	}
+	for attr := range max(len(a.cols), len(b.cols), opAttrs+1) {
 		vals := a.Values(attr)
 		if a.Card(attr) != b.Card(attr) || !slices.Equal(vals, b.Values(attr)) {
 			t.Fatalf("attr %d: values %v, fresh %v", attr, vals, b.Values(attr))

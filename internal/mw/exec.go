@@ -15,10 +15,13 @@ import (
 // ccWork is the working state for one admitted request during a batched
 // scan: the request, its counted attribute set (remaining attributes plus
 // the class column) and, once the scan's shards are merged, its counts table.
+// A node the batch derives instead of counting (derive.go) names its parent's
+// held table, which becomes its own after the merge.
 type ccWork struct {
 	req   *Request
 	attrs []int
 	cc    *cc.Table
+	from  *cc.Table
 }
 
 // batchRun carries one scheduled batch through its three execution phases —
@@ -224,6 +227,7 @@ func (m *Middleware) finishBatch(r *batchRun) ([]*Result, error) {
 		m.open[res.Req.NodeID] = res
 		m.ccHold += res.CC.Bytes()
 		results = append(results, res)
+		m.served(res.Req.ParentID)
 	}
 	for _, w := range r.live {
 		post(&Result{Req: w.req, CC: w.cc, Source: r.b.kind.name()})

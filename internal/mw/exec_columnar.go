@@ -3,6 +3,7 @@ package mw
 import (
 	"slices"
 
+	"repro/internal/cc"
 	"repro/internal/data"
 	"repro/internal/engine"
 	"repro/internal/sim"
@@ -84,6 +85,7 @@ type colConsumer struct {
 	classCodes  []uint16
 	teeSel      []int32
 	hist        []int64
+	cells       []uint64
 }
 
 // colConsumer returns the batch's attachment to a columnar scan: the counting
@@ -131,8 +133,16 @@ func (c *colConsumer) consume(blk *engine.ColBlock) bool {
 			continue
 		}
 		lane.Charge(sim.CtrCCUpdates, c.costs.CCBump, int64(len(sel)))
-		before := t.Bytes()
 		var folded int
+		if live[i].from != nil {
+			// Derived after the merge (derive.go), charged as if counted.
+			for _, a := range live[i].attrs {
+				c.cells, folded = cc.Cells(len(g.Dict(a)), g.Codes(a), len(c.classDict), c.classCodes, sel, c.cells)
+				lane.Charge(sim.CtrCCFolds, c.costs.CCFoldEntry, int64(folded))
+			}
+			continue
+		}
+		before := t.Bytes()
 		for _, a := range live[i].attrs {
 			c.hist, folded = t.AddMany(a, g.Dict(a), g.Codes(a), c.classDict, c.classCodes, sel, c.hist)
 			lane.Charge(sim.CtrCCFolds, c.costs.CCFoldEntry, int64(folded))

@@ -371,8 +371,12 @@ func (r *batchRun) tagRows() {
 func (r *batchRun) runLanes(sp scanPlan) error {
 	m, n := r.m, sp.nworkers
 	shards := make([]*workerShard, n)
+	segmentable := r.segmentable(n)
+	if n == 1 && segmentable {
+		r.planDerived()
+	}
 	perLane := runtime.GOMAXPROCS(0) / n
-	if perLane < 2 || !r.segmentable(n) {
+	if perLane < 2 || !segmentable {
 		perLane = 0
 	}
 	next := n // the first lane-scratch index no lane uses
@@ -497,9 +501,14 @@ requests:
 			m.recycleTables(part)
 		}
 		merged.ccs[i] = t
-		merged.ccBytes += t.Bytes()
 	}
 	msp.Attr("entries", mergedEntries).End()
+	r.fillDerived(merged.ccs)
+	for _, t := range merged.ccs {
+		if t != nil {
+			merged.ccBytes += t.Bytes()
+		}
+	}
 	for _, sh := range shards {
 		m.recycleTables(sh.dropped...)
 	}

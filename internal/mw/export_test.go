@@ -110,3 +110,24 @@ func scratchLeaks(v reflect.Value, path string, out *[]string) {
 		}
 	}
 }
+
+// SetDeriveOff makes every later batch count every node (off) or derive the
+// tables it can from their parents' and siblings', and returns the setting it
+// replaced.
+func SetDeriveOff(off bool) bool {
+	prev := deriveOff
+	deriveOff = off
+	return prev
+}
+
+// Derived returns how many nodes, process-wide, batches reading source
+// ("server", "file" or "memory"; "" for any) have derived instead of counted,
+// and how many rows all derived nodes held.
+func Derived(source string) (nodes, rows int64) {
+	for k := range derivedNodes {
+		if source == "" || source == sourceKind(k).name() {
+			nodes += derivedNodes[k].Load()
+		}
+	}
+	return nodes, derivedRows.Load()
+}

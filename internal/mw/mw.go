@@ -246,6 +246,7 @@ type Middleware struct {
 	parent  map[int]int          // nodeID -> parentID
 	sources map[int][]*stageData // nodeID -> stages covering that node's subtree
 	open    map[int]*Result      // fulfilled but not yet closed nodes (CC memory charged)
+	held    map[int]*Result      // closed nodes kept for their queued children (derive.go), in lane 0's scratch
 
 	files    *fileStore
 	stageSeq int
@@ -283,7 +284,7 @@ func New(srv *engine.Server, cfg Config) (*Middleware, error) {
 	// Propagate the hint ablation to the server so aux builders and bounds
 	// queries (engine-side histogram consumers) follow the same switch.
 	srv.SetSplitHints(!cfg.NoHistogramHints)
-	return &Middleware{
+	m := &Middleware{
 		srv:     srv,
 		meter:   srv.Meter(),
 		schema:  srv.Schema(),
@@ -294,7 +295,9 @@ func New(srv *engine.Server, cfg Config) (*Middleware, error) {
 		open:    make(map[int]*Result),
 		files:   fs,
 		spares:  make([]storage.Spares, max(cfg.Workers, 1)),
-	}, nil
+	}
+	m.held = m.lane(0).held
+	return m, nil
 }
 
 // Close releases everything staged: every stage still live is freed — an
@@ -316,6 +319,10 @@ func (m *Middleware) Close() error {
 	}
 	if err := m.files.Close(); m.freeErr == nil {
 		m.freeErr = err
+	}
+	//repolint:ordered every held table is recycled, whatever the order
+	for _, h := range m.held {
+		m.recycleTables(h.CC)
 	}
 	m.releaseToPool()
 	return m.freeErr
@@ -370,14 +377,17 @@ func (m *Middleware) Enqueue(reqs ...*Request) error {
 // its CC table memory is released and, once a staged data set has no open
 // nodes left beneath it, the staged data is freed (the "flushing D out of
 // memory and freeing up the resource" of §4.2.2). Children of the node must
-// be enqueued before closing it, or ancestor staging may be freed too early.
-// The node's Result.CC goes back to the middleware, which reuses it: read
-// everything needed from it first.
+// be enqueued before closing it, or ancestor staging may be freed too early —
+// and the batch that counts them cannot derive one child's table from the
+// others' (derive.go). The node's Result.CC goes back to the middleware, which
+// reuses it: read everything needed from it first. While queued requests name
+// the node as their parent, the middleware holds the table, unmodeled and
+// outside the memory budget, until the batch that serves the first of them.
 func (m *Middleware) CloseNode(nodeID int) {
 	if res, ok := m.open[nodeID]; ok {
 		m.ccHold -= res.CC.Bytes()
 		delete(m.open, nodeID)
-		m.recycleTables(res.CC)
+		m.hold(res)
 	}
 	for _, sd := range m.ancestorSources(nodeID) {
 		delete(sd.openNodes, nodeID)

@@ -26,12 +26,18 @@ import (
 // kernel's consumer with the scan state the engine keeps in it (buckets,
 // compiled tries, selection vectors), its staging-file read buffer, and the
 // weigher that splits its range into segments — lane 0's splits the batch
-// into lanes first, before any lane runs.
+// into lanes first, before any lane runs. Lane 0's, drawn when the middleware
+// is made, also keeps what derive.go needs: the middleware's held tables, and
+// for planning and filling a batch's derived tables a split's children and a
+// derived table's siblings, emptied after each use.
 type laneScratch struct {
 	cons  colConsumer
 	scan  engine.ScanConsumer
 	buf   groupBuf
 	split engine.Bounder
+	held  map[int]*Result
+	group []int32
+	sibs  []*cc.Table
 }
 
 // release drops every reference scratch holds into the build it served —
@@ -48,6 +54,7 @@ func (ls *laneScratch) release() {
 	}
 	ls.scan.Release()
 	ls.buf.g = storage.ColGroup{}
+	clear(ls.held)
 }
 
 // tagState is what a middleware knows of which node each row of its server
@@ -141,7 +148,7 @@ func (m *Middleware) lane(part int) *laneScratch {
 		}
 		pool.Unlock()
 		if ls == nil {
-			ls = new(laneScratch)
+			ls = &laneScratch{held: make(map[int]*Result)}
 		}
 		m.lanes = append(m.lanes, ls)
 	}
@@ -205,7 +212,7 @@ func (m *Middleware) releaseToPool() {
 		pool.tagBytes += ts.bytes()
 	}
 	pool.Unlock()
-	m.tables, m.lanes, m.tags = nil, nil, nil
+	m.tables, m.lanes, m.tags, m.held = nil, nil, nil, nil
 }
 
 // teeBuilder returns an idle row-group builder readied for a tee of want rows

@@ -50,8 +50,8 @@ type Costs struct {
 	FileRowRead  int64 // read one row back from a middleware staging file
 	FileOpen     int64 // create/open one middleware staging file
 	MemRowRead   int64 // touch one row staged in middleware memory
-	CCBump       int64 // bump one dense histogram cell for one selected row (vectorized kernel)
-	CCFoldEntry  int64 // fold one distinct histogram cell into the counts table, once per block
+	CCBump       int64 // bump one dense histogram cell for one selected row (vectorized kernel); a derived child (parent − siblings) is charged as if counted
+	CCFoldEntry  int64 // fold one distinct histogram cell into the counts table, once per block; a derived child is charged as if counted
 	MergeEntry   int64 // fold one worker-shard CC entry into the merged node table
 
 	// Client-side costs.
