@@ -1,15 +1,21 @@
 // Command experiments reproduces the paper's experimental study (§5.2): it
 // runs one experiment per figure on the simulated stack and prints each
-// figure's series in virtual-time seconds.
+// figure as markdown — its series in virtual-time seconds and its counters.
 //
 // Usage:
 //
-//	experiments [-scale 1.0] [-run fig6] [-format text|markdown|json] [-out FILE] [-list]
+//	experiments [-scale 1.0] [-run fig6] [-check] [-out FILE] [-list]
 //
 // Scale multiplies the workload sizes (leaves, rows); 1.0 completes in well
 // under a minute, larger values approach the paper's sizes at the cost of
-// wall time. Output format "markdown" emits the tables EXPERIMENTS.md
-// embeds.
+// wall time. internal/exp/testdata/scale1.md is the output at scale 1 and
+// scale4.md the output at scale 4; regenerate with
+//
+//	go run ./cmd/experiments -out internal/exp/testdata/scale1.md
+//
+// -check also validates every figure's shape against the paper's claim,
+// prints the verdicts to stderr and exits nonzero if one fails; the tables
+// are written either way.
 package main
 
 import (
@@ -40,10 +46,9 @@ func writeFile(path string, fn func(io.Writer) error) error {
 func main() {
 	scale := flag.Float64("scale", 1.0, "workload scale factor")
 	run := flag.String("run", "", "run only this experiment id (see -list)")
-	format := flag.String("format", "text", "output format: text, markdown or json")
 	out := flag.String("out", "", "write output to this file instead of stdout")
 	list := flag.Bool("list", false, "list experiment ids and exit")
-	check := flag.Bool("check", false, "validate each figure's shape against the paper's claim; exit nonzero on failure")
+	check := flag.Bool("check", false, "validate each figure's shape against the paper's claim, verdicts to stderr; exit nonzero on failure")
 	parallel := flag.Int("parallel", 1, "run up to this many experiments concurrently (each is internally deterministic)")
 	traceOut := flag.String("trace", "", "write a deterministic virtual-time trace of every tree build to this file")
 	traceFormat := flag.String("trace-format", "chrome", "trace format: chrome (Perfetto-loadable) or ndjson")
@@ -115,27 +120,13 @@ func main() {
 		}
 		if *check {
 			if err := exp.Check(e); err != nil {
-				fmt.Fprintf(&b, "FAIL %-12s %v\n", e.ID, err)
+				fmt.Fprintf(os.Stderr, "FAIL %-12s %v\n", e.ID, err)
 				failures++
 			} else {
-				fmt.Fprintf(&b, "ok   %-12s %s\n", e.ID, e.Title)
+				fmt.Fprintf(os.Stderr, "ok   %-12s %s\n", e.ID, e.Title)
 			}
-			continue
 		}
-		switch *format {
-		case "markdown":
-			b.WriteString(e.Markdown())
-		case "json":
-			js, err := e.JSON()
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "experiments: %s: %v\n", r.ID, err)
-				os.Exit(1)
-			}
-			b.WriteString(js)
-		default:
-			b.WriteString(e.Text())
-			b.WriteString("\n")
-		}
+		b.WriteString(e.Markdown())
 	}
 	defer func() {
 		if failures > 0 {

@@ -297,10 +297,15 @@ var checks = map[string]func(*Experiment) error{
 		return nil
 	},
 	"sensitivity": func(e *Experiment) error {
-		caching, none := e.Series[0].Points, e.Series[1].Points
+		caching, none, sql := e.Series[0].Points, e.Series[1].Points, e.Series[2].Points
 		for i := range caching {
 			if caching[i].Seconds >= none[i].Seconds {
 				return fmt.Errorf("variant %s: caching not faster", caching[i].Label)
+			}
+			// SQL counting runs on the smaller input and must still lose.
+			if sql[i].Seconds <= none[i].Seconds {
+				return fmt.Errorf("variant %s: sql counting (%.3f) not slower than no caching (%.3f)",
+					sql[i].Label, sql[i].Seconds, none[i].Seconds)
 			}
 		}
 		return nil

@@ -6,14 +6,15 @@
 // Absolute numbers are not expected to match the paper (the substrate is a
 // calibrated simulator, not SQL Server 7.0 on Pentium-II hardware); the
 // shapes — which configuration wins, by roughly what factor, and where
-// curves flatten or cross — are the reproduction target. EXPERIMENTS.md
-// records paper-versus-measured for every figure.
+// curves flatten or cross — are the reproduction target. testdata/scale1.md
+// and scale4.md record every figure's measurements; EXPERIMENTS.md records the
+// paper's claim and the verdict for each.
 package exp
 
 import (
-	"encoding/json"
 	"fmt"
 	"hash/fnv"
+	"slices"
 	"strings"
 	"sync"
 
@@ -135,7 +136,10 @@ type Experiment struct {
 	Series     []Series
 }
 
-// Markdown renders the experiment as a markdown section with one table.
+// Markdown renders the experiment as a markdown section: a table of virtual
+// seconds, one column per series, and — when any point carries counters — a
+// table of counters, one row per series point. It is the one rendering:
+// internal/exp/testdata/scale1.md is every runner's Markdown at scale 1.
 func (e *Experiment) Markdown() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "### %s — %s\n\n", e.ID, e.Title)
@@ -149,8 +153,8 @@ func (e *Experiment) Markdown() string {
 		b.WriteString("|---")
 	}
 	b.WriteString("|\n")
-	for i := range e.xs() {
-		fmt.Fprintf(&b, "| %s ", e.xAt(i))
+	for i, x := range e.xs() {
+		fmt.Fprintf(&b, "| %s ", x.xCell())
 		for _, s := range e.Series {
 			if i < len(s.Points) {
 				fmt.Fprintf(&b, "| %.3f ", s.Points[i].Seconds)
@@ -161,7 +165,51 @@ func (e *Experiment) Markdown() string {
 		b.WriteString("|\n")
 	}
 	b.WriteString("\n")
+	e.counterTable(&b)
 	return b.String()
+}
+
+// counterTable writes the counters of every series point, one row each, under
+// the union of the experiment's counter names; a counter a point does not
+// carry is an empty cell.
+func (e *Experiment) counterTable(b *strings.Builder) {
+	var names []string
+	for _, s := range e.Series {
+		for _, p := range s.Points {
+			for name := range p.Counters {
+				if !slices.Contains(names, name) {
+					names = append(names, name)
+				}
+			}
+		}
+	}
+	if len(names) == 0 {
+		return
+	}
+	slices.Sort(names)
+	fmt.Fprintf(b, "| series | %s |", e.XLabel)
+	for _, name := range names {
+		fmt.Fprintf(b, " %s |", name)
+	}
+	b.WriteString("\n|---|---")
+	for range names {
+		b.WriteString("|---")
+	}
+	b.WriteString("|\n")
+	for _, s := range e.Series {
+		for _, p := range s.Points {
+			fmt.Fprintf(b, "| %s | %s |", s.Name, p.xCell())
+			for _, name := range names {
+				if v, ok := p.Counters[name]; ok {
+					fmt.Fprintf(b, " %d |", v)
+				} else {
+					b.WriteString(" |")
+				}
+			}
+			b.WriteString("\n")
+		}
+	}
+	b.WriteString("\n")
 }
 
 func (e *Experiment) xs() []Point {
@@ -177,59 +225,19 @@ func (e *Experiment) xs() []Point {
 	return longest
 }
 
-func (e *Experiment) xAt(i int) string {
-	p := e.xs()[i]
+// xCell is the point's x-axis cell: its label on a categorical axis.
+func (p Point) xCell() string {
 	if p.Label != "" {
 		return p.Label
 	}
 	return fmt.Sprintf("%.3g", p.X)
 }
 
-// JSON renders the experiment as indented JSON, for machine consumption
-// (benchmark artifacts, plotting scripts).
-func (e *Experiment) JSON() (string, error) {
-	b, err := json.MarshalIndent(e, "", "  ")
-	if err != nil {
-		return "", err
-	}
-	return string(b) + "\n", nil
-}
-
-// Text renders the experiment as an aligned console table.
-func (e *Experiment) Text() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s — %s\n", e.ID, e.Title)
-	fmt.Fprintf(&b, "  paper: %s\n", e.PaperShape)
-	w := len(e.XLabel)
-	for i := range e.xs() {
-		if l := len(e.xAt(i)); l > w {
-			w = l
-		}
-	}
-	fmt.Fprintf(&b, "  %-*s", w, e.XLabel)
-	for _, s := range e.Series {
-		fmt.Fprintf(&b, "  %14s", s.Name)
-	}
-	b.WriteString("  (virtual seconds)\n")
-	for i := range e.xs() {
-		fmt.Fprintf(&b, "  %-*s", w, e.xAt(i))
-		for _, s := range e.Series {
-			if i < len(s.Points) {
-				fmt.Fprintf(&b, "  %14.3f", s.Points[i].Seconds)
-			} else {
-				fmt.Fprintf(&b, "  %14s", "")
-			}
-		}
-		b.WriteString("\n")
-	}
-	return b.String()
-}
-
 // BuildStats captures one measured tree build.
 type BuildStats struct {
-	Seconds   float64
-	TreeNodes int
-	Counters  map[string]int64
+	Seconds  float64
+	Tree     *dtree.Tree
+	Counters map[string]int64
 }
 
 // selectedCounters are reported alongside times.
@@ -253,7 +261,13 @@ func countersOf(m *sim.Meter) map[string]int64 {
 // middleware with the given config, and returns the virtual-time cost of the
 // build (loading is unmetered).
 func BuildTree(env *Env, ds *data.Dataset, mcfg mw.Config, opt dtree.Options) (BuildStats, error) {
-	meter := sim.NewDefaultMeter()
+	return BuildTreeWithCosts(env, ds, sim.DefaultCosts(), mcfg, opt)
+}
+
+// BuildTreeWithCosts is BuildTree under an explicit cost model, for the
+// sensitivity analysis.
+func BuildTreeWithCosts(env *Env, ds *data.Dataset, costs sim.Costs, mcfg mw.Config, opt dtree.Options) (BuildStats, error) {
+	meter := sim.NewMeter(costs)
 	eng := engine.New(meter, 0)
 	srv, err := engine.NewServer(eng, "cases", ds)
 	if err != nil {
@@ -269,11 +283,7 @@ func BuildTree(env *Env, ds *data.Dataset, mcfg mw.Config, opt dtree.Options) (B
 	if err != nil {
 		return BuildStats{}, err
 	}
-	return BuildStats{
-		Seconds:   meter.Now().Seconds(),
-		TreeNodes: tree.NumNodes,
-		Counters:  countersOf(meter),
-	}, nil
+	return BuildStats{Seconds: meter.Now().Seconds(), Tree: tree, Counters: countersOf(meter)}, nil
 }
 
 // NewServer loads ds into a fresh engine with its own meter — the common

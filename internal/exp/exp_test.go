@@ -1,34 +1,11 @@
 package exp
 
 import (
+	"fmt"
+	"os"
 	"strings"
 	"testing"
 )
-
-// TestExperimentsDeterministic: the whole harness is seeded; running an
-// experiment twice yields byte-identical output.
-func TestExperimentsDeterministic(t *testing.T) {
-	if testing.Short() {
-		t.Skip("experiments take a few seconds")
-	}
-	for _, id := range []string{"fig5a", "fig6", "sec5.2.5"} {
-		r, ok := Get(id)
-		if !ok {
-			t.Fatalf("unknown id %s", id)
-		}
-		a, err := r.Run(nil, 0.3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := r.Run(nil, 0.3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if a.Markdown() != b.Markdown() {
-			t.Errorf("%s: two runs differ:\n%s\nvs\n%s", id, a.Markdown(), b.Markdown())
-		}
-	}
-}
 
 // TestScalingWorkersTiny runs the parallel-pipeline experiment at a tiny
 // scale. Unlike the full-scale suites it does NOT skip under -short, so a quick
@@ -36,7 +13,7 @@ func TestExperimentsDeterministic(t *testing.T) {
 // suite) still exercises the exp → mw multi-worker path; the runner itself errors if any
 // worker count grows a different tree.
 func TestScalingWorkersTiny(t *testing.T) {
-	e, err := ScalingWorkers(nil, 0.05)
+	e, err := ScalingWorkers(nil, 0.2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,36 +48,33 @@ func TestGetAndIDs(t *testing.T) {
 	}
 }
 
-// TestAllShapeChecksPass runs every experiment once, at the calibrated
-// scale, and validates its output structure and its machine-checkable shape
-// (checks.go holds the paper's qualitative claims, one per figure). The
-// exception is scaling, which runs at quarter scale: its sql-fallback arm at
-// one worker pushes thousands of nodes' UNIONs through the general SQL
-// executor and at 1.0 took nine tenths of this package's wall time, while
-// 0.25 already separates every curve its check compares; and skew and
-// columnar, whose tables are sized so that quarter scale — what verify.sh
-// gates — still spans four row groups per lane at 8 workers. Full scale stays
-// with cmd/experiments, which regenerates BENCH_parallel.json, BENCH_skew.json
-// and BENCH_columnar.json.
+// golden is the committed record of every runner's Markdown at scale 1,
+// regenerated by goldenCmd (run from the repository root).
+const (
+	golden    = "testdata/scale1.md"
+	goldenCmd = "go run ./cmd/experiments -out internal/exp/testdata/scale1.md"
+)
+
+// TestAllShapeChecksPass runs every experiment once, at scale 1 — the scale
+// each shape check is calibrated at — validates its output structure and its
+// machine-checkable shape (checks.go holds the paper's qualitative claims,
+// one per figure), and compares the rendered tables, seconds and counters,
+// with the committed golden file. The runs share the memoized datasets, so
+// the comparison also pins that the harness is deterministic in process.
 func TestAllShapeChecksPass(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiments take a few seconds")
 	}
-	ran := 0
+	var got strings.Builder
 	for _, r := range Runners() {
 		if _, ok := checks[r.ID]; !ok {
 			t.Errorf("%s: no shape check registered", r.ID)
 			continue
 		}
-		scale := 1.0 // the calibrated scale of EXPERIMENTS.md
-		if r.ID == "scaling" || r.ID == "skew" || r.ID == "columnar" {
-			scale = 0.25
-		}
-		e, err := r.Run(nil, scale)
+		e, err := r.Run(nil, 1)
 		if err != nil {
 			t.Fatalf("%s: %v", r.ID, err)
 		}
-		ran++
 		if len(e.Series) == 0 {
 			t.Errorf("%s: no series", e.ID)
 		}
@@ -114,18 +88,18 @@ func TestAllShapeChecksPass(t *testing.T) {
 				}
 			}
 		}
-		if md := e.Markdown(); !strings.Contains(md, e.ID) {
-			t.Errorf("%s: markdown missing id", e.ID)
-		}
-		if txt := e.Text(); !strings.Contains(txt, e.Title) {
-			t.Errorf("%s: text missing title", e.ID)
-		}
 		if err := Check(e); err != nil {
 			t.Errorf("%s: shape check failed: %v", r.ID, err)
 		}
+		got.WriteString(e.Markdown())
 	}
-	if ran != len(Runners()) {
-		t.Errorf("ran %d experiments, want %d", ran, len(Runners()))
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("%v; regenerate with: %s", err, goldenCmd)
+	}
+	if diff := firstDiff(string(want), got.String()); diff != "" {
+		t.Errorf("the experiments no longer print %s (%s); if the change is intended, regenerate with: %s",
+			golden, diff, goldenCmd)
 	}
 
 	// The runners share memoized datasets read-only: after every one of them
@@ -143,16 +117,51 @@ func TestAllShapeChecksPass(t *testing.T) {
 }
 
 // TestServeRunnerTiny runs the multi-tenant serving experiment at the
-// smallest scale whose cohorts still share scans. Like TestScalingWorkersTiny
-// it does NOT skip under -short, so a `-race -short` pass executes the serve
-// runner's real goroutines — fleet sessions attached to one shared scan —
-// and the runner itself errors if any session grows a different tree.
+// smallest scale whose cohorts still share scans, and the serving and scoring
+// experiments at quarter scale, each through its shape check. Like
+// TestScalingWorkersTiny it does NOT skip under -short, so a `-race -short`
+// pass executes the serve runner's real goroutines — fleet sessions attached
+// to one shared scan — and the runner itself errors if any session grows a
+// different tree.
 func TestServeRunnerTiny(t *testing.T) {
-	e, err := ServeFleet(nil, 0.05)
-	if err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		id    string
+		scale float64
+	}{
+		{"serve", 0.05},
+		{"serve", 0.25},
+		{"scoring", 0.25},
+	} {
+		t.Run(fmt.Sprintf("%s/%g", tc.id, tc.scale), func(t *testing.T) {
+			r, _ := Get(tc.id)
+			e, err := r.Run(nil, tc.scale)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := Check(e); err != nil {
+				t.Error(err)
+			}
+		})
 	}
-	if err := checks["serve"](e); err != nil {
-		t.Error(err)
+}
+
+// firstDiff describes the first line where got departs from want, or returns
+// "" when they are equal.
+func firstDiff(want, got string) string {
+	if want == got {
+		return ""
+	}
+	w, g := strings.Split(want, "\n"), strings.Split(got, "\n")
+	for i := 0; ; i++ {
+		var wl, gl string
+		if i < len(w) {
+			wl = w[i]
+		}
+		if i < len(g) {
+			gl = g[i]
+		}
+		if wl != gl || i >= len(w) || i >= len(g) {
+			return fmt.Sprintf("line %d: want %q, got %q", i+1, wl, gl)
+		}
 	}
 }

@@ -13,8 +13,9 @@ import (
 )
 
 // The experiments run on scaled-down versions of the paper's workloads so
-// that the whole suite completes in seconds. scale = 1 is the default; the
-// cmd/experiments binary accepts larger scales for closer-to-paper sizes.
+// that the whole suite completes in seconds. scale = 1 is the default and the
+// size every shape check is calibrated at; the cmd/experiments binary accepts
+// larger scales for closer-to-paper sizes.
 // All randomness is seeded, so results are fully deterministic.
 
 func scaled(n int, scale float64) int {

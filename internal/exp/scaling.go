@@ -5,41 +5,10 @@ import (
 	"strings"
 
 	"repro/internal/cc"
-	"repro/internal/data"
 	"repro/internal/datagen"
 	"repro/internal/dtree"
-	"repro/internal/engine"
 	"repro/internal/mw"
-	"repro/internal/sim"
 )
-
-// buildTreeRules is BuildTree plus the grown tree's rule set, used to assert
-// that a configuration change (here: the worker count) altered only the cost
-// of the build, never its result.
-func buildTreeRules(env *Env, ds *data.Dataset, mcfg mw.Config, opt dtree.Options) (BuildStats, string, error) {
-	meter := sim.NewDefaultMeter()
-	eng := engine.New(meter, 0)
-	srv, err := engine.NewServer(eng, "cases", ds)
-	if err != nil {
-		return BuildStats{}, "", err
-	}
-	env.attach(meter, eng)
-	m, err := mw.New(srv, mcfg)
-	if err != nil {
-		return BuildStats{}, "", err
-	}
-	defer m.Close()
-	tree, err := dtree.Build(m, opt)
-	if err != nil {
-		return BuildStats{}, "", err
-	}
-	stats := BuildStats{
-		Seconds:   meter.Now().Seconds(),
-		TreeNodes: tree.NumNodes,
-		Counters:  countersOf(meter),
-	}
-	return stats, strings.Join(tree.Rules(), "\n"), nil
-}
 
 // ScalingWorkers measures the parallel batched-scan pipeline: full
 // census-workload tree builds at 1, 2, 4 and 8 scan workers, across four
@@ -52,7 +21,7 @@ func buildTreeRules(env *Env, ds *data.Dataset, mcfg mw.Config, opt dtree.Option
 // the serial fractions (cursor opens, shard merges) bound the speedup — and
 // the grown tree must be identical at every worker count.
 func ScalingWorkers(env *Env, scale float64) (*Experiment, error) {
-	ds, err := censusData(datagen.CensusConfig{Rows: scaled(20000, scale), Seed: 7})
+	ds, err := censusData(datagen.CensusConfig{Rows: scaled(5000, scale), Seed: 7})
 	if err != nil {
 		return nil, err
 	}
@@ -84,10 +53,11 @@ func ScalingWorkers(env *Env, scale float64) (*Experiment, error) {
 		for _, workers := range []int{1, 2, 4, 8} {
 			cfg := base
 			cfg.Workers = workers
-			stats, rules, err := buildTreeRules(env, ds, cfg, dtree.Options{})
+			stats, err := BuildTree(env, ds, cfg, dtree.Options{})
 			if err != nil {
 				return nil, err
 			}
+			rules := strings.Join(stats.Tree.Rules(), "\n")
 			if workers == 1 {
 				refRules = rules
 			} else if rules != refRules {

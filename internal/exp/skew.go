@@ -18,9 +18,9 @@ import (
 
 // regionRows is the size of the clustered table the skew and columnar runners
 // share. Scans partition by 4096-row group, so the table must span several
-// row groups per lane at 8 workers — even at the quarter scale the CI gates
-// run — for a split policy to have anything to choose between.
-const regionRows = 524288
+// row groups per lane at 8 workers for a split policy to have anything to
+// choose between: at scale 1 it is 32 groups, four per lane.
+const regionRows = 131072
 
 // SkewPartitioning measures skew-aware (group-weighted) partitioning against
 // equal-width row-group splits on the clustered workload, where rows are

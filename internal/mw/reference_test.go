@@ -9,7 +9,6 @@ import (
 	"repro/internal/data"
 	"repro/internal/datagen"
 	"repro/internal/dtree"
-	"repro/internal/engine"
 	"repro/internal/mw"
 	"repro/internal/sim"
 )
@@ -259,23 +258,7 @@ func TestBuildMatchesReference(t *testing.T) {
 		want := refBuild(c.ds, c.opt)
 		for _, cfg := range []mw.Config{{Workers: 1}, {Workers: 4}, {Memory: 8 << 10}, {Memory: 8 << 10, Workers: 4}} {
 			t.Run(fmt.Sprintf("%s/workers=%d/memory=%d", c.name, cfg.Workers, cfg.Memory), func(t *testing.T) {
-				meter := sim.NewDefaultMeter()
-				srv, err := engine.NewServer(engine.New(meter, 0), "cases", c.ds)
-				if err != nil {
-					t.Fatal(err)
-				}
-				cfg.Dir = t.TempDir()
-				m, err := mw.New(srv, cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got, err := dtree.Build(m, c.opt)
-				if cerr := m.Close(); err == nil {
-					err = cerr
-				}
-				if err != nil {
-					t.Fatal(err)
-				}
+				got, meter := buildThrough(t, c.ds, cfg, c.opt)
 				if err := sameNode("root", got.Root, want.Root); err != nil {
 					t.Fatal(err)
 				}

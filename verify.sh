@@ -41,27 +41,9 @@ if ! cmp -s /tmp/repolint-a.json /tmp/repolint-b.json; then
 fi
 gate "go test ./..." go test ./...
 # The race pass runs everything the plain pass does, internal/exp's full
-# experiment suite included (about 175 s under the detector on two cores, PR 21;
-# the allowance is 300 s).
+# experiment suite included: every runner at scale 1 through its shape check
+# and compared with the committed tables (internal/exp/testdata/scale1.md).
 gate "go test -race ./..." go test -race ./...
-# Quarter-scale skew shape check: group-weighted splits (engine.GroupBounds)
-# must cut the worst lane imbalance >= 2x vs equal-width row-group splits at 8
-# workers and never be slower, with identical counts.
-gate "experiments -run skew -check" go run ./cmd/experiments -run skew -scale 0.25 -check
-# Quarter-scale columnar shape check: the columnar copy must read >= 2x fewer
-# modeled pages than as many heap scans would (Server.NumPages() x scans) on
-# the clustered workload, skipping row groups by zone map, fewer everywhere
-# (dictionary packing), and count what cc.Table.AddRow counts from the rows.
-gate "experiments -run columnar -check" go run ./cmd/experiments -run columnar -scale 0.25 -check
-# Quarter-scale serve shape check: concurrent same-table builds with scan
-# sharing must read fewer total modeled pages than with sharing off (identical
-# at one client) and sharing must never slow makespan or per-session latency;
-# every session's tree is asserted identical to the single-tenant build.
-gate "experiments -run serve -check" go run ./cmd/experiments -run serve -scale 0.25 -check
-# Quarter-scale scoring shape check: the in-engine vectorized scoring
-# operator must beat the in-client cursor + tree-walk loop on virtual time,
-# rows/sec and modeled pages at every worker count, and scale with workers.
-gate "experiments -run scoring -check" go run ./cmd/experiments -run scoring -scale 0.25 -check
 # Quarter-scale perf-regression gate: profiles the fixed scenario set on the
 # virtual clock and compares each condensed metric against the committed
 # baseline in BENCH_history.json within a 10% tolerance band. Virtual time is
