@@ -3,31 +3,26 @@
 // go/types, go/parser and go/importer (the module deliberately has no
 // third-party dependencies, so golang.org/x/tools is not available).
 //
-// The suite mechanically enforces the invariants that keep this repository's
-// runs byte-deterministic — the property every reproduced figure depends on.
-// PR 3 fixed three hand-found bugs (a leaked scan span, leaked staging
-// writers, a zero budget slice) that belong to mechanically detectable
-// classes; these analyzers make those classes impossible to reintroduce
-// unnoticed:
+// Each analyzer guards a defect class that no runtime test catches:
 //
 //   - determinism:  no wall-clock time, no global math/rand, no map-order
-//     dependence in non-test code
-//   - spanend:      every obs span reaches End on all paths
-//   - forkjoin:     every sim.Meter.Fork / obs.Tracer.ForkLanes is paired
-//     with Join / JoinLanes on all paths, and the parent is never charged
-//     (or traced) between fork and join
-//   - closer:       resources with Close/Finish/Abort obligations are
-//     released on all paths
-//   - gohandoff:    obligations captured by `go` statements are released
-//     inside the goroutine on all paths
+//     dependence in non-test code — byte-identical virtual time rests on it
+//   - spanend:      every obs span reaches End on all paths, error returns
+//     included; a leaked span changes no tree, counter or clock
+//   - closer:       a resource with a Close/Finish/Abort obligation, acquired
+//     from a constructor, is released on all paths, also when it is passed
+//     to a helper that never releases it
 //
-// The obligation analyzers are interprocedural within the module: a
-// fixed-point summary pass (summary.go) computes, per function, which
-// parameters' obligations it always / conditionally / never releases and
-// which results carry fresh obligations, and the engine consults those
+// Fork/join discipline and goroutine lifetimes are not linted: obs.RunLanes
+// and obs.RunSegments are the only callers of sim.Meter.Fork, and the tests
+// named on them catch a broken barrier.
+//
+// The obligation analyzers (spanend, closer) are interprocedural within the
+// module: a fixed-point summary pass (summary.go) computes, per function,
+// which parameters' obligations it always / conditionally / never releases
+// and which results carry fresh obligations, and the engine consults those
 // summaries at call sites instead of treating every call as an ownership
-// hand-off. An intentional ownership transfer the summaries cannot see is
-// annotated //repolint:owner with a justification.
+// hand-off.
 //
 // A justified exception is annotated with a directive comment on the
 // flagged line or the line above:
@@ -153,9 +148,7 @@ func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		DeterminismAnalyzer,
 		SpanendAnalyzer,
-		ForkjoinAnalyzer,
 		CloserAnalyzer,
-		GohandoffAnalyzer,
 	}
 }
 
@@ -252,7 +245,7 @@ func RunPackages(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 // obligationRuleSets lists the rule sets that have summary tables, in the
 // order their fixed points are computed.
 func obligationRuleSets() []*obRules {
-	return []*obRules{spanendRules(), forkjoinRules(), closerRules()}
+	return []*obRules{spanendRules(), closerRules()}
 }
 
 func sortDiags(diags []Diagnostic) {
@@ -313,14 +306,4 @@ func calleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
 func funcSignature(f *types.Func) *types.Signature {
 	sig, _ := f.Type().(*types.Signature)
 	return sig
-}
-
-// recvExprString renders a method call's receiver expression ("m.meter") for
-// structural identity comparisons, or "" when the call has no receiver.
-func recvExprString(call *ast.CallExpr) string {
-	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok {
-		return ""
-	}
-	return types.ExprString(sel.X)
 }

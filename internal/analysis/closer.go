@@ -8,15 +8,18 @@ import (
 
 // CloserAnalyzer enforces release obligations on first-party resources:
 // values of module-local types whose method set includes Close, Finish or
-// Abort (cursors, staging writers, scan partitions, the file store) must be
-// released on every path when acquired through a constructor-shaped call
-// (Open*/New*/Create*/open*/new*/create*). PR 3's staging-writer leak — a
-// mid-batch create/Finish failure left sibling writers open and their files
-// on disk — is exactly this class.
+// Abort (cursors, the middleware, the file store) must be released on every
+// path when acquired through a constructor-shaped call
+// (Open*/New*/Create*/open*/new*/create*). What only this analyzer catches
+// is a constructor-acquired resource passed to a helper that never releases
+// it: exp/figures.go leaking its middleware when nb.Train fails is visible
+// only through nb.Train's summary.
 //
 // Ownership transfer is respected: resources stored into structs or slices,
-// passed along, returned, or released by a deferred closure are not tracked
-// further here.
+// captured by a closure, passed along or returned are not tracked further
+// here. So the staging writers mw keeps in struct fields are out of its
+// reach; TestCreateErrorAbortsEarlierWriters and
+// TestFinishErrorAbortsRemainingWriters pin their Abort paths.
 var CloserAnalyzer = &Analyzer{
 	Name: "closer",
 	Doc:  "resources with Close/Finish/Abort obligations must be released on all paths",
@@ -34,7 +37,7 @@ func runCloser(p *Pass) {
 }
 
 // closerRules is the closer obligation rule set, shared with the summary
-// layer and the gohandoff analyzer.
+// layer.
 func closerRules() *obRules {
 	return &obRules{
 		name:        "closer",

@@ -1,9 +1,8 @@
 package analysis
 
-// This file implements the shared obligation analysis behind the spanend,
-// forkjoin, closer and gohandoff analyzers: a value acquired at some call
-// site (an obs span, a slice of forked lane meters, a cursor or staging
-// writer) carries an obligation — End the span, Join the lanes, Close the
+// This file implements the shared obligation analysis behind the spanend and
+// closer analyzers: a value acquired at some call site (an obs span, a cursor
+// or staging writer) carries an obligation — End the span, Close the
 // resource — that must be discharged on every path out of the acquiring
 // function.
 //
@@ -14,20 +13,14 @@ package analysis
 // never- or conditionally-releasing helper keeps it tracked here (the leak
 // is reported at the acquirer with the callee chain), and a call whose
 // summarized results carry fresh obligations is itself an acquire site. Where
-// no summary exists (stdlib, indirect calls, escapes into structs or
-// globals) the engine stays deliberately permissive: the obligation is
+// no summary exists (stdlib, indirect calls, escapes into structs, globals
+// or goroutines) the engine stays deliberately permissive: the obligation is
 // treated as handed off and is not tracked further, keeping false positives
 // near zero — the property a CI gate needs.
 //
-// The same engine runs in four modes:
-//
-//   - modeAnalyze:   the analyzers' normal walk; leaks report at acquire sites
-//   - modeSummary:   computes a FuncSummary for one function (no reporting)
-//   - modeGoHandoff: the gohandoff analyzer's walk — obligations captured by
-//     `go` statements are borrow-checked against the goroutine body instead
-//     of being handed off, and only goroutine-capture leaks report
-//   - modeGoCheck:   the nested walk over one goroutine body deciding
-//     whether it releases a captured obligation on all paths
+// The same walker runs in two modes: analyzing, where leaks report at the
+// acquire sites, and summarizing (summary.go), where it computes one
+// function's FuncSummary and reports nothing.
 //
 // The analysis proceeds in three phases per function literal or declaration:
 //
@@ -50,25 +43,6 @@ import (
 	"strings"
 )
 
-// flowMode selects the engine's behavior (see the package comment above).
-type flowMode int
-
-const (
-	modeAnalyze flowMode = iota
-	modeSummary
-	modeGoHandoff
-	modeGoCheck
-)
-
-// escKind classifies one use of a tracked variable.
-type escKind int
-
-const (
-	escNone      escKind = iota // the use keeps the obligation in hand
-	escHandoff                  // ownership transfers beyond this analysis
-	escGoroutine                // captured by (or passed into) a `go` statement
-)
-
 // obRules parameterizes the obligation engine for one analyzer.
 type obRules struct {
 	// name keys this rule set's summary table in the ModuleIndex; empty
@@ -89,23 +63,9 @@ type obRules struct {
 	// (sp.SetRows(1).End() discharges sp).
 	releaseRecv map[string]bool
 
-	// releaseArg holds method names that discharge the obligation passed as
-	// their first argument (meter.Join(lanes) discharges lanes). Nil when the
-	// analyzer has no such form.
-	releaseArg map[string]bool
-
 	// validRelease, when set, vets a candidate release call (the method name
 	// already matched); use it to pin the receiver type.
 	validRelease func(p *Pass, call *ast.CallExpr) bool
-
-	// keepArg reports that passing the obligation value as an argument of
-	// call does not transfer ownership (tr.ForkLanes(lanes) reads the lanes
-	// but joining them stays the caller's job).
-	keepArg func(p *Pass, call *ast.CallExpr) bool
-
-	// onOpenCall, when set, observes every call executed while obligations
-	// are open, in statement order (forkjoin flags parent-meter charges).
-	onOpenCall func(p *Pass, call *ast.CallExpr, open []*obligation)
 
 	// leakVerb completes "X is not <leakVerb> on every path".
 	leakVerb string
@@ -116,8 +76,7 @@ type obligation struct {
 	v     *types.Var
 	pos   token.Pos // acquire call position, where leaks are reported
 	desc  string
-	recv  string // receiver expression of the acquiring call ("m.meter")
-	param int    // parameter index in summary mode, -1 for acquired values
+	param int // parameter index in summary mode, -1 for acquired values
 
 	// errVar is the error sibling of a `v, err := acquire()` form, if any: on
 	// a path guarded by `err != nil` the acquisition failed and v carries no
@@ -131,21 +90,11 @@ type obligation struct {
 	// deterministic).
 	chain    []string
 	chainRel relStatus
-
-	// goPos is the `go` statement that captured the obligation without an
-	// in-goroutine release (modeGoHandoff); leaks report there.
-	goPos token.Pos
 }
 
 // runObligations applies the rules to every function declaration and function
-// literal in the package, in the analyzers' normal reporting mode.
+// literal in the package, reporting leaks.
 func runObligations(p *Pass, rules *obRules) {
-	runObligationsMode(p, rules, modeAnalyze)
-}
-
-// runObligationsMode is runObligations with an explicit engine mode
-// (gohandoff re-runs the rule sets in modeGoHandoff).
-func runObligationsMode(p *Pass, rules *obRules, mode flowMode) {
 	var sums map[string]*FuncSummary
 	if p.index != nil {
 		sums = p.index.summaries(rules)
@@ -155,10 +104,10 @@ func runObligationsMode(p *Pass, rules *obRules, mode flowMode) {
 			switch fn := n.(type) {
 			case *ast.FuncDecl:
 				if fn.Body != nil {
-					analyzeFuncBody(p, rules, fn.Body, mode, sums)
+					analyzeFuncBody(p, rules, fn.Body, sums)
 				}
 			case *ast.FuncLit:
-				analyzeFuncBody(p, rules, fn.Body, mode, sums)
+				analyzeFuncBody(p, rules, fn.Body, sums)
 			}
 			return true
 		})
@@ -191,22 +140,22 @@ type flowAnalysis struct {
 	tracked  map[*types.Var]*obligation
 	reported map[*types.Var]bool
 
-	mode flowMode
 	idx  *ModuleIndex
 	sums map[string]*FuncSummary // summaries for rules.name, nil without an index
-	sb   *summaryBuilder         // modeSummary accumulator
-
-	goFail bool // modeGoCheck: some goroutine path left the obligation open
+	sb   *summaryBuilder         // the summary accumulator; nil when analyzing
 }
 
-func analyzeFuncBody(p *Pass, rules *obRules, body *ast.BlockStmt, mode flowMode, sums map[string]*FuncSummary) {
+// summarizing reports whether the walk computes a summary instead of
+// reporting leaks.
+func (fa *flowAnalysis) summarizing() bool { return fa.sb != nil }
+
+func analyzeFuncBody(p *Pass, rules *obRules, body *ast.BlockStmt, sums map[string]*FuncSummary) {
 	fa := &flowAnalysis{
 		p:        p,
 		rules:    rules,
 		body:     body,
 		tracked:  map[*types.Var]*obligation{},
 		reported: map[*types.Var]bool{},
-		mode:     mode,
 		idx:      p.index,
 		sums:     sums,
 	}
@@ -215,7 +164,7 @@ func analyzeFuncBody(p *Pass, rules *obRules, body *ast.BlockStmt, mode flowMode
 		return
 	}
 	fa.dropEscapes()
-	if len(fa.tracked) == 0 && (rules.onOpenCall == nil || mode != modeAnalyze) {
+	if len(fa.tracked) == 0 {
 		return
 	}
 	env := obEnv{}
@@ -343,7 +292,7 @@ func (fa *flowAnalysis) track(target ast.Expr, call *ast.CallExpr, desc string) 
 		return nil
 	}
 	if id.Name == "_" {
-		if fa.mode == modeAnalyze {
+		if !fa.summarizing() {
 			fa.p.Reportf(call.Pos(), "%s is discarded without being %s", desc, fa.rules.leakVerb)
 		}
 		return nil
@@ -352,7 +301,7 @@ func (fa *flowAnalysis) track(target ast.Expr, call *ast.CallExpr, desc string) 
 	if v == nil {
 		return nil
 	}
-	ob := &obligation{v: v, pos: call.Pos(), desc: desc, recv: recvExprString(call), param: -1}
+	ob := &obligation{v: v, pos: call.Pos(), desc: desc, param: -1}
 	fa.tracked[v] = ob
 	return ob
 }
@@ -396,7 +345,7 @@ func (fa *flowAnalysis) acquireChainRoot(expr ast.Expr) (*ast.CallExpr, string, 
 // checkDiscarded reports an acquiring chain whose result is dropped on the
 // floor as a bare expression statement without an in-chain release.
 func (fa *flowAnalysis) checkDiscarded(expr ast.Expr) {
-	if fa.mode != modeAnalyze {
+	if fa.summarizing() {
 		return
 	}
 	call, desc, ok := fa.acquireChainRoot(expr)
@@ -409,9 +358,8 @@ func (fa *flowAnalysis) checkDiscarded(expr ast.Expr) {
 
 // dropEscapes untracks obligations that are discharged for every path at once
 // (defer v.End()) or whose ownership leaves the function (captured by a
-// closure, stored, passed to an unsummarized function, returned). Summary
-// mode records the escape kind instead of just forgetting it, and
-// modeGoHandoff keeps goroutine captures tracked for the borrow check.
+// closure or a goroutine, stored, passed to an unsummarized function,
+// returned). Summary mode also records the escape on the parameter.
 func (fa *flowAnalysis) dropEscapes() {
 	drop := map[*types.Var]bool{}
 	var stack []ast.Node
@@ -429,34 +377,15 @@ func (fa *flowAnalysis) dropEscapes() {
 		if !ok {
 			return true
 		}
-		ob, tracked := fa.tracked[v]
-		if !tracked {
+		if _, tracked := fa.tracked[v]; !tracked || !fa.escapes(stack, id) {
 			return true
 		}
-		switch fa.useEscapes(stack, id) {
-		case escNone:
-		case escHandoff:
-			if fa.mode == modeSummary && ob.param >= 0 {
-				if acc := fa.sb.params[v]; acc != nil {
-					acc.escaped = true
-				}
-			}
-			drop[v] = true
-		case escGoroutine:
-			switch fa.mode {
-			case modeSummary:
-				if ob.param >= 0 {
-					if acc := fa.sb.params[v]; acc != nil {
-						acc.goroutine = true
-					}
-				}
-				drop[v] = true
-			case modeGoHandoff:
-				// Kept: the GoStmt walk decides borrow vs leak.
-			default:
-				drop[v] = true
+		if fa.summarizing() {
+			if acc := fa.sb.params[v]; acc != nil {
+				acc.escaped = true
 			}
 		}
+		drop[v] = true
 		return true
 	})
 	for v := range drop { //repolint:ordered map removal is order-independent
@@ -464,18 +393,15 @@ func (fa *flowAnalysis) dropEscapes() {
 	}
 }
 
-// useEscapes classifies one use of a tracked variable given its ancestor
-// stack (outermost first, the identifier last).
-func (fa *flowAnalysis) useEscapes(stack []ast.Node, id *ast.Ident) escKind {
-	// A use inside a nested function literal: a plain closure may (and in
-	// this codebase does, e.g. deferred cleanups) release it — hand off. A
-	// literal launched by a `go` statement is a goroutine capture.
-	for j, n := range stack[:len(stack)-1] {
+// escapes reports whether one use of a tracked variable hands its obligation
+// off, given the use's ancestor stack (outermost first, the identifier last).
+func (fa *flowAnalysis) escapes(stack []ast.Node, id *ast.Ident) bool {
+	// A use inside a nested function literal: a closure may (and in this
+	// codebase does, e.g. deferred cleanups) release it, and a goroutine owns
+	// what it captures — hand off.
+	for _, n := range stack[:len(stack)-1] {
 		if _, ok := n.(*ast.FuncLit); ok {
-			if isGoLit(stack, j) {
-				return escGoroutine
-			}
-			return escHandoff
+			return true
 		}
 	}
 	// Walk outward past wrappers that keep the value in hand.
@@ -489,110 +415,64 @@ func (fa *flowAnalysis) useEscapes(stack []ast.Node, id *ast.Ident) escKind {
 			continue
 		case *ast.SelectorExpr:
 			// v.Method or v.Field read: stay.
-			if parent.X == child {
-				return escNone
-			}
-			return escHandoff
+			return parent.X != child
 		case *ast.IndexExpr:
-			// v[i] element read does not move the slice's obligation.
-			if parent.X == child {
-				return escNone
-			}
-			return escHandoff // used as an index: impossible for our types, bail out
+			// v[i] element read does not move the slice's obligation; used as
+			// an index is impossible for our types: bail out.
+			return parent.X != child
 		case *ast.SliceExpr:
 			// v[lo:hi] re-slices alias the backing array — hand off.
-			return escHandoff
+			return true
 		case *ast.CallExpr:
 			if fun, ok := ast.Unparen(parent.Fun).(*ast.Ident); ok && fa.isBuiltin(fun) {
-				if fun.Name == "len" || fun.Name == "cap" {
-					return escNone
-				}
-				return escHandoff // append, copy, ...: hand off
+				// len and cap read; append, copy, ...: hand off.
+				return fun.Name != "len" && fun.Name != "cap"
 			}
-			// Argument of a release-by-argument call keeps the obligation
-			// here (the release is what the path walk looks for); so does a
-			// whitelisted read-only callee.
-			if fa.isReleaseArgCall(parent) {
-				return escNone
-			}
-			if fa.rules.keepArg != nil && fa.rules.keepArg(fa.p, parent) {
-				return escNone
-			}
-			// go helper(v): the GoStmt walk decides what the goroutine does.
+			// go helper(v): the goroutine owns it now.
 			if i > 0 {
 				if g, ok := stack[i-1].(*ast.GoStmt); ok && g.Call == parent {
-					return escGoroutine
+					return true
 				}
 			}
 			// A summarized callee that releases (or visibly leaks) keeps the
 			// obligation under this function's analysis; anything else is an
 			// ownership hand-off.
-			if fa.argSummaryKeeps(parent, child) {
-				return escNone
-			}
-			return escHandoff
+			return !fa.argSummaryKeeps(parent, child)
 		case *ast.BinaryExpr, *ast.IfStmt, *ast.ForStmt, *ast.SwitchStmt:
-			return escNone // comparisons and conditions read, never transfer
+			return false // comparisons and conditions read, never transfer
 		case *ast.RangeStmt:
-			if parent.X != child {
-				return escHandoff
-			}
-			return escNone // ranging over v reads it
+			return parent.X != child // ranging over v reads it
 		case *ast.AssignStmt:
 			for _, r := range parent.Rhs {
 				if ast.Unparen(r) == child {
-					return escHandoff // aliased into another variable or location
+					return true // aliased into another variable or location
 				}
 			}
-			return escNone // left-hand side or part of a larger expression
-		case *ast.ReturnStmt:
-			return escHandoff
-		case *ast.ValueSpec, *ast.CompositeLit, *ast.KeyValueExpr,
+			return false // left-hand side or part of a larger expression
+		case *ast.ReturnStmt, *ast.ValueSpec, *ast.CompositeLit, *ast.KeyValueExpr,
 			*ast.SendStmt, *ast.UnaryExpr, *ast.StarExpr, *ast.GoStmt:
-			return escHandoff
+			return true
 		case *ast.DeferStmt:
 			// defer v.Release() discharges on every exit; checked below via
 			// the deferred call itself. A defer that does not release keeps
 			// the obligation open, but reporting through an unrelated defer
 			// would be noise — hand off.
-			if fa.deferReleases(parent, id) {
-				return escNone
-			}
-			return escHandoff
+			return !fa.deferReleases(parent, id)
 		case *ast.ExprStmt, *ast.BlockStmt, *ast.CaseClause, *ast.CommClause,
 			*ast.IncDecStmt, *ast.TypeSwitchStmt, *ast.SelectStmt, *ast.LabeledStmt:
-			return escNone
+			return false
 		default:
-			return escHandoff // unanticipated context: be permissive, hand off
+			return true // unanticipated context: be permissive, hand off
 		}
 	}
-	return escNone
-}
-
-// isGoLit reports whether stack[j] is a function literal immediately invoked
-// by a `go` statement (go func(...){...}(...)).
-func isGoLit(stack []ast.Node, j int) bool {
-	if j < 2 {
-		return false
-	}
-	lit, ok := stack[j].(*ast.FuncLit)
-	if !ok {
-		return false
-	}
-	call, ok := stack[j-1].(*ast.CallExpr)
-	if !ok || ast.Unparen(call.Fun) != ast.Node(lit) {
-		return false
-	}
-	g, ok := stack[j-2].(*ast.GoStmt)
-	return ok && g.Call == call
+	return false
 }
 
 // argSummaryKeeps reports whether passing child as an argument of call keeps
 // the obligation tracked here: the callee has a summary for that parameter
 // that either always releases it (the path walk will discharge it at the
 // call) or visibly fails to (the leak reports at this function's acquirer
-// with the callee chain). An //repolint:owner directive at the call site
-// forces the old hand-off reading.
+// with the callee chain).
 func (fa *flowAnalysis) argSummaryKeeps(call *ast.CallExpr, child ast.Node) bool {
 	if fa.sums == nil {
 		return false
@@ -603,9 +483,6 @@ func (fa *flowAnalysis) argSummaryKeeps(call *ast.CallExpr, child ast.Node) bool
 	}
 	sum := fa.sums[f.FullName()]
 	if sum == nil {
-		return false
-	}
-	if fa.p.Directive(call.Pos(), "owner") {
 		return false
 	}
 	k := -1
@@ -623,7 +500,7 @@ func (fa *flowAnalysis) argSummaryKeeps(call *ast.CallExpr, child ast.Node) bool
 		return false
 	}
 	ps := sum.Params[pidx]
-	return ps.Tracked && !ps.Escapes && !ps.Goroutine
+	return ps.Tracked && !ps.Escapes
 }
 
 // summaryParamIndex maps a call-argument index onto the flattened parameter
@@ -648,33 +525,16 @@ func summaryParamIndex(f *types.Func, sum *FuncSummary, k int) int {
 }
 
 // deferReleases reports whether the deferred call discharges the identifier's
-// obligation: defer v.End(), defer cur.Close(), defer m.Join(lanes).
+// obligation: defer v.End(), defer cur.Close().
 func (fa *flowAnalysis) deferReleases(d *ast.DeferStmt, id *ast.Ident) bool {
-	for _, rid := range fa.releasedBy(d.Call) {
-		if fa.p.Info.Uses[rid] == fa.p.Info.Uses[id] {
-			return true
-		}
-	}
-	return false
+	root := fa.releasedRoot(d.Call)
+	return root != nil && fa.p.Info.Uses[root] == fa.p.Info.Uses[id]
 }
 
 // isBuiltin reports whether the identifier names a universe-scope builtin.
 func (fa *flowAnalysis) isBuiltin(id *ast.Ident) bool {
 	_, ok := fa.p.Info.Uses[id].(*types.Builtin)
 	return ok
-}
-
-// isReleaseArgCall reports whether call is a release-by-argument method
-// (Join/JoinLanes) according to the rules.
-func (fa *flowAnalysis) isReleaseArgCall(call *ast.CallExpr) bool {
-	if fa.rules.releaseArg == nil {
-		return false
-	}
-	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok || !fa.rules.releaseArg[sel.Sel.Name] {
-		return false
-	}
-	return fa.validRelease(call)
 }
 
 func (fa *flowAnalysis) validRelease(call *ast.CallExpr) bool {
@@ -734,7 +594,7 @@ func (fa *flowAnalysis) walkStmt(st ast.Stmt, env obEnv) bool {
 		for _, r := range s.Results {
 			fa.scanExpr(r, env)
 		}
-		if fa.mode == modeSummary {
+		if fa.summarizing() {
 			fa.recordReturn(s, env)
 		}
 		fa.checkExit(env, s.Pos())
@@ -816,39 +676,16 @@ func (fa *flowAnalysis) walkStmt(st ast.Stmt, env obEnv) bool {
 		return fa.walkCases(s.Body, env, false)
 	case *ast.DeferStmt:
 		// defer v.End() discharges the obligation on every path that reaches
-		// this statement (paths exiting earlier still count as open). The
-		// deferred call itself runs at exit, so onOpenCall does not see it.
-		for _, rid := range fa.releasedBy(s.Call) {
-			if v, ok := fa.p.Info.Uses[rid].(*types.Var); ok {
-				if st, tracked := env[v]; tracked {
-					st.released = true
-				}
-			}
-		}
-		// defer helper(v) with an always-releasing helper discharges too;
-		// conditional or never-releasing helpers keep the obligation open
-		// and the consult records the callee chain.
-		fa.consultCall(s.Call, env)
-		for _, a := range s.Call.Args {
-			fa.scanExpr(a, env)
-		}
+		// this statement (paths exiting earlier still count as open), and so
+		// does defer helper(v) with an always-releasing helper; conditional or
+		// never-releasing helpers keep the obligation open and the consult
+		// records the callee chain.
+		fa.scanExpr(s.Call, env)
 		return false
 	case *ast.GoStmt:
-		// go m.Join(lanes) / go sp.End(): an asynchronous release still
-		// reaches the release method — count it.
-		for _, rid := range fa.releasedBy(s.Call) {
-			if v, ok := fa.p.Info.Uses[rid].(*types.Var); ok {
-				if st, tracked := env[v]; tracked {
-					st.released = true
-				}
-			}
-		}
-		for _, a := range s.Call.Args {
-			fa.scanExpr(a, env)
-		}
-		if fa.mode == modeGoHandoff {
-			fa.checkGoStmt(s, env)
-		}
+		// go sp.End(): an asynchronous release still reaches the release
+		// method — count it.
+		fa.scanExpr(s.Call, env)
 		return false
 	case *ast.BranchStmt:
 		// break/continue/goto leave the structured path; the loop merge
@@ -1109,8 +946,8 @@ func (fa *flowAnalysis) recordReturn(s *ast.ReturnStmt, env obEnv) {
 }
 
 // scanExpr processes one expression on the current path: applies releases
-// and summary consults, then lets the analyzer observe remaining open calls.
-// Nested function literals are opaque (analyzed separately).
+// and summary consults. Nested function literals are opaque (analyzed
+// separately).
 func (fa *flowAnalysis) scanExpr(expr ast.Expr, env obEnv) {
 	if expr == nil {
 		return
@@ -1120,28 +957,14 @@ func (fa *flowAnalysis) scanExpr(expr ast.Expr, env obEnv) {
 		if !ok {
 			return
 		}
-		for _, id := range fa.releasedBy(call) {
-			if v, ok := fa.p.Info.Uses[id].(*types.Var); ok {
+		if root := fa.releasedRoot(call); root != nil {
+			if v, ok := fa.p.Info.Uses[root].(*types.Var); ok {
 				if s, tracked := env[v]; tracked {
 					s.released = true
 				}
 			}
 		}
 		fa.consultCall(call, env)
-		if fa.rules.onOpenCall != nil && fa.mode == modeAnalyze {
-			var open []*obligation
-			var vars []*types.Var
-			for v, s := range env { //repolint:ordered sorted below before use
-				if !s.released {
-					vars = append(vars, v)
-				}
-			}
-			sort.Slice(vars, func(i, j int) bool { return vars[i].Pos() < vars[j].Pos() })
-			for _, v := range vars {
-				open = append(open, env[v].ob)
-			}
-			fa.rules.onOpenCall(fa.p, call, open)
-		}
 	})
 }
 
@@ -1159,15 +982,6 @@ func (fa *flowAnalysis) consultCall(call *ast.CallExpr, env obEnv) {
 	}
 	sum := fa.sums[f.FullName()]
 	if sum == nil {
-		return
-	}
-	if fa.isReleaseArgCall(call) {
-		return
-	}
-	if fa.rules.keepArg != nil && fa.rules.keepArg(fa.p, call) {
-		return
-	}
-	if fa.p.Directive(call.Pos(), "owner") {
 		return
 	}
 	// Receiver position: a module method that closes (or conditionally
@@ -1206,7 +1020,7 @@ func (fa *flowAnalysis) consultCall(call *ast.CallExpr, env obEnv) {
 
 // applyParamSummary acts on one (obligation, callee parameter) pairing.
 func (fa *flowAnalysis) applyParamSummary(callee *types.Func, ps ParamSummary, s *obState, recvPos bool) {
-	if !ps.Tracked || ps.Escapes || ps.Goroutine {
+	if !ps.Tracked || ps.Escapes {
 		return
 	}
 	switch ps.Status {
@@ -1224,11 +1038,11 @@ func (fa *flowAnalysis) applyParamSummary(callee *types.Func, ps ParamSummary, s
 	}
 }
 
-// recordChain attaches the callee chain to the obligation (analyze and
-// gohandoff modes) or to the summary accumulator (summary mode).
+// recordChain attaches the callee chain to the obligation (analyze mode) or
+// to the summary accumulator (summary mode).
 func (fa *flowAnalysis) recordChain(callee *types.Func, ps ParamSummary, s *obState, rel relStatus) {
 	chain := buildChain(fa.selfName(), callee, ps.Chain)
-	if fa.mode == modeSummary {
+	if fa.summarizing() {
 		if acc := fa.sb.params[s.ob.v]; acc != nil && acc.chain == nil {
 			acc.chain = chain
 		}
@@ -1250,218 +1064,21 @@ func (fa *flowAnalysis) selfName() string {
 }
 
 // countCross bumps the module's cross-function obligation counter (the
-// verify.sh coverage stat); only the analyzers' primary walk counts.
+// verify.sh coverage stat); only the analyzers' walk counts, not summaries.
 func (fa *flowAnalysis) countCross() {
-	if fa.mode == modeAnalyze && fa.idx != nil {
+	if !fa.summarizing() && fa.idx != nil {
 		fa.idx.crossFunc++
 	}
 }
 
-// ---- goroutine hand-off check (modeGoHandoff) ---------------------------
-
-// checkGoStmt decides, for every open obligation the `go` statement hands to
-// its goroutine, whether the goroutine releases it on all paths (a proper
-// hand-off: the parent's obligation is discharged) or not (the obligation
-// stays open and the leak reports at the `go` statement if the parent never
-// releases it either — the borrow-without-return shape).
-func (fa *flowAnalysis) checkGoStmt(g *ast.GoStmt, env obEnv) {
-	if lit, ok := ast.Unparen(g.Call.Fun).(*ast.FuncLit); ok {
-		// Obligations captured by the literal's body.
-		captured := map[*types.Var]bool{}
-		ast.Inspect(lit.Body, func(n ast.Node) bool {
-			if id, ok := n.(*ast.Ident); ok {
-				if v, ok := fa.p.Info.Uses[id].(*types.Var); ok {
-					if s, tracked := env[v]; tracked && !s.released {
-						captured[v] = true
-					}
-				}
-			}
-			return true
-		})
-		var vars []*types.Var
-		for v := range captured { //repolint:ordered sorted below
-			vars = append(vars, v)
-		}
-		sort.Slice(vars, func(i, j int) bool { return vars[i].Pos() < vars[j].Pos() })
-		for _, v := range vars {
-			s := env[v]
-			if fa.goroutineReleases(lit.Body, v, s.ob) {
-				s.released = true
-			} else {
-				fa.markGoCapture(s, g)
-			}
-		}
-		// Obligations passed as arguments become the literal's parameters.
-		for k, a := range g.Call.Args {
-			id, ok := ast.Unparen(a).(*ast.Ident)
-			if !ok {
-				continue
-			}
-			v, ok := fa.p.Info.Uses[id].(*types.Var)
-			if !ok {
-				continue
-			}
-			s, tracked := env[v]
-			if !tracked || s.released {
-				continue
-			}
-			pv := litParamVar(fa.p, lit, k)
-			if pv == nil {
-				s.released = true // unanalyzable: permissive hand-off
-				continue
-			}
-			if fa.goroutineReleases(lit.Body, pv, s.ob) {
-				s.released = true
-			} else {
-				fa.markGoCapture(s, g)
-			}
-		}
-		return
-	}
-	// go helper(v) / go v.Method(): consult the callee summary.
-	f := calleeFunc(fa.p.Info, g.Call)
-	var sum *FuncSummary
-	if f != nil && fa.sums != nil {
-		sum = fa.sums[f.FullName()]
-	}
-	if sel, ok := ast.Unparen(g.Call.Fun).(*ast.SelectorExpr); ok {
-		if root := chainRootIdent(sel.X); root != nil {
-			if v, ok := fa.p.Info.Uses[root].(*types.Var); ok {
-				if s, tracked := env[v]; tracked && !s.released {
-					fa.goConsult(f, sum, 0, s, g)
-				}
-			}
-		}
-	}
-	for k, a := range g.Call.Args {
-		id, ok := ast.Unparen(a).(*ast.Ident)
-		if !ok {
-			continue
-		}
-		v, ok := fa.p.Info.Uses[id].(*types.Var)
-		if !ok {
-			continue
-		}
-		s, tracked := env[v]
-		if !tracked || s.released {
-			continue
-		}
-		pidx := -1
-		if f != nil && sum != nil {
-			pidx = summaryParamIndex(f, sum, k)
-		}
-		if pidx < 0 {
-			s.released = true // no summary: permissive hand-off
-			continue
-		}
-		fa.goConsult(f, sum, pidx, s, g)
-	}
-}
-
-// goConsult resolves one obligation handed to a goroutine-launched call
-// against the callee's summary.
-func (fa *flowAnalysis) goConsult(f *types.Func, sum *FuncSummary, pidx int, s *obState, g *ast.GoStmt) {
-	if sum == nil || pidx >= len(sum.Params) {
-		s.released = true // no summary: permissive hand-off
-		return
-	}
-	ps := sum.Params[pidx]
-	if !ps.Tracked || ps.Escapes || ps.Goroutine {
-		s.released = true // beyond the summary's sight: permissive hand-off
-		return
-	}
-	if ps.Status == relAlways {
-		s.released = true
-		return
-	}
-	if s.ob.chain == nil && f != nil {
-		s.ob.chain = buildChain("", f, ps.Chain)
-		s.ob.chainRel = ps.Status
-	}
-	fa.markGoCapture(s, g)
-}
-
-// markGoCapture records the capturing `go` statement on the obligation; the
-// leak reports there if neither the goroutine nor the parent releases it.
-func (fa *flowAnalysis) markGoCapture(s *obState, g *ast.GoStmt) {
-	if fa.p.Directive(g.Pos(), "owner") {
-		s.released = true
-		return
-	}
-	if s.ob.goPos == token.NoPos {
-		s.ob.goPos = g.Pos()
-	}
-}
-
-// goroutineReleases reports whether the goroutine body releases the
-// obligation rooted at v on every path. Escapes inside the goroutine are
-// read permissively (the goroutine handed it on), so false means the body
-// visibly keeps the value and still fails to release it.
-func (fa *flowAnalysis) goroutineReleases(body *ast.BlockStmt, v *types.Var, ob *obligation) bool {
-	child := &flowAnalysis{
-		p:        fa.p,
-		rules:    fa.rules,
-		body:     body,
-		tracked:  map[*types.Var]*obligation{v: {v: v, pos: ob.pos, desc: ob.desc, param: -1}},
-		reported: map[*types.Var]bool{},
-		mode:     modeGoCheck,
-		idx:      fa.idx,
-		sums:     fa.sums,
-	}
-	child.dropEscapes()
-	if len(child.tracked) == 0 {
-		return true // escaped inside the goroutine: permissive hand-off
-	}
-	env := obEnv{v: &obState{ob: child.tracked[v]}}
-	if !child.walkStmts(body.List, env) {
-		child.checkExit(env, body.Rbrace)
-	}
-	return !child.goFail
-}
-
-// litParamVar resolves the k-th parameter variable of a function literal.
-func litParamVar(p *Pass, lit *ast.FuncLit, k int) *types.Var {
-	if lit.Type.Params == nil {
-		return nil
-	}
-	i := 0
-	for _, field := range lit.Type.Params.List {
-		if len(field.Names) == 0 {
-			i++
-			continue
-		}
-		for _, name := range field.Names {
-			if i == k {
-				v, _ := p.Info.Defs[name].(*types.Var)
-				return v
-			}
-			i++
-		}
-	}
-	return nil
-}
-
-// releasedBy returns the identifiers whose obligations the call discharges:
-// the receiver-chain root for releaseRecv methods, the first argument for
-// releaseArg methods.
-func (fa *flowAnalysis) releasedBy(call *ast.CallExpr) []*ast.Ident {
+// releasedRoot returns the identifier whose obligation the call discharges —
+// the receiver-chain root of a releaseRecv method — or nil.
+func (fa *flowAnalysis) releasedRoot(call *ast.CallExpr) *ast.Ident {
 	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok {
+	if !ok || !fa.rules.releaseRecv[sel.Sel.Name] || !fa.validRelease(call) {
 		return nil
 	}
-	var out []*ast.Ident
-	if fa.rules.releaseRecv[sel.Sel.Name] && fa.validRelease(call) {
-		if root := chainRootIdent(sel.X); root != nil {
-			out = append(out, root)
-		}
-	}
-	if fa.rules.releaseArg != nil && fa.rules.releaseArg[sel.Sel.Name] &&
-		fa.validRelease(call) && len(call.Args) > 0 {
-		if id, ok := ast.Unparen(call.Args[0]).(*ast.Ident); ok {
-			out = append(out, id)
-		}
-	}
-	return out
+	return chainRootIdent(sel.X)
 }
 
 // chainRootIdent walks a method-call chain (sp.SetRows(1).Attr("k", 2)) down
@@ -1485,12 +1102,9 @@ func chainRootIdent(expr ast.Expr) *ast.Ident {
 
 // checkExit resolves every obligation still open when a path leaves the
 // function: analyze mode reports leaks at the acquire site, summary mode
-// records the exit outcome per parameter, gohandoff mode reports goroutine
-// captures at the `go` statement, and the goroutine sub-check just flags the
-// open path.
+// records the exit outcome per parameter.
 func (fa *flowAnalysis) checkExit(env obEnv, exit token.Pos) {
-	switch fa.mode {
-	case modeSummary:
+	if fa.summarizing() {
 		for v, acc := range fa.sb.params { //repolint:ordered per-param counters, order-independent
 			s, ok := env[v]
 			if !ok {
@@ -1506,21 +1120,11 @@ func (fa *flowAnalysis) checkExit(env obEnv, exit token.Pos) {
 			}
 		}
 		return
-	case modeGoCheck:
-		for _, s := range env { //repolint:ordered single-obligation env
-			if !s.released {
-				fa.goFail = true
-			}
-		}
-		return
 	}
 	var vars []*types.Var
 	for v, s := range env { //repolint:ordered sorted below before reporting
 		if s.released || fa.reported[v] {
 			continue
-		}
-		if fa.mode == modeGoHandoff && s.ob.goPos == token.NoPos {
-			continue // base-analyzer territory, not a goroutine capture
 		}
 		vars = append(vars, v)
 	}
@@ -1528,17 +1132,8 @@ func (fa *flowAnalysis) checkExit(env obEnv, exit token.Pos) {
 	for _, v := range vars {
 		fa.reported[v] = true
 		ob := env[v].ob
-		var pos token.Pos
-		var msg string
-		if fa.mode == modeGoHandoff {
-			pos = ob.goPos
-			msg = fmt.Sprintf("%s %q is captured by a goroutine but not %s inside it on every path (acquired at line %d)",
-				ob.desc, v.Name(), fa.rules.leakVerb, fa.p.Fset.Position(ob.pos).Line)
-		} else {
-			pos = ob.pos
-			msg = fmt.Sprintf("%s %q is not %s on every path: function exit at line %d",
-				ob.desc, v.Name(), fa.rules.leakVerb, fa.p.Fset.Position(exit).Line)
-		}
+		msg := fmt.Sprintf("%s %q is not %s on every path: function exit at line %d",
+			ob.desc, v.Name(), fa.rules.leakVerb, fa.p.Fset.Position(exit).Line)
 		if len(ob.chain) > 0 {
 			verb := "never releases it"
 			if ob.chainRel == relCond {
@@ -1546,7 +1141,7 @@ func (fa *flowAnalysis) checkExit(env obEnv, exit token.Pos) {
 			}
 			msg += fmt.Sprintf(" (passed to %s, which %s)", strings.Join(ob.chain, " -> "), verb)
 		}
-		fa.p.report(pos, ob.chain, "%s", msg)
+		fa.p.report(ob.pos, ob.chain, "%s", msg)
 	}
 }
 

@@ -28,7 +28,7 @@ func runSpanend(p *Pass) {
 }
 
 // spanendRules is the spanend obligation rule set, shared with the summary
-// layer and the gohandoff analyzer.
+// layer.
 func spanendRules() *obRules {
 	return &obRules{
 		name:        "spanend",

@@ -6,8 +6,9 @@ package analysis
 // conditionally / never releases, (b) which result indices carry fresh
 // obligations (constructors wrapping an acquire are themselves acquire
 // sites), and (c) whether an obligation escapes into a goroutine, a struct
-// field or a global. The obligation engine (flow.go) consults these
-// summaries instead of treating every call as an ownership hand-off.
+// field, a global or an unsummarized callee. The obligation engine (flow.go)
+// consults these summaries instead of treating every call as an ownership
+// hand-off.
 //
 // Summaries are keyed by types.Func.FullName(): a *types.Func seen through a
 // source-checked package and the same function seen through export data are
@@ -42,11 +43,10 @@ const (
 // obligation. Index 0 is the receiver for methods; explicit parameters
 // follow, shifted by one.
 type ParamSummary struct {
-	Tracked   bool      // the parameter's type matches the analyzer's obligation type
-	Status    relStatus // release status over all paths
-	Escapes   bool      // stored, returned, re-sliced or passed beyond the summary's sight
-	Goroutine bool      // handed into a goroutine the callee starts
-	Chain     []string  // callee chain explaining a relNever/relCond status
+	Tracked bool      // the parameter's type matches the analyzer's obligation type
+	Status  relStatus // release status over all paths
+	Escapes bool      // stored, returned, re-sliced, captured or passed beyond the summary's sight
+	Chain   []string  // callee chain explaining a relNever/relCond status
 }
 
 // ResultSummary describes one result index of a function.
@@ -68,7 +68,7 @@ func (s *FuncSummary) equal(o *FuncSummary) bool {
 	for i := range s.Params {
 		a, b := s.Params[i], o.Params[i]
 		if a.Tracked != b.Tracked || a.Status != b.Status || a.Escapes != b.Escapes ||
-			a.Goroutine != b.Goroutine || len(a.Chain) != len(b.Chain) {
+			len(a.Chain) != len(b.Chain) {
 			return false
 		}
 		for j := range a.Chain {
@@ -257,7 +257,6 @@ func (idx *ModuleIndex) summarize(node *funcNode, rules *obRules, cur map[string
 		body:     node.decl.Body,
 		tracked:  map[*types.Var]*obligation{},
 		reported: map[*types.Var]bool{},
-		mode:     modeSummary,
 		idx:      idx,
 		sums:     cur,
 		sb:       sb,
@@ -288,7 +287,6 @@ func (idx *ModuleIndex) summarize(node *funcNode, rules *obRules, cur map[string
 		}
 		acc := sb.params[v]
 		fs.Params[i].Escapes = acc.escaped
-		fs.Params[i].Goroutine = acc.goroutine
 		fs.Params[i].Status = acc.status()
 		if fs.Params[i].Status != relAlways {
 			fs.Params[i].Chain = acc.chain
@@ -318,9 +316,9 @@ func (sb *summaryBuilder) setFresh(i int, desc string) {
 
 // paramAcc accumulates one parameter's per-exit release outcomes.
 type paramAcc struct {
-	rel, cond, open    int
-	chain              []string
-	escaped, goroutine bool
+	rel, cond, open int
+	chain           []string
+	escaped         bool
 }
 
 // status folds the exit counts into the lattice. A function with no

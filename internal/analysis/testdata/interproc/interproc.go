@@ -8,7 +8,6 @@ package interproc
 import (
 	"lintdata/obs"
 	"lintdata/res"
-	"lintdata/sim"
 )
 
 // ---- spanend helpers ----------------------------------------------------
@@ -209,44 +208,4 @@ func OkWrappedWriterErrPath() error {
 	}
 	w.Write([]byte("x"))
 	return w.Finish()
-}
-
-// ---- forkjoin helpers ---------------------------------------------------
-
-// joinAll joins the lanes back on every path.
-func joinAll(m *sim.Meter, lanes []*sim.Meter) { m.Join(lanes) }
-
-// chargeLanes reads and charges the lanes but never joins them.
-func chargeLanes(lanes []*sim.Meter) {
-	for _, l := range lanes {
-		l.Charge(0, 1, 1)
-	}
-}
-
-// joinIf joins only when ok.
-func joinIf(m *sim.Meter, lanes []*sim.Meter, ok bool) {
-	if ok {
-		m.Join(lanes)
-	}
-}
-
-// forwardLanes forwards to the never-joining helper: a two-level chain.
-func forwardLanes(lanes []*sim.Meter) { chargeLanes(lanes) }
-
-// ---- forkjoin cases -----------------------------------------------------
-
-func BadLanesChain(m *sim.Meter) {
-	lanes := m.Fork(4) // want `forked lane meters "lanes" is not Joined back on every path.*passed to interproc\.forwardLanes -> interproc\.chargeLanes, which never releases it`
-	forwardLanes(lanes)
-}
-
-func BadLanesCond(m *sim.Meter, ok bool) {
-	lanes := m.Fork(4) // want `forked lane meters "lanes" is not Joined back on every path.*passed to interproc\.joinIf, which releases it only on some paths`
-	joinIf(m, lanes, ok)
-}
-
-func OkLanesHelper(m *sim.Meter) {
-	lanes := m.Fork(4)
-	chargeLanes(lanes)
-	joinAll(m, lanes)
 }

@@ -1,9 +1,6 @@
 // Package obs is a structural stub of the real internal/obs: Tracer.Start
-// returns a Span that must be Ended, and ForkLanes/JoinLanes mirror the lane
-// tracer barrier.
+// returns a Span that must be Ended.
 package obs
-
-import "lintdata/sim"
 
 type Tracer struct{ spans int }
 
@@ -19,25 +16,6 @@ func (t *Tracer) Start(cat, name string) *Span {
 	}
 	t.spans++
 	return &Span{tr: t}
-}
-
-func (t *Tracer) ForkLanes(lanes []*sim.Meter) []*Tracer {
-	if t == nil {
-		return nil
-	}
-	out := make([]*Tracer, len(lanes))
-	for i := range out {
-		out[i] = &Tracer{}
-	}
-	return out
-}
-
-func (t *Tracer) JoinLanes(lanes []*Tracer) {
-	for _, lt := range lanes {
-		if lt != nil {
-			t.spans += lt.spans
-		}
-	}
 }
 
 func (s *Span) End() {

@@ -1,15 +1,12 @@
-// Package pr3scan reconstructs the exact code shapes PR 3 fixed by hand in
+// Package pr3scan reconstructs the code shape PR 3 fixed by hand in
 // internal/mw: the batch scan span that leaked when the scan errored
-// (spanend), and the parallel fan-out that returned early without folding its
-// lanes back through the barrier (forkjoin). The Fixed variants are the
-// post-PR 3 shapes and must stay clean.
+// (spanend). The Fixed variant is the post-PR 3 shape and must stay clean.
 package pr3scan
 
 import (
 	"errors"
 
 	"lintdata/obs"
-	"lintdata/sim"
 )
 
 var errScanFailed = errors.New("scan failed")
@@ -43,39 +40,4 @@ func FixedScanStep(tr *obs.Tracer, fail bool) (int64, error) {
 	}
 	ssp.SetRows(rows).End()
 	return rows, nil
-}
-
-// LeakyParallelScan is the pre-PR 3 fan-out shape: fork the meter and the
-// lane tracers, then bail out on a planning error without joining either.
-func LeakyParallelScan(m *sim.Meter, tr *obs.Tracer, workers int, fail bool) error {
-	lanes := m.Fork(workers)    // want `forked lane meters "lanes" is not Joined back on every path`
-	ltrs := tr.ForkLanes(lanes) // want `forked lane tracers "ltrs" is not Joined back on every path`
-	for w := 0; w < workers; w++ {
-		lanes[w].Charge(0, 1, 1)
-		lsp := ltrs[w].Start("scan", "lane-scan")
-		lsp.End()
-	}
-	if fail {
-		return errScanFailed // lane work vanishes: never folded into the parent
-	}
-	m.Join(lanes)
-	tr.JoinLanes(ltrs)
-	return nil
-}
-
-// FixedParallelScan joins on every path before returning.
-func FixedParallelScan(m *sim.Meter, tr *obs.Tracer, workers int, fail bool) error {
-	lanes := m.Fork(workers)
-	ltrs := tr.ForkLanes(lanes)
-	for w := 0; w < workers; w++ {
-		lanes[w].Charge(0, 1, 1)
-		lsp := ltrs[w].Start("scan", "lane-scan")
-		lsp.End()
-	}
-	m.Join(lanes)
-	tr.JoinLanes(ltrs)
-	if fail {
-		return errScanFailed
-	}
-	return nil
 }

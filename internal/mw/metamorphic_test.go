@@ -59,8 +59,9 @@ func scaledCounts(n *dtree.Node, k int64) *dtree.Node {
 }
 
 // TestMetamorphicRelations: on census and tree data, at Workers 1 and 4,
-// unlimited and under an 8 KB budget that sheds requests and falls back to
-// SQL, the middleware build
+// unlimited, under an 8 KB budget that sheds requests and falls back to SQL,
+// and with file+memory staging under a 128 KB budget that stages batches to
+// files and memory, the middleware build
 //   - grows the identical tree from a permutation of the rows, and
 //   - grows the same tree, every count k times larger, from the rows repeated
 //     k times with MinRows k times larger.
@@ -84,7 +85,7 @@ func TestMetamorphicRelations(t *testing.T) {
 		{"census", census, dtree.Options{MaxDepth: 6, MinRows: 20}},
 		{"tree", tree, dtree.Options{Measure: dtree.Gini, MinRows: 10}},
 	}
-	var fallbacks int64
+	var fallbacks, files, memRows int64
 	for _, c := range cases {
 		rng := rand.New(rand.NewSource(int64(len(c.ds.Rows))))
 		permuted := &data.Dataset{Schema: c.ds.Schema, Rows: slices.Clone(c.ds.Rows)}
@@ -99,8 +100,16 @@ func TestMetamorphicRelations(t *testing.T) {
 		}
 		kOpt := c.opt
 		kOpt.MinRows *= k
-		for _, cfg := range []mw.Config{{Workers: 1}, {Workers: 4}, {Memory: 8 << 10}, {Memory: 8 << 10, Workers: 4}} {
-			t.Run(fmt.Sprintf("%s/workers=%d/memory=%d", c.name, cfg.Workers, cfg.Memory), func(t *testing.T) {
+		for _, cfg := range []mw.Config{
+			{Workers: 1}, {Workers: 4}, {Memory: 8 << 10}, {Memory: 8 << 10, Workers: 4},
+			{Staging: mw.StageFileAndMemory, Memory: 128 << 10, Workers: 1},
+			{Staging: mw.StageFileAndMemory, Memory: 128 << 10, Workers: 4},
+		} {
+			name := fmt.Sprintf("%s/workers=%d/memory=%d", c.name, cfg.Workers, cfg.Memory)
+			if cfg.Staging != mw.StageNone {
+				name += "/staging=" + cfg.Staging.String()
+			}
+			t.Run(name, func(t *testing.T) {
 				want, _ := buildThrough(t, c.ds, cfg, c.opt)
 				if want.Root.Leaf {
 					t.Fatal("the reference build is a single leaf: nothing to compare")
@@ -114,10 +123,17 @@ func TestMetamorphicRelations(t *testing.T) {
 					t.Errorf("rows repeated %d times: %v", k, err)
 				}
 				fallbacks += meter.Count(sim.CtrSQLFallbacks)
+				if cfg.Staging != mw.StageNone {
+					files += meter.Count(sim.CtrFilesCreated)
+					memRows += meter.Count(sim.CtrMemRowsRead)
+				}
 			})
 		}
 	}
 	if fallbacks == 0 {
 		t.Error("no request fell back to SQL under the 8 KB budget")
+	}
+	if files == 0 || memRows == 0 {
+		t.Errorf("staged runs created %d files and read %d rows from memory: the relations did not run over staged sources", files, memRows)
 	}
 }

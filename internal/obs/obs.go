@@ -313,6 +313,14 @@ func (t *Tracer) JoinLanes(lanes []*Tracer) {
 // may — the shared buffer pool, the middleware's staging state — and
 // sim.Meter.Fork's rule that the parent is not charged while lanes are out
 // holds trivially, because none are.
+//
+// RunLanes and RunSegments are sim.Meter.Fork's only callers, and tests, not
+// lint, pin their barriers. Here a dropped JoinLanes fails the engine's
+// TestCatalogTailLanes and mw's TestParallelBatchEmitsEventWithLanes; a
+// parent charge between Fork and Join, or a Join before the lanes finish,
+// fails the engine's TestUnionLanesMatchSerial; and JoinSerial in place of
+// Join, or a lane that joins its own meter, fails the engine's
+// TestParallelBuildersChargeLanes.
 func RunLanes(meter *sim.Meter, t *Tracer, n int, body func(part int, lane *sim.Meter, ltr *Tracer)) {
 	if n <= 1 {
 		body(0, meter, t)
@@ -343,6 +351,10 @@ func RunLanes(meter *sim.Meter, t *Tracer, n int, body func(part int, lane *sim.
 // back into meter by sim.Meter.JoinSerial, so the clock advances by the sum of
 // the segments' work, as if one goroutine had done all of it. No tracer is
 // forked: segments open no spans. body must touch only segment-local state.
+//
+// A dropped JoinSerial fails mw's TestSegmentsInvisible and
+// TestStagedBuildSchedulePinned (and exp's TestAllShapeChecksPass); joining
+// before the segments finish panics.
 func RunSegments(meter *sim.Meter, k int, body func(seg int, m *sim.Meter)) {
 	segs := meter.Fork(k)
 	var wg sync.WaitGroup

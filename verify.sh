@@ -25,8 +25,8 @@ gate "go vet ./..." go vet ./...
 bench_gate() { (cd cmd/bench && go vet ./... && go test -short ./...); }
 gate "cmd/bench: go vet + go test -short" bench_gate
 # repolint: the repository's own static-analysis suite (internal/analysis):
-# determinism, span/fork hygiene, resource-release and goroutine-handoff
-# invariants, interprocedural via whole-module function summaries. -stats
+# determinism, span-end and resource-release invariants, the last two
+# interprocedural via whole-module function summaries. -stats
 # prints the summary-coverage line (functions summarized, cross-function
 # obligation events) to stderr so the one-line figure lands in CI logs.
 gate "go run ./cmd/repolint ./..." go run ./cmd/repolint -stats ./...
