@@ -70,7 +70,7 @@ type GroupTrie struct {
 func (gt *GroupTrie) Compile(g *storage.ColGroup, t *predicate.Trie) {
 	src := t.Nodes()
 	gt.g, gt.terms = g, t.Terms()
-	gt.nodes, gt.open = gt.nodes[:0], gt.open[:0]
+	gt.nodes, gt.open = slices.Grow(gt.nodes[:0], len(src)), gt.open[:0]
 	gt.at = slices.Grow(gt.at[:0], len(src)-1)[:len(src)-1]
 	for i := int32(0); int(i) < len(src); {
 		gt.closeUpTo(i)
@@ -281,6 +281,28 @@ func (gt *GroupTrie) matches(i int32) bool {
 		j++
 	}
 	return false
+}
+
+// descend is predicate.Trie.Descend in code space: the last terminal on row
+// i's descent into the first child that holds, -1 when it passes none. The
+// root holds for every row, so the descent starts below it.
+func (gt *GroupTrie) descend(i int32) int32 {
+	nodes, last := gt.nodes, int32(0)
+	for j, end := int32(1), int32(len(nodes)); j < end; {
+		n := &nodes[j]
+		if !n.holds(i) {
+			j = n.end
+			continue
+		}
+		if n.hi > n.lo {
+			last = j
+		}
+		j, end = j+1, n.end
+	}
+	if n := &nodes[last]; n.hi > n.lo {
+		return gt.terms[n.hi-1]
+	}
+	return -1
 }
 
 // chain reports whether the compiled trie is one conjunction: every node's

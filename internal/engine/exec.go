@@ -359,8 +359,9 @@ func (e *Engine) compileCase(x *sqlparser.CaseExpr, t colResolver) (evaluator, e
 
 // compileClassify compiles CLASSIFY(model, a1, ..): resolve the registered
 // model once at compile time, then per row assemble the argument vector and
-// walk the model, charging the same per-row scoring costs as the vectorized
-// operator (one ScoreRowEval plus one ModelNodeProbe per visited node).
+// descend the model's path trie, charging the same per-row scoring costs as
+// the vectorized operator (one ScoreRowEval plus one ModelNodeProbe per node
+// on the path to the decision node).
 func (e *Engine) compileClassify(x *sqlparser.ClassifyExpr, t colResolver) (evaluator, error) {
 	m, err := e.Model(x.Model)
 	if err != nil {
@@ -388,9 +389,9 @@ func (e *Engine) compileClassify(x *sqlparser.ClassifyExpr, t colResolver) (eval
 			}
 			row[i] = data.Value(v.I)
 		}
-		n, probes := m.predictNode(row)
+		n := m.trie.Descend(row)
 		e.meter.Charge(sim.CtrScoreRows, costs.ScoreRowEval, 1)
-		e.meter.Charge(sim.CtrModelProbes, costs.ModelNodeProbe, probes)
+		e.meter.Charge(sim.CtrModelProbes, costs.ModelNodeProbe, int64(m.depth[n])+1)
 		return Val{I: int64(m.Nodes[n].Class)}, nil
 	}, nil
 }

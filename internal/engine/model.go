@@ -3,20 +3,22 @@ package engine
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 
 	"repro/internal/data"
+	"repro/internal/predicate"
 )
 
 // This file is the engine half of in-database scoring: a compiled decision
-// model as a flat node array (the representation the vectorized scoring
-// kernel of score.go walks), plus the model catalog — every registered model
-// is materialized as an ordinary engine table, one row per node, so models
-// survive as data: they can be inspected with plain SELECTs, travel with a
-// dump of the catalog, and be reconstructed without the client that built
-// them. dtree.Compile produces Models from finished trees; the engine never
-// imports the tree builder.
+// model as a flat node array and the trie of its node paths (which the
+// vectorized scoring kernel of score.go compiles per row group), plus the
+// model catalog — every registered model is materialized as an ordinary
+// engine table, one row per node, so models survive as data: they can be
+// inspected with plain SELECTs, travel with a dump of the catalog, and be
+// reconstructed without the client that built them. dtree.Compile produces
+// Models from finished trees; the engine never imports the tree builder.
 
 // ModelCatalogPrefix prefixes the catalog table backing each registered
 // model: model "m" lives in table "model_m".
@@ -45,19 +47,29 @@ type ModelNode struct {
 	Counts []int64 // class-count distribution over the training rows at the node
 }
 
-// Model is a compiled classification model: a flat array of nodes walked
-// from index 0. It is the common representation behind the nested-CASE SQL
-// form and the persisted catalog form — all three score identically.
+// Model is a compiled classification model: a flat array of nodes rooted at
+// index 0. It is the common representation behind the nested-CASE SQL form
+// and the persisted catalog form — all three score identically. Every scorer
+// decides a row through the model's path trie (§4.3.1: a node is the
+// conjunction of the edge conditions on its path), which Validate builds, so a
+// model is validated before it is scored: RegisterModel, ModelFromCatalog and
+// dtree.Compile do it.
 type Model struct {
 	Name    string
 	Cols    int // training-schema width (scored rows index columns < Cols)
 	Classes int // class-label cardinality (length of every Counts slice)
 	Nodes   []ModelNode
+
+	trie  *predicate.Trie // conjunction i is node i's path
+	depth []int32         // per node: the edges on its path
 }
 
-// Validate checks structural invariants: a rooted tree over the node array
-// with consistent parent/child pointers, two kids per binary split, aligned
-// arm values per multiway split, and a full distribution at every node.
+// Validate checks structural invariants — a tree rooted at node 0 that
+// reaches every node, with consistent parent/child pointers, two kids per
+// binary split, distinct arm values aligned with the kids per multiway split,
+// and a full distribution at every node — and builds the model's path trie.
+// Node i's path extends its parent's with A = Val for a binary split's first
+// child and A <> Val for its second, or with A = Vals[k] for multiway arm k.
 func (m *Model) Validate() error {
 	if m.Name == "" {
 		return fmt.Errorf("model: empty name")
@@ -102,6 +114,13 @@ func (m *Model) Validate() error {
 			if len(n.Vals) != len(n.Kids) || len(n.Kids) == 0 {
 				return fmt.Errorf("model %q: multiway node %d has %d arms over %d values", m.Name, i, len(n.Kids), len(n.Vals))
 			}
+			vals := slices.Clone(n.Vals)
+			slices.Sort(vals)
+			for k := 1; k < len(vals); k++ {
+				if vals[k] == vals[k-1] {
+					return fmt.Errorf("model %q: multiway node %d repeats arm value %d", m.Name, i, vals[k])
+				}
+			}
 		} else if len(n.Kids) != 2 {
 			return fmt.Errorf("model %q: binary node %d has %d children", m.Name, i, len(n.Kids))
 		}
@@ -114,6 +133,42 @@ func (m *Model) Validate() error {
 			}
 		}
 	}
+	return m.buildTrie()
+}
+
+// buildTrie derives every node's path and depth from the root down and builds
+// the trie of the paths. A node the descent does not reach — its parent does
+// not list it — would have no path.
+func (m *Model) buildTrie() error {
+	paths := make([]predicate.Conj, len(m.Nodes))
+	depth := make([]int32, len(m.Nodes))
+	reached := make([]bool, len(m.Nodes))
+	reached[0] = true
+	order := make([]int32, 1, len(m.Nodes))
+	for q := 0; q < len(order); q++ {
+		p := order[q]
+		n := &m.Nodes[p]
+		for a, k := range n.Kids {
+			if reached[k] {
+				return fmt.Errorf("model %q: node %d lists child %d twice", m.Name, p, k)
+			}
+			c := predicate.Cond{Attr: int(n.Attr), Val: n.Val}
+			switch {
+			case n.Multiway:
+				c.Val = n.Vals[a]
+			case a == 1:
+				c.Op = predicate.Ne
+			}
+			reached[k], paths[k], depth[k] = true, paths[p].And(c), depth[p]+1
+			order = append(order, k)
+		}
+	}
+	for i, ok := range reached {
+		if !ok {
+			return fmt.Errorf("model %q: node %d is not reached from the root: its parent %d does not list it", m.Name, i, m.Nodes[i].Parent)
+		}
+	}
+	m.trie, m.depth = predicate.NewTrie(paths), depth
 	return nil
 }
 
@@ -136,47 +191,10 @@ func (m *Model) Attrs() []int {
 	return out
 }
 
-// predictNode walks the model for one row and returns the node where the
-// prediction is made — the reached leaf, or the internal node whose multiway
-// split had no arm for the row's value (the majority-class fallback) — plus
-// the number of nodes probed. The walk reproduces dtree's Predict exactly.
-func (m *Model) predictNode(row data.Row) (int32, int64) {
-	n := int32(0)
-	probes := int64(0)
-	for {
-		nd := &m.Nodes[n]
-		probes++
-		if nd.Leaf {
-			return n, probes
-		}
-		v := row[nd.Attr]
-		if !nd.Multiway {
-			if v == nd.Val {
-				n = nd.Kids[0]
-			} else {
-				n = nd.Kids[1]
-			}
-			continue
-		}
-		next := int32(-1)
-		for i, sv := range nd.Vals {
-			if sv == v {
-				next = nd.Kids[i]
-				break
-			}
-		}
-		if next < 0 {
-			return n, probes
-		}
-		n = next
-	}
-}
-
 // Predict classifies one row (the unmetered convenience form; the metered
 // paths run through the scoring kernel or the classify() evaluator).
 func (m *Model) Predict(row data.Row) data.Value {
-	n, _ := m.predictNode(row)
-	return m.Nodes[n].Class
+	return m.Nodes[m.trie.Descend(row)].Class
 }
 
 // catalogCols returns the catalog table's column layout for a model with the
@@ -316,6 +334,9 @@ func (e *Engine) ModelFromCatalog(name string) (*Model, error) {
 	}
 	classes := len(t.Cols) - fixed
 	nn := int(t.NumRows())
+	if nn == 0 {
+		return nil, fmt.Errorf("engine: model %q: catalog has no nodes", name)
+	}
 	m := &Model{Name: name, Classes: classes, Nodes: make([]ModelNode, nn)}
 	filled := make([]bool, nn)
 	var scanErr error

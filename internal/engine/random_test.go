@@ -190,15 +190,20 @@ func TestRandomUnionQueries(t *testing.T) {
 
 // stumpModel is a hand-built two-level model over the first two columns: a
 // binary root, one leaf, and a multiway node whose unlisted values fall back
-// to its majority class — every walk rule CLASSIFY has.
+// to its majority class — every walk rule CLASSIFY has. It is validated, so
+// it can be scored without being registered.
 func stumpModel(name string, cols int) *Model {
-	return &Model{Name: name, Cols: cols, Classes: 2, Nodes: []ModelNode{
+	m := &Model{Name: name, Cols: cols, Classes: 2, Nodes: []ModelNode{
 		{Parent: -1, Attr: 0, Val: 0, Kids: []int32{1, 2}, Counts: []int64{5, 5}},
 		{Parent: 0, Leaf: true, Attr: -1, Class: 1, Counts: []int64{1, 4}},
 		{Parent: 0, Attr: 1, Multiway: true, Vals: []data.Value{0, 1}, Kids: []int32{3, 4}, Counts: []int64{4, 1}},
 		{Parent: 2, Leaf: true, Attr: -1, Class: 0, Counts: []int64{3, 0}},
 		{Parent: 2, Leaf: true, Attr: -1, Class: 1, Counts: []int64{1, 1}},
 	}}
+	if err := m.Validate(); err != nil {
+		panic(err)
+	}
+	return m
 }
 
 // pathTable is one table on an engine, plus the rows it holds, in heap

@@ -9,20 +9,21 @@ import (
 	"repro/internal/obs"
 	"repro/internal/predicate"
 	"repro/internal/sim"
-	"repro/internal/storage"
 )
 
 // This file is the vectorized scoring operator: batch prediction executed
 // inside the engine against the columnar store, instead of shipping rows to
-// the client for a per-row dtree.Eval loop. The model is compiled once per
-// row group into dictionary-code space (groupModel), so the per-row walk
-// compares uint16 codes — no value materialization, no dictionary lookups in
-// the inner loop. The block stream comes from the same machinery as the
-// counting kernel — ScanColumnarRange for a solo partitioned scan,
-// ScanGroups when a fleet shares one physical scan — so scoring pays
-// the identical page/eval/transmit shape as building, plus the new
-// score-specific charges (ScoreRowEval per row, ModelNodeProbe per visited
-// node).
+// the client for a per-row dtree.Eval loop. The model's path trie is compiled
+// once per row group into dictionary-code space by the counting kernel's own
+// GroupTrie.Compile, zone-map verdicts included, and each row descends it
+// once (GroupTrie.descend) to its decision node: the reached leaf, or the
+// multiway node none of whose arms holds. The inner loop compares uint16
+// codes — no value materialization, no dictionary lookups. The block stream
+// comes from the same machinery as the counting kernel — ScanColumnarRange
+// for a solo partitioned scan, ScanGroups when a fleet shares one physical
+// scan — so scoring pays the identical page/eval/transmit shape as building,
+// plus the score-specific charges: ScoreRowEval per row, and ModelNodeProbe
+// per node on the path to the decision node (its depth + 1).
 
 // ScoreResult is one scoring pass over a table: the predicted class per row
 // in heap (insertion) order, plus the index of the model node that made each
@@ -178,83 +179,6 @@ func (r *ScoreResult) ResultSet(m *Model) *ResultSet {
 	return rs
 }
 
-// groupNode is one model node compiled against one row group's dictionaries.
-type groupNode struct {
-	leaf       bool
-	multiway   bool
-	attr       int32
-	valPresent bool // binary: split value exists in the group's dictionary
-	valCode    uint16
-	kid0, kid1 int32
-	armByCode  []int32 // multiway: dictionary code -> child, -1 = fallback here
-}
-
-// groupModel is a model compiled into one group's code space.
-type groupModel struct {
-	nodes []groupNode
-}
-
-func (gm *groupModel) compile(g *storage.ColGroup, m *Model) {
-	if cap(gm.nodes) < len(m.Nodes) {
-		gm.nodes = make([]groupNode, len(m.Nodes))
-	}
-	gm.nodes = gm.nodes[:len(m.Nodes)]
-	for i := range m.Nodes {
-		n := &m.Nodes[i]
-		gn := &gm.nodes[i]
-		*gn = groupNode{leaf: n.Leaf, multiway: n.Multiway, attr: n.Attr}
-		if n.Leaf {
-			continue
-		}
-		if !n.Multiway {
-			gn.valCode, gn.valPresent = g.FindCode(int(n.Attr), n.Val)
-			gn.kid0, gn.kid1 = n.Kids[0], n.Kids[1]
-			continue
-		}
-		arms := make([]int32, len(g.Dict(int(n.Attr))))
-		for c := range arms {
-			arms[c] = -1
-		}
-		for k, v := range n.Vals {
-			if code, ok := g.FindCode(int(n.Attr), v); ok {
-				arms[code] = n.Kids[k]
-			}
-		}
-		gn.armByCode = arms
-	}
-}
-
-// walk scores group-relative row i: the decision node plus nodes probed.
-// Semantically identical to Model.predictNode, in code space — a group
-// dictionary miss on a binary split value routes to the else-arm (the value
-// cannot equal the split value), and a multiway code with no arm falls back
-// to the node's majority class, exactly the unseen-value rule.
-func (gm *groupModel) walk(g *storage.ColGroup, i int32) (int32, int64) {
-	n := int32(0)
-	probes := int64(0)
-	for {
-		gn := &gm.nodes[n]
-		probes++
-		if gn.leaf {
-			return n, probes
-		}
-		code := g.Codes(int(gn.attr))[i]
-		if !gn.multiway {
-			if gn.valPresent && code == gn.valCode {
-				n = gn.kid0
-			} else {
-				n = gn.kid1
-			}
-			continue
-		}
-		next := gn.armByCode[code]
-		if next < 0 {
-			return n, probes
-		}
-		n = next
-	}
-}
-
 // ScoreConsumer scores every row of a columnar block stream into one lane's
 // range of a ScoreResult: the per-block body of the scoring operator, driven
 // either by one lane of a partitioned ScanColumnarRange (Server.ScoreInto) or
@@ -262,14 +186,13 @@ func (gm *groupModel) walk(g *storage.ColGroup, i int32) (int32, int64) {
 // the same kernel either way, so shared and solo scoring produce identical
 // predictions.
 type ScoreConsumer struct {
-	model    *Model
-	lane     *sim.Meter
-	costs    sim.Costs
-	curGroup *storage.ColGroup
-	gm       groupModel
-	res      *ScoreResult
-	part     int // the lane of res this consumer fills
-	next     int // the row of res the next scored row lands in
+	model *Model
+	lane  *sim.Meter
+	costs sim.Costs
+	gt    GroupTrie // the model's path trie, compiled against the current group
+	res   *ScoreResult
+	part  int // the lane of res this consumer fills
+	next  int // the row of res the next scored row lands in
 }
 
 // Consumer declares r filled by a single lane — a fleet session's attachment
@@ -292,17 +215,15 @@ func (c *ScoreConsumer) NeedCols() []int { return c.model.Attrs() }
 // the consumer attached. The scan selects every row (match-all), so blocks
 // arrive dense and in heap order.
 func (c *ScoreConsumer) Consume(blk *ColBlock) bool {
-	g := blk.Group
-	if g != c.curGroup {
-		c.curGroup = g
-		c.gm.compile(g, c.model)
+	if g := blk.Group; c.gt.g != g {
+		c.gt.Compile(g, c.model.trie)
 	}
 	end := c.next + len(blk.Sel)
 	preds, nodes := c.res.Classes[c.next:end], c.res.Nodes[c.next:end]
 	var probes int64
 	for k, i := range blk.Sel {
-		n, p := c.gm.walk(g, i)
-		probes += p
+		n := c.gt.descend(i)
+		probes += int64(c.model.depth[n]) + 1
 		preds[k] = c.model.Nodes[n].Class
 		nodes[k] = n
 	}

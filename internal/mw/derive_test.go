@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"repro/internal/data"
@@ -143,9 +144,13 @@ func TestDerivedInvisible(t *testing.T) {
 
 // TestDerivedAllocatesNoMore: an untraced census build at Workers 1 on one
 // core, its pool warm, allocates no more bytes deriving tables than counting
-// every one of them. Warm takes a few builds: a derived child takes over its
-// parent's table, so table storage rotates between node sizes until every
-// pooled table has grown once; the first five builds of each kind go unmeasured.
+// every one of them. The pool starts empty, and warm takes a few builds: a
+// derived child takes over its parent's table, so table storage rotates between
+// node sizes until every pooled table has grown once — from empty, the 15th
+// build is the last to grow one — and the first ten builds of each kind go
+// unmeasured. No collection runs while the test does: the runtime's post-GC
+// cleanup goroutine (package unique) allocates 48 bytes after every cycle,
+// which TotalAlloc would charge to whichever build the cycle fell in.
 func TestDerivedAllocatesNoMore(t *testing.T) {
 	ds, opt := segmentsShape(t)
 	srv, err := engine.NewServer(engine.New(sim.NewDefaultMeter(), 0), "cases", ds)
@@ -154,6 +159,9 @@ func TestDerivedAllocatesNoMore(t *testing.T) {
 	}
 	defer mw.SetDeriveOff(mw.SetDeriveOff(false))
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	mw.EmptyPool()
+	runtime.GC()
 	build := func(off bool) uint64 {
 		mw.SetDeriveOff(off)
 		var before, after runtime.MemStats
@@ -172,9 +180,9 @@ func TestDerivedAllocatesNoMore(t *testing.T) {
 		return after.TotalAlloc - before.TotalAlloc
 	}
 	var on, off uint64
-	for i := range 8 {
+	for i := range 13 {
 		a, b := build(false), build(true)
-		if i >= 5 {
+		if i >= 10 {
 			on, off = on+a, off+b
 		}
 	}

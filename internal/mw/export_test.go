@@ -131,3 +131,11 @@ func Derived(source string) (nodes, rows int64) {
 	}
 	return nodes, derivedRows.Load()
 }
+
+// EmptyPool drops everything the process pool holds, so a test starts from
+// the same pool whatever ran before it in the process.
+func EmptyPool() {
+	pool.Lock()
+	defer pool.Unlock()
+	pool.tables, pool.scratch, pool.tags, pool.tagBytes = nil, nil, nil, 0
+}

@@ -134,3 +134,27 @@ func (t *Trie) Any(r data.Row) bool {
 	}
 	return false
 }
+
+// Descend returns the last terminal on r's descent from the root: at each node
+// whose condition holds it goes into the first child whose condition holds,
+// and it stops where none does. For the paths of a tree's nodes, whose sibling
+// conditions exclude each other, that is the deepest node whose path r
+// satisfies. It returns -1 when the descent passes no terminal.
+func (t *Trie) Descend(r data.Row) int32 {
+	nodes, last := t.nodes, int32(0)
+	for i, end := int32(1), int32(len(nodes)); i < end; {
+		n := &nodes[i]
+		if !n.Cond.Eval(r) {
+			i = n.End
+			continue
+		}
+		if n.Hi > n.Lo {
+			last = i
+		}
+		i, end = i+1, n.End
+	}
+	if n := &nodes[last]; n.Hi > n.Lo {
+		return t.terms[n.Hi-1]
+	}
+	return -1
+}

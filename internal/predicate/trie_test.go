@@ -99,3 +99,51 @@ func TestTrieMatchesEveryConj(t *testing.T) {
 		t.Error("nil trie matched a row")
 	}
 }
+
+// TestTrieDescend: over random trees of node paths — binary A = v / A <> v
+// children, multiway arms on distinct values — Descend returns the node a walk
+// of the tree itself decides in: the reached leaf, or the node none of whose
+// children's conditions hold.
+func TestTrieDescend(t *testing.T) {
+	rng := rand.New(rand.NewSource(39))
+	for round := 0; round < 300; round++ {
+		paths, kids := []Conj{nil}, [][]int{nil}
+		for n := 1 + rng.Intn(20); len(paths) < n; {
+			p := rng.Intn(len(paths))
+			if len(kids[p]) > 0 {
+				continue
+			}
+			attr := rng.Intn(3)
+			var conds []Cond
+			if v := data.Value(rng.Intn(3)); rng.Intn(2) == 0 {
+				conds = []Cond{{Attr: attr, Val: v}, {Attr: attr, Op: Ne, Val: v}}
+			} else {
+				for _, v := range rng.Perm(3)[:1+rng.Intn(3)] {
+					conds = append(conds, Cond{Attr: attr, Val: data.Value(v)})
+				}
+			}
+			for _, c := range conds {
+				kids[p] = append(kids[p], len(paths))
+				paths, kids = append(paths, paths[p].And(c)), append(kids, nil)
+			}
+		}
+		trie := NewTrie(paths)
+		for i := 0; i < 40; i++ {
+			r := data.Row{data.Value(rng.Intn(4)), data.Value(rng.Intn(4)), data.Value(rng.Intn(4))}
+			want := 0
+		walk:
+			for {
+				for _, k := range kids[want] {
+					if paths[k][len(paths[k])-1].Eval(r) {
+						want = k
+						continue walk
+					}
+				}
+				break
+			}
+			if got := trie.Descend(r); got != int32(want) {
+				t.Fatalf("round %d: Descend(%v) = %d, want node %d of %v", round, r, got, want, paths)
+			}
+		}
+	}
+}

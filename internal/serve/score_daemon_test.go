@@ -442,3 +442,94 @@ func TestDispatcherRoutes(t *testing.T) {
 		t.Errorf("engine statement without a served table: %v", err)
 	}
 }
+
+// TestCatalogRefusesUnrepresentableModels: two client-written catalogs that no
+// path trie represents — a multiway root whose two arms both route value 1,
+// and a node whose parent is a leaf, so no parent lists it — load as no model.
+// SCORE TABLE and CLASSIFY() on them fail with an error that names the node,
+// in process and over the wire.
+func TestCatalogRefusesUnrepresentableModels(t *testing.T) {
+	catalogs := []struct {
+		name, want string
+		rows       []string
+	}{
+		{"dup", "multiway node 0 repeats arm value 1", []string{
+			"(0, -1, -1, 0, 1, 0, 0, 2, 0, 2, 2)",
+			"(1, 0, 0, 1, 0, -1, 0, 1, 0, 2, 1)",
+			"(2, 0, 1, 1, 0, -1, 0, 1, 1, 1, 2)",
+		}},
+		{"orphan", "node 3 is not reached from the root", []string{
+			"(0, -1, -1, 0, 0, 0, 1, 2, 0, 2, 2)",
+			"(1, 0, 0, 1, 0, -1, 0, 1, 0, 2, 0)",
+			"(2, 0, 1, 1, 0, -1, 0, 1, 1, 0, 2)",
+			"(3, 1, 0, 1, 0, -1, 0, 0, 1, 0, 1)",
+		}},
+	}
+	const rows = 400
+	srv := testServer(t, rows)
+	cases, err := srv.Engine().Table("cases")
+	if err != nil {
+		t.Fatal(err)
+	}
+	load := func(name string, rows []string) []string {
+		cat := engine.ModelCatalogTable(name)
+		return []string{
+			"CREATE TABLE " + cat + " (node INT, parent INT, arm INT, leaf INT, multiway INT, split_attr INT, split_val INT, arm_val INT, class INT, c0 INT, c1 INT)",
+			"INSERT INTO " + cat + " VALUES " + strings.Join(rows, ", "),
+		}
+	}
+	uses := func(name string) []string {
+		return []string{
+			"SCORE TABLE cases USING " + name,
+			fmt.Sprintf("SELECT CLASSIFY(%s, %s, %s) FROM cases", name, cases.Cols[0], cases.Cols[1]),
+		}
+	}
+	check := func(route, stmt, want string, err error) {
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: %s: error %v, want one naming %q", route, stmt, err, want)
+		}
+	}
+
+	d := NewDispatcher(srv.Engine(), srv, DaemonConfig{Fleet: FleetConfig{Base: baseCfg(1)}})
+	defer d.Close()
+	for _, c := range catalogs {
+		for _, stmt := range load(c.name, c.rows) {
+			if _, err := d.Execute(stmt); err != nil {
+				t.Fatalf("%s: %v", stmt, err)
+			}
+		}
+		for _, stmt := range uses(c.name) {
+			res, err := d.Execute(stmt)
+			if err == nil {
+				_, err = res.Rows()
+			}
+			check("in process", stmt, c.want, err)
+		}
+	}
+
+	addr, stop := startDaemon(t, rows, 1, true)
+	defer stop()
+	db, err := sql.Open("ccsql", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	db.SetMaxOpenConns(1)
+	for _, c := range catalogs {
+		for _, stmt := range load(c.name, c.rows) {
+			if _, err := db.Exec(stmt); err != nil {
+				t.Fatalf("%s: %v", stmt, err)
+			}
+		}
+		for _, stmt := range uses(c.name) {
+			rs, err := db.Query(stmt)
+			if err == nil {
+				for rs.Next() {
+				}
+				err = rs.Err()
+				rs.Close()
+			}
+			check("over the wire", stmt, c.want, err)
+		}
+	}
+}
