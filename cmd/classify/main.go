@@ -25,7 +25,7 @@ import (
 	"repro/internal/mw"
 	"repro/internal/nb"
 	"repro/internal/obs"
-	_ "repro/internal/obs/profile" // registers the -explain profile renderer
+	"repro/internal/obs/profile"
 	"repro/internal/sim"
 )
 
@@ -241,7 +241,7 @@ func writeExplain(col *obs.Trace, explain bool) error {
 		return nil
 	}
 	fmt.Println("\nexplain (virtual-time build profile):")
-	return col.WriteProfile(os.Stdout, "text")
+	return profile.Compute(col).WriteText(os.Stdout)
 }
 
 // writeTrace writes the requested trace file; an empty path is a no-op.

@@ -166,22 +166,20 @@ type SuiteResult struct {
 	Stats   ModuleStats // module summary coverage
 }
 
-// Run loads the packages matching patterns (relative to dir) and applies
-// every analyzer, returning the surviving diagnostics sorted by position.
-func Run(dir string, analyzers []*Analyzer, patterns ...string) ([]Diagnostic, error) {
-	res, err := RunSuite(dir, analyzers, patterns...)
-	if err != nil {
-		return nil, err
-	}
-	return res.Diags, nil
-}
-
-// RunSuite is Run with per-phase wall times and module coverage statistics.
+// RunSuite loads the packages matching patterns (relative to dir) and
+// applies every analyzer, returning the surviving diagnostics sorted by
+// position, per-phase wall times and module coverage statistics.
 func RunSuite(dir string, analyzers []*Analyzer, patterns ...string) (*SuiteResult, error) {
 	pkgs, err := Load(dir, patterns...)
 	if err != nil {
 		return nil, err
 	}
+	return runPackages(pkgs, analyzers), nil
+}
+
+// runPackages applies every analyzer to every already-loaded package, with a
+// shared module index for interprocedural summaries.
+func runPackages(pkgs []*Package, analyzers []*Analyzer) *SuiteResult {
 	res := &SuiteResult{}
 
 	// Build the module index and force the summary fixed points up front so
@@ -214,32 +212,7 @@ func RunSuite(dir string, analyzers []*Analyzer, patterns ...string) (*SuiteResu
 	}
 	sortDiags(res.Diags)
 	res.Stats = idx.Stats()
-	return res, nil
-}
-
-// RunPackages applies every analyzer to every already-loaded package, with
-// a shared module index for interprocedural summaries.
-func RunPackages(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
-	var diags []Diagnostic
-	idx := NewModuleIndex(pkgs)
-	for _, pkg := range pkgs {
-		for _, a := range analyzers {
-			pass := &Pass{
-				Analyzer: a,
-				Fset:     pkg.Fset,
-				Files:    pkg.Files,
-				Pkg:      pkg.Types,
-				Info:     pkg.Info,
-				Module:   pkg.Module,
-				pkg:      pkg,
-				diags:    &diags,
-				index:    idx,
-			}
-			a.Run(pass)
-		}
-	}
-	sortDiags(diags)
-	return diags
+	return res
 }
 
 // obligationRuleSets lists the rule sets that have summary tables, in the

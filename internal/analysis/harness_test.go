@@ -27,7 +27,7 @@ func loadLintdata(t *testing.T) ([]*Package, []Diagnostic) {
 	lintOnce.Do(func() {
 		lintPkgs, lintErr = Load("testdata", "./...")
 		if lintErr == nil {
-			lintDiags = RunPackages(lintPkgs, Analyzers())
+			lintDiags = runPackages(lintPkgs, Analyzers()).Diags
 		}
 	})
 	if lintErr != nil {
@@ -264,7 +264,7 @@ func TestInterprocShapesCaught(t *testing.T) {
 // the same determinism contract they enforce.
 func TestDiagnosticsDeterministic(t *testing.T) {
 	pkgs, first := loadLintdata(t)
-	second := RunPackages(pkgs, Analyzers())
+	second := runPackages(pkgs, Analyzers()).Diags
 	if len(first) != len(second) {
 		t.Fatalf("diagnostic count changed between runs: %d vs %d", len(first), len(second))
 	}

@@ -156,16 +156,6 @@ func NewModuleIndex(pkgs []*Package) *ModuleIndex {
 	return idx
 }
 
-// Iterations returns how many fixed-point rounds the named rule set took,
-// or 0 if its summaries have not been computed.
-func (idx *ModuleIndex) Iterations(rulesName string) int { return idx.iters[rulesName] }
-
-// Summary returns the computed summary for a function by FullName under the
-// named rule set, or nil.
-func (idx *ModuleIndex) Summary(rulesName, fullName string) *FuncSummary {
-	return idx.sums[rulesName][fullName]
-}
-
 // Stats reports the module-wide coverage counters.
 func (idx *ModuleIndex) Stats() ModuleStats {
 	return ModuleStats{Functions: len(idx.funcs), CrossFunc: idx.crossFunc}

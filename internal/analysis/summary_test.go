@@ -20,7 +20,7 @@ func spanendSummaries(t *testing.T) *ModuleIndex {
 
 func spanParam(t *testing.T, idx *ModuleIndex, fn string) ParamSummary {
 	t.Helper()
-	sum := idx.Summary("spanend", fn)
+	sum := idx.sums["spanend"][fn]
 	if sum == nil {
 		t.Fatalf("no summary for %s", fn)
 	}
@@ -66,7 +66,7 @@ func TestSummaryFixedPointRecursion(t *testing.T) {
 // under the iteration cap, i.e. it genuinely converged rather than bailing.
 func TestSummaryConvergenceBounds(t *testing.T) {
 	idx := spanendSummaries(t)
-	it := idx.Iterations("spanend")
+	it := idx.iters["spanend"]
 	if it <= 1 {
 		t.Errorf("fixed point converged in %d iteration(s); the recursive shapes should need at least 2", it)
 	}
@@ -80,7 +80,7 @@ func TestSummaryConvergenceBounds(t *testing.T) {
 func TestSummaryFreshResults(t *testing.T) {
 	idx := spanendSummaries(t)
 	for _, fn := range []string{"lintdata/interproc.startSpan", "lintdata/interproc.startSpan2"} {
-		sum := idx.Summary("spanend", fn)
+		sum := idx.sums["spanend"][fn]
 		if sum == nil {
 			t.Fatalf("no summary for %s", fn)
 		}
@@ -92,7 +92,7 @@ func TestSummaryFreshResults(t *testing.T) {
 	pkgs, _ := loadLintdata(t)
 	cidx := NewModuleIndex(pkgs)
 	cidx.summaries(closerRules())
-	if sum := cidx.Summary("closer", "(*lintdata/res.Pool).Shared"); sum != nil {
+	if sum := cidx.sums["closer"]["(*lintdata/res.Pool).Shared"]; sum != nil {
 		for i, r := range sum.Results {
 			if r.Fresh {
 				t.Errorf("Pool.Shared result %d wrongly marked fresh", i)
@@ -100,7 +100,7 @@ func TestSummaryFreshResults(t *testing.T) {
 		}
 	}
 	for _, fn := range []string{"lintdata/interproc.makeCursor", "lintdata/interproc.makeCursor2"} {
-		sum := cidx.Summary("closer", fn)
+		sum := cidx.sums["closer"][fn]
 		if sum == nil || len(sum.Results) != 1 || !sum.Results[0].Fresh {
 			t.Errorf("%s: result not marked fresh", fn)
 		}
@@ -132,7 +132,7 @@ func TestSummaryIdempotent(t *testing.T) {
 		t.Fatalf("index sizes differ: %d vs %d", len(a.names), len(b.names))
 	}
 	for _, name := range a.names {
-		sa, sb := a.Summary("spanend", name), b.Summary("spanend", name)
+		sa, sb := a.sums["spanend"][name], b.sums["spanend"][name]
 		if (sa == nil) != (sb == nil) {
 			t.Errorf("%s: summary presence differs", name)
 			continue
@@ -141,7 +141,7 @@ func TestSummaryIdempotent(t *testing.T) {
 			t.Errorf("%s: summaries differ between recomputations", name)
 		}
 	}
-	if a.Iterations("spanend") != b.Iterations("spanend") {
-		t.Errorf("iteration counts differ: %d vs %d", a.Iterations("spanend"), b.Iterations("spanend"))
+	if a.iters["spanend"] != b.iters["spanend"] {
+		t.Errorf("iteration counts differ: %d vs %d", a.iters["spanend"], b.iters["spanend"])
 	}
 }

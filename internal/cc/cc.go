@@ -342,17 +342,6 @@ func (t *Table) Card(attr int) int {
 	return len(t.cols[attr].vals)
 }
 
-// Attrs returns the attribute indices present in the table, increasing.
-func (t *Table) Attrs() []int {
-	var attrs []int
-	for a := range t.cols {
-		if len(t.cols[a].vals) > 0 {
-			attrs = append(attrs, a)
-		}
-	}
-	return attrs
-}
-
 // Equal reports whether two tables hold exactly the same entries and row
 // counts. Used by the property tests asserting that every build path
 // (server scan, file scan, memory scan, SQL fallback) yields identical

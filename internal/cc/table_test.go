@@ -393,3 +393,14 @@ func TestMergeEmptyAndNil(t *testing.T) {
 		t.Errorf("merge into empty: got %v, want %v", empty, tb)
 	}
 }
+
+// Attrs returns the attribute indices present in the table, increasing.
+func (t *Table) Attrs() []int {
+	var attrs []int
+	for a := range t.cols {
+		if len(t.cols[a].vals) > 0 {
+			attrs = append(attrs, a)
+		}
+	}
+	return attrs
+}

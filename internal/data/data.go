@@ -57,25 +57,6 @@ func (s *Schema) ClassIndex() int { return len(s.Attrs) }
 // RowBytes returns the encoded size of one row in bytes.
 func (s *Schema) RowBytes() int { return 4 * s.NumCols() }
 
-// AttrIndex returns the index of the attribute with the given name, or -1.
-func (s *Schema) AttrIndex(name string) int {
-	for i, a := range s.Attrs {
-		if a.Name == name {
-			return i
-		}
-	}
-	return -1
-}
-
-// ColIndex resolves a column name (attribute or class) to its row index,
-// or -1 if unknown.
-func (s *Schema) ColIndex(name string) int {
-	if name == s.Class.Name {
-		return s.ClassIndex()
-	}
-	return s.AttrIndex(name)
-}
-
 // ColName returns the name of column i (an attribute or the class).
 func (s *Schema) ColName(i int) string {
 	if i == s.ClassIndex() {
@@ -151,9 +132,6 @@ type Row []Value
 
 // Class returns the class value (the last element).
 func (r Row) Class() Value { return r[len(r)-1] }
-
-// Attr returns the value of attribute i.
-func (r Row) Attr(i int) Value { return r[i] }
 
 // Clone returns a copy of the row.
 func (r Row) Clone() Row { return append(Row(nil), r...) }

@@ -23,12 +23,6 @@ func TestSchemaBasics(t *testing.T) {
 	if s.RowBytes() != 12 {
 		t.Errorf("RowBytes = %d, want 12", s.RowBytes())
 	}
-	if s.AttrIndex("size") != 1 || s.AttrIndex("nope") != -1 {
-		t.Error("AttrIndex wrong")
-	}
-	if s.ColIndex("label") != 2 || s.ColIndex("color") != 0 || s.ColIndex("x") != -1 {
-		t.Error("ColIndex wrong")
-	}
 	if s.ColName(0) != "color" || s.ColName(2) != "label" {
 		t.Error("ColName wrong")
 	}
@@ -77,7 +71,7 @@ func TestSchemaClone(t *testing.T) {
 
 func TestRowAccessors(t *testing.T) {
 	r := Row{1, 2, 0}
-	if r.Class() != 0 || r.Attr(1) != 2 {
+	if r.Class() != 0 || r[1] != 2 {
 		t.Error("accessors wrong")
 	}
 	c := r.Clone()

@@ -8,7 +8,7 @@ import (
 	"repro/internal/datagen"
 	"repro/internal/engine"
 	"repro/internal/obs"
-	_ "repro/internal/obs/profile" // registers the -explain profile renderer
+	"repro/internal/obs/profile"
 	"repro/internal/sim"
 )
 
@@ -52,7 +52,7 @@ func driveScoreObs(t *testing.T, workers int) (nd, chrome, explain []byte) {
 	if err := col.Write(&cb, "chrome"); err != nil {
 		t.Fatal(err)
 	}
-	if err := col.WriteProfile(&eb, "text"); err != nil {
+	if err := profile.Compute(col).WriteText(&eb); err != nil {
 		t.Fatal(err)
 	}
 	return nb.Bytes(), cb.Bytes(), eb.Bytes()

@@ -547,7 +547,7 @@ func (s *Server) ColGroups(needCols []int) GroupSource {
 // estimated matching rows, scaled to the rows held.
 // Groups the zone maps prove empty, or of which the source holds nothing, weigh
 // nothing, so lanes are balanced over the work that will actually be done.
-// WeightedBounds-shaped, pure, and unmetered; nil means "use equal-width".
+// weightedBounds-shaped, pure, and unmetered; nil means "use equal-width".
 func GroupBounds(src GroupSource, f predicate.Filter, nparts int, costs sim.Costs, perMatch int64) []int {
 	return new(Bounder).Split(src, 0, src.NumGroups(), f, nparts, costs, perMatch)
 }

@@ -155,7 +155,7 @@ func TestColumnarPagesCheaperThanHeap(t *testing.T) {
 }
 
 // TestColGroupBoundsShape: a columnar copy's GroupBounds are
-// WeightedBounds-shaped and skew toward the matching region. (Whether to ask
+// weightedBounds-shaped and skew toward the matching region. (Whether to ask
 // for them at all — the hints knob — is the middleware's call: mw.splitBounds.)
 func TestColGroupBoundsShape(t *testing.T) {
 	srv, _ := clusteredColumnarServer(t, 12*storage.RowGroupSize, 6)

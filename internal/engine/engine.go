@@ -104,9 +104,6 @@ func (e *Engine) Meter() *sim.Meter { return e.meter }
 // a nil tracer (the default) disables all of it at zero allocation cost.
 func (e *Engine) SetTracer(tr *obs.Tracer) { e.tracer = tr }
 
-// Tracer returns the attached tracer (nil when tracing is disabled).
-func (e *Engine) Tracer() *obs.Tracer { return e.tracer }
-
 // CreateTable creates an empty table with the given integer columns.
 func (e *Engine) CreateTable(name string, cols []string) (*Table, error) {
 	if _, ok := e.tables[name]; ok {

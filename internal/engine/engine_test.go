@@ -657,3 +657,12 @@ func TestResultSetString(t *testing.T) {
 		t.Errorf("render = %q", s)
 	}
 }
+
+// MustExec executes sql and panics on error: test setup.
+func (e *Engine) MustExec(sql string) *ResultSet {
+	rs, err := e.Exec(sql)
+	if err != nil {
+		panic(err)
+	}
+	return rs
+}

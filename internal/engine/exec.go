@@ -175,16 +175,6 @@ func (e *Engine) execScore(s *sqlparser.ScoreTable) (*ResultSet, error) {
 	return rs, nil
 }
 
-// MustExec executes sql and panics on error; intended for test and example
-// setup code.
-func (e *Engine) MustExec(sql string) *ResultSet {
-	rs, err := e.Exec(sql)
-	if err != nil {
-		panic(err)
-	}
-	return rs
-}
-
 // execInsert appends the statement's rows, all or none: every value is
 // checked before the first row is appended. A value must be an integer that
 // fits a stored data.Value; narrowing a wider one would store another value.

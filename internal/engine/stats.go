@@ -2,18 +2,14 @@ package engine
 
 import "slices"
 
-// WeightedBounds splits the index range [0, len(weights)) into nparts
+// weightedBounds splits the index range [0, len(weights)) into nparts
 // contiguous spans of approximately equal total weight: the returned slice b
 // has nparts+1 monotone entries with b[0] = 0 and b[nparts] = len(weights),
 // and part i covers [b[i], b[i+1]). Some spans may be empty. The split is a
 // pure integer function of the weights, so it is deterministic. Degenerate
 // inputs (no weights, non-positive totals, negative weights, nparts < 1)
-// return nil and the caller falls back to equal-width splitting.
-func WeightedBounds(weights []int64, nparts int) []int {
-	return weightedBounds(nil, weights, nparts)
-}
-
-// weightedBounds is WeightedBounds into dst's storage.
+// return nil and the caller falls back to equal-width splitting. The result
+// reuses dst's storage.
 func weightedBounds(dst []int, weights []int64, nparts int) []int {
 	if nparts < 1 || len(weights) == 0 {
 		return nil

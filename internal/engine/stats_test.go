@@ -29,7 +29,7 @@ func TestWeightedBoundsProperties(t *testing.T) {
 			weights[i] = w
 			total += w
 		}
-		b := WeightedBounds(weights, nparts)
+		b := weightedBounds(nil, weights, nparts)
 		if total == 0 {
 			if b != nil {
 				t.Fatalf("trial %d: non-nil bounds for zero total weight", trial)
@@ -82,12 +82,12 @@ func TestWeightedBoundsDegenerate(t *testing.T) {
 		{"negative weight", []int64{3, -1, 2}, 2},
 	}
 	for _, tc := range cases {
-		if b := WeightedBounds(tc.weights, tc.nparts); b != nil {
+		if b := weightedBounds(nil, tc.weights, tc.nparts); b != nil {
 			t.Errorf("%s: got %v, want nil", tc.name, b)
 		}
 	}
 	// A single part still tiles the whole range.
-	if b := WeightedBounds([]int64{5, 5}, 1); len(b) != 2 || b[0] != 0 || b[1] != 2 {
+	if b := weightedBounds(nil, []int64{5, 5}, 1); len(b) != 2 || b[0] != 0 || b[1] != 2 {
 		t.Errorf("single part: got %v", b)
 	}
 }

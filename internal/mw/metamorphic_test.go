@@ -3,6 +3,7 @@ package mw_test
 import (
 	"fmt"
 	"math/rand"
+	"os"
 	"slices"
 	"testing"
 
@@ -19,7 +20,8 @@ import (
 // the middleware grows unchanged, up to the transformation.
 
 // buildThrough grows the tree of ds through a middleware over a fresh server
-// and returns it with the build's meter.
+// and returns it with the build's meter. The staging directory must be empty
+// after Close.
 func buildThrough(t *testing.T, ds *data.Dataset, cfg mw.Config, opt dtree.Options) (*dtree.Tree, *sim.Meter) {
 	t.Helper()
 	meter := sim.NewDefaultMeter()
@@ -37,7 +39,10 @@ func buildThrough(t *testing.T, ds *data.Dataset, cfg mw.Config, opt dtree.Optio
 		err = cerr
 	}
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("%+v %+v: %v", cfg, opt, err)
+	}
+	if entries, err := os.ReadDir(cfg.Dir); err != nil || len(entries) != 0 {
+		t.Errorf("%+v: staging dir after Close: %v (err %v)", cfg, entries, err)
 	}
 	return tree, meter
 }

@@ -328,9 +328,6 @@ func (m *Middleware) Close() error {
 	return m.freeErr
 }
 
-// Config returns the middleware configuration.
-func (m *Middleware) Config() Config { return m.cfg }
-
 // Meter returns the middleware's meter.
 func (m *Middleware) Meter() *sim.Meter { return m.meter }
 

@@ -769,7 +769,7 @@ func TestAuxStructureBuiltAndReused(t *testing.T) {
 func TestConfigAccessor(t *testing.T) {
 	ds := randDataset(20, 17)
 	m, _ := newMW(t, ds, Config{MaxBatch: 3})
-	if m.Config().MaxBatch != 3 {
+	if m.cfg.MaxBatch != 3 {
 		t.Error("Config accessor")
 	}
 }

@@ -44,9 +44,6 @@ func NewScorer(srv *engine.Server, model *engine.Model, workers int, res *engine
 	return &Scorer{srv: srv, model: model, workers: workers, res: res}, nil
 }
 
-// Model returns the model the session scores with.
-func (sc *Scorer) Model() *engine.Model { return sc.model }
-
 // Done reports whether the session has produced its predictions.
 func (sc *Scorer) Done() bool { return sc.done }
 

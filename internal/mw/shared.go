@@ -92,10 +92,6 @@ func (sb *SharedBatch) Consumer() *engine.ScanConsumer { return sb.cons }
 // the cohort's physical scan reads the union.
 func (sb *SharedBatch) NeedCols() []int { return sb.needCols }
 
-// Server returns the server whose columnar copy the batch scans; consumers
-// may share one physical scan only when they name the same server.
-func (sb *SharedBatch) Server() *engine.Server { return sb.srv }
-
 // Finish completes the batch after the shared scan ran the session's
 // consumer: the session's clock absorbs the scan's shared I/O wait
 // (ioElapsedNS — the io meter's advance during the pass, which charged the

@@ -22,14 +22,11 @@
 //     resolve to the span that bounds the barrier, mirroring how
 //     sim.Meter.Join advances the parent clock by max(lane elapsed).
 //
-//   - An EXPLAIN ANALYZE-style report (report.go): a deterministic text or
-//     JSON tree mirroring the build — levels, batches, scans, stages,
+//   - An EXPLAIN ANALYZE-style report (report.go): a deterministic text
+//     tree mirroring the build — levels, batches, scans, stages,
 //     fallback arms — with inclusive/exclusive costs, percent of total and
 //     critical-path markers. Byte-identical across GOMAXPROCS and reruns,
 //     same as the traces it reads.
-//
-// Importing this package registers its renderer with the obs package
-// (obs.RegisterProfileWriter), enabling obs.Trace.WriteProfile.
 package profile
 
 import (
@@ -43,52 +40,50 @@ import (
 // Profile is the full result of one Compute pass: one Proc per virtual-clock
 // domain in the trace, in registration order.
 type Profile struct {
-	Procs []*Proc `json:"procs"`
+	Procs []*Proc
 }
 
 // Proc is the profile of one virtual-clock domain (one build).
 type Proc struct {
-	ID    int    `json:"proc"`
-	Label string `json:"label"`
+	ID    int
+	Label string
 
-	TotalNS        int64 `json:"total_ns"`        // end of the last non-overlay span
-	AttributedNS   int64 `json:"attributed_ns"`   // sum of exclusive times over the span forest
-	UnattributedNS int64 `json:"unattributed_ns"` // timeline instants covered by no span
-	Spans          int   `json:"spans"`           // non-overlay spans
-	OverlaySpans   int   `json:"overlay_spans"`
+	TotalNS        int64 // end of the last non-overlay span
+	AttributedNS   int64 // sum of exclusive times over the span forest
+	UnattributedNS int64 // timeline instants covered by no span
+	Spans          int   // non-overlay spans
+	OverlaySpans   int
 
 	// Counters holds the proc's total counter values (the sum of the root
 	// spans' inclusive deltas), keyed by counter name, non-zero entries only.
-	Counters map[string]int64 `json:"counters,omitempty"`
+	Counters map[string]int64
 
-	Roots    []*Node        `json:"tree,omitempty"`
-	Overlays []*Node        `json:"overlays,omitempty"` // client-side level view etc.
-	ByCat    []Rollup       `json:"by_cat,omitempty"`
-	BySource []Rollup       `json:"by_source,omitempty"`
-	ByLevel  []LevelRollup  `json:"by_level,omitempty"`
-	Hot      []HotSpan      `json:"hot_spans,omitempty"`
-	Forks    []*ForkGroup   `json:"forks,omitempty"`
-	Skew     *SkewDiagnosis `json:"skew,omitempty"`
+	Roots    []*Node
+	Overlays []*Node // client-side level view etc.
+	ByCat    []Rollup
+	BySource []Rollup
+	ByLevel  []LevelRollup
+	Hot      []HotSpan
+	Forks    []*ForkGroup
+	Skew     *SkewDiagnosis
 }
 
 // Node is one span in the attribution forest.
 type Node struct {
-	ID       int64            `json:"id"`
-	Cat      string           `json:"cat"`
-	Name     string           `json:"name"`
-	Source   string           `json:"source,omitempty"`
-	Track    string           `json:"track,omitempty"` // non-main tracks (lanes)
-	StartNS  int64            `json:"start_ns"`
-	InclNS   int64            `json:"incl_ns"`
-	ExclNS   int64            `json:"excl_ns"`
-	PctBP    int64            `json:"excl_pct_bp"` // exclusive time in basis points of the proc total
-	Rows     int64            `json:"rows,omitempty"`
-	Part     string           `json:"part,omitempty"`
-	Critical bool             `json:"critical,omitempty"`
-	Attrs    []obs.Attr       `json:"attrs,omitempty"`
-	Incl     map[string]int64 `json:"counters_incl,omitempty"`
-	Excl     map[string]int64 `json:"counters_excl,omitempty"`
-	Children []*Node          `json:"children,omitempty"`
+	ID       int64
+	Cat      string
+	Name     string
+	Source   string
+	Track    string // non-main tracks (lanes)
+	StartNS  int64
+	InclNS   int64
+	ExclNS   int64
+	PctBP    int64 // exclusive time in basis points of the proc total
+	Rows     int64
+	Part     string
+	Critical bool
+	Attrs    []obs.Attr
+	Children []*Node
 
 	span    *obs.Span
 	up      *Node // parent in the attribution forest; nil for roots
@@ -102,61 +97,59 @@ func (n *Node) EndNS() int64 { return n.StartNS + n.InclNS }
 // Rollup aggregates exclusive costs over one span dimension (category or
 // source tier).
 type Rollup struct {
-	Key      string           `json:"key"`
-	Spans    int              `json:"spans"`
-	InclNS   int64            `json:"incl_ns"`
-	ExclNS   int64            `json:"excl_ns"`
-	PctBP    int64            `json:"excl_pct_bp"`
-	Counters map[string]int64 `json:"counters,omitempty"` // exclusive deltas
+	Key    string
+	Spans  int
+	InclNS int64
+	ExclNS int64
+	PctBP  int64
 
-	vec sim.CounterVec
+	vec sim.CounterVec // exclusive deltas
 }
 
 // LevelRollup aggregates the batches serving one tree level (from the batch
 // spans' "level" attribute).
 type LevelRollup struct {
-	Level    int64            `json:"level"`
-	Batches  int              `json:"batches"`
-	InclNS   int64            `json:"incl_ns"` // summed inclusive batch time
-	StartNS  int64            `json:"start_ns"`
-	EndNS    int64            `json:"end_ns"`
-	Counters map[string]int64 `json:"counters,omitempty"` // inclusive deltas
+	Level   int64
+	Batches int
+	InclNS  int64 // summed inclusive batch time
+	StartNS int64
+	EndNS   int64
 
-	vec sim.CounterVec
+	vec sim.CounterVec // inclusive deltas
 }
 
 // HotSpan is one entry of the top-exclusive-time table.
 type HotSpan struct {
-	ID     int64  `json:"id"`
-	Cat    string `json:"cat"`
-	Name   string `json:"name"`
-	Source string `json:"source,omitempty"`
-	ExclNS int64  `json:"excl_ns"`
-	PctBP  int64  `json:"excl_pct_bp"`
+	ID     int64
+	Cat    string
+	Name   string
+	Source string
+	ExclNS int64
+	PctBP  int64
 }
 
 // LaneCost is one lane of a fork group.
 type LaneCost struct {
-	Track   string `json:"track"` // render track name, e.g. "lane 2"
-	Spans   int    `json:"spans"`
-	BusyNS  int64  `json:"busy_ns"`  // fork to the lane's last span end
-	SlackNS int64  `json:"slack_ns"` // barrier - busy: idle time at the join
-	Rows    int64  `json:"rows,omitempty"`
+	Track   string // render track name, e.g. "lane 2"
+	Spans   int
+	BusyNS  int64 // fork to the lane's last span end
+	SlackNS int64 // barrier - busy: idle time at the join
+	Rows    int64
 }
 
 // ForkGroup is one Fork/Join barrier: the concurrent lanes under one parent
 // span, with per-lane busy time and join slack.
 type ForkGroup struct {
-	Parent       int64      `json:"parent"` // span id the lanes forked under
-	ParentCat    string     `json:"parent_cat"`
-	ParentName   string     `json:"parent_name"`
-	Batch        int64      `json:"batch,omitempty"` // enclosing batch ordinal
-	Source       string     `json:"source,omitempty"`
-	ForkNS       int64      `json:"fork_ns"`
-	BarrierNS    int64      `json:"barrier_ns"` // fork + max lane busy
-	Lanes        []LaneCost `json:"lanes"`
-	CriticalLane string     `json:"critical_lane"` // track name of the lane bounding the barrier
-	TotalSlackNS int64      `json:"total_slack_ns"`
+	Parent       int64 // span id the lanes forked under
+	ParentCat    string
+	ParentName   string
+	Batch        int64 // enclosing batch ordinal
+	Source       string
+	ForkNS       int64
+	BarrierNS    int64 // fork + max lane busy
+	Lanes        []LaneCost
+	CriticalLane string // track name of the lane bounding the barrier
+	TotalSlackNS int64
 }
 
 // ImbalanceNS returns max − min lane busy time: the virtual time the fastest
@@ -172,14 +165,14 @@ func (g *ForkGroup) ImbalanceNS() int64 {
 // SkewDiagnosis names the join barrier whose lane imbalance costs the most
 // virtual time across the whole build.
 type SkewDiagnosis struct {
-	Batch        int64  `json:"batch,omitempty"`
-	Source       string `json:"source,omitempty"`
-	Parent       int64  `json:"parent"`
-	ParentCat    string `json:"parent_cat"`
-	CriticalLane string `json:"critical_lane"`
-	BusyNS       int64  `json:"critical_busy_ns"`
-	TotalSlackNS int64  `json:"total_slack_ns"`
-	PctBP        int64  `json:"slack_pct_bp"` // slack as basis points of the proc total
+	Batch        int64
+	Source       string
+	Parent       int64
+	ParentCat    string
+	CriticalLane string
+	BusyNS       int64
+	TotalSlackNS int64
+	PctBP        int64 // slack as basis points of the proc total
 }
 
 // pctBP returns v as basis points (hundredths of a percent) of total.
@@ -272,8 +265,6 @@ func ComputeProc(pv obs.ProcView) *Proc {
 	for _, n := range normal {
 		proc.AttributedNS += n.ExclNS
 		n.PctBP = pctBP(n.ExclNS, proc.TotalNS)
-		n.Incl = counterMap(&n.inclVec)
-		n.Excl = counterMap(&n.exclVec)
 	}
 	proc.ByCat = rollupBy(normal, proc.TotalNS, func(n *Node) string { return n.Cat })
 	proc.BySource = rollupBy(normal, proc.TotalNS, func(n *Node) string { return n.Source })
@@ -568,7 +559,6 @@ func rollupBy(nodes []*Node, totalNS int64, key func(*Node) string) []Rollup {
 	}
 	for i := range out {
 		out[i].PctBP = pctBP(out[i].ExclNS, totalNS)
-		out[i].Counters = counterMap(&out[i].vec)
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].ExclNS != out[j].ExclNS {
@@ -607,9 +597,6 @@ func rollupLevels(nodes []*Node) []LevelRollup {
 			out[i].EndNS = e
 		}
 	}
-	for i := range out {
-		out[i].Counters = counterMap(&out[i].vec)
-	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Level < out[j].Level })
 	return out
 }
@@ -637,8 +624,8 @@ func hotSpans(nodes []*Node, totalNS int64) []HotSpan {
 	return out
 }
 
-// counterMap converts a counter vector to the name-keyed map the JSON report
-// serializes (encoding/json sorts the keys). Nil when all-zero.
+// counterMap converts a counter vector to a name-keyed map. Nil when
+// all-zero.
 func counterMap(v *sim.CounterVec) map[string]int64 {
 	if v.IsZero() {
 		return nil

@@ -323,64 +323,38 @@ func TestCriticalPathMarking(t *testing.T) {
 	}
 }
 
-// TestReportDeterminism: the text and JSON reports are byte-identical across
-// GOMAXPROCS settings and across reruns of the same build.
+// TestReportDeterminism: the text report is byte-identical across GOMAXPROCS
+// settings and across reruns of the same build.
 func TestReportDeterminism(t *testing.T) {
 	for _, sc := range []scenario{scenarios()[1], scenarios()[4]} {
 		sc := sc
 		t.Run(sc.name, func(t *testing.T) {
-			render := func() (string, string) {
+			render := func() string {
 				col, _, _ := buildProfiled(t, sc)
-				p := Compute(col)
-				var txt, js bytes.Buffer
-				if err := p.WriteText(&txt); err != nil {
+				var txt bytes.Buffer
+				if err := Compute(col).WriteText(&txt); err != nil {
 					t.Fatal(err)
 				}
-				if err := p.WriteJSON(&js); err != nil {
-					t.Fatal(err)
-				}
-				return txt.String(), js.String()
+				return txt.String()
 			}
 			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 			runtime.GOMAXPROCS(1)
-			txt1, js1 := render()
+			txt1 := render()
 			runtime.GOMAXPROCS(8)
-			txt2, js2 := render()
-			txt3, js3 := render()
+			txt2 := render()
+			txt3 := render()
 			if txt1 != txt2 || txt1 != txt3 {
 				t.Error("text report differs across GOMAXPROCS or reruns")
 			}
-			if js1 != js2 || js1 != js3 {
-				t.Error("JSON report differs across GOMAXPROCS or reruns")
-			}
-			if txt1 == "" || js1 == "" {
+			if txt1 == "" {
 				t.Error("empty report")
 			}
 			// Each batch line is followed by the budget/residency attributes
 			// the middleware put on the batch span.
-			if !strings.Contains(txt1, "  open nodes server/file/memory ") || !strings.Contains(js1, `"key": "nodes_memory"`) {
+			if !strings.Contains(txt1, "  open nodes server/file/memory ") {
 				t.Error("report lacks the batch spans' budget/residency attributes")
 			}
 		})
-	}
-}
-
-// TestWriteProfileRegistered: importing this package enables the collector's
-// WriteProfile entry point for both formats.
-func TestWriteProfileRegistered(t *testing.T) {
-	col, _, _ := buildProfiled(t, scenarios()[0])
-	var txt, js bytes.Buffer
-	if err := col.WriteProfile(&txt, "text"); err != nil {
-		t.Fatal(err)
-	}
-	if err := col.WriteProfile(&js, "json"); err != nil {
-		t.Fatal(err)
-	}
-	if txt.Len() == 0 || js.Len() == 0 {
-		t.Error("empty WriteProfile output")
-	}
-	if err := col.WriteProfile(&txt, "bogus"); err == nil {
-		t.Error("unknown format accepted")
 	}
 }
 
@@ -403,10 +377,6 @@ func TestEmptyAndDegenerateTraces(t *testing.T) {
 		}
 		if buf.Len() == 0 {
 			t.Errorf("%s: empty text output", tc.name)
-		}
-		buf.Reset()
-		if err := p.WriteJSON(&buf); err != nil {
-			t.Errorf("%s: WriteJSON: %v", tc.name, err)
 		}
 	}
 	// A registered proc with no spans still profiles cleanly.

@@ -1,7 +1,6 @@
 package profile
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"sort"
@@ -10,32 +9,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/sim"
 )
-
-func init() {
-	obs.RegisterProfileWriter(func(t *obs.Trace, w io.Writer, format string) error {
-		p := Compute(t)
-		switch format {
-		case "", "text":
-			return p.WriteText(w)
-		case "json":
-			return p.WriteJSON(w)
-		default:
-			return fmt.Errorf("profile: unknown format %q (want text or json)", format)
-		}
-	})
-}
-
-// WriteJSON writes the whole profile as indented JSON. Struct field order and
-// sorted map keys make the output byte-deterministic.
-func (p *Profile) WriteJSON(w io.Writer) error {
-	b, err := json.MarshalIndent(p, "", "  ")
-	if err != nil {
-		return err
-	}
-	b = append(b, '\n')
-	_, err = w.Write(b)
-	return err
-}
 
 // secs renders virtual nanoseconds as seconds with microsecond precision,
 // via integer math only (byte-deterministic, no float formatting).

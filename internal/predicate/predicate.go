@@ -199,21 +199,6 @@ func (f Filter) Empty() bool { return !f.all && len(f.conjs) == 0 }
 // disjuncts' trie, stopped at the first disjunct that holds.
 func (f Filter) Eval(r data.Row) bool { return f.all || f.trie.Any(r) }
 
-// SQL renders the filter as a WHERE-clause expression.
-func (f Filter) SQL(s *data.Schema) string {
-	if f.all {
-		return "1 = 1"
-	}
-	if len(f.conjs) == 0 {
-		return "1 = 0"
-	}
-	parts := make([]string, len(f.conjs))
-	for i, cj := range f.conjs {
-		parts[i] = "(" + cj.SQL(s) + ")"
-	}
-	return strings.Join(parts, " OR ")
-}
-
 // String renders the filter for diagnostics.
 func (f Filter) String() string {
 	if f.all {

@@ -102,16 +102,6 @@ func TestSQLRendering(t *testing.T) {
 	if got := (Conj{}).SQL(s); got != "1 = 1" {
 		t.Errorf("empty Conj.SQL = %q", got)
 	}
-	f := Or(cj, Conj{{Attr: 1, Op: Eq, Val: 0}})
-	if got := f.SQL(s); got != "(A1 = 2 AND A3 <> 1) OR (A2 = 0)" {
-		t.Errorf("Filter.SQL = %q", got)
-	}
-	if got := MatchAll().SQL(s); got != "1 = 1" {
-		t.Errorf("MatchAll.SQL = %q", got)
-	}
-	if got := (Filter{}).SQL(s); got != "1 = 0" {
-		t.Errorf("empty Filter.SQL = %q", got)
-	}
 }
 
 func TestFilterSemantics(t *testing.T) {

@@ -85,9 +85,6 @@ func (s *Session) Meter() *sim.Meter { return s.meter }
 // ArrivalNS returns the session's arrival offset in virtual nanoseconds.
 func (s *Session) ArrivalNS() int64 { return s.arrivalNS }
 
-// FinishNS returns the virtual time the session's build completed.
-func (s *Session) FinishNS() int64 { return s.finishNS }
-
 // LatencyNS returns the session's end-to-end virtual latency: admission
 // wait plus build time.
 func (s *Session) LatencyNS() int64 { return s.finishNS - s.arrivalNS }

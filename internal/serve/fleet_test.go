@@ -258,8 +258,8 @@ func TestFleetDeterminism(t *testing.T) {
 		if sa.Tree().Dump() != sb.Tree().Dump() {
 			t.Errorf("session %d trees differ across replays", sa.ID)
 		}
-		if sa.FinishNS() != sb.FinishNS() {
-			t.Errorf("session %d finish times differ: %d vs %d", sa.ID, sa.FinishNS(), sb.FinishNS())
+		if sa.finishNS != sb.finishNS {
+			t.Errorf("session %d finish times differ: %d vs %d", sa.ID, sa.finishNS, sb.finishNS)
 		}
 	}
 }
@@ -276,11 +276,11 @@ func TestFleetAdmissionCap(t *testing.T) {
 	}
 	ss := f.Sessions()
 	for i := 1; i < len(ss); i++ {
-		if ss[i].FinishNS() <= ss[i-1].FinishNS() {
+		if ss[i].finishNS <= ss[i-1].finishNS {
 			t.Errorf("session %d finished at %d, not after session %d at %d",
-				ss[i].ID, ss[i].FinishNS(), ss[i-1].ID, ss[i-1].FinishNS())
+				ss[i].ID, ss[i].finishNS, ss[i-1].ID, ss[i-1].finishNS)
 		}
-		if ss[i].LatencyNS() <= ss[i-1].FinishNS()-ss[i].ArrivalNS()-1 {
+		if ss[i].LatencyNS() <= ss[i-1].finishNS-ss[i].ArrivalNS()-1 {
 			t.Errorf("session %d latency %d does not include its admission wait", ss[i].ID, ss[i].LatencyNS())
 		}
 	}
@@ -312,7 +312,7 @@ func TestFleetStaggeredArrivals(t *testing.T) {
 		if s.ArrivalNS() != arr[i] {
 			t.Errorf("session %d arrival %d, want %d", s.ID, s.ArrivalNS(), arr[i])
 		}
-		if s.FinishNS() < s.ArrivalNS() {
+		if s.finishNS < s.ArrivalNS() {
 			t.Errorf("session %d finished before it arrived", s.ID)
 		}
 	}

@@ -44,15 +44,6 @@ func (c *Clocks) Open(id int, arrivalNS int64) *Meter {
 	return m
 }
 
-// Meter returns the clock of an open session.
-func (c *Clocks) Meter(id int) *Meter {
-	m, ok := c.m[id]
-	if !ok {
-		panic(fmt.Sprintf("sim: clock %d not open", id))
-	}
-	return m
-}
-
 // Close removes a finished session's clock from the selection set.
 func (c *Clocks) Close(id int) {
 	if _, ok := c.m[id]; !ok {
@@ -81,9 +72,6 @@ func (c *Clocks) Next(eligible func(id int) bool) (int, bool) {
 	}
 	return best, found
 }
-
-// Len returns the number of open clocks.
-func (c *Clocks) Len() int { return len(c.ids) }
 
 // Arrivals returns n session arrival offsets in virtual nanoseconds:
 // non-decreasing, gap i drawn uniformly from [0, 2*meanGapNS) by a seeded

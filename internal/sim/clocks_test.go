@@ -15,7 +15,7 @@ func TestClocksSelection(t *testing.T) {
 	if id, ok := c.Next(nil); !ok || id != 2 {
 		t.Fatalf("Next = %d,%v, want 2 (furthest behind)", id, ok)
 	}
-	c.Meter(2).Advance(200)
+	c.m[2].Advance(200)
 	// 1 and 3 tie at 100: lower id wins.
 	if id, _ := c.Next(nil); id != 1 {
 		t.Fatalf("tie broke to %d, want 1", id)
@@ -27,12 +27,12 @@ func TestClocksSelection(t *testing.T) {
 	if _, ok := c.Next(func(int) bool { return false }); ok {
 		t.Fatal("Next found a session with nothing eligible")
 	}
-	if now := c.Meter(2).Now(); now != 250*time.Nanosecond {
+	if now := c.m[2].Now(); now != 250*time.Nanosecond {
 		t.Fatalf("session 2 clock = %v", now)
 	}
 	c.Close(2)
-	if id, _ := c.Next(nil); c.Len() != 2 || id != 1 {
-		t.Fatalf("after close: len %d, next %d, want 2 sessions and session 1 next", c.Len(), id)
+	if id, _ := c.Next(nil); len(c.ids) != 2 || id != 1 {
+		t.Fatalf("after close: len %d, next %d, want 2 sessions and session 1 next", len(c.ids), id)
 	}
 }
 

@@ -106,16 +106,6 @@ func (cs *ColStore) Group(g int) *ColGroup {
 	panic("storage: columnar group index out of range")
 }
 
-// Bytes returns the modeled compressed size of the store: every group,
-// every column.
-func (cs *ColStore) Bytes() int64 {
-	var total int64
-	for g := 0; g < cs.NumGroups(); g++ {
-		total += cs.Group(g).Bytes(nil)
-	}
-	return total
-}
-
 // ColGroup is one immutable row group: up to RowGroupSize rows,
 // dictionary-encoded per column.
 type ColGroup struct {

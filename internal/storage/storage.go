@@ -102,9 +102,6 @@ func NewBufferPool(capacity int) *BufferPool {
 	}
 }
 
-// Capacity returns the pool capacity in pages.
-func (bp *BufferPool) Capacity() int { return bp.capacity }
-
 // Stats returns the cumulative hit and miss counts.
 func (bp *BufferPool) Stats() (hits, misses int64) { return bp.hits, bp.misses }
 

@@ -42,12 +42,9 @@ fi
 gate "go test ./..." go test ./...
 # The race pass runs everything the plain pass does, internal/exp's full
 # experiment suite included: every runner at scale 1 through its shape check
-# and compared with the committed tables (internal/exp/testdata/scale1.md).
+# and compared with the committed tables (internal/exp/testdata/scale1.md),
+# and the five profiled scenarios compared metric for metric with theirs
+# (internal/exp/testdata/profiles.txt). Virtual time is pinned exactly, up
+# and down, by those two records and internal/mw/pinned_test.go.
 gate "go test -race ./..." go test -race ./...
-# Quarter-scale perf-regression gate: profiles the fixed scenario set on the
-# virtual clock and compares each condensed metric against the committed
-# baseline in BENCH_history.json within a 10% tolerance band. Virtual time is
-# noise-free, so a failure means a code change actually moved simulated cost;
-# if the move is intended, re-baseline with `go run ./cmd/perfgate -update`.
-gate "perfgate -scale 0.25" go run ./cmd/perfgate -history BENCH_history.json -scale 0.25
 echo "verify: all green"
