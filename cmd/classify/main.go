@@ -57,11 +57,10 @@ func run() error {
 		staging = flag.String("staging", "memory", "staging: none, file, memory or file+memory")
 		policy  = flag.String("policy", "split", "file policy: split, pernode or singleton")
 		memory  = flag.Float64("memory", 0, "middleware memory budget in MB (0 = unlimited)")
-		workers = flag.Int("workers", 1, "parallel scan workers per batch (1 = sequential)")
 
 		traceOut    = flag.String("trace", "", "write a deterministic virtual-time trace of the build to this file")
 		traceFormat = flag.String("trace-format", "chrome", "trace format: chrome (Perfetto-loadable) or ndjson")
-		explain     = flag.Bool("explain", false, "print the EXPLAIN ANALYZE-style build profile (per-span costs, critical path, skew)")
+		explain     = flag.Bool("explain", false, "print the EXPLAIN ANALYZE-style build profile (per-span costs)")
 	)
 	flag.Parse()
 
@@ -88,10 +87,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	if *workers < 1 {
-		return fmt.Errorf("-workers must be at least 1")
-	}
-	mcfg := mw.Config{Memory: int64(*memory * (1 << 20)), Workers: *workers}
+	mcfg := mw.Config{Memory: int64(*memory * (1 << 20))}
 	switch *staging {
 	case "none":
 		mcfg.Staging = mw.StageNone

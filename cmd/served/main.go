@@ -4,7 +4,7 @@
 // ccsql database/sql driver, or anything speaking the protocol — submit
 // statements of the internal/sqlparser grammar: SQL, SCORE TABLE, and
 //
-//	BUILD TREE [MAXDEPTH n] [MINROWS n] [WORKERS n] [MODEL name] [OUTPUT STATS|TREE|TRACE]
+//	BUILD TREE [MAXDEPTH n] [MINROWS n] [MODEL name] [OUTPUT STATS|TREE|TRACE]
 //
 // Builds submitted by concurrent clients run as one multi-tenant fleet
 // cohort: the memory budget splits fairly across them and, with
@@ -49,7 +49,6 @@ func run(args []string) error {
 	gen := fs.String("gen", "census", "preload a generated dataset: tree, gaussians or census")
 	rows := fs.Int("rows", 20000, "rows for -gen")
 	seed := fs.Int64("seed", 1, "seed for -gen")
-	workers := fs.Int("workers", 1, "parallel scan workers per session")
 	memory := fs.Int64("memory", 0, "total middleware memory budget in bytes, split across sessions (0 = unlimited)")
 	maxSessions := fs.Int("max-sessions", 8, "concurrent build sessions; arrivals beyond the cap wait (0 = unlimited)")
 	scanSharing := fs.Bool("scan-sharing", true, "share physical table scans across concurrent builds")
@@ -75,7 +74,6 @@ func run(args []string) error {
 		Fleet: serve.FleetConfig{
 			Base: mw.Config{
 				Staging: mw.StageFileAndMemory,
-				Workers: *workers,
 				Dir:     *stageDir,
 			},
 			TotalMemory: *memory,

@@ -21,7 +21,7 @@
 //	$ sqlsh -gen census -rows 5000
 //	sql> SELECT income, COUNT(*) FROM cases GROUP BY income
 //	sql> BUILD TREE MAXDEPTH 4 MODEL m
-//	sql> SCORE TABLE cases USING m WORKERS 4
+//	sql> SCORE TABLE cases USING m
 //	sql> SELECT CLASSIFY(m, age, workclass, education, marital, occupation,
 //	     relationship, race, sex, capgain, caploss, hours, country) FROM cases LIMIT 3
 package main

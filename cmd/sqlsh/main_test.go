@@ -87,7 +87,8 @@ func TestDaemonSqlshSameScript(t *testing.T) {
 	script := []string{
 		"BUILD TREE MAXDEPTH 4 MINROWS 20 MODEL m OUTPUT STATS",
 		"BUILD TREE MAXDEPTH 3 MINROWS 20 OUTPUT TREE",
-		"SCORE TABLE cases USING m WORKERS 4",
+		"SCORE TABLE cases USING m",
+		"SCORE TABLE cases USING m WORKERS 4", // refused by name on both
 		"SELECT CLASSIFY(m, " + censusAttrs + ") FROM cases LIMIT 3",
 		"SELECT income, COUNT(*) FROM cases GROUP BY income",
 		"BUILD TREE MODEL m", // fails on both: m is already registered

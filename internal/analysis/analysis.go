@@ -13,9 +13,9 @@
 //     from a constructor, is released on all paths, also when it is passed
 //     to a helper that never releases it
 //
-// Fork/join discipline and goroutine lifetimes are not linted: obs.RunLanes
-// and obs.RunSegments are the only callers of sim.Meter.Fork, and the tests
-// named on them catch a broken barrier.
+// Fork/join discipline and goroutine lifetimes are not linted:
+// obs.RunSegments is the only caller of sim.Meter.Fork, and the tests named
+// on it catch a broken barrier.
 //
 // The obligation analyzers (spanend, closer) are interprocedural within the
 // module: a fixed-point summary pass (summary.go) computes, per function,

@@ -326,7 +326,7 @@ func (a *paramAcc) status() relStatus {
 }
 
 // shortFuncName renders a function for callee chains: package base plus
-// name ("interproc.logSpan", "mw.mergeShards").
+// name ("interproc.logSpan", "mw.settle").
 func shortFuncName(f *types.Func) string {
 	return pkgBase(f.Pkg()) + "." + f.Name()
 }

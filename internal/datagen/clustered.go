@@ -11,9 +11,9 @@ import (
 // generator: rows are physically ordered by a "region" attribute, so an
 // equality filter on the region matches one contiguous slab of heap pages.
 // This is the canonical skew workload for partitioned scans — with
-// equal-width page splits, one lane receives essentially every matching row
-// (and pays every transmit/processing cost) while the others scan and
-// discard, making that lane the straggler. Real tables look like this
+// equal-width splits, one part receives essentially every matching row (and
+// pays every transmit/processing cost) while the others scan and discard,
+// making that part the straggler; zone maps skip whole groups of it. Real tables look like this
 // whenever they are loaded in an order correlated with an attribute:
 // append-ordered logs by day, customers loaded per territory, and so on.
 type ClusteredConfig struct {

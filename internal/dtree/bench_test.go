@@ -9,7 +9,7 @@ import (
 )
 
 // BenchmarkScoreColumnar is the scoring operator's layer benchmark: one
-// single-lane SCORE TABLE pass (Server.ScoreColumnar at Workers 1) over 100k
+// SCORE TABLE pass (Server.ScoreColumnar) over 100k
 // census rows, seed 1, with the model cmd/bench's serve_score workload builds
 // (MaxDepth 8, MinRows 50, binary splits: 393 nodes) and with its multiway
 // twin. Run it with

@@ -168,8 +168,8 @@ func equivDataset(t *testing.T, gen string, rows int, seed int64) *data.Dataset 
 // TestScoringEquivalence is the spine of the in-database scoring feature:
 // for every workload generator, the in-client tree walk, the compiled CASE
 // expression executed as SQL, the SCORE TABLE statement, and the vectorized
-// catalog-model operator at Workers ∈ {1, 4, 8} must produce byte-identical
-// prediction vectors over the full table.
+// catalog-model operator must produce byte-identical prediction vectors over
+// the full table.
 func TestScoringEquivalence(t *testing.T) {
 	for _, gen := range []string{"tree", "gaussians", "census", "clustered"} {
 		t.Run(gen, func(t *testing.T) {
@@ -211,54 +211,49 @@ func TestScoringEquivalence(t *testing.T) {
 				t.Fatal("CASE-expression path diverges from the in-client tree walk")
 			}
 
-			// Path C: the vectorized catalog-model operator, across worker
-			// counts — partitioning must not reorder or change predictions.
-			for _, workers := range []int{1, 4, 8} {
-				res, err := eng.ScoreTable(mustTable(t, eng, "cases"), m, workers)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if res.Rows != int64(len(ds.Rows)) {
-					t.Fatalf("workers=%d scored %d rows, want %d", workers, res.Rows, len(ds.Rows))
-				}
-				if got := predictionBytes(res.Classes); !bytes.Equal(got, want) {
-					t.Fatalf("workers=%d: vectorized path diverges from the in-client tree walk", workers)
-				}
-				// The leaf distribution behind every prediction must be the
-				// training distribution of the leaf the tree walk lands in.
-				for i, row := range ds.Rows {
-					node := walkToLeafNode(tree, row)
-					dist := res.Dist(m, i)
-					if fmt.Sprint(dist) != fmt.Sprint(node.ClassCounts) {
-						t.Fatalf("workers=%d row %d: dist %v, want leaf counts %v", workers, i, dist, node.ClassCounts)
-					}
+			// Path C: the vectorized catalog-model operator.
+			res, err := eng.ScoreTable(mustTable(t, eng, "cases"), m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Rows != int64(len(ds.Rows)) {
+				t.Fatalf("scored %d rows, want %d", res.Rows, len(ds.Rows))
+			}
+			if got := predictionBytes(res.Classes); !bytes.Equal(got, want) {
+				t.Fatal("vectorized path diverges from the in-client tree walk")
+			}
+			// The leaf distribution behind every prediction must be the
+			// training distribution of the leaf the tree walk lands in.
+			for i, row := range ds.Rows {
+				node := walkToLeafNode(tree, row)
+				dist := res.Dist(m, i)
+				if fmt.Sprint(dist) != fmt.Sprint(node.ClassCounts) {
+					t.Fatalf("row %d: dist %v, want leaf counts %v", i, dist, node.ClassCounts)
 				}
 			}
 
 			// Path C via SQL surface: SCORE TABLE ... USING m.
-			for _, workers := range []int{1, 4, 8} {
-				rs, err := eng.Exec(fmt.Sprintf("SCORE TABLE cases USING m WORKERS %d", workers))
-				if err != nil {
-					t.Fatal(err)
-				}
-				// One result shape on every route: class, then the decision
-				// node's count per class.
-				if want := engine.ScoreCols(m.Classes); fmt.Sprint(rs.Cols) != fmt.Sprint(want) {
-					t.Fatalf("SCORE TABLE columns = %v, want %v", rs.Cols, want)
-				}
-				stClasses := make([]data.Value, len(rs.Rows))
-				for i, r := range rs.Rows {
-					stClasses[i] = data.Value(r[0].I)
-					counts := walkToLeafNode(tree, ds.Rows[i]).ClassCounts
-					for c, n := range counts {
-						if r[1+c].I != n {
-							t.Fatalf("SCORE TABLE row %d: c%d = %d, want leaf count %d", i, c, r[1+c].I, n)
-						}
+			rs, err = eng.Exec("SCORE TABLE cases USING m")
+			if err != nil {
+				t.Fatal(err)
+			}
+			// One result shape on every route: class, then the decision
+			// node's count per class.
+			if want := engine.ScoreCols(m.Classes); fmt.Sprint(rs.Cols) != fmt.Sprint(want) {
+				t.Fatalf("SCORE TABLE columns = %v, want %v", rs.Cols, want)
+			}
+			stClasses := make([]data.Value, len(rs.Rows))
+			for i, r := range rs.Rows {
+				stClasses[i] = data.Value(r[0].I)
+				counts := walkToLeafNode(tree, ds.Rows[i]).ClassCounts
+				for c, n := range counts {
+					if r[1+c].I != n {
+						t.Fatalf("SCORE TABLE row %d: c%d = %d, want leaf count %d", i, c, r[1+c].I, n)
 					}
 				}
-				if got := predictionBytes(stClasses); !bytes.Equal(got, want) {
-					t.Fatalf("SCORE TABLE WORKERS %d diverges from the in-client tree walk", workers)
-				}
+			}
+			if got := predictionBytes(stClasses); !bytes.Equal(got, want) {
+				t.Fatal("SCORE TABLE diverges from the in-client tree walk")
 			}
 
 			// Path D: CLASSIFY() over the table's attribute columns.

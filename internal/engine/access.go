@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"sync"
 
 	"repro/internal/data"
@@ -119,10 +120,10 @@ func colCompare(ex sqlparser.Expr, cols colResolver) (col int, op predicate.Op, 
 // scanRows drives the rows of t that conj selects through fn, in heap order.
 // need lists the columns fn reads: only those are paid for and decoded, the
 // rest of the row stays zero.
-func (e *Engine) scanRows(t *Table, conj predicate.Conj, need []int, fn func(data.Row) error) error {
+func (e *Engine) scanRows(ctx context.Context, t *Table, conj predicate.Conj, need []int, fn func(data.Row) error) error {
 	var ferr error
 	row := make(data.Row, len(t.Cols))
-	e.scanColumnar(t, conj, need, func(blk *ColBlock) bool {
+	err := e.scanColumnar(ctx, t, conj, need, func(blk *ColBlock) bool {
 		for _, i := range blk.Sel {
 			for _, col := range need {
 				row[col] = blk.Group.Dict(col)[blk.Group.Codes(col)[i]]
@@ -133,7 +134,10 @@ func (e *Engine) scanRows(t *Table, conj predicate.Conj, need []int, fn func(dat
 		}
 		return true
 	})
-	return ferr
+	if ferr != nil {
+		return ferr
+	}
+	return err
 }
 
 // stmtConsumers recycles the consumers of statement scans: a consumer keeps
@@ -143,12 +147,14 @@ var stmtConsumers = sync.Pool{New: func() any { return new(ScanConsumer) }}
 
 // scanColumnar is a statement's scan: t's columnar copy through the one block
 // loop with conj pushed down, paying for and decoding the columns need, every
-// block to fn until it returns false.
-func (e *Engine) scanColumnar(t *Table, conj predicate.Conj, need []int, fn func(blk *ColBlock) bool) {
+// block to fn until it returns false. The groups are resident, so only ctx
+// can fail the scan.
+func (e *Engine) scanColumnar(ctx context.Context, t *Table, conj predicate.Conj, need []int, fn func(blk *ColBlock) bool) error {
 	c := stmtConsumers.Get().(*ScanConsumer)
 	c.Filter, c.Lane, c.local, c.Fn = predicate.Or(conj), e.meter, true, fn
 	src := t.groups(need, e.meter.Costs())
-	ScanRange(src, []*ScanConsumer{c}, 0, src.NumGroups(), e.meter) // a statement opens no cursor
+	err := ScanRange(ctx, src, []*ScanConsumer{c}, 0, src.NumGroups(), e.meter) // a statement opens no cursor
 	c.Filter, c.Lane, c.Fn = predicate.Filter{}, nil, nil
 	stmtConsumers.Put(c)
+	return err
 }

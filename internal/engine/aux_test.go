@@ -13,69 +13,32 @@ func auxTestFilter() predicate.Filter {
 	return predicate.Or(predicate.Conj{{Attr: 0, Op: predicate.Eq, Val: 1}})
 }
 
-// TestParallelBuildersMatchSerial: the keyset, TID-table and copy-table
-// builders produce exactly the structures their one-lane builds do (same
-// rows captured per row group, same copied rows in the same heap order), for
-// any worker count including more workers than row groups — and the rows
-// captured are the table's rows matching the filter, in heap order.
-func TestParallelBuildersMatchSerial(t *testing.T) {
+// TestAuxBuildersCaptureMatchingRows: the keyset and the TID table capture,
+// per row group, exactly the table's rows matching the filter, in heap order,
+// and the copy-table holds those rows in the same order.
+func TestAuxBuildersCaptureMatchingRows(t *testing.T) {
 	f := auxTestFilter()
-	for _, nw := range []int{1, 2, 3, 4, 100} {
-		srv, ds := partitionTestServer(t, 14000)
-		var want []data.Row
-		for _, r := range ds.Rows {
-			if f.Eval(r) {
-				want = append(want, r)
-			}
-		}
-		wantKS := srv.OpenKeyset(f, 1)
-		wantTT := srv.CopyTIDs(f, 1)
-		wantSub, err := srv.CopySubset(f, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-
-		gotKS := srv.OpenKeyset(f, nw)
-		if !reflect.DeepEqual(gotKS.held, wantKS.held) {
-			t.Errorf("nw=%d: keyset differs from the one-lane build's (%d vs %d rows)",
-				nw, gotKS.Size(), wantKS.Size())
-		}
-		if got := scanPart(srv, gotKS, predicate.MatchAll(), 0, 1, nil); !sameRows(got, want) {
-			t.Errorf("nw=%d: keyset holds %d rows, the filter matches %d (or content differs)", nw, len(got), len(want))
-		}
-		gotTT := srv.CopyTIDs(f, nw)
-		if !reflect.DeepEqual(gotTT.held, wantTT.held) {
-			t.Errorf("nw=%d: TID table differs from the one-lane build's (%d vs %d rows)",
-				nw, gotTT.Size(), wantTT.Size())
-		}
-		gotSub, err := srv.CopySubset(f, nw)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wantRows := drain(wantSub.OpenScan(predicate.MatchAll()))
-		gotRows := drain(gotSub.OpenScan(predicate.MatchAll()))
-		if !reflect.DeepEqual(gotRows, wantRows) || !sameRows(gotRows, want) {
-			t.Errorf("nw=%d: copy-table rows differ from the one-lane build's or the filter's (%d vs %d vs %d)",
-				nw, len(gotRows), len(wantRows), len(want))
+	srv, ds := partitionTestServer(t, 14000)
+	var want []data.Row
+	for _, r := range ds.Rows {
+		if f.Eval(r) {
+			want = append(want, r)
 		}
 	}
-}
-
-// TestParallelBuildersChargeLanes: a partitioned build advances the server
-// clock by the slowest lane plus nothing serial, which is strictly less than
-// the one-lane build's full-scan time for a table big enough to split.
-func TestParallelBuildersChargeLanes(t *testing.T) {
-	f := auxTestFilter()
-	srvSerial, _ := partitionTestServer(t, 20000)
-	srvSerial.OpenKeyset(f, 1)
-	serial := srvSerial.Meter().Now()
-
-	srvPar, _ := partitionTestServer(t, 20000)
-	srvPar.OpenKeyset(f, 4)
-	parallel := srvPar.Meter().Now()
-
-	if parallel >= serial {
-		t.Errorf("parallel keyset build took %v, serial %v — no speedup", parallel, serial)
+	ks := srv.OpenKeyset(f)
+	if got := scanPart(srv, ks, predicate.MatchAll(), 0, 1, nil); !sameRows(got, want) {
+		t.Errorf("keyset holds %d rows, the filter matches %d (or content differs)", len(got), len(want))
+	}
+	tt := srv.CopyTIDs(f)
+	if !reflect.DeepEqual(tt.held, ks.held) {
+		t.Errorf("TID table holds %d rows, the keyset %d (or they differ)", tt.Size(), ks.Size())
+	}
+	sub, err := srv.CopySubset(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := drain(sub.OpenScan(predicate.MatchAll())); !sameRows(got, want) {
+		t.Errorf("copy-table holds %d rows, the filter matches %d (or content differs)", len(got), len(want))
 	}
 }
 
@@ -86,7 +49,7 @@ func TestParallelBuildersChargeLanes(t *testing.T) {
 func TestKeysetScanPartitionCoversKeysetExactlyOnce(t *testing.T) {
 	srv, ds := partitionTestServer(t, 14000)
 	f := auxTestFilter()
-	ks := srv.OpenKeyset(f, 1)
+	ks := srv.OpenKeyset(f)
 	sproc := predicate.Or(predicate.Conj{{Attr: 1, Op: predicate.Eq, Val: 2}})
 	var want []data.Row
 	for _, r := range ds.Rows {
@@ -111,7 +74,7 @@ func TestKeysetScanPartitionCoversKeysetExactlyOnce(t *testing.T) {
 func TestTIDJoinPartitionCoversTableExactlyOnce(t *testing.T) {
 	srv, ds := partitionTestServer(t, 14000)
 	f := auxTestFilter()
-	tt := srv.CopyTIDs(f, 1)
+	tt := srv.CopyTIDs(f)
 	sub := predicate.Or(predicate.Conj{
 		{Attr: 0, Op: predicate.Eq, Val: 1},
 		{Attr: 2, Op: predicate.Ne, Val: 3},
@@ -140,8 +103,8 @@ func TestTIDJoinPartitionCoversTableExactlyOnce(t *testing.T) {
 func TestAuxPartitionLaneCharging(t *testing.T) {
 	srv, _ := partitionTestServer(t, 14000)
 	f := auxTestFilter()
-	ks := srv.OpenKeyset(f, 1)
-	tt := srv.CopyTIDs(f, 1)
+	ks := srv.OpenKeyset(f)
+	tt := srv.CopyTIDs(f)
 	before := srv.Meter().Snapshot()
 	costs := srv.Meter().Costs()
 

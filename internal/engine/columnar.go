@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"slices"
 
 	"repro/internal/predicate"
@@ -529,8 +530,8 @@ type ColBlock struct {
 	Buckets    [][]int32
 }
 
-// NumColGroups returns the number of columnar row groups — the unit the
-// partitioned columnar scan divides between workers.
+// NumColGroups returns the number of columnar row groups — the unit a
+// columnar scan's range and its segments are counted in.
 func (s *Server) NumColGroups() int { return s.table.colstore.NumGroups() }
 
 // ColGroups returns the table's columnar copy as a GroupSource whose scans
@@ -539,23 +540,18 @@ func (s *Server) ColGroups(needCols []int) GroupSource {
 	return s.table.groups(needCols, s.meter.Costs())
 }
 
-// GroupBounds is the one rule that splits a scan of src with filter f into
-// nparts lanes of approximately equal estimated cost: a group weighs what
+// Bounder is the one rule that splits a scan of src with filter f into
+// nparts segments of approximately equal estimated cost: a group weighs what
 // reading it is charged (ChargeRead, on a scratch meter), at the server the
-// evaluation of its rows — of those the source holds, when it is a pre-selected
-// set — and perMatch — the caller's full per-matching-row cost — times its
-// estimated matching rows, scaled to the rows held.
-// Groups the zone maps prove empty, or of which the source holds nothing, weigh
-// nothing, so lanes are balanced over the work that will actually be done.
-// weightedBounds-shaped, pure, and unmetered; nil means "use equal-width".
-func GroupBounds(src GroupSource, f predicate.Filter, nparts int, costs sim.Costs, perMatch int64) []int {
-	return new(Bounder).Split(src, 0, src.NumGroups(), f, nparts, costs, perMatch)
-}
-
-// Bounder is GroupBounds with its scratch kept from call to call — the filter
-// it compiles per group, the meter a read is priced on, the weights and the
-// split points — so a caller that splits scan after scan allocates nothing
-// once the scratch has grown. The zero value is ready for use.
+// evaluation of its rows — of those the source holds, when it is a
+// pre-selected set — and perMatch — the caller's full per-matching-row cost —
+// times its estimated matching rows, scaled to the rows held. Groups the zone
+// maps prove empty, or of which the source holds nothing, weigh nothing. The
+// split is pure and unmetered. A Bounder keeps its scratch from call to call
+// — the filter it compiles per group, the meter a read is priced on, the
+// weights and the split points — so a caller that splits scan after scan
+// allocates nothing once the scratch has grown. The zero value is ready for
+// use.
 type Bounder struct {
 	gf      GroupFilter
 	meter   sim.Meter
@@ -563,8 +559,8 @@ type Bounder struct {
 	bounds  []int
 }
 
-// Split is GroupBounds over row groups [lo, hi) of src: nparts+1 split points
-// relative to lo, or nil for equal-width. The result is b's storage, valid
+// Split splits row groups [lo, hi) of src: nparts+1 split points relative to
+// lo, or nil for equal-width. The result is b's storage, valid
 // until b's next Split; between calls b holds nothing of src or f.
 func (b *Bounder) Split(src GroupSource, lo, hi int, f predicate.Filter, nparts int, costs sim.Costs, perMatch int64) []int {
 	if nparts < 2 || hi <= lo {
@@ -587,7 +583,7 @@ func (b *Bounder) Split(src GroupSource, lo, hi int, f predicate.Filter, nparts 
 		}
 		b.gf.Compile(g, f)
 		if b.gf.None() || rows == 0 {
-			continue // skipped group: the lane pays nothing for it
+			continue // skipped group: the segment pays nothing for it
 		}
 		b.meter.Reset()
 		src.ChargeRead(gi, &b.meter)
@@ -601,18 +597,24 @@ func (b *Bounder) Split(src GroupSource, lo, hi int, f predicate.Filter, nparts 
 	return bounds
 }
 
-// ScanColumnarRange scans columnar row groups [loGroup, hiGroup) with f
-// pushed down, invoking fn per BlockRows-row block until fn returns false:
-// ScanGroups over the table's copy for a cohort of one, with the cursor
-// open and page I/O charged to the consumer's own lane. needCols lists the
-// columns whose pages the scan reads (nil means all). All costs are charged to
-// lane (the server's own meter when nil). Groups whose zone maps prove the
+// ScanColumnarRange is ScanColumnarRangeContext that cannot be cancelled.
+func (s *Server) ScanColumnarRange(f predicate.Filter, needCols []int, loGroup, hiGroup int, m *sim.Meter, fn func(blk *ColBlock) bool) {
+	s.ScanColumnarRangeContext(context.Background(), f, needCols, loGroup, hiGroup, m, fn) // resident groups: only ctx can fail
+}
+
+// ScanColumnarRangeContext scans columnar row groups [loGroup, hiGroup) with
+// f pushed down, invoking fn per BlockRows-row block until fn returns false:
+// ScanGroups over the table's copy for a cohort of one, with the cursor open
+// and page I/O charged to the consumer's own meter. needCols lists the
+// columns whose pages the scan reads (nil means all). All costs are charged
+// to m (the server's own meter when nil). Groups whose zone maps prove the
 // filter unsatisfiable are skipped before any charge. Empty ranges are valid
-// and yield no blocks.
-func (s *Server) ScanColumnarRange(f predicate.Filter, needCols []int, loGroup, hiGroup int, lane *sim.Meter, fn func(blk *ColBlock) bool) {
-	if lane == nil {
-		lane = s.meter
+// and yield no blocks. The scan checks ctx once per block and returns
+// ctx.Err() once it is done; the copy is resident, so nothing else fails.
+func (s *Server) ScanColumnarRangeContext(ctx context.Context, f predicate.Filter, needCols []int, loGroup, hiGroup int, m *sim.Meter, fn func(blk *ColBlock) bool) error {
+	if m == nil {
+		m = s.meter
 	}
-	c := &ScanConsumer{Filter: f, Lane: lane, Fn: fn}
-	ScanGroups(s.ColGroups(needCols), []*ScanConsumer{c}, loGroup, hiGroup, lane) // resident groups: no read can fail
+	c := &ScanConsumer{Filter: f, Lane: m, Fn: fn}
+	return ScanGroups(ctx, s.ColGroups(needCols), []*ScanConsumer{c}, loGroup, hiGroup, m)
 }

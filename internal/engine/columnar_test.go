@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -154,14 +155,14 @@ func TestColumnarPagesCheaperThanHeap(t *testing.T) {
 	}
 }
 
-// TestColGroupBoundsShape: a columnar copy's GroupBounds are
-// weightedBounds-shaped and skew toward the matching region. (Whether to ask
-// for them at all — the hints knob — is the middleware's call: mw.splitBounds.)
+// TestColGroupBoundsShape: the Bounder's split of a columnar copy — how a
+// segmented pass divides its groups — is weightedBounds-shaped and skews
+// toward the matching region.
 func TestColGroupBoundsShape(t *testing.T) {
 	srv, _ := clusteredColumnarServer(t, 12*storage.RowGroupSize, 6)
 	f := predicate.Or(predicate.Conj{{Attr: 0, Op: predicate.Eq, Val: 5}})
 	const nparts = 4
-	bounds := GroupBounds(srv.ColGroups(nil), f, nparts, srv.meter.Costs(), 10_000)
+	bounds := new(Bounder).Split(srv.ColGroups(nil), 0, srv.NumColGroups(), f, nparts, srv.meter.Costs(), 10_000)
 	if len(bounds) != nparts+1 {
 		t.Fatalf("bounds = %v, want %d entries", bounds, nparts+1)
 	}
@@ -178,7 +179,7 @@ func TestColGroupBoundsShape(t *testing.T) {
 	// weighing nothing, the first partition must swallow well over its
 	// equal-width share of groups.
 	if bounds[1] <= ng/nparts {
-		t.Fatalf("bounds = %v: first lane got %d groups, equal-width would give %d", bounds, bounds[1], ng/nparts)
+		t.Fatalf("bounds = %v: first segment got %d groups, equal-width would give %d", bounds, bounds[1], ng/nparts)
 	}
 }
 
@@ -342,7 +343,7 @@ func TestGroupTrieRouting(t *testing.T) {
 				}
 				return true
 			}
-			ScanGroups(srv.ColGroups(nil), []*ScanConsumer{cons}, 0, cs.NumGroups(), cons.Lane)
+			ScanGroups(context.Background(), srv.ColGroups(nil), []*ScanConsumer{cons}, 0, cs.NumGroups(), cons.Lane)
 			for gi, got := range scanned {
 				if gf.Compile(cs.Group(gi), ref); got == gf.None() {
 					t.Fatalf("round %d group %d, filter %v: scanned = %v, zone-map verdict none = %v", round, gi, ref, got, gf.None())
@@ -557,7 +558,7 @@ func TestSharedScanConsumersMatchSolo(t *testing.T) {
 			lanes[i] = sim.NewDefaultMeter()
 			cons[i] = consumer(trie, i == 1, lanes[i], &logs[i])
 		}
-		ScanGroups(srv.ColGroups(nil), cons, 0, ng, io)
+		ScanGroups(context.Background(), srv.ColGroups(nil), cons, 0, ng, io)
 		if skipped := lanes[2].Count(sim.CtrColGroupsSkipped); skipped < 2 {
 			t.Fatalf("round %d: the confined consumer skipped %d groups, want the two without attribute 0 = 0", round, skipped)
 		}
@@ -567,7 +568,7 @@ func TestSharedScanConsumersMatchSolo(t *testing.T) {
 		for i, trie := range tries {
 			lane := sim.NewDefaultMeter()
 			var log []block
-			ScanGroups(srv.ColGroups(nil), []*ScanConsumer{consumer(trie, i == 1, lane, &log)}, 0, ng, lane)
+			ScanGroups(context.Background(), srv.ColGroups(nil), []*ScanConsumer{consumer(trie, i == 1, lane, &log)}, 0, ng, lane)
 			if !reflect.DeepEqual(log, logs[i]) {
 				t.Fatalf("round %d consumer %d: the shared scan handed it %d blocks that differ from its solo scan's %d", round, i, len(logs[i]), len(log))
 			}

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"slices"
 
 	"repro/internal/data"
@@ -97,8 +98,8 @@ func countOnly(c *sqlparser.SelectCore, cols colResolver, t *Table) (countPlan, 
 // time the block touches it, then folds the touched cells, in touch order, into
 // a value-keyed group table: groups appear in the order of their first row, as
 // the evaluator path's do. Charges are the evaluator path's — the scan's, and
-// SQLAggRow per selected row.
-func (e *Engine) countCodes(t *Table, conj predicate.Conj, need []int, p countPlan) [][]Val {
+// SQLAggRow per selected row. A cancelled scan returns ctx.Err().
+func (e *Engine) countCodes(ctx context.Context, t *Table, conj predicate.Conj, need []int, p countPlan) ([][]Val, error) {
 	type group struct {
 		key [2]data.Value
 		n   int64
@@ -107,7 +108,7 @@ func (e *Engine) countCodes(t *Table, conj predicate.Conj, need []int, p countPl
 	index := map[[2]data.Value]int{}
 	hist, touched := make([]int32, p.cells), make([]int32, 0, p.cells) // hist is all zero between blocks
 	aggCost := e.meter.Costs().SQLAggRow
-	e.scanColumnar(t, conj, need, func(blk *ColBlock) bool {
+	err := e.scanColumnar(ctx, t, conj, need, func(blk *ColBlock) bool {
 		if len(blk.Sel) == 0 {
 			return true
 		}
@@ -159,10 +160,13 @@ func (e *Engine) countCodes(t *Table, conj predicate.Conj, need []int, p countPl
 		}
 		return true
 	})
+	if err != nil {
+		return nil, err
+	}
 	if len(groups) == 0 && len(p.keys) == 0 {
 		// An aggregate without GROUP BY over no rows still answers one row:
 		// COUNT(*) 0, and the other items 0 too, as on the evaluator path.
-		return [][]Val{make([]Val, len(p.items))}
+		return [][]Val{make([]Val, len(p.items))}, nil
 	}
 	rows, vals := make([][]Val, len(groups)), make([]Val, len(groups)*len(p.items))
 	for gi, g := range groups {
@@ -179,5 +183,5 @@ func (e *Engine) countCodes(t *Table, conj predicate.Conj, need []int, p countPl
 		}
 		rows[gi] = row
 	}
-	return rows
+	return rows, nil
 }

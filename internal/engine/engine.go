@@ -60,10 +60,6 @@ type Engine struct {
 	*catalog
 	meter  *sim.Meter
 	tracer *obs.Tracer
-	// lane marks the view one forked lane of a multi-core SELECT executes
-	// through (execSelect): it mutates nothing lanes share — its heap reads are
-	// payCold and it caches no model.
-	lane bool
 }
 
 // catalog is what every view of one engine shares. A view (Engine.view) holds

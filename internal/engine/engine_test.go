@@ -297,7 +297,7 @@ func TestCreateTableErrors(t *testing.T) {
 // process on both statement entries; nothing is charged and the engine answers
 // the next statement.
 func TestHavingErrors(t *testing.T) {
-	srv, err := NewServer(newEngine(), "cases", lanesTestData())
+	srv, err := NewServer(newEngine(), "cases", tailTestData())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -318,7 +318,7 @@ func TestHavingErrors(t *testing.T) {
 			exec func(string) (*ResultSet, error)
 		}{
 			{"Engine.Exec", e.Exec},
-			{"Server.Exec", func(sql string) (*ResultSet, error) { return srv.Exec(sql, 4) }},
+			{"Server.Exec", srv.Exec},
 		} {
 			name, exec := entry.name, entry.exec
 			before, t0 := e.Meter().CounterVec(), e.Meter().Now()
@@ -482,7 +482,7 @@ func TestScanCursorMatchAllAndCloseEarly(t *testing.T) {
 func TestKeysetCursor(t *testing.T) {
 	srv, ds := newTestServer(t, 400)
 	base := predicate.Or(predicate.Conj{{Attr: 0, Op: predicate.Eq, Val: 2}})
-	ks := srv.OpenKeyset(base, 1)
+	ks := srv.OpenKeyset(base)
 	var wantN int
 	for _, r := range ds.Rows {
 		if base.Eval(r) {
@@ -526,7 +526,7 @@ func TestKeysetCursor(t *testing.T) {
 func TestTIDJoin(t *testing.T) {
 	srv, ds := newTestServer(t, 400)
 	base := predicate.Or(predicate.Conj{{Attr: 2, Op: predicate.Ne, Val: 0}})
-	tt := srv.CopyTIDs(base, 1)
+	tt := srv.CopyTIDs(base)
 	narrow := predicate.Or(predicate.Conj{
 		{Attr: 2, Op: predicate.Ne, Val: 0}, {Attr: 0, Op: predicate.Eq, Val: 1},
 	})
@@ -548,7 +548,7 @@ func TestTIDJoin(t *testing.T) {
 func TestCopySubset(t *testing.T) {
 	srv, ds := newTestServer(t, 300)
 	f := predicate.Or(predicate.Conj{{Attr: 1, Op: predicate.Eq, Val: 0}})
-	sub, err := srv.CopySubset(f, 1)
+	sub, err := srv.CopySubset(f)
 	if err != nil {
 		t.Fatal(err)
 	}

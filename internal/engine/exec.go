@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"strconv"
@@ -92,36 +93,42 @@ func (rs *ResultSet) String() string {
 // imports the engine, not the reverse.
 var ErrNeedsServing = errors.New("needs the serving layer (a served table)")
 
-// Exec parses and executes one SQL statement, charging the per-statement
-// QueryStartup cost. DDL and DML statements return a nil result set.
+// Exec is ExecContext that cannot be cancelled.
 func (e *Engine) Exec(sql string) (*ResultSet, error) {
+	return e.ExecContext(context.Background(), sql)
+}
+
+// ExecContext parses and executes one SQL statement, charging the
+// per-statement QueryStartup cost. DDL and DML statements return a nil result
+// set. A statement's table scans check ctx once per block and return
+// ctx.Err() once it is done.
+func (e *Engine) ExecContext(ctx context.Context, sql string) (*ResultSet, error) {
 	st, err := sqlparser.Parse(sql)
 	if err != nil {
 		return nil, err
 	}
-	return e.ExecStmt(st, sql)
+	return e.execStmt(ctx, st, sql)
 }
 
 // ExecStmt executes an already-parsed statement; sql, its source text,
 // labels the statement's span.
 func (e *Engine) ExecStmt(st sqlparser.Statement, sql string) (*ResultSet, error) {
-	return e.execStmt(st, sql, 1)
+	return e.execStmt(context.Background(), st, sql)
 }
 
 // Exec parses and executes one SQL statement like Engine.Exec, but on the
-// view's own meter and tracer, and with the cores of a multi-core SELECT (the
-// arms of a UNION) run over up to nworkers lanes (execSelect).
-func (s *Server) Exec(sql string, nworkers int) (*ResultSet, error) {
+// view's own meter and tracer.
+func (s *Server) Exec(sql string) (*ResultSet, error) {
 	st, err := sqlparser.Parse(sql)
 	if err != nil {
 		return nil, err
 	}
-	return s.eng.view(s.meter, s.Tracer()).execStmt(st, sql, nworkers)
+	return s.eng.view(s.meter, s.Tracer()).execStmt(context.Background(), st, sql)
 }
 
-func (e *Engine) execStmt(st sqlparser.Statement, sql string, nworkers int) (*ResultSet, error) {
+func (e *Engine) execStmt(ctx context.Context, st sqlparser.Statement, sql string) (*ResultSet, error) {
 	sp := e.tracer.Start(obs.CatSQL, "sql").AttrStr("stmt", obs.Truncate(sql, 120))
-	rs, err := e.dispatch(st, nworkers)
+	rs, err := e.dispatch(ctx, st)
 	if rs != nil {
 		sp.SetRows(int64(len(rs.Rows)))
 	}
@@ -129,14 +136,14 @@ func (e *Engine) execStmt(st sqlparser.Statement, sql string, nworkers int) (*Re
 	return rs, err
 }
 
-func (e *Engine) dispatch(st sqlparser.Statement, nworkers int) (*ResultSet, error) {
+func (e *Engine) dispatch(ctx context.Context, st sqlparser.Statement) (*ResultSet, error) {
 	if _, ok := st.(*sqlparser.BuildTree); ok {
 		return nil, fmt.Errorf("engine: BUILD TREE %w", ErrNeedsServing)
 	}
 	e.meter.Charge(sim.CtrSQLStatements, e.meter.Costs().QueryStartup, 1)
 	switch s := st.(type) {
 	case *sqlparser.Select:
-		return e.execSelect(s, nworkers)
+		return e.execSelect(ctx, s)
 	case *sqlparser.CreateTable:
 		cols := make([]string, len(s.Cols))
 		for i, c := range s.Cols {
@@ -154,7 +161,7 @@ func (e *Engine) dispatch(st sqlparser.Statement, nworkers int) (*ResultSet, err
 	return nil, fmt.Errorf("engine: unsupported statement %T", st)
 }
 
-// execScore runs SCORE TABLE t USING model [WORKERS n] through the
+// execScore runs SCORE TABLE t USING model through the
 // vectorized scoring operator and materializes its rows, charging result
 // transmission like any SELECT.
 func (e *Engine) execScore(s *sqlparser.ScoreTable) (*ResultSet, error) {
@@ -166,7 +173,7 @@ func (e *Engine) execScore(s *sqlparser.ScoreTable) (*ResultSet, error) {
 	if err != nil {
 		return nil, err
 	}
-	res, err := e.ScoreTable(t, m, s.Workers)
+	res, err := e.ScoreTable(t, m)
 	if err != nil {
 		return nil, err
 	}
@@ -453,25 +460,11 @@ func b2i(b bool) int64 {
 
 // execSelect executes a full Select: each core independently (its own scan —
 // the engine does not share scans across UNION arms), their rows concatenated
-// in core order (UNION ALL), then LIMIT. With nworkers > 1 the cores of a
-// multi-core statement run on lanes first (coresOnLanes) and are combined here
-// in core order, so only the clock tells the lane count; a single core, or one
-// worker, executes on the caller's goroutine and meter.
-func (e *Engine) execSelect(s *sqlparser.Select, nworkers int) (*ResultSet, error) {
-	var sets []*ResultSet
-	var errs []error
-	if n := min(nworkers, len(s.Cores)); n > 1 {
-		sets, errs = e.coresOnLanes(s.Cores, n)
-	}
+// in core order (UNION ALL), then LIMIT.
+func (e *Engine) execSelect(ctx context.Context, s *sqlparser.Select) (*ResultSet, error) {
 	var out *ResultSet
 	for i := range s.Cores {
-		var rs *ResultSet
-		var err error
-		if sets != nil {
-			rs, err = sets[i], errs[i]
-		} else {
-			rs, err = e.execCore(&s.Cores[i])
-		}
+		rs, err := e.execCore(ctx, &s.Cores[i])
 		if err != nil {
 			return nil, err
 		}
@@ -492,28 +485,6 @@ func (e *Engine) execSelect(s *sqlparser.Select, nworkers int) (*ResultSet, erro
 	return out, nil
 }
 
-// coresOnLanes executes the cores over n > 1 forked lanes, core i on lane
-// i mod n — the server's intra-query parallelism: the statement's startup and
-// the transmission of its result stay once, on the parent. Each lane runs its
-// cores through a lane view of the engine (Engine.lane) on its private meter
-// and tracer, so its charges are a pure function of the cores it was dealt.
-func (e *Engine) coresOnLanes(cores []sqlparser.SelectCore, n int) ([]*ResultSet, []error) {
-	sets, errs := make([]*ResultSet, len(cores)), make([]error, len(cores))
-	obs.RunLanes(e.meter, e.tracer, n, func(part int, lane *sim.Meter, ltr *obs.Tracer) {
-		lsp := ltr.Start(obs.CatLane, "lane").SetPartition(part, n)
-		le := e.view(lane, ltr)
-		le.lane = true
-		var rows int64
-		for i := part; i < len(cores); i += n {
-			if sets[i], errs[i] = le.execCore(&cores[i]); errs[i] == nil {
-				rows += int64(len(sets[i].Rows))
-			}
-		}
-		lsp.SetRows(rows).End()
-	})
-	return sets, errs
-}
-
 // appendKey appends v's hash-key encoding to key: a type tag, the value and a
 // terminator, so the encodings of a value list concatenate unambiguously.
 // Grouping keys its map with it, reusing one buffer per scan and looking up
@@ -530,7 +501,7 @@ func appendKey(key []byte, v Val) []byte {
 // execCore executes one SELECT ... FROM ... WHERE ... GROUP BY block: its
 // table's rows are read with WHERE's equality conjuncts pushed down
 // (access.go), and what is left of WHERE filters them.
-func (e *Engine) execCore(c *sqlparser.SelectCore) (*ResultSet, error) {
+func (e *Engine) execCore(ctx context.Context, c *sqlparser.SelectCore) (*ResultSet, error) {
 	tbl, err := e.Table(c.Table)
 	if err != nil {
 		return nil, err
@@ -599,7 +570,11 @@ func (e *Engine) execCore(c *sqlparser.SelectCore) (*ResultSet, error) {
 	// resolved every column the statement reads.
 	if residual == nil {
 		if p, ok := countOnly(c, t, tbl); ok {
-			return &ResultSet{Cols: cols, Rows: e.countCodes(tbl, conj, t.list(), p)}, nil
+			rows, err := e.countCodes(ctx, tbl, conj, t.list(), p)
+			if err != nil {
+				return nil, err
+			}
+			return &ResultSet{Cols: cols, Rows: rows}, nil
 		}
 	}
 
@@ -618,7 +593,7 @@ func (e *Engine) execCore(c *sqlparser.SelectCore) (*ResultSet, error) {
 				return fn(row)
 			}
 		}
-		return e.scanRows(tbl, conj, t.list(), filtered)
+		return e.scanRows(ctx, tbl, conj, t.list(), filtered)
 	}
 
 	if !grouped {

@@ -288,13 +288,13 @@ func (e *Engine) RegisterModel(m *Model) error {
 // Model resolves a registered model by name. A model whose in-memory entry
 // is gone (a fresh registry over surviving tables) is reconstructed from its
 // catalog table — that round trip is what "models survive as data" means —
-// and re-cached (not by a lane view, which writes nothing lanes share).
+// and re-cached.
 func (e *Engine) Model(name string) (*Model, error) {
 	if m, ok := e.models[name]; ok {
 		return m, nil
 	}
 	m, err := e.ModelFromCatalog(name)
-	if err == nil && !e.lane {
+	if err == nil {
 		e.models[name] = m
 	}
 	return m, err

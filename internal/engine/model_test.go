@@ -131,7 +131,7 @@ func treeWalk(m *Model, row data.Row) (int32, int64) {
 // CREATE TABLE, INSERT and the model load. A catalog either fails to load or
 // every scorer decides each row of catalogCases as treeWalk does: the
 // row-space descent of the model's path trie, CLASSIFY() over the table, and
-// SCORE TABLE at Workers 1 and 4 — the same class and decision node per row,
+// SCORE TABLE — the same class and decision node per row,
 // and the same model_node_probes, the decision nodes' depths + 1.
 func FuzzModelCatalog(f *testing.F) {
 	f.Add(dupArmCatalog)
@@ -190,16 +190,14 @@ func FuzzModelCatalog(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, workers := range []int{1, 4} {
-			var res *ScoreResult
-			if got := probes(func() { res, err = e.ScoreTable(tbl, m, workers) }); err != nil || got != wantProbes {
-				t.Fatalf("SCORE TABLE at Workers %d: %v, %d probes, want %d", workers, err, got, wantProbes)
-			}
-			for i, n := range res.Nodes {
-				if n != want[i] || res.Classes[i] != m.Nodes[n].Class {
-					t.Fatalf("SCORE TABLE at Workers %d, row %d %v: class %d at node %d, want node %d",
-						workers, i, ds.Rows[i], res.Classes[i], n, want[i])
-				}
+		var res *ScoreResult
+		if got := probes(func() { res, err = e.ScoreTable(tbl, m) }); err != nil || got != wantProbes {
+			t.Fatalf("SCORE TABLE: %v, %d probes, want %d", err, got, wantProbes)
+		}
+		for i, n := range res.Nodes {
+			if n != want[i] || res.Classes[i] != m.Nodes[n].Class {
+				t.Fatalf("SCORE TABLE, row %d %v: class %d at node %d, want node %d",
+					i, ds.Rows[i], res.Classes[i], n, want[i])
 			}
 		}
 	})

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -36,7 +37,7 @@ func scanPart(s *Server, src GroupSource, f predicate.Filter, p, np int, lane *s
 	}
 	var out []data.Row
 	lo, hi := RangeOf(p, np, src.NumGroups(), nil)
-	ScanGroups(src, []*ScanConsumer{{Filter: f, Lane: lane, Fn: func(blk *ColBlock) bool {
+	ScanGroups(context.Background(), src, []*ScanConsumer{{Filter: f, Lane: lane, Fn: func(blk *ColBlock) bool {
 		for _, i := range blk.Sel {
 			out = append(out, groupRow(blk.Group, i))
 		}
@@ -144,10 +145,10 @@ func TestPartitionOverSubscription(t *testing.T) {
 			want int
 		}{
 			{"server-scan", srv.ColGroups(nil), n},
-			{"keyset", srv.OpenKeyset(all, 1), n},
-			{"keyset-empty", srv.OpenKeyset(none, 1), 0},
-			{"tid-join", srv.CopyTIDs(all, 1), n},
-			{"tid-join-empty", srv.CopyTIDs(none, 1), 0},
+			{"keyset", srv.OpenKeyset(all), n},
+			{"keyset-empty", srv.OpenKeyset(none), 0},
+			{"tid-join", srv.CopyTIDs(all), n},
+			{"tid-join-empty", srv.CopyTIDs(none), 0},
 		}
 		for _, src := range sources {
 			units := src.src.NumGroups()

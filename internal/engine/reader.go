@@ -8,62 +8,35 @@ import (
 	"repro/internal/storage"
 )
 
-// payMode says who pays when a heapReader visits a heap page. The opener
-// picks it from what it can observe about the stream, never from an option.
-type payMode uint8
-
-const (
-	// payPooled is the server's only stream (a statement, a whole-table
-	// cursor): it consults the shared LRU buffer pool and pays ServerPageIO for
-	// a miss.
-	payPooled payMode = iota
-	// payCold is one of several forked lanes (the arms of a UNION run on lanes,
-	// execSelect): it pays ServerPageIO for every page and leaves the pool
-	// untouched. Concurrent lanes would interleave nondeterministically in the
-	// pool's LRU state, so consulting it would make page accounting depend on
-	// goroutine scheduling; reading cold keeps every lane's charges a pure
-	// function of its partition — bit-for-bit reproducible across GOMAXPROCS —
-	// matches the physical reality that n concurrent scan streams defeat a
-	// small shared cache, and leaves the pool's contents as they were for later
-	// pooled streams. The columnar scan (ScanRange) follows the same rule per
-	// row group.
-	payCold
-)
-
 // heapReader is the one place a heap page is walked and paid for: a table,
-// the meter of the stream reading it, and who pays for the page. Two readers
+// the meter of the stream reading it, and the shared LRU buffer pool it
+// consults, paying ServerPageIO for a miss. Two readers
 // walk rows as heap records: the model catalog (ModelFromCatalog) and the
 // whole-table cursor (Server.OpenScan, §2.3's extract-everything baseline).
 // Both go through walk, so page charges always land on the reading stream's
-// own meter (a View's, a lane's), never on the pool's owner. The records are
+// own meter (a View's), never on the pool's owner. The records are
 // the table's columnar copy read through the heap's page arithmetic.
 type heapReader struct {
 	t     *Table
-	pool  *storage.BufferPool // consulted by payPooled only
+	pool  *storage.BufferPool
 	meter *sim.Meter
-	mode  payMode
 }
 
-// reader returns the view's reader over t, charging the view's meter: pooled
-// for the catalog reads of SQL statements, which run one at a time; cold for
-// a lane view.
+// reader returns the view's reader over t, charging the view's meter: the
+// catalog reads of SQL statements, which run one at a time.
 func (e *Engine) reader(t *Table) heapReader {
-	r := heapReader{t: t, pool: e.bp, meter: e.meter, mode: payPooled}
-	if e.lane {
-		r.mode = payCold
-	}
-	return r
+	return heapReader{t: t, pool: e.bp, meter: e.meter}
 }
 
 // reader returns the pooled reader of the server's own stream of the data
 // table — a whole-table cursor — charging the server's meter (a View's own).
 func (s *Server) reader() heapReader {
-	return heapReader{t: s.table, pool: s.eng.bp, meter: s.meter, mode: payPooled}
+	return heapReader{t: s.table, pool: s.eng.bp, meter: s.meter}
 }
 
 // page pays for heap page p and returns the rows it holds, [lo, hi).
 func (r heapReader) page(p storage.PageID) (lo, hi int64) {
-	if r.mode == payCold || r.pool.Touch(r.t.heap, p) {
+	if r.pool.Touch(r.t.heap, p) {
 		r.meter.Charge(sim.CtrServerPages, r.meter.Costs().ServerPageIO, 1)
 	}
 	return r.t.heap.PageRows(p)

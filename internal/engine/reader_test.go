@@ -8,9 +8,9 @@ import (
 	"repro/internal/sim"
 )
 
-// TestHeapReaderCharges pins the one seam where a heap page is paid for: the
-// two paying modes read identical rows and differ only in what they charge,
-// and whom.
+// TestHeapReaderCharges pins the one seam where a heap page is paid for: a
+// reader through a View charges each pool miss to the view's meter, and
+// reads the same rows whether the pool holds the table or floods.
 func TestHeapReaderCharges(t *testing.T) {
 	f := auxTestFilter()
 	var want []data.Row
@@ -25,9 +25,6 @@ func TestHeapReaderCharges(t *testing.T) {
 		// Pooled through a View: the miss is charged to the view's meter.
 		{"pooled/fits", 0, func(s *Server, m *sim.Meter) heapReader { return s.View(m, nil).reader() }, true, false, true},
 		{"pooled/floods", 2, func(s *Server, m *sim.Meter) heapReader { return s.View(m, nil).reader() }, true, true, true},
-		{"cold", 0, func(s *Server, m *sim.Meter) heapReader {
-			return heapReader{t: s.table, meter: m, mode: payCold}
-		}, true, true, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			_, ds := partitionTestServer(t, 4000)

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"math/rand"
 	"sort"
 	"testing"
@@ -93,7 +94,7 @@ func TestSeededScanMatchesRowOracle(t *testing.T) {
 					cons.Paths = trie
 				}
 				for p := 0; p+1 < len(bounds); p++ {
-					if err := ScanGroups(rs, []*ScanConsumer{cons}, bounds[p], bounds[p+1], lane); err != nil {
+					if err := ScanGroups(context.Background(), rs, []*ScanConsumer{cons}, bounds[p], bounds[p+1], lane); err != nil {
 						t.Fatal(err)
 					}
 				}

@@ -20,8 +20,7 @@ import (
 // multiway node none of whose arms holds. The inner loop compares uint16
 // codes — no value materialization, no dictionary lookups. The block stream
 // comes from the same machinery as the counting kernel — ScanColumnarRange
-// for a solo partitioned scan, ScanGroups when a fleet shares one physical
-// scan — so scoring pays the identical page/eval/transmit shape as building,
+// for a solo scan, ScanGroups when a fleet shares one physical scan — so scoring pays the identical page/eval/transmit shape as building,
 // plus the score-specific charges: ScoreRowEval per row, and ModelNodeProbe
 // per node on the path to the decision node (its depth + 1).
 
@@ -32,10 +31,10 @@ import (
 // are read.
 //
 // The result is allocated once, at the table's row count, when the pass opens
-// (Server.OpenScore), and is readable while it fills: the scan's lanes write
-// disjoint heap-order ranges of Classes and Nodes and publish their progress
-// once per block, and Wait hands a reader the watermark — rows [0, n) are
-// final — until the pass ends, finished or failed (Finish). Writers append,
+// (Server.OpenScore), and is readable while it fills: the scan writes Classes
+// and Nodes in heap order and publishes its progress once per block, and Wait
+// hands a reader the watermark — rows [0, n) are final — until the pass ends,
+// finished or failed (Finish). Writers append,
 // signal and yield to a reader they woke; they never wait for one.
 // Engine.ScoreTable and Server.ScoreColumnar return the result already
 // finished.
@@ -46,16 +45,12 @@ type ScoreResult struct {
 	Nodes   []int32      // decision node per row (index into Model.Nodes)
 
 	mu      sync.Mutex
-	moved   sync.Cond   // the watermark moved or the pass ended; L is &mu
-	waiting int         // readers parked in Wait
-	lanes   []scoreLane // the ranges the scan's lanes fill, in partition order
+	moved   sync.Cond // the watermark moved or the pass ended; L is &mu
+	waiting int       // readers parked in Wait
+	next    int       // the watermark: rows below it are final
 	done    bool
 	err     error
 }
-
-// scoreLane is one lane's range of a result, filled in ascending order: the
-// rows below next are final, the lane is full at hi.
-type scoreLane struct{ next, hi int }
 
 func newScoreResult(m *Model, rows int) *ScoreResult {
 	r := &ScoreResult{
@@ -68,48 +63,21 @@ func newScoreResult(m *Model, rows int) *ScoreResult {
 	return r
 }
 
-// split declares the lanes about to fill r: lane p writes rows
-// [starts[p], starts[p+1]).
-func (r *ScoreResult) split(starts []int) {
-	lanes := make([]scoreLane, len(starts)-1)
-	for p := range lanes {
-		lanes[p] = scoreLane{next: starts[p], hi: starts[p+1]}
-	}
-	r.mu.Lock()
-	r.lanes = lanes
-	r.mu.Unlock()
-}
-
-// publish records that lane part's rows below next are final and, when that
-// moved the watermark under a waiting reader, wakes it and yields to it.
+// publish records that the rows below next are final and, when that moved
+// the watermark under a waiting reader, wakes it and yields to it.
 // Broadcast alone leaves the reader in this P's run-next slot until the scan
 // blocks or an idle P steals it — 0.5 to 4 ms of a 6 ms scan on the benchmark
 // host. The yield is a scheduling point, not a wait: the reader frames what is
 // new and parks again, or parks at once on a full socket, and the scan goes on.
-func (r *ScoreResult) publish(part, next int) {
+func (r *ScoreResult) publish(next int) {
 	r.mu.Lock()
-	before := r.watermark()
-	r.lanes[part].next = next
-	wake := r.waiting > 0 && r.watermark() > before
+	wake := r.waiting > 0 && next > r.next
+	r.next = next
 	r.mu.Unlock()
 	if wake {
 		r.moved.Broadcast()
 		runtime.Gosched()
 	}
-}
-
-// watermark is the length of the final prefix: every lane before the first
-// unfinished one is full, and that one is final up to its next row. Callers
-// hold mu.
-func (r *ScoreResult) watermark() int {
-	n := 0
-	for _, l := range r.lanes {
-		n = l.next
-		if l.next < l.hi {
-			break
-		}
-	}
-	return n
 }
 
 // Wait blocks until more than have rows are final or the pass has ended, and
@@ -120,7 +88,7 @@ func (r *ScoreResult) Wait(have int) (n int, done bool, err error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	for {
-		if n = r.watermark(); n > have || r.done {
+		if n = r.next; n > have || r.done {
 			return n, r.done, r.err
 		}
 		r.waiting++
@@ -179,10 +147,10 @@ func (r *ScoreResult) ResultSet(m *Model) *ResultSet {
 	return rs
 }
 
-// ScoreConsumer scores every row of a columnar block stream into one lane's
-// range of a ScoreResult: the per-block body of the scoring operator, driven
-// either by one lane of a partitioned ScanColumnarRange (Server.ScoreInto) or
-// by ScanGroups as a fleet session's attachment to a shared physical scan —
+// ScoreConsumer scores every row of a columnar block stream into a
+// ScoreResult, in heap order: the per-block body of the scoring operator,
+// driven either by a solo ScanColumnarRange (Server.ScoreInto) or by
+// ScanGroups as a fleet session's attachment to a shared physical scan —
 // the same kernel either way, so shared and solo scoring produce identical
 // predictions.
 type ScoreConsumer struct {
@@ -191,20 +159,14 @@ type ScoreConsumer struct {
 	costs sim.Costs
 	gt    GroupTrie // the model's path trie, compiled against the current group
 	res   *ScoreResult
-	part  int // the lane of res this consumer fills
 	next  int // the row of res the next scored row lands in
 }
 
-// Consumer declares r filled by a single lane — a fleet session's attachment
-// to a shared scan of the whole table — and returns that lane's consumer,
+// Consumer returns the consumer that fills r from a scan of the whole table —
+// the server's own, or a fleet session's attachment to a shared one —
 // charging all scoring costs to lane.
 func (r *ScoreResult) Consumer(m *Model, lane *sim.Meter) *ScoreConsumer {
-	r.split([]int{0, len(r.Classes)})
-	return r.consumer(m, 0, lane)
-}
-
-func (r *ScoreResult) consumer(m *Model, part int, lane *sim.Meter) *ScoreConsumer {
-	return &ScoreConsumer{model: m, lane: lane, costs: lane.Costs(), res: r, part: part, next: r.lanes[part].next}
+	return &ScoreConsumer{model: m, lane: lane, costs: lane.Costs(), res: r}
 }
 
 // NeedCols returns the columns the scoring scan must read: the model's split
@@ -228,7 +190,7 @@ func (c *ScoreConsumer) Consume(blk *ColBlock) bool {
 		nodes[k] = n
 	}
 	c.next = end
-	c.res.publish(c.part, end)
+	c.res.publish(end)
 	c.lane.Charge(sim.CtrScoreBlocks, 0, 1)
 	c.lane.Charge(sim.CtrScoreRows, c.costs.ScoreRowEval, int64(len(blk.Sel)))
 	c.lane.Charge(sim.CtrModelProbes, c.costs.ModelNodeProbe, probes)
@@ -255,58 +217,34 @@ func openScore(t *Table, m *Model) (*ScoreResult, error) {
 }
 
 // scoreColumnar is the shared driver behind Engine.ScoreTable and
-// Server.ScoreInto: a partitioned columnar scan of t fanned over up to
-// workers lanes of disjoint row-group ranges, each walking the compiled model
-// per block and writing its own heap-order range of res — sized from its row
-// groups' row counts — so the output is byte-identical at any worker count.
-// Finishing res is the caller's.
-func scoreColumnar(res *ScoreResult, t *Table, m *Model, meter *sim.Meter, tracer *obs.Tracer, workers int) {
-	ng := t.colstore.NumGroups()
-	if workers > ng {
-		workers = ng
-	}
-	if workers < 1 {
-		workers = 1 // also the empty table: one lane, zero groups
-	}
-	starts := make([]int, workers+1)
-	for part := 0; part < workers; part++ {
-		lo, hi := RangeOf(part, workers, ng, nil)
-		starts[part+1] = starts[part]
-		for gi := lo; gi < hi; gi++ {
-			starts[part+1] += t.colstore.Group(gi).NumRows()
-		}
-	}
-	res.split(starts)
+// Server.ScoreInto: one columnar scan of t, walking the compiled model per
+// block and writing res in heap order. Finishing res is the caller's.
+func scoreColumnar(res *ScoreResult, t *Table, m *Model, meter *sim.Meter, tracer *obs.Tracer) {
 	srv := &Server{meter: meter, tracer: tracer, table: t}
-	needCols := m.Attrs()
 	sp := tracer.Start(obs.CatScore, "score").
 		AttrStr("model", m.Name).
 		Attr("model_nodes", int64(len(m.Nodes))).
-		Attr("workers", int64(workers))
-
-	obs.RunLanes(meter, tracer, workers, func(part int, lane *sim.Meter, ltr *obs.Tracer) {
-		lsp := ltr.Start(obs.CatLane, "lane").SetPartition(part, workers)
-		lo, hi := RangeOf(part, workers, ng, nil)
-		sc := res.consumer(m, part, lane)
-		srv.ScanColumnarRange(predicate.MatchAll(), needCols, lo, hi, lane, sc.Consume)
-		lsp.SetRows(int64(sc.next - starts[part])).End()
-	})
+		Attr("workers", 1)
+	lsp := tracer.Start(obs.CatLane, "lane").SetPartition(0, 1)
+	sc := res.Consumer(m, meter)
+	srv.ScanColumnarRange(predicate.MatchAll(), sc.NeedCols(), 0, t.colstore.NumGroups(), meter, sc.Consume)
+	lsp.SetRows(int64(sc.next)).End()
 	sp.SetRows(res.Rows).End()
 }
 
 // ScoreTable scores every row of t with m inside the engine, charging the
 // engine's meter: the SCORE TABLE execution path. The result is finished.
-func (e *Engine) ScoreTable(t *Table, m *Model, workers int) (*ScoreResult, error) {
-	return scoreWhole(t, m, e.meter, e.tracer, workers)
+func (e *Engine) ScoreTable(t *Table, m *Model) (*ScoreResult, error) {
+	return scoreWhole(t, m, e.meter, e.tracer)
 }
 
 // scoreWhole opens, fills and finishes a pass in one call.
-func scoreWhole(t *Table, m *Model, meter *sim.Meter, tracer *obs.Tracer, workers int) (*ScoreResult, error) {
+func scoreWhole(t *Table, m *Model, meter *sim.Meter, tracer *obs.Tracer) (*ScoreResult, error) {
 	res, err := openScore(t, m)
 	if err != nil {
 		return nil, err
 	}
-	scoreColumnar(res, t, m, meter, tracer, workers)
+	scoreColumnar(res, t, m, meter, tracer)
 	res.Finish(nil)
 	return res, nil
 }
@@ -319,16 +257,19 @@ func (s *Server) OpenScore(m *Model) (*ScoreResult, error) {
 	return openScore(s.table, m)
 }
 
-// ScoreInto fills res, opened on this server for m, by the server's own
-// partitioned scan, charging the server view's meter and tracer — the form a
-// fleet scoring session takes when no shared scan is available. It leaves res
-// unfinished: the session's owner ends it.
-func (s *Server) ScoreInto(res *ScoreResult, m *Model, workers int) {
-	scoreColumnar(res, s.table, m, s.meter, s.Tracer(), workers)
+// ScoreInto fills res, opened on this server for m, by the server's own scan,
+// charging the server view's meter and tracer — the form a fleet scoring
+// session takes when no shared scan is available. It leaves res unfinished:
+// the session's owner ends it.
+func (s *Server) ScoreInto(res *ScoreResult, m *Model) {
+	scoreColumnar(res, s.table, m, s.meter, s.Tracer())
 }
 
 // ScoreColumnar scores every row of the server's table with m on the server
 // view's meter and tracer and returns the finished result.
+//
+// Deprecated: workers is ignored; every scan is one pass. It stays until the
+// benchmark stops passing it (ROADMAP item 1).
 func (s *Server) ScoreColumnar(m *Model, workers int) (*ScoreResult, error) {
-	return scoreWhole(s.table, m, s.meter, s.Tracer(), workers)
+	return scoreWhole(s.table, m, s.meter, s.Tracer())
 }

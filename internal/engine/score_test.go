@@ -12,8 +12,8 @@ import (
 	"repro/internal/sim"
 )
 
-// scoreTestServer is a 4.4-group table over stumpModel's two columns, so a
-// scoring scan splits into up to five lanes.
+// scoreTestServer is a 4.4-group table over stumpModel's two columns: a
+// scoring scan publishes its watermark 18 times.
 func scoreTestServer(t *testing.T) *Server {
 	t.Helper()
 	rng := rand.New(rand.NewSource(7))
@@ -51,10 +51,9 @@ func follow(res, want *ScoreResult) (int, error) {
 	}
 }
 
-// TestScoreResultWatermark hammers a ScoreResult from the scan's lanes and two
-// readers at once (run it under -race -count=10): what Wait calls final never
-// changes, the watermark only grows, and it is a heap-order prefix whatever
-// order the lanes publish in.
+// TestScoreResultWatermark hammers a ScoreResult from the scan and two readers
+// at once (run it under -race -count=10): what Wait calls final never
+// changes, and the watermark only grows.
 func TestScoreResultWatermark(t *testing.T) {
 	srv := scoreTestServer(t)
 	m := stumpModel("m", 2)
@@ -66,28 +65,26 @@ func TestScoreResultWatermark(t *testing.T) {
 		t.Fatalf("ScoreColumnar returned a result at (%d, %v, %v), want finished at 18000", n, done, err)
 	}
 
-	for _, workers := range []int{1, 2, 4, 8} {
-		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			res, err := srv.OpenScore(m)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var wg sync.WaitGroup
-			for r := 0; r < 2; r++ {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					if n, err := follow(res, want); err != nil || n != 18000 {
-						t.Errorf("reader ended at row %d: %v", n, err)
-					}
-				}()
-			}
-			view := srv.View(sim.NewMeter(srv.Meter().Costs()), nil)
-			view.ScoreInto(res, m, workers)
-			res.Finish(nil)
-			wg.Wait()
-		})
-	}
+	t.Run("finished", func(t *testing.T) {
+		res, err := srv.OpenScore(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var wg sync.WaitGroup
+		for r := 0; r < 2; r++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if n, err := follow(res, want); err != nil || n != 18000 {
+					t.Errorf("reader ended at row %d: %v", n, err)
+				}
+			}()
+		}
+		view := srv.View(sim.NewMeter(srv.Meter().Costs()), nil)
+		view.ScoreInto(res, m)
+		res.Finish(nil)
+		wg.Wait()
+	})
 
 	t.Run("failed", func(t *testing.T) {
 		res, err := srv.OpenScore(m)
@@ -118,38 +115,34 @@ func TestScoreResultWatermark(t *testing.T) {
 
 	t.Run("prefix", func(t *testing.T) {
 		res := newScoreResult(m, 30)
-		res.split([]int{0, 10, 30})
 		at := func() int { n, _, _ := res.Wait(-1); return n }
-		res.publish(1, 30)
 		if n := at(); n != 0 {
-			t.Errorf("lane 1 full, lane 0 empty: watermark %d, want 0", n)
+			t.Errorf("nothing published: watermark %d, want 0", n)
 		}
-		res.publish(0, 5)
+		res.publish(5)
 		if n := at(); n != 5 {
-			t.Errorf("lane 0 half full: watermark %d, want 5", n)
+			t.Errorf("five rows published: watermark %d, want 5", n)
 		}
-		res.publish(0, 10)
+		res.publish(30)
 		if n := at(); n != 30 {
-			t.Errorf("both lanes full: watermark %d, want 30", n)
+			t.Errorf("every row published: watermark %d, want 30", n)
 		}
 	})
 }
 
 // TestScoreResultAllocatedOnce pins that a scoring pass allocates its
-// predictions once, at the table's row count, whatever the lane count: the
-// lanes write into the result, nothing grows and nothing is concatenated.
+// predictions once, at the table's row count: the scan writes into the
+// result, nothing grows and nothing is concatenated.
 func TestScoreResultAllocatedOnce(t *testing.T) {
 	srv := scoreTestServer(t)
 	m := stumpModel("m", 2)
-	for _, workers := range []int{1, 4} {
-		res, err := srv.OpenScore(m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		classes, nodes := &res.Classes[0], &res.Nodes[0]
-		srv.ScoreInto(res, m, workers)
-		if &res.Classes[0] != classes || &res.Nodes[0] != nodes || len(res.Classes) != 18000 || cap(res.Classes) != 18000 {
-			t.Errorf("workers=%d: the scan replaced or regrew the opened result's slices", workers)
-		}
+	res, err := srv.OpenScore(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	classes, nodes := &res.Classes[0], &res.Nodes[0]
+	srv.ScoreInto(res, m)
+	if &res.Classes[0] != classes || &res.Nodes[0] != nodes || len(res.Classes) != 18000 || cap(res.Classes) != 18000 {
+		t.Error("the scan replaced or regrew the opened result's slices")
 	}
 }

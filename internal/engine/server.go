@@ -12,12 +12,11 @@ import (
 // keeps the data.Schema alongside the engine table so that predicates
 // expressed over attribute indices can be pushed down.
 type Server struct {
-	eng     *Engine
-	meter   *sim.Meter
-	tracer  *obs.Tracer // per-view override; nil inherits the engine tracer
-	schema  *data.Schema
-	table   *Table
-	noHints bool // disable statistics-guided splits (ablation)
+	eng    *Engine
+	meter  *sim.Meter
+	tracer *obs.Tracer // per-view override; nil inherits the engine tracer
+	schema *data.Schema
+	table  *Table
 }
 
 // NewServer creates a server around an engine and loads the dataset into a
@@ -40,12 +39,6 @@ func NewServer(eng *Engine, name string, ds *data.Dataset) (*Server, error) {
 // Engine returns the underlying SQL engine (for SQL-based baselines).
 func (s *Server) Engine() *Engine { return s.eng }
 
-// SetSplitHints toggles the engine's own use of row-group statistics: the
-// weighted lane split of the aux builders' qualifying scan. Hints are enabled
-// by default; disabling them restores equal-width splits, the ablation arm of
-// the skew experiment. Derived servers (CopySubset) inherit the setting.
-func (s *Server) SetSplitHints(on bool) { s.noHints = !on }
-
 // Meter returns the server's meter.
 func (s *Server) Meter() *sim.Meter { return s.meter }
 
@@ -63,13 +56,12 @@ func (s *Server) Tracer() *obs.Tracer {
 // but every cursor cost is charged to the given meter and every span opened
 // on the given tracer. Views are how the multi-tenant scheduler gives each
 // concurrent build its own virtual clock and trace over one shared engine;
-// a nil tracer inherits the engine's. The view copies the split-hint flag,
-// so SetSplitHints on a view never leaks to other sessions.
+// a nil tracer inherits the engine's.
 func (s *Server) View(meter *sim.Meter, tracer *obs.Tracer) *Server {
 	if meter == nil {
 		meter = s.meter
 	}
-	return &Server{eng: s.eng, meter: meter, tracer: tracer, schema: s.schema, table: s.table, noHints: s.noHints}
+	return &Server{eng: s.eng, meter: meter, tracer: tracer, schema: s.schema, table: s.table}
 }
 
 // Schema returns the classification schema of the data table.

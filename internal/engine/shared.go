@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"fmt"
 	"sort"
 
@@ -109,12 +110,12 @@ func (c *ScanConsumer) walk(base, n int, seed []int32) {
 // GroupSource is an ordered run of row groups the block loop can scan: a
 // table's columnar copy — all of it, or the rows a keyset or TID table captured
 // (RowSet) — or a middleware stage, in memory or in a file, made of the same kind
-// of groups. A source with per-scan state (an open file) is made per lane.
+// of groups. A source with per-scan state (an open file) is made per segment.
 type GroupSource interface {
 	NumGroups() int
 	// Zone returns group gi as far as planning needs it — row count,
 	// dictionaries, per-code counts; the code vectors may be absent: filters
-	// compile against it, a zone-map skip rests on it, a lane split weighs it.
+	// compile against it, a zone-map skip rests on it, a segment split weighs it.
 	Zone(gi int) *storage.ColGroup
 	// Read returns group gi with its code vectors; the loop charges ChargeRead.
 	Read(gi int) (*storage.ColGroup, error)
@@ -160,13 +161,13 @@ func (t tableGroups) ChargeRead(gi int, m *sim.Meter) {
 func (t tableGroups) AtServer() (RowPrices, bool) { return t.prices, true }
 
 // ScanGroups is a cursor scan of row groups [loGroup, hiGroup) of src: one
-// physical pass fanned out to every attached consumer — a middleware lane's one,
-// or a fleet cohort's many. What the consumers share goes to io: the cursor
+// physical pass fanned out to every attached consumer — a middleware scan's
+// one, or a fleet cohort's many. What the consumers share goes to io: the cursor
 // open (OpenCursor), and each group's ReadCharge once (hand a server source the
 // union of the columns they touch).
-func ScanGroups(src GroupSource, cons []*ScanConsumer, loGroup, hiGroup int, io *sim.Meter) error {
+func ScanGroups(ctx context.Context, src GroupSource, cons []*ScanConsumer, loGroup, hiGroup int, io *sim.Meter) error {
 	OpenCursor(src, io)
-	return ScanRange(src, cons, loGroup, hiGroup, io)
+	return ScanRange(ctx, src, cons, loGroup, hiGroup, io)
 }
 
 // OpenCursor charges io for opening a cursor over src: one CursorOpen at the
@@ -192,9 +193,11 @@ func OpenCursor(src GroupSource, io *sim.Meter) {
 // together; of a pre-selected source (GroupSource.Sel) only the rows it
 // holds are walked and paid for, and a block or group holding none is passed
 // over. Consumers are fed in slice order, so the interleaving is deterministic;
-// the scan ends early once every consumer has detached, and with the source's
-// error when a group cannot be read.
-func ScanRange(src GroupSource, cons []*ScanConsumer, loGroup, hiGroup int, io *sim.Meter) error {
+// the scan ends early once every consumer has detached, with the source's
+// error when a group cannot be read, and with ctx.Err() when ctx is done —
+// checked before every block, so a cancelled scan stops within one block and
+// a scan that is never cancelled charges exactly what it would without ctx.
+func ScanRange(ctx context.Context, src GroupSource, cons []*ScanConsumer, loGroup, hiGroup int, io *sim.Meter) error {
 	if ng := src.NumGroups(); loGroup < 0 || hiGroup < loGroup || hiGroup > ng {
 		panic(fmt.Sprintf("engine: invalid columnar range [%d, %d) of %d groups", loGroup, hiGroup, ng))
 	}
@@ -262,6 +265,9 @@ func ScanRange(src GroupSource, cons []*ScanConsumer, loGroup, hiGroup int, io *
 		}
 		nrows := g.NumRows()
 		for base := 0; base < nrows && attached > 0; base += BlockRows {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
 			n := nrows - base
 			if n > BlockRows {
 				n = BlockRows

@@ -41,10 +41,9 @@ func weightedBounds(dst []int, weights []int64, nparts int) []int {
 }
 
 // RangeOf resolves partition part of nparts over n units: span [lo, hi) from
-// the weighted bounds when present, the equal-width formula otherwise. It is
-// the one place all partitioned sources — the engine's and the middleware's —
-// share, so the property tests pin the same arithmetic the production scans
-// use.
+// the weighted bounds when present, the equal-width formula otherwise. The
+// middleware's segmented scans resolve their segments here, so the property
+// tests pin the same arithmetic the production scans use.
 func RangeOf(part, nparts, n int, bounds []int) (lo, hi int) {
 	if len(bounds) == nparts+1 {
 		return bounds[part], bounds[part+1]

@@ -94,7 +94,7 @@ func TestWeightedBoundsDegenerate(t *testing.T) {
 
 // TestGroupFilterEstimateSingleColumnExact: a filter on one column is estimated from
 // the row groups' exact per-code counts (GroupFilter.Estimate summed over the
-// groups, which is what GroupBounds weighs lanes by), so the estimate is the
+// groups, which is what a Bounder weighs segments by), so the estimate is the
 // count — for values of any size (the per-page sketch this replaced capped at
 // 64) and for a clustered column, whose groups outside the value's band
 // contribute nothing.

@@ -191,53 +191,6 @@ var checks = map[string]func(*Experiment) error{
 		}
 		return nil
 	},
-	"scaling": func(e *Experiment) error {
-		// Adding workers must pay: in every configuration, 2 workers beat 1
-		// and 4 workers beat 1 on virtual build time.
-		for _, s := range e.Series {
-			one := s.Points[0].Seconds
-			for _, p := range s.Points[1:] {
-				if p.X > 4 {
-					// 8 workers may flatten against serial fractions but
-					// must never regress below sequential.
-					if p.Seconds > one {
-						return fmt.Errorf("%s: %g workers (%.3fs) slower than 1 worker (%.3fs)",
-							s.Name, p.X, p.Seconds, one)
-					}
-					continue
-				}
-				if p.Seconds >= one {
-					return fmt.Errorf("%s: %g workers (%.3fs) not faster than 1 worker (%.3fs)",
-						s.Name, p.X, p.Seconds, one)
-				}
-			}
-		}
-		return nil
-	},
-	"skew": func(e *Experiment) error {
-		eq, hist := e.Series[0].Points, e.Series[1].Points
-		// Histogram splits never cost wall-clock: at every worker count the
-		// skew-aware build is at least as fast as the equal-width build.
-		for i := range hist {
-			if hist[i].Seconds > eq[i].Seconds*1.001 {
-				return fmt.Errorf("histogram build (%.3fs) slower than equal-width (%.3fs) at %g workers",
-					hist[i].Seconds, eq[i].Seconds, hist[i].X)
-			}
-		}
-		// The headline claim: at the highest worker count the worst per-batch
-		// lane imbalance falls by at least 2x under histogram splits.
-		last := len(eq) - 1
-		eqImb := eq[last].Counters["max_lane_imbalance_ns"]
-		histImb := hist[last].Counters["max_lane_imbalance_ns"]
-		if eqImb <= 0 {
-			return fmt.Errorf("equal-width run shows no lane imbalance at %g workers", eq[last].X)
-		}
-		if histImb*2 > eqImb {
-			return fmt.Errorf("histogram imbalance %d ns not <= half of equal-width %d ns at %g workers",
-				histImb, eqImb, eq[last].X)
-		}
-		return nil
-	},
 	"columnar": func(e *Experiment) error {
 		col := e.Series[0].Points
 		for _, p := range col {
@@ -316,35 +269,30 @@ var checks = map[string]func(*Experiment) error{
 			return fmt.Errorf("scoring: malformed series (%d engine, %d client points)", len(eng), len(client))
 		}
 		for i := range eng {
-			// The headline claim, at every worker count: shipping the model
-			// to the data beats shipping the data to the model on time,
-			// throughput and modeled page I/O.
+			// The headline claim: shipping the model to the data beats
+			// shipping the data to the model on time, throughput and modeled
+			// page I/O.
 			if eng[i].Seconds >= client[i].Seconds {
-				return fmt.Errorf("workers=%g: in-engine %.4fs, in-client %.4fs — no scoring win",
-					eng[i].X, eng[i].Seconds, client[i].Seconds)
+				return fmt.Errorf("%s: in-engine %.4fs, in-client %.4fs — no scoring win",
+					eng[i].Label, eng[i].Seconds, client[i].Seconds)
 			}
 			ep, cp := eng[i].Counters["server_pages_read"], client[i].Counters["server_pages_read"]
 			if ep >= cp {
-				return fmt.Errorf("workers=%g: in-engine read %d pages, in-client %d — no page win",
-					eng[i].X, ep, cp)
+				return fmt.Errorf("%s: in-engine read %d pages, in-client %d — no page win",
+					eng[i].Label, ep, cp)
 			}
 			if eng[i].Counters["rows_per_sec"] <= client[i].Counters["rows_per_sec"] {
-				return fmt.Errorf("workers=%g: in-engine %d rows/s, in-client %d — no throughput win",
-					eng[i].X, eng[i].Counters["rows_per_sec"], client[i].Counters["rows_per_sec"])
+				return fmt.Errorf("%s: in-engine %d rows/s, in-client %d — no throughput win",
+					eng[i].Label, eng[i].Counters["rows_per_sec"], client[i].Counters["rows_per_sec"])
 			}
 			// Both arms must actually have scored the whole table the same way.
 			if eng[i].Counters["score_rows"] != client[i].Counters["score_rows"] {
-				return fmt.Errorf("workers=%g: engine scored %d rows, client %d",
-					eng[i].X, eng[i].Counters["score_rows"], client[i].Counters["score_rows"])
+				return fmt.Errorf("%s: engine scored %d rows, client %d",
+					eng[i].Label, eng[i].Counters["score_rows"], client[i].Counters["score_rows"])
 			}
 			if eng[i].Counters["model_node_probes"] == 0 {
-				return fmt.Errorf("workers=%g: engine walked no model nodes", eng[i].X)
+				return fmt.Errorf("%s: engine walked no model nodes", eng[i].Label)
 			}
-		}
-		// Worker scaling: the parallel operator at 8 workers beats itself at 1.
-		if last, first := eng[len(eng)-1], eng[0]; last.Seconds >= first.Seconds {
-			return fmt.Errorf("no worker scaling: %.4fs at workers=%g vs %.4fs at workers=%g",
-				last.Seconds, last.X, first.Seconds, first.X)
 		}
 		return nil
 	},

@@ -3,20 +3,26 @@ package exp
 import (
 	"fmt"
 	"math/rand"
+	"sort"
 	"strings"
 
 	"repro/internal/cc"
 	"repro/internal/data"
 	"repro/internal/datagen"
+	"repro/internal/engine"
 	"repro/internal/mw"
 	"repro/internal/predicate"
 	"repro/internal/sim"
 )
 
+// regionRows is the size of the clustered table the columnar runner reads:
+// at scale 1 it is 32 row groups of 4096 rows.
+const regionRows = 131072
+
 // ColumnarStorage measures what the columnar row groups every server scan
-// reads buy over reading the same table as a row heap, on the skew protocol (a root
-// counting request plus one region-selective request per region, one per
-// batch, at 8 workers). The heap side is arithmetic, not a second scan path: a
+// reads buy over reading the same table as a row heap, on the region protocol
+// (a root counting request plus one region-selective request per region, one
+// per batch). The heap side is arithmetic, not a second scan path: a
 // heap scan reads every page of the table, so the protocol's scans would read
 // Server.NumPages() each. Two workloads separate the two effects the row
 // groups stack: on uniform data every row group holds every region value, so the
@@ -54,7 +60,7 @@ func ColumnarStorage(env *Env, scale float64) (*Experiment, error) {
 		{"uniform", uniform},
 		{"clustered", clustered},
 	} {
-		srv, _, fp, err := regionBuild(env, "columnar", wl.ds, regions, mw.Config{Workers: 8, MaxBatch: 1})
+		srv, fp, err := regionBuild(env, wl.ds, regions)
 		if err != nil {
 			return nil, err
 		}
@@ -112,4 +118,94 @@ func uniformDataset(schema *data.Schema, rows int, seed int64) *data.Dataset {
 		ds.Append(r)
 	}
 	return ds
+}
+
+// regionBuild runs the fixed region protocol — a root counting request
+// followed by one region-selective request per region (a point filter on the
+// clustering attribute, counting over the remaining attributes), one request
+// per batch — against a fresh server and middleware, and returns the server
+// (its meter holds the build's clock and counters) and a fingerprint of every
+// fulfilled CC table. Staging stays off, which keeps every batch on the server
+// scan, and MaxBatch is one, which stops the scheduler from OR-ing region
+// filters together (diluting the clustering the protocol exists to exercise).
+func regionBuild(env *Env, ds *data.Dataset, regions int) (*engine.Server, string, error) {
+	meter := sim.NewDefaultMeter()
+	eng := engine.New(meter, 0)
+	srv, err := engine.NewServer(eng, "cases", ds)
+	if err != nil {
+		return nil, "", err
+	}
+	env.attach(meter, eng)
+	m, err := mw.New(srv, mw.Config{MaxBatch: 1})
+	if err != nil {
+		return nil, "", err
+	}
+	defer m.Close()
+
+	var sb strings.Builder
+	drain := func() error {
+		for m.Pending() > 0 {
+			results, err := m.Step()
+			if err != nil {
+				return err
+			}
+			if len(results) == 0 {
+				return fmt.Errorf("exp columnar: pending requests but Step produced no results")
+			}
+			sort.Slice(results, func(i, j int) bool { return results[i].Req.NodeID < results[j].Req.NodeID })
+			for _, r := range results {
+				sb.WriteString(regionPrint(r.Req.NodeID, r.CC))
+			}
+		}
+		return nil
+	}
+
+	attrs := make([]int, ds.Schema.NumAttrs())
+	for i := range attrs {
+		attrs[i] = i
+	}
+	var est int64
+	for _, a := range ds.Schema.Attrs {
+		est += int64(a.Card)
+	}
+	est = est*int64(ds.Schema.Class.Card) + int64(ds.Schema.Class.Card)
+	if err := m.Enqueue(&mw.Request{
+		NodeID: 0, ParentID: -1, Attrs: attrs, Rows: int64(ds.N()), EstCC: est,
+	}); err != nil {
+		return nil, "", err
+	}
+	if err := drain(); err != nil {
+		return nil, "", err
+	}
+	for v := 0; v < regions; v++ {
+		val := data.Value(v)
+		var rows int64
+		for _, r := range ds.Rows {
+			if r[0] == val {
+				rows++
+			}
+		}
+		if err := m.Enqueue(&mw.Request{
+			NodeID: 1 + v, ParentID: 0,
+			Path:  predicate.Conj{{Attr: 0, Op: predicate.Eq, Val: val}},
+			Attrs: attrs[1:],
+			Rows:  rows,
+			EstCC: est,
+		}); err != nil {
+			return nil, "", err
+		}
+	}
+	m.CloseNode(0)
+	if err := drain(); err != nil {
+		return nil, "", err
+	}
+	for v := 0; v < regions; v++ {
+		m.CloseNode(1 + v)
+	}
+	return srv, sb.String(), nil
+}
+
+// regionPrint is one node's line of a regionBuild fingerprint.
+func regionPrint(node int, t *cc.Table) string {
+	return fmt.Sprintf("node %d rows=%d cc=%s\n", node, t.Rows(), t.String())
 }

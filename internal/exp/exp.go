@@ -320,8 +320,6 @@ func Runners() []Runner {
 		{"abl-batching", AblationBatching, "ablation: multi-node single-scan counting (§4.1.1)"},
 		{"abl-rule3", AblationRule3, "ablation: Rule 3 smallest-estimate-first admission"},
 		{"sensitivity", Sensitivity, "cost-model sensitivity of the headline orderings"},
-		{"scaling", ScalingWorkers, "parallel scan pipeline speedup, workers 1-8"},
-		{"skew", SkewPartitioning, "histogram-guided vs equal-width splits on a clustered table"},
 		{"columnar", ColumnarStorage, "columnar row groups vs the row heap, uniform and clustered"},
 		{"serve", ServeFleet, "concurrent multi-tenant builds, scan sharing on/off"},
 		{"scoring", Scoring, "in-engine vectorized batch scoring vs in-client row loop"},

@@ -8,31 +8,6 @@ import (
 	"testing"
 )
 
-// TestScalingWorkersTiny runs the parallel-pipeline experiment at a tiny
-// scale. Unlike the full-scale suites it does NOT skip under -short, so a quick
-// race-detector pass (`go test -race -short ./...`; verify.sh races the full
-// suite) still exercises the exp → mw multi-worker path; the runner itself errors if any
-// worker count grows a different tree.
-func TestScalingWorkersTiny(t *testing.T) {
-	e, err := ScalingWorkers(nil, 0.2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(e.Series) != 4 {
-		t.Fatalf("got %d series, want 4", len(e.Series))
-	}
-	for _, s := range e.Series {
-		if len(s.Points) != 4 {
-			t.Fatalf("%s: got %d points, want 4 (workers 1,2,4,8)", s.Name, len(s.Points))
-		}
-		for _, p := range s.Points {
-			if p.Seconds <= 0 {
-				t.Errorf("%s workers=%g: non-positive time %v", s.Name, p.X, p.Seconds)
-			}
-		}
-	}
-}
-
 // TestGetAndIDs covers the registry helpers.
 func TestGetAndIDs(t *testing.T) {
 	ids := IDs()
@@ -127,9 +102,8 @@ func TestAllShapeChecksPass(t *testing.T) {
 
 // TestServeRunnerTiny runs the multi-tenant serving experiment at the
 // smallest scale whose cohorts still share scans, and the serving and scoring
-// experiments at quarter scale, each through its shape check. Like
-// TestScalingWorkersTiny it does NOT skip under -short, so a `-race -short`
-// pass executes the serve runner's real goroutines — fleet sessions attached
+// experiments at quarter scale, each through its shape check. It does NOT
+// skip under -short, so a `-race -short` pass executes the serve runner's real goroutines — fleet sessions attached
 // to one shared scan — and the runner itself errors if any session grows a
 // different tree.
 func TestServeRunnerTiny(t *testing.T) {

@@ -50,15 +50,15 @@ func profileScenarios() []profileScenario {
 			name: "scan-seq",
 			gen:  census,
 			cfg: func(*data.Dataset) mw.Config {
-				return mw.Config{Workers: 1, Staging: mw.StageNone}
+				return mw.Config{Staging: mw.StageNone}
 			},
 			opt: shallow,
 		},
 		{
-			name: "staged-parallel",
+			name: "staged",
 			gen:  census,
 			cfg: func(ds *data.Dataset) mw.Config {
-				return mw.Config{Workers: 4, Staging: mw.StageFileAndMemory, Memory: ds.Bytes() / 2}
+				return mw.Config{Staging: mw.StageFileAndMemory, Memory: ds.Bytes() / 2}
 			},
 			opt: shallow,
 		},
@@ -70,7 +70,7 @@ func profileScenarios() []profileScenario {
 			// A budget under two CC entries pushes every node to the SQL
 			// fallback, pinning the fallback arms' cost.
 			cfg: func(*data.Dataset) mw.Config {
-				return mw.Config{Workers: 4, Memory: 64, Staging: mw.StageNone}
+				return mw.Config{Memory: 64, Staging: mw.StageNone}
 			},
 			opt: func(*data.Dataset) dtree.Options { return dtree.Options{MaxDepth: 3, MinRows: 40} },
 		},
@@ -82,7 +82,7 @@ func profileScenarios() []profileScenario {
 				})
 			},
 			cfg: func(*data.Dataset) mw.Config {
-				return mw.Config{Workers: 4, Staging: mw.StageNone}
+				return mw.Config{Staging: mw.StageNone}
 			},
 			opt: shallow,
 		},
@@ -91,8 +91,8 @@ func profileScenarios() []profileScenario {
 			gen: func(scale float64) (*data.Dataset, error) {
 				return censusData(datagen.CensusConfig{Rows: scaled(16000, scale), Seed: 64})
 			},
-			// The vectorized in-engine scoring operator at four workers: pins
-			// the scoring kernel's block/probe cost the way the build
+			// The vectorized in-engine scoring operator: pins the scoring
+			// kernel's block/probe cost the way the build
 			// scenarios pin the counting pipeline.
 			run: func(env *Env, ds *data.Dataset) error {
 				tree, err := dtree.BuildInMemory(ds, dtree.Options{MaxDepth: 6})
@@ -116,7 +116,7 @@ func profileScenarios() []profileScenario {
 				if err != nil {
 					return err
 				}
-				_, err = eng.ScoreTable(tbl, model, 4)
+				_, err = eng.ScoreTable(tbl, model)
 				return err
 			},
 		},
@@ -165,8 +165,8 @@ func profileLines(scale float64) (string, error) {
 }
 
 // TestProfilesMatchRecord pins the virtual-time profile of five scenarios —
-// a sequential scan build, a staged parallel build, an all-fallback build, a
-// columnar build over clustered data and a scoring pass — metric for metric:
+// an unstaged scan build, a staged build, an all-fallback build, a columnar
+// build over clustered data and a scoring pass — metric for metric:
 // total time, span count, exclusive time per category and every counter. Any
 // move, up or down, fails, at GOMAXPROCS 1 and 2 alike. If the move is
 // intended, the test leaves the new record in a temp file and prints the cp

@@ -44,18 +44,19 @@ func columnarPropTrials(t *testing.T, fn func(t *testing.T, rng *rand.Rand, ds *
 
 // TestColumnarPartitionProperty: for seeded random tables, filters and
 // partition counts, draining every columnar group range must yield the same
-// row multiset as the sequential heap cursor — under both histogram-guided
-// and equal-width group bounds, including nparts past the group count and
-// filters the zone maps prove empty everywhere.
+// row multiset as the sequential heap cursor — under both group-weighted
+// (engine.Bounder, as segments split) and equal-width group bounds, including
+// nparts past the group count and filters the zone maps prove empty
+// everywhere.
 func TestColumnarPartitionProperty(t *testing.T) {
 	columnarPropTrials(t, func(t *testing.T, rng *rand.Rand, ds *data.Dataset, f predicate.Filter, nparts int) {
 		srv := propServer(t, ds)
 		ng := srv.NumColGroups()
 		want := drainCursor(srv.OpenScan(f))
-		for _, hints := range []bool{true, false} {
-			bounds := engine.GroupBounds(srv.ColGroups(nil), f, nparts, srv.Meter().Costs(), rng.Int63n(20_000))
-			if !hints {
-				bounds = nil // what the middleware plans with hints disabled (splitBounds)
+		for _, weighted := range []bool{true, false} {
+			bounds := new(engine.Bounder).Split(srv.ColGroups(nil), 0, ng, f, nparts, srv.Meter().Costs(), rng.Int63n(20_000))
+			if !weighted {
+				bounds = nil // equal-width
 			}
 			checkBounds(t, bounds, nparts, ng)
 			var got []string
@@ -68,7 +69,7 @@ func TestColumnarPartitionProperty(t *testing.T) {
 					return true
 				})
 			}
-			checkMultiset(t, fmt.Sprintf("columnar scan (hints=%v)", hints), got, want)
+			checkMultiset(t, fmt.Sprintf("columnar scan (weighted=%v)", weighted), got, want)
 		}
 	})
 }
@@ -77,35 +78,24 @@ func TestColumnarPartitionProperty(t *testing.T) {
 // result sources, and the rows every staging file holds, in file order — is
 // what counting and filtering the dataset row at a time produces (driveTree
 // holds every table against cc.Table.AddRow and every file against
-// predicate.Filter.Eval), and identical over the columnar copy at Workers ∈
-// {1, 2, 4, 8}, for staging off and on. 13000 rows give four row groups, so the
-// high worker counts exercise multi-lane scans and the shard merge. (The virtual
-// clock legitimately differs with Workers, so the meter is excluded here and
-// determinism is pinned below.) The empty table is the zero-group columnar copy:
-// one lane, empty CC tables.
+// predicate.Filter.Eval) over the columnar copy, for staging off and on. 13000
+// rows give four row groups. The empty table is the zero-group columnar copy:
+// empty CC tables.
 func TestColumnarMatchesRowPath(t *testing.T) {
 	for _, rows := range []int{13000, 0} {
 		for _, mode := range []StagingMode{StageNone, StageFileAndMemory} {
-			want := driveTree(t, Config{Staging: mode, Workers: 1}, rows, false)
-			if rows == 0 {
-				assertEmptyCounts(t, want)
-			}
-			for _, w := range []int{2, 4, 8} {
-				got := driveTree(t, Config{Staging: mode, Workers: w}, rows, false)
-				if got != want {
-					t.Errorf("rows=%d staging=%v workers=%d: output differs from the one-lane run's\n got:\n%s\nwant:\n%s",
-						rows, mode, w, got, want)
-				}
+			if print := driveTree(t, Config{Staging: mode}, rows, false); rows == 0 {
+				assertEmptyCounts(t, print)
 			}
 		}
 	}
 }
 
-// TestColumnarDeterministicAcrossRuns: a multi-lane columnar run — counters
-// and virtual clock included — is bit-for-bit reproducible across repeated
-// runs and GOMAXPROCS settings.
+// TestColumnarDeterministicAcrossRuns: a columnar run — counters and virtual
+// clock included — is bit-for-bit reproducible across repeated runs and
+// GOMAXPROCS settings.
 func TestColumnarDeterministicAcrossRuns(t *testing.T) {
-	cfg := Config{Staging: StageFileAndMemory, Workers: 4}
+	cfg := Config{Staging: StageFileAndMemory}
 	var prints []string
 	for _, procs := range []int{1, runtime.NumCPU()} {
 		old := runtime.GOMAXPROCS(procs)

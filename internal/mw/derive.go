@@ -14,18 +14,16 @@ import (
 // The middleware spots such a split on its own, from the requests' ParentID,
 // Path and Rows: CloseNode holds a parent's table while a queued request names
 // the parent, and a batch that holds all of its children skips the counting
-// of the one with the most bumps, which after the merge takes over the
+// of the one with the most bumps, which after the pass takes over the
 // parent's table less its siblings'.
 //
 // The model still describes counting: the kernel charges a derived node's
 // bumps and folds as if it had counted them (cc.Cells gives the fold count), so
 // no clock, counter or trace can tell a derived table from a counted one. That
-// restricts derivation to batches whose tables' sizes no charge or decision
-// reads mid-scan: one modeled lane — a multi-lane merge charges each later
-// shard's entries, which a derived node has none of — whose budget cannot
-// police (runLanes' segmentable rule), so nothing is shed or reclaimed by a
-// table's size before the merge fills it. Everywhere else, a shared fleet scan
-// included, every node is counted.
+// restricts derivation to batches whose tables' sizes no decision reads
+// mid-scan: batches whose budget cannot police (runScan's segmentable rule),
+// so nothing is shed or reclaimed by a table's size before settle fills it.
+// Everywhere else, a shared fleet scan included, every node is counted.
 
 // For tests: deriveOff counts every node, and derivedNodes (by the source the
 // batch read) and derivedRows count, process-wide, the nodes derived instead
@@ -57,8 +55,8 @@ func (m *Middleware) served(parent int) {
 	}
 }
 
-// planDerived marks the live nodes of a one-lane batch that cannot police whose
-// tables the merge derives instead of counting: per held parent whose live
+// planDerived marks the live nodes of a batch that cannot police whose tables
+// settle derives instead of counting: per held parent whose live
 // children are disjoint one-condition extensions of its path on one attribute
 // and hold all of its rows between them — so no other child is left — the child
 // with the most bumps (rows × counted attributes; ties to the lower NodeID), if
@@ -68,7 +66,7 @@ func (r *batchRun) planDerived() {
 	if deriveOff || len(m.held) == 0 {
 		return
 	}
-	ls := m.lanes[0]
+	ls := m.scratch[0]
 	for i, w := range r.live {
 		h, ok := m.held[w.req.ParentID]
 		if !ok || r.groupLedBefore(i) {
@@ -148,12 +146,12 @@ func (r *batchRun) derivable(parent *Request, group []int32) (int, bool) {
 // bumps is the histogram bumps counting w's table takes.
 func bumps(w *ccWork) int64 { return w.req.Rows * int64(len(w.attrs)) }
 
-// fillDerived derives the tables planDerived marked, after the merge: each
-// parent's held table becomes its marked child's, less its siblings' merged
+// fillDerived derives the tables planDerived marked, after the pass: each
+// parent's held table becomes its marked child's, less its siblings' counted
 // tables (ccs, index-aligned with r.live), and the child's empty one goes back.
 func (r *batchRun) fillDerived(ccs []*cc.Table) {
 	m := r.m
-	ls := m.lanes[0]
+	ls := m.scratch[0]
 	for i, w := range r.live {
 		if w.from == nil {
 			continue

@@ -17,14 +17,14 @@ import (
 
 // TestDerivedInvisible: a counts table derived as its parent's less its
 // siblings' is, to every observer, the table counted from rows. Over census
-// unstaged at Workers 1 and 4 and GOMAXPROCS 1 and 2, keyset access, no filter
-// pushdown, an 8 KB budget that sheds requests and falls back to SQL, tree data
+// unstaged at GOMAXPROCS 1 and 2, keyset access, no filter
+// pushdown, a 6 KB budget that sheds requests and falls back to SQL, tree data
 // staged to files and memory, and a cohort of three sessions sharing their
 // scans, every tree equals dtree.BuildInMemory's and the clock, the counters
 // (cc_updates and cc_folds included) and the trace export are byte-identical
 // to the same build with derivation off. Derivation must really have fired in
-// the census builds at Workers 1 and in a batch reading staged memory, and
-// never at Workers 4, under the budget that polices, or in the shared cohort.
+// the census builds and in a batch reading staged memory, and never under the
+// budget that polices, or in the shared cohort.
 // Afterwards nothing in the pool refers to a build that ended.
 func TestDerivedInvisible(t *testing.T) {
 	census, copt := segmentsShape(t)
@@ -53,21 +53,14 @@ func TestDerivedInvisible(t *testing.T) {
 		tight  bool
 	}
 	var setups []setup
-	for _, workers := range []int{1, 4} {
-		for _, procs := range []int{1, 2} {
-			su := setup{name: fmt.Sprintf("census/workers=%d/procs=%d", workers, procs), ds: census, opt: copt,
-				cfg: mw.Config{Workers: workers}, procs: procs, source: "server"}
-			if workers > 1 {
-				su.source, su.never = "", true
-			}
-			setups = append(setups, su)
-		}
+	for _, procs := range []int{1, 2} {
+		setups = append(setups, setup{name: fmt.Sprintf("census/procs=%d", procs), ds: census, opt: copt,
+			procs: procs, source: "server"})
 	}
 	setups = append(setups,
 		setup{name: "keyset", ds: census, opt: copt, cfg: mw.Config{Access: mw.AccessKeyset, AuxThreshold: 0.6}, procs: 2},
 		setup{name: "no-pushdown", ds: census, opt: copt, cfg: mw.Config{NoFilterPushdown: true}, procs: 2},
-		setup{name: "tight/workers=1", ds: census, opt: copt, cfg: mw.Config{Memory: 8 << 10}, procs: 2, never: true, tight: true},
-		setup{name: "tight/workers=4", ds: census, opt: copt, cfg: mw.Config{Memory: 8 << 10, Workers: 4}, procs: 2, never: true, tight: true},
+		setup{name: "tight", ds: census, opt: copt, cfg: mw.Config{Memory: 6 << 10}, procs: 2, never: true, tight: true},
 		setup{name: "staged", ds: staged, opt: sopt, cfg: stagedCfg, procs: 2, source: "memory"},
 	)
 	var fallbacks, requeued int64
@@ -106,7 +99,7 @@ func TestDerivedInvisible(t *testing.T) {
 		})
 	}
 	if fallbacks == 0 || requeued == 0 {
-		t.Errorf("under the 8 KB budget %d requests fell back and %d were shed: it no longer forces both", fallbacks, requeued)
+		t.Errorf("under the 6 KB budget %d requests fell back and %d were shed: it no longer forces both", fallbacks, requeued)
 	}
 	t.Run("cohort", func(t *testing.T) {
 		var runs [2]cohortRun
@@ -142,7 +135,7 @@ func TestDerivedInvisible(t *testing.T) {
 	}
 }
 
-// TestDerivedAllocatesNoMore: an untraced census build at Workers 1 on one
+// TestDerivedAllocatesNoMore: an untraced census build on one
 // core, its pool warm, allocates no more bytes deriving tables than counting
 // every one of them. The pool starts empty, and warm takes a few builds: a
 // derived child takes over its parent's table, so table storage rotates between
@@ -192,7 +185,7 @@ func TestDerivedAllocatesNoMore(t *testing.T) {
 }
 
 // TestDerivationFloor: a build of the cmd/bench build_scan shape — 100k census
-// rows, seed 1, MaxDepth 8, MinRows 50, unstaged, Workers 1 — derives at least
+// rows, seed 1, MaxDepth 8, MinRows 50, unstaged — derives at least
 // 80 of its nodes' tables, holding at least 500k of the rows it would count,
 // and grows dtree.BuildInMemory's tree.
 func TestDerivationFloor(t *testing.T) {

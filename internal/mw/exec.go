@@ -14,9 +14,9 @@ import (
 
 // ccWork is the working state for one admitted request during a batched
 // scan: the request, its counted attribute set (remaining attributes plus
-// the class column) and, once the scan's shards are merged, its counts table.
+// the class column) and, once the scan is settled, its counts table.
 // A node the batch derives instead of counting (derive.go) names its parent's
-// held table, which becomes its own after the merge.
+// held table, which becomes its own after the pass.
 type ccWork struct {
 	req   *Request
 	attrs []int
@@ -54,10 +54,9 @@ type batchRun struct {
 // Step schedules and executes one batch (§4.1.1): it picks the next set of
 // active nodes per the priority rules, builds all their counts tables in a
 // single scan of the chosen source, performs the planned staging, and
-// returns the fulfilled results. The scan always runs through the lane
-// pipeline of exec_parallel.go: Config.Workers lanes over disjoint partitions
-// of the source, or — the paper's sequential execution module — one lane over
-// all of it. It returns (nil, nil) when no requests are pending.
+// returns the fulfilled results. The scan is one pass over its source, the
+// paper's sequential execution module (exec_scan.go). It returns (nil, nil)
+// when no requests are pending.
 func (m *Middleware) Step() ([]*Result, error) {
 	b := m.schedule()
 	if b == nil {
@@ -127,8 +126,8 @@ func (m *Middleware) beginBatch(b *batch) (*batchRun, error) {
 
 // reclaim frees staged memory outside the batch's own source (never the data
 // set being scanned) and returns the enlarged ceiling. It mutates middleware
-// state, so it is offered to scanBudget only where that cannot race with a
-// lane: post-merge, and mid-scan when the batch runs a lone lane.
+// state, so it is offered to scanBudget only where no segment runs: to the
+// pass's own shard and to the settled batch.
 func (r *batchRun) reclaim() (int64, bool) {
 	if !r.m.evictMemoryStageExcept(r.b.stage) {
 		return 0, false
@@ -137,8 +136,8 @@ func (r *batchRun) reclaim() (int64, bool) {
 	return r.budget, true
 }
 
-// scanBatch executes the batch's data scan: plan the lanes, run them, merge
-// their shards and re-police the merged result (exec_parallel.go). On error
+// scanBatch executes the batch's data scan: plan it, run it, settle its shard
+// and re-police the result (exec_scan.go). On error
 // the staging writers are aborted and the scan span closed; the caller closes
 // the batch span.
 func (m *Middleware) scanBatch(r *batchRun) error {
@@ -146,9 +145,9 @@ func (m *Middleware) scanBatch(r *batchRun) error {
 		return nil
 	}
 	r.openScan()
-	sp, err := r.planLanes()
+	sp, err := r.planScan()
 	if err == nil {
-		err = r.runLanes(sp)
+		err = r.runScan(sp)
 	}
 	if err != nil {
 		for _, t := range r.plan.fileTees {
@@ -339,12 +338,11 @@ func (m *Middleware) residency() (server, file, mem int) {
 // sqlCounts services one request with the straightforward SQL implementation
 // of §2.3: a UNION of GROUP BY queries executed at the server, one arm per
 // remaining attribute plus one arm for the class histogram, on the middleware's
-// own meter and tracer (a session's, in a fleet); the server runs the arms over
-// up to Config.Workers lanes. This is both the runtime fallback when a counts
+// own meter and tracer (a session's, in a fleet). This is both the runtime fallback when a counts
 // table cannot fit in middleware memory (§4.1.1) and, via the baseline package,
 // the strawman of Figure 7.
 func (m *Middleware) sqlCounts(r *Request) (*cc.Table, error) {
-	rs, err := m.srv.Exec(CountsSQL(m.schema, m.srv.TableName(), r.Path, r.Attrs), m.cfg.Workers)
+	rs, err := m.srv.Exec(CountsSQL(m.schema, m.srv.TableName(), r.Path, r.Attrs))
 	if err != nil {
 		return nil, err
 	}

@@ -60,21 +60,21 @@ func (m *Middleware) columnarNeedCols(plan *stagePlan, live []*ccWork) []int {
 }
 
 // colConsumer is the per-block body of the kernel, counting one batch's live
-// requests into one worker shard. The scan hands it
-// each block already routed — blk.Buckets[i] holds the rows of live request i,
-// filled by the same trie walk that filtered the block — and each node bumps
-// the dense histogram per bucketed row (CCBump) and folds distinct cells into
-// its shard table (CCFoldEntry). The tee filters compile once per row group
-// into dictionary-code space, into storage reused from group to group. It is
-// attached either to one lane of a partitioned scan (scanLane) or, as a
-// session's share of a multi-tenant scan, to engine.ScanGroups via
+// requests into one shard. The scan hands it each block already routed —
+// blk.Buckets[i] holds the rows of live request i, filled by the same trie
+// walk that filtered the block — and each node bumps the dense histogram per
+// bucketed row (CCBump) and folds distinct cells into its shard table
+// (CCFoldEntry). The tee filters compile once per row group into
+// dictionary-code space, into storage reused from group to group. It is
+// attached either to a batch's own pass or one of its segments (scanRange)
+// or, as a session's share of a multi-tenant scan, to engine.ScanGroups via
 // mw.SharedBatch — the same consumer either way, so shared and solo scans
 // produce identical counts.
 type colConsumer struct {
 	plan     *stagePlan
 	live     []*ccWork
-	lane     *sim.Meter
-	sh       *workerShard
+	meter    *sim.Meter
+	sh       *scanShard
 	costs    sim.Costs
 	classIdx int
 
@@ -89,19 +89,19 @@ type colConsumer struct {
 }
 
 // colConsumer returns the batch's attachment to a columnar scan: the counting
-// kernel of lane part (metered on lane) over shard sh, fed per-path buckets by
-// the scan's walk of the live paths' trie, which is also the filter the scan
-// pushes down. Consumer and kernel are the lane's scratch, reset for the batch:
-// what the scan and the kernel grew in them — buckets, compiled tries, the
-// fold histogram — is reused.
-func (r *batchRun) colConsumer(part int, lane *sim.Meter, sh *workerShard) *engine.ScanConsumer {
-	ls := r.m.lanes[part]
+// kernel of scratch j (metered on meter) over shard sh, fed per-path buckets
+// by the scan's walk of the live paths' trie, which is also the filter the
+// scan pushes down. Consumer and kernel are the scratch's, reset for the
+// batch: what the scan and the kernel grew in them — buckets, compiled tries,
+// the fold histogram — is reused.
+func (r *batchRun) colConsumer(j int, meter *sim.Meter, sh *scanShard) *engine.ScanConsumer {
+	ls := r.m.scratch[j]
 	c, sc := &ls.cons, &ls.scan
-	c.plan, c.live, c.lane, c.sh = r.plan, r.live, lane, sh
-	c.costs, c.classIdx, c.curGroup = lane.Costs(), r.m.schema.ClassIndex(), -1
+	c.plan, c.live, c.meter, c.sh = r.plan, r.live, meter, sh
+	c.costs, c.classIdx, c.curGroup = meter.Costs(), r.m.schema.ClassIndex(), -1
 	c.fileFilters = slices.Grow(c.fileFilters[:0], len(r.plan.fileTees))[:len(r.plan.fileTees)]
 	c.memFilters = slices.Grow(c.memFilters[:0], len(r.plan.memTees))[:len(r.plan.memTees)]
-	sc.Filter, sc.Paths, sc.Lane = r.scanFilter(), r.paths, lane
+	sc.Filter, sc.Paths, sc.Lane = r.scanFilter(), r.paths, meter
 	sc.Tags, sc.Classes = nil, nil
 	if r.tags != nil {
 		sc.Tags, sc.Classes = r.tags.rows, &r.tags.classes
@@ -115,7 +115,7 @@ func (r *batchRun) colConsumer(part int, lane *sim.Meter, sh *workerShard) *engi
 // consume processes one block of the columnar scan; it always keeps the
 // consumer attached.
 func (c *colConsumer) consume(blk *engine.ColBlock) bool {
-	sh, lane, plan, live := c.sh, c.lane, c.plan, c.live
+	sh, meter, plan, live := c.sh, c.meter, c.plan, c.live
 	g := blk.Group
 	if blk.GroupIndex != c.curGroup { // not g: a file source decodes every group into one buffer
 		c.curGroup = blk.GroupIndex
@@ -132,20 +132,20 @@ func (c *colConsumer) consume(blk *engine.ColBlock) bool {
 		if t == nil || len(sel) == 0 {
 			continue
 		}
-		lane.Charge(sim.CtrCCUpdates, c.costs.CCBump, int64(len(sel)))
+		meter.Charge(sim.CtrCCUpdates, c.costs.CCBump, int64(len(sel)))
 		var folded int
 		if live[i].from != nil {
-			// Derived after the merge (derive.go), charged as if counted.
+			// Derived once the pass is settled (derive.go), charged as if counted.
 			for _, a := range live[i].attrs {
 				c.cells, folded = cc.Cells(len(g.Dict(a)), g.Codes(a), len(c.classDict), c.classCodes, sel, c.cells)
-				lane.Charge(sim.CtrCCFolds, c.costs.CCFoldEntry, int64(folded))
+				meter.Charge(sim.CtrCCFolds, c.costs.CCFoldEntry, int64(folded))
 			}
 			continue
 		}
 		before := t.Bytes()
 		for _, a := range live[i].attrs {
 			c.hist, folded = t.AddMany(a, g.Dict(a), g.Codes(a), c.classDict, c.classCodes, sel, c.hist)
-			lane.Charge(sim.CtrCCFolds, c.costs.CCFoldEntry, int64(folded))
+			meter.Charge(sim.CtrCCFolds, c.costs.CCFoldEntry, int64(folded))
 		}
 		t.AddRows(int64(len(sel)))
 		sh.ccBytes += t.Bytes() - before
@@ -154,8 +154,8 @@ func (c *colConsumer) consume(blk *engine.ColBlock) bool {
 	// Tees keep their rows of the block in code space: nothing is decoded.
 	for k, t := range plan.fileTees {
 		c.teeSel = c.fileFilters[k].Refine(blk.Sel, c.teeSel[:0])
-		sh.stageFile(k, t, len(c.teeSel), sh.files[k].b.AppendSel(g, c.teeSel))
-		lane.Charge(sim.CtrFileRowsWritten, c.costs.FileRowWrite, int64(len(c.teeSel)))
+		sh.writeFile(t, sh.files[k].AppendSel(g, c.teeSel))
+		meter.Charge(sim.CtrFileRowsWritten, c.costs.FileRowWrite, int64(len(c.teeSel)))
 	}
 	for j := range plan.memTees {
 		if !sh.memDrop[j] {

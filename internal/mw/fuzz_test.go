@@ -60,22 +60,21 @@ func fuzzTable(seed uint64, attrs, classes uint8, rows uint16, card uint16) *dat
 }
 
 // fuzzConfig decodes the middleware configuration and build options of one
-// input from conf: staging mode, server access, Workers 1/2/4, a memory
+// input from conf's 13 low bits: staging mode, server access, a memory
 // budget from unlimited through ones that stage everything to one under two
 // counts-table entries that sends every node to the SQL fallback, the
 // measure, binary or multiway splits and MaxDepth.
 func fuzzConfig(conf uint16, bytes int64) (mw.Config, dtree.Options) {
 	cfg := mw.Config{
 		Staging: mw.StagingMode(conf & 3),
-		Workers: []int{1, 2, 4, 4}[conf>>2&3],
-		Access:  mw.ServerAccess(conf >> 4 & 3),
-		Memory:  []int64{0, 4 * bytes, bytes / 4, bytes / 16, 12 << 10, 1 << 10, 64, 0}[conf>>6&7],
+		Access:  mw.ServerAccess(conf >> 2 & 3),
+		Memory:  []int64{0, 4 * bytes, bytes / 4, bytes / 16, 12 << 10, 1 << 10, 64, 0}[conf>>4&7],
 	}
 	opt := dtree.Options{
-		Measure:  []dtree.Measure{dtree.Entropy, dtree.Gini, dtree.GainRatio, dtree.Entropy}[conf>>9&3],
-		MaxDepth: int(conf >> 12 & 7),
+		Measure:  []dtree.Measure{dtree.Entropy, dtree.Gini, dtree.GainRatio, dtree.Entropy}[conf>>7&3],
+		MaxDepth: int(conf >> 10 & 7),
 	}
-	if conf>>11&1 == 1 {
+	if conf>>9&1 == 1 {
 		opt.Split = dtree.MultiwaySplit
 	}
 	return cfg, opt
@@ -92,7 +91,7 @@ func fuzzConfig(conf uint16, bytes int64) (mw.Config, dtree.Options) {
 func FuzzBuildConfig(f *testing.F) {
 	rng := rand.New(rand.NewSource(36))
 	for range 24 {
-		f.Add(rng.Uint64(), uint8(rng.Intn(8)), uint8(rng.Intn(3)), uint16(rng.Intn(301)), uint16(rng.Intn(3)*rng.Intn(20)), uint16(rng.Intn(1<<15)))
+		f.Add(rng.Uint64(), uint8(rng.Intn(8)), uint8(rng.Intn(3)), uint16(rng.Intn(301)), uint16(rng.Intn(3)*rng.Intn(20)), uint16(rng.Intn(1<<13)))
 	}
 	f.Fuzz(func(t *testing.T, seed uint64, attrs, classes uint8, rows, card, conf uint16) {
 		ds := fuzzTable(seed, attrs, classes, rows, card)

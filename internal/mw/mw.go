@@ -152,30 +152,16 @@ type Config struct {
 	// MaxBatch caps the number of nodes serviced per scan (0 = unlimited);
 	// the paper's memory budget normally provides the cap.
 	MaxBatch int
-	// Workers is the number of scan lanes per batch the model charges: the
-	// paper's multi-CPU middleware host. Every scan runs the same lane
-	// pipeline; 0 or 1 (the default) runs it as one lane over the whole
-	// source — the paper's sequential execution module, reading the server
-	// through the shared buffer pool. With Workers > 1, Step splits each
-	// batched scan into disjoint partitions — row-group ranges of the columnar
-	// copy (or of the rows a keyset or TID table holds of it), of a staged file
-	// or of staged memory. Each lane counts into private CC shard tables,
-	// captures staging rows into private row groups, spends a 1/Workers slice
-	// of the memory budget, and charges a forked lane meter; after the barrier
-	// the shards merge in partition order and the parent clock advances by the
-	// slowest lane (sim.Meter.Join). The same lane model covers every pipeline
-	// stage: the §4.3.3 auxiliary builds partition their qualifying scan, and
-	// a SQL fallback hands Workers to the server with its statement, which
-	// runs the UNION's arms on that many lanes (engine.Server.Exec).
-	// A scan whose source cannot be split, or whose per-worker budget slice
-	// would round down to zero, runs one lane.
+	// Workers is ignored: every batch's scan is one pass over its source,
+	// the paper's sequential execution module. A pass whose batch stages
+	// nothing and whose budget cannot police runs as up to GOMAXPROCS
+	// segments, goroutines whose charges sum back into the pass
+	// (sim.Meter.JoinSerial), so results, staging contents and the virtual
+	// clock are bit-for-bit reproducible at every GOMAXPROCS; only wall clock
+	// depends on the host.
 	//
-	// Host cores are used either way: a lane of a scan with no staging tee
-	// and a budget that cannot police runs as up to GOMAXPROCS / lanes
-	// segments, goroutines whose charges sum back into the lane
-	// (sim.Meter.JoinSerial). Results, staging contents and the virtual clock
-	// are bit-for-bit reproducible regardless of GOMAXPROCS or goroutine
-	// interleaving; only wall clock depends on the host.
+	// Deprecated: ignored. It stays until the benchmark stops setting it
+	// (ROADMAP item 1).
 	Workers int
 	// Session tags this middleware's batches with a fleet session id (> 0)
 	// in traces and spans. Zero — a single-tenant build — emits exactly the
@@ -192,11 +178,6 @@ type Config struct {
 	// FIFOScheduling disables Rule 3: eligible requests are admitted in
 	// arrival order instead of by increasing estimated counts-table size.
 	FIFOScheduling bool
-	// NoHistogramHints disables skew-aware partitioning: parallel scans and
-	// aux builds fall back to equal-width splits instead of consulting
-	// row-group statistics. Results are unchanged; only lane balance (and
-	// therefore the virtual clock) differs.
-	NoHistogramHints bool
 }
 
 // Request asks the middleware for the counts table of one active node.
@@ -246,7 +227,7 @@ type Middleware struct {
 	parent  map[int]int          // nodeID -> parentID
 	sources map[int][]*stageData // nodeID -> stages covering that node's subtree
 	open    map[int]*Result      // fulfilled but not yet closed nodes (CC memory charged)
-	held    map[int]*Result      // closed nodes kept for their queued children (derive.go), in lane 0's scratch
+	held    map[int]*Result      // closed nodes kept for their queued children (derive.go), in scratch 0's map
 
 	files    *fileStore
 	stageSeq int
@@ -261,8 +242,8 @@ type Middleware struct {
 	// Storage recycled from batch to batch (pool.go).
 	tables   []*cc.Table             // empty counts tables
 	builders []*storage.GroupBuilder // idle staging tee builders
-	spares   []storage.Spares        // per lane (Workers of them): code vectors for its tees
-	lanes    []*laneScratch          // per lane or segment index, from the pool
+	spares   storage.Spares          // code vectors for the tees
+	scratch  []*scanScratch          // per segment index, from the pool
 	tags     *tagState               // from the pool at the first tagged batch
 }
 
@@ -281,9 +262,6 @@ func New(srv *engine.Server, cfg Config) (*Middleware, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Propagate the hint ablation to the server so aux builders and bounds
-	// queries (engine-side histogram consumers) follow the same switch.
-	srv.SetSplitHints(!cfg.NoHistogramHints)
 	m := &Middleware{
 		srv:     srv,
 		meter:   srv.Meter(),
@@ -294,9 +272,8 @@ func New(srv *engine.Server, cfg Config) (*Middleware, error) {
 		sources: make(map[int][]*stageData),
 		open:    make(map[int]*Result),
 		files:   fs,
-		spares:  make([]storage.Spares, max(cfg.Workers, 1)),
 	}
-	m.held = m.lane(0).held
+	m.held = m.scratchAt(0).held
 	return m, nil
 }
 

@@ -67,8 +67,6 @@ type BatchRecord struct {
 	NewFiles      int // stage-file children
 	StagedMemRows int64
 
-	Lanes []LaneRecord // lane children of a scan split over more than one lane, partition order
-
 	Deltas map[string]int64 // every counter that moved, by name: Span.Deltas
 
 	MemUsedBytes, MemBudgetBytes int64
@@ -79,32 +77,12 @@ type BatchRecord struct {
 	NodesMemory                  int
 }
 
-// LaneRecord is one lane span of a split scan.
-type LaneRecord struct {
-	Lane      int   // 1-based
-	ElapsedNS int64 // the lane span's duration
-	Rows      int64
-}
-
-// LaneImbalanceNS is max − min lane elapsed; zero for a one-lane batch.
-func (b *BatchRecord) LaneImbalanceNS() int64 {
-	if len(b.Lanes) == 0 {
-		return 0
-	}
-	lo, hi := b.Lanes[0].ElapsedNS, b.Lanes[0].ElapsedNS
-	for _, l := range b.Lanes[1:] {
-		lo, hi = min(lo, l.ElapsedNS), max(hi, l.ElapsedNS)
-	}
-	return hi - lo
-}
-
 // BatchRecords reads every finished batch back out of the trace, in record
 // order.
 func BatchRecords(trace *obs.Trace) []BatchRecord {
 	var out []BatchRecord
 	trace.EachProc(func(pv obs.ProcView) {
 		batchAt := map[int64]int{}   // batch span id -> index in out
-		scanOf := map[int64]int{}    // scan span id -> index in out
 		admitted := map[int][]int{}  // index -> the scan span's nodes
 		viaSQL := map[int][]int64{}  // index -> nodes of the fallback children
 		for _, s := range pv.Spans { // record order: a parent precedes its children
@@ -129,11 +107,7 @@ func BatchRecords(trace *obs.Trace) []BatchRecord {
 				out = append(out, rec)
 			case obs.CatScan:
 				if i, ok := batchAt[s.Parent]; ok {
-					scanOf[s.ID], admitted[i] = i, s.Nodes
-				}
-			case obs.CatLane:
-				if i, ok := scanOf[s.Parent]; ok && s.NParts > 1 {
-					out[i].Lanes = append(out[i].Lanes, LaneRecord{Lane: s.Part + 1, ElapsedNS: s.Dur, Rows: s.Rows})
+					admitted[i] = s.Nodes
 				}
 			case obs.CatStage:
 				if i, ok := batchAt[s.Parent]; ok && s.Name == "stage-file" {

@@ -14,15 +14,12 @@ import (
 	"repro/internal/sim"
 )
 
-// TestParallelBatchEmitsEventWithLanes: a Workers > 1 batch must leave its
-// batch span exactly like a one-lane one, and the record rebuilt from it
-// carries per-lane detail — one lane span per worker in partition order, with
-// the lane's virtual elapsed time and row count.
-func TestParallelBatchEmitsEventWithLanes(t *testing.T) {
-	// Big enough that the columnar copy spans at least 4 row groups, so the
-	// default (columnar) scan can actually fan out to all 4 workers.
+// TestBatchEmitsEvent: a batch leaves one batch span, and the record rebuilt
+// from it carries the batch's window, counter deltas, budgets and residency;
+// its one lane span covers every row the root scan read.
+func TestBatchEmitsEvent(t *testing.T) {
 	ds := randDataset(20000, 5)
-	m, trace, _ := newTracedMW(t, ds, Config{Staging: StageNone, Workers: 4})
+	m, trace, _ := newTracedMW(t, ds, Config{Staging: StageNone})
 	if err := m.Enqueue(rootRequest(ds)); err != nil {
 		t.Fatal(err)
 	}
@@ -34,29 +31,26 @@ func TestParallelBatchEmitsEventWithLanes(t *testing.T) {
 
 	batches := BatchRecords(trace)
 	if len(batches) != 1 {
-		t.Fatalf("parallel batch recorded %d batch spans, want 1", len(batches))
+		t.Fatalf("batch recorded %d batch spans, want 1", len(batches))
 	}
 	bs := batches[0]
 	if bs.Source != "server" || bs.NNodes != 1 || len(results) != 1 || results[0].Req.NodeID != 0 {
 		t.Fatalf("batch = %+v, results = %+v", bs, results)
 	}
-	if len(bs.Lanes) != 4 {
-		t.Fatalf("batch has %d lanes, want 4 (one per worker)", len(bs.Lanes))
-	}
-	var rows int64
-	for i, l := range bs.Lanes {
-		if l.Lane != i+1 {
-			t.Errorf("lane %d index = %d, want %d (partition order)", i, l.Lane, i+1)
+	// The root predicate matches every row: the lane span read them all.
+	lanes := 0
+	trace.EachProc(func(pv obs.ProcView) {
+		for _, s := range pv.Spans {
+			if s.Cat == obs.CatLane {
+				lanes++
+				if s.Rows != int64(ds.N()) || s.Dur <= 0 || s.NParts != 1 {
+					t.Errorf("lane span: %d rows over %d ns, partition %d/%d; want %d rows, one partition", s.Rows, s.Dur, s.Part, s.NParts, ds.N())
+				}
+			}
 		}
-		if l.ElapsedNS <= 0 {
-			t.Errorf("lane %d elapsed = %d ns, want > 0", i, l.ElapsedNS)
-		}
-		rows += l.Rows
-	}
-	// The root predicate matches every row, so the lanes' partitions tile the
-	// table exactly.
-	if rows != int64(ds.N()) {
-		t.Errorf("lane rows sum = %d, want %d", rows, ds.N())
+	})
+	if lanes != 1 {
+		t.Errorf("%d lane spans, want 1", lanes)
 	}
 	// The rest of the record, read off the same span: its window and counter
 	// deltas are the meter's (one batch ran), and with nothing staged and the
@@ -83,8 +77,7 @@ func TestParallelBatchEmitsEventWithLanes(t *testing.T) {
 // TestStagedMemRowsUnits pins the unit of the batch span's staged_mem_rows
 // attribute: it counts rows, not bytes. The root batch under memory-only staging tees every table
 // row into middleware memory, so the field must equal the dataset's row count
-// exactly (a byte count would be larger by the row size). One-lane batches
-// carry no lane detail.
+// exactly (a byte count would be larger by the row size).
 func TestStagedMemRowsUnits(t *testing.T) {
 	ds := randDataset(400, 12)
 	m, trace, _ := newTracedMW(t, ds, Config{Staging: StageMemoryOnly, Memory: 4 * ds.Bytes()})
@@ -102,9 +95,6 @@ func TestStagedMemRowsUnits(t *testing.T) {
 	bs := batches[0]
 	if got, want := bs.StagedMemRows, int64(ds.N()); got != want {
 		t.Fatalf("StagedMemRows = %d, want %d rows (row count, not bytes)", got, want)
-	}
-	if bs.Lanes != nil {
-		t.Fatalf("one-lane batch has lane detail: %+v", bs.Lanes)
 	}
 	// Budget and residency at batch end: the staged rows and the root's open CC
 	// table are what memory holds, against the configured budget; the root is
@@ -319,28 +309,21 @@ func driveTreeObs(t *testing.T, cfg Config) (chrome, nd []byte) {
 }
 
 // TestObsByteDeterminism is the determinism contract of internal/obs end to
-// end: for each fixed worker count, the Chrome trace — counter tracks
-// included — and the NDJSON trace are byte-for-byte identical across repeated
-// runs and across GOMAXPROCS settings. (Traces at different worker counts legitimately
-// differ — the virtual clock does.)
+// end: for each configuration, the Chrome trace — counter tracks included —
+// and the NDJSON trace are byte-for-byte identical across repeated runs and
+// across GOMAXPROCS settings.
 func TestObsByteDeterminism(t *testing.T) {
 	cases := []struct {
 		name string
 		cfg  Config
 	}{
-		{"staged/workers=1", Config{Staging: StageFileAndMemory, Workers: 1}},
-		{"staged/workers=2", Config{Staging: StageFileAndMemory, Workers: 2}},
-		{"staged/workers=4", Config{Staging: StageFileAndMemory, Workers: 4}},
+		{"staged", Config{Staging: StageFileAndMemory}},
 		// Fallback-only batches: a 10-entry budget admits nothing, so every
-		// request is serviced by the parallel SQL-fallback arms.
-		{"fallback/workers=4", Config{Staging: StageNone, Memory: 10 * cc.EntryBytes, Workers: 4}},
-		// Partitioned aux builds and partitioned keyset / TID-join scans.
-		{"keyset/workers=4", Config{Staging: StageNone, Access: AccessKeyset, AuxThreshold: 0.6, Workers: 4}},
-		{"tidjoin/workers=4", Config{Staging: StageNone, Access: AccessTIDJoin, AuxThreshold: 0.6, Workers: 4}},
-		// Equal-width ablation: with histogram hints disabled the pipeline
-		// falls back to the part*n/nparts split everywhere and must stay just
-		// as reproducible.
-		{"nohints/workers=4", Config{Staging: StageFileAndMemory, Workers: 4, NoHistogramHints: true}},
+		// request is serviced by the SQL-fallback arms.
+		{"fallback", Config{Staging: StageNone, Memory: 10 * cc.EntryBytes}},
+		// Aux builds and keyset / TID-join scans.
+		{"keyset", Config{Staging: StageNone, Access: AccessKeyset, AuxThreshold: 0.6}},
+		{"tidjoin", Config{Staging: StageNone, Access: AccessTIDJoin, AuxThreshold: 0.6}},
 	}
 	for _, tc := range cases {
 		tc := tc
@@ -378,11 +361,11 @@ func TestObsByteDeterminism(t *testing.T) {
 // clock, every counter and every result byte-identical to an uninstrumented
 // run — spans read the meter, they never charge it.
 func TestObsNeverPerturbsSimulation(t *testing.T) {
-	fingerprint := func(workers int, instrument bool) string {
+	fingerprint := func(instrument bool) string {
 		ds := randDataset(1200, 7)
 		meter := sim.NewDefaultMeter()
 		eng := engine.New(meter, 0)
-		cfg := Config{Staging: StageMemoryOnly, Memory: 4 * ds.Bytes(), Workers: workers}
+		cfg := Config{Staging: StageMemoryOnly, Memory: 4 * ds.Bytes()}
 		if instrument {
 			eng.SetTracer(obs.NewTrace().Proc("x", meter))
 		}
@@ -406,13 +389,8 @@ func TestObsNeverPerturbsSimulation(t *testing.T) {
 		m.CloseNode(0)
 		return fmt.Sprintf("%v %s %s", meter.Now(), meter.String(), results[0].CC.String())
 	}
-	for _, workers := range []int{1, 4} {
-		plain := fingerprint(workers, false)
-		instrumented := fingerprint(workers, true)
-		if plain != instrumented {
-			t.Errorf("workers=%d: observability perturbed the simulation\nplain:        %s\ninstrumented: %s",
-				workers, plain, instrumented)
-		}
+	if plain, instrumented := fingerprint(false), fingerprint(true); plain != instrumented {
+		t.Errorf("observability perturbed the simulation\nplain:        %s\ninstrumented: %s", plain, instrumented)
 	}
 }
 

@@ -11,7 +11,6 @@ import (
 	"sort"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/cc"
 	"repro/internal/data"
@@ -212,29 +211,43 @@ func driveTree(t *testing.T, cfg Config, rows int, withMeter bool) string {
 	return sb.String()
 }
 
-// TestParallelMatchesSequential: for every staging mode, the CC tables,
-// result sources and staged files' rows produced with Workers ∈ {2, 4} are
-// identical to the one-lane run's. (The virtual clock legitimately
-// differs — parallelism is the point — so the meter is excluded here and
-// covered by TestParallelDeterministicAcrossRuns.) The empty table is the
-// degenerate input: a zero-group columnar copy at the root and, under file
-// staging, a zero-row staged file below it — sources with nothing to split,
-// which must run one lane and return empty CC tables at any Workers.
-func TestParallelMatchesSequential(t *testing.T) {
-	for _, rows := range []int{2000, 0} {
-		for _, mode := range []StagingMode{StageNone, StageFileOnly, StageMemoryOnly, StageFileAndMemory} {
-			want := driveTree(t, Config{Staging: mode, Workers: 1}, rows, false)
-			if rows == 0 {
-				assertEmptyCounts(t, want)
-			}
-			for _, w := range []int{2, 4} {
-				got := driveTree(t, Config{Staging: mode, Workers: w}, rows, false)
-				if got != want {
-					t.Errorf("rows=%d staging=%v workers=%d: output differs from sequential\n got:\n%s\nwant:\n%s",
-						rows, mode, w, got, want)
-				}
-			}
+// procsRuns runs drive once at GOMAXPROCS 1 and once at each of procs, and
+// fails unless every run's output is the first's. A batch that stages nothing
+// and whose budget cannot police runs as goroutine segments once GOMAXPROCS
+// is 2 or more, and segments must not show in any output — trees, staging
+// files, counters or the virtual clock.
+func procsRuns(t *testing.T, procs []int, drive func() string) {
+	t.Helper()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	runtime.GOMAXPROCS(1)
+	want := drive()
+	for _, n := range procs {
+		runtime.GOMAXPROCS(n)
+		if got := drive(); got != want {
+			t.Errorf("GOMAXPROCS %d: output differs from GOMAXPROCS 1\n got:\n%s\nwant:\n%s", n, got, want)
 		}
+	}
+}
+
+// TestParallelMatchesSequential: for every staging mode, everything a client
+// can observe of a run — CC tables, result sources, staged files' rows,
+// counters and the virtual clock — is the same at GOMAXPROCS 2 and 4, where
+// segmentable batches split into goroutine segments, as at GOMAXPROCS 1. The
+// empty table is the degenerate input: a zero-group columnar copy at the root
+// and, under file staging, a zero-row staged file below it — sources with
+// nothing to split, which must return empty CC tables.
+func TestParallelMatchesSequential(t *testing.T) {
+	before := SegmentRuns()
+	for _, rows := range []int{40000, 0} {
+		for _, mode := range []StagingMode{StageNone, StageFileOnly, StageMemoryOnly, StageFileAndMemory} {
+			if rows == 0 {
+				assertEmptyCounts(t, driveTree(t, Config{Staging: mode}, rows, false))
+			}
+			procsRuns(t, []int{2, 4}, func() string { return driveTree(t, Config{Staging: mode}, rows, true) })
+		}
+	}
+	if SegmentRuns() == before {
+		t.Error("no batch ran as segments: the comparison is vacuous")
 	}
 }
 
@@ -259,11 +272,11 @@ func assertEmptyCounts(t *testing.T, print string) {
 
 // TestEmptyMemoryStageRunsOneLane: a memory stage holding no rows cannot
 // arise through the protocol (a tee that captured nothing registers no
-// memory tier), but the lane planner must not depend on that: with nothing
-// to split the batch runs one lane and returns an empty CC table.
+// memory tier), but the scan must not depend on that: with nothing to split
+// the batch runs one unsegmented pass and returns an empty CC table.
 func TestEmptyMemoryStageRunsOneLane(t *testing.T) {
 	ds := randDataset(50, 3)
-	m, trace, _ := newTracedMW(t, ds, Config{Staging: StageNone, Workers: 4})
+	m, trace, _ := newTracedMW(t, ds, Config{Staging: StageNone})
 	if err := m.Enqueue(rootRequest(ds)); err != nil {
 		t.Fatal(err)
 	}
@@ -280,6 +293,7 @@ func TestEmptyMemoryStageRunsOneLane(t *testing.T) {
 		t.Fatal(err)
 	}
 	m.CloseNode(0)
+	before := SegmentRuns()
 	results, err := m.Step()
 	if err != nil {
 		t.Fatal(err)
@@ -288,17 +302,17 @@ func TestEmptyMemoryStageRunsOneLane(t *testing.T) {
 		t.Fatalf("results = %+v, want one empty CC table from memory", results)
 	}
 	batches := BatchRecords(trace)
-	if bs := batches[len(batches)-1]; bs.Source != "memory" || bs.Lanes != nil {
-		t.Errorf("empty memory stage did not run one lane: %+v", bs)
+	if bs := batches[len(batches)-1]; bs.Source != "memory" || SegmentRuns() != before {
+		t.Errorf("empty memory stage did not run one pass: %+v", bs)
 	}
 }
 
-// TestParallelDeterministicAcrossRuns: with Workers=4 the complete run —
-// including every counter and the virtual clock — is bit-for-bit
-// reproducible across repeated runs and across GOMAXPROCS settings, i.e.
-// goroutine interleaving never leaks into the simulation.
+// TestParallelDeterministicAcrossRuns: under file and memory staging the
+// complete run — including every counter and the virtual clock — is
+// bit-for-bit reproducible across repeated runs and across GOMAXPROCS
+// settings, i.e. goroutine interleaving never leaks into the simulation.
 func TestParallelDeterministicAcrossRuns(t *testing.T) {
-	cfg := Config{Staging: StageFileAndMemory, Workers: 4}
+	cfg := Config{Staging: StageFileAndMemory}
 	var prints []string
 	for _, procs := range []int{1, runtime.NumCPU()} {
 		old := runtime.GOMAXPROCS(procs)
@@ -312,10 +326,9 @@ func TestParallelDeterministicAcrossRuns(t *testing.T) {
 	}
 }
 
-// parallelStageConfigs are the configurations exercising the once-serial
-// pipeline stages: SQL-fallback arms (a budget below every estimate sends
-// all requests to the fallback) and the three §4.3.3 auxiliary access paths
-// (partitioned builds plus partitioned keyset/TID-join scans).
+// parallelStageConfigs are the configurations exercising the pipeline's
+// other stages: SQL-fallback arms (a budget below every estimate sends all
+// requests to the fallback) and the three §4.3.3 auxiliary access paths.
 func parallelStageConfigs() map[string]Config {
 	return map[string]Config{
 		"fallback-heavy": {Staging: StageNone, Memory: 480}, // 12 entries: admits nothing
@@ -326,35 +339,25 @@ func parallelStageConfigs() map[string]Config {
 }
 
 // TestParallelFallbackAuxMatchSequential: for the fallback-heavy and
-// auxiliary-structure workloads, every client-observable output with
-// Workers ∈ {2, 4, 8} is identical to the sequential run — parallel fallback
-// arms and partitioned aux builds/scans change where work executes, never
-// its outcome.
+// auxiliary-structure workloads, every client-observable output — meter
+// included — at GOMAXPROCS 2 and 4 is the GOMAXPROCS 1 run's: segmented
+// scans of a row set or a copy-table change where work executes, never its
+// outcome.
 func TestParallelFallbackAuxMatchSequential(t *testing.T) {
 	for name, cfg := range parallelStageConfigs() {
 		cfg := cfg
 		t.Run(name, func(t *testing.T) {
-			base := cfg
-			base.Workers = 1
-			want := driveTree(t, base, 2000, false)
-			for _, w := range []int{2, 4, 8} {
-				c := cfg
-				c.Workers = w
-				if got := driveTree(t, c, 2000, false); got != want {
-					t.Errorf("workers=%d: output differs from sequential\n got:\n%s\nwant:\n%s", w, got, want)
-				}
-			}
+			procsRuns(t, []int{2, 4}, func() string { return driveTree(t, cfg, 40000, true) })
 		})
 	}
 }
 
-// TestParallelFallbackAuxDeterministicAcrossRuns: with Workers=4 the
-// fallback-heavy and aux-path runs — counters and virtual clock included —
-// are bit-for-bit reproducible across reruns and GOMAXPROCS settings.
+// TestParallelFallbackAuxDeterministicAcrossRuns: the fallback-heavy and
+// aux-path runs — counters and virtual clock included — are bit-for-bit
+// reproducible across reruns and GOMAXPROCS settings.
 func TestParallelFallbackAuxDeterministicAcrossRuns(t *testing.T) {
 	for name, cfg := range parallelStageConfigs() {
 		cfg := cfg
-		cfg.Workers = 4
 		t.Run(name, func(t *testing.T) {
 			var prints []string
 			for _, procs := range []int{1, runtime.NumCPU()} {
@@ -371,15 +374,15 @@ func TestParallelFallbackAuxDeterministicAcrossRuns(t *testing.T) {
 	}
 }
 
-// TestPlanParallelPartitionsAuxPaths: keyset and TID-join batches must not
-// collapse to one lane — planLanes returns a multi-lane plan over the captured
-// row set, split by row group like every other source.
+// TestPlanParallelPartitionsAuxPaths: keyset and TID-join batches plan their
+// pass over the captured row set, which a segmented pass splits by row group
+// like every other source: at GOMAXPROCS 4 the child batch runs as segments
+// and still counts exactly the rows its path selects.
 func TestPlanParallelPartitionsAuxPaths(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	for _, access := range []ServerAccess{AccessKeyset, AccessTIDJoin} {
-		ds := randDataset(17000, 3) // five row groups
-		m, _ := newMW(t, ds, Config{
-			Staging: StageNone, Access: access, AuxThreshold: 0.6, Workers: 4,
-		})
+		ds := randDataset(40000, 3) // ten row groups
+		m, _ := newMW(t, ds, Config{Staging: StageNone, Access: access, AuxThreshold: 0.6})
 		if err := m.Enqueue(rootRequest(ds)); err != nil {
 			t.Fatal(err)
 		}
@@ -388,14 +391,14 @@ func TestPlanParallelPartitionsAuxPaths(t *testing.T) {
 		}
 		// One child covering ~1/3 of the rows: below AuxThreshold, so the
 		// batch qualifies for an auxiliary structure.
-		err := m.Enqueue(&Request{
+		child := &Request{
 			NodeID: 1, ParentID: 0,
 			Path:  predicate.Conj{{Attr: 0, Op: predicate.Eq, Val: 1}},
 			Attrs: []int{1, 2, 3},
 			Rows:  countWhere(ds, func(r data.Row) bool { return r[0] == 1 }),
 			EstCC: 40,
-		})
-		if err != nil {
+		}
+		if err := m.Enqueue(child); err != nil {
 			t.Fatal(err)
 		}
 		m.CloseNode(0)
@@ -407,126 +410,39 @@ func TestPlanParallelPartitionsAuxPaths(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sp, err := r.planLanes()
+		sp, err := r.planScan()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if sp.nworkers != 4 {
-			t.Errorf("access=%v: planLanes nworkers = %d, want 4", access, sp.nworkers)
+		if rows, ok := sp.groups.(*engine.RowSet); !ok || int64(rows.Size()) != child.Rows {
+			t.Fatalf("access=%v: the plan's source is %T, want the batch's %d captured rows", access, sp.groups, child.Rows)
 		}
-		if rows, ok := sp.groups.(*engine.RowSet); !ok || int64(rows.Size()) != b.reqs[0].Rows {
-			t.Errorf("access=%v: the plan's source is %T, want the batch's %d captured rows", access, sp.groups, b.reqs[0].Rows)
-		}
-		checkBounds(t, sp.bounds, sp.nworkers, sp.groups.NumGroups())
-	}
-}
-
-// TestParallelFallbackImprovesVirtualTime: a fallback-only batch with
-// Workers=4 finishes in strictly less virtual time than serial — the
-// request's GROUP BY arms scan concurrently on forked lanes.
-func TestParallelFallbackImprovesVirtualTime(t *testing.T) {
-	elapsed := func(workers int) time.Duration {
-		ds := randDataset(8000, 3)
-		// Budget below the root estimate: straight to the SQL fallback.
-		m, _ := newMW(t, ds, Config{Staging: StageNone, Memory: 480, Workers: workers})
-		if err := m.Enqueue(rootRequest(ds)); err != nil {
+		before := SegmentRuns()
+		if err := r.runScan(sp); err != nil {
 			t.Fatal(err)
 		}
-		results, err := m.Step()
+		r.closeScan()
+		results, err := m.finishBatch(r)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(results) != 1 || !results[0].ViaSQL {
-			t.Fatalf("workers=%d: expected a fallback result, got %+v", workers, results)
+		if SegmentRuns() == before {
+			t.Errorf("access=%v: the row-set pass did not run as segments", access)
 		}
-		m.CloseNode(0)
-		return m.Meter().Now()
-	}
-	seq, par := elapsed(1), elapsed(4)
-	if par >= seq {
-		t.Errorf("workers=4 fallback virtual time %v not below workers=1 %v", par, seq)
-	}
-}
-
-// TestParallelAuxImprovesVirtualTime: for the keyset and TID-join access
-// modes, the child-level phase (aux build + partitioned aux scans) with
-// Workers=4 takes strictly less virtual time than serial.
-func TestParallelAuxImprovesVirtualTime(t *testing.T) {
-	for _, access := range []ServerAccess{AccessKeyset, AccessTIDJoin} {
-		elapsed := func(workers int) time.Duration {
-			ds := randDataset(8000, 3)
-			m, _ := newMW(t, ds, Config{
-				Staging: StageNone, Access: access, AuxThreshold: 0.6, Workers: workers,
-			})
-			if err := m.Enqueue(rootRequest(ds)); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := m.Step(); err != nil {
-				t.Fatal(err)
-			}
-			for v := 0; v < 3; v++ {
-				val := data.Value(v)
-				err := m.Enqueue(&Request{
-					NodeID: 1 + v, ParentID: 0,
-					Path:  predicate.Conj{{Attr: 0, Op: predicate.Eq, Val: val}},
-					Attrs: []int{1, 2, 3},
-					Rows:  countWhere(ds, func(r data.Row) bool { return r[0] == val }),
-					EstCC: 40,
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-			}
-			m.CloseNode(0)
-			snap := m.Meter().Snapshot()
-			for m.Pending() > 0 {
-				if _, err := m.Step(); err != nil {
-					t.Fatal(err)
-				}
-			}
-			for id := 1; id <= 3; id++ {
-				m.CloseNode(id)
-			}
-			return m.Meter().Since(snap)
+		want := cc.FromDataset(ds, []int{1, 2, 3, ds.Schema.ClassIndex()}, child.Path.Eval)
+		if len(results) != 1 || !results[0].CC.Equal(want) {
+			t.Errorf("access=%v: segmented row-set pass counted %v, want %s", access, results, want)
 		}
-		seq, par := elapsed(1), elapsed(4)
-		if par >= seq {
-			t.Errorf("access=%v: workers=4 aux-phase virtual time %v not below workers=1 %v", access, par, seq)
-		}
+		m.CloseNode(1)
 	}
 }
 
-// TestParallelImprovesVirtualTime: on a server-scan batch the parallel cost
-// model must pay off — four lanes over disjoint row-group ranges finish the
-// root scan in strictly less virtual time than one lane.
-func TestParallelImprovesVirtualTime(t *testing.T) {
-	elapsed := func(workers int) time.Duration {
-		ds := randDataset(17000, 3)
-		m, _ := newMW(t, ds, Config{Staging: StageNone, Workers: workers})
-		if err := m.Enqueue(rootRequest(ds)); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := m.Step(); err != nil {
-			t.Fatal(err)
-		}
-		m.CloseNode(0)
-		return m.Meter().Now()
-	}
-	seq, par := elapsed(1), elapsed(4)
-	if par >= seq {
-		t.Errorf("workers=4 virtual time %v not below workers=1 %v", par, seq)
-	}
-}
-
-// TestLaneZeroStreamsFileTee: lane 0 of a scan writes the row groups its file
-// tees fill straight into the staging file instead of holding them until the
-// merge — held, a one-lane root scan under file staging kept a copy of the
-// whole table in memory, outside the budget. The staged file must come out
-// with the rows, in the order, that later lanes' hold-and-append produces.
+// TestLaneZeroStreamsFileTee: a scan writes the row groups its file tees fill
+// straight into the staging file instead of holding them until the scan ends
+// — held, a root scan under file staging kept a copy of the whole table in
+// memory, outside the budget. Only the open group's rows wait for settle.
 func TestLaneZeroStreamsFileTee(t *testing.T) {
-	ds := randDataset(9000, 5) // three row groups, so Workers=3 really splits
-	// One lane, driven phase by phase so shard 0 can be inspected between
-	// the scan and the merge.
+	ds := randDataset(9000, 5) // three row groups
 	m, _ := newMW(t, ds, Config{Staging: StageFileOnly})
 	if err := m.Enqueue(rootRequest(ds)); err != nil {
 		t.Fatal(err)
@@ -535,46 +451,26 @@ func TestLaneZeroStreamsFileTee(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sp, err := r.planLanes()
-	if err != nil || sp.nworkers != 1 || len(r.plan.fileTees) != 1 {
-		t.Fatalf("%d lanes, %d file tees, error %v; want 1 and 1", sp.nworkers, len(r.plan.fileTees), err)
+	sp, err := r.planScan()
+	if err != nil || len(r.plan.fileTees) != 1 {
+		t.Fatalf("%d file tees, error %v; want 1", len(r.plan.fileTees), err)
 	}
-	sh := r.newShard(0, 1)
-	sh.hi = sp.groups.NumGroups()
-	if err := r.scanLane(sp, m.meter, sh); err != nil {
+	sh := r.newShard()
+	if err := r.scanSource(sp, sh); err != nil {
 		t.Fatal(err)
 	}
-	if n := len(sh.files[0].groups); n != 0 {
-		t.Errorf("shard 0 holds %d filled groups of its file tee", n)
-	}
 	full := int64(ds.N() / engine.BlockRows * engine.BlockRows)
-	if got := r.plan.fileTees[0].writer.sf.rows; got != full || sh.files[0].rows != int64(ds.N()) {
-		t.Errorf("%d of %d captured rows streamed before the merge, want every full group: %d of %d",
-			got, sh.files[0].rows, full, ds.N())
+	if got := r.plan.fileTees[0].writer.sf.rows; got != full {
+		t.Errorf("%d rows streamed before settle, want every full group's: %d of %d", got, full, ds.N())
 	}
-	r.mergeShards([]*workerShard{sh})
+	r.settle(sh)
 	if _, err := m.finishBatch(r); err != nil {
 		t.Fatal(err)
 	}
-	streamed := stagedFileRows(t, m, m.sources[0][0].file)
-
-	// Three lanes: lanes 1 and 2 hold their groups and append after the barrier.
-	mb, _ := newMW(t, ds, Config{Staging: StageFileOnly, Workers: 3})
-	if err := mb.Enqueue(rootRequest(ds)); err != nil {
-		t.Fatal(err)
+	if !reflect.DeepEqual(stagedFileRows(t, m, m.sources[0][0].file), ds.Rows) {
+		t.Error("the staged file does not hold the table's rows in order")
 	}
-	if _, err := mb.Step(); err != nil {
-		t.Fatal(err)
-	}
-	held := stagedFileRows(t, mb, mb.sources[0][0].file)
-
-	if !reflect.DeepEqual(streamed, ds.Rows) {
-		t.Error("the streamed file does not hold the table's rows in order")
-	}
-	if !reflect.DeepEqual(held, ds.Rows) {
-		t.Error("the three-lane file does not hold the table's rows in order")
-	}
-	if a, b := m.sources[0][0].file.bytes, mb.sources[0][0].file.bytes; a != b || a != ds.Bytes() {
-		t.Errorf("files account for %d and %d bytes, table %d", a, b, ds.Bytes())
+	if got := m.sources[0][0].file.bytes; got != ds.Bytes() {
+		t.Errorf("the file accounts for %d bytes, table %d", got, ds.Bytes())
 	}
 }

@@ -1,6 +1,7 @@
 package mw
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -203,7 +204,7 @@ func rowSetProperty(t *testing.T, capture func(*engine.Server, predicate.Filter)
 }
 
 // rowSourceProperty scans every one of nparts row-group ranges of a server
-// source with f pushed down — split by engine.GroupBounds under a random
+// source with f pushed down — split by an engine.Bounder under a random
 // per-match weight, then equal-width — and requires the concatenation to be the
 // rows of ds that f selects, in order.
 func rowSourceProperty(t *testing.T, rng *rand.Rand, srv *engine.Server, src engine.GroupSource, ds *data.Dataset, f predicate.Filter, nparts int, label string) {
@@ -214,16 +215,16 @@ func rowSourceProperty(t *testing.T, rng *rand.Rand, srv *engine.Server, src eng
 		}
 	}
 	n := src.NumGroups()
-	for _, hints := range []bool{true, false} {
-		bounds := engine.GroupBounds(src, f, nparts, srv.Meter().Costs(), rng.Int63n(20_000))
-		if !hints {
-			bounds = nil // what the middleware plans with hints disabled (splitBounds)
+	for _, weighted := range []bool{true, false} {
+		bounds := new(engine.Bounder).Split(src, 0, n, f, nparts, srv.Meter().Costs(), rng.Int63n(20_000))
+		if !weighted {
+			bounds = nil // equal-width
 		}
 		checkBounds(t, bounds, nparts, n)
 		var got []string
 		for part := 0; part < nparts; part++ {
 			lo, hi := engine.RangeOf(part, nparts, n, bounds)
-			err := engine.ScanGroups(src, []*engine.ScanConsumer{{Filter: f, Lane: srv.Meter(), Fn: func(blk *engine.ColBlock) bool {
+			err := engine.ScanGroups(context.Background(), src, []*engine.ScanConsumer{{Filter: f, Lane: srv.Meter(), Fn: func(blk *engine.ColBlock) bool {
 				for _, i := range blk.Sel {
 					got = append(got, fmt.Sprint(groupRow(blk.Group, i)))
 				}
@@ -233,16 +234,16 @@ func rowSourceProperty(t *testing.T, rng *rand.Rand, srv *engine.Server, src eng
 				t.Fatal(err)
 			}
 		}
-		checkMultiset(t, fmt.Sprintf("%s (hints=%v)", label, hints), got, want)
+		checkMultiset(t, fmt.Sprintf("%s (weighted=%v)", label, weighted), got, want)
 	}
 }
 
 func TestPartitionPropertyKeyset(t *testing.T) {
-	rowSetProperty(t, func(srv *engine.Server, f predicate.Filter) *engine.RowSet { return srv.OpenKeyset(f, 3) })
+	rowSetProperty(t, func(srv *engine.Server, f predicate.Filter) *engine.RowSet { return srv.OpenKeyset(f) })
 }
 
 func TestPartitionPropertyTIDJoin(t *testing.T) {
-	rowSetProperty(t, func(srv *engine.Server, f predicate.Filter) *engine.RowSet { return srv.CopyTIDs(f, 3) })
+	rowSetProperty(t, func(srv *engine.Server, f predicate.Filter) *engine.RowSet { return srv.CopyTIDs(f) })
 }
 
 // TestPartitionPropertyFileStore: a staged run — the same row groups in a
@@ -286,21 +287,16 @@ func TestPartitionPropertyFileStore(t *testing.T) {
 			}
 		}
 		costs := m.meter.Costs()
-		for _, noHints := range []bool{false, true} {
-			m.cfg.NoHistogramHints = noHints
+		for _, weighted := range []bool{true, false} {
 			perMatch := rng.Int63n(20_000)
 			for _, src := range []engine.GroupSource{
 				m.files.source(sf, new(groupBuf)),
 				memGroups{stageCharge{sim.CtrMemRowsRead, costs.MemRowRead}, mem},
 			} {
 				n := src.NumGroups()
-				bounds := engine.GroupBounds(src, f, nparts, costs, perMatch)
-				if noHints {
-					// The knob is the middleware's: its plan takes no bounds.
-					bounds = m.splitBounds(&stagePlan{}, scanPlan{filter: f, groups: src, nworkers: nparts})
-					if bounds != nil {
-						t.Fatal("splitBounds not nil with hints disabled")
-					}
+				bounds := new(engine.Bounder).Split(src, 0, n, f, nparts, costs, perMatch)
+				if !weighted {
+					bounds = nil // equal-width
 				}
 				checkBounds(t, bounds, nparts, n)
 				var got []string
@@ -308,11 +304,11 @@ func TestPartitionPropertyFileStore(t *testing.T) {
 					lo, hi := engine.RangeOf(part, nparts, n, bounds)
 					lane := src
 					if _, ok := src.(*fileGroups); ok {
-						fsrc := m.files.source(sf, new(groupBuf)) // a lane's own, as in scanLane
+						fsrc := m.files.source(sf, new(groupBuf)) // a segment's own, as in scanRange
 						defer fsrc.close()
 						lane = fsrc
 					}
-					err := engine.ScanGroups(lane, []*engine.ScanConsumer{{Filter: f, Lane: m.meter, Fn: func(blk *engine.ColBlock) bool {
+					err := engine.ScanGroups(context.Background(), lane, []*engine.ScanConsumer{{Filter: f, Lane: m.meter, Fn: func(blk *engine.ColBlock) bool {
 						for _, i := range blk.Sel {
 							got = append(got, fmt.Sprint(groupRow(blk.Group, i)))
 						}
@@ -322,7 +318,7 @@ func TestPartitionPropertyFileStore(t *testing.T) {
 						t.Fatal(err)
 					}
 				}
-				checkMultiset(t, fmt.Sprintf("%T (noHints=%v)", src, noHints), got, want)
+				checkMultiset(t, fmt.Sprintf("%T (weighted=%v)", src, weighted), got, want)
 			}
 		}
 	})

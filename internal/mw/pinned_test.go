@@ -50,92 +50,72 @@ func TestColumnarBuildChargesPinned(t *testing.T) {
 }
 
 // TestFallbackChargesPinned pins what a build whose every node falls back to
-// the §2.3 SQL statement (a memory budget that admits no counts table) charges,
-// on one worker and on four: the tree, the statements, the rows their GROUP BYs
-// aggregated, the pages their scans read, the result rows transmitted and the
-// virtual clock. One worker is the serial statement, unchanged since it became
-// a columnar pass per arm. Four workers run the same statement's arms on four
-// lanes inside the engine; the comment holds what the middleware's own arm
-// scans over the buffer-pool-resident heap charged before that — no page beyond
-// the prefetch, but ServerRowCPU per heap row per arm and a shard-merge pass.
+// the §2.3 SQL statement (a memory budget that admits no counts table)
+// charges: the tree, the statements, the rows their GROUP BYs aggregated, the
+// pages their scans read, the result rows transmitted and the virtual clock —
+// the serial statement, unchanged since it became a columnar pass per arm.
 func TestFallbackChargesPinned(t *testing.T) {
 	ds, err := datagen.GenerateCensus(datagen.CensusConfig{Rows: 12000, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, tc := range []struct {
-		workers int
-		want    [6]int64
-	}{
-		{1, [6]int64{63, 31, 712005, 4395, 3971, 3491176728}},
-		// heap arm scans: ..., 116, 3971, 2218485688
-		{4, [6]int64{63, 31, 712005, 4395, 3971, 1438870728}},
-	} {
-		srv, err := engine.NewServer(engine.New(sim.NewDefaultMeter(), 0), "cases", ds)
-		if err != nil {
-			t.Fatal(err)
-		}
-		m, err := mw.New(srv, mw.Config{Memory: 480, Workers: tc.workers})
-		if err != nil {
-			t.Fatal(err)
-		}
-		tree, err := dtree.Build(m, dtree.Options{MaxDepth: 5, MinRows: 20})
-		if err != nil {
-			t.Fatal(err)
-		}
-		meter := m.Meter()
-		got := [...]int64{
-			int64(tree.NumNodes),
-			meter.Count(sim.CtrSQLStatements),
-			meter.Count(sim.CtrSQLAggRows),
-			meter.Count(sim.CtrServerPages),
-			meter.Count(sim.CtrRowsTransmitted),
-			int64(meter.Now()),
-		}
-		m.Close()
-		if n, split := meter.Count(sim.CtrSQLFallbacks), int64(tree.NumNodes-tree.NumLeaves); n != split {
-			t.Errorf("%d workers: %d fallbacks for %d split nodes: not a fallback-only build", tc.workers, n, split)
-		}
-		if got != tc.want {
-			t.Errorf("%d workers: nodes, sql_statements, sql_agg_rows, server_pages_read, rows_transmitted, virtual ns = %v, want %v",
-				tc.workers, got, tc.want)
-		}
+	srv, err := engine.NewServer(engine.New(sim.NewDefaultMeter(), 0), "cases", ds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := mw.New(srv, mw.Config{Memory: 480})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tree, err := dtree.Build(m, dtree.Options{MaxDepth: 5, MinRows: 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	meter := m.Meter()
+	got := [...]int64{
+		int64(tree.NumNodes),
+		meter.Count(sim.CtrSQLStatements),
+		meter.Count(sim.CtrSQLAggRows),
+		meter.Count(sim.CtrServerPages),
+		meter.Count(sim.CtrRowsTransmitted),
+		int64(meter.Now()),
+	}
+	m.Close()
+	if n, split := meter.Count(sim.CtrSQLFallbacks), int64(tree.NumNodes-tree.NumLeaves); n != split {
+		t.Errorf("%d fallbacks for %d split nodes: not a fallback-only build", n, split)
+	}
+	if want := [...]int64{63, 31, 712005, 4395, 3971, 3491176728}; got != want {
+		t.Errorf("nodes, sql_statements, sql_agg_rows, server_pages_read, rows_transmitted, virtual ns = %v, want %v", got, want)
 	}
 }
 
 // TestAuxBuildChargesPinned pins what a keyset build and a TID-join build of the
-// same census tree charge, on one lane and on four: the tree, the row-at-a-time
-// work — fetches by TID, join probes, rows transmitted — the histogram bumps
-// and the virtual clock. The comments hold what the heap cursors these
-// structures were re-scanned through charged at the commit before they became
-// row-group sources (same tree, same fetches, probes and rows: the counting
-// moved from a search-tree update per row to the block kernel's bump and fold,
-// the qualifying scan from heap pages to the columns the filter tests, and lanes
-// from TID ranges to row-group ranges).
+// same census tree charge: the tree, the row-at-a-time work — fetches by TID,
+// join probes, rows transmitted — the histogram bumps and the virtual clock.
+// The comments hold what the heap cursors these structures were re-scanned
+// through charged at the commit before they became row-group sources (same
+// tree, same fetches, probes and rows: the counting moved from a search-tree
+// update per row to the block kernel's bump and fold, and the qualifying scan
+// from heap pages to the columns the filter tests).
 func TestAuxBuildChargesPinned(t *testing.T) {
 	ds, err := datagen.GenerateCensus(datagen.CensusConfig{Rows: 12000, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, tc := range []struct {
-		access  mw.ServerAccess
-		workers int
-		want    [6]int64
+		access mw.ServerAccess
+		want   [6]int64
 	}{
 		// heap cursors: 2093, 190708, 0, 197503, 197503, 16525005920
-		{mw.AccessKeyset, 1, [6]int64{2093, 190708, 0, 197503, 197503, 16515041144}},
-		// heap cursors: ..., 4349297164 (four TID ranges; the table is three row groups)
-		{mw.AccessKeyset, 4, [6]int64{2093, 190708, 0, 197503, 197503, 5823344512}},
+		{mw.AccessKeyset, [6]int64{2093, 190708, 0, 197503, 197503, 16515041144}},
 		// heap cursors: 2093, 190708, 190708, 197503, 197503, 17390002920
-		{mw.AccessTIDJoin, 1, [6]int64{2093, 190708, 190708, 197503, 197503, 17380038144}},
-		// heap cursors: ..., 4566355584
-		{mw.AccessTIDJoin, 4, [6]int64{2093, 190708, 190708, 197503, 197503, 6120524512}},
+		{mw.AccessTIDJoin, [6]int64{2093, 190708, 190708, 197503, 197503, 17380038144}},
 	} {
 		srv, err := engine.NewServer(engine.New(sim.NewDefaultMeter(), 0), "cases", ds)
 		if err != nil {
 			t.Fatal(err)
 		}
-		m, err := mw.New(srv, mw.Config{Access: tc.access, AuxThreshold: 0.6, Workers: tc.workers})
+		m, err := mw.New(srv, mw.Config{Access: tc.access, AuxThreshold: 0.6})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -154,8 +134,8 @@ func TestAuxBuildChargesPinned(t *testing.T) {
 		}
 		m.Close()
 		if got != tc.want {
-			t.Errorf("%v, %d workers: nodes, tid_fetches, index_probes, rows_transmitted, cc_updates, virtual ns = %v, want %v",
-				tc.access, tc.workers, got, tc.want)
+			t.Errorf("%v: nodes, tid_fetches, index_probes, rows_transmitted, cc_updates, virtual ns = %v, want %v",
+				tc.access, got, tc.want)
 		}
 	}
 }

@@ -11,26 +11,26 @@ import (
 )
 
 // This file is the storage a build churns through — counts tables, staging tee
-// builders and the code vectors their groups are sealed into, each lane's scan
-// scratch, the row tags — kept from batch to batch. None of it is modeled, so
+// builders and the code vectors their groups are sealed into, each segment's
+// scan scratch, the row tags — kept from batch to batch. None of it is modeled, so
 // recycling moves no tree, trace or charge. Counts tables, scan scratch and tag
 // states hold nothing of the build they served once it is over, so they outlive
 // it: Close hands them to one process-wide pool, where the next middleware — of
 // any schema, in any session — draws its own. Tee builders and code vectors
 // stay with their middleware: they are sized by its stages, and pooling them
-// would keep a finished build's staged data alive. Storage changes hands only where one
-// goroutine runs (between batches, when a batch's shards are made, after they
-// merge) or within one lane or segment (its spares and scratch).
+// would keep a finished build's staged data alive. Storage changes hands only
+// where one goroutine runs (between batches, when a batch's shards are made,
+// after its pass) or within one segment (its scratch).
 
-// laneScratch is what lane or segment index part of every batch reuses: its
-// kernel's consumer with the scan state the engine keeps in it (buckets,
-// compiled tries, selection vectors), its staging-file read buffer, and the
-// weigher that splits its range into segments — lane 0's splits the batch
-// into lanes first, before any lane runs. Lane 0's, drawn when the middleware
-// is made, also keeps what derive.go needs: the middleware's held tables, and
-// for planning and filling a batch's derived tables a split's children and a
-// derived table's siblings, emptied after each use.
-type laneScratch struct {
+// scanScratch is what segment j of every batch's pass reuses — segment 0 is
+// the pass itself when it does not split: its kernel's consumer with the scan
+// state the engine keeps in it (buckets, compiled tries, selection vectors)
+// and its staging-file read buffer. Scratch 0's, drawn when the middleware is
+// made, also keeps the weigher that splits a pass into segments and what
+// derive.go needs: the middleware's held tables, and for planning and filling
+// a batch's derived tables a split's children and a derived table's siblings,
+// emptied after each use.
+type scanScratch struct {
 	cons  colConsumer
 	scan  engine.ScanConsumer
 	buf   groupBuf
@@ -41,11 +41,11 @@ type laneScratch struct {
 }
 
 // release drops every reference scratch holds into the build it served —
-// plan, requests, paths, filter, lane meter, shard, and the groups its filters
+// plan, requests, paths, filter, meter, shard, and the groups its filters
 // and read buffer last saw — keeping the storage it grew.
-func (ls *laneScratch) release() {
+func (ls *scanScratch) release() {
 	c := &ls.cons
-	c.plan, c.live, c.lane, c.sh = nil, nil, nil, nil
+	c.plan, c.live, c.meter, c.sh = nil, nil, nil, nil
 	c.classDict, c.classCodes = nil, nil
 	for _, fs := range [][]engine.GroupFilter{c.fileFilters[:cap(c.fileFilters)], c.memFilters[:cap(c.memFilters)]} {
 		for i := range fs {
@@ -108,7 +108,7 @@ const (
 var pool struct {
 	sync.Mutex
 	tables   []*cc.Table
-	scratch  []*laneScratch
+	scratch  []*scanScratch
 	tags     []*tagState
 	tagBytes int64
 }
@@ -137,22 +137,22 @@ func (m *Middleware) tagState() *tagState {
 	return ts
 }
 
-// lane returns lane or segment index part's scratch, drawing it from the pool
-// on first use.
-func (m *Middleware) lane(part int) *laneScratch {
-	for len(m.lanes) <= part {
+// scratchAt returns segment j's scratch, drawing it from the pool on first
+// use.
+func (m *Middleware) scratchAt(j int) *scanScratch {
+	for len(m.scratch) <= j {
 		pool.Lock()
-		var ls *laneScratch
+		var ls *scanScratch
 		if n := len(pool.scratch); n > 0 {
 			ls, pool.scratch = pool.scratch[n-1], pool.scratch[:n-1]
 		}
 		pool.Unlock()
 		if ls == nil {
-			ls = &laneScratch{held: make(map[int]*Result)}
+			ls = &scanScratch{held: make(map[int]*Result)}
 		}
-		m.lanes = append(m.lanes, ls)
+		m.scratch = append(m.scratch, ls)
 	}
-	return m.lanes[part]
+	return m.scratch[j]
 }
 
 // newTable returns an empty counts table for the attribute set attrs: one the
@@ -185,11 +185,11 @@ func (m *Middleware) recycleTables(ts ...*cc.Table) {
 	}
 }
 
-// releaseToPool hands the middleware's free counts tables and its lane scratch,
+// releaseToPool hands the middleware's free counts tables and its scan scratch,
 // released, to the pool (up to its bounds); the middleware keeps neither.
 // Tables of nodes still open stay with the client.
 func (m *Middleware) releaseToPool() {
-	for _, ls := range m.lanes {
+	for _, ls := range m.scratch {
 		ls.release()
 	}
 	if m.tags != nil {
@@ -202,7 +202,7 @@ func (m *Middleware) releaseToPool() {
 			pool.tables = append(pool.tables, t)
 		}
 	}
-	for _, ls := range m.lanes {
+	for _, ls := range m.scratch {
 		if len(pool.scratch) < maxPooledScratch {
 			pool.scratch = append(pool.scratch, ls)
 		}
@@ -212,7 +212,7 @@ func (m *Middleware) releaseToPool() {
 		pool.tagBytes += ts.bytes()
 	}
 	pool.Unlock()
-	m.tables, m.lanes, m.tags, m.held = nil, nil, nil, nil
+	m.tables, m.scratch, m.tags, m.held = nil, nil, nil, nil
 }
 
 // teeBuilder returns an idle row-group builder readied for a tee of want rows
@@ -228,11 +228,9 @@ func (m *Middleware) teeBuilder(want int, spares *storage.Spares) *storage.Group
 	return b
 }
 
-// recycleGroups gives a freed memory stage's code vectors back, dealt over the
-// lanes' spares (the batch that staged them made at least one): the lanes of a
-// split batch each capture about a share.
+// recycleGroups gives a freed memory stage's code vectors back to the spares.
 func (m *Middleware) recycleGroups(groups []*storage.ColGroup) {
-	for i, g := range groups {
-		m.spares[i%len(m.spares)].Recycle(g)
+	for _, g := range groups {
+		m.spares.Recycle(g)
 	}
 }

@@ -1,6 +1,7 @@
 package mw_test
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/cc"
@@ -13,8 +14,8 @@ import (
 
 // TestRecyclingInvisibleToBuilds: the middleware counts new nodes into the
 // tables of closed ones and seals stages into the code vectors of freed ones;
-// none of that may show. Over BenchmarkStagedBuild's shape — one lane, four
-// lanes, a budget tight enough to shed requests mid-scan, and a cohort of
+// none of that may show. Over BenchmarkStagedBuild's shape — as benchmarked,
+// under a budget tight enough to shed requests mid-scan, and in a cohort of
 // sessions sharing their server scans — every tree equals
 // dtree.BuildInMemory's, and no two open nodes ever hold the same table.
 func TestRecyclingInvisibleToBuilds(t *testing.T) {
@@ -25,12 +26,10 @@ func TestRecyclingInvisibleToBuilds(t *testing.T) {
 	}
 	tight := cfg
 	tight.Memory = ds.Bytes() / 64
-	wide := cfg
-	wide.Workers = 4
 	for _, tc := range []struct {
 		name string
 		cfg  mw.Config
-	}{{"workers=1", cfg}, {"workers=4", wide}, {"sheds", tight}} {
+	}{{"staged", cfg}, {"sheds", tight}} {
 		t.Run(tc.name, func(t *testing.T) {
 			trace := obs.NewTrace()
 			meter := sim.NewDefaultMeter()
@@ -122,7 +121,7 @@ func TestRecyclingInvisibleToBuilds(t *testing.T) {
 				continue
 			}
 			shared += len(sbs)
-			if err := engine.ScanGroups(srv.ColGroups(nil), cons, 0, srv.NumColGroups(), sim.NewDefaultMeter()); err != nil {
+			if err := engine.ScanGroups(context.Background(), srv.ColGroups(nil), cons, 0, srv.NumColGroups(), sim.NewDefaultMeter()); err != nil {
 				t.Fatal(err)
 			}
 			for j, sb := range sbs {

@@ -227,8 +227,8 @@ func sameNode(path string, got, want *dtree.Node) error {
 // a split's largest counts table from its parent's and its siblings' wherever a
 // batch allows — grows the reference builder's tree, node for node, on small
 // census and tree-data draws: binary and multiway splits, all three measures,
-// MaxDepth, MinRows and MinGain, at Workers 1 and 4, unlimited and under an
-// 8 KB budget that sheds requests and falls back to SQL.
+// MaxDepth, MinRows and MinGain, unlimited and under an 8 KB budget that
+// sheds requests and falls back to SQL.
 func TestBuildMatchesReference(t *testing.T) {
 	census, err := datagen.GenerateCensus(datagen.CensusConfig{Rows: 10000, Seed: 11})
 	if err != nil {
@@ -256,8 +256,8 @@ func TestBuildMatchesReference(t *testing.T) {
 	var fallbacks int64
 	for _, c := range cases {
 		want := refBuild(c.ds, c.opt)
-		for _, cfg := range []mw.Config{{Workers: 1}, {Workers: 4}, {Memory: 8 << 10}, {Memory: 8 << 10, Workers: 4}} {
-			t.Run(fmt.Sprintf("%s/workers=%d/memory=%d", c.name, cfg.Workers, cfg.Memory), func(t *testing.T) {
+		for _, cfg := range []mw.Config{{}, {Memory: 8 << 10}} {
+			t.Run(fmt.Sprintf("%s/memory=%d", c.name, cfg.Memory), func(t *testing.T) {
 				got, meter := buildThrough(t, c.ds, cfg, c.opt)
 				if err := sameNode("root", got.Root, want.Root); err != nil {
 					t.Fatal(err)

@@ -223,7 +223,7 @@ type teePlan struct {
 	keyNodes []int
 	rows     int64 // expected rows (for budgeting)
 	writer   *fileWriter
-	mem      teeRun // a memory tee's merged capture
+	mem      teeRun // a memory tee's settled capture
 }
 
 // planStaging applies Rules 4–6 to the admitted batch. Only data for nodes
@@ -449,15 +449,13 @@ func (m *Middleware) maybeBuildAux(b *batch) (*stageData, error) {
 	}
 	filter := batchFilter(b.reqs)
 	sd := m.newStage(nodeIDs(b.reqs))
-	// The builders partition their qualifying scan over Config.Workers lanes
-	// (one lane when the table is too small to split or Workers <= 1).
 	switch m.cfg.Access {
 	case AccessKeyset:
-		sd.rows = m.srv.OpenKeyset(filter, m.cfg.Workers)
+		sd.rows = m.srv.OpenKeyset(filter)
 	case AccessTIDJoin:
-		sd.rows = m.srv.CopyTIDs(filter, m.cfg.Workers)
+		sd.rows = m.srv.CopyTIDs(filter)
 	case AccessCopyTable:
-		sub, err := m.srv.CopySubset(filter, m.cfg.Workers)
+		sub, err := m.srv.CopySubset(filter)
 		if err != nil {
 			m.freeStage(sd)
 			return nil, fmt.Errorf("mw: copy-table: %w", err)

@@ -20,10 +20,9 @@ import (
 // was created over — opened by its owner (engine.Server.OpenScore), readable
 // behind its watermark while the scan runs, and ended by its owner too.
 type Scorer struct {
-	srv     *engine.Server
-	model   *engine.Model
-	workers int
-	res     *engine.ScoreResult
+	srv   *engine.Server
+	model *engine.Model
+	res   *engine.ScoreResult
 
 	begun bool // between BeginShared and FinishShared / Abort
 	ssp   *obs.Span
@@ -34,14 +33,11 @@ type Scorer struct {
 // NewScorer creates a scoring session that fills res, the result opened on
 // the server for model. srv should be a session-scoped View so scoring
 // charges land on the session's clock.
-func NewScorer(srv *engine.Server, model *engine.Model, workers int, res *engine.ScoreResult) (*Scorer, error) {
+func NewScorer(srv *engine.Server, model *engine.Model, res *engine.ScoreResult) (*Scorer, error) {
 	if model == nil || res == nil {
 		return nil, fmt.Errorf("mw: scorer needs a model and an opened result")
 	}
-	if workers < 1 {
-		workers = 1
-	}
-	return &Scorer{srv: srv, model: model, workers: workers, res: res}, nil
+	return &Scorer{srv: srv, model: model, res: res}, nil
 }
 
 // Done reports whether the session has produced its predictions.
@@ -51,13 +47,13 @@ func (sc *Scorer) Done() bool { return sc.done }
 // columnar pass: it has not run yet.
 func (sc *Scorer) Shareable() bool { return !sc.done }
 
-// RunSolo scores the table with the session's own partitioned scan, paying
+// RunSolo scores the table with the session's own scan, paying
 // its pages privately — the path a lone scoring session takes.
 func (sc *Scorer) RunSolo() error {
 	if sc.done {
 		return fmt.Errorf("mw: scorer already ran")
 	}
-	sc.srv.ScoreInto(sc.res, sc.model, sc.workers)
+	sc.srv.ScoreInto(sc.res, sc.model)
 	sc.done = true
 	return nil
 }

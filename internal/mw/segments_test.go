@@ -75,14 +75,15 @@ func runSegmentBuild(t *testing.T, ds *data.Dataset, cfg mw.Config, opt dtree.Op
 	return run
 }
 
-// TestSegmentsInvisible: a lane run as segments on the host's cores is, to
-// every observer, the lane run on one goroutine. Over four set-ups — census
+// TestSegmentsInvisible: a pass run as segments on the host's cores is, to
+// every observer, the pass run on one goroutine. Over four set-ups — census
 // unstaged, file+memory staging (its tee-free memory batches split), a budget
 // tight enough that the bound refuses segments and requests fall back or shed,
-// and keyset access — at Workers 1 and 4 and GOMAXPROCS 1, 2 and 4, every tree
-// equals dtree.BuildInMemory's and the clock, the counters and the trace
-// export are byte-identical across GOMAXPROCS. Segments must really have run
-// in the unlimited set-ups, and never under the tight budget.
+// and keyset access — at GOMAXPROCS 1, 2 and 4, every tree equals
+// dtree.BuildInMemory's and the clock, the counters and the trace export are
+// byte-identical across GOMAXPROCS. Segments must really have run in the
+// unlimited set-ups, and never under the tight budget. The deprecated
+// Config.Workers, which the benchmark still sets to 2, changes nothing.
 func TestSegmentsInvisible(t *testing.T) {
 	ds, opt := segmentsShape(t)
 	want, err := dtree.BuildInMemory(ds, opt)
@@ -96,48 +97,53 @@ func TestSegmentsInvisible(t *testing.T) {
 	}{
 		{"census", mw.Config{}, true},
 		{"staged", mw.Config{Staging: mw.StageFileAndMemory}, true},
-		{"tight", mw.Config{Staging: mw.StageFileAndMemory, Memory: 8 << 10}, false},
+		{"tight", mw.Config{Staging: mw.StageFileAndMemory, Memory: 6 << 10}, false},
 		{"keyset", mw.Config{Access: mw.AccessKeyset, AuxThreshold: 0.6}, true},
 	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, su := range setups {
 		t.Run(su.name, func(t *testing.T) {
 			var segments, fallbacks int64
-			for _, workers := range []int{1, 4} {
-				cfg := su.cfg
-				cfg.Workers = workers
-				var ref segmentRun
-				for i, procs := range []int{1, 2, 4} {
-					runtime.GOMAXPROCS(procs)
-					got := runSegmentBuild(t, ds, cfg, opt)
-					segments += got.segments
-					fallbacks += got.fallback
-					if !dtree.Equal(got.tree, want) {
-						t.Fatalf("workers=%d GOMAXPROCS=%d: tree differs from the in-memory build", workers, procs)
-					}
-					if i == 0 {
-						ref = got
-						continue
-					}
-					if got.now != ref.now || got.counters != ref.counters {
-						t.Errorf("workers=%d GOMAXPROCS=%d: clock %d counters %v, GOMAXPROCS=1: %d %v",
-							workers, procs, got.now, got.counters, ref.now, ref.counters)
-					}
-					if !bytes.Equal(got.chrome, ref.chrome) {
-						t.Errorf("workers=%d GOMAXPROCS=%d: trace export differs from GOMAXPROCS=1's", workers, procs)
-					}
+			var ref segmentRun
+			for i, procs := range []int{1, 2, 4} {
+				runtime.GOMAXPROCS(procs)
+				got := runSegmentBuild(t, ds, su.cfg, opt)
+				segments += got.segments
+				fallbacks += got.fallback
+				if !dtree.Equal(got.tree, want) {
+					t.Fatalf("GOMAXPROCS=%d: tree differs from the in-memory build", procs)
+				}
+				if i == 0 {
+					ref = got
+					continue
+				}
+				if got.now != ref.now || got.counters != ref.counters {
+					t.Errorf("GOMAXPROCS=%d: clock %d counters %v, GOMAXPROCS=1: %d %v",
+						procs, got.now, got.counters, ref.now, ref.counters)
+				}
+				if !bytes.Equal(got.chrome, ref.chrome) {
+					t.Errorf("GOMAXPROCS=%d: trace export differs from GOMAXPROCS=1's", procs)
 				}
 			}
 			switch {
 			case su.unlimited && segments == 0:
-				t.Error("no lane ran as segments")
+				t.Error("no pass ran as segments")
 			case !su.unlimited && segments > 0:
-				t.Errorf("%d lanes ran as segments under a budget that could police", segments)
+				t.Errorf("%d passes ran as segments under a budget that could police", segments)
 			case !su.unlimited && fallbacks == 0:
 				t.Error("no request fell back: the budget is no longer tight")
 			}
 		})
 	}
+	t.Run("deprecated-workers", func(t *testing.T) {
+		runtime.GOMAXPROCS(2)
+		one := runSegmentBuild(t, ds, mw.Config{Workers: 1}, opt)
+		two := runSegmentBuild(t, ds, mw.Config{Workers: 2}, opt)
+		if !dtree.Equal(two.tree, one.tree) || two.now != one.now || two.counters != one.counters || !bytes.Equal(two.chrome, one.chrome) {
+			t.Errorf("Workers 2: clock %d counters %v, Workers 1: %d %v (or the tree or trace export differs)",
+				two.now, two.counters, one.now, one.counters)
+		}
+	})
 }
 
 // TestPoolSharedAcrossSchemas: middlewares over different schemas — census

@@ -7,7 +7,7 @@ import "repro/internal/engine"
 // server scan of the same table, each session splits its Step into
 // BeginSharedBatch / Finish and contributes a ScanConsumer to one physical
 // engine.ScanGroups pass. The consumer runs the exact colConsumer
-// kernel a solo columnar scan runs — counting into a private worker shard,
+// kernel a solo columnar scan runs — counting into a private shard,
 // policing the session's own budget — while the shared page I/O is charged
 // once, to the fleet's io meter, instead of once per session.
 
@@ -20,7 +20,7 @@ type SharedBatch struct {
 	srv      *engine.Server
 	needCols []int
 	cons     *engine.ScanConsumer
-	sh       *workerShard
+	sh       *scanShard
 	done     bool
 }
 
@@ -74,12 +74,11 @@ func (m *Middleware) BeginSharedBatch() (*SharedBatch, []*Result, error) {
 	r.openScan()
 	r.ssp.Attr("shared", 1)
 
-	// The consumer is a lone lane on the session meter: the fleet coordinator
-	// drives the shared scan single-threaded and engine.ScanGroups feeds
-	// consumers in deterministic slice order, so no fork/join barrier is
-	// needed. Its shard polices the session's whole budget, exactly like a
-	// one-lane solo scan.
-	sb.sh = r.newShard(0, 1)
+	// The consumer runs on the session meter: the fleet coordinator drives
+	// the shared scan single-threaded and engine.ScanGroups feeds consumers
+	// in deterministic slice order. Its shard polices the session's whole
+	// budget, exactly like a solo pass.
+	sb.sh = r.newShard()
 	r.tagRows()
 	sb.cons = r.colConsumer(0, m.meter, sb.sh)
 	return sb, nil, nil
@@ -95,7 +94,7 @@ func (sb *SharedBatch) NeedCols() []int { return sb.needCols }
 // Finish completes the batch after the shared scan ran the session's
 // consumer: the session's clock absorbs the scan's shared I/O wait
 // (ioElapsedNS — the io meter's advance during the pass, which charged the
-// cohort's pages once), the scan span closes, the shard merges through the
+// cohort's pages once), the scan span closes, the shard settles through the
 // same post-scan path a solo batch takes, and the batch finalizes (staging,
 // results, fallback, the batch span's attributes).
 func (sb *SharedBatch) Finish(ioElapsedNS int64) ([]*Result, error) {
@@ -109,7 +108,7 @@ func (sb *SharedBatch) Finish(ioElapsedNS int64) ([]*Result, error) {
 	}
 	pairRows.Add(sb.cons.PairRows())
 	r.closeScan()
-	r.mergeShards([]*workerShard{sb.sh})
+	r.settle(sb.sh)
 	return m.finishBatch(r)
 }
 

@@ -52,7 +52,7 @@ type fileGroup struct {
 }
 
 // stageCharge is what reading a group of a stage costs: one per-row charge on
-// the lane, in place of everything a server scan pays.
+// the scan's meter, in place of everything a server scan pays.
 type stageCharge struct {
 	ctr    sim.Counter
 	perRow int64
@@ -75,7 +75,7 @@ func (s memGroups) ChargeRead(gi int, m *sim.Meter) {
 }
 
 // fileGroups is a staging file as a scan source. Planning needs only the zones;
-// a lane that reads groups opens the file on its first Read, decodes every
+// a segment that reads groups opens the file on its first Read, decodes every
 // group into the one buffer — a group it returns is valid until the next Read —
 // and must close the source.
 type fileGroups struct {
@@ -85,7 +85,7 @@ type fileGroups struct {
 	buf *groupBuf
 }
 
-// groupBuf is a lane's read buffer (laneScratch.buf): the last group read, as
+// groupBuf is a segment's read buffer (scanScratch.buf): the last group read, as
 // on disk and decoded.
 type groupBuf struct {
 	raw []byte
@@ -163,8 +163,8 @@ func (fs *fileStore) hasRoomFor(rows int64) bool {
 	return fs.budget == 0 || fs.bytesInUse+rows*int64(fs.schema.RowBytes()) <= fs.budget
 }
 
-// source returns sf as a scan source reading into buf — a lane's own, when it
-// is to be read; nil when it is only planned by.
+// source returns sf as a scan source reading into buf — a segment's own, when
+// it is to be read; nil when it is only planned by.
 func (fs *fileStore) source(sf *stageFile, buf *groupBuf) *fileGroups {
 	return &fileGroups{stageCharge: stageCharge{sim.CtrFileRowsRead, fs.meter.Costs().FileRowRead}, sf: sf, buf: buf}
 }
@@ -194,7 +194,7 @@ func (fs *fileStore) create() (*fileWriter, error) {
 	return &fileWriter{fs: fs, f: f, sf: &stageFile{path: path}}, nil
 }
 
-// writeGroup appends one group (nil: none). The lane that captured its rows
+// writeGroup appends one group (nil: none). The pass that captured its rows
 // charged their write cost as it captured them, so this is purely the physical
 // append.
 func (fw *fileWriter) writeGroup(g *storage.ColGroup) {

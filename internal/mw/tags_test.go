@@ -16,9 +16,9 @@ import (
 )
 
 // TestTagsInvisible: walking each row from its tag's class is, to every
-// observer, walking it from the root. Over census unstaged at Workers 1 and 4
-// and GOMAXPROCS 1 and 2, keyset access, no filter pushdown, an 8 KB budget
-// that sheds requests (one lane) and falls back to SQL (four), and a cohort of
+// observer, walking it from the root. Over census unstaged at GOMAXPROCS 1 and
+// 2, keyset access, no filter pushdown, a 6 KB budget that sheds requests
+// and falls back to SQL, and a cohort of
 // three sessions sharing their scans, every tree equals dtree.BuildInMemory's
 // and the clock, the counters and the trace export are byte-identical to the
 // same build with tags off. Every set-up must really have walked rows by their
@@ -38,16 +38,13 @@ func TestTagsInvisible(t *testing.T) {
 		tight bool
 	}
 	var setups []setup
-	for _, workers := range []int{1, 4} {
-		for _, procs := range []int{1, 2} {
-			setups = append(setups, setup{name: fmt.Sprintf("census/workers=%d/procs=%d", workers, procs), cfg: mw.Config{Workers: workers}, procs: procs})
-		}
+	for _, procs := range []int{1, 2} {
+		setups = append(setups, setup{name: fmt.Sprintf("census/procs=%d", procs), procs: procs})
 	}
 	setups = append(setups,
 		setup{name: "keyset", cfg: mw.Config{Access: mw.AccessKeyset, AuxThreshold: 0.6}, procs: 2},
 		setup{name: "no-pushdown", cfg: mw.Config{NoFilterPushdown: true}, procs: 2},
-		setup{name: "tight/workers=1", cfg: mw.Config{Memory: 8 << 10}, procs: 2, tight: true},
-		setup{name: "tight/workers=4", cfg: mw.Config{Memory: 8 << 10, Workers: 4}, procs: 2, tight: true},
+		setup{name: "tight", cfg: mw.Config{Memory: 6 << 10}, procs: 2, tight: true},
 	)
 	var fallbacks, requeued int64
 	for _, su := range setups {
@@ -59,16 +56,16 @@ func TestTagsInvisible(t *testing.T) {
 				mw.SetTagsOff(off)
 				runs[i] = runSegmentBuild(t, ds, su.cfg, opt)
 				if !dtree.Equal(runs[i].tree, want) {
-					t.Fatalf("workers=%d GOMAXPROCS=%d tags off=%v: tree differs from the in-memory build", su.cfg.Workers, su.procs, off)
+					t.Fatalf("GOMAXPROCS=%d tags off=%v: tree differs from the in-memory build", su.procs, off)
 				}
 			}
 			mw.SetTagsOff(false)
 			on, off := runs[0], runs[1]
 			if on.now != off.now || on.counters != off.counters {
-				t.Errorf("workers=%d GOMAXPROCS=%d: clock %d counters %v, tags off: %d %v", su.cfg.Workers, su.procs, on.now, on.counters, off.now, off.counters)
+				t.Errorf("GOMAXPROCS=%d: clock %d counters %v, tags off: %d %v", su.procs, on.now, on.counters, off.now, off.counters)
 			}
 			if !bytes.Equal(on.chrome, off.chrome) {
-				t.Errorf("workers=%d GOMAXPROCS=%d: trace export differs from the build with tags off", su.cfg.Workers, su.procs)
+				t.Errorf("GOMAXPROCS=%d: trace export differs from the build with tags off", su.procs)
 			}
 			if mw.TaggedScans() == scans || mw.PairRows() == pairs {
 				t.Errorf("%d tagged scans bucketed %d rows by a pair select", mw.TaggedScans()-scans, mw.PairRows()-pairs)
@@ -79,7 +76,7 @@ func TestTagsInvisible(t *testing.T) {
 		})
 	}
 	if fallbacks == 0 || requeued == 0 {
-		t.Errorf("under the 8 KB budget %d requests fell back and %d were shed: it no longer forces both", fallbacks, requeued)
+		t.Errorf("under the 6 KB budget %d requests fell back and %d were shed: it no longer forces both", fallbacks, requeued)
 	}
 	t.Run("cohort", func(t *testing.T) {
 		var runs [2]cohortRun

@@ -34,7 +34,7 @@ type traceEvent struct {
 }
 
 // WriteChrome writes the trace in Chrome/Perfetto trace-event JSON: each proc
-// becomes a process, each track (main, lane 1, lane 2, ...) a thread, each
+// becomes a process, each track (main, levels, ...) a thread, each
 // span a complete ("X") event. Load the file at https://ui.perfetto.dev.
 // Counter ("C") events derived from the batch spans (emitCounters) render
 // budget utilization, tier residency and counter totals as time series.

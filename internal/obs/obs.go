@@ -1,6 +1,6 @@
 // Package obs is the deterministic observability layer: virtual-clock-native
 // span tracing, shared by the engine, the middleware and the experiment
-// harness. Spans are the one record: what a batch did — counters, lanes,
+// harness. Spans are the one record: what a batch did — counters, scans,
 // budgets, tier residency — is on its span, and every export derives from that.
 //
 // Everything in this package is driven by sim.Meter's virtual clock, never by
@@ -10,12 +10,8 @@
 // charges the meter — opening a span reads the clock, it does not advance it
 // — so enabling tracing cannot perturb any simulated result.
 //
-// The span model mirrors the simulator's parallel cost model: a Tracer is
-// single-goroutine like a Meter, and a parallel scan forks one lane Tracer
-// per worker (ForkLanes) whose spans buffer privately and fold back in lane
-// index order at the barrier (JoinLanes), exactly as lane meters fold through
-// sim.Meter.Join. Lane spans render as separate threads in the Perfetto
-// export.
+// A Tracer is single-goroutine like a Meter. The segments a scan splits into
+// (RunSegments) open no spans, so a trace is the same at every GOMAXPROCS.
 //
 // Every entry point is nil-receiver safe and allocation-free when disabled:
 // a nil *Tracer returns nil *Spans, and all Span methods accept a nil
@@ -23,7 +19,6 @@
 package obs
 
 import (
-	"fmt"
 	"sync"
 
 	"repro/internal/sim"
@@ -31,14 +26,13 @@ import (
 
 // Span categories, from coarse to fine. The hierarchy in a typical tree
 // build: build → level (client view) and build → batch → scan → lane →
-// cursor / merge / stage / fallback → sql (middleware and engine view).
+// cursor / stage / fallback → sql (middleware and engine view).
 const (
 	CatBuild    = "build"    // one whole model build (tree, NB)
 	CatLevel    = "level"    // one tree level, client side
 	CatBatch    = "batch"    // one middleware scheduling batch
 	CatScan     = "scan"     // the batch's single scan of its source
-	CatLane     = "lane"     // one worker's partition of a parallel scan
-	CatMerge    = "merge"    // post-barrier CC shard merging
+	CatLane     = "lane"     // the one pass a scan makes over its source
 	CatStage    = "stage"    // staging capture/finalize (file or memory)
 	CatFallback = "fallback" // one node serviced by the SQL fallback
 	CatSQL      = "sql"      // one SQL statement at the server
@@ -126,8 +120,7 @@ func (p *proc) trackID(name string) int {
 // fleet and the experiment harness collect observability through. A nil Trace
 // is the disabled state: Proc returns a nil Tracer, on which every span call
 // is a no-op. Procs register under a lock (experiment suites may build
-// concurrently); within a proc all span activity is single-goroutine except
-// lanes, which buffer privately until JoinLanes.
+// concurrently); within a proc all span activity is single-goroutine.
 type Trace struct {
 	mu    sync.Mutex
 	procs []*proc
@@ -175,28 +168,18 @@ func (t *Trace) EachProc(fn func(ProcView)) {
 }
 
 // Tracer opens spans against one proc on one track. Like a sim.Meter it is
-// single-goroutine: parallel scans fork lane tracers (ForkLanes) instead of
-// sharing one. The zero-value rule is nil = disabled: every method on a nil
+// single-goroutine. The zero-value rule is nil = disabled: every method on a nil
 // *Tracer is a no-op returning nil.
 type Tracer struct {
 	p       *proc
 	clock   *sim.Meter
 	track   int
-	offset  int64 // added to clock readings (lane tracers: parent time at fork)
-	overlay bool  // descriptive overlay track (Track): spans marked Span.Overlay
+	overlay bool // descriptive overlay track (Track): spans marked Span.Overlay
 	stack   []*Span
-
-	// Lane state: spans buffer locally with temporary negative ids until
-	// JoinLanes folds them into the proc in lane order.
-	detached   bool
-	buf        []*Span
-	nextTemp   int64
-	laneName   string
-	forkParent int64
 }
 
 // now returns the tracer's current virtual time in ns.
-func (t *Tracer) now() int64 { return t.offset + int64(t.clock.Now()) }
+func (t *Tracer) now() int64 { return int64(t.clock.Now()) }
 
 // Start opens a span. Its parent is the innermost span still open on this
 // tracer. Returns nil (allocation-free) on a nil tracer.
@@ -207,22 +190,12 @@ func (t *Tracer) Start(cat, name string) *Span {
 	s := &Span{
 		Proc: t.procID(), Track: t.track, Cat: cat, Name: name,
 		Start: t.now(), Overlay: t.overlay,
-		startCounts: t.clock.CounterVec(), tr: t,
-	}
-	if t.detached {
-		t.nextTemp--
-		s.ID = t.nextTemp
-	} else {
-		s.ID = t.p.newID()
+		startCounts: t.clock.CounterVec(), tr: t, ID: t.p.newID(),
 	}
 	if n := len(t.stack); n > 0 {
 		s.Parent = t.stack[n-1].ID
 	}
-	if t.detached {
-		t.buf = append(t.buf, s)
-	} else {
-		t.p.spans = append(t.p.spans, s)
-	}
+	t.p.spans = append(t.p.spans, s)
 	t.stack = append(t.stack, s)
 	return s
 }
@@ -236,7 +209,7 @@ func (t *Tracer) procID() int {
 
 // Track returns a sibling tracer on the named render track of the same proc,
 // with its own span stack. Must be called (and used) from the proc's owning
-// goroutine; lanes use ForkLanes instead.
+// goroutine.
 func (t *Tracer) Track(name string) *Tracer {
 	if t == nil {
 		return nil
@@ -244,113 +217,13 @@ func (t *Tracer) Track(name string) *Tracer {
 	return &Tracer{p: t.p, clock: t.clock, track: t.p.trackID(name), overlay: true}
 }
 
-// ForkLanes returns one lane tracer per lane meter, buffering spans privately
-// so worker goroutines never touch shared state — the tracing analogue of
-// sim.Meter.Fork. Lane clocks are offset by the parent's current time, and
-// lane spans' parent is the span open on t at fork time. The parent tracer
-// must not record between ForkLanes and the matching JoinLanes.
-func (t *Tracer) ForkLanes(lanes []*sim.Meter) []*Tracer {
-	if t == nil {
-		return nil
-	}
-	var parent int64
-	if n := len(t.stack); n > 0 {
-		parent = t.stack[n-1].ID
-	}
-	out := make([]*Tracer, len(lanes))
-	for i, lane := range lanes {
-		out[i] = &Tracer{
-			p:          t.p,
-			clock:      lane,
-			offset:     t.now(),
-			detached:   true,
-			laneName:   fmt.Sprintf("lane %d", i+1),
-			forkParent: parent,
-		}
-	}
-	return out
-}
-
-// JoinLanes folds lane tracers back into the proc in lane index order,
-// assigning final span ids — the tracing analogue of sim.Meter.Join. Each
-// lane's buffer is a pure function of its partition, so the folded trace is
-// bit-for-bit reproducible regardless of goroutine interleaving.
-func (t *Tracer) JoinLanes(lanes []*Tracer) {
-	if t == nil {
-		return
-	}
-	for _, lt := range lanes {
-		track := t.p.trackID(lt.laneName)
-		remap := make(map[int64]int64, len(lt.buf))
-		for _, s := range lt.buf {
-			id := t.p.newID()
-			remap[s.ID] = id
-			s.ID = id
-			switch {
-			case s.Parent < 0:
-				s.Parent = remap[s.Parent]
-			case s.Parent == 0:
-				s.Parent = lt.forkParent
-			}
-			s.Track = track
-			t.p.spans = append(t.p.spans, s)
-		}
-		lt.buf = nil
-	}
-}
-
-// RunLanes is the lane model's fork/join barrier: it runs body once per
-// lane — body(part, lane meter, lane tracer) — and returns after every lane
-// has finished and been folded back into meter and t (which may be nil).
-//
-// With n > 1 the lanes are forked meters and tracers, one goroutine each;
-// at the barrier counters sum, the clock advances by the slowest lane, and
-// lane spans fold in index order, so the outcome is a pure function of the
-// partitioning. body must touch only lane-local state.
-//
-// A lone lane (n <= 1) needs no barrier: body runs on the calling goroutine
-// against meter and t themselves. It may therefore use whatever the caller
-// may — the shared buffer pool, the middleware's staging state — and
-// sim.Meter.Fork's rule that the parent is not charged while lanes are out
-// holds trivially, because none are.
-//
-// RunLanes and RunSegments are sim.Meter.Fork's only callers, and tests, not
-// lint, pin their barriers. Here a dropped JoinLanes fails the engine's
-// TestCatalogTailLanes and mw's TestParallelBatchEmitsEventWithLanes; a
-// parent charge between Fork and Join, or a Join before the lanes finish,
-// fails the engine's TestUnionLanesMatchSerial; and JoinSerial in place of
-// Join, or a lane that joins its own meter, fails the engine's
-// TestParallelBuildersChargeLanes.
-func RunLanes(meter *sim.Meter, t *Tracer, n int, body func(part int, lane *sim.Meter, ltr *Tracer)) {
-	if n <= 1 {
-		body(0, meter, t)
-		return
-	}
-	lanes := meter.Fork(n)
-	ltrs := t.ForkLanes(lanes)
-	var wg sync.WaitGroup
-	for i, lane := range lanes {
-		var ltr *Tracer
-		if ltrs != nil {
-			ltr = ltrs[i]
-		}
-		wg.Add(1)
-		go func(part int, lane *sim.Meter, ltr *Tracer) {
-			defer wg.Done()
-			body(part, lane, ltr)
-		}(i, lane, ltr)
-	}
-	wg.Wait()
-	meter.Join(lanes)
-	t.JoinLanes(ltrs)
-}
-
-// RunSegments is RunLanes' serial twin, the host-parallel execution of one
-// modeled lane: it runs body once per segment — body(seg, segment meter) — on
-// k goroutines and returns after every segment has finished and been folded
-// back into meter by sim.Meter.JoinSerial, so the clock advances by the sum of
-// the segments' work, as if one goroutine had done all of it. No tracer is
-// forked: segments open no spans. body must touch only segment-local state.
+// RunSegments is the host-parallel execution of one scan: it runs body once
+// per segment — body(seg, segment meter) — on k goroutines and returns after
+// every segment has finished and been folded back into meter by
+// sim.Meter.JoinSerial, so the clock advances by the sum of the segments'
+// work, as if one goroutine had done all of it. Segments open no spans. body
+// must touch only segment-local state. RunSegments is sim.Meter.Fork's only
+// caller.
 //
 // A dropped JoinSerial fails mw's TestSegmentsInvisible and
 // TestStagedBuildSchedulePinned (and exp's TestAllShapeChecksPass); joining

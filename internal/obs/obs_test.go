@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"strings"
-	"sync"
 	"testing"
 
 	"repro/internal/sim"
@@ -24,10 +23,6 @@ func TestNilTracerZeroAllocs(t *testing.T) {
 		if lt := tr.Track("x"); lt != nil {
 			t.Fatal("nil tracer Track returned non-nil")
 		}
-		if lts := tr.ForkLanes(nil); lts != nil {
-			t.Fatal("nil tracer ForkLanes returned non-nil")
-		}
-		tr.JoinLanes(nil)
 	})
 	if allocs != 0 {
 		t.Fatalf("nil tracer span API allocated %v times per run, want 0", allocs)
@@ -110,31 +105,21 @@ func TestEndAtClamp(t *testing.T) {
 	}
 }
 
-// laneWork drives a forked lane pair with asymmetric charges and returns the
-// full NDJSON export, exercising the fold across real goroutines.
-func laneWork(t *testing.T) []byte {
+// segmentWork runs a four-segment pass (RunSegments) with asymmetric charges
+// under a traced batch span and returns the full NDJSON export, exercising
+// the serial fold across real goroutines.
+func segmentWork(t *testing.T) []byte {
 	t.Helper()
 	meter := sim.NewDefaultMeter()
 	trace := NewTrace()
 	tr := trace.Proc("fork", meter)
 
 	bsp := tr.Start(CatBatch, "batch")
-	lanes := meter.Fork(4)
-	ltrs := tr.ForkLanes(lanes)
-	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			lsp := ltrs[w].Start(CatLane, "lane").SetPartition(w, 4)
-			// Asymmetric work so lane clocks differ.
-			lanes[w].Charge(sim.CtrMemRowsRead, 10, int64(w+1))
-			lsp.SetRows(int64(w + 1)).End()
-		}(w)
-	}
-	wg.Wait()
-	meter.Join(lanes)
-	tr.JoinLanes(ltrs)
+	lsp := tr.Start(CatLane, "lane")
+	RunSegments(meter, 4, func(j int, seg *sim.Meter) {
+		seg.Charge(sim.CtrMemRowsRead, 10, int64(j+1))
+	})
+	lsp.SetRows(10).End()
 	bsp.End()
 
 	var b bytes.Buffer
@@ -144,46 +129,33 @@ func laneWork(t *testing.T) []byte {
 	return b.Bytes()
 }
 
-// TestForkJoinDeterministic runs the same forked workload repeatedly and
-// demands byte-identical exports: lane spans must fold in lane index order
-// with reproducible ids regardless of goroutine interleaving.
+// TestForkJoinDeterministic runs the same segmented pass repeatedly and
+// demands byte-identical exports: segments open no spans, and their meters
+// fold back serially, so the pass's span covers the sum of their work
+// whatever the goroutine interleaving.
 func TestForkJoinDeterministic(t *testing.T) {
-	ref := laneWork(t)
+	ref := segmentWork(t)
 	for i := 0; i < 10; i++ {
-		if got := laneWork(t); !bytes.Equal(got, ref) {
+		if got := segmentWork(t); !bytes.Equal(got, ref) {
 			t.Fatalf("run %d: NDJSON differs from first run\nref:\n%s\ngot:\n%s", i, ref, got)
 		}
 	}
-	// Lane spans land on their own tracks with the batch span as parent.
 	lines := strings.Split(strings.TrimSpace(string(ref)), "\n")
-	if len(lines) != 6 { // batch + 4 lanes + trailer
-		t.Fatalf("line count = %d, want 6", len(lines))
+	if len(lines) != 3 { // batch + lane + trailer
+		t.Fatalf("line count = %d, want 3", len(lines))
 	}
-	var sum ndSummary
-	if err := json.Unmarshal([]byte(lines[5]), &sum); err != nil {
-		t.Fatal(err)
-	}
-	if sum.Type != "trace" || sum.Procs != 1 || sum.Spans != 5 {
-		t.Fatalf("trailer = %+v, want trace/1/5", sum)
-	}
-	var batch ndSpan
+	var batch, lane ndSpan
 	if err := json.Unmarshal([]byte(lines[0]), &batch); err != nil {
 		t.Fatal(err)
 	}
-	for i, ln := range lines[1:5] {
-		var s ndSpan
-		if err := json.Unmarshal([]byte(ln), &s); err != nil {
-			t.Fatal(err)
-		}
-		if s.Parent != batch.ID {
-			t.Fatalf("lane %d parent = %d, want batch id %d", i, s.Parent, batch.ID)
-		}
-		if want := "lane " + string(rune('1'+i)); s.TrackN != want {
-			t.Fatalf("lane %d track = %q, want %q", i, s.TrackN, want)
-		}
-		if s.Rows != int64(i+1) {
-			t.Fatalf("lane %d rows = %d, want %d", i, s.Rows, i+1)
-		}
+	if err := json.Unmarshal([]byte(lines[1]), &lane); err != nil {
+		t.Fatal(err)
+	}
+	if lane.Parent != batch.ID || lane.Track != 0 {
+		t.Fatalf("lane span parent %d track %d, want batch id %d on the main track", lane.Parent, lane.Track, batch.ID)
+	}
+	if want := int64(10 * (1 + 2 + 3 + 4)); lane.DurNS != want || batch.DurNS != want {
+		t.Fatalf("lane %d ns, batch %d ns, want both %d: the segments' work summed", lane.DurNS, batch.DurNS, want)
 	}
 }
 

@@ -2,7 +2,7 @@
 // consumes a finished obs.Trace and attributes every virtual nanosecond and
 // every counter delta of a build to the span that spent it.
 //
-// Three analyses come out of one Compute pass:
+// Two analyses come out of one Compute pass:
 //
 //   - Per-span cost attribution. Every span carries the counter vector of its
 //     clock domain captured at its start and end boundaries (obs.Span.Deltas),
@@ -12,20 +12,10 @@
 //     sum to the total build virtual time — no instant is counted twice or
 //     dropped, which TestAttributionSumsToTotal asserts as a property.
 //
-//   - Critical-path analysis over the Fork/Join lane DAG. Concurrent lane
-//     spans (children of one parent on distinct render tracks) form a fork
-//     group; the lane whose busy time bounds the join barrier is the critical
-//     lane, every other lane's slack is the virtual time it idled at the
-//     barrier, and the fork group with the largest total slack names the
-//     batch/source whose imbalance costs the most (the skew diagnosis).
-//     The same rule drives exclusive-time attribution: concurrent instants
-//     resolve to the span that bounds the barrier, mirroring how
-//     sim.Meter.Join advances the parent clock by max(lane elapsed).
-//
 //   - An EXPLAIN ANALYZE-style report (report.go): a deterministic text
 //     tree mirroring the build — levels, batches, scans, stages,
-//     fallback arms — with inclusive/exclusive costs, percent of total and
-//     critical-path markers. Byte-identical across GOMAXPROCS and reruns,
+//     fallback arms — with inclusive/exclusive costs and percent of total.
+//     Byte-identical across GOMAXPROCS and reruns,
 //     same as the traces it reads.
 package profile
 
@@ -64,8 +54,6 @@ type Proc struct {
 	BySource []Rollup
 	ByLevel  []LevelRollup
 	Hot      []HotSpan
-	Forks    []*ForkGroup
-	Skew     *SkewDiagnosis
 }
 
 // Node is one span in the attribution forest.
@@ -74,14 +62,13 @@ type Node struct {
 	Cat      string
 	Name     string
 	Source   string
-	Track    string // non-main tracks (lanes)
+	Track    string // non-main tracks (overlays)
 	StartNS  int64
 	InclNS   int64
 	ExclNS   int64
 	PctBP    int64 // exclusive time in basis points of the proc total
 	Rows     int64
 	Part     string
-	Critical bool
 	Attrs    []obs.Attr
 	Children []*Node
 
@@ -126,53 +113,6 @@ type HotSpan struct {
 	Source string
 	ExclNS int64
 	PctBP  int64
-}
-
-// LaneCost is one lane of a fork group.
-type LaneCost struct {
-	Track   string // render track name, e.g. "lane 2"
-	Spans   int
-	BusyNS  int64 // fork to the lane's last span end
-	SlackNS int64 // barrier - busy: idle time at the join
-	Rows    int64
-}
-
-// ForkGroup is one Fork/Join barrier: the concurrent lanes under one parent
-// span, with per-lane busy time and join slack.
-type ForkGroup struct {
-	Parent       int64 // span id the lanes forked under
-	ParentCat    string
-	ParentName   string
-	Batch        int64 // enclosing batch ordinal
-	Source       string
-	ForkNS       int64
-	BarrierNS    int64 // fork + max lane busy
-	Lanes        []LaneCost
-	CriticalLane string // track name of the lane bounding the barrier
-	TotalSlackNS int64
-}
-
-// ImbalanceNS returns max − min lane busy time: the virtual time the fastest
-// lane idled at the join barrier (the critical lane's slack is zero).
-func (g *ForkGroup) ImbalanceNS() int64 {
-	var worst int64
-	for _, lc := range g.Lanes {
-		worst = max(worst, lc.SlackNS)
-	}
-	return worst
-}
-
-// SkewDiagnosis names the join barrier whose lane imbalance costs the most
-// virtual time across the whole build.
-type SkewDiagnosis struct {
-	Batch        int64
-	Source       string
-	Parent       int64
-	ParentCat    string
-	CriticalLane string
-	BusyNS       int64
-	TotalSlackNS int64
-	PctBP        int64 // slack as basis points of the proc total
 }
 
 // pctBP returns v as basis points (hundredths of a percent) of total.
@@ -256,11 +196,6 @@ func ComputeProc(pv obs.ProcView) *Proc {
 	}
 	proc.Counters = counterMap(&counters)
 
-	// Fork groups, critical path, slack and skew.
-	proc.Forks = forkGroups(normal, pv.Tracks)
-	markCritical(roots, proc.Forks, byID)
-	proc.Skew = diagnoseSkew(proc.Forks, byID, proc.TotalNS)
-
 	// Fill derived per-node fields and rollups now that attribution is done.
 	for _, n := range normal {
 		proc.AttributedNS += n.ExclNS
@@ -307,12 +242,9 @@ type segment struct{ lo, hi int64 }
 
 // attributeTime assigns every instant of n's owned segments either to the
 // covering child that owns it or to n's own exclusive time, then recurses.
-// Among children covering the same instant (concurrent lane spans), the owner
-// is the one with the latest start, then the latest end, then the smallest
-// id: the lane that bounds the join barrier — i.e. the critical path — owns
-// the shared window, mirroring how sim.Meter.Join advances the parent clock
-// by max(lane elapsed). The sweep partitions time exactly: summed exclusive
-// times equal the total timeline.
+// Among children covering the same instant, the owner is the one with the
+// latest start, then the latest end, then the smallest id. The sweep
+// partitions time exactly: summed exclusive times equal the total timeline.
 func attributeTime(n *Node, owned []segment) {
 	kids := n.Children
 	if len(kids) == 0 {
@@ -377,163 +309,6 @@ func attributeTime(n *Node, owned []segment) {
 	for i, k := range kids {
 		attributeTime(k, childOwned[i])
 	}
-}
-
-// forkGroups finds every Fork/Join barrier: a parent whose children occupy
-// two or more non-parent render tracks ran those tracks as concurrent lanes.
-func forkGroups(nodes []*Node, tracks []string) []*ForkGroup {
-	var groups []*ForkGroup
-	for _, n := range nodes { // nodes are in record order; groups inherit it
-		type laneAgg struct {
-			track       string
-			spans       int
-			first, last int64
-			rows        int64
-		}
-		byTrack := map[int]*laneAgg{}
-		var order []int
-		for _, k := range n.Children {
-			if k.span.Track == n.span.Track {
-				continue // same-track children are sequential, not lanes
-			}
-			la := byTrack[k.span.Track]
-			if la == nil {
-				name := ""
-				if k.span.Track < len(tracks) {
-					name = tracks[k.span.Track]
-				}
-				la = &laneAgg{track: name, first: k.StartNS, last: k.EndNS()}
-				byTrack[k.span.Track] = la
-				order = append(order, k.span.Track)
-			}
-			la.spans++
-			la.rows += k.Rows
-			if k.StartNS < la.first {
-				la.first = k.StartNS
-			}
-			if e := k.EndNS(); e > la.last {
-				la.last = e
-			}
-		}
-		if len(order) < 2 {
-			continue
-		}
-		sort.Ints(order)
-		g := &ForkGroup{
-			Parent: n.ID, ParentCat: n.Cat, ParentName: n.Name, Source: n.Source,
-		}
-		if b := enclosingBatch(n); b != nil {
-			g.Batch = obs.AttrInt(b.Attrs, "batch", 0)
-			if g.Source == "" {
-				g.Source = b.Source
-			}
-		}
-		fork := int64(-1)
-		for _, tid := range order {
-			la := byTrack[tid]
-			if fork < 0 || la.first < fork {
-				fork = la.first
-			}
-		}
-		g.ForkNS = fork
-		g.BarrierNS = fork
-		for _, tid := range order {
-			la := byTrack[tid]
-			if la.last > g.BarrierNS {
-				g.BarrierNS = la.last
-			}
-		}
-		for _, tid := range order {
-			la := byTrack[tid]
-			busy := la.last - fork
-			g.Lanes = append(g.Lanes, LaneCost{
-				Track: la.track, Spans: la.spans, BusyNS: busy,
-				SlackNS: g.BarrierNS - la.last, Rows: la.rows,
-			})
-			g.TotalSlackNS += g.BarrierNS - la.last
-		}
-		// Critical lane: the first lane (lowest track id) with zero slack.
-		for _, lc := range g.Lanes {
-			if lc.SlackNS == 0 {
-				g.CriticalLane = lc.Track
-				break
-			}
-		}
-		groups = append(groups, g)
-	}
-	return groups
-}
-
-// enclosingBatch walks up the attribution forest to the nearest batch span.
-func enclosingBatch(n *Node) *Node {
-	for cur := n; cur != nil; cur = cur.up {
-		if cur.Cat == obs.CatBatch {
-			return cur
-		}
-	}
-	return nil
-}
-
-// markCritical marks the chain of spans that determines the virtual clock: in
-// the serial regions everything is critical; at each fork group only the
-// critical lane's subtree stays on the path, every other lane's subtree is
-// slack.
-func markCritical(roots []*Node, groups []*ForkGroup, byID map[int64]*Node) {
-	var markAll func(n *Node, v bool)
-	markAll = func(n *Node, v bool) {
-		n.Critical = v
-		for _, k := range n.Children {
-			markAll(k, v)
-		}
-	}
-	for _, r := range roots {
-		markAll(r, true)
-	}
-	for _, g := range groups {
-		parent := byID[g.Parent]
-		if parent == nil || !parent.Critical {
-			continue
-		}
-		for _, k := range parent.Children {
-			// Lane children (off the parent's own track) that are not on the
-			// critical lane are join slack, subtrees included.
-			if k.span.Track != parent.span.Track && k.Track != g.CriticalLane {
-				markAll(k, false)
-			}
-		}
-	}
-}
-
-// diagnoseSkew picks the fork group whose total join slack is largest.
-func diagnoseSkew(groups []*ForkGroup, byID map[int64]*Node, totalNS int64) *SkewDiagnosis {
-	var worst *ForkGroup
-	for _, g := range groups {
-		if g.TotalSlackNS == 0 {
-			continue
-		}
-		if worst == nil || g.TotalSlackNS > worst.TotalSlackNS ||
-			(g.TotalSlackNS == worst.TotalSlackNS && g.Parent < worst.Parent) {
-			worst = g
-		}
-	}
-	if worst == nil {
-		return nil
-	}
-	d := &SkewDiagnosis{
-		Batch: worst.Batch, Source: worst.Source,
-		Parent: worst.Parent, ParentCat: worst.ParentCat,
-		CriticalLane: worst.CriticalLane,
-		TotalSlackNS: worst.TotalSlackNS,
-		PctBP:        pctBP(worst.TotalSlackNS, totalNS),
-	}
-	for _, lc := range worst.Lanes {
-		if lc.Track == worst.CriticalLane {
-			d.BusyNS = lc.BusyNS
-			break
-		}
-	}
-	_ = byID
-	return d
 }
 
 // rollupBy aggregates exclusive costs by a key function, skipping empty keys,

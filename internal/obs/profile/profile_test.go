@@ -16,9 +16,9 @@ import (
 )
 
 // scenario is one profiled build configuration. The set deliberately covers
-// the edge shapes the profiler must attribute exactly: strictly sequential
-// pipelines (Workers=1), parallel lanes with staging, fallback-only builds,
-// nested aux-structure spans, and the columnar scan path.
+// the edge shapes the profiler must attribute exactly: unstaged scans,
+// staging, fallback-only builds, nested aux-structure spans, and the columnar
+// scan path.
 type scenario struct {
 	name string
 	cfg  func(ds *data.Dataset) mw.Config
@@ -49,14 +49,14 @@ func scenarios() []scenario {
 	return []scenario{
 		{
 			name: "workers1-nostage",
-			cfg:  func(*data.Dataset) mw.Config { return mw.Config{Workers: 1, Staging: mw.StageNone} },
+			cfg:  func(*data.Dataset) mw.Config { return mw.Config{Staging: mw.StageNone} },
 			data: censusData,
 			opt:  shallow,
 		},
 		{
-			name: "staged-parallel",
+			name: "staged",
 			cfg: func(ds *data.Dataset) mw.Config {
-				return mw.Config{Workers: 4, Staging: mw.StageFileAndMemory, Memory: ds.Bytes() / 2}
+				return mw.Config{Staging: mw.StageFileAndMemory, Memory: ds.Bytes() / 2}
 			},
 			data: censusData,
 			opt:  shallow,
@@ -66,7 +66,7 @@ func scenarios() []scenario {
 			// A memory budget below every node's estimate (under two CC
 			// entries) pushes every request to the SQL fallback: no scan
 			// spans, only fallback arms.
-			cfg:  func(*data.Dataset) mw.Config { return mw.Config{Workers: 4, Memory: 64, Staging: mw.StageNone} },
+			cfg:  func(*data.Dataset) mw.Config { return mw.Config{Memory: 64, Staging: mw.StageNone} },
 			data: censusData,
 			opt:  dtree.Options{MaxDepth: 3, MinRows: 40},
 		},
@@ -75,14 +75,14 @@ func scenarios() []scenario {
 			// A high threshold triggers the §4.3.3 auxiliary builds, nesting
 			// aux spans inside the batch pipeline.
 			cfg: func(*data.Dataset) mw.Config {
-				return mw.Config{Workers: 4, Access: mw.AccessKeyset, AuxThreshold: 0.6, Staging: mw.StageNone}
+				return mw.Config{Access: mw.AccessKeyset, AuxThreshold: 0.6, Staging: mw.StageNone}
 			},
 			data: censusData,
 			opt:  shallow,
 		},
 		{
 			name: "columnar-clustered",
-			cfg:  func(*data.Dataset) mw.Config { return mw.Config{Workers: 4, Staging: mw.StageNone} },
+			cfg:  func(*data.Dataset) mw.Config { return mw.Config{Staging: mw.StageNone} },
 			data: clusteredData,
 			opt:  shallow,
 		},
@@ -207,71 +207,6 @@ func TestOverlaysExcluded(t *testing.T) {
 	}
 }
 
-// TestForkSlackAndSkew checks the critical-path invariants on a parallel
-// build: every fork group has a critical lane with zero slack bounding the
-// barrier, slack sums agree, and the skew diagnosis names the worst group.
-func TestForkSlackAndSkew(t *testing.T) {
-	col, _, _ := buildProfiled(t, scenarios()[1]) // staged-parallel, Workers=4
-	p := Compute(col)
-	proc := p.Procs[0]
-	if len(proc.Forks) == 0 {
-		t.Fatal("no fork groups found in a Workers=4 build")
-	}
-	var maxSlack int64
-	for _, g := range proc.Forks {
-		if len(g.Lanes) < 2 {
-			t.Errorf("fork group %d has %d lanes, want >= 2", g.Parent, len(g.Lanes))
-		}
-		if g.CriticalLane == "" {
-			t.Errorf("fork group %d has no critical lane", g.Parent)
-		}
-		var slackSum, maxBusy int64
-		minBusy := g.Lanes[0].BusyNS
-		sawCritical := false
-		for _, lc := range g.Lanes {
-			slackSum += lc.SlackNS
-			minBusy = min(minBusy, lc.BusyNS)
-			if lc.BusyNS > maxBusy {
-				maxBusy = lc.BusyNS
-			}
-			if lc.Track == g.CriticalLane {
-				sawCritical = true
-				if lc.SlackNS != 0 {
-					t.Errorf("fork group %d: critical lane %q has slack %d", g.Parent, lc.Track, lc.SlackNS)
-				}
-			}
-		}
-		if !sawCritical {
-			t.Errorf("fork group %d: critical lane %q not among lanes", g.Parent, g.CriticalLane)
-		}
-		if slackSum != g.TotalSlackNS {
-			t.Errorf("fork group %d: lane slack sums to %d, TotalSlackNS = %d", g.Parent, slackSum, g.TotalSlackNS)
-		}
-		if g.ImbalanceNS() != maxBusy-minBusy {
-			t.Errorf("fork group %d: imbalance %d != max busy %d - min busy %d", g.Parent, g.ImbalanceNS(), maxBusy, minBusy)
-		}
-		if g.BarrierNS != g.ForkNS+maxBusy {
-			t.Errorf("fork group %d: barrier %d != fork %d + max busy %d", g.Parent, g.BarrierNS, g.ForkNS, maxBusy)
-		}
-		if g.TotalSlackNS > maxSlack {
-			maxSlack = g.TotalSlackNS
-		}
-	}
-	if maxSlack > 0 {
-		if proc.Skew == nil {
-			t.Fatal("slack present but no skew diagnosis")
-		}
-		if proc.Skew.TotalSlackNS != maxSlack {
-			t.Errorf("skew slack %d != worst group slack %d", proc.Skew.TotalSlackNS, maxSlack)
-		}
-		if proc.Skew.CriticalLane == "" {
-			t.Error("skew diagnosis names no critical lane")
-		}
-	} else if proc.Skew != nil {
-		t.Error("no slack anywhere but skew diagnosis present")
-	}
-}
-
 // TestFallbackOnlyShape: with every request pushed to SQL, the profile still
 // balances and the fallback category dominates the rollup.
 func TestFallbackOnlyShape(t *testing.T) {
@@ -289,37 +224,6 @@ func TestFallbackOnlyShape(t *testing.T) {
 	}
 	if !found {
 		t.Error("no fallback category in the rollup")
-	}
-}
-
-// TestCriticalPathMarking: at least one root-to-leaf chain is critical, and
-// no span is critical while its forest parent is not.
-func TestCriticalPathMarking(t *testing.T) {
-	col, _, _ := buildProfiled(t, scenarios()[1])
-	p := Compute(col)
-	proc := p.Procs[0]
-	criticals := 0
-	eachNode(proc.Roots, func(n *Node) {
-		if n.Critical {
-			criticals++
-			if n.up != nil && !n.up.Critical {
-				t.Errorf("span %d critical under non-critical parent %d", n.ID, n.up.ID)
-			}
-		}
-	})
-	if criticals == 0 {
-		t.Fatal("no critical spans marked")
-	}
-	if len(proc.Forks) > 0 {
-		nonCritical := 0
-		eachNode(proc.Roots, func(n *Node) {
-			if !n.Critical {
-				nonCritical++
-			}
-		})
-		if nonCritical == 0 {
-			t.Error("fork groups exist but every span is critical (slack lanes should be unmarked)")
-		}
 	}
 }
 

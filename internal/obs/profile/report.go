@@ -30,9 +30,8 @@ func pct(bp int64) string {
 }
 
 // WriteText writes the EXPLAIN ANALYZE-style report: per proc, the span tree
-// with inclusive/exclusive costs and critical-path markers, the level/batch
-// breakdown, the top cost centers, the per-category and per-source rollups,
-// every fork barrier's lane slack, and the skew diagnosis. Deterministic:
+// with inclusive/exclusive costs, the level/batch breakdown, the top cost
+// centers and the per-category and per-source rollups. Deterministic:
 // byte-identical across reruns and GOMAXPROCS, same as the trace it reads.
 func (p *Profile) WriteText(w io.Writer) error {
 	tw := &errWriter{w: w}
@@ -62,7 +61,7 @@ func writeProcText(tw *errWriter, proc *Proc) {
 	tw.printf("\n")
 
 	if len(proc.Roots) > 0 {
-		tw.printf("\nspan tree (* = critical path; incl / excl / excl%% of total):\n")
+		tw.printf("\nspan tree (incl / excl / excl%% of total):\n")
 		for _, r := range proc.Roots {
 			writeNodeText(tw, proc, r, 0)
 		}
@@ -108,43 +107,6 @@ func writeProcText(tw *errWriter, proc *Proc) {
 				topCounters(&l.vec, 3))
 		}
 	}
-	if len(proc.Forks) > 0 {
-		tw.printf("\nfork/join barriers (lane busy time and join slack):\n")
-		for _, g := range proc.Forks {
-			tw.printf("  span %d %s/%s", g.Parent, g.ParentCat, g.ParentName)
-			if g.Source != "" {
-				tw.printf(" [%s]", g.Source)
-			}
-			if g.Batch > 0 {
-				tw.printf(" batch %d", g.Batch)
-			}
-			tw.printf(": %d lanes, fork %s, barrier %s, critical %q, total slack %s\n",
-				len(g.Lanes), secs(g.ForkNS), secs(g.BarrierNS), g.CriticalLane, secs(g.TotalSlackNS))
-			for _, lc := range g.Lanes {
-				marker := " "
-				if lc.Track == g.CriticalLane {
-					marker = "*"
-				}
-				tw.printf("    %s %-8s busy %s  slack %s", marker, lc.Track, secs(lc.BusyNS), secs(lc.SlackNS))
-				if lc.Rows > 0 {
-					tw.printf("  rows %d", lc.Rows)
-				}
-				tw.printf("\n")
-			}
-		}
-	}
-	if proc.Skew != nil {
-		s := proc.Skew
-		tw.printf("\nskew diagnosis: ")
-		if s.Batch > 0 {
-			tw.printf("batch %d ", s.Batch)
-		}
-		if s.Source != "" {
-			tw.printf("[%s] ", s.Source)
-		}
-		tw.printf("%s span %d loses the most to lane imbalance: critical lane %q busy %s, total join slack %s (%s of build)\n",
-			s.ParentCat, s.Parent, s.CriticalLane, secs(s.BusyNS), secs(s.TotalSlackNS), pct(s.PctBP))
-	}
 	if len(proc.Counters) > 0 {
 		tw.printf("\ncounters (build totals):\n")
 		keys := make([]string, 0, len(proc.Counters))
@@ -160,10 +122,6 @@ func writeProcText(tw *errWriter, proc *Proc) {
 }
 
 func writeNodeText(tw *errWriter, proc *Proc, n *Node, depth int) {
-	marker := " "
-	if n.Critical {
-		marker = "*"
-	}
 	label := n.Cat + "/" + n.Name
 	if n.Source != "" {
 		label += " [" + n.Source + "]"
@@ -185,15 +143,15 @@ func writeNodeText(tw *errWriter, proc *Proc, n *Node, depth int) {
 	if pad < 1 {
 		pad = 1
 	}
-	tw.printf("%s %s%s%s incl %s  excl %s  %6s%s\n",
-		marker, indent, label, strings.Repeat(" ", pad),
+	tw.printf("%s%s%s incl %s  excl %s  %6s%s\n",
+		indent, label, strings.Repeat(" ", pad),
 		secs(n.InclNS), secs(n.ExclNS), pct(n.PctBP), topCounters(&n.exclVec, 3))
 	if n.Cat == obs.CatBatch && obs.AttrInt(n.Attrs, "mem_used_bytes", -1) >= 0 {
 		// What the middleware recorded on the batch span at batch end: budget
 		// utilization (limit 0 = unlimited), open nodes resident per tier, and
 		// what the batch shed or staged.
 		at := func(key string) int64 { return obs.AttrInt(n.Attrs, key, 0) }
-		tw.printf("  %s    mem %d/%d B  file %d/%d B in %d files  open nodes server/file/memory %d/%d/%d  requeued %d  staged-mem rows %d\n",
+		tw.printf("%s    mem %d/%d B  file %d/%d B in %d files  open nodes server/file/memory %d/%d/%d  requeued %d  staged-mem rows %d\n",
 			indent, at("mem_used_bytes"), at("mem_budget_bytes"),
 			at("file_used_bytes"), at("file_budget_bytes"), at("files_live"),
 			at("nodes_server"), at("nodes_file"), at("nodes_memory"),

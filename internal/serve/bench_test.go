@@ -16,7 +16,7 @@ import (
 // operation the client spends idle.
 func BenchmarkDriverDrainScore(b *testing.B) {
 	const rows = 100000
-	d := NewDaemon(testServer(b, rows), DaemonConfig{Fleet: FleetConfig{Base: baseCfg(1), MaxSessions: 8, ScanSharing: true}})
+	d := NewDaemon(testServer(b, rows), DaemonConfig{Fleet: FleetConfig{Base: baseCfg(), MaxSessions: 8, ScanSharing: true}})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		b.Fatal(err)

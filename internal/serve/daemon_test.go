@@ -24,11 +24,11 @@ import (
 
 // startDaemon serves a fresh census engine on a loopback port and returns
 // the address plus a shutdown func.
-func startDaemon(t *testing.T, rows, workers int, sharing bool) (string, func()) {
+func startDaemon(t *testing.T, rows int, sharing bool) (string, func()) {
 	t.Helper()
 	srv := testServer(t, rows)
 	d := NewDaemon(srv, DaemonConfig{
-		Fleet: FleetConfig{Base: baseCfg(workers), MaxSessions: 8, ScanSharing: sharing},
+		Fleet: FleetConfig{Base: baseCfg(), MaxSessions: 8, ScanSharing: sharing},
 		Seed:  1,
 	})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -73,12 +73,12 @@ func queryStrings(t *testing.T, db *sql.DB, stmt string) []string {
 // "session-1" observability proc, session id 1 — but drives the build with
 // the plain in-process dtree.Build API. Returns the tree and the ndjson
 // trace lines.
-func inProcessArm(t *testing.T, rows, workers int, opt dtree.Options) (*dtree.Tree, []string) {
+func inProcessArm(t *testing.T, rows int, opt dtree.Options) (*dtree.Tree, []string) {
 	t.Helper()
 	srv := testServer(t, rows)
 	meter := sim.NewMeter(srv.Meter().Costs())
 	col := obs.NewTrace()
-	cfg := baseCfg(workers)
+	cfg := baseCfg()
 	cfg.Session = 1
 	m, err := mw.New(srv.View(meter, col.Proc("session-1", meter)), cfg)
 	if err != nil {
@@ -98,46 +98,40 @@ func inProcessArm(t *testing.T, rows, workers int, opt dtree.Options) (*dtree.Tr
 
 // TestDaemonEquivalence: a build submitted over the wire through the stock
 // database/sql driver returns the byte-identical tree dump AND the
-// byte-identical execution trace of an in-process dtree.Build, at one and at
-// four workers.
+// byte-identical execution trace of an in-process dtree.Build.
 func TestDaemonEquivalence(t *testing.T) {
 	const rows = 1500
 	opt := dtree.Options{MaxDepth: 6, MinRows: 20}
-	for _, workers := range []int{1, 4} {
-		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			wantTree, wantTrace := inProcessArm(t, rows, workers, opt)
+	wantTree, wantTrace := inProcessArm(t, rows, opt)
 
-			addr, stop := startDaemon(t, rows, workers, true)
-			defer stop()
-			db, err := sql.Open("ccsql", addr)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer db.Close()
-			// One connection end to end: builds are serialized anyway, and a
-			// single conn exercises statement-after-statement reuse.
-			db.SetMaxOpenConns(1)
+	addr, stop := startDaemon(t, rows, true)
+	defer stop()
+	db, err := sql.Open("ccsql", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	// One connection end to end: builds are serialized anyway, and a
+	// single conn exercises statement-after-statement reuse.
+	db.SetMaxOpenConns(1)
 
-			build := fmt.Sprintf("BUILD TREE MAXDEPTH %d MINROWS %d WORKERS %d OUTPUT ",
-				opt.MaxDepth, opt.MinRows, workers)
-			gotTree := queryStrings(t, db, build+"TREE")
-			if want := wantTree.DumpLines(); !equalLines(gotTree, want) {
-				t.Errorf("daemon tree differs from in-process build:\n%s\nwant:\n%s",
-					strings.Join(gotTree, "\n"), strings.Join(want, "\n"))
-			}
+	build := fmt.Sprintf("BUILD TREE MAXDEPTH %d MINROWS %d OUTPUT ", opt.MaxDepth, opt.MinRows)
+	gotTree := queryStrings(t, db, build+"TREE")
+	if want := wantTree.DumpLines(); !equalLines(gotTree, want) {
+		t.Errorf("daemon tree differs from in-process build:\n%s\nwant:\n%s",
+			strings.Join(gotTree, "\n"), strings.Join(want, "\n"))
+	}
 
-			gotTrace := queryStrings(t, db, build+"TRACE")
-			if !equalLines(gotTrace, wantTrace) {
-				t.Errorf("daemon trace differs from in-process build: %d vs %d lines",
-					len(gotTrace), len(wantTrace))
-				for i := 0; i < len(gotTrace) && i < len(wantTrace); i++ {
-					if gotTrace[i] != wantTrace[i] {
-						t.Errorf("first divergence at line %d:\n got %s\nwant %s", i, gotTrace[i], wantTrace[i])
-						break
-					}
-				}
+	gotTrace := queryStrings(t, db, build+"TRACE")
+	if !equalLines(gotTrace, wantTrace) {
+		t.Errorf("daemon trace differs from in-process build: %d vs %d lines",
+			len(gotTrace), len(wantTrace))
+		for i := 0; i < len(gotTrace) && i < len(wantTrace); i++ {
+			if gotTrace[i] != wantTrace[i] {
+				t.Errorf("first divergence at line %d:\n got %s\nwant %s", i, gotTrace[i], wantTrace[i])
+				break
 			}
-		})
+		}
 	}
 }
 
@@ -159,10 +153,10 @@ func equalLines(a, b []string) bool {
 func TestDaemonConcurrentClients(t *testing.T) {
 	const rows, clients = 1200, 4
 	opt := dtree.Options{MaxDepth: 6, MinRows: 20}
-	want, _ := inProcessArm(t, rows, 1, opt)
+	want, _ := inProcessArm(t, rows, opt)
 	wantLines := want.DumpLines()
 
-	addr, stop := startDaemon(t, rows, 1, true)
+	addr, stop := startDaemon(t, rows, true)
 	defer stop()
 
 	var wg sync.WaitGroup
@@ -212,7 +206,7 @@ func TestDaemonConcurrentClients(t *testing.T) {
 // scans, statement errors surfacing without killing the connection, and the
 // protocol's unsupported-features errors.
 func TestDriverSQL(t *testing.T) {
-	addr, stop := startDaemon(t, 1200, 1, false)
+	addr, stop := startDaemon(t, 1200, false)
 	defer stop()
 	db, err := sql.Open("ccsql", addr)
 	if err != nil {
@@ -271,7 +265,7 @@ func TestDriverSQL(t *testing.T) {
 // constructs the engine does not have — each come back over the wire as an
 // error naming the construct, and the same connection then answers a SELECT.
 func TestDriverRefusesRemovedStatements(t *testing.T) {
-	addr, stop := startDaemon(t, 600, 1, false)
+	addr, stop := startDaemon(t, 600, false)
 	defer stop()
 	db, err := sql.Open("ccsql", addr)
 	if err != nil {
@@ -297,6 +291,8 @@ func TestDriverRefusesRemovedStatements(t *testing.T) {
 		{"SELECT MAX(A1) FROM cases", "MAX is not supported"},
 		{"SELECT AVG(A1) FROM cases", "AVG is not supported"},
 		{"SELECT COUNT(A1) FROM cases", "COUNT(expr) is not supported"},
+		{"BUILD TREE MAXDEPTH 2 WORKERS 2", "WORKERS is not supported"},
+		{"SCORE TABLE cases USING m WORKERS 2", "WORKERS is not supported"},
 	} {
 		if _, err := conn.ExecContext(ctx, tc.stmt); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: error %v, want one saying %q", tc.stmt, err, tc.want)
@@ -313,7 +309,7 @@ func TestDriverRefusesRemovedStatements(t *testing.T) {
 func TestDaemonDrain(t *testing.T) {
 	srv := testServer(t, 800)
 	d := NewDaemon(srv, DaemonConfig{
-		Fleet: FleetConfig{Base: baseCfg(1), ScanSharing: true},
+		Fleet: FleetConfig{Base: baseCfg(), ScanSharing: true},
 	})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -349,7 +345,7 @@ func TestDaemonDrain(t *testing.T) {
 // version gets one TError naming both versions and a closed connection — the
 // daemon holds no older codec to serve it with.
 func TestDaemonRefusesOtherVersion(t *testing.T) {
-	addr, stop := startDaemon(t, 200, 1, false)
+	addr, stop := startDaemon(t, 200, false)
 	defer stop()
 	nc, err := net.Dial("tcp", addr)
 	if err != nil {
@@ -377,7 +373,7 @@ func TestDaemonRefusesOtherVersion(t *testing.T) {
 func TestDriverCancelMidScore(t *testing.T) {
 	before := runtime.NumGoroutine()
 	srv := testServer(t, 30000)
-	d := NewDaemon(srv, DaemonConfig{Fleet: FleetConfig{Base: baseCfg(1), MaxSessions: 8, ScanSharing: true}, Seed: 1})
+	d := NewDaemon(srv, DaemonConfig{Fleet: FleetConfig{Base: baseCfg(), MaxSessions: 8, ScanSharing: true}, Seed: 1})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -460,7 +456,7 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 // statement, so neither side's first-use buffers count.
 func TestDriverScoredStreamAllocs(t *testing.T) {
 	const rows = 30000
-	d := NewDaemon(testServer(t, rows), DaemonConfig{Fleet: FleetConfig{Base: baseCfg(1), MaxSessions: 8, ScanSharing: true}, Seed: 1})
+	d := NewDaemon(testServer(t, rows), DaemonConfig{Fleet: FleetConfig{Base: baseCfg(), MaxSessions: 8, ScanSharing: true}, Seed: 1})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

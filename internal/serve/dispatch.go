@@ -117,10 +117,6 @@ func (d *Dispatcher) Execute(sql string) (*Result, error) {
 		if d.srv == nil {
 			break // the engine answers ErrNeedsServing
 		}
-		// WORKERS applies fleet-wide, so a statement may only restate it.
-		if w := max(1, d.cfg.Fleet.Base.Workers); s.Workers != 0 && s.Workers != w {
-			return nil, fmt.Errorf("serve: WORKERS %d does not match the configured %d", s.Workers, w)
-		}
 		return d.enqueue(st)
 	case *sqlparser.ScoreTable:
 		if d.srv != nil && s.Table == d.srv.TableName() {
@@ -254,7 +250,7 @@ func (d *Dispatcher) runFleet(batch []*fleetReq, seq int64) {
 			// its own request, not the cohort.
 			m, serr := d.eng.Model(s.Model)
 			if serr == nil {
-				sessions[i], serr = fleet.OpenScore("", m, s.Workers, arr[i])
+				sessions[i], serr = fleet.OpenScore("", m, 1, arr[i])
 			}
 			if serr != nil {
 				answer(i, nil, serr)

@@ -15,6 +15,7 @@
 package serve
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/dtree"
@@ -55,8 +56,7 @@ type Session struct {
 	arrivalNS int64
 
 	// Scoring sessions only (model non-nil marks the kind).
-	model   *engine.Model
-	workers int
+	model *engine.Model
 
 	meter    *sim.Meter
 	m        *mw.Middleware
@@ -150,11 +150,13 @@ func (f *Fleet) Open(label string, opt dtree.Options, arrivalNS int64) (*Session
 }
 
 // OpenScore registers a scoring session: the model applied to the served
-// table with the given scan parallelism (workers < 1 scores single-lane).
-// Scoring sessions obey the same arrival-order and admission rules as
+// table in one scan. Scoring sessions obey the same arrival-order and admission rules as
 // builds and join shared scans with them. A model the table cannot be scored
 // with fails here, and the session's result (Session.Score) exists from here
 // on, so a reader can follow the run instead of waiting for it.
+//
+// Deprecated: workers is ignored. It stays until the benchmark stops passing
+// it (ROADMAP item 1).
 func (f *Fleet) OpenScore(label string, model *engine.Model, workers int, arrivalNS int64) (*Session, error) {
 	if model == nil {
 		return nil, fmt.Errorf("serve: scoring session needs a model")
@@ -163,7 +165,7 @@ func (f *Fleet) OpenScore(label string, model *engine.Model, workers int, arriva
 	if err != nil {
 		return nil, err
 	}
-	return f.register(&Session{Label: label, model: model, workers: workers, score: res, arrivalNS: arrivalNS}, "score-%d")
+	return f.register(&Session{Label: label, model: model, score: res, arrivalNS: arrivalNS}, "score-%d")
 }
 
 // register gives s the next id — and, unlabelled, a label made from it — and
@@ -230,7 +232,7 @@ func (f *Fleet) admit(s *Session) error {
 	cfg.Memory = f.cfg.TotalMemory
 	view := f.srv.View(s.meter, f.col.Proc(s.Label, s.meter))
 	if s.model != nil {
-		sc, err := mw.NewScorer(view, s.model, s.workers, s.score)
+		sc, err := mw.NewScorer(view, s.model, s.score)
 		if err != nil {
 			return err
 		}
@@ -496,7 +498,7 @@ func (f *Fleet) sharedRound(cohort []*Session) (err error) {
 		cons[i] = p.cons
 	}
 	ioStart := int64(f.io.Now())
-	engine.ScanGroups(f.srv.ColGroups(cols), cons, 0, f.srv.NumColGroups(), f.io) // resident groups: no read can fail
+	engine.ScanGroups(context.Background(), f.srv.ColGroups(cols), cons, 0, f.srv.NumColGroups(), f.io) // resident groups: no read can fail
 	ioElapsed := int64(f.io.Now()) - ioStart
 
 	for _, p := range parts {

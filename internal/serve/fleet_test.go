@@ -54,8 +54,8 @@ func soloBuildMetered(t *testing.T, rows int, cfg mw.Config, opt dtree.Options) 
 	return tree, srv.Meter()
 }
 
-func baseCfg(workers int) mw.Config {
-	return mw.Config{Staging: mw.StageFileAndMemory, Workers: workers}
+func baseCfg() mw.Config {
+	return mw.Config{Staging: mw.StageFileAndMemory}
 }
 
 var testOpt = dtree.Options{MaxDepth: 6, MinRows: 20}
@@ -94,12 +94,10 @@ func TestFleetSingleSessionMatchesSolo(t *testing.T) {
 		sharing bool
 		memory  int64 // 0: unlimited
 	}{
-		{"columnar", baseCfg(1), true, 0},
-		{"unshared/workers=1/staged", mw.Config{Staging: mw.StageFileAndMemory, Workers: 1}, false, 0},
-		{"unshared/workers=1/unstaged", mw.Config{Workers: 1}, false, 0},
-		{"unshared/workers=4", mw.Config{Staging: mw.StageFileAndMemory, Workers: 4}, false, 0},
-		{"fallback/workers=1", mw.Config{Workers: 1}, false, 64},
-		{"fallback/workers=4", mw.Config{Workers: 4}, false, 64},
+		{"columnar", baseCfg(), true, 0},
+		{"unshared/staged", mw.Config{Staging: mw.StageFileAndMemory}, false, 0},
+		{"unshared/unstaged", mw.Config{}, false, 0},
+		{"fallback", mw.Config{}, false, 64},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			soloCfg := tc.cfg
@@ -182,12 +180,12 @@ func TestFleetSingleSessionMatchesSolo(t *testing.T) {
 // still gets the single-tenant tree.
 func TestFleetScanSharingReducesPages(t *testing.T) {
 	const rows, n = 1500, 4
-	solo := soloBuild(t, rows, baseCfg(1), testOpt)
+	solo := soloBuild(t, rows, baseCfg(), testOpt)
 
 	off := runFleetN(t, testServer(t, rows),
-		n, FleetConfig{Base: baseCfg(1), ScanSharing: false}, testOpt)
+		n, FleetConfig{Base: baseCfg(), ScanSharing: false}, testOpt)
 	on := runFleetN(t, testServer(t, rows),
-		n, FleetConfig{Base: baseCfg(1), ScanSharing: true}, testOpt)
+		n, FleetConfig{Base: baseCfg(), ScanSharing: true}, testOpt)
 
 	for _, f := range []*Fleet{off, on} {
 		for _, s := range f.Sessions() {
@@ -212,10 +210,10 @@ func TestFleetSharingMatchesSerial(t *testing.T) {
 	const rows = 1500
 	optA := dtree.Options{MaxDepth: 4, MinRows: 40}
 	optB := dtree.Options{MaxDepth: 6, MinRows: 10}
-	soloA := soloBuild(t, rows, baseCfg(1), optA)
-	soloB := soloBuild(t, rows, baseCfg(1), optB)
+	soloA := soloBuild(t, rows, baseCfg(), optA)
+	soloB := soloBuild(t, rows, baseCfg(), optB)
 
-	f, err := NewFleet(testServer(t, rows), nil, FleetConfig{Base: baseCfg(1), ScanSharing: true})
+	f, err := NewFleet(testServer(t, rows), nil, FleetConfig{Base: baseCfg(), ScanSharing: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +242,7 @@ func TestFleetDeterminism(t *testing.T) {
 	const rows, n = 1200, 3
 	run := func() *Fleet {
 		return runFleetN(t, testServer(t, rows),
-			n, FleetConfig{Base: baseCfg(2), TotalMemory: 1 << 20, ScanSharing: true}, testOpt)
+			n, FleetConfig{Base: baseCfg(), TotalMemory: 1 << 20, ScanSharing: true}, testOpt)
 	}
 	a, b := run(), run()
 	if a.TotalServerPages() != b.TotalServerPages() {
@@ -270,7 +268,7 @@ func TestFleetDeterminism(t *testing.T) {
 func TestFleetAdmissionCap(t *testing.T) {
 	const rows, n = 1200, 3
 	f := runFleetN(t, testServer(t, rows),
-		n, FleetConfig{Base: baseCfg(1), MaxSessions: 1, ScanSharing: true}, testOpt)
+		n, FleetConfig{Base: baseCfg(), MaxSessions: 1, ScanSharing: true}, testOpt)
 	if got := f.IOMeter().Count(sim.CtrServerPages); got != 0 {
 		t.Errorf("capped fleet shared %d pages; sessions never overlap", got)
 	}
@@ -291,7 +289,7 @@ func TestFleetAdmissionCap(t *testing.T) {
 func TestFleetStaggeredArrivals(t *testing.T) {
 	const rows, n = 1200, 3
 	srv := testServer(t, rows)
-	f, err := NewFleet(srv, nil, FleetConfig{Base: baseCfg(1), ScanSharing: true})
+	f, err := NewFleet(srv, nil, FleetConfig{Base: baseCfg(), ScanSharing: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -360,7 +358,7 @@ func stageDirs(t *testing.T) map[string]bool {
 func TestFleetRunErrorClosesSessions(t *testing.T) {
 	before := stageDirs(t)
 	srv := testServer(t, 800)
-	f, err := NewFleet(srv, nil, FleetConfig{Base: baseCfg(1)})
+	f, err := NewFleet(srv, nil, FleetConfig{Base: baseCfg()})
 	if err != nil {
 		t.Fatal(err)
 	}

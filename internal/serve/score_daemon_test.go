@@ -19,10 +19,10 @@ import (
 // inProcessScoreArm builds a tree exactly like the daemon's fleet would,
 // compiles it, and scores the same table in-process with the vectorized
 // operator: the reference predictions and distributions for the wire arm.
-func inProcessScoreArm(t *testing.T, rows, workers int, opt dtree.Options) (*engine.Model, *engine.ScoreResult, []data.Value) {
+func inProcessScoreArm(t *testing.T, rows int, opt dtree.Options) (*engine.Model, *engine.ScoreResult, []data.Value) {
 	t.Helper()
 	srv := testServer(t, rows)
-	mid, err := mw.New(srv, baseCfg(workers))
+	mid, err := mw.New(srv, baseCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +43,7 @@ func inProcessScoreArm(t *testing.T, rows, workers int, opt dtree.Options) (*eng
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := eng.ScoreTable(tbl, m, workers)
+	res, err := eng.ScoreTable(tbl, m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,80 +68,74 @@ func inProcessScoreArm(t *testing.T, rows, workers int, opt dtree.Options) (*eng
 // TestDaemonScoringEquivalence is the wire leg of the scoring equivalence
 // spine: BUILD ... MODEL then SCORE TABLE over the stock database/sql driver
 // must stream exactly the class labels and per-class distributions the
-// in-process vectorized operator and the in-client tree walk produce — at
-// one, four and eight workers.
+// in-process vectorized operator and the in-client tree walk produce.
 func TestDaemonScoringEquivalence(t *testing.T) {
 	const rows = 1500
 	opt := dtree.Options{MaxDepth: 6, MinRows: 20}
-	for _, workers := range []int{1, 4, 8} {
-		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			model, res, loop := inProcessScoreArm(t, rows, workers, opt)
-			if int64(len(loop)) != res.Rows {
-				t.Fatalf("in-process witnesses disagree: %d loop rows, %d scored", len(loop), res.Rows)
-			}
-			for i := range loop {
-				if loop[i] != res.Classes[i] {
-					t.Fatalf("in-process witnesses disagree at row %d", i)
-				}
-			}
+	model, res, loop := inProcessScoreArm(t, rows, opt)
+	if int64(len(loop)) != res.Rows {
+		t.Fatalf("in-process witnesses disagree: %d loop rows, %d scored", len(loop), res.Rows)
+	}
+	for i := range loop {
+		if loop[i] != res.Classes[i] {
+			t.Fatalf("in-process witnesses disagree at row %d", i)
+		}
+	}
 
-			addr, stop := startDaemon(t, rows, workers, true)
-			defer stop()
-			db, err := sql.Open("ccsql", addr)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer db.Close()
-			db.SetMaxOpenConns(1)
+	addr, stop := startDaemon(t, rows, true)
+	defer stop()
+	db, err := sql.Open("ccsql", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	db.SetMaxOpenConns(1)
 
-			build := fmt.Sprintf("BUILD TREE MAXDEPTH %d MINROWS %d WORKERS %d MODEL m OUTPUT STATS",
-				opt.MaxDepth, opt.MinRows, workers)
-			if _, err := db.Exec(build); err != nil {
-				t.Fatalf("%s: %v", build, err)
-			}
+	build := fmt.Sprintf("BUILD TREE MAXDEPTH %d MINROWS %d MODEL m OUTPUT STATS", opt.MaxDepth, opt.MinRows)
+	if _, err := db.Exec(build); err != nil {
+		t.Fatalf("%s: %v", build, err)
+	}
 
-			wrows, err := db.Query(fmt.Sprintf("SCORE TABLE cases USING m WORKERS %d", workers))
-			if err != nil {
-				t.Fatal(err)
+	wrows, err := db.Query("SCORE TABLE cases USING m")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer wrows.Close()
+	cols, err := wrows.Columns()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := 1 + model.Classes; len(cols) != want {
+		t.Fatalf("scored stream has %d columns, want %d (class + per-class counts)", len(cols), want)
+	}
+	i := 0
+	dest := make([]any, len(cols))
+	for di := range dest {
+		dest[di] = new(int64)
+	}
+	for wrows.Next() {
+		if err := wrows.Scan(dest...); err != nil {
+			t.Fatal(err)
+		}
+		if i >= len(loop) {
+			t.Fatalf("daemon streamed more than %d rows", len(loop))
+		}
+		if got := data.Value(*dest[0].(*int64)); got != loop[i] {
+			t.Fatalf("row %d: daemon class %d, in-process %d", i, got, loop[i])
+		}
+		dist := res.Dist(model, i)
+		for c := 0; c < model.Classes; c++ {
+			if got := *dest[1+c].(*int64); got != dist[c] {
+				t.Fatalf("row %d class %d: daemon count %d, in-process %d", i, c, got, dist[c])
 			}
-			defer wrows.Close()
-			cols, err := wrows.Columns()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if want := 1 + model.Classes; len(cols) != want {
-				t.Fatalf("scored stream has %d columns, want %d (class + per-class counts)", len(cols), want)
-			}
-			i := 0
-			dest := make([]any, len(cols))
-			for di := range dest {
-				dest[di] = new(int64)
-			}
-			for wrows.Next() {
-				if err := wrows.Scan(dest...); err != nil {
-					t.Fatal(err)
-				}
-				if i >= len(loop) {
-					t.Fatalf("daemon streamed more than %d rows", len(loop))
-				}
-				if got := data.Value(*dest[0].(*int64)); got != loop[i] {
-					t.Fatalf("row %d: daemon class %d, in-process %d", i, got, loop[i])
-				}
-				dist := res.Dist(model, i)
-				for c := 0; c < model.Classes; c++ {
-					if got := *dest[1+c].(*int64); got != dist[c] {
-						t.Fatalf("row %d class %d: daemon count %d, in-process %d", i, c, got, dist[c])
-					}
-				}
-				i++
-			}
-			if err := wrows.Err(); err != nil {
-				t.Fatal(err)
-			}
-			if i != len(loop) {
-				t.Fatalf("daemon streamed %d rows, want %d", i, len(loop))
-			}
-		})
+		}
+		i++
+	}
+	if err := wrows.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if i != len(loop) {
+		t.Fatalf("daemon streamed %d rows, want %d", i, len(loop))
 	}
 }
 
@@ -149,7 +143,7 @@ func TestDaemonScoringEquivalence(t *testing.T) {
 // as data: the catalog table is queryable over the same connection and holds
 // one row per tree node.
 func TestDaemonModelRegistration(t *testing.T) {
-	addr, stop := startDaemon(t, 1000, 1, true)
+	addr, stop := startDaemon(t, 1000, true)
 	defer stop()
 	db, err := sql.Open("ccsql", addr)
 	if err != nil {
@@ -177,7 +171,7 @@ func TestDaemonModelRegistration(t *testing.T) {
 // with an unregistered model errors that one statement and leaves the
 // connection usable.
 func TestDaemonScoreUnknownModel(t *testing.T) {
-	addr, stop := startDaemon(t, 800, 1, true)
+	addr, stop := startDaemon(t, 800, true)
 	defer stop()
 	db, err := sql.Open("ccsql", addr)
 	if err != nil {
@@ -202,12 +196,12 @@ func TestDaemonScoreUnknownModel(t *testing.T) {
 func TestDaemonMixedCohort(t *testing.T) {
 	const rows = 1200
 	opt := dtree.Options{MaxDepth: 6, MinRows: 20}
-	_, res, loop := inProcessScoreArm(t, rows, 1, opt)
-	wantTree, _ := inProcessArm(t, rows, 1, opt)
+	_, res, loop := inProcessScoreArm(t, rows, opt)
+	wantTree, _ := inProcessArm(t, rows, opt)
 	wantLines := wantTree.DumpLines()
 	_ = res
 
-	addr, stop := startDaemon(t, rows, 1, true)
+	addr, stop := startDaemon(t, rows, true)
 	defer stop()
 
 	// Register the model first, on its own connection.
@@ -345,7 +339,7 @@ func queryTable(t *testing.T, db *sql.DB, stmt string) ([]string, [][]string) {
 // engine as a parse error), and SCORE TABLE answers class, c0 … c{k-1}
 // whichever route its table name selects.
 func TestDaemonRoutesByAST(t *testing.T) {
-	addr, stop := startDaemon(t, 600, 1, true)
+	addr, stop := startDaemon(t, 600, true)
 	defer stop()
 	db, err := sql.Open("ccsql", addr)
 	if err != nil {
@@ -394,7 +388,7 @@ func TestDaemonRoutesByAST(t *testing.T) {
 // that cannot run without it.
 func TestDispatcherRoutes(t *testing.T) {
 	srv := testServer(t, 400)
-	d := NewDispatcher(srv.Engine(), srv, DaemonConfig{Fleet: FleetConfig{Base: baseCfg(1)}})
+	d := NewDispatcher(srv.Engine(), srv, DaemonConfig{Fleet: FleetConfig{Base: baseCfg()}})
 	defer d.Close()
 	if _, err := d.Execute("BUILD TREE MAXDEPTH 3 MODEL m"); err != nil {
 		t.Fatal(err)
@@ -404,7 +398,7 @@ func TestDispatcherRoutes(t *testing.T) {
 		fleet bool
 	}{
 		{"SCORE TABLE cases USING m", true},
-		{"-- note\n\n SCORE TABLE cases USING m WORKERS 2", true},
+		{"-- note\n\n SCORE TABLE cases USING m", true},
 		{"SELECT COUNT(*) FROM cases", false},
 	} {
 		res, err := d.Execute(c.sql)
@@ -490,7 +484,7 @@ func TestCatalogRefusesUnrepresentableModels(t *testing.T) {
 		}
 	}
 
-	d := NewDispatcher(srv.Engine(), srv, DaemonConfig{Fleet: FleetConfig{Base: baseCfg(1)}})
+	d := NewDispatcher(srv.Engine(), srv, DaemonConfig{Fleet: FleetConfig{Base: baseCfg()}})
 	defer d.Close()
 	for _, c := range catalogs {
 		for _, stmt := range load(c.name, c.rows) {
@@ -507,7 +501,7 @@ func TestCatalogRefusesUnrepresentableModels(t *testing.T) {
 		}
 	}
 
-	addr, stop := startDaemon(t, rows, 1, true)
+	addr, stop := startDaemon(t, rows, true)
 	defer stop()
 	db, err := sql.Open("ccsql", addr)
 	if err != nil {

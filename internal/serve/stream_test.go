@@ -301,7 +301,7 @@ func queueCohort(t *testing.T, d *Daemon, c0 *rawClient, sends ...func() error) 
 func TestDaemonScoredStreamFollowsWatermark(t *testing.T) {
 	const rows = 9000 // two sealed groups and an 808-row tail: 35 batches and a 40-row one
 	srv := testServer(t, rows)
-	model, want, _ := inProcessScoreArm(t, rows, 1, testOpt)
+	model, want, _ := inProcessScoreArm(t, rows, testOpt)
 	ref := cutFrames(t, model, want)
 
 	res, err := srv.OpenScore(model)
@@ -358,17 +358,17 @@ func TestDaemonScoredStreamFollowsWatermark(t *testing.T) {
 	}
 }
 
-// TestDaemonScoredStreamSameBytes: whatever the interleaving of scan lanes,
+// TestDaemonScoredStreamSameBytes: whatever the interleaving of the scan,
 // cohort mates and the framing handler, a streamed SCORE TABLE is the frames
-// cut from the finished result, byte for byte — at 1, 2, 4 and 8 lanes, with a
+// cut from the finished result, byte for byte — over repeated runs, with a
 // single-leaf model, inside a shared build + score cohort, and on an empty
 // table.
 func TestDaemonScoredStreamSameBytes(t *testing.T) {
-	const rows = 20000 // five row groups: up to five lanes
+	const rows = 20000 // five row groups
 	srv := testServer(t, rows)
 	pl := newPipeListener()
 	d, tap, stop := serveOn(t, srv, DaemonConfig{
-		Fleet: FleetConfig{Base: baseCfg(1), MaxSessions: 8, ScanSharing: true}, Seed: 1,
+		Fleet: FleetConfig{Base: baseCfg(), MaxSessions: 8, ScanSharing: true}, Seed: 1,
 	}, pl)
 	defer stop()
 	c := pl.dial(t)
@@ -402,16 +402,14 @@ func TestDaemonScoredStreamSameBytes(t *testing.T) {
 		t.Fatalf("reference stream has %d frames, want %d", len(ref), want)
 	}
 
-	for _, workers := range []int{1, 2, 4, 8} {
-		for rep := 0; rep < 3; rep++ {
-			got, err := c.query(fmt.Sprintf("SCORE TABLE cases USING m WORKERS %d", workers))
-			if err != nil {
-				t.Fatal(err)
-			}
-			sameFrames(t, fmt.Sprintf("WORKERS %d", workers), got, ref)
+	for rep := 0; rep < 4; rep++ {
+		got, err := c.query("SCORE TABLE cases USING m")
+		if err != nil {
+			t.Fatal(err)
 		}
+		sameFrames(t, fmt.Sprintf("run %d", rep), got, ref)
 	}
-	got, err := c.query("SCORE TABLE cases USING leaf WORKERS 4")
+	got, err := c.query("SCORE TABLE cases USING leaf")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -447,9 +445,9 @@ func TestDaemonScoredStreamSameBytes(t *testing.T) {
 		t.Fatal(err)
 	}
 	epl := newPipeListener()
-	_, _, estop := serveOn(t, empty, DaemonConfig{Fleet: FleetConfig{Base: baseCfg(1)}}, epl)
+	_, _, estop := serveOn(t, empty, DaemonConfig{Fleet: FleetConfig{Base: baseCfg()}}, epl)
 	defer estop()
-	got, err = epl.dial(t).query("SCORE TABLE cases USING m WORKERS 4")
+	got, err = epl.dial(t).query("SCORE TABLE cases USING m")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -471,7 +469,7 @@ func TestDaemonScoreRunFailsMidStream(t *testing.T) {
 		t.Fatal(err)
 	}
 	d, tap, stop := serveOn(t, testServer(t, rows), DaemonConfig{
-		Fleet: FleetConfig{Base: baseCfg(1), MaxSessions: 8, ScanSharing: true}, Seed: 1,
+		Fleet: FleetConfig{Base: baseCfg(), MaxSessions: 8, ScanSharing: true}, Seed: 1,
 	}, ln)
 	db, err := sql.Open("ccsql", ln.Addr().String())
 	if err != nil {
@@ -644,7 +642,7 @@ func TestDaemonAbandonedScoreStream(t *testing.T) {
 			before := runtime.NumGoroutine()
 			pl := newPipeListener()
 			d, _, stop := serveOn(t, testServer(t, rows), DaemonConfig{
-				Fleet: FleetConfig{Base: baseCfg(1), MaxSessions: 8, ScanSharing: true}, Seed: 1,
+				Fleet: FleetConfig{Base: baseCfg(), MaxSessions: 8, ScanSharing: true}, Seed: 1,
 			}, pl)
 			d.grace = 20 * time.Millisecond
 			healthy, abandoned := pl.dial(t), pl.dial(t)
@@ -698,7 +696,7 @@ func TestDaemonAbandonedScoreStream(t *testing.T) {
 func TestDispatcherScoreResultLifecycle(t *testing.T) {
 	const rows = 5000
 	srv := testServer(t, rows)
-	d := NewDispatcher(srv.Engine(), srv, DaemonConfig{Fleet: FleetConfig{Base: baseCfg(1)}})
+	d := NewDispatcher(srv.Engine(), srv, DaemonConfig{Fleet: FleetConfig{Base: baseCfg()}})
 	defer d.Close()
 	tap := &fleetTap{}
 	d.onFleet = tap.onFleet

@@ -12,8 +12,8 @@ import (
 // whose clock is furthest behind and lets it run one step. Because every
 // clock is a pure function of the work charged to it and selection ties
 // break on session id, the whole fleet simulates identically regardless of
-// host scheduling — the same guarantee Fork/Join gives worker lanes, lifted
-// to whole sessions.
+// host scheduling — the same guarantee Fork/JoinSerial gives the segments
+// of a scan, lifted to whole sessions.
 
 // Clocks tracks the per-session virtual clocks of a fleet.
 type Clocks struct {

@@ -52,7 +52,6 @@ type Costs struct {
 	MemRowRead   int64 // touch one row staged in middleware memory
 	CCBump       int64 // bump one dense histogram cell for one selected row (vectorized kernel); a derived child (parent − siblings) is charged as if counted
 	CCFoldEntry  int64 // fold one distinct histogram cell into the counts table, once per block; a derived child is charged as if counted
-	MergeEntry   int64 // fold one worker-shard CC entry into the merged node table
 
 	// Client-side costs.
 	ClientRowLoad int64 // materialize one extracted row at the client (ExtractAll baseline)
@@ -107,7 +106,6 @@ func DefaultCosts() Costs {
 		// flat cc.Table of this process is faster, and charges nothing itself.
 		CCBump:      8,  // dense array increment per selected row (no search-tree probe)
 		CCFoldEntry: 80, // search-tree insert per distinct cell, once per (node, block)
-		MergeEntry:  80, // per shard entry: one search-tree lookup/insert plus a count add
 
 		ClientRowLoad: 500,
 
@@ -125,58 +123,56 @@ type Counter int
 
 // The counters tracked by a Meter.
 const (
-	CtrServerScans       Counter = iota // server cursor scans initiated
-	CtrServerPages                      // server pages read
-	CtrServerRows                       // rows evaluated at the server
-	CtrRowsTransmitted                  // rows shipped server -> middleware
-	CtrSQLStatements                    // SQL statements executed
-	CtrSQLAggRows                       // rows aggregated server-side
-	CtrIndexProbes                      // index probes
-	CtrTIDFetches                       // record fetches by TID
-	CtrFileRowsWritten                  // rows written to middleware files
-	CtrFileRowsRead                     // rows read from middleware files
-	CtrFilesCreated                     // middleware staging files created
-	CtrMemRowsRead                      // rows read from middleware memory
-	CtrCCUpdates                        // counts-table updates
-	CtrClientRows                       // rows materialized at the client
-	CtrBatches                          // middleware scheduling batches executed
-	CtrSQLFallbacks                     // nodes serviced by the SQL fallback path
-	CtrShardMergeEntries                // CC shard entries folded into merged node tables
-	CtrColGroupsScanned                 // columnar row groups scanned
-	CtrColGroupsSkipped                 // columnar row groups skipped via zone maps
-	CtrColBlocks                        // columnar 1024-row blocks evaluated
-	CtrCCFolds                          // distinct histogram cells folded into CC tables
-	CtrScoreRows                        // rows scored by the in-database prediction path
-	CtrScoreBlocks                      // columnar blocks pushed through the scoring kernel
-	CtrModelProbes                      // compiled-model nodes walked while scoring
+	CtrServerScans      Counter = iota // server cursor scans initiated
+	CtrServerPages                     // server pages read
+	CtrServerRows                      // rows evaluated at the server
+	CtrRowsTransmitted                 // rows shipped server -> middleware
+	CtrSQLStatements                   // SQL statements executed
+	CtrSQLAggRows                      // rows aggregated server-side
+	CtrIndexProbes                     // index probes
+	CtrTIDFetches                      // record fetches by TID
+	CtrFileRowsWritten                 // rows written to middleware files
+	CtrFileRowsRead                    // rows read from middleware files
+	CtrFilesCreated                    // middleware staging files created
+	CtrMemRowsRead                     // rows read from middleware memory
+	CtrCCUpdates                       // counts-table updates
+	CtrClientRows                      // rows materialized at the client
+	CtrBatches                         // middleware scheduling batches executed
+	CtrSQLFallbacks                    // nodes serviced by the SQL fallback path
+	CtrColGroupsScanned                // columnar row groups scanned
+	CtrColGroupsSkipped                // columnar row groups skipped via zone maps
+	CtrColBlocks                       // columnar 1024-row blocks evaluated
+	CtrCCFolds                         // distinct histogram cells folded into CC tables
+	CtrScoreRows                       // rows scored by the in-database prediction path
+	CtrScoreBlocks                     // columnar blocks pushed through the scoring kernel
+	CtrModelProbes                     // compiled-model nodes walked while scoring
 	numCounters
 )
 
 var counterNames = [...]string{
-	CtrServerScans:       "server_scans",
-	CtrServerPages:       "server_pages_read",
-	CtrServerRows:        "server_rows_evaluated",
-	CtrRowsTransmitted:   "rows_transmitted",
-	CtrSQLStatements:     "sql_statements",
-	CtrSQLAggRows:        "sql_agg_rows",
-	CtrIndexProbes:       "index_probes",
-	CtrTIDFetches:        "tid_fetches",
-	CtrFileRowsWritten:   "file_rows_written",
-	CtrFileRowsRead:      "file_rows_read",
-	CtrFilesCreated:      "files_created",
-	CtrMemRowsRead:       "mem_rows_read",
-	CtrCCUpdates:         "cc_updates",
-	CtrClientRows:        "client_rows_loaded",
-	CtrBatches:           "mw_batches",
-	CtrSQLFallbacks:      "sql_fallbacks",
-	CtrShardMergeEntries: "shard_merge_entries",
-	CtrColGroupsScanned:  "col_groups_scanned",
-	CtrColGroupsSkipped:  "col_groups_skipped",
-	CtrColBlocks:         "col_blocks",
-	CtrCCFolds:           "cc_folds",
-	CtrScoreRows:         "score_rows",
-	CtrScoreBlocks:       "score_blocks",
-	CtrModelProbes:       "model_node_probes",
+	CtrServerScans:      "server_scans",
+	CtrServerPages:      "server_pages_read",
+	CtrServerRows:       "server_rows_evaluated",
+	CtrRowsTransmitted:  "rows_transmitted",
+	CtrSQLStatements:    "sql_statements",
+	CtrSQLAggRows:       "sql_agg_rows",
+	CtrIndexProbes:      "index_probes",
+	CtrTIDFetches:       "tid_fetches",
+	CtrFileRowsWritten:  "file_rows_written",
+	CtrFileRowsRead:     "file_rows_read",
+	CtrFilesCreated:     "files_created",
+	CtrMemRowsRead:      "mem_rows_read",
+	CtrCCUpdates:        "cc_updates",
+	CtrClientRows:       "client_rows_loaded",
+	CtrBatches:          "mw_batches",
+	CtrSQLFallbacks:     "sql_fallbacks",
+	CtrColGroupsScanned: "col_groups_scanned",
+	CtrColGroupsSkipped: "col_groups_skipped",
+	CtrColBlocks:        "col_blocks",
+	CtrCCFolds:          "cc_folds",
+	CtrScoreRows:        "score_rows",
+	CtrScoreBlocks:      "score_blocks",
+	CtrModelProbes:      "model_node_probes",
 }
 
 // Counters returns every counter in declaration order.
@@ -199,10 +195,9 @@ func (c Counter) String() string {
 // Meter is a virtual clock plus operation counters. The zero value is not
 // ready for use; construct one with NewMeter. A Meter is not safe for
 // concurrent use: every simulated thread of control charges its own Meter.
-// The single-threaded systems in this repository use one Meter throughout;
-// the parallel scan pipeline gives each worker goroutine a private lane
-// meter (Fork) and deterministically folds the lanes back (Join), so no
-// Meter is ever shared between goroutines.
+// A scan split into segments gives each segment goroutine a private meter
+// (Fork) and folds them back in order (JoinSerial), so no Meter is ever
+// shared between goroutines.
 type Meter struct {
 	costs  Costs
 	now    int64 // virtual nanoseconds since start
@@ -244,53 +239,31 @@ func (m *Meter) Charge(c Counter, unitCost int64, n int64) {
 // Count returns the current value of a counter.
 func (m *Meter) Count(c Counter) int64 { return m.counts[c] }
 
-// Fork returns n child meters ("lanes") sharing the parent's cost table,
-// each with a zeroed clock and zeroed counters. Each lane models one worker
-// of a parallel scan: the worker charges all of its simulated work into its
-// own lane, so goroutine scheduling on the host can never affect any meter.
-// The parent must not be charged between Fork and the matching Join (or
-// JoinSerial), and each lane must be used by exactly one goroutine.
+// Fork returns n child meters sharing the parent's cost table, each with a
+// zeroed clock and zeroed counters. Each child is one segment of a scan: its
+// goroutine charges all of its simulated work into its own meter, so host
+// scheduling can never affect any meter. The parent must not be charged
+// between Fork and the matching JoinSerial, and each child must be used by
+// exactly one goroutine.
 func (m *Meter) Fork(n int) []*Meter {
 	if n < 1 {
-		panic("sim: Fork needs at least one lane")
+		panic("sim: Fork needs at least one meter")
 	}
-	lanes := make([]*Meter, n)
-	for i := range lanes {
-		lanes[i] = NewMeter(m.costs)
+	segs := make([]*Meter, n)
+	for i := range segs {
+		segs[i] = NewMeter(m.costs)
 	}
-	return lanes
+	return segs
 }
 
-// Join folds forked lanes back into the parent. Counters sum — the total
-// work performed is conserved — but the clock advances by max(lane elapsed):
-// the lanes ran concurrently, so the batch takes as long as its slowest
-// worker. This models the paper's multi-CPU middleware host deterministically:
-// each lane's final state is a pure function of its data partition, so the
-// joined clock is bit-for-bit reproducible regardless of GOMAXPROCS or
-// goroutine interleaving. Post-barrier work that is inherently serial (e.g.
-// folding CC shards into the merged table, Costs.MergeEntry per entry) is
-// charged by the caller on the parent after Join.
-func (m *Meter) Join(lanes []*Meter) {
-	var max int64
-	for _, l := range lanes {
-		for i := range l.counts {
-			m.counts[i] += l.counts[i]
-		}
-		if l.now > max {
-			max = l.now
-		}
-	}
-	m.now += max
-}
-
-// JoinSerial folds forked lanes back like Join — counters sum — but advances
-// the clock by the sum of the lanes' elapsed times: the lanes split one
-// modeled worker's work across host goroutines (obs.RunSegments), and that
-// worker does it one piece after another. Every charge is unit cost × count,
+// JoinSerial folds forked meters back into the parent: counters sum, and
+// the clock advances by the sum of their elapsed times. The segments split
+// one modeled worker's work across host goroutines (obs.RunSegments), and
+// that worker does it one piece after another. Every charge is unit cost × count,
 // so the parent ends exactly where charging the whole work to it directly
 // would have left it, however the work was split.
-func (m *Meter) JoinSerial(lanes []*Meter) {
-	for _, l := range lanes {
+func (m *Meter) JoinSerial(segs []*Meter) {
+	for _, l := range segs {
 		for i := range l.counts {
 			m.counts[i] += l.counts[i]
 		}

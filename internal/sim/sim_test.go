@@ -160,32 +160,7 @@ func TestClockMonotoneProperty(t *testing.T) {
 	}
 }
 
-func TestForkJoinSumsCountersMaxClock(t *testing.T) {
-	m := NewDefaultMeter()
-	m.Charge(CtrBatches, 500, 1) // pre-fork state survives the join
-
-	lanes := m.Fork(3)
-	lanes[0].Charge(CtrServerRows, 100, 10) // elapsed 1000
-	lanes[1].Charge(CtrServerRows, 100, 25) // elapsed 2500 (slowest)
-	lanes[2].Charge(CtrCCUpdates, 60, 5)    // elapsed 300
-	m.Join(lanes)
-
-	if got := m.Count(CtrServerRows); got != 35 {
-		t.Errorf("joined server rows = %d, want 35 (counters must sum)", got)
-	}
-	if got := m.Count(CtrCCUpdates); got != 5 {
-		t.Errorf("joined cc updates = %d, want 5", got)
-	}
-	if got := m.Count(CtrBatches); got != 1 {
-		t.Errorf("pre-fork counter = %d, want 1", got)
-	}
-	want := time.Duration(500 + 2500) // pre-fork + max lane, not the sum
-	if got := m.Now(); got != want {
-		t.Errorf("joined clock = %v, want %v (max over lanes)", got, want)
-	}
-}
-
-// TestJoinSerialEqualsDirectCharges: work split over forked lanes and joined
+// TestJoinSerialEqualsDirectCharges: work split over forked meters and joined
 // serially leaves the parent exactly where charging it directly would have.
 func TestJoinSerialEqualsDirectCharges(t *testing.T) {
 	direct, split := NewDefaultMeter(), NewDefaultMeter()
@@ -194,11 +169,11 @@ func TestJoinSerialEqualsDirectCharges(t *testing.T) {
 	direct.Charge(CtrServerRows, 100, 35)
 	direct.Charge(CtrCCUpdates, 60, 5)
 
-	lanes := split.Fork(3)
-	lanes[0].Charge(CtrServerRows, 100, 10)
-	lanes[1].Charge(CtrServerRows, 100, 25)
-	lanes[2].Charge(CtrCCUpdates, 60, 5)
-	split.JoinSerial(lanes)
+	segs := split.Fork(3)
+	segs[0].Charge(CtrServerRows, 100, 10)
+	segs[1].Charge(CtrServerRows, 100, 25)
+	segs[2].Charge(CtrCCUpdates, 60, 5)
+	split.JoinSerial(segs)
 
 	if split.Now() != direct.Now() || split.CounterVec() != direct.CounterVec() {
 		t.Errorf("serial join: clock %v counters %v, direct charges: %v %v",
@@ -210,10 +185,10 @@ func TestForkLanesShareCosts(t *testing.T) {
 	m := NewDefaultMeter()
 	for i, l := range m.Fork(2) {
 		if l.Costs() != m.Costs() {
-			t.Errorf("lane %d has different costs", i)
+			t.Errorf("fork %d has different costs", i)
 		}
 		if l.Now() != 0 || l.Count(CtrBatches) != 0 {
-			t.Errorf("lane %d not zeroed", i)
+			t.Errorf("fork %d not zeroed", i)
 		}
 	}
 }
@@ -222,8 +197,8 @@ func TestJoinEmptyLanesIsNoOp(t *testing.T) {
 	m := NewDefaultMeter()
 	m.Charge(CtrBatches, 1000, 2)
 	before := m.Snapshot()
-	m.Join(m.Fork(4))
+	m.JoinSerial(m.Fork(4))
 	if m.Since(before) != 0 || m.CountSince(before, CtrBatches) != 0 {
-		t.Error("joining idle lanes changed the meter")
+		t.Error("joining idle forks changed the meter")
 	}
 }

@@ -242,25 +242,19 @@ func (*DropTable) stmt() {}
 
 func (s *DropTable) String() string { return "DROP TABLE " + s.Name }
 
-// ScoreTable is the batch scoring statement:
-// SCORE TABLE t USING model [WORKERS n].
+// ScoreTable is the batch scoring statement: SCORE TABLE t USING model.
 // It scores every row of t with the registered model through the engine's
 // vectorized scoring operator, returning one predicted class per row in heap
-// order. WORKERS caps the scan partitions (0 = engine default of 1).
+// order.
 type ScoreTable struct {
-	Table   string
-	Model   string
-	Workers int
+	Table string
+	Model string
 }
 
 func (*ScoreTable) stmt() {}
 
 func (s *ScoreTable) String() string {
-	out := fmt.Sprintf("SCORE TABLE %s USING %s", s.Table, s.Model)
-	if s.Workers > 0 {
-		out += fmt.Sprintf(" WORKERS %d", s.Workers)
-	}
-	return out
+	return fmt.Sprintf("SCORE TABLE %s USING %s", s.Table, s.Model)
 }
 
 // BuildTree.Output values.
@@ -271,17 +265,15 @@ const (
 )
 
 // BuildTree is the tree-building statement:
-// BUILD TREE [MAXDEPTH n] [MINROWS n] [WORKERS n] [MODEL ident]
-// [OUTPUT STATS|TREE|TRACE].
+// BUILD TREE [MAXDEPTH n] [MINROWS n] [MODEL ident] [OUTPUT STATS|TREE|TRACE].
 // It grows a decision tree over the served table through the middleware.
 // MODEL registers the finished tree in the model catalog, where SCORE TABLE
 // and CLASSIFY() find it; OUTPUT picks the result shape. Zero values mean
-// "not given": no depth limit, the builder's default MINROWS, the serving
-// layer's worker count, no registration, OUTPUT STATS.
+// "not given": no depth limit, the builder's default MINROWS, no
+// registration, OUTPUT STATS.
 type BuildTree struct {
 	MaxDepth int
 	MinRows  int64
-	Workers  int
 	Model    string
 	Output   string // "" or one of the Output* constants
 }
@@ -296,9 +288,6 @@ func (s *BuildTree) String() string {
 	}
 	if s.MinRows > 0 {
 		fmt.Fprintf(&b, " MINROWS %d", s.MinRows)
-	}
-	if s.Workers > 0 {
-		fmt.Fprintf(&b, " WORKERS %d", s.Workers)
 	}
 	if s.Model != "" {
 		b.WriteString(" MODEL " + s.Model)

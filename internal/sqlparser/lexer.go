@@ -5,10 +5,10 @@
 // and integer arithmetic; CREATE TABLE; INSERT; DROP TABLE — the query shapes
 // of §2.3 of the paper (the UNION-of-GROUP-BY counts query) plus the DDL the
 // experiments use — and the two classification statements, SCORE TABLE t
-// USING m [WORKERS n] and BUILD TREE [MAXDEPTH n] [MINROWS n] [WORKERS n]
-// [MODEL ident] [OUTPUT STATS|TREE|TRACE]. CREATE INDEX, JOIN, DELETE,
-// HAVING, DISTINCT, ORDER BY, UNION without ALL, SUM, MIN, MAX, AVG and
-// COUNT(expr) are reserved and refused by name: the engine has none of them.
+// USING m and BUILD TREE [MAXDEPTH n] [MINROWS n] [MODEL ident]
+// [OUTPUT STATS|TREE|TRACE]. CREATE INDEX, JOIN, DELETE, HAVING, DISTINCT,
+// ORDER BY, UNION without ALL, SUM, MIN, MAX, AVG, COUNT(expr) and WORKERS
+// are reserved and refused by name: the engine has none of them.
 package sqlparser
 
 import (

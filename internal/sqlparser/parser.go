@@ -126,7 +126,8 @@ func (p *parser) statement() (Statement, error) {
 	return nil, p.errf("expected statement, found %q", p.tok.text)
 }
 
-// scoreStmt parses SCORE TABLE t USING model [WORKERS n].
+// scoreStmt parses SCORE TABLE t USING model. WORKERS stays reserved and is
+// refused by name: every scan is one pass.
 func (p *parser) scoreStmt() (Statement, error) {
 	if err := p.advance(); err != nil {
 		return nil, err
@@ -145,22 +146,15 @@ func (p *parser) scoreStmt() (Statement, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &ScoreTable{Table: table, Model: model}
-	if ok, err := p.acceptKeyword("WORKERS"); err != nil {
-		return nil, err
-	} else if ok {
-		n, err := p.expectCount("WORKERS", 1, math.MaxInt32)
-		if err != nil {
-			return nil, err
-		}
-		s.Workers = int(n)
+	if p.atKeyword("WORKERS") {
+		return nil, p.errf("WORKERS is not supported")
 	}
-	return s, nil
+	return &ScoreTable{Table: table, Model: model}, nil
 }
 
-// buildStmt parses BUILD TREE [MAXDEPTH n] [MINROWS n] [WORKERS n]
-// [MODEL ident] [OUTPUT STATS|TREE|TRACE]: options in any order, each at
-// most once.
+// buildStmt parses BUILD TREE [MAXDEPTH n] [MINROWS n] [MODEL ident]
+// [OUTPUT STATS|TREE|TRACE]: options in any order, each at most once. WORKERS
+// is refused by name, as in SCORE TABLE.
 func (p *parser) buildStmt() (Statement, error) {
 	if err := p.advance(); err != nil {
 		return nil, err
@@ -174,6 +168,9 @@ func (p *parser) buildStmt() (Statement, error) {
 	s := &BuildTree{}
 	seen := map[string]bool{}
 	for p.tok.kind == tokIdent || p.atKeyword("WORKERS") {
+		if p.atKeyword("WORKERS") {
+			return nil, p.errf("WORKERS is not supported")
+		}
 		word := p.tok
 		opt := strings.ToUpper(word.text)
 		if seen[opt] {
@@ -191,9 +188,6 @@ func (p *parser) buildStmt() (Statement, error) {
 			s.MaxDepth = int(n)
 		case "MINROWS":
 			s.MinRows, err = p.expectCount(opt, 0, math.MaxInt64)
-		case "WORKERS":
-			n, err = p.expectCount(opt, 1, math.MaxInt32)
-			s.Workers = int(n)
 		case "MODEL":
 			s.Model, err = p.expectIdent()
 		case "OUTPUT":

@@ -259,8 +259,8 @@ func TestRoundTrip(t *testing.T) {
 		"DROP TABLE t",
 		"SELECT COUNT(*), d + 1 FROM t GROUP BY d UNION ALL SELECT COUNT(*), 0 FROM t WHERE d = 2 LIMIT 9",
 		"BUILD TREE",
-		"BUILD TREE MAXDEPTH 6 MINROWS 20 WORKERS 4 MODEL m OUTPUT STATS",
-		"BUILD TREE OUTPUT TRACE MODEL m WORKERS 4 MINROWS 20 MAXDEPTH 6",
+		"BUILD TREE MAXDEPTH 6 MINROWS 20 MODEL m OUTPUT STATS",
+		"BUILD TREE OUTPUT TRACE MODEL m MINROWS 20 MAXDEPTH 6",
 		"build tree maxdepth 0 minrows 0 output tree",
 		"-- note\n\nBUILD TREE MODEL output",
 		"SELECT model, tree, output, stats, trace, build, maxdepth, minrows FROM model_m WHERE tree = 1 GROUP BY model, output",
@@ -352,26 +352,20 @@ func TestParseClassify(t *testing.T) {
 }
 
 func TestParseScoreTable(t *testing.T) {
-	st := mustParse(t, "SCORE TABLE cases USING m1 WORKERS 4")
+	st := mustParse(t, "SCORE TABLE cases USING m1")
 	sc, ok := st.(*ScoreTable)
 	if !ok {
 		t.Fatalf("got %T", st)
 	}
-	if sc.Table != "cases" || sc.Model != "m1" || sc.Workers != 4 {
+	if *sc != (ScoreTable{Table: "cases", Model: "m1"}) {
 		t.Fatalf("score = %+v", sc)
 	}
-	if st.String() != "SCORE TABLE cases USING m1 WORKERS 4" {
+	if st.String() != "SCORE TABLE cases USING m1" {
 		t.Errorf("rendered %q", st.String())
-	}
-	st2 := mustParse(t, "SCORE TABLE cases USING m1")
-	if st2.(*ScoreTable).Workers != 0 {
-		t.Errorf("workers = %d", st2.(*ScoreTable).Workers)
 	}
 	for _, bad := range []string{
 		"SCORE cases USING m1",
 		"SCORE TABLE cases m1",
-		"SCORE TABLE cases USING m1 WORKERS 0",
-		"SCORE TABLE cases USING m1 WORKERS x",
 	} {
 		if _, err := Parse(bad); err == nil {
 			t.Errorf("accepted %q", bad)
@@ -379,10 +373,21 @@ func TestParseScoreTable(t *testing.T) {
 	}
 }
 
+// TestWorkersRefused: a WORKERS clause, on SCORE TABLE or among BUILD TREE's
+// options, is refused by name where it stands — every scan is one pass — and
+// so is its bare keyword.
+func TestWorkersRefused(t *testing.T) {
+	refusedByName(t, "SCORE TABLE cases USING m1 WORKERS 4", "WORKERS is not supported at line 1 col 28")
+	refusedByName(t, "SCORE TABLE cases USING m1 WORKERS", "WORKERS is not supported at line 1 col 28")
+	refusedByName(t, "BUILD TREE WORKERS 2", "WORKERS is not supported at line 1 col 12")
+	refusedByName(t, "BUILD TREE MAXDEPTH 3 WORKERS 4 MODEL m", "WORKERS is not supported at line 1 col 23")
+	refusedByName(t, "build tree model m workers 8", "WORKERS is not supported at line 1 col 20")
+}
+
 func TestParseBuildTree(t *testing.T) {
-	full := &BuildTree{MaxDepth: 6, MinRows: 20, Workers: 4, Model: "m", Output: OutputTrace}
-	// Every order of the five options parses to the same statement.
-	opts := []string{"MAXDEPTH 6", "MINROWS 20", "WORKERS 4", "MODEL m", "OUTPUT TRACE"}
+	full := &BuildTree{MaxDepth: 6, MinRows: 20, Model: "m", Output: OutputTrace}
+	// Every order of the four options parses to the same statement.
+	opts := []string{"MAXDEPTH 6", "MINROWS 20", "MODEL m", "OUTPUT TRACE"}
 	var permute func(k int)
 	permute = func(k int) {
 		if k == len(opts) {
@@ -399,7 +404,7 @@ func TestParseBuildTree(t *testing.T) {
 		}
 	}
 	permute(0)
-	if got := full.String(); got != "BUILD TREE MAXDEPTH 6 MINROWS 20 WORKERS 4 MODEL m OUTPUT TRACE" {
+	if got := full.String(); got != "BUILD TREE MAXDEPTH 6 MINROWS 20 MODEL m OUTPUT TRACE" {
 		t.Errorf("rendered %q", got)
 	}
 

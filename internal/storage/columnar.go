@@ -88,7 +88,7 @@ func (cs *ColStore) Append(row []data.Value) {
 // Group returns row group g. Index len(sealed groups) addresses the open
 // tail, which is encoded on first access and cached until the next Append.
 // The returned group is immutable. Readers may call Group concurrently (the
-// lanes of one statement each scan the whole copy): sealed groups are read
+// segments of a scan, the sessions of a fleet): sealed groups are read
 // lock-free, and the tail's lazy encoding is serialized. Append is a writer:
 // like any table write, it must not run beside any reader.
 func (cs *ColStore) Group(g int) *ColGroup {
@@ -319,8 +319,8 @@ func (b *GroupBuilder) seal(keep bool) *ColGroup {
 }
 
 // Zone returns g without its code vectors: row count, dictionaries and
-// per-code counts — all that compiling a filter, a zone-map verdict and a lane
-// split need, and what a staging file's reader keeps in memory of each group.
+// per-code counts — all that compiling a filter, a zone-map verdict and a
+// segment split need, and what a staging file's reader keeps in memory of each group.
 func (g *ColGroup) Zone() *ColGroup {
 	z := &ColGroup{nrows: g.nrows, cols: make([]colVec, len(g.cols))}
 	for c := range g.cols {

@@ -1,8 +1,8 @@
 #!/bin/sh
-# Tier-1 verification: build, vet, repolint, tests, and the race detector (the
-# parallel scan pipeline fans out real goroutines, so -race is part of the
-# gate). On failure, the name of the gate that failed is printed so CI logs
-# and humans see at a glance which invariant broke.
+# Tier-1 verification: build, vet, repolint, tests, and the race detector (a
+# scan split into segments and the serving fleet run real goroutines, so
+# -race is part of the gate). On failure, the name of the gate that failed is
+# printed so CI logs and humans see at a glance which invariant broke.
 set -u
 cd "$(dirname "$0")"
 
