@@ -63,32 +63,35 @@ func driveScoreObs(t *testing.T) (nd, chrome, explain []byte) {
 // the -explain profile of a scoring pass are byte-for-byte identical across
 // reruns and across GOMAXPROCS settings.
 func TestScoreObsByteDeterminism(t *testing.T) {
-	refND, refChrome, refExplain := driveScoreObs(t)
-	if len(refND) == 0 {
-		t.Fatal("empty NDJSON trace")
-	}
-	if !bytes.Contains(refND, []byte(`"score"`)) {
-		t.Fatal("scoring pass produced no score-category span")
-	}
-	run := 0
-	for _, procs := range []int{1, 8} {
-		old := runtime.GOMAXPROCS(procs)
-		for rep := 0; rep < 2; rep++ {
-			run++
-			nd, chrome, explain := driveScoreObs(t)
-			if !bytes.Equal(nd, refND) {
-				t.Errorf("run %d (GOMAXPROCS=%d): ndjson trace differs", run, procs)
+	// Every scan is one pass, so the single-worker case is the one case.
+	t.Run("workers=1", func(t *testing.T) {
+		refND, refChrome, refExplain := driveScoreObs(t)
+		if len(refND) == 0 {
+			t.Fatal("empty NDJSON trace")
+		}
+		if !bytes.Contains(refND, []byte(`"score"`)) {
+			t.Fatal("scoring pass produced no score-category span")
+		}
+		run := 0
+		for _, procs := range []int{1, 8} {
+			old := runtime.GOMAXPROCS(procs)
+			for rep := 0; rep < 2; rep++ {
+				run++
+				nd, chrome, explain := driveScoreObs(t)
+				if !bytes.Equal(nd, refND) {
+					t.Errorf("run %d (GOMAXPROCS=%d): ndjson trace differs", run, procs)
+				}
+				if !bytes.Equal(chrome, refChrome) {
+					t.Errorf("run %d (GOMAXPROCS=%d): chrome trace differs", run, procs)
+				}
+				if !bytes.Equal(explain, refExplain) {
+					t.Errorf("run %d (GOMAXPROCS=%d): explain profile differs", run, procs)
+				}
 			}
-			if !bytes.Equal(chrome, refChrome) {
-				t.Errorf("run %d (GOMAXPROCS=%d): chrome trace differs", run, procs)
-			}
-			if !bytes.Equal(explain, refExplain) {
-				t.Errorf("run %d (GOMAXPROCS=%d): explain profile differs", run, procs)
+			runtime.GOMAXPROCS(old)
+			if t.Failed() {
+				break
 			}
 		}
-		runtime.GOMAXPROCS(old)
-		if t.Failed() {
-			break
-		}
-	}
+	})
 }

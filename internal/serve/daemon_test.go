@@ -102,37 +102,40 @@ func inProcessArm(t *testing.T, rows int, opt dtree.Options) (*dtree.Tree, []str
 func TestDaemonEquivalence(t *testing.T) {
 	const rows = 1500
 	opt := dtree.Options{MaxDepth: 6, MinRows: 20}
-	wantTree, wantTrace := inProcessArm(t, rows, opt)
+	// Every scan is one pass, so the single-worker case is the one case.
+	t.Run("workers=1", func(t *testing.T) {
+		wantTree, wantTrace := inProcessArm(t, rows, opt)
 
-	addr, stop := startDaemon(t, rows, true)
-	defer stop()
-	db, err := sql.Open("ccsql", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
-	// One connection end to end: builds are serialized anyway, and a
-	// single conn exercises statement-after-statement reuse.
-	db.SetMaxOpenConns(1)
+		addr, stop := startDaemon(t, rows, true)
+		defer stop()
+		db, err := sql.Open("ccsql", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer db.Close()
+		// One connection end to end: builds are serialized anyway, and a
+		// single conn exercises statement-after-statement reuse.
+		db.SetMaxOpenConns(1)
 
-	build := fmt.Sprintf("BUILD TREE MAXDEPTH %d MINROWS %d OUTPUT ", opt.MaxDepth, opt.MinRows)
-	gotTree := queryStrings(t, db, build+"TREE")
-	if want := wantTree.DumpLines(); !equalLines(gotTree, want) {
-		t.Errorf("daemon tree differs from in-process build:\n%s\nwant:\n%s",
-			strings.Join(gotTree, "\n"), strings.Join(want, "\n"))
-	}
+		build := fmt.Sprintf("BUILD TREE MAXDEPTH %d MINROWS %d OUTPUT ", opt.MaxDepth, opt.MinRows)
+		gotTree := queryStrings(t, db, build+"TREE")
+		if want := wantTree.DumpLines(); !equalLines(gotTree, want) {
+			t.Errorf("daemon tree differs from in-process build:\n%s\nwant:\n%s",
+				strings.Join(gotTree, "\n"), strings.Join(want, "\n"))
+		}
 
-	gotTrace := queryStrings(t, db, build+"TRACE")
-	if !equalLines(gotTrace, wantTrace) {
-		t.Errorf("daemon trace differs from in-process build: %d vs %d lines",
-			len(gotTrace), len(wantTrace))
-		for i := 0; i < len(gotTrace) && i < len(wantTrace); i++ {
-			if gotTrace[i] != wantTrace[i] {
-				t.Errorf("first divergence at line %d:\n got %s\nwant %s", i, gotTrace[i], wantTrace[i])
-				break
+		gotTrace := queryStrings(t, db, build+"TRACE")
+		if !equalLines(gotTrace, wantTrace) {
+			t.Errorf("daemon trace differs from in-process build: %d vs %d lines",
+				len(gotTrace), len(wantTrace))
+			for i := 0; i < len(gotTrace) && i < len(wantTrace); i++ {
+				if gotTrace[i] != wantTrace[i] {
+					t.Errorf("first divergence at line %d:\n got %s\nwant %s", i, gotTrace[i], wantTrace[i])
+					break
+				}
 			}
 		}
-	}
+	})
 }
 
 func equalLines(a, b []string) bool {

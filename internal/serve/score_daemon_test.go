@@ -72,71 +72,74 @@ func inProcessScoreArm(t *testing.T, rows int, opt dtree.Options) (*engine.Model
 func TestDaemonScoringEquivalence(t *testing.T) {
 	const rows = 1500
 	opt := dtree.Options{MaxDepth: 6, MinRows: 20}
-	model, res, loop := inProcessScoreArm(t, rows, opt)
-	if int64(len(loop)) != res.Rows {
-		t.Fatalf("in-process witnesses disagree: %d loop rows, %d scored", len(loop), res.Rows)
-	}
-	for i := range loop {
-		if loop[i] != res.Classes[i] {
-			t.Fatalf("in-process witnesses disagree at row %d", i)
+	// Every scan is one pass, so the single-worker case is the one case.
+	t.Run("workers=1", func(t *testing.T) {
+		model, res, loop := inProcessScoreArm(t, rows, opt)
+		if int64(len(loop)) != res.Rows {
+			t.Fatalf("in-process witnesses disagree: %d loop rows, %d scored", len(loop), res.Rows)
 		}
-	}
-
-	addr, stop := startDaemon(t, rows, true)
-	defer stop()
-	db, err := sql.Open("ccsql", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
-	db.SetMaxOpenConns(1)
-
-	build := fmt.Sprintf("BUILD TREE MAXDEPTH %d MINROWS %d MODEL m OUTPUT STATS", opt.MaxDepth, opt.MinRows)
-	if _, err := db.Exec(build); err != nil {
-		t.Fatalf("%s: %v", build, err)
-	}
-
-	wrows, err := db.Query("SCORE TABLE cases USING m")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer wrows.Close()
-	cols, err := wrows.Columns()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := 1 + model.Classes; len(cols) != want {
-		t.Fatalf("scored stream has %d columns, want %d (class + per-class counts)", len(cols), want)
-	}
-	i := 0
-	dest := make([]any, len(cols))
-	for di := range dest {
-		dest[di] = new(int64)
-	}
-	for wrows.Next() {
-		if err := wrows.Scan(dest...); err != nil {
-			t.Fatal(err)
-		}
-		if i >= len(loop) {
-			t.Fatalf("daemon streamed more than %d rows", len(loop))
-		}
-		if got := data.Value(*dest[0].(*int64)); got != loop[i] {
-			t.Fatalf("row %d: daemon class %d, in-process %d", i, got, loop[i])
-		}
-		dist := res.Dist(model, i)
-		for c := 0; c < model.Classes; c++ {
-			if got := *dest[1+c].(*int64); got != dist[c] {
-				t.Fatalf("row %d class %d: daemon count %d, in-process %d", i, c, got, dist[c])
+		for i := range loop {
+			if loop[i] != res.Classes[i] {
+				t.Fatalf("in-process witnesses disagree at row %d", i)
 			}
 		}
-		i++
-	}
-	if err := wrows.Err(); err != nil {
-		t.Fatal(err)
-	}
-	if i != len(loop) {
-		t.Fatalf("daemon streamed %d rows, want %d", i, len(loop))
-	}
+
+		addr, stop := startDaemon(t, rows, true)
+		defer stop()
+		db, err := sql.Open("ccsql", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer db.Close()
+		db.SetMaxOpenConns(1)
+
+		build := fmt.Sprintf("BUILD TREE MAXDEPTH %d MINROWS %d MODEL m OUTPUT STATS", opt.MaxDepth, opt.MinRows)
+		if _, err := db.Exec(build); err != nil {
+			t.Fatalf("%s: %v", build, err)
+		}
+
+		wrows, err := db.Query("SCORE TABLE cases USING m")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer wrows.Close()
+		cols, err := wrows.Columns()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := 1 + model.Classes; len(cols) != want {
+			t.Fatalf("scored stream has %d columns, want %d (class + per-class counts)", len(cols), want)
+		}
+		i := 0
+		dest := make([]any, len(cols))
+		for di := range dest {
+			dest[di] = new(int64)
+		}
+		for wrows.Next() {
+			if err := wrows.Scan(dest...); err != nil {
+				t.Fatal(err)
+			}
+			if i >= len(loop) {
+				t.Fatalf("daemon streamed more than %d rows", len(loop))
+			}
+			if got := data.Value(*dest[0].(*int64)); got != loop[i] {
+				t.Fatalf("row %d: daemon class %d, in-process %d", i, got, loop[i])
+			}
+			dist := res.Dist(model, i)
+			for c := 0; c < model.Classes; c++ {
+				if got := *dest[1+c].(*int64); got != dist[c] {
+					t.Fatalf("row %d class %d: daemon count %d, in-process %d", i, c, got, dist[c])
+				}
+			}
+			i++
+		}
+		if err := wrows.Err(); err != nil {
+			t.Fatal(err)
+		}
+		if i != len(loop) {
+			t.Fatalf("daemon streamed %d rows, want %d", i, len(loop))
+		}
+	})
 }
 
 // TestDaemonModelRegistration pins that BUILD ... MODEL persists the model
