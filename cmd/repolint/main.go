@@ -6,8 +6,9 @@
 //
 // Diagnostics print as file:line:col: analyzer: message. With -json each
 // finding is emitted as one JSON object per line on stdout (analyzer,
-// position, message, callee chain); stdout is byte-identical across reruns,
-// which verify.sh checks by comparing two runs. With -stats the per-analyzer
+// position, message, callee chain); stdout is byte-identical across reruns
+// (TestDiagnosticsDeterministic in internal/analysis compares two independent
+// loads of its testdata module). With -stats the per-analyzer
 // wall times and the module summary-coverage figures print to stderr
 // (stderr only — timings are nondeterministic by nature and must never
 // contaminate the comparable stream).

@@ -8,6 +8,7 @@ package analysis
 
 import (
 	"go/ast"
+	"reflect"
 	"regexp"
 	"strings"
 	"sync"
@@ -259,18 +260,26 @@ func TestInterprocShapesCaught(t *testing.T) {
 	}
 }
 
-// TestDiagnosticsDeterministic runs the suite twice over the same loaded
-// packages and demands byte-identical output — the analyzers are subject to
-// the same determinism contract they enforce.
+// TestDiagnosticsDeterministic loads the testdata module a second time,
+// independently of the shared load, runs the suite over it and demands the
+// same findings, callee chains included, in the same order — the analyzers
+// are subject to the same determinism contract they enforce.
 func TestDiagnosticsDeterministic(t *testing.T) {
-	pkgs, first := loadLintdata(t)
+	_, first := loadLintdata(t)
+	pkgs, err := Load("testdata", "./...")
+	if err != nil {
+		t.Fatalf("reload testdata module: %v", err)
+	}
 	second := runPackages(pkgs, Analyzers()).Diags
+	if len(first) == 0 {
+		t.Fatal("the testdata module produced no diagnostics: nothing to compare")
+	}
 	if len(first) != len(second) {
-		t.Fatalf("diagnostic count changed between runs: %d vs %d", len(first), len(second))
+		t.Fatalf("diagnostic count changed between loads: %d vs %d", len(first), len(second))
 	}
 	for i := range first {
-		if first[i].String() != second[i].String() {
-			t.Errorf("diagnostic %d differs between runs:\n  %s\n  %s", i, first[i], second[i])
+		if !reflect.DeepEqual(first[i], second[i]) {
+			t.Errorf("diagnostic %d differs between loads:\n  %s %v\n  %s %v", i, first[i], first[i].Chain, second[i], second[i].Chain)
 		}
 	}
 }

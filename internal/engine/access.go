@@ -151,10 +151,10 @@ var stmtConsumers = sync.Pool{New: func() any { return new(ScanConsumer) }}
 // can fail the scan.
 func (e *Engine) scanColumnar(ctx context.Context, t *Table, conj predicate.Conj, need []int, fn func(blk *ColBlock) bool) error {
 	c := stmtConsumers.Get().(*ScanConsumer)
-	c.Filter, c.Lane, c.local, c.Fn = predicate.Or(conj), e.meter, true, fn
+	c.Filter, c.Meter, c.local, c.Fn = predicate.Or(conj), e.meter, true, fn
 	src := t.groups(need, e.meter.Costs())
 	err := ScanRange(ctx, src, []*ScanConsumer{c}, 0, src.NumGroups(), e.meter) // a statement opens no cursor
-	c.Filter, c.Lane, c.Fn = predicate.Filter{}, nil, nil
+	c.Filter, c.Meter, c.Fn = predicate.Filter{}, nil, nil
 	stmtConsumers.Put(c)
 	return err
 }

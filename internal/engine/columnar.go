@@ -64,7 +64,6 @@ type GroupTrie struct {
 	terms []int32 // the source trie's terminal lists, shared
 	at    []int32 // per source trie node after the root (which compiles to 0): its compiled index, -1 when dropped
 	open  []int32 // Compile: (node, source End) of each node whose subtree is being emitted
-	ests  []int64 // Estimate: per node, the estimate of the prefix ending there
 }
 
 // Compile compiles t against g's dictionaries, replacing gt's contents.
@@ -391,41 +390,6 @@ func (gt *GroupTrie) cover() (all, none bool) {
 	return false, none
 }
 
-// Estimate returns the estimated number of group rows matching at least one
-// conjunction, from the group's exact per-code counts under the same
-// column-independence assumption as bucketStat.estimateConj — except that
-// here single-condition estimates are exact, and so is the verdict on a
-// dropped subtree. Per conjunction it is the product of its conditions'
-// selectivities, taken in path order; the conjunctions' estimates are summed
-// and clamped to the group's row count.
-func (gt *GroupTrie) Estimate() int64 {
-	rows := int64(gt.g.NumRows())
-	if cap(gt.ests) < len(gt.nodes) {
-		gt.ests = make([]int64, len(gt.nodes))
-	}
-	gt.ests = gt.ests[:len(gt.nodes)]
-	var total int64
-	for j := range gt.nodes {
-		n := &gt.nodes[j]
-		est := rows
-		if j > 0 {
-			est = gt.ests[n.parent]
-		}
-		if n.col >= 0 && est > 0 {
-			cnt := gt.g.CodeCounts(int(n.col))[n.code]
-			if n.ne {
-				cnt = rows - cnt
-			}
-			est = est * cnt / rows
-		}
-		gt.ests[j] = est
-		if total += est * int64(n.hi-n.lo); total >= rows {
-			return rows
-		}
-	}
-	return total
-}
-
 // GroupFilter is the batch filter — a disjunction of node paths — compiled
 // against one row group: its disjuncts' trie, walked per row until the first
 // disjunct that holds or, when what compiled is one conjunction (a SQL
@@ -435,14 +399,13 @@ func (gt *GroupTrie) Estimate() int64 {
 // it is compiled in place and reused across groups.
 type GroupFilter struct {
 	all, none bool
-	chain     bool  // the compiled trie is one conjunction
-	rows      int64 // of the compiled group
+	chain     bool // the compiled trie is one conjunction
 	trie      GroupTrie
 }
 
 // Compile compiles f against g's dictionaries, replacing gf's contents.
 func (gf *GroupFilter) Compile(g *storage.ColGroup, f predicate.Filter) {
-	gf.all, gf.none, gf.chain, gf.rows = f.All(), f.Empty(), false, int64(g.NumRows())
+	gf.all, gf.none, gf.chain = f.All(), f.Empty(), false
 	if gf.all || gf.none {
 		return
 	}
@@ -502,19 +465,6 @@ func (gf *GroupFilter) Refine(sel []int32, out []int32) []int32 {
 	return out
 }
 
-// Estimate returns the estimated number of rows of the compiled group
-// matching the filter: disjunct estimates summed and clamped to the group's
-// row count.
-func (gf *GroupFilter) Estimate() int64 {
-	switch {
-	case gf.all:
-		return gf.rows
-	case gf.none:
-		return 0
-	}
-	return gf.trie.Estimate()
-}
-
 // ColBlock is one block of a columnar scan: rows [Base, Base+N) of Group,
 // with Sel holding the group-relative indices of the rows matching the
 // pushed-down filter and — for a consumer that attached its node paths
@@ -540,63 +490,6 @@ func (s *Server) ColGroups(needCols []int) GroupSource {
 	return s.table.groups(needCols, s.meter.Costs())
 }
 
-// Bounder is the one rule that splits a scan of src with filter f into
-// nparts segments of approximately equal estimated cost: a group weighs what
-// reading it is charged (ChargeRead, on a scratch meter), at the server the
-// evaluation of its rows — of those the source holds, when it is a
-// pre-selected set — and perMatch — the caller's full per-matching-row cost —
-// times its estimated matching rows, scaled to the rows held. Groups the zone
-// maps prove empty, or of which the source holds nothing, weigh nothing. The
-// split is pure and unmetered. A Bounder keeps its scratch from call to call
-// — the filter it compiles per group, the meter a read is priced on, the
-// weights and the split points — so a caller that splits scan after scan
-// allocates nothing once the scratch has grown. The zero value is ready for
-// use.
-type Bounder struct {
-	gf      GroupFilter
-	meter   sim.Meter
-	weights []int64
-	bounds  []int
-}
-
-// Split splits row groups [lo, hi) of src: nparts+1 split points relative to
-// lo, or nil for equal-width. The result is b's storage, valid
-// until b's next Split; between calls b holds nothing of src or f.
-func (b *Bounder) Split(src GroupSource, lo, hi int, f predicate.Filter, nparts int, costs sim.Costs, perMatch int64) []int {
-	if nparts < 2 || hi <= lo {
-		return nil
-	}
-	if b.meter.Costs() != costs {
-		b.meter = *sim.NewMeter(costs)
-	}
-	defer b.gf.Release()
-	weights := slices.Grow(b.weights[:0], hi-lo)[:hi-lo]
-	b.weights = weights
-	prices, _ := src.AtServer()
-	for i := range weights {
-		gi := lo + i
-		weights[i] = 0
-		g := src.Zone(gi)
-		rows := int64(g.NumRows())
-		if held, seeded := src.Sel(gi); seeded {
-			rows = int64(len(held))
-		}
-		b.gf.Compile(g, f)
-		if b.gf.None() || rows == 0 {
-			continue // skipped group: the segment pays nothing for it
-		}
-		b.meter.Reset()
-		src.ChargeRead(gi, &b.meter)
-		match := b.gf.Estimate() * rows / int64(g.NumRows())
-		weights[i] = int64(b.meter.Now()) + rows*prices.Eval + match*perMatch
-	}
-	bounds := weightedBounds(b.bounds, weights, nparts)
-	if bounds != nil {
-		b.bounds = bounds
-	}
-	return bounds
-}
-
 // ScanColumnarRange is ScanColumnarRangeContext that cannot be cancelled.
 func (s *Server) ScanColumnarRange(f predicate.Filter, needCols []int, loGroup, hiGroup int, m *sim.Meter, fn func(blk *ColBlock) bool) {
 	s.ScanColumnarRangeContext(context.Background(), f, needCols, loGroup, hiGroup, m, fn) // resident groups: only ctx can fail
@@ -615,6 +508,6 @@ func (s *Server) ScanColumnarRangeContext(ctx context.Context, f predicate.Filte
 	if m == nil {
 		m = s.meter
 	}
-	c := &ScanConsumer{Filter: f, Lane: m, Fn: fn}
+	c := &ScanConsumer{Filter: f, Meter: m, Fn: fn}
 	return ScanGroups(ctx, s.ColGroups(needCols), []*ScanConsumer{c}, loGroup, hiGroup, m)
 }

@@ -102,7 +102,7 @@ func TestColumnarPartitionsCoverGroupsExactlyOnce(t *testing.T) {
 	for _, nparts := range []int{1, 2, 3, ng, ng + 2} {
 		var got []data.Row
 		for p := 0; p < nparts; p++ {
-			lo, hi := RangeOf(p, nparts, ng, nil)
+			lo, hi := p*ng/nparts, (p+1)*ng/nparts
 			got = append(got, drainColumnar(srv, f, lo, hi)...)
 		}
 		if !sameRows(got, want) {
@@ -155,37 +155,9 @@ func TestColumnarPagesCheaperThanHeap(t *testing.T) {
 	}
 }
 
-// TestColGroupBoundsShape: the Bounder's split of a columnar copy — how a
-// segmented pass divides its groups — is weightedBounds-shaped and skews
-// toward the matching region.
-func TestColGroupBoundsShape(t *testing.T) {
-	srv, _ := clusteredColumnarServer(t, 12*storage.RowGroupSize, 6)
-	f := predicate.Or(predicate.Conj{{Attr: 0, Op: predicate.Eq, Val: 5}})
-	const nparts = 4
-	bounds := new(Bounder).Split(srv.ColGroups(nil), 0, srv.NumColGroups(), f, nparts, srv.meter.Costs(), 10_000)
-	if len(bounds) != nparts+1 {
-		t.Fatalf("bounds = %v, want %d entries", bounds, nparts+1)
-	}
-	ng := srv.NumColGroups()
-	if bounds[0] != 0 || bounds[nparts] != ng {
-		t.Fatalf("bounds = %v, want [0 .. %d]", bounds, ng)
-	}
-	for i := 0; i < nparts; i++ {
-		if bounds[i] > bounds[i+1] {
-			t.Fatalf("bounds %v not monotone", bounds)
-		}
-	}
-	// Region 5 lives in the last couple of groups; with skipped groups
-	// weighing nothing, the first partition must swallow well over its
-	// equal-width share of groups.
-	if bounds[1] <= ng/nparts {
-		t.Fatalf("bounds = %v: first segment got %d groups, equal-width would give %d", bounds, bounds[1], ng/nparts)
-	}
-}
-
 // refConj is the per-conjunction kernel the trie replaced, kept here as the
 // oracle: one conjunction compiled against one group by the always / never /
-// test rules, refined row by row and estimated on its own.
+// test rules and refined row by row.
 type refConj struct {
 	conds []predicate.Cond // the conditions that need a per-row test
 	none  bool
@@ -219,23 +191,6 @@ func (rc refConj) refine(g *storage.ColGroup, sel []int32) []int32 {
 		}
 	}
 	return out
-}
-
-func (rc refConj) estimate(g *storage.ColGroup) int64 {
-	if rc.none {
-		return 0
-	}
-	rows := int64(g.NumRows())
-	est := rows
-	for _, c := range rc.conds {
-		code, _ := g.FindCode(c.Attr, c.Val)
-		cnt := g.CodeCounts(c.Attr)[code]
-		if c.Op == predicate.Ne {
-			cnt = rows - cnt
-		}
-		est = est * cnt / rows
-	}
-	return est
 }
 
 // randomPaths draws a path set the way a batch produces one — and worse:
@@ -306,7 +261,7 @@ func sameSel(a, b []int32) bool {
 // Buckets[k] as the per-conjunction kernel's refinement of that Sel — and skip
 // exactly the groups the disjunction's zone-map verdict rules out; the same
 // trie as a filter must agree with predicate.Filter.Eval row by row, with the
-// zone-map verdict and the estimate of the kernel it replaced.
+// zone-map verdict of the kernel it replaced.
 func TestGroupTrieRouting(t *testing.T) {
 	rng := rand.New(rand.NewSource(16))
 	srv, ds := routingServer(t, rng)
@@ -324,7 +279,7 @@ func TestGroupTrieRouting(t *testing.T) {
 				pushed = trie.Filter()
 			}
 			scanned := make([]bool, cs.NumGroups())
-			cons := &ScanConsumer{Filter: pushed, Paths: trie, Lane: srv.meter}
+			cons := &ScanConsumer{Filter: pushed, Paths: trie, Meter: srv.meter}
 			cons.Fn = func(blk *ColBlock) bool {
 				g := blk.Group
 				scanned[blk.GroupIndex] = true
@@ -343,7 +298,7 @@ func TestGroupTrieRouting(t *testing.T) {
 				}
 				return true
 			}
-			ScanGroups(context.Background(), srv.ColGroups(nil), []*ScanConsumer{cons}, 0, cs.NumGroups(), cons.Lane)
+			ScanGroups(context.Background(), srv.ColGroups(nil), []*ScanConsumer{cons}, 0, cs.NumGroups(), cons.Meter)
 			for gi, got := range scanned {
 				if gf.Compile(cs.Group(gi), ref); got == gf.None() {
 					t.Fatalf("round %d group %d, filter %v: scanned = %v, zone-map verdict none = %v", round, gi, ref, got, gf.None())
@@ -360,7 +315,7 @@ func TestGroupTrieRouting(t *testing.T) {
 					sel = append(sel, int32(i))
 				}
 			}
-			none, est := true, int64(0)
+			none := true
 			for _, cj := range paths {
 				rc := compileRefConj(g, cj)
 				for _, ri := range rc.refine(g, sel) {
@@ -369,16 +324,12 @@ func TestGroupTrieRouting(t *testing.T) {
 					}
 				}
 				none = none && rc.none
-				est += rc.estimate(g)
 			}
 
 			gf.Compile(g, filter)
 			if !filter.All() {
 				if gf.None() != none {
 					t.Fatalf("round %d group %d: None = %v, per-conjunction verdict %v", round, gi, gf.None(), none)
-				}
-				if got, want := gf.Estimate(), min(est, int64(g.NumRows())); got != want {
-					t.Fatalf("round %d group %d: Estimate = %d, want %d", round, gi, got, want)
 				}
 			}
 			refined, block := gf.Refine(sel, nil), gf.selectBlock(0, g.NumRows(), nil)
@@ -532,7 +483,7 @@ func TestSharedScanConsumersMatchSolo(t *testing.T) {
 		if matchAll {
 			f = predicate.MatchAll()
 		}
-		return &ScanConsumer{Filter: f, Paths: trie, Lane: lane, Fn: func(blk *ColBlock) bool {
+		return &ScanConsumer{Filter: f, Paths: trie, Meter: lane, Fn: func(blk *ColBlock) bool {
 			b := block{group: blk.GroupIndex, base: blk.Base, n: blk.N, sel: append([]int32(nil), blk.Sel...)}
 			for _, rows := range blk.Buckets {
 				b.buckets = append(b.buckets, append([]int32(nil), rows...))

@@ -29,20 +29,21 @@ func partitionTestServer(t *testing.T, n int) (*Server, *data.Dataset) {
 }
 
 // scanPart drains partition p of np equal-width row-group ranges of src with f
-// pushed down, charging lane (the server's own meter when nil): the rows the
+// pushed down, charging m (the server's own meter when nil): the rows the
 // scan selects, in order.
-func scanPart(s *Server, src GroupSource, f predicate.Filter, p, np int, lane *sim.Meter) []data.Row {
-	if lane == nil {
-		lane = s.meter
+func scanPart(s *Server, src GroupSource, f predicate.Filter, p, np int, m *sim.Meter) []data.Row {
+	if m == nil {
+		m = s.meter
 	}
 	var out []data.Row
-	lo, hi := RangeOf(p, np, src.NumGroups(), nil)
-	ScanGroups(context.Background(), src, []*ScanConsumer{{Filter: f, Lane: lane, Fn: func(blk *ColBlock) bool {
+	n := src.NumGroups()
+	lo, hi := p*n/np, (p+1)*n/np
+	ScanGroups(context.Background(), src, []*ScanConsumer{{Filter: f, Meter: m, Fn: func(blk *ColBlock) bool {
 		for _, i := range blk.Sel {
 			out = append(out, groupRow(blk.Group, i))
 		}
 		return true
-	}}}, lo, hi, lane)
+	}}}, lo, hi, m)
 	return out
 }
 

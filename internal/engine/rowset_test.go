@@ -79,7 +79,7 @@ func TestSeededScanMatchesRowOracle(t *testing.T) {
 				var gotSel []data.Row
 				gotBuckets := make([][]data.Row, len(paths))
 				lane := sim.NewMeter(costs)
-				cons := &ScanConsumer{Filter: pushed, Lane: lane, Fn: func(blk *ColBlock) bool {
+				cons := &ScanConsumer{Filter: pushed, Meter: lane, Fn: func(blk *ColBlock) bool {
 					for _, i := range blk.Sel {
 						gotSel = append(gotSel, groupRow(blk.Group, i))
 					}

@@ -155,7 +155,7 @@ func (r *ScoreResult) ResultSet(m *Model) *ResultSet {
 // predictions.
 type ScoreConsumer struct {
 	model *Model
-	lane  *sim.Meter
+	meter *sim.Meter
 	costs sim.Costs
 	gt    GroupTrie // the model's path trie, compiled against the current group
 	res   *ScoreResult
@@ -164,9 +164,9 @@ type ScoreConsumer struct {
 
 // Consumer returns the consumer that fills r from a scan of the whole table —
 // the server's own, or a fleet session's attachment to a shared one —
-// charging all scoring costs to lane.
-func (r *ScoreResult) Consumer(m *Model, lane *sim.Meter) *ScoreConsumer {
-	return &ScoreConsumer{model: m, lane: lane, costs: lane.Costs(), res: r}
+// charging all scoring costs to meter.
+func (r *ScoreResult) Consumer(m *Model, meter *sim.Meter) *ScoreConsumer {
+	return &ScoreConsumer{model: m, meter: meter, costs: meter.Costs(), res: r}
 }
 
 // NeedCols returns the columns the scoring scan must read: the model's split
@@ -191,9 +191,9 @@ func (c *ScoreConsumer) Consume(blk *ColBlock) bool {
 	}
 	c.next = end
 	c.res.publish(end)
-	c.lane.Charge(sim.CtrScoreBlocks, 0, 1)
-	c.lane.Charge(sim.CtrScoreRows, c.costs.ScoreRowEval, int64(len(blk.Sel)))
-	c.lane.Charge(sim.CtrModelProbes, c.costs.ModelNodeProbe, probes)
+	c.meter.Charge(sim.CtrScoreBlocks, 0, 1)
+	c.meter.Charge(sim.CtrScoreRows, c.costs.ScoreRowEval, int64(len(blk.Sel)))
+	c.meter.Charge(sim.CtrModelProbes, c.costs.ModelNodeProbe, probes)
 	return true
 }
 
@@ -223,12 +223,9 @@ func scoreColumnar(res *ScoreResult, t *Table, m *Model, meter *sim.Meter, trace
 	srv := &Server{meter: meter, tracer: tracer, table: t}
 	sp := tracer.Start(obs.CatScore, "score").
 		AttrStr("model", m.Name).
-		Attr("model_nodes", int64(len(m.Nodes))).
-		Attr("workers", 1)
-	lsp := tracer.Start(obs.CatLane, "lane").SetPartition(0, 1)
+		Attr("model_nodes", int64(len(m.Nodes)))
 	sc := res.Consumer(m, meter)
 	srv.ScanColumnarRange(predicate.MatchAll(), sc.NeedCols(), 0, t.colstore.NumGroups(), meter, sc.Consume)
-	lsp.SetRows(int64(sc.next)).End()
 	sp.SetRows(res.Rows).End()
 }
 

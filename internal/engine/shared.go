@@ -17,7 +17,7 @@ import (
 // each to one physical columnar scan (ScanGroups); the block stream is decoded
 // once and fanned out, so the page I/O is charged once (to the shared io
 // meter) while each consumer pays its own per-row evaluation and transmission
-// on its own session lane.
+// on its own session meter.
 
 // ScanConsumer is one session's attachment to a shared columnar scan.
 type ScanConsumer struct {
@@ -40,9 +40,9 @@ type ScanConsumer struct {
 	// starts at the root.
 	Tags    []uint32
 	Classes *TagClasses
-	// Lane receives the consumer's own costs: group/block counters, per-row
+	// Meter receives the consumer's own costs: group/block counters, per-row
 	// evaluation and row transmission. Required.
-	Lane *sim.Meter
+	Meter *sim.Meter
 	// Fn receives each block with Sel holding this consumer's matching rows
 	// and, with Paths, Buckets holding them per path. Returning false
 	// detaches the consumer: it sees no further blocks while the scan
@@ -59,11 +59,11 @@ type ScanConsumer struct {
 	buckets  [][]int32 // per path of Paths: the block's rows satisfying it
 }
 
-// Release detaches c from the scan it last served — filter, paths, lane and
+// Release detaches c from the scan it last served — filter, paths, meter and
 // the group its filter is compiled against — keeping Fn and the storage its
 // scans grew, so a consumer kept for later scans holds nothing of this one.
 func (c *ScanConsumer) Release() {
-	c.Filter, c.Paths, c.Tags, c.Classes, c.Lane = predicate.Filter{}, nil, nil, nil, nil
+	c.Filter, c.Paths, c.Tags, c.Classes, c.Meter = predicate.Filter{}, nil, nil, nil, nil
 	c.gf.Release()
 	c.tw.release()
 }
@@ -79,7 +79,7 @@ func (c *ScanConsumer) compile(g *storage.ColGroup) {
 		return
 	}
 	gf := &c.gf
-	gf.all, gf.none, gf.rows = true, false, int64(g.NumRows())
+	gf.all, gf.none = true, false
 	gf.trie.Compile(g, c.Paths)
 	if !c.Filter.All() {
 		gf.all, gf.none = gf.trie.cover()
@@ -115,7 +115,7 @@ type GroupSource interface {
 	NumGroups() int
 	// Zone returns group gi as far as planning needs it — row count,
 	// dictionaries, per-code counts; the code vectors may be absent: filters
-	// compile against it, a zone-map skip rests on it, a segment split weighs it.
+	// compile against it, a zone-map skip rests on it.
 	Zone(gi int) *storage.ColGroup
 	// Read returns group gi with its code vectors; the loop charges ChargeRead.
 	Read(gi int) (*storage.ColGroup, error)
@@ -185,7 +185,7 @@ func OpenCursor(src GroupSource, io *sim.Meter) {
 // cursor scan (ScanGroups) pays for it first, a statement's scan does not. Per
 // group, each consumer's filter — its paths' trie, when it attached one — is
 // compiled once against the group's dictionaries; a consumer whose filter
-// cannot match skips the group on its own lane (zone-map verdict) without
+// cannot match skips the group on its own meter (zone-map verdict) without
 // forcing or joining the read, and a group no consumer needs is neither read
 // nor charged. Per block, a consumer of a server source pays its own
 // evaluation and transmission, and one walk of its trie per row — from the
@@ -202,8 +202,8 @@ func ScanRange(ctx context.Context, src GroupSource, cons []*ScanConsumer, loGro
 		panic(fmt.Sprintf("engine: invalid columnar range [%d, %d) of %d groups", loGroup, hiGroup, ng))
 	}
 	for i, c := range cons {
-		if c.Lane == nil || c.Fn == nil {
-			panic(fmt.Sprintf("engine: shared-scan consumer %d missing lane or callback", i))
+		if c.Meter == nil || c.Fn == nil {
+			panic(fmt.Sprintf("engine: shared-scan consumer %d missing meter or callback", i))
 		}
 		if c.Paths != nil {
 			if !c.Filter.All() && c.Filter.Trie() != c.Paths {
@@ -238,10 +238,10 @@ func ScanRange(ctx context.Context, src GroupSource, cons []*ScanConsumer, loGro
 			}
 			c.compile(zone)
 			if c.gf.None() {
-				c.Lane.Charge(sim.CtrColGroupsSkipped, 0, 1)
+				c.Meter.Charge(sim.CtrColGroupsSkipped, 0, 1)
 				continue
 			}
-			c.Lane.Charge(sim.CtrColGroupsScanned, 0, 1)
+			c.Meter.Charge(sim.CtrColGroupsScanned, 0, 1)
 			readers++
 		}
 		if readers == 0 {
@@ -285,13 +285,13 @@ func ScanRange(ctx context.Context, src GroupSource, cons []*ScanConsumer, loGro
 				if c.detached || c.gf.None() {
 					continue
 				}
-				c.Lane.Charge(sim.CtrColBlocks, 0, 1)
+				c.Meter.Charge(sim.CtrColBlocks, 0, 1)
 				if atServer {
-					c.Lane.Charge(sim.CtrServerRows, prices.Eval, int64(evaluated))
+					c.Meter.Charge(sim.CtrServerRows, prices.Eval, int64(evaluated))
 				}
 				c.walk(base, n, seed)
 				if atServer && !c.local {
-					c.Lane.Charge(sim.CtrRowsTransmitted, prices.Transmit, int64(len(c.sel)))
+					c.Meter.Charge(sim.CtrRowsTransmitted, prices.Transmit, int64(len(c.sel)))
 				}
 				blk.Group, blk.GroupIndex, blk.Base, blk.N, blk.Sel, blk.Buckets = g, gi, base, n, c.sel, c.buckets
 				if !c.Fn(blk) {

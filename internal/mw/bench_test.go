@@ -12,7 +12,7 @@ import (
 
 // BenchmarkFullTreeBuildStaged measures a complete middleware-driven tree
 // build with memory staging over ~4k rows (wall time; virtual time is
-// covered by the root figure benches).
+// pinned by internal/exp's committed records and pinned_test.go).
 func BenchmarkFullTreeBuildStaged(b *testing.B) {
 	ds := randDataset(4000, 5)
 	b.ReportAllocs()

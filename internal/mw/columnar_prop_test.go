@@ -15,14 +15,13 @@ import (
 // partition_prop_test.go: the columnar copy must be indistinguishable from
 // the heap it copies by results — per partition layout the row multiset of the
 // sequential heap cursor, the CC tables and staged rows of a row-at-a-time
-// count — under every worker count and split policy.
+// count — for every equal-width split of its row groups.
 // Sizes here deliberately exceed storage.RowGroupSize (the partition unit),
 // which the generic prop sizes never do.
 
 // columnarPropTrials is propTrials with multi-group table sizes: 17000 rows
-// span five row groups, so group-range partitioning, zone-map skipping and
-// histogram-guided group bounds are all exercised with nparts both below and
-// above the group count.
+// span five row groups, so group-range partitioning and zone-map skipping are
+// exercised with nparts both below and above the group count.
 func columnarPropTrials(t *testing.T, fn func(t *testing.T, rng *rand.Rand, ds *data.Dataset, f predicate.Filter, nparts int)) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(977))
@@ -44,24 +43,18 @@ func columnarPropTrials(t *testing.T, fn func(t *testing.T, rng *rand.Rand, ds *
 
 // TestColumnarPartitionProperty: for seeded random tables, filters and
 // partition counts, draining every columnar group range must yield the same
-// row multiset as the sequential heap cursor — under both group-weighted
-// (engine.Bounder, as segments split) and equal-width group bounds, including
-// nparts past the group count and filters the zone maps prove empty
-// everywhere.
+// row multiset as the sequential heap cursor — for every equal-width split of
+// splitCounts, as segments split, including counts past the group count and
+// filters the zone maps prove empty everywhere.
 func TestColumnarPartitionProperty(t *testing.T) {
 	columnarPropTrials(t, func(t *testing.T, rng *rand.Rand, ds *data.Dataset, f predicate.Filter, nparts int) {
 		srv := propServer(t, ds)
 		ng := srv.NumColGroups()
 		want := drainCursor(srv.OpenScan(f))
-		for _, weighted := range []bool{true, false} {
-			bounds := new(engine.Bounder).Split(srv.ColGroups(nil), 0, ng, f, nparts, srv.Meter().Costs(), rng.Int63n(20_000))
-			if !weighted {
-				bounds = nil // equal-width
-			}
-			checkBounds(t, bounds, nparts, ng)
+		for _, k := range splitCounts(rng, nparts) {
 			var got []string
-			for part := 0; part < nparts; part++ {
-				lo, hi := engine.RangeOf(part, nparts, ng, bounds)
+			for part := 0; part < k; part++ {
+				lo, hi := part*ng/k, (part+1)*ng/k
 				srv.ScanColumnarRange(f, nil, lo, hi, nil, func(blk *engine.ColBlock) bool {
 					for _, i := range blk.Sel {
 						got = append(got, fmt.Sprint(groupRow(blk.Group, i)))
@@ -69,7 +62,7 @@ func TestColumnarPartitionProperty(t *testing.T) {
 					return true
 				})
 			}
-			checkMultiset(t, fmt.Sprintf("columnar scan (weighted=%v)", weighted), got, want)
+			checkMultiset(t, fmt.Sprintf("columnar scan (%d parts)", k), got, want)
 		}
 	})
 }

@@ -145,9 +145,9 @@ func (m *Middleware) scanBatch(r *batchRun) error {
 		return nil
 	}
 	r.openScan()
-	sp, err := r.planScan()
+	src, err := r.planScan()
 	if err == nil {
-		err = r.runScan(sp)
+		err = r.runScan(src)
 	}
 	if err != nil {
 		for _, t := range r.plan.fileTees {
@@ -290,7 +290,7 @@ func scanRowCounter(k sourceKind) sim.Counter {
 // noteBatch records, as attributes of the batch span, the facts of a finished
 // batch no other span carries: requests shed back to the queue, rows staged in
 // memory, where the memory and file budgets stand, and the open nodes resident
-// per tier. Everything else about the batch is on its child spans (scan, lane,
+// per tier. Everything else about the batch is on its child spans (scan,
 // stage, fallback) and in Span.Deltas. Only called with a tracer attached.
 func (r *batchRun) noteBatch(stagedMemRows int64) {
 	m := r.m

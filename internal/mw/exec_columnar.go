@@ -101,7 +101,7 @@ func (r *batchRun) colConsumer(j int, meter *sim.Meter, sh *scanShard) *engine.S
 	c.costs, c.classIdx, c.curGroup = meter.Costs(), r.m.schema.ClassIndex(), -1
 	c.fileFilters = slices.Grow(c.fileFilters[:0], len(r.plan.fileTees))[:len(r.plan.fileTees)]
 	c.memFilters = slices.Grow(c.memFilters[:0], len(r.plan.memTees))[:len(r.plan.memTees)]
-	sc.Filter, sc.Paths, sc.Lane = r.scanFilter(), r.paths, meter
+	sc.Filter, sc.Paths, sc.Meter = r.scanFilter(), r.paths, meter
 	sc.Tags, sc.Classes = nil, nil
 	if r.tags != nil {
 		sc.Tags, sc.Classes = r.tags.rows, &r.tags.classes

@@ -197,19 +197,9 @@ func (sh *scanShard) stageMem(j, n int, full *storage.ColGroup) {
 	sh.teeBytes += int64(n) * sh.rowMemBytes
 }
 
-// scanPlan is the one source a batch's pass reads — row groups of the columnar
-// copy of the base table or a copy-table, of the rows a keyset or TID table
-// holds of it, of a staged file or of staged memory — and the filter it pushes
-// down: the batch filter, or match-all under the no-pushdown ablation (where
-// every row is transmitted).
-type scanPlan struct {
-	filter predicate.Filter
-	groups engine.GroupSource
-}
-
-// scanFilter returns the filter the batch's scan pushes down to its source
-// (see scanPlan.filter): the disjunction of the live paths, evaluated through
-// their one trie.
+// scanFilter returns the filter the batch's scan pushes down to its source:
+// the disjunction of the live paths, evaluated through their one trie, or
+// match-all under the no-pushdown ablation (where every row is transmitted).
 func (r *batchRun) scanFilter() predicate.Filter {
 	if r.m.cfg.NoFilterPushdown {
 		return predicate.MatchAll()
@@ -217,33 +207,35 @@ func (r *batchRun) scanFilter() predicate.Filter {
 	return r.paths.Filter()
 }
 
-// planScan decides which source the batch's pass reads: for a server batch
-// the base table's columnar copy or the §4.3.3 auxiliary structure covering
-// it, built here once the batch is small enough (maybeBuildAux).
-func (r *batchRun) planScan() (scanPlan, error) {
+// planScan decides which row groups the batch's pass reads: a staged file or
+// staged memory, or for a server batch the base table's columnar copy or the
+// §4.3.3 auxiliary structure covering it — the rows a keyset or TID table
+// holds of it, or a copy-table — built here once the batch is small enough
+// (maybeBuildAux).
+func (r *batchRun) planScan() (engine.GroupSource, error) {
 	m, b := r.m, r.b
-	sp := scanPlan{filter: r.scanFilter()}
+	var src engine.GroupSource
 	switch b.kind {
 	case srcMemory:
-		sp.groups = memGroups{stageCharge{sim.CtrMemRowsRead, m.meter.Costs().MemRowRead}, b.stage.mem}
+		src = memGroups{stageCharge{sim.CtrMemRowsRead, m.meter.Costs().MemRowRead}, b.stage.mem}
 	case srcFile:
-		sp.groups = m.files.source(b.stage.file, nil) // to plan by: nothing is read through it
+		src = m.files.source(b.stage.file, nil) // to plan by: nothing is read through it
 	case srcServer:
 		aux, err := m.maybeBuildAux(b)
 		switch {
 		case err != nil:
-			return sp, err
+			return nil, err
 		case aux == nil:
-			sp.groups = m.srv.ColGroups(m.columnarNeedCols(r.plan, r.live))
+			src = m.srv.ColGroups(m.columnarNeedCols(r.plan, r.live))
 			r.tagRows()
 		case aux.rows != nil:
-			sp.groups = aux.rows
+			src = aux.rows
 			r.tagRows()
 		default:
-			sp.groups = aux.subSrv.ColGroups(m.columnarNeedCols(r.plan, r.live))
+			src = aux.subSrv.ColGroups(m.columnarNeedCols(r.plan, r.live))
 		}
 	}
-	return sp, nil
+	return src, nil
 }
 
 // segmentRuns counts the passes run as more than one segment, for tests.
@@ -281,25 +273,21 @@ func (r *batchRun) tagRows() {
 // polices the budget captured at scan start; settle re-checks it. A
 // segmentable pass runs as k = min(GOMAXPROCS, groups / 4) segments — at
 // least 8 groups for two — each with a shard and a scratch of its own.
-func (r *batchRun) runScan(sp scanPlan) error {
+func (r *batchRun) runScan(src engine.GroupSource) error {
 	m := r.m
 	segmentable := r.segmentable()
 	if segmentable {
 		r.planDerived()
 	}
 	sh := r.newShard()
-	if k := min(runtime.GOMAXPROCS(0), sp.groups.NumGroups()/4); segmentable && k > 1 {
+	if k := min(runtime.GOMAXPROCS(0), src.NumGroups()/4); segmentable && k > 1 {
 		sh.segs = append(make([]*scanShard, 0, k), sh)
 		for len(sh.segs) < k {
 			sh.segs = append(sh.segs, r.newSegment(len(sh.segs)))
 		}
 		segmentRuns.Add(1)
 	}
-	rowCtr := scanRowCounter(r.b.kind)
-	lsp := r.tr.Start(obs.CatLane, "lane").SetPartition(0, 1)
-	rows := m.meter.Count(rowCtr)
-	err := r.scanSource(sp, sh)
-	lsp.SetRows(m.meter.Count(rowCtr) - rows).End()
+	err := r.scanSource(src, sh)
 	for _, seg := range sh.segs {
 		if seg != sh {
 			m.recycleTables(seg.ccs...)
@@ -435,28 +423,23 @@ func (r *batchRun) settle(sh *scanShard) {
 
 // scanSource drives the pass's row groups through the counting kernel
 // (colConsumer), charging every operation to the middleware's meter and
-// keeping all state in sh. The cursor opens once. A pass run as segments
-// splits its groups by the one group-weight rule (engine.Bounder); each
-// segment counts its part on a forked meter, the meters fold back serially
-// (obs.RunSegments), and the segments' tables merge into the pass's in
-// segment order, uncharged — counting is commutative, so the pass ends
-// exactly as one goroutine would have left it.
-func (r *batchRun) scanSource(sp scanPlan, sh *scanShard) error {
-	m, ng := r.m, sp.groups.NumGroups()
-	engine.OpenCursor(sp.groups, m.meter)
+// keeping all state in sh. The cursor opens once. A pass run as k segments
+// splits its groups equal-width by count; each segment counts its part on a
+// forked meter, the meters fold back serially (obs.RunSegments), and the
+// segments' tables merge into the pass's in segment order, uncharged —
+// counting is commutative, so the pass ends exactly as one goroutine would
+// have left it.
+func (r *batchRun) scanSource(src engine.GroupSource, sh *scanShard) error {
+	m, ng := r.m, src.NumGroups()
+	engine.OpenCursor(src, m.meter)
 	if sh.segs == nil {
-		return r.scanRange(sp.groups, 0, ng, 0, m.meter, sh)
+		return r.scanRange(src, 0, ng, 0, m.meter, sh)
 	}
-	// A matching row weighs its transmission at the source's price (nothing
-	// from a stage) and the kernel's histogram bump; segments stage nothing.
-	// The weights split the groups only — no charge is ever derived from them.
-	k, costs := len(sh.segs), m.meter.Costs()
-	prices, _ := sp.groups.AtServer()
-	bounds := m.scratch[0].split.Split(sp.groups, 0, ng, sp.filter, k, costs, prices.Transmit+costs.CCBump)
+	k := len(sh.segs)
 	obs.RunSegments(m.meter, k, func(j int, seg *sim.Meter) {
-		lo, hi := engine.RangeOf(j, k, ng, bounds)
+		lo, hi := j*ng/k, (j+1)*ng/k
 		ss := sh.segs[j]
-		ss.err = r.scanRange(sp.groups, lo, hi, j, seg, ss)
+		ss.err = r.scanRange(src, lo, hi, j, seg, ss)
 	})
 	for _, ss := range sh.segs {
 		if ss.err != nil {

@@ -21,7 +21,7 @@ func OpenTables(m *Middleware) map[int]*cc.Table {
 	return out
 }
 
-// SegmentRuns returns how many lanes, process-wide, have run as more than one
+// SegmentRuns returns how many passes, process-wide, have run as more than one
 // segment.
 func SegmentRuns() int64 { return segmentRuns.Load() }
 
@@ -41,9 +41,9 @@ func TaggedScans() int64 { return taggedScans.Load() }
 // pair select.
 func PairRows() int64 { return pairRows.Load() }
 
-// PooledScratchLeaks lists, by path, what the lane scratch and the tag states
-// in the process pool still hold of the builds they served: any pointer (a lane
-// meter, plan, shard, paths trie, row group or spares), dictionary values, code
+// PooledScratchLeaks lists, by path, what the scan scratch and the tag states
+// in the process pool still hold of the builds they served: any pointer (a
+// segment meter, plan, shard, paths trie, row group or spares), dictionary values, code
 // vectors, a compiled trie's terminal lists, a row's tags, a request's path, a
 // registered node. Empty when the pool holds storage only.
 func PooledScratchLeaks() []string {

@@ -16,7 +16,7 @@ import (
 
 // TestBatchEmitsEvent: a batch leaves one batch span, and the record rebuilt
 // from it carries the batch's window, counter deltas, budgets and residency;
-// its one lane span covers every row the root scan read.
+// its one scan span covers every row the root scan read.
 func TestBatchEmitsEvent(t *testing.T) {
 	ds := randDataset(20000, 5)
 	m, trace, _ := newTracedMW(t, ds, Config{Staging: StageNone})
@@ -37,20 +37,20 @@ func TestBatchEmitsEvent(t *testing.T) {
 	if bs.Source != "server" || bs.NNodes != 1 || len(results) != 1 || results[0].Req.NodeID != 0 {
 		t.Fatalf("batch = %+v, results = %+v", bs, results)
 	}
-	// The root predicate matches every row: the lane span read them all.
-	lanes := 0
+	// The root predicate matches every row: the scan span read them all.
+	scans := 0
 	trace.EachProc(func(pv obs.ProcView) {
 		for _, s := range pv.Spans {
-			if s.Cat == obs.CatLane {
-				lanes++
-				if s.Rows != int64(ds.N()) || s.Dur <= 0 || s.NParts != 1 {
-					t.Errorf("lane span: %d rows over %d ns, partition %d/%d; want %d rows, one partition", s.Rows, s.Dur, s.Part, s.NParts, ds.N())
+			if s.Cat == obs.CatScan {
+				scans++
+				if s.Rows != int64(ds.N()) || s.Dur <= 0 {
+					t.Errorf("scan span: %d rows over %d ns; want %d rows", s.Rows, s.Dur, ds.N())
 				}
 			}
 		}
 	})
-	if lanes != 1 {
-		t.Errorf("%d lane spans, want 1", lanes)
+	if scans != 1 {
+		t.Errorf("%d scan spans, want 1", scans)
 	}
 	// The rest of the record, read off the same span: its window and counter
 	// deltas are the meter's (one batch ran), and with nothing staged and the

@@ -410,15 +410,15 @@ func TestPlanParallelPartitionsAuxPaths(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sp, err := r.planScan()
+		src, err := r.planScan()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if rows, ok := sp.groups.(*engine.RowSet); !ok || int64(rows.Size()) != child.Rows {
-			t.Fatalf("access=%v: the plan's source is %T, want the batch's %d captured rows", access, sp.groups, child.Rows)
+		if rows, ok := src.(*engine.RowSet); !ok || int64(rows.Size()) != child.Rows {
+			t.Fatalf("access=%v: the plan's source is %T, want the batch's %d captured rows", access, src, child.Rows)
 		}
 		before := SegmentRuns()
-		if err := r.runScan(sp); err != nil {
+		if err := r.runScan(src); err != nil {
 			t.Fatal(err)
 		}
 		r.closeScan()
@@ -451,12 +451,12 @@ func TestLaneZeroStreamsFileTee(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sp, err := r.planScan()
+	src, err := r.planScan()
 	if err != nil || len(r.plan.fileTees) != 1 {
 		t.Fatalf("%d file tees, error %v; want 1", len(r.plan.fileTees), err)
 	}
 	sh := r.newShard()
-	if err := r.scanSource(sp, sh); err != nil {
+	if err := r.scanSource(src, sh); err != nil {
 		t.Fatal(err)
 	}
 	full := int64(ds.N() / engine.BlockRows * engine.BlockRows)

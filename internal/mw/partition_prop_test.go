@@ -17,16 +17,14 @@ import (
 
 // Property-test harness for every partitioned source: for seeded random
 // table sizes, filters and partition counts (including nparts greater than
-// the row-group count and filters matching nothing), the split boundaries must
-// be monotone and cover the group range exactly, and draining every partition
+// the row-group count and filters matching nothing), draining every partition
 // must yield the table's matching rows, in order, as predicate.Filter.Eval
-// picks them from the dataset — under both group-weighted and equal-width
-// splits.
+// picks them from the dataset. A split is equal-width by group count, as a
+// pass's segments split (scanSource).
 
 // propDataset builds a dataset whose first attribute is clustered (row r has
-// attr0 = r*card/n, so equality filters on it select contiguous slabs — the
-// regime weighted splits exist for) and whose remaining attributes are
-// uniform.
+// attr0 = r*card/n, so equality filters on it select contiguous slabs, and
+// zone maps skip whole groups) and whose remaining attributes are uniform.
 func propDataset(rng *rand.Rand, n int) *data.Dataset {
 	const card = 4
 	s := data.NewSchema(3, card, 2)
@@ -71,24 +69,10 @@ func propFilter(rng *rand.Rand) predicate.Filter {
 	}
 }
 
-// checkBounds asserts the structural invariants of a split: nil (equal-width
-// fallback) or exactly nparts+1 monotone offsets tiling [0, n].
-func checkBounds(t *testing.T, bounds []int, nparts, n int) {
-	t.Helper()
-	if bounds == nil {
-		return
-	}
-	if len(bounds) != nparts+1 {
-		t.Fatalf("bounds has %d entries, want %d", len(bounds), nparts+1)
-	}
-	if bounds[0] != 0 || bounds[nparts] != n {
-		t.Fatalf("bounds [%d, %d] do not tile [0, %d]", bounds[0], bounds[nparts], n)
-	}
-	for i := 1; i <= nparts; i++ {
-		if bounds[i] < bounds[i-1] {
-			t.Fatalf("bounds not monotone at %d: %v", i, bounds)
-		}
-	}
+// splitCounts returns the part counts a trial splits its source by: the
+// subtest's nparts and two more drawn from the trial's stream, 1 to 16.
+func splitCounts(rng *rand.Rand, nparts int) []int {
+	return []int{nparts, 1 + int(rng.Int63n(20_000)%16), 1 + int(rng.Int63n(20_000)%16)}
 }
 
 // drainCursor collects a cursor's rows as strings (the cursor may reuse its
@@ -203,10 +187,9 @@ func rowSetProperty(t *testing.T, capture func(*engine.Server, predicate.Filter)
 	t.Run("multigroup", func(t *testing.T) { columnarPropTrials(t, trial) })
 }
 
-// rowSourceProperty scans every one of nparts row-group ranges of a server
-// source with f pushed down — split by an engine.Bounder under a random
-// per-match weight, then equal-width — and requires the concatenation to be the
-// rows of ds that f selects, in order.
+// rowSourceProperty scans every one of k equal-width row-group ranges of a
+// server source with f pushed down, for each k of splitCounts, and requires
+// the concatenation to be the rows of ds that f selects, in order.
 func rowSourceProperty(t *testing.T, rng *rand.Rand, srv *engine.Server, src engine.GroupSource, ds *data.Dataset, f predicate.Filter, nparts int, label string) {
 	var want []string
 	for _, r := range ds.Rows {
@@ -215,16 +198,11 @@ func rowSourceProperty(t *testing.T, rng *rand.Rand, srv *engine.Server, src eng
 		}
 	}
 	n := src.NumGroups()
-	for _, weighted := range []bool{true, false} {
-		bounds := new(engine.Bounder).Split(src, 0, n, f, nparts, srv.Meter().Costs(), rng.Int63n(20_000))
-		if !weighted {
-			bounds = nil // equal-width
-		}
-		checkBounds(t, bounds, nparts, n)
+	for _, k := range splitCounts(rng, nparts) {
 		var got []string
-		for part := 0; part < nparts; part++ {
-			lo, hi := engine.RangeOf(part, nparts, n, bounds)
-			err := engine.ScanGroups(context.Background(), src, []*engine.ScanConsumer{{Filter: f, Lane: srv.Meter(), Fn: func(blk *engine.ColBlock) bool {
+		for part := 0; part < k; part++ {
+			lo, hi := part*n/k, (part+1)*n/k
+			err := engine.ScanGroups(context.Background(), src, []*engine.ScanConsumer{{Filter: f, Meter: srv.Meter(), Fn: func(blk *engine.ColBlock) bool {
 				for _, i := range blk.Sel {
 					got = append(got, fmt.Sprint(groupRow(blk.Group, i)))
 				}
@@ -234,7 +212,7 @@ func rowSourceProperty(t *testing.T, rng *rand.Rand, srv *engine.Server, src eng
 				t.Fatal(err)
 			}
 		}
-		checkMultiset(t, fmt.Sprintf("%s (weighted=%v)", label, weighted), got, want)
+		checkMultiset(t, fmt.Sprintf("%s (%d parts)", label, k), got, want)
 	}
 }
 
@@ -252,8 +230,8 @@ func TestPartitionPropertyTIDJoin(t *testing.T) {
 // rows to a few hundred, so even the smallest table spans several), and
 // scanning every partition of either source through the block kernel with the
 // filter pushed down, concatenated, must reproduce the sequential scan — the
-// table's matching rows in order — under group-weighted and equal-width bounds,
-// including nparts past the group count and filters the zone maps prove empty
+// table's matching rows in order — for every part count of splitCounts,
+// including counts past the group count, and filters the zone maps prove empty
 // everywhere.
 func TestPartitionPropertyFileStore(t *testing.T) {
 	propTrials(t, func(t *testing.T, rng *rand.Rand, ds *data.Dataset, f predicate.Filter, nparts int) {
@@ -287,28 +265,22 @@ func TestPartitionPropertyFileStore(t *testing.T) {
 			}
 		}
 		costs := m.meter.Costs()
-		for _, weighted := range []bool{true, false} {
-			perMatch := rng.Int63n(20_000)
+		for _, k := range splitCounts(rng, nparts) {
 			for _, src := range []engine.GroupSource{
 				m.files.source(sf, new(groupBuf)),
 				memGroups{stageCharge{sim.CtrMemRowsRead, costs.MemRowRead}, mem},
 			} {
 				n := src.NumGroups()
-				bounds := new(engine.Bounder).Split(src, 0, n, f, nparts, costs, perMatch)
-				if !weighted {
-					bounds = nil // equal-width
-				}
-				checkBounds(t, bounds, nparts, n)
 				var got []string
-				for part := 0; part < nparts; part++ {
-					lo, hi := engine.RangeOf(part, nparts, n, bounds)
-					lane := src
+				for part := 0; part < k; part++ {
+					lo, hi := part*n/k, (part+1)*n/k
+					seg := src
 					if _, ok := src.(*fileGroups); ok {
 						fsrc := m.files.source(sf, new(groupBuf)) // a segment's own, as in scanRange
 						defer fsrc.close()
-						lane = fsrc
+						seg = fsrc
 					}
-					err := engine.ScanGroups(context.Background(), lane, []*engine.ScanConsumer{{Filter: f, Lane: m.meter, Fn: func(blk *engine.ColBlock) bool {
+					err := engine.ScanGroups(context.Background(), seg, []*engine.ScanConsumer{{Filter: f, Meter: m.meter, Fn: func(blk *engine.ColBlock) bool {
 						for _, i := range blk.Sel {
 							got = append(got, fmt.Sprint(groupRow(blk.Group, i)))
 						}
@@ -318,7 +290,7 @@ func TestPartitionPropertyFileStore(t *testing.T) {
 						t.Fatal(err)
 					}
 				}
-				checkMultiset(t, fmt.Sprintf("%T (weighted=%v)", src, weighted), got, want)
+				checkMultiset(t, fmt.Sprintf("%T (%d parts)", src, k), got, want)
 			}
 		}
 	})

@@ -26,15 +26,13 @@ import (
 // the pass itself when it does not split: its kernel's consumer with the scan
 // state the engine keeps in it (buckets, compiled tries, selection vectors)
 // and its staging-file read buffer. Scratch 0's, drawn when the middleware is
-// made, also keeps the weigher that splits a pass into segments and what
-// derive.go needs: the middleware's held tables, and for planning and filling
+// made, also keeps what derive.go needs: the middleware's held tables, and for planning and filling
 // a batch's derived tables a split's children and a derived table's siblings,
 // emptied after each use.
 type scanScratch struct {
 	cons  colConsumer
 	scan  engine.ScanConsumer
 	buf   groupBuf
-	split engine.Bounder
 	held  map[int]*Result
 	group []int32
 	sibs  []*cc.Table

@@ -78,7 +78,7 @@ func (sc *Scorer) BeginShared() (*engine.ScanConsumer, []int, error) {
 	sc.begun = true
 	return &engine.ScanConsumer{
 		Filter: predicate.MatchAll(),
-		Lane:   meter,
+		Meter:  meter,
 		Fn:     cons.Consume,
 	}, cons.NeedCols(), nil
 }

@@ -17,7 +17,7 @@ import (
 )
 
 // segmentsShape is the table the segment tests build over: 8 row groups of
-// census rows, so a one-lane scan of the whole table runs as
+// census rows, so a scan of the whole table runs as
 // min(GOMAXPROCS, 8/4) = 2 segments on two cores or more.
 func segmentsShape(t *testing.T) (*data.Dataset, dtree.Options) {
 	ds, err := datagen.GenerateCensus(datagen.CensusConfig{Rows: 8 * storage.RowGroupSize, Seed: 5})
@@ -28,7 +28,7 @@ func segmentsShape(t *testing.T) (*data.Dataset, dtree.Options) {
 }
 
 // segmentRun is what one traced build leaves: its tree, where its meter ended,
-// its trace export, how many lanes ran as segments, and how many requests fell
+// its trace export, how many passes ran as segments, and how many requests fell
 // back to SQL or were shed back to the queue.
 type segmentRun struct {
 	tree     *dtree.Tree

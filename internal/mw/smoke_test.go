@@ -46,7 +46,9 @@ func smallCfg(seed int64) datagen.TreeGenConfig {
 // space: for every draw of Staging × FilePolicy × Threshold × Memory (down to
 // budgets that force shedding and SQL fallbacks) × FileBudget × Access × AuxThreshold × MaxBatch × NoFilterPushdown × FIFOScheduling, over
 // small random-tree tables and a multi-row-group census table, the tree grown
-// through the middleware equals dtree.BuildInMemory's, every node's CC table
+// through the middleware equals dtree.BuildInMemory's and, node for node, the
+// reference builder's (refBuild, which shares no counting or split code with
+// dtree), every node's CC table
 // equals the one the unstaged default build produced — itself held against
 // cc.Table.AddRow over the dataset's rows — and once the middleware is closed
 // the caller's staging directory is empty and the engine holds no temp table.
@@ -87,10 +89,11 @@ func TestMiddlewareTreeMatchesInMemory(t *testing.T) {
 	pick := func(vals ...int64) int64 { return vals[rng.Intn(len(vals))] }
 	for _, tc := range cases {
 		ds, srv := tc.ds, mustServer(tc.ds)
-		want, err := dtree.BuildInMemory(ds, tc.opt)
+		inMem, err := dtree.BuildInMemory(ds, tc.opt)
 		if err != nil {
 			t.Fatalf("%s: reference build: %v", tc.name, err)
 		}
+		want := sweepWant{inMem, refBuild(ds, tc.opt)}
 		ref := sweepBuild(t, srv, mw.Config{Dir: t.TempDir()}, tc.opt, want, nil)
 		for path, table := range ref {
 			if table.cc != cc.FromDataset(ds, table.attrs, table.path.Eval).String() {
@@ -133,11 +136,17 @@ type sweepTable struct {
 	cc    string
 }
 
+// sweepWant is the tree a sweep draw must grow, by two builders:
+// dtree.BuildInMemory and refBuild.
+type sweepWant struct {
+	inMem, ref *dtree.Tree
+}
+
 // sweepBuild grows one tree under cfg, recording every fulfilled node's CC
-// table under its path, and checks the tree against want, the tables against
-// ref (when given), cfg.Dir for leftovers after Close and the engine for temp
-// tables. It returns the tables.
-func sweepBuild(t *testing.T, srv *engine.Server, cfg mw.Config, opt dtree.Options, want *dtree.Tree, ref map[string]sweepTable) map[string]sweepTable {
+// table under its path, and checks the tree against both of want's, the tables
+// against ref (when given), cfg.Dir for leftovers after Close and the engine
+// for temp tables. It returns the tables.
+func sweepBuild(t *testing.T, srv *engine.Server, cfg mw.Config, opt dtree.Options, want sweepWant, ref map[string]sweepTable) map[string]sweepTable {
 	t.Helper()
 	m, err := mw.New(srv, cfg)
 	if err != nil {
@@ -165,8 +174,11 @@ func sweepBuild(t *testing.T, srv *engine.Server, cfg mw.Config, opt dtree.Optio
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !dtree.Equal(got, want) {
-		t.Errorf("%+v: tree differs from in-memory reference (got %d nodes, want %d)", cfg, got.NumNodes, want.NumNodes)
+	if !dtree.Equal(got, want.inMem) {
+		t.Errorf("%+v: tree differs from in-memory reference (got %d nodes, want %d)", cfg, got.NumNodes, want.inMem.NumNodes)
+	}
+	if err := sameNode("root", got.Root, want.ref.Root); err != nil {
+		t.Errorf("%+v: tree differs from refBuild's: %v", cfg, err)
 	}
 	if ref != nil {
 		if len(tables) != len(ref) {

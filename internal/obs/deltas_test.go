@@ -149,8 +149,8 @@ func TestEachProcView(t *testing.T) {
 	tr1 := trace.Proc("alpha", sim.NewDefaultMeter())
 	tr2 := trace.Proc("beta", sim.NewDefaultMeter())
 	tr1.Start(obs.CatBuild, "a").End()
-	lt := tr2.Track("lanes")
-	lt.Start(obs.CatLane, "l").End()
+	lt := tr2.Track("client")
+	lt.Start(obs.CatLevel, "l").End()
 
 	var got []obs.ProcView
 	trace.EachProc(func(pv obs.ProcView) { got = append(got, pv) })
@@ -164,7 +164,7 @@ func TestEachProcView(t *testing.T) {
 		t.Errorf("span counts: %d, %d, want 1, 1", len(got[0].Spans), len(got[1].Spans))
 	}
 	sp := got[1].Spans[0]
-	if sp.Track <= 0 || sp.Track >= len(got[1].Tracks) || got[1].Tracks[sp.Track] != "lanes" {
+	if sp.Track <= 0 || sp.Track >= len(got[1].Tracks) || got[1].Tracks[sp.Track] != "client" {
 		t.Errorf("track name not resolvable: track=%d tracks=%v", sp.Track, got[1].Tracks)
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"strconv"
 
 	"repro/internal/sim"
 )
@@ -139,9 +138,6 @@ func spanArgs(s *Span) map[string]any {
 	if s.Bytes != 0 {
 		args["bytes"] = s.Bytes
 	}
-	if s.NParts > 0 {
-		args["partition"] = fmt.Sprintf("%d/%d", s.Part, s.NParts)
-	}
 	for _, a := range s.Attrs {
 		if a.S != "" {
 			args[a.Key] = a.S
@@ -220,7 +216,6 @@ type ndSpan struct {
 	Nodes   []int  `json:"nodes,omitempty"`
 	Rows    int64  `json:"rows,omitempty"`
 	Bytes   int64  `json:"bytes,omitempty"`
-	Part    string `json:"part,omitempty"`
 	Overlay bool   `json:"overlay,omitempty"`
 	Attrs   []Attr `json:"attrs,omitempty"`
 }
@@ -256,9 +251,6 @@ func (t *Trace) WriteNDJSON(w io.Writer) error {
 					Source: s.Source, Nodes: s.Nodes, Rows: s.Rows, Bytes: s.Bytes,
 					Overlay: s.Overlay,
 					Attrs:   s.Attrs,
-				}
-				if s.NParts > 0 {
-					ns.Part = strconv.Itoa(s.Part) + "/" + strconv.Itoa(s.NParts)
 				}
 				b, err := json.Marshal(ns)
 				if err != nil {

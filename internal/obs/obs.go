@@ -25,14 +25,13 @@ import (
 )
 
 // Span categories, from coarse to fine. The hierarchy in a typical tree
-// build: build → level (client view) and build → batch → scan → lane →
-// cursor / stage / fallback → sql (middleware and engine view).
+// build: build → level (client view) and build → batch → scan → cursor /
+// stage / fallback → sql (middleware and engine view).
 const (
 	CatBuild    = "build"    // one whole model build (tree, NB)
 	CatLevel    = "level"    // one tree level, client side
 	CatBatch    = "batch"    // one middleware scheduling batch
 	CatScan     = "scan"     // the batch's single scan of its source
-	CatLane     = "lane"     // the one pass a scan makes over its source
 	CatStage    = "stage"    // staging capture/finalize (file or memory)
 	CatFallback = "fallback" // one node serviced by the SQL fallback
 	CatSQL      = "sql"      // one SQL statement at the server
@@ -66,8 +65,6 @@ type Span struct {
 	Nodes  []int  // tree node ids the operation serviced
 	Rows   int64
 	Bytes  int64
-	Part   int // partition index (meaningful when NParts > 0)
-	NParts int
 	Attrs  []Attr
 
 	// Deltas holds the counter movement of the span's own clock domain over
@@ -330,15 +327,6 @@ func (s *Span) SetRows(n int64) *Span {
 func (s *Span) SetBytes(n int64) *Span {
 	if s != nil {
 		s.Bytes = n
-	}
-	return s
-}
-
-// SetPartition records partition bounds: partition part of nparts.
-func (s *Span) SetPartition(part, nparts int) *Span {
-	if s != nil {
-		s.Part = part
-		s.NParts = nparts
 	}
 	return s
 }

@@ -17,7 +17,7 @@ func TestNilTracerZeroAllocs(t *testing.T) {
 	allocs := testing.AllocsPerRun(1000, func() {
 		sp := tr.Start(CatBatch, "batch").
 			SetSource("server").SetRows(100).SetBytes(4096).
-			SetPartition(1, 4).Attr("k", 7).AttrStr("s", "v")
+			Attr("k", 7).AttrStr("s", "v")
 		sp.End()
 		sp.EndAt(5) // idempotent, still no-op
 		if lt := tr.Track("x"); lt != nil {
@@ -115,11 +115,11 @@ func segmentWork(t *testing.T) []byte {
 	tr := trace.Proc("fork", meter)
 
 	bsp := tr.Start(CatBatch, "batch")
-	lsp := tr.Start(CatLane, "lane")
+	ssp := tr.Start(CatScan, "scan")
 	RunSegments(meter, 4, func(j int, seg *sim.Meter) {
 		seg.Charge(sim.CtrMemRowsRead, 10, int64(j+1))
 	})
-	lsp.SetRows(10).End()
+	ssp.SetRows(10).End()
 	bsp.End()
 
 	var b bytes.Buffer
@@ -141,21 +141,21 @@ func TestForkJoinDeterministic(t *testing.T) {
 		}
 	}
 	lines := strings.Split(strings.TrimSpace(string(ref)), "\n")
-	if len(lines) != 3 { // batch + lane + trailer
+	if len(lines) != 3 { // batch + scan + trailer
 		t.Fatalf("line count = %d, want 3", len(lines))
 	}
-	var batch, lane ndSpan
+	var batch, scan ndSpan
 	if err := json.Unmarshal([]byte(lines[0]), &batch); err != nil {
 		t.Fatal(err)
 	}
-	if err := json.Unmarshal([]byte(lines[1]), &lane); err != nil {
+	if err := json.Unmarshal([]byte(lines[1]), &scan); err != nil {
 		t.Fatal(err)
 	}
-	if lane.Parent != batch.ID || lane.Track != 0 {
-		t.Fatalf("lane span parent %d track %d, want batch id %d on the main track", lane.Parent, lane.Track, batch.ID)
+	if scan.Parent != batch.ID || scan.Track != 0 {
+		t.Fatalf("scan span parent %d track %d, want batch id %d on the main track", scan.Parent, scan.Track, batch.ID)
 	}
-	if want := int64(10 * (1 + 2 + 3 + 4)); lane.DurNS != want || batch.DurNS != want {
-		t.Fatalf("lane %d ns, batch %d ns, want both %d: the segments' work summed", lane.DurNS, batch.DurNS, want)
+	if want := int64(10 * (1 + 2 + 3 + 4)); scan.DurNS != want || batch.DurNS != want {
+		t.Fatalf("scan %d ns, batch %d ns, want both %d: the segments' work summed", scan.DurNS, batch.DurNS, want)
 	}
 }
 

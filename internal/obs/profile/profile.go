@@ -21,7 +21,6 @@ package profile
 
 import (
 	"sort"
-	"strconv"
 
 	"repro/internal/obs"
 	"repro/internal/sim"
@@ -68,7 +67,6 @@ type Node struct {
 	ExclNS   int64
 	PctBP    int64 // exclusive time in basis points of the proc total
 	Rows     int64
-	Part     string
 	Attrs    []obs.Attr
 	Children []*Node
 
@@ -216,9 +214,6 @@ func newNode(s *obs.Span, tracks []string) *Node {
 	}
 	if s.Track > 0 && s.Track < len(tracks) {
 		n.Track = tracks[s.Track]
-	}
-	if s.NParts > 0 {
-		n.Part = strconv.Itoa(s.Part) + "/" + strconv.Itoa(s.NParts)
 	}
 	if s.Deltas != nil {
 		n.inclVec = *s.Deltas

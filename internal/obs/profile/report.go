@@ -129,9 +129,6 @@ func writeNodeText(tw *errWriter, proc *Proc, n *Node, depth int) {
 	if n.Track != "" {
 		label += " (" + n.Track + ")"
 	}
-	if n.Part != "" {
-		label += " part=" + n.Part
-	}
 	if n.Rows > 0 {
 		label += fmt.Sprintf(" rows=%d", n.Rows)
 	}

@@ -319,8 +319,8 @@ func (b *GroupBuilder) seal(keep bool) *ColGroup {
 }
 
 // Zone returns g without its code vectors: row count, dictionaries and
-// per-code counts — all that compiling a filter, a zone-map verdict and a
-// segment split need, and what a staging file's reader keeps in memory of each group.
+// per-code counts — all that compiling a filter and a zone-map verdict need,
+// and what a staging file's reader keeps in memory of each group.
 func (g *ColGroup) Zone() *ColGroup {
 	z := &ColGroup{nrows: g.nrows, cols: make([]colVec, len(g.cols))}
 	for c := range g.cols {
