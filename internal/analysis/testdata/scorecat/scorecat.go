@@ -74,8 +74,8 @@ func OkCatalogDefer(model string) error {
 	return nil
 }
 
-// OkScoreSpan ends the scoring span on the compile-failure path too, the
-// shape engine.scoreColumnar implements.
+// OkScoreSpan ends the scoring span on the compile-failure path too, as
+// engine.ScorePass's End and Abort do.
 func OkScoreSpan(tr *obs.Tracer, fail bool) error {
 	sp := tr.Start("score", "score-table")
 	if fail {

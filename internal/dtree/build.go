@@ -1,6 +1,7 @@
 package dtree
 
 import (
+	"context"
 	"sort"
 
 	"repro/internal/cc"
@@ -18,12 +19,19 @@ import (
 // Build is the single-session loop over Builder; the multi-tenant fleet
 // drives the same Builder with an external scheduler.
 func Build(m *mw.Middleware, opt Options) (*Tree, error) {
+	return BuildContext(context.Background(), m, opt)
+}
+
+// BuildContext is Build whose batches check ctx once per block
+// (Middleware.StepContext): a cancelled build ends its spans and returns
+// ctx.Err(), and m is then fit only to be closed.
+func BuildContext(ctx context.Context, m *mw.Middleware, opt Options) (*Tree, error) {
 	b, err := NewBuilder(m, opt)
 	if err != nil {
 		return nil, err
 	}
 	for b.Pending() > 0 {
-		results, err := m.Step()
+		results, err := m.StepContext(ctx)
 		if err != nil {
 			b.Abort()
 			return nil, err

@@ -13,16 +13,20 @@ import (
 // TestScanCancelled: a scan whose context is cancelled mid-table stops before
 // its next block and returns context.Canceled, having charged only the blocks
 // it ran; a statement on a cancelled context fails the same way. A context
-// that is never cancelled changes nothing: the context-free entry points and
-// Background give the same rows, clock and counters.
+// that is never cancelled changes nothing: ScanGroups on Background and the
+// context-free entry points give the same rows, clock and counters.
 func TestScanCancelled(t *testing.T) {
 	srv, ds := partitionTestServer(t, 20000) // five row groups, twenty blocks
 	ng := srv.NumColGroups()
 	all := predicate.MatchAll()
 
+	scan := func(ctx context.Context, m *sim.Meter, fn func(*ColBlock) bool) error {
+		c := &ScanConsumer{Filter: all, Meter: m, Fn: fn}
+		return ScanGroups(ctx, srv.ColGroups(nil), []*ScanConsumer{c}, 0, ng, m)
+	}
 	plain, bg := sim.NewMeter(srv.Meter().Costs()), sim.NewMeter(srv.Meter().Costs())
 	srv.ScanColumnarRange(all, nil, 0, ng, plain, func(*ColBlock) bool { return true })
-	if err := srv.ScanColumnarRangeContext(context.Background(), all, nil, 0, ng, bg, func(*ColBlock) bool { return true }); err != nil {
+	if err := scan(context.Background(), bg, func(*ColBlock) bool { return true }); err != nil {
 		t.Fatal(err)
 	}
 	if plain.Now() != bg.Now() || plain.CounterVec() != bg.CounterVec() {
@@ -32,7 +36,7 @@ func TestScanCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	m := sim.NewMeter(srv.Meter().Costs())
 	blocks := 0
-	err := srv.ScanColumnarRangeContext(ctx, all, nil, 0, ng, m, func(*ColBlock) bool {
+	err := scan(ctx, m, func(*ColBlock) bool {
 		if blocks++; blocks == 3 {
 			cancel()
 		}

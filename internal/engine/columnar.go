@@ -490,24 +490,16 @@ func (s *Server) ColGroups(needCols []int) GroupSource {
 	return s.table.groups(needCols, s.meter.Costs())
 }
 
-// ScanColumnarRange is ScanColumnarRangeContext that cannot be cancelled.
+// ScanColumnarRange scans columnar row groups [loGroup, hiGroup) with f
+// pushed down, invoking fn per BlockRows-row block until fn returns false:
+// ScanGroups over the table's copy for one consumer, reading the pages of
+// needCols (nil means all) and charging everything to m (the server's own
+// meter when nil). It is the benchmark's frozen shape of that call (ROADMAP
+// item 1); everything else builds its ScanConsumer and calls ScanGroups.
 func (s *Server) ScanColumnarRange(f predicate.Filter, needCols []int, loGroup, hiGroup int, m *sim.Meter, fn func(blk *ColBlock) bool) {
-	s.ScanColumnarRangeContext(context.Background(), f, needCols, loGroup, hiGroup, m, fn) // resident groups: only ctx can fail
-}
-
-// ScanColumnarRangeContext scans columnar row groups [loGroup, hiGroup) with
-// f pushed down, invoking fn per BlockRows-row block until fn returns false:
-// ScanGroups over the table's copy for a cohort of one, with the cursor open
-// and page I/O charged to the consumer's own meter. needCols lists the
-// columns whose pages the scan reads (nil means all). All costs are charged
-// to m (the server's own meter when nil). Groups whose zone maps prove the
-// filter unsatisfiable are skipped before any charge. Empty ranges are valid
-// and yield no blocks. The scan checks ctx once per block and returns
-// ctx.Err() once it is done; the copy is resident, so nothing else fails.
-func (s *Server) ScanColumnarRangeContext(ctx context.Context, f predicate.Filter, needCols []int, loGroup, hiGroup int, m *sim.Meter, fn func(blk *ColBlock) bool) error {
 	if m == nil {
 		m = s.meter
 	}
 	c := &ScanConsumer{Filter: f, Meter: m, Fn: fn}
-	return ScanGroups(ctx, s.ColGroups(needCols), []*ScanConsumer{c}, loGroup, hiGroup, m)
+	ScanGroups(context.Background(), s.ColGroups(needCols), []*ScanConsumer{c}, loGroup, hiGroup, m) // resident groups: nothing fails
 }

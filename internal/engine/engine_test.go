@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -318,7 +319,7 @@ func TestHavingErrors(t *testing.T) {
 			exec func(string) (*ResultSet, error)
 		}{
 			{"Engine.Exec", e.Exec},
-			{"Server.Exec", srv.Exec},
+			{"Server.Exec", func(sql string) (*ResultSet, error) { return srv.Exec(context.Background(), sql) }},
 		} {
 			name, exec := entry.name, entry.exec
 			before, t0 := e.Meter().CounterVec(), e.Meter().Now()

@@ -116,14 +116,10 @@ func (e *Engine) ExecStmt(st sqlparser.Statement, sql string) (*ResultSet, error
 	return e.execStmt(context.Background(), st, sql)
 }
 
-// Exec parses and executes one SQL statement like Engine.Exec, but on the
-// view's own meter and tracer.
-func (s *Server) Exec(sql string) (*ResultSet, error) {
-	st, err := sqlparser.Parse(sql)
-	if err != nil {
-		return nil, err
-	}
-	return s.eng.view(s.meter, s.Tracer()).execStmt(context.Background(), st, sql)
+// Exec parses and executes one SQL statement like Engine.ExecContext, but on
+// the view's own meter and tracer.
+func (s *Server) Exec(ctx context.Context, sql string) (*ResultSet, error) {
+	return s.eng.view(s.meter, s.Tracer()).ExecContext(ctx, sql)
 }
 
 func (e *Engine) execStmt(ctx context.Context, st sqlparser.Statement, sql string) (*ResultSet, error) {

@@ -339,6 +339,14 @@ func (e *Engine) ModelFromCatalog(name string) (*Model, error) {
 	}
 	m := &Model{Name: name, Classes: classes, Nodes: make([]ModelNode, nn)}
 	filled := make([]bool, nn)
+	// Every non-root row also names its arm index and the value that routes a
+	// scored row from its parent to it: child pointers and arm values are
+	// re-derived from these edge columns below.
+	type edge struct {
+		arm    int32
+		armVal data.Value
+	}
+	edges := make([]edge, nn)
 	var scanErr error
 	e.reader(t).scanAll(func(row data.Row) bool {
 		id := int(row[0])
@@ -347,6 +355,7 @@ func (e *Engine) ModelFromCatalog(name string) (*Model, error) {
 			return false
 		}
 		filled[id] = true
+		edges[id] = edge{arm: int32(row[2]), armVal: row[7]}
 		n := &m.Nodes[id]
 		n.Parent = int32(row[1])
 		n.Leaf = row[3] != 0
@@ -368,18 +377,6 @@ func (e *Engine) ModelFromCatalog(name string) (*Model, error) {
 			return nil, fmt.Errorf("engine: model %q: catalog is missing node %d", name, id)
 		}
 	}
-	// Re-derive child pointers and arm values from the edge columns: every
-	// non-root row names its parent, its arm index and the value that routes
-	// a scored row from the parent to it.
-	type edge struct {
-		arm    int32
-		armVal data.Value
-	}
-	edges := make([]edge, nn)
-	e.reader(t).scanAll(func(row data.Row) bool {
-		edges[int(row[0])] = edge{arm: int32(row[2]), armVal: row[7]}
-		return true
-	})
 	kids := make([][]int32, nn)
 	for id := 1; id < nn; id++ {
 		p := int(m.Nodes[id].Parent)

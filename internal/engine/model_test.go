@@ -202,3 +202,32 @@ func FuzzModelCatalog(f *testing.F) {
 		}
 	})
 }
+
+// TestCatalogLoadWalksOnce: reloading a model from its catalog reads the table
+// in one walk, so each catalog row — one per node — is charged ServerRowCPU
+// once: a five-node stump (a multiway root with four arms) costs five
+// server_rows, and the reloaded model equals the registered one.
+func TestCatalogLoadWalksOnce(t *testing.T) {
+	e := New(sim.NewDefaultMeter(), 0)
+	stump := &Model{Name: "stump", Cols: 2, Classes: 2, Nodes: []ModelNode{
+		{Parent: -1, Multiway: true, Attr: 0, Vals: []data.Value{0, 1, 2, 3}, Kids: []int32{1, 2, 3, 4}, Counts: []int64{4, 4}},
+		{Parent: 0, Leaf: true, Attr: -1, Counts: []int64{1, 0}},
+		{Parent: 0, Leaf: true, Attr: -1, Class: 1, Counts: []int64{0, 1}},
+		{Parent: 0, Leaf: true, Attr: -1, Counts: []int64{2, 1}},
+		{Parent: 0, Leaf: true, Attr: -1, Class: 1, Counts: []int64{1, 2}},
+	}}
+	if err := e.RegisterModel(stump); err != nil {
+		t.Fatal(err)
+	}
+	before := e.Meter().Count(sim.CtrServerRows)
+	got, err := e.ModelFromCatalog("stump")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rows := e.Meter().Count(sim.CtrServerRows) - before; rows != int64(len(stump.Nodes)) {
+		t.Errorf("catalog load charged %d server_rows, want %d: one per node", rows, len(stump.Nodes))
+	}
+	if fmt.Sprint(got.Nodes) != fmt.Sprint(stump.Nodes) || got.Cols != stump.Cols || got.Classes != stump.Classes {
+		t.Errorf("reloaded model %+v differs from the registered %+v", got, stump)
+	}
+}

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"sync"
@@ -18,11 +19,12 @@ import (
 // GroupTrie.Compile, zone-map verdicts included, and each row descends it
 // once (GroupTrie.descend) to its decision node: the reached leaf, or the
 // multiway node none of whose arms holds. The inner loop compares uint16
-// codes — no value materialization, no dictionary lookups. The block stream
-// comes from the same machinery as the counting kernel — ScanColumnarRange
-// for a solo scan, ScanGroups when a fleet shares one physical scan — so scoring pays the identical page/eval/transmit shape as building,
-// plus the score-specific charges: ScoreRowEval per row, and ModelNodeProbe
-// per node on the path to the decision node (its depth + 1).
+// codes — no value materialization, no dictionary lookups. A pass (ScorePass)
+// is a ScanConsumer on the counting kernel's own block loop, ScanGroups — the
+// server's scan alone, or a fleet cohort's shared one — so scoring pays the
+// identical page/eval/transmit shape as building, plus the score-specific
+// charges: ScoreRowEval per row, and ModelNodeProbe per node on the path to
+// the decision node (its depth + 1).
 
 // ScoreResult is one scoring pass over a table: the predicted class per row
 // in heap (insertion) order, plus the index of the model node that made each
@@ -149,17 +151,16 @@ func (r *ScoreResult) ResultSet(m *Model) *ResultSet {
 
 // ScoreConsumer scores every row of a columnar block stream into a
 // ScoreResult, in heap order: the per-block body of the scoring operator,
-// driven either by a solo ScanColumnarRange (Server.ScoreInto) or by
-// ScanGroups as a fleet session's attachment to a shared physical scan —
-// the same kernel either way, so shared and solo scoring produce identical
-// predictions.
+// the same whether its pass scans alone or rides a shared scan, so shared
+// and solo scoring produce identical predictions.
 type ScoreConsumer struct {
-	model *Model
-	meter *sim.Meter
-	costs sim.Costs
-	gt    GroupTrie // the model's path trie, compiled against the current group
-	res   *ScoreResult
-	next  int // the row of res the next scored row lands in
+	model  *Model
+	meter  *sim.Meter
+	costs  sim.Costs
+	gt     GroupTrie // the model's path trie, compiled against the current group
+	res    *ScoreResult
+	next   int   // the row of res the next scored row lands in: the rows scored
+	probes int64 // the model node probes charged so far
 }
 
 // Consumer returns the consumer that fills r from a scan of the whole table —
@@ -190,6 +191,7 @@ func (c *ScoreConsumer) Consume(blk *ColBlock) bool {
 		nodes[k] = n
 	}
 	c.next = end
+	c.probes += probes
 	c.res.publish(end)
 	c.meter.Charge(sim.CtrScoreBlocks, 0, 1)
 	c.meter.Charge(sim.CtrScoreRows, c.costs.ScoreRowEval, int64(len(blk.Sel)))
@@ -197,61 +199,72 @@ func (c *ScoreConsumer) Consume(blk *ColBlock) bool {
 	return true
 }
 
-// scoreCheck validates that t can be scored with m.
-func scoreCheck(t *Table, m *Model) error {
-	attrs := m.Attrs()
-	if len(attrs) > 0 && attrs[len(attrs)-1] >= len(t.Cols) {
-		return fmt.Errorf("engine: model %q splits on column %d; table %q has %d",
+// OpenScore checks that the server's table can be scored with m — so a
+// statement that cannot run fails before it answers anything — and returns
+// the pass's result, allocated at the table's row count and empty, for
+// ScoreInto or BeginScore to fill. The table must not change before the scan
+// ran.
+func (s *Server) OpenScore(m *Model) (*ScoreResult, error) {
+	t := s.table
+	if attrs := m.Attrs(); len(attrs) > 0 && attrs[len(attrs)-1] >= len(t.Cols) {
+		return nil, fmt.Errorf("engine: model %q splits on column %d; table %q has %d",
 			m.Name, attrs[len(attrs)-1], t.Name, len(t.Cols))
-	}
-	return nil
-}
-
-// openScore checks that t can be scored with m and allocates the pass's
-// result at t's row count. The table must not change before the scan ran.
-func openScore(t *Table, m *Model) (*ScoreResult, error) {
-	if err := scoreCheck(t, m); err != nil {
-		return nil, err
 	}
 	return newScoreResult(m, int(t.colstore.NumRows())), nil
 }
 
-// scoreColumnar is the shared driver behind Engine.ScoreTable and
-// Server.ScoreInto: one columnar scan of t, walking the compiled model per
-// block and writing res in heap order. Finishing res is the caller's.
-func scoreColumnar(res *ScoreResult, t *Table, m *Model, meter *sim.Meter, tracer *obs.Tracer) {
-	srv := &Server{meter: meter, tracer: tracer, table: t}
-	sp := tracer.Start(obs.CatScore, "score").
+// ScorePass is one scoring pass over a server's table: its score span and its
+// consumer, which the server's own scan (ScoreInto) or a fleet cohort's
+// shared one (ScanGroups) drives. Server.BeginScore opens it; End or Abort
+// closes it.
+type ScorePass struct {
+	cons   ScanConsumer
+	score  *ScoreConsumer
+	sp     *obs.Span
+	shared bool
+}
+
+// BeginScore opens a pass filling res, opened on this server for m: the score
+// span, and a match-all consumer charging every scoring cost to the server
+// view's meter. A shared pass rides a cohort's scan, and its span says so.
+func (s *Server) BeginScore(res *ScoreResult, m *Model, shared bool) *ScorePass {
+	sp := s.Tracer().Start(obs.CatScore, "score").
 		AttrStr("model", m.Name).
 		Attr("model_nodes", int64(len(m.Nodes)))
-	sc := res.Consumer(m, meter)
-	srv.ScanColumnarRange(predicate.MatchAll(), sc.NeedCols(), 0, t.colstore.NumGroups(), meter, sc.Consume)
-	sp.SetRows(res.Rows).End()
-}
-
-// ScoreTable scores every row of t with m inside the engine, charging the
-// engine's meter: the SCORE TABLE execution path. The result is finished.
-func (e *Engine) ScoreTable(t *Table, m *Model) (*ScoreResult, error) {
-	return scoreWhole(t, m, e.meter, e.tracer)
-}
-
-// scoreWhole opens, fills and finishes a pass in one call.
-func scoreWhole(t *Table, m *Model, meter *sim.Meter, tracer *obs.Tracer) (*ScoreResult, error) {
-	res, err := openScore(t, m)
-	if err != nil {
-		return nil, err
+	if shared {
+		sp.Attr("shared", 1)
 	}
-	scoreColumnar(res, t, m, meter, tracer)
-	res.Finish(nil)
-	return res, nil
+	p := &ScorePass{score: res.Consumer(m, s.meter), sp: sp, shared: shared}
+	p.cons = ScanConsumer{Filter: predicate.MatchAll(), Meter: s.meter, Fn: p.score.Consume}
+	return p
 }
 
-// OpenScore checks that the server's table can be scored with m — so a
-// statement that cannot run fails before it answers anything — and returns
-// the pass's result, allocated and empty, for ScoreInto or a shared scan's
-// ScoreResult.Consumer to fill.
-func (s *Server) OpenScore(m *Model) (*ScoreResult, error) {
-	return openScore(s.table, m)
+// Consumer returns the pass's attachment to the scan that drives it.
+func (p *ScorePass) Consumer() *ScanConsumer { return &p.cons }
+
+// NeedCols returns the columns the pass's scan must read (ScoreConsumer.NeedCols).
+func (p *ScorePass) NeedCols() []int { return p.score.NeedCols() }
+
+// End closes the pass after its scan ran: the meter absorbs ioNS, a cohort's
+// shared I/O wait, and the span records the rows scored and, on a shared
+// pass, the model node probes.
+func (p *ScorePass) End(ioNS int64) {
+	if ioNS > 0 {
+		p.cons.Meter.Advance(ioNS)
+	}
+	p.sp.SetRows(int64(p.score.next))
+	if p.shared {
+		p.sp.Attr("model_node_probes", p.score.probes)
+	}
+	p.sp.End()
+	p.sp = nil
+}
+
+// Abort ends the span of a pass whose scan will not run to its end; for error
+// paths. A no-op on an ended pass.
+func (p *ScorePass) Abort() {
+	p.sp.End()
+	p.sp = nil
 }
 
 // ScoreInto fills res, opened on this server for m, by the server's own scan,
@@ -259,7 +272,22 @@ func (s *Server) OpenScore(m *Model) (*ScoreResult, error) {
 // session takes when no shared scan is available. It leaves res unfinished:
 // the session's owner ends it.
 func (s *Server) ScoreInto(res *ScoreResult, m *Model) {
-	scoreColumnar(res, s.table, m, s.meter, s.Tracer())
+	p := s.BeginScore(res, m, false)
+	ScanGroups(context.Background(), s.ColGroups(p.NeedCols()), []*ScanConsumer{p.Consumer()}, 0, s.NumColGroups(), s.meter) // resident groups: nothing fails
+	p.End(0)
+}
+
+// ScoreTable scores every row of t with m inside the engine, charging the
+// engine's meter: the SCORE TABLE execution path. The result is finished.
+func (e *Engine) ScoreTable(t *Table, m *Model) (*ScoreResult, error) {
+	srv := &Server{eng: e, meter: e.meter, table: t}
+	res, err := srv.OpenScore(m)
+	if err != nil {
+		return nil, err
+	}
+	srv.ScoreInto(res, m)
+	res.Finish(nil)
+	return res, nil
 }
 
 // ScoreColumnar scores every row of the server's table with m on the server
@@ -268,5 +296,5 @@ func (s *Server) ScoreInto(res *ScoreResult, m *Model) {
 // Deprecated: workers is ignored; every scan is one pass. It stays until the
 // benchmark stops passing it (ROADMAP item 1).
 func (s *Server) ScoreColumnar(m *Model, workers int) (*ScoreResult, error) {
-	return scoreWhole(s.table, m, s.meter, s.Tracer())
+	return s.eng.view(s.meter, s.Tracer()).ScoreTable(s.table, m)
 }

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -8,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/data"
+	"repro/internal/obs"
 	"repro/internal/predicate"
 	"repro/internal/sim"
 )
@@ -144,5 +146,49 @@ func TestScoreResultAllocatedOnce(t *testing.T) {
 	srv.ScoreInto(res, m)
 	if &res.Classes[0] != classes || &res.Nodes[0] != nodes || len(res.Classes) != 18000 || cap(res.Classes) != 18000 {
 		t.Error("the scan replaced or regrew the opened result's slices")
+	}
+}
+
+// TestScorePassSpan: a pass's score span records the rows it scored from the
+// consumer's own totals and — on a shared pass — the model node probes the
+// meter was charged; End first absorbs a cohort's I/O wait into the pass's
+// clock, so the span covers it; Abort after End changes nothing.
+func TestScorePassSpan(t *testing.T) {
+	srv := scoreTestServer(t)
+	m := stumpModel("m", 2)
+	for _, shared := range []bool{false, true} {
+		col, meter := obs.NewTrace(), sim.NewMeter(srv.Meter().Costs())
+		view := srv.View(meter, col.Proc("score", meter))
+		res, err := view.OpenScore(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := view.BeginScore(res, m, shared)
+		io := sim.NewMeter(meter.Costs())
+		if err := ScanGroups(context.Background(), view.ColGroups(p.NeedCols()), []*ScanConsumer{p.Consumer()}, 0, view.NumColGroups(), io); err != nil {
+			t.Fatal(err)
+		}
+		scanned := meter.Now()
+		p.End(int64(io.Now()))
+		p.Abort()
+		if meter.Now() != scanned+io.Now() {
+			t.Errorf("shared=%v: End left the clock at %v, want the scan's %v plus the I/O wait %v", shared, meter.Now(), scanned, io.Now())
+		}
+		var spans []*obs.Span
+		col.EachProc(func(v obs.ProcView) { spans = v.Spans })
+		if len(spans) != 1 || spans[0].Name != "score" {
+			t.Fatalf("shared=%v: %d spans, want the one score span", shared, len(spans))
+		}
+		sp := spans[0]
+		wantShared, wantProbes := int64(0), int64(-1) // both absent from a solo pass's span
+		if shared {
+			wantShared, wantProbes = 1, meter.Count(sim.CtrModelProbes)
+		}
+		if sp.Rows != res.Rows || sp.Dur != int64(meter.Now()) ||
+			obs.AttrInt(sp.Attrs, "shared", 0) != wantShared ||
+			obs.AttrInt(sp.Attrs, "model_node_probes", -1) != wantProbes {
+			t.Errorf("shared=%v: span rows %d, dur %d, attrs %v; want %d rows over %d ns and model_node_probes %d",
+				shared, sp.Rows, sp.Dur, sp.Attrs, res.Rows, int64(meter.Now()), wantProbes)
+		}
 	}
 }

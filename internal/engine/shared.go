@@ -114,7 +114,7 @@ func (c *ScanConsumer) walk(base, n int, seed []int32) {
 type GroupSource interface {
 	NumGroups() int
 	// Zone returns group gi as far as planning needs it — row count,
-	// dictionaries, per-code counts; the code vectors may be absent: filters
+	// dictionaries; the code vectors may be absent: filters
 	// compile against it, a zone-map skip rests on it.
 	Zone(gi int) *storage.ColGroup
 	// Read returns group gi with its code vectors; the loop charges ChargeRead.

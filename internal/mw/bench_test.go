@@ -1,6 +1,7 @@
 package mw
 
 import (
+	"context"
 	"slices"
 	"testing"
 
@@ -113,7 +114,7 @@ func BenchmarkFallbackCounts(b *testing.B) {
 	sql := CountsSQL(ds.Schema, "cases", path, attrs)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := srv.Exec(sql); err != nil {
+		if _, err := srv.Exec(context.Background(), sql); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -3,11 +3,17 @@ package mw_test
 import (
 	"context"
 	"errors"
+	"fmt"
+	"math/rand"
+	"os"
+	"runtime"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/dtree"
 	"repro/internal/engine"
 	"repro/internal/mw"
+	"repro/internal/obs"
 	"repro/internal/predicate"
 	"repro/internal/sim"
 )
@@ -45,12 +51,13 @@ func TestCancelledScanLeavesPoolClean(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	blocks := 0
-	err = srv.ScanColumnarRangeContext(ctx, predicate.MatchAll(), nil, 0, srv.NumColGroups(), nil, func(*engine.ColBlock) bool {
+	cons := &engine.ScanConsumer{Filter: predicate.MatchAll(), Meter: srv.Meter(), Fn: func(*engine.ColBlock) bool {
 		if blocks++; blocks == 2 {
 			cancel()
 		}
 		return true
-	})
+	}}
+	err = engine.ScanGroups(ctx, srv.ColGroups(nil), []*engine.ScanConsumer{cons}, 0, srv.NumColGroups(), srv.Meter())
 	if !errors.Is(err, context.Canceled) || blocks != 2 {
 		t.Fatalf("scan cancelled after block 2: %d blocks, error %v; want 2 and context.Canceled", blocks, err)
 	}
@@ -62,4 +69,102 @@ func TestCancelledScanLeavesPoolClean(t *testing.T) {
 		t.Errorf("the pool holds %d references after the cancelled scans: %v", len(leaks), leaks)
 	}
 	build()
+}
+
+// tripCtx is a context whose Err reports context.Canceled from check after+1
+// on (never, with after < 0), counting every check: an untripped build says
+// how many checks — one per block scanned — it makes.
+type tripCtx struct {
+	context.Context
+	after  int64
+	checks atomic.Int64
+}
+
+func (c *tripCtx) Err() error {
+	if n := c.checks.Add(1); c.after >= 0 && n > c.after {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestCancelledBuildLeavesNothing: every block a build scans — its passes,
+// their segments and its §4.1.1 statements — checks the build's context, and
+// a build whose context trips at a sampled block — unstaged, staged, and under
+// a budget tight enough for §4.1.1 statements, at GOMAXPROCS 1 and 4 — returns
+// context.Canceled through dtree.BuildContext with no tree and no span left
+// open; after Close its staging dir is empty and the pool holds nothing of it,
+// and a fresh build over the same data still grows refBuild's tree.
+func TestCancelledBuildLeavesNothing(t *testing.T) {
+	ds, opt := segmentsShape(t)
+	want := refBuild(ds, opt)
+	build := func(t *testing.T, ctx context.Context, cfg mw.Config) (*dtree.Tree, *sim.Meter, error) {
+		t.Helper()
+		col, meter := obs.NewTrace(), sim.NewDefaultMeter()
+		eng := engine.New(meter, 0)
+		tr := col.Proc("build", meter)
+		eng.SetTracer(tr)
+		srv, err := engine.NewServer(eng, "cases", ds)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.Dir = t.TempDir()
+		m, err := mw.New(srv, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tree, err := dtree.BuildContext(ctx, m, opt)
+		probe := tr.Start(obs.CatBatch, "probe")
+		if probe.End(); probe.Parent != 0 {
+			t.Errorf("a span opened after the build has parent %d: the build left a span open", probe.Parent)
+		}
+		if err := m.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if entries, err := os.ReadDir(cfg.Dir); err != nil || len(entries) != 0 {
+			t.Errorf("staging dir after Close: %v (err %v)", entries, err)
+		}
+		if leaks := mw.PooledScratchLeaks(); len(leaks) > 0 {
+			t.Errorf("the pool holds %d references into the closed build: %v", len(leaks), leaks)
+		}
+		return tree, meter, err
+	}
+	same := func(t *testing.T, tree *dtree.Tree, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sameNode("root", tree.Root, want.Root); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, procs := range []int{1, 4} {
+		for _, c := range []struct {
+			name string
+			cfg  mw.Config
+		}{
+			{"unstaged", mw.Config{}},
+			{"staged", mw.Config{Staging: mw.StageFileAndMemory}},
+			{"tight", mw.Config{Staging: mw.StageFileAndMemory, Memory: 6 << 10}},
+		} {
+			t.Run(fmt.Sprintf("%s/procs=%d", c.name, procs), func(t *testing.T) {
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+				count := &tripCtx{Context: context.Background(), after: -1}
+				tree, meter, err := build(t, count, c.cfg)
+				same(t, tree, err)
+				total := count.checks.Load()
+				if blocks := meter.Count(sim.CtrColBlocks); total != blocks || total == 0 {
+					t.Fatalf("the build checked its context %d times over %d blocks, want once per block", total, blocks)
+				}
+				rng := rand.New(rand.NewSource(total))
+				for _, n := range []int64{0, rng.Int63n(total), rng.Int63n(total), rng.Int63n(total), total - 1} {
+					tree, _, err := build(t, &tripCtx{Context: context.Background(), after: n}, c.cfg)
+					if !errors.Is(err, context.Canceled) || tree != nil {
+						t.Fatalf("tripped after %d of %d checks: tree %v, error %v; want none and context.Canceled", n, total, tree != nil, err)
+					}
+				}
+				tree, _, err = build(t, context.Background(), c.cfg)
+				same(t, tree, err)
+			})
+		}
+	}
 }

@@ -1,6 +1,7 @@
 package mw
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -51,13 +52,19 @@ type batchRun struct {
 	rowMemBytes int64
 }
 
-// Step schedules and executes one batch (§4.1.1): it picks the next set of
-// active nodes per the priority rules, builds all their counts tables in a
+// Step is StepContext that cannot be cancelled.
+func (m *Middleware) Step() ([]*Result, error) { return m.StepContext(context.Background()) }
+
+// StepContext schedules and executes one batch (§4.1.1): it picks the next set
+// of active nodes per the priority rules, builds all their counts tables in a
 // single scan of the chosen source, performs the planned staging, and
 // returns the fulfilled results. The scan is one pass over its source, the
 // paper's sequential execution module (exec_scan.go). It returns (nil, nil)
-// when no requests are pending.
-func (m *Middleware) Step() ([]*Result, error) {
+// when no requests are pending. The pass, its segments and the batch's
+// §4.1.1 statements check ctx once per block: a cancelled batch aborts its
+// staging writers, ends its spans and returns ctx.Err(), and the middleware
+// is then fit only to be closed.
+func (m *Middleware) StepContext(ctx context.Context) ([]*Result, error) {
 	b := m.schedule()
 	if b == nil {
 		return nil, nil
@@ -66,11 +73,11 @@ func (m *Middleware) Step() ([]*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := m.scanBatch(r); err != nil {
+	if err := m.scanBatch(ctx, r); err != nil {
 		r.bsp.End()
 		return nil, err
 	}
-	return m.finishBatch(r)
+	return m.finishBatch(ctx, r)
 }
 
 // beginBatch opens the batch: observability spans, the staging plan with its
@@ -140,14 +147,14 @@ func (r *batchRun) reclaim() (int64, bool) {
 // and re-police the result (exec_scan.go). On error
 // the staging writers are aborted and the scan span closed; the caller closes
 // the batch span.
-func (m *Middleware) scanBatch(r *batchRun) error {
+func (m *Middleware) scanBatch(ctx context.Context, r *batchRun) error {
 	if len(r.live) == 0 {
 		return nil
 	}
 	r.openScan()
 	src, err := r.planScan()
 	if err == nil {
-		err = r.runScan(src)
+		err = r.runScan(ctx, src)
 	}
 	if err != nil {
 		for _, t := range r.plan.fileTees {
@@ -188,7 +195,7 @@ func (r *batchRun) closeScan() {
 // fallback requests, requeues shed requests and, when traced, records on the
 // batch span what only the middleware knows (noteBatch). It always closes the
 // batch span.
-func (m *Middleware) finishBatch(r *batchRun) ([]*Result, error) {
+func (m *Middleware) finishBatch(ctx context.Context, r *batchRun) ([]*Result, error) {
 	defer r.bsp.End()
 	tr := r.tr
 
@@ -233,7 +240,7 @@ func (m *Middleware) finishBatch(r *batchRun) ([]*Result, error) {
 	}
 	for _, req := range r.fallback {
 		fsp := tr.Start(obs.CatFallback, "sql-fallback").Attr("node", int64(req.NodeID))
-		t, err := m.sqlCounts(req)
+		t, err := m.sqlCounts(ctx, req)
 		if err != nil {
 			fsp.End()
 			return nil, err
@@ -341,8 +348,8 @@ func (m *Middleware) residency() (server, file, mem int) {
 // own meter and tracer (a session's, in a fleet). This is both the runtime fallback when a counts
 // table cannot fit in middleware memory (§4.1.1) and, via the baseline package,
 // the strawman of Figure 7.
-func (m *Middleware) sqlCounts(r *Request) (*cc.Table, error) {
-	rs, err := m.srv.Exec(CountsSQL(m.schema, m.srv.TableName(), r.Path, r.Attrs))
+func (m *Middleware) sqlCounts(ctx context.Context, r *Request) (*cc.Table, error) {
+	rs, err := m.srv.Exec(ctx, CountsSQL(m.schema, m.srv.TableName(), r.Path, r.Attrs))
 	if err != nil {
 		return nil, err
 	}

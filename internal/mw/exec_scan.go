@@ -273,7 +273,7 @@ func (r *batchRun) tagRows() {
 // polices the budget captured at scan start; settle re-checks it. A
 // segmentable pass runs as k = min(GOMAXPROCS, groups / 4) segments — at
 // least 8 groups for two — each with a shard and a scratch of its own.
-func (r *batchRun) runScan(src engine.GroupSource) error {
+func (r *batchRun) runScan(ctx context.Context, src engine.GroupSource) error {
 	m := r.m
 	segmentable := r.segmentable()
 	if segmentable {
@@ -287,7 +287,7 @@ func (r *batchRun) runScan(src engine.GroupSource) error {
 		}
 		segmentRuns.Add(1)
 	}
-	err := r.scanSource(src, sh)
+	err := r.scanSource(ctx, src, sh)
 	for _, seg := range sh.segs {
 		if seg != sh {
 			m.recycleTables(seg.ccs...)
@@ -429,17 +429,17 @@ func (r *batchRun) settle(sh *scanShard) {
 // segments' tables merge into the pass's in segment order, uncharged —
 // counting is commutative, so the pass ends exactly as one goroutine would
 // have left it.
-func (r *batchRun) scanSource(src engine.GroupSource, sh *scanShard) error {
+func (r *batchRun) scanSource(ctx context.Context, src engine.GroupSource, sh *scanShard) error {
 	m, ng := r.m, src.NumGroups()
 	engine.OpenCursor(src, m.meter)
 	if sh.segs == nil {
-		return r.scanRange(src, 0, ng, 0, m.meter, sh)
+		return r.scanRange(ctx, src, 0, ng, 0, m.meter, sh)
 	}
 	k := len(sh.segs)
 	obs.RunSegments(m.meter, k, func(j int, seg *sim.Meter) {
 		lo, hi := j*ng/k, (j+1)*ng/k
 		ss := sh.segs[j]
-		ss.err = r.scanRange(src, lo, hi, j, seg, ss)
+		ss.err = r.scanRange(ctx, src, lo, hi, j, seg, ss)
 	})
 	for _, ss := range sh.segs {
 		if ss.err != nil {
@@ -455,16 +455,16 @@ func (r *batchRun) scanSource(src engine.GroupSource, sh *scanShard) error {
 }
 
 // scanRange counts row groups [lo, hi) of src into sh with the kernel of
-// scratch j, charging m; a staging file is read through the scratch's own
-// open file and buffer.
-func (r *batchRun) scanRange(src engine.GroupSource, lo, hi, j int, m *sim.Meter, sh *scanShard) error {
+// scratch j, charging m, until ctx is done; a staging file is read through the
+// scratch's own open file and buffer.
+func (r *batchRun) scanRange(ctx context.Context, src engine.GroupSource, lo, hi, j int, m *sim.Meter, sh *scanShard) error {
 	if r.b.kind == srcFile {
 		fsrc := r.m.files.source(r.b.stage.file, &r.m.scratch[j].buf)
 		defer fsrc.close()
 		src = fsrc
 	}
 	cons := r.colConsumer(j, m, sh)
-	err := engine.ScanRange(context.Background(), src, []*engine.ScanConsumer{cons}, lo, hi, m)
+	err := engine.ScanRange(ctx, src, []*engine.ScanConsumer{cons}, lo, hi, m)
 	pairRows.Add(cons.PairRows())
 	return err
 }

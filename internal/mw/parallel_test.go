@@ -1,6 +1,7 @@
 package mw
 
 import (
+	"context"
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
@@ -53,7 +54,7 @@ func stagedFileRows(t *testing.T, m *Middleware, sf *stageFile) []data.Row {
 			t.Fatal(err)
 		}
 		for c, z := 0, src.Zone(gi); c < g.NumCols(); c++ {
-			if z.NumRows() != g.NumRows() || !reflect.DeepEqual(z.Dict(c), g.Dict(c)) || !reflect.DeepEqual(z.CodeCounts(c), g.CodeCounts(c)) {
+			if z.NumRows() != g.NumRows() || !reflect.DeepEqual(z.Dict(c), g.Dict(c)) {
 				t.Fatalf("%s group %d column %d: the zone kept in memory differs from the group on disk", sf.path, gi, c)
 			}
 		}
@@ -418,11 +419,11 @@ func TestPlanParallelPartitionsAuxPaths(t *testing.T) {
 			t.Fatalf("access=%v: the plan's source is %T, want the batch's %d captured rows", access, src, child.Rows)
 		}
 		before := SegmentRuns()
-		if err := r.runScan(src); err != nil {
+		if err := r.runScan(context.Background(), src); err != nil {
 			t.Fatal(err)
 		}
 		r.closeScan()
-		results, err := m.finishBatch(r)
+		results, err := m.finishBatch(context.Background(), r)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -456,7 +457,7 @@ func TestLaneZeroStreamsFileTee(t *testing.T) {
 		t.Fatalf("%d file tees, error %v; want 1", len(r.plan.fileTees), err)
 	}
 	sh := r.newShard()
-	if err := r.scanSource(src, sh); err != nil {
+	if err := r.scanSource(context.Background(), src, sh); err != nil {
 		t.Fatal(err)
 	}
 	full := int64(ds.N() / engine.BlockRows * engine.BlockRows)
@@ -464,7 +465,7 @@ func TestLaneZeroStreamsFileTee(t *testing.T) {
 		t.Errorf("%d rows streamed before settle, want every full group's: %d of %d", got, full, ds.N())
 	}
 	r.settle(sh)
-	if _, err := m.finishBatch(r); err != nil {
+	if _, err := m.finishBatch(context.Background(), r); err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(stagedFileRows(t, m, m.sources[0][0].file), ds.Rows) {

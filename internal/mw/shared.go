@@ -1,6 +1,10 @@
 package mw
 
-import "repro/internal/engine"
+import (
+	"context"
+
+	"repro/internal/engine"
+)
 
 // This file is the middleware half of multi-tenant scan sharing (the serve
 // subsystem's tentpole): when several concurrent tree builds all need a
@@ -62,11 +66,11 @@ func (m *Middleware) BeginSharedBatch() (*SharedBatch, []*Result, error) {
 		return nil, nil, err
 	}
 	if b.kind != srcServer || m.cfg.Access != AccessScan || len(r.live) == 0 {
-		if err := m.scanBatch(r); err != nil {
+		if err := m.scanBatch(context.Background(), r); err != nil {
 			r.bsp.End()
 			return nil, nil, err
 		}
-		results, err := m.finishBatch(r)
+		results, err := m.finishBatch(context.Background(), r)
 		return nil, results, err
 	}
 
@@ -109,7 +113,7 @@ func (sb *SharedBatch) Finish(ioElapsedNS int64) ([]*Result, error) {
 	pairRows.Add(sb.cons.PairRows())
 	r.closeScan()
 	r.settle(sb.sh)
-	return m.finishBatch(r)
+	return m.finishBatch(context.Background(), r)
 }
 
 // Abort releases a half-open shared batch without running its scan: staging

@@ -47,7 +47,8 @@ type FleetConfig struct {
 // Session is one tenant unit of work — a tree build, or an in-database
 // scoring pass over the served table — with its own virtual clock, created
 // at admission time. Builds carry a middleware and resumable builder;
-// scoring sessions carry a Scorer and finish in one scan.
+// scoring sessions carry a server view and finish in one scoring pass
+// (engine.ScorePass).
 type Session struct {
 	ID    int
 	Label string
@@ -61,7 +62,8 @@ type Session struct {
 	meter    *sim.Meter
 	m        *mw.Middleware
 	b        *dtree.Builder
-	scorer   *mw.Scorer
+	view     *engine.Server // scoring sessions: the server on the session's clock and trace
+	scored   bool           // scoring sessions: the pass has run
 	tree     *dtree.Tree
 	score    *engine.ScoreResult
 	finishNS int64
@@ -232,11 +234,7 @@ func (f *Fleet) admit(s *Session) error {
 	cfg.Memory = f.cfg.TotalMemory
 	view := f.srv.View(s.meter, f.col.Proc(s.Label, s.meter))
 	if s.model != nil {
-		sc, err := mw.NewScorer(view, s.model, s.score)
-		if err != nil {
-			return err
-		}
-		s.scorer = sc
+		s.view = view
 		s.admitted = true
 		return nil
 	}
@@ -342,8 +340,8 @@ func (f *Fleet) Run() (err error) {
 		var cohort []*Session
 		if f.cfg.ScanSharing {
 			for _, s := range running {
-				if s.scorer != nil {
-					if s.scorer.Shareable() {
+				if s.model != nil {
+					if !s.scored {
 						cohort = append(cohort, s)
 					}
 				} else if s.m.NextBatchShareable() {
@@ -364,10 +362,9 @@ func (f *Fleet) Run() (err error) {
 				return fmt.Errorf("serve: no running session has an open clock")
 			}
 			s := f.byID[id]
-			if s.scorer != nil {
-				if err := s.scorer.RunSolo(); err != nil {
-					return err
-				}
+			if s.model != nil {
+				s.view.ScoreInto(s.score, s.model)
+				s.scored = true
 			} else {
 				results, err := s.m.Step()
 				if err != nil {
@@ -384,8 +381,8 @@ func (f *Fleet) Run() (err error) {
 		out := running[:0]
 		retired := false
 		for _, s := range running {
-			if s.scorer != nil {
-				if !s.scorer.Done() {
+			if s.model != nil {
+				if !s.scored {
 					out = append(out, s)
 					continue
 				}
@@ -425,11 +422,13 @@ func (f *Fleet) Run() (err error) {
 // cohort's cursor open and page I/O once, to the fleet io meter, and every
 // participant's clock then absorbs that I/O wait. On an error every participant
 // that began and has not finished is aborted — its staging writers, its scan
-// and batch spans, a scorer's score span — so a failed round leaks nothing.
+// and batch spans, a scoring pass's score span — so a failed round leaks
+// nothing.
 func (f *Fleet) sharedRound(cohort []*Session) (err error) {
 	type part struct {
 		s        *Session
-		sb       *mw.SharedBatch // build sessions
+		sb       *mw.SharedBatch   // build sessions
+		pass     *engine.ScorePass // scoring sessions
 		cons     *engine.ScanConsumer
 		needCols []int // nil = all columns
 	}
@@ -440,18 +439,15 @@ func (f *Fleet) sharedRound(cohort []*Session) (err error) {
 				if p.sb != nil {
 					p.sb.Abort()
 				} else {
-					p.s.scorer.Abort()
+					p.pass.Abort()
 				}
 			}
 		}
 	}()
 	for _, s := range cohort {
-		if s.scorer != nil {
-			cons, needCols, err := s.scorer.BeginShared()
-			if err != nil {
-				return err
-			}
-			parts = append(parts, part{s: s, cons: cons, needCols: needCols})
+		if s.model != nil {
+			pass := s.view.BeginScore(s.score, s.model, true)
+			parts = append(parts, part{s: s, pass: pass, cons: pass.Consumer(), needCols: pass.NeedCols()})
 			continue
 		}
 		sb, results, err := s.m.BeginSharedBatch()
@@ -502,8 +498,9 @@ func (f *Fleet) sharedRound(cohort []*Session) (err error) {
 	ioElapsed := int64(f.io.Now()) - ioStart
 
 	for _, p := range parts {
-		if p.s.scorer != nil {
-			p.s.scorer.FinishShared(ioElapsed)
+		if p.pass != nil {
+			p.pass.End(ioElapsed)
+			p.s.scored = true
 			continue
 		}
 		results, err := p.sb.Finish(ioElapsed)

@@ -703,7 +703,7 @@ func TestDispatcherScoreResultLifecycle(t *testing.T) {
 	if _, err := d.Execute("BUILD TREE MAXDEPTH 4 MODEL m"); err != nil {
 		t.Fatal(err)
 	}
-	// A model splitting on a column the table does not have: scoreCheck's
+	// A model splitting on a column the table does not have: OpenScore's
 	// refusal, at open.
 	wide := &engine.Model{Name: "wide", Cols: 99, Classes: 2, Nodes: []engine.ModelNode{
 		{Parent: -1, Attr: 98, Val: 0, Kids: []int32{1, 2}, Counts: []int64{1, 1}},

@@ -36,8 +36,8 @@ var _ [maxDictSize - RowGroupSize]struct{}
 // appended in insertion order and sealed into immutable row groups of
 // RowGroupSize rows; the open tail is encoded on demand so scans always see
 // every row. Each sealed group stores,
-// per column, a sorted dictionary of the distinct values, a dense code
-// vector, and per-code occurrence counts. The sorted dictionary doubles as
+// per column, a sorted dictionary of the distinct values and a dense code
+// vector. The sorted dictionary doubles as
 // the group's zone map: min = dict[0], max = dict[last], and membership is
 // a binary search — enough to prove a predicate can match no row of the
 // group without touching a single page.
@@ -114,9 +114,8 @@ type ColGroup struct {
 }
 
 type colVec struct {
-	dict   []data.Value // sorted distinct values; doubles as the zone map
-	codes  []uint16     // codes[i] indexes dict
-	counts []int64      // occurrences per code, exact
+	dict  []data.Value // sorted distinct values; doubles as the zone map
+	codes []uint16     // codes[i] indexes dict
 }
 
 // GroupBuilder is the one row-group encoder: it packs rows that arrive one at a
@@ -125,7 +124,7 @@ type colVec struct {
 // a fixed size. Rows selected from a group are appended in code space: codes
 // are translated through a per-call table, never decoded. Either way a sealed
 // group has sorted dictionaries of exactly the values its rows use — built
-// without ranging a map, hence deterministic — and exact per-code counts.
+// without ranging a map, hence deterministic.
 type GroupBuilder struct {
 	size    int // rows per sealed group
 	n, want int
@@ -191,8 +190,8 @@ func (b *GroupBuilder) room(n int) {
 // Spares must run on one goroutine.
 type Spares struct{ codes [][]uint16 }
 
-// Recycle takes g's code vectors into s. g keeps its zone — row count,
-// dictionaries, counts — but its codes must not be read again.
+// Recycle takes g's code vectors into s. g keeps its zone — row count and
+// dictionaries — but its codes must not be read again.
 func (s *Spares) Recycle(g *ColGroup) {
 	for c := range g.cols {
 		s.codes = append(s.codes, g.cols[c].codes[:0])
@@ -298,15 +297,14 @@ func (b *GroupBuilder) seal(keep bool) *ColGroup {
 		for rank, v := range dict {
 			remap[bc.index[v]] = uint16(rank)
 		}
-		codes, counts := bc.codes, make([]int64, len(dict))
+		codes := bc.codes
 		if keep {
 			codes = make([]uint16, b.n)
 		}
 		for i, code := range bc.codes {
 			codes[i] = remap[code]
-			counts[remap[code]]++
 		}
-		g.cols[c], b.xlat = colVec{dict: dict, codes: codes, counts: counts}, remap
+		g.cols[c], b.xlat = colVec{dict: dict, codes: codes}, remap
 		if !keep {
 			bc.dict, bc.codes = bc.dict[:0], nil
 			clear(bc.index)
@@ -318,13 +316,13 @@ func (b *GroupBuilder) seal(keep bool) *ColGroup {
 	return g
 }
 
-// Zone returns g without its code vectors: row count, dictionaries and
-// per-code counts — all that compiling a filter and a zone-map verdict need,
-// and what a staging file's reader keeps in memory of each group.
+// Zone returns g without its code vectors: row count and dictionaries — all
+// that compiling a filter and a zone-map verdict need, and what a staging
+// file's reader keeps in memory of each group.
 func (g *ColGroup) Zone() *ColGroup {
 	z := &ColGroup{nrows: g.nrows, cols: make([]colVec, len(g.cols))}
 	for c := range g.cols {
-		z.cols[c] = colVec{dict: g.cols[c].dict, counts: g.cols[c].counts}
+		z.cols[c] = colVec{dict: g.cols[c].dict}
 	}
 	return z
 }
@@ -343,7 +341,7 @@ func (g *ColGroup) AppendCodes(dst []byte) []byte {
 }
 
 // DecodeCodes puts the code vectors of src, the AppendCodes image of the group
-// whose zone z is, under z's dictionaries and counts — shared, not copied — in
+// whose zone z is, under z's dictionaries — shared, not copied — in
 // g (reusing its vectors) and returns it. The bytes come from disk, so they are
 // not trusted: an image that is not of z's rows × columns or that holds a code
 // outside its dictionary is refused.
@@ -355,7 +353,7 @@ func (z *ColGroup) DecodeCodes(src []byte, g *ColGroup) (*ColGroup, error) {
 	g.nrows, g.cols = n, grow(g.cols, len(z.cols))
 	for c := range g.cols {
 		v, zc := &g.cols[c], &z.cols[c]
-		v.dict, v.counts, v.codes = zc.dict, zc.counts, grow(v.codes, n)
+		v.dict, v.codes = zc.dict, grow(v.codes, n)
 		raw, top := src[2*n*c:], uint16(0)
 		for i := range v.codes {
 			code := uint16(raw[2*i]) | uint16(raw[2*i+1])<<8
@@ -387,10 +385,6 @@ func (g *ColGroup) Dict(col int) []data.Value { return g.cols[col].dict }
 
 // Codes returns col's dense code vector. Callers must not modify it.
 func (g *ColGroup) Codes(col int) []uint16 { return g.cols[col].codes }
-
-// CodeCounts returns the exact per-code occurrence counts for col, aligned
-// with Dict. Callers must not modify it.
-func (g *ColGroup) CodeCounts(col int) []int64 { return g.cols[col].counts }
 
 // FindCode binary-searches col's dictionary for v, returning its code and
 // whether the value occurs in this group at all. A miss is a zone-map

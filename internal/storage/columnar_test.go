@@ -65,7 +65,7 @@ func TestColGroupDictSortedAndCountsExact(t *testing.T) {
 			t.Fatalf("dict = %v, want %v", dict, want)
 		}
 	}
-	counts := g.CodeCounts(0)
+	counts := codeCounts(g, 0)
 	wantCounts := []int64{1, 2, 3, 1}
 	for i := range wantCounts {
 		if counts[i] != wantCounts[i] {
@@ -73,9 +73,19 @@ func TestColGroupDictSortedAndCountsExact(t *testing.T) {
 		}
 	}
 	// Constant column collapses to a single dictionary entry.
-	if d := g.Dict(1); len(d) != 1 || d[0] != 3 || g.CodeCounts(1)[0] != int64(len(vals)) {
-		t.Fatalf("constant column dict = %v counts = %v", d, g.CodeCounts(1))
+	if d := g.Dict(1); len(d) != 1 || d[0] != 3 || codeCounts(g, 1)[0] != int64(len(vals)) {
+		t.Fatalf("constant column dict = %v counts = %v", d, codeCounts(g, 1))
 	}
+}
+
+// codeCounts counts the rows of g holding each code of col, read from its
+// code vector: every dictionary value is used iff none is zero.
+func codeCounts(g *ColGroup, col int) []int64 {
+	counts := make([]int64, len(g.Dict(col)))
+	for _, code := range g.Codes(col) {
+		counts[code]++
+	}
+	return counts
 }
 
 func TestColGroupFindCode(t *testing.T) {
@@ -147,13 +157,13 @@ func randRows(rng *rand.Rand, n, ncols int) [][]data.Value {
 }
 
 // sameGroup reports whether two groups hold the same rows under the same
-// dictionaries and counts.
+// dictionaries.
 func sameGroup(a, b *ColGroup) bool {
 	if a.NumRows() != b.NumRows() || a.NumCols() != b.NumCols() {
 		return false
 	}
 	for c := 0; c < a.NumCols(); c++ {
-		if !slices.Equal(a.Dict(c), b.Dict(c)) || !slices.Equal(a.Codes(c), b.Codes(c)) || !slices.Equal(a.CodeCounts(c), b.CodeCounts(c)) {
+		if !slices.Equal(a.Dict(c), b.Dict(c)) || !slices.Equal(a.Codes(c), b.Codes(c)) {
 			return false
 		}
 	}
@@ -210,8 +220,8 @@ func TestGroupBuilderSelMatchesRows(t *testing.T) {
 			t.Fatalf("group %d: built from selections it differs from the same rows appended one by one", i)
 		}
 		for c := 0; c < ncols; c++ {
-			if !slices.IsSorted(gotSel[i].Dict(c)) || slices.Contains(gotSel[i].CodeCounts(c), 0) {
-				t.Fatalf("group %d column %d: dictionary %v counts %v — want sorted, every value used", i, c, gotSel[i].Dict(c), gotSel[i].CodeCounts(c))
+			if counts := codeCounts(gotSel[i], c); !slices.IsSorted(gotSel[i].Dict(c)) || slices.Contains(counts, 0) {
+				t.Fatalf("group %d column %d: dictionary %v counts %v — want sorted, every value used", i, c, gotSel[i].Dict(c), counts)
 			}
 		}
 	}
@@ -220,7 +230,7 @@ func TestGroupBuilderSelMatchesRows(t *testing.T) {
 // TestGroupBuilderRecycleMatchesFresh: a builder that seals its groups into
 // code vectors recycled from groups it sealed before — and that is reset with
 // rows still open — seals groups identical to a fresh builder's given the same
-// rows (dictionaries, codes, counts); a recycled group keeps its zone.
+// rows (dictionaries, codes); a recycled group keeps its zone.
 func TestGroupBuilderRecycleMatchesFresh(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	const ncols, size = 4, 256
@@ -244,12 +254,12 @@ func TestGroupBuilderRecycleMatchesFresh(t *testing.T) {
 				t.Fatalf("round %d: column %d was sealed into a new vector with spares at hand", round, c)
 			}
 		}
-		dict, counts := slices.Clone(got.Dict(0)), slices.Clone(got.CodeCounts(0))
+		dict := slices.Clone(got.Dict(0))
 		for c := 0; c < ncols; c++ {
 			recycled[&got.Codes(c)[:1][0]] = true
 		}
 		spares.Recycle(got)
-		if got.Codes(0) != nil || !slices.Equal(got.Dict(0), dict) || !slices.Equal(got.CodeCounts(0), counts) {
+		if got.Codes(0) != nil || !slices.Equal(got.Dict(0), dict) {
 			t.Fatalf("round %d: a recycled group lost its zone or kept its codes", round)
 		}
 	}
@@ -285,7 +295,7 @@ func TestGroupImageRoundTripAndRefusals(t *testing.T) {
 		t.Fatalf("round trip: err %v, same %v", err, err == nil && sameGroup(got, g))
 	}
 	if z.Codes(0) != nil || !slices.Equal(z.Dict(1), g.Dict(1)) || z.NumRows() != g.NumRows() {
-		t.Fatal("a zone is the group's row count, dictionaries and counts, without code vectors")
+		t.Fatal("a zone is the group's row count and dictionaries, without code vectors")
 	}
 	refuse := func(what string, bad []byte) {
 		t.Helper()
