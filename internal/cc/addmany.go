@@ -1,10 +1,6 @@
 package cc
 
-import (
-	"math/bits"
-
-	"repro/internal/data"
-)
+import "repro/internal/data"
 
 // AddMany is the batched seam of the vectorized counting kernel: one call
 // folds a whole selection vector's worth of (attr, value, class) increments
@@ -24,8 +20,10 @@ import (
 // re-zeroes every cell it touched), so one buffer can be reused across calls
 // without clearing. Pass nil to allocate. The returned slice is the
 // (possibly grown) scratch buffer; the second result is the number of
-// distinct (value, class) cells folded — the per-block table work the cost
-// model charges, as opposed to the per-row bumps.
+// distinct (value, class) cells folded. The cost model does not charge it: it
+// charges the fold's bound, min(len(sel), len(dict)*len(classDict)), which a
+// derived node has without counting its rows. The count stays as the witness
+// that the bound holds (TestFoldCountWithinBound, FuzzTableOps).
 func (t *Table) AddMany(attr int, dict []data.Value, codes []uint16, classDict []data.Value, classCodes []uint16, sel []int32, hist []int64) ([]int64, int) {
 	nd, nc := len(dict), len(classDict)
 	need := nd * nc
@@ -67,40 +65,3 @@ func (t *Table) AddMany(attr int, dict []data.Value, codes []uint16, classDict [
 // per-row bump AddRow performs, charged once per (node, block) by the
 // vectorized kernel after its AddMany calls.
 func (t *Table) AddRows(n int64) { t.rows += n }
-
-// Cells returns the number of distinct (value, class) cells among the rows sel
-// selects: AddMany's second result for the same codes and selection, computed
-// without a histogram and without touching a table. codes index a dictionary
-// of nvals values and classCodes one of nclasses classes. It is the fold count
-// the cost model charges for a node whose table the middleware derives instead
-// of counting. A dictionary pair of at most 64 cells is one register mask;
-// otherwise scratch is a bitset of at least nvals*nclasses bits, all zeros on
-// entry and returned all zeros (the rows that set a bit clear it), as AddMany's
-// hist is. Pass nil to allocate.
-func Cells(nvals int, codes []uint16, nclasses int, classCodes []uint16, sel []int32, scratch []uint64) ([]uint64, int) {
-	nc := uint(nclasses)
-	need := nvals * nclasses
-	if need <= 64 {
-		var mask uint64
-		for _, i := range sel {
-			mask |= 1 << (uint(codes[i])*nc + uint(classCodes[i]))
-		}
-		return scratch, bits.OnesCount64(mask)
-	}
-	words := (need + 63) >> 6
-	if cap(scratch) < words {
-		scratch = make([]uint64, words)
-	}
-	scratch = scratch[:words]
-	n := 0
-	for _, i := range sel {
-		c := uint(codes[i])*nc + uint(classCodes[i])
-		w := &scratch[c>>6]
-		n += int(^*w >> (c & 63) & 1)
-		*w |= 1 << (c & 63)
-	}
-	for _, i := range sel {
-		scratch[(uint(codes[i])*nc+uint(classCodes[i]))>>6] = 0
-	}
-	return scratch, n
-}

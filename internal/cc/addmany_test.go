@@ -130,7 +130,7 @@ func TestAddManyScratchReuse(t *testing.T) {
 }
 
 // TestAddManyFoldCount asserts the folded-cells result counts distinct
-// (value, class) cells, the quantity the cost model charges per block.
+// (value, class) cells, the quantity the cost model's bound stands for.
 func TestAddManyFoldCount(t *testing.T) {
 	tab := New()
 	dict := []data.Value{3, 7}

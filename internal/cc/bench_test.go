@@ -122,19 +122,3 @@ func BenchmarkAddMany(b *testing.B) {
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(sel)), "ns/row")
 }
-
-var cellsSink int
-
-// BenchmarkCells measures what the kernel does instead for a derived node's
-// attribute: the fold count of the same bucket, in ns per selected row.
-func BenchmarkCells(b *testing.B) {
-	dict, classDict, codes, classCodes, sel := bucketShape()
-	var scratch []uint64
-	var n int
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		scratch, n = Cells(len(dict), codes, len(classDict), classCodes, sel, scratch)
-		cellsSink += n
-	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(sel)), "ns/row")
-}

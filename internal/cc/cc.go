@@ -7,8 +7,8 @@
 //
 // §5 of the paper stores counts tables as binary search trees keyed by
 // (attribute, value, class), and the cost model still charges that probe
-// (sim.Costs.CCBump per counted row, CCFoldEntry per folded cell — charged
-// by the callers, never by this package). The in-memory structure is flat:
+// (sim.Costs.CCBump per counted row, CCFoldEntry per cell of a fold's bound,
+// min(rows, values × classes) — charged by the callers, never by this package). The in-memory structure is flat:
 // per attribute, the sorted distinct values present and, contiguous with them,
 // one class-count vector per value, indexed by the class's rank among the
 // table's sorted distinct classes. Counting a cell is a binary search over one

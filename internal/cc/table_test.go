@@ -112,6 +112,9 @@ func runTableOps(t testing.TB, ops []byte) {
 			if folded != len(cells) {
 				t.Fatalf("AddMany folded %d cells, want %d", folded, len(cells))
 			}
+			if bound := min(len(sel), len(dict)*len(classDict)); folded > bound {
+				t.Fatalf("AddMany folded %d cells, past the charged bound %d", folded, bound)
+			}
 			for _, h := range hist {
 				if h != 0 {
 					t.Fatal("AddMany returned a dirty scratch buffer")

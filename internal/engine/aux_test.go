@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -11,6 +12,17 @@ import (
 
 func auxTestFilter() predicate.Filter {
 	return predicate.Or(predicate.Conj{{Attr: 0, Op: predicate.Eq, Val: 1}})
+}
+
+// captured fails t on a capture's error and returns its row set.
+func captured(t *testing.T) func(*RowSet, error) *RowSet {
+	return func(rs *RowSet, err error) *RowSet {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rs
+	}
 }
 
 // TestAuxBuildersCaptureMatchingRows: the keyset and the TID table capture,
@@ -25,15 +37,15 @@ func TestAuxBuildersCaptureMatchingRows(t *testing.T) {
 			want = append(want, r)
 		}
 	}
-	ks := srv.OpenKeyset(f)
+	ks := captured(t)(srv.OpenKeyset(context.Background(), f))
 	if got := scanPart(srv, ks, predicate.MatchAll(), 0, 1, nil); !sameRows(got, want) {
 		t.Errorf("keyset holds %d rows, the filter matches %d (or content differs)", len(got), len(want))
 	}
-	tt := srv.CopyTIDs(f)
+	tt := captured(t)(srv.CopyTIDs(context.Background(), f))
 	if !reflect.DeepEqual(tt.held, ks.held) {
 		t.Errorf("TID table holds %d rows, the keyset %d (or they differ)", tt.Size(), ks.Size())
 	}
-	sub, err := srv.CopySubset(f)
+	sub, err := srv.CopySubset(context.Background(), f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +61,7 @@ func TestAuxBuildersCaptureMatchingRows(t *testing.T) {
 func TestKeysetScanPartitionCoversKeysetExactlyOnce(t *testing.T) {
 	srv, ds := partitionTestServer(t, 14000)
 	f := auxTestFilter()
-	ks := srv.OpenKeyset(f)
+	ks := captured(t)(srv.OpenKeyset(context.Background(), f))
 	sproc := predicate.Or(predicate.Conj{{Attr: 1, Op: predicate.Eq, Val: 2}})
 	var want []data.Row
 	for _, r := range ds.Rows {
@@ -74,7 +86,7 @@ func TestKeysetScanPartitionCoversKeysetExactlyOnce(t *testing.T) {
 func TestTIDJoinPartitionCoversTableExactlyOnce(t *testing.T) {
 	srv, ds := partitionTestServer(t, 14000)
 	f := auxTestFilter()
-	tt := srv.CopyTIDs(f)
+	tt := captured(t)(srv.CopyTIDs(context.Background(), f))
 	sub := predicate.Or(predicate.Conj{
 		{Attr: 0, Op: predicate.Eq, Val: 1},
 		{Attr: 2, Op: predicate.Ne, Val: 3},
@@ -103,8 +115,8 @@ func TestTIDJoinPartitionCoversTableExactlyOnce(t *testing.T) {
 func TestAuxPartitionLaneCharging(t *testing.T) {
 	srv, _ := partitionTestServer(t, 14000)
 	f := auxTestFilter()
-	ks := srv.OpenKeyset(f)
-	tt := srv.CopyTIDs(f)
+	ks := captured(t)(srv.OpenKeyset(context.Background(), f))
+	tt := captured(t)(srv.CopyTIDs(context.Background(), f))
 	before := srv.Meter().Snapshot()
 	costs := srv.Meter().Costs()
 

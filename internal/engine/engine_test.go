@@ -483,7 +483,7 @@ func TestScanCursorMatchAllAndCloseEarly(t *testing.T) {
 func TestKeysetCursor(t *testing.T) {
 	srv, ds := newTestServer(t, 400)
 	base := predicate.Or(predicate.Conj{{Attr: 0, Op: predicate.Eq, Val: 2}})
-	ks := srv.OpenKeyset(base)
+	ks := captured(t)(srv.OpenKeyset(context.Background(), base))
 	var wantN int
 	for _, r := range ds.Rows {
 		if base.Eval(r) {
@@ -527,7 +527,7 @@ func TestKeysetCursor(t *testing.T) {
 func TestTIDJoin(t *testing.T) {
 	srv, ds := newTestServer(t, 400)
 	base := predicate.Or(predicate.Conj{{Attr: 2, Op: predicate.Ne, Val: 0}})
-	tt := srv.CopyTIDs(base)
+	tt := captured(t)(srv.CopyTIDs(context.Background(), base))
 	narrow := predicate.Or(predicate.Conj{
 		{Attr: 2, Op: predicate.Ne, Val: 0}, {Attr: 0, Op: predicate.Eq, Val: 1},
 	})
@@ -549,7 +549,7 @@ func TestTIDJoin(t *testing.T) {
 func TestCopySubset(t *testing.T) {
 	srv, ds := newTestServer(t, 300)
 	f := predicate.Or(predicate.Conj{{Attr: 1, Op: predicate.Eq, Val: 0}})
-	sub, err := srv.CopySubset(f)
+	sub, err := srv.CopySubset(context.Background(), f)
 	if err != nil {
 		t.Fatal(err)
 	}

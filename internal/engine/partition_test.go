@@ -146,10 +146,10 @@ func TestPartitionOverSubscription(t *testing.T) {
 			want int
 		}{
 			{"server-scan", srv.ColGroups(nil), n},
-			{"keyset", srv.OpenKeyset(all), n},
-			{"keyset-empty", srv.OpenKeyset(none), 0},
-			{"tid-join", srv.CopyTIDs(all), n},
-			{"tid-join-empty", srv.CopyTIDs(none), 0},
+			{"keyset", captured(t)(srv.OpenKeyset(context.Background(), all)), n},
+			{"keyset-empty", captured(t)(srv.OpenKeyset(context.Background(), none)), 0},
+			{"tid-join", captured(t)(srv.CopyTIDs(context.Background(), all)), n},
+			{"tid-join-empty", captured(t)(srv.CopyTIDs(context.Background(), none)), 0},
 		}
 		for _, src := range sources {
 			units := src.src.NumGroups()

@@ -88,16 +88,18 @@ func (c *tripCtx) Err() error {
 }
 
 // TestCancelledBuildLeavesNothing: every block a build scans — its passes,
-// their segments and its §4.1.1 statements — checks the build's context, and
-// a build whose context trips at a sampled block — unstaged, staged, and under
-// a budget tight enough for §4.1.1 statements, at GOMAXPROCS 1 and 4 — returns
-// context.Canceled through dtree.BuildContext with no tree and no span left
-// open; after Close its staging dir is empty and the pool holds nothing of it,
-// and a fresh build over the same data still grows refBuild's tree.
+// their segments, its §4.1.1 statements and its §4.3.3 keyset, TID-table and
+// copy-table builds — checks the build's context, and a build whose context
+// trips at a sampled block — unstaged, staged, under a budget tight enough for
+// §4.1.1 statements, and through each auxiliary structure, at GOMAXPROCS 1 and
+// 4 — returns context.Canceled through dtree.BuildContext with no tree and no
+// span left open; after Close its staging dir is empty, the engine holds no
+// temp table and the pool holds nothing of it, and a fresh build over the same
+// data still grows refBuild's tree.
 func TestCancelledBuildLeavesNothing(t *testing.T) {
 	ds, opt := segmentsShape(t)
 	want := refBuild(ds, opt)
-	build := func(t *testing.T, ctx context.Context, cfg mw.Config) (*dtree.Tree, *sim.Meter, error) {
+	build := func(t *testing.T, ctx context.Context, cfg mw.Config) (*dtree.Tree, *sim.Meter, int, error) {
 		t.Helper()
 		col, meter := obs.NewTrace(), sim.NewDefaultMeter()
 		eng := engine.New(meter, 0)
@@ -126,7 +128,18 @@ func TestCancelledBuildLeavesNothing(t *testing.T) {
 		if leaks := mw.PooledScratchLeaks(); len(leaks) > 0 {
 			t.Errorf("the pool holds %d references into the closed build: %v", len(leaks), leaks)
 		}
-		return tree, meter, err
+		if tables := eng.TableNames(); len(tables) != 1 {
+			t.Errorf("tables after Close: %v, want only the base table", tables)
+		}
+		aux := 0
+		col.EachProc(func(p obs.ProcView) {
+			for _, sp := range p.Spans {
+				if sp.Cat == obs.CatAux {
+					aux++
+				}
+			}
+		})
+		return tree, meter, aux, err
 	}
 	same := func(t *testing.T, tree *dtree.Tree, err error) {
 		t.Helper()
@@ -145,24 +158,31 @@ func TestCancelledBuildLeavesNothing(t *testing.T) {
 			{"unstaged", mw.Config{}},
 			{"staged", mw.Config{Staging: mw.StageFileAndMemory}},
 			{"tight", mw.Config{Staging: mw.StageFileAndMemory, Memory: 6 << 10}},
+			// Batches of at most four nodes fall below the 10 % threshold.
+			{"keyset", mw.Config{Access: mw.AccessKeyset, MaxBatch: 4}},
+			{"tid-join", mw.Config{Access: mw.AccessTIDJoin, MaxBatch: 4}},
+			{"copy-table", mw.Config{Access: mw.AccessCopyTable, MaxBatch: 4}},
 		} {
 			t.Run(fmt.Sprintf("%s/procs=%d", c.name, procs), func(t *testing.T) {
 				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 				count := &tripCtx{Context: context.Background(), after: -1}
-				tree, meter, err := build(t, count, c.cfg)
+				tree, meter, aux, err := build(t, count, c.cfg)
 				same(t, tree, err)
+				if (c.cfg.Access != mw.AccessScan) != (aux > 0) {
+					t.Fatalf("access %v built %d auxiliary structures", c.cfg.Access, aux)
+				}
 				total := count.checks.Load()
 				if blocks := meter.Count(sim.CtrColBlocks); total != blocks || total == 0 {
 					t.Fatalf("the build checked its context %d times over %d blocks, want once per block", total, blocks)
 				}
 				rng := rand.New(rand.NewSource(total))
 				for _, n := range []int64{0, rng.Int63n(total), rng.Int63n(total), rng.Int63n(total), total - 1} {
-					tree, _, err := build(t, &tripCtx{Context: context.Background(), after: n}, c.cfg)
+					tree, _, _, err := build(t, &tripCtx{Context: context.Background(), after: n}, c.cfg)
 					if !errors.Is(err, context.Canceled) || tree != nil {
 						t.Fatalf("tripped after %d of %d checks: tree %v, error %v; want none and context.Canceled", n, total, tree != nil, err)
 					}
 				}
-				tree, _, err = build(t, context.Background(), c.cfg)
+				tree, _, _, err = build(t, context.Background(), c.cfg)
 				same(t, tree, err)
 			})
 		}

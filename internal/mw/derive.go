@@ -18,8 +18,10 @@ import (
 // parent's table less its siblings'.
 //
 // The model still describes counting: the kernel charges a derived node's
-// bumps and folds as if it had counted them (cc.Cells gives the fold count), so
-// no clock, counter or trace can tell a derived table from a counted one. That
+// bumps as if it had counted them, and its folds on the bound every node's
+// fold is charged on (min(rows, values × classes) per attribute and block,
+// read off the block's dictionaries), so no clock, counter or trace can tell a
+// derived table from a counted one. That
 // restricts derivation to batches whose tables' sizes no decision reads
 // mid-scan: batches whose budget cannot police (runScan's segmentable rule),
 // so nothing is shed or reclaimed by a table's size before settle fills it.

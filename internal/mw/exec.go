@@ -152,7 +152,7 @@ func (m *Middleware) scanBatch(ctx context.Context, r *batchRun) error {
 		return nil
 	}
 	r.openScan()
-	src, err := r.planScan()
+	src, err := r.planScan(ctx)
 	if err == nil {
 		err = r.runScan(ctx, src)
 	}

@@ -3,7 +3,6 @@ package mw
 import (
 	"slices"
 
-	"repro/internal/cc"
 	"repro/internal/data"
 	"repro/internal/engine"
 	"repro/internal/sim"
@@ -63,8 +62,11 @@ func (m *Middleware) columnarNeedCols(plan *stagePlan, live []*ccWork) []int {
 // requests into one shard. The scan hands it each block already routed —
 // blk.Buckets[i] holds the rows of live request i, filled by the same trie
 // walk that filtered the block — and each node bumps the dense histogram per
-// bucketed row (CCBump) and folds distinct cells into its shard table
-// (CCFoldEntry). The tee filters compile once per row group into
+// bucketed row (CCBump) and folds its distinct cells into its shard table.
+// The fold is charged CCFoldEntry per attribute on its bound, min(rows,
+// values × classes) of the block's dictionaries — the most cells it can
+// visit — so a derived node, which is not counted, is billed the same with
+// no pass over its rows. The tee filters compile once per row group into
 // dictionary-code space, into storage reused from group to group. It is
 // attached either to a batch's own pass or one of its segments (scanRange)
 // or, as a session's share of a multi-tenant scan, to engine.ScanGroups via
@@ -85,7 +87,6 @@ type colConsumer struct {
 	classCodes  []uint16
 	teeSel      []int32
 	hist        []int64
-	cells       []uint64
 }
 
 // colConsumer returns the batch's attachment to a columnar scan: the counting
@@ -133,19 +134,16 @@ func (c *colConsumer) consume(blk *engine.ColBlock) bool {
 			continue
 		}
 		meter.Charge(sim.CtrCCUpdates, c.costs.CCBump, int64(len(sel)))
-		var folded int
+		for _, a := range live[i].attrs {
+			bound := min(len(sel), len(g.Dict(a))*len(c.classDict))
+			meter.Charge(sim.CtrCCFolds, c.costs.CCFoldEntry, int64(bound))
+		}
 		if live[i].from != nil {
-			// Derived once the pass is settled (derive.go), charged as if counted.
-			for _, a := range live[i].attrs {
-				c.cells, folded = cc.Cells(len(g.Dict(a)), g.Codes(a), len(c.classDict), c.classCodes, sel, c.cells)
-				meter.Charge(sim.CtrCCFolds, c.costs.CCFoldEntry, int64(folded))
-			}
-			continue
+			continue // derived once the pass is settled (derive.go)
 		}
 		before := t.Bytes()
 		for _, a := range live[i].attrs {
-			c.hist, folded = t.AddMany(a, g.Dict(a), g.Codes(a), c.classDict, c.classCodes, sel, c.hist)
-			meter.Charge(sim.CtrCCFolds, c.costs.CCFoldEntry, int64(folded))
+			c.hist, _ = t.AddMany(a, g.Dict(a), g.Codes(a), c.classDict, c.classCodes, sel, c.hist)
 		}
 		t.AddRows(int64(len(sel)))
 		sh.ccBytes += t.Bytes() - before

@@ -212,7 +212,7 @@ func (r *batchRun) scanFilter() predicate.Filter {
 // §4.3.3 auxiliary structure covering it — the rows a keyset or TID table
 // holds of it, or a copy-table — built here once the batch is small enough
 // (maybeBuildAux).
-func (r *batchRun) planScan() (engine.GroupSource, error) {
+func (r *batchRun) planScan(ctx context.Context) (engine.GroupSource, error) {
 	m, b := r.m, r.b
 	var src engine.GroupSource
 	switch b.kind {
@@ -221,7 +221,7 @@ func (r *batchRun) planScan() (engine.GroupSource, error) {
 	case srcFile:
 		src = m.files.source(b.stage.file, nil) // to plan by: nothing is read through it
 	case srcServer:
-		aux, err := m.maybeBuildAux(b)
+		aux, err := m.maybeBuildAux(ctx, b)
 		switch {
 		case err != nil:
 			return nil, err

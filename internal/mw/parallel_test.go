@@ -411,7 +411,7 @@ func TestPlanParallelPartitionsAuxPaths(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		src, err := r.planScan()
+		src, err := r.planScan(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -452,7 +452,7 @@ func TestLaneZeroStreamsFileTee(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	src, err := r.planScan()
+	src, err := r.planScan(context.Background())
 	if err != nil || len(r.plan.fileTees) != 1 {
 		t.Fatalf("%d file tees, error %v; want 1", len(r.plan.fileTees), err)
 	}

@@ -162,10 +162,13 @@ func TestPartitionPropertyServerScan(t *testing.T) {
 // re-scanning every partition of the captured set with a second filter pushed
 // down, concatenated in partition order, yields the table's rows matching both,
 // in table order — over tables within one row group and spanning up to five.
-func rowSetProperty(t *testing.T, capture func(*engine.Server, predicate.Filter) *engine.RowSet) {
+func rowSetProperty(t *testing.T, capture func(*engine.Server, predicate.Filter) (*engine.RowSet, error)) {
 	trial := func(t *testing.T, rng *rand.Rand, ds *data.Dataset, f predicate.Filter, nparts int) {
 		srv := propServer(t, ds)
-		rows := capture(srv, f)
+		rows, err := capture(srv, f)
+		if err != nil {
+			t.Fatal(err)
+		}
 		// Re-scan under a residual filter half the time, the capturing one
 		// otherwise.
 		rescan := f
@@ -217,11 +220,15 @@ func rowSourceProperty(t *testing.T, rng *rand.Rand, srv *engine.Server, src eng
 }
 
 func TestPartitionPropertyKeyset(t *testing.T) {
-	rowSetProperty(t, func(srv *engine.Server, f predicate.Filter) *engine.RowSet { return srv.OpenKeyset(f) })
+	rowSetProperty(t, func(srv *engine.Server, f predicate.Filter) (*engine.RowSet, error) {
+		return srv.OpenKeyset(context.Background(), f)
+	})
 }
 
 func TestPartitionPropertyTIDJoin(t *testing.T) {
-	rowSetProperty(t, func(srv *engine.Server, f predicate.Filter) *engine.RowSet { return srv.CopyTIDs(f) })
+	rowSetProperty(t, func(srv *engine.Server, f predicate.Filter) (*engine.RowSet, error) {
+		return srv.CopyTIDs(context.Background(), f)
+	})
 }
 
 // TestPartitionPropertyFileStore: a staged run — the same row groups in a

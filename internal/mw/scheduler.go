@@ -1,6 +1,7 @@
 package mw
 
 import (
+	"context"
 	"fmt"
 	"sort"
 
@@ -425,8 +426,9 @@ func (m *Middleware) auxFor(r *Request) *stageData {
 // AuxThreshold (§4.3.3: "this technique applies only when the relevant data
 // set has shrunk to a small percentage of the given file (around 10%)"), or
 // returns the live one covering the batch; nil when the batch scans the base
-// table.
-func (m *Middleware) maybeBuildAux(b *batch) (*stageData, error) {
+// table. The build's qualifying scan checks ctx per block: a cancelled build
+// frees its stage and returns ctx.Err() (wrapped, for a copy-table).
+func (m *Middleware) maybeBuildAux(ctx context.Context, b *batch) (*stageData, error) {
 	if m.cfg.Access == AccessScan || len(b.reqs) == 0 {
 		return nil, nil
 	}
@@ -449,18 +451,20 @@ func (m *Middleware) maybeBuildAux(b *batch) (*stageData, error) {
 	}
 	filter := batchFilter(b.reqs)
 	sd := m.newStage(nodeIDs(b.reqs))
+	var err error
 	switch m.cfg.Access {
 	case AccessKeyset:
-		sd.rows = m.srv.OpenKeyset(filter)
+		sd.rows, err = m.srv.OpenKeyset(ctx, filter)
 	case AccessTIDJoin:
-		sd.rows = m.srv.CopyTIDs(filter)
+		sd.rows, err = m.srv.CopyTIDs(ctx, filter)
 	case AccessCopyTable:
-		sub, err := m.srv.CopySubset(filter)
-		if err != nil {
-			m.freeStage(sd)
-			return nil, fmt.Errorf("mw: copy-table: %w", err)
+		if sd.subSrv, err = m.srv.CopySubset(ctx, filter); err != nil {
+			err = fmt.Errorf("mw: copy-table: %w", err)
 		}
-		sd.subSrv = sub
+	}
+	if err != nil {
+		m.freeStage(sd)
+		return nil, err
 	}
 	return sd, nil
 }

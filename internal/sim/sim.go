@@ -51,7 +51,7 @@ type Costs struct {
 	FileOpen     int64 // create/open one middleware staging file
 	MemRowRead   int64 // touch one row staged in middleware memory
 	CCBump       int64 // bump one dense histogram cell for one selected row (vectorized kernel); a derived child (parent − siblings) is charged as if counted
-	CCFoldEntry  int64 // fold one distinct histogram cell into the counts table, once per block; a derived child is charged as if counted
+	CCFoldEntry  int64 // fold one histogram cell into the counts table, charged per (node, block, attribute) on the bound min(rows, values × classes); a derived child is charged the same
 
 	// Client-side costs.
 	ClientRowLoad int64 // materialize one extracted row at the client (ExtractAll baseline)
@@ -105,7 +105,7 @@ func DefaultCosts() Costs {
 		// The counting costs model the paper's §5 search-tree counts table; the
 		// flat cc.Table of this process is faster, and charges nothing itself.
 		CCBump:      8,  // dense array increment per selected row (no search-tree probe)
-		CCFoldEntry: 80, // search-tree insert per distinct cell, once per (node, block)
+		CCFoldEntry: 80, // search-tree insert per cell of the fold's bound, min(rows, values × classes), per (node, block, attribute)
 
 		ClientRowLoad: 500,
 
@@ -142,7 +142,7 @@ const (
 	CtrColGroupsScanned                // columnar row groups scanned
 	CtrColGroupsSkipped                // columnar row groups skipped via zone maps
 	CtrColBlocks                       // columnar 1024-row blocks evaluated
-	CtrCCFolds                         // distinct histogram cells folded into CC tables
+	CtrCCFolds                         // histogram cells charged to CC-table folds, on each fold's bound
 	CtrScoreRows                       // rows scored by the in-database prediction path
 	CtrScoreBlocks                     // columnar blocks pushed through the scoring kernel
 	CtrModelProbes                     // compiled-model nodes walked while scoring
