@@ -2,7 +2,6 @@ package dtree
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/cc"
 	"repro/internal/mw"
@@ -22,22 +21,14 @@ type Builder struct {
 	classCard int
 	classIdx  int
 
-	bsp    *obs.Span
-	ltr    *obs.Tracer
-	levels map[int]*levelSpan
+	bsp *obs.Span
 
 	root   *Node
 	nodes  map[int]*Node
 	nextID int
-	closed bool
 }
 
-type levelSpan struct {
-	sp     *obs.Span
-	lastNS int64
-}
-
-// NewBuilder opens the build (build span, level track) and enqueues the root
+// NewBuilder opens the build (its build span) and enqueues the root
 // request. The caller must then repeatedly Feed the middleware's results
 // until Pending reaches zero, and Finish; Abort releases the spans on an
 // external error.
@@ -51,17 +42,9 @@ func NewBuilder(m *mw.Middleware, opt Options) (*Builder, error) {
 		nextID:    1,
 	}
 
-	// Client-side spans: one for the whole build, plus one per tree level on
-	// a separate render track. Levels overlap in virtual time (children are
-	// enqueued before their parent closes), so each level span ends at the
-	// time its last node closed, fixed up when the build finishes. All of it
-	// is skipped — at zero cost — when no tracer is attached.
-	tr := m.Tracer()
-	b.bsp = tr.Start(obs.CatBuild, "dtree-build")
-	if tr != nil {
-		b.ltr = tr.Track("levels")
-		b.levels = map[int]*levelSpan{}
-	}
+	// One client-side span for the whole build; the levels are on its batch
+	// spans. A nil tracer makes it a no-op.
+	b.bsp = m.Tracer().Start(obs.CatBuild, "dtree-build")
 
 	rootAttrs := allAttrs(schema)
 	b.root = &Node{ID: 0, Attrs: rootAttrs, Rows: m.DataRows(), Depth: 0}
@@ -74,7 +57,6 @@ func NewBuilder(m *mw.Middleware, opt Options) (*Builder, error) {
 		rootEst += int64(a.Card)
 	}
 	rootEst = rootEst*int64(b.classCard) + int64(b.classCard)
-	b.noteEnqueue(0)
 	if err := m.Enqueue(&mw.Request{
 		NodeID: 0, ParentID: -1, Path: nil,
 		Attrs: rootAttrs, Rows: b.root.Rows, EstCC: rootEst,
@@ -85,53 +67,8 @@ func NewBuilder(m *mw.Middleware, opt Options) (*Builder, error) {
 	return b, nil
 }
 
-func (b *Builder) noteEnqueue(depth int) {
-	if b.ltr == nil {
-		return
-	}
-	if _, ok := b.levels[depth]; !ok {
-		sp := b.ltr.Start(obs.CatLevel, fmt.Sprintf("level %d", depth)).Attr("depth", int64(depth))
-		b.levels[depth] = &levelSpan{sp: sp}
-	}
-}
-
-func (b *Builder) noteClose(depth int) {
-	if b.ltr == nil {
-		return
-	}
-	if l, ok := b.levels[depth]; ok {
-		l.lastNS = int64(b.m.Meter().Now())
-		// The span is closed retroactively (EndAt at build finish), so
-		// capture its counter deltas now, while the meter still reads the
-		// state at this — possibly final — node close of the level.
-		l.sp.CaptureCounters()
-	}
-}
-
-// closeSpans ends the level spans (at their recorded last-close times) and
-// the build span, once.
-func (b *Builder) closeSpans() {
-	if b.closed {
-		return
-	}
-	b.closed = true
-	if b.levels != nil {
-		depths := make([]int, 0, len(b.levels))
-		for d := range b.levels {
-			depths = append(depths, d)
-		}
-		sort.Ints(depths)
-		for _, d := range depths {
-			l := b.levels[d]
-			if l.lastNS > 0 {
-				l.sp.EndAt(l.lastNS)
-			} else {
-				l.sp.End()
-			}
-		}
-	}
-	b.bsp.End()
-}
+// closeSpans ends the build span (Span.End is idempotent).
+func (b *Builder) closeSpans() { b.bsp.End() }
 
 // Pending returns the number of outstanding middleware requests; the build
 // is complete when it reaches zero.
@@ -156,7 +93,6 @@ func (b *Builder) Feed(results []*mw.Result) error {
 		for _, child := range grow(n, res.CC, b.classIdx, b.classCard, b.opt, &b.nextID) {
 			b.nodes[child.ID] = child
 			est := cc.EstimateEntries(res.CC, child.Attrs, child.Rows, n.Rows, b.classCard)
-			b.noteEnqueue(child.Depth)
 			if err := b.m.Enqueue(&mw.Request{
 				NodeID: child.ID, ParentID: n.ID,
 				Path: child.Path, Attrs: child.Attrs,
@@ -169,7 +105,6 @@ func (b *Builder) Feed(results []*mw.Result) error {
 		// Children are enqueued before the parent closes so ancestor
 		// staging stays alive for them.
 		b.m.CloseNode(n.ID)
-		b.noteClose(n.Depth)
 	}
 	return nil
 }

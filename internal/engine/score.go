@@ -270,11 +270,17 @@ func (p *ScorePass) Abort() {
 // ScoreInto fills res, opened on this server for m, by the server's own scan,
 // charging the server view's meter and tracer — the form a fleet scoring
 // session takes when no shared scan is available. It leaves res unfinished:
-// the session's owner ends it.
-func (s *Server) ScoreInto(res *ScoreResult, m *Model) {
+// the session's owner ends it. The scan checks ctx once per block; a
+// cancelled pass ends its span and returns ctx.Err() (the groups are
+// resident, so nothing else fails).
+func (s *Server) ScoreInto(ctx context.Context, res *ScoreResult, m *Model) error {
 	p := s.BeginScore(res, m, false)
-	ScanGroups(context.Background(), s.ColGroups(p.NeedCols()), []*ScanConsumer{p.Consumer()}, 0, s.NumColGroups(), s.meter) // resident groups: nothing fails
+	if err := ScanGroups(ctx, s.ColGroups(p.NeedCols()), []*ScanConsumer{p.Consumer()}, 0, s.NumColGroups(), s.meter); err != nil {
+		p.Abort()
+		return err
+	}
 	p.End(0)
+	return nil
 }
 
 // ScoreTable scores every row of t with m inside the engine, charging the
@@ -285,7 +291,9 @@ func (e *Engine) ScoreTable(t *Table, m *Model) (*ScoreResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	srv.ScoreInto(res, m)
+	if err := srv.ScoreInto(context.Background(), res, m); err != nil {
+		return nil, err
+	}
 	res.Finish(nil)
 	return res, nil
 }

@@ -83,7 +83,9 @@ func TestScoreResultWatermark(t *testing.T) {
 			}()
 		}
 		view := srv.View(sim.NewMeter(srv.Meter().Costs()), nil)
-		view.ScoreInto(res, m)
+		if err := view.ScoreInto(context.Background(), res, m); err != nil {
+			t.Error(err)
+		}
 		res.Finish(nil)
 		wg.Wait()
 	})
@@ -143,7 +145,9 @@ func TestScoreResultAllocatedOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	classes, nodes := &res.Classes[0], &res.Nodes[0]
-	srv.ScoreInto(res, m)
+	if err := srv.ScoreInto(context.Background(), res, m); err != nil {
+		t.Fatal(err)
+	}
 	if &res.Classes[0] != classes || &res.Nodes[0] != nodes || len(res.Classes) != 18000 || cap(res.Classes) != 18000 {
 		t.Error("the scan replaced or regrew the opened result's slices")
 	}

@@ -107,7 +107,7 @@ func TestRecyclingInvisibleToBuilds(t *testing.T) {
 					continue
 				}
 				pending = true
-				sb, results, err := m.BeginSharedBatch()
+				sb, results, err := m.BeginSharedBatch(context.Background())
 				if err != nil {
 					t.Fatal(err)
 				}

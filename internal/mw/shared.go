@@ -19,6 +19,7 @@ import (
 // produced by BeginSharedBatch and must be completed with Finish (after the
 // shared scan ran its consumer) or released with Abort.
 type SharedBatch struct {
+	ctx      context.Context // the session's: Finish's statements check it
 	m        *Middleware
 	r        *batchRun
 	srv      *engine.Server
@@ -54,9 +55,12 @@ func (m *Middleware) NextBatchShareable() bool {
 //
 // Not every scheduled batch is shareable (staged sources, empty admission
 // after fallback routing); those execute to completion right here, exactly
-// as Step would, and return their results with a nil SharedBatch. A nil,
-// nil, nil return means no requests were pending.
-func (m *Middleware) BeginSharedBatch() (*SharedBatch, []*Result, error) {
+// as StepContext(ctx) would, and return their results with a nil
+// SharedBatch. A nil, nil, nil return means no requests were pending. ctx is
+// the session's: Finish's §4.1.1 statements check it too. The shared scan
+// itself is the cohort's, so a session cancelled during it is released by
+// Abort once the scan ends.
+func (m *Middleware) BeginSharedBatch(ctx context.Context) (*SharedBatch, []*Result, error) {
 	b := m.schedule()
 	if b == nil {
 		return nil, nil, nil
@@ -66,15 +70,15 @@ func (m *Middleware) BeginSharedBatch() (*SharedBatch, []*Result, error) {
 		return nil, nil, err
 	}
 	if b.kind != srcServer || m.cfg.Access != AccessScan || len(r.live) == 0 {
-		if err := m.scanBatch(context.Background(), r); err != nil {
+		if err := m.scanBatch(ctx, r); err != nil {
 			r.bsp.End()
 			return nil, nil, err
 		}
-		results, err := m.finishBatch(context.Background(), r)
+		results, err := m.finishBatch(ctx, r)
 		return nil, results, err
 	}
 
-	sb := &SharedBatch{m: m, r: r, srv: m.srv, needCols: m.columnarNeedCols(r.plan, r.live)}
+	sb := &SharedBatch{ctx: ctx, m: m, r: r, srv: m.srv, needCols: m.columnarNeedCols(r.plan, r.live)}
 	r.openScan()
 	r.ssp.Attr("shared", 1)
 
@@ -113,7 +117,7 @@ func (sb *SharedBatch) Finish(ioElapsedNS int64) ([]*Result, error) {
 	pairRows.Add(sb.cons.PairRows())
 	r.closeScan()
 	r.settle(sb.sh)
-	return m.finishBatch(context.Background(), r)
+	return m.finishBatch(sb.ctx, r)
 }
 
 // Abort releases a half-open shared batch without running its scan: staging

@@ -98,49 +98,8 @@ func TestSpanDeltasOnEnd(t *testing.T) {
 	}
 }
 
-// TestCaptureCountersBeforeEndAt: a span closed retroactively keeps the
-// deltas captured explicitly at its logical close, not the later EndAt state.
-func TestCaptureCountersBeforeEndAt(t *testing.T) {
-	meter := sim.NewDefaultMeter()
-	trace := obs.NewTrace()
-	tr := trace.Proc("p", meter)
-	ltr := tr.Track("levels")
-
-	sp := ltr.Start(obs.CatLevel, "level 0")
-	meter.Charge(sim.CtrServerScans, 10, 4)
-	closeNS := int64(meter.Now())
-	sp.CaptureCounters()
-	// Charges after the logical close must not leak into the span.
-	meter.Charge(sim.CtrServerScans, 10, 5)
-	sp.EndAt(closeNS)
-
-	if sp.Deltas == nil {
-		t.Fatal("Deltas lost by EndAt")
-	}
-	if got := sp.Deltas.Get(sim.CtrServerScans); got != 4 {
-		t.Errorf("scans delta = %d, want 4 (captured at logical close)", got)
-	}
-	if !sp.Overlay {
-		t.Error("Track()-derived span is not marked Overlay")
-	}
-}
-
-// TestEndAtWithoutCaptureStillSnapshots: EndAt on a span that never called
-// CaptureCounters captures the deltas at the EndAt call.
-func TestEndAtWithoutCaptureStillSnapshots(t *testing.T) {
-	meter := sim.NewDefaultMeter()
-	trace := obs.NewTrace()
-	tr := trace.Proc("p", meter)
-	sp := tr.Start(obs.CatBuild, "b")
-	meter.Charge(sim.CtrServerScans, 10, 2)
-	sp.EndAt(int64(meter.Now()))
-	if sp.Deltas == nil || sp.Deltas.Get(sim.CtrServerScans) != 2 {
-		t.Errorf("EndAt deltas = %v, want server_scans=2", sp.Deltas)
-	}
-}
-
-// TestEachProcView: the read-only per-proc view exposes id, label, tracks and
-// spans in registration order, and is nil-safe.
+// TestEachProcView: the read-only per-proc view exposes id, label and spans
+// in registration order, and is nil-safe.
 func TestEachProcView(t *testing.T) {
 	var nilTrace *obs.Trace
 	nilTrace.EachProc(func(obs.ProcView) { t.Error("callback on nil trace") })
@@ -149,8 +108,7 @@ func TestEachProcView(t *testing.T) {
 	tr1 := trace.Proc("alpha", sim.NewDefaultMeter())
 	tr2 := trace.Proc("beta", sim.NewDefaultMeter())
 	tr1.Start(obs.CatBuild, "a").End()
-	lt := tr2.Track("client")
-	lt.Start(obs.CatLevel, "l").End()
+	tr2.Start(obs.CatBatch, "b").End()
 
 	var got []obs.ProcView
 	trace.EachProc(func(pv obs.ProcView) { got = append(got, pv) })
@@ -162,10 +120,8 @@ func TestEachProcView(t *testing.T) {
 	}
 	if len(got[0].Spans) != 1 || len(got[1].Spans) != 1 {
 		t.Errorf("span counts: %d, %d, want 1, 1", len(got[0].Spans), len(got[1].Spans))
-	}
-	sp := got[1].Spans[0]
-	if sp.Track <= 0 || sp.Track >= len(got[1].Tracks) || got[1].Tracks[sp.Track] != "client" {
-		t.Errorf("track name not resolvable: track=%d tracks=%v", sp.Track, got[1].Tracks)
+	} else if got[1].Spans[0].Name != "b" || got[1].Spans[0].Proc != 2 {
+		t.Errorf("proc 2 holds span %q of proc %d, want b of 2", got[1].Spans[0].Name, got[1].Spans[0].Proc)
 	}
 }
 

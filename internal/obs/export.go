@@ -33,8 +33,8 @@ type traceEvent struct {
 }
 
 // WriteChrome writes the trace in Chrome/Perfetto trace-event JSON: each proc
-// becomes a process, each track (main, levels, ...) a thread, each
-// span a complete ("X") event. Load the file at https://ui.perfetto.dev.
+// becomes a process with one thread (tid 0), each span a complete ("X")
+// event. Load the file at https://ui.perfetto.dev.
 // Counter ("C") events derived from the batch spans (emitCounters) render
 // budget utilization, tier residency and counter totals as time series.
 func (t *Trace) WriteChrome(w io.Writer) error {
@@ -51,22 +51,12 @@ func (t *Trace) WriteChrome(w io.Writer) error {
 				Name: "process_sort_index", Ph: "M", Pid: p.id,
 				Args: map[string]any{"sort_index": p.id},
 			})
-			for tid, tn := range p.tracks {
-				ew.emit(traceEvent{
-					Name: "thread_name", Ph: "M", Pid: p.id, Tid: tid,
-					Args: map[string]any{"name": tn},
-				})
-				ew.emit(traceEvent{
-					Name: "thread_sort_index", Ph: "M", Pid: p.id, Tid: tid,
-					Args: map[string]any{"sort_index": tid},
-				})
-			}
 			for _, s := range p.spans {
 				d := usec(s.Dur)
 				ew.emit(traceEvent{
 					Name: s.Name, Cat: s.Cat, Ph: "X",
 					Ts: usec(s.Start), Dur: &d,
-					Pid: s.Proc, Tid: s.Track, ID: s.ID,
+					Pid: s.Proc, ID: s.ID,
 					Args: spanArgs(s),
 				})
 			}
@@ -204,8 +194,6 @@ type ndSpan struct {
 	Type    string `json:"type"`
 	Proc    int    `json:"proc"`
 	ProcN   string `json:"proc_name"`
-	Track   int    `json:"track"`
-	TrackN  string `json:"track_name"`
 	ID      int64  `json:"id"`
 	Parent  int64  `json:"parent,omitempty"`
 	Cat     string `json:"cat"`
@@ -216,7 +204,6 @@ type ndSpan struct {
 	Nodes   []int  `json:"nodes,omitempty"`
 	Rows    int64  `json:"rows,omitempty"`
 	Bytes   int64  `json:"bytes,omitempty"`
-	Overlay bool   `json:"overlay,omitempty"`
 	Attrs   []Attr `json:"attrs,omitempty"`
 }
 
@@ -245,12 +232,10 @@ func (t *Trace) WriteNDJSON(w io.Writer) error {
 			for _, s := range p.spans {
 				ns := ndSpan{
 					Type: "span", Proc: p.id, ProcN: p.name,
-					Track: s.Track, TrackN: p.tracks[s.Track],
 					ID: s.ID, Parent: s.Parent, Cat: s.Cat, Name: s.Name,
 					StartNS: s.Start, DurNS: s.Dur,
 					Source: s.Source, Nodes: s.Nodes, Rows: s.Rows, Bytes: s.Bytes,
-					Overlay: s.Overlay,
-					Attrs:   s.Attrs,
+					Attrs: s.Attrs,
 				}
 				b, err := json.Marshal(ns)
 				if err != nil {

@@ -25,11 +25,10 @@ import (
 )
 
 // Span categories, from coarse to fine. The hierarchy in a typical tree
-// build: build → level (client view) and build → batch → scan → cursor /
-// stage / fallback → sql (middleware and engine view).
+// build: build → batch → scan → cursor / stage / fallback → sql. A tree
+// level is read off its batches (their "level" attribute), not a span.
 const (
 	CatBuild    = "build"    // one whole model build (tree, NB)
-	CatLevel    = "level"    // one tree level, client side
 	CatBatch    = "batch"    // one middleware scheduling batch
 	CatScan     = "scan"     // the batch's single scan of its source
 	CatStage    = "stage"    // staging capture/finalize (file or memory)
@@ -54,7 +53,6 @@ type Span struct {
 	ID     int64  // unique within the proc, assigned in deterministic order
 	Parent int64  // parent span ID, 0 = root
 	Proc   int    // virtual-clock domain ("process" in Perfetto)
-	Track  int    // render track within the proc ("thread"); 0 = main
 	Cat    string // category constant (CatBatch, ...)
 	Name   string
 	Start  int64 // virtual ns
@@ -68,49 +66,28 @@ type Span struct {
 	Attrs  []Attr
 
 	// Deltas holds the counter movement of the span's own clock domain over
-	// the span window, captured at End (or by an explicit CaptureCounters
-	// before a retroactive EndAt). Nil means no capture happened — the span
-	// was never ended. The vector is inclusive: child-span work on the same
-	// clock is part of it; the profiler (internal/obs/profile) subtracts
-	// children to derive exclusive costs.
+	// the span window, captured at End. Nil means the span was never ended.
+	// The vector is inclusive: child-span work on the same clock is part of
+	// it; the profiler (internal/obs/profile) subtracts children to derive
+	// exclusive costs.
 	Deltas *sim.CounterVec
-
-	// Overlay marks spans recorded on a descriptive overlay track (Tracer.
-	// Track) — e.g. the client-side level view, which intentionally overlaps
-	// the build span in virtual time. The profiler reports overlay spans
-	// separately and excludes them from exclusive-cost attribution, which
-	// would otherwise double-count their windows.
-	Overlay bool
 
 	startCounts sim.CounterVec // owning clock's counters at Start
 	tr          *Tracer        // owner while open; nil once ended
 }
 
-// proc is one virtual-clock domain: one meter's worth of spans plus its track
-// (thread) name registry. All mutation happens on the owning goroutine.
+// proc is one virtual-clock domain: one meter's worth of spans. All mutation
+// happens on the owning goroutine.
 type proc struct {
 	id     int
 	name   string
 	spans  []*Span
 	nextID int64
-	tracks []string // track id -> name
 }
 
 func (p *proc) newID() int64 {
 	p.nextID++
 	return p.nextID
-}
-
-// trackID returns the stable track id for a name, allocating on first use.
-// Allocation order is deterministic, so track ids are reproducible.
-func (p *proc) trackID(name string) int {
-	for i, n := range p.tracks {
-		if n == name {
-			return i
-		}
-	}
-	p.tracks = append(p.tracks, name)
-	return len(p.tracks) - 1
 }
 
 // Trace is a whole trace: every proc's spans — the one handle the CLIs, the
@@ -135,7 +112,7 @@ func (t *Trace) Proc(name string, meter *sim.Meter) *Tracer {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	p := &proc{id: len(t.procs) + 1, name: name, tracks: []string{"main"}}
+	p := &proc{id: len(t.procs) + 1, name: name}
 	t.procs = append(t.procs, p)
 	return &Tracer{p: p, clock: meter}
 }
@@ -143,10 +120,9 @@ func (t *Trace) Proc(name string, meter *sim.Meter) *Tracer {
 // ProcView is the read-only per-proc view EachProc hands to post-hoc
 // consumers such as the profiler (internal/obs/profile).
 type ProcView struct {
-	ID     int
-	Name   string
-	Tracks []string // track id -> name
-	Spans  []*Span  // in record order
+	ID    int
+	Name  string
+	Spans []*Span // in record order
 }
 
 // EachProc invokes fn once per registered proc in registration order. The
@@ -160,19 +136,18 @@ func (t *Trace) EachProc(fn func(ProcView)) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	for _, p := range t.procs {
-		fn(ProcView{ID: p.id, Name: p.name, Tracks: p.tracks, Spans: p.spans})
+		fn(ProcView{ID: p.id, Name: p.name, Spans: p.spans})
 	}
 }
 
-// Tracer opens spans against one proc on one track. Like a sim.Meter it is
-// single-goroutine. The zero-value rule is nil = disabled: every method on a nil
-// *Tracer is a no-op returning nil.
+// Tracer opens spans against one proc; a proc has one tracer, so its spans
+// nest: each child lies inside its parent, and siblings are disjoint. Like a
+// sim.Meter it is single-goroutine. The zero-value rule is nil = disabled:
+// every method on a nil *Tracer is a no-op returning nil.
 type Tracer struct {
-	p       *proc
-	clock   *sim.Meter
-	track   int
-	overlay bool // descriptive overlay track (Track): spans marked Span.Overlay
-	stack   []*Span
+	p     *proc
+	clock *sim.Meter
+	stack []*Span
 }
 
 // now returns the tracer's current virtual time in ns.
@@ -185,8 +160,7 @@ func (t *Tracer) Start(cat, name string) *Span {
 		return nil
 	}
 	s := &Span{
-		Proc: t.procID(), Track: t.track, Cat: cat, Name: name,
-		Start: t.now(), Overlay: t.overlay,
+		Proc: t.procID(), Cat: cat, Name: name, Start: t.now(),
 		startCounts: t.clock.CounterVec(), tr: t, ID: t.p.newID(),
 	}
 	if n := len(t.stack); n > 0 {
@@ -202,16 +176,6 @@ func (t *Tracer) procID() int {
 		return t.p.id
 	}
 	return 0
-}
-
-// Track returns a sibling tracer on the named render track of the same proc,
-// with its own span stack. Must be called (and used) from the proc's owning
-// goroutine.
-func (t *Tracer) Track(name string) *Tracer {
-	if t == nil {
-		return nil
-	}
-	return &Tracer{p: t.p, clock: t.clock, track: t.p.trackID(name), overlay: true}
 }
 
 // RunSegments is the host-parallel execution of one scan: it runs body once
@@ -239,9 +203,10 @@ func RunSegments(meter *sim.Meter, k int, body func(seg int, m *sim.Meter)) {
 	meter.JoinSerial(segs)
 }
 
-// End closes the span at the tracer's current virtual time. Safe on a nil or
-// already-ended span; out-of-order ends (e.g. overlapping client-side level
-// spans) are handled by removing the span wherever it sits on the stack.
+// End closes the span at the tracer's current virtual time and captures its
+// counter deltas. Safe on a nil or already-ended span. The span is removed
+// wherever it sits on the stack, so an error path that ends an outer span
+// first still leaves the stack clean.
 func (s *Span) End() {
 	if s == nil || s.tr == nil {
 		return
@@ -249,37 +214,6 @@ func (s *Span) End() {
 	s.Dur = s.tr.now() - s.Start
 	s.captureCounters()
 	s.popStack()
-}
-
-// EndAt closes the span at an explicit virtual time (ns in the proc's clock
-// domain), for spans whose logical end was observed earlier than the call. An
-// earlier CaptureCounters result is kept — by the time EndAt runs the clock
-// has usually moved past the recorded end, so a fresh capture would attribute
-// later work to the span; without one, counters are captured here.
-func (s *Span) EndAt(ns int64) {
-	if s == nil || s.tr == nil {
-		return
-	}
-	s.Dur = ns - s.Start
-	if s.Dur < 0 {
-		s.Dur = 0
-	}
-	if s.Deltas == nil {
-		s.captureCounters()
-	}
-	s.popStack()
-}
-
-// CaptureCounters records the span's inclusive counter deltas as of the
-// owning clock's current state, overwriting any earlier capture. End captures
-// automatically; callers that close spans retroactively with EndAt invoke
-// this at each moment the span's logical end time advances (the client-side
-// level spans do, at every node close). Nil-safe and chainable.
-func (s *Span) CaptureCounters() *Span {
-	if s != nil && s.tr != nil {
-		s.captureCounters()
-	}
-	return s
 }
 
 func (s *Span) captureCounters() {

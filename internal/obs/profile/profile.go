@@ -6,15 +6,17 @@
 //
 //   - Per-span cost attribution. Every span carries the counter vector of its
 //     clock domain captured at its start and end boundaries (obs.Span.Deltas),
-//     so its inclusive cost is exact; exclusive cost subtracts the children.
-//     Exclusive virtual time is derived by a segment sweep that assigns every
-//     instant of the proc's timeline to exactly one span, so exclusive times
-//     sum to the total build virtual time — no instant is counted twice or
-//     dropped, which TestAttributionSumsToTotal asserts as a property.
+//     so its inclusive cost is exact; exclusive cost — time and counters —
+//     is inclusive cost less the children's. That is exact because a proc
+//     has one tracer, so its spans nest: each child lies inside its parent
+//     and siblings are disjoint. Exclusive times plus the time no root
+//     covers sum to the proc's total, which TestAttributionSumsToTotal
+//     asserts together with the nesting itself.
 //
 //   - An EXPLAIN ANALYZE-style report (report.go): a deterministic text
-//     tree mirroring the build — levels, batches, scans, stages,
-//     fallback arms — with inclusive/exclusive costs and percent of total.
+//     tree mirroring the build — batches, scans, stages, fallback arms —
+//     with inclusive/exclusive costs and percent of total, and the batches
+//     rolled up by tree level.
 //     Byte-identical across GOMAXPROCS and reruns,
 //     same as the traces it reads.
 package profile
@@ -37,18 +39,16 @@ type Proc struct {
 	ID    int
 	Label string
 
-	TotalNS        int64 // end of the last non-overlay span
+	TotalNS        int64 // end of the last span
 	AttributedNS   int64 // sum of exclusive times over the span forest
-	UnattributedNS int64 // timeline instants covered by no span
-	Spans          int   // non-overlay spans
-	OverlaySpans   int
+	UnattributedNS int64 // TotalNS less the roots' inclusive times
+	Spans          int
 
 	// Counters holds the proc's total counter values (the sum of the root
 	// spans' inclusive deltas), keyed by counter name, non-zero entries only.
 	Counters map[string]int64
 
 	Roots    []*Node
-	Overlays []*Node // client-side level view etc.
 	ByCat    []Rollup
 	BySource []Rollup
 	ByLevel  []LevelRollup
@@ -61,7 +61,6 @@ type Node struct {
 	Cat      string
 	Name     string
 	Source   string
-	Track    string // non-main tracks (overlays)
 	StartNS  int64
 	InclNS   int64
 	ExclNS   int64
@@ -70,8 +69,7 @@ type Node struct {
 	Attrs    []obs.Attr
 	Children []*Node
 
-	span    *obs.Span
-	up      *Node // parent in the attribution forest; nil for roots
+	parent  int64 // parent span id, 0 = root
 	inclVec sim.CounterVec
 	exclVec sim.CounterVec
 }
@@ -135,37 +133,24 @@ func Compute(t *obs.Trace) *Profile {
 func ComputeProc(pv obs.ProcView) *Proc {
 	proc := &Proc{ID: pv.ID, Label: pv.Name}
 
-	// Split overlay spans (client-side level view: intentionally overlapping
-	// windows) from the attribution forest and wrap everything in Nodes.
 	byID := make(map[int64]*Node, len(pv.Spans))
-	var normal, overlays []*Node
+	nodes := make([]*Node, 0, len(pv.Spans))
 	for _, s := range pv.Spans {
-		n := newNode(s, pv.Tracks)
-		if s.Overlay {
-			overlays = append(overlays, n)
-		} else {
-			normal = append(normal, n)
-			byID[n.ID] = n
-		}
+		n := newNode(s)
+		nodes = append(nodes, n)
+		byID[n.ID] = n
 	}
-	proc.Spans = len(normal)
-	proc.OverlaySpans = len(overlays)
-	sortNodes(overlays)
-	proc.Overlays = overlays
+	proc.Spans = len(nodes)
 
-	// Link the forest. A parent id that resolves to no non-overlay node (or
-	// 0) makes the span a root.
+	// Link the forest. A parent id that resolves to no node (or 0) makes the
+	// span a root.
 	var roots []*Node
-	for _, n := range normal {
-		if parent := byID[n.span.Parent]; parent != nil {
+	for _, n := range nodes {
+		if parent := byID[n.parent]; parent != nil {
 			parent.Children = append(parent.Children, n)
-			n.up = parent
 		} else {
 			roots = append(roots, n)
 		}
-	}
-	for _, n := range normal {
-		sortNodes(n.Children)
 		if end := n.EndNS(); end > proc.TotalNS {
 			proc.TotalNS = end
 		}
@@ -173,47 +158,39 @@ func ComputeProc(pv obs.ProcView) *Proc {
 	sortNodes(roots)
 	proc.Roots = roots
 
-	// Exclusive-time attribution: sweep the whole timeline once, assigning
-	// every instant to exactly one span (or to UnattributedNS).
-	if proc.TotalNS > 0 {
-		virtualRoot := &Node{InclNS: proc.TotalNS, Children: roots}
-		attributeTime(virtualRoot, []segment{{0, proc.TotalNS}})
-		proc.UnattributedNS = virtualRoot.ExclNS
-	}
-
-	// Exclusive counters: own inclusive deltas minus the children's.
-	for _, n := range normal {
-		n.exclVec = n.inclVec
+	// Exclusive cost: the spans nest, so a span's own time and counters are
+	// its inclusive ones less its children's, and the time no root covers is
+	// unattributed.
+	for _, n := range nodes {
+		sortNodes(n.Children)
+		n.ExclNS, n.exclVec = n.InclNS, n.inclVec
 		for _, c := range n.Children {
+			n.ExclNS -= c.InclNS
 			n.exclVec.Sub(&c.inclVec)
 		}
+		proc.AttributedNS += n.ExclNS
+		n.PctBP = pctBP(n.ExclNS, proc.TotalNS)
 	}
-	counters := sim.CounterVec{}
+	var counters sim.CounterVec
+	proc.UnattributedNS = proc.TotalNS
 	for _, r := range roots {
+		proc.UnattributedNS -= r.InclNS
 		counters.Add(&r.inclVec)
 	}
 	proc.Counters = counterMap(&counters)
 
-	// Fill derived per-node fields and rollups now that attribution is done.
-	for _, n := range normal {
-		proc.AttributedNS += n.ExclNS
-		n.PctBP = pctBP(n.ExclNS, proc.TotalNS)
-	}
-	proc.ByCat = rollupBy(normal, proc.TotalNS, func(n *Node) string { return n.Cat })
-	proc.BySource = rollupBy(normal, proc.TotalNS, func(n *Node) string { return n.Source })
-	proc.ByLevel = rollupLevels(normal)
-	proc.Hot = hotSpans(normal, proc.TotalNS)
+	proc.ByCat = rollupBy(nodes, proc.TotalNS, func(n *Node) string { return n.Cat })
+	proc.BySource = rollupBy(nodes, proc.TotalNS, func(n *Node) string { return n.Source })
+	proc.ByLevel = rollupLevels(nodes)
+	proc.Hot = hotSpans(nodes, proc.TotalNS)
 	return proc
 }
 
-func newNode(s *obs.Span, tracks []string) *Node {
+func newNode(s *obs.Span) *Node {
 	n := &Node{
 		ID: s.ID, Cat: s.Cat, Name: s.Name, Source: s.Source,
 		StartNS: s.Start, InclNS: s.Dur, Rows: s.Rows,
-		Attrs: s.Attrs, span: s,
-	}
-	if s.Track > 0 && s.Track < len(tracks) {
-		n.Track = tracks[s.Track]
+		Attrs: s.Attrs, parent: s.Parent,
 	}
 	if s.Deltas != nil {
 		n.inclVec = *s.Deltas
@@ -222,7 +199,7 @@ func newNode(s *obs.Span, tracks []string) *Node {
 }
 
 // sortNodes orders siblings by start time, then id — the deterministic
-// rendering and attribution order.
+// rendering order.
 func sortNodes(ns []*Node) {
 	sort.Slice(ns, func(i, j int) bool {
 		if ns[i].StartNS != ns[j].StartNS {
@@ -230,80 +207,6 @@ func sortNodes(ns []*Node) {
 		}
 		return ns[i].ID < ns[j].ID
 	})
-}
-
-// segment is one half-open [lo, hi) slice of the timeline.
-type segment struct{ lo, hi int64 }
-
-// attributeTime assigns every instant of n's owned segments either to the
-// covering child that owns it or to n's own exclusive time, then recurses.
-// Among children covering the same instant, the owner is the one with the
-// latest start, then the latest end, then the smallest id. The sweep
-// partitions time exactly: summed exclusive times equal the total timeline.
-func attributeTime(n *Node, owned []segment) {
-	kids := n.Children
-	if len(kids) == 0 {
-		for _, s := range owned {
-			n.ExclNS += s.hi - s.lo
-		}
-		return
-	}
-	cuts := make([]int64, 0, 2*len(kids))
-	for _, k := range kids {
-		cuts = append(cuts, k.StartNS, k.EndNS())
-	}
-	sort.Slice(cuts, func(i, j int) bool { return cuts[i] < cuts[j] })
-	childOwned := make([][]segment, len(kids))
-	for _, s := range owned {
-		lo := s.lo
-		ci := 0
-		for lo < s.hi {
-			// hi of this elementary interval: the next cut strictly past lo.
-			hi := s.hi
-			for ; ci < len(cuts); ci++ {
-				if cuts[ci] > lo {
-					if cuts[ci] < hi {
-						hi = cuts[ci]
-					}
-					break
-				}
-			}
-			owner := -1
-			for i, k := range kids {
-				if k.StartNS > lo || k.EndNS() < hi {
-					continue // does not cover [lo, hi)
-				}
-				if owner < 0 {
-					owner = i
-					continue
-				}
-				o := kids[owner]
-				switch {
-				case k.StartNS != o.StartNS:
-					if k.StartNS > o.StartNS {
-						owner = i
-					}
-				case k.EndNS() != o.EndNS():
-					if k.EndNS() > o.EndNS() {
-						owner = i
-					}
-				case k.ID < o.ID:
-					owner = i
-				}
-			}
-			if owner < 0 {
-				n.ExclNS += hi - lo
-			} else if segs := childOwned[owner]; len(segs) > 0 && segs[len(segs)-1].hi == lo {
-				childOwned[owner][len(segs)-1].hi = hi
-			} else {
-				childOwned[owner] = append(childOwned[owner], segment{lo, hi})
-			}
-			lo = hi
-		}
-	}
-	for i, k := range kids {
-		attributeTime(k, childOwned[i])
-	}
 }
 
 // rollupBy aggregates exclusive costs by a key function, skipping empty keys,

@@ -124,10 +124,29 @@ func eachNode(roots []*Node, fn func(*Node)) {
 	}
 }
 
+// checkNesting asserts what subtraction-based attribution rests on: each
+// child lies inside its parent, and siblings (roots too), in start order, are
+// disjoint.
+func checkNesting(t *testing.T, label string, sibs []*Node, parent *Node) {
+	t.Helper()
+	for i, n := range sibs {
+		if parent != nil && (n.StartNS < parent.StartNS || n.EndNS() > parent.EndNS()) {
+			t.Errorf("%s: span %d %s/%s [%d, %d) is not inside its parent %d [%d, %d)",
+				label, n.ID, n.Cat, n.Name, n.StartNS, n.EndNS(), parent.ID, parent.StartNS, parent.EndNS())
+		}
+		if i > 0 && sibs[i-1].EndNS() > n.StartNS {
+			t.Errorf("%s: sibling spans %d (ends %d) and %d (starts %d) overlap",
+				label, sibs[i-1].ID, sibs[i-1].EndNS(), n.ID, n.StartNS)
+		}
+		checkNesting(t, label, n.Children, n)
+	}
+}
+
 // TestAttributionSumsToTotal is the profiler's conservation property: over
-// every scenario shape, exclusive virtual times sum exactly to the build's
-// total virtual time (nothing double-counted, nothing dropped), and exclusive
-// counter deltas sum exactly to the root spans' inclusive deltas.
+// every scenario shape, the spans nest (checkNesting), exclusive virtual
+// times plus the unattributed time sum exactly to the build's total virtual
+// time (nothing double-counted, nothing dropped), and exclusive counter
+// deltas sum exactly to the root spans' inclusive deltas.
 func TestAttributionSumsToTotal(t *testing.T) {
 	for _, sc := range scenarios() {
 		sc := sc
@@ -140,6 +159,10 @@ func TestAttributionSumsToTotal(t *testing.T) {
 			proc := p.Procs[0]
 			if proc.Spans == 0 {
 				t.Fatal("no spans profiled")
+			}
+			checkNesting(t, sc.name, proc.Roots, nil)
+			if len(proc.ByLevel) == 0 {
+				t.Error("no per-level rollup: batch spans should carry the level attribute")
 			}
 			if proc.TotalNS != meterNS {
 				t.Errorf("TotalNS = %d, meter = %d", proc.TotalNS, meterNS)
@@ -182,28 +205,6 @@ func TestAttributionSumsToTotal(t *testing.T) {
 				}
 			})
 		})
-	}
-}
-
-// TestOverlaysExcluded: the client-side level spans are overlay-only — they
-// overlap by design and must not participate in attribution.
-func TestOverlaysExcluded(t *testing.T) {
-	col, _, _ := buildProfiled(t, scenarios()[0])
-	p := Compute(col)
-	proc := p.Procs[0]
-	if len(proc.Overlays) == 0 {
-		t.Fatal("no overlay spans: expected the dtree level view")
-	}
-	for _, o := range proc.Overlays {
-		if o.Cat != obs.CatLevel {
-			t.Errorf("overlay span %d has cat %q, want %q", o.ID, o.Cat, obs.CatLevel)
-		}
-	}
-	if proc.Spans+proc.OverlaySpans != proc.Spans+len(proc.Overlays) {
-		t.Errorf("overlay count mismatch: %d != %d", proc.OverlaySpans, len(proc.Overlays))
-	}
-	if len(proc.ByLevel) == 0 {
-		t.Error("no per-level rollup: batch spans should carry the level attribute")
 	}
 }
 

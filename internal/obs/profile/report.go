@@ -51,9 +51,6 @@ func (p *Profile) WriteText(w io.Writer) error {
 func writeProcText(tw *errWriter, proc *Proc) {
 	tw.printf("== proc %d %q ==\n", proc.ID, proc.Label)
 	tw.printf("total %s   spans %d", secs(proc.TotalNS), proc.Spans)
-	if proc.OverlaySpans > 0 {
-		tw.printf(" (+%d overlay)", proc.OverlaySpans)
-	}
 	tw.printf("   attributed %s (%s)", secs(proc.AttributedNS), pct(pctBP(proc.AttributedNS, proc.TotalNS)))
 	if proc.UnattributedNS != 0 {
 		tw.printf("   unattributed %s", secs(proc.UnattributedNS))
@@ -64,14 +61,6 @@ func writeProcText(tw *errWriter, proc *Proc) {
 		tw.printf("\nspan tree (incl / excl / excl%% of total):\n")
 		for _, r := range proc.Roots {
 			writeNodeText(tw, proc, r, 0)
-		}
-	}
-	if len(proc.Overlays) > 0 {
-		tw.printf("\nclient level view (overlay spans, excluded from attribution):\n")
-		for _, o := range proc.Overlays {
-			tw.printf("  %-24s %s .. %s  incl %s%s\n",
-				o.Name, secs(o.StartNS), secs(o.EndNS()), secs(o.InclNS),
-				topCounters(&o.inclVec, 3))
 		}
 	}
 	if len(proc.Hot) > 0 {
@@ -125,9 +114,6 @@ func writeNodeText(tw *errWriter, proc *Proc, n *Node, depth int) {
 	label := n.Cat + "/" + n.Name
 	if n.Source != "" {
 		label += " [" + n.Source + "]"
-	}
-	if n.Track != "" {
-		label += " (" + n.Track + ")"
 	}
 	if n.Rows > 0 {
 		label += fmt.Sprintf(" rows=%d", n.Rows)

@@ -69,7 +69,21 @@ type Session struct {
 	finishNS int64
 	admitted bool
 	done     bool
+
+	ctx    context.Context // the session's own, a child of the fleet's
+	cancel context.CancelFunc
+	err    error // why the session left early (Err)
 }
+
+// Cancel cancels the session, from any goroutine, before or during Run: it
+// leaves its cohort at the end of the round it is in — sooner when its solo
+// pass or statement notices, which they do once per block — or, not yet
+// admitted, in the round that admits it. The rest of the run carries on.
+func (s *Session) Cancel() { s.cancel() }
+
+// Err returns, once Run has returned, why the session left before it
+// finished: its context's error when it was cancelled, nil otherwise.
+func (s *Session) Err() error { return s.err }
 
 // Tree returns the session's finished tree (nil before Run completes, and
 // always nil for scoring sessions).
@@ -103,6 +117,11 @@ func (s *Session) Close() error {
 
 // Fleet runs a set of sessions against one engine server.
 type Fleet struct {
+	// ctx is the parent of every session's context; RunContext cancels it
+	// with the run's, and when it returns.
+	ctx  context.Context
+	stop context.CancelFunc
+
 	srv    *engine.Server
 	cfg    FleetConfig
 	col    *obs.Trace
@@ -133,7 +152,10 @@ func NewFleet(srv *engine.Server, col *obs.Trace, cfg FleetConfig) (*Fleet, erro
 		}
 	}
 	costs := srv.Meter().Costs()
+	ctx, stop := context.WithCancel(context.Background())
 	return &Fleet{
+		ctx:    ctx,
+		stop:   stop,
 		srv:    srv,
 		cfg:    cfg,
 		col:    col,
@@ -181,6 +203,7 @@ func (f *Fleet) register(s *Session, labelFmt string) (*Session, error) {
 	}
 	f.lastID++
 	s.ID = f.lastID
+	s.ctx, s.cancel = context.WithCancel(f.ctx)
 	if s.Label == "" {
 		s.Label = fmt.Sprintf(labelFmt, s.ID)
 	}
@@ -269,15 +292,22 @@ func (f *Fleet) reslice(running []*Session) {
 	}
 }
 
-// Run admits and executes every opened session to completion. Solo steps go
-// to the running session furthest behind in virtual time; with ScanSharing,
-// rounds where two or more sessions' next batch is a shareable server scan
-// run those batches against one physical scan. Returns the first error.
-func (f *Fleet) Run() (err error) {
+// Run is RunContext with a context that is never cancelled.
+func (f *Fleet) Run() error { return f.RunContext(context.Background()) }
+
+// RunContext admits and executes every opened session to completion. Solo
+// steps go to the running session furthest behind in virtual time; with
+// ScanSharing, rounds where two or more sessions' next batch is a shareable
+// server scan run those batches against one physical scan. A cancelled
+// session (Session.Cancel) leaves while the others carry on; a cancelled
+// ctx ends the run with ctx.Err(). Returns the first error.
+func (f *Fleet) RunContext(ctx context.Context) (err error) {
 	if f.ran {
 		return fmt.Errorf("serve: fleet already ran")
 	}
 	f.ran = true
+	defer f.stop() // releases every session's context once the run is over
+	defer context.AfterFunc(ctx, f.stop)()
 	// An error abandons the round mid-flight: before returning, end every
 	// admitted, unfinished build's spans (sharedRound has already released what
 	// its participants held) and release its middleware (staging files).
@@ -286,7 +316,8 @@ func (f *Fleet) Run() (err error) {
 	// statement of a cohort succeeds or fails with its run, so a reader that
 	// followed the scan learns the verdict here, after everything it may ask
 	// of a finished session (its latency) or expect of a failed one (spans
-	// ended, files gone) is in place, and never waits forever.
+	// ended, files gone) is in place, and never waits forever. A session that
+	// left keeps the outcome it left with.
 	defer func() {
 		if err != nil {
 			for _, s := range f.sessions {
@@ -325,6 +356,9 @@ func (f *Fleet) Run() (err error) {
 	}
 
 	for {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
 		if err := admit(); err != nil {
 			return err
 		}
@@ -350,7 +384,7 @@ func (f *Fleet) Run() (err error) {
 			}
 		}
 		if len(cohort) >= 2 {
-			if err := f.sharedRound(cohort); err != nil {
+			if err := f.sharedRound(ctx, cohort); err != nil {
 				return err
 			}
 		} else {
@@ -361,58 +395,101 @@ func (f *Fleet) Run() (err error) {
 			if !ok {
 				return fmt.Errorf("serve: no running session has an open clock")
 			}
-			s := f.byID[id]
-			if s.model != nil {
-				s.view.ScoreInto(s.score, s.model)
-				s.scored = true
-			} else {
-				results, err := s.m.Step()
-				if err != nil {
-					return err
-				}
-				if err := s.b.Feed(results); err != nil {
-					return err
-				}
+			if err := f.step(f.byID[id]); err != nil {
+				return err
 			}
 		}
 
-		// Retire finished sessions: their slot frees at their finish time,
-		// and the survivors' budgets re-slice.
+		// Retire finished sessions, and let cancelled ones leave: a slot frees
+		// at its session's finish time, and the survivors' budgets re-slice.
+		// A session that left during the round is already done.
 		out := running[:0]
-		retired := false
+		changed := false
 		for _, s := range running {
-			if s.model != nil {
-				if !s.scored {
+			if !s.done {
+				finished := s.scored
+				if s.b != nil {
+					finished = s.b.Pending() == 0
+				}
+				var err error
+				switch {
+				case finished:
+					if s.b != nil {
+						if s.tree, err = s.b.Finish(); err != nil {
+							return err
+						}
+					}
+					err = f.retire(s)
+				case s.ctx.Err() != nil:
+					err = f.leave(s)
+				default:
 					out = append(out, s)
 					continue
 				}
-			} else {
-				if s.b.Pending() > 0 {
-					out = append(out, s)
-					continue
-				}
-				tree, err := s.b.Finish()
 				if err != nil {
 					return err
 				}
-				s.tree = tree
 			}
-			s.finishNS = int64(s.meter.Now())
-			if s.finishNS > f.freeNS {
-				f.freeNS = s.finishNS
-			}
-			if err := s.Close(); err != nil {
-				return err
-			}
-			f.clocks.Close(s.ID)
-			s.done = true
-			retired = true
+			changed = true
 		}
 		running = out
-		if retired {
+		if changed {
 			f.reslice(running)
 		}
 	}
+}
+
+// step runs one solo batch of s — a scoring pass, or one middleware Step fed
+// to the builder — under the session's context. A session cancelled during
+// it leaves (the pass or batch has already released what it held).
+func (f *Fleet) step(s *Session) error {
+	var err error
+	if s.model != nil {
+		if err = s.view.ScoreInto(s.ctx, s.score, s.model); err == nil {
+			s.scored = true
+		}
+	} else {
+		var results []*mw.Result
+		if results, err = s.m.StepContext(s.ctx); err == nil {
+			err = s.b.Feed(results)
+		}
+	}
+	return f.settle(s, err)
+}
+
+// settle returns err, the outcome of s's batch or pass, unless s's own
+// context ended it: then s leaves instead and the run carries on.
+func (f *Fleet) settle(s *Session, err error) error {
+	if err != nil && s.ctx.Err() != nil {
+		return f.leave(s)
+	}
+	return err
+}
+
+// leave retires a cancelled session: its builder's spans end, its middleware
+// closes, and its scoring result fails with the context's error. Whatever
+// round it was in has already ended its batch or pass.
+func (f *Fleet) leave(s *Session) error {
+	s.err = s.ctx.Err()
+	if s.b != nil {
+		s.b.Abort()
+	}
+	if s.score != nil {
+		s.score.Finish(s.err)
+	}
+	return f.retire(s)
+}
+
+// retire ends a session's run: its finish time, the slot it frees, its
+// middleware (staging files) and its clock.
+func (f *Fleet) retire(s *Session) error {
+	s.finishNS = int64(s.meter.Now())
+	if s.finishNS > f.freeNS {
+		f.freeNS = s.finishNS
+	}
+	s.done = true
+	f.clocks.Close(s.ID)
+	return s.Close()
 }
 
 // sharedRound runs one batch for every cohort session — build batches and
@@ -423,8 +500,10 @@ func (f *Fleet) Run() (err error) {
 // participant's clock then absorbs that I/O wait. On an error every participant
 // that began and has not finished is aborted — its staging writers, its scan
 // and batch spans, a scoring pass's score span — so a failed round leaks
-// nothing.
-func (f *Fleet) sharedRound(cohort []*Session) (err error) {
+// nothing. A participant cancelled while the cohort scanned is aborted the
+// same way and leaves; the others finish the round. The physical scan checks
+// the run's ctx.
+func (f *Fleet) sharedRound(ctx context.Context, cohort []*Session) (err error) {
 	type part struct {
 		s        *Session
 		sb       *mw.SharedBatch   // build sessions
@@ -433,14 +512,17 @@ func (f *Fleet) sharedRound(cohort []*Session) (err error) {
 		needCols []int // nil = all columns
 	}
 	var parts []part
+	abort := func(p part) { // a no-op on a finished participant
+		if p.sb != nil {
+			p.sb.Abort()
+		} else {
+			p.pass.Abort()
+		}
+	}
 	defer func() {
 		if err != nil {
-			for _, p := range parts { // Abort is a no-op on a finished participant
-				if p.sb != nil {
-					p.sb.Abort()
-				} else {
-					p.pass.Abort()
-				}
+			for _, p := range parts {
+				abort(p)
 			}
 		}
 	}()
@@ -450,12 +532,12 @@ func (f *Fleet) sharedRound(cohort []*Session) (err error) {
 			parts = append(parts, part{s: s, pass: pass, cons: pass.Consumer(), needCols: pass.NeedCols()})
 			continue
 		}
-		sb, results, err := s.m.BeginSharedBatch()
-		if err != nil {
-			return err
-		}
+		sb, results, err := s.m.BeginSharedBatch(s.ctx)
 		if sb == nil {
-			if err := s.b.Feed(results); err != nil {
+			if err == nil {
+				err = s.b.Feed(results)
+			}
+			if err := f.settle(s, err); err != nil {
 				return err
 			}
 			continue
@@ -494,20 +576,29 @@ func (f *Fleet) sharedRound(cohort []*Session) (err error) {
 		cons[i] = p.cons
 	}
 	ioStart := int64(f.io.Now())
-	engine.ScanGroups(context.Background(), f.srv.ColGroups(cols), cons, 0, f.srv.NumColGroups(), f.io) // resident groups: no read can fail
+	if err := engine.ScanGroups(ctx, f.srv.ColGroups(cols), cons, 0, f.srv.NumColGroups(), f.io); err != nil {
+		return err // resident groups: only ctx can fail the scan
+	}
 	ioElapsed := int64(f.io.Now()) - ioStart
 
 	for _, p := range parts {
+		if p.s.ctx.Err() != nil {
+			abort(p)
+			if err := f.leave(p.s); err != nil {
+				return err
+			}
+			continue
+		}
 		if p.pass != nil {
 			p.pass.End(ioElapsed)
 			p.s.scored = true
 			continue
 		}
 		results, err := p.sb.Finish(ioElapsed)
-		if err != nil {
-			return err
+		if err == nil {
+			err = p.s.b.Feed(results)
 		}
-		if err := p.s.b.Feed(results); err != nil {
+		if err := f.settle(p.s, err); err != nil {
 			return err
 		}
 	}

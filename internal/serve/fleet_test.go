@@ -335,30 +335,18 @@ func TestNewFleetValidation(t *testing.T) {
 	}
 }
 
-// stageDirs returns the names of middleware staging temp dirs currently on
-// disk (mw's fileStore creates one per session when Config.Dir is empty).
-func stageDirs(t *testing.T) map[string]bool {
-	t.Helper()
-	matches, err := filepath.Glob(filepath.Join(os.TempDir(), "mwstage-*"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := make(map[string]bool, len(matches))
-	for _, m := range matches {
-		out[m] = true
-	}
-	return out
-}
-
 // TestFleetRunErrorClosesSessions: a mid-run failure must release every
 // admitted session's middleware — concretely, the per-session staging
 // directories created at admission must be gone after Run returns the error.
 // (Before the fix, Run's error returns left them on disk for the process
-// lifetime.)
+// lifetime.) The sessions stage under a directory of the test's own, so
+// staging directories of other packages' tests running beside it in the OS
+// temp dir cannot count as leaks.
 func TestFleetRunErrorClosesSessions(t *testing.T) {
-	before := stageDirs(t)
+	base := baseCfg()
+	base.Dir = t.TempDir()
 	srv := testServer(t, 800)
-	f, err := NewFleet(srv, nil, FleetConfig{Base: baseCfg()})
+	f, err := NewFleet(srv, nil, FleetConfig{Base: base})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -372,6 +360,9 @@ func TestFleetRunErrorClosesSessions(t *testing.T) {
 	f.runHook = func() error {
 		rounds++
 		if rounds >= 3 {
+			if live, _ := filepath.Glob(filepath.Join(base.Dir, "mwstage-*")); len(live) != 3 {
+				t.Errorf("%d staging dirs before the failure, want one per session (3)", len(live))
+			}
 			return injected
 		}
 		return nil
@@ -384,10 +375,8 @@ func TestFleetRunErrorClosesSessions(t *testing.T) {
 			t.Fatalf("session %d was never admitted", s.ID)
 		}
 	}
-	for dir := range stageDirs(t) {
-		if !before[dir] {
-			t.Errorf("staging dir %s leaked past the failed Run", dir)
-		}
+	if left, _ := filepath.Glob(filepath.Join(base.Dir, "mwstage-*")); len(left) != 0 {
+		t.Errorf("staging dirs leaked past the failed Run: %v", left)
 	}
 	// Close stays idempotent after the cleanup.
 	for _, s := range f.Sessions() {
@@ -411,7 +400,7 @@ func stageDirOf(s *Session) string {
 // sessions 1 and 2 opened theirs. Run must return the error with every span of
 // every session ended, no staging file left open or on disk, and the server
 // fit for the next fleet. (Before the fix sessions 1 and 2 kept their open
-// writers and their scan/batch spans, and no builder's build/level spans ever
+// writers and their scan/batch spans, and no builder's build span ever
 // ended.)
 func TestFleetSharedRoundErrorAbortsCohort(t *testing.T) {
 	srv := testServer(t, 800)
