@@ -7,8 +7,9 @@
 //	BUILD TREE [MAXDEPTH n] [MINROWS n] [MODEL name] [OUTPUT STATS|TREE|TRACE]
 //
 // Builds submitted by concurrent clients run as one multi-tenant fleet
-// cohort: the memory budget splits fairly across them and, with
-// -scan-sharing (the default), their table scans share physical page reads.
+// cohort: each gets a fixed slice -memory / -max-sessions of the memory
+// budget at admission and, with -scan-sharing (the default), their table
+// scans share physical page reads.
 // SIGTERM or SIGINT drains gracefully: in-flight statements complete and
 // flush before the process exits.
 //
@@ -49,7 +50,7 @@ func run(args []string) error {
 	gen := fs.String("gen", "census", "preload a generated dataset: tree, gaussians or census")
 	rows := fs.Int("rows", 20000, "rows for -gen")
 	seed := fs.Int64("seed", 1, "seed for -gen")
-	memory := fs.Int64("memory", 0, "total middleware memory budget in bytes, split across sessions (0 = unlimited)")
+	memory := fs.Int64("memory", 0, "total middleware memory budget in bytes; each build gets a fixed slice memory / max-sessions at admission (0 = unlimited)")
 	maxSessions := fs.Int("max-sessions", 8, "concurrent build sessions; arrivals beyond the cap wait (0 = unlimited)")
 	scanSharing := fs.Bool("scan-sharing", true, "share physical table scans across concurrent builds")
 	meanGap := fs.Int64("mean-gap-ns", 0, "mean virtual inter-arrival gap of a build cohort (0 = simultaneous)")
@@ -82,6 +83,11 @@ func run(args []string) error {
 		},
 		Seed:      *arrivalSeed,
 		MeanGapNS: *meanGap,
+	}
+	// The daemon builds a fleet per cohort; refuse a config it would refuse
+	// before listening, not on every BUILD and SCORE.
+	if _, err := serve.NewFleet(srv, nil, cfg.Fleet); err != nil {
+		return err
 	}
 	d := serve.NewDaemon(srv, cfg)
 

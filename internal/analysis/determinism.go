@@ -8,8 +8,8 @@ import (
 
 // DeterminismAnalyzer guards the repository's byte-determinism contract in
 // non-test code: simulated results, obs traces and CC tables must be pure
-// functions of (workload, configuration), identical across Workers and
-// GOMAXPROCS. Three mechanically detectable classes break that:
+// functions of (workload, configuration), identical at every GOMAXPROCS.
+// Three mechanically detectable classes break that:
 //
 //   - wall-clock reads (time.Now/Since): virtual time comes from sim.Meter;
 //   - the global math/rand source: every random stream must be an explicitly

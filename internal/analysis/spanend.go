@@ -6,8 +6,8 @@ import (
 )
 
 // SpanendAnalyzer enforces the span lifecycle contract of internal/obs: every
-// span returned by Tracer.Start must reach End (or EndAt) on every path out
-// of the acquiring function, including error returns. PR 3 fixed exactly this
+// span returned by Tracer.Start must reach End on every path out of the
+// acquiring function, including error returns. PR 3 fixed exactly this
 // class by hand — the batch scan span leaked when the scan errored — and the
 // next parallel fan-out must not be able to reintroduce it.
 //
@@ -33,7 +33,7 @@ func spanendRules() *obRules {
 	return &obRules{
 		name:        "spanend",
 		leakVerb:    "Ended",
-		releaseRecv: map[string]bool{"End": true, "EndAt": true},
+		releaseRecv: map[string]bool{"End": true},
 		acquire: func(p *Pass, call *ast.CallExpr) (string, []int, bool) {
 			f := calleeFunc(p.Info, call)
 			if f == nil || f.Name() != "Start" || pkgBase(f.Pkg()) != "obs" {

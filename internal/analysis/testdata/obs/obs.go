@@ -6,7 +6,6 @@ type Tracer struct{ spans int }
 
 type Span struct {
 	tr   *Tracer
-	Dur  int64
 	Rows int64
 }
 
@@ -23,15 +22,6 @@ func (s *Span) End() {
 		s.tr = nil
 	}
 }
-
-func (s *Span) EndAt(ns int64) {
-	if s != nil {
-		s.Dur = ns
-		s.tr = nil
-	}
-}
-
-func (s *Span) CaptureCounters() *Span { return s }
 
 func (s *Span) SetRows(n int64) *Span {
 	if s != nil {

@@ -53,15 +53,6 @@ func OkSnapshotPairing(tr *obs.Tracer, m *sim.Meter, fail bool) error {
 	return nil
 }
 
-// OkRetroactiveCapture closes a span retroactively but captures its counter
-// boundary explicitly first, then ends it on the single exit path.
-func OkRetroactiveCapture(tr *obs.Tracer, m *sim.Meter, closeNS int64) {
-	sp := tr.Start("level", "level 0")
-	m.Charge(0, 1, 5)
-	sp.CaptureCounters()
-	sp.EndAt(closeNS)
-}
-
 // OkDeltaReport collects the delta keys and sorts before rendering, so the
 // report is byte-deterministic.
 func OkDeltaReport(deltas map[string]int64, emit func(string, int64)) {

@@ -59,6 +59,7 @@ func ServeFleet(env *Env, scale float64) (*Experiment, error) {
 			fcfg := serve.FleetConfig{
 				Base:        mw.Config{Staging: mw.StageFileAndMemory},
 				TotalMemory: ds.Bytes() / 2,
+				MaxSessions: clients,
 				ScanSharing: sharing,
 			}
 			fleet, err := serve.NewFleet(srv, col, fcfg)
@@ -82,7 +83,8 @@ func ServeFleet(env *Env, scale float64) (*Experiment, error) {
 			var latSum float64
 			for _, s := range fleet.Sessions() {
 				// Node ids depend on batch composition (and therefore on the
-				// per-session budget slice), so compare structure, not dumps.
+				// memory slice, which shrinks as clients grow), so compare
+				// structure, not dumps.
 				if refTree == nil {
 					refTree = s.Tree()
 				} else if !dtree.Equal(s.Tree(), refTree) {

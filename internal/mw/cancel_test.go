@@ -7,6 +7,8 @@ import (
 	"math/rand"
 	"os"
 	"runtime"
+	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -73,18 +75,44 @@ func TestCancelledScanLeavesPoolClean(t *testing.T) {
 
 // tripCtx is a context whose Err reports context.Canceled from check after+1
 // on (never, with after < 0), counting every check: an untripped build says
-// how many checks — one per block scanned — it makes.
+// how many checks — one per block scanned — it makes, and which of them (aux,
+// 1-based) a §4.3.3 build's qualifying scan made.
 type tripCtx struct {
 	context.Context
 	after  int64
 	checks atomic.Int64
+
+	mu  sync.Mutex
+	aux []int64
 }
 
 func (c *tripCtx) Err() error {
-	if n := c.checks.Add(1); c.after >= 0 && n > c.after {
+	n := c.checks.Add(1)
+	if c.after < 0 && inAuxScan() {
+		c.mu.Lock()
+		c.aux = append(c.aux, n)
+		c.mu.Unlock()
+	}
+	if c.after >= 0 && n > c.after {
 		return context.Canceled
 	}
 	return nil
+}
+
+// inAuxScan reports whether the caller runs inside the qualifying scan of a
+// keyset, TID-table or copy-table build (engine's Server.captureScan).
+func inAuxScan() bool {
+	pcs := make([]uintptr, 64)
+	frames := runtime.CallersFrames(pcs[:runtime.Callers(2, pcs)])
+	for {
+		f, more := frames.Next()
+		if strings.HasSuffix(f.Function, "engine.(*Server).captureScan") {
+			return true
+		}
+		if !more {
+			return false
+		}
+	}
 }
 
 // TestCancelledBuildLeavesNothing: every block a build scans — its passes,
@@ -92,10 +120,11 @@ func (c *tripCtx) Err() error {
 // copy-table builds — checks the build's context, and a build whose context
 // trips at a sampled block — unstaged, staged, under a budget tight enough for
 // §4.1.1 statements, and through each auxiliary structure, at GOMAXPROCS 1 and
-// 4 — returns context.Canceled through dtree.BuildContext with no tree and no
-// span left open; after Close its staging dir is empty, the engine holds no
-// temp table and the pool holds nothing of it, and a fresh build over the same
-// data still grows refBuild's tree.
+// 4; with an auxiliary structure, one sampled block lies inside its build's
+// qualifying scan — returns context.Canceled through dtree.BuildContext with
+// no tree and every span of every proc ended; after Close its staging dir is
+// empty, the engine holds no temp table and the pool holds nothing of it, and
+// a fresh build over the same data still grows refBuild's tree.
 func TestCancelledBuildLeavesNothing(t *testing.T) {
 	ds, opt := segmentsShape(t)
 	want := refBuild(ds, opt)
@@ -137,6 +166,9 @@ func TestCancelledBuildLeavesNothing(t *testing.T) {
 				if sp.Cat == obs.CatAux {
 					aux++
 				}
+				if sp.Deltas == nil {
+					t.Errorf("%s: span %d %s/%s never ended", p.Name, sp.ID, sp.Cat, sp.Name)
+				}
 			}
 		})
 		return tree, meter, aux, err
@@ -175,8 +207,15 @@ func TestCancelledBuildLeavesNothing(t *testing.T) {
 				if blocks := meter.Count(sim.CtrColBlocks); total != blocks || total == 0 {
 					t.Fatalf("the build checked its context %d times over %d blocks, want once per block", total, blocks)
 				}
+				if (aux > 0) != (len(count.aux) > 0) {
+					t.Fatalf("%d auxiliary structures, %d checks inside their qualifying scans", aux, len(count.aux))
+				}
 				rng := rand.New(rand.NewSource(total))
-				for _, n := range []int64{0, rng.Int63n(total), rng.Int63n(total), rng.Int63n(total), total - 1} {
+				trips := []int64{0, rng.Int63n(total), rng.Int63n(total), rng.Int63n(total), total - 1}
+				if len(count.aux) > 0 {
+					trips = append(trips, count.aux[rng.Intn(len(count.aux))]-1)
+				}
+				for _, n := range trips {
 					tree, _, _, err := build(t, &tripCtx{Context: context.Background(), after: n}, c.cfg)
 					if !errors.Is(err, context.Canceled) || tree != nil {
 						t.Fatalf("tripped after %d of %d checks: tree %v, error %v; want none and context.Canceled", n, total, tree != nil, err)

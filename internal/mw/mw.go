@@ -450,17 +450,6 @@ func (m *Middleware) memBudgetLeft() int64 {
 // memory budget (staged rows plus open CC tables).
 func (m *Middleware) MemoryInUse() int64 { return m.stagedMem + m.ccHold }
 
-// SetMemoryBudget re-tunes the middleware memory budget mid-build (zero
-// means unlimited). The multi-tenant fleet calls it when sessions join or
-// leave, re-slicing one physical budget fairly across the builds that share
-// it; the new ceiling takes effect at the next batch's admission check.
-func (m *Middleware) SetMemoryBudget(b int64) {
-	if b < 0 {
-		b = 0
-	}
-	m.cfg.Memory = b
-}
-
 // FileBytesInUse returns the bytes of live middleware staging files.
 func (m *Middleware) FileBytesInUse() int64 { return m.files.bytesInUse }
 

@@ -51,17 +51,19 @@ func checkSpansNest(t *testing.T, col *obs.Trace) {
 // TestFleetCancelledSessionLeavesCohort: a shared cohort of three builds and
 // one scorer, under file staging, with one session cancelled at a sampled
 // round — one of the builds, or the scorer: the first round, the one it
-// finished in without the cancel, and one drawn between. Memory is
-// unlimited, so no budget re-slices when a session leaves and a build's node
-// ids (which follow its batches) cannot move. Uncapped, the scorer rides the
-// first shared scan; capped at three sessions, it waits for a slot — it can
-// be cancelled before its admission — and scores alone. The cancel lands
-// inside its round (runHook runs after admission), where the session's solo
-// pass or the end of the shared scan meets it, or after it, where the round's
-// end does: the session leaves through the abort path, the run carries on,
-// and the other sessions' trees and predictions are byte-identical to an
-// uncancelled run's. Every span of every proc has ended and nests, and the
-// staging directory is empty — also when the run's own context is cancelled.
+// finished in without the cancel, and one drawn between. Uncapped, the scorer
+// rides the first shared scan; capped at three sessions, it waits for a slot
+// — it can be cancelled before its admission — and scores alone. The capped
+// cohort also runs under a 48 KB budget: each build's slice (16 KB) is fixed
+// at admission, so a session leaving moves no survivor's batches, and a
+// build's node ids (which follow its batches) are a solo build's with that
+// memory, cancel or not. The cancel lands inside its round (runHook runs
+// after admission), where the session's solo pass or the end of the shared
+// scan meets it, or after it, where the round's end does: the session leaves
+// through the abort path, the run carries on, and the other sessions' trees
+// and predictions are byte-identical to an uncancelled run's. Every span of
+// every proc has ended and nests, and the staging directory is empty — also
+// when the run's own context is cancelled.
 func TestFleetCancelledSessionLeavesCohort(t *testing.T) {
 	const rows = 1500
 	model, _, _ := inProcessScoreArm(t, rows, testOpt)
@@ -72,16 +74,29 @@ func TestFleetCancelledSessionLeavesCohort(t *testing.T) {
 		doneAt   map[int]int // session id -> the round it finished or left in
 		fileRows int64
 	}
+	type arm struct {
+		name        string
+		maxSessions int
+		memory      int64 // TotalMemory; 0: unlimited
+	}
+	const budget, capped = 48 << 10, 3
+	arms := []arm{{"max=0", 0, 0}, {"max=3", capped, 0}, {"max=3/memory=48K", capped, budget}}
+	// solo[i] dumps opts[i]'s tree built alone with the budgeted arm's slice.
+	var solo []string
+	for _, opt := range opts {
+		cfg := mw.Config{Staging: mw.StageFileAndMemory, Dir: t.TempDir(), Memory: budget / capped}
+		solo = append(solo, soloBuild(t, rows, cfg, opt).Dump())
+	}
 	// run runs the cohort, cancelling session victim (an id; 0: none; -1: the
 	// run's context) at round at, and checks what every run must leave
 	// behind.
-	run := func(t *testing.T, maxSessions, victim, at int) outcome {
+	run := func(t *testing.T, a arm, victim, at int) outcome {
 		t.Helper()
 		dir := t.TempDir()
 		col := obs.NewTrace()
 		f, err := NewFleet(testServer(t, rows), col, FleetConfig{
 			Base:        mw.Config{Staging: mw.StageFileAndMemory, Dir: dir},
-			MaxSessions: maxSessions, ScanSharing: true,
+			TotalMemory: a.memory, MaxSessions: a.maxSessions, ScanSharing: true,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -122,6 +137,13 @@ func TestFleetCancelledSessionLeavesCohort(t *testing.T) {
 				o.fileRows += s.meter.Count(sim.CtrFileRowsWritten)
 			}
 		}
+		if a.memory > 0 {
+			for i, s := range f.sessions[:len(opts)] {
+				if s.Tree() != nil && s.Tree().Dump() != solo[i] {
+					t.Errorf("session %d tree differs from a solo build with its %d-byte slice", s.ID, budget/capped)
+				}
+			}
+		}
 		checkSpansNest(t, col)
 		if left, err := os.ReadDir(dir); err != nil || len(left) != 0 {
 			t.Errorf("staging directory holds %d entries after Run (%v)", len(left), err)
@@ -130,10 +152,10 @@ func TestFleetCancelledSessionLeavesCohort(t *testing.T) {
 	}
 
 	for _, procs := range []int{1, 4} {
-		for _, maxSessions := range []int{0, 3} {
-			t.Run(fmt.Sprintf("procs=%d/max=%d", procs, maxSessions), func(t *testing.T) {
+		for _, a := range arms {
+			t.Run(fmt.Sprintf("procs=%d/%s", procs, a.name), func(t *testing.T) {
 				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-				ref := run(t, maxSessions, 0, 0)
+				ref := run(t, a, 0, 0)
 				if ref.fileRows == 0 || ref.f.IOMeter().Count(sim.CtrServerPages) == 0 {
 					t.Fatalf("the reference run staged %d file rows and shared %d pages; the case needs both",
 						ref.fileRows, ref.f.IOMeter().Count(sim.CtrServerPages))
@@ -150,7 +172,7 @@ func TestFleetCancelledSessionLeavesCohort(t *testing.T) {
 					}
 					for _, at := range rounds {
 						t.Run(fmt.Sprintf("session%d/round%d", victim, at), func(t *testing.T) {
-							got := run(t, maxSessions, victim, at)
+							got := run(t, a, victim, at)
 							for i, s := range got.f.sessions {
 								if s.ID == victim {
 									if !errors.Is(s.Err(), context.Canceled) || s.Tree() != nil {
@@ -179,7 +201,7 @@ func TestFleetCancelledSessionLeavesCohort(t *testing.T) {
 				// The run's own context cancelled: Run returns its error, and
 				// every session's spans, files and result end all the same.
 				t.Run("run/round2", func(t *testing.T) {
-					got := run(t, maxSessions, -1, 2)
+					got := run(t, a, -1, 2)
 					if err := got.f.sessions[len(opts)].score.Err(); !errors.Is(err, context.Canceled) {
 						t.Errorf("the scorer's result ended with %v, want context.Canceled", err)
 					}

@@ -1,9 +1,10 @@
 // Package serve hosts the multi-tenant serving layer: a fleet scheduler that
-// admits N concurrent decision-tree builds against one engine — dividing the
-// middleware memory budget fairly, sharing physical table scans across
-// sessions, and simulating every session on its own virtual clock — plus the
-// wire daemon (daemon.go) that exposes the fleet over the network protocol
-// cmd/served and the ccsql database/sql driver speak.
+// admits N concurrent decision-tree builds against one engine — giving each
+// a fixed slice TotalMemory / MaxSessions of the middleware memory budget at
+// admission, sharing physical table scans across sessions, and simulating
+// every session on its own virtual clock — plus the wire daemon (daemon.go)
+// that exposes the fleet over the network protocol cmd/served and the ccsql
+// database/sql driver speak.
 //
 // Determinism: each session's clock is a pure function of the work charged
 // to it (sim.Clocks), sessions are admitted in arrival order, solo steps go
@@ -11,7 +12,7 @@
 // scans feed their consumers in session-id order. The whole fleet therefore
 // simulates identically regardless of host scheduling, and any session's
 // tree is byte-identical to the tree a single-tenant build produces from the
-// same data and options.
+// same data, options and memory slice — whatever the other sessions do.
 package serve
 
 import (
@@ -29,11 +30,11 @@ import (
 type FleetConfig struct {
 	// Base is the middleware configuration template every session builds
 	// with. Its Memory and Session fields are managed by the fleet: Memory
-	// is re-sliced from TotalMemory as sessions join and leave, Session is
-	// the session id.
+	// is the session's slice of TotalMemory, Session is the session id.
 	Base mw.Config
-	// TotalMemory is the physical CC-memory budget shared by all running
-	// sessions, divided evenly among them (0 = unlimited for everyone).
+	// TotalMemory is the physical CC-memory budget of the fleet. Each build
+	// gets a fixed slice TotalMemory / MaxSessions at admission (at least 1
+	// byte), so it needs a session cap (0 = unlimited for everyone).
 	TotalMemory int64
 	// MaxSessions caps the concurrently running sessions; arrivals beyond
 	// the cap wait for a slot in arrival order (0 = unlimited).
@@ -146,6 +147,9 @@ func NewFleet(srv *engine.Server, col *obs.Trace, cfg FleetConfig) (*Fleet, erro
 	if cfg.TotalMemory < 0 || cfg.MaxSessions < 0 {
 		return nil, fmt.Errorf("serve: negative fleet limit")
 	}
+	if cfg.TotalMemory > 0 && cfg.MaxSessions == 0 {
+		return nil, fmt.Errorf("serve: TotalMemory %d needs MaxSessions > 0 to slice it", cfg.TotalMemory)
+	}
 	if cfg.ScanSharing {
 		if cfg.Base.Access != mw.AccessScan {
 			return nil, fmt.Errorf("serve: scan sharing requires sequential server access (mw.AccessScan)")
@@ -245,7 +249,8 @@ func (f *Fleet) TotalServerPages() int64 {
 
 // admit opens the session's clock, advancing it past its admission wait
 // (arrivals beyond the session cap wait for a slot), wires its
-// observability proc, and creates its middleware view and builder.
+// observability proc, and creates its middleware view and builder. A build's
+// memory slice is fixed here for its whole run.
 func (f *Fleet) admit(s *Session) error {
 	s.meter = f.clocks.Open(s.ID, s.arrivalNS)
 	if wait := f.freeNS - int64(s.meter.Now()); wait > 0 {
@@ -254,7 +259,10 @@ func (f *Fleet) admit(s *Session) error {
 	}
 	cfg := f.cfg.Base
 	cfg.Session = s.ID
-	cfg.Memory = f.cfg.TotalMemory
+	cfg.Memory = f.cfg.TotalMemory // 0: unlimited
+	if cfg.Memory > 0 {
+		cfg.Memory = max(1, cfg.Memory/int64(f.cfg.MaxSessions)) // never 0, which is unlimited
+	}
 	view := f.srv.View(s.meter, f.col.Proc(s.Label, s.meter))
 	if s.model != nil {
 		s.view = view
@@ -274,22 +282,6 @@ func (f *Fleet) admit(s *Session) error {
 	s.b = b
 	s.admitted = true
 	return nil
-}
-
-// reslice divides the fleet memory budget evenly among the running sessions.
-func (f *Fleet) reslice(running []*Session) {
-	if f.cfg.TotalMemory == 0 || len(running) == 0 {
-		return
-	}
-	slice := f.cfg.TotalMemory / int64(len(running))
-	if slice < 1 {
-		slice = 1
-	}
-	for _, s := range running {
-		if s.m != nil { // scoring sessions hold no CC memory
-			s.m.SetMemoryBudget(slice)
-		}
-	}
 }
 
 // Run is RunContext with a context that is never cancelled.
@@ -339,7 +331,6 @@ func (f *Fleet) RunContext(ctx context.Context) (err error) {
 	var running []*Session
 
 	admit := func() error {
-		grew := false
 		for len(pending) > 0 && (f.cfg.MaxSessions == 0 || len(running) < f.cfg.MaxSessions) {
 			s := pending[0]
 			pending = pending[1:]
@@ -347,10 +338,6 @@ func (f *Fleet) RunContext(ctx context.Context) (err error) {
 				return err
 			}
 			running = append(running, s)
-			grew = true
-		}
-		if grew {
-			f.reslice(running)
 		}
 		return nil
 	}
@@ -401,41 +388,36 @@ func (f *Fleet) RunContext(ctx context.Context) (err error) {
 		}
 
 		// Retire finished sessions, and let cancelled ones leave: a slot frees
-		// at its session's finish time, and the survivors' budgets re-slice.
-		// A session that left during the round is already done.
+		// at its session's finish time. A session that left during the round
+		// is already done.
 		out := running[:0]
-		changed := false
 		for _, s := range running {
-			if !s.done {
-				finished := s.scored
-				if s.b != nil {
-					finished = s.b.Pending() == 0
-				}
-				var err error
-				switch {
-				case finished:
-					if s.b != nil {
-						if s.tree, err = s.b.Finish(); err != nil {
-							return err
-						}
-					}
-					err = f.retire(s)
-				case s.ctx.Err() != nil:
-					err = f.leave(s)
-				default:
-					out = append(out, s)
-					continue
-				}
-				if err != nil {
-					return err
-				}
+			if s.done {
+				continue
 			}
-			changed = true
+			finished := s.scored
+			if s.b != nil {
+				finished = s.b.Pending() == 0
+			}
+			var err error
+			switch {
+			case finished:
+				if s.b != nil {
+					if s.tree, err = s.b.Finish(); err != nil {
+						return err
+					}
+				}
+				err = f.retire(s)
+			case s.ctx.Err() != nil:
+				err = f.leave(s)
+			default:
+				out = append(out, s)
+			}
+			if err != nil {
+				return err
+			}
 		}
 		running = out
-		if changed {
-			f.reslice(running)
-		}
 	}
 }
 

@@ -106,7 +106,7 @@ func TestFleetSingleSessionMatchesSolo(t *testing.T) {
 
 			srv := testServer(t, rows)
 			col := obs.NewTrace()
-			f, err := NewFleet(srv, col, FleetConfig{Base: tc.cfg, ScanSharing: tc.sharing, TotalMemory: tc.memory})
+			f, err := NewFleet(srv, col, FleetConfig{Base: tc.cfg, ScanSharing: tc.sharing, TotalMemory: tc.memory, MaxSessions: 1})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -242,7 +242,7 @@ func TestFleetDeterminism(t *testing.T) {
 	const rows, n = 1200, 3
 	run := func() *Fleet {
 		return runFleetN(t, testServer(t, rows),
-			n, FleetConfig{Base: baseCfg(), TotalMemory: 1 << 20, ScanSharing: true}, testOpt)
+			n, FleetConfig{Base: baseCfg(), TotalMemory: 1 << 20, MaxSessions: n, ScanSharing: true}, testOpt)
 	}
 	a, b := run(), run()
 	if a.TotalServerPages() != b.TotalServerPages() {
@@ -316,7 +316,8 @@ func TestFleetStaggeredArrivals(t *testing.T) {
 	}
 }
 
-// TestNewFleetValidation: scan sharing requires sequential server access.
+// TestNewFleetValidation: scan sharing requires sequential server access,
+// limits are not negative, and a memory budget is sliced by a session cap.
 func TestNewFleetValidation(t *testing.T) {
 	srv := testServer(t, 200)
 	cases := []struct {
@@ -327,6 +328,7 @@ func TestNewFleetValidation(t *testing.T) {
 		{"copy-table", FleetConfig{Base: mw.Config{Access: mw.AccessCopyTable}, ScanSharing: true}, "sequential"},
 		{"negative-memory", FleetConfig{TotalMemory: -1}, "negative"},
 		{"negative-cap", FleetConfig{MaxSessions: -1}, "negative"},
+		{"budget-without-cap", FleetConfig{TotalMemory: 4096}, "MaxSessions"},
 	}
 	for _, tc := range cases {
 		if _, err := NewFleet(srv, nil, tc.cfg); err == nil || !strings.Contains(err.Error(), tc.want) {
