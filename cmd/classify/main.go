@@ -125,7 +125,7 @@ func run() error {
 	defer m.Close()
 
 	if *model == "nb" {
-		nbm, err := nb.Train(m, 1)
+		nbm, err := nb.Train(m)
 		if err != nil {
 			return err
 		}

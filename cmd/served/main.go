@@ -53,8 +53,6 @@ func run(args []string) error {
 	memory := fs.Int64("memory", 0, "total middleware memory budget in bytes; each build gets a fixed slice memory / max-sessions at admission (0 = unlimited)")
 	maxSessions := fs.Int("max-sessions", 8, "concurrent build sessions; arrivals beyond the cap wait (0 = unlimited)")
 	scanSharing := fs.Bool("scan-sharing", true, "share physical table scans across concurrent builds")
-	meanGap := fs.Int64("mean-gap-ns", 0, "mean virtual inter-arrival gap of a build cohort (0 = simultaneous)")
-	arrivalSeed := fs.Int64("arrival-seed", 1, "seed for the virtual arrival schedule")
 	stageDir := fs.String("dir", "", "directory for middleware staging files (default: OS temp dir)")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -81,8 +79,6 @@ func run(args []string) error {
 			MaxSessions: *maxSessions,
 			ScanSharing: *scanSharing,
 		},
-		Seed:      *arrivalSeed,
-		MeanGapNS: *meanGap,
 	}
 	// The daemon builds a fleet per cohort; refuse a config it would refuse
 	// before listening, not on every BUILD and SCORE.

@@ -12,8 +12,8 @@
 // column storage the connection reuses, and Next hands database/sql values
 // straight out of it, so a large result set neither buffers nor expands on
 // the client. A statement's context is honoured while it waits and while it
-// streams: cancellation unblocks the read, returns the context's error and
-// retires the connection.
+// streams: cancellation unblocks the read, sends the daemon a TCancel for the
+// statement, returns the context's error and retires the connection.
 package ccsql
 
 import (
@@ -113,10 +113,23 @@ func (c *Conn) Prepare(query string) (driver.Stmt, error) {
 	return &stmt{c: c, query: query}, nil
 }
 
-// Close sends an orderly goodbye and closes the connection.
+// Close sends an orderly goodbye, unless the connection is retired, and
+// closes the connection.
 func (c *Conn) Close() error {
-	wire.WriteFrame(c.nc, wire.TGoodbye, nil)
+	if !c.bad {
+		wire.WriteFrame(c.nc, wire.TGoodbye, nil)
+	}
 	return c.nc.Close()
+}
+
+// cancel is run when a statement's context ends. A blocked read does not see
+// the context, but a spent deadline it does: the read fails first, so the
+// TCancel write that asks the daemon to cancel the statement cannot hold it
+// up. Then the write side is spent too, which retires the connection.
+func (c *Conn) cancel() {
+	c.nc.SetReadDeadline(time.Unix(1, 0))
+	wire.WriteFrame(c.nc, wire.TCancel, nil)
+	c.nc.SetWriteDeadline(time.Unix(1, 0))
 }
 
 // Begin is unsupported: the served engine is autocommit.
@@ -184,13 +197,13 @@ func (c *Conn) query(ctx context.Context, query string, args []driver.NamedValue
 		return nil, err
 	}
 	r := &rows{c: c, ctx: ctx}
-	if ctx.Done() != nil {
-		// A blocked read does not see the context; a spent deadline it does.
-		r.stop = context.AfterFunc(ctx, func() { c.nc.SetDeadline(time.Unix(1, 0)) })
-	}
 	c.inRows = true
 	if err := wire.WriteFrame(c.nc, wire.TQuery, wire.Query{SQL: query}); err != nil {
 		return nil, r.fail(err)
+	}
+	if ctx.Done() != nil {
+		// Armed once the query is out, so a TCancel never cuts into it.
+		r.stop = context.AfterFunc(ctx, c.cancel)
 	}
 	t, payload, err := c.fr.ReadFrame()
 	if err != nil {

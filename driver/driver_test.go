@@ -78,8 +78,12 @@ func fakeServerVersion(t *testing.T, version int) string {
 					case strings.Contains(q.SQL, "stall"):
 						// One scored batch, then silence until the client
 						// hangs up: only a cancelled context ends this stream.
+						// The next frame read is the client's cancel.
 						wire.WriteFrame(nc, wire.TResultHeader, wire.ResultHeader{Cols: []string{"class"}})
 						wire.WriteFrame(nc, wire.TScoredBatch, wire.ScoredBatch{Model: "m", Classes: []int32{4}})
+						if typ, _, err := wire.ReadFrame(nc); err == nil && typ == wire.TCancel {
+							stallCancels <- struct{}{}
+						}
 						io.Copy(io.Discard, nc)
 						return
 					case strings.Contains(q.SQL, "scoreboom"):
@@ -350,10 +354,14 @@ func TestHandshakeVersionMismatch(t *testing.T) {
 	}
 }
 
+// stallCancels receives one value per TCancel frame a stalled stream of
+// fakeServer read.
+var stallCancels = make(chan struct{}, 4)
+
 // TestContextCancelUnblocksStream: a context cancelled while the driver is
 // blocked reading a stalled stream unblocks the read, surfaces the context's
-// error and retires the connection, so the pool opens a fresh one for the next
-// statement.
+// error, sends the server a TCancel and retires the connection, so the pool
+// opens a fresh one for the next statement.
 func TestContextCancelUnblocksStream(t *testing.T) {
 	addr := fakeServer(t)
 
@@ -383,6 +391,11 @@ func TestContextCancelUnblocksStream(t *testing.T) {
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("Next still blocked 10 s after its context was cancelled")
+	}
+	select {
+	case <-stallCancels:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the server got no TCancel after the statement's context ended")
 	}
 	if err := dr.Close(); err != nil {
 		t.Fatalf("Close after cancel: %v", err)

@@ -46,7 +46,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	model, err := nb.Train(m, 1)
+	model, err := nb.Train(m)
 	if err != nil {
 		log.Fatal(err)
 	}

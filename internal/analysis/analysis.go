@@ -3,7 +3,8 @@
 // go/types, go/parser and go/importer (the module deliberately has no
 // third-party dependencies, so golang.org/x/tools is not available).
 //
-// Each analyzer guards a defect class that no runtime test catches:
+// Each analyzer guards a defect class the tests do not all catch (see
+// "What catches a planted leak" below):
 //
 //   - determinism:  no wall-clock time, no global math/rand, no map-order
 //     dependence in non-test code — byte-identical virtual time rests on it
@@ -30,6 +31,67 @@
 //	//repolint:<analyzer> <reason>   suppresses that analyzer's diagnostic
 //	//repolint:ordered <reason>      marks a map iteration order-independent
 //	                                 (determinism's domain-specific form)
+//
+// # What catches a planted leak
+//
+// Each spanend and closer testdata case was planted, one at a time, as the
+// same mistake at a real site of a copy of the module. "lint" is repolint's
+// verdict; the last column names the tests `go test ./...` then failed ("-":
+// none; T3: TestProfilesMatchRecord, TestCancelledBuildLeavesNothing and
+// TestAttributionSumsToTotal). A starred site keeps its span or resource in a
+// struct field, an ownership transfer the analyzers do not follow; nor does
+// closer track engine.Cursor, an interface, or a net.Conn.
+//
+//	testdata case                   planted at                                  lint  go test ./... fails
+//	spanend.BadErrorPath,           mw/exec.go sql-fallback span, error exit    yes   TestCancelledBuildLeavesNothing
+//	BadScanErrorPath,
+//	BadSnapshotLeak
+//	servewire.BadSharedBatchSpan    mw/exec.go stage-file span, Finish error    yes   TestFinishErrorAbortsRemainingWriters,
+//	                                                                                  TestDaemonScoreSharedRoundFailsMidStream
+//	spanend.BadErrorPath            engine/aux.go keyset/TID span, error exit   yes   TestCancelledBuildLeavesNothing
+//	spanend.BadErrorPath            engine/aux.go copy-subset span, error exit  yes   TestCancelledBuildLeavesNothing
+//	spanend.BadErrorPath            mw/exec.go batch span*, create error        no    TestFleetSharedRoundErrorAbortsCohort
+//	spanend.BadFallbackReturn       engine/exec.go sql span, DDL return         yes   -
+//	spanend.BadDiscarded            engine/exec.go sql span discarded           yes   T3
+//	spanend.BadNeverEnded           engine/exec.go sql span                     yes   T3
+//	spanend.BadNeverEnded           dtree/builder.go build span*                no    T3, TestFleetCancelledSessionLeavesCohort,
+//	                                                                                  TestFleetSharedRoundErrorAbortsCohort
+//	scorecat score-table span       engine/score.go ScorePass span*             no    TestScorePassSpan, TestProfilesMatchRecord,
+//	                                                                                  TestFleetCancelledSessionLeavesCohort,
+//	                                                                                  TestDaemonScoreSharedRoundFailsMidStream
+//	spanend.BadNeverEnded           engine/server.go cursor span*               no    -
+//	interproc forwardLeak           engine/exec.go sql span via two helpers     yes   T3
+//	interproc endIf                 engine/exec.go sql span, ended if rows      yes   TestCancelledBuildLeavesNothing
+//	interproc startSpan, startSpan2 engine/exec.go wrapped Start                yes   T3
+//	                                engine/exec.go wrapped Start(...).AttrStr   no    T3
+//	interproc discarded wrapper     engine/exec.go wrapped Start                yes   T3
+//	                                engine/exec.go wrapped Start(...).AttrStr   no    T3
+//	interproc recLeak               engine/exec.go sql span, recursive end      yes   - (leaks only on an empty statement)
+//	closer.BadCursorLeak            baseline.go OpenScan cursor, no Close       no    -
+//	closer.BadWriterLeak            mw/exec.go tee writers*, Finish error       no    TestFinishErrorAbortsRemainingWriters
+//	closer.BadWriterInLoop          mw/exec.go tee writers*, create error       no    TestCreateErrorAbortsEarlierWriters
+//	servewire.BadSessionLeak        serve/fleet.go admit, NewBuilder error      no    -
+//	servewire.BadSessionLeak        serve/fleet.go failed run, no s.Close       no    TestFleetRunErrorClosesSessions,
+//	                                                                                  TestFleetCancelledSessionLeavesCohort,
+//	                                                                                  TestFleetSharedRoundErrorAbortsCohort,
+//	                                                                                  TestDaemonScoreSharedRoundFailsMidStream
+//	closer (via nb.Train's summary) exp/figures.go middleware, Train error      yes   -
+//	closer.BadCursorLeak            exp/exp.go middleware, no Close             no    TestAllShapeChecksPass
+//	scorecat CatalogScan            serve/fleet.go SharedBatch, no Abort        no    TestFleetCancelledSessionLeavesCohort,
+//	                                                                                  TestFleetSharedRoundErrorAbortsCohort
+//	scorecat CatalogScan            serve/fleet.go ScorePass, no Abort          no    TestFleetCancelledSessionLeavesCohort
+//	closer.BadCursorLeak            dtree/build.go Builder, Step error          yes   TestCancelledBuildLeavesNothing
+//	closer.BadCursorLeak            dtree/build.go Builder, Feed error          yes   -
+//	closer.BadWriterLeak            cmd/sqlsh Dispatcher, no Close              yes   TestDaemonSqlshSameScript
+//	servewire.BadConnLeak           driver.go socket, handshake error           no    -
+//	interproc drainVia, closeIf,    baseline.go OpenScan cursor                 no    -
+//	makeCursor2
+//	                                exp/figures.go middleware                   yes   TestAllShapeChecksPass
+//
+// Of these 37 plants repolint alone catches 4, the tests alone 11, both 15
+// and neither 7: the cursor's span and the cursor itself left open, a
+// middleware leaked when NewBuilder fails, and the driver's socket on a
+// failed handshake.
 package analysis
 
 import (
@@ -57,7 +119,7 @@ type Diagnostic struct {
 
 	// Chain is the callee chain for interprocedural findings (outermost
 	// callee first), empty for local ones. The chain is already rendered
-	// into Message; it is carried separately for structured (-json) output.
+	// into Message; it is carried separately so tests can check it.
 	Chain []string
 }
 

@@ -143,61 +143,78 @@ func TestPassingCases(t *testing.T) {
 			}
 		}
 	}
-	for _, base := range []string{"determinism", "spanend", "closer", "pr3scan", "pr3staging", "skewstats", "coldict", "profsnap", "servewire", "interproc", "scorecat"} {
+	for _, base := range []string{"determinism", "spanend", "closer", "coldict", "servewire", "interproc", "scorecat"} {
 		if passing[base] == 0 {
 			t.Errorf("case package %s has no passing (Ok*/Fixed*/Good*/Free*) function", base)
 		}
 	}
 }
 
-// TestPR3ScanShapeCaught is the white-box regression for PR 3's hand-found
-// scan bug: the leaked batch-scan span must trip spanend on the
-// reconstructed code shape.
+// diagsIn returns the diagnostics the suite reported inside function fn of
+// the testdata package base.
+func diagsIn(t *testing.T, base, fn string) []Diagnostic {
+	t.Helper()
+	pkgs, diags := loadLintdata(t)
+	for _, pkg := range pkgs {
+		if pkgBase(pkg.Types) != base {
+			continue
+		}
+		for _, f := range pkg.Files {
+			for _, decl := range f.Decls {
+				if fd, ok := decl.(*ast.FuncDecl); ok && fd.Name.Name == fn {
+					start, end := pkg.Fset.Position(fd.Pos()), pkg.Fset.Position(fd.End())
+					var in []Diagnostic
+					for _, d := range diags {
+						if d.Pos.Filename == start.Filename && d.Pos.Line >= start.Line && d.Pos.Line <= end.Line {
+							in = append(in, d)
+						}
+					}
+					return in
+				}
+			}
+		}
+	}
+	t.Fatalf("no function %s.%s in testdata", base, fn)
+	return nil
+}
+
+// caughtBy counts the diagnostics of analyzer among ds.
+func caughtBy(ds []Diagnostic, analyzer string) int {
+	n := 0
+	for _, d := range ds {
+		if d.Analyzer == analyzer {
+			n++
+		}
+	}
+	return n
+}
+
+// TestPR3ScanShapeCaught: the middleware's batch-scan span, leaked when the
+// scan errors (spanend.BadScanErrorPath), must trip spanend.
 func TestPR3ScanShapeCaught(t *testing.T) {
-	_, diags := loadLintdata(t)
-	n := 0
-	for _, d := range diags {
-		if strings.Contains(d.Pos.Filename, "pr3scan") && d.Analyzer == "spanend" {
-			n++
-		}
-	}
-	if n < 1 {
-		t.Error("spanend missed the PR 3 leaked-scan-span shape")
+	if caughtBy(diagsIn(t, "spanend", "BadScanErrorPath"), "spanend") < 1 {
+		t.Error("spanend missed the leaked-scan-span shape")
 	}
 }
 
-// TestPR3StagingShapeCaught is the white-box regression for PR 3's leaked
-// staging writer: the mid-batch failure return must trip closer.
+// TestPR3StagingShapeCaught: a staging writer leaked by a mid-batch failure
+// return (closer.BadWriterInLoop) must trip closer.
 func TestPR3StagingShapeCaught(t *testing.T) {
-	_, diags := loadLintdata(t)
-	n := 0
-	for _, d := range diags {
-		if strings.Contains(d.Pos.Filename, "pr3staging") && d.Analyzer == "closer" {
-			n++
-		}
-	}
-	if n < 1 {
-		t.Error("closer missed the PR 3 leaked-staging-writer shape")
+	if caughtBy(diagsIn(t, "closer", "BadWriterInLoop"), "closer") < 1 {
+		t.Error("closer missed the leaked-staging-writer shape")
 	}
 }
 
-// TestProfSnapShapeCaught is the white-box regression for the profiler's
-// span-boundary counter-snapshot pairing: a span leaked before its end-side
-// snapshot must trip spanend, and rendering a delta map in iteration order
-// must trip determinism.
+// TestProfSnapShapeCaught: the profiler's span-boundary counter snapshots —
+// a span leaked before its end-side snapshot (spanend.BadSnapshotLeak) must
+// trip spanend, and rendering a delta map in iteration order
+// (determinism.BadDeltaMapOrder) must trip determinism.
 func TestProfSnapShapeCaught(t *testing.T) {
-	_, diags := loadLintdata(t)
-	counts := map[string]int{}
-	for _, d := range diags {
-		if strings.Contains(d.Pos.Filename, "profsnap") {
-			counts[d.Analyzer]++
-		}
+	if n := caughtBy(diagsIn(t, "spanend", "BadSnapshotLeak"), "spanend"); n < 1 {
+		t.Errorf("spanend missed the leaked boundary-snapshot span (got %d diagnostics)", n)
 	}
-	if counts["spanend"] < 1 {
-		t.Errorf("spanend missed the leaked boundary-snapshot span (got %d diagnostics)", counts["spanend"])
-	}
-	if counts["determinism"] < 1 {
-		t.Errorf("determinism missed the delta-map iteration (got %d diagnostics)", counts["determinism"])
+	if n := caughtBy(diagsIn(t, "determinism", "BadDeltaMapOrder"), "determinism"); n < 1 {
+		t.Errorf("determinism missed the delta-map iteration (got %d diagnostics)", n)
 	}
 }
 

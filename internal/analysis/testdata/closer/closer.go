@@ -1,6 +1,6 @@
 // Package closer holds the closer analyzer's testdata: cursors and writers
-// leaked on early returns are caught; deferred closes, all-path releases and
-// ownership transfers pass.
+// leaked on early returns — a staging writer inside a loop included — are
+// caught; deferred closes, all-path releases and ownership transfers pass.
 package closer
 
 import (
@@ -67,4 +67,44 @@ type scanState struct{ cur *res.Cursor }
 func OkOwnershipTransfer() *scanState {
 	// The cursor moves into the state struct; its Close happens elsewhere.
 	return &scanState{cur: res.OpenScan()}
+}
+
+// The staging shape: a mid-batch failure returns without aborting the writer
+// already open for its partition, stranding the file.
+
+var errBadPartition = errors.New("bad partition")
+
+func BadWriterInLoop(parts [][]byte) error {
+	for _, part := range parts {
+		w, err := res.Create() // want `resource Writer "w" is not released`
+		if err != nil {
+			return err
+		}
+		w.Write(part)
+		if len(part) == 0 {
+			return errBadPartition // w is neither Finished nor Aborted
+		}
+		if err := w.Finish(); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func OkWriterInLoop(parts [][]byte) error {
+	for _, part := range parts {
+		w, err := res.Create()
+		if err != nil {
+			return err
+		}
+		w.Write(part)
+		if len(part) == 0 {
+			w.Abort()
+			return errBadPartition
+		}
+		if err := w.Finish(); err != nil {
+			return err
+		}
+	}
+	return nil
 }

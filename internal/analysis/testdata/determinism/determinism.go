@@ -1,6 +1,8 @@
 // Package determinism holds the determinism analyzer's testdata: wall-clock
-// reads, global math/rand draws and order-leaking map ranges are caught;
-// seeded sources, collect-then-sort loops and //repolint:ordered loops pass.
+// reads, global math/rand draws and order-leaking map ranges — histograms,
+// split bounds and reports computed off a map walk — are caught; seeded
+// sources, dense slices, collect-then-sort loops and //repolint:ordered loops
+// pass.
 package determinism
 
 import (
@@ -62,4 +64,80 @@ func OkSliceRange(xs []int64) int64 {
 		sum += v
 	}
 	return sum
+}
+
+// BadMapHistogram builds value statistics in a map: any split boundary
+// computed from its walk changes run to run.
+func BadMapHistogram(values []int) []int64 {
+	counts := map[int]int64{}
+	for _, v := range values {
+		counts[v]++
+	}
+	var weights []int64
+	for _, c := range counts { // want `map iteration order is nondeterministic`
+		weights = append(weights, c)
+	}
+	return weights
+}
+
+// BadMapBounds emits prefix boundaries straight off a map walk.
+func BadMapBounds(pageWeight map[int]int64, nparts int) []int64 {
+	var prefix []int64
+	var run int64
+	for _, w := range pageWeight { // want `map iteration order is nondeterministic`
+		run += w
+		prefix = append(prefix, run)
+	}
+	return prefix
+}
+
+// BadDeltaMapOrder renders a counter-delta map in iteration order.
+func BadDeltaMapOrder(deltas map[string]int64, emit func(string, int64)) {
+	for name, v := range deltas { // want `map iteration order is nondeterministic`
+		emit(name, v)
+	}
+}
+
+// OkSliceHistogram is a dense counts slice indexed by value code (plus an
+// overflow counter), walked in index order.
+func OkSliceHistogram(values []int, maxValue int) ([]int64, int64) {
+	counts := make([]int64, maxValue)
+	var over int64
+	for _, v := range values {
+		if v < 0 || v >= maxValue {
+			over++
+			continue
+		}
+		counts[v]++
+	}
+	return counts, over
+}
+
+// OkSortedPageWalk collects the keys, sorts, then walks: the boundaries are
+// a pure function of the contents.
+func OkSortedPageWalk(pageWeight map[int]int64) []int64 {
+	pages := make([]int, 0, len(pageWeight))
+	for p := range pageWeight {
+		pages = append(pages, p)
+	}
+	sort.Ints(pages)
+	var prefix []int64
+	var run int64
+	for _, p := range pages {
+		run += pageWeight[p]
+		prefix = append(prefix, run)
+	}
+	return prefix
+}
+
+// OkDeltaReport sorts the delta keys before rendering.
+func OkDeltaReport(deltas map[string]int64, emit func(string, int64)) {
+	keys := make([]string, 0, len(deltas))
+	for k := range deltas {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	for _, k := range keys {
+		emit(k, deltas[k])
+	}
 }

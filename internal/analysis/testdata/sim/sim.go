@@ -1,5 +1,5 @@
-// Package sim is a structural stub of the real internal/sim: the meter the
-// profsnap case charges between a span's counter snapshots.
+// Package sim is a structural stub of the real internal/sim: the meter
+// spanend.BadSnapshotLeak charges between a span's counter snapshots.
 package sim
 
 type Counter int

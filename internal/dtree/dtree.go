@@ -78,7 +78,10 @@ func (s SplitStyle) String() string {
 }
 
 // Options configures tree growth. The zero value grows a full binary
-// entropy tree (no pruning), matching the paper's experimental setup.
+// entropy tree (no pruning), matching the paper's experimental setup. There
+// is no gain floor: like the paper's clients, a node grows until it is pure
+// or unsplittable, even through zero-gain splits (which XOR-like concepts
+// need).
 type Options struct {
 	Measure Measure
 	Split   SplitStyle
@@ -87,11 +90,6 @@ type Options struct {
 	// MinRows is the minimum node size eligible for splitting (values < 2
 	// are treated as 2).
 	MinRows int64
-	// MinGain, when positive, requires a split's impurity gain to exceed
-	// it. The default 0 imposes no gain requirement: like the paper's
-	// clients, the tree grows until nodes are pure or unsplittable, even
-	// through zero-gain splits (which XOR-like concepts need).
-	MinGain float64
 
 	// probeOnly restricts decide to the termination criteria decidable
 	// without a CC table; set internally when pre-screening fresh children.
@@ -283,21 +281,18 @@ func decide(t *cc.Table, attrs []int, classCounts []int64, rows int64, depth int
 		return decision{leaf: true}
 	}
 	if opt.probeOnly {
-		// Whether a positive-gain split exists needs the CC table; the
-		// caller will request one.
+		// Whether a split exists needs the CC table; the caller will
+		// request one.
 		return decision{leaf: false}
 	}
 	h0 := impurity(opt.Measure, classCounts, rows)
 	// One candidate's class vector and its complement, refilled per candidate.
 	vec, rest := make([]int64, len(classCounts)), make([]int64, len(classCounts))
 
-	// With no MinGain, any non-degenerate split qualifies (gain can be
-	// exactly zero); ties and the first maximum break toward the lowest
-	// attribute and value because candidates are visited in order.
+	// Any non-degenerate split qualifies (gain can be exactly zero); ties
+	// and the first maximum break toward the lowest attribute and value
+	// because candidates are visited in order.
 	best := decision{leaf: true, gain: -1}
-	if opt.MinGain > 0 {
-		best.gain = opt.MinGain
-	}
 	for _, a := range attrs {
 		if t.Card(a) < 2 {
 			continue // constant attribute at this node

@@ -104,27 +104,6 @@ func TestMaxDepthAndMinRows(t *testing.T) {
 	}
 }
 
-func TestMinGainStopsUninformativeSplits(t *testing.T) {
-	// Pure-noise class: no split has real gain; with a high MinGain the
-	// tree must stay a stump.
-	rng := rand.New(rand.NewSource(3))
-	s := data.NewSchema(3, 2, 2)
-	ds := data.NewDataset(s)
-	for i := 0; i < 500; i++ {
-		ds.Append(data.Row{
-			data.Value(rng.Intn(2)), data.Value(rng.Intn(2)),
-			data.Value(rng.Intn(2)), data.Value(rng.Intn(2)),
-		})
-	}
-	tree, err := BuildInMemory(ds, Options{MinGain: 0.2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !tree.Root.Leaf {
-		t.Errorf("noise data grew a %d-node tree despite MinGain", tree.NumNodes)
-	}
-}
-
 func TestImpurityFunctions(t *testing.T) {
 	if h := impurity(Entropy, []int64{5, 5}, 10); math.Abs(h-1.0) > 1e-9 {
 		t.Errorf("entropy(5,5) = %v, want 1", h)

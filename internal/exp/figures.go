@@ -546,7 +546,7 @@ func NaiveBayesPlugin(env *Env, scale float64) (*Experiment, error) {
 		if err != nil {
 			return nil, err
 		}
-		model, err := nb.Train(m, 1)
+		model, err := nb.Train(m)
 		if err != nil {
 			m.Close()
 			return nil, err

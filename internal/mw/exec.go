@@ -296,9 +296,10 @@ func scanRowCounter(k sourceKind) sim.Counter {
 
 // noteBatch records, as attributes of the batch span, the facts of a finished
 // batch no other span carries: requests shed back to the queue, rows staged in
-// memory, where the memory and file budgets stand, and the open nodes resident
-// per tier. Everything else about the batch is on its child spans (scan,
-// stage, fallback) and in Span.Deltas. Only called with a tracer attached.
+// memory, where the memory budget and the staging files stand, and the open
+// nodes resident per tier. Everything else about the batch is on its child
+// spans (scan, stage, fallback) and in Span.Deltas. Only called with a tracer
+// attached.
 func (r *batchRun) noteBatch(stagedMemRows int64) {
 	m := r.m
 	srvN, fileN, memN := m.residency()
@@ -307,7 +308,6 @@ func (r *batchRun) noteBatch(stagedMemRows int64) {
 		Attr("mem_used_bytes", m.MemoryInUse()).
 		Attr("mem_budget_bytes", m.cfg.Memory).
 		Attr("file_used_bytes", m.files.bytesInUse).
-		Attr("file_budget_bytes", m.cfg.FileBudget).
 		Attr("files_live", int64(m.files.live)).
 		Attr("nodes_server", int64(srvN)).
 		Attr("nodes_file", int64(fileN)).

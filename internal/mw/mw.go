@@ -130,9 +130,6 @@ type Config struct {
 	// tables under construction (or awaiting consumption) and data staged
 	// in memory. Zero means unlimited.
 	Memory int64
-	// FileBudget limits the total bytes of middleware staging files. Zero
-	// means unlimited (when file staging is enabled by Staging).
-	FileBudget int64
 	// Staging selects the allowed staging tiers.
 	Staging StagingMode
 	// FilePolicy selects file-splitting behaviour (Figure 6).
@@ -255,10 +252,10 @@ func New(srv *engine.Server, cfg Config) (*Middleware, error) {
 	if cfg.AuxThreshold == 0 {
 		cfg.AuxThreshold = 0.10
 	}
-	if cfg.Memory < 0 || cfg.FileBudget < 0 {
+	if cfg.Memory < 0 {
 		return nil, fmt.Errorf("mw: negative budget")
 	}
-	fs, err := newFileStore(cfg.Dir, srv.Meter(), srv.Schema(), cfg.FileBudget)
+	fs, err := newFileStore(cfg.Dir, srv.Meter(), srv.Schema())
 	if err != nil {
 		return nil, err
 	}

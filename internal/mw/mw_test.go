@@ -70,7 +70,7 @@ type BatchRecord struct {
 	Deltas map[string]int64 // every counter that moved, by name: Span.Deltas
 
 	MemUsedBytes, MemBudgetBytes int64
-	FileUsedBytes, FileBudget    int64
+	FileUsedBytes                int64
 	FilesLive                    int
 	NodesServer                  int
 	NodesFile                    int
@@ -98,9 +98,9 @@ func BatchRecords(trace *obs.Trace) []BatchRecord {
 					NRequeued: int(at("n_requeued")), StagedMemRows: at("staged_mem_rows"),
 					Deltas:       map[string]int64{},
 					MemUsedBytes: at("mem_used_bytes"), MemBudgetBytes: at("mem_budget_bytes"),
-					FileUsedBytes: at("file_used_bytes"), FileBudget: at("file_budget_bytes"),
-					FilesLive:   int(at("files_live")),
-					NodesServer: int(at("nodes_server")), NodesFile: int(at("nodes_file")), NodesMemory: int(at("nodes_memory")),
+					FileUsedBytes: at("file_used_bytes"),
+					FilesLive:     int(at("files_live")),
+					NodesServer:   int(at("nodes_server")), NodesFile: int(at("nodes_file")), NodesMemory: int(at("nodes_memory")),
 				}
 				s.Deltas.EachNonZero(func(c sim.Counter, n int64) { rec.Deltas[c.String()] = n })
 				batchAt[s.ID] = len(out)
@@ -334,9 +334,6 @@ func TestNegativeBudgetRejected(t *testing.T) {
 	if _, err := New(srv, Config{Memory: -1}); err == nil {
 		t.Error("negative memory accepted")
 	}
-	if _, err := New(srv, Config{FileBudget: -1}); err == nil {
-		t.Error("negative file budget accepted")
-	}
 }
 
 func TestMaxBatchLimitsBatchSize(t *testing.T) {
@@ -371,23 +368,6 @@ func TestMaxBatchLimitsBatchSize(t *testing.T) {
 	}
 	if steps != 3 {
 		t.Errorf("%d steps, want 3", steps)
-	}
-}
-
-func TestFileBudgetRespected(t *testing.T) {
-	ds := randDataset(1000, 10)
-	budget := ds.Bytes() / 4
-	m, _ := newMW(t, ds, Config{
-		Staging: StageFileOnly, FilePolicy: FilePerNode, FileBudget: budget,
-	})
-	if err := m.Enqueue(rootRequest(ds)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.Step(); err != nil {
-		t.Fatal(err)
-	}
-	if m.FileBytesInUse() > budget {
-		t.Errorf("file bytes %d exceed budget %d", m.FileBytesInUse(), budget)
 	}
 }
 

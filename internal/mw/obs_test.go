@@ -68,7 +68,7 @@ func TestBatchEmitsEvent(t *testing.T) {
 		}
 	}
 	if bs.MemUsedBytes != results[0].CC.Bytes() || bs.MemBudgetBytes != 0 || bs.FileUsedBytes != 0 ||
-		bs.FileBudget != 0 || bs.FilesLive != 0 || bs.NewFiles != 0 ||
+		bs.FilesLive != 0 || bs.NewFiles != 0 ||
 		bs.NodesServer != 0 || bs.NodesFile != 0 || bs.NodesMemory != 0 {
 		t.Errorf("budgets and residency = %+v", bs)
 	}

@@ -99,9 +99,6 @@ func (b *refBuilder) grow(rows []data.Row, attrs []int, depth int) *dtree.Node {
 	}
 	h0, total := b.impurity(n.ClassCounts, n.Rows), float64(n.Rows)
 	bestGain, bestAttr, bestVal := -1.0, -1, data.Value(0)
-	if b.opt.MinGain > 0 {
-		bestGain = b.opt.MinGain
-	}
 	// Candidates in attribute, then value order; a later one must gain more
 	// by 1e-12, so ties go to the lower attribute and value.
 	for _, a := range attrs {
@@ -227,7 +224,7 @@ func sameNode(path string, got, want *dtree.Node) error {
 // a split's largest counts table from its parent's and its siblings' wherever a
 // batch allows — grows the reference builder's tree, node for node, on small
 // census and tree-data draws: binary and multiway splits, all three measures,
-// MaxDepth, MinRows and MinGain, unlimited and under an 8 KB budget that
+// MaxDepth and MinRows, unlimited and under an 8 KB budget that
 // sheds requests and falls back to SQL.
 func TestBuildMatchesReference(t *testing.T) {
 	census, err := datagen.GenerateCensus(datagen.CensusConfig{Rows: 10000, Seed: 11})
@@ -249,7 +246,7 @@ func TestBuildMatchesReference(t *testing.T) {
 		{"census/gini", census, dtree.Options{Measure: dtree.Gini, MaxDepth: 5, MinRows: 100}},
 		{"census/multiway", census, dtree.Options{Split: dtree.MultiwaySplit, MaxDepth: 3}},
 		{"tree/binary", tree, dtree.Options{MinRows: 20}},
-		{"tree/gain-ratio", tree, dtree.Options{Measure: dtree.GainRatio, MaxDepth: 7, MinGain: 0.01}},
+		{"tree/gain-ratio", tree, dtree.Options{Measure: dtree.GainRatio, MaxDepth: 7}},
 		{"tree/multiway", tree, dtree.Options{Split: dtree.MultiwaySplit, Measure: dtree.Gini, MinRows: 30}},
 	}
 	nodes, _ := mw.Derived("")

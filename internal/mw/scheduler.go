@@ -303,9 +303,6 @@ func (m *Middleware) planFileStaging(b *batch, p *stagePlan) {
 		if m.files.seq > 0 {
 			return
 		}
-		if !m.files.hasRoomFor(batchRows(b.reqs)) {
-			return
-		}
 		p.fileTees = append(p.fileTees, &teePlan{
 			filter:   batchFilter(b.reqs),
 			keyNodes: nodeIDs(b.reqs),
@@ -316,9 +313,6 @@ func (m *Middleware) planFileStaging(b *batch, p *stagePlan) {
 		reqs := append([]*Request(nil), b.reqs...)
 		sortByRowsDesc(reqs)
 		for _, r := range reqs {
-			if !m.files.hasRoomFor(r.Rows) {
-				continue
-			}
 			p.fileTees = append(p.fileTees, &teePlan{
 				filter:   predicate.Or(r.Path),
 				keyNodes: []int{r.NodeID},
@@ -329,9 +323,6 @@ func (m *Middleware) planFileStaging(b *batch, p *stagePlan) {
 		// Create one covering file for the batch on the first server scan
 		// (the root scan needs the whole table anyway); afterwards the
 		// splitting happens on file scans (planFileSplit).
-		if !m.files.hasRoomFor(batchRows(b.reqs)) {
-			return
-		}
 		p.fileTees = append(p.fileTees, &teePlan{
 			filter:   batchFilter(b.reqs),
 			keyNodes: nodeIDs(b.reqs),
@@ -355,9 +346,6 @@ func (m *Middleware) planFileSplit(b *batch, p *stagePlan) {
 		reqs := append([]*Request(nil), b.reqs...)
 		sortByRowsDesc(reqs)
 		for _, r := range reqs {
-			if !m.files.hasRoomFor(r.Rows) {
-				continue
-			}
 			p.fileTees = append(p.fileTees, &teePlan{
 				filter:   predicate.Or(r.Path),
 				keyNodes: []int{r.NodeID},
@@ -367,9 +355,6 @@ func (m *Middleware) planFileSplit(b *batch, p *stagePlan) {
 	case FileSplitThreshold:
 		frac := float64(batchRows(b.reqs)) / float64(sf.rows)
 		if frac >= m.cfg.Threshold {
-			return
-		}
-		if !m.files.hasRoomFor(batchRows(b.reqs)) {
 			return
 		}
 		p.fileTees = append(p.fileTees, &teePlan{

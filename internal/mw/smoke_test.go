@@ -44,7 +44,7 @@ func smallCfg(seed int64) datagen.TreeGenConfig {
 // TestMiddlewareTreeMatchesInMemory is the central invariant, checked over ten
 // hand-picked configurations and then a seeded sweep of the configuration
 // space: for every draw of Staging × FilePolicy × Threshold × Memory (down to
-// budgets that force shedding and SQL fallbacks) × FileBudget × Access × AuxThreshold × MaxBatch × NoFilterPushdown × FIFOScheduling, over
+// budgets that force shedding and SQL fallbacks) × Access × AuxThreshold × MaxBatch × NoFilterPushdown × FIFOScheduling, over
 // small random-tree tables and a multi-row-group census table, the tree grown
 // through the middleware equals dtree.BuildInMemory's and, node for node, the
 // reference builder's (refBuild, which shares no counting or split code with
@@ -113,7 +113,6 @@ func TestMiddlewareTreeMatchesInMemory(t *testing.T) {
 				FilePolicy:       mw.FilePolicy(rng.Intn(3)),
 				Threshold:        []float64{0, 0.25, 0.75, 1}[rng.Intn(4)],
 				Memory:           pick(0, 0, 4*b, b, b/4, b/16, 48<<10, 12<<10),
-				FileBudget:       pick(0, 0, 2*b, b/2, b/8),
 				Access:           mw.ServerAccess(pick(0, 0, 0, 1, 2, 3)),
 				AuxThreshold:     []float64{0, 0.5, 0.9}[rng.Intn(3)],
 				MaxBatch:         int(pick(0, 0, 1, 3)),

@@ -41,7 +41,7 @@ type stageData struct {
 type stageFile struct {
 	path   string
 	rows   int64
-	bytes  int64 // modeled: rows × the schema's row width, the unit of FileBudget
+	bytes  int64 // modeled: rows × the schema's row width, the unit of file_used_bytes
 	groups []fileGroup
 }
 
@@ -128,7 +128,6 @@ type fileStore struct {
 	dir        string
 	meter      *sim.Meter
 	schema     *data.Schema
-	budget     int64 // 0 = unlimited
 	bytesInUse int64
 	live       int // staging files currently registered
 	seq        int
@@ -146,22 +145,17 @@ type fileStore struct {
 // newFileStore creates the store's private directory inside dir (the OS temp
 // dir when empty): two middlewares given the same Dir never see each other's
 // files, and Close leaves the caller's directory as it found it.
-func newFileStore(dir string, meter *sim.Meter, schema *data.Schema, budget int64) (*fileStore, error) {
+func newFileStore(dir string, meter *sim.Meter, schema *data.Schema) (*fileStore, error) {
 	d, err := os.MkdirTemp(dir, "mwstage-")
 	if err != nil {
 		return nil, fmt.Errorf("mw: create staging dir: %w", err)
 	}
-	return &fileStore{dir: d, meter: meter, schema: schema, budget: budget}, nil
+	return &fileStore{dir: d, meter: meter, schema: schema}, nil
 }
 
 // Close removes the staging directory and whatever an unfinished build left
 // in it.
 func (fs *fileStore) Close() error { return os.RemoveAll(fs.dir) }
-
-// hasRoomFor reports whether a file of approximately rows fits the budget.
-func (fs *fileStore) hasRoomFor(rows int64) bool {
-	return fs.budget == 0 || fs.bytesInUse+rows*int64(fs.schema.RowBytes()) <= fs.budget
-}
 
 // source returns sf as a scan source reading into buf — a segment's own, when
 // it is to be read; nil when it is only planned by.

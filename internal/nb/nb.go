@@ -4,6 +4,7 @@
 // architecture": Naive Bayes is driven entirely by the same sufficient
 // statistics — the co-occurrence counts of (attribute, value, class) — and
 // needs exactly one counts table, the root's, obtained in a single scan.
+// Conditional probabilities use add-one (Laplace) smoothing.
 package nb
 
 import (
@@ -20,10 +21,8 @@ type Model struct {
 	Schema *data.Schema
 	// Priors[c] is the class prior probability.
 	Priors []float64
-	// CondLog[a][v][c] is log P(A_a = v | C = c) with Laplace smoothing.
+	// CondLog[a][v][c] is log P(A_a = v | C = c) with add-one smoothing.
 	CondLog [][][]float64
-	// Alpha is the Laplace smoothing constant used.
-	Alpha float64
 	// Rows is the number of training rows.
 	Rows int64
 }
@@ -31,7 +30,7 @@ type Model struct {
 // Train builds a model through the middleware: one request for the root
 // counts table, then pure arithmetic — done before the root is closed, since
 // closing it hands the table back to the middleware.
-func Train(m *mw.Middleware, alpha float64) (*Model, error) {
+func Train(m *mw.Middleware) (*Model, error) {
 	schema := m.Schema()
 	attrs := make([]int, schema.NumAttrs())
 	for i := range attrs {
@@ -55,7 +54,7 @@ func Train(m *mw.Middleware, alpha float64) (*Model, error) {
 		}
 		for _, res := range results {
 			if res.Req.NodeID == 0 {
-				if model, err = FromCounts(schema, res.CC, alpha); err != nil {
+				if model, err = FromCounts(schema, res.CC); err != nil {
 					return nil, err
 				}
 			}
@@ -70,10 +69,7 @@ func Train(m *mw.Middleware, alpha float64) (*Model, error) {
 
 // FromCounts trains a model from a root counts table (which must include the
 // class pseudo-attribute the middleware always counts).
-func FromCounts(schema *data.Schema, t *cc.Table, alpha float64) (*Model, error) {
-	if alpha <= 0 {
-		alpha = 1
-	}
+func FromCounts(schema *data.Schema, t *cc.Table) (*Model, error) {
 	classCard := schema.Class.Card
 	classIdx := schema.ClassIndex()
 
@@ -87,7 +83,7 @@ func FromCounts(schema *data.Schema, t *cc.Table, alpha float64) (*Model, error)
 		return nil, fmt.Errorf("nb: empty counts table")
 	}
 
-	m := &Model{Schema: schema, Alpha: alpha, Rows: total}
+	m := &Model{Schema: schema, Rows: total}
 	m.Priors = make([]float64, classCard)
 	for c := 0; c < classCard; c++ {
 		m.Priors[c] = float64(classCounts[c]) / float64(total)
@@ -101,7 +97,7 @@ func FromCounts(schema *data.Schema, t *cc.Table, alpha float64) (*Model, error)
 			m.CondLog[a][v] = make([]float64, classCard)
 			for c := 0; c < classCard; c++ {
 				n := t.Count(a, data.Value(v), data.Value(c))
-				p := (float64(n) + alpha) / (float64(classCounts[c]) + alpha*float64(card))
+				p := (float64(n) + 1) / (float64(classCounts[c]) + float64(card))
 				m.CondLog[a][v][c] = math.Log(p)
 			}
 		}
@@ -110,13 +106,13 @@ func FromCounts(schema *data.Schema, t *cc.Table, alpha float64) (*Model, error)
 }
 
 // TrainInMemory trains directly from a dataset (the unmetered reference).
-func TrainInMemory(ds *data.Dataset, alpha float64) (*Model, error) {
+func TrainInMemory(ds *data.Dataset) (*Model, error) {
 	attrs := make([]int, ds.Schema.NumCols())
 	for i := range attrs {
 		attrs[i] = i
 	}
 	t := cc.FromDataset(ds, attrs, nil)
-	return FromCounts(ds.Schema, t, alpha)
+	return FromCounts(ds.Schema, t)
 }
 
 // LogPosteriors returns the unnormalized log posterior per class for a row.

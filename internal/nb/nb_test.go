@@ -30,7 +30,7 @@ func separableDataset(n int, seed int64) *data.Dataset {
 
 func TestTrainInMemorySeparable(t *testing.T) {
 	ds := separableDataset(900, 1)
-	m, err := TrainInMemory(ds, 1)
+	m, err := TrainInMemory(ds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +44,7 @@ func TestTrainInMemorySeparable(t *testing.T) {
 
 func TestPriorsSumToOne(t *testing.T) {
 	ds := separableDataset(500, 2)
-	m, err := TrainInMemory(ds, 1)
+	m, err := TrainInMemory(ds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestPriorsSumToOne(t *testing.T) {
 
 func TestConditionalsNormalized(t *testing.T) {
 	ds := separableDataset(500, 3)
-	m, err := TrainInMemory(ds, 1)
+	m, err := TrainInMemory(ds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestConditionalsNormalized(t *testing.T) {
 
 func TestLaplaceSmoothingNoZeroProbabilities(t *testing.T) {
 	ds := separableDataset(100, 4)
-	m, err := TrainInMemory(ds, 1)
+	m, err := TrainInMemory(ds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,11 +108,11 @@ func TestTrainViaMiddlewareMatchesInMemory(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer m.Close()
-	got, err := Train(m, 1)
+	got, err := Train(m)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := TrainInMemory(ds, 1)
+	want, err := TrainInMemory(ds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +161,7 @@ func TestTrainReadsRootBeforeClose(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	got, err := Train(m, 1)
+	got, err := Train(m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +173,7 @@ func TestTrainReadsRootBeforeClose(t *testing.T) {
 	for _, r := range ds.Rows {
 		counts.AddRow(r, all)
 	}
-	want, err := FromCounts(ds.Schema, counts, 1)
+	want, err := FromCounts(ds.Schema, counts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +192,7 @@ func TestPredictBeatsChanceOnGaussians(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := TrainInMemory(ds, 1)
+	m, err := TrainInMemory(ds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +203,7 @@ func TestPredictBeatsChanceOnGaussians(t *testing.T) {
 
 func TestLogPosteriorsShape(t *testing.T) {
 	ds := separableDataset(300, 7)
-	m, _ := TrainInMemory(ds, 1)
+	m, _ := TrainInMemory(ds)
 	lps := m.LogPosteriors(ds.Rows[0])
 	if len(lps) != 3 {
 		t.Fatalf("%d posteriors", len(lps))
@@ -222,18 +222,7 @@ func TestLogPosteriorsShape(t *testing.T) {
 func TestFromCountsEmptyErrors(t *testing.T) {
 	ds := separableDataset(10, 8)
 	empty := data.NewDataset(ds.Schema)
-	if _, err := TrainInMemory(empty, 1); err == nil {
+	if _, err := TrainInMemory(empty); err == nil {
 		t.Error("empty dataset accepted")
-	}
-}
-
-func TestAlphaDefaulting(t *testing.T) {
-	ds := separableDataset(100, 9)
-	m, err := TrainInMemory(ds, 0) // invalid alpha defaults to 1
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Alpha != 1 {
-		t.Errorf("alpha = %v, want 1", m.Alpha)
 	}
 }

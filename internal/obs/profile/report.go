@@ -130,13 +130,13 @@ func writeNodeText(tw *errWriter, proc *Proc, n *Node, depth int) {
 		indent, label, strings.Repeat(" ", pad),
 		secs(n.InclNS), secs(n.ExclNS), pct(n.PctBP), topCounters(&n.exclVec, 3))
 	if n.Cat == obs.CatBatch && obs.AttrInt(n.Attrs, "mem_used_bytes", -1) >= 0 {
-		// What the middleware recorded on the batch span at batch end: budget
-		// utilization (limit 0 = unlimited), open nodes resident per tier, and
-		// what the batch shed or staged.
+		// What the middleware recorded on the batch span at batch end: memory
+		// budget utilization (limit 0 = unlimited), staging file bytes, open
+		// nodes resident per tier, and what the batch shed or staged.
 		at := func(key string) int64 { return obs.AttrInt(n.Attrs, key, 0) }
-		tw.printf("%s    mem %d/%d B  file %d/%d B in %d files  open nodes server/file/memory %d/%d/%d  requeued %d  staged-mem rows %d\n",
+		tw.printf("%s    mem %d/%d B  file %d B in %d files  open nodes server/file/memory %d/%d/%d  requeued %d  staged-mem rows %d\n",
 			indent, at("mem_used_bytes"), at("mem_budget_bytes"),
-			at("file_used_bytes"), at("file_budget_bytes"), at("files_live"),
+			at("file_used_bytes"), at("files_live"),
 			at("nodes_server"), at("nodes_file"), at("nodes_memory"),
 			at("n_requeued"), at("staged_mem_rows"))
 	}

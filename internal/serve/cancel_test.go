@@ -8,13 +8,16 @@ import (
 	"os"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/dtree"
 	"repro/internal/mw"
 	"repro/internal/obs"
 	"repro/internal/obs/profile"
 	"repro/internal/sim"
+	"repro/internal/wire"
 )
 
 // checkSpansNest asserts, on every proc of col, that every span ended and
@@ -208,5 +211,143 @@ func TestFleetCancelledSessionLeavesCohort(t *testing.T) {
 				})
 			})
 		}
+	}
+}
+
+// TestDaemonCancelFrame: a TCancel on a fleet statement's connection cancels
+// that statement's session inside a held two-session cohort — a SCORE TABLE
+// before the run admits it, a BUILD TREE in the run's second round. The
+// cancelled session leaves with context.Canceled and its client is answered
+// with that error; the other session's tree dump is the uncancelled cohort's,
+// byte for byte; the cancelled connection's handler exits once its client
+// hangs up, as the driver does after a TCancel; the staging directory is
+// empty; the daemon serves the next statement; and no goroutine outlives it.
+// A client that hangs up mid-statement without a TCancel cancels it too.
+func TestDaemonCancelFrame(t *testing.T) {
+	const rows = 3000
+	const survivor = "BUILD TREE MAXDEPTH 6 MINROWS 20 OUTPUT TREE"
+	for _, tc := range []struct {
+		name, victim string
+		round        int  // the run round the cancel lands in; 0: before the run
+		hangUp       bool // the victim's client closes its connection instead
+	}{
+		{"score", "SCORE TABLE cases USING m", 0, false},
+		{"build", "BUILD TREE MAXDEPTH 5 MINROWS 10", 2, false},
+		{"build/hang-up", "BUILD TREE MAXDEPTH 5 MINROWS 10", 2, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			before := runtime.NumGoroutine()
+			dir := t.TempDir()
+			pl := newPipeListener()
+			d, tap, stop := serveOn(t, testServer(t, rows), DaemonConfig{
+				Fleet: FleetConfig{Base: mw.Config{Staging: mw.StageFileAndMemory, Dir: dir}, MaxSessions: 8, ScanSharing: true},
+			}, pl)
+			victim, other, parker := pl.dial(t), pl.dial(t), pl.dial(t)
+			if _, err := other.query("BUILD TREE MAXDEPTH 4 MODEL m"); err != nil {
+				t.Fatal(err)
+			}
+			// cohort runs the victim's statement and the survivor's as one
+			// held cohort, cancelling the victim's when cancel is set.
+			cohort := func(cancel bool) (victimFrames, otherFrames []frame, v *Session) {
+				t.Helper()
+				tap.setArm(func(f *Fleet) {
+					if len(f.sessions) != 2 || !cancel {
+						return // the parking run, or the reference cohort
+					}
+					hold := func() error {
+						if tc.hangUp {
+							victim.nc.Close()
+						} else {
+							// The pipe hands the frame over only to a reader.
+							victim.nc.SetWriteDeadline(time.Now().Add(10 * time.Second))
+							defer victim.nc.SetWriteDeadline(time.Time{})
+							if err := wire.WriteFrame(victim.nc, wire.TCancel, nil); err != nil {
+								return fmt.Errorf("nobody read the TCancel: %w", err)
+							}
+						}
+						select {
+						case <-f.sessions[0].ctx.Done():
+							return nil
+						case <-time.After(10 * time.Second):
+							return errors.New("the session was not cancelled")
+						}
+					}
+					if tc.round == 0 {
+						if err := hold(); err != nil {
+							t.Error(err)
+						}
+						return
+					}
+					rounds := 0
+					f.runHook = func() error {
+						if rounds++; rounds == tc.round {
+							return hold()
+						}
+						return nil
+					}
+				})
+				defer tap.setArm(nil)
+				queueCohort(t, d, parker,
+					func() error { return victim.send(tc.victim) },
+					func() error { return other.send(survivor) })
+				var err error
+				if victimFrames, err = victim.result(); err != nil && !(cancel && tc.hangUp) {
+					t.Fatal(err)
+				}
+				if otherFrames, err = other.result(); err != nil {
+					t.Fatal(err)
+				}
+				f := tap.last()
+				if len(f.sessions) != 2 {
+					t.Fatalf("the cohort ran as %d sessions, want 2", len(f.sessions))
+				}
+				if err := f.sessions[1].Err(); err != nil {
+					t.Errorf("the survivor left with %v", err)
+				}
+				return victimFrames, otherFrames, f.sessions[0]
+			}
+
+			_, ref, v := cohort(false)
+			if v.Err() != nil || ref[len(ref)-1].t != wire.TDone {
+				t.Fatalf("the uncancelled cohort: victim Err %v, survivor's stream ends %v", v.Err(), ref[len(ref)-1])
+			}
+			got, gotOther, v := cohort(true)
+			if !errors.Is(v.Err(), context.Canceled) {
+				t.Errorf("the cancelled session's Err() = %v, want context.Canceled", v.Err())
+			}
+			// A scorer cancelled before the run still rides the round's shared
+			// scan (Session.Cancel): its stream ends with the error after the
+			// rows the scan published.
+			if tc.hangUp {
+				// Nobody is left to answer.
+			} else if last := got[len(got)-1]; last.t != wire.TError || !strings.Contains(string(last.payload), context.Canceled.Error()) ||
+				tc.round > 0 && len(got) != 1 {
+				t.Errorf("the cancelled statement was answered %v, ending %q; want a TError with %q", got, last.payload, context.Canceled)
+			}
+			sameFrames(t, "the survivor's tree next to a cancelled session", gotOther, ref)
+
+			victim.nc.Close()
+			waitFor(t, "the cancelled connection's handler to exit", func() bool {
+				d.cmu.Lock()
+				defer d.cmu.Unlock()
+				return len(d.conns) == 2
+			})
+			if left, err := os.ReadDir(dir); err != nil || len(left) != 0 {
+				t.Errorf("staging directory holds %d entries after the cancelled cohort (%v)", len(left), err)
+			}
+			fs, err := pl.dial(t).query(survivor)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameFrames(t, "the next statement, on a new connection", fs, ref)
+			if fs, err := other.query("SCORE TABLE cases USING m"); err != nil || scoredRows(t, fs) != rows {
+				t.Fatalf("SCORE TABLE after the cancel: %v", err)
+			}
+
+			other.nc.Close()
+			parker.nc.Close()
+			stop()
+			waitFor(t, "every goroutine the test started to exit", func() bool { return runtime.NumGoroutine() <= before })
+		})
 	}
 }

@@ -1,8 +1,11 @@
 package serve
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"net"
+	"os"
 	"sync"
 	"time"
 
@@ -14,7 +17,9 @@ import (
 // only — connections, the hello exchange, framing, drain; every statement
 // goes through its Dispatcher, which routes BUILD TREE and SCORE TABLE on the
 // served table into multi-tenant fleet cohorts and everything else to the
-// engine. Connection handlers are goroutines, one per connection.
+// engine. Connection handlers are goroutines, one per connection. While a
+// fleet statement runs, its connection is watched: a TCancel frame, or the
+// client hanging up, cancels the statement's session (watchCancel).
 type Daemon struct {
 	srv  *engine.Server
 	disp *Dispatcher
@@ -33,19 +38,13 @@ type Daemon struct {
 // stopped reading would otherwise hold its handler, and Drain, forever.
 const drainGrace = 5 * time.Second
 
-// DaemonConfig tunes the dispatcher's fleet runs.
+// DaemonConfig tunes the dispatcher's fleet runs. Every session of a run
+// arrives at virtual time zero, so a cohort's results do not depend on
+// network timing.
 type DaemonConfig struct {
 	// Fleet is the multi-tenant scheduling configuration for BUILD TREE and
 	// SCORE TABLE cohorts (session cap, memory budget, scan sharing).
 	Fleet FleetConfig
-	// Seed seeds the virtual arrival schedule of each fleet run
-	// (sim.Arrivals); the run sequence number is folded in so distinct runs
-	// draw distinct schedules.
-	Seed int64
-	// MeanGapNS is the mean virtual inter-arrival gap between the sessions
-	// of one fleet run. Zero makes all sessions of a run arrive at virtual
-	// time zero — the reproducible setting the equivalence tests use.
-	MeanGapNS int64
 }
 
 // NewDaemon creates a daemon over the server.
@@ -74,8 +73,8 @@ func (d *Daemon) Serve(ln net.Listener) error {
 			continue
 		}
 		d.conns[conn] = true
+		d.wg.Add(1) // before Unlock: a Drain that takes cmu next must wait for this handler
 		d.cmu.Unlock()
-		d.wg.Add(1)
 		go func() {
 			defer d.wg.Done()
 			d.handle(conn)
@@ -146,13 +145,15 @@ func (d *Daemon) handle(conn net.Conn) {
 		switch t {
 		case wire.TGoodbye:
 			return
+		case wire.TCancel:
+			// Its statement has already ended.
 		case wire.TQuery:
 			var q wire.Query
 			if err := wire.Unmarshal(payload, &q); err != nil {
 				wire.WriteFrame(conn, wire.TError, wire.Error{Msg: err.Error()})
 				continue
 			}
-			if err := d.serveQuery(conn, q.SQL); err != nil {
+			if err := d.serveQuery(conn, fr, q.SQL); err != nil {
 				return // write failure: connection is gone
 			}
 		default:
@@ -164,9 +165,19 @@ func (d *Daemon) handle(conn net.Conn) {
 
 // serveQuery executes one statement through the dispatcher and frames its
 // result. Statement failures are reported in-band with a TError frame; the
-// returned error is non-nil only for connection-level write failures.
-func (d *Daemon) serveQuery(conn net.Conn, sql string) error {
-	res, err := d.disp.Execute(sql)
+// returned error is non-nil only for connection-level write failures. A
+// fleet statement is watched until its result is framed (watchCancel); an
+// engine statement is read, executed and written on this goroutine alone.
+func (d *Daemon) serveQuery(conn net.Conn, fr *wire.Reader, sql string) error {
+	var stop func()
+	res, err := d.disp.execute(sql, func() context.Context {
+		ctx, cancel := context.WithCancel(context.Background())
+		stop = d.watchCancel(conn, fr, cancel)
+		return ctx
+	})
+	if stop != nil {
+		defer stop()
+	}
 	if err != nil {
 		return wire.WriteFrame(conn, wire.TError, wire.Error{Msg: err.Error()})
 	}
@@ -174,6 +185,33 @@ func (d *Daemon) serveQuery(conn net.Conn, sql string) error {
 		return writeScored(conn, res.Model, res.Score)
 	}
 	return writeRows(conn, res.Set)
+}
+
+// watchCancel reads conn while a fleet statement runs, and cancels the
+// statement on a TCancel frame or when the client hangs up. It only peeks
+// (wire.Reader.WaitCancel), so any other frame stays for the handler. The
+// returned stop, called once the statement's response is written (or has
+// failed), ends the watch with a read deadline, waits for the watcher,
+// releases the statement's context and hands fr back, its deadline cleared
+// unless Drain has set one.
+func (d *Daemon) watchCancel(conn net.Conn, fr *wire.Reader, cancel context.CancelFunc) (stop func()) {
+	watched := make(chan struct{})
+	go func() {
+		defer close(watched)
+		if ok, err := fr.WaitCancel(); ok || err != nil && !errors.Is(err, os.ErrDeadlineExceeded) {
+			cancel()
+		}
+	}()
+	return func() {
+		conn.SetReadDeadline(time.Unix(1, 0))
+		<-watched
+		cancel()
+		d.cmu.Lock()
+		if !d.draining {
+			conn.SetReadDeadline(time.Time{})
+		}
+		d.cmu.Unlock()
+	}
 }
 
 // writeRows frames a materialized result — an engine.ResultSet, whole before

@@ -29,7 +29,6 @@ func startDaemon(t *testing.T, rows int, sharing bool) (string, func()) {
 	srv := testServer(t, rows)
 	d := NewDaemon(srv, DaemonConfig{
 		Fleet: FleetConfig{Base: baseCfg(), MaxSessions: 8, ScanSharing: sharing},
-		Seed:  1,
 	})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -376,7 +375,7 @@ func TestDaemonRefusesOtherVersion(t *testing.T) {
 func TestDriverCancelMidScore(t *testing.T) {
 	before := runtime.NumGoroutine()
 	srv := testServer(t, 30000)
-	d := NewDaemon(srv, DaemonConfig{Fleet: FleetConfig{Base: baseCfg(), MaxSessions: 8, ScanSharing: true}, Seed: 1})
+	d := NewDaemon(srv, DaemonConfig{Fleet: FleetConfig{Base: baseCfg(), MaxSessions: 8, ScanSharing: true}})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -441,6 +440,44 @@ func TestDriverCancelMidScore(t *testing.T) {
 	waitFor(t, "every goroutine the test started to exit", func() bool { return runtime.NumGoroutine() <= before })
 }
 
+// TestDriverCancelBuild: a BUILD TREE whose context ends while its fleet run
+// is held fails with the context's error, and the driver's cancel reaches
+// the daemon: the run's session leaves with context.Canceled.
+func TestDriverCancelBuild(t *testing.T) {
+	before := runtime.NumGoroutine()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, tap, stop := serveOn(t, testServer(t, 3000), DaemonConfig{Fleet: FleetConfig{Base: baseCfg()}}, ln)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	tap.setArm(func(f *Fleet) {
+		cancel()
+		select {
+		case <-f.sessions[0].ctx.Done():
+		case <-time.After(10 * time.Second):
+			t.Error("the driver's cancel did not reach the session")
+		}
+	})
+	db, err := sql.Open("ccsql", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.ExecContext(ctx, "BUILD TREE MAXDEPTH 4"); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled BUILD TREE = %v, want context.Canceled", err)
+	}
+	d.disp.emu.Lock() // held by the run, from before the arm until it ends
+	err = tap.last().sessions[0].Err()
+	d.disp.emu.Unlock()
+	if !errors.Is(err, context.Canceled) {
+		t.Errorf("the session's Err() = %v, want context.Canceled", err)
+	}
+	db.Close()
+	stop()
+	waitFor(t, "every goroutine the test started to exit", func() bool { return runtime.NumGoroutine() <= before })
+}
+
 // waitFor polls cond for up to ten seconds.
 func waitFor(t *testing.T, what string, cond func() bool) {
 	t.Helper()
@@ -459,7 +496,7 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 // statement, so neither side's first-use buffers count.
 func TestDriverScoredStreamAllocs(t *testing.T) {
 	const rows = 30000
-	d := NewDaemon(testServer(t, rows), DaemonConfig{Fleet: FleetConfig{Base: baseCfg(), MaxSessions: 8, ScanSharing: true}, Seed: 1})
+	d := NewDaemon(testServer(t, rows), DaemonConfig{Fleet: FleetConfig{Base: baseCfg(), MaxSessions: 8, ScanSharing: true}})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

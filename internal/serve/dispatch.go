@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"runtime"
 	"strings"
@@ -34,7 +35,8 @@ import (
 // is answered when its run ends; a SCORE TABLE is answered when its session
 // opens, with the result the run is about to fill, so the caller's goroutine
 // reads it behind the scan's watermark while the coordinator scans — the run
-// itself never waits for a reader.
+// itself never waits for a reader. A fleet statement whose context ends
+// leaves its run (Session.Cancel); the daemon ends it on a TCancel.
 type Dispatcher struct {
 	eng *engine.Engine
 	srv *engine.Server // nil = no served table: every statement goes to the engine
@@ -45,7 +47,7 @@ type Dispatcher struct {
 	qmu     sync.Mutex
 	qcond   *sync.Cond
 	queue   []*fleetReq
-	runSeq  int64
+	runSeq  int64 // runs the coordinator has taken; tests wait on it
 	started bool
 	closed  bool
 	wg      sync.WaitGroup // the coordinator
@@ -107,7 +109,13 @@ func (r *Result) Cost() time.Duration {
 }
 
 // Execute runs one statement.
-func (d *Dispatcher) Execute(sql string) (*Result, error) {
+func (d *Dispatcher) Execute(sql string) (*Result, error) { return d.execute(sql, nil) }
+
+// execute runs one statement. A fleet statement runs under the context watch
+// returns, when watch is non-nil: it is called once the statement is routed
+// to the fleet, and ending that context cancels the statement's session.
+// Engine statements never call it.
+func (d *Dispatcher) execute(sql string, watch func() context.Context) (*Result, error) {
 	st, err := sqlparser.Parse(sql)
 	if err != nil {
 		return nil, err
@@ -117,10 +125,10 @@ func (d *Dispatcher) Execute(sql string) (*Result, error) {
 		if d.srv == nil {
 			break // the engine answers ErrNeedsServing
 		}
-		return d.enqueue(st)
+		return d.enqueue(st, watch)
 	case *sqlparser.ScoreTable:
 		if d.srv != nil && s.Table == d.srv.TableName() {
-			return d.enqueue(st)
+			return d.enqueue(st, watch)
 		}
 	}
 	d.emu.Lock()
@@ -145,8 +153,10 @@ func (d *Dispatcher) Close() {
 
 // fleetReq is one statement — a *sqlparser.BuildTree, or a
 // *sqlparser.ScoreTable over the served table — waiting for the coordinator.
+// Ending ctx cancels it.
 type fleetReq struct {
 	stmt sqlparser.Statement
+	ctx  context.Context
 	done chan fleetResp
 }
 
@@ -155,9 +165,13 @@ type fleetResp struct {
 	err error
 }
 
-// enqueue hands a statement to the coordinator and waits for its result.
-func (d *Dispatcher) enqueue(st sqlparser.Statement) (*Result, error) {
-	req := &fleetReq{stmt: st, done: make(chan fleetResp, 1)}
+// enqueue hands a statement to the coordinator, under the context watch
+// returns (never ended when watch is nil), and waits for its result.
+func (d *Dispatcher) enqueue(st sqlparser.Statement, watch func() context.Context) (*Result, error) {
+	req := &fleetReq{stmt: st, ctx: context.Background(), done: make(chan fleetResp, 1)}
+	if watch != nil {
+		req.ctx = watch()
+	}
 	d.qmu.Lock()
 	if d.closed {
 		d.qmu.Unlock()
@@ -192,10 +206,9 @@ func (d *Dispatcher) coordinate() {
 		}
 		batch := d.queue
 		d.queue = nil
-		seq := d.runSeq
 		d.runSeq++
 		d.qmu.Unlock()
-		d.runFleet(batch, seq)
+		d.runFleet(batch)
 	}
 }
 
@@ -204,9 +217,11 @@ func (d *Dispatcher) coordinate() {
 // before the run, with the result it will fill (failures knowable by then —
 // an unknown model, a table the model does not fit — fail the statement
 // outright; a later one fails the result, Fleet.Run sees to that), builds
-// after it. The arrival schedule is virtual and seeded, so a cohort's results
-// do not depend on network timing.
-func (d *Dispatcher) runFleet(batch []*fleetReq, seq int64) {
+// after it. Every session arrives at virtual time zero. A request whose
+// context has ended by the time its session would open is answered with the
+// context's error; one whose context ends later cancels its session, which
+// leaves the run (Session.Cancel) and answers with Session.Err.
+func (d *Dispatcher) runFleet(batch []*fleetReq) {
 	answered := make([]bool, len(batch))
 	answer := func(i int, res *Result, err error) {
 		if !answered[i] {
@@ -237,20 +252,23 @@ func (d *Dispatcher) runFleet(batch []*fleetReq, seq int64) {
 		fail(err)
 		return
 	}
-	arr := sim.Arrivals(d.cfg.Seed+seq, len(batch), d.cfg.MeanGapNS)
 	sessions := make([]*Session, len(batch))
 	opened := false
 	for i, r := range batch {
+		if err := r.ctx.Err(); err != nil {
+			answer(i, nil, err)
+			continue
+		}
 		switch s := r.stmt.(type) {
 		case *sqlparser.BuildTree:
-			sessions[i], err = fleet.Open("", dtree.Options{MaxDepth: s.MaxDepth, MinRows: s.MinRows}, arr[i])
+			sessions[i], err = fleet.Open("", dtree.Options{MaxDepth: s.MaxDepth, MinRows: s.MinRows}, 0)
 		case *sqlparser.ScoreTable:
 			// Resolve the model and open the session under the engine mutex;
 			// an unknown model, or one the table cannot be scored with, fails
 			// its own request, not the cohort.
 			m, serr := d.eng.Model(s.Model)
 			if serr == nil {
-				sessions[i], serr = fleet.OpenScore("", m, 1, arr[i])
+				sessions[i], serr = fleet.OpenScore("", m, 1, 0)
 			}
 			if serr != nil {
 				answer(i, nil, serr)
@@ -262,6 +280,7 @@ func (d *Dispatcher) runFleet(batch []*fleetReq, seq int64) {
 			return
 		}
 		opened = true
+		defer context.AfterFunc(r.ctx, sessions[i].Cancel)()
 	}
 	if d.onFleet != nil {
 		d.onFleet(fleet)
@@ -299,6 +318,10 @@ func (d *Dispatcher) runFleet(batch []*fleetReq, seq int64) {
 			continue
 		}
 		s, b := sessions[i], r.stmt.(*sqlparser.BuildTree) // every score was answered before the run
+		if err := s.Err(); err != nil {
+			answer(i, nil, err) // cancelled: there is no tree
+			continue
+		}
 		if b.Model != "" {
 			// Register the compiled tree while still holding the engine
 			// mutex, so the model is scoreable the moment the build

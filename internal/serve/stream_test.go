@@ -368,7 +368,7 @@ func TestDaemonScoredStreamSameBytes(t *testing.T) {
 	srv := testServer(t, rows)
 	pl := newPipeListener()
 	d, tap, stop := serveOn(t, srv, DaemonConfig{
-		Fleet: FleetConfig{Base: baseCfg(), MaxSessions: 8, ScanSharing: true}, Seed: 1,
+		Fleet: FleetConfig{Base: baseCfg(), MaxSessions: 8, ScanSharing: true},
 	}, pl)
 	defer stop()
 	c := pl.dial(t)
@@ -469,7 +469,7 @@ func TestDaemonScoreRunFailsMidStream(t *testing.T) {
 		t.Fatal(err)
 	}
 	d, tap, stop := serveOn(t, testServer(t, rows), DaemonConfig{
-		Fleet: FleetConfig{Base: baseCfg(), MaxSessions: 8, ScanSharing: true}, Seed: 1,
+		Fleet: FleetConfig{Base: baseCfg(), MaxSessions: 8, ScanSharing: true},
 	}, ln)
 	db, err := sql.Open("ccsql", ln.Addr().String())
 	if err != nil {
@@ -558,7 +558,7 @@ func TestDaemonScoreSharedRoundFailsMidStream(t *testing.T) {
 	dir := t.TempDir()
 	pl := newPipeListener()
 	d, tap, stop := serveOn(t, testServer(t, rows), DaemonConfig{
-		Fleet: FleetConfig{Base: mw.Config{Staging: mw.StageFileOnly, Workers: 1, Dir: dir}, MaxSessions: 8, ScanSharing: true}, Seed: 1,
+		Fleet: FleetConfig{Base: mw.Config{Staging: mw.StageFileOnly, Workers: 1, Dir: dir}, MaxSessions: 8, ScanSharing: true},
 	}, pl)
 	scorer, builder, parker := pl.dial(t), pl.dial(t), pl.dial(t)
 	if _, err := scorer.query("BUILD TREE MAXDEPTH 4 MODEL m"); err != nil {
@@ -642,7 +642,7 @@ func TestDaemonAbandonedScoreStream(t *testing.T) {
 			before := runtime.NumGoroutine()
 			pl := newPipeListener()
 			d, _, stop := serveOn(t, testServer(t, rows), DaemonConfig{
-				Fleet: FleetConfig{Base: baseCfg(), MaxSessions: 8, ScanSharing: true}, Seed: 1,
+				Fleet: FleetConfig{Base: baseCfg(), MaxSessions: 8, ScanSharing: true},
 			}, pl)
 			d.grace = 20 * time.Millisecond
 			healthy, abandoned := pl.dial(t), pl.dial(t)

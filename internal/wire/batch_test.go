@@ -354,3 +354,35 @@ func TestReaderReusesPayload(t *testing.T) {
 		t.Fatalf("goodbye: %v %v %v", typ, p, err)
 	}
 }
+
+// TestReaderWaitCancel: WaitCancel consumes a TCancel and nothing else — a
+// query behind it, or one in its place, is read whole afterwards — and a
+// header cut short by the end of the stream is an error that leaves the
+// Reader where it was.
+func TestReaderWaitCancel(t *testing.T) {
+	var buf bytes.Buffer
+	WriteFrame(&buf, TQuery, Query{SQL: "SELECT 1"})
+	WriteFrame(&buf, TCancel, nil)
+	WriteFrame(&buf, TQuery, Query{SQL: "SELECT 2"})
+	r := NewReader(&buf)
+	var q Query
+	if ok, err := r.WaitCancel(); ok || err != nil {
+		t.Fatalf("WaitCancel before a query = %v, %v", ok, err)
+	}
+	if err := Expect(r, TQuery, &q); err != nil || q.SQL != "SELECT 1" {
+		t.Fatalf("the query WaitCancel peeked at: %v, %+v", err, q)
+	}
+	if ok, err := r.WaitCancel(); !ok || err != nil {
+		t.Fatalf("WaitCancel on a cancel = %v, %v", ok, err)
+	}
+	if err := Expect(r, TQuery, &q); err != nil || q.SQL != "SELECT 2" {
+		t.Fatalf("the query after the cancel: %v, %+v", err, q)
+	}
+
+	buf.Reset()
+	WriteFrame(&buf, TCancel, nil)
+	r = NewReader(bytes.NewReader(buf.Bytes()[:3]))
+	if ok, err := r.WaitCancel(); ok || err == nil {
+		t.Fatalf("WaitCancel on a cut header = %v, %v", ok, err)
+	}
+}

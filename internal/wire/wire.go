@@ -48,7 +48,9 @@
 //
 // Version 2 is the only version. The handshake compares versions for equality
 // and either side refuses a mismatch; there is no negotiation and no second
-// codec to fall back to.
+// codec to fall back to. TCancel came later without a version bump: a server
+// that predates it answers it with a TError, on a connection the client is
+// retiring anyway.
 package wire
 
 import (
@@ -96,6 +98,11 @@ const (
 	// stream, payload ScoredBatch. Streams end with TDone/TError like any
 	// other result.
 	TScoredBatch
+	// TCancel asks the server to cancel the statement in flight on the
+	// connection: client → server, no payload. The statement still ends
+	// with its stream's TDone or TError; a TCancel that arrives after its
+	// statement ended is ignored.
+	TCancel
 )
 
 // String names the frame type.
@@ -119,6 +126,8 @@ func (t Type) String() string {
 		return "goodbye"
 	case TScoredBatch:
 		return "scored-batch"
+	case TCancel:
+		return "cancel"
 	}
 	return fmt.Sprintf("type(%d)", byte(t))
 }
@@ -258,6 +267,23 @@ func NewReader(r io.Reader) *Reader {
 
 // Read reads buffered bytes of the underlying stream.
 func (r *Reader) Read(p []byte) (int, error) { return r.br.Read(p) }
+
+// WaitCancel blocks until the next frame's header has arrived and reports
+// whether the frame is a TCancel, which it consumes; any other frame stays
+// unread. On a read error (a deadline, the peer hanging up) whatever part of
+// a header had arrived stays buffered, so the stream is intact for the next
+// read either way.
+func (r *Reader) WaitCancel() (bool, error) {
+	hdr, err := r.br.Peek(headerLen)
+	if err != nil {
+		return false, err
+	}
+	if Type(hdr[4]) != TCancel || binary.BigEndian.Uint32(hdr) != 0 {
+		return false, nil
+	}
+	r.br.Discard(headerLen)
+	return true, nil
+}
 
 // ReadFrame reads the next frame. The payload is valid until the next call:
 // decode it (Unmarshal copies what it keeps) before reading on.

@@ -21,6 +21,7 @@ func TestFrameRoundTrip(t *testing.T) {
 		{TDone, Done{Rows: 1}},
 		{TError, Error{Msg: "boom"}},
 		{TGoodbye, nil},
+		{TCancel, nil},
 	}
 	for _, f := range frames {
 		if err := WriteFrame(&buf, f.t, f.msg); err != nil {
