@@ -87,6 +87,7 @@ func TestDaemonSqlshSameScript(t *testing.T) {
 	script := []string{
 		"BUILD TREE MAXDEPTH 4 MINROWS 20 MODEL m OUTPUT STATS",
 		"BUILD TREE MAXDEPTH 3 MINROWS 20 OUTPUT TREE",
+		"SHOW SESSIONS", // the last run's: one build, done
 		"SCORE TABLE cases USING m",
 		"SCORE TABLE cases USING m WORKERS 4", // refused by name on both
 		"SELECT CLASSIFY(m, " + censusAttrs + ") FROM cases LIMIT 3",

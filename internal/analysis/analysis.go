@@ -59,7 +59,7 @@
 //	scorecat score-table span       engine/score.go ScorePass span*             no    TestScorePassSpan, TestProfilesMatchRecord,
 //	                                                                                  TestFleetCancelledSessionLeavesCohort,
 //	                                                                                  TestDaemonScoreSharedRoundFailsMidStream
-//	spanend.BadNeverEnded           engine/server.go cursor span*               no    -
+//	spanend.BadNeverEnded           engine/server.go cursor span*               no    TestCursorSpanEndsOnce
 //	interproc forwardLeak           engine/exec.go sql span via two helpers     yes   T3
 //	interproc endIf                 engine/exec.go sql span, ended if rows      yes   TestCancelledBuildLeavesNothing
 //	interproc startSpan, startSpan2 engine/exec.go wrapped Start                yes   T3
@@ -88,10 +88,9 @@
 //	makeCursor2
 //	                                exp/figures.go middleware                   yes   TestAllShapeChecksPass
 //
-// Of these 37 plants repolint alone catches 4, the tests alone 11, both 15
-// and neither 7: the cursor's span and the cursor itself left open, a
-// middleware leaked when NewBuilder fails, and the driver's socket on a
-// failed handshake.
+// Of these 37 plants repolint alone catches 4, the tests alone 12, both 15
+// and neither 6: the cursor left open, a middleware leaked when NewBuilder
+// fails, and the driver's socket on a failed handshake.
 package analysis
 
 import (

@@ -12,7 +12,7 @@ import (
 // This file is the server side of the columnar scan path: every table is
 // stored column-major and dictionary-encoded (storage.ColStore), and the
 // middleware scans it in 1024-row blocks through ScanGroups. Three things
-// distinguish this from reading the same rows as heap records (reader.go):
+// distinguish this from reading the same rows as heap records (Server.OpenScan):
 //
 //   - Zone-map skipping: each row group's sorted dictionaries decide, per
 //     group, whether the pushed-down filter can match at all. A skipped
@@ -30,10 +30,6 @@ import (
 //     ColRowTransmit) are cheaper than their row-path counterparts because
 //     cursor bookkeeping and the wire protocol amortize over whole blocks,
 //     and page I/O is charged per encoded column actually needed.
-//
-// Like a cold heapReader (payCold, where the argument is made), the columnar
-// scan never consults the shared LRU buffer pool; leaving the pool untouched
-// also keeps the heap readers' I/O accounting independent of columnar scans.
 
 // BlockRows is the number of rows the columnar scan hands to the middleware
 // per callback: the vectorization unit of the filter-then-count kernel.

@@ -31,18 +31,13 @@ import (
 	"repro/internal/storage"
 )
 
-// DefaultBufferPages is the default server buffer-pool size (pages). It is
-// deliberately small relative to the experiment tables so that repeated full
-// scans keep paying disk I/O, the regime the paper's middleware targets.
-const DefaultBufferPages = 256
-
 // Table is one heap-organized table: named integer columns, their rows and
 // the heap geometry they are charged under. Rows are only ever appended.
 type Table struct {
 	Name     string
 	Cols     []string
 	colstore *storage.ColStore // the rows: the table's one stored copy
-	heap     *storage.HeapFile // colstore's pages; the pool's frame identity
+	heap     *storage.HeapFile // colstore's pages
 }
 
 // NumRows returns the number of rows in the table.
@@ -54,8 +49,8 @@ func (t *Table) NumPages() int { return t.heap.NumPages() }
 // Bytes returns the on-disk size of the table.
 func (t *Table) Bytes() int64 { return t.heap.Bytes() }
 
-// Engine is the embedded database: a catalog of tables sharing one buffer
-// pool, and the meter its own statements charge.
+// Engine is the embedded database: a catalog of tables, and the meter its own
+// statements charge.
 type Engine struct {
 	*catalog
 	meter  *sim.Meter
@@ -67,27 +62,25 @@ type Engine struct {
 // meter of the view that ran it; nothing two views could disagree about is
 // copied into one.
 type catalog struct {
-	bp     *storage.BufferPool
 	tables map[string]*Table
 	models map[string]*Model // registered scoring models, by name (model.go)
 	tmpSeq int
 }
 
-// New creates an engine with the given meter and buffer-pool capacity in
-// pages (DefaultBufferPages if bufferPages <= 0).
+// New creates an engine with the given meter. The server has no buffer cache:
+// every heap page a scan enters is paid for.
+//
+// Deprecated: bufferPages is ignored. It stays until the benchmark stops
+// passing it (ROADMAP item 1).
 func New(meter *sim.Meter, bufferPages int) *Engine {
-	if bufferPages <= 0 {
-		bufferPages = DefaultBufferPages
-	}
 	return &Engine{meter: meter, catalog: &catalog{
-		bp:     storage.NewBufferPool(bufferPages),
 		tables: make(map[string]*Table),
 		models: make(map[string]*Model),
 	}}
 }
 
-// view returns the engine under another meter and tracer: same catalog, pool
-// and temp-name sequence.
+// view returns the engine under another meter and tracer: same catalog and
+// temp-name sequence.
 func (e *Engine) view(meter *sim.Meter, tracer *obs.Tracer) *Engine {
 	return &Engine{catalog: e.catalog, meter: meter, tracer: tracer}
 }
@@ -126,13 +119,11 @@ func (e *Engine) CreateTable(name string, cols []string) (*Table, error) {
 	return t, nil
 }
 
-// DropTable removes a table and invalidates its buffered pages.
+// DropTable removes a table.
 func (e *Engine) DropTable(name string) error {
-	t, ok := e.tables[name]
-	if !ok {
+	if _, ok := e.tables[name]; !ok {
 		return fmt.Errorf("engine: no table %q", name)
 	}
-	e.bp.Invalidate(t.heap)
 	delete(e.tables, name)
 	// Dropping a model's catalog table unregisters the model: the cached
 	// copy must not outlive its persisted form.

@@ -362,9 +362,8 @@ func TestUnionArmsEachScan(t *testing.T) {
 	// do not exploit the commonality) — the middleware's whole reason to
 	// exist. Verify pages read scale with the number of arms.
 	costOf := func(arms int) int64 {
-		// A buffer pool smaller than the table, as in any scan-bound
-		// workload: each arm's scan re-reads from disk.
-		e := New(sim.NewDefaultMeter(), 2)
+		// The server has no buffer cache: each arm's scan re-reads its pages.
+		e := New(sim.NewDefaultMeter(), 0)
 		tbl, _ := e.CreateTable("w", []string{"a", "b"})
 		var rows []data.Row
 		for i := 0; i < 30000; i++ {

@@ -90,7 +90,8 @@ func (rs *ResultSet) String() string {
 
 // ErrNeedsServing is what the engine answers a statement that only the
 // serving layer can run: BUILD TREE drives the middleware, and the middleware
-// imports the engine, not the reverse.
+// imports the engine, not the reverse; SHOW SESSIONS lists the serving
+// layer's sessions.
 var ErrNeedsServing = errors.New("needs the serving layer (a served table)")
 
 // Exec is ExecContext that cannot be cancelled.
@@ -133,8 +134,9 @@ func (e *Engine) execStmt(ctx context.Context, st sqlparser.Statement, sql strin
 }
 
 func (e *Engine) dispatch(ctx context.Context, st sqlparser.Statement) (*ResultSet, error) {
-	if _, ok := st.(*sqlparser.BuildTree); ok {
-		return nil, fmt.Errorf("engine: BUILD TREE %w", ErrNeedsServing)
+	switch st.(type) {
+	case *sqlparser.BuildTree, *sqlparser.ShowSessions:
+		return nil, fmt.Errorf("engine: %s %w", st, ErrNeedsServing)
 	}
 	e.meter.Charge(sim.CtrSQLStatements, e.meter.Costs().QueryStartup, 1)
 	switch s := st.(type) {

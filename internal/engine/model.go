@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"slices"
@@ -321,8 +322,9 @@ func (e *Engine) ModelNames() []string {
 }
 
 // ModelFromCatalog reconstructs a model from its catalog table, charging a
-// metered scan of the table (loading a persisted model is a real read). The
-// result is validated, so a corrupted catalog is an error, not a bad model.
+// metered scan of the table (loading a persisted model is a real read): a
+// statement's scan of every column, through the one block loop. The result is
+// validated, so a corrupted catalog is an error, not a bad model.
 func (e *Engine) ModelFromCatalog(name string) (*Model, error) {
 	t, err := e.Table(ModelCatalogTable(name))
 	if err != nil {
@@ -347,12 +349,14 @@ func (e *Engine) ModelFromCatalog(name string) (*Model, error) {
 		armVal data.Value
 	}
 	edges := make([]edge, nn)
-	var scanErr error
-	e.reader(t).scanAll(func(row data.Row) bool {
+	all := make([]int, len(t.Cols))
+	for c := range all {
+		all[c] = c
+	}
+	err = e.scanRows(context.Background(), t, nil, all, func(row data.Row) error {
 		id := int(row[0])
 		if id < 0 || id >= nn || filled[id] {
-			scanErr = fmt.Errorf("engine: model %q: catalog node id %d invalid or duplicated", name, id)
-			return false
+			return fmt.Errorf("engine: model %q: catalog node id %d invalid or duplicated", name, id)
 		}
 		filled[id] = true
 		edges[id] = edge{arm: int32(row[2]), armVal: row[7]}
@@ -367,10 +371,10 @@ func (e *Engine) ModelFromCatalog(name string) (*Model, error) {
 		for c := 0; c < classes; c++ {
 			n.Counts[c] = int64(row[fixed+c])
 		}
-		return true
+		return nil
 	})
-	if scanErr != nil {
-		return nil, scanErr
+	if err != nil {
+		return nil, err
 	}
 	for id, ok := range filled {
 		if !ok {

@@ -1,10 +1,13 @@
 package engine
 
 import (
+	"slices"
+
 	"repro/internal/data"
 	"repro/internal/obs"
 	"repro/internal/predicate"
 	"repro/internal/sim"
+	"repro/internal/storage"
 )
 
 // Server is the OLE-DB-like surface the paper's middleware consumes: a SQL
@@ -90,16 +93,25 @@ type Cursor interface {
 	Close()
 }
 
-// scanCursor is a firehose cursor over the data table's heap with a pushed-down
-// filter: the server evaluates the filter on every row (charging server CPU
-// and, through its pooled reader, page I/O) and transmits only matching rows
-// (charging RowTransmit each), exactly the §4.3.1 "reducing data transmitted
-// from the server" mechanism. It is the row-at-a-time stream of the §2.3
-// extract-everything strawman; the middleware's batches read row groups
-// (ScanGroups).
+// scanCursor is a firehose cursor over the data table's heap with a
+// pushed-down filter, and the one reader of heap pages: it walks the pages in
+// physical order, paying ServerPageIO for each as it enters it — the server
+// has no buffer cache — and decoding its rows, column by column, from the row
+// groups that hold them (a group is looked up once per page, not per row).
+// The server evaluates the filter on every row (ServerRowCPU) and transmits
+// only matching rows (RowTransmit each), exactly the §4.3.1 "reducing data
+// transmitted from the server" mechanism. It is the row-at-a-time stream of
+// the §2.3 extract-everything strawman; the middleware's batches read row
+// groups (ScanGroups). Every charge lands on the meter of the server (or
+// View) that opened it.
 type scanCursor struct {
-	walk   *heapWalk
+	t      *Table
+	meter  *sim.Meter
+	costs  sim.Costs // meter's
 	filter predicate.Filter
+	page   storage.PageID // the next page to enter
+	recs   []data.Value   // the entered page's rows, decoded back to back
+	k      int            // the next of them
 	closed bool
 	sp     *obs.Span
 	rows   int64
@@ -108,9 +120,8 @@ type scanCursor struct {
 // OpenScan initiates a cursor scan of the whole data table on the server's
 // own meter with the filter pushed down, charging the cursor-open cost.
 func (s *Server) OpenScan(f predicate.Filter) Cursor {
-	r := s.reader()
-	r.meter.Charge(sim.CtrServerScans, r.meter.Costs().CursorOpen, 1)
-	return &scanCursor{walk: r.walk(), filter: f, sp: s.Tracer().Start(obs.CatCursor, "server-scan")}
+	s.meter.Charge(sim.CtrServerScans, s.meter.Costs().CursorOpen, 1)
+	return &scanCursor{t: s.table, meter: s.meter, costs: s.meter.Costs(), filter: f, sp: s.Tracer().Start(obs.CatCursor, "server-scan")}
 }
 
 // finish closes the cursor span once, recording the rows transmitted.
@@ -131,18 +142,47 @@ func (c *scanCursor) Next() (data.Row, bool) {
 	if c.closed {
 		return nil, false
 	}
-	meter := c.walk.r.meter
+	ncols := len(c.t.Cols)
 	for {
-		row, ok := c.walk.Next()
-		if !ok {
-			c.finish()
-			return nil, false
+		if c.k*ncols == len(c.recs) {
+			if int(c.page) >= c.t.NumPages() {
+				c.finish()
+				return nil, false
+			}
+			c.enter()
 		}
+		row := c.recs[c.k*ncols : (c.k+1)*ncols : (c.k+1)*ncols]
+		c.k++
+		c.meter.Charge(sim.CtrServerRows, c.costs.ServerRowCPU, 1)
 		if c.filter.Eval(row) {
-			meter.Charge(sim.CtrRowsTransmitted, meter.Costs().RowTransmit, 1)
+			c.meter.Charge(sim.CtrRowsTransmitted, c.costs.RowTransmit, 1)
 			c.rows++
 			return row, true
 		}
+	}
+}
+
+// enter pays for the next page and decodes its rows: the page's row range
+// walked against each group it overlaps.
+func (c *scanCursor) enter() {
+	c.meter.Charge(sim.CtrServerPages, c.costs.ServerPageIO, 1)
+	lo, hi := c.t.heap.PageRows(c.page)
+	c.page++
+	c.k = 0
+	ncols := len(c.t.Cols)
+	c.recs = slices.Grow(c.recs[:0], int(hi-lo)*ncols)[:int(hi-lo)*ncols]
+	for i := lo; i < hi; {
+		gi := int(i / storage.RowGroupSize)
+		g, base := c.t.colstore.Group(gi), int64(gi)*storage.RowGroupSize
+		end := min(hi, base+int64(g.NumRows()))
+		out := c.recs[int(i-lo)*ncols:]
+		for col := 0; col < ncols; col++ {
+			dict := g.Dict(col)
+			for j, code := range g.Codes(col)[i-base : end-base] {
+				out[j*ncols+col] = dict[code]
+			}
+		}
+		i = end
 	}
 }
 

@@ -9,7 +9,6 @@ import (
 	"repro/internal/dtree"
 	"repro/internal/mw"
 	"repro/internal/nb"
-	"repro/internal/sim"
 )
 
 // The experiments run on scaled-down versions of the paper's workloads so
@@ -561,5 +560,3 @@ func NaiveBayesPlugin(env *Env, scale float64) (*Experiment, error) {
 	}
 	return e, nil
 }
-
-var _ = sim.CtrBatches

@@ -218,7 +218,8 @@ func TestFleetCancelledSessionLeavesCohort(t *testing.T) {
 // that statement's session inside a held two-session cohort — a SCORE TABLE
 // before the run admits it, a BUILD TREE in the run's second round. The
 // cancelled session leaves with context.Canceled and its client is answered
-// with that error; the other session's tree dump is the uncancelled cohort's,
+// with that error alone, a bare TError (a scorer cancelled before the run
+// leaves before the first round's shared scan); the other session's tree dump is the uncancelled cohort's,
 // byte for byte; the cancelled connection's handler exits once its client
 // hangs up, as the driver does after a TCancel; the staging directory is
 // empty; the daemon serves the next statement; and no goroutine outlives it.
@@ -315,13 +316,10 @@ func TestDaemonCancelFrame(t *testing.T) {
 			if !errors.Is(v.Err(), context.Canceled) {
 				t.Errorf("the cancelled session's Err() = %v, want context.Canceled", v.Err())
 			}
-			// A scorer cancelled before the run still rides the round's shared
-			// scan (Session.Cancel): its stream ends with the error after the
-			// rows the scan published.
 			if tc.hangUp {
 				// Nobody is left to answer.
 			} else if last := got[len(got)-1]; last.t != wire.TError || !strings.Contains(string(last.payload), context.Canceled.Error()) ||
-				tc.round > 0 && len(got) != 1 {
+				len(got) != 1 {
 				t.Errorf("the cancelled statement was answered %v, ending %q; want a TError with %q", got, last.payload, context.Canceled)
 			}
 			sameFrames(t, "the survivor's tree next to a cancelled session", gotOther, ref)

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"reflect"
 	"runtime"
 	"strings"
 	"sync"
@@ -551,4 +552,103 @@ func TestDriverScoredStreamAllocs(t *testing.T) {
 	} else {
 		t.Logf("%.3f allocations per drained row", perRow)
 	}
+}
+
+// TestDaemonShowSessions: SHOW SESSIONS answers over a loopback connection
+// while a held run owns the engine mutex — from the dispatcher's snapshot, not
+// the live sessions — with one row per session of the run: id, kind, cohort
+// (the run's number), arrival and state; once the run has ended, the rows give
+// each session's outcome.
+func TestDaemonShowSessions(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, tap, stop := serveOn(t, testServer(t, 3000), DaemonConfig{
+		Fleet: FleetConfig{Base: baseCfg(), MaxSessions: 8, ScanSharing: true},
+	}, ln)
+	defer stop()
+	held, release := make(chan struct{}), make(chan struct{})
+	var releaseOnce sync.Once
+	unhold := func() { releaseOnce.Do(func() { close(release) }) }
+	defer unhold() // before stop: a failed test must not leave the run held
+	dial := func() *rawClient {
+		nc, err := net.Dial("tcp", ln.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { nc.Close() })
+		c, err := dialRaw(nc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	builder, scorer, parker, shower := dial(), dial(), dial(), dial()
+	show := func(what string, want ...string) {
+		t.Helper()
+		fs, err := shower.query("SHOW SESSIONS")
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		var h wire.ResultHeader
+		if err := wire.Unmarshal(fs[0].payload, &h); err != nil || fs[0].t != wire.TResultHeader {
+			t.Fatalf("%s: the answer starts with %v (%v), want a result header", what, fs[0], err)
+		}
+		got := []string{strings.Join(h.Cols, " ")}
+		var b wire.RowBatch
+		for _, f := range fs[1 : len(fs)-1] {
+			if err := wire.Unmarshal(f.payload, &b); err != nil {
+				t.Fatal(err)
+			}
+			for _, row := range b.Rows {
+				cells := make([]string, len(row))
+				for i, c := range row {
+					cells[i] = fmt.Sprint(c.I)
+					if c.Str {
+						cells[i] = c.S
+					}
+				}
+				got = append(got, strings.Join(cells, " "))
+			}
+		}
+		if want = append([]string{"id kind cohort arrival state"}, want...); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: SHOW SESSIONS = %q, want %q", what, got, want)
+		}
+	}
+
+	show("before any run")
+	if _, err := builder.query("BUILD TREE MAXDEPTH 4 MODEL m"); err != nil {
+		t.Fatal(err)
+	}
+	show("after the first run", "1 build 1 0 done")
+
+	tap.setArm(func(f *Fleet) {
+		if len(f.sessions) == 2 {
+			close(held)
+			<-release
+		}
+	})
+	// Run 2 parks the coordinator while both statements queue; run 3 holds.
+	queueCohort(t, d, parker,
+		func() error { return builder.send("BUILD TREE MAXDEPTH 3") },
+		func() error { return scorer.send("SCORE TABLE cases USING m") })
+	select {
+	case <-held:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the cohort's run never started")
+	}
+	show("while the run holds the engine", "1 build 3 0 running", "2 score 3 0 running")
+	unhold()
+	// The build is answered after the snapshot's last update.
+	for _, c := range []*rawClient{scorer, builder} {
+		fs, err := c.result()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if last := fs[len(fs)-1]; last.t != wire.TDone {
+			t.Fatalf("a statement of the held run ended with %v", last)
+		}
+	}
+	show("after the run", "1 build 3 0 done", "2 score 3 0 done")
 }

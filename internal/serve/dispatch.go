@@ -21,6 +21,7 @@ import (
 //
 //	*sqlparser.BuildTree                   → the fleet queue
 //	*sqlparser.ScoreTable, served table    → the fleet queue
+//	*sqlparser.ShowSessions                → the dispatcher's session snapshot
 //	anything else                          → the engine, already parsed
 //
 // The wire daemon frames Execute's result and cmd/sqlsh prints it, so a
@@ -47,7 +48,8 @@ type Dispatcher struct {
 	qmu     sync.Mutex
 	qcond   *sync.Cond
 	queue   []*fleetReq
-	runSeq  int64 // runs the coordinator has taken; tests wait on it
+	runSeq  int64          // runs the coordinator has taken; tests wait on it
+	shown   [][]engine.Val // SHOW SESSIONS: the rows of the last run that opened sessions
 	started bool
 	closed  bool
 	wg      sync.WaitGroup // the coordinator
@@ -121,6 +123,10 @@ func (d *Dispatcher) execute(sql string, watch func() context.Context) (*Result,
 		return nil, err
 	}
 	switch s := st.(type) {
+	case *sqlparser.ShowSessions:
+		d.qmu.Lock()
+		defer d.qmu.Unlock()
+		return &Result{Set: &engine.ResultSet{Cols: sessionCols, Rows: append([][]engine.Val(nil), d.shown...)}}, nil
 	case *sqlparser.BuildTree:
 		if d.srv == nil {
 			break // the engine answers ErrNeedsServing
@@ -207,8 +213,9 @@ func (d *Dispatcher) coordinate() {
 		batch := d.queue
 		d.queue = nil
 		d.runSeq++
+		seq := d.runSeq
 		d.qmu.Unlock()
-		d.runFleet(batch)
+		d.runFleet(seq, batch)
 	}
 }
 
@@ -220,8 +227,9 @@ func (d *Dispatcher) coordinate() {
 // after it. Every session arrives at virtual time zero. A request whose
 // context has ended by the time its session would open is answered with the
 // context's error; one whose context ends later cancels its session, which
-// leaves the run (Session.Cancel) and answers with Session.Err.
-func (d *Dispatcher) runFleet(batch []*fleetReq) {
+// leaves the run (Session.Cancel) and answers with Session.Err. seq numbers
+// the run: it is the cohort column of SHOW SESSIONS.
+func (d *Dispatcher) runFleet(seq int64, batch []*fleetReq) {
 	answered := make([]bool, len(batch))
 	answer := func(i int, res *Result, err error) {
 		if !answered[i] {
@@ -282,6 +290,9 @@ func (d *Dispatcher) runFleet(batch []*fleetReq) {
 		opened = true
 		defer context.AfterFunc(r.ctx, sessions[i].Cancel)()
 	}
+	if opened {
+		d.show(seq, sessions, func(*Session) string { return "running" })
+	}
 	if d.onFleet != nil {
 		d.onFleet(fleet)
 	}
@@ -298,7 +309,17 @@ func (d *Dispatcher) runFleet(batch []*fleetReq) {
 		runtime.Gosched()
 	}
 	if opened {
-		if err := fleet.Run(); err != nil {
+		err := fleet.Run()
+		d.show(seq, sessions, func(s *Session) string {
+			switch {
+			case err != nil:
+				return "failed"
+			case s.Err() != nil:
+				return "cancelled"
+			}
+			return "done"
+		})
+		if err != nil {
 			fail(err)
 			return
 		}
@@ -337,6 +358,35 @@ func (d *Dispatcher) runFleet(batch []*fleetReq) {
 		}
 		answer(i, &Result{Set: buildResult(b.Output, s, fleet, traceLines), cost: time.Duration(s.LatencyNS())}, nil)
 	}
+}
+
+// sessionCols are SHOW SESSIONS' columns: per session of a run, its id within
+// the run, build or score, the run's number (cohort), its virtual arrival
+// offset in ns, and its state — running, then done, cancelled or failed.
+var sessionCols = []string{"id", "kind", "cohort", "arrival", "state"}
+
+// show replaces the SHOW SESSIONS snapshot with the run's open sessions, each
+// in the state state reports; runFleet calls it only for a run that opened
+// one. The snapshot is copied out of the sessions and kept under qmu, so the
+// statement answers while a run holds emu and never reads a live Session. A
+// scorer's stream may end before its row leaves "running": the run finishes
+// every score result before it returns.
+func (d *Dispatcher) show(seq int64, sessions []*Session, state func(*Session) string) {
+	var rows [][]engine.Val
+	for _, s := range sessions {
+		if s == nil {
+			continue // answered without a session
+		}
+		kind := "build"
+		if s.model != nil {
+			kind = "score"
+		}
+		rows = append(rows, []engine.Val{engine.IntVal(int64(s.ID)), engine.StrVal(kind),
+			engine.IntVal(seq), engine.IntVal(s.ArrivalNS()), engine.StrVal(state(s))})
+	}
+	d.qmu.Lock()
+	d.shown = rows
+	d.qmu.Unlock()
 }
 
 // buildResult renders one build session's outcome in the statement's OUTPUT

@@ -78,8 +78,10 @@ type Session struct {
 
 // Cancel cancels the session, from any goroutine, before or during Run: it
 // leaves its cohort at the end of the round it is in — sooner when its solo
-// pass or statement notices, which they do once per block — or, not yet
-// admitted, in the round that admits it. The rest of the run carries on.
+// pass or statement notices, which they do once per block — or, cancelled
+// between rounds, before Run or before its admission, as soon as it is
+// admitted, before any round selects it: a scorer then publishes no row. The
+// rest of the run carries on.
 func (s *Session) Cancel() { s.cancel() }
 
 // Err returns, once Run has returned, why the session left before it
@@ -348,6 +350,22 @@ func (f *Fleet) RunContext(ctx context.Context) (err error) {
 		}
 		if err := admit(); err != nil {
 			return err
+		}
+		// A session whose context ended before this round — cancelled before
+		// the run, or before its admission — leaves before cohort selection:
+		// it rides no shared scan and takes no step. Its slot frees for the
+		// next admission.
+		stay := running[:0]
+		for _, s := range running {
+			if s.ctx.Err() == nil {
+				stay = append(stay, s)
+			} else if err := f.leave(s); err != nil {
+				return err
+			}
+		}
+		if len(stay) < len(running) {
+			running = stay
+			continue
 		}
 		if f.runHook != nil {
 			if err := f.runHook(); err != nil {

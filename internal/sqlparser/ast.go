@@ -297,3 +297,11 @@ func (s *BuildTree) String() string {
 	}
 	return b.String()
 }
+
+// ShowSessions is SHOW SESSIONS: the serving layer's sessions — those of the
+// fleet run in flight, or of the last one — one row each.
+type ShowSessions struct{}
+
+func (*ShowSessions) stmt() {}
+
+func (*ShowSessions) String() string { return "SHOW SESSIONS" }

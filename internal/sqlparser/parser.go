@@ -86,9 +86,10 @@ func (p *parser) expectIdent() (string, error) {
 }
 
 // atWord reports whether the current token is the given non-reserved word.
-// BUILD TREE's vocabulary is matched this way, by spelling in statement
-// position only, so none of it is taken from the identifier space: model,
-// tree, output and stats stay legal column and table names.
+// The vocabulary of BUILD TREE and SHOW SESSIONS is matched this way, by
+// spelling in statement position only, so none of it is taken from the
+// identifier space: model, tree, output, stats and sessions stay legal column
+// and table names.
 func (p *parser) atWord(w string) bool {
 	return p.tok.kind == tokIdent && strings.EqualFold(p.tok.text, w)
 }
@@ -122,6 +123,8 @@ func (p *parser) statement() (Statement, error) {
 		return p.scoreStmt()
 	case p.atWord("BUILD"):
 		return p.buildStmt()
+	case p.atWord("SHOW"):
+		return p.showStmt()
 	}
 	return nil, p.errf("expected statement, found %q", p.tok.text)
 }
@@ -204,6 +207,17 @@ func (p *parser) buildStmt() (Statement, error) {
 		}
 	}
 	return s, nil
+}
+
+// showStmt parses SHOW SESSIONS.
+func (p *parser) showStmt() (Statement, error) {
+	if err := p.advance(); err != nil {
+		return nil, err
+	}
+	if !p.atWord("SESSIONS") {
+		return nil, p.errf("expected SESSIONS, found %q", p.tok.text)
+	}
+	return &ShowSessions{}, p.advance()
 }
 
 // selectStmt parses core [UNION ALL core ...] [LIMIT n]. UNION without ALL and

@@ -202,6 +202,9 @@ func TestParseErrors(t *testing.T) {
 		"BUILD TREE MODEL a OUTPUT TREE MODEL b",
 		"BUILD TREE OUTPUT STATS output tree",
 		"BUILD TREE MAXDEPTH 2, MINROWS 3",
+		"SHOW",
+		"SHOW TABLES",
+		"SHOW SESSIONS x",
 		"CREATE t (a INT)",
 	} {
 		if _, err := Parse(sql); err == nil {
@@ -263,7 +266,9 @@ func TestRoundTrip(t *testing.T) {
 		"BUILD TREE OUTPUT TRACE MODEL m MINROWS 20 MAXDEPTH 6",
 		"build tree maxdepth 0 minrows 0 output tree",
 		"-- note\n\nBUILD TREE MODEL output",
-		"SELECT model, tree, output, stats, trace, build, maxdepth, minrows FROM model_m WHERE tree = 1 GROUP BY model, output",
+		"SHOW SESSIONS",
+		"show sessions",
+		"SELECT model, tree, output, stats, trace, build, maxdepth, minrows, show, sessions FROM model_m WHERE tree = 1 GROUP BY model, output",
 	}
 	for _, sql := range statements {
 		st1 := mustParse(t, sql)

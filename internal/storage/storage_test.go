@@ -34,19 +34,14 @@ func rowAt(cs *ColStore, i int64) []data.Value {
 }
 
 // scanPages walks h in physical order the way the engine's heap reader does:
-// touch the page in the pool, then visit the rows it holds. It returns the
-// number of pool misses.
-func scanPages(bp *BufferPool, h *HeapFile, fn func(row int64)) (misses int) {
+// page by page, visiting the rows each holds.
+func scanPages(h *HeapFile, fn func(row int64)) {
 	for p := 0; p < h.NumPages(); p++ {
-		if bp.Touch(h, PageID(p)) {
-			misses++
-		}
 		lo, hi := h.PageRows(PageID(p))
 		for i := lo; i < hi; i++ {
 			fn(i)
 		}
 	}
-	return misses
 }
 
 func TestHeapInsertScanRoundTrip(t *testing.T) {
@@ -56,7 +51,7 @@ func TestHeapInsertScanRoundTrip(t *testing.T) {
 		t.Fatalf("NumRows = %d", h.NumRows())
 	}
 	var got []data.Value
-	scanPages(NewBufferPool(4), h, func(i int64) {
+	scanPages(h, func(i int64) {
 		got = append(got, rowAt(h.cs, i)[0])
 	})
 	if len(got) != n {
@@ -123,56 +118,6 @@ func TestDecodeNegativeValue(t *testing.T) {
 	}
 }
 
-func TestBufferPoolChargesMissesOnly(t *testing.T) {
-	h := heapOf(2, 3*1023)  // exactly 3 pages
-	bp := NewBufferPool(10) // all pages fit
-	nop := func(int64) {}
-	if got := scanPages(bp, h, nop); got != 3 {
-		t.Fatalf("first scan missed %d pages, want 3", got)
-	}
-	if got := scanPages(bp, h, nop); got != 0 {
-		t.Fatalf("second scan missed %d pages; pool should have cached all 3", got)
-	}
-	hits, misses := bp.Stats()
-	if misses != 3 || hits != 3 {
-		t.Errorf("hits=%d misses=%d, want 3/3", hits, misses)
-	}
-}
-
-func TestBufferPoolEvictsLRU(t *testing.T) {
-	h := heapOf(2, 4*1023) // 4 pages
-	bp := NewBufferPool(2) // pool smaller than file
-	nop := func(int64) {}
-	// With LRU capacity 2 over a 4-page sequential scan, every access
-	// misses on both scans.
-	if got := scanPages(bp, h, nop) + scanPages(bp, h, nop); got != 8 {
-		t.Errorf("pages missed = %d, want 8 (sequential flooding)", got)
-	}
-}
-
-func TestBufferPoolInvalidate(t *testing.T) {
-	h1, h2 := heapOf(2, 1), heapOf(2, 1)
-	bp := NewBufferPool(10)
-	bp.Touch(h1, 0)
-	bp.Touch(h2, 0)
-	bp.Invalidate(h1)
-	if bp.Touch(h2, 0) {
-		t.Error("invalidate evicted the wrong file's pages")
-	}
-	if !bp.Touch(h1, 0) {
-		t.Error("invalidated page still cached")
-	}
-}
-
-func TestBufferPoolCapacityPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("no panic on zero capacity")
-		}
-	}()
-	NewBufferPool(0)
-}
-
 // TestHeapRoundTripProperty: appending arbitrary rows and scanning the heap
 // back yields exactly the appended sequence.
 func TestHeapRoundTripProperty(t *testing.T) {
@@ -184,7 +129,7 @@ func TestHeapRoundTripProperty(t *testing.T) {
 		h := NewHeapFile(cs)
 		want := func(i int64) []data.Value { return []data.Value{data.Value(rows[i][0]), data.Value(rows[i][1])} }
 		next, ok := int64(0), true
-		scanPages(NewBufferPool(2), h, func(i int64) {
+		scanPages(h, func(i int64) {
 			ok = ok && i == next && reflect.DeepEqual(rowAt(cs, i), want(i))
 			next++
 		})
