@@ -23,9 +23,10 @@ import (
 //     along shared path prefixes instead of re-evaluating every node's
 //     predicate.Cond on materialized values — and one walk of it per row, over
 //     a dense range or a pre-selected row set's seeds, both filters the row and
-//     drops it into its nodes' buckets (GroupTrie.route). A server row carries
-//     the tag of the node a previous scan left it in, and its walk starts at
-//     that tag's class instead of the root (tags.go).
+//     drops it into its nodes' buckets (GroupTrie.route). A row of the table
+//     or of a middleware stage carries the tag of the node a previous scan
+//     left it in, and its walk starts at that tag's class instead of the root
+//     (tags.go).
 //   - Block-granular metering: the per-row costs (ColRowEval,
 //     ColRowTransmit) are cheaper than their row-path counterparts because
 //     cursor bookkeeping and the wire protocol amortize over whole blocks,
@@ -162,6 +163,8 @@ func (gt *GroupTrie) route(base, n int, seed []int32, full bool, tw *tagWalk, bu
 		return sel
 	}
 	if tw == nil {
+		// Only an untagged source gets here — a copy-table, or a scan with
+		// tags off: the table's rows and every stage's carry tags.
 		return gt.routeRoot(base, n, seed, full, buckets, sel)
 	}
 	rows, implied, ranges := tw.rows, tw.implied, tw.ranges
@@ -465,8 +468,10 @@ func (gf *GroupFilter) Refine(sel []int32, out []int32) []int32 {
 // with Sel holding the group-relative indices of the rows matching the
 // pushed-down filter and — for a consumer that attached its node paths
 // (ScanConsumer.Paths) — Buckets[k] those satisfying path k, in row order;
-// nil otherwise. The same ColBlock is reused across callbacks; callers must
-// not retain it, Sel or Buckets.
+// nil otherwise. Tags, for a consumer whose walk is tagged, is the group's
+// rows' tags, group-relative, as the walk of this block left them; nil when
+// the group was walked untagged. The same ColBlock is reused across
+// callbacks; callers must not retain it, Sel, Buckets or Tags.
 type ColBlock struct {
 	Group      *storage.ColGroup
 	GroupIndex int
@@ -474,6 +479,7 @@ type ColBlock struct {
 	N          int
 	Sel        []int32
 	Buckets    [][]int32
+	Tags       []uint32
 }
 
 // NumColGroups returns the number of columnar row groups — the unit a

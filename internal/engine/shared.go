@@ -31,13 +31,14 @@ type ScanConsumer struct {
 	// paths' own disjunction (Paths.Filter()) or match-all — unfiltered rows,
 	// still bucketed by path.
 	Paths *predicate.Trie
-	// Tags, with Paths, is the session's tag per row of the table the source's
-	// rows belong to (a row set's rows are its table's) — row i of group gi is
-	// Tags[gi*storage.RowGroupSize+i] — and Classes their classes under Paths:
-	// the walk starts each row at its tag's class and writes back the tag of
-	// the last conjunction it reached through a test. Only the consumer's
-	// scan writes them, and only the tags of the rows it walks. Nil: every row
-	// starts at the root.
+	// Tags, with Paths, is the session's tag per row of the source — of the
+	// table, for its copy or a row set over it (a row set's rows are its
+	// table's); of the stage, for a middleware stage — indexed by the row's
+	// position there: row i of group gi is Tags[src.FirstRow(gi)+i]. Classes
+	// are their classes under Paths: the walk starts each row at its tag's
+	// class and writes back the tag of the last conjunction it reached through
+	// a test. Only the consumer's scan writes them, and only the tags of the
+	// rows it walks. Nil: every row starts at the root.
 	Tags    []uint32
 	Classes *TagClasses
 	// Meter receives the consumer's own costs: group/block counters, per-row
@@ -127,6 +128,10 @@ type GroupSource interface {
 	// ChargeRead charges m what reading group gi costs, once per scan however
 	// many consumers share it.
 	ChargeRead(gi int, m *sim.Meter)
+	// FirstRow returns the position of group gi's first row among the rows a
+	// consumer's tags index (ScanConsumer.Tags): in the table, for its copy or
+	// a row set over it; in the stage, for a middleware stage.
+	FirstRow(gi int) int
 	// AtServer reports that the groups are read through the server, which then
 	// charges every consumer, at the prices it returns, per row it evaluates
 	// and — unless the rows stay inside the server — per row it selects. A stage
@@ -159,6 +164,7 @@ func (t tableGroups) ChargeRead(gi int, m *sim.Meter) {
 	m.Charge(sim.CtrServerPages, t.pageIO, t.cs.Group(gi).Pages(t.needCols))
 }
 func (t tableGroups) AtServer() (RowPrices, bool) { return t.prices, true }
+func (t tableGroups) FirstRow(gi int) int         { return gi * storage.RowGroupSize }
 
 // ScanGroups is a cursor scan of row groups [loGroup, hiGroup) of src: one
 // physical pass fanned out to every attached consumer — a middleware scan's
@@ -260,7 +266,7 @@ func ScanRange(ctx context.Context, src GroupSource, cons []*ScanConsumer, loGro
 				c.gf.trie.bind(g)
 			}
 			if c.Tags != nil {
-				c.tw.bind(c.Tags, c.Classes, gi, &c.gf.trie)
+				c.tw.bind(c.Tags, c.Classes, src.FirstRow(gi), &c.gf.trie)
 			}
 		}
 		nrows := g.NumRows()
@@ -293,7 +299,7 @@ func ScanRange(ctx context.Context, src GroupSource, cons []*ScanConsumer, loGro
 				if atServer && !c.local {
 					c.Meter.Charge(sim.CtrRowsTransmitted, prices.Transmit, int64(len(c.sel)))
 				}
-				blk.Group, blk.GroupIndex, blk.Base, blk.N, blk.Sel, blk.Buckets = g, gi, base, n, c.sel, c.buckets
+				blk.Group, blk.GroupIndex, blk.Base, blk.N, blk.Sel, blk.Buckets, blk.Tags = g, gi, base, n, c.sel, c.buckets, c.tw.rows
 				if !c.Fn(blk) {
 					c.detached = true
 					attached--

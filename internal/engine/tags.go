@@ -4,22 +4,23 @@ import (
 	"slices"
 
 	"repro/internal/predicate"
-	"repro/internal/storage"
 )
 
 // This file lets a row's walk down a batch's trie start where the previous
-// level's walk left it. A middleware gives every row of the table it scans a
-// tag: the path of a node a tagged scan bucketed the row into — the last one
-// it reached through a test — a fact about the row that stays true however the
-// build goes on. Before a tagged
+// level's walk left it. A middleware gives every row of the table it scans,
+// and every row of a stage it keeps, a tag: the path of a node a tagged scan
+// bucketed the row into — the last one it reached through a test — a fact
+// about the row that stays true however the build goes on; a staging tee
+// copies each row's tag forward with the row. A source indexes its tags by
+// the row's position in it (GroupSource.FirstRow). Before a tagged
 // scan it evaluates the batch's trie under every tag's path (TagClasses.Reset):
 // a condition the path implies needs no test, one the path contradicts rules
 // out its whole subtree, and only the rest — the class's open subtrees — is
 // left to test. A row then starts at its class, not at the root; a class whose
 // open subtrees are a binary split's two children (A = v and A <> v, one
 // conjunction each) buckets its rows by one branch-free select. Untagged
-// sources — staged files, staged memory, copy-tables — and rows tagged with
-// the root are walked from the root: the root's class leaves every condition
+// sources — copy-tables, a scan with tags off — are walked from the root, and
+// so are rows tagged with the root: the root's class leaves every condition
 // open. None of this is metered: a scan charges per row evaluated and per row
 // selected, and a tag changes neither.
 
@@ -118,11 +119,11 @@ type tagWalk struct {
 	pairs   int64    // rows bucketed by a pair select since the scan began
 }
 
-// bind readies tw for group gi of a source whose rows are the table's — rows
-// the tags cover — with gt compiled against it; a group past the tags' end is
-// walked untagged.
-func (tw *tagWalk) bind(tags []uint32, tc *TagClasses, gi int, gt *GroupTrie) {
-	off, n := gi*storage.RowGroupSize, gt.g.NumRows()
+// bind readies tw for the group gt is compiled against, whose first row is
+// tags[first] (GroupSource.FirstRow); a group past the tags' end is walked
+// untagged.
+func (tw *tagWalk) bind(tags []uint32, tc *TagClasses, first int, gt *GroupTrie) {
+	off, n := first, gt.g.NumRows()
 	if off+n > len(tags) {
 		tw.rows = nil
 		return

@@ -41,7 +41,8 @@ type batchRun struct {
 
 	live     []*ccWork
 	paths    *predicate.Trie // over the live requests' paths, index-aligned with live at scan start
-	tags     *tagState       // set when the scan walks the server table's rows by their tags
+	tags     *tagState       // set when the scan walks its source's rows by their tags
+	rowTags  []uint32        // with tags: the source's, per row (tagState.rows, or the stage's)
 	fallback []*Request
 	requeued []*Request
 
@@ -103,9 +104,7 @@ func (m *Middleware) beginBatch(b *batch) (*batchRun, error) {
 		if err != nil {
 			// Abort the writers already created for this batch so no
 			// half-planned staging files stay open or on disk.
-			for _, prev := range r.plan.fileTees[:i] {
-				prev.writer.Abort()
-			}
+			m.abortTees(r.plan.fileTees[:i])
 			r.bsp.End()
 			return nil, err
 		}
@@ -157,14 +156,21 @@ func (m *Middleware) scanBatch(ctx context.Context, r *batchRun) error {
 		err = r.runScan(ctx, src)
 	}
 	if err != nil {
-		for _, t := range r.plan.fileTees {
-			t.writer.Abort()
-		}
+		m.abortTees(r.plan.fileTees)
 		r.ssp.End()
 		return err
 	}
 	r.closeScan()
 	return nil
+}
+
+// abortTees aborts the staging writers of file tees and takes back the tag
+// vectors their rows' tags went into.
+func (m *Middleware) abortTees(tees []*teePlan) {
+	for _, t := range tees {
+		t.writer.Abort()
+		m.tags.recycle(t.writer.sf.tags)
+	}
 }
 
 // openScan opens the batch's scan span over every admitted request — all are
@@ -207,9 +213,8 @@ func (m *Middleware) finishBatch(ctx context.Context, r *batchRun) ([]*Result, e
 			stsp.End()
 			// Finish removed its own file; abort the remaining tees' writers
 			// so their files do not stay open and on disk unregistered.
-			for _, rest := range r.plan.fileTees[i+1:] {
-				rest.writer.Abort()
-			}
+			m.tags.recycle(t.writer.sf.tags)
+			m.abortTees(r.plan.fileTees[i+1:])
 			return nil, err
 		}
 		stsp.SetRows(sf.rows).SetBytes(sf.bytes).End()
@@ -222,7 +227,7 @@ func (m *Middleware) finishBatch(ctx context.Context, r *batchRun) ([]*Result, e
 		tr.Start(obs.CatStage, "stage-memory").SetNodes(t.keyNodes).
 			SetRows(t.mem.rows).SetBytes(bytes).End()
 		sd := m.newStage(t.keyNodes)
-		sd.mem, sd.memBytes = t.mem.groups, bytes
+		sd.mem, sd.memBytes, sd.tags = t.mem.groups, bytes, t.mem.tags
 		m.stagedMem += bytes
 	}
 

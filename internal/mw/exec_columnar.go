@@ -15,10 +15,13 @@ import (
 // space, which both filters it and drops it into its nodes' buckets
 // (engine.ColBlock.Buckets); per node, the middleware bumps a dense histogram
 // per bucketed row (cc.Table.AddMany) and folds the distinct cells into the
-// table once; staging tees keep their rows of the block as codes. A scan of the
-// server's rows hands the engine the middleware's row tags and their classes
-// under the batch's paths (batchRun.tagRows), so each row's walk starts at the
-// node the previous level left it in.
+// table once; staging tees keep their rows of the block as codes, and each
+// row's tag beside it. A scan hands the engine its source's row tags — the
+// middleware's per row of the server table, or the stage's own — and their
+// classes under the batch's paths (batchRun.tagRows), so each row's walk
+// starts at the node the previous level left it in; a tee copies the tag the
+// walk just wrote forward into its stage, so the stage's next scan starts
+// there too.
 
 // columnarNeedCols returns the columns whose pages the columnar scan must
 // read: every counted attribute (the class column rides along in each
@@ -105,7 +108,7 @@ func (r *batchRun) colConsumer(j int, meter *sim.Meter, sh *scanShard) *engine.S
 	sc.Filter, sc.Paths, sc.Meter = r.scanFilter(), r.paths, meter
 	sc.Tags, sc.Classes = nil, nil
 	if r.tags != nil {
-		sc.Tags, sc.Classes = r.tags.rows, &r.tags.classes
+		sc.Tags, sc.Classes = r.rowTags, &r.tags.classes
 	}
 	if sc.Fn == nil {
 		sc.Fn = c.consume
@@ -149,15 +152,18 @@ func (c *colConsumer) consume(blk *engine.ColBlock) bool {
 		sh.ccBytes += t.Bytes() - before
 	}
 	sh.police()
-	// Tees keep their rows of the block in code space: nothing is decoded.
+	// Tees keep their rows of the block in code space — nothing is decoded —
+	// and each row's tag as the walk just left it.
 	for k, t := range plan.fileTees {
 		c.teeSel = c.fileFilters[k].Refine(blk.Sel, c.teeSel[:0])
+		t.writer.sf.tags = appendTags(t.writer.sf.tags, blk.Tags, c.teeSel)
 		sh.writeFile(t, sh.files[k].AppendSel(g, c.teeSel))
 		meter.Charge(sim.CtrFileRowsWritten, c.costs.FileRowWrite, int64(len(c.teeSel)))
 	}
 	for j := range plan.memTees {
 		if !sh.memDrop[j] {
 			c.teeSel = c.memFilters[j].Refine(blk.Sel, c.teeSel[:0])
+			sh.mems[j].tags = appendTags(sh.mems[j].tags, blk.Tags, c.teeSel)
 			sh.stageMem(j, len(c.teeSel), sh.mems[j].b.AppendSel(g, c.teeSel))
 		}
 	}

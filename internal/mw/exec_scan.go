@@ -55,6 +55,7 @@ type scanBudget struct {
 	shed        []int           // requests shed by police, in order
 	dropped     []*cc.Table     // the tables of the shed requests, for recycling
 	spares      *storage.Spares // takes back the code vectors of written file groups and dropped memory tees
+	tags        *tagState       // takes back the tag vectors of dropped memory tees
 	// reclaim frees staged memory elsewhere in the middleware and returns the
 	// enlarged limit; nil on a segment, which never polices.
 	reclaim func() (int64, bool)
@@ -62,11 +63,12 @@ type scanBudget struct {
 
 // teeRun is what a scan has captured for one staging tee: the row groups its
 // builder filled, in scan order, and the rows still in the builder's open
-// group. rows counts both.
+// group. rows counts both; tags holds each of them's tag, in the same order.
 type teeRun struct {
 	b      *storage.GroupBuilder
 	groups []*storage.ColGroup
 	rows   int64
+	tags   []uint32
 }
 
 // take notes n more captured rows, and the group they filled if they did.
@@ -95,7 +97,9 @@ func (p *scanBudget) dropLargestTee() bool {
 	for _, g := range p.mems[li].groups {
 		p.spares.Recycle(g)
 	}
+	p.tags.recycle(p.mems[li].tags)
 	p.mems[li] = teeRun{}
+	teesDropped.Add(1)
 	return true
 }
 
@@ -157,7 +161,7 @@ type scanShard struct {
 // schema's cardinalities — a pass that never sees a node's rows pays nothing
 // for it. A stage's row groups are one kernel block each — the unit later
 // scans of it skip by zone map and split into segments — and a tee's expected
-// rows are its nodes' exact sizes.
+// rows are its nodes' exact sizes, which size its tag vector too.
 func (r *batchRun) newShard() *scanShard {
 	m, nmem := r.m, len(r.plan.memTees)
 	sh := &scanShard{scanBudget: scanBudget{
@@ -172,11 +176,16 @@ func (r *batchRun) newShard() *scanShard {
 	for i, wk := range r.live {
 		sh.ccs[i] = m.newTable(wk.attrs)
 	}
+	if nmem+len(r.plan.fileTees) > 0 {
+		sh.tags = m.tagState()
+	}
 	for j, t := range r.plan.memTees {
 		sh.mems[j].b = m.teeBuilder(int(t.rows), &m.spares)
+		sh.mems[j].tags = sh.tags.take(int(t.rows))
 	}
 	for k, t := range r.plan.fileTees {
 		sh.files[k] = m.teeBuilder(int(t.rows), &m.spares)
+		t.writer.sf.tags = sh.tags.take(int(t.rows))
 	}
 	return sh
 }
@@ -195,6 +204,19 @@ func (sh *scanShard) writeFile(t *teePlan, g *storage.ColGroup) {
 func (sh *scanShard) stageMem(j, n int, full *storage.ColGroup) {
 	sh.mems[j].take(n, full)
 	sh.teeBytes += int64(n) * sh.rowMemBytes
+}
+
+// appendTags appends to dst the tag of each row of sel (group-relative) in
+// tags, the block's tags as its walk left them; a block walked untagged has
+// none (nil), and its rows are at the root, tag 0.
+func appendTags(dst, tags []uint32, sel []int32) []uint32 {
+	if tags == nil {
+		return append(dst, make([]uint32, len(sel))...)
+	}
+	for _, i := range sel {
+		dst = append(dst, tags[i])
+	}
+	return dst
 }
 
 // scanFilter returns the filter the batch's scan pushes down to its source:
@@ -218,8 +240,10 @@ func (r *batchRun) planScan(ctx context.Context) (engine.GroupSource, error) {
 	switch b.kind {
 	case srcMemory:
 		src = memGroups{stageCharge{sim.CtrMemRowsRead, m.meter.Costs().MemRowRead}, b.stage.mem}
+		r.tagRows()
 	case srcFile:
 		src = m.files.source(b.stage.file, nil) // to plan by: nothing is read through it
+		r.tagRows()
 	case srcServer:
 		aux, err := m.maybeBuildAux(ctx, b)
 		switch {
@@ -241,17 +265,20 @@ func (r *batchRun) planScan(ctx context.Context) (engine.GroupSource, error) {
 // segmentRuns counts the passes run as more than one segment, for tests.
 var segmentRuns atomic.Int64
 
-// For tests: tagsOff walks every scan from the root, taggedScans counts the
-// batches whose scan walked rows by their tags, and pairRows the rows those
-// scans bucketed by a pair select.
+// For tests: tagsOff walks every scan from the root, taggedScans counts (by
+// the source the batch read) the batches whose scan walked rows by their
+// tags, pairRows the rows those scans bucketed by a pair select, and
+// teesDropped the memory tees a budget dropped.
 var (
 	tagsOff     bool
-	taggedScans atomic.Int64
+	taggedScans [srcServer + 1]atomic.Int64
 	pairRows    atomic.Int64
+	teesDropped atomic.Int64
 )
 
-// tagRows readies the batch's scan of the server table's rows — the whole
-// copy, or a keyset or TID table over it — to walk each row from its tag: it
+// tagRows readies the batch's scan — of the server table's rows (the whole
+// copy, or a keyset or TID table over it) or of a stage in a file or in
+// memory — to walk each row from its tag: it picks the source's tags,
 // registers the live requests' tags and computes every tag's class under the
 // live paths, serially, before any segment forks. A batch whose trie is the root
 // alone has nothing to walk, and runs untagged.
@@ -260,13 +287,21 @@ func (r *batchRun) tagRows() {
 		return
 	}
 	ts := r.m.tagState()
+	switch r.b.kind {
+	case srcMemory:
+		r.rowTags = r.b.stage.tags
+	case srcFile:
+		r.rowTags = r.b.stage.file.tags
+	default:
+		r.rowTags = ts.tableRows(int(r.m.srv.NumRows()))
+	}
 	ts.conjs = ts.conjs[:0]
 	for _, w := range r.live {
 		ts.conjs = append(ts.conjs, ts.tagOf(w.req))
 	}
 	ts.classes.Reset(r.paths, ts.paths, ts.conjs)
 	r.tags = ts
-	taggedScans.Add(1)
+	taggedScans[r.b.kind].Add(1)
 }
 
 // runScan executes the batch's pass and settles it into the run. The pass
@@ -348,6 +383,7 @@ func (r *batchRun) settle(sh *scanShard) {
 		mems:        make([]teeRun, len(plan.memTees)),
 		memDrop:     sh.memDrop,
 		spares:      &m.spares,
+		tags:        sh.tags,
 		reclaim:     r.reclaim,
 	}
 	var shedMidScan []*Request
@@ -371,7 +407,7 @@ func (r *batchRun) settle(sh *scanShard) {
 		if settled.memDrop[j] {
 			continue
 		}
-		run := teeRun{groups: append([]*storage.ColGroup{}, sh.mems[j].groups...)}
+		run := teeRun{groups: append([]*storage.ColGroup{}, sh.mems[j].groups...), tags: sh.mems[j].tags}
 		run.take(int(sh.mems[j].rows), sh.mems[j].b.Seal())
 		m.builders = append(m.builders, sh.mems[j].b)
 		settled.mems[j] = run

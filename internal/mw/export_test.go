@@ -3,6 +3,7 @@ package mw
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 
 	"repro/internal/cc"
@@ -33,13 +34,84 @@ func SetTagsOff(off bool) bool {
 	return prev
 }
 
-// TaggedScans returns how many batches, process-wide, have walked their rows
-// by their tags.
-func TaggedScans() int64 { return taggedScans.Load() }
+// TaggedScans returns how many batches, process-wide, reading source
+// ("server", "file" or "memory"; "" for any) have walked their rows by their
+// tags.
+func TaggedScans(source string) int64 {
+	var n int64
+	for k := range taggedScans {
+		if source == "" || source == sourceKind(k).name() {
+			n += taggedScans[k].Load()
+		}
+	}
+	return n
+}
 
 // PairRows returns how many rows, process-wide, tagged scans have bucketed by a
 // pair select.
 func PairRows() int64 { return pairRows.Load() }
+
+// TeesDropped returns how many memory tees, process-wide, a scan's budget has
+// dropped, mid-scan or once the pass settled.
+func TeesDropped() int64 { return teesDropped.Load() }
+
+// StageTagRows checks the tags of every row of every live stage of m, in a
+// file or in memory: a stage holds one tag per row, and each is a registered
+// tag whose path its row satisfies. It returns how many rows it checked. Rows
+// are located by counting the groups' rows, not through the source's
+// FirstRow, so a wrong index shows as a row its tag does not fit.
+func StageTagRows(m *Middleware) (int64, error) {
+	var checked int64
+	seen := map[*stageData]bool{}
+	ids := make([]int, 0, len(m.sources))
+	for id := range m.sources {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	for _, id := range ids {
+		for _, sd := range m.sources[id] {
+			if sd.freed || seen[sd] || (sd.mem == nil && sd.file == nil) {
+				continue
+			}
+			seen[sd] = true
+			var src engine.GroupSource
+			tags := sd.tags
+			if sd.mem != nil {
+				src = memGroups{groups: sd.mem}
+			} else {
+				fsrc := m.files.source(sd.file, &groupBuf{})
+				defer fsrc.close()
+				src, tags = fsrc, sd.file.tags
+			}
+			first := 0
+			for gi := range src.NumGroups() {
+				g, err := src.Read(gi)
+				if err != nil {
+					return checked, err
+				}
+				row := make(data.Row, g.NumCols())
+				for i := range g.NumRows() {
+					at := first + i
+					if at >= len(tags) {
+						return checked, fmt.Errorf("stage of nodes %v: %d tags, row %d has none", sd.keyNodes, len(tags), at)
+					}
+					for c := range row {
+						row[c] = g.Dict(c)[g.Codes(c)[i]]
+					}
+					if tag := tags[at]; int(tag) >= len(m.tags.paths) || !m.tags.paths[tag].Eval(row) {
+						return checked, fmt.Errorf("stage of nodes %v: row %d %v has tag %d, which it does not fit", sd.keyNodes, at, row, tag)
+					}
+					checked++
+				}
+				first += g.NumRows()
+			}
+			if first != len(tags) {
+				return checked, fmt.Errorf("stage of nodes %v: %d rows, %d tags", sd.keyNodes, first, len(tags))
+			}
+		}
+	}
+	return checked, nil
+}
 
 // PooledScratchLeaks lists, by path, what the scan scratch and the tag states
 // in the process pool still hold of the builds they served: any pointer (a

@@ -141,6 +141,35 @@ func BenchmarkStagedBuild(b *testing.B) {
 	}
 }
 
+// BenchmarkMixedBuild times complete builds of the BUILD TREE in the cmd/bench
+// serve_mixed workload, in process: 50k census rows, file+memory staging with
+// no memory limit (cmd/served's default), MaxDepth 8, MinRows 50. Level 1 tees
+// the root's rows into a file and level 2 the file into memory stages, which
+// every later level re-scans, so this is the block kernel walking staged rows
+// by their tags.
+func BenchmarkMixedBuild(b *testing.B) {
+	ds, err := datagen.GenerateCensus(datagen.CensusConfig{Rows: 50000, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	srv, err := engine.NewServer(engine.New(sim.NewDefaultMeter(), 0), "cases", ds)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := mw.Config{Staging: mw.StageFileAndMemory, Dir: b.TempDir()}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		m, err := mw.New(srv, cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := dtree.Build(m, dtree.Options{MaxDepth: 8, MinRows: 50}); err != nil {
+			b.Fatal(err)
+		}
+		m.Close()
+	}
+}
+
 // stagedShape returns BenchmarkStagedBuild's table, middleware configuration
 // (staging under a temporary directory of tb) and tree options.
 func stagedShape(tb testing.TB) (*data.Dataset, mw.Config, dtree.Options) {

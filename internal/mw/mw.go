@@ -401,10 +401,12 @@ func (m *Middleware) freeStage(sd *stageData) {
 	if sd.mem != nil {
 		m.stagedMem -= sd.memBytes
 		m.recycleGroups(sd.mem)
-		sd.mem = nil
+		m.tags.recycle(sd.tags)
+		sd.mem, sd.tags = nil, nil
 	}
 	if sd.file != nil {
 		m.files.remove(sd.file)
+		m.tags.recycle(sd.file.tags)
 		sd.file = nil
 	}
 	if sd.subSrv != nil {

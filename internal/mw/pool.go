@@ -12,10 +12,11 @@ import (
 
 // This file is the storage a build churns through — counts tables, staging tee
 // builders and the code vectors their groups are sealed into, each segment's
-// scan scratch, the row tags — kept from batch to batch. None of it is modeled, so
-// recycling moves no tree, trace or charge. Counts tables, scan scratch and tag
-// states hold nothing of the build they served once it is over, so they outlive
-// it: Close hands them to one process-wide pool, where the next middleware — of
+// scan scratch, the row tags of the table and of every stage — kept from batch to
+// batch. None of it is modeled, so recycling moves no tree, trace or charge.
+// Counts tables, scan scratch and tag states (with the stage tag vectors freed
+// into them) hold nothing of the build they served once it is over, so they
+// outlive it: Close hands them to one process-wide pool, where the next middleware — of
 // any schema, in any session — draws its own. Tee builders and code vectors
 // stay with their middleware: they are sized by its stages, and pooling them
 // would keep a finished build's staged data alive. Storage changes hands only
@@ -58,20 +59,58 @@ func (ls *scanScratch) release() {
 // tagState is what a middleware knows of which node each row of its server
 // table belongs to (engine.ScanConsumer.Tags): a tag per row — the path of the
 // live request a tagged scan last bucketed it into through a test — the
-// registry of tags, and the current batch's classes under them. A tag is a fact
+// registry of tags, and the current batch's classes under them. Every stage
+// keeps a tag per row of its own, in the same registry (stageData.tags,
+// stageFile.tags): a tee copies each row's tag forward as it keeps the row,
+// into a vector the state hands out (take) and takes back when the stage is
+// freed, the tee dropped or its writer aborted (recycle). A tag is a fact
 // about its row, so no shed, requeue, fallback or failed scan can make one
-// wrong. The tags cost 4 bytes a row, unmodeled like the columnar copy they
-// index.
+// wrong. The tags cost 4 bytes a row, unmodeled like the rows they index.
 type tagState struct {
-	rows    []uint32         // per table row: its tag; rows appended since the draw are at the root
+	rows    []uint32         // per table row: its tag (tableRows); rows appended since the draw are at the root
 	byNode  map[int]uint32   // NodeID -> tag, for every request a tagged batch counted
 	paths   []predicate.Conj // per tag: its path; tag 0 is the root's, the empty path
 	conjs   []uint32         // per live request of the batch: its tag
 	classes engine.TagClasses
+	spare   [][]uint32 // stage tag vectors no stage or tee holds, empty
 }
 
 // bytes is what the state's storage weighs in the pool.
-func (ts *tagState) bytes() int64 { return int64(cap(ts.rows)+cap(ts.conjs)) * 4 }
+func (ts *tagState) bytes() int64 {
+	n := cap(ts.rows) + cap(ts.conjs)
+	for _, v := range ts.spare {
+		n += cap(v)
+	}
+	return int64(n) * 4
+}
+
+// take returns an empty tag vector with room for a tee's expected n rows: the
+// smallest spare that holds them, else a new one. A spare too small for this
+// tee stays for a smaller one, so a run of builds of one shape soon draws
+// every vector from the spares.
+func (ts *tagState) take(n int) []uint32 {
+	best := -1
+	for i, v := range ts.spare {
+		if cap(v) >= n && (best < 0 || cap(v) < cap(ts.spare[best])) {
+			best = i
+		}
+	}
+	if best < 0 {
+		return make([]uint32, 0, n)
+	}
+	v, last := ts.spare[best], len(ts.spare)-1
+	ts.spare[best], ts.spare[last], ts.spare = ts.spare[last], nil, ts.spare[:last]
+	return v
+}
+
+// recycle takes back a tag vector no stage or tee holds any more. A vector
+// with no storage is let go, so a middleware that never drew its state can
+// recycle the nil vectors of stages that have none.
+func (ts *tagState) recycle(v []uint32) {
+	if cap(v) > 0 {
+		ts.spare = append(ts.spare, v[:0])
+	}
+}
 
 // tagOf returns req's tag, registering it with req's path on first sight.
 func (ts *tagState) tagOf(req *Request) uint32 {
@@ -87,7 +126,8 @@ func (ts *tagState) tagOf(req *Request) uint32 {
 	return t
 }
 
-// release drops every node and path the state registered, keeping its storage.
+// release drops every node and path the state registered, keeping its storage,
+// spare tag vectors included.
 func (ts *tagState) release() {
 	clear(ts.byNode)
 	clear(ts.paths[:cap(ts.paths)])
@@ -112,7 +152,7 @@ var pool struct {
 }
 
 // tagState returns the middleware's tags, drawn from the pool on first use
-// with every row at the root, and covering every row of the table.
+// with no table row yet (tableRows).
 func (m *Middleware) tagState() *tagState {
 	ts := m.tags
 	if ts == nil {
@@ -128,11 +168,18 @@ func (m *Middleware) tagState() *tagState {
 		ts.paths = append(ts.paths, nil)
 		m.tags = ts
 	}
-	if n, had := int(m.srv.NumRows()), len(ts.rows); n > had {
+	return ts
+}
+
+// tableRows returns the tags of the table's n rows, those not tagged yet at
+// the root. Only a tagged server batch asks for them: a build whose later
+// levels all read stages never holds a tag per table row.
+func (ts *tagState) tableRows(n int) []uint32 {
+	if had := len(ts.rows); n > had {
 		ts.rows = slices.Grow(ts.rows, n-had)[:n]
 		clear(ts.rows[had:])
 	}
-	return ts
+	return ts.rows
 }
 
 // scratchAt returns segment j's scratch, drawing it from the pool on first

@@ -170,7 +170,7 @@ func TestPoolSharedAcrossSchemas(t *testing.T) {
 	if census.N() == tree.N() {
 		t.Fatalf("both tables hold %d rows", census.N())
 	}
-	scans := mw.TaggedScans()
+	scans := mw.TaggedScans("")
 	for _, j := range jobs {
 		var err error
 		if j.want, err = dtree.BuildInMemory(j.ds, j.opt); err != nil {
@@ -215,7 +215,7 @@ func TestPoolSharedAcrossSchemas(t *testing.T) {
 			t.Fatalf("job %d: %v", i, err)
 		}
 	}
-	if mw.TaggedScans() == scans {
+	if mw.TaggedScans("") == scans {
 		t.Fatal("no build walked rows by their tags")
 	}
 	if leaks := mw.PooledScratchLeaks(); len(leaks) > 0 {

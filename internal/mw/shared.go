@@ -129,9 +129,7 @@ func (sb *SharedBatch) Abort() {
 		return
 	}
 	sb.done = true
-	for _, t := range sb.r.plan.fileTees {
-		t.writer.Abort()
-	}
+	sb.m.abortTees(sb.r.plan.fileTees)
 	sb.r.ssp.End()
 	sb.r.bsp.End()
 }

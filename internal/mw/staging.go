@@ -25,6 +25,7 @@ type stageData struct {
 
 	mem      []*storage.ColGroup // non-nil (possibly empty) while the stage is in memory
 	memBytes int64
+	tags     []uint32 // a memory stage's: per row, in stage order, its tag (tagState)
 
 	file *stageFile
 
@@ -37,12 +38,14 @@ type stageData struct {
 // stageFile is one middleware staging file: the row groups' code vectors, one
 // group after the other (storage.ColGroup.AppendCodes). groups indexes them and
 // keeps each one's zone — row count, dictionaries, counts: the file holds none
-// of them — in memory, so planning a scan of the file reads nothing.
+// of them — in memory, so planning a scan of the file reads nothing. The rows'
+// tags stay in memory too, beside the zones: the file's format has none.
 type stageFile struct {
 	path   string
 	rows   int64
 	bytes  int64 // modeled: rows × the schema's row width, the unit of file_used_bytes
 	groups []fileGroup
+	tags   []uint32 // per row, in file order, its tag (tagState)
 }
 
 type fileGroup struct {
@@ -51,8 +54,9 @@ type fileGroup struct {
 	zone *storage.ColGroup
 }
 
-// stageCharge is what reading a group of a stage costs: one per-row charge on
-// the scan's meter, in place of everything a server scan pays.
+// stageCharge is what both kinds of stage source share: what reading a group
+// costs — one per-row charge on the scan's meter, in place of everything a
+// server scan pays — and where a group starts among the stage's rows.
 type stageCharge struct {
 	ctr    sim.Counter
 	perRow int64
@@ -73,6 +77,10 @@ func (s memGroups) Read(gi int) (*storage.ColGroup, error) { return s.groups[gi]
 func (s memGroups) ChargeRead(gi int, m *sim.Meter) {
 	m.Charge(s.ctr, s.perRow, int64(s.groups[gi].NumRows()))
 }
+
+// FirstRow is where a stage's group starts among its rows: a stage's groups
+// are a tee builder's, each but the last holding BlockRows rows.
+func (stageCharge) FirstRow(gi int) int { return gi * engine.BlockRows }
 
 // fileGroups is a staging file as a scan source. Planning needs only the zones;
 // a segment that reads groups opens the file on its first Read, decodes every

@@ -12,6 +12,7 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -587,34 +588,7 @@ func TestDaemonShowSessions(t *testing.T) {
 	builder, scorer, parker, shower := dial(), dial(), dial(), dial()
 	show := func(what string, want ...string) {
 		t.Helper()
-		fs, err := shower.query("SHOW SESSIONS")
-		if err != nil {
-			t.Fatalf("%s: %v", what, err)
-		}
-		var h wire.ResultHeader
-		if err := wire.Unmarshal(fs[0].payload, &h); err != nil || fs[0].t != wire.TResultHeader {
-			t.Fatalf("%s: the answer starts with %v (%v), want a result header", what, fs[0], err)
-		}
-		got := []string{strings.Join(h.Cols, " ")}
-		var b wire.RowBatch
-		for _, f := range fs[1 : len(fs)-1] {
-			if err := wire.Unmarshal(f.payload, &b); err != nil {
-				t.Fatal(err)
-			}
-			for _, row := range b.Rows {
-				cells := make([]string, len(row))
-				for i, c := range row {
-					cells[i] = fmt.Sprint(c.I)
-					if c.Str {
-						cells[i] = c.S
-					}
-				}
-				got = append(got, strings.Join(cells, " "))
-			}
-		}
-		if want = append([]string{"id kind cohort arrival state"}, want...); !reflect.DeepEqual(got, want) {
-			t.Errorf("%s: SHOW SESSIONS = %q, want %q", what, got, want)
-		}
+		checkShow(t, shower, what, want...)
 	}
 
 	show("before any run")
@@ -651,4 +625,100 @@ func TestDaemonShowSessions(t *testing.T) {
 		}
 	}
 	show("after the run", "1 build 3 0 done", "2 score 3 0 done")
+}
+
+// checkShow sends SHOW SESSIONS on c and checks its answer: the header, then
+// want's rows (cells space-separated).
+func checkShow(t *testing.T, c *rawClient, what string, want ...string) {
+	t.Helper()
+	fs, err := c.query("SHOW SESSIONS")
+	if err != nil {
+		t.Fatalf("%s: %v", what, err)
+	}
+	var h wire.ResultHeader
+	if err := wire.Unmarshal(fs[0].payload, &h); err != nil || fs[0].t != wire.TResultHeader {
+		t.Fatalf("%s: the answer starts with %v (%v), want a result header", what, fs[0], err)
+	}
+	got := []string{strings.Join(h.Cols, " ")}
+	var b wire.RowBatch
+	for _, f := range fs[1 : len(fs)-1] {
+		if err := wire.Unmarshal(f.payload, &b); err != nil {
+			t.Fatal(err)
+		}
+		for _, row := range b.Rows {
+			cells := make([]string, len(row))
+			for i, c := range row {
+				cells[i] = fmt.Sprint(c.I)
+				if c.Str {
+					cells[i] = c.S
+				}
+			}
+			got = append(got, strings.Join(cells, " "))
+		}
+	}
+	if want = append([]string{"id kind cohort arrival state"}, want...); !reflect.DeepEqual(got, want) {
+		t.Errorf("%s: SHOW SESSIONS = %q, want %q", what, got, want)
+	}
+}
+
+// TestDaemonShowSessionsAfterScore: a scorer's row says done by the time its
+// client has read TDone. The run ends a scoring result's stream as it ends
+// the run, and writes the session's final state into the snapshot before
+// that, so SHOW SESSIONS sent the moment the stream ends — on a second
+// loopback connection, already open — never finds it running. Ten runs of one
+// scorer each; in every run the state must be written while the scorer's
+// result is still open, which the timing of a loopback round trip alone would
+// seldom show.
+func TestDaemonShowSessionsAfterScore(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, tap, stop := serveOn(t, testServer(t, 3000), DaemonConfig{
+		Fleet: FleetConfig{Base: baseCfg(), MaxSessions: 8, ScanSharing: true},
+	}, ln)
+	defer stop()
+	var marked, late atomic.Int64
+	tap.setArm(func(f *Fleet) {
+		mark := f.ended
+		f.ended = func(s *Session, state string) {
+			if s.score != nil {
+				if _, done, _ := s.score.Wait(-1); done {
+					late.Add(1)
+				}
+				marked.Add(1)
+			}
+			mark(s, state)
+		}
+	})
+	defer tap.setArm(nil)
+	dial := func() *rawClient {
+		nc, err := net.Dial("tcp", ln.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { nc.Close() })
+		c, err := dialRaw(nc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	scorer, shower := dial(), dial()
+	if _, err := scorer.query("BUILD TREE MAXDEPTH 4 MODEL m"); err != nil {
+		t.Fatal(err)
+	}
+	for run := int64(2); run <= 11; run++ {
+		fs, err := scorer.query("SCORE TABLE cases USING m")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if last := fs[len(fs)-1]; last.t != wire.TDone {
+			t.Fatalf("run %d: the score ended with %v", run, last)
+		}
+		checkShow(t, shower, fmt.Sprintf("run %d, right after TDone", run), fmt.Sprintf("1 score %d 0 done", run))
+	}
+	if marked.Load() != 10 || late.Load() > 0 {
+		t.Errorf("of %d scorers' final states, %d were written after the result finished; want 10, none", marked.Load(), late.Load())
+	}
 }

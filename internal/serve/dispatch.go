@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -291,7 +292,8 @@ func (d *Dispatcher) runFleet(seq int64, batch []*fleetReq) {
 		defer context.AfterFunc(r.ctx, sessions[i].Cancel)()
 	}
 	if opened {
-		d.show(seq, sessions, func(*Session) string { return "running" })
+		d.show(seq, sessions)
+		fleet.ended = d.mark
 	}
 	if d.onFleet != nil {
 		d.onFleet(fleet)
@@ -309,17 +311,7 @@ func (d *Dispatcher) runFleet(seq int64, batch []*fleetReq) {
 		runtime.Gosched()
 	}
 	if opened {
-		err := fleet.Run()
-		d.show(seq, sessions, func(s *Session) string {
-			switch {
-			case err != nil:
-				return "failed"
-			case s.Err() != nil:
-				return "cancelled"
-			}
-			return "done"
-		})
-		if err != nil {
+		if err := fleet.Run(); err != nil {
 			fail(err)
 			return
 		}
@@ -366,12 +358,11 @@ func (d *Dispatcher) runFleet(seq int64, batch []*fleetReq) {
 var sessionCols = []string{"id", "kind", "cohort", "arrival", "state"}
 
 // show replaces the SHOW SESSIONS snapshot with the run's open sessions, each
-// in the state state reports; runFleet calls it only for a run that opened
-// one. The snapshot is copied out of the sessions and kept under qmu, so the
-// statement answers while a run holds emu and never reads a live Session. A
-// scorer's stream may end before its row leaves "running": the run finishes
-// every score result before it returns.
-func (d *Dispatcher) show(seq int64, sessions []*Session, state func(*Session) string) {
+// running; runFleet calls it only for a run that opened one, and the run marks
+// each session's final state as it ends it (mark), before the session's result
+// finishes. The snapshot is copied out of the sessions and kept under qmu, so
+// the statement answers while a run holds emu and never reads a live Session.
+func (d *Dispatcher) show(seq int64, sessions []*Session) {
 	var rows [][]engine.Val
 	for _, s := range sessions {
 		if s == nil {
@@ -382,11 +373,27 @@ func (d *Dispatcher) show(seq int64, sessions []*Session, state func(*Session) s
 			kind = "score"
 		}
 		rows = append(rows, []engine.Val{engine.IntVal(int64(s.ID)), engine.StrVal(kind),
-			engine.IntVal(seq), engine.IntVal(s.ArrivalNS()), engine.StrVal(state(s))})
+			engine.IntVal(seq), engine.IntVal(s.ArrivalNS()), engine.StrVal("running")})
 	}
 	d.qmu.Lock()
 	d.shown = rows
 	d.qmu.Unlock()
+}
+
+// mark writes session s's final state into the SHOW SESSIONS snapshot, which
+// is its run's: the run holds emu until it returns. The row is replaced, not
+// written in place: a snapshot already answered shares the rows it was copied
+// with.
+func (d *Dispatcher) mark(s *Session, state string) {
+	d.qmu.Lock()
+	defer d.qmu.Unlock()
+	for i, row := range d.shown {
+		if row[0].I == int64(s.ID) {
+			row = slices.Clone(row)
+			row[4] = engine.StrVal(state)
+			d.shown[i] = row
+		}
+	}
 }
 
 // buildResult renders one build session's outcome in the statement's OUTPUT

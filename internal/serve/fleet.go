@@ -137,6 +137,12 @@ type Fleet struct {
 	freeNS   int64
 	ran      bool
 
+	// ended, when set, is told each session's final state as the run ends
+	// it — "done", "cancelled", or "failed" for every session of a run that
+	// fails — before its scoring result finishes, so a reader that saw the
+	// result end finds the state already written.
+	ended func(s *Session, state string)
+
 	// runHook is a test seam, always nil in production: invoked once per
 	// scheduling round after admission, an error return simulates a mid-run
 	// failure so tests can assert no admitted session's resources leak.
@@ -321,6 +327,7 @@ func (f *Fleet) RunContext(ctx context.Context) (err error) {
 					}
 					s.Close()
 				}
+				f.end(s, "failed")
 			}
 		}
 		for _, s := range f.sessions {
@@ -474,20 +481,33 @@ func (f *Fleet) leave(s *Session) error {
 	if s.b != nil {
 		s.b.Abort()
 	}
+	err := f.retire(s)
 	if s.score != nil {
 		s.score.Finish(s.err)
 	}
-	return f.retire(s)
+	return err
 }
 
-// retire ends a session's run: its finish time, the slot it frees, its
-// middleware (staging files) and its clock.
+// end tells f.ended, if set, that s's run ended in state.
+func (f *Fleet) end(s *Session, state string) {
+	if f.ended != nil {
+		f.ended(s, state)
+	}
+}
+
+// retire ends a session's run: its finish time, its final state, the slot it
+// frees, its middleware (staging files) and its clock.
 func (f *Fleet) retire(s *Session) error {
 	s.finishNS = int64(s.meter.Now())
 	if s.finishNS > f.freeNS {
 		f.freeNS = s.finishNS
 	}
 	s.done = true
+	if s.err != nil {
+		f.end(s, "cancelled")
+	} else {
+		f.end(s, "done")
+	}
 	f.clocks.Close(s.ID)
 	return s.Close()
 }
