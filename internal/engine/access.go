@@ -19,7 +19,7 @@ import (
 // evaluated per row.
 //
 // The conjunction is one chain of code compares per row group, run as
-// selection-vector passes (GroupTrie.chainSel). A count-only GROUP BY — no
+// selection-vector passes (groupTrie.chainSel). A count-only GROUP BY — no
 // residual, at most two plain-column keys, items only COUNT(*), integer
 // literals and key columns — is counted in code space (count.go) and never
 // materializes a row. Every other statement runs projection, aggregation and

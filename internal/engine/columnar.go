@@ -23,7 +23,7 @@ import (
 //     along shared path prefixes instead of re-evaluating every node's
 //     predicate.Cond on materialized values — and one walk of it per row, over
 //     a dense range or a pre-selected row set's seeds, both filters the row and
-//     drops it into its nodes' buckets (GroupTrie.route). A row of the table
+//     drops it into its nodes' buckets (groupTrie.route). A row of the table
 //     or of a middleware stage carries the tag of the node a previous scan
 //     left it in, and its walk starts at that tag's class instead of the root
 //     (tags.go).
@@ -44,18 +44,18 @@ type trieNode struct {
 	ne     bool
 	parent int32
 	end    int32 // where a walk resumes when the test fails: one past the subtree
-	lo, hi int32 // GroupTrie.terms[lo:hi]: the conjunctions that end here
+	lo, hi int32 // groupTrie.terms[lo:hi]: the conjunctions that end here
 }
 
-// GroupTrie is a predicate.Trie — a batch's live node paths, or a filter's
+// groupTrie is a predicate.Trie — a batch's live node paths, or a filter's
 // disjuncts — compiled against one row group's dictionaries. Per condition the
 // dictionary decides: it holds for every row of the group (an Eq on the
 // group's only value, an Ne on an absent one) and stays as a test-free node;
 // it holds for none (an Eq on an absent value, an Ne on the only one) and its
 // whole subtree is dropped — the zone-map verdict; or it compares one uint16
-// code. A GroupTrie is reused: Compile overwrites it in place, so a scan
+// code. A groupTrie is reused: Compile overwrites it in place, so a scan
 // allocates trie storage once, not once per row group.
-type GroupTrie struct {
+type groupTrie struct {
 	g     *storage.ColGroup
 	nodes []trieNode
 	terms []int32 // the source trie's terminal lists, shared
@@ -64,7 +64,7 @@ type GroupTrie struct {
 }
 
 // Compile compiles t against g's dictionaries, replacing gt's contents.
-func (gt *GroupTrie) Compile(g *storage.ColGroup, t *predicate.Trie) {
+func (gt *groupTrie) Compile(g *storage.ColGroup, t *predicate.Trie) {
 	src := t.Nodes()
 	gt.g, gt.terms = g, t.Terms()
 	gt.nodes, gt.open = slices.Grow(gt.nodes[:0], len(src)), gt.open[:0]
@@ -100,7 +100,7 @@ func (gt *GroupTrie) Compile(g *storage.ColGroup, t *predicate.Trie) {
 
 // closeUpTo ends the subtree of every open node whose source subtree ends at
 // or before source index i.
-func (gt *GroupTrie) closeUpTo(i int32) {
+func (gt *groupTrie) closeUpTo(i int32) {
 	for n := len(gt.open); n > 0 && gt.open[n-1] <= i; n -= 2 {
 		gt.nodes[gt.open[n-2]].end = int32(len(gt.nodes))
 		gt.open = gt.open[:n-2]
@@ -109,7 +109,7 @@ func (gt *GroupTrie) closeUpTo(i int32) {
 
 // bind points the compiled tests at g's code vectors: the trie was compiled
 // against g's zone (GroupSource.Zone), before the group itself was read.
-func (gt *GroupTrie) bind(g *storage.ColGroup) {
+func (gt *groupTrie) bind(g *storage.ColGroup) {
 	for i := range gt.nodes {
 		if n := &gt.nodes[i]; n.col >= 0 {
 			n.codes = g.Codes(int(n.col))
@@ -119,7 +119,7 @@ func (gt *GroupTrie) bind(g *storage.ColGroup) {
 
 // release drops what gt holds of the group and trie it last compiled — the
 // group, its code vectors, the trie's terminal lists — keeping its storage.
-func (gt *GroupTrie) release() {
+func (gt *groupTrie) release() {
 	clear(gt.nodes[:cap(gt.nodes)])
 	gt.g, gt.terms, gt.nodes = nil, nil, gt.nodes[:0]
 }
@@ -135,15 +135,15 @@ func (n *trieNode) holds(i int32) bool {
 // down the trie once and is appended to buckets[k] for every conjunction k it
 // satisfies — buckets[k] receives, in row order, exactly the rows a test of
 // conjunction k alone would keep — and, when it satisfies one, to sel, which is
-// returned: the rows the trie's disjunction selects. With full set the filter
-// is known to keep every row (it is match-all, or covers the group): sel gets
-// the whole block and the walk only buckets. A tagged walk (tw non-nil, bound
+// returned: the rows the trie's disjunction selects. With full set the trie is
+// known to select every row (it covers the group): sel gets the whole block
+// and the walk only buckets. A tagged walk (tw non-nil, bound
 // to the group) starts each row at its tag's class instead of the root and
 // writes back the tag of the last conjunction the row reached through a test;
 // a row that reached none through a test keeps its tag, which already implies
 // every conjunction it reached. An untagged walk starts every row at the root
 // (routeRoot). Unmetered: the scan charges its own per-row kernel costs.
-func (gt *GroupTrie) route(base, n int, seed []int32, full bool, tw *tagWalk, buckets [][]int32, sel []int32) []int32 {
+func (gt *groupTrie) route(base, n int, seed []int32, full bool, tw *tagWalk, buckets [][]int32, sel []int32) []int32 {
 	nodes, terms := gt.nodes, gt.terms
 	root := terms[nodes[0].lo:nodes[0].hi]
 	if seed != nil {
@@ -227,7 +227,7 @@ func (gt *GroupTrie) route(base, n int, seed []int32, full bool, tw *tagWalk, bu
 // class leaves the whole trie open. It is the tagged walk's loop with the
 // class lookup taken out, kept apart because that lookup, run for rows that
 // all share the root's class, slowed the untagged walk by a third.
-func (gt *GroupTrie) routeRoot(base, n int, seed []int32, full bool, buckets [][]int32, sel []int32) []int32 {
+func (gt *groupTrie) routeRoot(base, n int, seed []int32, full bool, buckets [][]int32, sel []int32) []int32 {
 	nodes, terms := gt.nodes, gt.terms
 	for x := 0; x < n; x++ {
 		i := int32(base + x)
@@ -266,7 +266,7 @@ func appendRows(out []int32, base, n int) []int32 {
 
 // matches reports whether row i satisfies at least one conjunction: route's
 // walk, stopped at the first terminal.
-func (gt *GroupTrie) matches(i int32) bool {
+func (gt *groupTrie) matches(i int32) bool {
 	nodes := gt.nodes
 	for j := 1; j < len(nodes); {
 		n := &nodes[j]
@@ -285,7 +285,7 @@ func (gt *GroupTrie) matches(i int32) bool {
 // descend is predicate.Trie.Descend in code space: the last terminal on row
 // i's descent into the first child that holds, -1 when it passes none. The
 // root holds for every row, so the descent starts below it.
-func (gt *GroupTrie) descend(i int32) int32 {
+func (gt *groupTrie) descend(i int32) int32 {
 	nodes, last := gt.nodes, int32(0)
 	for j, end := int32(1), int32(len(nodes)); j < end; {
 		n := &nodes[j]
@@ -307,7 +307,7 @@ func (gt *GroupTrie) descend(i int32) int32 {
 // chain reports whether the compiled trie is one conjunction: every node's
 // subtree runs to the end of the trie (no node has two children) and the last
 // node is the only terminal.
-func (gt *GroupTrie) chain() bool {
+func (gt *groupTrie) chain() bool {
 	last := len(gt.nodes) - 1
 	for j := range gt.nodes {
 		n := &gt.nodes[j]
@@ -319,17 +319,13 @@ func (gt *GroupTrie) chain() bool {
 }
 
 // chainSel is a chain trie's filter as selection-vector passes over rows
-// [base, base+n), or over the rows seed lists when it is non-nil, appending the
-// rows that pass to out. The first tested node makes one dense, branch-free
-// pass, writing every row to out and advancing past it only when it passes;
-// each later tested node filters out the same way in place; test-free nodes
-// are skipped. A chain trie has a tested node: without one, cover would have
-// found the filter true throughout the group.
-func (gt *GroupTrie) chainSel(base, n int, seed []int32, out []int32) []int32 {
+// [base, base+n), appending the rows that pass to out. The first tested node
+// makes one dense, branch-free pass, writing every row to out and advancing
+// past it only when it passes; each later tested node filters out the same
+// way in place; test-free nodes are skipped. A chain trie has a tested node:
+// without one, cover would have found the filter true throughout the group.
+func (gt *groupTrie) chainSel(base, n int, out []int32) []int32 {
 	k := len(out)
-	if seed != nil {
-		n = len(seed)
-	}
 	out = slices.Grow(out, n)[:k+n]
 	sel, w := out[k:], -1
 	for j := 1; j < len(gt.nodes); j++ {
@@ -338,8 +334,6 @@ func (gt *GroupTrie) chainSel(base, n int, seed []int32, out []int32) []int32 {
 		case nd.codes == nil:
 		case w >= 0:
 			w = nd.pass(sel[:w], sel)
-		case seed != nil:
-			w = nd.pass(seed, sel)
 		default:
 			codes, code, ne := nd.codes[base:base+n], nd.code, nd.ne
 			w = 0
@@ -367,7 +361,7 @@ func (n *trieNode) pass(in, out []int32) int {
 // cover classifies the compiled trie as a filter over the whole group: none
 // when no conjunction survived compilation, all when one survived with every
 // condition on its path true throughout the group.
-func (gt *GroupTrie) cover() (all, none bool) {
+func (gt *groupTrie) cover() (all, none bool) {
 	none = true
 	for j := range gt.nodes {
 		if gt.nodes[j].hi > gt.nodes[j].lo {
@@ -389,21 +383,21 @@ func (gt *GroupTrie) cover() (all, none bool) {
 	return false, none
 }
 
-// GroupFilter is the batch filter — a disjunction of node paths — compiled
-// against one row group: its disjuncts' trie, walked per row until the first
-// disjunct that holds or, when what compiled is one conjunction (a SQL
-// statement's pushed-down WHERE, a single-path tee), filtered condition by
+// groupFilter is the filter of a consumer without paths — a statement's
+// pushed-down WHERE, an aux structure's qualifying filter — compiled against
+// one row group: its disjuncts' trie, walked per row until the first disjunct
+// that holds or, when what compiled is one conjunction, filtered condition by
 // condition in selection-vector passes (chainSel). A filter none of whose
-// disjuncts can match in the group is the zone-map skip signal. Like GroupTrie
+// disjuncts can match in the group is the zone-map skip signal. Like groupTrie
 // it is compiled in place and reused across groups.
-type GroupFilter struct {
+type groupFilter struct {
 	all, none bool
 	chain     bool // the compiled trie is one conjunction
-	trie      GroupTrie
+	trie      groupTrie
 }
 
 // Compile compiles f against g's dictionaries, replacing gf's contents.
-func (gf *GroupFilter) Compile(g *storage.ColGroup, f predicate.Filter) {
+func (gf *groupFilter) Compile(g *storage.ColGroup, f predicate.Filter) {
 	gf.all, gf.none, gf.chain = f.All(), f.Empty(), false
 	if gf.all || gf.none {
 		return
@@ -415,25 +409,25 @@ func (gf *GroupFilter) Compile(g *storage.ColGroup, f predicate.Filter) {
 
 // Release drops what gf holds of the group and filter it last compiled,
 // keeping its storage for the next Compile.
-func (gf *GroupFilter) Release() {
+func (gf *groupFilter) Release() {
 	gf.trie.release()
-	*gf = GroupFilter{trie: gf.trie}
+	*gf = groupFilter{trie: gf.trie}
 }
 
 // None reports that no row of the group can satisfy the filter: the group
 // is skipped before any page I/O is charged.
-func (gf *GroupFilter) None() bool { return gf.none }
+func (gf *groupFilter) None() bool { return gf.none }
 
 // selectBlock appends the group-relative indices of the matching rows in
 // [base, base+n) to out.
-func (gf *GroupFilter) selectBlock(base, n int, out []int32) []int32 {
+func (gf *groupFilter) selectBlock(base, n int, out []int32) []int32 {
 	switch {
 	case gf.none:
 		return out
 	case gf.all:
 		return appendRows(out, base, n)
 	case gf.chain:
-		return gf.trie.chainSel(base, n, nil, out)
+		return gf.trie.chainSel(base, n, out)
 	}
 	for i := int32(base); i < int32(base+n); i++ {
 		if gf.trie.matches(i) {
@@ -443,32 +437,12 @@ func (gf *GroupFilter) selectBlock(base, n int, out []int32) []int32 {
 	return out
 }
 
-// Refine filters sel (group-relative row indices) down to the rows
-// satisfying the compiled filter, appending to out and returning it.
-// Unmetered: callers charge their own per-row costs.
-func (gf *GroupFilter) Refine(sel []int32, out []int32) []int32 {
-	if gf.all {
-		return append(out, sel...)
-	}
-	if gf.none {
-		return out
-	}
-	if gf.chain {
-		return gf.trie.chainSel(0, 0, sel, out)
-	}
-	for _, i := range sel {
-		if gf.trie.matches(i) {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
 // ColBlock is one block of a columnar scan: rows [Base, Base+N) of Group,
-// with Sel holding the group-relative indices of the rows matching the
-// pushed-down filter and — for a consumer that attached its node paths
-// (ScanConsumer.Paths) — Buckets[k] those satisfying path k, in row order;
-// nil otherwise. Tags, for a consumer whose walk is tagged, is the group's
+// with Sel holding the group-relative indices of the rows the consumer
+// selects — for a consumer that attached its node paths (ScanConsumer.Paths),
+// the rows their disjunction selects, whatever its Filter, and Buckets[k]
+// those satisfying path k, in row order; otherwise the rows matching its
+// Filter, and Buckets nil. Tags, for a consumer whose walk is tagged, is the group's
 // rows' tags, group-relative, as the walk of this block left them; nil when
 // the group was walked untagged. The same ColBlock is reused across
 // callbacks; callers must not retain it, Sel, Buckets or Tags.

@@ -257,16 +257,17 @@ func sameSel(a, b []int32) bool {
 
 // TestGroupTrieRouting: the scan's one trie walk per row must produce, element
 // for element, what the two passes it replaced did — Sel as selectBlock over
-// the paths' disjunction (or the whole block under match-all) and every
-// Buckets[k] as the per-conjunction kernel's refinement of that Sel — and skip
-// exactly the groups the disjunction's zone-map verdict rules out; the same
+// the paths' disjunction, also when the consumer pushes match-all down, and
+// every Buckets[k] as the per-conjunction kernel's refinement of that Sel —
+// and skip exactly the groups the disjunction's zone-map verdict rules out
+// (none under match-all, where every evaluated row is transmitted); the same
 // trie as a filter must agree with predicate.Filter.Eval row by row, with the
 // zone-map verdict of the kernel it replaced.
 func TestGroupTrieRouting(t *testing.T) {
 	rng := rand.New(rand.NewSource(16))
 	srv, ds := routingServer(t, rng)
 	cs := srv.table.colstore
-	var gf GroupFilter // reused across groups and path sets, as the scan does
+	var gf groupFilter // reused across groups and path sets, as the scan does
 	for round := 0; round < 150; round++ {
 		paths := randomPaths(rng, ds.Schema.NumCols())
 		trie := predicate.NewTrie(paths)
@@ -279,12 +280,15 @@ func TestGroupTrieRouting(t *testing.T) {
 				pushed = trie.Filter()
 			}
 			scanned := make([]bool, cs.NumGroups())
-			cons := &ScanConsumer{Filter: pushed, Paths: trie, Meter: srv.meter}
+			lane := sim.NewMeter(srv.meter.Costs())
+			cons := &ScanConsumer{Filter: pushed, Paths: trie, Meter: lane}
+			var selected int64
 			cons.Fn = func(blk *ColBlock) bool {
 				g := blk.Group
 				scanned[blk.GroupIndex] = true
-				gf.Compile(g, ref)
+				gf.Compile(g, filter)
 				wantSel := gf.selectBlock(blk.Base, blk.N, nil)
+				selected += int64(len(wantSel))
 				if !sameSel(blk.Sel, wantSel) {
 					t.Fatalf("round %d group %d block %d, filter %v: Sel = %v, want %v", round, blk.GroupIndex, blk.Base, ref, blk.Sel, wantSel)
 				}
@@ -298,27 +302,29 @@ func TestGroupTrieRouting(t *testing.T) {
 				}
 				return true
 			}
-			ScanGroups(context.Background(), srv.ColGroups(nil), []*ScanConsumer{cons}, 0, cs.NumGroups(), cons.Meter)
+			ScanGroups(context.Background(), srv.ColGroups(nil), []*ScanConsumer{cons}, 0, cs.NumGroups(), lane)
 			for gi, got := range scanned {
 				if gf.Compile(cs.Group(gi), ref); got == gf.None() {
 					t.Fatalf("round %d group %d, filter %v: scanned = %v, zone-map verdict none = %v", round, gi, ref, got, gf.None())
 				}
+			}
+			sent := selected
+			if ref.All() {
+				sent = lane.Count(sim.CtrServerRows)
+			}
+			if got := lane.Count(sim.CtrRowsTransmitted); got != sent {
+				t.Fatalf("round %d, filter %v: %d rows transmitted, want %d", round, ref, got, sent)
 			}
 		}
 
 		for gi := 0; gi < cs.NumGroups(); gi++ {
 			g := cs.Group(gi)
 			rows := ds.Rows[gi*storage.RowGroupSize:]
-			var sel []int32
-			for i := 0; i < g.NumRows(); i++ {
-				if rng.Intn(4) > 0 {
-					sel = append(sel, int32(i))
-				}
-			}
+			all := appendRows(nil, 0, g.NumRows())
 			none := true
 			for _, cj := range paths {
 				rc := compileRefConj(g, cj)
-				for _, ri := range rc.refine(g, sel) {
+				for _, ri := range rc.refine(g, all) {
 					if !cj.Eval(rows[ri]) {
 						t.Fatalf("round %d group %d: reference kernel keeps row %d for %v, which it fails", round, gi, ri, cj)
 					}
@@ -332,7 +338,7 @@ func TestGroupTrieRouting(t *testing.T) {
 					t.Fatalf("round %d group %d: None = %v, per-conjunction verdict %v", round, gi, gf.None(), none)
 				}
 			}
-			refined, block := gf.Refine(sel, nil), gf.selectBlock(0, g.NumRows(), nil)
+			block := gf.selectBlock(0, g.NumRows(), nil)
 			for i := 0; i < g.NumRows(); i++ {
 				naive := false
 				for _, cj := range paths {
@@ -345,16 +351,8 @@ func TestGroupTrieRouting(t *testing.T) {
 				if inBlock {
 					block = block[1:]
 				}
-				inRefined := len(refined) > 0 && refined[0] == int32(i)
-				if inRefined {
-					refined = refined[1:]
-				}
-				inSel := len(sel) > 0 && sel[0] == int32(i)
-				if inSel {
-					sel = sel[1:]
-				}
-				if inBlock != naive || inRefined != (naive && inSel) {
-					t.Fatalf("round %d group %d row %d: selectBlock %v, Refine %v, Filter.Eval %v (selected %v)", round, gi, i, inBlock, inRefined, naive, inSel)
+				if inBlock != naive {
+					t.Fatalf("round %d group %d row %d: selectBlock %v, Filter.Eval %v", round, gi, i, inBlock, naive)
 				}
 			}
 		}
@@ -362,12 +360,12 @@ func TestGroupTrieRouting(t *testing.T) {
 }
 
 // TestCodeSpaceChainMatchesWalk: where a filter compiles to one conjunction,
-// selectBlock and Refine filter by selection-vector passes (chainSel), and they
-// must keep exactly the rows the per-row trie walk (GroupTrie.matches) keeps, in
+// selectBlock filters by selection-vector passes (chainSel), and it must keep
+// exactly the rows the per-row trie walk (groupTrie.matches) keeps, in
 // ascending order — over random chains of Eq/Ne conditions, test-free nodes on
 // single-value dictionaries, disjunctions a group's dictionaries cut down to one
-// path, a partial last block and empty seeds. A compiled trie with two paths
-// never takes the passes.
+// path and a partial last block. A compiled trie with two paths never takes
+// the passes.
 func TestCodeSpaceChainMatchesWalk(t *testing.T) {
 	rng := rand.New(rand.NewSource(62))
 	srv, ds := routingServer(t, rng)
@@ -382,7 +380,7 @@ func TestCodeSpaceChainMatchesWalk(t *testing.T) {
 		}
 		return cj
 	}
-	walk := func(gf *GroupFilter, rows []int32) (out []int32) {
+	walk := func(gf *groupFilter, rows []int32) (out []int32) {
 		for _, i := range rows {
 			if gf.trie.matches(i) {
 				out = append(out, i)
@@ -390,7 +388,7 @@ func TestCodeSpaceChainMatchesWalk(t *testing.T) {
 		}
 		return out
 	}
-	var gf GroupFilter
+	var gf groupFilter
 	var chains, testFree, cut, multi int
 	for round := 0; round < 400; round++ {
 		conjs := []predicate.Conj{chain()}
@@ -436,23 +434,6 @@ func TestCodeSpaceChainMatchesWalk(t *testing.T) {
 				want := walk(&gf, block)
 				if got := gf.selectBlock(base, n, []int32{-1}); got[0] != -1 || !sameSel(got[1:], want) {
 					t.Fatalf("round %d group %d block %d, filter %v: selectBlock = %v, walk %v", round, gi, base, f, got, want)
-				}
-				var seed []int32
-				switch rng.Intn(4) {
-				case 0: // empty, and nil
-					if rng.Intn(2) == 0 {
-						seed = []int32{}
-					}
-				default:
-					for _, i := range block {
-						if rng.Intn(3) > 0 {
-							seed = append(seed, i)
-						}
-					}
-				}
-				want = walk(&gf, seed)
-				if got := gf.Refine(seed, []int32{-1}); got[0] != -1 || !sameSel(got[1:], want) {
-					t.Fatalf("round %d group %d block %d, filter %v: Refine(%d rows) = %v, walk %v", round, gi, base, f, len(seed), got, want)
 				}
 			}
 		}

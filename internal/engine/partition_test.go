@@ -30,7 +30,8 @@ func partitionTestServer(t *testing.T, n int) (*Server, *data.Dataset) {
 
 // scanPart drains partition p of np equal-width row-group ranges of src with f
 // pushed down, charging m (the server's own meter when nil): the rows the
-// scan selects, in order.
+// scan selects, in order. A row set is scanned with f's paths attached, as
+// the middleware scans one.
 func scanPart(s *Server, src GroupSource, f predicate.Filter, p, np int, m *sim.Meter) []data.Row {
 	if m == nil {
 		m = s.meter
@@ -38,13 +39,26 @@ func scanPart(s *Server, src GroupSource, f predicate.Filter, p, np int, m *sim.
 	var out []data.Row
 	n := src.NumGroups()
 	lo, hi := p*n/np, (p+1)*n/np
-	ScanGroups(context.Background(), src, []*ScanConsumer{{Filter: f, Meter: m, Fn: func(blk *ColBlock) bool {
+	c := &ScanConsumer{Filter: f, Meter: m, Fn: func(blk *ColBlock) bool {
 		for _, i := range blk.Sel {
 			out = append(out, groupRow(blk.Group, i))
 		}
 		return true
-	}}}, lo, hi, m)
+	}}
+	if _, ok := src.(*RowSet); ok {
+		c.Paths = filterPaths(f)
+	}
+	ScanGroups(context.Background(), src, []*ScanConsumer{c}, lo, hi, m)
 	return out
+}
+
+// filterPaths returns the trie of f's disjuncts, the root's empty path for
+// match-all: the paths a consumer of a row set attaches to scan by f.
+func filterPaths(f predicate.Filter) *predicate.Trie {
+	if f.All() {
+		return predicate.NewTrie([]predicate.Conj{nil})
+	}
+	return f.Trie()
 }
 
 func drain(c Cursor) []data.Row {

@@ -19,10 +19,12 @@ import (
 // ScanGroups selects (Sel) and buckets (Buckets[k]), concatenated in partition
 // order, is predicate.Filter.Eval and predicate.Conj.Eval over the dataset's
 // rows restricted to the captured ones, in heap order — under the paths' filter
-// and under match-all, with and without the paths attached. What the scan
-// charges is row-at-a-time: a fetch (and for a TID table a probe) and a
+// and under match-all, which selects by the paths too. What the scan charges
+// is row-at-a-time: a fetch (and for a TID table a probe) and a
 // stored-procedure evaluation per captured row of every group it reads, a
-// transmission per selected row, no page and no block price.
+// transmission per selected row — per evaluated row under match-all, where
+// the zone maps skip nothing — no page and no block price. A consumer without
+// paths may not scan a row set.
 func TestSeededScanMatchesRowOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	srv, ds := routingServer(t, rng)
@@ -53,7 +55,7 @@ func TestSeededScanMatchesRowOracle(t *testing.T) {
 				if !captured[i] {
 					continue
 				}
-				if pushed.Eval(row) {
+				if trie.Any(row) {
 					wantSel = append(wantSel, row)
 				}
 				for k, cj := range paths {
@@ -63,7 +65,7 @@ func TestSeededScanMatchesRowOracle(t *testing.T) {
 				}
 			}
 			var wantFetches int64
-			var gf GroupFilter
+			var gf groupFilter
 			for gi := range rs.held {
 				if gf.Compile(cs.Group(gi), pushed); !gf.None() {
 					wantFetches += int64(len(rs.held[gi]))
@@ -75,51 +77,49 @@ func TestSeededScanMatchesRowOracle(t *testing.T) {
 				bounds = append(bounds, rng.Intn(ng+1))
 			}
 			sort.Ints(bounds)
-			for _, routed := range []bool{true, false} {
-				var gotSel []data.Row
-				gotBuckets := make([][]data.Row, len(paths))
-				lane := sim.NewMeter(costs)
-				cons := &ScanConsumer{Filter: pushed, Meter: lane, Fn: func(blk *ColBlock) bool {
-					for _, i := range blk.Sel {
-						gotSel = append(gotSel, groupRow(blk.Group, i))
-					}
-					for k, b := range blk.Buckets {
-						for _, i := range b {
-							gotBuckets[k] = append(gotBuckets[k], groupRow(blk.Group, i))
-						}
-					}
-					return true
-				}}
-				if routed {
-					cons.Paths = trie
+			var gotSel []data.Row
+			gotBuckets := make([][]data.Row, len(paths))
+			lane := sim.NewMeter(costs)
+			cons := &ScanConsumer{Filter: pushed, Paths: trie, Meter: lane, Fn: func(blk *ColBlock) bool {
+				for _, i := range blk.Sel {
+					gotSel = append(gotSel, groupRow(blk.Group, i))
 				}
-				for p := 0; p+1 < len(bounds); p++ {
-					if err := ScanGroups(context.Background(), rs, []*ScanConsumer{cons}, bounds[p], bounds[p+1], lane); err != nil {
-						t.Fatal(err)
+				for k, b := range blk.Buckets {
+					for _, i := range b {
+						gotBuckets[k] = append(gotBuckets[k], groupRow(blk.Group, i))
 					}
 				}
-				if !sameRows(gotSel, wantSel) {
-					t.Fatalf("round %d, filter %v, routed %v, ranges %v: selected %d rows, the oracle %d (or content differs)",
-						round, pushed, routed, bounds, len(gotSel), len(wantSel))
+				return true
+			}}
+			for p := 0; p+1 < len(bounds); p++ {
+				if err := ScanGroups(context.Background(), rs, []*ScanConsumer{cons}, bounds[p], bounds[p+1], lane); err != nil {
+					t.Fatal(err)
 				}
-				for k := range paths {
-					if routed && !sameRows(gotBuckets[k], wantBuckets[k]) {
-						t.Fatalf("round %d, filter %v, ranges %v: path %v bucketed %d rows, the oracle %d (or content differs)",
-							round, pushed, bounds, paths[k], len(gotBuckets[k]), len(wantBuckets[k]))
-					}
+			}
+			if !sameRows(gotSel, wantSel) {
+				t.Fatalf("round %d, filter %v, ranges %v: selected %d rows, the oracle %d (or content differs)",
+					round, pushed, bounds, len(gotSel), len(wantSel))
+			}
+			for k := range paths {
+				if !sameRows(gotBuckets[k], wantBuckets[k]) {
+					t.Fatalf("round %d, filter %v, ranges %v: path %v bucketed %d rows, the oracle %d (or content differs)",
+						round, pushed, bounds, paths[k], len(gotBuckets[k]), len(wantBuckets[k]))
 				}
-				wantProbes := int64(0)
-				if rs.probe {
-					wantProbes = wantFetches
-				}
-				wantNS := int64(len(bounds)-1)*costs.CursorOpen + wantProbes*costs.IndexProbe +
-					wantFetches*(costs.TIDFetch+costs.ServerRowCPU) + int64(len(wantSel))*costs.RowTransmit
-				if lane.Count(sim.CtrTIDFetches) != wantFetches || lane.Count(sim.CtrIndexProbes) != wantProbes ||
-					lane.Count(sim.CtrServerRows) != wantFetches || lane.Count(sim.CtrRowsTransmitted) != int64(len(wantSel)) ||
-					lane.Count(sim.CtrServerPages) != 0 || int64(lane.Now()) != wantNS {
-					t.Fatalf("round %d, filter %v, routed %v: charged %v; want %d fetches, %d probes, %d rows sent, %d ns",
-						round, pushed, routed, lane, wantFetches, wantProbes, len(wantSel), wantNS)
-				}
+			}
+			wantProbes, wantSent := int64(0), int64(len(wantSel))
+			if rs.probe {
+				wantProbes = wantFetches
+			}
+			if pushed.All() {
+				wantSent = wantFetches
+			}
+			wantNS := int64(len(bounds)-1)*costs.CursorOpen + wantProbes*costs.IndexProbe +
+				wantFetches*(costs.TIDFetch+costs.ServerRowCPU) + wantSent*costs.RowTransmit
+			if lane.Count(sim.CtrTIDFetches) != wantFetches || lane.Count(sim.CtrIndexProbes) != wantProbes ||
+				lane.Count(sim.CtrServerRows) != wantFetches || lane.Count(sim.CtrRowsTransmitted) != wantSent ||
+				lane.Count(sim.CtrServerPages) != 0 || int64(lane.Now()) != wantNS {
+				t.Fatalf("round %d, filter %v: charged %v; want %d fetches, %d probes, %d rows sent, %d ns",
+					round, pushed, lane, wantFetches, wantProbes, wantSent, wantNS)
 			}
 		}
 	}

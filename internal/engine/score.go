@@ -16,8 +16,8 @@ import (
 // inside the engine against the columnar store, instead of shipping rows to
 // the client for a per-row dtree.Eval loop. The model's path trie is compiled
 // once per row group into dictionary-code space by the counting kernel's own
-// GroupTrie.Compile, zone-map verdicts included, and each row descends it
-// once (GroupTrie.descend) to its decision node: the reached leaf, or the
+// groupTrie.Compile, zone-map verdicts included, and each row descends it
+// once (groupTrie.descend) to its decision node: the reached leaf, or the
 // multiway node none of whose arms holds. The inner loop compares uint16
 // codes — no value materialization, no dictionary lookups. A pass (ScorePass)
 // is a ScanConsumer on the counting kernel's own block loop, ScanGroups — the
@@ -157,7 +157,7 @@ type ScoreConsumer struct {
 	model  *Model
 	meter  *sim.Meter
 	costs  sim.Costs
-	gt     GroupTrie // the model's path trie, compiled against the current group
+	gt     groupTrie // the model's path trie, compiled against the current group
 	res    *ScoreResult
 	next   int   // the row of res the next scored row lands in: the rows scored
 	probes int64 // the model node probes charged so far

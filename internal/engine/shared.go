@@ -27,9 +27,12 @@ type ScanConsumer struct {
 	Filter predicate.Filter
 	// Paths, when set, is the trie of the node paths the consumer counts by.
 	// The scan then compiles that one trie per row group and walks it once per
-	// row, filling ColBlock.Buckets and Sel together. Filter must be the
-	// paths' own disjunction (Paths.Filter()) or match-all — unfiltered rows,
-	// still bucketed by path.
+	// row, filling ColBlock.Buckets and Sel together: Sel is the rows the
+	// paths' disjunction selects. Filter must be that disjunction
+	// (Paths.Filter()) or match-all. Match-all is the no-pushdown ablation, a
+	// charge and not a selection: the zone maps skip no group, and every
+	// evaluated row pays its transmission. A consumer of a pre-selected source
+	// (GroupSource.Sel) must attach its paths.
 	Paths *predicate.Trie
 	// Tags, with Paths, is the session's tag per row of the source — of the
 	// table, for its copy or a row set over it (a row set's rows are its
@@ -54,7 +57,7 @@ type ScanConsumer struct {
 	// executor inside the server, so none is charged ColRowTransmit.
 	local    bool
 	detached bool
-	gf       GroupFilter // with Paths, gf.trie is the paths' router as well
+	gf       groupFilter // with Paths, gf.trie is the paths' router
 	tw       tagWalk     // with Tags, the classes compiled against gf.trie's group
 	sel      []int32
 	buckets  [][]int32 // per path of Paths: the block's rows satisfying it
@@ -80,32 +83,27 @@ func (c *ScanConsumer) compile(g *storage.ColGroup) {
 		return
 	}
 	gf := &c.gf
-	gf.all, gf.none = true, false
 	gf.trie.Compile(g, c.Paths)
-	if !c.Filter.All() {
-		gf.all, gf.none = gf.trie.cover()
-	}
+	gf.all, gf.none = gf.trie.cover()
+	gf.none = gf.none && !c.Filter.All() // no pushdown: the zone maps skip nothing
 }
 
 // walk fills c.sel — and with Paths c.buckets — for rows [base, base+n) of the
 // compiled group or, when the source pre-selected the group's rows, for those of
-// them in the block (seed, non-nil).
+// them in the block (seed, non-nil; only a consumer with Paths gets one).
 func (c *ScanConsumer) walk(base, n int, seed []int32) {
-	switch {
-	case c.Paths == nil && seed != nil:
-		c.sel = c.gf.Refine(seed, c.sel[:0])
-	case c.Paths == nil:
+	if c.Paths == nil {
 		c.sel = c.gf.selectBlock(base, n, c.sel[:0])
-	default:
-		for k := range c.buckets {
-			c.buckets[k] = c.buckets[k][:0]
-		}
-		var tw *tagWalk
-		if c.tw.rows != nil {
-			tw = &c.tw
-		}
-		c.sel = c.gf.trie.route(base, n, seed, c.gf.all, tw, c.buckets, c.sel[:0])
+		return
 	}
+	for k := range c.buckets {
+		c.buckets[k] = c.buckets[k][:0]
+	}
+	var tw *tagWalk
+	if c.tw.rows != nil {
+		tw = &c.tw
+	}
+	c.sel = c.gf.trie.route(base, n, seed, c.gf.all, tw, c.buckets, c.sel[:0])
 }
 
 // GroupSource is an ordered run of row groups the block loop can scan: a
@@ -192,24 +190,33 @@ func OpenCursor(src GroupSource, io *sim.Meter) {
 // group, each consumer's filter — its paths' trie, when it attached one — is
 // compiled once against the group's dictionaries; a consumer whose filter
 // cannot match skips the group on its own meter (zone-map verdict) without
-// forcing or joining the read, and a group no consumer needs is neither read
-// nor charged. Per block, a consumer of a server source pays its own
-// evaluation and transmission, and one walk of its trie per row — from the
-// row's tag's class, for a consumer with Tags — fills Sel and Buckets
-// together; of a pre-selected source (GroupSource.Sel) only the rows it
-// holds are walked and paid for, and a block or group holding none is passed
-// over. Consumers are fed in slice order, so the interleaving is deterministic;
-// the scan ends early once every consumer has detached, with the source's
-// error when a group cannot be read, and with ctx.Err() when ctx is done —
-// checked before every block, so a cancelled scan stops within one block and
-// a scan that is never cancelled charges exactly what it would without ctx.
+// forcing or joining the read — never one whose paths go unpushed (Filter
+// match-all) — and a group no consumer needs is neither read nor charged. Per
+// block, a consumer of a server source pays its own evaluation and
+// transmission, and one walk of its trie per row — from the row's tag's class,
+// for a consumer with Tags — fills Sel and Buckets together; of a pre-selected
+// source (GroupSource.Sel), which only a consumer with paths may scan, only
+// the rows it holds are walked and paid for, and a block or group holding
+// none is passed over. Consumers are fed in slice order, so the interleaving
+// is deterministic; the scan ends early once every consumer has detached,
+// with the source's error when a group cannot be read, and with ctx.Err()
+// when ctx is done — checked before every block, so a cancelled scan stops
+// within one block and a scan that is never cancelled charges exactly what it
+// would without ctx.
 func ScanRange(ctx context.Context, src GroupSource, cons []*ScanConsumer, loGroup, hiGroup int, io *sim.Meter) error {
 	if ng := src.NumGroups(); loGroup < 0 || hiGroup < loGroup || hiGroup > ng {
 		panic(fmt.Sprintf("engine: invalid columnar range [%d, %d) of %d groups", loGroup, hiGroup, ng))
 	}
+	seeded := false
+	if loGroup < hiGroup {
+		_, seeded = src.Sel(loGroup)
+	}
 	for i, c := range cons {
 		if c.Meter == nil || c.Fn == nil {
 			panic(fmt.Sprintf("engine: shared-scan consumer %d missing meter or callback", i))
+		}
+		if c.Paths == nil && seeded {
+			panic(fmt.Sprintf("engine: shared-scan consumer %d scans a pre-selected source without paths", i))
 		}
 		if c.Paths != nil {
 			if !c.Filter.All() && c.Filter.Trie() != c.Paths {
@@ -297,7 +304,11 @@ func ScanRange(ctx context.Context, src GroupSource, cons []*ScanConsumer, loGro
 				}
 				c.walk(base, n, seed)
 				if atServer && !c.local {
-					c.Meter.Charge(sim.CtrRowsTransmitted, prices.Transmit, int64(len(c.sel)))
+					sent := len(c.sel)
+					if c.Filter.All() {
+						sent = evaluated // no pushdown: every row goes to the client
+					}
+					c.Meter.Charge(sim.CtrRowsTransmitted, prices.Transmit, int64(sent))
 				}
 				blk.Group, blk.GroupIndex, blk.Base, blk.N, blk.Sel, blk.Buckets, blk.Tags = g, gi, base, n, c.sel, c.buckets, c.tw.rows
 				if !c.Fn(blk) {

@@ -122,7 +122,7 @@ type tagWalk struct {
 // bind readies tw for the group gt is compiled against, whose first row is
 // tags[first] (GroupSource.FirstRow); a group past the tags' end is walked
 // untagged.
-func (tw *tagWalk) bind(tags []uint32, tc *TagClasses, first int, gt *GroupTrie) {
+func (tw *tagWalk) bind(tags []uint32, tc *TagClasses, first int, gt *groupTrie) {
 	off, n := first, gt.g.NumRows()
 	if off+n > len(tags) {
 		tw.rows = nil
@@ -177,7 +177,7 @@ func (tw *tagWalk) release() {
 // split reports whether compiled nodes a and b are a binary split's two
 // children: one tested column's A = v and A <> v, each a leaf ending one
 // conjunction, so exactly one of them holds for every row.
-func (gt *GroupTrie) split(a, b int32) bool {
+func (gt *groupTrie) split(a, b int32) bool {
 	na, nb := &gt.nodes[a], &gt.nodes[b]
 	leaf := func(j int32, n *trieNode) bool { return n.end == j+1 && n.hi-n.lo == 1 }
 	return na.col >= 0 && na.col == nb.col && na.code == nb.code && na.ne != nb.ne && leaf(a, na) && leaf(b, nb)

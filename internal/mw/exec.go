@@ -232,7 +232,10 @@ func (m *Middleware) finishBatch(ctx context.Context, r *batchRun) ([]*Result, e
 	}
 
 	// Post results: the scan's tables, then the fallback requests', each one
-	// §2.3 statement at the server (sqlCounts).
+	// §2.3 statement at the server (sqlCounts). Each request's estimated and
+	// counted entries go on its span, the scan's or its fallback's, and a
+	// fallback's span names its kind: no fit at admission (scheduleOnce) or
+	// overflow during the scan (settle).
 	var results []*Result
 	post := func(res *Result) {
 		m.open[res.Req.NodeID] = res
@@ -241,17 +244,22 @@ func (m *Middleware) finishBatch(ctx context.Context, r *batchRun) ([]*Result, e
 		m.served(res.Req.ParentID)
 	}
 	for _, w := range r.live {
+		r.ssp.AddCC(w.req.NodeID, w.req.EstCC, int64(w.cc.Entries()))
 		post(&Result{Req: w.req, CC: w.cc, Source: r.b.kind.name()})
 	}
-	for _, req := range r.fallback {
-		fsp := tr.Start(obs.CatFallback, "sql-fallback").Attr("node", int64(req.NodeID))
+	for i, req := range r.fallback {
+		kind := obs.FallbackOverflow // appended by settle
+		if i < len(r.b.fallback) {
+			kind = obs.FallbackNoFit
+		}
+		fsp := tr.Start(obs.CatFallback, "sql-fallback").Attr("node", int64(req.NodeID)).Attr("kind", kind)
 		t, err := m.sqlCounts(ctx, req)
 		if err != nil {
 			fsp.End()
 			return nil, err
 		}
 		m.meter.Charge(sim.CtrSQLFallbacks, 0, 1)
-		fsp.SetSource("sql").SetRows(t.Rows()).End()
+		fsp.SetSource("sql").SetRows(t.Rows()).AddCC(req.NodeID, req.EstCC, int64(t.Entries())).End()
 		post(&Result{Req: req, CC: t, ViaSQL: true, Source: "sql"})
 	}
 	// Requests shed mid-scan return to the queue for a later batch.

@@ -1,8 +1,6 @@
 package mw
 
 import (
-	"slices"
-
 	"repro/internal/data"
 	"repro/internal/engine"
 	"repro/internal/sim"
@@ -16,12 +14,14 @@ import (
 // (engine.ColBlock.Buckets); per node, the middleware bumps a dense histogram
 // per bucketed row (cc.Table.AddMany) and folds the distinct cells into the
 // table once; staging tees keep their rows of the block as codes, and each
-// row's tag beside it. A scan hands the engine its source's row tags — the
-// middleware's per row of the server table, or the stage's own — and their
-// classes under the batch's paths (batchRun.tagRows), so each row's walk
-// starts at the node the previous level left it in; a tee copies the tag the
-// walk just wrote forward into its stage, so the stage's next scan starts
-// there too.
+// row's tag beside it. A tee's rows are the ones that walk picked, with no
+// filter of its own: its node's bucket, or the block's selection (Sel, the
+// rows the live paths select) for a tee over the whole batch. A scan hands
+// the engine its source's row tags — the middleware's per row of the server
+// table, or the stage's own — and their classes under the batch's paths
+// (batchRun.tagRows), so each row's walk starts at the node the previous
+// level left it in; a tee copies the tag the walk just wrote forward into its
+// stage, so the stage's next scan starts there too.
 
 // columnarNeedCols returns the columns whose pages the columnar scan must
 // read: every counted attribute (the class column rides along in each
@@ -69,8 +69,8 @@ func (m *Middleware) columnarNeedCols(plan *stagePlan, live []*ccWork) []int {
 // The fold is charged CCFoldEntry per attribute on its bound, min(rows,
 // values × classes) of the block's dictionaries — the most cells it can
 // visit — so a derived node, which is not counted, is billed the same with
-// no pass over its rows. The tee filters compile once per row group into
-// dictionary-code space, into storage reused from group to group. It is
+// no pass over its rows. A staging tee copies the rows of its node's bucket,
+// or the block's selection for a tee over the whole batch. It is
 // attached either to a batch's own pass or one of its segments (scanRange)
 // or, as a session's share of a multi-tenant scan, to engine.ScanGroups via
 // mw.SharedBatch — the same consumer either way, so shared and solo scans
@@ -83,28 +83,23 @@ type colConsumer struct {
 	costs    sim.Costs
 	classIdx int
 
-	curGroup    int // index of the group the tee filters are compiled for
-	fileFilters []engine.GroupFilter
-	memFilters  []engine.GroupFilter
-	classDict   []data.Value
-	classCodes  []uint16
-	teeSel      []int32
-	hist        []int64
+	curGroup   int // index of the group classDict and classCodes are of
+	classDict  []data.Value
+	classCodes []uint16
+	hist       []int64
 }
 
 // colConsumer returns the batch's attachment to a columnar scan: the counting
 // kernel of scratch j (metered on meter) over shard sh, fed per-path buckets
 // by the scan's walk of the live paths' trie, which is also the filter the
 // scan pushes down. Consumer and kernel are the scratch's, reset for the
-// batch: what the scan and the kernel grew in them — buckets, compiled tries,
-// the fold histogram — is reused.
+// batch: what the scan and the kernel grew in them — buckets, the compiled
+// trie, the fold histogram — is reused.
 func (r *batchRun) colConsumer(j int, meter *sim.Meter, sh *scanShard) *engine.ScanConsumer {
 	ls := r.m.scratch[j]
 	c, sc := &ls.cons, &ls.scan
 	c.plan, c.live, c.meter, c.sh = r.plan, r.live, meter, sh
 	c.costs, c.classIdx, c.curGroup = meter.Costs(), r.m.schema.ClassIndex(), -1
-	c.fileFilters = slices.Grow(c.fileFilters[:0], len(r.plan.fileTees))[:len(r.plan.fileTees)]
-	c.memFilters = slices.Grow(c.memFilters[:0], len(r.plan.memTees))[:len(r.plan.memTees)]
 	sc.Filter, sc.Paths, sc.Meter = r.scanFilter(), r.paths, meter
 	sc.Tags, sc.Classes = nil, nil
 	if r.tags != nil {
@@ -123,12 +118,6 @@ func (c *colConsumer) consume(blk *engine.ColBlock) bool {
 	g := blk.Group
 	if blk.GroupIndex != c.curGroup { // not g: a file source decodes every group into one buffer
 		c.curGroup = blk.GroupIndex
-		for k, t := range plan.fileTees {
-			c.fileFilters[k].Compile(g, t.filter)
-		}
-		for j, t := range plan.memTees {
-			c.memFilters[j].Compile(g, t.filter)
-		}
 		c.classDict, c.classCodes = g.Dict(c.classIdx), g.Codes(c.classIdx)
 	}
 	for i, sel := range blk.Buckets {
@@ -155,17 +144,27 @@ func (c *colConsumer) consume(blk *engine.ColBlock) bool {
 	// Tees keep their rows of the block in code space — nothing is decoded —
 	// and each row's tag as the walk just left it.
 	for k, t := range plan.fileTees {
-		c.teeSel = c.fileFilters[k].Refine(blk.Sel, c.teeSel[:0])
-		t.writer.sf.tags = appendTags(t.writer.sf.tags, blk.Tags, c.teeSel)
-		sh.writeFile(t, sh.files[k].AppendSel(g, c.teeSel))
-		meter.Charge(sim.CtrFileRowsWritten, c.costs.FileRowWrite, int64(len(c.teeSel)))
+		sel := t.rowsOf(blk)
+		t.writer.sf.tags = appendTags(t.writer.sf.tags, blk.Tags, sel)
+		sh.writeFile(t, sh.files[k].AppendSel(g, sel))
+		meter.Charge(sim.CtrFileRowsWritten, c.costs.FileRowWrite, int64(len(sel)))
 	}
-	for j := range plan.memTees {
+	for j, t := range plan.memTees {
 		if !sh.memDrop[j] {
-			c.teeSel = c.memFilters[j].Refine(blk.Sel, c.teeSel[:0])
-			sh.mems[j].tags = appendTags(sh.mems[j].tags, blk.Tags, c.teeSel)
-			sh.stageMem(j, len(c.teeSel), sh.mems[j].b.AppendSel(g, c.teeSel))
+			sel := t.rowsOf(blk)
+			sh.mems[j].tags = appendTags(sh.mems[j].tags, blk.Tags, sel)
+			sh.stageMem(j, len(sel), sh.mems[j].b.AppendSel(g, sel))
 		}
 	}
 	return true
+}
+
+// rowsOf returns the rows of blk tee t keeps: its node's bucket, or for a tee
+// over the whole batch the block's selection, which is the union of the
+// buckets.
+func (t *teePlan) rowsOf(blk *engine.ColBlock) []int32 {
+	if t.node < 0 {
+		return blk.Sel
+	}
+	return blk.Buckets[t.node]
 }

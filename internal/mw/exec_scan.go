@@ -221,7 +221,8 @@ func appendTags(dst, tags []uint32, sel []int32) []uint32 {
 
 // scanFilter returns the filter the batch's scan pushes down to its source:
 // the disjunction of the live paths, evaluated through their one trie, or
-// match-all under the no-pushdown ablation (where every row is transmitted).
+// match-all under the no-pushdown ablation, where the scan still selects by
+// the paths but no group is skipped and every row is transmitted.
 func (r *batchRun) scanFilter() predicate.Filter {
 	if r.m.cfg.NoFilterPushdown {
 		return predicate.MatchAll()

@@ -191,9 +191,14 @@ func rowSetProperty(t *testing.T, capture func(*engine.Server, predicate.Filter)
 }
 
 // rowSourceProperty scans every one of k equal-width row-group ranges of a
-// server source with f pushed down, for each k of splitCounts, and requires
-// the concatenation to be the rows of ds that f selects, in order.
+// server source with f pushed down and its trie attached as the paths, as the
+// middleware scans, for each k of splitCounts, and requires the concatenation
+// to be the rows of ds that f selects, in order.
 func rowSourceProperty(t *testing.T, rng *rand.Rand, srv *engine.Server, src engine.GroupSource, ds *data.Dataset, f predicate.Filter, nparts int, label string) {
+	paths := f.Trie()
+	if f.All() {
+		paths = predicate.NewTrie([]predicate.Conj{nil}) // the root's empty path
+	}
 	var want []string
 	for _, r := range ds.Rows {
 		if f.Eval(r) {
@@ -205,7 +210,7 @@ func rowSourceProperty(t *testing.T, rng *rand.Rand, srv *engine.Server, src eng
 		var got []string
 		for part := 0; part < k; part++ {
 			lo, hi := part*n/k, (part+1)*n/k
-			err := engine.ScanGroups(context.Background(), src, []*engine.ScanConsumer{{Filter: f, Meter: srv.Meter(), Fn: func(blk *engine.ColBlock) bool {
+			err := engine.ScanGroups(context.Background(), src, []*engine.ScanConsumer{{Filter: f, Paths: paths, Meter: srv.Meter(), Fn: func(blk *engine.ColBlock) bool {
 				for _, i := range blk.Sel {
 					got = append(got, fmt.Sprint(groupRow(blk.Group, i)))
 				}

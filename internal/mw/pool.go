@@ -40,17 +40,12 @@ type scanScratch struct {
 }
 
 // release drops every reference scratch holds into the build it served —
-// plan, requests, paths, filter, meter, shard, and the groups its filters
-// and read buffer last saw — keeping the storage it grew.
+// plan, requests, paths, filter, meter, shard, and the groups its trie and
+// read buffer last saw — keeping the storage it grew.
 func (ls *scanScratch) release() {
 	c := &ls.cons
 	c.plan, c.live, c.meter, c.sh = nil, nil, nil, nil
 	c.classDict, c.classCodes = nil, nil
-	for _, fs := range [][]engine.GroupFilter{c.fileFilters[:cap(c.fileFilters)], c.memFilters[:cap(c.memFilters)]} {
-		for i := range fs {
-			fs[i].Release()
-		}
-	}
 	ls.scan.Release()
 	ls.buf.g = storage.ColGroup{}
 	clear(ls.held)

@@ -3,6 +3,7 @@ package mw
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/cc"
@@ -217,10 +218,12 @@ type stagePlan struct {
 	memTees []*teePlan
 }
 
-// teePlan is one staging destination: rows matching filter are copied, and
+// teePlan is one staging destination: the rows of request node's bucket are
+// copied — node indexes the batch's requests, its slot in the scan's paths —
+// or, for a tee over the whole batch (node -1), every row the scan selects;
 // the resulting stage is registered under keyNodes.
 type teePlan struct {
-	filter   predicate.Filter
+	node     int
 	keyNodes []int
 	rows     int64 // expected rows (for budgeting)
 	writer   *fileWriter
@@ -282,6 +285,16 @@ func batchFilter(reqs []*Request) predicate.Filter {
 	return predicate.Or(conjs...)
 }
 
+// batchTee is a tee over the whole batch: it keeps every row the scan selects.
+func batchTee(b *batch) *teePlan {
+	return &teePlan{node: -1, keyNodes: nodeIDs(b.reqs), rows: batchRows(b.reqs)}
+}
+
+// nodeTee is a tee of request r of the batch alone: it keeps r's bucket.
+func nodeTee(b *batch, r *Request) *teePlan {
+	return &teePlan{node: slices.Index(b.reqs, r), keyNodes: []int{r.NodeID}, rows: r.Rows}
+}
+
 // nodeIDs lists the batch's node ids.
 func nodeIDs(reqs []*Request) []int {
 	ids := make([]int, len(reqs))
@@ -303,31 +316,19 @@ func (m *Middleware) planFileStaging(b *batch, p *stagePlan) {
 		if m.files.seq > 0 {
 			return
 		}
-		p.fileTees = append(p.fileTees, &teePlan{
-			filter:   batchFilter(b.reqs),
-			keyNodes: nodeIDs(b.reqs),
-			rows:     batchRows(b.reqs),
-		})
+		p.fileTees = append(p.fileTees, batchTee(b))
 	case FilePerNode:
 		// A new staging file for every node serviced (configuration 1).
 		reqs := append([]*Request(nil), b.reqs...)
 		sortByRowsDesc(reqs)
 		for _, r := range reqs {
-			p.fileTees = append(p.fileTees, &teePlan{
-				filter:   predicate.Or(r.Path),
-				keyNodes: []int{r.NodeID},
-				rows:     r.Rows,
-			})
+			p.fileTees = append(p.fileTees, nodeTee(b, r))
 		}
 	case FileSplitThreshold:
 		// Create one covering file for the batch on the first server scan
 		// (the root scan needs the whole table anyway); afterwards the
 		// splitting happens on file scans (planFileSplit).
-		p.fileTees = append(p.fileTees, &teePlan{
-			filter:   batchFilter(b.reqs),
-			keyNodes: nodeIDs(b.reqs),
-			rows:     batchRows(b.reqs),
-		})
+		p.fileTees = append(p.fileTees, batchTee(b))
 	}
 }
 
@@ -346,22 +347,14 @@ func (m *Middleware) planFileSplit(b *batch, p *stagePlan) {
 		reqs := append([]*Request(nil), b.reqs...)
 		sortByRowsDesc(reqs)
 		for _, r := range reqs {
-			p.fileTees = append(p.fileTees, &teePlan{
-				filter:   predicate.Or(r.Path),
-				keyNodes: []int{r.NodeID},
-				rows:     r.Rows,
-			})
+			p.fileTees = append(p.fileTees, nodeTee(b, r))
 		}
 	case FileSplitThreshold:
 		frac := float64(batchRows(b.reqs)) / float64(sf.rows)
 		if frac >= m.cfg.Threshold {
 			return
 		}
-		p.fileTees = append(p.fileTees, &teePlan{
-			filter:   batchFilter(b.reqs),
-			keyNodes: nodeIDs(b.reqs),
-			rows:     batchRows(b.reqs),
-		})
+		p.fileTees = append(p.fileTees, batchTee(b))
 	}
 }
 
@@ -383,11 +376,7 @@ func (m *Middleware) planMemStaging(b *batch, p *stagePlan) {
 			continue
 		}
 		avail -= need
-		p.memTees = append(p.memTees, &teePlan{
-			filter:   predicate.Or(r.Path),
-			keyNodes: []int{r.NodeID},
-			rows:     r.Rows,
-		})
+		p.memTees = append(p.memTees, nodeTee(b, r))
 	}
 }
 

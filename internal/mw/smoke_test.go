@@ -257,6 +257,45 @@ func TestStagingReducesVirtualTime(t *testing.T) {
 	}
 }
 
+// TestNoPushdownStagesSameRows: the no-pushdown ablation changes what a scan
+// transmits, not what it selects, so under every staging mode and file policy
+// a build stages, and later reads back, exactly the rows the pushed-down build
+// does, and grows the same tree. The tree data is large enough for
+// split-threshold files to split.
+func TestNoPushdownStagesSameRows(t *testing.T) {
+	staged := []sim.Counter{sim.CtrFileRowsWritten, sim.CtrFileRowsRead, sim.CtrMemRowsRead}
+	build := func(cfg mw.Config) (string, sim.Snapshot) {
+		srv, _ := newTestServer(t, datagen.TreeGenConfig{Seed: 1, Leaves: 60, CasesPerLeaf: 40})
+		cfg.Dir = t.TempDir()
+		m, err := mw.New(srv, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer m.Close()
+		tree, err := dtree.Build(m, dtree.Options{MinRows: 20})
+		if err != nil {
+			t.Fatalf("%+v: build: %v", cfg, err)
+		}
+		return tree.Dump(), m.Meter().Snapshot()
+	}
+	for _, staging := range []mw.StagingMode{mw.StageNone, mw.StageMemoryOnly, mw.StageFileOnly, mw.StageFileAndMemory} {
+		for _, policy := range []mw.FilePolicy{mw.FileSplitThreshold, mw.FilePerNode, mw.FileSingleton} {
+			cfg := mw.Config{Staging: staging, FilePolicy: policy}
+			pushed, pushedCtr := build(cfg)
+			cfg.NoFilterPushdown = true
+			unpushed, unpushedCtr := build(cfg)
+			if pushed != unpushed {
+				t.Errorf("%v/%v: the no-pushdown tree differs", staging, policy)
+			}
+			for _, c := range staged {
+				if got, want := unpushedCtr.Counts[c], pushedCtr.Counts[c]; got != want {
+					t.Errorf("%v/%v: %v = %d without pushdown, %d with it", staging, policy, c, got, want)
+				}
+			}
+		}
+	}
+}
+
 // TestClientMayConsumeInAnyOrder exercises §3.1's freedom: "the client is
 // free to partition the processed nodes in any order it sees fit. This
 // approach does not affect the decision tree that is finally produced." A

@@ -122,6 +122,9 @@ func spanArgs(s *Span) map[string]any {
 	if len(s.Nodes) > 0 {
 		args["nodes"] = s.Nodes
 	}
+	if len(s.CC) > 0 {
+		args["cc"] = s.CC
+	}
 	if s.Rows != 0 {
 		args["rows"] = s.Rows
 	}
@@ -191,20 +194,21 @@ func (ew *eventWriter) write(b []byte) {
 // ndSpan is the NDJSON projection of a span: flat, self-describing, stable
 // field order.
 type ndSpan struct {
-	Type    string `json:"type"`
-	Proc    int    `json:"proc"`
-	ProcN   string `json:"proc_name"`
-	ID      int64  `json:"id"`
-	Parent  int64  `json:"parent,omitempty"`
-	Cat     string `json:"cat"`
-	Name    string `json:"name"`
-	StartNS int64  `json:"start_ns"`
-	DurNS   int64  `json:"dur_ns"`
-	Source  string `json:"source,omitempty"`
-	Nodes   []int  `json:"nodes,omitempty"`
-	Rows    int64  `json:"rows,omitempty"`
-	Bytes   int64  `json:"bytes,omitempty"`
-	Attrs   []Attr `json:"attrs,omitempty"`
+	Type    string   `json:"type"`
+	Proc    int      `json:"proc"`
+	ProcN   string   `json:"proc_name"`
+	ID      int64    `json:"id"`
+	Parent  int64    `json:"parent,omitempty"`
+	Cat     string   `json:"cat"`
+	Name    string   `json:"name"`
+	StartNS int64    `json:"start_ns"`
+	DurNS   int64    `json:"dur_ns"`
+	Source  string   `json:"source,omitempty"`
+	Nodes   []int    `json:"nodes,omitempty"`
+	CC      []NodeCC `json:"cc,omitempty"`
+	Rows    int64    `json:"rows,omitempty"`
+	Bytes   int64    `json:"bytes,omitempty"`
+	Attrs   []Attr   `json:"attrs,omitempty"`
 }
 
 // ndSummary is the trailer line closing every NDJSON export: it makes the
@@ -234,7 +238,7 @@ func (t *Trace) WriteNDJSON(w io.Writer) error {
 					Type: "span", Proc: p.id, ProcN: p.name,
 					ID: s.ID, Parent: s.Parent, Cat: s.Cat, Name: s.Name,
 					StartNS: s.Start, DurNS: s.Dur,
-					Source: s.Source, Nodes: s.Nodes, Rows: s.Rows, Bytes: s.Bytes,
+					Source: s.Source, Nodes: s.Nodes, CC: s.CC, Rows: s.Rows, Bytes: s.Bytes,
 					Attrs: s.Attrs,
 				}
 				b, err := json.Marshal(ns)

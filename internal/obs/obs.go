@@ -39,6 +39,21 @@ const (
 	CatScore    = "score"    // one in-database scoring pass over a table
 )
 
+// The kinds of a §4.1.1 fallback: its span's "kind" attribute.
+const (
+	FallbackNoFit    int64 = 1 // no fit at admission: not even the smallest estimate fit the budget
+	FallbackOverflow int64 = 2 // overflow during the scan: shed with nothing left to shed beside it
+)
+
+// NodeCC is the record of one counts request a span serviced: its node, the
+// §4.2.1 estimate of its counts-table entries it was scheduled and admitted
+// by, and the entries it was counted to.
+type NodeCC struct {
+	Node      int   `json:"node"`
+	EstCC     int64 `json:"est_cc"`
+	CCEntries int64 `json:"cc_entries"`
+}
+
 // Attr is one extra key/value attribute on a span. S is used when non-empty,
 // otherwise I.
 type Attr struct {
@@ -59,8 +74,9 @@ type Span struct {
 	Dur    int64 // virtual ns
 
 	// Typed attributes; zero values are omitted from exports.
-	Source string // data tier: "server", "file", "memory", "sql"
-	Nodes  []int  // tree node ids the operation serviced
+	Source string   // data tier: "server", "file", "memory", "sql"
+	Nodes  []int    // tree node ids the operation serviced
+	CC     []NodeCC // per counts request the operation answered: estimate and count
 	Rows   int64
 	Bytes  int64
 	Attrs  []Attr
@@ -245,6 +261,15 @@ func (s *Span) SetSource(src string) *Span {
 func (s *Span) SetNodes(ids []int) *Span {
 	if s != nil && len(ids) > 0 {
 		s.Nodes = append([]int(nil), ids...)
+	}
+	return s
+}
+
+// AddCC records a counts request the operation answered: node's estimated
+// and counted entries.
+func (s *Span) AddCC(node int, est, entries int64) *Span {
+	if s != nil {
+		s.CC = append(s.CC, NodeCC{node, est, entries})
 	}
 	return s
 }

@@ -22,6 +22,7 @@
 package profile
 
 import (
+	"slices"
 	"sort"
 
 	"repro/internal/obs"
@@ -66,6 +67,7 @@ type Node struct {
 	ExclNS   int64
 	PctBP    int64 // exclusive time in basis points of the proc total
 	Rows     int64
+	CC       []obs.NodeCC
 	Attrs    []obs.Attr
 	Children []*Node
 
@@ -90,7 +92,10 @@ type Rollup struct {
 }
 
 // LevelRollup aggregates the batches serving one tree level (from the batch
-// spans' "level" attribute).
+// spans' "level" attribute), and how the §4.2.1 estimate of each counts table
+// the level's scans and fallbacks answered (obs.NodeCC) compares with the
+// entries counted: the ratio actual / estimate in thousandths, over the nodes
+// with a positive estimate.
 type LevelRollup struct {
 	Level   int64
 	Batches int
@@ -98,7 +103,14 @@ type LevelRollup struct {
 	StartNS int64
 	EndNS   int64
 
-	vec sim.CounterVec // inclusive deltas
+	Nodes            int   // counts requests answered
+	MedianRatioPM    int64 // the lower median of actual / estimate, per mille
+	MaxRatioPM       int64
+	FallbackNoFit    int // fallbacks by kind (obs.FallbackNoFit, obs.FallbackOverflow)
+	FallbackOverflow int
+
+	vec    sim.CounterVec // inclusive deltas
+	ratios []int64
 }
 
 // HotSpan is one entry of the top-exclusive-time table.
@@ -190,7 +202,7 @@ func newNode(s *obs.Span) *Node {
 	n := &Node{
 		ID: s.ID, Cat: s.Cat, Name: s.Name, Source: s.Source,
 		StartNS: s.Start, InclNS: s.Dur, Rows: s.Rows,
-		Attrs: s.Attrs, parent: s.Parent,
+		CC: s.CC, Attrs: s.Attrs, parent: s.Parent,
 	}
 	if s.Deltas != nil {
 		n.inclVec = *s.Deltas
@@ -269,9 +281,36 @@ func rollupLevels(nodes []*Node) []LevelRollup {
 		if e := n.EndNS(); e > out[i].EndNS {
 			out[i].EndNS = e
 		}
+		for _, c := range n.Children {
+			out[i].addCC(c)
+		}
+	}
+	for i := range out {
+		l := &out[i]
+		if len(l.ratios) > 0 {
+			slices.Sort(l.ratios)
+			l.MedianRatioPM, l.MaxRatioPM = l.ratios[(len(l.ratios)-1)/2], l.ratios[len(l.ratios)-1]
+		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Level < out[j].Level })
 	return out
+}
+
+// addCC adds the counts requests a batch's child span answered — its scan's,
+// or a fallback's with its kind.
+func (l *LevelRollup) addCC(n *Node) {
+	switch obs.AttrInt(n.Attrs, "kind", 0) {
+	case obs.FallbackNoFit:
+		l.FallbackNoFit++
+	case obs.FallbackOverflow:
+		l.FallbackOverflow++
+	}
+	for _, c := range n.CC {
+		l.Nodes++
+		if c.EstCC > 0 {
+			l.ratios = append(l.ratios, c.CCEntries*1000/c.EstCC)
+		}
+	}
 }
 
 // hotSpans returns the top spans by exclusive time (at most 10, non-zero

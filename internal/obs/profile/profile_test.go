@@ -198,6 +198,17 @@ func TestAttributionSumsToTotal(t *testing.T) {
 				t.Errorf("exclusive counter deltas do not sum to the roots' inclusive deltas:\n  excl %v\n  incl %v",
 					counterMap(&exclCounts), counterMap(&rootIncl))
 			}
+			// Every fallback is named by its kind on its level.
+			var fallbacks int64
+			for _, l := range proc.ByLevel {
+				fallbacks += int64(l.FallbackNoFit + l.FallbackOverflow)
+				if l.MedianRatioPM > l.MaxRatioPM {
+					t.Errorf("level %d: median actual/estimate %d‰ above the max %d‰", l.Level, l.MedianRatioPM, l.MaxRatioPM)
+				}
+			}
+			if want := meterCounts.Get(sim.CtrSQLFallbacks); fallbacks != want {
+				t.Errorf("levels name %d fallbacks by kind, the meter counted %d", fallbacks, want)
+			}
 			// Spans can only observe counters the meter actually charged.
 			exclCounts.EachNonZero(func(c sim.Counter, n int64) {
 				if m := meterCounts.Get(c); n > m {
@@ -209,11 +220,19 @@ func TestAttributionSumsToTotal(t *testing.T) {
 }
 
 // TestFallbackOnlyShape: with every request pushed to SQL, the profile still
-// balances and the fallback category dominates the rollup.
+// balances and the fallback category dominates the rollup, and every level's
+// nodes are all fallbacks for want of a fit at admission, each recorded with
+// its estimate and its count.
 func TestFallbackOnlyShape(t *testing.T) {
 	col, _, _ := buildProfiled(t, scenarios()[2])
 	p := Compute(col)
 	proc := p.Procs[0]
+	for _, l := range proc.ByLevel {
+		if l.Nodes == 0 || l.FallbackNoFit != l.Nodes || l.FallbackOverflow != 0 || l.MaxRatioPM == 0 {
+			t.Errorf("level %d: %d nodes, %d no-fit and %d overflow fallbacks, max actual/estimate %d‰; want every node a no-fit fallback with a count",
+				l.Level, l.Nodes, l.FallbackNoFit, l.FallbackOverflow, l.MaxRatioPM)
+		}
+	}
 	found := false
 	for _, r := range proc.ByCat {
 		if r.Key == obs.CatFallback {

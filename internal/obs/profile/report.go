@@ -29,6 +29,9 @@ func pct(bp int64) string {
 	return fmt.Sprintf("%s%d.%02d%%", sign, bp/100, bp%100)
 }
 
+// ratio renders thousandths as a decimal with three places.
+func ratio(pm int64) string { return fmt.Sprintf("%d.%03d", pm/1000, pm%1000) }
+
 // WriteText writes the EXPLAIN ANALYZE-style report: per proc, the span tree
 // with inclusive/exclusive costs, the level/batch breakdown, the top cost
 // centers and the per-category and per-source rollups. Deterministic:
@@ -94,6 +97,8 @@ func writeProcText(tw *errWriter, proc *Proc) {
 			tw.printf("  level %-3d %3d batches  %s .. %s  incl %s%s\n",
 				l.Level, l.Batches, secs(l.StartNS), secs(l.EndNS), secs(l.InclNS),
 				topCounters(&l.vec, 3))
+			tw.printf("            %3d nodes  actual/estimate median %s max %s  fallbacks: no fit at admission %d, overflow during the scan %d\n",
+				l.Nodes, ratio(l.MedianRatioPM), ratio(l.MaxRatioPM), l.FallbackNoFit, l.FallbackOverflow)
 		}
 	}
 	if len(proc.Counters) > 0 {
