@@ -8,6 +8,7 @@ import (
 	"repro/internal/dtree"
 	"repro/internal/engine"
 	"repro/internal/mw"
+	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
@@ -164,5 +165,38 @@ func TestFileStoreUsesFileAfterFirstScan(t *testing.T) {
 	}
 	if m.Count(sim.CtrFileRowsRead) == 0 {
 		t.Error("file store never read its file")
+	}
+}
+
+// TestExtractAllEndsItsSpans: ExtractAll leaves every span of its server
+// ended — the one server-scan its cursor opens, recording every row it
+// transmitted — whether the extracted copy fits the client's memory or
+// spills to its disk.
+func TestExtractAllEndsItsSpans(t *testing.T) {
+	ds := genData(t, 4)
+	srv := newServer(t, ds)
+	for _, clientMemory := range []int64{0, ds.Bytes() / 2} {
+		m := sim.NewMeter(srv.Meter().Costs())
+		col := obs.NewTrace()
+		if _, err := ExtractAll(srv.View(m, col.Proc("client", m)), clientMemory, dtree.Options{}); err != nil {
+			t.Fatal(err)
+		}
+		var spans []*obs.Span
+		col.EachProc(func(pv obs.ProcView) { spans = append(spans, pv.Spans...) })
+		scans := 0
+		for _, sp := range spans {
+			if sp.Deltas == nil {
+				t.Errorf("memory %d: span %q never ended", clientMemory, sp.Name)
+			}
+			if sp.Name == "server-scan" {
+				scans++
+				if sp.Rows != int64(ds.N()) {
+					t.Errorf("memory %d: the scan span records %d rows, want %d", clientMemory, sp.Rows, ds.N())
+				}
+			}
+		}
+		if scans != 1 {
+			t.Errorf("memory %d: %d server-scan spans, want 1", clientMemory, scans)
+		}
 	}
 }

@@ -1,6 +1,10 @@
 package cc
 
-import "repro/internal/data"
+import (
+	"slices"
+
+	"repro/internal/data"
+)
 
 // AddMany is the batched seam of the vectorized counting kernel: one call
 // folds a whole selection vector's worth of (attr, value, class) increments
@@ -9,7 +13,10 @@ import "repro/internal/data"
 //
 // codes and classCodes are dictionary-encoded column vectors (codes[i] indexes
 // dict, classCodes[i] indexes classDict) and sel lists the selected row
-// offsets. For every i in sel the count of (attr, dict[codes[i]],
+// offsets. dict and classDict are sorted and distinct, as storage.ColGroup's
+// dictionaries are, so the fold resolves each class's cell once per call and
+// walks the column's values with one forward cursor: nothing is searched per
+// cell. For every i in sel the count of (attr, dict[codes[i]],
 // classDict[classCodes[i]]) is incremented by one; only values and classes
 // that occur in the selection enter the table, so AddMany is fold-equivalent
 // to the sequential Add calls in every observable way (asserted by
@@ -34,7 +41,14 @@ func (t *Table) AddMany(attr int, dict []data.Value, codes []uint16, classDict [
 	for _, i := range sel {
 		hist[int(codes[i])*nc+int(classCodes[i])]++
 	}
-	folded := 0
+	// Per call, not per cell: each class's cell in t, plus one (0 until the
+	// call folds a cell of that class; classes past maxReserve are looked up
+	// every time), the column, and a cursor past the last of its sorted
+	// values folded, as dict ascends too. The column is taken at the first
+	// touched cell, after reserve: reserve replaces t.cols.
+	var ranks [maxReserve]int
+	var col *column
+	cur, folded := 0, 0
 	for v := 0; v < nd; v++ {
 		row := hist[v*nc : (v+1)*nc]
 		ri := -1
@@ -42,12 +56,37 @@ func (t *Table) AddMany(attr int, dict []data.Value, codes []uint16, classDict [
 			if n == 0 {
 				continue
 			}
+			if col == nil {
+				if t.stride == 0 {
+					t.reserve()
+				}
+				col = t.col(attr)
+			}
 			// Class first: a new class restrides every column, a new value
 			// reallocates this one, and the cell is addressed after both.
-			ci := t.classRank(classDict[c])
-			col := t.col(attr)
+			var ci int
+			if c < maxReserve && ranks[c] > 0 {
+				ci = ranks[c] - 1
+			} else {
+				k := len(t.classes)
+				ci = t.classRank(classDict[c])
+				if len(t.classes) != k {
+					ranks = [maxReserve]int{} // a new class moves every rank behind it
+				}
+				if c < maxReserve {
+					ranks[c] = ci + 1
+				}
+			}
 			if ri < 0 {
-				ri = t.rank(col, dict[v])
+				ri = cur
+				if ri == len(col.vals) || col.vals[ri] != dict[v] {
+					i, ok := slices.BinarySearch(col.vals[cur:], dict[v])
+					ri += i
+					if !ok {
+						t.insertValue(col, ri, dict[v])
+					}
+				}
+				cur = ri + 1
 			}
 			p := &col.counts[ri*t.stride+ci]
 			if *p == 0 {

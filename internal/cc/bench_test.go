@@ -2,6 +2,7 @@ package cc
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/data"
@@ -91,34 +92,48 @@ func BenchmarkEstimate(b *testing.B) {
 	}
 }
 
-// bucketShape is a build_scan-shaped bucket of the block kernel: 13 of a
-// 1024-row block's rows selected for one deep node, codes into 10 values and
-// 2 classes.
-func bucketShape() (dict, classDict []data.Value, codes, classCodes []uint16, sel []int32) {
+// bucketShape is one bucket of the block kernel: rows of a 1024-row block's
+// selected for one node, codes into 10 values and classes classes.
+func bucketShape(classes, rows int) (dict, classDict []data.Value, codes, classCodes []uint16, sel []int32) {
 	rng := rand.New(rand.NewSource(1))
-	dict, classDict = make([]data.Value, 10), []data.Value{0, 1}
+	dict, classDict = make([]data.Value, 10), make([]data.Value, classes)
 	for v := range dict {
 		dict[v] = data.Value(v)
 	}
+	for c := range classDict {
+		classDict[c] = data.Value(c)
+	}
 	codes, classCodes = make([]uint16, 1024), make([]uint16, 1024)
 	for i := range codes {
-		codes[i], classCodes[i] = uint16(rng.Intn(len(dict))), uint16(rng.Intn(2))
+		codes[i], classCodes[i] = uint16(rng.Intn(len(dict))), uint16(rng.Intn(classes))
 	}
-	for i := 0; len(sel) < 13; i += 1 + rng.Intn(78) {
+	for _, i := range rng.Perm(1024)[:rows] {
 		sel = append(sel, int32(i))
 	}
+	slices.Sort(sel)
 	return dict, classDict, codes, classCodes, sel
 }
 
 // BenchmarkAddMany measures one counted attribute of one bucket: the histogram
-// bumps and the fold into the node's table, in ns per selected row.
+// bumps and the fold into the node's table, in ns per selected row. Two
+// shapes: 2-class is build_scan's deep node, 13 rows over 10 values and 2
+// classes; 10-class is a shallow node of build_staged's tree data, 256 rows
+// over 10 values and 10 classes, where a fold meets each class under several
+// values.
 func BenchmarkAddMany(b *testing.B) {
-	dict, classDict, codes, classCodes, sel := bucketShape()
-	t := NewSized([]int{0}, []int{len(dict)}, len(classDict))
-	var hist []int64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		hist, _ = t.AddMany(0, dict, codes, classDict, classCodes, sel, hist)
+	for _, shape := range []struct {
+		name          string
+		classes, rows int
+	}{{"2-class", 2, 13}, {"10-class", 10, 256}} {
+		b.Run(shape.name, func(b *testing.B) {
+			dict, classDict, codes, classCodes, sel := bucketShape(shape.classes, shape.rows)
+			t := NewSized([]int{0}, []int{len(dict)}, len(classDict))
+			var hist []int64
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				hist, _ = t.AddMany(0, dict, codes, classDict, classCodes, sel, hist)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(sel)), "ns/row")
+		})
 	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(sel)), "ns/row")
 }

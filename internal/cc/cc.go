@@ -12,9 +12,10 @@
 // per attribute, the sorted distinct values present and, contiguous with them,
 // one class-count vector per value, indexed by the class's rank among the
 // table's sorted distinct classes. Counting a cell is a binary search over one
-// attribute's few values plus an increment, so its cost depends neither on the
-// table's size nor on insertion order; Values, Card, ClassVector and Walk read
-// the arrays in key order; Merge and Clone are vector adds and copies.
+// attribute's few values plus an increment (AddMany's sorted dictionaries let
+// it walk them instead), so its cost depends neither on the table's size nor
+// on insertion order; Values, Card, ClassVector, VectorAt and Walk read the
+// arrays in key order; Merge and Clone are vector adds and copies.
 //
 // Rows and columns are indexed by rank, not by raw code: a CSV column that
 // passes numeric codes through may hold {0, 1000000}, and a grid indexed by
@@ -315,8 +316,22 @@ func (t *Table) Walk(fn func(Key, int64)) {
 // len(dst) is the class cardinality; classes outside [0, len(dst)) are
 // ignored.
 func (t *Table) ClassVector(attr int, val data.Value, dst []int64) []int64 {
+	return t.byClass(t.vector(attr, val), dst)
+}
+
+// VectorAt is ClassVector of attr's r-th smallest value present, which it
+// returns: the split search reads its candidates rank by rank, 0 <= r <
+// Card(attr), with no search and no copy of the values.
+func (t *Table) VectorAt(attr, r int, dst []int64) data.Value {
+	c := &t.cols[attr]
+	t.byClass(c.counts[r*t.stride:r*t.stride+len(t.classes)], dst)
+	return c.vals[r]
+}
+
+// byClass fills dst from vec, a vector indexed by class rank, by class value.
+func (t *Table) byClass(vec, dst []int64) []int64 {
 	clear(dst)
-	for ci, n := range t.vector(attr, val) {
+	for ci, n := range vec {
 		if cl := t.classes[ci]; cl >= 0 && int(cl) < len(dst) {
 			dst[cl] = n
 		}

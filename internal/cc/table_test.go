@@ -89,11 +89,10 @@ func runTableOps(t testing.TB, ops []byte) {
 				ref.cells[Key{Attr: a, Val: row[a], Class: row.Class()}]++
 			}
 			ref.rows++
-		case 3: // AddMany over a run of each (ascending) palette as dictionaries
-			lo, cl := r.next(len(opVals)), r.next(len(opClasses))
-			dict := opVals[lo:min(lo+1+r.next(4), len(opVals))]
-			classDict := opClasses[cl:min(cl+1+r.next(3), len(opClasses))]
-			n := r.next(12)
+		case 3: // AddMany, its dictionaries gapped runs of the palettes
+			dict := gapped(opVals, r.next(len(opVals)), r.next(256))
+			classDict := gapped(opClasses, r.next(len(opClasses)), r.next(256))
+			n := r.next(24)
 			codes, classCodes := make([]uint16, n), make([]uint16, n)
 			var sel []int32
 			cells := map[Key]bool{}
@@ -142,6 +141,25 @@ func runTableOps(t testing.TB, ops []byte) {
 	for i, tb := range tabs {
 		checkAgainstModel(t, tb, refs[i])
 	}
+}
+
+// gapped returns the entries of palette[lo:lo+8] whose bit is set in mask, or
+// palette[lo] alone when none is: a sorted dictionary, as a row group's is,
+// with gaps. The table a fold goes into holds other draws, so one AddMany call
+// meets classes and values that fall between two it has already folded: a new
+// class moves the ranks the call has resolved, and a new value is inserted
+// behind the column cursor's last row.
+func gapped(palette []data.Value, lo, mask int) []data.Value {
+	var s []data.Value
+	for j := 0; j < 8 && lo+j < len(palette); j++ {
+		if mask>>j&1 != 0 {
+			s = append(s, palette[lo+j])
+		}
+	}
+	if len(s) == 0 {
+		return palette[lo : lo+1]
+	}
+	return s
 }
 
 // resetHints are the size hints the harness resets tables under: the one the
@@ -278,10 +296,9 @@ func driveOps(rng *rand.Rand, tb, other *Table, n int) {
 				opClasses[rng.Intn(len(opClasses))]}
 			tb.AddRow(row, []int{0, 1, 2, 3}[:1+rng.Intn(4)])
 		case 2:
-			lo, cl := rng.Intn(len(opVals)), rng.Intn(len(opClasses))
-			dict := opVals[lo:min(lo+1+rng.Intn(4), len(opVals))]
-			classDict := opClasses[cl:min(cl+1+rng.Intn(3), len(opClasses))]
-			k := rng.Intn(12)
+			dict := gapped(opVals, rng.Intn(len(opVals)), rng.Intn(256))
+			classDict := gapped(opClasses, rng.Intn(len(opClasses)), rng.Intn(256))
+			k := rng.Intn(24)
 			codes, classCodes, sel := make([]uint16, k), make([]uint16, k), []int32{}
 			for j := range codes {
 				codes[j], classCodes[j] = uint16(rng.Intn(len(dict))), uint16(rng.Intn(len(classDict)))

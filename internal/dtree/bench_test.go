@@ -1,8 +1,11 @@
 package dtree
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 
+	"repro/internal/cc"
 	"repro/internal/datagen"
 	"repro/internal/engine"
 	"repro/internal/sim"
@@ -38,6 +41,44 @@ func BenchmarkScoreColumnar(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, err := srv.ScoreColumnar(m, 1); err != nil {
 					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkDecide is the client's layer benchmark: one split search (decide,
+// binary entropy) over a counts table of cmd/bench's build_staged tree data
+// (200-leaf random tree, 25 attributes, 10 classes, 16k rows), at the root
+// and at the deepest internal node of its MinRows 50 tree. Run it with
+// go test -run '^$' -bench BenchmarkDecide -benchmem ./internal/dtree
+func BenchmarkDecide(b *testing.B) {
+	gen := datagen.TreeGenConfig{Seed: 1, Leaves: 200}.Normalize()
+	gen.CasesPerLeaf = 80
+	ds, _, err := datagen.GenerateTreeData(gen)
+	if err != nil {
+		b.Fatal(err)
+	}
+	opt := Options{MinRows: 50}
+	tree, err := BuildInMemory(ds, opt)
+	if err != nil {
+		b.Fatal(err)
+	}
+	deep := tree.Root
+	tree.Walk(func(n *Node) {
+		if !n.Leaf && n.Depth > deep.Depth {
+			deep = n
+		}
+	})
+	classIdx := ds.Schema.ClassIndex()
+	for _, n := range []*Node{tree.Root, deep} {
+		table := cc.FromDataset(ds, append(slices.Clone(n.Attrs), classIdx), n.Path.Eval)
+		b.Run(fmt.Sprintf("depth=%d", n.Depth), func(b *testing.B) {
+			b.ReportMetric(float64(table.Entries()), "entries")
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if decide(table, n.Attrs, n.ClassCounts, n.Rows, n.Depth, opt).leaf {
+					b.Fatal("the node does not split")
 				}
 			}
 		})

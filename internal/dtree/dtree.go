@@ -19,6 +19,7 @@ package dtree
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/cc"
@@ -201,32 +202,46 @@ func (t *Tree) Stats() Stats {
 	return Stats{Nodes: t.NumNodes, Leaves: t.NumLeaves, Depth: t.MaxDepth}
 }
 
-// impurity computes the configured impurity of a class histogram with n
-// total rows.
-func impurity(m Measure, counts []int64, n int64) float64 {
+// xlogxTable holds x·log₂x for every count small enough to index it. It is
+// built once per process: the split search reads n·H = F(n) − Σ F(c) off it
+// for all but a shallow node's counts.
+var xlogxTable = func() []float64 {
+	f := make([]float64, 4096)
+	for x := 2; x < len(f); x++ {
+		f[x] = float64(x) * math.Log2(float64(x))
+	}
+	return f
+}()
+
+// xlogx returns F(x) = x·log₂x, with F(0) = 0.
+func xlogx(x int64) float64 {
+	if uint64(x) < uint64(len(xlogxTable)) {
+		return xlogxTable[x]
+	}
+	return float64(x) * math.Log2(float64(x))
+}
+
+// weighted returns n times the configured impurity of a class histogram with
+// n total rows: F(n) − Σ F(c) for entropy, n − Σ c²/n for Gini. Summed over a
+// partition's arms and divided by the node's rows once, it is the
+// partition's remaining impurity, with no division or logarithm per class.
+func weighted(m Measure, counts []int64, n int64) float64 {
 	if n == 0 {
 		return 0
 	}
-	switch m {
-	case Gini:
-		g := 1.0
+	if m == Gini {
+		var sq float64
 		for _, c := range counts {
-			if c > 0 {
-				p := float64(c) / float64(n)
-				g -= p * p
-			}
+			sq += float64(c) * float64(c)
 		}
-		return g
-	default: // Entropy and GainRatio both use entropy as the impurity
-		h := 0.0
-		for _, c := range counts {
-			if c > 0 {
-				p := float64(c) / float64(n)
-				h -= p * math.Log2(p)
-			}
-		}
-		return h
+		return float64(n) - sq/float64(n)
 	}
+	// Entropy and GainRatio both use entropy as the impurity.
+	h := xlogx(n)
+	for _, c := range counts {
+		h -= xlogx(c)
+	}
+	return h
 }
 
 // classTotals extracts a node's class histogram from its CC table. The
@@ -285,39 +300,44 @@ func decide(t *cc.Table, attrs []int, classCounts []int64, rows int64, depth int
 		// request one.
 		return decision{leaf: false}
 	}
-	h0 := impurity(opt.Measure, classCounts, rows)
+	// Every score is n-weighted (weighted), and a gain is divided by the
+	// node's rows, or by the n-weighted split information for GainRatio.
+	w0, total := weighted(opt.Measure, classCounts, rows), float64(rows)
 	// One candidate's class vector and its complement, refilled per candidate.
 	vec, rest := make([]int64, len(classCounts)), make([]int64, len(classCounts))
+	var vals []data.Value // a multiway candidate's values, refilled per attribute
 
 	// Any non-degenerate split qualifies (gain can be exactly zero); ties
 	// and the first maximum break toward the lowest attribute and value
 	// because candidates are visited in order.
 	best := decision{leaf: true, gain: -1}
 	for _, a := range attrs {
-		if t.Card(a) < 2 {
+		card := t.Card(a)
+		if card < 2 {
 			continue // constant attribute at this node
 		}
-		vals := t.Values(a)
 		if opt.Split == MultiwaySplit {
-			var rem, splitInfo float64
-			for _, v := range vals {
-				nv := sum(t.ClassVector(a, v, vec))
-				rem += float64(nv) / float64(rows) * impurity(opt.Measure, vec, nv)
-				p := float64(nv) / float64(rows)
-				splitInfo -= p * math.Log2(p)
+			rem, split := 0.0, xlogx(rows)
+			vals = vals[:0]
+			for r := range card {
+				vals = append(vals, t.VectorAt(a, r, vec))
+				nv := sum(vec)
+				rem += weighted(opt.Measure, vec, nv)
+				split -= xlogx(nv)
 			}
-			gain := h0 - rem
-			if opt.Measure == GainRatio && splitInfo > 0 {
-				gain /= splitInfo
+			gain := (w0 - rem) / total
+			if opt.Measure == GainRatio && split > 0 {
+				gain = (w0 - rem) / split
 			}
 			if gain > best.gain+gainEps {
-				best = decision{attr: a, vals: vals, gain: gain}
+				best = decision{attr: a, vals: slices.Clone(vals), gain: gain}
 			}
 			continue
 		}
 		// Binary splits: A = v versus A <> v for every observed v.
-		for _, v := range vals {
-			n1 := sum(t.ClassVector(a, v, vec))
+		for r := range card {
+			v := t.VectorAt(a, r, vec)
+			n1 := sum(vec)
 			n2 := rows - n1
 			if n1 == 0 || n2 == 0 {
 				continue
@@ -325,14 +345,11 @@ func decide(t *cc.Table, attrs []int, classCounts []int64, rows int64, depth int
 			for i := range rest {
 				rest[i] = classCounts[i] - vec[i]
 			}
-			rem := float64(n1)/float64(rows)*impurity(opt.Measure, vec, n1) +
-				float64(n2)/float64(rows)*impurity(opt.Measure, rest, n2)
-			gain := h0 - rem
+			rem := weighted(opt.Measure, vec, n1) + weighted(opt.Measure, rest, n2)
+			gain := (w0 - rem) / total
 			if opt.Measure == GainRatio {
-				p1 := float64(n1) / float64(rows)
-				si := -(p1*math.Log2(p1) + (1-p1)*math.Log2(1-p1))
-				if si > 0 {
-					gain /= si
+				if split := xlogx(rows) - xlogx(n1) - xlogx(n2); split > 0 {
+					gain = (w0 - rem) / split
 				}
 			}
 			if gain > best.gain+gainEps {

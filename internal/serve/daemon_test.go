@@ -18,6 +18,7 @@ import (
 
 	_ "repro/driver" // registers the ccsql database/sql driver
 	"repro/internal/dtree"
+	"repro/internal/engine"
 	"repro/internal/mw"
 	"repro/internal/obs"
 	"repro/internal/sim"
@@ -28,7 +29,12 @@ import (
 // the address plus a shutdown func.
 func startDaemon(t *testing.T, rows int, sharing bool) (string, func()) {
 	t.Helper()
-	srv := testServer(t, rows)
+	return startDaemonOn(t, testServer(t, rows), sharing)
+}
+
+// startDaemonOn is startDaemon over a given server.
+func startDaemonOn(t *testing.T, srv *engine.Server, sharing bool) (string, func()) {
+	t.Helper()
 	d := NewDaemon(srv, DaemonConfig{
 		Fleet: FleetConfig{Base: baseCfg(), MaxSessions: 8, ScanSharing: sharing},
 	})
@@ -343,6 +349,51 @@ func TestDaemonDrain(t *testing.T) {
 	db.Close()
 	// Drain is idempotent.
 	d.Drain(ln)
+}
+
+// TestDrainWaitsForAcceptedConn: a connection Serve has accepted when Drain
+// begins has its handler counted before Drain can look: Drain returns only
+// after that handler has exited. The test steers the one-core scheduler into
+// the gap between Serve registering the connection and releasing cmu: it holds
+// cmu past sync.Mutex's 1 ms starvation threshold while Serve (with the
+// connection) and then Drain wait for it, so each unlock hands cmu to the next
+// waiter and runs it at once — Drain runs the moment Serve releases cmu. A
+// Serve that counted the handler only after its unlock left Drain to return
+// with the connection still registered and its handler not yet started.
+func TestDrainWaitsForAcceptedConn(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	d := NewDaemon(testServer(t, 100), DaemonConfig{Fleet: FleetConfig{Base: baseCfg()}})
+	ln := newPipeListener()
+	client, server := net.Pipe()
+	defer client.Close()
+
+	d.cmu.Lock()
+	served := make(chan error, 1)
+	go func() { served <- d.Serve(ln) }()
+	ln.conns <- server // Serve has it, and waits for cmu
+	drained := make(chan struct{})
+	go func() {
+		d.Drain(ln)
+		close(drained)
+	}()
+	time.Sleep(2 * time.Millisecond) // Drain waits for cmu too
+	// Serve wakes and finds cmu taken again, past the starvation threshold:
+	// from here on, each unlock hands cmu over and yields.
+	d.cmu.Unlock()
+	d.cmu.Lock()
+	time.Sleep(2 * time.Millisecond)
+	d.cmu.Unlock()
+
+	<-drained
+	d.cmu.Lock()
+	left := len(d.conns)
+	d.cmu.Unlock()
+	if left != 0 {
+		t.Errorf("Drain returned with %d connection(s) still registered: their handlers had not run", left)
+	}
+	if err := <-served; err != nil {
+		t.Fatalf("Serve returned %v after drain, want nil", err)
+	}
 }
 
 // TestDaemonRefusesOtherVersion: a client that says hello in another protocol
