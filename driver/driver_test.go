@@ -26,11 +26,7 @@ func rawFrame(t wire.Type, payload []byte) []byte {
 // result-stream handling: every query answers with a one-row batch, and
 // queries containing "boom" end the stream with a statement error instead of
 // Done.
-func fakeServer(t *testing.T) string { return fakeServerVersion(t, wire.Version) }
-
-// fakeServerVersion is fakeServer acknowledging the handshake with the given
-// protocol version.
-func fakeServerVersion(t *testing.T, version int) string {
+func fakeServer(t *testing.T) string {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -49,7 +45,7 @@ func fakeServerVersion(t *testing.T, version int) string {
 				if err := wire.Expect(nc, wire.THello, &hello); err != nil {
 					return
 				}
-				if err := wire.WriteFrame(nc, wire.THelloAck, wire.HelloAck{Version: version, Table: "t"}); err != nil {
+				if err := wire.WriteFrame(nc, wire.THelloAck, wire.HelloAck{Version: wire.Version, Table: "t"}); err != nil {
 					return
 				}
 				for {
@@ -336,21 +332,65 @@ func TestCloseReportsStatementError(t *testing.T) {
 }
 
 // TestHandshakeVersionMismatch: a server that acknowledges another protocol
-// version fails Open; there is no older codec to fall back to.
+// version, or answers the hello with an error, fails Open; there is no older
+// codec to fall back to. Open then closes its socket, on both paths: the
+// server reads EOF after its answer, not silence until its deadline.
 func TestHandshakeVersionMismatch(t *testing.T) {
-	addr := fakeServerVersion(t, 1)
-	_, err := Driver{}.Open(addr)
-	if err == nil || !strings.Contains(err.Error(), "handshake") ||
-		!strings.Contains(err.Error(), "version 1") || !strings.Contains(err.Error(), "driver 2") {
-		t.Fatalf("Open against a v1 ack: %v, want a handshake error naming both versions", err)
-	}
-	db, err := sql.Open("ccsql", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
-	if err := db.Ping(); err == nil || !strings.Contains(err.Error(), "handshake") {
-		t.Fatalf("Ping against a v1 ack: %v, want the handshake error", err)
+	for _, tc := range []struct {
+		name  string
+		typ   wire.Type
+		reply any
+		want  []string
+	}{
+		{"v1 ack", wire.THelloAck, wire.HelloAck{Version: 1, Table: "t"}, []string{"handshake", "version 1", "driver 2"}},
+		{"error", wire.TError, wire.Error{Msg: "too many clients"}, []string{"handshake", "too many clients"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ln.Close()
+			// after carries, per connection, what the server's read after its
+			// answer returned; sized for the two connections, Open's and Ping's.
+			after := make(chan error, 2)
+			go func() {
+				for {
+					nc, err := ln.Accept()
+					if err != nil {
+						return
+					}
+					wire.Expect(nc, wire.THello, nil)
+					wire.WriteFrame(nc, tc.typ, tc.reply)
+					nc.SetReadDeadline(time.Now().Add(5 * time.Second))
+					_, err = nc.Read(make([]byte, 1))
+					nc.Close()
+					after <- err
+				}
+			}()
+			closed := func(via string) {
+				t.Helper()
+				if err := <-after; err != io.EOF {
+					t.Errorf("after %s failed, the server's read returned %v, want EOF: the socket was left open", via, err)
+				}
+			}
+			_, err = Driver{}.Open(ln.Addr().String())
+			for _, w := range tc.want {
+				if err == nil || !strings.Contains(err.Error(), w) {
+					t.Fatalf("Open: %v, want a handshake error containing %q", err, w)
+				}
+			}
+			closed("Open")
+			db, err := sql.Open("ccsql", ln.Addr().String())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer db.Close()
+			if err := db.Ping(); err == nil || !strings.Contains(err.Error(), "handshake") {
+				t.Fatalf("Ping: %v, want the handshake error", err)
+			}
+			closed("Ping")
+		})
 	}
 }
 

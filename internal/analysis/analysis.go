@@ -51,7 +51,7 @@
 //	spanend.BadErrorPath            engine/aux.go keyset/TID span, error exit   yes   TestCancelledBuildLeavesNothing
 //	spanend.BadErrorPath            engine/aux.go copy-subset span, error exit  yes   TestCancelledBuildLeavesNothing
 //	spanend.BadErrorPath            mw/exec.go batch span*, create error        no    TestFleetSharedRoundErrorAbortsCohort
-//	spanend.BadFallbackReturn       engine/exec.go sql span, DDL return         yes   -
+//	spanend.BadFallbackReturn       engine/exec.go sql span, DDL return         yes   TestStatementSpansEnd
 //	spanend.BadDiscarded            engine/exec.go sql span discarded           yes   T3
 //	spanend.BadNeverEnded           engine/exec.go sql span                     yes   T3
 //	spanend.BadNeverEnded           dtree/builder.go build span*                no    T3, TestFleetCancelledSessionLeavesCohort,
@@ -66,7 +66,7 @@
 //	                                engine/exec.go wrapped Start(...).AttrStr   no    T3
 //	interproc discarded wrapper     engine/exec.go wrapped Start                yes   T3
 //	                                engine/exec.go wrapped Start(...).AttrStr   no    T3
-//	interproc recLeak               engine/exec.go sql span, recursive end      yes   - (leaks only on an empty statement)
+//	interproc recLeak               engine/exec.go sql span, recursive end      yes   TestStatementSpansEnd (empty text)
 //	closer.BadCursorLeak            baseline.go OpenScan cursor, no Close       no    - (equivalent, see below)
 //	closer.BadWriterLeak            mw/exec.go tee writers*, Finish error       no    TestFinishErrorAbortsRemainingWriters
 //	closer.BadWriterInLoop          mw/exec.go tee writers*, create error       no    TestCreateErrorAbortsEarlierWriters
@@ -75,22 +75,23 @@
 //	                                                                                  TestFleetCancelledSessionLeavesCohort,
 //	                                                                                  TestFleetSharedRoundErrorAbortsCohort,
 //	                                                                                  TestDaemonScoreSharedRoundFailsMidStream
-//	closer (via nb.Train's summary) exp/figures.go middleware, Train error      yes   -
+//	closer (via nb.Train's summary) exp/figures.go middleware, Train error      yes   - (needs a fault seam)
 //	closer.BadCursorLeak            exp/exp.go middleware, no Close             no    TestAllShapeChecksPass
 //	scorecat CatalogScan            serve/fleet.go SharedBatch, no Abort        no    TestFleetCancelledSessionLeavesCohort,
 //	                                                                                  TestFleetSharedRoundErrorAbortsCohort
 //	scorecat CatalogScan            serve/fleet.go ScorePass, no Abort          no    TestFleetCancelledSessionLeavesCohort
 //	closer.BadCursorLeak            dtree/build.go Builder, Step error          yes   TestCancelledBuildLeavesNothing
-//	closer.BadCursorLeak            dtree/build.go Builder, Feed error          yes   -
+//	closer.BadCursorLeak            dtree/build.go Builder, Feed error          yes   - (needs a fault seam)
 //	closer.BadWriterLeak            cmd/sqlsh Dispatcher, no Close              yes   TestDaemonSqlshSameScript
-//	servewire.BadConnLeak           driver.go socket, handshake error           no    -
+//	servewire.BadConnLeak           driver.go socket, handshake error           no    TestHandshakeVersionMismatch
 //	interproc drainVia, closeIf,    baseline.go OpenScan cursor                 no    - (equivalent, see below)
 //	makeCursor2
 //	                                exp/figures.go middleware                   yes   TestAllShapeChecksPass
 //
-// Of these 37 plants repolint alone catches 4, the tests alone 12, both 15
-// and neither 6: the cursor left open, a middleware leaked when NewBuilder
-// fails, and the driver's socket on a failed handshake. The two cursor plants
+// Of these 37 plants repolint alone catches 2, the tests alone 13, both 17
+// and neither 5: the cursor left open and a middleware leaked when NewBuilder
+// fails. The two repolint-only plants need an injected Train or Feed error,
+// which no test can cause without a fault seam. The two cursor plants
 // change nothing: ExtractAll reads its cursor to the end, and a cursor that
 // runs out ends its span, so no check can catch them. TestExtractAllEndsItsSpans
 // fails when neither the end of the scan nor a Close ends the span.

@@ -218,17 +218,8 @@ func (t *Table) insertValue(c *column, i int, val data.Value) {
 func (t *Table) Entries() int { return t.entries }
 
 // Bytes returns the accounted memory footprint of the table: the model the
-// scheduler budgets on, not the bytes this process holds (see realBytes).
+// scheduler budgets on, not the bytes this process holds.
 func (t *Table) Bytes() int64 { return int64(t.entries) * EntryBytes }
-
-// realBytes returns the bytes the table's arrays actually reserve.
-func (t *Table) realBytes() int64 {
-	n := int64(cap(t.classes)) * 4
-	for a := range t.cols {
-		n += int64(cap(t.cols[a].vals))*4 + int64(cap(t.cols[a].counts))*8
-	}
-	return n
-}
 
 // Rows returns the number of data rows accumulated into the table via
 // AddRow (the node's data size |n|).

@@ -414,6 +414,15 @@ func TestMergeEmptyAndNil(t *testing.T) {
 	}
 }
 
+// realBytes returns the bytes the table's arrays actually reserve.
+func (t *Table) realBytes() int64 {
+	n := int64(cap(t.classes)) * 4
+	for a := range t.cols {
+		n += int64(cap(t.cols[a].vals))*4 + int64(cap(t.cols[a].counts))*8
+	}
+	return n
+}
+
 // Attrs returns the attribute indices present in the table, increasing.
 func (t *Table) Attrs() []int {
 	var attrs []int

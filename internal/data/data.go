@@ -180,12 +180,3 @@ func (d *Dataset) Validate() error {
 	}
 	return nil
 }
-
-// ClassHistogram returns the count of each class value in the dataset.
-func (d *Dataset) ClassHistogram() []int64 {
-	h := make([]int64, d.Schema.Class.Card)
-	for _, r := range d.Rows {
-		h[r.Class()]++
-	}
-	return h
-}

@@ -98,15 +98,11 @@ func TestDatasetValidate(t *testing.T) {
 	}
 }
 
-func TestDatasetBytesAndHistogram(t *testing.T) {
+func TestDatasetBytes(t *testing.T) {
 	ds := NewDataset(testSchema())
 	ds.Append(Row{0, 0, 1}, Row{1, 1, 1}, Row{2, 2, 0})
 	if ds.Bytes() != 36 {
 		t.Errorf("Bytes = %d, want 36", ds.Bytes())
-	}
-	h := ds.ClassHistogram()
-	if h[0] != 1 || h[1] != 2 {
-		t.Errorf("histogram = %v", h)
 	}
 }
 

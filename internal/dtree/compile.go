@@ -2,18 +2,16 @@ package dtree
 
 import (
 	"fmt"
-	"strings"
 
 	"repro/internal/data"
 	"repro/internal/engine"
 )
 
-// This file compiles a finished tree into the two in-database forms of §1's
-// deployment story: a flat engine.Model (registered into the engine's model
-// catalog, where it persists as an ordinary table) and a nested-CASE SQL
-// expression that any SQL backend can evaluate without knowing what a
-// decision tree is. Both forms predict byte-identically to Tree.Predict —
-// the equivalence suite pins all three.
+// This file compiles a finished tree into its in-database form of §1's
+// deployment story: a flat engine.Model, registered into the engine's model
+// catalog, where it persists as an ordinary table. It predicts
+// byte-identically to Tree.Predict; the equivalence suite pins that against a
+// third form, the nested-CASE statement of compile_test.go.
 
 // Compile flattens the tree into an engine.Model named name. Nodes are laid
 // out in depth-first child order with the root at index 0, matching the
@@ -67,45 +65,4 @@ func Compile(t *Tree, name string) (*engine.Model, error) {
 		return nil, fmt.Errorf("dtree: compile %q: %v", name, err)
 	}
 	return m, nil
-}
-
-// CaseSQL renders the tree as one nested CASE expression over the schema's
-// attribute names, evaluating to the predicted class label. A leaf is its
-// class literal; a binary split is CASE WHEN A = v THEN .. ELSE .. END; a
-// multiway split lists one WHEN arm per training value with the node's
-// majority class as the ELSE — the unseen-value fallback, so the expression
-// scores exactly like Predict. The output parses with internal/sqlparser.
-func CaseSQL(t *Tree) string {
-	var b strings.Builder
-	caseNode(&b, t, t.Root)
-	return b.String()
-}
-
-func caseNode(b *strings.Builder, t *Tree, n *Node) {
-	if n.Leaf {
-		fmt.Fprintf(b, "%d", n.Class)
-		return
-	}
-	col := t.Schema.ColName(n.SplitAttr)
-	b.WriteString("CASE")
-	if !n.Multiway {
-		fmt.Fprintf(b, " WHEN %s = %d THEN ", col, n.SplitVal)
-		caseNode(b, t, n.Children[0])
-		b.WriteString(" ELSE ")
-		caseNode(b, t, n.Children[1])
-		b.WriteString(" END")
-		return
-	}
-	for i, sv := range n.SplitVals {
-		fmt.Fprintf(b, " WHEN %s = %d THEN ", col, sv)
-		caseNode(b, t, n.Children[i])
-	}
-	fmt.Fprintf(b, " ELSE %d END", n.Class)
-}
-
-// ScoreSQL renders a full scoring statement for the tree against a table:
-// SELECT <nested CASE> FROM table. Running it through the engine is the
-// CASE-expression scoring path of the equivalence suite.
-func ScoreSQL(t *Tree, table string) string {
-	return "SELECT " + CaseSQL(t) + " FROM " + table
 }

@@ -3,6 +3,7 @@ package dtree
 import (
 	"bytes"
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/data"
@@ -11,6 +12,47 @@ import (
 	"repro/internal/sim"
 	"repro/internal/sqlparser"
 )
+
+// caseSQL is the SQL-side oracle of the scoring equivalence: it renders the
+// tree as one nested CASE expression over the schema's attribute names, evaluating to the predicted class label. A leaf is its
+// class literal; a binary split is CASE WHEN A = v THEN .. ELSE .. END; a
+// multiway split lists one WHEN arm per training value with the node's
+// majority class as the ELSE — the unseen-value fallback, so the expression
+// scores exactly like Predict. The output parses with internal/sqlparser.
+func caseSQL(t *Tree) string {
+	var b strings.Builder
+	caseNode(&b, t, t.Root)
+	return b.String()
+}
+
+func caseNode(b *strings.Builder, t *Tree, n *Node) {
+	if n.Leaf {
+		fmt.Fprintf(b, "%d", n.Class)
+		return
+	}
+	col := t.Schema.ColName(n.SplitAttr)
+	b.WriteString("CASE")
+	if !n.Multiway {
+		fmt.Fprintf(b, " WHEN %s = %d THEN ", col, n.SplitVal)
+		caseNode(b, t, n.Children[0])
+		b.WriteString(" ELSE ")
+		caseNode(b, t, n.Children[1])
+		b.WriteString(" END")
+		return
+	}
+	for i, sv := range n.SplitVals {
+		fmt.Fprintf(b, " WHEN %s = %d THEN ", col, sv)
+		caseNode(b, t, n.Children[i])
+	}
+	fmt.Fprintf(b, " ELSE %d END", n.Class)
+}
+
+// scoreSQL renders a full scoring statement for the tree against a table:
+// SELECT <nested CASE> FROM table. Running it through the engine is the
+// CASE-expression scoring path of the equivalence suite.
+func scoreSQL(t *Tree, table string) string {
+	return "SELECT " + caseSQL(t) + " FROM " + table
+}
 
 // compileFixture builds a small census tree for compile tests.
 func compileFixture(t *testing.T) (*data.Dataset, *Tree) {
@@ -68,7 +110,7 @@ func TestCompileRejectsNil(t *testing.T) {
 // the repo's own parser and round-trips through its String rendering.
 func TestCaseSQLParses(t *testing.T) {
 	_, tree := compileFixture(t)
-	sql := ScoreSQL(tree, "cases")
+	sql := scoreSQL(tree, "cases")
 	st, err := sqlparser.Parse(sql)
 	if err != nil {
 		t.Fatalf("generated scoring SQL does not parse: %v\n%s", err, sql)
@@ -199,7 +241,7 @@ func TestScoringEquivalence(t *testing.T) {
 			}
 
 			// Path B: the compiled nested-CASE expression run as plain SQL.
-			rs, err := eng.Exec(ScoreSQL(tree, "cases"))
+			rs, err := eng.Exec(scoreSQL(tree, "cases"))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -80,7 +80,7 @@ func TestScoringProperties(t *testing.T) {
 			}
 
 			// Path B: compiled CASE expression as SQL.
-			rs, err := eng.Exec(ScoreSQL(tree, "cases"))
+			rs, err := eng.Exec(scoreSQL(tree, "cases"))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/data"
+	"repro/internal/obs"
 	"repro/internal/predicate"
 	"repro/internal/sim"
 	"repro/internal/sqlparser"
@@ -354,6 +355,66 @@ func TestExecErrors(t *testing.T) {
 		if _, err := e.Exec(sql); err == nil {
 			t.Errorf("Exec(%q) succeeded", sql)
 		}
+	}
+}
+
+// TestStatementSpansEnd runs each kind of statement under a tracer and checks
+// that every span it opened has ended, refusals and errors included. A span
+// left open changes no result, counter or clock, so nothing else notices it.
+// "empty text" is a statement whose source text is empty, as ExecStmt may be
+// handed.
+func TestStatementSpansEnd(t *testing.T) {
+	for _, tc := range []struct {
+		name, sql string
+		noText    bool
+		wantErr   bool
+	}{
+		{name: "create", sql: "CREATE TABLE u (x INT, y INT)"},
+		{name: "insert", sql: "INSERT INTO t VALUES (4, 40, 1)"},
+		{name: "select", sql: "SELECT a, COUNT(*) FROM t GROUP BY a"},
+		{name: "empty result", sql: "SELECT a FROM t WHERE a = 9"},
+		{name: "empty text", sql: "SELECT a FROM t", noText: true},
+		{name: "drop", sql: "DROP TABLE t"},
+		{name: "score", sql: "SCORE TABLE t USING m"},
+		{name: "refused build", sql: "BUILD TREE MAXDEPTH 2", wantErr: true},
+		{name: "unsupported", sql: "SHOW SESSIONS", wantErr: true},
+		{name: "failing", sql: "SELECT nope FROM t", wantErr: true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := newEngine()
+			seedTable(t, e)
+			leaf := &Model{Name: "m", Cols: 2, Classes: 2, Nodes: []ModelNode{
+				{Parent: -1, Leaf: true, Attr: -1, Counts: []int64{3, 2}},
+			}}
+			if err := e.RegisterModel(leaf); err != nil {
+				t.Fatal(err)
+			}
+			col := obs.NewTrace()
+			e.SetTracer(col.Proc("stmt", e.Meter()))
+			st, err := sqlparser.Parse(tc.sql)
+			if err != nil {
+				t.Fatal(err)
+			}
+			text := tc.sql
+			if tc.noText {
+				text = ""
+			}
+			if _, err := e.ExecStmt(st, text); (err != nil) != tc.wantErr {
+				t.Fatalf("ExecStmt(%q): err = %v, want an error: %v", tc.sql, err, tc.wantErr)
+			}
+			n := 0
+			col.EachProc(func(pv obs.ProcView) {
+				for _, sp := range pv.Spans {
+					n++
+					if sp.Deltas == nil {
+						t.Errorf("%s span %q was never ended", sp.Cat, sp.Name)
+					}
+				}
+			})
+			if n == 0 {
+				t.Error("the statement opened no span")
+			}
+		})
 	}
 }
 

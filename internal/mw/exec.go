@@ -244,7 +244,7 @@ func (m *Middleware) finishBatch(ctx context.Context, r *batchRun) ([]*Result, e
 		m.served(res.Req.ParentID)
 	}
 	for _, w := range r.live {
-		r.ssp.AddCC(w.req.NodeID, w.req.EstCC, int64(w.cc.Entries()))
+		r.ssp.AddCC(w.req.NodeID, len(w.req.Path), w.req.EstCC, int64(w.cc.Entries()))
 		post(&Result{Req: w.req, CC: w.cc, Source: r.b.kind.name()})
 	}
 	for i, req := range r.fallback {
@@ -259,7 +259,7 @@ func (m *Middleware) finishBatch(ctx context.Context, r *batchRun) ([]*Result, e
 			return nil, err
 		}
 		m.meter.Charge(sim.CtrSQLFallbacks, 0, 1)
-		fsp.SetSource("sql").SetRows(t.Rows()).AddCC(req.NodeID, req.EstCC, int64(t.Entries())).End()
+		fsp.SetSource("sql").SetRows(t.Rows()).AddCC(req.NodeID, len(req.Path), req.EstCC, int64(t.Entries())).End()
 		post(&Result{Req: req, CC: t, ViaSQL: true, Source: "sql"})
 	}
 	// Requests shed mid-scan return to the queue for a later batch.

@@ -105,16 +105,6 @@ func FromCounts(schema *data.Schema, t *cc.Table) (*Model, error) {
 	return m, nil
 }
 
-// TrainInMemory trains directly from a dataset (the unmetered reference).
-func TrainInMemory(ds *data.Dataset) (*Model, error) {
-	attrs := make([]int, ds.Schema.NumCols())
-	for i := range attrs {
-		attrs[i] = i
-	}
-	t := cc.FromDataset(ds, attrs, nil)
-	return FromCounts(ds.Schema, t)
-}
-
 // LogPosteriors returns the unnormalized log posterior per class for a row.
 func (m *Model) LogPosteriors(row data.Row) []float64 {
 	classCard := m.Schema.Class.Card

@@ -15,6 +15,16 @@ import (
 	"repro/internal/sim"
 )
 
+// trainInMemory trains directly from a dataset (the unmetered reference).
+func trainInMemory(ds *data.Dataset) (*Model, error) {
+	attrs := make([]int, ds.Schema.NumCols())
+	for i := range attrs {
+		attrs[i] = i
+	}
+	t := cc.FromDataset(ds, attrs, nil)
+	return FromCounts(ds.Schema, t)
+}
+
 // separableDataset: attribute 0 equals the class; other attributes are
 // noise. Naive Bayes must classify it perfectly.
 func separableDataset(n int, seed int64) *data.Dataset {
@@ -30,7 +40,7 @@ func separableDataset(n int, seed int64) *data.Dataset {
 
 func TestTrainInMemorySeparable(t *testing.T) {
 	ds := separableDataset(900, 1)
-	m, err := TrainInMemory(ds)
+	m, err := trainInMemory(ds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +54,7 @@ func TestTrainInMemorySeparable(t *testing.T) {
 
 func TestPriorsSumToOne(t *testing.T) {
 	ds := separableDataset(500, 2)
-	m, err := TrainInMemory(ds)
+	m, err := trainInMemory(ds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +72,7 @@ func TestPriorsSumToOne(t *testing.T) {
 
 func TestConditionalsNormalized(t *testing.T) {
 	ds := separableDataset(500, 3)
-	m, err := TrainInMemory(ds)
+	m, err := trainInMemory(ds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +92,7 @@ func TestConditionalsNormalized(t *testing.T) {
 
 func TestLaplaceSmoothingNoZeroProbabilities(t *testing.T) {
 	ds := separableDataset(100, 4)
-	m, err := TrainInMemory(ds)
+	m, err := trainInMemory(ds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +122,7 @@ func TestTrainViaMiddlewareMatchesInMemory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := TrainInMemory(ds)
+	want, err := trainInMemory(ds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +202,7 @@ func TestPredictBeatsChanceOnGaussians(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := TrainInMemory(ds)
+	m, err := trainInMemory(ds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +213,7 @@ func TestPredictBeatsChanceOnGaussians(t *testing.T) {
 
 func TestLogPosteriorsShape(t *testing.T) {
 	ds := separableDataset(300, 7)
-	m, _ := TrainInMemory(ds)
+	m, _ := trainInMemory(ds)
 	lps := m.LogPosteriors(ds.Rows[0])
 	if len(lps) != 3 {
 		t.Fatalf("%d posteriors", len(lps))
@@ -222,7 +232,7 @@ func TestLogPosteriorsShape(t *testing.T) {
 func TestFromCountsEmptyErrors(t *testing.T) {
 	ds := separableDataset(10, 8)
 	empty := data.NewDataset(ds.Schema)
-	if _, err := TrainInMemory(empty); err == nil {
+	if _, err := trainInMemory(empty); err == nil {
 		t.Error("empty dataset accepted")
 	}
 }

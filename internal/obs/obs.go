@@ -45,11 +45,12 @@ const (
 	FallbackOverflow int64 = 2 // overflow during the scan: shed with nothing left to shed beside it
 )
 
-// NodeCC is the record of one counts request a span serviced: its node, the
-// §4.2.1 estimate of its counts-table entries it was scheduled and admitted
-// by, and the entries it was counted to.
+// NodeCC is the record of one counts request a span serviced: its node and
+// the node's depth in the tree, the §4.2.1 estimate of its counts-table
+// entries it was scheduled and admitted by, and the entries it was counted to.
 type NodeCC struct {
 	Node      int   `json:"node"`
+	Depth     int   `json:"depth"`
 	EstCC     int64 `json:"est_cc"`
 	CCEntries int64 `json:"cc_entries"`
 }
@@ -265,11 +266,11 @@ func (s *Span) SetNodes(ids []int) *Span {
 	return s
 }
 
-// AddCC records a counts request the operation answered: node's estimated
-// and counted entries.
-func (s *Span) AddCC(node int, est, entries int64) *Span {
+// AddCC records a counts request the operation answered: node, its depth,
+// and its estimated and counted entries.
+func (s *Span) AddCC(node, depth int, est, entries int64) *Span {
 	if s != nil {
-		s.CC = append(s.CC, NodeCC{node, est, entries})
+		s.CC = append(s.CC, NodeCC{node, depth, est, entries})
 	}
 	return s
 }

@@ -91,11 +91,13 @@ type Rollup struct {
 	vec sim.CounterVec // exclusive deltas
 }
 
-// LevelRollup aggregates the batches serving one tree level (from the batch
-// spans' "level" attribute), and how the §4.2.1 estimate of each counts table
-// the level's scans and fallbacks answered (obs.NodeCC) compares with the
-// entries counted: the ratio actual / estimate in thousandths, over the nodes
-// with a positive estimate.
+// LevelRollup aggregates one tree level: the batches serving it (from the
+// batch spans' "level" attribute, a batch's shallowest node), and the counts
+// requests at that depth its scans and fallbacks answered (obs.NodeCC), with
+// how each request's §4.2.1 estimate compares with the entries counted: the
+// ratio actual / estimate in thousandths, over the nodes with a positive
+// estimate. A batch that mixes depths files its time under its shallowest
+// level and each node under its own.
 type LevelRollup struct {
 	Level   int64
 	Batches int
@@ -254,10 +256,16 @@ func rollupBy(nodes []*Node, totalNS int64, key func(*Node) string) []Rollup {
 	return out
 }
 
-// rollupLevels aggregates batch spans by their "level" attribute.
+// rollupLevels aggregates batch spans by their "level" attribute, and the
+// counts requests their child spans answered by each request's depth.
 func rollupLevels(nodes []*Node) []LevelRollup {
-	idx := map[int64]int{}
-	var out []LevelRollup
+	byLevel := map[int64]*LevelRollup{}
+	at := func(lvl int64) *LevelRollup {
+		if byLevel[lvl] == nil {
+			byLevel[lvl] = &LevelRollup{Level: lvl}
+		}
+		return byLevel[lvl]
+	}
 	for _, n := range nodes {
 		if n.Cat != obs.CatBatch {
 			continue
@@ -266,50 +274,48 @@ func rollupLevels(nodes []*Node) []LevelRollup {
 		if lvl < 0 {
 			continue
 		}
-		i, ok := idx[lvl]
-		if !ok {
-			i = len(out)
-			idx[lvl] = i
-			out = append(out, LevelRollup{Level: lvl, StartNS: n.StartNS, EndNS: n.EndNS()})
+		l := at(lvl)
+		if l.Batches == 0 || n.StartNS < l.StartNS {
+			l.StartNS = n.StartNS
 		}
-		out[i].Batches++
-		out[i].InclNS += n.InclNS
-		out[i].vec.Add(&n.inclVec)
-		if n.StartNS < out[i].StartNS {
-			out[i].StartNS = n.StartNS
+		if e := n.EndNS(); e > l.EndNS {
+			l.EndNS = e
 		}
-		if e := n.EndNS(); e > out[i].EndNS {
-			out[i].EndNS = e
-		}
+		l.Batches++
+		l.InclNS += n.InclNS
+		l.vec.Add(&n.inclVec)
 		for _, c := range n.Children {
-			out[i].addCC(c)
+			kind := obs.AttrInt(c.Attrs, "kind", 0)
+			for _, cc := range c.CC {
+				at(int64(cc.Depth)).addCC(cc, kind)
+			}
 		}
 	}
-	for i := range out {
-		l := &out[i]
+	out := make([]LevelRollup, 0, len(byLevel))
+	//repolint:ordered collect-then-sort
+	for _, l := range byLevel {
 		if len(l.ratios) > 0 {
 			slices.Sort(l.ratios)
 			l.MedianRatioPM, l.MaxRatioPM = l.ratios[(len(l.ratios)-1)/2], l.ratios[len(l.ratios)-1]
 		}
+		out = append(out, *l)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Level < out[j].Level })
 	return out
 }
 
-// addCC adds the counts requests a batch's child span answered — its scan's,
-// or a fallback's with its kind.
-func (l *LevelRollup) addCC(n *Node) {
-	switch obs.AttrInt(n.Attrs, "kind", 0) {
+// addCC adds one counts request, answered by a scan or by a fallback of the
+// given kind.
+func (l *LevelRollup) addCC(c obs.NodeCC, kind int64) {
+	switch kind {
 	case obs.FallbackNoFit:
 		l.FallbackNoFit++
 	case obs.FallbackOverflow:
 		l.FallbackOverflow++
 	}
-	for _, c := range n.CC {
-		l.Nodes++
-		if c.EstCC > 0 {
-			l.ratios = append(l.ratios, c.CCEntries*1000/c.EstCC)
-		}
+	l.Nodes++
+	if c.EstCC > 0 {
+		l.ratios = append(l.ratios, c.CCEntries*1000/c.EstCC)
 	}
 }
 

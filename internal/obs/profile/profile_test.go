@@ -247,6 +247,51 @@ func TestFallbackOnlyShape(t *testing.T) {
 	}
 }
 
+// TestLevelsFileNodesByDepth: in a budget-bound binary build whose batches
+// mix depths (classify -gen census -rows 8000 -staging none -memory 0.02
+// -explain), each level lists the counts requests at its own depth, so level
+// l lists at most 2^l nodes, and the levels together list every request the
+// spans record.
+func TestLevelsFileNodesByDepth(t *testing.T) {
+	col, _, _ := buildProfiled(t, scenario{
+		name: "mixed-depth",
+		cfg: func(*data.Dataset) mw.Config {
+			return mw.Config{Memory: 20971, Staging: mw.StageNone} // 0.02 MB
+		},
+		data: func(t *testing.T) *data.Dataset {
+			ds, err := datagen.GenerateCensus(datagen.CensusConfig{Rows: 8000, Seed: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return ds
+		},
+	})
+	proc := Compute(col).Procs[0]
+	records, mixed := 0, false
+	eachNode(proc.Roots, func(n *Node) {
+		records += len(n.CC)
+		lvl := obs.AttrInt(n.Attrs, "level", -1)
+		for _, c := range n.Children {
+			for _, cc := range c.CC {
+				mixed = mixed || n.Cat == obs.CatBatch && int64(cc.Depth) != lvl
+			}
+		}
+	})
+	if !mixed {
+		t.Fatal("no batch mixes depths: the set-up does not exercise the rollup")
+	}
+	listed := 0
+	for _, l := range proc.ByLevel {
+		listed += l.Nodes
+		if l.Nodes > 1<<l.Level {
+			t.Errorf("level %d lists %d nodes, more than a binary tree has there", l.Level, l.Nodes)
+		}
+	}
+	if listed != records {
+		t.Errorf("levels list %d nodes, the spans record %d counts requests", listed, records)
+	}
+}
+
 // TestReportDeterminism: the text report is byte-identical across GOMAXPROCS
 // settings and across reruns of the same build.
 func TestReportDeterminism(t *testing.T) {

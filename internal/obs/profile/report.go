@@ -94,9 +94,11 @@ func writeProcText(tw *errWriter, proc *Proc) {
 	if len(proc.ByLevel) > 0 {
 		tw.printf("\nby tree level (batch spans, inclusive):\n")
 		for _, l := range proc.ByLevel {
-			tw.printf("  level %-3d %3d batches  %s .. %s  incl %s%s\n",
-				l.Level, l.Batches, secs(l.StartNS), secs(l.EndNS), secs(l.InclNS),
-				topCounters(&l.vec, 3))
+			tw.printf("  level %-3d %3d batches", l.Level, l.Batches)
+			if l.Batches > 0 { // a level whose nodes all rode in shallower batches has no time of its own
+				tw.printf("  %s .. %s  incl %s%s", secs(l.StartNS), secs(l.EndNS), secs(l.InclNS), topCounters(&l.vec, 3))
+			}
+			tw.printf("\n")
 			tw.printf("            %3d nodes  actual/estimate median %s max %s  fallbacks: no fit at admission %d, overflow during the scan %d\n",
 				l.Nodes, ratio(l.MedianRatioPM), ratio(l.MaxRatioPM), l.FallbackNoFit, l.FallbackOverflow)
 		}
