@@ -7,12 +7,14 @@
 //
 // §5 of the paper stores counts tables as binary search trees keyed by
 // (attribute, value, class), and the cost model still charges that probe
-// (sim.Costs.CCBump per counted row, CCFoldEntry per cell of a fold's bound,
-// min(rows, values × classes) — charged by the callers, never by this package). The in-memory structure is flat:
+// (sim.Costs.CCBump per counted row, CCFoldEntry per cell of a block's fold
+// bound, min(rows, values × classes) — charged by the callers per block,
+// whether a histogram folds after every block or once per row group, never by
+// this package). The in-memory structure is flat:
 // per attribute, the sorted distinct values present and, contiguous with them,
 // one class-count vector per value, indexed by the class's rank among the
 // table's sorted distinct classes. Counting a cell is a binary search over one
-// attribute's few values plus an increment (AddMany's sorted dictionaries let
+// attribute's few values plus an increment (Fold's sorted dictionaries let
 // it walk them instead), so its cost depends neither on the table's size nor
 // on insertion order; Values, Card, ClassVector, VectorAt and Walk read the
 // arrays in key order; Merge and Clone are vector adds and copies.

@@ -8,36 +8,26 @@ import (
 	"repro/internal/data"
 )
 
-// TestFoldCountWithinBound: the middleware charges a fold CCFoldEntry per cell
-// of its bound, min(len(sel), values × classes), on counted and derived nodes
-// alike, because a derived node has no fold to count. That is a true upper
-// bound on the distinct cells AddMany folds — the count it still returns, so
-// this test and FuzzTableOps can check the bound — over random dictionaries
-// and selections of at most 64 cells and of more (tree data's 10 classes),
-// and the bound is met where every row is a cell of its own or every cell is hit.
+// TestFoldCountWithinBound: the middleware charges CCFoldEntry per cell of a
+// block's fold bound, min(len(sel), values × classes), on counted and derived
+// nodes alike, because a derived node has no fold to count. A histogram that
+// takes one to three blocks' bumps of the same dictionaries before it folds —
+// the middleware folds once per row group where its budget cannot police —
+// folds at most those blocks' bounds summed: the count Fold returns, so this
+// test and FuzzTableOps can check the bound, over random dictionaries and
+// selections of at most 64 cells and of more (tree data's 10 classes). The
+// bound is met where one block's every row is a cell of its own or every cell
+// is hit.
 func TestFoldCountWithinBound(t *testing.T) {
 	rng := rand.New(rand.NewSource(36))
 	var hist []int64
-	var small, large, tight int
+	var small, large, tight, multi int
 	for trial := 0; trial < 600; trial++ {
 		nd, nc := 1+rng.Intn(40), 1+rng.Intn(10)
 		if nd*nc <= 64 {
 			small++
 		} else {
 			large++
-		}
-		n := rng.Intn(80)
-		codes, classCodes := make([]uint16, n), make([]uint16, n)
-		var sel []int32
-		distinct := rng.Intn(3) == 0 // every selected row a cell of its own, where the dictionaries allow
-		for i := range codes {
-			codes[i], classCodes[i] = uint16(rng.Intn(nd)), uint16(rng.Intn(nc))
-			if distinct {
-				codes[i], classCodes[i] = uint16(i/nc%nd), uint16(i%nc)
-			}
-			if distinct || rng.Intn(4) > 0 {
-				sel = append(sel, int32(i))
-			}
 		}
 		dict, classDict := make([]data.Value, nd), make([]data.Value, nc)
 		for v := range dict {
@@ -46,21 +36,48 @@ func TestFoldCountWithinBound(t *testing.T) {
 		for c := range classDict {
 			classDict[c] = data.Value(c)
 		}
-		var folded int
-		hist, folded = New().AddMany(0, dict, codes, classDict, classCodes, sel, hist)
-		bound := min(len(sel), nd*nc)
+		if cap(hist) < nd*nc {
+			hist = make([]int64, nd*nc)
+		}
+		hist = hist[:nd*nc]
+		blocks := 1 + rng.Intn(3)
+		distinct := blocks == 1 && rng.Intn(3) == 0 // every selected row a cell of its own, where the dictionaries allow
+		bound := 0
+		for range blocks {
+			n := rng.Intn(80)
+			codes, classCodes := make([]uint16, n), make([]uint16, n)
+			var sel []int32
+			for i := range codes {
+				codes[i], classCodes[i] = uint16(rng.Intn(nd)), uint16(rng.Intn(nc))
+				if distinct {
+					codes[i], classCodes[i] = uint16(i/nc%nd), uint16(i%nc)
+				}
+				if distinct || rng.Intn(4) > 0 {
+					sel = append(sel, int32(i))
+				}
+			}
+			Bump(hist, codes, classCodes, nc, sel)
+			bound += min(len(sel), nd*nc)
+		}
+		folded := New().Fold(0, dict, classDict, hist)
 		if folded > bound {
-			t.Fatalf("%d values x %d classes, %d rows: AddMany folded %d cells, past the bound %d", nd, nc, len(sel), folded, bound)
+			t.Fatalf("%d values x %d classes, %d blocks: Fold folded %d cells, past the summed bound %d", nd, nc, blocks, folded, bound)
 		}
 		if distinct && folded != bound {
-			t.Fatalf("%d values x %d classes, %d distinct rows: folded %d, want the bound %d", nd, nc, len(sel), folded, bound)
+			t.Fatalf("%d values x %d classes, distinct rows: folded %d, want the bound %d", nd, nc, folded, bound)
 		}
 		if folded == bound {
 			tight++
 		}
+		if blocks > 1 && folded > 0 {
+			multi++
+		}
+		if slices.ContainsFunc(hist, func(n int64) bool { return n != 0 }) {
+			t.Fatal("Fold left a dirty histogram")
+		}
 	}
-	if small == 0 || large == 0 || tight == 0 {
-		t.Fatalf("%d trials of at most 64 cells, %d of more, %d at the bound: cover all three", small, large, tight)
+	if small == 0 || large == 0 || tight == 0 || multi == 0 {
+		t.Fatalf("%d trials of at most 64 cells, %d of more, %d at the bound, %d folds of several blocks: cover all four", small, large, tight, multi)
 	}
 }
 

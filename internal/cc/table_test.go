@@ -70,7 +70,7 @@ func runTableOps(t testing.TB, ops []byte) {
 	r := &opReader{b: ops}
 	var hist []int64
 	for len(r.b) > 0 {
-		op, i := r.next(7), r.next(opTables)
+		op, i := r.next(8), r.next(opTables)
 		tb, ref := tabs[i], refs[i]
 		switch op {
 		case 0, 1: // Add
@@ -121,6 +121,42 @@ func runTableOps(t testing.TB, ops []byte) {
 			}
 			tb.AddRows(int64(len(sel)))
 			ref.rows += int64(len(sel))
+		case 7: // Bump one to four blocks of the same dictionaries into one histogram, then Fold once
+			dict := gapped(opVals, r.next(len(opVals)), r.next(256))
+			classDict := gapped(opClasses, r.next(len(opClasses)), r.next(256))
+			attr, nc := r.next(opAttrs), len(classDict)
+			need := len(dict) * nc
+			if cap(hist) < need {
+				hist = make([]int64, need)
+			}
+			hist = hist[:need]
+			cells, bound := map[Key]bool{}, 0
+			for blocks := 1 + r.next(4); blocks > 0; blocks-- {
+				n := r.next(24)
+				codes, classCodes := make([]uint16, n), make([]uint16, n)
+				var sel []int32
+				for j := 0; j < n; j++ {
+					codes[j], classCodes[j] = uint16(r.next(len(dict))), uint16(r.next(nc))
+					if r.next(3) > 0 {
+						sel = append(sel, int32(j))
+						k := Key{Attr: attr, Val: dict[codes[j]], Class: classDict[classCodes[j]]}
+						ref.cells[k]++
+						cells[k] = true
+					}
+				}
+				Bump(hist, codes, classCodes, nc, sel)
+				bound += min(len(sel), need)
+				tb.AddRows(int64(len(sel)))
+				ref.rows += int64(len(sel))
+			}
+			if folded := tb.Fold(attr, dict, classDict, hist); folded != len(cells) || folded > bound {
+				t.Fatalf("Fold folded %d cells, want %d, within the blocks' summed bound %d", folded, len(cells), bound)
+			}
+			for _, h := range hist {
+				if h != 0 {
+					t.Fatal("Fold left a dirty histogram")
+				}
+			}
 		case 4: // Merge another table in
 			if j := r.next(opTables); j != i {
 				tb.Merge(tabs[j])
@@ -242,8 +278,8 @@ func checkAgainstModel(t testing.TB, tb *Table, ref *opModel) {
 }
 
 // TestTableAgainstMap drives seeded random operation sequences — Add, AddRow,
-// AddMany, Merge and Clone interleaved over three tables — through the
-// differential harness.
+// AddMany, several blocks' Bumps folded once, Merge and Clone interleaved
+// over three tables — through the differential harness.
 func TestTableAgainstMap(t *testing.T) {
 	rng := rand.New(rand.NewSource(16))
 	for seq := 0; seq < 400; seq++ {

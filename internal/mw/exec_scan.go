@@ -268,13 +268,15 @@ var segmentRuns atomic.Int64
 
 // For tests: tagsOff walks every scan from the root, taggedScans counts (by
 // the source the batch read) the batches whose scan walked rows by their
-// tags, pairRows the rows those scans bucketed by a pair select, and
-// teesDropped the memory tees a budget dropped.
+// tags, pairRows the rows those scans bucketed by a pair select, teesDropped
+// the memory tees a budget dropped, and foldCalls the histograms the kernel
+// folded into a table.
 var (
 	tagsOff     bool
 	taggedScans [srcServer + 1]atomic.Int64
 	pairRows    atomic.Int64
 	teesDropped atomic.Int64
+	foldCalls   atomic.Int64
 )
 
 // tagRows readies the batch's scan — of the server table's rows (the whole
@@ -339,14 +341,18 @@ func (r *batchRun) runScan(ctx context.Context, src engine.GroupSource) error {
 // segmentable reports whether the batch's pass may run as segments, whose
 // split no meter, trace or result may show. It holds when the pass stages
 // nothing — a tee's groups would be cut where segments meet, and later scans
-// of the stage would see other groups — and its budget cannot police: every
-// live table at its worst, each attribute's values and Missing times the
-// classes and Missing at cc.EntryBytes a cell, fits the budget, so no shed or
-// reclaim can depend on which rows a goroutine counted first.
+// of the stage would see other groups — and its budget cannot police, so no
+// shed or reclaim can depend on which rows a goroutine counted first.
 func (r *batchRun) segmentable() bool {
-	if len(r.plan.fileTees) > 0 || len(r.plan.memTees) > 0 {
-		return false
-	}
+	return len(r.plan.fileTees) == 0 && len(r.plan.memTees) == 0 && r.cannotPolice()
+}
+
+// cannotPolice reports whether the pass's budget can never shed or reclaim
+// mid-scan: every live table at its worst, each attribute's values and
+// Missing times the classes and Missing at cc.EntryBytes a cell, plus the
+// memory tees' planned rows at rowMemBytes (a node's rows are exact), fits
+// the budget.
+func (r *batchRun) cannotPolice() bool {
 	m := r.m
 	classes := int64(m.schema.Class.Card + 1)
 	var worst int64
@@ -354,6 +360,9 @@ func (r *batchRun) segmentable() bool {
 		for _, a := range w.attrs {
 			worst += int64(m.cards[a]+1) * classes * cc.EntryBytes
 		}
+	}
+	for _, t := range r.plan.memTees {
+		worst += t.rows * r.rowMemBytes
 	}
 	return worst <= r.budget
 }
@@ -492,8 +501,9 @@ func (r *batchRun) scanSource(ctx context.Context, src engine.GroupSource, sh *s
 }
 
 // scanRange counts row groups [lo, hi) of src into sh with the kernel of
-// scratch j, charging m, until ctx is done; a staging file is read through the
-// scratch's own open file and buffer.
+// scratch j, charging m, until ctx is done, and folds the histograms of the
+// last group it counted (a failed scan drops them); a staging file is read
+// through the scratch's own open file and buffer.
 func (r *batchRun) scanRange(ctx context.Context, src engine.GroupSource, lo, hi, j int, m *sim.Meter, sh *scanShard) error {
 	if r.b.kind == srcFile {
 		fsrc := r.m.files.source(r.b.stage.file, &r.m.scratch[j].buf)
@@ -503,5 +513,6 @@ func (r *batchRun) scanRange(ctx context.Context, src engine.GroupSource, lo, hi
 	cons := r.colConsumer(j, m, sh)
 	err := engine.ScanRange(ctx, src, []*engine.ScanConsumer{cons}, lo, hi, m)
 	pairRows.Add(cons.PairRows())
+	r.m.scratch[j].cons.end(err == nil)
 	return err
 }

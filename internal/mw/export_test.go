@@ -51,6 +51,10 @@ func TaggedScans(source string) int64 {
 // pair select.
 func PairRows() int64 { return pairRows.Load() }
 
+// FoldCalls returns how many histograms, process-wide, the counting kernel has
+// folded into a counts table (cc.Table.Fold calls).
+func FoldCalls() int64 { return foldCalls.Load() }
+
 // TeesDropped returns how many memory tees, process-wide, a scan's budget has
 // dropped, mid-scan or once the pass settled.
 func TeesDropped() int64 { return teesDropped.Load() }

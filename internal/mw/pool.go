@@ -44,8 +44,10 @@ type scanScratch struct {
 // read buffer last saw — keeping the storage it grew.
 func (ls *scanScratch) release() {
 	c := &ls.cons
+	c.drop()
 	c.plan, c.live, c.meter, c.sh = nil, nil, nil, nil
-	c.classDict, c.classCodes = nil, nil
+	clear(c.dicts[:cap(c.dicts)])
+	c.dicts, c.classDict, c.classCodes = c.dicts[:0], nil, nil
 	ls.scan.Release()
 	ls.buf.g = storage.ColGroup{}
 	clear(ls.held)

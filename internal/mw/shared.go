@@ -115,6 +115,7 @@ func (sb *SharedBatch) Finish(ioElapsedNS int64) ([]*Result, error) {
 		m.meter.Advance(ioElapsedNS)
 	}
 	pairRows.Add(sb.cons.PairRows())
+	m.scratch[0].cons.end(true)
 	r.closeScan()
 	r.settle(sb.sh)
 	return m.finishBatch(sb.ctx, r)
@@ -129,6 +130,7 @@ func (sb *SharedBatch) Abort() {
 		return
 	}
 	sb.done = true
+	sb.m.scratch[0].cons.end(false)
 	sb.m.abortTees(sb.r.plan.fileTees)
 	sb.r.ssp.End()
 	sb.r.bsp.End()
