@@ -4,7 +4,7 @@
 // ccsql database/sql driver, or anything speaking the protocol — submit
 // statements of the internal/sqlparser grammar: SQL, SCORE TABLE, and
 //
-//	BUILD TREE [MAXDEPTH n] [MINROWS n] [MODEL name] [OUTPUT STATS|TREE|TRACE]
+//	BUILD TREE [MAXDEPTH n] [MINROWS n] [MODEL name] [OUTPUT STATS|TREE|TRACE|EXPLAIN]
 //
 // Builds submitted by concurrent clients run as one multi-tenant fleet
 // cohort: each gets a fixed slice -memory / -max-sessions of the memory

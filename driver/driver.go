@@ -43,19 +43,25 @@ func (Driver) Open(dsn string) (driver.Conn, error) {
 		return nil, err
 	}
 	c := &Conn{nc: nc, fr: wire.NewReader(nc)}
-	if err := wire.WriteFrame(nc, wire.THello, wire.Hello{Version: wire.Version}); err != nil {
+	if err := c.handshake(); err != nil {
 		nc.Close()
 		return nil, err
 	}
+	return c, nil
+}
+
+// handshake sends the client's Hello and checks the daemon's acknowledgement.
+func (c *Conn) handshake() error {
+	if err := wire.WriteFrame(c.nc, wire.THello, wire.Hello{Version: wire.Version}); err != nil {
+		return err
+	}
 	if err := wire.Expect(c.fr, wire.THelloAck, &c.ack); err != nil {
-		nc.Close()
-		return nil, fmt.Errorf("ccsql: handshake: %w", err)
+		return fmt.Errorf("ccsql: handshake: %w", err)
 	}
 	if c.ack.Version != wire.Version {
-		nc.Close()
-		return nil, fmt.Errorf("ccsql: handshake: server speaks protocol version %d, this driver %d", c.ack.Version, wire.Version)
+		return fmt.Errorf("ccsql: handshake: server speaks protocol version %d, this driver %d", c.ack.Version, wire.Version)
 	}
-	return c, nil
+	return nil
 }
 
 // Conn is one protocol connection. database/sql guarantees single-goroutine

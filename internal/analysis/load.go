@@ -18,27 +18,11 @@ import (
 // Package is one loaded, parsed and type-checked package ready for analysis.
 type Package struct {
 	PkgPath string
-	Module  string // module path, "" outside a module
 	Fset    *token.FileSet
 	Files   []*ast.File
-	Types   *types.Package
 	Info    *types.Info
 
 	directives map[string][]directive // filename -> //repolint: comments
-}
-
-// FuncDecls returns every function declaration with a body in the package,
-// in file and source order (the module index's deterministic walk set).
-func (p *Package) FuncDecls() []*ast.FuncDecl {
-	var out []*ast.FuncDecl
-	for _, f := range p.Files {
-		for _, decl := range f.Decls {
-			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Body != nil {
-				out = append(out, fd)
-			}
-		}
-	}
-	return out
 }
 
 // listPackage is the subset of `go list -json` output the loader consumes.
@@ -48,7 +32,6 @@ type listPackage struct {
 	Export     string
 	GoFiles    []string
 	DepOnly    bool
-	Module     *struct{ Path string }
 	Error      *struct{ Err string }
 }
 
@@ -115,9 +98,6 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 			Fset:       fset,
 			directives: map[string][]directive{},
 		}
-		if t.Module != nil {
-			pkg.Module = t.Module.Path
-		}
 		for _, name := range t.GoFiles {
 			path := filepath.Join(t.Dir, name)
 			f, err := parser.ParseFile(fset, path, nil, parser.ParseComments|parser.SkipObjectResolution)
@@ -128,18 +108,13 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 			pkg.directives[path] = parseDirectives(fset, f)
 		}
 		pkg.Info = &types.Info{
-			Types:      map[ast.Expr]types.TypeAndValue{},
-			Defs:       map[*ast.Ident]types.Object{},
-			Uses:       map[*ast.Ident]types.Object{},
-			Selections: map[*ast.SelectorExpr]*types.Selection{},
-			Scopes:     map[ast.Node]*types.Scope{},
+			Types: map[ast.Expr]types.TypeAndValue{},
+			Uses:  map[*ast.Ident]types.Object{},
 		}
 		conf := types.Config{Importer: imp}
-		tpkg, err := conf.Check(t.ImportPath, fset, pkg.Files, pkg.Info)
-		if err != nil {
+		if _, err := conf.Check(t.ImportPath, fset, pkg.Files, pkg.Info); err != nil {
 			return nil, fmt.Errorf("analysis: type-check %s: %v", t.ImportPath, err)
 		}
-		pkg.Types = tpkg
 		pkgs = append(pkgs, pkg)
 	}
 	return pkgs, nil

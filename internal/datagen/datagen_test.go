@@ -1,7 +1,10 @@
 package datagen
 
 import (
+	"os"
+	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/data"
@@ -357,5 +360,30 @@ func TestClusteredDefaultsAndClassSignal(t *testing.T) {
 	}
 	if frac := float64(agree) / float64(total); frac < 0.9 {
 		t.Fatalf("class agrees with rule on %.2f of rows, want >= 0.9 (noise 0.05)", frac)
+	}
+}
+
+// TestLoadCSV: Load reads a CSV path, taking precedence over the generator,
+// to the dataset data.ReadCSV reads from the same text; a missing file is an
+// error.
+func TestLoadCSV(t *testing.T) {
+	const text = "outlook,windy,play\nsunny,no,yes\nrain,yes,no\nsunny,yes,no\novercast,no,yes\n"
+	path := filepath.Join(t.TempDir(), "weather.csv")
+	if err := os.WriteFile(path, []byte(text), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	got, err := Load(path, "census", 100, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := data.ReadCSV(strings.NewReader(text))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("Load = %+v\nwant %+v", got, want)
+	}
+	if _, err := Load(filepath.Join(t.TempDir(), "missing.csv"), "census", 100, 1); err == nil {
+		t.Error("Load of a missing CSV succeeded")
 	}
 }

@@ -32,11 +32,10 @@ func BuildContext(ctx context.Context, m *mw.Middleware, opt Options) (*Tree, er
 	}
 	for b.Pending() > 0 {
 		results, err := m.StepContext(ctx)
-		if err != nil {
-			b.Abort()
-			return nil, err
+		if err == nil {
+			err = b.Feed(results)
 		}
-		if err := b.Feed(results); err != nil {
+		if err != nil {
 			b.Abort()
 			return nil, err
 		}

@@ -30,8 +30,9 @@ type Builder struct {
 
 // NewBuilder opens the build (its build span) and enqueues the root
 // request. The caller must then repeatedly Feed the middleware's results
-// until Pending reaches zero, and Finish; Abort releases the spans on an
-// external error.
+// until Pending reaches zero, and Finish. After any error from Feed or from
+// the caller's Step loop, Abort ends the build span; an error from NewBuilder
+// itself leaves nothing open.
 func NewBuilder(m *mw.Middleware, opt Options) (*Builder, error) {
 	schema := m.Schema()
 	b := &Builder{
@@ -61,14 +62,11 @@ func NewBuilder(m *mw.Middleware, opt Options) (*Builder, error) {
 		NodeID: 0, ParentID: -1, Path: nil,
 		Attrs: rootAttrs, Rows: b.root.Rows, EstCC: rootEst,
 	}); err != nil {
-		b.closeSpans()
+		b.bsp.End()
 		return nil, err
 	}
 	return b, nil
 }
-
-// closeSpans ends the build span (Span.End is idempotent).
-func (b *Builder) closeSpans() { b.bsp.End() }
 
 // Pending returns the number of outstanding middleware requests; the build
 // is complete when it reaches zero.
@@ -77,17 +75,15 @@ func (b *Builder) Pending() int { return b.m.Pending() }
 // Feed consumes one Step's worth of middleware results: grows the tree at
 // each fulfilled node (grow), enqueues the children that need counting, and
 // closes the fulfilled nodes. An empty result set with requests still pending is
-// the no-progress error, exactly as in Build's loop.
+// the no-progress error, exactly as in Build's loop. After an error the caller
+// must Abort.
 func (b *Builder) Feed(results []*mw.Result) error {
 	if len(results) == 0 && b.m.Pending() > 0 {
-		err := fmt.Errorf("dtree: middleware made no progress with %d pending requests", b.m.Pending())
-		b.closeSpans()
-		return err
+		return fmt.Errorf("dtree: middleware made no progress with %d pending requests", b.m.Pending())
 	}
 	for _, res := range results {
 		n, ok := b.nodes[res.Req.NodeID]
 		if !ok {
-			b.closeSpans()
 			return fmt.Errorf("dtree: result for unknown node %d", res.Req.NodeID)
 		}
 		for _, child := range grow(n, res.CC, b.classIdx, b.classCard, b.opt, &b.nextID) {
@@ -98,7 +94,6 @@ func (b *Builder) Feed(results []*mw.Result) error {
 				Path: child.Path, Attrs: child.Attrs,
 				Rows: child.Rows, EstCC: est,
 			}); err != nil {
-				b.closeSpans()
 				return err
 			}
 		}
@@ -114,10 +109,10 @@ func (b *Builder) Finish() (*Tree, error) {
 	if b.m.Pending() > 0 {
 		return nil, fmt.Errorf("dtree: Finish with %d requests still pending", b.m.Pending())
 	}
-	b.closeSpans()
+	b.bsp.End()
 	return finalize(&Tree{Root: b.root, Schema: b.m.Schema()}), nil
 }
 
-// Abort releases the build's spans without producing a tree; for callers
-// whose Step loop failed outside Feed.
-func (b *Builder) Abort() { b.closeSpans() }
+// Abort ends the build span without producing a tree: the one release after
+// any error from Feed or the caller's Step loop. Span.End is idempotent.
+func (b *Builder) Abort() { b.bsp.End() }

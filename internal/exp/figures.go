@@ -546,11 +546,10 @@ func NaiveBayesPlugin(env *Env, scale float64) (*Experiment, error) {
 			return nil, err
 		}
 		model, err := nb.Train(m)
+		m.Close()
 		if err != nil {
-			m.Close()
 			return nil, err
 		}
-		m.Close()
 		if acc := model.Accuracy(ds); acc < 1.0/float64(ds.Schema.Class.Card) {
 			return nil, fmt.Errorf("naive bayes accuracy %.3f below chance", acc)
 		}

@@ -74,6 +74,12 @@ func (m *Middleware) StepContext(ctx context.Context) ([]*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	return m.runBatch(ctx, r)
+}
+
+// runBatch scans an opened batch and finishes it. A failed scan ends the
+// batch span; finishBatch ends it otherwise.
+func (m *Middleware) runBatch(ctx context.Context, r *batchRun) ([]*Result, error) {
 	if err := m.scanBatch(ctx, r); err != nil {
 		r.bsp.End()
 		return nil, err

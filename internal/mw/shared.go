@@ -70,11 +70,7 @@ func (m *Middleware) BeginSharedBatch(ctx context.Context) (*SharedBatch, []*Res
 		return nil, nil, err
 	}
 	if b.kind != srcServer || m.cfg.Access != AccessScan || len(r.live) == 0 {
-		if err := m.scanBatch(ctx, r); err != nil {
-			r.bsp.End()
-			return nil, nil, err
-		}
-		results, err := m.finishBatch(ctx, r)
+		results, err := m.runBatch(ctx, r)
 		return nil, results, err
 	}
 

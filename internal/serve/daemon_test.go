@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"bytes"
 	"context"
 	"database/sql"
 	"errors"
@@ -21,6 +20,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/mw"
 	"repro/internal/obs"
+	"repro/internal/obs/profile"
 	"repro/internal/sim"
 	"repro/internal/wire"
 )
@@ -78,9 +78,8 @@ func queryStrings(t *testing.T, db *sql.DB, stmt string) []string {
 // inProcessArm mirrors exactly what the daemon's fleet does for a solitary
 // session — a fresh virtual clock at the session's zero arrival, the
 // "session-1" observability proc, session id 1 — but drives the build with
-// the plain in-process dtree.Build API. Returns the tree and the ndjson
-// trace lines.
-func inProcessArm(t *testing.T, rows int, opt dtree.Options) (*dtree.Tree, []string) {
+// the plain in-process dtree.Build API. Returns the tree and its trace.
+func inProcessArm(t *testing.T, rows int, opt dtree.Options) (*dtree.Tree, *obs.Trace) {
 	t.Helper()
 	srv := testServer(t, rows)
 	meter := sim.NewMeter(srv.Meter().Costs())
@@ -96,22 +95,26 @@ func inProcessArm(t *testing.T, rows int, opt dtree.Options) (*dtree.Tree, []str
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := col.Write(&buf, "ndjson"); err != nil {
-		t.Fatal(err)
-	}
-	return tree, strings.Split(strings.TrimSuffix(buf.String(), "\n"), "\n")
+	return tree, col
 }
 
 // TestDaemonEquivalence: a build submitted over the wire through the stock
-// database/sql driver returns the byte-identical tree dump AND the
-// byte-identical execution trace of an in-process dtree.Build.
+// database/sql driver returns the byte-identical tree dump, execution trace
+// (OUTPUT TRACE) and profile (OUTPUT EXPLAIN) of an in-process dtree.Build.
 func TestDaemonEquivalence(t *testing.T) {
 	const rows = 1500
 	opt := dtree.Options{MaxDepth: 6, MinRows: 20}
 	// Every scan is one pass, so the single-worker case is the one case.
 	t.Run("workers=1", func(t *testing.T) {
-		wantTree, wantTrace := inProcessArm(t, rows, opt)
+		wantTree, col := inProcessArm(t, rows, opt)
+		wantTrace, err := textLines(func(w io.Writer) error { return col.Write(w, "ndjson") })
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantExplain, err := textLines(profile.Compute(col).WriteText)
+		if err != nil {
+			t.Fatal(err)
+		}
 
 		addr, stop := startDaemon(t, rows, true)
 		defer stop()
@@ -141,6 +144,11 @@ func TestDaemonEquivalence(t *testing.T) {
 					break
 				}
 			}
+		}
+
+		if gotExplain := queryStrings(t, db, build+"EXPLAIN"); !equalLines(gotExplain, wantExplain) {
+			t.Errorf("daemon profile differs from in-process build:\n%s\nwant:\n%s",
+				strings.Join(gotExplain, "\n"), strings.Join(wantExplain, "\n"))
 		}
 	})
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"io"
 	"runtime"
 	"slices"
 	"strings"
@@ -13,6 +14,7 @@ import (
 	"repro/internal/dtree"
 	"repro/internal/engine"
 	"repro/internal/obs"
+	"repro/internal/obs/profile"
 	"repro/internal/sim"
 	"repro/internal/sqlparser"
 )
@@ -243,15 +245,12 @@ func (d *Dispatcher) runFleet(seq int64, batch []*fleetReq) {
 			answer(i, nil, err)
 		}
 	}
-	wantTrace := false
+	var col *obs.Trace // the cohort's trace, which OUTPUT TRACE and EXPLAIN read
 	for _, r := range batch {
-		if b, ok := r.stmt.(*sqlparser.BuildTree); ok && b.Output == sqlparser.OutputTrace {
-			wantTrace = true
+		if b, ok := r.stmt.(*sqlparser.BuildTree); ok && (b.Output == sqlparser.OutputTrace || b.Output == sqlparser.OutputExplain) {
+			col = obs.NewTrace()
+			break
 		}
-	}
-	var col *obs.Trace
-	if wantTrace {
-		col = obs.NewTrace()
 	}
 
 	d.emu.Lock()
@@ -317,14 +316,19 @@ func (d *Dispatcher) runFleet(seq int64, batch []*fleetReq) {
 		}
 	}
 
-	var traceLines []string
-	if wantTrace {
-		var buf bytes.Buffer
-		if err := col.Write(&buf, "ndjson"); err != nil {
+	var traced map[string][]string // OUTPUT → the trace's lines in that rendering
+	if col != nil {
+		trace, err := textLines(func(w io.Writer) error { return col.Write(w, "ndjson") })
+		if err != nil {
 			fail(err)
 			return
 		}
-		traceLines = strings.Split(strings.TrimSuffix(buf.String(), "\n"), "\n")
+		explain, err := textLines(profile.Compute(col).WriteText)
+		if err != nil {
+			fail(err)
+			return
+		}
+		traced = map[string][]string{sqlparser.OutputTrace: trace, sqlparser.OutputExplain: explain}
 	}
 	for i, r := range batch {
 		if answered[i] {
@@ -348,8 +352,17 @@ func (d *Dispatcher) runFleet(seq int64, batch []*fleetReq) {
 				continue
 			}
 		}
-		answer(i, &Result{Set: buildResult(b.Output, s, fleet, traceLines), cost: time.Duration(s.LatencyNS())}, nil)
+		answer(i, &Result{Set: buildResult(b.Output, s, fleet, traced[b.Output]), cost: time.Duration(s.LatencyNS())}, nil)
 	}
+}
+
+// textLines returns what write writes, split into lines.
+func textLines(write func(io.Writer) error) ([]string, error) {
+	var buf bytes.Buffer
+	if err := write(&buf); err != nil {
+		return nil, err
+	}
+	return strings.Split(strings.TrimSuffix(buf.String(), "\n"), "\n"), nil
 }
 
 // sessionCols are SHOW SESSIONS' columns: per session of a run, its id within
@@ -397,8 +410,8 @@ func (d *Dispatcher) mark(s *Session, state string) {
 }
 
 // buildResult renders one build session's outcome in the statement's OUTPUT
-// shape.
-func buildResult(output string, s *Session, f *Fleet, traceLines []string) *engine.ResultSet {
+// shape; traced holds the cohort trace's lines for TRACE and EXPLAIN.
+func buildResult(output string, s *Session, f *Fleet, traced []string) *engine.ResultSet {
 	oneColumn := func(col string, lines []string) *engine.ResultSet {
 		rs := &engine.ResultSet{Cols: []string{col}}
 		for _, line := range lines {
@@ -413,7 +426,10 @@ func buildResult(output string, s *Session, f *Fleet, traceLines []string) *engi
 		// The trace covers the whole cohort: one proc per session, in
 		// session order. A single-session run's trace is exactly the
 		// in-process build's.
-		return oneColumn("span", traceLines)
+		return oneColumn("span", traced)
+	case sqlparser.OutputExplain:
+		// The profile of that trace, as WriteText renders it.
+		return oneColumn("explain", traced)
 	}
 	st := s.Tree().Stats()
 	rs := &engine.ResultSet{Cols: []string{"stat", "value"}}

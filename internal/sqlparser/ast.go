@@ -259,13 +259,15 @@ func (s *ScoreTable) String() string {
 
 // BuildTree.Output values.
 const (
-	OutputStats = "STATS"
-	OutputTree  = "TREE"
-	OutputTrace = "TRACE"
+	OutputStats   = "STATS"
+	OutputTree    = "TREE"
+	OutputTrace   = "TRACE"
+	OutputExplain = "EXPLAIN"
 )
 
 // BuildTree is the tree-building statement:
-// BUILD TREE [MAXDEPTH n] [MINROWS n] [MODEL ident] [OUTPUT STATS|TREE|TRACE].
+// BUILD TREE [MAXDEPTH n] [MINROWS n] [MODEL ident]
+// [OUTPUT STATS|TREE|TRACE|EXPLAIN].
 // It grows a decision tree over the served table through the middleware.
 // MODEL registers the finished tree in the model catalog, where SCORE TABLE
 // and CLASSIFY() find it; OUTPUT picks the result shape. Zero values mean

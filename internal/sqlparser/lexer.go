@@ -6,9 +6,9 @@
 // of §2.3 of the paper (the UNION-of-GROUP-BY counts query) plus the DDL the
 // experiments use — and the two classification statements, SCORE TABLE t
 // USING m and BUILD TREE [MAXDEPTH n] [MINROWS n] [MODEL ident]
-// [OUTPUT STATS|TREE|TRACE]. CREATE INDEX, JOIN, DELETE, HAVING, DISTINCT,
-// ORDER BY, UNION without ALL, SUM, MIN, MAX, AVG, COUNT(expr) and WORKERS
-// are reserved and refused by name: the engine has none of them.
+// [OUTPUT STATS|TREE|TRACE|EXPLAIN]. CREATE INDEX, JOIN, DELETE, HAVING,
+// DISTINCT, ORDER BY, UNION without ALL, SUM, MIN, MAX, AVG, COUNT(expr) and
+// WORKERS are reserved and refused by name: the engine has none of them.
 package sqlparser
 
 import (

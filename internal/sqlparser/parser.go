@@ -156,7 +156,7 @@ func (p *parser) scoreStmt() (Statement, error) {
 }
 
 // buildStmt parses BUILD TREE [MAXDEPTH n] [MINROWS n] [MODEL ident]
-// [OUTPUT STATS|TREE|TRACE]: options in any order, each at most once. WORKERS
+// [OUTPUT STATS|TREE|TRACE|EXPLAIN]: options in any order, each at most once. WORKERS
 // is refused by name, as in SCORE TABLE.
 func (p *parser) buildStmt() (Statement, error) {
 	if err := p.advance(); err != nil {
@@ -195,8 +195,9 @@ func (p *parser) buildStmt() (Statement, error) {
 			s.Model, err = p.expectIdent()
 		case "OUTPUT":
 			s.Output = strings.ToUpper(p.tok.text)
-			if p.tok.kind != tokIdent || (s.Output != OutputStats && s.Output != OutputTree && s.Output != OutputTrace) {
-				return nil, p.errf("expected STATS, TREE or TRACE, found %q", p.tok.text)
+			if p.tok.kind != tokIdent || (s.Output != OutputStats && s.Output != OutputTree &&
+				s.Output != OutputTrace && s.Output != OutputExplain) {
+				return nil, p.errf("expected STATS, TREE, TRACE or EXPLAIN, found %q", p.tok.text)
 			}
 			err = p.advance()
 		default:

@@ -264,6 +264,7 @@ func TestRoundTrip(t *testing.T) {
 		"BUILD TREE",
 		"BUILD TREE MAXDEPTH 6 MINROWS 20 MODEL m OUTPUT STATS",
 		"BUILD TREE OUTPUT TRACE MODEL m MINROWS 20 MAXDEPTH 6",
+		"BUILD TREE MAXDEPTH 4 OUTPUT explain",
 		"build tree maxdepth 0 minrows 0 output tree",
 		"-- note\n\nBUILD TREE MODEL output",
 		"SHOW SESSIONS",
@@ -418,6 +419,9 @@ func TestParseBuildTree(t *testing.T) {
 	got := mustParse(t, "-- leading comment\n\n  build Tree mInRows 7 model Mx output tree").(*BuildTree)
 	if want := (BuildTree{MinRows: 7, Model: "Mx", Output: OutputTree}); *got != want {
 		t.Errorf("parsed %+v, want %+v", got, want)
+	}
+	if got := mustParse(t, "build tree output Explain").(*BuildTree); got.Output != OutputExplain {
+		t.Errorf("OUTPUT Explain parsed as %+v", got)
 	}
 	if got := mustParse(t, "BUILD TREE").(*BuildTree); *got != (BuildTree{}) {
 		t.Errorf("bare BUILD TREE parsed as %+v", got)

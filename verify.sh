@@ -24,12 +24,10 @@ gate "go vet ./..." go vet ./...
 # fails here, not in the acceptance driver.
 bench_gate() { (cd cmd/bench && go vet ./... && go test -short ./...); }
 gate "cmd/bench: go vet + go test -short" bench_gate
-# repolint: the repository's own static-analysis suite (internal/analysis):
-# determinism, span-end and resource-release invariants, the last two
-# interprocedural via whole-module function summaries. -stats
-# prints the summary-coverage line (functions summarized, cross-function
-# obligation events) to stderr so the one-line figure lands in CI logs.
-gate "go run ./cmd/repolint ./..." go run ./cmd/repolint -stats ./...
+# repolint: the repository's own static-analysis suite (internal/analysis),
+# the determinism analyzer: no wall clock, no global math/rand and no
+# order-dependent map iteration in non-test code.
+gate "go run ./cmd/repolint ./..." go run ./cmd/repolint ./...
 # The linter's own determinism is internal/analysis's
 # TestDiagnosticsDeterministic: two independent loads of its testdata module,
 # whose findings must agree (a clean tree has none to compare).
